@@ -5,7 +5,9 @@ things are gated here against benchmarks/baseline.json:
 
 * compressor throughput on a 1M-element (1000x1000) float32 gradient --
   top-k's selection pass and PowerSGD's two rank-r GEMMs must stay fast
-  enough that encode time cannot dominate the wire time it saves;
+  enough that encode time cannot dominate the wire time it saves -- and
+  top-k on a 64K-element one, the cache-resident size of a transformer
+  block's MLP matrices;
 * the :class:`~repro.comm.bucketing.GradientBucketer`'s dispatch
   overhead -- test_trainer_iteration_bucketed shares its exact setup
   with bench_micro's test_trainer_iteration_bsp and differs only in
@@ -27,12 +29,24 @@ def _grads(seed=0, shape=(1000, 1000)):
 
 
 def test_topk_compression_rate(benchmark):
-    """topk(0.01) on a 1M-element gradient: one selection pass + residual."""
+    """topk(0.01) on a 1M-element gradient: one partition pass + residual."""
     compressor = make_compressor("topk(0.01)")
     grads = _grads()
 
     def step():
         _, nbytes = compressor.compress("fc", grads)
+        return nbytes
+
+    assert benchmark(step) > 0
+
+
+def test_topk_64k(benchmark):
+    """topk(0.01) on a 128x512 gradient: the transformer trainer's unit."""
+    compressor = make_compressor("topk(0.01)")
+    grads = _grads(shape=(128, 512))
+
+    def step():
+        _, nbytes = compressor.compress("mlp_fc", grads)
         return nbytes
 
     assert benchmark(step) > 0

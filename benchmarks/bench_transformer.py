@@ -8,7 +8,7 @@ in either the layer kernels or the timed Algorithm-1 sweep are visible.
 import numpy as np
 
 from repro.experiments import fig_llm
-from repro.nn.layers import TransformerBlock
+from repro.nn.layers import GELU, TransformerBlock
 
 
 def test_transformer_block_forward_backward(benchmark):
@@ -23,6 +23,20 @@ def test_transformer_block_forward_backward(benchmark):
 
     grad = benchmark(step)
     assert grad.shape == x.shape
+
+
+def test_gelu_forward_backward(benchmark):
+    """Forward+backward of that block's MLP activation: 256 x 512 float32."""
+    rng = np.random.default_rng(0)
+    layer = GELU("act")
+    x = rng.standard_normal((256, 512)).astype(np.float32)
+    grad_out = rng.standard_normal((256, 512)).astype(np.float32)
+
+    def step():
+        layer.forward(x)
+        return layer.backward(grad_out)
+
+    assert benchmark(step).dtype == np.float32
 
 
 def test_fig_llm_quick(benchmark, once):

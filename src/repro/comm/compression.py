@@ -122,13 +122,32 @@ class OneBitCompressor(Compressor):
         self._quantizer.set_state(state["residuals"])
 
 
+def _topk_indices(magnitudes: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest ``magnitudes``, ties to the lowest index.
+
+    Exactly the set ``np.argsort(-magnitudes, kind="stable")[:count]`` keeps,
+    found with an O(n) partition: everything above the ``count``-th largest
+    value, plus as many of the lowest-index entries equal to it as it takes.
+    NaN magnitudes compare false against any threshold and leave that
+    selection short; only then is the full stable sort paid for.
+    """
+    kth = magnitudes.size - count
+    threshold = np.partition(magnitudes, kth)[kth]
+    above = np.flatnonzero(magnitudes > threshold)
+    ties = np.flatnonzero(magnitudes == threshold)[:count - above.size]
+    if above.size + ties.size != count:
+        return np.argsort(-magnitudes, kind="stable")[:count]
+    return np.concatenate([above, ties])
+
+
 class TopKCompressor(Compressor):
     """Top-k magnitude sparsification with per-key error feedback.
 
     Keeps the ``topk_count(k, elements)`` largest-magnitude entries of the
-    residual-corrected gradient (deterministic selection: stable argsort
-    of the negated magnitudes) and carries everything un-sent forward as
-    the next iteration's residual, so no gradient mass is ever dropped.
+    residual-corrected gradient (deterministic selection: ties go to the
+    lowest flat index, see :func:`_topk_indices`) and carries everything
+    un-sent forward as the next iteration's residual, so no gradient mass
+    is ever dropped.
     """
 
     def __init__(self, config: CompressionConfig):
@@ -138,13 +157,16 @@ class TopKCompressor(Compressor):
     def _compress_array(self, key, grad):
         corrected = grad + self._residuals.get(key, 0.0)
         flat = corrected.reshape(-1)
-        count = topk_count(self.config.k, flat.size)
-        order = np.argsort(-np.abs(flat), kind="stable")
-        keep = order[:count]
+        keep = _topk_indices(np.abs(flat), topk_count(self.config.k, flat.size))
         lossy_flat = np.zeros_like(flat)
         lossy_flat[keep] = flat[keep]
-        lossy = lossy_flat.reshape(corrected.shape).astype(grad.dtype)
-        self._residuals[key] = corrected - lossy
+        lossy = lossy_flat.reshape(corrected.shape).astype(grad.dtype,
+                                                           copy=False)
+        # The residual is the corrected gradient minus what was sent: zero
+        # the sent entries of the freshly allocated ``corrected`` (through
+        # ``flat``, which is a copy rather than a view for F-ordered input).
+        flat[keep] = 0
+        self._residuals[key] = flat.reshape(corrected.shape)
         m, n = grad.shape
         return lossy, self.config.weight_payload_bytes(m, n)
 

@@ -55,6 +55,8 @@ class WFBPScheduler:
             )
         self._futures: List[Future] = []
         self._deferred: List[Callable[[], Any]] = []
+        #: Set by :meth:`shutdown`; a retired scheduler takes no more jobs.
+        self.retired = False
         self.jobs_scheduled = 0
 
     def schedule(self, job: Callable[[], Any]) -> Optional[Future]:
@@ -62,10 +64,17 @@ class WFBPScheduler:
 
         Returns the future in WFBP mode, ``None`` in sequential mode (the job
         has merely been deferred).
+
+        Raises:
+            TrainingError: if the scheduler has been shut down.
         """
+        if self.retired:
+            raise TrainingError(
+                "cannot schedule a syncer job: this WFBPScheduler has been "
+                "shut down (a trainer's schedulers are retired when train() "
+                "returns)")
         self.jobs_scheduled += 1
-        if self.mode is ScheduleMode.WFBP:
-            assert self._executor is not None
+        if self._executor is not None:
             future = self._executor.submit(job)
             self._futures.append(future)
             return future
@@ -106,7 +115,8 @@ class WFBPScheduler:
         return results
 
     def shutdown(self) -> None:
-        """Stop the thread pool (idempotent)."""
+        """Stop the thread pool and refuse further jobs (idempotent)."""
+        self.retired = True
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None

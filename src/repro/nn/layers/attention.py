@@ -62,7 +62,18 @@ class MultiHeadAttention(Layer):
             "proj_bias": zeros((self.dim,)),
         }
         self.zero_grads()
+        # A Python float, not ``1.0 / np.sqrt(...)``: an ``np.float64`` scalar
+        # is strongly typed under NumPy 2 promotion and would turn float32
+        # scores -- and every activation and gradient after them -- float64.
+        self._scale = self.head_dim ** -0.5
         self._cache: Optional[Tuple[np.ndarray, ...]] = None
+        self._future: Optional[np.ndarray] = None
+
+    def _future_mask(self, seq: int) -> np.ndarray:
+        """``(T, T)`` boolean mask of the positions a query may not see."""
+        if self._future is None or self._future.shape[0] != seq:
+            self._future = np.triu(np.ones((seq, seq), dtype=bool), k=1)
+        return self._future
 
     def _split_heads(self, tensor: np.ndarray, batch: int, seq: int) -> np.ndarray:
         return tensor.reshape(batch, seq, self.num_heads,
@@ -88,14 +99,13 @@ class MultiHeadAttention(Layer):
             batch, seq)
         value = self._split_heads(qkv[:, 2 * self.dim:].reshape(batch, seq, self.dim),
                                   batch, seq)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (query @ key.transpose(0, 1, 3, 2)) * scale
+        scores = query @ key.transpose(0, 1, 3, 2)
+        scores *= self._scale
         if self.causal:
-            mask = np.tril(np.ones((seq, seq), dtype=bool))
-            scores = np.where(mask, scores, -np.inf)
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        weights = weights / weights.sum(axis=-1, keepdims=True)
+            np.copyto(scores, -np.inf, where=self._future_mask(seq))
+        scores -= scores.max(axis=-1, keepdims=True)
+        weights = np.exp(scores, out=scores)
+        weights /= weights.sum(axis=-1, keepdims=True)
         context = weights @ value                     # (B, H, T, hd)
         merged = self._merge_heads(context, batch, seq)
         out = merged @ self.params["proj_weight"] + self.params["proj_bias"]
@@ -125,8 +135,7 @@ class MultiHeadAttention(Layer):
         # softmax backward; masked positions carry weight 0, hence gradient 0.
         grad_scores = weights * (
             grad_weights - (grad_weights * weights).sum(axis=-1, keepdims=True))
-        scale = 1.0 / np.sqrt(self.head_dim)
-        grad_scores = grad_scores * scale
+        grad_scores *= self._scale
         grad_query = grad_scores @ key
         grad_key = grad_scores.transpose(0, 1, 3, 2) @ query
 

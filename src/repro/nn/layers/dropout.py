@@ -27,7 +27,8 @@ class Dropout(Layer):
             self._mask = None
             return inputs
         keep = 1.0 - self.rate
-        self._mask = (self._rng.random(inputs.shape) < keep) / keep
+        kept = self._rng.random(inputs.shape) < keep
+        self._mask = kept.astype(inputs.dtype) / keep
         return inputs * self._mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

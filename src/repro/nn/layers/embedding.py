@@ -67,7 +67,8 @@ class Embedding(Layer):
                 f"layer {self.name!r}: backward called before forward(training=True)"
             )
         self._check_input(grad_output, 3, "gradient")
-        grad_weight = np.zeros_like(self.params["weight"])
+        grad_weight = np.zeros(self.params["weight"].shape,
+                               dtype=grad_output.dtype)
         np.add.at(grad_weight, self._indices.reshape(-1),
                   grad_output.reshape(-1, self.dim))
         self.grads["weight"] = grad_weight
@@ -112,7 +113,8 @@ class PositionalEmbedding(Layer):
                 f"layer {self.name!r}: backward called before forward(training=True)"
             )
         self._check_input(grad_output, 3, "gradient")
-        grad_weight = np.zeros_like(self.params["weight"])
+        grad_weight = np.zeros(self.params["weight"].shape,
+                               dtype=grad_output.dtype)
         grad_weight[:self._seq_len] = grad_output.sum(axis=0)
         self.grads["weight"] = grad_weight
         return grad_output

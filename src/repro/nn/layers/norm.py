@@ -57,9 +57,8 @@ class LayerNorm(Layer):
             )
         normalized = self._normalized
         reduce_axes = tuple(range(grad_output.ndim - 1))
-        self.grads["gain"] = (grad_output * normalized).sum(
-            axis=reduce_axes).astype(np.float32)
-        self.grads["bias"] = grad_output.sum(axis=reduce_axes).astype(np.float32)
+        self.grads["gain"] = (grad_output * normalized).sum(axis=reduce_axes)
+        self.grads["bias"] = grad_output.sum(axis=reduce_axes)
         grad_normalized = grad_output * self.params["gain"]
         mean_grad = grad_normalized.mean(axis=-1, keepdims=True)
         mean_grad_norm = (grad_normalized * normalized).mean(axis=-1, keepdims=True)

@@ -460,7 +460,14 @@ class DistributedTrainer:
         under ``deterministic=True``.  Under ``recovery="drop"`` the dead
         worker is excised instead: the survivors renormalize aggregation
         to a P-1 mean and finish without it.
+
+        A trainer trains once: its worker schedulers are shut down when the
+        loop ends, so a second call raises :class:`TrainingError`.
         """
+        if any(runtime.scheduler.retired for runtime in self._workers):
+            raise TrainingError(
+                "DistributedTrainer.train() has already run and its worker "
+                "schedulers are shut down; build a new trainer to train again")
         iterations = iterations if iterations is not None else self.training.iterations
         history = TrainingHistory(
             mode=self.mode, num_workers=self.num_workers, iterations=iterations,

@@ -33,6 +33,7 @@ from repro.comm.compression import (
     OneBitCompressor,
     PowerSGDCompressor,
     TopKCompressor,
+    _topk_indices,
     make_compressor,
 )
 from repro.comm.quantization import OneBitQuantizer
@@ -44,7 +45,11 @@ from repro.core.wfbp import ScheduleMode
 from repro.data import make_linearly_separable, shard_dataset
 from repro.engines.base import CommMode, Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
-from repro.nn.model_zoo import build_mlp_network, get_model_spec
+from repro.nn.model_zoo import (
+    build_mlp_network,
+    build_transformer_network,
+    get_model_spec,
+)
 from repro.nn.spec import LayerKind
 from repro.parallel import DistributedTrainer
 from repro.simulation.fluid import FluidSimulator
@@ -185,6 +190,17 @@ def random_grads(seed: int, shape=(24, 16)):
     }
 
 
+def reference_topk(grad, residual, k):
+    """The pre-partition implementation: full stable argsort of ``-|x|``."""
+    corrected = grad + residual
+    flat = corrected.reshape(-1)
+    keep = np.argsort(-np.abs(flat), kind="stable")[:wire.topk_count(k, flat.size)]
+    lossy_flat = np.zeros_like(flat)
+    lossy_flat[keep] = flat[keep]
+    lossy = lossy_flat.reshape(corrected.shape).astype(grad.dtype)
+    return keep, lossy, corrected - lossy
+
+
 class TestTopKCompressor:
     def test_error_feedback_conserves_mass(self):
         compressor = TopKCompressor(CompressionConfig.parse("topk(0.1)"))
@@ -238,6 +254,56 @@ class TestTopKCompressor:
             residual = compressor._residuals["fc/weight"]
             np.testing.assert_allclose(sent + residual, corrected, atol=1e-5)
             corrected = residual
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           shape=st.sampled_from([(8, 8), (12, 8), (5, 31), (64, 16)]),
+           # tiny fraction, the benchmark's 1 %, half, one entry, everything
+           k=st.sampled_from([1e-4, 0.01, 0.5, 1.0, 10_000]),
+           kind=st.sampled_from(["normal", "ties", "zeros"]))
+    def test_matches_stable_argsort_reference(self, seed, shape, k, kind):
+        """Partition selection == the stable argsort it replaced, bit for bit."""
+        compressor = TopKCompressor(CompressionConfig.parse(f"topk({k})"))
+        rng = np.random.default_rng(seed)
+        residual = np.zeros(shape, dtype=np.float32)
+        for _ in range(3):
+            if kind == "normal":
+                grad = rng.standard_normal(shape).astype(np.float32)
+            elif kind == "ties":   # few distinct magnitudes, both signs
+                grad = rng.integers(-2, 3, size=shape).astype(np.float32)
+            else:
+                grad = np.zeros(shape, dtype=np.float32)
+            lossy, _ = compressor.compress("fc", {"weight": grad})
+            magnitudes = np.abs(grad + residual).reshape(-1)
+            want_keep, want_lossy, residual = reference_topk(grad, residual, k)
+            got_lossy = lossy["weight"]
+            got_residual = compressor._residuals["fc/weight"]
+            assert got_lossy.dtype == got_residual.dtype == np.float32
+            assert got_lossy.tobytes() == want_lossy.tobytes()
+            assert got_residual.tobytes() == residual.tobytes()
+            got_keep = _topk_indices(magnitudes, want_keep.size)
+            assert sorted(got_keep.tolist()) == sorted(want_keep.tolist())
+
+    def test_count_equal_to_size_keeps_everything(self):
+        compressor = TopKCompressor(CompressionConfig.parse("topk(10000)"))
+        grads = random_grads(7)
+        lossy, _ = compressor.compress("fc", grads)
+        np.testing.assert_array_equal(lossy["weight"], grads["weight"])
+        assert not compressor._residuals["fc/weight"].any()
+
+    def test_non_finite_magnitudes_fall_back_to_argsort(self):
+        """NaNs defeat the threshold test, so the stable sort decides."""
+        flat = np.arange(64, dtype=np.float32)
+        flat[[3, 40]] = np.nan
+        flat[10] = np.inf
+        magnitudes = np.abs(flat)
+        for count in (1, 2, 5, 64):
+            want = np.argsort(-magnitudes, kind="stable")[:count]
+            got = _topk_indices(magnitudes, count)
+            assert sorted(got.tolist()) == sorted(want.tolist())
+        # All-infinite thresholds need no fallback: ties go to the low index.
+        np.testing.assert_array_equal(
+            _topk_indices(np.full(8, np.inf, dtype=np.float32), 3), [0, 1, 2])
 
 
 class TestOneBitCompressor:
@@ -400,6 +466,58 @@ class TestTrainerWireBytes:
             trainer = make_trainer(setup, mode, compressor="topk(0.1)")
             losses[mode] = trainer.train(4).losses
         assert losses["ps"] == losses["ring"] == losses["hybrid"]
+
+
+class TestTransformerWireBytes:
+    """A float32 transformer books float32 bytes: trainer == wire formula.
+
+    The model, batch and ring/top-k/bucket settings are the repo
+    benchmark's ``train_gpt_ring_topk`` workload.  A float64 gradient
+    anywhere (see the dtype contract in docs/architecture.md) would put
+    its dense remainder on the wire at 8 bytes/element and break this.
+    """
+
+    WORKERS = 2
+    ITERATIONS = 2
+
+    @staticmethod
+    def factory():
+        return build_transformer_network(vocab_size=512, block_size=32,
+                                         n_embd=128, num_heads=4, num_blocks=2,
+                                         num_classes=10)
+
+    @staticmethod
+    def provider(iteration, worker):
+        rng = np.random.default_rng(100 * iteration + worker)
+        return rng.integers(0, 512, size=(8, 32)), rng.integers(0, 10, size=8)
+
+    def formula_bytes_per_iteration(self, spec):
+        config = CompressionConfig.parse(spec)
+        ring_factor = 2 * (self.WORKERS - 1) / self.WORKERS
+        per_worker = 0
+        for _, layer in self.factory().parameter_layers():
+            parts = tuple((int(p.nbytes), p.shape if p.ndim == 2 else None)
+                          for p in layer.params.values())
+            unit = wire.unit_wire_bytes(config, sum(b for b, _ in parts),
+                                        payload_parts=parts)
+            per_worker += int(unit * ring_factor)
+        return per_worker * self.WORKERS * 2   # sent + received
+
+    @pytest.mark.parametrize("bucket_bytes", [None, 262144])
+    @pytest.mark.parametrize("spec", ["none", "topk(0.01)"])
+    def test_ring_total_bytes_match_wire_formula(self, spec, bucket_bytes):
+        config = TrainingConfig(batch_size=8, learning_rate=0.01,
+                                iterations=self.ITERATIONS, seed=0)
+        trainer = DistributedTrainer(
+            self.factory, self.WORKERS, None, config, mode="ring",
+            batch_provider=self.provider, deterministic=True,
+            compressor=spec, bucket_bytes=bucket_bytes)
+        history = trainer.train(self.ITERATIONS)
+        assert history.total_bytes == (
+            self.ITERATIONS * self.formula_bytes_per_iteration(spec))
+
+    def test_benchmark_model_topk_bytes_pinned(self):
+        assert self.formula_bytes_per_iteration("topk(0.01)") == 206_016
 
 
 class TestCostModelAgreement:

@@ -121,6 +121,16 @@ class TestWFBPScheduler:
             assert scheduler.wait_all() == [42]
         assert scheduler._executor is None
 
+    @pytest.mark.parametrize("mode", list(ScheduleMode))
+    def test_schedule_after_shutdown_raises_typed_error(self, mode):
+        scheduler = WFBPScheduler(mode=mode, num_threads=1)
+        assert not scheduler.retired
+        scheduler.shutdown()
+        assert scheduler.retired
+        with pytest.raises(TrainingError, match="shut down"):
+            scheduler.schedule(lambda: None)
+        assert scheduler.jobs_scheduled == 0
+
     def test_invalid_thread_count(self):
         with pytest.raises(TrainingError):
             WFBPScheduler(num_threads=0)

@@ -247,6 +247,35 @@ class TestActivationsAndFriends:
         with pytest.raises(RuntimeError):
             GELU("gelu").backward(np.ones((2, 2)))
 
+    def test_gelu_inference_forward_does_not_arm_backward(self):
+        layer = GELU("gelu")
+        layer.forward(np.ones((2, 2), dtype=np.float32), training=False)
+        assert layer._cache is None
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones((2, 2), dtype=np.float32))
+
+    def test_gelu_matches_pow_formula_in_float32(self, rng):
+        """Pow-free forward / cached-tanh backward vs the textbook formula."""
+        x = (3.0 * rng.standard_normal((64, 96))).astype(np.float32)
+        grad_out = rng.standard_normal(x.shape).astype(np.float32)
+        layer = GELU("gelu")
+        out = layer.forward(x)
+        grad_in = layer.backward(grad_out)
+        assert out.dtype == grad_in.dtype == np.float32
+
+        coeff, root = 0.044715, np.sqrt(2.0 / np.pi)
+        x64, g64 = x.astype(np.float64), grad_out.astype(np.float64)
+        tanh_inner = np.tanh(root * (x64 + coeff * x64 ** 3))
+        want_out = 0.5 * x64 * (1.0 + tanh_inner)
+        want_local = (0.5 * (1.0 + tanh_inner) + 0.5 * x64
+                      * (1.0 - tanh_inner ** 2)
+                      * root * (1.0 + 3.0 * coeff * x64 ** 2))
+        # <= 1e-6 relative to the scale of the quantity (float32 cannot do
+        # better than its epsilon near the zeros of the deep-negative tail).
+        assert np.abs(out - want_out).max() <= 1e-6 * np.abs(want_out).max()
+        want_grad = g64 * want_local
+        assert np.abs(grad_in - want_grad).max() <= 1e-6 * np.abs(want_grad).max()
+
 
 class TestEmbedding:
     def test_forward_looks_up_rows(self, rng):
@@ -466,3 +495,93 @@ class TestTransformerLayerProperties:
         # GELU is monotone on [-0.7, inf); restrict to positives for the check.
         positive = np.clip(x, 0.1, None)
         assert (np.diff(layer.forward(positive), axis=-1) >= 0).all()
+
+
+# -- dtype contract ------------------------------------------------------------
+def _float_case(factory, shape):
+    return factory, lambda rng, dtype: rng.standard_normal(shape).astype(dtype)
+
+
+def _token_case(factory, vocab, shape):
+    return factory, lambda rng, _dtype: rng.integers(0, vocab, size=shape)
+
+
+DTYPE_CASES = {
+    "Dense": _float_case(lambda: Dense("fc", 8, 4), (5, 8)),
+    "Conv2D": _float_case(lambda: Conv2D("conv", 2, 3, 3, pad=1), (2, 2, 6, 6)),
+    "MaxPool2D": _float_case(lambda: MaxPool2D("pool", 2), (2, 2, 6, 6)),
+    "AvgPool2D": _float_case(lambda: AvgPool2D("pool", 2), (2, 2, 6, 6)),
+    "ReLU": _float_case(lambda: ReLU("relu"), (4, 6)),
+    "GELU": _float_case(lambda: GELU("gelu"), (4, 6)),
+    "Flatten": _float_case(lambda: Flatten("flat"), (2, 2, 3, 3)),
+    "Dropout": _float_case(lambda: Dropout("drop", rate=0.5), (4, 6)),
+    "Embedding": _token_case(lambda: Embedding("wte", 10, 4), 10, (2, 5)),
+    "PositionalEmbedding": _float_case(
+        lambda: PositionalEmbedding("wpe", 8, 4), (2, 6, 4)),
+    "LayerNorm": _float_case(lambda: LayerNorm("ln", 4), (2, 6, 4)),
+    "MultiHeadAttention": _float_case(
+        lambda: MultiHeadAttention("attn", 8, 2), (2, 6, 8)),
+    "TransformerBlock": _float_case(
+        lambda: TransformerBlock("block", 8, 2), (2, 6, 8)),
+    "TokenFlatten": _float_case(lambda: TokenFlatten("tokens"), (2, 6, 8)),
+    "SequenceMeanPool": _float_case(lambda: SequenceMeanPool("pool"), (2, 6, 8)),
+}
+
+
+class TestDtypeContract:
+    """A layer never changes precision on its own.
+
+    Parameters are float32.  With float32 activations everything a layer
+    produces -- output, input gradient, every parameter gradient -- is
+    float32 (what training runs on, and what the wire accounting assumes);
+    with float64 activations and upstream gradients everything is float64
+    (what the finite-difference gradient checks rely on).
+    """
+
+    def test_every_exported_layer_is_covered(self):
+        import repro.nn.layers as layers
+        assert set(DTYPE_CASES) == set(layers.__all__) - {"Layer"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+    def test_layer_preserves_dtype(self, name, dtype, rng):
+        factory, make_input = DTYPE_CASES[name]
+        layer = factory()
+        inputs = make_input(rng, dtype)
+        out = layer.forward(inputs, training=True)
+        # Token ids carry no float dtype: a lookup returns the table's.
+        want_out = dtype if np.issubdtype(inputs.dtype, np.floating) else np.float32
+        assert out.dtype == want_out
+        grad_in = layer.backward(rng.standard_normal(out.shape).astype(dtype))
+        assert grad_in.dtype == dtype
+        assert set(layer.grads) == set(layer.params)
+        for key, grad in layer.grads.items():
+            assert grad.dtype == dtype, key
+        assert layer.forward(inputs, training=False).dtype == want_out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_preserves_dtype(self, dtype, rng):
+        from repro.nn.loss import SoftmaxCrossEntropyLoss
+        logits = rng.standard_normal((6, 5)).astype(dtype)
+        _, grad = SoftmaxCrossEntropyLoss().forward(logits, np.arange(6) % 5)
+        assert grad.dtype == dtype
+
+    def test_float32_transformer_has_no_float64_anywhere(self, rng):
+        """Layer by layer through the benchmark-shaped network (both heads)."""
+        from repro.nn.model_zoo import build_transformer_network
+        for num_classes, labels in ((3, rng.integers(0, 3, size=4)),
+                                    (None, rng.integers(0, 20, size=4 * 6))):
+            network = build_transformer_network(
+                vocab_size=20, block_size=6, n_embd=8, num_heads=2,
+                num_blocks=2, num_classes=num_classes)
+            activation = rng.integers(0, 20, size=(4, 6))
+            for layer in network.layers:
+                activation = layer.forward(activation, training=True)
+                assert activation.dtype == np.float32, layer.name
+            _, grad = network.loss.forward(activation, labels)
+            assert grad.dtype == np.float32
+            for layer in reversed(network.layers):
+                grad = layer.backward(grad)
+                assert grad.dtype == np.float32, layer.name
+                for key, value in layer.grads.items():
+                    assert value.dtype == np.float32, (layer.name, key)

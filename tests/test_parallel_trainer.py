@@ -160,6 +160,24 @@ class TestDistributedTraining:
         history = make_trainer(setup, "ps").train(0)
         assert history.losses == []
 
+    @pytest.mark.parametrize("schedule", list(ScheduleMode))
+    def test_second_train_call_raises_before_any_thread_starts(
+            self, setup, schedule, monkeypatch):
+        trainer = make_trainer(setup, "ps", schedule=schedule)
+        first = trainer.train(2)
+        state = trainer.replica(0).get_state()
+
+        def no_attempt(*_args, **_kwargs):
+            raise AssertionError("a retired trainer must not start workers")
+
+        monkeypatch.setattr(trainer, "_run_attempt", no_attempt)
+        with pytest.raises(TrainingError, match="already run"):
+            trainer.train(2)
+        assert len(first.losses) == 2
+        for layer, params in trainer.replica(0).get_state().items():
+            for key, value in params.items():
+                np.testing.assert_array_equal(value, state[layer][key])
+
     def test_history_metadata(self, setup):
         history = make_trainer(setup, "hybrid").train(2)
         assert history.mode == "hybrid"
