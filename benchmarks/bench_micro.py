@@ -66,18 +66,68 @@ def test_conv_layer_forward_backward(benchmark):
 
 
 def test_parameter_server_push_pull(benchmark):
-    """One full push/aggregate/pull cycle of a 4M-parameter layer."""
+    """One push/aggregate/pull cycle of a 4M-parameter layer, warm server.
+
+    The server is built in set-up (its constructor copies the parameters
+    and allocates the accumulators -- 32 MB that used to be timed instead
+    of the sync path); a cycle is the single worker's push, the reduce and
+    optimiser step it triggers, and the pull into the worker's own arrays.
+    """
     rng = np.random.default_rng(0)
     params = {"fc": {"weight": rng.standard_normal((2048, 2048)).astype(np.float32)}}
     grad = {"weight": rng.standard_normal((2048, 2048)).astype(np.float32)}
+    server = ShardedParameterServer(params, num_workers=1,
+                                    optimizer=SGD(learning_rate=0.01))
+    mine = {"weight": np.empty((2048, 2048), dtype=np.float32)}
 
     def cycle():
-        server = ShardedParameterServer(params, num_workers=1,
-                                        optimizer=SGD(learning_rate=0.01))
         server.push(0, "fc", grad)
-        return server.pull(0, "fc", min_version=1)["weight"].shape
+        return server.pull(0, "fc", min_version=server.version("fc"),
+                           out=mine)["weight"].shape
 
+    cycle()     # first-touch page faults of the accumulator and the target
     assert benchmark(cycle) == (2048, 2048)
+
+
+def test_ps_sync_cycle_2workers(benchmark):
+    """Two workers' ``Syncer.sync`` of a 1024x1024 Dense, ordered server.
+
+    The shape of the repo benchmark's ``train_mlp_ps`` sync path: each
+    thread stages its layer's gradients (by reference), pushes, blocks
+    until the worker-ordered mean is applied and pulls the new version
+    straight into its layer.
+    """
+    import threading
+
+    from repro.core.cost_model import CommScheme
+    from repro.core.syncer import Syncer
+
+    rng = np.random.default_rng(0)
+    layers = [Dense("fc", 1024, 1024, rng=np.random.default_rng(1))
+              for _ in range(2)]
+    for layer in layers:
+        layer.forward(rng.standard_normal((32, 1024)).astype(np.float32))
+        layer.backward(rng.standard_normal((32, 1024)).astype(np.float32))
+    server = ShardedParameterServer({"fc": layers[0].get_params()},
+                                    num_workers=2,
+                                    optimizer=SGD(learning_rate=0.01),
+                                    ordered=True)
+    syncers = [Syncer(worker, layer, CommScheme.PS, ps=server)
+               for worker, layer in enumerate(layers)]
+
+    def cycle():
+        step = server.version("fc")
+        threads = [threading.Thread(target=syncer.sync, args=(step,))
+                   for syncer in syncers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return server.version("fc") - step
+
+    assert benchmark(cycle) == 1
+    np.testing.assert_array_equal(layers[0].params["weight"],
+                                  layers[1].params["weight"])
 
 
 def test_sfb_aggregation(benchmark):

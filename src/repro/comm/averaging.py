@@ -169,14 +169,11 @@ class ParameterAverager:
 
     def _reduce(self, contributions: Dict[int, ArrayDict]) -> ArrayDict:
         """Mean of the contributions, folded in ascending worker-id order."""
-        order = sorted(contributions)
-        total = {key: value.copy()
-                 for key, value in contributions[order[0]].items()}
-        for worker_id in order[1:]:
-            for key, value in contributions[worker_id].items():
-                np.add(total[key], value, out=total[key], casting="unsafe")
+        # Imported here: repro.comm.backend's registry imports the syncers,
+        # which import this module.
+        from repro.comm.backend import reduce_in_worker_order
+        total = reduce_in_worker_order(contributions,
+                                       mean_divisor=self.num_workers)
         for value in total.values():
-            if np.issubdtype(value.dtype, np.floating):
-                value /= float(self.num_workers)
             value.setflags(write=False)
         return total

@@ -378,34 +378,57 @@ class CommBackend(abc.ABC):
 
 
 def reduce_in_worker_order(contributions: Dict[int, ArrayDict],
-                           mean_divisor: Optional[float] = None) -> ArrayDict:
-    """Sum per-worker gradient dicts in worker-id order (fresh buffers).
+                           mean_divisor: Optional[float] = None,
+                           out: Optional[ArrayDict] = None) -> ArrayDict:
+    """Sum per-worker gradient dicts in worker-id order, one pass per hop.
 
-    The fixed fold order makes the result bit-identical regardless of which
-    thread contributed first (floating-point addition is not associative).
-    With ``mean_divisor`` the totals are scaled by ``1/mean_divisor`` in
-    place; mixed-dtype contributions fall back to upcasting semantics.
-    Shared by the peer-to-peer substrates (ring all-reduce, hierarchical
-    rack accumulators); the flat parameter server keeps its own in-place
-    variant that folds into preallocated accumulation buffers.
+    The one worker-ordered reduction every aggregating substrate uses
+    (parameter server, ring all-reduce, rack accumulators, parameter
+    averager), so they stay bit-identical to each other.  The fixed fold
+    order makes the result independent of which thread contributed first
+    (floating-point addition is not associative).
+
+    The first two contributions of a key are folded in a single
+    ``np.add(g0, g1, out=...)`` -- no copy-then-add.  A key present in
+    ``out`` accumulates into that preallocated buffer (cast to its dtype);
+    other keys get fresh buffers, mixed dtypes upcasting.  With
+    ``mean_divisor`` the totals are scaled in place by the reciprocal
+    ``1.0 / mean_divisor``, as :func:`~repro.parallel.serial.
+    simulate_synchronous_sgd` does: a float32 multiply costs a third of
+    the divide and equals it exactly whenever the divisor is a power of
+    two (at most 1 ulp apart otherwise).  Only keys that received a
+    contribution appear in the result, so a reused ``out`` never leaks a
+    previous round's value.
     """
-    totals: ArrayDict = {}
+    per_key: Dict[str, list] = {}
     for worker_id in sorted(contributions):
         for name, grad in contributions[worker_id].items():
-            total = totals.get(name)
-            if total is None:
-                totals[name] = np.array(grad, copy=True)
-            elif total.dtype == grad.dtype and total.shape == grad.shape:
-                np.add(total, grad, out=total)
-            else:  # mixed dtypes: fall back to upcasting semantics
-                totals[name] = total + grad
-    if mean_divisor is not None:
-        count = float(mean_divisor)
-        for name, total in totals.items():
-            if np.issubdtype(total.dtype, np.floating):
-                total /= count
+            per_key.setdefault(name, []).append(grad)
+    scale = None if mean_divisor is None else 1.0 / float(mean_divisor)
+    totals: ArrayDict = {}
+    for name, grads in per_key.items():
+        total = None if out is None else out.get(name)
+        if total is not None:
+            if len(grads) > 1:
+                np.add(grads[0], grads[1], out=total, casting="unsafe")
             else:
-                totals[name] = total / count
+                np.copyto(total, grads[0], casting="unsafe")
+            for grad in grads[2:]:
+                np.add(total, grad, out=total, casting="unsafe")
+        else:
+            total = (np.add(grads[0], grads[1]) if len(grads) > 1
+                     else np.array(grads[0], copy=True))
+            for grad in grads[2:]:
+                if total.dtype == grad.dtype and total.shape == grad.shape:
+                    np.add(total, grad, out=total)
+                else:  # mixed dtypes: fall back to upcasting semantics
+                    total = total + grad
+        if scale is not None:
+            if np.issubdtype(total.dtype, np.floating):
+                total *= scale
+            else:
+                total = total * scale
+        totals[name] = total
     return totals
 
 

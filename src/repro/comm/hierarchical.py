@@ -128,10 +128,11 @@ class HierarchicalParameterServer:
         return nbytes
 
     def pull(self, worker_id: int, layer: str, min_version: int,
-             timeout: Optional[float] = 30.0) -> ArrayDict:
-        """Block until the root reaches ``min_version``; shared snapshot."""
+             timeout: Optional[float] = 30.0,
+             out: Optional[ArrayDict] = None) -> ArrayDict:
+        """Block until the root reaches ``min_version``; see the root's ``pull``."""
         return self.root.pull(worker_id, layer, min_version, timeout=timeout,
-                              copy=False)
+                              out=out)
 
     def version(self, layer: str) -> int:
         """Aggregated updates applied to ``layer`` at the root."""
@@ -193,8 +194,8 @@ class HierPSSyncer(Syncer):
         sent = self.hier.push(self.worker_id, self.layer.name, self._staged_grads)
         params = self.hier.pull(self.worker_id, self.layer.name,
                                 min_version=iteration + 1,
-                                timeout=self.sync_timeout)
-        self.layer.set_params(params)
+                                timeout=self.sync_timeout,
+                                out=self.layer.params)
         self.stats.bytes_sent += sent
         self.stats.bytes_received += sum(int(p.nbytes) for p in params.values())
 

@@ -30,25 +30,20 @@ ArrayDict = Dict[str, np.ndarray]
 class _LayerSlot:
     """Per-layer aggregation state.
 
-    Gradient pushes accumulate in place into the preallocated ``accum``
-    buffers (one per parameter, allocated once at construction) instead of
-    being queued as per-worker dicts and summed at the end of the iteration.
+    Pushes are buffered by reference and reduced in one go, into the
+    preallocated ``accum`` buffers (one per parameter, allocated once at
+    construction), when the version's last contribution arrives.
     """
 
     def __init__(self, params: ArrayDict):
         self.params = {key: value.copy() for key, value in params.items()}
         self.accum = {key: np.zeros_like(value) for key, value in self.params.items()}
-        self.touched: set = set()       # accum keys with >= 1 contribution
         self.pushes = 0                 # contributions this iteration
         self.version = 0
         self.condition = threading.Condition()
-        # Ordered mode: contributions buffered per worker id so the
-        # reduction can run in worker-id order instead of arrival order.
+        # Contributions awaiting reduction, keyed by their place in the
+        # fold: the worker id in ordered mode, the arrival rank otherwise.
         self.contributions: Dict[int, ArrayDict] = {}
-        # Read-only parameter snapshot shared by pull(copy=False) callers,
-        # rebuilt lazily per version.
-        self.snapshot: Optional[ArrayDict] = None
-        self.snapshot_version = -1
 
 
 class ShardedParameterServer:
@@ -62,12 +57,13 @@ class ShardedParameterServer:
         aggregation: ``"mean"`` (average worker gradients; equivalent to
             training on the combined batch with the same learning rate) or
             ``"sum"`` (the literal form of Eq. 2).
-        ordered: buffer contributions per worker and reduce them in
-            worker-id order once the iteration is complete, making the
-            aggregate bit-identical run-to-run regardless of which thread
-            pushes first (floating-point addition is not associative).
-            Arrival-order in-place accumulation (the default) avoids the
-            buffering but lets thread scheduling perturb the last bits.
+        ordered: reduce a completed iteration's contributions in
+            worker-id order, making the aggregate bit-identical run-to-run
+            regardless of which thread pushes first (floating-point
+            addition is not associative).  The default folds them in
+            arrival order, which lets thread scheduling perturb the last
+            bits.  Either way the reduction is the shared
+            :func:`~repro.comm.backend.reduce_in_worker_order`.
         updates_per_version: pushes that trigger one optimiser step and
             version bump.  ``None`` (the default) means ``num_workers`` --
             the BSP rendezvous.  Relaxed-consistency policies (SSP with
@@ -95,6 +91,10 @@ class ShardedParameterServer:
                                     else int(updates_per_version))
         self.aggregation = aggregation
         self.ordered = bool(ordered)
+        #: Whether a version's contributions fold in worker-id order (the
+        #: ordered BSP rendezvous) rather than arrival order.
+        self._folds_by_worker = (self.ordered and
+                                 self.updates_per_version == self.num_workers)
         self.optimizer = optimizer or SGD(learning_rate=0.01)
         self._slots: Dict[str, _LayerSlot] = {
             name: _LayerSlot(params) for name, params in initial_params.items()
@@ -130,14 +130,31 @@ class ShardedParameterServer:
         except KeyError as exc:
             raise CommunicationError(f"parameter server has no layer {layer!r}") from exc
 
+    @staticmethod
+    def _check_arrays(layer: str, slot: _LayerSlot, arrays: ArrayDict,
+                      what: str) -> None:
+        """Every array must name a parameter of ``layer`` and match its shape."""
+        for key, array in arrays.items():
+            if key not in slot.params:
+                raise CommunicationError(
+                    f"layer {layer!r} has no parameter {key!r}"
+                )
+            if array.shape != slot.params[key].shape:
+                raise CommunicationError(
+                    f"layer {layer!r} parameter {key!r}: {what} shape "
+                    f"{array.shape} does not match parameter {slot.params[key].shape}"
+                )
+
     # -- worker-facing API ----------------------------------------------------------
     def push(self, worker_id: int, layer: str, grads: ArrayDict,
              nbytes: Optional[int] = None) -> int:
         """Contribute one worker's gradient for ``layer``.
 
         The last contribution of the iteration triggers aggregation and the
-        optimiser step.  Returns the number of bytes this push represents on
-        the wire.
+        optimiser step.  ``grads`` is held by reference until then and must
+        not be written in the meantime (a layer's ``backward`` never does:
+        it rebinds ``grads[...]`` to fresh arrays).  Returns the number of
+        bytes this push represents on the wire.
         """
         slot = self._slot(layer)
         push_bytes = int(nbytes) if nbytes is not None else sum(
@@ -149,62 +166,47 @@ class ShardedParameterServer:
                 raise WorkerFailure(
                     f"dropped worker {worker_id} pushed to layer {layer!r}",
                     worker_id=worker_id, cascade=True)
-            for key, grad in grads.items():
-                if key not in slot.params:
-                    raise CommunicationError(
-                        f"layer {layer!r} has no parameter {key!r}"
-                    )
-                if grad.shape != slot.params[key].shape:
-                    raise CommunicationError(
-                        f"layer {layer!r} parameter {key!r}: gradient shape "
-                        f"{grad.shape} does not match parameter {slot.params[key].shape}"
-                    )
+            self._check_arrays(layer, slot, grads, "gradient")
             if slot.pushes >= self.updates_per_version:
                 raise CommunicationError(
                     f"layer {layer!r} received {slot.pushes + 1} pushes for "
                     f"{self.updates_per_version} expected per version; "
                     f"a worker pushed twice in one iteration"
                 )
-            if self.ordered and self.updates_per_version == self.num_workers:
+            fold_key = slot.pushes      # arrival rank
+            if self._folds_by_worker:
                 if worker_id in slot.contributions:
                     raise CommunicationError(
                         f"layer {layer!r}: worker {worker_id} pushed twice in "
                         f"one iteration"
                     )
-                # Buffered by reference: BSP guarantees the pusher blocks on
-                # its pull until the aggregate is applied, so the gradient
-                # buffers stay untouched until the reduction below runs.
-                slot.contributions[worker_id] = grads
-            else:
-                for key, grad in grads.items():
-                    acc = slot.accum[key]
-                    if key in slot.touched:
-                        np.add(acc, grad, out=acc, casting="unsafe")
-                    else:
-                        np.copyto(acc, grad, casting="unsafe")
-                        slot.touched.add(key)
+                fold_key = worker_id
+            # Buffered by reference: a staged gradient is never written
+            # again (``Layer.backward`` rebinds ``grads[...]``), so the
+            # arrays are stable until the reduction runs.
+            slot.contributions[fold_key] = grads
             slot.pushes += 1
             if slot.pushes == self.updates_per_version:
-                if slot.contributions:
-                    self._reduce_ordered_locked(slot)
                 self._apply_locked(layer, slot)
         self.meter.record(push_bytes, "received", tag=f"push:{layer}")
         return push_bytes
 
     def pull(self, worker_id: int, layer: str, min_version: int,
-             timeout: Optional[float] = 30.0, copy: bool = True) -> ArrayDict:
+             timeout: Optional[float] = 30.0,
+             out: Optional[ArrayDict] = None) -> ArrayDict:
         """Block until ``layer`` has reached ``min_version`` and return its params.
 
         Args:
-            copy: when True (default) every puller gets its own mutable
-                copy.  With ``copy=False`` all pullers of a version share
-                one read-only snapshot (built lazily, once per version)
-                instead of paying one full parameter copy per worker --
-                callers must install it via a copying setter such as
-                ``Layer.set_params`` and never mutate it.
+            out: the caller's own parameter arrays (e.g. ``Layer.params``).
+                When given, the current version is copied straight into
+                them under the slot lock -- one pass per pulled byte, no
+                intermediate copy -- and ``out`` is returned.  Without it
+                every puller gets a private mutable copy.
 
         Raises:
-            CommunicationError: if the wait times out (deadlock guard).
+            SyncTimeout: if the wait times out (deadlock guard).
+            CommunicationError: if ``out`` names a parameter the layer lacks
+                or holds an array of the wrong shape (nothing is written).
         """
         slot = self._slot(layer)
         with slot.condition:
@@ -218,19 +220,15 @@ class ShardedParameterServer:
                 )
             if self._abort_reason is not None and slot.version < min_version:
                 raise self._wrap_abort(layer)
-            if copy:
-                params = {key: value.copy() for key, value in slot.params.items()}
+            if out is None:
+                out = {key: value.copy() for key, value in slot.params.items()}
             else:
-                if slot.snapshot_version != slot.version:
-                    snapshot = {key: value.copy() for key, value in slot.params.items()}
-                    for value in snapshot.values():
-                        value.setflags(write=False)
-                    slot.snapshot = snapshot
-                    slot.snapshot_version = slot.version
-                params = slot.snapshot
-        pull_bytes = sum(int(p.nbytes) for p in params.values())
+                self._check_arrays(layer, slot, out, "pull target")
+                for key, target in out.items():
+                    np.copyto(target, slot.params[key])
+        pull_bytes = sum(int(p.nbytes) for p in out.values())
         self.meter.record(pull_bytes, "sent", tag=f"pull:{layer}")
-        return params
+        return out
 
     # -- fault tolerance ----------------------------------------------------------------
     def checkpoint(self, include_optimizer: bool = False
@@ -280,11 +278,8 @@ class ShardedParameterServer:
                             f"snapshot shape mismatch for {name}/{key}: "
                             f"{value.shape} vs {slot.params[key].shape}")
                     np.copyto(slot.params[key], value)
-                slot.touched.clear()
                 slot.pushes = 0
                 slot.contributions.clear()
-                slot.snapshot = None
-                slot.snapshot_version = -1
                 slot.condition.notify_all()
 
     def remove_worker(self, worker_id: int) -> None:
@@ -308,12 +303,10 @@ class ShardedParameterServer:
             self.updates_per_version = self.num_workers
         for layer, slot in self._slots.items():
             with slot.condition:
-                if worker_id in slot.contributions:
+                if self._folds_by_worker and worker_id in slot.contributions:
                     del slot.contributions[worker_id]
                     slot.pushes -= 1
                 if 0 < slot.pushes >= self.updates_per_version:
-                    if slot.contributions:
-                        self._reduce_ordered_locked(slot)
                     self._apply_locked(layer, slot)
 
     def abort(self, exc: BaseException) -> None:
@@ -338,34 +331,17 @@ class ShardedParameterServer:
             f"parameter server aborted (layer {layer!r}): {reason}")
 
     # -- aggregation -------------------------------------------------------------------
-    def _reduce_ordered_locked(self, slot: _LayerSlot) -> None:
-        """Fold the buffered contributions into ``accum`` in worker-id order."""
-        for worker_id in sorted(slot.contributions):
-            for key, grad in slot.contributions[worker_id].items():
-                acc = slot.accum[key]
-                if key in slot.touched:
-                    np.add(acc, grad, out=acc, casting="unsafe")
-                else:
-                    np.copyto(acc, grad, casting="unsafe")
-                    slot.touched.add(key)
-        slot.contributions.clear()
-
     def _apply_locked(self, layer: str, slot: _LayerSlot) -> None:
-        """Apply the accumulated gradients to the global params (lock held)."""
-        aggregated: ArrayDict = {}
-        for key in slot.params:
-            if key not in slot.touched:
-                continue
-            total = slot.accum[key]
-            if self.aggregation == "mean":
-                if np.issubdtype(total.dtype, np.floating):
-                    total /= float(self.num_workers)
-                else:
-                    total = total / float(self.num_workers)
-            aggregated[key] = total
+        """Reduce the pending contributions and apply them (lock held)."""
+        # Imported here: repro.comm.backend registers hierps, which builds
+        # on this module, so a module-level import would be circular.
+        from repro.comm.backend import reduce_in_worker_order
+        divisor = self.num_workers if self.aggregation == "mean" else None
+        aggregated = reduce_in_worker_order(
+            slot.contributions, mean_divisor=divisor, out=slot.accum)
+        slot.contributions.clear()
         for key, grad in aggregated.items():
             self.optimizer.apply(f"{layer}/{key}", slot.params[key], grad)
-        slot.touched.clear()
         slot.pushes = 0
         slot.version += 1
         if self._apply_hooks:

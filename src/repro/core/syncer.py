@@ -135,8 +135,17 @@ class Syncer:
 
     # -- paper API ----------------------------------------------------------------
     def move_out(self) -> Dict[str, np.ndarray]:
-        """``Move(GPU2CPU)``: stage the layer's gradients for communication."""
-        self._staged_grads = self.layer.get_grads()
+        """``Move(GPU2CPU)``: stage the layer's gradients for communication.
+
+        Staging is by reference -- a shallow dict over the layer's own
+        gradient arrays, no copy.  It rests on the ownership contract of
+        :meth:`Layer.backward <repro.nn.layers.base.Layer.backward>`: the
+        next backward pass *rebinds* ``grads[...]`` to fresh arrays, so a
+        staged array is never written again and a substrate may hold it
+        for as long as it needs (``docs/architecture.md``, "Gradient
+        buffer ownership").
+        """
+        self._staged_grads = dict(self.layer.grads)
         return self._staged_grads
 
     def send_and_receive(self, iteration: int) -> SyncStats:
@@ -180,47 +189,39 @@ class Syncer:
             ) from None
 
     # -- scheme implementations ------------------------------------------------------
-    def _sync_ps(self, iteration: int) -> None:
-        assert self.ps is not None and self._staged_grads is not None
-        sent = self.ps.push(self.worker_id, self.layer.name, self._staged_grads)
-        # copy=False: set_params copies into the layer, so all workers can
-        # share the server's per-version read-only snapshot.
+    def _push_pull(self, iteration: int, grads: Dict[str, np.ndarray],
+                   nbytes: Optional[int] = None) -> None:
+        """PS ``Send`` / ``Receive``: push ``grads``, pull into the layer.
+
+        The pull lands directly in the layer's parameter arrays
+        (``out=``), so ``Move(CPU2GPU)`` is the same single pass.
+        """
+        assert self.ps is not None
+        sent = self.ps.push(self.worker_id, self.layer.name, grads,
+                            nbytes=nbytes)
         params = self.ps.pull(self.worker_id, self.layer.name,
                               min_version=self._pull_min_version(iteration),
-                              timeout=self.sync_timeout, copy=False)
-        self.layer.set_params(params)
+                              timeout=self.sync_timeout, out=self.layer.params)
         self.stats.bytes_sent += sent
         self.stats.bytes_received += sum(int(p.nbytes) for p in params.values())
 
+    def _sync_ps(self, iteration: int) -> None:
+        assert self._staged_grads is not None
+        self._push_pull(iteration, self._staged_grads)
+
     def _sync_compressed(self, iteration: int) -> None:
         """PS sync with a pluggable compressor: lossy push, dense pull."""
-        assert self.ps is not None and self.compressor is not None
-        assert self._staged_grads is not None
+        assert self.compressor is not None and self._staged_grads is not None
         lossy_grads, wire_bytes = self.compressor.compress(
             self.layer.name, self._staged_grads)
-        self.ps.push(self.worker_id, self.layer.name, lossy_grads,
-                     nbytes=wire_bytes)
-        params = self.ps.pull(self.worker_id, self.layer.name,
-                              min_version=self._pull_min_version(iteration),
-                              timeout=self.sync_timeout, copy=False)
-        self.layer.set_params(params)
-        self.stats.bytes_sent += wire_bytes
-        self.stats.bytes_received += sum(int(p.nbytes) for p in params.values())
+        self._push_pull(iteration, lossy_grads, nbytes=wire_bytes)
 
     def _sync_onebit(self, iteration: int) -> None:
-        assert self.ps is not None and self.quantizer is not None
-        assert self._staged_grads is not None
+        assert self.quantizer is not None and self._staged_grads is not None
         quantized, dense = self.quantizer.quantize_dict(
             self.layer.name, self._staged_grads)
-        wire_bytes = quantized_nbytes(quantized, dense)
-        lossy_grads = dequantize_dict(quantized, dense)
-        self.ps.push(self.worker_id, self.layer.name, lossy_grads, nbytes=wire_bytes)
-        params = self.ps.pull(self.worker_id, self.layer.name,
-                              min_version=self._pull_min_version(iteration),
-                              timeout=self.sync_timeout, copy=False)
-        self.layer.set_params(params)
-        self.stats.bytes_sent += wire_bytes
-        self.stats.bytes_received += sum(int(p.nbytes) for p in params.values())
+        self._push_pull(iteration, dequantize_dict(quantized, dense),
+                        nbytes=quantized_nbytes(quantized, dense))
 
     def _sync_sfb(self, iteration: int) -> None:
         assert self.sfb is not None and self.local_optimizer is not None

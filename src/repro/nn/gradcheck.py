@@ -142,7 +142,7 @@ def check_network_input_gradient(network, inputs: np.ndarray, labels: np.ndarray
 
     logits = network.forward(inputs, training=True)
     _, grad_logits = loss_fn.forward(logits, labels)
-    grad_input = network.backward(grad_logits)
+    grad_input = network.backward(grad_logits, need_input_grad=True)
 
     numeric = numeric_gradient(full_loss, inputs, epsilon=epsilon,
                                max_elements=max_elements)

@@ -22,7 +22,8 @@ class ReLU(Layer):
             self._mask = mask
         return inputs * mask
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -63,7 +64,8 @@ class GELU(Layer):
         out *= 0.5
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -97,7 +99,8 @@ class Tanh(Layer):
             self._output = out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._output is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"

@@ -114,7 +114,8 @@ class MultiHeadAttention(Layer):
                            np.array([batch, seq]))
         return out.reshape(batch, seq, self.dim)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -205,7 +206,8 @@ class TransformerBlock(Layer):
                 sub["mlp_fc"].forward(flat, training), training), training)
         return hidden + mlp_out.reshape(batch, seq, dim)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         self._check_input(grad_output, 3, "gradient")
         sub = self._sublayers
         batch, seq, dim = grad_output.shape
@@ -238,7 +240,8 @@ class TokenFlatten(Layer):
             self._shape = inputs.shape
         return inputs.reshape(inputs.shape[0] * inputs.shape[1], inputs.shape[2])
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -263,7 +266,8 @@ class SequenceMeanPool(Layer):
             self._shape = inputs.shape
         return inputs.mean(axis=1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"

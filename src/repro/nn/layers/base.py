@@ -32,10 +32,16 @@ class Layer:
         """Compute the layer output for a batch of inputs."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> Optional[np.ndarray]:
         """Backpropagate ``grad_output``; returns gradient w.r.t. the input.
 
-        Parameter gradients are written into ``self.grads``.
+        Parameter gradients are *rebound* in ``self.grads`` to freshly
+        allocated arrays, never written into the previous ones: a syncer
+        stages them by reference and a substrate may hold them until the
+        aggregate is applied.  With ``need_input_grad=False`` (the bottom
+        layer of a training step) a layer whose input gradient costs a
+        GEMM may skip it and return ``None``; cheap layers ignore the flag.
         """
         raise NotImplementedError
 
@@ -77,7 +83,7 @@ class Layer:
         return {key: value.copy() for key, value in self.params.items()}
 
     def get_grads(self) -> Dict[str, np.ndarray]:
-        """Return a copy of the gradient dictionary."""
+        """Return a copy of the gradient dictionary (not used on sync paths)."""
         return {key: value.copy() for key, value in self.grads.items()}
 
     def _check_input(self, inputs: np.ndarray, expected_ndim: int,

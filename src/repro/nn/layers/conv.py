@@ -213,7 +213,8 @@ class Conv2D(Layer):
             self._cache = (cols, inputs.shape, out_h, out_w)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -227,6 +228,8 @@ class Conv2D(Layer):
         grad_weight = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
         self.grads["weight"] = grad_weight.reshape(self.params["weight"].shape)
         self.grads["bias"] = grad_mat.sum(axis=(0, 2))
+        if not need_input_grad:
+            return None
         buf = self._grad_col_buffer
         if (buf is not None and buf.shape == cols.shape
                 and buf.dtype == np.result_type(grad_mat, weight_matrix)):

@@ -51,7 +51,8 @@ class Dense(Layer):
         self._last_input = inputs if training else None
         return inputs @ self.params["weight"] + self.params["bias"]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> Optional[np.ndarray]:
         if self._last_input is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -60,6 +61,8 @@ class Dense(Layer):
         self._last_grad_output = grad_output
         self.grads["weight"] = self._last_input.T @ grad_output
         self.grads["bias"] = grad_output.sum(axis=0)
+        if not need_input_grad:
+            return None
         return grad_output @ self.params["weight"].T
 
     # -- sufficient factors -----------------------------------------------------

@@ -31,7 +31,8 @@ class Dropout(Layer):
         self._mask = kept.astype(inputs.dtype) / keep
         return inputs * self._mask
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._mask is None:
             return grad_output
         return grad_output * self._mask

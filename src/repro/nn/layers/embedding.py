@@ -61,7 +61,8 @@ class Embedding(Layer):
         self._indices = inputs if training else None
         return self.params["weight"][inputs]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._indices is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -107,7 +108,8 @@ class PositionalEmbedding(Layer):
         self._seq_len = seq_len if training else None
         return inputs + self.params["weight"][:seq_len]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._seq_len is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"

@@ -21,7 +21,8 @@ class Flatten(Layer):
             self._input_shape = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"

@@ -50,7 +50,8 @@ class LayerNorm(Layer):
             self._inv_std = inv_std
         return normalized * self.params["gain"] + self.params["bias"]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._normalized is None or self._inv_std is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"

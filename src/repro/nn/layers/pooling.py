@@ -35,7 +35,8 @@ class MaxPool2D(Layer):
             self._cache = (arg_max, inputs.shape, out_h, out_w)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"
@@ -82,7 +83,8 @@ class AvgPool2D(Layer):
             self._cache = (inputs.shape, out_h, out_w)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray,
+                 need_input_grad: bool = True) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(
                 f"layer {self.name!r}: backward called before forward(training=True)"

@@ -91,8 +91,9 @@ class Network:
         return activations
 
     def backward(self, grad_logits: np.ndarray,
-                 hook: Optional[BackwardHook] = None) -> np.ndarray:
-        """Run the backward pass from the loss gradient down to the input.
+                 hook: Optional[BackwardHook] = None,
+                 need_input_grad: bool = False) -> Optional[np.ndarray]:
+        """Run the backward pass from the loss gradient down to the bottom layer.
 
         Args:
             grad_logits: gradient of the loss w.r.t. the network output.
@@ -100,14 +101,21 @@ class Network:
                 its backward pass (top layer first) -- the WFBP insertion
                 point of Algorithm 2 (``net.BackwardThrough(l)`` followed by
                 ``thread_pool.Schedule(sync(l))``).
+            need_input_grad: also compute the gradient with respect to the
+                network *input*.  Training never reads it, and the bottom
+                layer's sync is the one WFBP cannot hide, so by default the
+                bottom layer is told to skip it.
 
         Returns:
-            Gradient with respect to the network input.
+            Gradient with respect to the network input when
+            ``need_input_grad`` is set; otherwise whatever the bottom layer
+            returned (``None`` from layers that honour the skip).
         """
         grad = grad_logits
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
-            grad = layer.backward(grad)
+            grad = layer.backward(
+                grad, need_input_grad=need_input_grad or index > 0)
             if hook is not None:
                 hook(index, layer)
         return grad

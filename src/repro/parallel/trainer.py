@@ -20,6 +20,7 @@ reproducible run-to-run.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -322,6 +323,13 @@ class DistributedTrainer:
             self.clock = SSPClock(self.num_workers, staleness=self.policy.bound,
                                   default_timeout=self.sync_timeout)
 
+        # Built from the hyper-parameters, not a method bound to ``self``:
+        # the context keeps the factory, and trainer -> context -> trainer
+        # would be a cycle only the garbage collector can free.
+        self._make_optimizer: Callable[[], SGD] = functools.partial(
+            SGD, learning_rate=training.learning_rate,
+            momentum=training.momentum, weight_decay=training.weight_decay)
+
         # Global state holders: one substrate per scheme present in the
         # assignment, built by that scheme's registered backend.
         self._backend_context = TrainerContext(
@@ -374,13 +382,6 @@ class DistributedTrainer:
         self.recoveries = 0
 
     # -- construction helpers ---------------------------------------------------
-    def _make_optimizer(self) -> SGD:
-        return SGD(
-            learning_rate=self.training.learning_rate,
-            momentum=self.training.momentum,
-            weight_decay=self.training.weight_decay,
-        )
-
     def substrate(self, scheme: CommScheme) -> Optional[Any]:
         """The shared communication substrate of one scheme (None if absent)."""
         return self._substrates.get(CommScheme(scheme))
@@ -493,25 +494,31 @@ class DistributedTrainer:
                 self.bsp.on_release = _barrier_checkpoint
 
         start = 0
-        while True:
-            self._run_attempt(start, iterations, per_worker_losses, eval_records)
-            if not self._errors:
-                break
-            failure = self._primary_failure()
-            if (self.recovery != "restart"
-                    or not isinstance(failure, WorkerFailure)
-                    or self._checkpoint is None):
-                raise TrainingError(
-                    f"distributed training failed: {self._errors[0]}"
-                ) from self._errors[0]
-            self.recoveries += 1
-            if self.recoveries > self._max_recoveries():
-                raise RecoveryError(
-                    f"gave up after {self.recoveries - 1} restart attempts; "
-                    f"last failure: {failure}") from failure
-            self._restore_from_checkpoint(per_worker_losses, eval_records)
-            self._errors = []
-            start = self._checkpoint.step
+        try:
+            while True:
+                self._run_attempt(start, iterations, per_worker_losses,
+                                  eval_records)
+                if not self._errors:
+                    break
+                failure = self._primary_failure()
+                if (self.recovery != "restart"
+                        or not isinstance(failure, WorkerFailure)
+                        or self._checkpoint is None):
+                    raise TrainingError(
+                        f"distributed training failed: {self._errors[0]}"
+                    ) from self._errors[0]
+                self.recoveries += 1
+                if self.recoveries > self._max_recoveries():
+                    raise RecoveryError(
+                        f"gave up after {self.recoveries - 1} restart attempts; "
+                        f"last failure: {failure}") from failure
+                self._restore_from_checkpoint(per_worker_losses, eval_records)
+                self._errors = []
+                start = self._checkpoint.step
+        finally:
+            # The checkpoint callback closes over ``self``; left installed
+            # it would keep trainer -> bsp -> callback -> trainer alive.
+            self.bsp.on_release = None
 
         history.per_worker_losses = per_worker_losses
         # Mean over the workers that reached iteration t -- ragged under

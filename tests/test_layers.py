@@ -528,6 +528,49 @@ DTYPE_CASES = {
 }
 
 
+PARAMETERISED = sorted(name for name, (factory, _) in DTYPE_CASES.items()
+                       if factory().has_parameters)
+
+
+class TestGradientOwnership:
+    """``backward`` rebinds ``grads[...]``; it never writes a previous array.
+
+    The syncers stage gradients by reference and a substrate may hold them
+    until the aggregate is applied (``docs/architecture.md``, "Gradient
+    buffer ownership"), so an array read out of ``layer.grads`` must stay
+    bit-unchanged -- and unaliased -- across the next backward pass.
+    """
+
+    def test_every_parameterised_layer_is_covered(self):
+        import repro.nn.layers as layers
+        assert set(DTYPE_CASES) == set(layers.__all__) - {"Layer"}
+        assert PARAMETERISED == [
+            "Conv2D", "Dense", "Embedding", "LayerNorm", "MultiHeadAttention",
+            "PositionalEmbedding", "TransformerBlock"]
+
+    @pytest.mark.parametrize("need_input_grad", [True, False])
+    @pytest.mark.parametrize("name", PARAMETERISED)
+    def test_second_backward_leaves_captured_grads_alone(self, name,
+                                                         need_input_grad, rng):
+        factory, make_input = DTYPE_CASES[name]
+        layer = factory()
+
+        def step():
+            out = layer.forward(make_input(rng, np.float32), training=True)
+            layer.backward(rng.standard_normal(out.shape).astype(np.float32),
+                           need_input_grad=need_input_grad)
+
+        step()
+        captured = dict(layer.grads)
+        frozen = {key: grad.copy() for key, grad in captured.items()}
+        assert set(captured) == set(layer.params)
+        step()
+        for key, grad in captured.items():
+            np.testing.assert_array_equal(grad, frozen[key])
+            assert not np.shares_memory(grad, layer.grads[key]), key
+            assert np.any(layer.grads[key] != grad), key  # it did recompute
+
+
 class TestDtypeContract:
     """A layer never changes precision on its own.
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.sfb import SufficientFactorBroadcaster
+from repro.exceptions import CommunicationError
 from repro.nn.layers import Conv2D
 from repro.nn.layers.conv import col2im, im2col
 from repro.nn.optim import SGD
@@ -287,21 +288,52 @@ class TestParameterServerEquivalence:
         np.testing.assert_array_equal(seen[0], np.full((2, 2), 1.0))
         np.testing.assert_array_equal(seen[1], np.full((2, 2), 9.0))
 
-    def test_shared_snapshot_pull_is_read_only_and_consistent(self, rng):
+    def test_pull_out_fills_caller_arrays_and_plain_pull_stays_private(self, rng):
         params = {"fc": {"weight": rng.standard_normal((4, 4)).astype(np.float32)}}
         server = ShardedParameterServer(params, num_workers=1,
                                         optimizer=SGD(learning_rate=0.1))
         server.push(0, "fc", {"weight": np.ones((4, 4), dtype=np.float32)})
-        shared_a = server.pull(0, "fc", min_version=1, copy=False)
-        shared_b = server.pull(0, "fc", min_version=1, copy=False)
-        assert shared_a["weight"] is shared_b["weight"]  # one snapshot per version
-        with pytest.raises(ValueError):
-            shared_a["weight"][0, 0] = 99.0
+        mine = {"weight": np.zeros((4, 4), dtype=np.float32)}
+        theirs = {"weight": np.zeros((4, 4), dtype=np.float32)}
+        got = server.pull(0, "fc", min_version=1, out=mine)
+        assert got is mine                      # filled in place, no new arrays
+        server.pull(1, "fc", min_version=1, out=theirs)
+        np.testing.assert_array_equal(mine["weight"], theirs["weight"])
+        np.testing.assert_array_equal(mine["weight"],
+                                      server.global_params("fc")["weight"])
+        # No shared snapshot any more: every puller owns what it holds.
+        assert not np.shares_memory(mine["weight"], theirs["weight"])
+        mine["weight"][0, 0] = 99.0             # writable, and private
         copied = server.pull(0, "fc", min_version=1)
-        np.testing.assert_array_equal(copied["weight"], shared_a["weight"])
+        np.testing.assert_array_equal(copied["weight"], theirs["weight"])
         copied["weight"][:] = 99.0    # default pull stays mutable + private
         fresh = server.global_params("fc")
         assert not np.allclose(fresh["weight"], 99.0)
+
+    def test_pull_out_meters_the_same_bytes_as_a_copying_pull(self, rng):
+        params = {"fc": {"weight": rng.standard_normal((4, 4)).astype(np.float32),
+                         "bias": np.zeros(4, dtype=np.float32)}}
+        server = ShardedParameterServer(params, num_workers=1)
+        server.pull(0, "fc", min_version=0)
+        copying = server.meter.sent
+        server.pull(0, "fc", min_version=0,
+                    out={key: np.empty_like(value)
+                         for key, value in params["fc"].items()})
+        assert server.meter.sent - copying == copying == (16 + 4) * 4
+
+    def test_pull_out_rejects_unknown_keys_and_wrong_shapes_untouched(self, rng):
+        params = {"fc": {"weight": rng.standard_normal((4, 4)).astype(np.float32),
+                         "bias": np.ones(4, dtype=np.float32)}}
+        server = ShardedParameterServer(params, num_workers=1)
+        target = {"weight": np.zeros((4, 4), dtype=np.float32),
+                  "gamma": np.zeros(4, dtype=np.float32)}
+        with pytest.raises(CommunicationError, match="no parameter 'gamma'"):
+            server.pull(0, "fc", min_version=0, out=target)
+        target = {"weight": np.zeros((4, 4), dtype=np.float32),
+                  "bias": np.zeros(5, dtype=np.float32)}
+        with pytest.raises(CommunicationError, match="pull target shape"):
+            server.pull(0, "fc", min_version=0, out=target)
+        assert not target["weight"].any()       # validated before any write
 
 
 # -- SFB board hygiene -----------------------------------------------------------
