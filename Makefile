@@ -3,7 +3,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: test bench bench-update bench-full bench-smoke sweep-quick determinism \
-	scale-smoke async-smoke chaos-smoke compression-smoke llm-smoke \
 	examples-smoke docs-check
 
 ## tier-1 test suite
@@ -25,51 +24,41 @@ determinism:
 sweep-quick:
 	PYTHONPATH=src python -m repro.experiments.runner --quick fig5 fig8 fidelity
 
-## 1k-node fluid what-if sweep inside a 10 s wall-clock budget (CI smoke)
-scale-smoke:
-	timeout 10 env PYTHONPATH=src python -m repro.experiments.runner \
-		--quick --jobs 1 fig_scale > /dev/null
-	@echo "1k-node fluid sweep finished inside the 10s budget"
+## per-feature CI smokes, one pattern target: `make smoke-<feature>` runs the
+## feature's tests, renders its quick figure sweep and checks the report for
+## its headline lines ('|'-separated).  scale: the 1k-node fluid what-if
+## sweep inside a 10 s budget; async: policy tests + the beyond-BSP
+## frontier; chaos: chaos/checkpoint tests + the fault frontier;
+## compression: wire/compressor/bucketing tests + the crossover line;
+## llm: layer gradchecks + the SFB vocab head and its crossover.
+SMOKE_scale_FIGURE := fig_scale
+SMOKE_scale_PREFIX := timeout 10
+SMOKE_scale_GREP := Scale extrapolation
+SMOKE_async_TESTS := tests/test_policy.py
+SMOKE_async_FIGURE := fig_async
+SMOKE_async_GREP := Beyond-BSP frontier
+SMOKE_chaos_TESTS := tests/test_chaos.py tests/test_faults.py \
+	tests/test_substrate_checkpoint.py
+SMOKE_chaos_FIGURE := fig_faults
+SMOKE_chaos_GREP := Fault frontier
+SMOKE_compression_TESTS := tests/test_compression.py tests/test_bucketing.py \
+	tests/test_fig_compression.py
+SMOKE_compression_FIGURE := fig_compression
+SMOKE_compression_GREP := Compression zoo|crossover at
+SMOKE_llm_TESTS := tests/test_layers.py tests/test_fig_llm.py
+SMOKE_llm_FIGURE := fig_llm
+SMOKE_llm_GREP := Transformer/LLM sweep|vocab head lm_head
 
-## beyond-BSP smoke: policy tests, then the fig_async sweep with its two
-## structural invariants checked (monotone staleness frontier, 1/H traffic)
-async-smoke:
-	$(PYTEST) tests/test_policy.py -q
-	PYTHONPATH=src python -m repro.experiments.runner --quick --jobs 1 \
-		fig_async > /tmp/fig_async_smoke.txt
-	@grep -q "Beyond-BSP frontier" /tmp/fig_async_smoke.txt
-	@echo "fig_async smoke report rendered"
-
-## fault-tolerance smoke: chaos + checkpoint round-trip tests, then the
-## fig_faults sweep (monotone cost-vs-MTBF frontier, straggler masking)
-chaos-smoke:
-	$(PYTEST) tests/test_chaos.py tests/test_faults.py \
-		tests/test_substrate_checkpoint.py -q
-	PYTHONPATH=src python -m repro.experiments.runner --quick --jobs 1 \
-		fig_faults > /tmp/fig_faults_smoke.txt
-	@grep -q "Fault frontier" /tmp/fig_faults_smoke.txt
-	@echo "fig_faults smoke report rendered"
-
-## compression smoke: wire/compressor/bucketing tests, then the
-## fig_compression sweep with its headline crossover line checked
-compression-smoke:
-	$(PYTEST) tests/test_compression.py tests/test_bucketing.py \
-		tests/test_fig_compression.py -q
-	PYTHONPATH=src python -m repro.experiments.runner --quick --jobs 1 \
-		fig_compression > /tmp/fig_compression_smoke.txt
-	@grep -q "Compression zoo" /tmp/fig_compression_smoke.txt
-	@grep -q "crossover at" /tmp/fig_compression_smoke.txt
-	@echo "fig_compression smoke report rendered"
-
-## transformer smoke: layer gradchecks + fig_llm tests, then the quick
-## fig_llm sweep with its headline lines checked (SFB vocab head, crossover)
-llm-smoke:
-	$(PYTEST) tests/test_layers.py tests/test_fig_llm.py -q
-	PYTHONPATH=src python -m repro.experiments.runner --quick --jobs 1 \
-		fig_llm > /tmp/fig_llm_smoke.txt
-	@grep -q "Transformer/LLM sweep" /tmp/fig_llm_smoke.txt
-	@grep -q "vocab head lm_head" /tmp/fig_llm_smoke.txt
-	@echo "fig_llm smoke report rendered"
+smoke-%:
+	$(if $(SMOKE_$*_FIGURE),,$(error no smoke named '$*'))
+	$(if $(SMOKE_$*_TESTS),$(PYTEST) $(SMOKE_$*_TESTS) -q)
+	$(SMOKE_$*_PREFIX) env PYTHONPATH=src python -m repro.experiments.runner \
+		--quick --jobs 1 $(SMOKE_$*_FIGURE) > /tmp/$(SMOKE_$*_FIGURE)_smoke.txt
+	@needles='$(SMOKE_$*_GREP)'; IFS='|'; for needle in $$needles; do \
+		grep -q "$$needle" /tmp/$(SMOKE_$*_FIGURE)_smoke.txt \
+			|| { echo "smoke-$*: report lacks '$$needle'"; exit 1; }; \
+	done
+	@echo "$(SMOKE_$*_FIGURE) smoke report rendered"
 
 ## run all four examples/ scripts at reduced sizes (CI smoke)
 examples-smoke:

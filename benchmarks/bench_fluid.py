@@ -20,6 +20,7 @@ on DES-sized clusters instead.
 
 import pytest
 
+from repro import memo
 from repro.config import ClusterConfig
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
@@ -45,7 +46,7 @@ def _fluid_point(nodes: int):
 
 
 def _sweep_all_backends(nodes: int):
-    fluid._AXIS_CACHE.clear()  # measure the cold path, not a warm re-query
+    memo.clear_all()  # measure the cold path, not a warm re-query
     cluster = _cluster(nodes)
     curves = [
         fluid.sweep_axis(VGG19, system, cluster, SWEEP_BANDWIDTHS,

@@ -155,9 +155,7 @@ class ClusterModel:
     def __init__(self, env: Environment, config: ClusterConfig):
         self.env = env
         self.config = config
-        num_nodes = config.num_workers
-        if not config.colocate_servers:
-            num_nodes += config.num_servers
+        num_nodes = config.num_nodes
         self.machines: Dict[int, Machine] = {
             node_id: Machine(env, node_id, config) for node_id in range(num_nodes)
         }
@@ -186,19 +184,6 @@ class ClusterModel:
                     if num_nodes > 1 else 0.0)
 
     # -- topology helpers --------------------------------------------------------
-    @property
-    def worker_ids(self) -> List[int]:
-        """Node ids acting as workers."""
-        return list(range(self.config.num_workers))
-
-    @property
-    def server_ids(self) -> List[int]:
-        """Node ids hosting parameter-server shards."""
-        if self.config.colocate_servers:
-            return [sid % self.config.num_workers for sid in range(self.config.num_servers)]
-        first = self.config.num_workers
-        return list(range(first, first + self.config.num_servers))
-
     def ring_successor(self, worker_id: int) -> int:
         """The next worker on the logical ring (worker ids, wrap-around).
 
@@ -214,27 +199,6 @@ class ClusterModel:
                 f"worker id {worker_id} out of range [0, {num_workers})"
             )
         return (worker_id + 1) % num_workers
-
-    def racks(self, rack_size: Optional[int] = None) -> List[List[int]]:
-        """Workers grouped into racks of ``rack_size`` consecutive ids.
-
-        The grouping used by hierarchical (rack-aggregating) schemes; the
-        last rack may be smaller when the worker count is not a multiple.
-        Without an explicit ``rack_size`` the physical topology's rack
-        size (``ClusterConfig.nodes_per_rack``) is used, so schemes that
-        aggregate per rack align with the racks whose uplinks actually
-        contend.
-
-        Raises:
-            SimulationError: on a non-positive rack size.
-        """
-        if rack_size is None:
-            rack_size = self.config.nodes_per_rack
-        if rack_size < 1:
-            raise SimulationError(f"rack_size must be >= 1, got {rack_size}")
-        workers = self.worker_ids
-        return [workers[first:first + rack_size]
-                for first in range(0, len(workers), rack_size)]
 
     def rack_of(self, node_id: int) -> int:
         """Rack index of a node under the physical topology.

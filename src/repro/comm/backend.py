@@ -17,8 +17,12 @@ A :class:`CommBackend` bundles everything one scheme needs:
 * ``build_substrate`` / ``make_syncer`` -- the functional trainer side: the
   shared communication substrate (parameter server, bulletin board, ...)
   and the per-layer :class:`~repro.core.syncer.Syncer` that speaks to it;
-* ``flow_plan`` -- a :class:`FlowPlan` describing the scheme's transfer
-  pattern for the flow-level throughput simulator.
+* ``unit_bytes`` -- the scheme's per-unit payload (:class:`UnitBytes`),
+  stated once and read by both simulation engines through the resolved
+  :class:`~repro.simulation.plan.SyncPlan`;
+* ``flow_plan`` -- the scheme's transfer pattern for the event-driven
+  simulator (its closed-form replay in the fluid engine is named by
+  ``UnitBytes.replay``).
 
 Backends register themselves in a process-wide registry; the scheme
 assigner, the trainer and the simulator all resolve schemes through
@@ -31,12 +35,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, ClassVar, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
 from repro import units
 from repro.cluster.machine import FABRIC
+from repro.comm.wire import CompressionConfig, unit_wire_bytes
 from repro.core.cost_model import (
     CommScheme,
     NetworkTopology,
@@ -53,6 +59,93 @@ ArrayDict = Dict[str, Any]
 
 #: Factor by which 1-bit quantization shrinks gradient payloads.
 ONEBIT_COMPRESSION = 32.0
+
+#: Workers a tree scheme aggregates under one leader on a flat cluster (an
+#: oversubscribed cluster aggregates along its physical racks instead).
+DEFAULT_RACK_SIZE = 4
+
+#: The per-layer Algorithm-1 mode; every registered backend name is also a mode.
+HYBRID_MODE = "hybrid"
+
+
+@dataclass(frozen=True)
+class SyncShape:
+    """What a unit's payload depends on besides the unit itself.
+
+    Attributes:
+        num_workers: worker count (``P1``).
+        num_servers: PS shard count (``P2``).
+        batch_size: per-worker batch size (``K``).
+        fine: fine-grained KV shards rather than coarse whole-unit owners.
+        colocated: PS shards live on the worker nodes, so a node's own
+            shard (and an owner's own copy) never crosses the network.
+        rack_size: workers per rack of a tree scheme: the physical rack
+            size of an oversubscribed cluster, else :data:`DEFAULT_RACK_SIZE`.
+        compression: the validated compressor config (``None`` when dense);
+            only :attr:`CommBackend.compressible` backends apply it.
+    """
+
+    num_workers: int
+    num_servers: int
+    batch_size: int
+    fine: bool = True
+    colocated: bool = True
+    rack_size: int = DEFAULT_RACK_SIZE
+    compression: Optional[CompressionConfig] = None
+
+    @cached_property
+    def racks(self) -> Tuple[range, ...]:
+        """Worker ids under each tree leader (a rack's first member)."""
+        return tuple(
+            range(first, min(first + self.rack_size, self.num_workers))
+            for first in range(0, self.num_workers, self.rack_size))
+
+
+@dataclass(frozen=True)
+class UnitBytes:
+    """One unit's payload under one scheme: message sizes and node traffic.
+
+    ``push`` / ``pull`` / ``shard`` size the messages the flow plans and
+    fluid replays book on the channels; the role fields are sent+received
+    bytes per sync -- a node moves ``worker`` if it is a worker, plus
+    ``server`` if it hosts a PS shard, plus ``owner`` if it owns the unit,
+    plus its entry in ``nodes``.
+
+    Attributes:
+        push: bytes of one gradient-direction message (a PS push, one
+            peer's factor copy, one ring chunk, one tree hop).
+        pull: bytes of one parameter-direction message.
+        shard: bytes one server shard gathers, then scatters (fine PS only).
+        worker: sent+received bytes at every worker.
+        server: additional bytes at every node hosting a server shard.
+        owner: additional bytes at the unit's owner.
+        nodes: ``(node, bytes)`` adjustments for individually named nodes
+            (rack leaders), relative to their ``worker`` share.
+        replay: the fluid engine's closed-form replay that moves these
+            messages (a key of :data:`repro.simulation.fluid.REPLAYS`);
+            ``None`` if only the event-driven engine can run the scheme.
+    """
+
+    push: float
+    pull: float
+    shard: float = 0.0
+    worker: float = 0.0
+    server: float = 0.0
+    owner: float = 0.0
+    nodes: Tuple[Tuple[int, float], ...] = ()
+    replay: Optional[str] = None
+
+
+def owner_fan_bytes(push: float, pull: float, shape: SyncShape) -> UnitBytes:
+    """Payload of the owner fan: every worker pushes to one owner, then pulls.
+
+    A colocated owner is itself a worker whose own copy stays on the node,
+    so it exchanges with ``P1 - 1`` peers; a dedicated owner with all ``P1``.
+    """
+    each = push + pull
+    fan = (shape.num_workers - 2) if shape.colocated else shape.num_workers
+    return UnitBytes(push, pull, worker=each, owner=fan * each,
+                     replay="owner_fan")
 
 
 @dataclass(frozen=True)
@@ -123,7 +216,8 @@ class FlowPlan:
     :class:`~repro.simulation.throughput.IterationSimulator` (passed as
     ``sim``): it may use the cluster's flow primitives
     (``sim.cluster.transfer`` / ``broadcast`` / fabric fans), the shared
-    per-unit synchronization state (``sim.unit_state(unit)``) and the
+    per-unit synchronization state (``sim.unit_state(unit)``), the unit's
+    resolved owner and :class:`UnitBytes` (``sim.unit_plan(unit)``) and the
     system descriptor (``sim.system``).  ``worker_sync`` is a simulation
     process generator; ``server_process`` (optional) models scheme logic
     that runs on the server side rather than being driven by a worker.
@@ -242,21 +336,24 @@ class CommBackend(abc.ABC):
                                          batch_size, topology)
         return max(flat, uplink * topology.oversubscription / local)
 
+    def cost_on(self, topology: Optional[NetworkTopology], m: int, n: int,
+                num_workers: int, num_servers: int, batch_size: int) -> float:
+        """:meth:`cost`, forwarding ``topology`` only when it is set.
+
+        Backends implementing the flat Table-1 ``cost`` signature thereby
+        keep working everywhere a topology cannot carry a premium.
+        """
+        if topology is None:
+            return self.cost(m, n, num_workers, num_servers, batch_size)
+        return self.cost(m, n, num_workers, num_servers, batch_size,
+                         topology=topology)
+
     def wire_bytes(self, m: int, n: int, num_workers: int, num_servers: int,
                    batch_size: int,
                    topology: Optional[NetworkTopology] = None) -> float:
-        """Same as :meth:`cost` but in bytes on the wire.
-
-        ``topology`` is only forwarded when set, so backends implementing
-        the flat Table-1 ``cost`` signature keep working everywhere a
-        topology cannot carry a premium.
-        """
-        if topology is None:
-            cost = self.cost(m, n, num_workers, num_servers, batch_size)
-        else:
-            cost = self.cost(m, n, num_workers, num_servers, batch_size,
-                             topology=topology)
-        return cost * units.FLOAT32_BYTES
+        """Same as :meth:`cost` (see :meth:`cost_on`) in bytes on the wire."""
+        return (self.cost_on(topology, m, n, num_workers, num_servers,
+                             batch_size) * units.FLOAT32_BYTES)
 
     # -- timed Algorithm 1 hooks -------------------------------------------------
     def latency_messages(self, num_workers: int, num_servers: int) -> float:
@@ -277,6 +374,27 @@ class CommBackend(abc.ABC):
         schemes pay the outer-product reconstruction of each peer's update.
         """
         return 0.0
+
+    # -- simulators ---------------------------------------------------------------
+    def gradient_bytes(self, unit: Any, shape: SyncShape) -> float:
+        """Wire bytes of one worker's whole-gradient message for ``unit``:
+        compressed on a :attr:`compressible` backend with a compressor
+        configured, ``param_bytes / compression`` otherwise."""
+        if shape.compression is not None and self.compressible:
+            return float(unit_wire_bytes(shape.compression, unit.param_bytes,
+                                         unit.fc_dims, unit.payload_parts))
+        return unit.param_bytes / self.compression
+
+    def unit_bytes(self, unit: Any, shape: SyncShape, owner: int) -> UnitBytes:
+        """The scheme's payload for one unit -- the only place it is written.
+
+        ``unit`` is a :class:`~repro.simulation.workload.SyncUnit`, ``owner``
+        the node the plan placed it on.  Both engines and every
+        :class:`FlowPlan` read the result from the resolved plan.
+        """
+        raise ConfigurationError(
+            f"backend {self.name!r} declares no unit_bytes; "
+            f"it cannot be simulated")
 
     # -- functional trainer -----------------------------------------------------
     @abc.abstractmethod
@@ -524,7 +642,9 @@ def topology_candidates() -> Tuple[CommBackend, ...]:
 
 def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
                   batch_size: int, sf_eligible: bool = True,
-                  topology: Optional[NetworkTopology] = None) -> CommScheme:
+                  topology: Optional[NetworkTopology] = None,
+                  price: Optional[Callable[[CommBackend], float]] = None
+                  ) -> CommScheme:
     """Algorithm 1: the cheapest hybrid-candidate scheme for one layer.
 
     Factor-based candidates are skipped for non-factorisable layers and for
@@ -534,7 +654,10 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
     With a non-flat ``topology`` every candidate's cost carries its
     cross-rack premium and the :attr:`~CommBackend.topology_candidate`
     backends (ring all-reduce, hierarchical PS) enter the comparison --
-    so the per-layer choice becomes rack-aware:
+    so the per-layer choice becomes rack-aware.  ``price`` replaces the
+    Table-1 volume with another per-backend figure of merit (the timed
+    Algorithm 1 passes estimated seconds) over the same candidate set and
+    tie-break:
 
         >>> from repro.comm.backend import hybrid_choice
         >>> from repro.core.cost_model import NetworkTopology
@@ -558,17 +681,48 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
     for backend in candidates:
         if backend.requires_factorization and (not sf_eligible or num_workers <= 1):
             continue
-        if topology is None:
-            cost = backend.cost(m, n, num_workers, num_servers, batch_size)
-        else:
-            cost = backend.cost(m, n, num_workers, num_servers, batch_size,
-                                topology=topology)
+        cost = (price(backend) if price is not None else backend.cost_on(
+            topology, m, n, num_workers, num_servers, batch_size))
         key = (cost, backend.hybrid_rank)
         if best is None or key < best[0]:
             best = (key, backend.scheme)
     if best is None:
         raise ConfigurationError("no hybrid-candidate backend is registered")
     return best[1]
+
+
+def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
+                  sf_eligible: bool, num_workers: int, num_servers: int,
+                  batch_size: int,
+                  topology: Optional[NetworkTopology] = None,
+                  price: Optional[Callable[[CommBackend], float]] = None
+                  ) -> CommScheme:
+    """The scheme one layer synchronizes under in ``mode`` -- the one rule.
+
+    ``mode`` is ``"hybrid"`` (Algorithm 1 via :func:`hybrid_choice`) or a
+    registered backend name.  A layer that is not sufficient-factor
+    decomposable (``sf_eligible`` with ``(M, N)`` ``fc_dims``) rides the PS
+    under ``"hybrid"`` and under any factor-based backend.  The trainer
+    (``assign_schemes``), the simulators (``decide_schemes``) and the
+    :class:`~repro.core.cost_model.CostModel` all decide here:
+
+        >>> from repro.comm.backend import choose_scheme
+        >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32).value
+        'sfb'
+        >>> choose_scheme("sfb", None, False, 16, 16, 32).value
+        'ps'
+    """
+    factorizable = sf_eligible and fc_dims is not None
+    if mode == HYBRID_MODE:
+        if not factorizable:
+            return CommScheme.PS
+        m, n = fc_dims
+        return hybrid_choice(m, n, num_workers, num_servers, batch_size,
+                             topology=topology, price=price)
+    backend = get_backend(mode)
+    if backend.requires_factorization and not factorizable:
+        return CommScheme.PS
+    return backend.scheme
 
 
 # -- built-in flow plans -----------------------------------------------------------
@@ -595,18 +749,17 @@ class PSFlowPlan(FlowPlan):
     # -- fine-grained PS (Poseidon KV store / TF+WFBP) ----------------------------
     def _fine_worker_sync(self, sim, worker, unit, scheme):
         state = sim.unit_state(unit)
-        push_bytes = sim.fine_push_bytes(unit, scheme)
+        nbytes = sim.unit_plan(unit).bytes
         state.mark_send_started()
         yield from sim.cluster.transfer(
-            worker, FABRIC, push_bytes, tag=f"push:{unit.name}")
+            worker, FABRIC, nbytes.push, tag=f"push:{unit.name}")
         state.all_sent.arrive()
 
         yield state.aggregated
         if not sim.system.overlap_pull:
             yield sim.backward_done(worker)
-        pull_bytes = sim.fine_push_bytes(unit, scheme)
         yield from sim.cluster.transfer(
-            FABRIC, worker, pull_bytes, tag=f"pull:{unit.name}")
+            FABRIC, worker, nbytes.pull, tag=f"pull:{unit.name}")
         if state.scatter_done is not None:
             yield state.scatter_done
 
@@ -614,7 +767,7 @@ class PSFlowPlan(FlowPlan):
         """Server-shard side of a fine-grained PS unit: gather, apply, scatter."""
         state = sim.unit_state(unit)
         yield state.send_started
-        server_bytes = sim.fine_server_bytes(unit, scheme)
+        server_bytes = sim.unit_plan(unit).bytes.shard
         shard_nodes = list(set(sim.server_nodes))
         yield sim.cluster.fabric_gather(shard_nodes, server_bytes,
                                         tag=f"gather:{unit.name}")
@@ -626,13 +779,9 @@ class PSFlowPlan(FlowPlan):
     # -- coarse per-tensor PS (stock TensorFlow) ----------------------------------
     def _coarse_worker_sync(self, sim, worker, unit, scheme):
         state = sim.unit_state(unit)
-        owner = sim.coarse_owner[unit.name]
-        # Push and pull are priced separately: a pluggable compressor
-        # shrinks the pushed gradient while the pulled parameters stay
-        # dense.  Without a compressor both resolve to the same
-        # ``param_bytes / compression`` the plan always charged.
-        push_bytes = sim.coarse_push_bytes(unit, scheme)
-        pull_bytes = sim.coarse_pull_bytes(unit, scheme)
+        plan = sim.unit_plan(unit)
+        owner = plan.owner
+        push_bytes, pull_bytes = plan.bytes.push, plan.bytes.pull
         state.mark_send_started()
         yield from sim.cluster.transfer(
             worker, owner, push_bytes, tag=f"push:{unit.name}")
@@ -653,7 +802,7 @@ class SFBFlowPlan(FlowPlan):
     """Peer-to-peer sufficient-factor broadcasting (Figure 2(b))."""
 
     def worker_sync(self, sim, worker, unit, scheme):
-        sf_bytes = unit.sufficient_factor_bytes(sim.workload.batch_size)
+        sf_bytes = sim.unit_plan(unit).bytes.push
         peers = [p for p in range(sim.num_workers) if p != worker]
         state = sim.unit_state(unit)
         state.mark_send_started()
@@ -670,16 +819,16 @@ class AdamFlowPlan(FlowPlan):
 
     def worker_sync(self, sim, worker, unit, scheme):
         state = sim.unit_state(unit)
-        owner = sim.coarse_owner[unit.name]
-        sf_bytes = unit.sufficient_factor_bytes(sim.workload.batch_size)
+        plan = sim.unit_plan(unit)
+        owner = plan.owner
         state.mark_send_started()
         yield from sim.cluster.transfer(
-            worker, owner, sf_bytes, tag=f"adam-push:{unit.name}")
+            worker, owner, plan.bytes.push, tag=f"adam-push:{unit.name}")
         state.all_sent.arrive()
 
         yield state.all_sent
         yield from sim.cluster.transfer(
-            owner, worker, unit.param_bytes, tag=f"adam-pull:{unit.name}")
+            owner, worker, plan.bytes.pull, tag=f"adam-pull:{unit.name}")
 
 
 # -- built-in backends -------------------------------------------------------------
@@ -707,6 +856,24 @@ class PSBackend(CommBackend):
         # rack-uplink split applies.
         return self._topology_cost(flat, m, n, num_workers, num_servers,
                                    batch_size, topology)
+
+    def unit_bytes(self, unit, shape, owner):
+        if shape.fine:
+            # KV-sharded: a worker exchanges its remote shards with the
+            # fabric, a shard gathers (then scatters) its remote workers'
+            # slices.  This expression order is the recorded trace's.
+            local = 1 if shape.colocated else 0
+            push = (unit.param_bytes
+                    * ((shape.num_servers - local) / shape.num_servers)
+                    / self.compression)
+            shard = (unit.param_bytes * (shape.num_workers - local)
+                     / shape.num_servers / self.compression)
+            return UnitBytes(push, push, shard, worker=2.0 * push,
+                             server=2.0 * shard, replay="fabric")
+        # Coarse: a compressor shrinks the pushed gradient, the pulled
+        # parameters stay dense.
+        return owner_fan_bytes(self.gradient_bytes(unit, shape),
+                               unit.param_bytes / self.compression, shape)
 
     def compression_cost_factor(self, compression, m, n):
         # PS pushes travel compressed, pulls come back dense; with
@@ -788,6 +955,12 @@ class SFBBackend(CommBackend):
         # Reconstruct each peer's dW = U^T V: 2 K M N FLOPs per peer.
         return 2.0 * batch_size * max(num_workers - 1, 0) * m * n
 
+    def unit_bytes(self, unit, shape, owner):
+        sf = unit.sufficient_factor_bytes(shape.batch_size)
+        # One factor copy to, and one from, each of the P1 - 1 peers.
+        return UnitBytes(sf, sf, worker=2.0 * (shape.num_workers - 1) * sf,
+                         replay="sfb")
+
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.sfb import SufficientFactorBroadcaster
         return SufficientFactorBroadcaster(ctx.num_workers)
@@ -826,6 +999,10 @@ class AdamBackend(CommBackend):
         # The owning node reconstructs every peer's factors before applying.
         return 2.0 * batch_size * max(num_workers - 1, 0) * m * n
 
+    def unit_bytes(self, unit, shape, owner):
+        return owner_fan_bytes(unit.sufficient_factor_bytes(shape.batch_size),
+                               unit.param_bytes, shape)
+
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.adam import AdamSFServer
         return AdamSFServer(
@@ -850,94 +1027,3 @@ ADAM_BACKEND = register_backend(AdamBackend())
 # module is the single entry point that guarantees the full registry.
 from repro.comm import hierarchical as _hierarchical  # noqa: E402,F401
 from repro.comm import ring as _ring  # noqa: E402,F401
-
-
-@dataclass(frozen=True)
-class FluidTerms:
-    """Per-unit byte terms of one synchronization, for closed-form engines.
-
-    The fluid simulator (:mod:`repro.simulation.fluid`) composes iteration
-    times out of per-unit payload sizes rather than walking flow events;
-    these are the Algorithm-1 cost terms of one unit reduced to the three
-    quantities the analytic laws need.  All fields are plain floats so an
-    axis sweep can broadcast them against numpy bandwidth vectors.
-
-    Attributes:
-        push_bytes: bytes each non-owner worker uploads.
-        pull_bytes: bytes each non-owner worker downloads.
-        symmetric_bytes: sent+received bytes at a typical (non-owner) node.
-        owner_bytes: extra sent+received bytes at the unit's owner/root
-            node on top of ``symmetric_bytes`` (0 for symmetric schemes).
-    """
-
-    push_bytes: float
-    pull_bytes: float
-    symmetric_bytes: float
-    owner_bytes: float
-
-
-def fluid_terms(scheme: CommScheme, unit, batch_size: int, num_workers: int,
-                num_servers: int, fine: bool = True,
-                colocated: bool = True, compression=None) -> FluidTerms:
-    """Byte terms of synchronizing ``unit`` once under ``scheme``.
-
-    ``unit`` is any object with the :class:`repro.simulation.workload.SyncUnit`
-    payload interface (``param_bytes``, ``sufficient_factor_bytes``,
-    ``chunk_bytes``).  ``fine`` selects the fine-grained KV-sharded PS path
-    (Poseidon's default) over the coarse whole-unit owner fan.
-    ``compression`` is a :class:`repro.comm.wire.CompressionConfig`; on a
-    compressible backend it shrinks the gradient-direction payloads
-    through the shared :func:`repro.comm.wire.unit_wire_bytes` accounting
-    (PS pushes compressed / pulls dense, ring symmetric).  ``None`` or an
-    identity config is byte-identical to the historical terms.
-    """
-    from repro.comm.wire import unit_wire_bytes
-
-    n, s = num_workers, num_servers
-    backend = get_backend(scheme)
-    c = backend.compression
-    dense = unit.param_bytes / c
-    if compression is not None and (compression.is_identity
-                                    or not backend.compressible):
-        compression = None
-    if scheme is CommScheme.SFB:
-        sf = unit.sufficient_factor_bytes(batch_size)
-        each = (n - 1) * sf
-        return FluidTerms(sf, sf, 2.0 * each, 0.0)
-    if scheme is CommScheme.RING:
-        if compression is not None:
-            # Both all-reduce phases carry the (compressed) gradient.
-            payload = unit_wire_bytes(compression, unit.param_bytes,
-                                      unit.fc_dims, unit.payload_parts)
-            chunk = payload / n
-        else:
-            chunk = unit.chunk_bytes(n)
-        each = 2 * (n - 1) * chunk
-        return FluidTerms(chunk, chunk, 2.0 * each, 0.0)
-    if scheme is CommScheme.ADAM:
-        sf = unit.sufficient_factor_bytes(batch_size)
-        pull = unit.param_bytes
-        return FluidTerms(sf, pull, sf + pull, (n - 2) * (sf + pull))
-    if scheme is CommScheme.HIERPS:
-        # members see one up + one down copy; the root additionally
-        # exchanges with every other rack leader.
-        racks = max(1, -(-n // 4))
-        return FluidTerms(dense, dense, 2.0 * dense,
-                          2.0 * (racks - 1) * dense)
-    if fine:
-        # KV-sharded PS: every node is worker (push/pull its remote
-        # shards) and, when colocated, also server (gather/scatter).
-        remote_shards = s - (1 if colocated else 0)
-        remote_workers = n - (1 if colocated else 0)
-        push = dense * remote_shards / s
-        shard = dense * remote_workers / s
-        return FluidTerms(push, push, 2.0 * (push + shard), 0.0)
-    if compression is not None:
-        # Coarse PS with a compressor: the push travels compressed, the
-        # parameter pull stays dense; the owner's extra share scales with
-        # the same split.
-        push = unit_wire_bytes(compression, unit.param_bytes,
-                               unit.fc_dims, unit.payload_parts)
-        return FluidTerms(push, dense, push + dense,
-                          (n - 2) * (push + dense))
-    return FluidTerms(dense, dense, 2.0 * dense, 2.0 * (n - 2) * dense)

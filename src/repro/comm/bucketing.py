@@ -31,6 +31,7 @@ from repro.comm.backend import get_backend, registry_generation
 from repro.comm.wire import bucket_partition
 from repro.core.cost_model import CommScheme
 from repro.exceptions import ConfigurationError
+from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
 
 
@@ -100,10 +101,10 @@ def _bucketable(scheme: CommScheme) -> bool:
     return get_backend(scheme).compressible
 
 
-#: Memoized bucketed workloads: the transformation only depends on the
-#: workload, the per-unit scheme assignment, the bucket size and the
-#: registry generation (bucketability is a backend capability).
-_BUCKET_CACHE: Dict[Tuple, Tuple[IterationWorkload, Dict[str, CommScheme]]] = {}
+#: The transformation only depends on the workload, the per-unit scheme
+#: assignment, the bucket size and the registry generation (bucketability
+#: is a backend capability).
+_BUCKETED = Memo(registry_generation)
 
 
 def _merge_units(members: List[SyncUnit]) -> SyncUnit:
@@ -148,13 +149,16 @@ def bucket_workload(workload: IterationWorkload,
     if bucket_bytes < 1:
         raise ConfigurationError(
             f"bucket_bytes must be >= 1, got {bucket_bytes}")
-    key = (workload,
-           tuple(schemes[unit.name] for unit in workload.units),
-           int(bucket_bytes), registry_generation())
-    cached = _BUCKET_CACHE.get(key)
-    if cached is not None:
-        return cached
+    key = (workload, tuple(schemes[unit.name] for unit in workload.units),
+           int(bucket_bytes))
+    return _BUCKETED.get(
+        key, lambda: _bucket(workload, schemes, int(bucket_bytes)))
 
+
+def _bucket(workload: IterationWorkload, schemes: Dict[str, CommScheme],
+            bucket_bytes: int
+            ) -> Tuple[IterationWorkload, Dict[str, CommScheme]]:
+    """The uncached body of :func:`bucket_workload`."""
     new_units_backward: List[SyncUnit] = []
     new_schemes: Dict[str, CommScheme] = {}
 
@@ -199,6 +203,4 @@ def bucket_workload(workload: IterationWorkload,
         single_node_seconds=workload.single_node_seconds,
         total_param_bytes=workload.total_param_bytes,
     )
-    result = (bucketed, new_schemes)
-    _BUCKET_CACHE[key] = result
-    return result
+    return bucketed, new_schemes

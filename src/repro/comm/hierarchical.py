@@ -26,9 +26,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.comm.backend import (
+    DEFAULT_RACK_SIZE,
     CommBackend,
     FlowPlan,
     TrainerContext,
+    UnitBytes,
     WorkerResources,
     reduce_in_worker_order,
     register_backend,
@@ -41,9 +43,6 @@ from repro.nn.optim import SGD
 
 #: A layer's parameters or gradients: parameter name -> array.
 ArrayDict = Dict[str, np.ndarray]
-
-#: Workers aggregated under one top-of-rack switch by default.
-DEFAULT_RACK_SIZE = 4
 
 
 class HierarchicalParameterServer:
@@ -209,32 +208,20 @@ class HierPSFlowPlan(FlowPlan):
     rack's aggregate arrived the root applies the update and the leaders
     pull the fresh parameters and redistribute them inside their racks.
     All hops ride the existing per-NIC TailChannel contention model, so
-    leader and root hotspots emerge naturally.
+    leader and root hotspots emerge naturally.  The tree follows the
+    resolved plan's ``shape.rack_size``: the *physical* racks of an
+    oversubscribed cluster (the whole point of the scheme), logical racks
+    of :data:`~repro.comm.backend.DEFAULT_RACK_SIZE` on a flat one.
     """
-
-    def __init__(self, rack_size: int = DEFAULT_RACK_SIZE):
-        self.rack_size = int(rack_size)
-
-    def _sim_rack_size(self, sim) -> int:
-        """The aggregation rack size used for one simulation.
-
-        On a rack-oversubscribed cluster the tree aggregates along the
-        *physical* racks (that is the whole point of the scheme); on the
-        flat default it keeps the backend's configured logical rack size.
-        """
-        config = sim.cluster_config
-        if not config.is_flat_topology:
-            return config.nodes_per_rack
-        return self.rack_size
 
     def _tree_state(self, sim, unit):
         state = sim.unit_state(unit)
         tree = state.extra.get("hierps")
         if tree is None:
-            rack_size = self._sim_rack_size(sim)
-            racks = sim.cluster.racks(rack_size)
+            shape = sim.plan.shape
+            racks = shape.racks
             tree = {
-                "rack_size": rack_size,
+                "rack_size": shape.rack_size,
                 "racks": racks,
                 "rack_done": {rack: sim.env.countdown(len(members))
                               for rack, members in enumerate(racks)},
@@ -249,7 +236,8 @@ class HierPSFlowPlan(FlowPlan):
         rack = worker // tree["rack_size"]
         members = tree["racks"][rack]
         leader = members[0]
-        dense_bytes = unit.param_bytes / sim.compression(scheme)
+        plan = sim.unit_plan(unit)
+        dense_bytes = plan.bytes.push
         state.mark_send_started()
         if worker != leader:
             yield from sim.cluster.transfer(worker, leader, dense_bytes,
@@ -264,7 +252,7 @@ class HierPSFlowPlan(FlowPlan):
         # forward one aggregate to the root owner, pull, redistribute.
         tree["rack_done"][rack].arrive()
         yield tree["rack_done"][rack]
-        owner = sim.coarse_owner[unit.name]
+        owner = plan.owner
         yield from sim.cluster.transfer(leader, owner, dense_bytes,
                                         tag=f"hier-up:{unit.name}")
         tree["root_done"].arrive()
@@ -291,18 +279,13 @@ class HierPSBackend(CommBackend):
     #: shrinks cross-rack traffic from one flow per worker to one per rack.
     topology_candidate = True
     hybrid_rank = 3  # never steals a flat tie from SFB (0) or PS (1)
-
-    def __init__(self, rack_size: int = DEFAULT_RACK_SIZE):
-        if rack_size < 1:
-            raise CommunicationError(f"rack_size must be >= 1, got {rack_size}")
-        self.rack_size = int(rack_size)
-        self.flow_plan = HierPSFlowPlan(rack_size)
+    flow_plan = HierPSFlowPlan()
 
     def _cost_rack_size(self, num_workers: int, topology=None) -> int:
         """Aggregation rack size: physical racks when oversubscribed."""
         if topology is not None and not topology.is_flat:
             return topology.nodes_per_rack(num_workers)
-        return self.rack_size
+        return DEFAULT_RACK_SIZE
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):
@@ -335,9 +318,26 @@ class HierPSBackend(CommBackend):
         # Two tree levels, each a push + pull round trip.
         return 4.0
 
+    def unit_bytes(self, unit, shape, owner):
+        dense = unit.param_bytes / self.compression
+        # A member sends one gradient up and gets one parameter copy back.
+        # A leader instead fans in and out its rack's other members and,
+        # unless it is the root owner itself, exchanges one aggregate with
+        # the root; the root sees one such exchange per remote leader.
+        leaders = []
+        remote_leaders = 0
+        for members in shape.racks:
+            remote = members[0] != owner
+            remote_leaders += remote
+            leaders.append(
+                (members[0], 2.0 * dense * (len(members) - 2 + remote)))
+        return UnitBytes(dense, dense, worker=2.0 * dense,
+                         owner=2.0 * dense * remote_leaders,
+                         nodes=tuple(leaders), replay="tree")
+
     def build_substrate(self, initial_layers, ctx: TrainerContext):
         return HierarchicalParameterServer(
-            initial_layers, ctx.num_workers, rack_size=self.rack_size,
+            initial_layers, ctx.num_workers,
             optimizer=ctx.make_optimizer(), aggregation=ctx.aggregation,
         )
 

@@ -27,6 +27,7 @@ from repro.comm.backend import (
     CommBackend,
     FlowPlan,
     TrainerContext,
+    UnitBytes,
     WorkerResources,
     reduce_in_worker_order,
     register_backend,
@@ -147,7 +148,7 @@ class RingAllReducer:
         return reduced, wire, wire
 
     # -- fault tolerance ----------------------------------------------------------------
-    def checkpoint(self) -> dict:
+    def checkpoint(self, include_optimizer: bool = False) -> dict:
         """The collective carries no state across iterations; nothing to save."""
         return {}
 
@@ -254,7 +255,7 @@ class RingFlowPlan(FlowPlan):
                         for _ in range(2 * (num_workers - 1))]
             state.extra["ring"] = barriers
         state.mark_send_started()
-        chunk = sim.ring_chunk_bytes(unit, scheme)
+        chunk = sim.unit_plan(unit).bytes.push
         successor = sim.cluster.ring_successor(worker)
         for barrier in barriers:
             yield from sim.cluster.transfer(worker, successor, chunk,
@@ -312,6 +313,13 @@ class RingBackend(CommBackend):
         if compression is None or not compression.compresses(m, n):
             return 1.0
         return compression.weight_ratio(m, n)
+
+    def unit_bytes(self, unit, shape, owner):
+        # Both phases move the (compressed) gradient in 1/P chunks: every
+        # worker sends and receives one chunk in each of 2 (P - 1) steps.
+        chunk = self.gradient_bytes(unit, shape) / shape.num_workers
+        return UnitBytes(chunk, chunk, replay="ring",
+                         worker=4.0 * (shape.num_workers - 1) * chunk)
 
     def build_substrate(self, initial_layers, ctx: TrainerContext):
         return RingAllReducer(ctx.num_workers)

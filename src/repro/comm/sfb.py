@@ -119,7 +119,7 @@ class SufficientFactorBroadcaster:
         return result
 
     # -- fault tolerance ----------------------------------------------------------------
-    def checkpoint(self) -> dict:
+    def checkpoint(self, include_optimizer: bool = False) -> dict:
         """The board carries no state across BSP iterations; nothing to save."""
         return {}
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 from repro import units
 from repro.exceptions import ConfigurationError
@@ -204,6 +205,15 @@ class ClusterConfig:
         if self.colocate_servers:
             return self.num_workers
         return self.num_workers + self.num_servers
+
+    @cached_property
+    def server_nodes(self) -> Tuple[int, ...]:
+        """Node id of every PS shard: workers (round-robin) when colocated,
+        dedicated nodes after the workers otherwise.  Cached: every
+        simulator of one cluster shares the tuple (10k entries at scale)."""
+        if self.colocate_servers:
+            return tuple(s % self.num_workers for s in range(self.num_servers))
+        return tuple(range(self.num_workers, self.num_nodes))
 
     @property
     def is_flat_topology(self) -> bool:

@@ -4,21 +4,18 @@
   Table 1 and the :class:`CommScheme` vocabulary.
 * :mod:`repro.core.kvstore` -- fine-grained (2 MB) KV-pair partitioning of
   model parameters across server shards.
-* :mod:`repro.core.coordinator` -- the coordinator with its information book
-  and the ``BestScheme`` selection of Algorithm 1.
-* :mod:`repro.core.hybrid` -- the HybComm planner that assigns a scheme to
-  every layer.
 * :mod:`repro.core.wfbp` -- wait-free backpropagation scheduling.
 * :mod:`repro.core.syncer` -- per-layer syncers (Send / Receive / Move).
 * :mod:`repro.core.consistency` -- bulk-synchronous consistency management.
-* :mod:`repro.core.poseidon` -- :class:`PoseidonContext`, the top-level API.
+* :mod:`repro.core.poseidon` -- :class:`PoseidonContext`, the coordinator:
+  information book (``Query``), ``BestScheme`` and the per-layer HybComm
+  plan, a thin view over :func:`repro.comm.backend.choose_scheme` and the
+  cost model.
 """
 
 from repro.core.cost_model import CommScheme, CostModel
-from repro.core.coordinator import Coordinator
-from repro.core.hybrid import HybridCommPlanner, SyncDecision
 from repro.core.kvstore import KVPair, KVStorePartition
-from repro.core.poseidon import CommunicationPlan, PoseidonContext
+from repro.core.poseidon import CommunicationPlan, PoseidonContext, SyncDecision
 from repro.core.wfbp import ScheduleMode, WFBPScheduler
 from repro.core.consistency import BSPController
 from repro.core.staleness import SSPClock, StalenessBoundedQueue
@@ -28,8 +25,6 @@ __all__ = [
     "StalenessBoundedQueue",
     "CommScheme",
     "CostModel",
-    "Coordinator",
-    "HybridCommPlanner",
     "SyncDecision",
     "KVPair",
     "KVStorePartition",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro import units
 from repro.config import ClusterConfig
@@ -245,6 +245,17 @@ def _validate_cluster(num_workers: int, num_servers: int) -> None:
         )
 
 
+def _matrix_dims(layer: LayerSpec) -> Tuple[int, int]:
+    """The ``(M, N)`` the Table-1 formulas price ``layer`` at.
+
+    Non-FC layers are an indecomposable parameter blob on the dense PS
+    path; a ``1 x P`` matrix keeps the PS formulas exact for them.
+    """
+    if layer.kind is LayerKind.FC:
+        return layer.fc_dims
+    return 1, max(layer.param_count, 1)
+
+
 # -- model-level cost interface ---------------------------------------------------
 
 
@@ -308,13 +319,7 @@ class CostModel:
         p2 = self.cluster.num_servers
         k = self.batch_size
         freq = self._sync_frequency(policy)
-        if layer.kind is LayerKind.FC:
-            m, n = layer.fc_dims
-        else:
-            # Non-FC layers are treated as an indecomposable parameter blob;
-            # only the dense PS path applies.  Model it as a 1 x P matrix so
-            # that the PS formulas stay exact (2 * params per worker, etc.).
-            m, n = 1, max(layer.param_count, 1)
+        m, n = _matrix_dims(layer)
         estimate = LayerCostEstimate(
             layer=layer.name,
             ps_worker=freq * ps_worker_cost(m, n),
@@ -339,6 +344,24 @@ class CostModel:
         )
         return estimate
 
+    def choose(self, layer: LayerSpec, mode: str = "hybrid",
+               price=None) -> CommScheme:
+        """The scheme ``layer`` synchronizes under in ``mode`` on this cluster.
+
+        :func:`repro.comm.backend.choose_scheme` fed from the layer spec:
+        ``"hybrid"`` is Algorithm 1 (optionally over another ``price``
+        than the Table-1 volume), a backend name forces that scheme.
+        """
+        # Imported lazily: repro.comm.backend depends on this module's
+        # Table-1 formulas, so a module-level import would be circular.
+        from repro.comm.backend import choose_scheme
+
+        fc_dims = layer.fc_dims if layer.kind is LayerKind.FC else None
+        return choose_scheme(mode, fc_dims, layer.sf_decomposable,
+                             self.cluster.num_workers,
+                             self.cluster.num_servers, self.batch_size,
+                             topology=self.topology, price=price)
+
     def best_scheme(self, layer: LayerSpec, policy=None) -> CommScheme:
         """Algorithm 1: the cheapest hybrid-candidate backend for ``layer``.
 
@@ -351,16 +374,7 @@ class CostModel:
         accepted for interface symmetry with the cost queries.
         """
         del policy  # uniform scale: cannot change the argmin
-        # Imported lazily: repro.comm.backend depends on this module's
-        # Table-1 formulas, so a module-level import would be circular.
-        from repro.comm.backend import hybrid_choice
-
-        if not layer.sf_decomposable or layer.kind is not LayerKind.FC:
-            return CommScheme.PS
-        m, n = layer.fc_dims
-        return hybrid_choice(m, n, self.cluster.num_workers,
-                             self.cluster.num_servers, self.batch_size,
-                             sf_eligible=True, topology=self.topology)
+        return self.choose(layer)
 
     # -- timed Algorithm 1 -------------------------------------------------------
     def scheme_seconds(self, layer: LayerSpec, scheme: CommScheme,
@@ -384,10 +398,7 @@ class CostModel:
                         / (self.cluster.effective_bandwidth_bps / 8.0))
         p1 = self.cluster.num_workers
         p2 = self.cluster.num_servers
-        if layer.kind is LayerKind.FC:
-            m, n = layer.fc_dims
-        else:
-            m, n = 1, max(layer.param_count, 1)
+        m, n = _matrix_dims(layer)
         freq = self._sync_frequency(policy)
         latency_seconds = (backend.latency_messages(p1, p2)
                            * self.cluster.latency_seconds)
@@ -406,26 +417,10 @@ class CostModel:
         near-crossover layers (a transformer's ``C x C`` attention output
         projection) back to PS, while strongly factor-favoured layers (a
         GPT vocabulary head) stay SFB at any swept bandwidth.  Candidate
-        set and tie-breaking mirror :func:`~repro.comm.backend.hybrid_choice`.
+        set and tie-breaking are :func:`~repro.comm.backend.hybrid_choice`'s.
         """
-        from repro.comm.backend import hybrid_candidates, topology_candidates
-
-        if not layer.sf_decomposable or layer.kind is not LayerKind.FC:
-            return CommScheme.PS
-        candidates = hybrid_candidates()
-        if self.topology is not None:
-            candidates += topology_candidates()
-        best: Optional[tuple] = None
-        for backend in candidates:
-            if backend.requires_factorization and self.cluster.num_workers <= 1:
-                continue
-            seconds = self.scheme_seconds(layer, backend.scheme, policy=policy)
-            key = (seconds, backend.hybrid_rank)
-            if best is None or key < best[0]:
-                best = (key, backend.scheme)
-        if best is None:
-            raise ConfigurationError("no hybrid-candidate backend is registered")
-        return best[1]
+        return self.choose(layer, price=lambda backend: self.scheme_seconds(
+            layer, backend.scheme, policy=policy))
 
     # -- bytes-on-the-wire helpers ----------------------------------------------
     def scheme_cost_params(self, layer: LayerSpec, scheme: CommScheme,
@@ -446,22 +441,15 @@ class CostModel:
                 f"{scheme} does not apply"
             )
         is_fc = layer.kind is LayerKind.FC
-        if is_fc:
-            m, n = layer.fc_dims
-        else:
-            m, n = 1, max(layer.param_count, 1)
+        m, n = _matrix_dims(layer)
         freq = self._sync_frequency(policy)
         # The compressor only touches FC weight matrices (the shared scope
         # rule of repro.comm.wire); conv/bias blobs ship dense everywhere.
         factor = (backend.compression_cost_factor(self.compression, m, n)
                   if is_fc and self.compression is not None else 1.0)
-        if self.topology is None:
-            return freq * factor * backend.cost(
-                m, n, self.cluster.num_workers, self.cluster.num_servers,
-                self.batch_size)
-        return freq * factor * backend.cost(
-            m, n, self.cluster.num_workers, self.cluster.num_servers,
-            self.batch_size, topology=self.topology)
+        return freq * factor * backend.cost_on(
+            self.topology, m, n, self.cluster.num_workers,
+            self.cluster.num_servers, self.batch_size)
 
     def scheme_cost_bytes(self, layer: LayerSpec, scheme: CommScheme,
                           policy=None) -> float:

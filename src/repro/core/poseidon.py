@@ -1,25 +1,70 @@
-"""Top-level Poseidon API.
+"""Top-level Poseidon API: the coordinator's view of one training job.
 
-:class:`PoseidonContext` is what a user of the library instantiates: given a
-model architecture, a cluster description and training hyper-parameters, it
-wires up the coordinator, the KV-store partition and the HybComm planner,
-and exposes the resulting :class:`CommunicationPlan`.  Both the throughput
-simulator and the functional distributed trainer consume this plan, exactly
-as Caffe/TensorFlow consume Poseidon's client library in the paper.
+"To setup distributed training, the client program first instantiates
+Poseidon by creating a coordinator within its process.  Coordinators will
+first collect necessary information, including the cluster information
+(e.g., the number of workers and server nodes ...) and the model
+architecture ... the coordinator will initialize the KV stores and the
+client library" (Section 4.1).
+
+:class:`PoseidonContext` is that coordinator: given a model architecture, a
+cluster description and training hyper-parameters it answers the paper's
+``Query`` and ``BestScheme`` calls, partitions the KV store and exposes the
+HybComm :class:`CommunicationPlan` -- one :class:`SyncDecision` per layer,
+"always choos[ing] the best method from available ones whenever it results
+in fewer communication overheads" (Section 3.2).  It holds no decision
+logic of its own: schemes come from the one per-layer rule
+(:func:`repro.comm.backend.choose_scheme`) and bytes from the
+:class:`~repro.core.cost_model.CostModel`, as for trainer and simulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Union
 
 from repro import units
 from repro.config import ClusterConfig, TrainingConfig
-from repro.core.coordinator import Coordinator
-from repro.core.cost_model import CommScheme
-from repro.core.hybrid import HybridCommPlanner, SyncDecision
-from repro.core.kvstore import KVStorePartition
-from repro.nn.spec import ModelSpec
+from repro.core.cost_model import CommScheme, CostModel
+from repro.core.kvstore import (
+    KVStorePartition,
+    partition_coarse_grained,
+    partition_fine_grained,
+)
+from repro.exceptions import ConfigurationError
+from repro.nn.spec import LayerKind, LayerSpec, ModelSpec
+
+
+@dataclass(frozen=True)
+class SyncDecision:
+    """The plan's decision for one parameter layer.
+
+    Attributes:
+        layer: layer name.
+        scheme: the scheme HybComm selected.
+        ps_bytes: bytes a combined server/worker node would move under PS.
+        sfb_bytes: same under SFB (``None`` when SFB does not apply).
+        layer_param_bytes: dense size of the layer's parameters.
+    """
+
+    layer: str
+    scheme: CommScheme
+    ps_bytes: float
+    sfb_bytes: Optional[float]
+    layer_param_bytes: int
+
+    @property
+    def chosen_bytes(self) -> float:
+        """Bytes moved per node under the chosen scheme."""
+        if self.scheme is CommScheme.SFB and self.sfb_bytes is not None:
+            return self.sfb_bytes
+        return self.ps_bytes
+
+    @property
+    def savings_bytes(self) -> float:
+        """Bytes saved relative to always using the parameter server."""
+        return max(0.0, self.ps_bytes - self.chosen_bytes)
 
 
 @dataclass(frozen=True)
@@ -75,42 +120,94 @@ class PoseidonContext:
             batch_size=model.default_batch_size)
         self.fine_grained = bool(fine_grained)
         self.hybrid_enabled = bool(hybrid_enabled)
-        self.coordinator = Coordinator(
-            model, cluster, self.training, fine_grained=fine_grained)
-        self.planner = HybridCommPlanner(self.coordinator)
-        self._plan: Optional[CommunicationPlan] = None
+        self.cost_model = CostModel(cluster, self.training.batch_size)
+
+    # -- information book ---------------------------------------------------------
+    @cached_property
+    def _information_book(self) -> Dict[str, Any]:
+        book: Dict[str, Any] = {
+            "n_worker": self.cluster.num_workers,
+            "n_server": self.cluster.num_servers,
+            "batchsize": self.training.batch_size,
+            "bandwidth_gbps": self.cluster.bandwidth_gbps,
+            "kv_pair_bytes": self.cluster.kv_pair_bytes,
+            "model_name": self.model.name,
+            "num_layers": self.model.num_layers,
+            "total_params": self.model.total_params,
+        }
+        for layer in self.model.layers:
+            book[f"layer:{layer.name}:type"] = layer.kind.value
+            book[f"layer:{layer.name}:params"] = layer.param_count
+            if layer.kind is LayerKind.FC:
+                m, n = layer.fc_dims
+                book[f"layer:{layer.name}:width"] = m
+                book[f"layer:{layer.name}:height"] = n
+        return book
+
+    def query(self, *properties: str) -> Union[Any, List[Any]]:
+        """Look up one or more entries of the information book.
+
+        Mirrors the paper's ``Query`` API (Table 2).  A single property
+        returns a scalar; multiple properties return a list in order.
+
+        Raises:
+            KeyError: if a property is unknown.
+        """
+        if not properties:
+            raise ConfigurationError("query() needs at least one property name")
+        values = [self._information_book[name] for name in properties]
+        return values[0] if len(values) == 1 else values
 
     # -- planning -------------------------------------------------------------
-    @property
+    @cached_property
     def plan(self) -> CommunicationPlan:
         """The (lazily computed, cached) communication plan."""
-        if self._plan is None:
-            self._plan = self.build_plan()
-        return self._plan
+        return self.build_plan()
 
     def build_plan(self, force_scheme: Optional[CommScheme] = None
                    ) -> CommunicationPlan:
-        """Compute a plan, optionally forcing every layer onto one scheme."""
+        """Compute a plan: one :class:`SyncDecision` per parameter layer.
+
+        Args:
+            force_scheme: bypass Algorithm 1 and put every layer the scheme
+                applies to onto it (the always-PS / always-SFB ablations);
+                a factor scheme still leaves non-decomposable layers on PS.
+        """
         if force_scheme is None and not self.hybrid_enabled:
             force_scheme = CommScheme.PS
-        decisions = self.planner.plan(force_scheme=force_scheme)
-        totals = self.planner.bytes_per_iteration(decisions)
+        mode = "hybrid" if force_scheme is None else force_scheme.value
+        cost = self.cost_model.scheme_cost_bytes
+        decisions = [
+            SyncDecision(
+                layer=layer.name,
+                scheme=self.cost_model.choose(layer, mode),
+                ps_bytes=cost(layer, CommScheme.PS),
+                sfb_bytes=(cost(layer, CommScheme.SFB)
+                           if layer.sf_decomposable else None),
+                layer_param_bytes=layer.param_bytes,
+            )
+            for layer in self.model.parameter_layers()
+        ]
         return CommunicationPlan(
             model_name=self.model.name,
             decisions=decisions,
             assignments={d.layer: d.scheme for d in decisions},
-            hybrid_bytes_per_node=totals["hybrid_bytes"],
-            ps_bytes_per_node=totals["ps_bytes"],
+            hybrid_bytes_per_node=sum(d.chosen_bytes for d in decisions),
+            ps_bytes_per_node=sum(d.ps_bytes for d in decisions),
         )
 
-    def best_scheme(self, layer_name: str) -> CommScheme:
+    def best_scheme(self, layer: Union[str, LayerSpec]) -> CommScheme:
         """Algorithm 1 for a single layer (the coordinator's ``BestScheme``)."""
-        return self.coordinator.best_scheme(layer_name)
+        spec = self.model.layer(layer) if isinstance(layer, str) else layer
+        return self.cost_model.best_scheme(spec)
 
-    @property
+    @cached_property
     def kv_partition(self) -> KVStorePartition:
         """The fine- (or coarse-) grained KV partition for this cluster."""
-        return self.coordinator.partition
+        if self.fine_grained:
+            return partition_fine_grained(self.model, self.cluster.num_servers,
+                                          self.cluster.kv_pair_bytes)
+        return partition_coarse_grained(self.model, self.cluster.num_servers)
 
     # -- reporting ---------------------------------------------------------------
     def bytes_per_iteration(self, scheme: Optional[CommScheme] = None) -> float:
@@ -121,8 +218,7 @@ class PoseidonContext:
         """
         if scheme is None:
             return self.plan.hybrid_bytes_per_node
-        decisions = self.planner.plan(force_scheme=scheme)
-        return sum(decision.chosen_bytes for decision in decisions)
+        return self.build_plan(force_scheme=scheme).hybrid_bytes_per_node
 
     def describe(self) -> str:
         """Multi-line human-readable description of the context and plan."""

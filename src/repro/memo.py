@@ -1,0 +1,59 @@
+"""One keyed memo for every derivation the planning layers share.
+
+Model specs, workloads, scheme decisions, bucketed workloads, resolved
+sync plans and warm fluid simulators are all pure functions of frozen
+(hashable) inputs, so one helper caches them all.  A table is keyed on
+the *whole* input value -- there is no hand-listed field subset to audit
+when a config grows a field.  A memo whose values also depend on process
+state that is not part of the key (the communication-backend registry)
+names that state's ``generation`` counter and is dropped whenever it
+moves, so a backend registered after a sweep warmed the tables is never
+served a stale decision.  Tables are per-process: sweep pool workers warm
+their own.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, Hashable, List, Optional
+
+
+class Memo:
+    """A table ``key -> value`` with ``hits`` / ``misses`` counters."""
+
+    __slots__ = ("hits", "misses", "_table", "_generation", "_seen")
+
+    def __init__(self, generation: Optional[Callable[[], int]] = None):
+        self.hits = 0
+        self.misses = 0
+        self._table: Dict[Hashable, Any] = {}
+        self._generation = generation
+        self._seen: Optional[int] = None
+        _MEMOS.append(self)
+
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value cached under ``key``, built (once) by ``build()``.
+
+        The value is shared between callers and must not be mutated.
+        """
+        if self._generation is not None:
+            generation = self._generation()
+            if generation != self._seen:
+                self._table.clear()
+                self._seen = generation
+        try:
+            value = self._table[key]
+        except KeyError:
+            self.misses += 1
+            value = self._table[key] = build()
+        else:
+            self.hits += 1
+        return value
+
+
+_MEMOS: List[Memo] = []
+
+
+def clear_all() -> None:
+    """Empty every memo table, e.g. to time a cold path."""
+    for memo in _MEMOS:
+        memo._table.clear()

@@ -11,12 +11,14 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.exceptions import ConfigurationError
+from repro.memo import Memo
 from repro.nn.spec import ModelSpec
 
 SpecFactory = Callable[[], ModelSpec]
 
 MODEL_REGISTRY: Dict[str, SpecFactory] = {}
-_SPEC_CACHE: Dict[str, ModelSpec] = {}
+#: Built specs, keyed by (name, factory) so re-registering a name rebuilds.
+_SPECS = Memo()
 
 
 def register_model(name: str, factory: SpecFactory, overwrite: bool = False) -> None:
@@ -29,7 +31,6 @@ def register_model(name: str, factory: SpecFactory, overwrite: bool = False) -> 
     if key in MODEL_REGISTRY and not overwrite:
         raise ConfigurationError(f"model {name!r} is already registered")
     MODEL_REGISTRY[key] = factory
-    _SPEC_CACHE.pop(key, None)
 
 
 def get_model_spec(name: str) -> ModelSpec:
@@ -43,9 +44,8 @@ def get_model_spec(name: str) -> ModelSpec:
         raise KeyError(
             f"unknown model {name!r}; available: {', '.join(available_models())}"
         )
-    if key not in _SPEC_CACHE:
-        _SPEC_CACHE[key] = MODEL_REGISTRY[key]()
-    return _SPEC_CACHE[key]
+    factory = MODEL_REGISTRY[key]
+    return _SPECS.get((key, factory), factory)
 
 
 def available_models() -> List[str]:

@@ -3,10 +3,10 @@
 The coordinator's cost model (:mod:`repro.core.cost_model`) operates on
 :class:`~repro.nn.spec.LayerSpec` objects; the functional trainer operates on
 runnable :class:`~repro.nn.layers.base.Layer` objects.  This module bridges
-the two: it resolves the requested mode through the communication-backend
-registry (:mod:`repro.comm.backend`) -- applying the same Algorithm-1
-decision rule for ``"hybrid"`` -- and produces a per-layer scheme assignment
-the trainer hands to its syncers.  A newly registered backend becomes a
+the two: it applies the one per-layer rule
+(:func:`repro.comm.backend.choose_scheme`, Algorithm 1 for ``"hybrid"``) to
+every runnable layer and produces the per-layer scheme assignment the
+trainer hands to its syncers.  A newly registered backend becomes a
 valid trainer mode without any change here.
 """
 
@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.comm.backend import get_backend, hybrid_choice, registered_backends
+from repro.comm.backend import HYBRID_MODE, choose_scheme, registered_backends
 from repro.core.cost_model import CommScheme, NetworkTopology
 from repro.exceptions import ConfigurationError
 from repro.nn.layers.dense import Dense
 from repro.nn.network import Network
-
-#: The per-layer Algorithm-1 mode; every registered backend name is also a mode.
-HYBRID_MODE = "hybrid"
 
 
 def trainer_modes() -> Tuple[str, ...]:
@@ -81,23 +78,15 @@ def assign_schemes(network: Network, mode: str, num_workers: int,
         raise ConfigurationError(
             f"unknown trainer mode {mode!r}; expected one of {modes}"
         )
-    backend = get_backend(mode) if mode != HYBRID_MODE else None
     schemes: Dict[str, CommScheme] = {}
     for _, layer in network.parameter_layers():
         # Dense layers are exactly the runnable layers whose gradients admit
         # a sufficient-factor decomposition (outer product of activations
         # and back-propagated errors).
         factorizable = isinstance(layer, Dense)
-        if backend is None:  # hybrid: Algorithm 1 through the registry
-            if factorizable:
-                scheme = hybrid_choice(layer.in_features, layer.out_features,
-                                       num_workers, num_servers, batch_size,
-                                       sf_eligible=True, topology=topology)
-            else:
-                scheme = CommScheme.PS
-        elif backend.requires_factorization and not factorizable:
-            scheme = CommScheme.PS
-        else:
-            scheme = backend.scheme
-        schemes[layer.name] = scheme
+        fc_dims = ((layer.in_features, layer.out_features)
+                   if factorizable else None)
+        schemes[layer.name] = choose_scheme(
+            mode, fc_dims, factorizable, num_workers, num_servers,
+            batch_size, topology)
     return SchemeAssignment(mode=mode, schemes=schemes)

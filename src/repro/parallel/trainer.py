@@ -721,14 +721,9 @@ class DistributedTrainer:
     # -- checkpointing and recovery ---------------------------------------------------
     def _take_checkpoint(self, step: int) -> None:
         """Snapshot the whole job at a quiescent step boundary."""
-        substrate_snapshots: Dict[CommScheme, Any] = {}
-        for scheme, substrate in self._substrates.items():
-            try:
-                substrate_snapshots[scheme] = substrate.checkpoint(
-                    include_optimizer=True)
-            except TypeError:
-                # Stateless collectives take no optimizer flag.
-                substrate_snapshots[scheme] = substrate.checkpoint()
+        substrate_snapshots: Dict[CommScheme, Any] = {
+            scheme: substrate.checkpoint(include_optimizer=True)
+            for scheme, substrate in self._substrates.items()}
         self._checkpoint = TrainerCheckpoint(
             step=step,
             replica_states=[r.network.get_state() for r in self._workers],

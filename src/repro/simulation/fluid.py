@@ -25,7 +25,13 @@ Two fidelity tiers share one phase structure:
   numpy-vectorizable, which is what makes interactive 1k-10k-node what-if
   sweeps possible.  :func:`sweep_axis` evaluates a whole bandwidth axis in
   one pass by carrying every clock as a vector over the axis, warm-starting
-  from cached per-unit byte terms (:func:`repro.comm.backend.fluid_terms`).
+  from the memoized simulator and its resolved per-unit byte terms.
+
+Which scheme, owner and payload each unit has comes from the resolved
+:class:`~repro.simulation.plan.SyncPlan` -- the same value the DES reads --
+and which replay runs it from the backend's declared
+:attr:`~repro.comm.backend.UnitBytes.replay` (:data:`REPLAYS`);
+nothing here knows a scheme by name or prices a payload.
 
 Engine selection is shared with the figure/sweep layers through
 :func:`resolve_engine`: ``"des"`` (default, byte-identical reports),
@@ -37,29 +43,31 @@ where the fluid approximation under oversubscription is weakest.
 from __future__ import annotations
 
 import heapq
-import math
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import units
-from repro.comm.backend import fluid_terms, get_backend
-from repro.comm.wire import unit_compression_flops, unit_wire_bytes
+from repro.comm.backend import registry_generation
 from repro.config import ClusterConfig
-from repro.core.cost_model import CommScheme, NetworkTopology
 from repro.core.faults import fault_overhead_factor, straggler_excess_seconds
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import Partitioning, SystemConfig
+from repro.engines.base import SystemConfig
 from repro.exceptions import ConfigurationError
+from repro.memo import Memo
 from repro.nn.spec import ModelSpec
-from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
+from repro.simulation.plan import UnitPlan, resolve_plan
+from repro.simulation.throughput import simulation_result
+from repro.simulation.workload import IterationWorkload, build_workload
 
 __all__ = [
     "ENGINES",
     "FLUID_NODE_THRESHOLD",
     "DETAIL_NODE_MAX",
     "FluidSimulator",
+    "REPLAYS",
     "resolve_engine",
     "session_engine",
     "simulate_fluid",
@@ -153,19 +161,21 @@ class FluidSimulator:
             raise ConfigurationError(
                 f"unknown fluid mode {mode!r}; "
                 "expected 'auto', 'detail' or 'aggregate'")
-        # Local import: throughput imports this module lazily for engine
-        # dispatch, so the reverse import must happen at call time too.
-        from repro.simulation.throughput import (
-            decide_schemes,
-            validate_compression,
-        )
-
-        self.workload = workload
+        #: Scheme, owner, payload and encode delay of every unit, resolved
+        #: once; ``workload`` is the plan's (bucketed when the system asks).
+        self.plan = resolve_plan(workload, system, cluster)
+        for unit_plan in self.plan.units:
+            if unit_plan.bytes.replay not in REPLAYS:
+                raise ConfigurationError(
+                    f"backend {unit_plan.backend.name!r} declares no fluid "
+                    f"replay (got {unit_plan.bytes.replay!r}, known: "
+                    f"{sorted(REPLAYS)}); simulate it with engine='des'")
+        self.workload = self.plan.workload
+        self.schemes = self.plan.schemes
+        self.server_nodes = cluster.server_nodes
         self.cluster_config = cluster
         self.system = system
-        self.compression_config = validate_compression(system)
         self.num_workers = cluster.num_workers
-        self.num_servers = cluster.num_servers
         self.lam = cluster.latency_seconds
         self.topo = not cluster.is_flat_topology
         self.jobs_factor = 1 + max(0, int(background_jobs))
@@ -179,20 +189,6 @@ class FluidSimulator:
         else:
             self._rack_scale = float("inf")
             self.nracks = 1
-        topology = NetworkTopology.from_cluster(cluster)
-        self.schemes = decide_schemes(
-            workload, system.comm, self.num_workers, self.num_servers,
-            topology=None if topology.is_flat else topology)
-        if system.bucket_bytes is not None:
-            from repro.comm.bucketing import bucket_workload
-            self.workload, self.schemes = bucket_workload(
-                workload, self.schemes, system.bucket_bytes)
-        if cluster.colocate_servers:
-            self.server_nodes = [s % self.num_workers
-                                 for s in range(self.num_servers)]
-        else:
-            self.server_nodes = list(range(
-                self.num_workers, self.num_workers + self.num_servers))
         detail = self.num_workers <= DETAIL_NODE_MAX
         self.detail = detail if mode == "auto" else (mode == "detail")
         self.bandwidth_bps = cluster.effective_bandwidth_bps
@@ -234,66 +230,37 @@ class FluidSimulator:
         members = self._rack_members(self._rack_of(node))
         return (self.num_workers - members) / (self.num_workers - 1)
 
-    def _compression(self, scheme: CommScheme) -> float:
-        return get_backend(scheme).compression
-
-    def _unit_compression(self, scheme: CommScheme):
-        """The active compressor config for units of ``scheme`` (or None)."""
-        config = self.compression_config
-        if config is None or not get_backend(scheme).compressible:
-            return None
-        return config
-
-    def _compression_seconds(self, unit: SyncUnit,
-                             scheme: CommScheme) -> float:
-        """Modelled encode time delaying one unit's sync readiness."""
-        config = self._unit_compression(scheme)
-        if config is None:
-            return 0.0
-        flops = unit_compression_flops(config, unit.fc_dims,
-                                       unit.payload_parts)
-        return self.cluster_config.gpu.compute_seconds(flops)
-
     # -- result assembly -----------------------------------------------------
     def run(self):
         """Compute the iteration and wrap it like the DES does."""
-        from repro.simulation.throughput import SimulationResult
-
         iteration_seconds = float(self.iteration_seconds())
-        traffic = self._per_node_traffic()
-        return SimulationResult(
-            model_name=self.workload.model_name,
-            system_name=self.system.name,
-            num_workers=self.num_workers,
-            bandwidth_gbps=self.cluster_config.bandwidth_gbps,
-            batch_size=self.workload.batch_size,
-            iteration_seconds=iteration_seconds,
-            single_node_seconds=self.workload.single_node_seconds,
-            compute_seconds=self.workload.compute_seconds,
-            gpu_busy_fraction=min(
-                1.0, self.workload.compute_seconds / iteration_seconds),
-            per_node_traffic_bytes=traffic,
-            scheme_by_unit={name: scheme.value
-                            for name, scheme in self.schemes.items()},
-        )
+        return simulation_result(
+            self, iteration_seconds,
+            self.workload.compute_seconds / iteration_seconds,
+            self._per_node_traffic())
 
     def _per_node_traffic(self) -> List[float]:
-        """Analytic sent+received bytes per node (Figure 10 accounting)."""
-        n, s = self.num_workers, self.num_servers
-        if n <= 1:
-            return [0.0] * n
-        totals = [0.0] * n
-        batch = self.workload.batch_size
-        for idx, unit in enumerate(self.workload.units):
-            scheme = self.schemes[unit.name]
-            terms = fluid_terms(scheme, unit, batch, n, s,
-                                fine=self.system.partitioning is Partitioning.FINE,
-                                colocated=self.cluster_config.colocate_servers,
-                                compression=self.compression_config)
-            owner = self.server_nodes[idx % len(self.server_nodes)]
-            for node in range(n):
-                totals[node] += terms.symmetric_bytes
-            totals[owner] += terms.owner_bytes
+        """Analytic sent+received bytes per node (Figure 10 accounting).
+
+        Sums every unit's declared per-role traffic
+        (:class:`~repro.comm.backend.UnitBytes`) over the nodes holding
+        each role -- the same figures the DES measures at its NICs.
+        """
+        totals = [0.0] * self.cluster_config.num_nodes
+        if self.num_workers <= 1:
+            return totals
+        worker = server = 0.0
+        for unit_plan in self.plan.units:
+            nbytes = unit_plan.bytes
+            worker += nbytes.worker
+            server += nbytes.server
+            totals[unit_plan.owner] += nbytes.owner
+            for node, extra in nbytes.nodes:
+                totals[node] += extra
+        for node in range(self.num_workers):
+            totals[node] += worker
+        for node in set(self.server_nodes):
+            totals[node] += server
         if self.system.sync_period > 1:
             # Local SGD syncs every H-th round: per-iteration wire volume
             # amortizes to 1/H of the BSP figure.
@@ -326,20 +293,14 @@ class FluidSimulator:
         seq_mode = self.system.schedule is not ScheduleMode.WFBP
         self._init_clocks()
         t = w.forward_seconds
-        order = list(reversed(w.units))
-        num_units = len(w.units)
-        for idx_rev, unit in enumerate(order):
-            t += unit.backward_seconds
+        for unit_plan in reversed(self.plan.units):
+            t += unit_plan.unit.backward_seconds
             ready = compute_end if seq_mode else t
-            idx = num_units - 1 - idx_rev
-            scheme = self.schemes[unit.name]
-            encode = self._compression_seconds(unit, scheme)
-            if encode > 0.0:
+            if unit_plan.encode_seconds > 0.0:
                 # The compressor's encode pass delays the send, exactly
                 # like the DES's pre-dispatch timeout.
-                ready = ready + encode
-            owner = self.server_nodes[idx % len(self.server_nodes)]
-            self._at(ready, self._head_phase(unit, scheme, owner))
+                ready = ready + unit_plan.encode_seconds
+            self._at(ready, self._head_phase(unit_plan))
         while self._events:
             when, _seq, fn = heapq.heappop(self._events)
             fn(when)
@@ -425,28 +386,11 @@ class FluidSimulator:
         heapq.heappush(self._events, (key, self._seq, _TimedPhase(when, fn)))
         self._seq += 1
 
-    def _head_phase(self, unit: SyncUnit, scheme: CommScheme, owner: int):
+    def _head_phase(self, plan: UnitPlan):
+        replay = REPLAYS[plan.bytes.replay][0 if self.detail else 1]
+
         def fire(call):
-            finish = self._completions.append
-            if scheme is CommScheme.SFB:
-                self._sync_sfb(unit, call, finish)
-            elif scheme is CommScheme.RING:
-                finish(self._sync_ring(unit, call))
-            elif scheme is CommScheme.ADAM:
-                sf = unit.sufficient_factor_bytes(self.workload.batch_size)
-                self._sync_owner_fan(unit, call, owner, sf,
-                                     unit.param_bytes, finish)
-            elif scheme is CommScheme.HIERPS:
-                self._sync_hierps(unit, call, owner, scheme, finish)
-            elif self.system.partitioning is Partitioning.FINE:
-                self._sync_ps_fine(unit, call, scheme, finish)
-            else:
-                dense = unit.param_bytes / self._compression(scheme)
-                config = self._unit_compression(scheme)
-                push = (unit_wire_bytes(config, unit.param_bytes,
-                                        unit.fc_dims, unit.payload_parts)
-                        if config is not None else dense)
-                self._sync_owner_fan(unit, call, owner, push, dense, finish)
+            replay(self, plan, call, self._completions.append)
         return fire
 
     def _pull_call(self, all_sent):
@@ -457,8 +401,8 @@ class FluidSimulator:
     # -- clock state ---------------------------------------------------------
     def _init_clocks(self) -> None:
         if self.detail:
-            self.up = [0.0] * self.num_workers
-            self.down = [0.0] * self.num_workers
+            self.up = [0.0] * self.cluster_config.num_nodes
+            self.down = [0.0] * self.cluster_config.num_nodes
         else:
             # Node-symmetric class clocks: one up/down pair stands in for
             # the (statistically identical) worker NICs.
@@ -576,16 +520,9 @@ class FluidSimulator:
         self._at(call, step(0))
 
     # -- per-scheme replays (detail) -----------------------------------------
-    def _sync_ps_fine(self, unit: SyncUnit, ready, scheme: CommScheme,
-                      finish: Callable):
-        if not self.detail:
-            return self._agg_ps_fine(unit, ready, scheme, finish)
-        c = self._compression(scheme)
-        colocated = 1 if self.cluster_config.colocate_servers else 0
-        push = unit.param_bytes * (self.num_servers - colocated) \
-            / self.num_servers / c
-        server = unit.param_bytes * (self.num_workers - colocated) \
-            / self.num_servers / c
+    def _sync_ps_fine(self, plan: UnitPlan, ready, finish: Callable):
+        """Fine-grained PS: fabric push, shard gather/scatter, fabric pull."""
+        push, server = plan.bytes.push, plan.bytes.shard
         all_sent = ready
         for worker in range(self.num_workers):
             all_sent = np.maximum(
@@ -604,13 +541,10 @@ class FluidSimulator:
 
         self._at(self._pull_call(aggregated), tail_phase)
 
-    def _sync_owner_fan(self, unit: SyncUnit, ready, owner: int,
-                        push_bytes: float, pull_bytes: float,
-                        finish: Callable):
+    def _sync_owner_fan(self, plan: UnitPlan, ready, finish: Callable):
         """Adam / coarse PS: everyone pushes to the owner, then pulls."""
-        if not self.detail:
-            return self._agg_owner_fan(unit, ready, owner, push_bytes,
-                                       pull_bytes, finish)
+        owner = plan.owner
+        push_bytes, pull_bytes = plan.bytes.push, plan.bytes.pull
         all_sent = ready
         for worker in range(self.num_workers):
             if worker != owner:
@@ -620,11 +554,9 @@ class FluidSimulator:
         self._chain_fan(owner, dsts, pull_bytes, self._pull_call(all_sent),
                         finish)
 
-    def _sync_sfb(self, unit: SyncUnit, ready, finish: Callable):
+    def _sync_sfb(self, plan: UnitPlan, ready, finish: Callable):
         """SFB all-to-all broadcast convoy, chained copy by copy."""
-        if not self.detail:
-            return self._agg_sfb(unit, ready, finish)
-        sf = unit.sufficient_factor_bytes(self.workload.batch_size)
+        sf = plan.bytes.push
         tn = self._tn(sf)
         fs = self._tfs(sf)
         wr = self._wire(sf)
@@ -669,16 +601,10 @@ class FluidSimulator:
             peers = [p for p in range(n) if p != s]
             self._at(np.maximum(ready, self.up[s]), step(s, peers, 0))
 
-    def _sync_ring(self, unit: SyncUnit, ready):
+    def _sync_ring(self, plan: UnitPlan, ready, finish: Callable):
         """Chunked ring all-reduce: a full-cluster barrier per unit."""
         n = self.num_workers
-        config = self._unit_compression(CommScheme.RING)
-        if config is not None:
-            chunk = unit_wire_bytes(config, unit.param_bytes, unit.fc_dims,
-                                    unit.payload_parts) / n
-        else:
-            chunk = unit.chunk_bytes(n)
-        step = self._tfs(chunk)
+        step = self._tfs(plan.bytes.push)
         start = np.maximum(ready, self.ring_clock)
         for clock in self.up:
             start = np.maximum(start, clock)
@@ -693,26 +619,12 @@ class FluidSimulator:
             for r in range(self.nracks):
                 self.rku[r] = np.maximum(self.rku[r], done)
                 self.rkd[r] = np.maximum(self.rkd[r], done)
-        return done
+        finish(done)
 
-    def _hier_racks(self) -> List[List[int]]:
-        if self.topo:
-            rack_size = self.cluster_config.nodes_per_rack
-        else:
-            from repro.comm.hierarchical import DEFAULT_RACK_SIZE
-            rack_size = DEFAULT_RACK_SIZE
-        count = math.ceil(self.num_workers / rack_size)
-        return [list(range(r * rack_size,
-                           min((r + 1) * rack_size, self.num_workers)))
-                for r in range(count)]
-
-    def _sync_hierps(self, unit: SyncUnit, ready, owner: int,
-                     scheme: CommScheme, finish: Callable):
+    def _sync_tree(self, plan: UnitPlan, ready, finish: Callable):
         """Rack-local aggregation, leader forward, root distribute."""
-        if not self.detail:
-            return self._agg_hierps(unit, ready, owner, scheme, finish)
-        dense = unit.param_bytes / self._compression(scheme)
-        racks = self._hier_racks()
+        owner, dense = plan.owner, plan.bytes.push
+        racks = self.plan.shape.racks
         rack_done = []
         for members in racks:
             leader = members[0]
@@ -786,14 +698,8 @@ class FluidSimulator:
             out.append((members, cross))
         return out
 
-    def _agg_ps_fine(self, unit: SyncUnit, ready, scheme: CommScheme,
-                     finish: Callable):
-        c = self._compression(scheme)
-        colocated = 1 if self.cluster_config.colocate_servers else 0
-        push = unit.param_bytes * (self.num_servers - colocated) \
-            / self.num_servers / c
-        server = unit.param_bytes * (self.num_workers - colocated) \
-            / self.num_servers / c
+    def _agg_ps_fine(self, plan: UnitPlan, ready, finish: Callable):
+        push, server = plan.bytes.push, plan.bytes.shard
         profile = self._rack_profile()
 
         def fabric(direction_nic: int, nbytes: float, call, outbound: bool):
@@ -818,9 +724,9 @@ class FluidSimulator:
 
         self._at(self._pull_call(aggregated), tail_phase)
 
-    def _agg_owner_fan(self, unit: SyncUnit, ready, owner: int,
-                       push_bytes: float, pull_bytes: float,
-                       finish: Callable):
+    def _agg_owner_fan(self, plan: UnitPlan, ready, finish: Callable):
+        owner = plan.owner
+        push_bytes, pull_bytes = plan.bytes.push, plan.bytes.pull
         n = self.num_workers
         m_owner = self._rack_members(self._rack_of(owner)) if self.topo else n
         intra, cross = m_owner - 1, n - m_owner
@@ -868,8 +774,8 @@ class FluidSimulator:
 
         self._at(self._pull_call(all_sent), tail_phase)
 
-    def _agg_sfb(self, unit: SyncUnit, ready, finish: Callable):
-        sf = unit.sufficient_factor_bytes(self.workload.batch_size)
+    def _agg_sfb(self, plan: UnitPlan, ready, finish: Callable):
+        sf = plan.bytes.push
         n = self.num_workers
         slot = self._tn(sf)
         members = self._rack_members(0) if self.topo else n
@@ -899,10 +805,9 @@ class FluidSimulator:
             fin = np.maximum(fin, lock + self._tfs(sf))
         finish(fin)
 
-    def _agg_hierps(self, unit: SyncUnit, ready, owner: int,
-                    scheme: CommScheme, finish: Callable):
-        dense = unit.param_bytes / self._compression(scheme)
-        racks = self._hier_racks()
+    def _agg_tree(self, plan: UnitPlan, ready, finish: Callable):
+        owner, dense = plan.owner, plan.bytes.push
+        racks = self.plan.shape.racks
         nracks = len(racks)
         members = len(racks[0])
         forward_t = self._tfs(dense) if self.topo else self._tn(dense)
@@ -965,6 +870,20 @@ class _TimedPhase:
         self.fn(self.when)
 
 
+#: Replay kinds a backend may declare (``UnitBytes.replay``): each is one
+#: phase structure as its (detail, aggregate) tier implementations,
+#: parameterised only by the unit's resolved owner and
+#: :class:`~repro.comm.backend.UnitBytes`.
+REPLAYS: Dict[str, Tuple[Callable, Callable]] = {
+    "fabric": (FluidSimulator._sync_ps_fine, FluidSimulator._agg_ps_fine),
+    "owner_fan": (FluidSimulator._sync_owner_fan,
+                  FluidSimulator._agg_owner_fan),
+    "sfb": (FluidSimulator._sync_sfb, FluidSimulator._agg_sfb),
+    "ring": (FluidSimulator._sync_ring, FluidSimulator._sync_ring),
+    "tree": (FluidSimulator._sync_tree, FluidSimulator._agg_tree),
+}
+
+
 def simulate_fluid(model: ModelSpec, system: SystemConfig,
                    cluster: ClusterConfig,
                    batch_size: Optional[int] = None,
@@ -978,7 +897,8 @@ def simulate_fluid(model: ModelSpec, system: SystemConfig,
 
 
 # -- vectorized axis sweeps --------------------------------------------------
-_AXIS_CACHE: Dict[Tuple, FluidSimulator] = {}
+#: Warm aggregate-tier simulators, one per what-if query shape.
+_AXIS_SIMULATORS = Memo(registry_generation)
 
 
 def sweep_axis(model: ModelSpec, system: SystemConfig,
@@ -992,36 +912,24 @@ def sweep_axis(model: ModelSpec, system: SystemConfig,
     The entire axis is evaluated as numpy array ops over the precomputed
     per-unit byte terms: every busy clock is a vector over the axis, so
     adjacent sweep points share all structure derivation.  Repeat calls
-    with the same (workload, system, cluster shape) reuse the simulator's
-    warm state -- scheme decisions, rack profile and byte terms survive a
-    change of axis, so incremental what-if re-evaluation only pays the
-    numpy arithmetic.
+    with the same workload, system and cluster (bandwidth aside) reuse the
+    memoized simulator -- resolved plan and rack profile survive a change
+    of axis, so incremental what-if re-evaluation only pays the numpy
+    arithmetic (:func:`repro.memo.clear_all` forces the cold path).
 
     Returns:
         ``np.ndarray`` of iteration seconds, same length as the axis.
     """
     workload = workload or build_workload(model, batch_size=batch_size,
                                           gpu=cluster.gpu)
-    # The key must include every topology field the evaluation depends on
-    # (racks, oversubscription) alongside the cluster shape -- the same
-    # contract as throughput._SCHEME_CACHE -- or a warm cache would replay
-    # a flat cluster's state for an oversubscribed one.  The wire axes
-    # (compressor, bucket size) change the byte terms and the unit
-    # structure, so they are key fields too: without them a warm sweep
-    # would serve one compressor's results for another.
-    key = (workload, system.name, system.comm, cluster.num_workers,
-           cluster.num_servers, cluster.racks, cluster.oversubscription,
-           int(background_jobs), system.staleness, system.sync_period,
-           system.straggler_fraction, system.straggler_factor,
-           system.mtbf_seconds, system.checkpoint_interval_seconds,
-           system.checkpoint_cost_seconds,
-           system.compressor, system.bucket_bytes)
-    simulator = _AXIS_CACHE.get(key)
-    if simulator is None:
-        simulator = FluidSimulator(workload, cluster, system,
-                                   mode="aggregate",
-                                   background_jobs=background_jobs)
-        _AXIS_CACHE[key] = simulator
+    # Keyed on the whole frozen inputs -- only the bandwidth, which is the
+    # axis itself, is normalised away -- so no system or cluster field can
+    # be forgotten: a query differing in any of them builds its own state.
+    simulator = _AXIS_SIMULATORS.get(
+        (workload, system, replace(cluster, bandwidth_gbps=1.0),
+         int(background_jobs)),
+        lambda: FluidSimulator(workload, cluster, system, mode="aggregate",
+                               background_jobs=background_jobs))
     axis = np.asarray([
         cluster.with_bandwidth(bw).effective_bandwidth_bps
         for bw in bandwidths_gbps

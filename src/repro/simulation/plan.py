@@ -1,0 +1,199 @@
+"""The resolved per-unit synchronization plan both engines execute.
+
+Poseidon's coordinator makes one static decision per layer -- which scheme
+carries it and how many bytes that puts on the wire, from the layer's
+shape, the batch size and the cluster (Algorithm 1).  :func:`resolve_plan`
+makes it once per ``(workload, system, cluster)``: validate the wire axes,
+assign every unit a scheme (:func:`decide_schemes`), apply the bucketed
+wire granularity, place each unit on its owner shard and ask the scheme's
+backend for the unit's :class:`~repro.comm.backend.UnitBytes`.  The DES
+(``IterationSimulator`` and every ``FlowPlan``) and the fluid engine (both
+replay tiers and its per-node traffic) read the frozen :class:`SyncPlan`;
+none of them prices a payload itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Dict, Optional, Tuple
+
+from repro.comm.backend import (
+    DEFAULT_RACK_SIZE,
+    CommBackend,
+    SyncShape,
+    UnitBytes,
+    choose_scheme,
+    get_backend,
+    registry_generation,
+)
+from repro.comm.wire import CompressionConfig, unit_compression_flops
+from repro.config import ClusterConfig
+from repro.core.cost_model import CommScheme, NetworkTopology
+from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.exceptions import ConfigurationError
+from repro.memo import Memo
+from repro.simulation.workload import IterationWorkload, SyncUnit
+
+__all__ = ["SyncPlan", "UnitPlan", "decide_schemes", "resolve_plan",
+           "validate_compression"]
+
+#: Algorithm 1 only looks at the workload's units, the comm mode and the
+#: cluster shape, none of which vary across the bandwidth points of a sweep.
+_SCHEMES = Memo(registry_generation)
+#: Plans never depend on the link bandwidth, so a bandwidth axis shares one.
+_PLANS = Memo(registry_generation)
+
+
+def decide_schemes(workload: IterationWorkload, comm: CommMode,
+                   num_workers: int, num_servers: int,
+                   topology: Optional[NetworkTopology] = None
+                   ) -> Dict[str, CommScheme]:
+    """Per-unit scheme assignment (:func:`~repro.comm.backend.choose_scheme`).
+
+    With a non-flat ``topology`` the HYBRID decisions become rack-aware
+    (cross-rack premiums plus the topology-candidate collectives); a flat
+    or absent topology reproduces the paper's Algorithm-1 table.  The
+    returned dict is memoized, shared between callers and must not be
+    mutated.
+    """
+    return _SCHEMES.get(
+        (workload, comm, num_workers, num_servers, topology),
+        lambda: {
+            unit.name: choose_scheme(comm.value, unit.fc_dims,
+                                     unit.sf_eligible, num_workers,
+                                     num_servers, workload.batch_size,
+                                     topology)
+            for unit in workload.units
+        })
+
+
+def _carries(comm: CommMode, config: CompressionConfig) -> bool:
+    """Whether ``comm`` can carry ``config``: its backend has a dense-gradient
+    path (HYBRID always keeps its non-factorisable units on the PS)."""
+    return (comm is CommMode.HYBRID
+            or get_backend(comm.value).supports_compression(config))
+
+
+def validate_compression(system: SystemConfig) -> Optional[CompressionConfig]:
+    """Parse and validate a system's compression/bucketing axes.
+
+    Returns the parsed config (``None`` at the identity).  A compressor on
+    a comm mode without a dense-gradient (``compressible``) backend, or
+    wire axes combined with fine-grained KV partitioning (whose 2 MB pairs
+    already fix the granularity and slice tensors across shards), fails
+    fast and identically in both engines.
+
+    Raises:
+        ConfigurationError: on an invalid combination.
+    """
+    config = CompressionConfig.parse(system.compressor)
+    wire_axes_active = (not config.is_identity
+                       or system.bucket_bytes is not None)
+    if wire_axes_active and system.partitioning is not Partitioning.COARSE:
+        raise ConfigurationError(
+            f"system {system.name!r}: compressor/bucket_bytes require coarse "
+            f"partitioning; fine-grained KV pairs fix the wire granularity")
+    if not _carries(system.comm, config):
+        supported = ", ".join(m.value for m in CommMode if _carries(m, config))
+        raise ConfigurationError(
+            f"system {system.name!r}: comm mode {system.comm.value!r} has no "
+            f"dense-gradient path for compressor {system.compressor!r} "
+            f"(supported modes: {supported})")
+    if system.bucket_bytes is not None and system.bucket_bytes < 1:
+        raise ConfigurationError(
+            f"bucket_bytes must be >= 1, got {system.bucket_bytes}")
+    return None if config.is_identity else config
+
+
+@dataclass(frozen=True)
+class UnitPlan:
+    """Everything static about synchronizing one unit.
+
+    Attributes:
+        unit: the (possibly bucket-merged) sync unit.
+        backend: the registered backend of the scheme that carries it.
+        owner: node of the server shard the unit is placed on (round-robin
+            over the server nodes; the root of owner-fan and tree schemes).
+        bytes: the backend's declared payload for the unit.
+        encode_seconds: GPU seconds the active compressor spends encoding
+            the unit before its send (0 when it ships dense).
+    """
+
+    unit: SyncUnit
+    backend: CommBackend
+    owner: int
+    bytes: UnitBytes
+    encode_seconds: float
+
+
+@dataclass(frozen=True)
+class SyncPlan:
+    """The resolved synchronization plan of one (workload, system, cluster).
+
+    Attributes:
+        workload: the workload at its wire granularity (bucketed when the
+            system sets ``bucket_bytes``).
+        shape: the cluster/system shape the payloads were priced under.
+        units: one :class:`UnitPlan` per workload unit, in forward order.
+    """
+
+    workload: IterationWorkload
+    shape: SyncShape
+    units: Tuple[UnitPlan, ...]
+
+    @cached_property
+    def schemes(self) -> Dict[str, CommScheme]:
+        """Unit name -> scheme (shared; do not mutate)."""
+        return {plan.unit.name: plan.backend.scheme for plan in self.units}
+
+    @cached_property
+    def by_name(self) -> Dict[str, UnitPlan]:
+        """Unit name -> :class:`UnitPlan` (shared; do not mutate)."""
+        return {plan.unit.name: plan for plan in self.units}
+
+
+def resolve_plan(workload: IterationWorkload, system: SystemConfig,
+                 cluster: ClusterConfig) -> SyncPlan:
+    """Resolve (or fetch the memoized) :class:`SyncPlan`.
+
+    Raises:
+        ConfigurationError: on an invalid compression/bucketing axis, or a
+            scheme whose backend declares no ``unit_bytes``.
+    """
+    return _PLANS.get((workload, system, replace(cluster, bandwidth_gbps=1.0)),
+                      lambda: _resolve(workload, system, cluster))
+
+
+def _resolve(workload: IterationWorkload, system: SystemConfig,
+             cluster: ClusterConfig) -> SyncPlan:
+    # Imported here: bucketing imports repro.simulation.workload, whose
+    # package imports the engines (and through them this module).
+    from repro.comm.bucketing import bucket_workload
+
+    compression = validate_compression(system)
+    num_workers, num_servers = cluster.num_workers, cluster.num_servers
+    schemes = decide_schemes(workload, system.comm, num_workers, num_servers,
+                             NetworkTopology.from_cluster(cluster))
+    workload, schemes = bucket_workload(workload, schemes, system.bucket_bytes)
+    shape = SyncShape(
+        num_workers=num_workers, num_servers=num_servers,
+        batch_size=workload.batch_size,
+        fine=system.partitioning is Partitioning.FINE,
+        colocated=cluster.colocate_servers,
+        rack_size=(DEFAULT_RACK_SIZE if cluster.is_flat_topology
+                   else cluster.nodes_per_rack),
+        compression=compression)
+    server_nodes = cluster.server_nodes
+    units = []
+    for index, unit in enumerate(workload.units):
+        backend = get_backend(schemes[unit.name])
+        owner = server_nodes[index % len(server_nodes)]
+        encode_seconds = 0.0
+        if compression is not None and backend.compressible:
+            encode_seconds = cluster.gpu.compute_seconds(unit_compression_flops(
+                compression, unit.fc_dims, unit.payload_parts))
+        units.append(UnitPlan(unit, backend, owner,
+                              backend.unit_bytes(unit, shape, owner),
+                              encode_seconds))
+    return SyncPlan(workload, shape, tuple(units))

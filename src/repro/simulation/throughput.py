@@ -25,33 +25,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import units
 from repro.cluster.machine import ClusterModel
-from repro.comm.backend import (
-    ONEBIT_COMPRESSION,
-    get_backend,
-    hybrid_choice,
-    registry_generation,
-)
-from repro.comm.wire import (
-    CompressionConfig,
-    unit_compression_flops,
-    unit_wire_bytes,
-)
 from repro.config import ClusterConfig
-from repro.core.cost_model import CommScheme, NetworkTopology
 from repro.core.faults import fault_overhead_factor
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.engines.base import SystemConfig
+from repro.exceptions import SimulationError
 from repro.nn.spec import ModelSpec
 from repro.sim import Environment, Event
+from repro.simulation.plan import (
+    UnitPlan,
+    decide_schemes,
+    resolve_plan,
+    validate_compression,
+)
 from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
 
-__all__ = ["ONEBIT_COMPRESSION", "SimulationResult", "IterationSimulator",
-           "decide_schemes", "simulate_system"]
+__all__ = ["SimulationResult", "IterationSimulator", "decide_schemes",
+           "simulate_system", "validate_compression"]
 
 
 @dataclass
@@ -102,6 +96,27 @@ class SimulationResult:
         if not self.per_node_traffic_bytes:
             return 0.0
         return units.bytes_to_bits(max(self.per_node_traffic_bytes)) / units.GBIT
+
+
+def simulation_result(simulator, iteration_seconds: float,
+                      gpu_busy_fraction: float,
+                      traffic: List[float]) -> SimulationResult:
+    """Package either engine's figures (both expose the same attributes)."""
+    workload = simulator.workload
+    return SimulationResult(
+        model_name=workload.model_name,
+        system_name=simulator.system.name,
+        num_workers=simulator.num_workers,
+        bandwidth_gbps=simulator.cluster_config.bandwidth_gbps,
+        batch_size=workload.batch_size,
+        iteration_seconds=iteration_seconds,
+        single_node_seconds=workload.single_node_seconds,
+        compute_seconds=workload.compute_seconds,
+        gpu_busy_fraction=min(1.0, gpu_busy_fraction),
+        per_node_traffic_bytes=traffic,
+        scheme_by_unit={name: scheme.value
+                        for name, scheme in simulator.schemes.items()},
+    )
 
 
 class _UnitSyncState:
@@ -167,134 +182,34 @@ class _RoundView:
         return getattr(self._sim, name)
 
 
-#: Memoized scheme assignments: Algorithm 1 only looks at the workload's
-#: units, the comm mode and the cluster shape, none of which vary across the
-#: bandwidth/node sweep points of one figure, so the decision table is shared
-#: (read-only) between simulator instances.
-_SCHEME_CACHE: Dict[Tuple, Dict[str, CommScheme]] = {}
-
-
-def _decide_scheme(unit: SyncUnit, comm: CommMode, batch_size: int,
-                   num_workers: int, num_servers: int,
-                   topology: Optional[NetworkTopology]) -> CommScheme:
-    """Choose the communication scheme of one unit (Algorithm 1 for HYBRID)."""
-    if comm is CommMode.HYBRID:
-        if unit.sf_eligible and unit.fc_dims is not None:
-            m, n = unit.fc_dims
-            return hybrid_choice(m, n, num_workers, num_servers, batch_size,
-                                 sf_eligible=True, topology=topology)
-        return CommScheme.PS
-    backend = get_backend(comm.value)
-    if backend.requires_factorization and not unit.sf_eligible:
-        return CommScheme.PS
-    return backend.scheme
-
-
-def decide_schemes(workload: IterationWorkload, comm: CommMode,
-                   num_workers: int, num_servers: int,
-                   topology: Optional[NetworkTopology] = None
-                   ) -> Dict[str, CommScheme]:
-    """Per-unit scheme assignment, memoized by (workload, comm, cluster shape).
-
-    With a non-flat ``topology`` the HYBRID decisions become rack-aware
-    (cross-rack premiums plus the topology-candidate collectives); a flat
-    or absent topology reproduces the paper's Algorithm-1 table.  The key
-    includes the backend-registry generation so a backend registered after
-    a sweep warmed the cache is not silently ignored.  The returned dict
-    is shared between callers and must not be mutated.
-    """
-    key = (workload, comm, num_workers, num_servers, topology,
-           registry_generation())
-    schemes = _SCHEME_CACHE.get(key)
-    if schemes is None:
-        schemes = {
-            unit.name: _decide_scheme(unit, comm, workload.batch_size,
-                                      num_workers, num_servers, topology)
-            for unit in workload.units
-        }
-        _SCHEME_CACHE[key] = schemes
-    return schemes
-
-
-#: Comm modes whose dense-gradient paths accept a pluggable compressor.
-_COMPRESSIBLE_MODES = (CommMode.PS, CommMode.RING, CommMode.HYBRID)
-
-
-def validate_compression(system: SystemConfig) -> Optional[CompressionConfig]:
-    """Parse and validate a system's compression/bucketing axes.
-
-    Returns the parsed config (``None`` at the identity).  Both engines
-    call this from their constructors so a misconfiguration -- a
-    compressor on a backend without a dense-gradient path, or wire axes
-    combined with fine-grained KV partitioning (whose 2 MB pairs already
-    fix the granularity and slice tensors across shards) -- fails fast
-    and identically everywhere.
-
-    Raises:
-        ConfigurationError: on an invalid combination.
-    """
-    config = CompressionConfig.parse(system.compressor)
-    wire_axes_active = (not config.is_identity
-                       or system.bucket_bytes is not None)
-    if wire_axes_active and system.partitioning is not Partitioning.COARSE:
-        raise ConfigurationError(
-            f"system {system.name!r}: compressor/bucket_bytes require coarse "
-            f"partitioning; fine-grained KV pairs fix the wire granularity")
-    if not config.is_identity and system.comm not in _COMPRESSIBLE_MODES:
-        raise ConfigurationError(
-            f"system {system.name!r}: comm mode {system.comm.value!r} has no "
-            f"dense-gradient path for compressor {system.compressor!r} "
-            f"(supported modes: "
-            f"{', '.join(m.value for m in _COMPRESSIBLE_MODES)})")
-    if system.bucket_bytes is not None and system.bucket_bytes < 1:
-        raise ConfigurationError(
-            f"bucket_bytes must be >= 1, got {system.bucket_bytes}")
-    return None if config.is_identity else config
-
-
 class IterationSimulator:
     """Simulates one BSP iteration of one system on one cluster."""
 
     def __init__(self, workload: IterationWorkload, cluster: ClusterConfig,
                  system: SystemConfig):
-        self.workload = workload
+        #: Scheme, owner, payload and encode delay of every unit, resolved
+        #: once; ``workload`` is the plan's (bucketed when the system asks).
+        self.plan = resolve_plan(workload, system, cluster)
+        self.workload = self.plan.workload
+        self.schemes = self.plan.schemes
+        self.server_nodes = cluster.server_nodes
         self.cluster_config = cluster
         self.system = system
         self.env = Environment()
         self.cluster = ClusterModel(self.env, cluster)
         self.num_workers = cluster.num_workers
-        self.num_servers = cluster.num_servers
-        self.server_nodes = self.cluster.server_ids
-        self.compression_config = validate_compression(system)
-        topology = NetworkTopology.from_cluster(cluster)
-        schemes: Dict[str, CommScheme] = decide_schemes(
-            workload, system.comm, self.num_workers, self.num_servers,
-            topology=None if topology.is_flat else topology)
-        if system.bucket_bytes is not None:
-            # Bucketed wire granularity: fuse consecutive same-scheme runs
-            # of dense-gradient units (lazy import: bucketing imports this
-            # module's workload types via repro.simulation.workload only,
-            # but keep the dependency one-directional at import time).
-            from repro.comm.bucketing import bucket_workload
-            self.workload, schemes = bucket_workload(
-                workload, schemes, system.bucket_bytes)
-        self.schemes = schemes
-        self.coarse_owner: Dict[str, int] = self._assign_coarse_owners()
         self._unit_state: Dict[str, _UnitSyncState] = {}
         self._backward_done: Dict[int, Event] = {}
         self._iteration_seconds: Optional[float] = None
-
-    # -- scheme / placement decisions ---------------------------------------------
-    def _assign_coarse_owners(self) -> Dict[str, int]:
-        owners: Dict[str, int] = {}
-        for index, unit in enumerate(self.workload.units):
-            owners[unit.name] = self.server_nodes[index % len(self.server_nodes)]
-        return owners
 
     # -- flow-plan interface --------------------------------------------------------
     # The per-scheme transfer patterns live in each backend's FlowPlan
     # (:mod:`repro.comm.backend`); plans drive the simulation through the
     # accessors below.
+    def unit_plan(self, unit: SyncUnit) -> UnitPlan:
+        """The resolved owner and payload (``.owner``, ``.bytes``) of one unit."""
+        return self.plan.by_name[unit.name]
+
     def unit_state(self, unit: SyncUnit) -> "_UnitSyncState":
         """Shared synchronization state of one unit for this iteration."""
         return self._unit_state[unit.name]
@@ -302,66 +217,6 @@ class IterationSimulator:
     def backward_done(self, worker: int) -> Event:
         """Event fired when ``worker`` finishes its whole backward pass."""
         return self._backward_done[worker]
-
-    # -- byte budgets ---------------------------------------------------------------
-    def compression(self, scheme: CommScheme) -> float:
-        """Payload shrink factor of a scheme's dense transfers."""
-        return get_backend(scheme).compression
-
-    def unit_compression(self, scheme: CommScheme
-                         ) -> Optional[CompressionConfig]:
-        """The active compressor for units of ``scheme`` (None if dense).
-
-        The configured compressor applies only to backends with a dense
-        gradient path (``compressible``); in a HYBRID workload the SFB
-        units keep their factor payloads while the PS units compress.
-        """
-        config = self.compression_config
-        if config is None or not get_backend(scheme).compressible:
-            return None
-        return config
-
-    def coarse_push_bytes(self, unit: SyncUnit, scheme: CommScheme) -> float:
-        """Bytes one worker pushes for a coarse unit (compressed if active)."""
-        config = self.unit_compression(scheme)
-        if config is not None:
-            return float(unit_wire_bytes(config, unit.param_bytes,
-                                         unit.fc_dims, unit.payload_parts))
-        return unit.param_bytes / self.compression(scheme)
-
-    def coarse_pull_bytes(self, unit: SyncUnit, scheme: CommScheme) -> float:
-        """Bytes one worker pulls back for a coarse unit (always dense)."""
-        return unit.param_bytes / self.compression(scheme)
-
-    def ring_chunk_bytes(self, unit: SyncUnit, scheme: CommScheme) -> float:
-        """Bytes of one ring step's chunk (1/P of the wire payload)."""
-        config = self.unit_compression(scheme)
-        if config is not None:
-            payload = unit_wire_bytes(config, unit.param_bytes,
-                                      unit.fc_dims, unit.payload_parts)
-            return payload / self.num_workers
-        return unit.chunk_bytes(self.num_workers)
-
-    def compression_seconds(self, unit: SyncUnit, scheme: CommScheme) -> float:
-        """GPU seconds the active compressor spends encoding one unit."""
-        config = self.unit_compression(scheme)
-        if config is None:
-            return 0.0
-        flops = unit_compression_flops(config, unit.fc_dims,
-                                       unit.payload_parts)
-        return self.cluster_config.gpu.compute_seconds(flops)
-
-    def fine_push_bytes(self, unit: SyncUnit, scheme: CommScheme) -> float:
-        """Bytes a worker sends towards the sharded KV store (remote shards only)."""
-        remote_shards = self.num_servers - (1 if self.cluster_config.colocate_servers else 0)
-        fraction = remote_shards / self.num_servers
-        return unit.param_bytes * fraction / self.compression(scheme)
-
-    def fine_server_bytes(self, unit: SyncUnit, scheme: CommScheme) -> float:
-        """Bytes one server shard receives (and later re-sends) for this unit."""
-        remote_workers = self.num_workers - (1 if self.cluster_config.colocate_servers else 0)
-        return (unit.param_bytes * remote_workers / self.num_servers
-                / self.compression(scheme))
 
     # -- simulation ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -426,11 +281,10 @@ class IterationSimulator:
         # Server-side helpers, where the scheme's flow plan asks for them
         # (fine-grained PS-style gather/apply/scatter; coarse aggregation is
         # driven from the per-worker send processes).
-        for unit in self.workload.units:
-            scheme = self.schemes[unit.name]
-            plan = get_backend(scheme).flow_plan
-            if plan.needs_server_process(self, unit, scheme):
-                self.env.process(plan.server_process(self, unit, scheme))
+        for plan in self.plan.units:
+            flow, scheme = plan.backend.flow_plan, plan.backend.scheme
+            if flow.needs_server_process(self, plan.unit, scheme):
+                self.env.process(flow.server_process(self, plan.unit, scheme))
 
         self.env.run()
         for process in worker_processes:
@@ -446,19 +300,8 @@ class IterationSimulator:
             self.cluster.machine(node).nic.traffic.total_bytes
             for node in sorted(self.cluster.machines)
         ]
-        return SimulationResult(
-            model_name=self.workload.model_name,
-            system_name=self.system.name,
-            num_workers=self.num_workers,
-            bandwidth_gbps=self.cluster_config.bandwidth_gbps,
-            batch_size=self.workload.batch_size,
-            iteration_seconds=iteration_seconds,
-            single_node_seconds=self.workload.single_node_seconds,
-            compute_seconds=self.workload.compute_seconds,
-            gpu_busy_fraction=min(1.0, gpu_busy_fraction),
-            per_node_traffic_bytes=traffic,
-            scheme_by_unit={name: scheme.value for name, scheme in self.schemes.items()},
-        )
+        return simulation_result(self, iteration_seconds, gpu_busy_fraction,
+                                 traffic)
 
     def _run_policy(self) -> SimulationResult:
         """Simulate a multi-round relaxed-consistency (SSP/async/local SGD) run.
@@ -508,11 +351,11 @@ class IterationSimulator:
             for worker in range(self.num_workers)
         ]
         for r in sync_rounds:
-            for unit in self.workload.units:
-                scheme = self.schemes[unit.name]
-                plan = get_backend(scheme).flow_plan
-                if plan.needs_server_process(self, unit, scheme):
-                    self.env.process(plan.server_process(views[r], unit, scheme))
+            for plan in self.plan.units:
+                flow, scheme = plan.backend.flow_plan, plan.backend.scheme
+                if flow.needs_server_process(self, plan.unit, scheme):
+                    self.env.process(
+                        flow.server_process(views[r], plan.unit, scheme))
 
         self.env.run()
         for process in worker_processes:
@@ -529,19 +372,8 @@ class IterationSimulator:
             self.cluster.machine(node).nic.traffic.total_bytes / rounds
             for node in sorted(self.cluster.machines)
         ]
-        return SimulationResult(
-            model_name=self.workload.model_name,
-            system_name=self.system.name,
-            num_workers=self.num_workers,
-            bandwidth_gbps=self.cluster_config.bandwidth_gbps,
-            batch_size=self.workload.batch_size,
-            iteration_seconds=iteration_seconds,
-            single_node_seconds=self.workload.single_node_seconds,
-            compute_seconds=self.workload.compute_seconds,
-            gpu_busy_fraction=min(1.0, gpu_busy_fraction),
-            per_node_traffic_bytes=traffic,
-            scheme_by_unit={name: scheme.value for name, scheme in self.schemes.items()},
-        )
+        return simulation_result(self, iteration_seconds, gpu_busy_fraction,
+                                 traffic)
 
     # -- worker side --------------------------------------------------------------------
     def _worker_process(self, worker: int):
@@ -649,16 +481,14 @@ class IterationSimulator:
             local_bytes = unit.param_bytes * (self.cluster_config.gpus_per_node - 1)
             yield self.env.timeout(units.transfer_seconds(
                 local_bytes, self.cluster_config.gpu.pcie_bandwidth_bps))
-        scheme = self.schemes[unit.name]
-        encode_seconds = self.compression_seconds(unit, scheme)
-        if encode_seconds > 0.0:
+        plan = self.unit_plan(unit)
+        if plan.encode_seconds > 0.0:
             # The compressor's encode pass delays the unit's send; modelled
             # as a plain delay (not GPU occupancy) because production
             # stacks run it on side streams/CPU without stalling backprop.
-            yield self.env.timeout(encode_seconds)
-        plan = get_backend(scheme).flow_plan
-        yield from plan.worker_sync(self if view is None else view,
-                                    worker, unit, scheme)
+            yield self.env.timeout(plan.encode_seconds)
+        yield from plan.backend.flow_plan.worker_sync(
+            self if view is None else view, worker, unit, plan.backend.scheme)
 
 
 def simulate_system(model: ModelSpec, system: SystemConfig, cluster: ClusterConfig,
@@ -676,8 +506,7 @@ def simulate_system(model: ModelSpec, system: SystemConfig, cluster: ClusterConf
     Raises:
         ConfigurationError: on an unrecognised engine name.
     """
-    # Imported lazily: fluid imports this module for decide_schemes and
-    # the result type.
+    # Imported lazily: fluid imports this module for the result type.
     from repro.simulation import fluid as fluid_mod
 
     resolved = fluid_mod.resolve_engine(engine, cluster.num_workers)

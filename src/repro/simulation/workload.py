@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import units
 from repro.config import GpuModel, TITAN_X
 from repro.exceptions import ConfigurationError
+from repro.memo import Memo
 from repro.nn.spec import LayerKind, ModelSpec
 
 #: Units smaller than this are merged with their neighbours (unless they are
@@ -69,20 +70,6 @@ class SyncUnit:
             raise ConfigurationError(f"unit {self.name!r} is not SF-eligible")
         m, n = self.fc_dims
         return int(batch_size * (m + n) * units.FLOAT32_BYTES)
-
-    def chunk_bytes(self, parts: int) -> float:
-        """Bytes of one of ``parts`` equal slices of the unit's gradient.
-
-        Chunked collectives (e.g. ring all-reduce) move the gradient in
-        ``parts`` slices; fractional bytes are kept so the slices always
-        sum exactly to ``param_bytes``.
-
-        Raises:
-            ConfigurationError: on a non-positive part count.
-        """
-        if parts < 1:
-            raise ConfigurationError(f"parts must be >= 1, got {parts}")
-        return self.param_bytes / parts
 
 
 @dataclass(frozen=True)
@@ -139,11 +126,10 @@ class IterationWorkload:
             raise KeyError(f"workload has no unit named {name!r}") from None
 
 
-#: Memoized workloads keyed by the full derivation input.  A workload only
-#: depends on (model, batch, gpu, coarsen threshold) -- not on bandwidth or
-#: cluster size -- so every point of a figure sweep shares one instance
-#: (the dataclass is frozen; nothing downstream mutates it).
-_WORKLOAD_CACHE: Dict[Tuple[ModelSpec, int, GpuModel, int], IterationWorkload] = {}
+#: A workload only depends on (model, batch, gpu, coarsen threshold) -- not
+#: on bandwidth or cluster size -- so every point of a figure sweep shares
+#: one instance (the dataclass is frozen; nothing downstream mutates it).
+_WORKLOADS = Memo()
 
 
 def build_workload(model: ModelSpec, batch_size: Optional[int] = None,
@@ -161,12 +147,9 @@ def build_workload(model: ModelSpec, batch_size: Optional[int] = None,
     batch = int(batch_size) if batch_size is not None else model.default_batch_size
     if batch < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch}")
-    key = (model, batch, gpu, coarsen_bytes)
-    workload = _WORKLOAD_CACHE.get(key)
-    if workload is None:
-        workload = _derive_workload(model, batch, gpu, coarsen_bytes)
-        _WORKLOAD_CACHE[key] = workload
-    return workload
+    return _WORKLOADS.get(
+        (model, batch, gpu, coarsen_bytes),
+        lambda: _derive_workload(model, batch, gpu, coarsen_bytes))
 
 
 def _derive_workload(model: ModelSpec, batch: int, gpu: GpuModel,

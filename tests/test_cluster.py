@@ -18,7 +18,7 @@ def make_cluster(num_workers=4, bandwidth_gbps=10.0, **kwargs):
 class TestTopology:
     def test_colocated_servers_reuse_worker_nodes(self):
         _, cluster = make_cluster(num_workers=4)
-        assert cluster.server_ids == [0, 1, 2, 3]
+        assert cluster.config.server_nodes == (0, 1, 2, 3)
         assert len(cluster.machines) == 4
 
     def test_dedicated_servers_get_extra_nodes(self):
@@ -26,7 +26,7 @@ class TestTopology:
         config = ClusterConfig(num_workers=4, num_servers=2, colocate_servers=False,
                                network_efficiency=1.0)
         cluster = ClusterModel(env, config)
-        assert cluster.server_ids == [4, 5]
+        assert cluster.config.server_nodes == (4, 5)
         assert len(cluster.machines) == 6
 
     def test_unknown_machine_rejected(self):

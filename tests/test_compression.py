@@ -595,12 +595,12 @@ class TestSimulatorAgreement:
         sim = IterationSimulator(workload, cluster,
                                  coarse_system(CommMode.PS, "topk(0.01)"))
         for unit in sim.workload.units:
-            got = sim.coarse_push_bytes(unit, CommScheme.PS)
+            nbytes = sim.unit_plan(unit).bytes
             expected = wire.unit_wire_bytes(config, unit.param_bytes,
                                             unit.fc_dims, unit.payload_parts)
-            assert got == expected
+            assert nbytes.push == expected
             # Pulls stay dense under every pluggable compressor.
-            assert sim.coarse_pull_bytes(unit, CommScheme.PS) == unit.param_bytes
+            assert nbytes.pull == unit.param_bytes
 
 
 # -- compressor state through checkpoint/restore -------------------------------

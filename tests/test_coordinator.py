@@ -1,103 +1,112 @@
-"""Tests for the coordinator, the hybrid planner and the Poseidon context."""
+"""Tests for the Poseidon context: information book, BestScheme, HybComm plan."""
 
 import pytest
 
 from repro.config import ClusterConfig, TrainingConfig
-from repro.core.coordinator import Coordinator
 from repro.core.cost_model import CommScheme
-from repro.core.hybrid import HybridCommPlanner
 from repro.core.poseidon import PoseidonContext
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import get_model_spec
 
 
 @pytest.fixture
-def vgg_coordinator(vgg19_spec):
-    return Coordinator(vgg19_spec, ClusterConfig(num_workers=8),
-                       TrainingConfig(batch_size=32))
+def vgg_context(vgg19_spec):
+    return PoseidonContext(vgg19_spec, ClusterConfig(num_workers=8),
+                           TrainingConfig(batch_size=32))
 
 
-class TestCoordinator:
-    def test_query_cluster_facts(self, vgg_coordinator):
-        assert vgg_coordinator.query("n_worker") == 8
-        assert vgg_coordinator.query("n_server") == 8
-        assert vgg_coordinator.query("batchsize") == 32
+class TestInformationBook:
+    def test_query_cluster_facts(self, vgg_context):
+        assert vgg_context.query("n_worker") == 8
+        assert vgg_context.query("n_server") == 8
+        assert vgg_context.query("batchsize") == 32
 
-    def test_query_multiple_properties(self, vgg_coordinator):
-        workers, servers, batch = vgg_coordinator.query(
+    def test_query_multiple_properties(self, vgg_context):
+        workers, servers, batch = vgg_context.query(
             "n_worker", "n_server", "batchsize")
         assert (workers, servers, batch) == (8, 8, 32)
 
-    def test_query_layer_properties(self, vgg_coordinator):
-        assert vgg_coordinator.query("layer:fc6:type") == "fc"
-        assert vgg_coordinator.query("layer:fc6:width") == 25088
-        assert vgg_coordinator.query("layer:fc6:height") == 4096
+    def test_query_layer_properties(self, vgg_context):
+        assert vgg_context.query("layer:fc6:type") == "fc"
+        assert vgg_context.query("layer:fc6:width") == 25088
+        assert vgg_context.query("layer:fc6:height") == 4096
 
-    def test_query_unknown_property_raises(self, vgg_coordinator):
+    def test_query_unknown_property_raises(self, vgg_context):
         with pytest.raises(KeyError):
-            vgg_coordinator.query("nonexistent")
+            vgg_context.query("nonexistent")
 
-    def test_query_requires_a_property(self, vgg_coordinator):
+    def test_query_requires_a_property(self, vgg_context):
         with pytest.raises(ConfigurationError):
-            vgg_coordinator.query()
+            vgg_context.query()
 
-    def test_update_information(self, vgg_coordinator):
-        vgg_coordinator.update_information("straggler_count", 2)
-        assert vgg_coordinator.query("straggler_count") == 2
 
-    def test_best_scheme_by_name_and_spec(self, vgg_coordinator, vgg19_spec):
-        assert vgg_coordinator.best_scheme("fc6") is CommScheme.SFB
-        assert vgg_coordinator.best_scheme(vgg19_spec.layer("conv1_1")) is CommScheme.PS
+class TestBestSchemeAndPartition:
+    def test_best_scheme_by_name_and_spec(self, vgg_context, vgg19_spec):
+        assert vgg_context.best_scheme("fc6") is CommScheme.SFB
+        assert vgg_context.best_scheme(vgg19_spec.layer("conv1_1")) is CommScheme.PS
 
-    def test_scheme_assignments_cover_all_parameter_layers(self, vgg_coordinator,
-                                                           vgg19_spec):
-        assignments = vgg_coordinator.scheme_assignments()
+    def test_assignments_cover_all_parameter_layers(self, vgg_context,
+                                                    vgg19_spec):
+        assignments = vgg_context.plan.assignments
         assert set(assignments) == {l.name for l in vgg19_spec.parameter_layers()}
+        assert all(assignments[name] is vgg_context.best_scheme(name)
+                   for name in assignments)
 
-    def test_sfb_layers_are_fc_only(self, vgg_coordinator, vgg19_spec):
-        sfb = vgg_coordinator.sfb_layers()
-        assert {layer.name for layer in sfb} == {"fc6", "fc7", "fc8"}
+    def test_sfb_layers_are_fc_only(self, vgg_context):
+        assert set(vgg_context.plan.sfb_layer_names) == {"fc6", "fc7", "fc8"}
 
-    def test_fine_grained_partition_by_default(self, vgg_coordinator):
-        assert vgg_coordinator.partition.imbalance() < 1.05
+    def test_fine_grained_partition_by_default(self, vgg_context):
+        assert vgg_context.kv_partition.imbalance() < 1.05
 
     def test_coarse_partition_option(self, vgg19_spec):
-        coordinator = Coordinator(vgg19_spec, ClusterConfig(num_workers=8),
-                                  TrainingConfig(batch_size=32), fine_grained=False)
-        assert coordinator.partition.imbalance() > 1.5
+        context = PoseidonContext(vgg19_spec, ClusterConfig(num_workers=8),
+                                  TrainingConfig(batch_size=32),
+                                  fine_grained=False)
+        assert context.kv_partition.imbalance() > 1.5
 
 
-class TestHybridPlanner:
-    def test_plan_covers_all_parameter_layers(self, vgg_coordinator, vgg19_spec):
-        planner = HybridCommPlanner(vgg_coordinator)
-        plan = planner.plan()
-        assert len(plan) == len(vgg19_spec.parameter_layers())
+class TestHybridPlan:
+    def test_plan_covers_all_parameter_layers(self, vgg_context, vgg19_spec):
+        decisions = vgg_context.plan.decisions
+        assert [d.layer for d in decisions] == \
+            [layer.name for layer in vgg19_spec.parameter_layers()]
 
-    def test_hybrid_saves_bytes_on_vgg(self, vgg_coordinator):
-        planner = HybridCommPlanner(vgg_coordinator)
-        totals = planner.bytes_per_iteration()
-        assert totals["hybrid_bytes"] < totals["ps_bytes"]
-        assert totals["savings_fraction"] > 0.5
+    def test_hybrid_saves_bytes_on_vgg(self, vgg_context):
+        plan = vgg_context.plan
+        assert plan.hybrid_bytes_per_node < plan.ps_bytes_per_node
+        assert plan.savings_fraction > 0.5
 
-    def test_force_ps_removes_savings(self, vgg_coordinator):
-        planner = HybridCommPlanner(vgg_coordinator)
-        decisions = planner.plan(force_scheme=CommScheme.PS)
-        totals = planner.bytes_per_iteration(decisions)
-        assert totals["savings_fraction"] == pytest.approx(0.0)
+    def test_force_ps_removes_savings(self, vgg_context):
+        plan = vgg_context.build_plan(force_scheme=CommScheme.PS)
+        assert plan.savings_fraction == pytest.approx(0.0)
+        assert vgg_context.bytes_per_iteration(CommScheme.PS) == \
+            plan.ps_bytes_per_node
 
-    def test_force_sfb_falls_back_to_ps_for_conv(self, vgg_coordinator):
-        planner = HybridCommPlanner(vgg_coordinator)
-        decisions = planner.plan(force_scheme=CommScheme.SFB)
+    def test_force_sfb_falls_back_to_ps_for_conv(self, vgg_context):
+        decisions = vgg_context.build_plan(
+            force_scheme=CommScheme.SFB).decisions
         conv_decisions = [d for d in decisions if d.layer.startswith("conv")]
+        fc_decisions = [d for d in decisions if d.layer.startswith("fc")]
         assert all(d.scheme is CommScheme.PS for d in conv_decisions)
+        assert all(d.scheme is CommScheme.SFB for d in fc_decisions)
 
-    def test_summary_contains_totals(self, vgg_coordinator):
-        planner = HybridCommPlanner(vgg_coordinator)
-        assert "total per node" in planner.summary()
+    def test_force_adam_follows_the_one_rule(self, vgg_context):
+        # Any factor-based scheme, not only SFB, leaves non-decomposable
+        # layers on the PS -- what decide_schemes / assign_schemes do under
+        # mode "adam" (the old planner put conv layers on ADAM too).  Byte
+        # totals are unaffected: only SFB has its own byte column.
+        plan = vgg_context.build_plan(force_scheme=CommScheme.ADAM)
+        for decision in plan.decisions:
+            expected = (CommScheme.ADAM if decision.layer.startswith("fc")
+                        else CommScheme.PS)
+            assert decision.scheme is expected
+        assert plan.hybrid_bytes_per_node == plan.ps_bytes_per_node
 
-    def test_decision_savings_non_negative(self, vgg_coordinator):
-        planner = HybridCommPlanner(vgg_coordinator)
-        assert all(decision.savings_bytes >= 0 for decision in planner.plan())
+    def test_describe_contains_totals(self, vgg_context):
+        assert "per-node traffic/iteration" in vgg_context.describe()
+
+    def test_decision_savings_non_negative(self, vgg_context):
+        assert all(d.savings_bytes >= 0 for d in vgg_context.plan.decisions)
 
 
 class TestPoseidonContext:

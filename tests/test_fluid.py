@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.backend import fluid_terms
+from repro.comm.backend import SyncShape, get_backend
 from repro.config import ClusterConfig
 from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
@@ -360,38 +360,44 @@ class TestMultiJob:
         assert shared == alone
 
 
-class TestFluidTerms:
-    """The vectorizable per-unit cost-term export."""
+class TestUnitBytes:
+    """Each backend's declared per-unit payload (what both engines read)."""
 
-    def test_sfb_terms(self):
+    def test_sfb_bytes(self):
         workload = build_workload(VGG)
         unit = next(u for u in workload.units if u.sf_eligible)
         n = 16
-        terms = fluid_terms(CommScheme.SFB, unit, workload.batch_size, n, n)
+        shape = SyncShape(n, n, workload.batch_size)
+        nbytes = get_backend(CommScheme.SFB).unit_bytes(unit, shape, owner=0)
         sf = unit.sufficient_factor_bytes(workload.batch_size)
-        assert terms.push_bytes == sf
-        assert terms.symmetric_bytes == 2 * (n - 1) * sf
-        assert terms.owner_bytes == 0.0
+        assert nbytes.push == sf
+        assert nbytes.worker == 2 * (n - 1) * sf
+        assert nbytes.owner == 0.0
 
     @pytest.mark.parametrize("scheme", list(CommScheme))
-    def test_terms_are_nonnegative(self, scheme):
+    def test_bytes_are_nonnegative(self, scheme):
         workload = build_workload(VGG)
         unit = next(u for u in workload.units if u.sf_eligible)
-        terms = fluid_terms(scheme, unit, workload.batch_size, 8, 8)
-        assert terms.push_bytes >= 0
-        assert terms.pull_bytes >= 0
-        assert terms.symmetric_bytes >= 0
-        assert terms.owner_bytes >= 0
+        shape = SyncShape(8, 8, workload.batch_size)
+        nbytes = get_backend(scheme).unit_bytes(unit, shape, owner=1)
+        assert nbytes.push >= 0
+        assert nbytes.pull >= 0
+        assert nbytes.shard >= 0
+        assert nbytes.worker >= 0
+        assert nbytes.owner >= 0
+        # Named-node entries adjust a worker share, never below zero.
+        assert all(nbytes.worker + extra >= 0 for _node, extra in nbytes.nodes)
 
     def test_fine_vs_coarse_ps(self):
         workload = build_workload(VGG)
         unit = workload.units[0]
-        fine = fluid_terms(CommScheme.PS, unit, workload.batch_size, 8, 8,
-                           fine=True)
-        coarse = fluid_terms(CommScheme.PS, unit, workload.batch_size, 8, 8,
-                             fine=False)
-        assert fine.owner_bytes == 0.0
-        assert coarse.owner_bytes > 0.0
+        backend = get_backend(CommScheme.PS)
+        fine = backend.unit_bytes(
+            unit, SyncShape(8, 8, workload.batch_size, fine=True), owner=0)
+        coarse = backend.unit_bytes(
+            unit, SyncShape(8, 8, workload.batch_size, fine=False), owner=0)
+        assert fine.owner == 0.0 and fine.shard > 0.0
+        assert coarse.owner > 0.0 and coarse.shard == 0.0
 
 
 class TestScaleFigure:

@@ -178,17 +178,10 @@ class TestTrainerSubstrates:
         trainer = _make_trainer(mode)
         trainer.train(2)
         substrate = trainer.substrate(scheme)
-        try:
-            snap = substrate.checkpoint(include_optimizer=True)
-        except TypeError:
-            snap = substrate.checkpoint()
+        snap = substrate.checkpoint(include_optimizer=True)
         substrate.restore(_perturbed(snap))
         substrate.restore(snap)
-        try:
-            again = substrate.checkpoint(include_optimizer=True)
-        except TypeError:
-            again = substrate.checkpoint()
-        assert_nested_equal(again, snap)
+        assert_nested_equal(substrate.checkpoint(include_optimizer=True), snap)
 
     @pytest.mark.parametrize("mode,scheme", [
         ("ring", CommScheme.RING),
@@ -199,4 +192,24 @@ class TestTrainerSubstrates:
         trainer.train(2)
         substrate = trainer.substrate(scheme)
         assert substrate.checkpoint() == {}
+        # Every substrate takes the optimizer flag, stateless or not.
+        assert substrate.checkpoint(include_optimizer=True) == {}
         substrate.restore({})  # clears the board without raising
+
+    @pytest.mark.parametrize("mode", ["ps", "ring", "sfb"])
+    def test_checkpoint_type_error_is_not_swallowed(self, mode, monkeypatch):
+        """A TypeError raised *inside* a substrate's checkpoint used to be
+        caught as "takes no optimizer flag" and retried without it --
+        silently dropping server-side momentum from the snapshot."""
+        trainer = _make_trainer(mode)
+        substrate = trainer.substrate(CommScheme(mode))
+        calls = []
+
+        def broken(include_optimizer=False):
+            calls.append(include_optimizer)
+            raise TypeError("bug inside the substrate")
+
+        monkeypatch.setattr(substrate, "checkpoint", broken)
+        with pytest.raises(TypeError, match="bug inside the substrate"):
+            trainer._take_checkpoint(0)
+        assert calls == [True]  # asked once, with the optimizer; no retry

@@ -1,0 +1,282 @@
+"""The resolved sync plan: one decision rule, one payload statement, one memo.
+
+* every planning entry point -- the trainer's ``assign_schemes``, the
+  simulators' ``decide_schemes`` and ``PoseidonContext.plan`` -- returns
+  the same scheme per layer, for every mode on flat and racked clusters;
+* the per-node traffic the DES measures at its NICs equals the traffic the
+  fluid engine sums from the backends' declared ``UnitBytes``, for every
+  backend x topology x cluster size;
+* a backend declaring ``unit_bytes`` runs under both engines with no edit
+  to either; one declaring no fluid replay is refused at construction;
+* memo tables key on the whole frozen inputs, so a warm ``sweep_axis``
+  misses whenever any system or cluster field differs.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro import memo
+from repro.comm.backend import (
+    ADAM_BACKEND,
+    AdamBackend,
+    UnitBytes,
+    owner_fan_bytes,
+    register_backend,
+    unregister_backend,
+)
+from repro.config import ClusterConfig, TrainingConfig
+from repro.core.cost_model import CommScheme, NetworkTopology
+from repro.core.poseidon import PoseidonContext
+from repro.core.wfbp import ScheduleMode
+from repro.engines import POSEIDON_TF
+from repro.engines.base import CommMode, Partitioning
+from repro.exceptions import ConfigurationError
+from repro.experiments.fig_backends import backend_systems
+from repro.nn.model_zoo import get_model_spec
+from repro.nn.model_zoo.mlp import build_mlp_network, mlp_spec
+from repro.parallel import assign_schemes
+from repro.simulation import fluid
+from repro.simulation.fluid import FluidSimulator, sweep_axis
+from repro.simulation.plan import resolve_plan
+from repro.simulation.throughput import IterationSimulator, decide_schemes
+from repro.simulation.workload import build_workload
+
+ALEXNET = get_model_spec("alexnet")
+VGG = get_model_spec("vgg19")
+
+#: Flat, and two racks at 2:1 oversubscription.
+TOPOLOGIES = ((1, 1.0), (2, 2.0))
+
+
+# -- one decision rule -----------------------------------------------------------
+class TestOneDecisionRule:
+    """assign_schemes == decide_schemes == PoseidonContext.plan, layer by layer."""
+
+    # 512x512 favours SFB at K=8, the 512x10 head the PS; under rack
+    # oversubscription the topology candidates join the hybrid choice.
+    DIMS = dict(input_dim=512, hidden_dims=(512, 64), num_classes=10)
+    BATCH = 8
+
+    @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
+    @pytest.mark.parametrize("mode", [m.value for m in CommMode])
+    def test_three_entry_points_agree(self, mode, racks, oversubscription):
+        cluster = ClusterConfig(num_workers=8, racks=racks,
+                                oversubscription=oversubscription)
+        topology = NetworkTopology.from_cluster(cluster)
+        spec = mlp_spec(**self.DIMS)
+        network = build_mlp_network(**self.DIMS)
+
+        trainer_side = assign_schemes(network, mode, 8, 8, self.BATCH,
+                                      topology=topology).schemes
+        workload = build_workload(spec, batch_size=self.BATCH)
+        simulator_side = decide_schemes(
+            workload, CommMode(mode), 8, 8,
+            topology=None if topology.is_flat else topology)
+        context = PoseidonContext(spec, cluster,
+                                  TrainingConfig(batch_size=self.BATCH))
+        force = None if mode == "hybrid" else CommScheme(mode)
+        planner_side = context.build_plan(force_scheme=force).assignments
+
+        assert trainer_side == dict(simulator_side) == planner_side
+        assert set(trainer_side) == {"fc1", "fc2", "classifier"}
+
+    def test_hybrid_mixes_schemes_on_this_stack(self):
+        workload = build_workload(mlp_spec(**self.DIMS), batch_size=self.BATCH)
+        schemes = decide_schemes(workload, CommMode.HYBRID, 8, 8)
+        assert schemes["fc1"] is CommScheme.SFB
+        assert schemes["classifier"] is CommScheme.PS
+
+
+# -- one payload statement --------------------------------------------------------
+def _traffic(simulator_cls, workload, cluster, system):
+    return np.asarray(
+        simulator_cls(workload, cluster, system).run().per_node_traffic_bytes)
+
+
+class TestDeclaredTrafficMatchesMeasured:
+    @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
+    @pytest.mark.parametrize("nodes", (8, 16, 32))
+    def test_des_equals_fluid_for_every_backend(self, nodes, racks,
+                                                oversubscription):
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=40.0,
+                                racks=racks, oversubscription=oversubscription)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        for system in backend_systems():
+            measured = _traffic(IterationSimulator, workload, cluster, system)
+            declared = _traffic(FluidSimulator, workload, cluster, system)
+            assert declared.sum() == pytest.approx(measured.sum(), rel=1e-9), \
+                system.name
+            assert declared.max() == pytest.approx(measured.max(), rel=1e-9), \
+                system.name
+
+    def test_hierps_counts_leader_fan_and_real_racks(self):
+        """The parent's fluid figure ignored leaders and hard-coded racks of 4."""
+        cluster = ClusterConfig(num_workers=16, racks=2, oversubscription=2.0)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        hierps = next(s for s in backend_systems()
+                      if s.comm is CommMode.HIERPS)
+        plan = resolve_plan(workload, hierps, cluster)
+        assert plan.shape.rack_size == 8
+        leaders = {node for node, _ in plan.units[0].bytes.nodes}
+        assert leaders == {0, 8}
+        np.testing.assert_allclose(
+            _traffic(FluidSimulator, workload, cluster, hierps),
+            _traffic(IterationSimulator, workload, cluster, hierps),
+            rtol=1e-9)
+
+    def test_dedicated_servers_are_counted(self):
+        cluster = ClusterConfig(num_workers=4, num_servers=2,
+                                colocate_servers=False)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        for system in backend_systems():
+            measured = _traffic(IterationSimulator, workload, cluster, system)
+            declared = _traffic(FluidSimulator, workload, cluster, system)
+            assert len(declared) == len(measured) == cluster.num_nodes
+            np.testing.assert_allclose(declared, measured, rtol=1e-9,
+                                       err_msg=system.name)
+
+
+class _OwnerFanHalf(AdamBackend):
+    """Test-only scheme: half-size gradients up, dense parameters back."""
+
+    def unit_bytes(self, unit, shape, owner):
+        return owner_fan_bytes(unit.param_bytes / 2.0, unit.param_bytes, shape)
+
+
+class _DesOnly(AdamBackend):
+    """Test-only scheme that declares a payload but no fluid replay."""
+
+    def unit_bytes(self, unit, shape, owner):
+        return UnitBytes(unit.param_bytes, unit.param_bytes,
+                         worker=2.0 * unit.param_bytes)
+
+
+@pytest.fixture
+def swap_adam_backend():
+    """Register a test backend under the ``adam`` comm mode, then restore."""
+    def swap(backend):
+        unregister_backend("adam")
+        register_backend(backend)
+    try:
+        yield swap
+    finally:
+        unregister_backend("adam")
+        register_backend(ADAM_BACKEND)
+
+
+class TestBackendDeclaresItsPayloadOnce:
+    SYSTEM = next(s for s in backend_systems() if s.comm is CommMode.ADAM)
+
+    @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
+    def test_new_backend_runs_under_both_engines(self, swap_adam_backend,
+                                                 racks, oversubscription):
+        swap_adam_backend(_OwnerFanHalf())
+        cluster = ClusterConfig(num_workers=8, racks=racks,
+                                oversubscription=oversubscription)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        des = IterationSimulator(workload, cluster, self.SYSTEM).run()
+        analytic = FluidSimulator(workload, cluster, self.SYSTEM).run()
+        np.testing.assert_allclose(analytic.per_node_traffic_bytes,
+                                   des.per_node_traffic_bytes, rtol=1e-9)
+        # 1.5x the dense bytes per non-owner worker, not Adam's sf + dense.
+        factorizable = sum(u.param_bytes for u in workload.units
+                           if u.sf_eligible)
+        rest = sum(u.param_bytes for u in workload.units if not u.sf_eligible)
+        assert rest > 0  # conv units fall back to the (fine) PS
+        assert sum(des.per_node_traffic_bytes) > 2 * 7 * 1.5 * factorizable
+        assert analytic.iteration_seconds == pytest.approx(
+            des.iteration_seconds, rel=0.5)
+
+    def test_backend_without_fluid_replay_is_refused(self, swap_adam_backend):
+        swap_adam_backend(_DesOnly())
+        cluster = ClusterConfig(num_workers=4)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        assert IterationSimulator(workload, cluster, self.SYSTEM).run() \
+            .iteration_seconds > 0
+        with pytest.raises(ConfigurationError, match="no fluid replay"):
+            FluidSimulator(workload, cluster, self.SYSTEM)
+
+    def test_registry_change_drops_warm_plans(self, swap_adam_backend):
+        cluster = ClusterConfig(num_workers=4)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        before = resolve_plan(workload, self.SYSTEM, cluster)
+        assert resolve_plan(workload, self.SYSTEM, cluster) is before
+        swap_adam_backend(_OwnerFanHalf())
+        after = resolve_plan(workload, self.SYSTEM, cluster)
+        fc = next(i for i, u in enumerate(workload.units) if u.sf_eligible)
+        assert after.units[fc].bytes.push == workload.units[fc].param_bytes / 2
+        assert before.units[fc].bytes.push != after.units[fc].bytes.push
+
+
+# -- one memo ---------------------------------------------------------------------
+class TestAxisMemoKeysOnWholeInputs:
+    """The hand-listed axis key omitted these five fields: a warm WFBP query
+    answered the sequential-schedule one with the WFBP times."""
+
+    BANDWIDTHS = (1.0, 10.0, 40.0)
+    CLUSTER = ClusterConfig(num_workers=256, bandwidth_gbps=40.0)
+
+    VARIANTS = {
+        "schedule": (POSEIDON_TF.with_schedule(ScheduleMode.SEQUENTIAL),
+                     CLUSTER),
+        "partitioning": (POSEIDON_TF.with_partitioning(Partitioning.COARSE),
+                         CLUSTER),
+        "overlap_pull": (replace(POSEIDON_TF, overlap_pull=False), CLUSTER),
+        "latency_seconds": (POSEIDON_TF,
+                            replace(CLUSTER, latency_seconds=5e-3)),
+        "colocate_servers": (POSEIDON_TF,
+                             replace(CLUSTER, colocate_servers=False)),
+    }
+
+    @pytest.mark.parametrize("field", sorted(VARIANTS))
+    def test_warm_sweep_misses_when_only_this_field_differs(self, field):
+        axis_memo = fluid._AXIS_SIMULATORS
+        warm = sweep_axis(VGG, POSEIDON_TF, self.CLUSTER, self.BANDWIDTHS)
+        hits, misses = axis_memo.hits, axis_memo.misses
+        again = sweep_axis(VGG, POSEIDON_TF, self.CLUSTER, self.BANDWIDTHS)
+        assert (axis_memo.hits, axis_memo.misses) == (hits + 1, misses)
+        np.testing.assert_array_equal(again, warm)
+
+        system, cluster = self.VARIANTS[field]
+        variant = sweep_axis(VGG, system, cluster, self.BANDWIDTHS)
+        assert (axis_memo.hits, axis_memo.misses) == (hits + 1, misses + 1)
+        memo.clear_all()
+        cold = sweep_axis(VGG, system, cluster, self.BANDWIDTHS)
+        np.testing.assert_array_equal(variant, cold)
+        assert not np.array_equal(variant, warm)
+
+    def test_bandwidth_is_the_only_field_normalised_away(self):
+        axis_memo = fluid._AXIS_SIMULATORS
+        sweep_axis(VGG, POSEIDON_TF, self.CLUSTER, self.BANDWIDTHS)
+        hits = axis_memo.hits
+        sweep_axis(VGG, POSEIDON_TF, self.CLUSTER.with_bandwidth(10.0),
+                   self.BANDWIDTHS)
+        assert axis_memo.hits == hits + 1
+
+    def test_clear_all_forces_the_cold_path(self):
+        from repro.simulation.workload import _WORKLOADS
+
+        build_workload(VGG)
+        hits, misses = _WORKLOADS.hits, _WORKLOADS.misses
+        build_workload(VGG)
+        assert (_WORKLOADS.hits, _WORKLOADS.misses) == (hits + 1, misses)
+        memo.clear_all()
+        build_workload(VGG)
+        assert (_WORKLOADS.hits, _WORKLOADS.misses) == (hits + 1, misses + 1)
+
+    def test_only_planning_memos_follow_the_backend_registry(
+            self, swap_adam_backend):
+        """Specs and workloads do not depend on backends: a registry change
+        drops the scheme / bucket / plan / axis tables and nothing else."""
+        from repro.simulation.workload import _WORKLOADS
+
+        workload = build_workload(VGG)
+        cluster = ClusterConfig(num_workers=8)
+        before = resolve_plan(workload, POSEIDON_TF, cluster)
+        swap_adam_backend(_OwnerFanHalf())
+        hits = _WORKLOADS.hits
+        assert build_workload(VGG) is workload
+        assert _WORKLOADS.hits == hits + 1
+        assert resolve_plan(workload, POSEIDON_TF, cluster) is not before
