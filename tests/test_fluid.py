@@ -15,8 +15,16 @@ Four layers of protection:
   caches keyed on topology fields never leak state across
   oversubscription settings (the PR 3 memo-table audit);
 * the multi-job contention model: background jobs slow oversubscribed
-  clusters monotonically and leave flat clusters untouched.
+  clusters monotonically and leave flat clusters untouched;
+* a recorded trace: ``tests/data/fluid_trace.json`` holds the ``repr`` of
+  the engine's iteration times over every backend and preset on flat and
+  racked clusters, both tiers, and the current engine must reproduce them
+  bit for bit (``python tests/test_fluid.py`` re-records the file).
 """
+
+import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +34,19 @@ from repro.comm.backend import SyncShape, get_backend
 from repro.config import ClusterConfig
 from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
+from repro.engines import (
+    ADAM_TF,
+    CAFFE_PS,
+    CAFFE_WFBP,
+    CNTK_1BIT,
+    POSEIDON_CAFFE,
+    POSEIDON_TF,
+    TF,
+    TF_WFBP,
+)
 from repro.engines.base import CommMode, Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
+from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation.fluid import (
     DETAIL_NODE_MAX,
@@ -418,3 +437,93 @@ class TestScaleFigure:
     def test_fig_scale_registered(self):
         from repro.experiments.runner import EXPERIMENTS
         assert "fig_scale" in EXPERIMENTS
+
+
+# -- recorded trace --------------------------------------------------------------
+TRACE_PATH = os.path.join(os.path.dirname(__file__), "data",
+                          "fluid_trace.json")
+
+#: The eight presets ``flow_sim_trace.json`` pins for the DES.
+TRACE_PRESETS = (POSEIDON_CAFFE, CAFFE_WFBP, CAFFE_PS, TF, TF_WFBP,
+                 POSEIDON_TF, ADAM_TF, CNTK_1BIT)
+
+#: (workers, racks, oversubscription) of the two-tier points.
+TRACE_TOPOLOGIES = ((8, 1, 1.0), (32, 2, 2.0), (64, 4, 4.0))
+
+TRACE_SWEEP_GBPS = (1.0, 10.0, 40.0, 100.0)
+
+
+def fluid_trace_points():
+    """``(key, thunk)`` of every pinned evaluation; thunks return floats."""
+    workload = build_workload(VGG)
+    backends = backend_systems()
+
+    def point(system, nodes, racks, oversub, mode, jobs=0):
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0,
+                                racks=racks, oversubscription=oversub)
+        return lambda: [float(FluidSimulator(
+            workload, cluster, system, mode=mode,
+            background_jobs=jobs).iteration_seconds())]
+
+    named = ([(system.name, system) for system in backends]
+             + [(f"preset {system.name}", system) for system in TRACE_PRESETS])
+    for name, system in named:
+        for nodes, racks, oversub in TRACE_TOPOLOGIES:
+            for mode in ("detail", "aggregate"):
+                yield (f"{name}|{nodes}n/{racks}r/{oversub:g}|{mode}",
+                       point(system, nodes, racks, oversub, mode))
+        for jobs in (0, 1):
+            yield (f"{name}|1000n/25r/4|aggregate|jobs={jobs}",
+                   point(system, 1000, 25, 4.0, "aggregate", jobs))
+    # The gate, the schedule and the coarse wire axes, on every backend.
+    variants = [(f"{system.name}|{label}", variant)
+                for system in backends
+                for label, variant in (
+                    ("no-overlap-pull", replace(system, overlap_pull=False)),
+                    ("sequential",
+                     system.with_schedule(ScheduleMode.SEQUENTIAL)),
+                    ("coarse", replace(
+                        system.with_partitioning(Partitioning.COARSE),
+                        overlap_pull=False)))]
+    coarse_ps = backends[0].with_partitioning(Partitioning.COARSE)
+    variants.append(("PS|coarse|topk+buckets", coarse_ps.with_compression(
+        "topk(0.01)", bucket_bytes=4 << 20)))
+    for label, system in variants:
+        for mode in ("detail", "aggregate"):
+            yield (f"{label}|32n/2r/2|{mode}",
+                   point(system, 32, 2, 2.0, mode))
+    big = ClusterConfig(num_workers=10000, bandwidth_gbps=40.0, racks=250,
+                        oversubscription=4.0)
+    for system in backends:
+        yield (f"{system.name}|10000n/250r/4|sweep_axis",
+               lambda system=system: [float(t) for t in sweep_axis(
+                   VGG, system, big, TRACE_SWEEP_GBPS, workload=workload)])
+
+
+class TestRecordedFluidTrace:
+    """Both tiers must reproduce the recorded iteration times bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        with open(TRACE_PATH) as fh:
+            return json.load(fh)["points"]
+
+    def test_trace_covers_every_point(self, trace):
+        assert sorted(trace) == sorted(k for k, _ in fluid_trace_points())
+
+    @pytest.mark.parametrize("key,thunk", list(fluid_trace_points()),
+                             ids=[k for k, _ in fluid_trace_points()])
+    def test_point_bit_identical(self, trace, key, thunk):
+        assert [repr(t) for t in thunk()] == trace[key]
+
+
+if __name__ == "__main__":  # re-record: python tests/test_fluid.py
+    with open(TRACE_PATH, "w") as fh:
+        json.dump({
+            "note": ("repr() of FluidSimulator.iteration_seconds / "
+                     "sweep_axis on vgg19; recorded at the parent of the "
+                     "phase-interpreter refactor (PR 16)"),
+            "points": {key: [repr(t) for t in thunk()]
+                       for key, thunk in fluid_trace_points()},
+        }, fh, indent=1)
+        fh.write("\n")
