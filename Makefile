@@ -3,7 +3,7 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: test bench bench-update bench-full bench-smoke sweep-quick determinism \
-	examples-smoke docs-check
+	examples-smoke docs-check reports-diff
 
 ## tier-1 test suite
 test:
@@ -19,6 +19,14 @@ determinism:
 		--output /tmp/fig11_run_b.txt > /dev/null
 	diff /tmp/fig11_run_a.txt /tmp/fig11_run_b.txt
 	@echo "fig11 report byte-identical across consecutive runs"
+
+## "byte-identical reports" as a command: render every runner section
+## (--jobs 1; the --quick report, then the full one) on REF -- a revision,
+## checked out into a scratch git worktree, or a directory -- and on this
+## tree, and diff them.  QUICK=1 stops after the quick report (the CI form).
+reports-diff:
+	@test -n "$(REF)" || { echo "usage: make reports-diff REF=<rev|dir> [QUICK=1]"; exit 2; }
+	tools/reports_diff.sh "$(REF)" quick $(if $(QUICK),,full)
 
 ## quick figure sweeps through the parallel runner (one worker per core)
 sweep-quick:

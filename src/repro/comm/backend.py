@@ -17,12 +17,12 @@ A :class:`CommBackend` bundles everything one scheme needs:
 * ``build_substrate`` / ``make_syncer`` -- the functional trainer side: the
   shared communication substrate (parameter server, bulletin board, ...)
   and the per-layer :class:`~repro.core.syncer.Syncer` that speaks to it;
-* ``unit_bytes`` -- the scheme's per-unit payload (:class:`UnitBytes`),
-  stated once and read by both simulation engines through the resolved
-  :class:`~repro.simulation.plan.SyncPlan`;
-* ``flow_plan`` -- the scheme's transfer pattern for the event-driven
-  simulator (its closed-form replay in the fluid engine is named by
-  ``UnitBytes.replay``).
+* ``unit_bytes`` -- the scheme's per-unit payload *and schedule*
+  (:class:`UnitBytes`): message sizes, node traffic and the ordered tuple
+  of :class:`Phase` values that moves them, stated once and frozen into the
+  resolved :class:`~repro.simulation.plan.SyncPlan`.  The event-driven
+  simulator and both fluid tiers each have one interpreter over that
+  value; no engine knows a scheme by name.
 
 Backends register themselves in a process-wide registry; the scheme
 assigner, the trainer and the simulator all resolve schemes through
@@ -34,14 +34,14 @@ examples, and PERFORMANCE.md "Communication backends" for the recipe).
 from __future__ import annotations
 
 import abc
+import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, ClassVar, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import units
-from repro.cluster.machine import FABRIC
 from repro.comm.wire import CompressionConfig, unit_wire_bytes
 from repro.core.cost_model import (
     CommScheme,
@@ -51,7 +51,6 @@ from repro.core.cost_model import (
     sfb_worker_cost,
 )
 from repro.core.policy import BSP, SyncPolicy
-from repro.engines.base import Partitioning
 from repro.exceptions import ConfigurationError
 
 #: A layer's parameters or gradients: parameter name -> array.
@@ -101,51 +100,141 @@ class SyncShape:
             for first in range(0, self.num_workers, self.rack_size))
 
 
+class PhaseKind(enum.Enum):
+    """The closed vocabulary of transfer patterns a schedule is built from."""
+
+    #: Every worker ships to the KV fabric (spread over all shards) while
+    #: each shard gathers its slice; done when both sides are.
+    FABRIC_OUT = "fabric_out"
+    #: Each shard scatters its slice while every worker fetches from the
+    #: fabric; directly follows the :attr:`FABRIC_OUT` it answers.
+    FABRIC_IN = "fabric_in"
+    #: Every ``src`` node sends one message to its hub (``dst``).
+    FAN_IN = "fan_in"
+    #: Every ``dst`` node fetches one message from its hub (``src``); the
+    #: copies serialise on the hub's uplink.
+    FAN_OUT = "fan_out"
+    #: Every hub (``src``) holds its uplink for one batch of copies, one to
+    #: each other node of its group (``dst``).
+    BROADCAST = "broadcast"
+    #: Every worker sends one message to its ring successor, in lockstep.
+    RING_STEP = "ring_step"
+
+
+class Peers(enum.Enum):
+    """Symbolic peer sets; an engine enumerates node ids only if it needs them."""
+
+    WORKERS = "workers"            #: all ``P1`` workers
+    OWNER = "owner"                #: the node the plan placed the unit on
+    SHARDS = "shards"              #: the KV store's server shards
+    RACK_LEADERS = "rack_leaders"  #: first member of each ``SyncShape.racks``
+    RACK_MEMBERS = "rack_members"  #: every rack's members, under their leader
+    SUCCESSOR = "successor"        #: worker ``(i + 1) mod P1``
+
+
+class Scope(enum.Enum):
+    """What a phase's successor waits for."""
+
+    ALL = "all"      #: the whole phase, on every group
+    GROUP = "group"  #: the phase on the successor's own rack only
+
+
+#: The ``(src, dst)`` peer pairs each kind can run between.
+PHASE_PEERS: Dict[PhaseKind, Tuple[Tuple[Peers, Peers], ...]] = {
+    PhaseKind.FABRIC_OUT: ((Peers.WORKERS, Peers.SHARDS),),
+    PhaseKind.FABRIC_IN: ((Peers.SHARDS, Peers.WORKERS),),
+    PhaseKind.FAN_IN: ((Peers.WORKERS, Peers.OWNER),
+                       (Peers.RACK_MEMBERS, Peers.RACK_LEADERS),
+                       (Peers.RACK_LEADERS, Peers.OWNER)),
+    PhaseKind.FAN_OUT: ((Peers.OWNER, Peers.WORKERS),
+                        (Peers.OWNER, Peers.RACK_LEADERS)),
+    PhaseKind.BROADCAST: ((Peers.WORKERS, Peers.WORKERS),
+                          (Peers.OWNER, Peers.WORKERS),
+                          (Peers.RACK_LEADERS, Peers.RACK_MEMBERS)),
+    PhaseKind.RING_STEP: ((Peers.WORKERS, Peers.SUCCESSOR),),
+}
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One step of a unit's schedule: who sends how much to whom.
+
+    Phases run in order; phase ``k + 1`` starts when phase ``k`` finished,
+    everywhere or on the same rack (:class:`Scope`).  Peers are roles and
+    counts, never node lists, so a plan stays O(units) at any cluster size.
+
+    Attributes:
+        kind: the transfer pattern.
+        src: who sends (the hub of a fan-out or broadcast).
+        dst: who receives (the hub of a fan-in).
+        nbytes: bytes of one message.
+        hub_bytes: fabric kinds only -- bytes one shard gathers / scatters.
+        scope: what the next phase waits for.
+        gated: parameter-direction traffic: from this phase on, the unit
+            waits for the worker's backward pass unless the system
+            overlaps pulls (``SystemConfig.overlap_pull``).
+        repeat: how many times the pattern runs back to back.
+        detached: DES only -- each fan-out fetch runs as its own process
+            (one queue hop later).  The coarse PS's gated pulls, released
+            in one cascade at backward-done, stay ordered behind the last
+            unit's pushes that way, as recorded; Adam fetches inline.
+        rejoin: DES only -- after this final phase every worker arrives at
+            one more all-worker countdown nobody waits on.  The seed's ring
+            and tree plans did; kept so recorded event counts stay equal
+            (ROADMAP, differential-oracle item).
+    """
+
+    kind: PhaseKind
+    src: Peers
+    dst: Peers
+    nbytes: float
+    hub_bytes: float = 0.0
+    scope: Scope = Scope.ALL
+    gated: bool = False
+    repeat: int = 1
+    detached: bool = False
+    rejoin: bool = False
+
+
 @dataclass(frozen=True)
 class UnitBytes:
-    """One unit's payload under one scheme: message sizes and node traffic.
+    """One unit under one scheme: its schedule and the node traffic it causes.
 
-    ``push`` / ``pull`` / ``shard`` size the messages the flow plans and
-    fluid replays book on the channels; the role fields are sent+received
+    Message sizes live on the phases.  The role fields are sent+received
     bytes per sync -- a node moves ``worker`` if it is a worker, plus
     ``server`` if it hosts a PS shard, plus ``owner`` if it owns the unit,
     plus its entry in ``nodes``.
 
     Attributes:
-        push: bytes of one gradient-direction message (a PS push, one
-            peer's factor copy, one ring chunk, one tree hop).
-        pull: bytes of one parameter-direction message.
-        shard: bytes one server shard gathers, then scatters (fine PS only).
+        phases: the ordered :class:`Phase` tuple that moves the messages;
+            all three simulation interpreters execute exactly this value.
         worker: sent+received bytes at every worker.
         server: additional bytes at every node hosting a server shard.
         owner: additional bytes at the unit's owner.
         nodes: ``(node, bytes)`` adjustments for individually named nodes
             (rack leaders), relative to their ``worker`` share.
-        replay: the fluid engine's closed-form replay that moves these
-            messages (a key of :data:`repro.simulation.fluid.REPLAYS`);
-            ``None`` if only the event-driven engine can run the scheme.
     """
 
-    push: float
-    pull: float
-    shard: float = 0.0
+    phases: Tuple[Phase, ...] = ()
     worker: float = 0.0
     server: float = 0.0
     owner: float = 0.0
     nodes: Tuple[Tuple[int, float], ...] = ()
-    replay: Optional[str] = None
 
 
-def owner_fan_bytes(push: float, pull: float, shape: SyncShape) -> UnitBytes:
-    """Payload of the owner fan: every worker pushes to one owner, then pulls.
+def owner_fan_bytes(push: float, pull: float, shape: SyncShape,
+                    detached: bool = False) -> UnitBytes:
+    """The owner fan: every worker pushes to one owner, then pulls.
 
     A colocated owner is itself a worker whose own copy stays on the node,
     so it exchanges with ``P1 - 1`` peers; a dedicated owner with all ``P1``.
     """
     each = push + pull
     fan = (shape.num_workers - 2) if shape.colocated else shape.num_workers
-    return UnitBytes(push, pull, worker=each, owner=fan * each,
-                     replay="owner_fan")
+    return UnitBytes(worker=each, owner=fan * each, phases=(
+        Phase(PhaseKind.FAN_IN, Peers.WORKERS, Peers.OWNER, push),
+        Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.WORKERS, pull,
+              gated=True, detached=detached)))
 
 
 @dataclass(frozen=True)
@@ -209,33 +298,6 @@ class WorkerResources:
     compressor: Any = None
 
 
-class FlowPlan:
-    """Simulator-side description of one scheme's transfer pattern.
-
-    A plan operates on the running
-    :class:`~repro.simulation.throughput.IterationSimulator` (passed as
-    ``sim``): it may use the cluster's flow primitives
-    (``sim.cluster.transfer`` / ``broadcast`` / fabric fans), the shared
-    per-unit synchronization state (``sim.unit_state(unit)``), the unit's
-    resolved owner and :class:`UnitBytes` (``sim.unit_plan(unit)``) and the
-    system descriptor (``sim.system``).  ``worker_sync`` is a simulation
-    process generator; ``server_process`` (optional) models scheme logic
-    that runs on the server side rather than being driven by a worker.
-    """
-
-    def needs_server_process(self, sim: Any, unit: Any, scheme: CommScheme) -> bool:
-        """Whether :meth:`server_process` must be spawned for ``unit``."""
-        return False
-
-    def server_process(self, sim: Any, unit: Any, scheme: CommScheme) -> Generator:
-        raise NotImplementedError
-
-    def worker_sync(self, sim: Any, worker: int, unit: Any,
-                    scheme: CommScheme) -> Generator:
-        """Process: synchronize ``unit`` at ``worker`` under this plan."""
-        raise NotImplementedError
-
-
 class CommBackend(abc.ABC):
     """One communication scheme, end to end.
 
@@ -284,7 +346,6 @@ class CommBackend(abc.ABC):
     compressible: ClassVar[bool] = False
     sync_semantics: ClassVar[Tuple[str, ...]] = ("bsp", "local_sgd")
     fault_modes: ClassVar[Tuple[str, ...]] = ("restart",)
-    flow_plan: ClassVar[FlowPlan]
 
     @property
     def name(self) -> str:
@@ -386,11 +447,11 @@ class CommBackend(abc.ABC):
         return unit.param_bytes / self.compression
 
     def unit_bytes(self, unit: Any, shape: SyncShape, owner: int) -> UnitBytes:
-        """The scheme's payload for one unit -- the only place it is written.
+        """The scheme's payload and schedule for one unit -- written only here.
 
         ``unit`` is a :class:`~repro.simulation.workload.SyncUnit`, ``owner``
-        the node the plan placed it on.  Both engines and every
-        :class:`FlowPlan` read the result from the resolved plan.
+        the node the plan placed it on.  The DES and both fluid tiers read
+        the result, phases included, from the resolved plan.
         """
         raise ConfigurationError(
             f"backend {self.name!r} declares no unit_bytes; "
@@ -725,112 +786,6 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
     return backend.scheme
 
 
-# -- built-in flow plans -----------------------------------------------------------
-
-
-class PSFlowPlan(FlowPlan):
-    """Dense (optionally quantized) parameter-server traffic.
-
-    Respects the system's partitioning: fine-grained balanced KV pairs are
-    modelled as aggregate fabric flows plus a server-side gather/apply/
-    scatter process, coarse per-tensor placement as point-to-point flows
-    against the owning shard's NIC (hotspots emerge naturally).
-    """
-
-    def needs_server_process(self, sim, unit, scheme):
-        return sim.system.partitioning is Partitioning.FINE
-
-    def worker_sync(self, sim, worker, unit, scheme):
-        if sim.system.partitioning is Partitioning.FINE:
-            yield from self._fine_worker_sync(sim, worker, unit, scheme)
-        else:
-            yield from self._coarse_worker_sync(sim, worker, unit, scheme)
-
-    # -- fine-grained PS (Poseidon KV store / TF+WFBP) ----------------------------
-    def _fine_worker_sync(self, sim, worker, unit, scheme):
-        state = sim.unit_state(unit)
-        nbytes = sim.unit_plan(unit).bytes
-        state.mark_send_started()
-        yield from sim.cluster.transfer(
-            worker, FABRIC, nbytes.push, tag=f"push:{unit.name}")
-        state.all_sent.arrive()
-
-        yield state.aggregated
-        if not sim.system.overlap_pull:
-            yield sim.backward_done(worker)
-        yield from sim.cluster.transfer(
-            FABRIC, worker, nbytes.pull, tag=f"pull:{unit.name}")
-        if state.scatter_done is not None:
-            yield state.scatter_done
-
-    def server_process(self, sim, unit, scheme):
-        """Server-shard side of a fine-grained PS unit: gather, apply, scatter."""
-        state = sim.unit_state(unit)
-        yield state.send_started
-        server_bytes = sim.unit_plan(unit).bytes.shard
-        shard_nodes = list(set(sim.server_nodes))
-        yield sim.cluster.fabric_gather(shard_nodes, server_bytes,
-                                        tag=f"gather:{unit.name}")
-        yield state.all_sent
-        state.aggregated.succeed()
-        state.scatter_done = sim.cluster.fabric_scatter(
-            shard_nodes, server_bytes, tag=f"scatter:{unit.name}")
-
-    # -- coarse per-tensor PS (stock TensorFlow) ----------------------------------
-    def _coarse_worker_sync(self, sim, worker, unit, scheme):
-        state = sim.unit_state(unit)
-        plan = sim.unit_plan(unit)
-        owner = plan.owner
-        push_bytes, pull_bytes = plan.bytes.push, plan.bytes.pull
-        state.mark_send_started()
-        yield from sim.cluster.transfer(
-            worker, owner, push_bytes, tag=f"push:{unit.name}")
-        state.all_sent.arrive()
-
-        yield state.all_sent
-        if not sim.system.overlap_pull:
-            yield sim.backward_done(worker)
-        # The pull stays a spawned process: when ``overlap_pull`` is off,
-        # every gated pull of every worker is released in one cascade at
-        # backward-done, and the bootstrap hop keeps those bookings ordered
-        # behind the final unit's pushes exactly as the seed serialised them.
-        yield sim.env.process(sim.cluster.transfer(
-            owner, worker, pull_bytes, tag=f"pull:{unit.name}"))
-
-
-class SFBFlowPlan(FlowPlan):
-    """Peer-to-peer sufficient-factor broadcasting (Figure 2(b))."""
-
-    def worker_sync(self, sim, worker, unit, scheme):
-        sf_bytes = sim.unit_plan(unit).bytes.push
-        peers = [p for p in range(sim.num_workers) if p != worker]
-        state = sim.unit_state(unit)
-        state.mark_send_started()
-        yield from sim.cluster.broadcast(worker, peers, sf_bytes,
-                                         tag=f"sfb:{unit.name}")
-        state.all_sent.arrive()
-        # The unit is synchronized at this worker once every peer's factors
-        # have arrived, i.e. once every peer has finished its own broadcast.
-        yield state.all_sent
-
-
-class AdamFlowPlan(FlowPlan):
-    """Project Adam: SF push to the owning shard, full-matrix pull back."""
-
-    def worker_sync(self, sim, worker, unit, scheme):
-        state = sim.unit_state(unit)
-        plan = sim.unit_plan(unit)
-        owner = plan.owner
-        state.mark_send_started()
-        yield from sim.cluster.transfer(
-            worker, owner, plan.bytes.push, tag=f"adam-push:{unit.name}")
-        state.all_sent.arrive()
-
-        yield state.all_sent
-        yield from sim.cluster.transfer(
-            owner, worker, plan.bytes.pull, tag=f"adam-pull:{unit.name}")
-
-
 # -- built-in backends -------------------------------------------------------------
 
 
@@ -847,7 +802,6 @@ class PSBackend(CommBackend):
     # The server's mean is a running count over live workers, so it can
     # renormalize to P-1 when a dead worker is dropped mid-run.
     fault_modes = ("restart", "drop")
-    flow_plan = PSFlowPlan()
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):
@@ -868,12 +822,18 @@ class PSBackend(CommBackend):
                     / self.compression)
             shard = (unit.param_bytes * (shape.num_workers - local)
                      / shape.num_servers / self.compression)
-            return UnitBytes(push, push, shard, worker=2.0 * push,
-                             server=2.0 * shard, replay="fabric")
+            return UnitBytes(
+                worker=2.0 * push, server=2.0 * shard,
+                phases=(Phase(PhaseKind.FABRIC_OUT, Peers.WORKERS,
+                              Peers.SHARDS, push, hub_bytes=shard),
+                        Phase(PhaseKind.FABRIC_IN, Peers.SHARDS,
+                              Peers.WORKERS, push, hub_bytes=shard,
+                              gated=True)))
         # Coarse: a compressor shrinks the pushed gradient, the pulled
         # parameters stay dense.
         return owner_fan_bytes(self.gradient_bytes(unit, shape),
-                               unit.param_bytes / self.compression, shape)
+                               unit.param_bytes / self.compression, shape,
+                               detached=True)
 
     def compression_cost_factor(self, compression, m, n):
         # PS pushes travel compressed, pulls come back dense; with
@@ -912,7 +872,6 @@ class OneBitBackend(PSBackend):
     hybrid_candidate = False  # approximate: Algorithm 1 only weighs exact schemes
     compression = ONEBIT_COMPRESSION
     compressible = False  # already quantized: pluggable compressors don't stack
-    flow_plan = PSFlowPlan()
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):
@@ -937,7 +896,6 @@ class SFBBackend(CommBackend):
     requires_factorization = True
     hybrid_candidate = True
     hybrid_rank = 0  # SFB wins Algorithm-1 ties
-    flow_plan = SFBFlowPlan()
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):
@@ -958,8 +916,9 @@ class SFBBackend(CommBackend):
     def unit_bytes(self, unit, shape, owner):
         sf = unit.sufficient_factor_bytes(shape.batch_size)
         # One factor copy to, and one from, each of the P1 - 1 peers.
-        return UnitBytes(sf, sf, worker=2.0 * (shape.num_workers - 1) * sf,
-                         replay="sfb")
+        return UnitBytes(worker=2.0 * (shape.num_workers - 1) * sf,
+                         phases=(Phase(PhaseKind.BROADCAST, Peers.WORKERS,
+                                       Peers.WORKERS, sf),))
 
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.sfb import SufficientFactorBroadcaster
@@ -979,7 +938,6 @@ class AdamBackend(CommBackend):
 
     scheme = CommScheme.ADAM
     requires_factorization = True
-    flow_plan = AdamFlowPlan()
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):

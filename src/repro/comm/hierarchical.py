@@ -12,9 +12,9 @@ Like :mod:`repro.comm.ring`, this module is a complete self-registering
 communication backend: functional substrate
 (:class:`HierarchicalParameterServer`, which reuses
 :class:`~repro.comm.parameter_server.ShardedParameterServer` as its root),
-trainer syncer (:class:`HierPSSyncer`), simulator flow pattern
-(:class:`HierPSFlowPlan`, built on the existing NIC-contention model) and
-Algorithm-1 cost (:class:`HierPSBackend`).
+trainer syncer (:class:`HierPSSyncer`), the simulators' four-phase tree
+schedule (:meth:`HierPSBackend.unit_bytes`) and Algorithm-1 cost
+(:class:`HierPSBackend`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ import numpy as np
 from repro.comm.backend import (
     DEFAULT_RACK_SIZE,
     CommBackend,
-    FlowPlan,
+    Peers,
+    Phase,
+    PhaseKind,
+    Scope,
     TrainerContext,
     UnitBytes,
     WorkerResources,
@@ -199,78 +202,6 @@ class HierPSSyncer(Syncer):
         self.stats.bytes_received += sum(int(p.nbytes) for p in params.values())
 
 
-class HierPSFlowPlan(FlowPlan):
-    """Simulator flow pattern of the rack tree.
-
-    Per unit: rack members push dense gradients to their rack leader
-    (point-to-point flows into the leader's downlink); each complete rack's
-    leader forwards one aggregate to the unit's root owner; once every
-    rack's aggregate arrived the root applies the update and the leaders
-    pull the fresh parameters and redistribute them inside their racks.
-    All hops ride the existing per-NIC TailChannel contention model, so
-    leader and root hotspots emerge naturally.  The tree follows the
-    resolved plan's ``shape.rack_size``: the *physical* racks of an
-    oversubscribed cluster (the whole point of the scheme), logical racks
-    of :data:`~repro.comm.backend.DEFAULT_RACK_SIZE` on a flat one.
-    """
-
-    def _tree_state(self, sim, unit):
-        state = sim.unit_state(unit)
-        tree = state.extra.get("hierps")
-        if tree is None:
-            shape = sim.plan.shape
-            racks = shape.racks
-            tree = {
-                "rack_size": shape.rack_size,
-                "racks": racks,
-                "rack_done": {rack: sim.env.countdown(len(members))
-                              for rack, members in enumerate(racks)},
-                "root_done": sim.env.countdown(len(racks)),
-                "delivered": {rack: sim.env.event() for rack in range(len(racks))},
-            }
-            state.extra["hierps"] = tree
-        return state, tree
-
-    def worker_sync(self, sim, worker, unit, scheme):
-        state, tree = self._tree_state(sim, unit)
-        rack = worker // tree["rack_size"]
-        members = tree["racks"][rack]
-        leader = members[0]
-        plan = sim.unit_plan(unit)
-        dense_bytes = plan.bytes.push
-        state.mark_send_started()
-        if worker != leader:
-            yield from sim.cluster.transfer(worker, leader, dense_bytes,
-                                            tag=f"hier-push:{unit.name}")
-            tree["rack_done"][rack].arrive()
-            if not sim.system.overlap_pull:
-                yield sim.backward_done(worker)
-            yield tree["delivered"][rack]
-            state.all_sent.arrive()
-            return
-        # Rack leader: own gradient is already local; wait for the rack,
-        # forward one aggregate to the root owner, pull, redistribute.
-        tree["rack_done"][rack].arrive()
-        yield tree["rack_done"][rack]
-        owner = plan.owner
-        yield from sim.cluster.transfer(leader, owner, dense_bytes,
-                                        tag=f"hier-up:{unit.name}")
-        tree["root_done"].arrive()
-        yield tree["root_done"]
-        if not sim.system.overlap_pull:
-            # No-overlap systems fetch parameters only after the backward
-            # pass, exactly as the PS flow plan gates its pulls.
-            yield sim.backward_done(leader)
-        yield from sim.cluster.transfer(owner, leader, dense_bytes,
-                                        tag=f"hier-down:{unit.name}")
-        peers = [member for member in members if member != leader]
-        if peers:
-            yield from sim.cluster.broadcast(leader, peers, dense_bytes,
-                                             tag=f"hier-dist:{unit.name}")
-        tree["delivered"][rack].succeed()
-        state.all_sent.arrive()
-
-
 class HierPSBackend(CommBackend):
     """Rack-aggregated parameter server as a pluggable backend."""
 
@@ -279,7 +210,6 @@ class HierPSBackend(CommBackend):
     #: shrinks cross-rack traffic from one flow per worker to one per rack.
     topology_candidate = True
     hybrid_rank = 3  # never steals a flat tie from SFB (0) or PS (1)
-    flow_plan = HierPSFlowPlan()
 
     def _cost_rack_size(self, num_workers: int, topology=None) -> int:
         """Aggregation rack size: physical racks when oversubscribed."""
@@ -331,9 +261,25 @@ class HierPSBackend(CommBackend):
             remote_leaders += remote
             leaders.append(
                 (members[0], 2.0 * dense * (len(members) - 2 + remote)))
-        return UnitBytes(dense, dense, worker=2.0 * dense,
-                         owner=2.0 * dense * remote_leaders,
-                         nodes=tuple(leaders), replay="tree")
+        # The tree follows ``shape.racks`` -- the physical racks of an
+        # oversubscribed cluster (the whole point of the scheme), logical
+        # racks of DEFAULT_RACK_SIZE on a flat one: members push to their
+        # leader, each complete rack's leader forwards one aggregate to the
+        # root owner, and once every aggregate arrived the leaders fetch
+        # the fresh parameters and redistribute them inside their racks.
+        return UnitBytes(
+            worker=2.0 * dense,
+            owner=2.0 * dense * remote_leaders, nodes=tuple(leaders),
+            phases=(
+                Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS,
+                      Peers.RACK_LEADERS, dense, scope=Scope.GROUP),
+                Phase(PhaseKind.FAN_IN, Peers.RACK_LEADERS, Peers.OWNER,
+                      dense),
+                Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.RACK_LEADERS,
+                      dense, scope=Scope.GROUP, gated=True),
+                Phase(PhaseKind.BROADCAST, Peers.RACK_LEADERS,
+                      Peers.RACK_MEMBERS, dense, scope=Scope.GROUP,
+                      rejoin=True)))
 
     def build_substrate(self, initial_layers, ctx: TrainerContext):
         return HierarchicalParameterServer(

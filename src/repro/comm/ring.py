@@ -11,7 +11,8 @@ replicas stay consistent without a parameter server.
 
 This module is a complete, self-registering communication backend -- the
 functional substrate (:class:`RingAllReducer`), the per-layer trainer syncer
-(:class:`RingSyncer`), the simulator flow pattern (:class:`RingFlowPlan`)
+(:class:`RingSyncer`), the simulators' schedule (the one ring-step
+:class:`~repro.comm.backend.Phase` declared by :meth:`RingBackend.unit_bytes`)
 and the Algorithm-1 cost model (:class:`RingBackend`) all live here; nothing
 outside this file special-cases the scheme.
 """
@@ -25,7 +26,9 @@ import numpy as np
 
 from repro.comm.backend import (
     CommBackend,
-    FlowPlan,
+    Peers,
+    Phase,
+    PhaseKind,
     TrainerContext,
     UnitBytes,
     WorkerResources,
@@ -236,35 +239,6 @@ class RingSyncer(Syncer):
         self.stats.bytes_received += received
 
 
-class RingFlowPlan(FlowPlan):
-    """Simulator flow pattern: ``2(P-1)`` lockstep neighbour transfers.
-
-    Each step, every worker ships one ``1/P`` chunk of the unit's gradient
-    to its ring successor's downlink (point-to-point TailChannel flows, so
-    NIC contention with other units emerges naturally) and waits on a
-    per-step countdown barrier before starting the next step, which models
-    the lockstep data dependency of the ring.
-    """
-
-    def worker_sync(self, sim, worker, unit, scheme):
-        num_workers = sim.num_workers
-        state = sim.unit_state(unit)
-        barriers = state.extra.get("ring")
-        if barriers is None:
-            barriers = [sim.env.countdown(num_workers)
-                        for _ in range(2 * (num_workers - 1))]
-            state.extra["ring"] = barriers
-        state.mark_send_started()
-        chunk = sim.unit_plan(unit).bytes.push
-        successor = sim.cluster.ring_successor(worker)
-        for barrier in barriers:
-            yield from sim.cluster.transfer(worker, successor, chunk,
-                                            tag=f"ring:{unit.name}")
-            barrier.arrive()
-            yield barrier
-        state.all_sent.arrive()
-
-
 class RingBackend(CommBackend):
     """Chunked ring all-reduce as an Algorithm-1-comparable backend."""
 
@@ -276,7 +250,6 @@ class RingBackend(CommBackend):
     #: Dense-gradient collective: pluggable compressors apply (the lossy
     #: payload is what both ring phases carry).
     compressible = True
-    flow_plan = RingFlowPlan()
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):
@@ -315,11 +288,17 @@ class RingBackend(CommBackend):
         return compression.weight_ratio(m, n)
 
     def unit_bytes(self, unit, shape, owner):
-        # Both phases move the (compressed) gradient in 1/P chunks: every
-        # worker sends and receives one chunk in each of 2 (P - 1) steps.
+        # Reduce-scatter then all-gather move the (compressed) gradient in
+        # 1/P chunks: 2 (P - 1) lockstep steps, each shipping one chunk to
+        # the ring successor's downlink (point-to-point flows, so NIC
+        # contention with other units emerges naturally) behind an
+        # all-worker barrier -- the ring's data dependency.
         chunk = self.gradient_bytes(unit, shape) / shape.num_workers
-        return UnitBytes(chunk, chunk, replay="ring",
-                         worker=4.0 * (shape.num_workers - 1) * chunk)
+        steps = 2 * (shape.num_workers - 1)
+        return UnitBytes(
+            worker=4.0 * (shape.num_workers - 1) * chunk,
+            phases=(Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR,
+                          chunk, repeat=steps, rejoin=True),))
 
     def build_substrate(self, initial_layers, ctx: TrainerContext):
         return RingAllReducer(ctx.num_workers)

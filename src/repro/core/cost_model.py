@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import units
 from repro.config import ClusterConfig
@@ -149,37 +149,6 @@ class NetworkTopology:
             return 0.0
         local = min(self.nodes_per_rack(num_workers), total)
         return (total - local) / (total - 1)
-
-
-@dataclass(frozen=True)
-class LayerCostEstimate:
-    """Parameter-count cost estimates of one layer under every strategy.
-
-    All values count float parameters transmitted+received per iteration,
-    matching the units of Table 1.  ``None`` marks strategies that do not
-    apply (SFB/Adam on non-FC layers).
-    """
-
-    layer: str
-    ps_worker: float
-    ps_server: float
-    ps_server_and_worker: float
-    sfb_worker: Optional[float]
-    adam_server_max: Optional[float]
-    adam_worker: Optional[float]
-    adam_server_and_worker: Optional[float]
-
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        """Dictionary view used by the Table 1 experiment renderer."""
-        return {
-            "ps_worker": self.ps_worker,
-            "ps_server": self.ps_server,
-            "ps_server_and_worker": self.ps_server_and_worker,
-            "sfb_worker": self.sfb_worker,
-            "adam_server_max": self.adam_server_max,
-            "adam_worker": self.adam_worker,
-            "adam_server_and_worker": self.adam_server_and_worker,
-        }
 
 
 # -- raw Table 1 formulas (parameter counts) -------------------------------------
@@ -308,42 +277,6 @@ class CostModel:
         return resolved.sync_frequency
 
     # -- per-layer ------------------------------------------------------------
-    def estimate_layer(self, layer: LayerSpec,
-                       policy=None) -> LayerCostEstimate:
-        """Cost estimates (parameter counts) of one layer under all strategies.
-
-        ``policy`` overrides the model's execution semantics for this query;
-        local SGD scales every term by its ``1/H`` sync frequency.
-        """
-        p1 = self.cluster.num_workers
-        p2 = self.cluster.num_servers
-        k = self.batch_size
-        freq = self._sync_frequency(policy)
-        m, n = _matrix_dims(layer)
-        estimate = LayerCostEstimate(
-            layer=layer.name,
-            ps_worker=freq * ps_worker_cost(m, n),
-            ps_server=freq * ps_server_cost(m, n, p1, p2),
-            ps_server_and_worker=freq * ps_combined_cost(m, n, p1, p2),
-            sfb_worker=(
-                freq * sfb_worker_cost(m, n, k, p1)
-                if layer.sf_decomposable else None
-            ),
-            adam_server_max=(
-                freq * adam_server_cost(m, n, k, p1)
-                if layer.sf_decomposable else None
-            ),
-            adam_worker=(
-                freq * adam_worker_cost(m, n, k)
-                if layer.sf_decomposable else None
-            ),
-            adam_server_and_worker=(
-                freq * adam_combined_cost(m, n, k, p1)
-                if layer.sf_decomposable else None
-            ),
-        )
-        return estimate
-
     def choose(self, layer: LayerSpec, mode: str = "hybrid",
                price=None) -> CommScheme:
         """The scheme ``layer`` synchronizes under in ``mode`` on this cluster.

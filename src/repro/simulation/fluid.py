@@ -27,11 +27,13 @@ Two fidelity tiers share one phase structure:
   one pass by carrying every clock as a vector over the axis, warm-starting
   from the memoized simulator and its resolved per-unit byte terms.
 
-Which scheme, owner and payload each unit has comes from the resolved
-:class:`~repro.simulation.plan.SyncPlan` -- the same value the DES reads --
-and which replay runs it from the backend's declared
-:attr:`~repro.comm.backend.UnitBytes.replay` (:data:`REPLAYS`);
-nothing here knows a scheme by name or prices a payload.
+Which scheme, owner, payload and schedule each unit has comes from the
+resolved :class:`~repro.simulation.plan.SyncPlan` -- the same value the DES
+reads.  Both tiers are one driver over the unit's declared
+:class:`~repro.comm.backend.Phase` tuple (:meth:`FluidSimulator._drive`):
+the driver alone decides when a phase starts, and one booking function per
+phase *kind* and tier puts its flows on the busy clocks.  Nothing here
+knows a scheme by name or prices a payload.
 
 Engine selection is shared with the figure/sweep layers through
 :func:`resolve_engine`: ``"des"`` (default, byte-identical reports),
@@ -50,7 +52,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.comm.backend import registry_generation
+from repro.comm.backend import Peers, Phase, PhaseKind, Scope, registry_generation
 from repro.config import ClusterConfig
 from repro.core.faults import fault_overhead_factor, straggler_excess_seconds
 from repro.core.wfbp import ScheduleMode
@@ -58,7 +60,7 @@ from repro.engines.base import SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.nn.spec import ModelSpec
-from repro.simulation.plan import UnitPlan, resolve_plan
+from repro.simulation.plan import UnitPlan, fan_groups, resolve_plan
 from repro.simulation.throughput import simulation_result
 from repro.simulation.workload import IterationWorkload, build_workload
 
@@ -67,7 +69,6 @@ __all__ = [
     "FLUID_NODE_THRESHOLD",
     "DETAIL_NODE_MAX",
     "FluidSimulator",
-    "REPLAYS",
     "resolve_engine",
     "session_engine",
     "simulate_fluid",
@@ -164,12 +165,6 @@ class FluidSimulator:
         #: Scheme, owner, payload and encode delay of every unit, resolved
         #: once; ``workload`` is the plan's (bucketed when the system asks).
         self.plan = resolve_plan(workload, system, cluster)
-        for unit_plan in self.plan.units:
-            if unit_plan.bytes.replay not in REPLAYS:
-                raise ConfigurationError(
-                    f"backend {unit_plan.backend.name!r} declares no fluid "
-                    f"replay (got {unit_plan.bytes.replay!r}, known: "
-                    f"{sorted(REPLAYS)}); simulate it with engine='des'")
         self.workload = self.plan.workload
         self.schemes = self.plan.schemes
         self.server_nodes = cluster.server_nodes
@@ -287,7 +282,7 @@ class FluidSimulator:
         if self.num_workers <= 1:
             return self._apply_faults(compute_end, compute_end)
         self._compute_end = compute_end
-        self._events: List[Tuple[float, int, Callable]] = []
+        self._events: List[tuple] = []
         self._seq = 0
         self._completions: List = []
         seq_mode = self.system.schedule is not ScheduleMode.WFBP
@@ -300,9 +295,9 @@ class FluidSimulator:
                 # The compressor's encode pass delays the send, exactly
                 # like the DES's pre-dispatch timeout.
                 ready = ready + unit_plan.encode_seconds
-            self._at(ready, self._head_phase(unit_plan))
+            self._at(ready, self._drive(unit_plan))
         while self._events:
-            when, _seq, fn = heapq.heappop(self._events)
+            _key, _seq, when, fn = heapq.heappop(self._events)
             fn(when)
         result = compute_end
         for completion in self._completions:
@@ -380,23 +375,67 @@ class FluidSimulator:
     # event-driven simulator issues them.  With a vector axis, ordering
     # uses the first axis element; the booking arithmetic itself stays
     # exact per element (ordering is bandwidth-invariant for the unit
-    # structures the workloads produce).
+    # structures the workloads produce): the heap orders by a scalar key
+    # and the entry keeps the full axis vector for the callback.
     def _at(self, when, fn: Callable) -> None:
         key = float(np.asarray(when).flat[0])
-        heapq.heappush(self._events, (key, self._seq, _TimedPhase(when, fn)))
+        heapq.heappush(self._events, (key, self._seq, when, fn))
         self._seq += 1
 
-    def _head_phase(self, plan: UnitPlan):
-        replay = REPLAYS[plan.bytes.replay][0 if self.detail else 1]
-
-        def fire(call):
-            replay(self, plan, call, self._completions.append)
-        return fire
-
-    def _pull_call(self, all_sent):
+    def _pull_call(self, call):
+        """The one gate: parameter traffic waits for backward-done unless
+        the system overlaps pulls."""
         if self.system.overlap_pull:
-            return all_sent
-        return np.maximum(all_sent, self._compute_end)
+            return call
+        return np.maximum(call, self._compute_end)
+
+    # -- the phase driver ----------------------------------------------------
+    def _drive(self, plan: UnitPlan):
+        """Run one unit's phases: the only code that sequences them.
+
+        Bookers (one per phase kind and tier, ``_DETAIL`` / ``_AGGREGATE``)
+        put one phase's flows on the clocks from ``call`` and report
+        ``done(rack, finish)``; they never start a successor.  Phase
+        ``k + 1`` starts -- through the gate if it is gated -- when phase
+        ``k`` reports done: per rack under :attr:`Scope.GROUP`, else once
+        every rack (or the one whole-phase booking) has.  The tiers differ
+        in when a phase re-enters the phase heap: the detail tier at every
+        phase start, so bookings of different units land on the per-node
+        clocks in request order; the aggregate tier (no racks to join) only
+        at a gated phase -- an ungated successor is booked in the same slot,
+        the hub's class clock already carrying the intermediate finish.
+        """
+        phases = plan.bytes.phases
+        bookers = self._DETAIL if self.detail else self._AGGREGATE
+        joins: Dict[int, list] = {}
+
+        def run(index: int, rack: Optional[int], call) -> None:
+            if index == len(phases):
+                self._completions.append(call)
+                return
+            phase = phases[index]
+
+            def done(group: Optional[int], fin) -> None:
+                if phase.scope is Scope.ALL and index + 1 < len(phases):
+                    pending = joins.setdefault(index, [
+                        1 if group is None else len(self.plan.shape.racks),
+                        fin])
+                    pending[0] -= 1
+                    pending[1] = np.maximum(pending[1], fin)
+                    if pending[0]:
+                        return
+                    group, fin = None, pending[1]
+                run(index + 1, group, fin)
+
+            def book(when) -> None:
+                bookers[phase.kind](self, plan, phase, rack, when, done)
+            if phase.gated:
+                self._at(self._pull_call(call), book)
+            elif index and self.detail:
+                self._at(call, book)
+            else:  # the unit's ready time already is a heap hop
+                book(call)
+        return lambda call: run(0, None, call)
 
     # -- clock state ---------------------------------------------------------
     def _init_clocks(self) -> None:
@@ -445,32 +484,20 @@ class FluidSimulator:
         self.down[dst] = td + fs
         return np.maximum(t + wr, td + fs)
 
-    def _fabric_out(self, node: int, nbytes: float, call):
-        """node -> fabric flow (fine-PS push against the KV store)."""
+    def _fabric_flow(self, node: int, nbytes: float, call, outbound: bool):
+        """node -> fabric (a fine-PS push) or fabric -> node (its pull)."""
+        nic = self.up if outbound else self.down
         cross = nbytes * self._cross_fraction(node)
         if cross <= 0.0:
-            t = np.maximum(call, self.up[node])
+            t = np.maximum(call, nic[node])
             fin = t + self._tn(nbytes)
-            self.up[node] = fin
+            nic[node] = fin
             return fin
+        rkc = self.rku if outbound else self.rkd
         rack = self._rack_of(node)
-        t = np.maximum(np.maximum(call, self.up[node]), self.rku[rack])
-        self.up[node] = t + self._tn(nbytes)
-        self.rku[rack] = t + self._wire(cross)
-        return t + np.maximum(self._tn(nbytes), self._wire(cross))
-
-    def _fabric_in(self, node: int, nbytes: float, call):
-        """fabric -> node flow (fine-PS pull)."""
-        cross = nbytes * self._cross_fraction(node)
-        if cross <= 0.0:
-            t = np.maximum(call, self.down[node])
-            fin = t + self._tn(nbytes)
-            self.down[node] = fin
-            return fin
-        rack = self._rack_of(node)
-        t = np.maximum(np.maximum(call, self.down[node]), self.rkd[rack])
-        self.down[node] = t + self._tn(nbytes)
-        self.rkd[rack] = t + self._wire(cross)
+        t = np.maximum(np.maximum(call, nic[node]), rkc[rack])
+        nic[node] = t + self._tn(nbytes)
+        rkc[rack] = t + self._wire(cross)
         return t + np.maximum(self._tn(nbytes), self._wire(cross))
 
     def _fabric_fan(self, nodes: Sequence[int], nbytes: float, call,
@@ -491,194 +518,158 @@ class FluidSimulator:
                 fin = np.maximum(fin, rkc[rack])
         return fin
 
-    def _chain_fan(self, src: int, dsts: Sequence[int], nbytes: float, call,
-                   on_done: Callable, copy_done: Optional[Callable] = None):
-        """Single-source fan with copies chained at the uplink's release.
+    def _copy(self, src: int, dst: int, when, tn, fs, wr):
+        """One copy of a batch whose sender already holds its uplink."""
+        if self.topo and self._rack_of(src) != self._rack_of(dst):
+            rs, rd = self._rack_of(src), self._rack_of(dst)
+            tr = np.maximum(when, np.maximum(self.rku[rs], self.rkd[rd]))
+            self.rku[rs] = tr + wr
+            self.rkd[rd] = tr + wr
+            td = np.maximum(tr, self.down[dst])
+            self.down[dst] = td + fs
+            return np.maximum(tr + wr, td + fs)
+        fin = np.maximum(when, self.down[dst]) + tn
+        self.down[dst] = fin
+        return fin
 
-        Each copy books its rack/receiver channels at the time the source
+    # -- one booker per phase kind (detail) ----------------------------------
+    # ``book(plan, phase, rack, call, done)`` books the phase on every rack,
+    # or on ``rack`` only, and reports once per rack (``None`` for a phase
+    # booked as a whole).  Copies that chain through the phase heap stay
+    # inside their booker.
+    def _book_fabric(self, plan: UnitPlan, phase: Phase, rack, call,
+                     done: Callable) -> None:
+        """Workers against the KV fabric, the shards the other way."""
+        outbound = phase.kind is PhaseKind.FABRIC_OUT
+        fin = self._fabric_fan(self.server_nodes, phase.hub_bytes, call,
+                               outbound=not outbound)
+        for worker in range(self.num_workers):
+            fin = np.maximum(fin, self._fabric_flow(worker, phase.nbytes,
+                                                    call, outbound))
+        done(None, fin)
+
+    def _book_fan_in(self, plan: UnitPlan, phase: Phase, rack, call,
+                     done: Callable) -> None:
+        """Every sender's flow into its hub's downlink, all requested at once."""
+        for group, hub, members in fan_groups(phase, self.plan.shape,
+                                              plan.owner, rack):
+            fin = call
+            for member in members:
+                fin = np.maximum(fin, self._flow(member, hub, phase.nbytes,
+                                                 call))
+            done(group, fin)
+
+    def _book_fan_out(self, plan: UnitPlan, phase: Phase, rack, call,
+                      done: Callable) -> None:
+        """A hub's fetches, each chained at its uplink's release.
+
+        Each copy books its rack/receiver channels at the time the hub's
         NIC actually frees for it (its DES request time), so concurrent
         fans from different units interleave on shared channels instead of
         one fan's bookings ratcheting the busy tails past the other's.
         """
-        if not dsts:
-            on_done(call)
+        (group, hub, members), = fan_groups(phase, self.plan.shape,
+                                            plan.owner, rack)
+        # A whole fan scoped per rack reports each copy as its rack's finish.
+        per_rack = phase.scope is Scope.GROUP and group is None
+        rack_size = self.plan.shape.rack_size
+        latest = [call]
+
+        def step(i: int, when) -> None:
+            while i < len(members):
+                member = members[i]
+                fin = self._flow(hub, member, phase.nbytes, when)
+                latest[0] = np.maximum(latest[0], fin)
+                if per_rack:
+                    done(member // rack_size, fin)
+                i += 1
+                # The hub's own copy is free; it still takes its turn on
+                # the heap when it reports a rack of its own.
+                if (member != hub or per_rack) and i < len(members):
+                    self._at(np.maximum(when, self.up[hub]),
+                             lambda when, i=i: step(i, when))
+                    return
+            if not per_rack:
+                done(group, latest[0])
+
+        step(0, call)
+
+    def _book_broadcast(self, plan: UnitPlan, phase: Phase, rack, call,
+                        done: Callable) -> None:
+        """Batches of copies, each batch holding its hub's uplink throughout.
+
+        An all-to-all (every worker a hub) is a convoy: each sender's
+        copies chain through the phase heap so the P batches interleave on
+        the receivers' downlinks in request order.  A single hub's batch is
+        booked in one go.
+        """
+        tn = self._tn(phase.nbytes)
+        fs = self._tfs(phase.nbytes)
+        wr = self._wire(phase.nbytes)
+        if phase.src is not Peers.WORKERS:
+            for group, hub, members in fan_groups(phase, self.plan.shape,
+                                                  plan.owner, rack):
+                cur = call
+                if len(members) > 1:
+                    cur = np.maximum(call, self.up[hub])
+                    for member in members:
+                        if member != hub:
+                            cur = self._copy(hub, member, cur, tn, fs, wr)
+                    self.up[hub] = np.maximum(self.up[hub], cur)
+                done(group, cur)
             return
-        state = [call]
-
-        def step(i: int):
-            def fire(when):
-                fin = self._flow(src, dsts[i], nbytes, when)
-                state[0] = np.maximum(state[0], fin)
-                if copy_done is not None:
-                    copy_done(dsts[i], fin)
-                if i + 1 < len(dsts):
-                    self._at(np.maximum(when, self.up[src]), step(i + 1))
-                else:
-                    on_done(state[0])
-            return fire
-
-        self._at(call, step(0))
-
-    # -- per-scheme replays (detail) -----------------------------------------
-    def _sync_ps_fine(self, plan: UnitPlan, ready, finish: Callable):
-        """Fine-grained PS: fabric push, shard gather/scatter, fabric pull."""
-        push, server = plan.bytes.push, plan.bytes.shard
-        all_sent = ready
-        for worker in range(self.num_workers):
-            all_sent = np.maximum(
-                all_sent, self._fabric_out(worker, push, ready))
-        gather = self._fabric_fan(self.server_nodes, server, ready,
-                                  outbound=False)
-        aggregated = np.maximum(all_sent, gather)
-
-        def tail_phase(call):
-            scatter = self._fabric_fan(self.server_nodes, server, call,
-                                       outbound=True)
-            pull = call
-            for worker in range(self.num_workers):
-                pull = np.maximum(pull, self._fabric_in(worker, push, call))
-            finish(np.maximum(pull, scatter))
-
-        self._at(self._pull_call(aggregated), tail_phase)
-
-    def _sync_owner_fan(self, plan: UnitPlan, ready, finish: Callable):
-        """Adam / coarse PS: everyone pushes to the owner, then pulls."""
-        owner = plan.owner
-        push_bytes, pull_bytes = plan.bytes.push, plan.bytes.pull
-        all_sent = ready
-        for worker in range(self.num_workers):
-            if worker != owner:
-                all_sent = np.maximum(
-                    all_sent, self._flow(worker, owner, push_bytes, ready))
-        dsts = [w for w in range(self.num_workers) if w != owner]
-        self._chain_fan(owner, dsts, pull_bytes, self._pull_call(all_sent),
-                        finish)
-
-    def _sync_sfb(self, plan: UnitPlan, ready, finish: Callable):
-        """SFB all-to-all broadcast convoy, chained copy by copy."""
-        sf = plan.bytes.push
-        tn = self._tn(sf)
-        fs = self._tfs(sf)
-        wr = self._wire(sf)
         n = self.num_workers
-        pending = [n, ready]
+        pending = [n, call]
 
-        def sender_done(fin):
-            pending[0] -= 1
-            pending[1] = np.maximum(pending[1], fin)
-            if pending[0] == 0:
-                finish(pending[1])
-
-        def step(s: int, peers: Sequence[int], i: int):
+        def step(s: int, i: int):
             def fire(when):
                 if i == 0:
                     # batch uplink hold: queue behind the sender's prior
                     # holds (the DES broadcast claims the uplink once for
                     # the whole batch)
                     when = np.maximum(when, self.up[s])
-                dst = peers[i]
-                if self.topo and self._rack_of(s) != self._rack_of(dst):
-                    rs, rd = self._rack_of(s), self._rack_of(dst)
-                    tr = np.maximum(when,
-                                    np.maximum(self.rku[rs], self.rkd[rd]))
-                    self.rku[rs] = tr + wr
-                    self.rkd[rd] = tr + wr
-                    td = np.maximum(tr, self.down[dst])
-                    self.down[dst] = td + fs
-                    fin = np.maximum(tr + wr, td + fs)
-                else:
-                    t = np.maximum(when, self.down[dst])
-                    fin = t + tn
-                    self.down[dst] = fin
-                if i + 1 < len(peers):
-                    self._at(fin, step(s, peers, i + 1))
-                else:
-                    self.up[s] = fin  # batch uplink hold ends
-                    sender_done(fin)
+                fin = self._copy(s, i if i < s else i + 1, when, tn, fs, wr)
+                if i + 2 < n:
+                    self._at(fin, step(s, i + 1))
+                    return
+                self.up[s] = fin  # batch uplink hold ends
+                pending[0] -= 1
+                pending[1] = np.maximum(pending[1], fin)
+                if pending[0] == 0:
+                    done(None, pending[1])
             return fire
 
         for s in range(n):
-            peers = [p for p in range(n) if p != s]
-            self._at(np.maximum(ready, self.up[s]), step(s, peers, 0))
+            self._at(np.maximum(call, self.up[s]), step(s, 0))
 
-    def _sync_ring(self, plan: UnitPlan, ready, finish: Callable):
-        """Chunked ring all-reduce: a full-cluster barrier per unit."""
-        n = self.num_workers
-        step = self._tfs(plan.bytes.push)
-        start = np.maximum(ready, self.ring_clock)
+    def _book_ring(self, plan: UnitPlan, phase: Phase, rack, call,
+                   done: Callable) -> None:
+        """Lockstep ring steps: a full-cluster barrier on every clock (both
+        tiers book it the same way; the clock lists differ in length)."""
+        start = np.maximum(call, self.ring_clock)
         for clock in self.up:
             start = np.maximum(start, clock)
         for clock in self.down:
             start = np.maximum(start, clock)
-        done = start + 2 * (n - 1) * step
-        self.ring_clock = done
+        fin = start + phase.repeat * self._tfs(phase.nbytes)
+        self.ring_clock = fin
         for i in range(len(self.up)):
-            self.up[i] = done
-            self.down[i] = done
+            self.up[i] = fin
+            self.down[i] = fin
         if self.topo:
             for r in range(self.nracks):
-                self.rku[r] = np.maximum(self.rku[r], done)
-                self.rkd[r] = np.maximum(self.rkd[r], done)
-        finish(done)
+                self.rku[r] = np.maximum(self.rku[r], fin)
+                self.rkd[r] = np.maximum(self.rkd[r], fin)
+        done(None, fin)
 
-    def _sync_tree(self, plan: UnitPlan, ready, finish: Callable):
-        """Rack-local aggregation, leader forward, root distribute."""
-        owner, dense = plan.owner, plan.bytes.push
-        racks = self.plan.shape.racks
-        rack_done = []
-        for members in racks:
-            leader = members[0]
-            done = ready
-            for member in members[1:]:
-                done = np.maximum(done,
-                                  self._flow(member, leader, dense, ready))
-            rack_done.append(done)
-        pending = [len(racks), ready]
-
-        def forward_phase(members: List[int]):
-            def fire(call):
-                fin = self._flow(members[0], owner, dense, call)
-                pending[0] -= 1
-                pending[1] = np.maximum(pending[1], fin)
-                if pending[0] == 0:
-                    self._at(self._pull_call(pending[1]), distribute_phase)
-            return fire
-
-        def distribute_phase(call):
-            done = [call, len(racks)]
-
-            def rack_finished(fin):
-                done[0] = np.maximum(done[0], fin)
-                done[1] -= 1
-                if done[1] == 0:
-                    finish(done[0])
-
-            def bcast_phase(members: List[int]):
-                def fire(when):
-                    leader = members[0]
-                    # the leader's uplink holds the batch; copies sequential
-                    cur = np.maximum(when, self.up[leader])
-                    for member in members[1:]:
-                        start = np.maximum(cur, self.down[member])
-                        cur = start + self._tn(dense)
-                        self.down[member] = cur
-                    self.up[leader] = np.maximum(self.up[leader], cur)
-                    rack_finished(cur)
-                return fire
-
-            def pull_done(leader: int, fin):
-                members = racks[leaders.index(leader)]
-                if len(members) > 1:
-                    self._at(fin, bcast_phase(members))
-                else:
-                    rack_finished(fin)
-
-            leaders = [m[0] for m in racks]
-            self._chain_fan(owner, leaders, dense, call,
-                            on_done=lambda fin: None, copy_done=pull_done)
-
-        for members, done in zip(racks, rack_done):
-            self._at(done, forward_phase(members))
+    _DETAIL = {
+        PhaseKind.FABRIC_OUT: _book_fabric,
+        PhaseKind.FABRIC_IN: _book_fabric,
+        PhaseKind.FAN_IN: _book_fan_in,
+        PhaseKind.FAN_OUT: _book_fan_out,
+        PhaseKind.BROADCAST: _book_broadcast,
+        PhaseKind.RING_STEP: _book_ring,
+    }
 
     # ========================================================================
     # aggregate tier: node-symmetric class clocks, O(units x racks)
@@ -688,6 +679,7 @@ class FluidSimulator:
     # round-robin over the server nodes, so with units << workers (always
     # true at 1k+ nodes) every unit's owner NIC starts from the class
     # clock -- the same approximation the cross-tier tests quantify.
+    # Same booker signature as the detail tier; ``rack`` is always ``None``.
     def _rack_profile(self) -> List[Tuple[int, float]]:
         """(members, cross_fraction) of each rack."""
         out = []
@@ -698,11 +690,12 @@ class FluidSimulator:
             out.append((members, cross))
         return out
 
-    def _agg_ps_fine(self, plan: UnitPlan, ready, finish: Callable):
-        push, server = plan.bytes.push, plan.bytes.shard
+    def _agg_fabric(self, plan: UnitPlan, phase: Phase, rack, call,
+                    done: Callable) -> None:
+        """Workers against the KV fabric, the shards the other way."""
         profile = self._rack_profile()
 
-        def fabric(direction_nic: int, nbytes: float, call, outbound: bool):
+        def fabric(nbytes: float, outbound: bool):
             nic = self.up if outbound else self.down
             fin = nic[0] = np.maximum(call, nic[0]) + self._tn(nbytes)
             rkc = self.rku if outbound else self.rkd
@@ -713,175 +706,122 @@ class FluidSimulator:
                     fin = np.maximum(fin, rkc[rack])
             return fin
 
-        all_sent = fabric(0, push, ready, outbound=True)
-        gather = fabric(0, server, ready, outbound=False)
-        aggregated = np.maximum(all_sent, gather)
+        outbound = phase.kind is PhaseKind.FABRIC_OUT
+        done(None, np.maximum(fabric(phase.nbytes, outbound),
+                              fabric(phase.hub_bytes, not outbound)))
 
-        def tail_phase(call):
-            scatter = fabric(0, server, call, outbound=True)
-            pull = fabric(0, push, call, outbound=False)
-            finish(np.maximum(pull, scatter))
+    def _agg_fan(self, plan: UnitPlan, phase: Phase, rack, call,
+                 done: Callable) -> None:
+        """A hub's fan-in or fan-out on the class clocks.
 
-        self._at(self._pull_call(aggregated), tail_phase)
+        The hub's NIC drains (or serializes) the fan from its class clock:
+        peers in its rack at NIC rate, the others at the slower of NIC and
+        rack wire, whose holds are booked per rack.  What else is booked is
+        the recorded model of each peer pair, kept as it was (ROADMAP,
+        differential-oracle item):
 
-    def _agg_owner_fan(self, plan: UnitPlan, ready, finish: Callable):
-        owner = plan.owner
-        push_bytes, pull_bytes = plan.bytes.push, plan.bytes.pull
+        * workers <-> owner: every worker's one message also holds the
+          other class clock; the owner's finish is stored nowhere -- with
+          units << workers the next unit's owner is another node;
+        * rack members -> leader: a rack-local drain, nothing stored;
+        * leaders <-> owner: the fan-in stores the root's finish in the
+          class downlink clock; the fan-out hands over when the last
+          leader's copy left, its rack-wire holds only bound the finish.
+        """
+        nbytes = phase.nbytes
+        inbound = phase.kind is PhaseKind.FAN_IN
+        many, hub = (self.up, self.down) if inbound else (self.down, self.up)
+        start = np.maximum(call, hub[0])
+        if Peers.RACK_MEMBERS in (phase.src, phase.dst):
+            members = len(self.plan.shape.racks[0])
+            done(None, start + (members - 1) * self._tn(nbytes))
+            return
+        leaders = Peers.RACK_LEADERS in (phase.src, phase.dst)
+        profile = self._rack_profile()
+        o_rack = self._rack_of(plan.owner)
+        # Peers of the owner: all of them, and those outside its rack.
+        if leaders:
+            peers = len(self.plan.shape.racks) - 1
+            cross = peers if self.topo else 0
+        else:
+            peers = self.num_workers - 1
+            cross = self.num_workers - profile[o_rack][0] if self.topo else 0
+        fan = fin = (start + (peers - cross) * self._tn(nbytes)
+                     + cross * self._tfs(nbytes))
+        if not leaders:
+            many[0] = np.maximum(call, many[0]) + self._tn(nbytes)
+            fin = np.maximum(many[0], fan)
+        if cross:
+            near, far = ((self.rkd, self.rku) if inbound
+                         else (self.rku, self.rkd))
+            for rack, (members, _cf) in enumerate(profile):
+                if rack == o_rack:
+                    clock, share = near, cross
+                else:
+                    clock, share = far, 1 if leaders else members
+                if share:
+                    clock[rack] = (np.maximum(call, clock[rack])
+                                   + share * self._wire(nbytes))
+                    fin = np.maximum(fin, clock[rack])
+        if not leaders:
+            done(None, fin)
+        elif inbound:
+            self.down[0] = fin
+            done(None, fin)
+        else:
+            self._completions.append(fin)
+            done(None, fan)
+
+    def _agg_broadcast(self, plan: UnitPlan, phase: Phase, rack, call,
+                       done: Callable) -> None:
+        """Uplink-holding batches on the class clocks."""
+        nbytes = phase.nbytes
         n = self.num_workers
-        m_owner = self._rack_members(self._rack_of(owner)) if self.topo else n
-        intra, cross = m_owner - 1, n - m_owner
-        # Push: every worker sends once; the owner's downlink drains the
-        # fan FIFO (intra at NIC rate, cross at the slower of NIC/wire).
-        self.up[0] = np.maximum(ready, self.up[0]) + self._tn(push_bytes)
-        drain = (np.maximum(ready, self.down[0])
-                 + intra * self._tn(push_bytes)
-                 + cross * self._tfs(push_bytes))
-        all_sent = np.maximum(self.up[0], drain)
-        if self.topo and cross:
-            o_rack = self._rack_of(owner)
-            per_src = self._wire(push_bytes)
-            for rack, (members, _cf) in enumerate(self._rack_profile()):
-                if rack == o_rack or members == 0:
-                    continue
-                self.rku[rack] = (np.maximum(ready, self.rku[rack])
-                                  + members * per_src)
-                all_sent = np.maximum(all_sent, self.rku[rack])
-            self.rkd[o_rack] = (np.maximum(ready, self.rkd[o_rack])
-                                + cross * self._wire(push_bytes))
-            all_sent = np.maximum(all_sent, self.rkd[o_rack])
-
-        def tail_phase(call):
-            # Pull: the owner's uplink serializes the fan; every worker
-            # receives one copy.
-            fan = (np.maximum(call, self.up[0])
-                   + intra * self._tn(pull_bytes)
-                   + cross * self._tfs(pull_bytes))
-            self.down[0] = np.maximum(call, self.down[0]) \
-                + self._tn(pull_bytes)
-            fin = np.maximum(fan, self.down[0])
-            if self.topo and cross:
-                o_rack = self._rack_of(owner)
-                self.rku[o_rack] = (np.maximum(call, self.rku[o_rack])
-                                    + cross * self._wire(pull_bytes))
-                fin = np.maximum(fin, self.rku[o_rack])
-                for rack, (members, _cf) in enumerate(self._rack_profile()):
-                    if rack == o_rack or members == 0:
-                        continue
-                    self.rkd[rack] = (np.maximum(call, self.rkd[rack])
-                                      + members * self._wire(pull_bytes))
-                    fin = np.maximum(fin, self.rkd[rack])
-            finish(fin)
-
-        self._at(self._pull_call(all_sent), tail_phase)
-
-    def _agg_sfb(self, plan: UnitPlan, ready, finish: Callable):
-        sf = plan.bytes.push
-        n = self.num_workers
-        slot = self._tn(sf)
+        if phase.src is not Peers.WORKERS:
+            # One hub per group; the batch leaves on the class uplink.
+            copies = (len(self.plan.shape.racks[0])
+                      if phase.src is Peers.RACK_LEADERS else n) - 1
+            fin = call + copies * self._tn(nbytes)
+            self.up[0] = fin
+            self.down[0] = np.maximum(self.down[0], fin)
+            done(None, fin)
+            return
+        slot = self._tn(nbytes)
         members = self._rack_members(0) if self.topo else n
         intra, cross = members - 1, n - members
-        drain = intra * slot + cross * self._tfs(sf)
+        drain = intra * slot + cross * self._tfs(nbytes)
         # Symmetric convoy: every NIC sends N-1 and receives N-1 copies;
         # from an idle network the exact flat finish is (2N-3) slots
         # (pipeline fill of N-2 plus one receiver's full drain).
-        start = np.maximum(ready, np.maximum(self.up[0], self.down[0]))
+        start = np.maximum(call, np.maximum(self.up[0], self.down[0]))
         fin = start + (n - 2) * slot + drain
-        self.up[0] = np.maximum(ready, self.up[0]) + drain
-        self.down[0] = np.maximum(ready, self.down[0]) + drain
+        self.up[0] = np.maximum(call, self.up[0]) + drain
+        self.down[0] = np.maximum(call, self.down[0]) + drain
         if self.topo and cross:
             # The broadcast convoys sweep the racks in sender order, so the
             # per-copy max-coupling of (source rack up, dest rack down)
             # ratchets every rack-wire clock to the global maximum: cross
             # copies serialize globally, not per rack pair.  Book the whole
             # unit's cross traffic on one lockstep clock.
-            lock = np.maximum(ready, self.rku[0])
+            lock = np.maximum(call, self.rku[0])
             for rack in range(self.nracks):
                 lock = np.maximum(lock,
                                   np.maximum(self.rku[rack], self.rkd[rack]))
-            lock = lock + n * cross * self._wire(sf)
+            lock = lock + n * cross * self._wire(nbytes)
             for rack in range(self.nracks):
                 self.rku[rack] = lock
                 self.rkd[rack] = lock
-            fin = np.maximum(fin, lock + self._tfs(sf))
-        finish(fin)
+            fin = np.maximum(fin, lock + self._tfs(nbytes))
+        done(None, fin)
 
-    def _agg_tree(self, plan: UnitPlan, ready, finish: Callable):
-        owner, dense = plan.owner, plan.bytes.push
-        racks = self.plan.shape.racks
-        nracks = len(racks)
-        members = len(racks[0])
-        forward_t = self._tfs(dense) if self.topo else self._tn(dense)
-        # Rack-local aggregation onto each leader's downlink.
-        rack_done = (np.maximum(ready, self.down[0])
-                     + (members - 1) * self._tn(dense))
-        # Leaders forward to the root, serialized on the root's downlink.
-        root_done = rack_done + max(0, nracks - 1) * forward_t
-        if self.topo and nracks > 1:
-            o_rack = self._rack_of(owner)
-            for rack in range(self.nracks):
-                if rack == o_rack:
-                    self.rkd[rack] = (np.maximum(rack_done, self.rkd[rack])
-                                      + (nracks - 1) * self._wire(dense))
-                    root_done = np.maximum(root_done, self.rkd[rack])
-                else:
-                    self.rku[rack] = (np.maximum(rack_done, self.rku[rack])
-                                      + self._wire(dense))
-                    root_done = np.maximum(root_done, self.rku[rack])
-        self.down[0] = root_done
-
-        def distribute_phase(call):
-            # Root fans to the leaders (serialized on its uplink), each
-            # leader then broadcasts inside its rack.
-            dist = np.maximum(call, self.up[0]) \
-                + max(0, nracks - 1) * forward_t
-            fin = dist + (members - 1) * self._tn(dense)
-            self.up[0] = fin
-            self.down[0] = np.maximum(self.down[0], fin)
-            if self.topo and nracks > 1:
-                o_rack = self._rack_of(owner)
-                for rack in range(self.nracks):
-                    if rack == o_rack:
-                        self.rku[rack] = (np.maximum(call, self.rku[rack])
-                                          + (nracks - 1) * self._wire(dense))
-                        fin = np.maximum(fin, self.rku[rack])
-                    else:
-                        self.rkd[rack] = (np.maximum(call, self.rkd[rack])
-                                          + self._wire(dense))
-                        fin = np.maximum(fin, self.rkd[rack])
-            finish(fin)
-
-        self._at(self._pull_call(root_done), distribute_phase)
-
-
-class _TimedPhase:
-    """Phase callback carrying its (possibly vector) firing time.
-
-    The heap orders by a scalar key; the stored time preserves the full
-    axis vector so vectorized bookings stay exact per element.
-    """
-
-    __slots__ = ("when", "fn")
-
-    def __init__(self, when, fn: Callable):
-        self.when = when
-        self.fn = fn
-
-    def __call__(self, _key: float) -> None:
-        self.fn(self.when)
-
-
-#: Replay kinds a backend may declare (``UnitBytes.replay``): each is one
-#: phase structure as its (detail, aggregate) tier implementations,
-#: parameterised only by the unit's resolved owner and
-#: :class:`~repro.comm.backend.UnitBytes`.
-REPLAYS: Dict[str, Tuple[Callable, Callable]] = {
-    "fabric": (FluidSimulator._sync_ps_fine, FluidSimulator._agg_ps_fine),
-    "owner_fan": (FluidSimulator._sync_owner_fan,
-                  FluidSimulator._agg_owner_fan),
-    "sfb": (FluidSimulator._sync_sfb, FluidSimulator._agg_sfb),
-    "ring": (FluidSimulator._sync_ring, FluidSimulator._sync_ring),
-    "tree": (FluidSimulator._sync_tree, FluidSimulator._agg_tree),
-}
+    _AGGREGATE = {
+        PhaseKind.FABRIC_OUT: _agg_fabric,
+        PhaseKind.FABRIC_IN: _agg_fabric,
+        PhaseKind.FAN_IN: _agg_fan,
+        PhaseKind.FAN_OUT: _agg_fan,
+        PhaseKind.BROADCAST: _agg_broadcast,
+        PhaseKind.RING_STEP: _book_ring,
+    }
 
 
 def simulate_fluid(model: ModelSpec, system: SystemConfig,

@@ -6,21 +6,28 @@ shape, the batch size and the cluster (Algorithm 1).  :func:`resolve_plan`
 makes it once per ``(workload, system, cluster)``: validate the wire axes,
 assign every unit a scheme (:func:`decide_schemes`), apply the bucketed
 wire granularity, place each unit on its owner shard and ask the scheme's
-backend for the unit's :class:`~repro.comm.backend.UnitBytes`.  The DES
-(``IterationSimulator`` and every ``FlowPlan``) and the fluid engine (both
-replay tiers and its per-node traffic) read the frozen :class:`SyncPlan`;
-none of them prices a payload itself.
+backend for the unit's :class:`~repro.comm.backend.UnitBytes` -- payload
+and :class:`~repro.comm.backend.Phase` schedule, checked here against the
+closed phase vocabulary.  The DES interpreter and the fluid engine (both
+tiers and its per-node traffic) read the frozen :class:`SyncPlan`; none of
+them prices a payload or sequences a scheme itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.machine import FABRIC
 from repro.comm.backend import (
     DEFAULT_RACK_SIZE,
+    PHASE_PEERS,
     CommBackend,
+    Peers,
+    Phase,
+    PhaseKind,
+    Scope,
     SyncShape,
     UnitBytes,
     choose_scheme,
@@ -35,8 +42,8 @@ from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
 
-__all__ = ["SyncPlan", "UnitPlan", "decide_schemes", "resolve_plan",
-           "validate_compression"]
+__all__ = ["SyncPlan", "UnitPlan", "decide_schemes", "fan_groups",
+           "resolve_plan", "validate_compression"]
 
 #: Algorithm 1 only looks at the workload's units, the comm mode and the
 #: cluster shape, none of which vary across the bandwidth points of a sweep.
@@ -115,7 +122,7 @@ class UnitPlan:
         backend: the registered backend of the scheme that carries it.
         owner: node of the server shard the unit is placed on (round-robin
             over the server nodes; the root of owner-fan and tree schemes).
-        bytes: the backend's declared payload for the unit.
+        bytes: the backend's declared payload and phases for the unit.
         encode_seconds: GPU seconds the active compressor spends encoding
             the unit before its send (0 when it ships dense).
     """
@@ -127,9 +134,12 @@ class UnitPlan:
     encode_seconds: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyncPlan:
     """The resolved synchronization plan of one (workload, system, cluster).
+
+    Plans are memoized, so identity is equality (and the hash engines key
+    their own derived views on).
 
     Attributes:
         workload: the workload at its wire granularity (bucketed when the
@@ -159,7 +169,8 @@ def resolve_plan(workload: IterationWorkload, system: SystemConfig,
 
     Raises:
         ConfigurationError: on an invalid compression/bucketing axis, or a
-            scheme whose backend declares no ``unit_bytes``.
+            scheme whose backend declares no ``unit_bytes``, no phases, or
+            a phase outside the vocabulary (unknown kind or peer role).
     """
     return _PLANS.get((workload, system, replace(cluster, bandwidth_gbps=1.0)),
                       lambda: _resolve(workload, system, cluster))
@@ -193,7 +204,66 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
         if compression is not None and backend.compressible:
             encode_seconds = cluster.gpu.compute_seconds(unit_compression_flops(
                 compression, unit.fc_dims, unit.payload_parts))
-        units.append(UnitPlan(unit, backend, owner,
-                              backend.unit_bytes(unit, shape, owner),
-                              encode_seconds))
+        nbytes = backend.unit_bytes(unit, shape, owner)
+        _check_phases(backend.name, nbytes.phases, shape)
+        units.append(UnitPlan(unit, backend, owner, nbytes, encode_seconds))
     return SyncPlan(workload, shape, tuple(units))
+
+
+_RACK_PEERS = (Peers.RACK_LEADERS, Peers.RACK_MEMBERS)
+
+
+def _check_phases(backend: str, phases: Sequence[Phase],
+                  shape: SyncShape) -> None:
+    """Refuse a schedule no interpreter could run, before any engine exists."""
+    problem = None if phases else "its unit_bytes declares no phases"
+    for index, phase in enumerate(phases):
+        before = phases[index - 1] if index else None
+        racked = phase.src in _RACK_PEERS or phase.dst in _RACK_PEERS
+        if phase.kind not in PHASE_PEERS:
+            problem = (f"unknown phase kind {phase.kind!r} (known: "
+                       f"{[kind.value for kind in PhaseKind]})")
+        elif (phase.src, phase.dst) not in PHASE_PEERS[phase.kind]:
+            problem = (f"unknown peer roles {phase.src!r} -> {phase.dst!r} "
+                       f"for a {phase.kind.value} phase")
+        elif phase.kind is PhaseKind.FABRIC_IN and (
+                before is None or before.kind is not PhaseKind.FABRIC_OUT):
+            problem = "a fabric_in phase must directly follow a fabric_out"
+        elif (phase.kind is PhaseKind.BROADCAST and phase.src is Peers.OWNER
+                and not shape.colocated):
+            problem = ("an owner broadcast needs the owner to be a worker "
+                       "(colocated shards)")
+        elif not racked and Scope.GROUP in (phase.scope,
+                                            before and before.scope):
+            problem = (f"phase {index} ({phase.kind.value}) is scoped per "
+                       f"rack but names no rack peers")
+    if problem:
+        raise ConfigurationError(
+            f"backend {backend!r} cannot be simulated: {problem}")
+
+
+def fan_groups(phase: Phase, shape: SyncShape, owner: int,
+               rack: Optional[int] = None
+               ) -> List[Tuple[Optional[int], int, Sequence[int]]]:
+    """Node ids behind a phase's symbolic peers, for engines that need them.
+
+    Returns ``(rack, hub, members)`` entries -- on every rack of
+    ``shape.racks``, or on ``rack`` only.  ``members`` are the non-hub side
+    (a fan-in's senders, a fan-out's or broadcast's receivers) and include
+    the hub itself when it belongs to the role; a node's own copy never
+    crosses the network.  ``rack`` is ``None`` on entries that span the
+    cluster: the owner's or the fabric's one, an all-to-all's one per worker.
+    """
+    workers = range(shape.num_workers)
+    inbound = phase.kind in (PhaseKind.FAN_IN, PhaseKind.FABRIC_OUT)
+    hub_role, member_role = ((phase.dst, phase.src) if inbound
+                             else (phase.src, phase.dst))
+    if hub_role is Peers.WORKERS:
+        return [(None, worker, workers) for worker in workers]
+    if Peers.RACK_LEADERS not in (hub_role, member_role):
+        return [(None, FABRIC if hub_role is Peers.SHARDS else owner, workers)]
+    racks = (list(enumerate(shape.racks)) if rack is None
+             else [(rack, shape.racks[rack])])
+    if hub_role is Peers.RACK_LEADERS:
+        return [(index, members[0], members) for index, members in racks]
+    return [(rack, owner, tuple(members[0] for _, members in racks))]

@@ -4,13 +4,16 @@ The simulator places one worker per node (plus, optionally, colocated PS
 shards), runs every worker's GPU through forward and per-unit backward
 computation, and launches each unit's synchronization according to the
 system descriptor: immediately after the unit's backward pass (WFBP) or only
-after the full backward pass (sequential).  The transfer pattern of each
-unit's scheme comes from its registered communication backend's
-:class:`~repro.comm.backend.FlowPlan` -- fine-grained balanced KV store or
+after the full backward pass (sequential).  How a unit synchronizes is the
+ordered :class:`~repro.comm.backend.Phase` tuple its scheme's backend
+declared (frozen in the resolved plan) -- fine-grained balanced KV store or
 coarse per-tensor PS (optionally 1-bit quantized), sufficient-factor
 broadcasting, Adam's SF-push/matrix-pull, chunked ring all-reduce,
-rack-hierarchical PS, or any newly registered scheme.  The iteration ends
-when every worker holds every unit's fresh parameters (BSP).
+rack-hierarchical PS, or any newly registered sequence.  One interpreter
+lowers those phases to per-worker steps (:func:`_lower_unit`) and executes
+them on the cluster's flow primitives; it knows phase kinds, never schemes.
+The iteration ends when every worker holds every unit's fresh parameters
+(BSP).
 
 Network contention is modelled at each node's full-duplex NIC: uplink and
 downlink are FIFO channels of the configured bandwidth.  Scatter/gather
@@ -25,20 +28,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import units
 from repro.cluster.machine import ClusterModel
+from repro.comm.backend import PhaseKind, Scope, SyncShape, registry_generation
 from repro.config import ClusterConfig
 from repro.core.faults import fault_overhead_factor
 from repro.core.wfbp import ScheduleMode
 from repro.engines.base import SystemConfig
 from repro.exceptions import SimulationError
+from repro.memo import Memo
 from repro.nn.spec import ModelSpec
 from repro.sim import Environment, Event
 from repro.simulation.plan import (
+    SyncPlan,
     UnitPlan,
     decide_schemes,
+    fan_groups,
     resolve_plan,
     validate_compression,
 )
@@ -119,67 +126,200 @@ def simulation_result(simulator, iteration_seconds: float,
     )
 
 
-class _UnitSyncState:
-    """Shared per-unit synchronization bookkeeping for one iteration.
+# -- the interpreter: phases -> per-worker steps -----------------------------------
+# A unit's phases are lowered once per plan to one step tuple per worker;
+# running a sync is then a loop over opcodes, whatever the scheme.
+_TRANSFER = 0   # (op, src, dst, nbytes, tag): inline point-to-point flow
+_SPAWN = 1      # same, as its own process (Phase.detached)
+_BROADCAST = 2  # (op, src, dst_ids, nbytes, tag): one uplink hold, many copies
+_RING = 3       # (op, nbytes, tag, first_barrier, steps): to the ring successor
+_ARRIVE = 4     # (op, barrier)
+_WAIT = 5       # (op, barrier)
+_GATE = 6       # (op,): wait for backward-done unless pulls overlap
+_AWAIT = 7      # (op, phase): that fabric phase's shard side has finished
+#: Stands for the running worker in a step's node fields, so that workers in
+#: the same role share one step tuple (a 32-node plan lowers to a few
+#: distinct tuples per unit, not 32).
+_SELF = -2
 
-    The per-worker ``send_done`` event map of the historical implementation
-    (every worker joined it with a freshly built N-element ``all_of``) is
-    collapsed into one :class:`~repro.sim.CountdownEvent`: each worker
-    arrives once its send completes, and the barrier fires during the same
-    dispatch in which the last worker's ``send_done`` would have.
+_FABRIC_KINDS = (PhaseKind.FABRIC_OUT, PhaseKind.FABRIC_IN)
+
+
+@dataclass(frozen=True)
+class _UnitSteps:
+    """One unit's lowered schedule.
+
+    Attributes:
+        workers: the step tuple of every worker.
+        barriers: size of each countdown barrier the steps index.
+        shards: shard-side steps of the fabric phases, run by one helper
+            process per unit: ``(pushed_barrier, nbytes, tag, phase)`` --
+            gather, then fire the phase's event once the barrier has; with
+            no barrier, scatter, and the scatter's finish is the event.
     """
 
-    __slots__ = ("send_started", "_send_started_fired", "all_sent",
-                 "aggregated", "scatter_done", "extra")
+    workers: Tuple[Tuple[tuple, ...], ...]
+    barriers: Tuple[int, ...]
+    shards: Tuple[tuple, ...]
 
-    def __init__(self, env: Environment, num_workers: int):
-        self.send_started: Event = env.event()
-        self._send_started_fired = False
-        self.all_sent = env.countdown(num_workers)
-        self.aggregated: Event = env.event()
-        self.scatter_done: Optional[Event] = None
-        #: Backend-specific synchronization state (e.g. the ring's per-step
-        #: barriers or the hierarchical tree's per-rack countdowns), keyed
-        #: by the owning flow plan.
-        self.extra: Dict[str, object] = {}
 
-    def mark_send_started(self) -> None:
-        if not self._send_started_fired:
-            self.send_started.succeed()
-            self._send_started_fired = True
+def _lower_unit(plan: UnitPlan, shape: SyncShape) -> _UnitSteps:
+    """Lower one unit's phases to per-worker steps (node ids enumerated).
+
+    A node *acts* in a phase when its own process issues the transfer: the
+    senders of a fan-in, fabric push or ring step, the receivers of a
+    fan-out or fabric fetch (a pull is driven by who pulls), the hub of a
+    broadcast.  Actors arrive at the phase's countdown -- one for the whole
+    phase or one per rack, by its scope.  Before acting, a node waits for
+    the previous phase's countdown and, from the first gated phase on,
+    passes the gate once; whoever receives through someone else's transfer
+    (a broadcast's or ring step's receivers) waits for the phase's own.  A
+    fetch's completion is known to the process that drove it, so a fan-out
+    counts down only when it hands over to a later phase as a whole.
+    """
+    phases = plan.bytes.phases
+    workers = range(shape.num_workers)
+    steps: List[List[tuple]] = [[] for _ in workers]
+    sizes: List[int] = []
+    ids: Dict[tuple, int] = {}
+    waited: List[Optional[tuple]] = [None] * len(workers)
+    gate_from = next((index for index, phase in enumerate(phases)
+                      if phase.gated), len(phases))
+    gated = [False] * len(workers)
+    shards: List[tuple] = []
+
+    def barrier(index: int, node: int, step: int = 0) -> int:
+        """Countdown of phase ``index`` (repetition ``step``) on ``node``'s rack."""
+        rack = (node // shape.rack_size
+                if phases[index].scope is Scope.GROUP else None)
+        if (index, rack, step) not in ids:
+            ids[index, rack, step] = len(sizes)
+            sizes.append(0)
+        return ids[index, rack, step]
+
+    def arrive(worker: int, barrier_id: int) -> None:
+        sizes[barrier_id] += 1
+        steps[worker].append((_ARRIVE, barrier_id))
+
+    def wait(worker: int, step: tuple) -> None:
+        if waited[worker] != step:
+            waited[worker] = step
+            steps[worker].append(step)
+
+    def gate(worker: int, index: int) -> None:
+        if index >= gate_from and not gated[worker]:
+            gated[worker] = True
+            steps[worker].append((_GATE,))
+
+    def before_act(worker: int, index: int) -> None:
+        before = phases[index - 1] if index else None
+        if before is None or (before.kind is PhaseKind.FAN_OUT
+                              and before.scope is Scope.GROUP):
+            pass  # nothing to wait for: a rack's fetch hands over in place
+        elif before.kind in _FABRIC_KINDS:
+            wait(worker, (_AWAIT, index - 1))
+        else:
+            wait(worker, (_WAIT, barrier(index - 1, worker, before.repeat - 1)))
+        gate(worker, index)
+
+    for index, phase in enumerate(phases):
+        kind = phase.kind
+        tag = f"{kind.value}:{plan.unit.name}"
+        if kind is PhaseKind.RING_STEP:
+            first = barrier(index, 0)
+            for step in range(phase.repeat):  # consecutive ids
+                sizes[barrier(index, 0, step)] = len(workers)
+            for worker in workers:
+                before_act(worker, index)
+                steps[worker].append(
+                    (_RING, phase.nbytes, tag, first, phase.repeat))
+                waited[worker] = (_WAIT, first + phase.repeat - 1)
+            continue
+        groups = fan_groups(phase, shape, plan.owner)
+        if kind is PhaseKind.BROADCAST:
+            for _rack, hub, members in groups:
+                before_act(hub, index)
+                steps[hub].append(
+                    (_BROADCAST, _SELF, members, phase.nbytes, tag))
+                arrive(hub, barrier(index, hub))
+            for _rack, hub, members in groups:
+                for member in members:
+                    if member != hub:
+                        gate(member, index)
+                        wait(member, (_WAIT, barrier(index, hub)))
+            continue
+        inbound = kind in (PhaseKind.FAN_IN, PhaseKind.FABRIC_OUT)
+        counted = kind is not PhaseKind.FAN_OUT or (
+            phase.scope is Scope.ALL and index + 1 < len(phases))
+        op = _SPAWN if phase.detached else _TRANSFER
+        for _rack, hub, members in groups:
+            for member in members:
+                before_act(member, index)
+                # A node's own copy is a free, eventless transfer (but a
+                # detached one still costs its process, as recorded).
+                src, dst = (_SELF, hub) if inbound else (hub, _SELF)
+                steps[member].append((op, src, dst, phase.nbytes, tag))
+                if kind is PhaseKind.FABRIC_IN:
+                    wait(member, (_AWAIT, index))
+                elif counted:
+                    arrive(member, barrier(index, member))
+        if kind in _FABRIC_KINDS:
+            shards.append((barrier(index, 0) if inbound else None,
+                           phase.hub_bytes, f"shards/{tag}", index))
+    if phases[-1].rejoin:
+        sizes.append(0)
+        for worker in workers:
+            arrive(worker, len(sizes) - 1)
+    shared: Dict[tuple, tuple] = {}
+    return _UnitSteps(
+        tuple(shared.setdefault(role, role) for role in map(tuple, steps)),
+        tuple(sizes), tuple(shards))
+
+
+#: Lowered plans; built on first DES use, never by ``resolve_plan``.
+_LOWERED = Memo(registry_generation)
+
+
+def _lowered(plan: SyncPlan) -> Dict[str, _UnitSteps]:
+    return _LOWERED.get(plan, lambda: {
+        unit_plan.unit.name: _lower_unit(unit_plan, plan.shape)
+        for unit_plan in plan.units})
+
+
+class _UnitSyncState:
+    """Shared per-unit synchronization bookkeeping for one sync round.
+
+    One :class:`~repro.sim.CountdownEvent` per lowered barrier (each actor
+    arrives once, and the barrier fires during the same dispatch in which
+    the last member's completion would have), plus the ``started`` event
+    that releases the unit's shard-side process.
+    """
+
+    __slots__ = ("steps", "started", "barriers", "shard_events")
+
+    def __init__(self, env: Environment, steps: _UnitSteps):
+        self.steps = steps
+        self.started: Event = env.event()
+        self.barriers = [env.countdown(count) for count in steps.barriers]
+        #: Completion of each fabric phase's shard side, by phase index.
+        self.shard_events: Dict[int, Event] = {
+            phase: env.event() for *_, phase in steps.shards}
+
+
+class _Round:
+    """Unit states and backward-done events of one sync round."""
+
+    __slots__ = ("states", "backward_done")
+
+    def __init__(self, env: Environment, lowered: Dict[str, _UnitSteps],
+                 num_workers: int):
+        self.states = {name: _UnitSyncState(env, steps)
+                       for name, steps in lowered.items()}
+        self.backward_done = [env.event() for _ in range(num_workers)]
 
 
 #: Sync-round horizon of the relaxed-policy DES path (see ``_run_policy``).
 _POLICY_WINDOWS = 8
-
-
-class _RoundView:
-    """Per-round facade over an :class:`IterationSimulator`.
-
-    The relaxed-policy path simulates several consecutive rounds in one DES
-    environment; flow plans are round-agnostic (they address shared state
-    through ``sim.unit_state`` / ``sim.backward_done``), so each round hands
-    them a view that resolves those two accessors to round-local state and
-    delegates everything else to the real simulator.
-    """
-
-    __slots__ = ("_sim", "round_index", "_round_unit_state",
-                 "_round_backward_done")
-
-    def __init__(self, sim: "IterationSimulator", round_index: int):
-        self._sim = sim
-        self.round_index = round_index
-        self._round_unit_state: Dict[str, _UnitSyncState] = {}
-        self._round_backward_done: Dict[int, Event] = {}
-
-    def unit_state(self, unit: SyncUnit) -> _UnitSyncState:
-        return self._round_unit_state[unit.name]
-
-    def backward_done(self, worker: int) -> Event:
-        return self._round_backward_done[worker]
-
-    def __getattr__(self, name: str):
-        return getattr(self._sim, name)
 
 
 class IterationSimulator:
@@ -198,25 +338,11 @@ class IterationSimulator:
         self.env = Environment()
         self.cluster = ClusterModel(self.env, cluster)
         self.num_workers = cluster.num_workers
-        self._unit_state: Dict[str, _UnitSyncState] = {}
-        self._backward_done: Dict[int, Event] = {}
         self._iteration_seconds: Optional[float] = None
 
-    # -- flow-plan interface --------------------------------------------------------
-    # The per-scheme transfer patterns live in each backend's FlowPlan
-    # (:mod:`repro.comm.backend`); plans drive the simulation through the
-    # accessors below.
     def unit_plan(self, unit: SyncUnit) -> UnitPlan:
         """The resolved owner and payload (``.owner``, ``.bytes``) of one unit."""
         return self.plan.by_name[unit.name]
-
-    def unit_state(self, unit: SyncUnit) -> "_UnitSyncState":
-        """Shared synchronization state of one unit for this iteration."""
-        return self._unit_state[unit.name]
-
-    def backward_done(self, worker: int) -> Event:
-        """Event fired when ``worker`` finishes its whole backward pass."""
-        return self._backward_done[worker]
 
     # -- simulation ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -269,35 +395,29 @@ class IterationSimulator:
 
     def _run_bsp(self) -> SimulationResult:
         """Simulate one globally synchronous (BSP) iteration."""
-        for unit in self.workload.units:
-            self._unit_state[unit.name] = _UnitSyncState(self.env, self.num_workers)
-        for worker in range(self.num_workers):
-            self._backward_done[worker] = self.env.event()
-
+        sync_round = _Round(self.env, _lowered(self.plan), self.num_workers)
         worker_processes = [
-            self.env.process(self._worker_process(worker))
+            self.env.process(self._worker_process(worker, sync_round))
             for worker in range(self.num_workers)
         ]
-        # Server-side helpers, where the scheme's flow plan asks for them
-        # (fine-grained PS-style gather/apply/scatter; coarse aggregation is
-        # driven from the per-worker send processes).
-        for plan in self.plan.units:
-            flow, scheme = plan.backend.flow_plan, plan.backend.scheme
-            if flow.needs_server_process(self, plan.unit, scheme):
-                self.env.process(flow.server_process(self, plan.unit, scheme))
+        self._start_shards(sync_round)
+        return self._run_to_result(worker_processes, rounds=1)
 
+    def _run_to_result(self, worker_processes, rounds: int) -> SimulationResult:
+        """Drain the event queue; per-iteration figures over ``rounds`` steps."""
         self.env.run()
         for process in worker_processes:
             if process.ok is False:
                 raise process.value
-        iteration_seconds = max(process.value for process in worker_processes)
+        makespan = max(process.value for process in worker_processes)
+        iteration_seconds = makespan / rounds
         self._iteration_seconds = iteration_seconds
 
         busy = [machine.gpu.busy_seconds for machine in
                 (self.cluster.machine(w) for w in range(self.num_workers))]
-        gpu_busy_fraction = (sum(busy) / len(busy)) / iteration_seconds if busy else 0.0
+        gpu_busy_fraction = (sum(busy) / len(busy)) / makespan if busy else 0.0
         traffic = [
-            self.cluster.machine(node).nic.traffic.total_bytes
+            self.cluster.machine(node).nic.traffic.total_bytes / rounds
             for node in sorted(self.cluster.machines)
         ]
         return simulation_result(self, iteration_seconds, gpu_busy_fraction,
@@ -331,15 +451,9 @@ class IterationSimulator:
                    if staleness is not None else _POLICY_WINDOWS)
         rounds = period * windows
         sync_rounds = [r for r in range(rounds) if (r + 1) % period == 0]
-        views: Dict[int, _RoundView] = {}
-        for r in sync_rounds:
-            view = _RoundView(self, r)
-            for unit in self.workload.units:
-                view._round_unit_state[unit.name] = _UnitSyncState(
-                    self.env, self.num_workers)
-            for worker in range(self.num_workers):
-                view._round_backward_done[worker] = self.env.event()
-            views[r] = view
+        lowered = _lowered(self.plan)
+        views = {r: _Round(self.env, lowered, self.num_workers)
+                 for r in sync_rounds}
         self._sync_done = {
             (worker, r): self.env.countdown(self.workload.num_units)
             for worker in range(self.num_workers) for r in sync_rounds
@@ -351,32 +465,11 @@ class IterationSimulator:
             for worker in range(self.num_workers)
         ]
         for r in sync_rounds:
-            for plan in self.plan.units:
-                flow, scheme = plan.backend.flow_plan, plan.backend.scheme
-                if flow.needs_server_process(self, plan.unit, scheme):
-                    self.env.process(
-                        flow.server_process(views[r], plan.unit, scheme))
-
-        self.env.run()
-        for process in worker_processes:
-            if process.ok is False:
-                raise process.value
-        makespan = max(process.value for process in worker_processes)
-        iteration_seconds = makespan / rounds
-        self._iteration_seconds = iteration_seconds
-
-        busy = [machine.gpu.busy_seconds for machine in
-                (self.cluster.machine(w) for w in range(self.num_workers))]
-        gpu_busy_fraction = (sum(busy) / len(busy)) / makespan if busy else 0.0
-        traffic = [
-            self.cluster.machine(node).nic.traffic.total_bytes / rounds
-            for node in sorted(self.cluster.machines)
-        ]
-        return simulation_result(self, iteration_seconds, gpu_busy_fraction,
-                                 traffic)
+            self._start_shards(views[r])
+        return self._run_to_result(worker_processes, rounds)
 
     # -- worker side --------------------------------------------------------------------
-    def _worker_process(self, worker: int):
+    def _worker_process(self, worker: int, sync_round: _Round):
         machine = self.cluster.machine(worker)
         gpu = machine.gpu
         start = self.env.now
@@ -398,17 +491,17 @@ class IterationSimulator:
         for unit in reversed(self.workload.units):
             yield from gpu.compute(unit.backward_seconds * scale)
             if self.system.schedule is ScheduleMode.WFBP:
-                sync_barrier.arrive_on(
-                    self.env.process(self._unit_sync(worker, unit)))
+                sync_barrier.arrive_on(self.env.process(
+                    self._unit_sync(worker, unit, sync_round)))
             else:
                 pending_sequential.append(unit)
         if self.workload.tail_backward_seconds > 0:
             yield from gpu.compute(self.workload.tail_backward_seconds * scale)
-        self._backward_done[worker].succeed()
+        sync_round.backward_done[worker].succeed()
 
         for unit in pending_sequential:
-            sync_barrier.arrive_on(
-                self.env.process(self._unit_sync(worker, unit)))
+            sync_barrier.arrive_on(self.env.process(
+                self._unit_sync(worker, unit, sync_round)))
 
         if self.num_workers > 1:
             yield sync_barrier
@@ -416,7 +509,7 @@ class IterationSimulator:
 
     def _policy_worker_process(self, worker: int, rounds: int,
                                sync_rounds: List[int],
-                               views: Dict[int, "_RoundView"]):
+                               views: Dict[int, _Round]):
         machine = self.cluster.machine(worker)
         gpu = machine.gpu
         start = self.env.now
@@ -454,25 +547,47 @@ class IterationSimulator:
                     continue
                 if self.system.schedule is ScheduleMode.WFBP:
                     sync_barrier.arrive_on(self.env.process(
-                        self._unit_sync(worker, unit, view=view)))
+                        self._unit_sync(worker, unit, view)))
                 else:
                     pending_sequential.append(unit)
             if self.workload.tail_backward_seconds > 0:
                 yield from gpu.compute(self.workload.tail_backward_seconds * scale)
             if is_sync:
-                view._round_backward_done[worker].succeed()
+                view.backward_done[worker].succeed()
                 for unit in pending_sequential:
                     sync_barrier.arrive_on(self.env.process(
-                        self._unit_sync(worker, unit, view=view)))
+                        self._unit_sync(worker, unit, view)))
         # Drain: the makespan must cover the final sync round's traffic,
         # otherwise relaxed policies would report communication as free.
         if self.num_workers > 1 and sync_rounds:
             yield self._sync_done[(worker, sync_rounds[-1])]
         return self.env.now - start
 
-    def _unit_sync(self, worker: int, unit: SyncUnit,
-                   view: Optional["_RoundView"] = None):
-        """Synchronize one unit at one worker under its assigned scheme."""
+    def _start_shards(self, sync_round: _Round) -> None:
+        """Spawn the round's shard-side helpers, in plan order.
+
+        Called after the round's worker processes exist, so the helpers
+        queue behind them as they always have.
+        """
+        for state in sync_round.states.values():
+            if state.steps.shards:
+                self.env.process(self._shard_process(state))
+
+    def _shard_process(self, state: _UnitSyncState):
+        """Shard side of a unit's fabric phases: gather, apply, scatter."""
+        yield state.started
+        shard_nodes = list(set(self.server_nodes))
+        for pushed, nbytes, tag, phase in state.steps.shards:
+            if pushed is not None:
+                yield self.cluster.fabric_gather(shard_nodes, nbytes, tag=tag)
+                yield state.barriers[pushed]
+                state.shard_events[phase].succeed()
+            else:
+                state.shard_events[phase] = self.cluster.fabric_scatter(
+                    shard_nodes, nbytes, tag=tag)
+
+    def _unit_sync(self, worker: int, unit: SyncUnit, sync_round: _Round):
+        """Synchronize one unit at one worker: run its lowered steps."""
         if self.num_workers == 1:
             return
         if self.cluster_config.gpus_per_node > 1:
@@ -487,8 +602,39 @@ class IterationSimulator:
             # as a plain delay (not GPU occupancy) because production
             # stacks run it on side streams/CPU without stalling backprop.
             yield self.env.timeout(plan.encode_seconds)
-        yield from plan.backend.flow_plan.worker_sync(
-            self if view is None else view, worker, unit, plan.backend.scheme)
+        state = sync_round.states[unit.name]
+        if not state.started.triggered:
+            state.started.succeed()
+        barriers = state.barriers
+        transfer = self.cluster.transfer
+        for step in state.steps.workers[worker]:
+            op = step[0]
+            if op <= _BROADCAST:  # node fields: _SELF is this worker
+                src = worker if step[1] == _SELF else step[1]
+                dst = worker if step[2] == _SELF else step[2]
+            if op == _TRANSFER:
+                yield from transfer(src, dst, step[3], tag=step[4])
+            elif op == _ARRIVE:
+                barriers[step[1]].arrive()
+            elif op == _WAIT:
+                yield barriers[step[1]]
+            elif op == _RING:
+                _, nbytes, tag, first, count = step
+                successor = (worker + 1) % self.num_workers
+                for barrier in barriers[first:first + count]:
+                    yield from transfer(worker, successor, nbytes, tag=tag)
+                    barrier.arrive()
+                    yield barrier
+            elif op == _GATE:
+                if not self.system.overlap_pull:
+                    yield sync_round.backward_done[worker]
+            elif op == _AWAIT:
+                yield state.shard_events[step[1]]
+            elif op == _BROADCAST:
+                yield from self.cluster.broadcast(src, dst, step[3],
+                                                  tag=step[4])
+            else:  # _SPAWN
+                yield self.env.process(transfer(src, dst, step[3], tag=step[4]))
 
 
 def simulate_system(model: ModelSpec, system: SystemConfig, cluster: ClusterConfig,

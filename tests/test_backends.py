@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.comm.backend import (
     CommBackend,
-    FlowPlan,
     TrainerContext,
     get_backend,
     hybrid_candidates,
@@ -61,7 +60,6 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         class Dummy(CommBackend):
             scheme = CommScheme.PS
-            flow_plan = FlowPlan()
 
             def cost(self, m, n, num_workers, num_servers, batch_size,
                      bandwidth_bps=None, topology=None):
@@ -79,7 +77,6 @@ class TestRegistry:
     def test_new_backend_becomes_a_trainer_mode(self):
         class Pigeon(CommBackend):
             scheme = CommScheme.PS  # reuse PS cost/syncers under a new name
-            flow_plan = FlowPlan()
 
             @property
             def name(self):

@@ -595,12 +595,12 @@ class TestSimulatorAgreement:
         sim = IterationSimulator(workload, cluster,
                                  coarse_system(CommMode.PS, "topk(0.01)"))
         for unit in sim.workload.units:
-            nbytes = sim.unit_plan(unit).bytes
+            push, pull = sim.unit_plan(unit).bytes.phases
             expected = wire.unit_wire_bytes(config, unit.param_bytes,
                                             unit.fc_dims, unit.payload_parts)
-            assert nbytes.push == expected
+            assert push.nbytes == expected
             # Pulls stay dense under every pluggable compressor.
-            assert nbytes.pull == unit.param_bytes
+            assert pull.nbytes == unit.param_bytes
 
 
 # -- compressor state through checkpoint/restore -------------------------------

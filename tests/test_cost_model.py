@@ -159,18 +159,6 @@ class TestBestScheme:
         with pytest.raises(ConfigurationError):
             model.scheme_cost_params(self.make_conv(), CommScheme.SFB)
 
-    def test_estimate_layer_has_all_strategies_for_fc(self, small_cluster):
-        model = CostModel(small_cluster, batch_size=32)
-        estimate = model.estimate_layer(self.make_fc(512, 512))
-        as_dict = estimate.as_dict()
-        assert all(value is not None for value in as_dict.values())
-
-    def test_estimate_layer_skips_sfb_for_conv(self, small_cluster):
-        model = CostModel(small_cluster, batch_size=32)
-        estimate = model.estimate_layer(self.make_conv())
-        assert estimate.sfb_worker is None
-        assert estimate.adam_worker is None
-
     def test_invalid_batch_rejected(self, small_cluster):
         with pytest.raises(ConfigurationError):
             CostModel(small_cluster, batch_size=0)

@@ -389,7 +389,7 @@ class TestUnitBytes:
         shape = SyncShape(n, n, workload.batch_size)
         nbytes = get_backend(CommScheme.SFB).unit_bytes(unit, shape, owner=0)
         sf = unit.sufficient_factor_bytes(workload.batch_size)
-        assert nbytes.push == sf
+        assert [phase.nbytes for phase in nbytes.phases] == [sf]
         assert nbytes.worker == 2 * (n - 1) * sf
         assert nbytes.owner == 0.0
 
@@ -399,9 +399,9 @@ class TestUnitBytes:
         unit = next(u for u in workload.units if u.sf_eligible)
         shape = SyncShape(8, 8, workload.batch_size)
         nbytes = get_backend(scheme).unit_bytes(unit, shape, owner=1)
-        assert nbytes.push >= 0
-        assert nbytes.pull >= 0
-        assert nbytes.shard >= 0
+        assert nbytes.phases
+        assert all(phase.nbytes >= 0 and phase.hub_bytes >= 0
+                   for phase in nbytes.phases)
         assert nbytes.worker >= 0
         assert nbytes.owner >= 0
         # Named-node entries adjust a worker share, never below zero.
@@ -415,8 +415,8 @@ class TestUnitBytes:
             unit, SyncShape(8, 8, workload.batch_size, fine=True), owner=0)
         coarse = backend.unit_bytes(
             unit, SyncShape(8, 8, workload.batch_size, fine=False), owner=0)
-        assert fine.owner == 0.0 and fine.shard > 0.0
-        assert coarse.owner > 0.0 and coarse.shard == 0.0
+        assert fine.owner == 0.0 and fine.phases[0].hub_bytes > 0.0
+        assert coarse.owner > 0.0 and coarse.phases[0].hub_bytes == 0.0
 
 
 class TestScaleFigure:

@@ -312,15 +312,6 @@ class TestCostModelPolicy:
         assert sticky.scheme_cost_params(layer, CommScheme.PS) == \
             pytest.approx(base / 2)
 
-    def test_estimate_layer_scales_every_strategy(self, vgg19_spec):
-        cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
-        model = CostModel(cluster, batch_size=32)
-        layer = next(l for l in vgg19_spec.layers if l.sf_decomposable)
-        base = model.estimate_layer(layer)
-        scaled = model.estimate_layer(layer, policy="local-2")
-        assert scaled.ps_worker == pytest.approx(base.ps_worker / 2)
-        assert scaled.sfb_worker == pytest.approx(base.sfb_worker / 2)
-
     def test_best_scheme_policy_invariant(self, vgg19_spec):
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         model = CostModel(cluster, batch_size=32)

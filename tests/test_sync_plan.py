@@ -6,8 +6,13 @@
 * the per-node traffic the DES measures at its NICs equals the traffic the
   fluid engine sums from the backends' declared ``UnitBytes``, for every
   backend x topology x cluster size;
-* a backend declaring ``unit_bytes`` runs under both engines with no edit
-  to either; one declaring no fluid replay is refused at construction;
+* a backend declaring ``unit_bytes`` -- payload and phases, including a
+  phase sequence no shipped backend uses -- runs under the DES and both
+  fluid tiers with no edit to either; one declaring no phases, an unknown
+  kind or an unknown peer role is refused by ``resolve_plan``, hence at
+  construction of either engine;
+* the ``overlap_pull`` gate is one rule on the phase: toggling it moves
+  both engines the same way for every backend;
 * memo tables key on the whole frozen inputs, so a warm ``sweep_axis``
   misses whenever any system or cluster field differs.
 """
@@ -21,6 +26,10 @@ from repro import memo
 from repro.comm.backend import (
     ADAM_BACKEND,
     AdamBackend,
+    Peers,
+    Phase,
+    PhaseKind,
+    Scope,
     UnitBytes,
     owner_fan_bytes,
     register_backend,
@@ -145,12 +154,35 @@ class _OwnerFanHalf(AdamBackend):
         return owner_fan_bytes(unit.param_bytes / 2.0, unit.param_bytes, shape)
 
 
-class _DesOnly(AdamBackend):
-    """Test-only scheme that declares a payload but no fluid replay."""
+class _TwoLevelFanInFlatBroadcast(AdamBackend):
+    """Test-only sequence no shipped backend uses: rack-local fan-in, the
+    leaders' aggregates to the owner, then one owner broadcast to everyone."""
 
     def unit_bytes(self, unit, shape, owner):
-        return UnitBytes(unit.param_bytes, unit.param_bytes,
-                         worker=2.0 * unit.param_bytes)
+        dense = unit.param_bytes
+        leaders = tuple(
+            (members[0],
+             dense * (len(members) - 1) - (dense if members[0] == owner else 0))
+            for members in shape.racks)
+        remote = sum(members[0] != owner for members in shape.racks)
+        return UnitBytes(
+            worker=2.0 * dense, nodes=leaders,
+            # aggregates in, P - 1 copies out, no copy of its own back
+            owner=dense * (remote + shape.num_workers - 2),
+            phases=(Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS,
+                          Peers.RACK_LEADERS, dense, scope=Scope.GROUP),
+                    Phase(PhaseKind.FAN_IN, Peers.RACK_LEADERS, Peers.OWNER,
+                          dense),
+                    Phase(PhaseKind.BROADCAST, Peers.OWNER, Peers.WORKERS,
+                          dense, gated=True)))
+
+
+def _declares(*phases):
+    """A test-only backend whose every unit declares exactly ``phases``."""
+    class Declared(AdamBackend):
+        def unit_bytes(self, unit, shape, owner):
+            return UnitBytes(worker=2.0 * unit.param_bytes, phases=phases)
+    return Declared()
 
 
 @pytest.fixture
@@ -189,14 +221,65 @@ class TestBackendDeclaresItsPayloadOnce:
         assert analytic.iteration_seconds == pytest.approx(
             des.iteration_seconds, rel=0.5)
 
-    def test_backend_without_fluid_replay_is_refused(self, swap_adam_backend):
-        swap_adam_backend(_DesOnly())
+    @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
+    def test_new_phase_sequence_needs_no_engine_edit(
+            self, swap_adam_backend, racks, oversubscription):
+        swap_adam_backend(_TwoLevelFanInFlatBroadcast())
+        cluster = ClusterConfig(num_workers=8, racks=racks,
+                                oversubscription=oversubscription)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        des = IterationSimulator(workload, cluster, self.SYSTEM).run()
+        for mode in ("detail", "aggregate"):
+            analytic = FluidSimulator(workload, cluster, self.SYSTEM,
+                                      mode=mode).run()
+            np.testing.assert_allclose(analytic.per_node_traffic_bytes,
+                                       des.per_node_traffic_bytes, rtol=1e-9)
+            assert analytic.iteration_seconds == pytest.approx(
+                des.iteration_seconds, rel=0.5), mode
+
+    @pytest.mark.parametrize("phases,problem", [
+        ((), "declares no phases"),
+        ((Phase("teleport", Peers.WORKERS, Peers.OWNER, 1.0),),
+         "unknown phase kind 'teleport'"),
+        ((Phase(PhaseKind.FAN_IN, "everyone", Peers.OWNER, 1.0),),
+         "unknown peer roles 'everyone'"),
+        ((Phase(PhaseKind.FAN_IN, Peers.OWNER, Peers.WORKERS, 1.0),),
+         "unknown peer roles"),
+    ])
+    def test_undeclared_schedule_is_refused_at_construction(
+            self, swap_adam_backend, phases, problem):
+        swap_adam_backend(_declares(*phases))
         cluster = ClusterConfig(num_workers=4)
         workload = build_workload(ALEXNET, gpu=cluster.gpu)
-        assert IterationSimulator(workload, cluster, self.SYSTEM).run() \
-            .iteration_seconds > 0
-        with pytest.raises(ConfigurationError, match="no fluid replay"):
-            FluidSimulator(workload, cluster, self.SYSTEM)
+        for construct in (
+                lambda: resolve_plan(workload, self.SYSTEM, cluster),
+                lambda: IterationSimulator(workload, cluster, self.SYSTEM),
+                lambda: FluidSimulator(workload, cluster, self.SYSTEM)):
+            with pytest.raises(ConfigurationError, match=problem):
+                construct()
+
+    def test_plan_stays_small_and_is_lowered_on_first_des_use(self):
+        """Phases carry roles and counts -- a 10k-node plan holds no node
+        list -- and only a DES run lowers them to per-worker steps."""
+        from repro.simulation.throughput import _LOWERED
+
+        big = ClusterConfig(num_workers=10000, racks=250, oversubscription=4.0)
+        workload = build_workload(VGG, gpu=big.gpu)
+        misses = _LOWERED.misses
+        for system in backend_systems():
+            for unit in resolve_plan(workload, system, big).units:
+                assert 1 <= len(unit.bytes.phases) <= 4
+                for phase in unit.bytes.phases:
+                    assert all(isinstance(value, (int, float, Peers,
+                                                  PhaseKind, Scope))
+                               for value in vars(phase).values())
+        small = ClusterConfig(num_workers=4)
+        simulator = IterationSimulator(build_workload(ALEXNET), small,
+                                       self.SYSTEM)
+        FluidSimulator(build_workload(ALEXNET), small, self.SYSTEM).run()
+        assert _LOWERED.misses == misses
+        simulator.run()
+        assert _LOWERED.misses == misses + 1
 
     def test_registry_change_drops_warm_plans(self, swap_adam_backend):
         cluster = ClusterConfig(num_workers=4)
@@ -206,8 +289,44 @@ class TestBackendDeclaresItsPayloadOnce:
         swap_adam_backend(_OwnerFanHalf())
         after = resolve_plan(workload, self.SYSTEM, cluster)
         fc = next(i for i, u in enumerate(workload.units) if u.sf_eligible)
-        assert after.units[fc].bytes.push == workload.units[fc].param_bytes / 2
-        assert before.units[fc].bytes.push != after.units[fc].bytes.push
+        push = after.units[fc].bytes.phases[0].nbytes
+        assert push == workload.units[fc].param_bytes / 2
+        assert before.units[fc].bytes.phases[0].nbytes != push
+
+
+# -- one gate rule ----------------------------------------------------------------
+class TestOneGateRule:
+    """``gated`` is on the phase, so both engines honour ``overlap_pull``."""
+
+    CLUSTER = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
+
+    @staticmethod
+    def seconds(simulator_cls, workload, cluster, system):
+        return simulator_cls(workload, cluster, system).run().iteration_seconds
+
+    @pytest.mark.parametrize("system", backend_systems(),
+                             ids=[s.name for s in backend_systems()])
+    def test_toggle_moves_both_engines_the_same_way(self, system):
+        workload = build_workload(VGG, gpu=self.CLUSTER.gpu)
+        gated = replace(system, overlap_pull=False)
+        des, des_gated, fluid_, fluid_gated = (
+            self.seconds(cls, workload, self.CLUSTER, variant)
+            for cls in (IterationSimulator, FluidSimulator)
+            for variant in (system, gated))
+        assert des_gated >= des * (1 - 1e-12)
+        assert fluid_gated >= fluid_ * (1 - 1e-12)
+        if des_gated > des * (1 + 1e-9):
+            assert fluid_gated > fluid_ * (1 + 1e-9)
+
+    def test_adam_pull_waits_for_backward_done_in_the_des(self):
+        """The parent's Adam flow plan ignored the flag (bit-equal times)."""
+        adam = next(s for s in backend_systems() if s.comm is CommMode.ADAM)
+        workload = build_workload(VGG, gpu=self.CLUSTER.gpu)
+        overlapped = self.seconds(IterationSimulator, workload, self.CLUSTER,
+                                  adam)
+        gated = self.seconds(IterationSimulator, workload, self.CLUSTER,
+                             replace(adam, overlap_pull=False))
+        assert gated > overlapped
 
 
 # -- one memo ---------------------------------------------------------------------
