@@ -3,7 +3,7 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: test bench bench-update bench-full bench-smoke sweep-quick determinism \
-	examples-smoke docs-check reports-diff
+	examples-smoke docs-check reports-diff fluid-trace
 
 ## tier-1 test suite
 test:
@@ -27,6 +27,11 @@ determinism:
 reports-diff:
 	@test -n "$(REF)" || { echo "usage: make reports-diff REF=<rev|dir> [QUICK=1]"; exit 2; }
 	tools/reports_diff.sh "$(REF)" quick $(if $(QUICK),,full)
+
+## re-record tests/data/fluid_trace.json (the fluid engine's bit-for-bit pin)
+## and print the keys whose values moved: review a re-pin from that list
+fluid-trace:
+	PYTHONPATH=src python tests/test_fluid.py
 
 ## quick figure sweeps through the parallel runner (one worker per core)
 sweep-quick:

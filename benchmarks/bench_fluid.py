@@ -3,14 +3,14 @@
 Two measurements bracket the fluid engine's cost:
 
 * ``test_fluid_point`` -- one closed-form evaluation of a 1000-node
-  oversubscribed cluster (the aggregate tier: class clocks + per-rack
-  numpy loads), the unit of work behind every ``engine="fluid"`` sweep
-  point;
+  oversubscribed cluster (the aggregate tier: class clocks + one
+  (racks, axis) wire-clock array per direction), the unit of work behind
+  every ``engine="fluid"`` sweep point;
 * ``test_fluid_sweep_10k`` -- the headline interactive what-if: a full
   bandwidth axis for all seven registered backends on a 10k-node
-  oversubscribed cluster, evaluated from a cold warm-start cache.  The
-  committed baseline gates the "< 1 s wall-clock" budget this PR's
-  performance target is stated against.
+  oversubscribed cluster, evaluated from a cold warm-start cache and exact
+  per axis element.  ~40 ms with the racks an array dimension (0.35 s when
+  every phase looped over the 250 racks); the stated budget is 0.2 s.
 
 The DES cannot be benchmarked at these sizes at all -- a single 10k-node
 iteration walk is minutes of event processing -- which is the point of the
@@ -68,10 +68,11 @@ def test_fluid_sweep_10k(benchmark):
     curves = benchmark(_sweep_all_backends, 10000)
     assert len(curves) == len(SYSTEMS)
     assert all(curve.shape == (len(SWEEP_BANDWIDTHS),) for curve in curves)
-    # The PR's stated budget: interactive what-if means the whole sweep
-    # lands in well under a second of wall-clock.  stats is None under
-    # --benchmark-disable (the bench-smoke CI job), where only the
+    # The stated budget: interactive what-if means the whole cold sweep
+    # lands within 0.2 s of wall-clock (five times the baseline, so a slow
+    # box does not trip it; the 25 % gate is compare.py's).  stats is None
+    # under --benchmark-disable (the bench-smoke CI job), where only the
     # shape assertions above apply.
     if benchmark.stats is not None:
-        assert benchmark.stats.stats.mean < 1.0
+        assert benchmark.stats.stats.mean <= 0.2
     benchmark.extra_info["points"] = len(SYSTEMS) * len(SWEEP_BANDWIDTHS)

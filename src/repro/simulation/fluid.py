@@ -21,11 +21,15 @@ Two fidelity tiers share one phase structure:
   FIFO/head-of-line coupling is approximated by work-conserving fluid
   shares (see PERFORMANCE.md for the measured envelope).
 * **aggregate** (above :data:`DETAIL_NODE_MAX`): node-symmetric class
-  clocks and per-rack wire loads, O(units x racks) per point and entirely
-  numpy-vectorizable, which is what makes interactive 1k-10k-node what-if
-  sweeps possible.  :func:`sweep_axis` evaluates a whole bandwidth axis in
-  one pass by carrying every clock as a vector over the axis, warm-starting
-  from the memoized simulator and its resolved per-unit byte terms.
+  clocks and per-rack wire clocks.  Two dimensions are arrays, not loops:
+  the bandwidth axis (every clock is a vector over it; one bandwidth is an
+  axis of one) and the racks (one ``(racks, axis)`` wire-clock array per
+  direction, booked a whole phase at a time), so a unit phase costs one
+  heap pop and a fixed handful of numpy calls at any rack count -- what
+  makes interactive 1k-10k-node what-if sweeps possible.  A pass pops in
+  the order of the axis' first element; every other element is checked
+  against the recorded pops and re-evaluated if its own order differs, so
+  :func:`sweep_axis` equals point-by-point evaluation bit for bit.
 
 Which scheme, owner, payload and schedule each unit has comes from the
 resolved :class:`~repro.simulation.plan.SyncPlan` -- the same value the DES
@@ -187,6 +191,20 @@ class FluidSimulator:
         detail = self.num_workers <= DETAIL_NODE_MAX
         self.detail = detail if mode == "auto" else (mode == "detail")
         self.bandwidth_bps = cluster.effective_bandwidth_bps
+        # Rack profile, one (racks, 1) column each (they broadcast against
+        # the aggregate tier's (racks, axis) wire clocks): members, and the
+        # share of a member's fabric traffic that leaves the rack (none on
+        # a flat network).
+        per_rack = cluster.nodes_per_rack
+        self._rack_ids = np.arange(self.nracks)[:, None]
+        self._members = np.clip(self.num_workers - self._rack_ids * per_rack,
+                                0, per_rack)
+        self._cross = ((self.num_workers - self._members) * self.topo
+                       / max(1, self.num_workers - 1))
+        #: Racks with fabric traffic on their uplink; ``True`` (numpy's
+        #: unmasked path) when that is every rack.
+        crossing = (self._members > 0) & (self._cross > 0.0)
+        self._crossing = True if crossing.all() else crossing
 
     # -- shared arithmetic ---------------------------------------------------
     @property
@@ -214,16 +232,8 @@ class FluidSimulator:
     def _rack_of(self, node: int) -> int:
         return self.cluster_config.rack_of(node) if self.topo else 0
 
-    def _rack_members(self, rack: int) -> int:
-        first = rack * self.cluster_config.nodes_per_rack
-        return max(0, min(self.cluster_config.nodes_per_rack,
-                          self.num_workers - first))
-
     def _cross_fraction(self, node: int) -> float:
-        if not self.topo or self.num_workers <= 1:
-            return 0.0
-        members = self._rack_members(self._rack_of(node))
-        return (self.num_workers - members) / (self.num_workers - 1)
+        return float(self._cross[self._rack_of(node), 0]) if self.topo else 0.0
 
     # -- result assembly -----------------------------------------------------
     def run(self):
@@ -267,7 +277,8 @@ class FluidSimulator:
 
         ``bandwidth_bps`` may be a numpy array (an entire sweep axis): every
         busy clock is then carried as a vector over the axis and the result
-        has the same shape.  Axis evaluation requires the aggregate tier
+        has the same shape, each element equal to the evaluation at that
+        bandwidth alone.  Axis evaluation requires the aggregate tier
         (per-copy chaining orders events per axis element).
         """
         if bandwidth_bps is not None:
@@ -275,6 +286,25 @@ class FluidSimulator:
             if np.ndim(bandwidth_bps) > 0 and self.detail:
                 raise ConfigurationError(
                     "vectorized axis evaluation requires the aggregate tier")
+        if self.detail or self.num_workers <= 1:
+            return self._replay()
+        # The elements a pass replayed in their own event order keep their
+        # result; the others go round again, one of them leading.
+        given = self.bandwidth_bps
+        axis = np.asarray(given, dtype=float)
+        seconds = np.empty(axis.size)
+        todo = np.arange(axis.size)
+        while todo.size:
+            self.bandwidth_bps = axis.flat[todo]
+            result = np.broadcast_to(self._replay(), todo.shape)
+            own = self._popped_in_own_order()
+            seconds[todo[own]] = result[own]
+            todo = todo[~own]
+        self.bandwidth_bps = given
+        return seconds.reshape(axis.shape)[()]
+
+    def _replay(self):
+        """One pass over the phase heap at the current bandwidth (axis)."""
         w = self.workload
         compute_end = (w.forward_seconds
                        + sum(u.backward_seconds for u in w.units)
@@ -285,6 +315,7 @@ class FluidSimulator:
         self._events: List[tuple] = []
         self._seq = 0
         self._completions: List = []
+        self._popped: List[tuple] = []  # (when, seq), aggregate tier only
         seq_mode = self.system.schedule is not ScheduleMode.WFBP
         self._init_clocks()
         t = w.forward_seconds
@@ -297,13 +328,30 @@ class FluidSimulator:
                 ready = ready + unit_plan.encode_seconds
             self._at(ready, self._drive(unit_plan))
         while self._events:
-            _key, _seq, when, fn = heapq.heappop(self._events)
+            _key, seq, when, fn = heapq.heappop(self._events)
+            if not self.detail:
+                self._popped.append((when, seq))
             fn(when)
         result = compute_end
         for completion in self._completions:
             result = np.maximum(result, completion)
         return self._apply_faults(self._apply_policy(result, compute_end),
                                   compute_end)
+
+    def _popped_in_own_order(self) -> np.ndarray:
+        """Which axis elements the last pass replayed in their own order.
+
+        The pass popped by ``(when[lead], seq)``; element ``j`` alone pops by
+        ``(when[j], seq)``.  If the recorded pops are sorted under that key
+        too, every pop was also ``j``'s minimum (the heap held only events
+        popped later), so by induction ``j`` saw exactly its own bookings.
+        """
+        when = np.empty((len(self._popped), np.size(self.bandwidth_bps)))
+        for row, (at, _seq) in zip(when, self._popped):
+            row[:] = at
+        step = np.diff(when, axis=0)
+        later = np.diff([seq for _at, seq in self._popped]) > 0
+        return ((step > 0.0) | ((step == 0.0) & later[:, None])).all(axis=0)
 
     def _apply_policy(self, total, compute):
         """Rescale one BSP iteration for the system's execution semantics.
@@ -372,11 +420,10 @@ class FluidSimulator:
     # Phases are booked at their DES request times (push at the unit's
     # ready, pull at all_sent/aggregated, ...) so bookings from different
     # units land on the shared busy clocks in the same order the
-    # event-driven simulator issues them.  With a vector axis, ordering
-    # uses the first axis element; the booking arithmetic itself stays
-    # exact per element (ordering is bandwidth-invariant for the unit
-    # structures the workloads produce): the heap orders by a scalar key
-    # and the entry keeps the full axis vector for the callback.
+    # event-driven simulator issues them.  With a vector axis the heap
+    # orders by the lead (first) element and the entry keeps the whole
+    # vector for the callback: the arithmetic is elementwise, the order one
+    # element's -- which ``_popped_in_own_order`` checks for the others.
     def _at(self, when, fn: Callable) -> None:
         key = float(np.asarray(when).flat[0])
         heapq.heappush(self._events, (key, self._seq, when, fn))
@@ -440,19 +487,19 @@ class FluidSimulator:
     # -- clock state ---------------------------------------------------------
     def _init_clocks(self) -> None:
         if self.detail:
-            self.up = [0.0] * self.cluster_config.num_nodes
-            self.down = [0.0] * self.cluster_config.num_nodes
-        else:
-            # Node-symmetric class clocks: one up/down pair stands in for
-            # the (statistically identical) worker NICs.
-            zero = np.zeros_like(np.asarray(self.bandwidth_bps, dtype=float))
-            self.up = [zero + 0.0]
-            self.down = [zero + 0.0]
-        zero = 0.0 if self.detail else np.zeros_like(
-            np.asarray(self.bandwidth_bps, dtype=float))
-        self.rku = [zero + 0.0 for _ in range(self.nracks)]
-        self.rkd = [zero + 0.0 for _ in range(self.nracks)]
-        self.ring_clock = zero + 0.0
+            nodes = self.cluster_config.num_nodes
+            self.up, self.down = [0.0] * nodes, [0.0] * nodes
+            self.rku, self.rkd = [0.0] * self.nracks, [0.0] * self.nracks
+            self.ring_clock = 0.0
+            return
+        # Node-symmetric class clocks: one up/down pair stands in for the
+        # (statistically identical) worker NICs; they are rebound, never
+        # written in place.  The rack wires are one (racks, axis) array per
+        # direction.
+        zero = np.zeros(np.shape(self.bandwidth_bps))
+        self.up, self.down, self.ring_clock = [zero], [zero], zero
+        self.rku = np.zeros((self.nracks,) + zero.shape)
+        self.rkd = np.zeros_like(self.rku)
 
     # ========================================================================
     # detail tier: per-node replay of the DES bookings
@@ -644,8 +691,7 @@ class FluidSimulator:
 
     def _book_ring(self, plan: UnitPlan, phase: Phase, rack, call,
                    done: Callable) -> None:
-        """Lockstep ring steps: a full-cluster barrier on every clock (both
-        tiers book it the same way; the clock lists differ in length)."""
+        """Lockstep ring steps: a full-cluster barrier on every clock."""
         start = np.maximum(call, self.ring_clock)
         for clock in self.up:
             start = np.maximum(start, clock)
@@ -672,38 +718,33 @@ class FluidSimulator:
     }
 
     # ========================================================================
-    # aggregate tier: node-symmetric class clocks, O(units x racks)
+    # aggregate tier: node-symmetric class clocks, racks an array dimension
     # ========================================================================
     # Conventions: self.up[0]/self.down[0] are the worker-class NIC clocks;
-    # rack wires keep per-rack clocks (numpy-friendly).  Owners are
-    # round-robin over the server nodes, so with units << workers (always
-    # true at 1k+ nodes) every unit's owner NIC starts from the class
-    # clock -- the same approximation the cross-tier tests quantify.
+    # self.rku/self.rkd hold every rack's wire clock, booked a whole phase
+    # at a time against the (racks, 1) profile columns of ``__init__``: each
+    # element sees the float64 operations a per-rack, per-bandwidth loop
+    # would apply, in the same order.  Owners are round-robin over the
+    # server nodes, so with units << workers (always true at 1k+ nodes)
+    # every unit's owner NIC starts from the class clock -- the same
+    # approximation the cross-tier tests quantify.
     # Same booker signature as the detail tier; ``rack`` is always ``None``.
-    def _rack_profile(self) -> List[Tuple[int, float]]:
-        """(members, cross_fraction) of each rack."""
-        out = []
-        for rack in range(self.nracks):
-            members = self._rack_members(rack)
-            cross = ((self.num_workers - members) / (self.num_workers - 1)
-                     if self.topo and self.num_workers > 1 else 0.0)
-            out.append((members, cross))
-        return out
+    def _book_racks(self, clock: np.ndarray, racks, call, hold):
+        """Queue ``hold`` behind ``call`` on the wire clocks of ``racks`` (a
+        mask column); returns the latest of their new busy tails."""
+        np.copyto(clock, np.maximum(call, clock) + hold, where=racks)
+        return clock.max(axis=0, where=racks, initial=-np.inf)
 
     def _agg_fabric(self, plan: UnitPlan, phase: Phase, rack, call,
                     done: Callable) -> None:
         """Workers against the KV fabric, the shards the other way."""
-        profile = self._rack_profile()
-
         def fabric(nbytes: float, outbound: bool):
             nic = self.up if outbound else self.down
             fin = nic[0] = np.maximum(call, nic[0]) + self._tn(nbytes)
-            rkc = self.rku if outbound else self.rkd
-            for rack, (members, cross) in enumerate(profile):
-                if cross > 0.0 and members > 0:
-                    rkc[rack] = (np.maximum(call, rkc[rack])
-                                 + members * self._wire(nbytes * cross))
-                    fin = np.maximum(fin, rkc[rack])
+            if self.topo:
+                fin = np.maximum(fin, self._book_racks(
+                    self.rku if outbound else self.rkd, self._crossing, call,
+                    self._members * self._wire(nbytes * self._cross)))
             return fin
 
         outbound = phase.kind is PhaseKind.FABRIC_OUT
@@ -737,7 +778,6 @@ class FluidSimulator:
             done(None, start + (members - 1) * self._tn(nbytes))
             return
         leaders = Peers.RACK_LEADERS in (phase.src, phase.dst)
-        profile = self._rack_profile()
         o_rack = self._rack_of(plan.owner)
         # Peers of the owner: all of them, and those outside its rack.
         if leaders:
@@ -745,32 +785,30 @@ class FluidSimulator:
             cross = peers if self.topo else 0
         else:
             peers = self.num_workers - 1
-            cross = self.num_workers - profile[o_rack][0] if self.topo else 0
+            cross = (self.num_workers - int(self._members[o_rack, 0])
+                     if self.topo else 0)
         fan = fin = (start + (peers - cross) * self._tn(nbytes)
                      + cross * self._tfs(nbytes))
         if not leaders:
             many[0] = np.maximum(call, many[0]) + self._tn(nbytes)
             fin = np.maximum(many[0], fan)
         if cross:
+            # The owner's rack carries the whole cross fan on one wire, every
+            # other rack its share (one leader, or its members) on the other.
             near, far = ((self.rkd, self.rku) if inbound
                          else (self.rku, self.rkd))
-            for rack, (members, _cf) in enumerate(profile):
-                if rack == o_rack:
-                    clock, share = near, cross
-                else:
-                    clock, share = far, 1 if leaders else members
-                if share:
-                    clock[rack] = (np.maximum(call, clock[rack])
-                                   + share * self._wire(nbytes))
-                    fin = np.maximum(fin, clock[rack])
-        if not leaders:
-            done(None, fin)
-        elif inbound:
+            wire = self._wire(nbytes)
+            near[o_rack] = np.maximum(call, near[o_rack]) + cross * wire
+            share = 1 if leaders else self._members
+            fin = np.maximum(np.maximum(fin, near[o_rack]), self._book_racks(
+                far, (self._rack_ids != o_rack) & (share > 0), call,
+                share * wire))
+        if leaders and inbound:
             self.down[0] = fin
-            done(None, fin)
-        else:
+        elif leaders:
             self._completions.append(fin)
-            done(None, fan)
+            fin = fan
+        done(None, fin)
 
     def _agg_broadcast(self, plan: UnitPlan, phase: Phase, rack, call,
                        done: Callable) -> None:
@@ -787,7 +825,7 @@ class FluidSimulator:
             done(None, fin)
             return
         slot = self._tn(nbytes)
-        members = self._rack_members(0) if self.topo else n
+        members = int(self._members[0, 0]) if self.topo else n
         intra, cross = members - 1, n - members
         drain = intra * slot + cross * self._tfs(nbytes)
         # Symmetric convoy: every NIC sends N-1 and receives N-1 copies;
@@ -803,15 +841,24 @@ class FluidSimulator:
             # ratchets every rack-wire clock to the global maximum: cross
             # copies serialize globally, not per rack pair.  Book the whole
             # unit's cross traffic on one lockstep clock.
-            lock = np.maximum(call, self.rku[0])
-            for rack in range(self.nracks):
-                lock = np.maximum(lock,
-                                  np.maximum(self.rku[rack], self.rkd[rack]))
-            lock = lock + n * cross * self._wire(nbytes)
-            for rack in range(self.nracks):
-                self.rku[rack] = lock
-                self.rkd[rack] = lock
+            lock = (np.maximum(call, np.maximum(self.rku.max(axis=0),
+                                                self.rkd.max(axis=0)))
+                    + n * cross * self._wire(nbytes))
+            self.rku[:] = lock
+            self.rkd[:] = lock
             fin = np.maximum(fin, lock + self._tfs(nbytes))
+        done(None, fin)
+
+    def _agg_ring(self, plan: UnitPlan, phase: Phase, rack, call,
+                  done: Callable) -> None:
+        """Lockstep ring steps: a full-cluster barrier on every clock."""
+        start = np.maximum(np.maximum(call, self.ring_clock),
+                           np.maximum(self.up[0], self.down[0]))
+        fin = start + phase.repeat * self._tfs(phase.nbytes)
+        self.ring_clock = self.up[0] = self.down[0] = fin
+        if self.topo:
+            np.maximum(self.rku, fin, out=self.rku)
+            np.maximum(self.rkd, fin, out=self.rkd)
         done(None, fin)
 
     _AGGREGATE = {
@@ -820,7 +867,7 @@ class FluidSimulator:
         PhaseKind.FAN_IN: _agg_fan,
         PhaseKind.FAN_OUT: _agg_fan,
         PhaseKind.BROADCAST: _agg_broadcast,
-        PhaseKind.RING_STEP: _book_ring,
+        PhaseKind.RING_STEP: _agg_ring,
     }
 
 

@@ -10,10 +10,11 @@ Four layers of protection:
   reproduces the DES results byte-identically, and that unknown engine
   names raise ``ConfigurationError`` at every entry point;
 * internal consistency: the vectorized ``sweep_axis`` path equals
-  point-by-point aggregate evaluation exactly, the detail and aggregate
-  tiers agree within per-scheme bounds where they overlap, and warm
-  caches keyed on topology fields never leak state across
-  oversubscription settings (the PR 3 memo-table audit);
+  point-by-point aggregate evaluation bit for bit on every backend and in
+  any axis order, the detail and aggregate tiers agree within per-scheme
+  bounds where they overlap, and warm caches keyed on topology fields
+  never leak state across oversubscription settings (the PR 3 memo-table
+  audit);
 * the multi-job contention model: background jobs slow oversubscribed
   clusters monotonically and leave flat clusters untouched;
 * a recorded trace: ``tests/data/fluid_trace.json`` holds the ``repr`` of
@@ -256,6 +257,36 @@ class TestTransformerFluidVsDes:
         assert abs(self.transformer_error(comm)) <= FLAT_TOL_APPROX
 
 
+#: Where ``sweep_axis`` is compared with point-by-point evaluation: full
+#: racks, a ragged last rack (1003 = 25 x 39 + 28) and a flat network.
+SWEEP_CLUSTERS = {
+    "racked": ClusterConfig(num_workers=1000, bandwidth_gbps=40.0, racks=25,
+                            oversubscription=4.0),
+    "ragged": ClusterConfig(num_workers=1003, bandwidth_gbps=40.0, racks=26,
+                            oversubscription=3.0),
+    "flat": ClusterConfig(num_workers=1000, bandwidth_gbps=40.0),
+}
+SWEEP_AXIS_GBPS = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 56.0, 100.0)
+SWEEP_AXIS_ORDERS = (SWEEP_AXIS_GBPS, SWEEP_AXIS_GBPS[::-1],
+                     (20.0, 100.0, 1.0, 56.0, 5.0, 2.0, 40.0, 10.0))
+
+
+def check_sweep_is_pointwise(system, cluster, jobs=0):
+    """``sweep_axis`` == one aggregate evaluation per bandwidth, bit for bit,
+    with the axis ascending, descending and shuffled."""
+    workload = build_workload(VGG, gpu=cluster.gpu)
+    pointwise = {
+        bw: float(FluidSimulator(workload, cluster.with_bandwidth(bw), system,
+                                 mode="aggregate",
+                                 background_jobs=jobs).iteration_seconds())
+        for bw in SWEEP_AXIS_GBPS}
+    for axis in SWEEP_AXIS_ORDERS:
+        swept = sweep_axis(VGG, system, cluster, axis, workload=workload,
+                           background_jobs=jobs)
+        assert swept.shape == (len(axis),)
+        assert swept.tolist() == [pointwise[bw] for bw in axis]
+
+
 class TestTiersAndSweeps:
     """Aggregate tier, vectorized axis sweeps, warm caches."""
 
@@ -295,20 +326,33 @@ class TestTiersAndSweeps:
             FluidSimulator(workload, cluster, make_system(CommMode.PS),
                            mode="exact")
 
-    def test_sweep_axis_matches_pointwise(self):
-        bandwidths = [5.0, 10.0, 20.0, 40.0]
-        cluster = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0,
-                                racks=25, oversubscription=4.0)
-        workload = build_workload(VGG, gpu=cluster.gpu)
-        system = make_system(CommMode.PS)
-        axis = sweep_axis(VGG, system, cluster, bandwidths,
-                          workload=workload)
-        assert axis.shape == (len(bandwidths),)
-        for bw, vectorized in zip(bandwidths, axis):
-            point = FluidSimulator(workload, cluster.with_bandwidth(bw),
-                                   system, mode="aggregate").run()
-            assert vectorized == pytest.approx(point.iteration_seconds,
-                                               rel=1e-12)
+    @pytest.mark.parametrize("topology", sorted(SWEEP_CLUSTERS))
+    @pytest.mark.parametrize("system", backend_systems(),
+                             ids=lambda system: system.name)
+    def test_sweep_axis_equals_pointwise(self, system, topology):
+        """Every axis element is the evaluation at that bandwidth alone,
+        whichever element leads the pass: request times cross along the
+        axis, so an element replayed in another's event order is wrong."""
+        check_sweep_is_pointwise(system, SWEEP_CLUSTERS[topology])
+
+    @pytest.mark.parametrize("system", backend_systems(),
+                             ids=lambda system: system.name)
+    def test_sweep_axis_equals_pointwise_variants(self, system):
+        check_sweep_is_pointwise(system, SWEEP_CLUSTERS["racked"], jobs=1)
+        check_sweep_is_pointwise(replace(system, overlap_pull=False),
+                                 SWEEP_CLUSTERS["ragged"])
+
+    @settings(max_examples=10, deadline=None)
+    @given(order=st.permutations(range(len(SWEEP_AXIS_GBPS))),
+           system=st.sampled_from(backend_systems()),
+           topology=st.sampled_from(sorted(SWEEP_CLUSTERS)))
+    def test_permuting_the_axis_permutes_the_result(self, order, system,
+                                                    topology):
+        cluster = SWEEP_CLUSTERS[topology]
+        straight = sweep_axis(VGG, system, cluster, SWEEP_AXIS_GBPS)
+        permuted = sweep_axis(VGG, system, cluster,
+                              [SWEEP_AXIS_GBPS[i] for i in order])
+        assert permuted.tolist() == straight[list(order)].tolist()
 
     def test_sweep_axis_monotone_in_bandwidth(self):
         bandwidths = [1.0, 5.0, 10.0, 40.0, 100.0]
@@ -517,13 +561,24 @@ class TestRecordedFluidTrace:
         assert [repr(t) for t in thunk()] == trace[key]
 
 
-if __name__ == "__main__":  # re-record: python tests/test_fluid.py
+if __name__ == "__main__":  # re-record: make fluid-trace
+    with open(TRACE_PATH) as fh:
+        recorded = json.load(fh)["points"]
+    points = {key: [repr(t) for t in thunk()]
+              for key, thunk in fluid_trace_points()}
+    # A re-pin is reviewed from this list, not from the JSON diff.
+    moved = [key for key in sorted(set(recorded) | set(points))
+             if recorded.get(key) != points.get(key)]
+    for key in moved:
+        print(f"{key}: {recorded.get(key)} -> {points.get(key)}")
+    print(f"{len(moved)} of {len(points)} keys moved")
     with open(TRACE_PATH, "w") as fh:
         json.dump({
             "note": ("repr() of FluidSimulator.iteration_seconds / "
                      "sweep_axis on vgg19; recorded at the parent of the "
-                     "phase-interpreter refactor (PR 16)"),
-            "points": {key: [repr(t) for t in thunk()]
-                       for key, thunk in fluid_trace_points()},
+                     "phase-interpreter refactor (PR 16), the PS and 1-bit "
+                     "PS sweep_axis vectors re-recorded when sweep_axis "
+                     "became exact per axis element (PR 17)"),
+            "points": points,
         }, fh, indent=1)
         fh.write("\n")
