@@ -3,14 +3,18 @@
 Each benchmark simulates one full BSP iteration of a figure-style
 configuration and reports the wall-clock per simulated iteration; the
 ``simulated Kevents/s`` figure printed in PERFORMANCE.md is
-``events_processed / mean_s``.  Two traffic patterns bound the simulator's
-event graph from both sides:
+``events_processed / mean_s``.  Three traffic patterns bound the simulator's
+event graph:
 
 * the SFB configs (VGG19 under HybComm) are dominated by the all-to-all
   sufficient-factor broadcasts of the FC layers -- the per-config event
   graph the tail-clock channels and countdown barriers collapse;
 * the fine-PS configs (VGG19 under Caffe+WFBP) are dominated by the
-  per-unit KV-store scatter/gather against the fabric.
+  per-unit KV-store scatter/gather against the fabric;
+* the ring configs (VGG19 under ring all-reduce) are ``2(P-1)`` lockstep
+  chunk steps per unit, booked as one hold per worker in a ring-only BSP
+  plan (565 / 2,125 events; 2,320 / 32,320 while every step had its own
+  all-worker countdown).
 
 The 8-node points track the constant overheads; the 32-node points are the
 scaling gate (the event graph used to be quadratic in cluster size).
@@ -20,6 +24,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.engines import CAFFE_WFBP, POSEIDON_CAFFE
+from repro.engines.collective import RING_ALLREDUCE
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation.throughput import IterationSimulator
 from repro.simulation.workload import build_workload
@@ -47,5 +52,13 @@ def test_flow_sim_sfb(benchmark, nodes):
 def test_flow_sim_fine_ps(benchmark, nodes):
     """One VGG19 iteration under Caffe+WFBP (fine-grained KV scatter/gather)."""
     result, events = benchmark(_simulate, CAFFE_WFBP, nodes)
+    assert result.iteration_seconds > 0
+    benchmark.extra_info["events_processed"] = events
+
+
+@pytest.mark.parametrize("nodes", [8, 32])
+def test_flow_sim_ring(benchmark, nodes):
+    """One VGG19 iteration under ring all-reduce (lockstep chunk steps)."""
+    result, events = benchmark(_simulate, RING_ALLREDUCE, nodes)
     assert result.iteration_seconds > 0
     benchmark.extra_info["events_processed"] = events

@@ -184,22 +184,6 @@ class ClusterModel:
                     if num_nodes > 1 else 0.0)
 
     # -- topology helpers --------------------------------------------------------
-    def ring_successor(self, worker_id: int) -> int:
-        """The next worker on the logical ring (worker ids, wrap-around).
-
-        Used by ring-style collectives (e.g. the ring all-reduce backend):
-        worker ``i`` always ships to worker ``(i + 1) mod P``.
-
-        Raises:
-            SimulationError: if ``worker_id`` is not a worker node.
-        """
-        num_workers = self.config.num_workers
-        if not 0 <= worker_id < num_workers:
-            raise SimulationError(
-                f"worker id {worker_id} out of range [0, {num_workers})"
-            )
-        return (worker_id + 1) % num_workers
-
     def rack_of(self, node_id: int) -> int:
         """Rack index of a node under the physical topology.
 
@@ -281,7 +265,7 @@ class ClusterModel:
                              src_nic: NetworkInterface,
                              dst_nic: NetworkInterface,
                              nbytes: float, tag: str,
-                             uplink_held: bool = False) -> Generator:
+                             uplink_held: bool = False, repeat: int = 1) -> Generator:
         """Process: a point-to-point flow whose endpoints sit in different racks.
 
         In addition to the two NICs, the flow serialises its bytes through
@@ -290,26 +274,28 @@ class ClusterModel:
         contend for the scarce bisection bandwidth while intra-rack flows
         do not.  With ``uplink_held`` the caller already owns the sender's
         NIC uplink (a broadcast batch holding it across copies) and the
-        hold path starts at the rack switch.
+        hold path starts at the rack switch.  ``repeat`` back-to-back
+        messages are one hold of ``repeat`` times each channel's time.
         """
         src_switch = self.rack_switch(src)
         dst_switch = self.rack_switch(dst)
         bottleneck = min(src_nic.bandwidth_bps, dst_nic.bandwidth_bps,
                          src_switch.bandwidth_bps, dst_switch.bandwidth_bps)
         latency = max(src_nic.latency_seconds, dst_nic.latency_seconds)
-        flow_seconds = units.transfer_seconds(nbytes, bottleneck) + latency
+        flow_seconds = repeat * (units.transfer_seconds(nbytes, bottleneck) + latency)
         plan = (
-            (src_switch.uplink, src_switch.wire_time(nbytes)),
-            (dst_switch.downlink, dst_switch.wire_time(nbytes)),
+            (src_switch.uplink, repeat * src_switch.wire_time(nbytes)),
+            (dst_switch.downlink, repeat * dst_switch.wire_time(nbytes)),
             (dst_nic.downlink, flow_seconds),
         )
         if not uplink_held:
             plan = ((src_nic.uplink, flow_seconds),) + plan
         yield from self._hold_path(plan)
-        src_nic.traffic.record_sent(nbytes, tag)
-        src_switch.traffic.record_sent(nbytes, tag)
-        dst_switch.traffic.record_received(nbytes, tag)
-        dst_nic.traffic.record_received(nbytes, tag)
+        total = repeat * nbytes
+        src_nic.traffic.record_sent(total, tag)
+        src_switch.traffic.record_sent(total, tag)
+        dst_switch.traffic.record_received(total, tag)
+        dst_nic.traffic.record_received(total, tag)
 
     def _rack_fabric_flow(self, node: int, nic: NetworkInterface,
                           outbound: bool, nbytes: float, cross_bytes: float,
@@ -336,13 +322,16 @@ class ClusterModel:
             nic.traffic.record_received(nbytes, tag)
             switch.traffic.record_received(cross_bytes, tag)
 
-    def transfer(self, src: int, dst: int, nbytes: float, tag: str = "untagged"
-                 ) -> Generator:
-        """Process: move ``nbytes`` from ``src`` to ``dst``.
+    def transfer(self, src: int, dst: int, nbytes: float, tag: str = "untagged",
+                 repeat: int = 1) -> Generator:
+        """Process: move ``nbytes`` from ``src`` to ``dst``, ``repeat`` times.
 
         Either endpoint may be :data:`FABRIC`, in which case only the other
         endpoint's NIC is occupied.  A transfer between a node and itself is
         local and takes no network time (the colocated-PS-shard fast path).
+        ``repeat`` messages between two nodes go back to back as one flow:
+        every channel on the path holds ``repeat`` times its one-message
+        time (latency included) and the accounts record ``repeat * nbytes``.
 
         The flow claims the sender's uplink at call time (FIFO) and the
         receiver's downlink at the moment the uplink is granted -- the same
@@ -355,10 +344,10 @@ class ClusterModel:
         serialise through the shared rack switch channels; intra-rack
         flows take the historical path untouched.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        if src == FABRIC and dst == FABRIC:
-            raise SimulationError("transfer needs at least one real endpoint")
+        if nbytes < 0 or repeat < 1:
+            raise SimulationError(f"negative size or repeat < 1: {nbytes} x {repeat}")
+        if FABRIC in (src, dst) and (src == dst or repeat > 1):
+            raise SimulationError("transfer needs one real endpoint, two to repeat")
         if src == dst or nbytes == 0:
             return
         src_nic = None if src == FABRIC else self.machine(src).nic
@@ -368,7 +357,7 @@ class ClusterModel:
             if src_nic is not None and dst_nic is not None:
                 if self.rack_of(src) != self.rack_of(dst):
                     yield from self._cross_rack_transfer(
-                        src, dst, src_nic, dst_nic, nbytes, tag)
+                        src, dst, src_nic, dst_nic, nbytes, tag, repeat=repeat)
                     return
             else:
                 node = src if src_nic is not None else dst
@@ -386,7 +375,7 @@ class ClusterModel:
         latency = max(
             nic.latency_seconds for nic in (src_nic, dst_nic) if nic is not None
         )
-        duration = units.transfer_seconds(nbytes, bandwidth) + latency
+        duration = repeat * (units.transfer_seconds(nbytes, bandwidth) + latency)
         env = self.env
 
         if src_nic is None or dst_nic is None:
@@ -488,8 +477,8 @@ class ClusterModel:
             up_release.succeed_at(finish)
             up.note_entry(up_release, finish)
             yield down_release
-        src_nic.traffic.record_sent(nbytes, tag)
-        dst_nic.traffic.record_received(nbytes, tag)
+        src_nic.traffic.record_sent(repeat * nbytes, tag)
+        dst_nic.traffic.record_received(repeat * nbytes, tag)
 
     def broadcast(self, src: int, dst_ids: List[int], nbytes_each: float,
                   tag: str = "untagged") -> Generator:

@@ -292,9 +292,12 @@ class RingBackend(CommBackend):
         # 1/P chunks: 2 (P - 1) lockstep steps, each shipping one chunk to
         # the ring successor's downlink (point-to-point flows, so NIC
         # contention with other units emerges naturally) behind an
-        # all-worker barrier -- the ring's data dependency.
+        # all-worker barrier -- the ring's data dependency.  The fluid tiers
+        # book them as one ``repeat * step`` hold; the DES steps them, or
+        # holds once where that is exact (``IterationSimulator._lowered``).
+        # A lone worker's plan is never run; one step keeps it valid.
         chunk = self.gradient_bytes(unit, shape) / shape.num_workers
-        steps = 2 * (shape.num_workers - 1)
+        steps = max(2 * (shape.num_workers - 1), 1)
         return UnitBytes(
             worker=4.0 * (shape.num_workers - 1) * chunk,
             phases=(Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR,

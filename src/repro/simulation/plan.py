@@ -15,6 +15,7 @@ them prices a payload or sequences a scheme itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -170,7 +171,8 @@ def resolve_plan(workload: IterationWorkload, system: SystemConfig,
     Raises:
         ConfigurationError: on an invalid compression/bucketing axis, or a
             scheme whose backend declares no ``unit_bytes``, no phases, or
-            a phase outside the vocabulary (unknown kind or peer role).
+            a phase outside the vocabulary (unknown kind or peer role, a
+            repeat count no interpreter runs, a negative or non-finite size).
     """
     return _PLANS.get((workload, system, replace(cluster, bandwidth_gbps=1.0)),
                       lambda: _resolve(workload, system, cluster))
@@ -237,6 +239,14 @@ def _check_phases(backend: str, phases: Sequence[Phase],
                                             before and before.scope):
             problem = (f"phase {index} ({phase.kind.value}) is scoped per "
                        f"rack but names no rack peers")
+        elif phase.repeat < 1 or (phase.repeat > 1
+                                  and phase.kind is not PhaseKind.RING_STEP):
+            problem = (f"phase {index} ({phase.kind.value}) repeats "
+                       f"{phase.repeat} times (>= 1; only a ring_step > 1)")
+        elif not (0.0 <= phase.nbytes < math.inf
+                  and 0.0 <= phase.hub_bytes < math.inf):
+            problem = (f"phase {index} ({phase.kind.value}) moves a negative "
+                       f"or non-finite size ({phase.nbytes}, {phase.hub_bytes})")
     if problem:
         raise ConfigurationError(
             f"backend {backend!r} cannot be simulated: {problem}")

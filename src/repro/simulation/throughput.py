@@ -132,7 +132,7 @@ def simulation_result(simulator, iteration_seconds: float,
 _TRANSFER = 0   # (op, src, dst, nbytes, tag): inline point-to-point flow
 _SPAWN = 1      # same, as its own process (Phase.detached)
 _BROADCAST = 2  # (op, src, dst_ids, nbytes, tag): one uplink hold, many copies
-_RING = 3       # (op, nbytes, tag, first_barrier, steps): to the ring successor
+_RING = 3       # (op, nbytes, tag, first_barrier, rounds, holds): to the successor
 _ARRIVE = 4     # (op, barrier)
 _WAIT = 5       # (op, barrier)
 _GATE = 6       # (op,): wait for backward-done unless pulls overlap
@@ -163,7 +163,7 @@ class _UnitSteps:
     shards: Tuple[tuple, ...]
 
 
-def _lower_unit(plan: UnitPlan, shape: SyncShape) -> _UnitSteps:
+def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
     """Lower one unit's phases to per-worker steps (node ids enumerated).
 
     A node *acts* in a phase when its own process issues the transfer: the
@@ -176,6 +176,10 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape) -> _UnitSteps:
     (a broadcast's or ring step's receivers) waits for the phase's own.  A
     fetch's completion is known to the process that drove it, so a fan-out
     counts down only when it hands over to a later phase as a whole.
+
+    A phase repeated ``k`` times is ``k`` rounds of one message, each behind
+    its own countdown -- or, with ``one_hold`` (``IterationSimulator._lowered``
+    decides), one round whose flow holds its path ``k`` times as long.
     """
     phases = plan.bytes.phases
     workers = range(shape.num_workers)
@@ -187,6 +191,7 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape) -> _UnitSteps:
                       if phase.gated), len(phases))
     gated = [False] * len(workers)
     shards: List[tuple] = []
+    rounds = [1 if one_hold else phase.repeat for phase in phases]
 
     def barrier(index: int, node: int, step: int = 0) -> int:
         """Countdown of phase ``index`` (repetition ``step``) on ``node``'s rack."""
@@ -219,7 +224,7 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape) -> _UnitSteps:
         elif before.kind in _FABRIC_KINDS:
             wait(worker, (_AWAIT, index - 1))
         else:
-            wait(worker, (_WAIT, barrier(index - 1, worker, before.repeat - 1)))
+            wait(worker, (_WAIT, barrier(index - 1, worker, rounds[index - 1] - 1)))
         gate(worker, index)
 
     for index, phase in enumerate(phases):
@@ -227,13 +232,13 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape) -> _UnitSteps:
         tag = f"{kind.value}:{plan.unit.name}"
         if kind is PhaseKind.RING_STEP:
             first = barrier(index, 0)
-            for step in range(phase.repeat):  # consecutive ids
+            for step in range(rounds[index]):  # consecutive ids
                 sizes[barrier(index, 0, step)] = len(workers)
             for worker in workers:
                 before_act(worker, index)
-                steps[worker].append(
-                    (_RING, phase.nbytes, tag, first, phase.repeat))
-                waited[worker] = (_WAIT, first + phase.repeat - 1)
+                steps[worker].append((_RING, phase.nbytes, tag, first,
+                                      rounds[index], phase.repeat // rounds[index]))
+                waited[worker] = (_WAIT, first + rounds[index] - 1)
             continue
         groups = fan_groups(phase, shape, plan.owner)
         if kind is PhaseKind.BROADCAST:
@@ -278,12 +283,6 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape) -> _UnitSteps:
 
 #: Lowered plans; built on first DES use, never by ``resolve_plan``.
 _LOWERED = Memo(registry_generation)
-
-
-def _lowered(plan: SyncPlan) -> Dict[str, _UnitSteps]:
-    return _LOWERED.get(plan, lambda: {
-        unit_plan.unit.name: _lower_unit(unit_plan, plan.shape)
-        for unit_plan in plan.units})
 
 
 class _UnitSyncState:
@@ -393,9 +392,34 @@ class IterationSimulator:
             return factor
         return 1.0
 
+    def _lowered(self, one_round: bool) -> Dict[str, _UnitSteps]:
+        """The plan's lowered units, for the one BSP round or a policy run.
+
+        A repeated phase (the ring's ``2(P-1)`` steps) is one hold per worker
+        instead of one countdown round per step exactly when that is exact:
+        every unit's schedule is the single ``RING_STEP`` phase, the run is
+        one BSP round and every worker computes at the same speed.  Then the
+        links (uplink of ``w``, downlink of ``w + 1``) are private FIFO
+        servers fed at the same instants, and the slowest drains the same
+        work either way (docs/architecture.md, "DES lowering of a repeated
+        phase").  Observed, not a knob -- elsewhere one hold is wrong: it
+        head-of-line-blocks a mixed plan's PS and SFB flows, lets fast
+        workers run whole units ahead of a straggler, and hides the rotating
+        slow set's per-step convoy under a relaxed policy.
+        """
+        scales = {self._compute_scale(worker)
+                  for worker in range(self.num_workers)}
+        one_hold = one_round and len(scales) == 1 and all(
+            [phase.kind for phase in unit.bytes.phases] == [PhaseKind.RING_STEP]
+            for unit in self.plan.units)
+        return _LOWERED.get((self.plan, one_hold), lambda: {
+            unit.unit.name: _lower_unit(unit, self.plan.shape, one_hold)
+            for unit in self.plan.units})
+
     def _run_bsp(self) -> SimulationResult:
         """Simulate one globally synchronous (BSP) iteration."""
-        sync_round = _Round(self.env, _lowered(self.plan), self.num_workers)
+        sync_round = _Round(self.env, self._lowered(one_round=True),
+                            self.num_workers)
         worker_processes = [
             self.env.process(self._worker_process(worker, sync_round))
             for worker in range(self.num_workers)
@@ -451,7 +475,7 @@ class IterationSimulator:
                    if staleness is not None else _POLICY_WINDOWS)
         rounds = period * windows
         sync_rounds = [r for r in range(rounds) if (r + 1) % period == 0]
-        lowered = _lowered(self.plan)
+        lowered = self._lowered(one_round=False)
         views = {r: _Round(self.env, lowered, self.num_workers)
                  for r in sync_rounds}
         self._sync_done = {
@@ -619,10 +643,11 @@ class IterationSimulator:
             elif op == _WAIT:
                 yield barriers[step[1]]
             elif op == _RING:
-                _, nbytes, tag, first, count = step
+                _, nbytes, tag, first, rounds, holds = step
                 successor = (worker + 1) % self.num_workers
-                for barrier in barriers[first:first + count]:
-                    yield from transfer(worker, successor, nbytes, tag=tag)
+                for barrier in barriers[first:first + rounds]:
+                    yield from transfer(worker, successor, nbytes, tag=tag,
+                                        repeat=holds)
                     barrier.arrive()
                     yield barrier
             elif op == _GATE:

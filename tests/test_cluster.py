@@ -83,6 +83,35 @@ class TestTransfers:
         with pytest.raises(SimulationError):
             env.run_process(cluster.transfer(0, 1, -5))
 
+    @pytest.mark.parametrize("topology", [{}, {"racks": 2,
+                                               "oversubscription": 4.0}])
+    def test_repeat_is_one_hold_of_that_many_messages(self, topology):
+        """``repeat=k`` costs and records what k back-to-back messages do."""
+        def finish_and_traffic(repeat, messages):
+            env, cluster = make_cluster(**topology)
+
+            def proc():
+                for _ in range(messages):  # 1 -> 2 crosses the rack boundary
+                    yield from cluster.transfer(1, 2, 1.25e8, repeat=repeat)
+                return env.now
+
+            finish = env.run_process(proc())
+            accounts = [cluster.machine(node).nic.traffic.total_bytes
+                        for node in range(4)]
+            return finish, accounts, cluster.cross_rack_bytes()
+
+        held, stepped = finish_and_traffic(6, 1), finish_and_traffic(1, 6)
+        assert held[0] == pytest.approx(stepped[0], rel=1e-12)
+        assert held[1:] == stepped[1:]
+        assert held[1][1] == 6 * 1.25e8
+
+    def test_repeat_below_one_and_repeated_fabric_flow_rejected(self):
+        env, cluster = make_cluster()
+        with pytest.raises(SimulationError):
+            env.run_process(cluster.transfer(0, 1, 100, repeat=0))
+        with pytest.raises(SimulationError):
+            env.run_process(cluster.transfer(0, FABRIC, 100, repeat=2))
+
     def test_shared_uplink_serialises_flows(self):
         env, cluster = make_cluster(bandwidth_gbps=10.0)
         completions = []

@@ -9,18 +9,27 @@
 * a backend declaring ``unit_bytes`` -- payload and phases, including a
   phase sequence no shipped backend uses -- runs under the DES and both
   fluid tiers with no edit to either; one declaring no phases, an unknown
-  kind or an unknown peer role is refused by ``resolve_plan``, hence at
-  construction of either engine;
+  kind or peer role, a repeat count no interpreter runs or a negative /
+  non-finite size is refused by ``resolve_plan``, hence at construction of
+  either engine;
+* the DES's two lowerings of a repeated ring phase are each other's oracle:
+  on ring-only BSP plans whose workers all compute at one speed, one hold
+  per worker equals the stepped rounds (times, busy fraction, traffic) at a
+  closed-form event count; mixed plans, stragglers and relaxed policies
+  keep the stepped lowering, bit for bit;
 * the ``overlap_pull`` gate is one rule on the phase: toggling it moves
   both engines the same way for every backend;
 * memo tables key on the whole frozen inputs, so a warm ``sweep_axis``
   misses whenever any system or cluster field differs.
 """
 
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import memo
 from repro.comm.backend import (
@@ -41,6 +50,7 @@ from repro.core.poseidon import PoseidonContext
 from repro.core.wfbp import ScheduleMode
 from repro.engines import POSEIDON_TF
 from repro.engines.base import CommMode, Partitioning
+from repro.engines.collective import RING_ALLREDUCE
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
@@ -245,6 +255,19 @@ class TestBackendDeclaresItsPayloadOnce:
          "unknown peer roles 'everyone'"),
         ((Phase(PhaseKind.FAN_IN, Peers.OWNER, Peers.WORKERS, 1.0),),
          "unknown peer roles"),
+        # Both engines ran a repeated fan once; the DES then waited on a
+        # countdown nobody arrives at (barrier -1 for an empty ring).
+        ((Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR, 1.0,
+                repeat=0),), "repeats 0 times"),
+        ((Phase(PhaseKind.FAN_IN, Peers.WORKERS, Peers.OWNER, 1.0, repeat=3),
+          Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.WORKERS, 1.0)),
+         "fan_in.* repeats 3 times"),
+        ((Phase(PhaseKind.FAN_IN, Peers.WORKERS, Peers.OWNER, -1.0),),
+         "negative or non-finite size"),
+        ((Phase(PhaseKind.FAN_IN, Peers.WORKERS, Peers.OWNER, math.nan),),
+         "negative or non-finite size"),
+        ((Phase(PhaseKind.FABRIC_OUT, Peers.WORKERS, Peers.SHARDS, 1.0,
+                hub_bytes=math.inf),), "negative or non-finite size"),
     ])
     def test_undeclared_schedule_is_refused_at_construction(
             self, swap_adam_backend, phases, problem):
@@ -292,6 +315,133 @@ class TestBackendDeclaresItsPayloadOnce:
         push = after.units[fc].bytes.phases[0].nbytes
         assert push == workload.units[fc].param_bytes / 2
         assert before.units[fc].bytes.phases[0].nbytes != push
+
+
+# -- one ring phase, two lowerings ---------------------------------------------------
+def _run_ring(workload, cluster, system, stepped=False):
+    """One DES run; ``stepped`` forces the per-step lowering on any plan."""
+    lowered = IterationSimulator._lowered
+    with mock.patch.object(
+            IterationSimulator, "_lowered",
+            lambda self, one_round: lowered(self, one_round and not stepped)):
+        simulator = IterationSimulator(workload, cluster, system)
+        return simulator, simulator.run()
+
+
+class TestRingLoweringsAreEachOthersOracle:
+    """``IterationSimulator._lowered`` books the ``2(P-1)`` steps of a
+    ring-only BSP plan as one hold per worker when every worker computes at
+    the same speed; the stepped lowering it replaces there is the reference,
+    and stays the only one everywhere else."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(("vgg19", "googlenet", "nanogpt-12l")),
+        nodes=st.integers(2, 24),
+        bandwidth=st.sampled_from((1.0, 5.0, 10.0, 40.0)),
+        topology=st.sampled_from(((1, 1.0), (2, 2.0), (3, 4.0), (4, 8.0))),
+        stragglers=st.sampled_from(
+            ((0.0, 1.0), (1.0, 2.0), (0.1, 1.5), (0.5, 3.0))),
+        schedule=st.sampled_from(ScheduleMode),
+        compressor=st.sampled_from(
+            ("none", "topk(0.01)", "onebit", "powersgd(4)")),
+        bucket_bytes=st.sampled_from((None, 256 << 10, 4 << 20, 64 << 20)))
+    def test_one_hold_equals_the_stepped_rounds(
+            self, model, nodes, bandwidth, topology, stragglers, schedule,
+            compressor, bucket_bytes):
+        racks, oversubscription = topology if topology[0] <= nodes else (1, 1.0)
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth,
+                                racks=racks, oversubscription=oversubscription)
+        system = replace(
+            RING_ALLREDUCE, schedule=schedule, compressor=compressor,
+            bucket_bytes=bucket_bytes, partitioning=Partitioning.COARSE,
+        ).with_faults(*stragglers)
+        workload = build_workload(get_model_spec(model), gpu=cluster.gpu)
+        simulator, held = _run_ring(workload, cluster, system)
+        reference, stepped = _run_ring(workload, cluster, system, stepped=True)
+
+        assert held.iteration_seconds == pytest.approx(
+            stepped.iteration_seconds, rel=1e-12)
+        assert held.gpu_busy_fraction == pytest.approx(
+            stepped.gpu_busy_fraction, rel=1e-12)
+        assert held.per_node_traffic_bytes == pytest.approx(
+            stepped.per_node_traffic_bytes, rel=1e-12)
+        slow = math.ceil(stragglers[0] * nodes)
+        if 0 < slow < nodes:  # a straggler set: the rounds stay stepped
+            assert (simulator.env.events_processed
+                    == reference.env.events_processed)
+            assert held == stepped
+            return
+        # Per worker and unit: backward kernel, sync process start, the one
+        # hold, process end (and the encode delay of a compressed unit); per
+        # worker: start, forward, backward-done, sync join, end; per unit:
+        # started, the ring countdown, the rejoin countdown -- and a flow
+        # that crosses racks releases four more channels on their own entries.
+        units = simulator.workload.num_units
+        encoded = sum(plan.encode_seconds > 0.0
+                      for plan in simulator.plan.units)
+        boundaries = (0 if cluster.is_flat_topology
+                      else math.ceil(nodes / cluster.nodes_per_rack))
+        assert simulator.env.events_processed == (
+            nodes * (4 * units + encoded + 5) + units * (3 + 4 * boundaries))
+
+    @pytest.mark.parametrize("nodes,events,parent", [(8, 565, 2320),
+                                                     (32, 2125, 32320)])
+    def test_ring_event_graph_is_linear_in_cluster_size(self, nodes, events,
+                                                        parent):
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        simulator, _ = _run_ring(workload, cluster, RING_ALLREDUCE)
+        assert simulator.env.events_processed == events
+        stepped, _ = _run_ring(workload, cluster, RING_ALLREDUCE, stepped=True)
+        assert stepped.env.events_processed == parent
+
+    def test_mixed_plan_keeps_the_stepped_rounds(self):
+        """One long hold would head-of-line-block the PS and SFB flows that
+        share the NICs (3.4 -> 2.6 speedup on this point when forced)."""
+        cluster = ClusterConfig(num_workers=16, bandwidth_gbps=40.0, racks=4,
+                                oversubscription=4.0)
+        hybrid = next(s for s in backend_systems()
+                      if s.comm is CommMode.HYBRID)
+        workload = build_workload(get_model_spec("nanogpt-12l"),
+                                  gpu=cluster.gpu)
+        simulator, result = _run_ring(workload, cluster, hybrid)
+        schemes = [scheme.value for scheme in simulator.schemes.values()]
+        assert [schemes.count(s) for s in ("ring", "sfb", "ps")] == [24, 25, 26]
+        # Recorded on the parent commit.
+        assert simulator.env.events_processed == 54437
+        assert repr(result.iteration_seconds) == "0.6312748469876356"
+
+    def test_stragglers_keep_the_stepped_rounds(self):
+        """Nobody runs more than one step ahead of the slow workers; one
+        hold would let a fast worker behind the slowest link finish early
+        (8.448 -> 6.933 s on this point when forced)."""
+        cluster = ClusterConfig(num_workers=10, bandwidth_gbps=10.0, racks=4,
+                                oversubscription=4.0)
+        system = replace(RING_ALLREDUCE, schedule=ScheduleMode.SEQUENTIAL
+                         ).with_faults(0.5, 3.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        simulator, result = _run_ring(workload, cluster, system)
+        # Recorded on the parent commit.
+        assert simulator.env.events_processed == 7820
+        assert repr(result.iteration_seconds) == "8.448351148961205"
+
+    @pytest.mark.parametrize("policy,events,seconds", [
+        ("ssp(1)", 18451, "3.078166363185333"),
+        ("async", 18448, "3.022415881730785"),
+        ("local_sgd(4)", 21688, "1.7105923991623138"),
+    ])
+    def test_relaxed_policy_keeps_the_stepped_rounds(self, policy, events,
+                                                     seconds):
+        """Across rounds the slow set rotates, so the per-step convoy is
+        signal (3.078 -> 3.011 s under ssp(1) when forced into one hold)."""
+        cluster = ClusterConfig(num_workers=8, bandwidth_gbps=5.0)
+        system = RING_ALLREDUCE.with_policy(policy).with_faults(0.1, 2.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        simulator, result = _run_ring(workload, cluster, system)
+        # Recorded on the parent commit.
+        assert simulator.env.events_processed == events
+        assert repr(result.iteration_seconds) == seconds
 
 
 # -- one gate rule ----------------------------------------------------------------
