@@ -1,9 +1,10 @@
 # Convenience entry points; see PERFORMANCE.md for the benchmark workflow.
 
 PYTEST := PYTHONPATH=src python -m pytest
+comma := ,
 
 .PHONY: test bench bench-update bench-full bench-smoke sweep-quick determinism \
-	examples-smoke docs-check reports-diff fluid-trace
+	examples-smoke docs-check reports-diff fluid-trace loc
 
 ## tier-1 test suite
 test:
@@ -28,6 +29,20 @@ reports-diff:
 	@test -n "$(REF)" || { echo "usage: make reports-diff REF=<rev|dir> [QUICK=1]"; exit 2; }
 	tools/reports_diff.sh "$(REF)" quick $(if $(QUICK),,full)
 
+## tracked python lines under src/repro: one line per package, then the
+## total (what `git ls-files 'src/repro/*.py' | xargs cat | wc -l` prints);
+## with REF=<rev>, a third column gives each delta against that revision
+loc:
+	@{ git grep -c '' -- 'src/repro/*.py'; \
+	   $(if $(REF),git grep -c '' $(REF) -- 'src/repro/*.py';) } \
+	| awk -F: '{ split($$(NF-1), dir, "/"); pkg = (dir[4] == "" ? "(top)" : dir[3]); \
+	             if (NF == 3) was[pkg] += $$NF; else now[pkg] += $$NF; seen[pkg] } \
+	    END { for (pkg in seen) printf "%7d  %-12s$(if $(REF),  %+d)\n", \
+	              now[pkg], pkg$(if $(REF),$(comma) now[pkg] - was[pkg]) }' \
+	| sort -k2,2 \
+	| awk '{ print; lines += $$1; delta += $$3 } \
+	    END { printf "%7d  %-12s$(if $(REF),  %+d)\n", lines, "total"$(if $(REF),$(comma) delta) }'
+
 ## re-record tests/data/fluid_trace.json (the fluid engine's bit-for-bit pin)
 ## and print the keys whose values moved: review a re-pin from that list
 fluid-trace:
@@ -51,7 +66,7 @@ SMOKE_async_TESTS := tests/test_policy.py
 SMOKE_async_FIGURE := fig_async
 SMOKE_async_GREP := Beyond-BSP frontier
 SMOKE_chaos_TESTS := tests/test_chaos.py tests/test_faults.py \
-	tests/test_substrate_checkpoint.py
+	tests/test_substrate_checkpoint.py tests/test_rendezvous.py
 SMOKE_chaos_FIGURE := fig_faults
 SMOKE_chaos_GREP := Fault frontier
 SMOKE_compression_TESTS := tests/test_compression.py tests/test_bucketing.py \

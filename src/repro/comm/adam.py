@@ -6,34 +6,28 @@ parameter-server shard that owns the layer and then *pull back the full
 updated parameter matrix* (Section 3.2).  This reduces the push direction
 but makes the owning server broadcast ``P1`` full matrices per iteration,
 which is the load imbalance Figure 10 visualises.
+
+:class:`AdamSFServer` is a :class:`~repro.comm.parameter_server.
+ShardedParameterServer` whose contributions are factors: slots, versions,
+the pull wait, ``checkpoint`` / ``restore``, abort and membership are the
+parameter server's; only the factor push and the reconstruct-then-fold
+reduction live here.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.comm.message import ByteMeter
-from repro.exceptions import CommunicationError, SyncTimeout, WorkerFailure
+from repro.comm.parameter_server import ShardedParameterServer, _LayerSlot
 from repro.nn.optim import SGD
 from repro.nn.sufficient_factors import SufficientFactors
 
 ArrayDict = Dict[str, np.ndarray]
 
 
-class _AdamSlot:
-    """Aggregation state of one FC layer owned by one server shard."""
-
-    def __init__(self, params: ArrayDict):
-        self.params = {key: value.copy() for key, value in params.items()}
-        self.pending: List[Tuple[int, SufficientFactors, ArrayDict]] = []
-        self.version = 0
-        self.condition = threading.Condition()
-
-
-class AdamSFServer:
+class AdamSFServer(ShardedParameterServer):
     """Functional model of Adam's SF-push / matrix-pull synchronization.
 
     With ``ordered=True`` the per-iteration reduction runs in worker-id
@@ -41,32 +35,15 @@ class AdamSFServer:
     run-to-run under the threaded trainer.
     """
 
+    #: Factors are reconstructed into fresh matrices, never accumulated.
+    _accumulates = False
+    _pull_tag = "adam-pull"
+
     def __init__(self, initial_params: Dict[str, ArrayDict], num_workers: int,
                  optimizer: Optional[SGD] = None, aggregation: str = "mean",
                  ordered: bool = False):
-        if num_workers < 1:
-            raise CommunicationError(f"num_workers must be >= 1, got {num_workers}")
-        if aggregation not in ("mean", "sum"):
-            raise CommunicationError(
-                f"aggregation must be 'mean' or 'sum', got {aggregation!r}"
-            )
-        self.num_workers = int(num_workers)
-        self.aggregation = aggregation
-        self.ordered = bool(ordered)
-        self.optimizer = optimizer or SGD(learning_rate=0.01)
-        self._slots = {name: _AdamSlot(params) for name, params in initial_params.items()}
-        self.meter = ByteMeter()
-        self._abort_reason: Optional[BaseException] = None
-
-    def _slot(self, layer: str) -> _AdamSlot:
-        try:
-            return self._slots[layer]
-        except KeyError as exc:
-            raise CommunicationError(f"Adam server has no layer {layer!r}") from exc
-
-    def version(self, layer: str) -> int:
-        """Number of aggregated updates applied to ``layer``."""
-        return self._slot(layer).version
+        super().__init__(initial_params, num_workers, optimizer=optimizer,
+                         aggregation=aggregation, ordered=ordered)
 
     def push_factors(self, worker_id: int, layer: str, factors: SufficientFactors,
                      extras: Optional[ArrayDict] = None) -> int:
@@ -75,41 +52,17 @@ class AdamSFServer:
         extras = extras or {}
         nbytes = factors.nbytes + sum(int(v.nbytes) for v in extras.values())
         with slot.condition:
-            if self.ordered and any(entry[0] == worker_id for entry in slot.pending):
-                raise CommunicationError(
-                    f"layer {layer!r}: worker {worker_id} pushed twice in one iteration"
-                )
-            slot.pending.append(
-                (worker_id, factors, {k: np.asarray(v) for k, v in extras.items()}))
-            if len(slot.pending) > self.num_workers:
-                raise CommunicationError(
-                    f"layer {layer!r}: more pushes than workers in one iteration"
-                )
-            if len(slot.pending) == self.num_workers:
-                self._apply_locked(layer, slot)
+            self._contribute_locked(
+                worker_id, layer, slot,
+                (factors, {k: np.asarray(v) for k, v in extras.items()}))
         self.meter.record(nbytes, "received", tag=f"adam-push:{layer}")
         return nbytes
 
     def pull_matrix(self, worker_id: int, layer: str, min_version: int,
                     timeout: Optional[float] = 30.0) -> ArrayDict:
         """Pull the full updated parameter matrix (the expensive direction)."""
-        slot = self._slot(layer)
-        with slot.condition:
-            if not slot.condition.wait_for(
-                    lambda: (slot.version >= min_version
-                             or self._abort_reason is not None),
-                    timeout=timeout):
-                raise SyncTimeout(
-                    f"pull of {layer!r} timed out waiting for version {min_version}"
-                )
-            if self._abort_reason is not None and slot.version < min_version:
-                raise self._wrap_abort(layer)
-            params = {key: value.copy() for key, value in slot.params.items()}
-        nbytes = sum(int(v.nbytes) for v in params.values())
-        self.meter.record(nbytes, "sent", tag=f"adam-pull:{layer}")
-        return params
+        return self.pull(worker_id, layer, min_version, timeout=timeout)
 
-    # -- fault tolerance ----------------------------------------------------------------
     def checkpoint(self, include_optimizer: bool = True
                    ) -> Dict[str, ArrayDict]:
         """Deep-copy snapshot of parameters, versions and optimiser state.
@@ -119,73 +72,13 @@ class AdamSFServer:
         default: its momentum velocities live server-side, so an exact
         restart is impossible without them.
         """
-        snapshot: Dict[str, ArrayDict] = {}
-        for name, slot in self._slots.items():
-            with slot.condition:
-                snapshot[name] = {key: value.copy()
-                                  for key, value in slot.params.items()}
-                snapshot[name]["__version__"] = np.array(slot.version)
-        if include_optimizer:
-            snapshot["__optimizer__"] = self.optimizer.get_state()
-        return snapshot
+        return super().checkpoint(include_optimizer=include_optimizer)
 
-    def restore(self, snapshot: Dict[str, ArrayDict]) -> None:
-        """Restore from a :meth:`checkpoint` snapshot; clears pending pushes.
-
-        Raises:
-            CommunicationError: on unknown layers or mismatched shapes.
-        """
-        optimizer_state = snapshot.get("__optimizer__")
-        if optimizer_state is not None:
-            self.optimizer.set_state(optimizer_state)
-        for name, params in snapshot.items():
-            if name == "__optimizer__":
-                continue
-            slot = self._slot(name)
-            with slot.condition:
-                for key, value in params.items():
-                    if key == "__version__":
-                        slot.version = int(value)
-                        continue
-                    if key not in slot.params:
-                        raise CommunicationError(
-                            f"snapshot has unknown parameter {name}/{key}")
-                    if value.shape != slot.params[key].shape:
-                        raise CommunicationError(
-                            f"snapshot shape mismatch for {name}/{key}: "
-                            f"{value.shape} vs {slot.params[key].shape}")
-                    np.copyto(slot.params[key], value)
-                slot.pending.clear()
-                slot.condition.notify_all()
-
-    def abort(self, exc: BaseException) -> None:
-        """Wake every blocked ``pull_matrix`` with a failure."""
-        self._abort_reason = exc
-        for slot in self._slots.values():
-            with slot.condition:
-                slot.condition.notify_all()
-
-    def clear_abort(self) -> None:
-        """Re-arm the server after recovery handled the abort."""
-        self._abort_reason = None
-
-    def _wrap_abort(self, layer: str) -> BaseException:
-        reason = self._abort_reason
-        if isinstance(reason, WorkerFailure):
-            return WorkerFailure(
-                f"Adam server aborted (layer {layer!r}): {reason}",
-                worker_id=reason.worker_id, iteration=reason.iteration,
-                cascade=True)
-        return CommunicationError(
-            f"Adam server aborted (layer {layer!r}): {reason}")
-
-    def _apply_locked(self, layer: str, slot: _AdamSlot) -> None:
+    def _reduce_locked(self, slot: _LayerSlot) -> ArrayDict:
+        """Reconstruct every worker's dense gradient, then fold them."""
         weight_total = None
         extra_totals: ArrayDict = {}
-        pending = slot.pending
-        if self.ordered:
-            pending = sorted(pending, key=lambda entry: entry[0])
-        for _, factors, extras in pending:
+        for _, (factors, extras) in sorted(slot.contributions.items()):
             dense = factors.reconstruct()
             weight_total = dense if weight_total is None else weight_total + dense
             for key, value in extras.items():
@@ -193,11 +86,5 @@ class AdamSFServer:
         if self.aggregation == "mean":
             weight_total = weight_total / float(self.num_workers)
             extra_totals = {k: v / float(self.num_workers) for k, v in extra_totals.items()}
-        if "weight" in slot.params and weight_total is not None:
-            self.optimizer.apply(f"{layer}/weight", slot.params["weight"], weight_total)
-        for key, grad in extra_totals.items():
-            if key in slot.params:
-                self.optimizer.apply(f"{layer}/{key}", slot.params[key], grad)
-        slot.pending.clear()
-        slot.version += 1
-        slot.condition.notify_all()
+        totals = {"weight": weight_total, **extra_totals}
+        return {key: grad for key, grad in totals.items() if key in slot.params}

@@ -116,6 +116,9 @@ class HierarchicalParameterServer:
         nbytes = sum(int(g.nbytes) for g in grads.values())
         key = (layer, rack)
         with self._lock:
+            # The root's abort rule covers the rack buffers too: nothing
+            # is buffered on an aborted tree.
+            self.root._admit(rack, "push to layer {!r} {verb}", layer)
             pending = self._pending.setdefault(key, {})
             if worker_id in pending:
                 raise CommunicationError(

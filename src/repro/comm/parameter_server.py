@@ -14,13 +14,13 @@ statistics; correctness does not depend on the shard count.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.comm.message import ByteMeter
-from repro.exceptions import CommunicationError, SyncTimeout, WorkerFailure
+from repro.core.consistency import Rendezvous
+from repro.exceptions import CommunicationError
 from repro.nn.optim import SGD
 
 #: A layer's parameters or gradients: parameter name -> array.
@@ -35,19 +35,24 @@ class _LayerSlot:
     construction), when the version's last contribution arrives.
     """
 
-    def __init__(self, params: ArrayDict):
+    def __init__(self, params: ArrayDict, server: "ShardedParameterServer"):
         self.params = {key: value.copy() for key, value in params.items()}
-        self.accum = {key: np.zeros_like(value) for key, value in self.params.items()}
+        self.accum = ({key: np.zeros_like(value) for key, value in self.params.items()}
+                      if server._accumulates else {})
         self.pushes = 0                 # contributions this iteration
         self.version = 0
-        self.condition = threading.Condition()
+        self.condition = server._new_condition()    # this slot's wait point
         # Contributions awaiting reduction, keyed by their place in the
         # fold: the worker id in ordered mode, the arrival rank otherwise.
-        self.contributions: Dict[int, ArrayDict] = {}
+        self.contributions: Dict[int, Any] = {}
 
 
-class ShardedParameterServer:
+class ShardedParameterServer(Rendezvous):
     """BSP parameter server over named layers.
+
+    One :class:`~repro.core.consistency.Rendezvous` with a wait point per
+    layer slot: pushes to different layers never contend, while abort and
+    membership are the server's.
 
     Args:
         initial_params: layer name -> parameter dict; defines the global
@@ -72,12 +77,15 @@ class ShardedParameterServer:
             legitimately run ahead of each other.
     """
 
+    #: Dense pushes accumulate into preallocated per-slot buffers.
+    _accumulates = True
+    _pull_tag = "pull"
+
     def __init__(self, initial_params: Dict[str, ArrayDict], num_workers: int,
                  optimizer: Optional[SGD] = None, aggregation: str = "mean",
                  ordered: bool = False,
                  updates_per_version: Optional[int] = None):
-        if num_workers < 1:
-            raise CommunicationError(f"num_workers must be >= 1, got {num_workers}")
+        super().__init__(num_workers)
         if aggregation not in ("mean", "sum"):
             raise CommunicationError(
                 f"aggregation must be 'mean' or 'sum', got {aggregation!r}"
@@ -85,26 +93,28 @@ class ShardedParameterServer:
         if updates_per_version is not None and updates_per_version < 1:
             raise CommunicationError(
                 f"updates_per_version must be >= 1, got {updates_per_version}")
-        self.num_workers = int(num_workers)
-        self.updates_per_version = (int(num_workers)
-                                    if updates_per_version is None
-                                    else int(updates_per_version))
+        #: Fixed pushes per version of a relaxed policy; ``None`` is the BSP
+        #: rendezvous, which follows the live membership.
+        self._fixed_updates = (None if updates_per_version in (None, num_workers)
+                               else int(updates_per_version))
         self.aggregation = aggregation
         self.ordered = bool(ordered)
         #: Whether a version's contributions fold in worker-id order (the
         #: ordered BSP rendezvous) rather than arrival order.
-        self._folds_by_worker = (self.ordered and
-                                 self.updates_per_version == self.num_workers)
+        self._folds_by_worker = self.ordered and self._fixed_updates is None
         self.optimizer = optimizer or SGD(learning_rate=0.01)
         self._slots: Dict[str, _LayerSlot] = {
-            name: _LayerSlot(params) for name, params in initial_params.items()
+            name: _LayerSlot(params, self) for name, params in initial_params.items()
         }
         self.meter = ByteMeter()
         self._apply_hooks: List[Callable[[str, ArrayDict], None]] = []
-        self._abort_reason: Optional[BaseException] = None
-        self._dropped: set = set()
 
     # -- introspection -----------------------------------------------------------
+    @property
+    def updates_per_version(self) -> int:
+        """Pushes that trigger one optimiser step and version bump."""
+        return self._fixed_updates or self.num_workers
+
     @property
     def layer_names(self) -> List[str]:
         """Names of the layers this server manages."""
@@ -128,7 +138,8 @@ class ShardedParameterServer:
         try:
             return self._slots[layer]
         except KeyError as exc:
-            raise CommunicationError(f"parameter server has no layer {layer!r}") from exc
+            raise CommunicationError(
+                f"{type(self).__name__} has no layer {layer!r}") from exc
 
     @staticmethod
     def _check_arrays(layer: str, slot: _LayerSlot, arrays: ArrayDict,
@@ -160,36 +171,37 @@ class ShardedParameterServer:
         push_bytes = int(nbytes) if nbytes is not None else sum(
             int(g.nbytes) for g in grads.values())
         with slot.condition:
-            if self._abort_reason is not None:
-                raise self._wrap_abort(layer)
-            if worker_id in self._dropped:
-                raise WorkerFailure(
-                    f"dropped worker {worker_id} pushed to layer {layer!r}",
-                    worker_id=worker_id, cascade=True)
             self._check_arrays(layer, slot, grads, "gradient")
-            if slot.pushes >= self.updates_per_version:
-                raise CommunicationError(
-                    f"layer {layer!r} received {slot.pushes + 1} pushes for "
-                    f"{self.updates_per_version} expected per version; "
-                    f"a worker pushed twice in one iteration"
-                )
-            fold_key = slot.pushes      # arrival rank
-            if self._folds_by_worker:
-                if worker_id in slot.contributions:
-                    raise CommunicationError(
-                        f"layer {layer!r}: worker {worker_id} pushed twice in "
-                        f"one iteration"
-                    )
-                fold_key = worker_id
             # Buffered by reference: a staged gradient is never written
             # again (``Layer.backward`` rebinds ``grads[...]``), so the
             # arrays are stable until the reduction runs.
-            slot.contributions[fold_key] = grads
-            slot.pushes += 1
-            if slot.pushes == self.updates_per_version:
-                self._apply_locked(layer, slot)
+            self._contribute_locked(worker_id, layer, slot, grads)
         self.meter.record(push_bytes, "received", tag=f"push:{layer}")
         return push_bytes
+
+    def _contribute_locked(self, worker_id: int, layer: str, slot: _LayerSlot,
+                           contribution: Any) -> None:
+        """Buffer one contribution; the version's last one applies it."""
+        self._admit(worker_id, "push to layer {!r} {verb}", layer)
+        needed = self.updates_per_version
+        if slot.pushes >= needed:
+            raise CommunicationError(
+                f"layer {layer!r} received {slot.pushes + 1} pushes for "
+                f"{needed} expected per version; "
+                f"a worker pushed twice in one iteration"
+            )
+        fold_key = slot.pushes      # arrival rank
+        if self._folds_by_worker:
+            if worker_id in slot.contributions:
+                raise CommunicationError(
+                    f"layer {layer!r}: worker {worker_id} pushed twice in "
+                    f"one iteration"
+                )
+            fold_key = worker_id
+        slot.contributions[fold_key] = contribution
+        slot.pushes += 1
+        if slot.pushes == needed:
+            self._apply_locked(layer, slot)
 
     def pull(self, worker_id: int, layer: str, min_version: int,
              timeout: Optional[float] = 30.0,
@@ -210,16 +222,9 @@ class ShardedParameterServer:
         """
         slot = self._slot(layer)
         with slot.condition:
-            if not slot.condition.wait_for(
-                    lambda: (slot.version >= min_version
-                             or self._abort_reason is not None),
-                    timeout=timeout):
-                raise SyncTimeout(
-                    f"pull of layer {layer!r} timed out waiting for version "
-                    f"{min_version} (current {slot.version})"
-                )
-            if self._abort_reason is not None and slot.version < min_version:
-                raise self._wrap_abort(layer)
+            self._wait(slot.condition, lambda: slot.version >= min_version,
+                       timeout, "pull of layer {!r} {verb} waiting for version "
+                       "{} (current {.version})", layer, min_version, slot)
             if out is None:
                 out = {key: value.copy() for key, value in slot.params.items()}
             else:
@@ -227,7 +232,7 @@ class ShardedParameterServer:
                 for key, target in out.items():
                     np.copyto(target, slot.params[key])
         pull_bytes = sum(int(p.nbytes) for p in out.values())
-        self.meter.record(pull_bytes, "sent", tag=f"pull:{layer}")
+        self.meter.record(pull_bytes, "sent", tag=f"{self._pull_tag}:{layer}")
         return out
 
     # -- fault tolerance ----------------------------------------------------------------
@@ -281,6 +286,7 @@ class ShardedParameterServer:
                 slot.pushes = 0
                 slot.contributions.clear()
                 slot.condition.notify_all()
+        self._readmit()
 
     def remove_worker(self, worker_id: int) -> None:
         """Drop a dead worker: renormalize aggregation to a P-1 mean.
@@ -288,19 +294,11 @@ class ShardedParameterServer:
         Any in-flight contribution buffered for the dead worker is
         discarded; if the survivors have already all pushed the pending
         iteration, aggregation triggers immediately so nobody waits for
-        the ghost.  The BSP rendezvous count shrinks with the membership
-        (``updates_per_version`` tracks ``num_workers`` when they were
-        equal), so subsequent means divide by the surviving worker count.
+        the ghost.  The BSP rendezvous count shrinks with the membership,
+        so subsequent means divide by the surviving worker count.
         """
-        if worker_id in self._dropped:
+        if not self._drop(worker_id):
             return
-        shrink_rendezvous = self.updates_per_version == self.num_workers
-        if self.num_workers <= 1:
-            raise CommunicationError("cannot drop the last remaining worker")
-        self._dropped.add(worker_id)
-        self.num_workers -= 1
-        if shrink_rendezvous:
-            self.updates_per_version = self.num_workers
         for layer, slot in self._slots.items():
             with slot.condition:
                 if self._folds_by_worker and worker_id in slot.contributions:
@@ -309,36 +307,19 @@ class ShardedParameterServer:
                 if 0 < slot.pushes >= self.updates_per_version:
                     self._apply_locked(layer, slot)
 
-    def abort(self, exc: BaseException) -> None:
-        """Wake every blocked ``pull`` with a failure (dead-peer fan-out)."""
-        self._abort_reason = exc
-        for slot in self._slots.values():
-            with slot.condition:
-                slot.condition.notify_all()
-
-    def clear_abort(self) -> None:
-        """Re-arm the server after recovery handled the abort."""
-        self._abort_reason = None
-
-    def _wrap_abort(self, layer: str) -> BaseException:
-        reason = self._abort_reason
-        if isinstance(reason, WorkerFailure):
-            return WorkerFailure(
-                f"parameter server aborted (layer {layer!r}): {reason}",
-                worker_id=reason.worker_id, iteration=reason.iteration,
-                cascade=True)
-        return CommunicationError(
-            f"parameter server aborted (layer {layer!r}): {reason}")
-
     # -- aggregation -------------------------------------------------------------------
-    def _apply_locked(self, layer: str, slot: _LayerSlot) -> None:
-        """Reduce the pending contributions and apply them (lock held)."""
+    def _reduce_locked(self, slot: _LayerSlot) -> ArrayDict:
+        """Fold the pending contributions into one gradient per parameter."""
         # Imported here: repro.comm.backend registers hierps, which builds
         # on this module, so a module-level import would be circular.
         from repro.comm.backend import reduce_in_worker_order
         divisor = self.num_workers if self.aggregation == "mean" else None
-        aggregated = reduce_in_worker_order(
+        return reduce_in_worker_order(
             slot.contributions, mean_divisor=divisor, out=slot.accum)
+
+    def _apply_locked(self, layer: str, slot: _LayerSlot) -> None:
+        """Reduce the pending contributions and apply them (lock held)."""
+        aggregated = self._reduce_locked(slot)
         slot.contributions.clear()
         for key, grad in aggregated.items():
             self.optimizer.apply(f"{layer}/{key}", slot.params[key], grad)

@@ -19,8 +19,7 @@ outside this file special-cases the scheme.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,20 +35,16 @@ from repro.comm.backend import (
     register_backend,
 )
 from repro.comm.message import ByteMeter
+from repro.core.consistency import KeyedBoard
 from repro.core.cost_model import CommScheme
 from repro.core.syncer import Syncer
-from repro.exceptions import (
-    CommunicationError,
-    SyncTimeout,
-    TrainingError,
-    WorkerFailure,
-)
+from repro.exceptions import CommunicationError, TrainingError
 
 #: A layer's parameters or gradients: parameter name -> array.
 ArrayDict = Dict[str, np.ndarray]
 
 
-class RingAllReducer:
+class RingAllReducer(KeyedBoard):
     """A BSP all-reduce board with ring wire-cost accounting.
 
     Functionally the all-reduce is modelled like the SFB bulletin board:
@@ -61,16 +56,11 @@ class RingAllReducer:
     dense gradient size in each direction.
     """
 
+    _WHAT = "ring all-reduce of {!r}@{} {verb}"
+
     def __init__(self, num_workers: int):
-        if num_workers < 1:
-            raise CommunicationError(f"num_workers must be >= 1, got {num_workers}")
-        self.num_workers = int(num_workers)
-        self._board: Dict[Tuple[str, int], Dict[int, ArrayDict]] = {}
-        self._reduced: Dict[Tuple[str, int], Dict[str, ArrayDict]] = {}
-        self._collected: Dict[Tuple[str, int], Set[int]] = {}
-        self._condition = threading.Condition()
+        super().__init__(num_workers)
         self.meter = ByteMeter()
-        self._abort_reason: Optional[BaseException] = None
 
     def wire_bytes(self, dense_bytes: int) -> int:
         """Ring traffic one worker sends (= receives) for a dense payload."""
@@ -99,12 +89,9 @@ class RingAllReducer:
             them).
 
         Raises:
-            CommunicationError: on double contribution or timeout.
+            CommunicationError: on double contribution.
+            SyncTimeout: on timeout.
         """
-        if not 0 <= worker_id < self.num_workers:
-            raise CommunicationError(
-                f"worker_id {worker_id} out of range [0, {self.num_workers})"
-            )
         if aggregation not in ("mean", "sum"):
             raise CommunicationError(
                 f"aggregation must be 'mean' or 'sum', got {aggregation!r}"
@@ -113,86 +100,21 @@ class RingAllReducer:
         payload = (sum(int(g.nbytes) for g in grads.values())
                    if nbytes is None else int(nbytes))
         wire = self.wire_bytes(payload)
-        with self._condition:
-            entry = self._board.setdefault(key, {})
-            if worker_id in entry:
-                raise CommunicationError(
-                    f"worker {worker_id} already contributed {layer!r} at "
-                    f"iteration {iteration}"
-                )
-            entry[worker_id] = grads
-            self._condition.notify_all()
-            if not self._condition.wait_for(
-                    lambda: len(self._board.get(key, ())) >= self.num_workers
-                    or key in self._reduced
-                    or self._abort_reason is not None,
-                    timeout=timeout):
-                have = len(self._board.get(key, {}))
-                raise SyncTimeout(
-                    f"ring all-reduce of {layer!r}@{iteration} timed out with "
-                    f"{have}/{self.num_workers} contributions"
-                )
-            if (self._abort_reason is not None and key not in self._reduced
-                    and len(self._board.get(key, ())) < self.num_workers):
-                raise self._wrap_abort(layer, iteration)
-            reduced = self._reduced.get(key)
-            if reduced is None:
-                reduced = self._reduce_locked(key, aggregation)
-            seen = self._collected.setdefault(key, set())
-            seen.add(worker_id)
-            if len(seen) >= self.num_workers:
-                # Every worker holds the result: drop the board entry so a
-                # long BSP run does not grow without bound.
-                self._board.pop(key, None)
-                self._reduced.pop(key, None)
-                del self._collected[key]
+
+        def reduce(entry: Dict[int, ArrayDict]) -> ArrayDict:
+            # Worker-id order, whichever thread gets here first.
+            totals = reduce_in_worker_order(
+                entry, mean_divisor=(self.num_workers
+                                     if aggregation == "mean" else None))
+            for total in totals.values():
+                total.setflags(write=False)
+            return totals
+
+        reduced = self._exchange(key, worker_id, grads, reduce, timeout,
+                                 self._WHAT, layer, iteration)
         self.meter.record(wire, "sent", tag=f"ring:{layer}")
         self.meter.record(wire, "received", tag=f"ring:{layer}")
         return reduced, wire, wire
-
-    # -- fault tolerance ----------------------------------------------------------------
-    def checkpoint(self, include_optimizer: bool = False) -> dict:
-        """The collective carries no state across iterations; nothing to save."""
-        return {}
-
-    def restore(self, snapshot: dict) -> None:
-        """Clear all in-flight board state (restart recovery)."""
-        with self._condition:
-            self._board.clear()
-            self._reduced.clear()
-            self._collected.clear()
-            self._abort_reason = None
-            self._condition.notify_all()
-
-    def abort(self, exc: BaseException) -> None:
-        """Wake every blocked ``allreduce`` with a failure."""
-        with self._condition:
-            self._abort_reason = exc
-            self._condition.notify_all()
-
-    def clear_abort(self) -> None:
-        """Re-arm the collective after recovery handled the abort."""
-        with self._condition:
-            self._abort_reason = None
-
-    def _wrap_abort(self, layer: str, iteration: int) -> BaseException:
-        reason = self._abort_reason
-        if isinstance(reason, WorkerFailure):
-            return WorkerFailure(
-                f"ring all-reduce of {layer!r}@{iteration} aborted: {reason}",
-                worker_id=reason.worker_id, iteration=reason.iteration,
-                cascade=True)
-        return CommunicationError(
-            f"ring all-reduce of {layer!r}@{iteration} aborted: {reason}")
-
-    def _reduce_locked(self, key: Tuple[str, int], aggregation: str) -> ArrayDict:
-        """Reduce all contributions of ``key`` in worker-id order (lock held)."""
-        divisor = self.num_workers if aggregation == "mean" else None
-        totals = reduce_in_worker_order(self._board[key], mean_divisor=divisor)
-        for total in totals.values():
-            total.setflags(write=False)
-        self._reduced[key] = totals
-        return totals
 
 
 class RingSyncer(Syncer):

@@ -14,13 +14,13 @@ semantics: ``publish`` posts a worker's factors for (layer, iteration) and
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.comm.message import ByteMeter
-from repro.exceptions import CommunicationError, SyncTimeout, WorkerFailure
+from repro.core.consistency import KeyedBoard
+from repro.exceptions import CommunicationError
 from repro.nn.sufficient_factors import SufficientFactors, batch_reconstruct
 
 #: Extra (non-factorisable) arrays sent alongside the factors, e.g. the bias
@@ -28,20 +28,14 @@ from repro.nn.sufficient_factors import SufficientFactors, batch_reconstruct
 ExtraDict = Dict[str, np.ndarray]
 
 
-class SufficientFactorBroadcaster:
+class SufficientFactorBroadcaster(KeyedBoard):
     """A BSP bulletin board for sufficient factors."""
 
+    _WHAT = "SFB exchange of {!r}@{} {verb}"
+
     def __init__(self, num_workers: int):
-        if num_workers < 1:
-            raise CommunicationError(f"num_workers must be >= 1, got {num_workers}")
-        self.num_workers = int(num_workers)
-        self._board: Dict[Tuple[str, int], Dict[int, Tuple[SufficientFactors, ExtraDict]]] = {}
-        #: Workers that have collected each (layer, iteration); once all
-        #: workers have, the entry is dropped automatically.
-        self._collected: Dict[Tuple[str, int], set] = {}
-        self._condition = threading.Condition()
+        super().__init__(num_workers)
         self.meter = ByteMeter()
-        self._abort_reason: Optional[BaseException] = None
 
     def publish(self, worker_id: int, layer: str, iteration: int,
                 factors: SufficientFactors, extras: Optional[ExtraDict] = None) -> int:
@@ -50,20 +44,11 @@ class SufficientFactorBroadcaster:
         The wire cost counts ``num_workers - 1`` copies (one per peer), the
         P2P fan-out of Figure 2(b).
         """
-        if not 0 <= worker_id < self.num_workers:
-            raise CommunicationError(
-                f"worker_id {worker_id} out of range [0, {self.num_workers})"
-            )
         extras = extras or {}
-        key = (layer, int(iteration))
         with self._condition:
-            entry = self._board.setdefault(key, {})
-            if worker_id in entry:
-                raise CommunicationError(
-                    f"worker {worker_id} already published {layer!r} at iteration {iteration}"
-                )
-            entry[worker_id] = (factors, {k: np.asarray(v) for k, v in extras.items()})
-            self._condition.notify_all()
+            self._post((layer, int(iteration)), worker_id,
+                       (factors, {k: np.asarray(v) for k, v in extras.items()}),
+                       self._WHAT, layer, iteration)
         per_peer = factors.nbytes + sum(int(v.nbytes) for v in extras.values())
         nbytes = per_peer * (self.num_workers - 1)
         self.meter.record(nbytes, "sent", tag=f"sfb:{layer}")
@@ -86,71 +71,20 @@ class SufficientFactorBroadcaster:
         iteration would.
 
         Raises:
-            CommunicationError: on timeout.
+            SyncTimeout: on timeout.
         """
         key = (layer, int(iteration))
         with self._condition:
-            def _complete() -> bool:
-                return (self._abort_reason is not None
-                        or len(self._board.get(key, {})) >= self.num_workers)
-
-            if not self._condition.wait_for(_complete, timeout=timeout):
-                have = len(self._board.get(key, {}))
-                raise SyncTimeout(
-                    f"collect of {layer!r}@{iteration} timed out with "
-                    f"{have}/{self.num_workers} contributions"
-                )
-            if (self._abort_reason is not None
-                    and len(self._board.get(key, {})) < self.num_workers):
-                raise self._wrap_abort(layer, iteration)
-            entry = self._board[key]
+            entry = self._await(key, timeout, self._WHAT, layer, iteration)
             result = [(wid, factors, extras)
                       for wid, (factors, extras) in sorted(entry.items())]
-            seen = self._collected.setdefault(key, set())
-            seen.add(worker_id)
-            if len(seen) >= self.num_workers:
-                del self._board[key]
-                del self._collected[key]
+            self._release(key, worker_id)
         received = sum(
             factors.nbytes + sum(int(v.nbytes) for v in extras.values())
             for wid, factors, extras in result if wid != worker_id
         )
         self.meter.record(received, "received", tag=f"sfb:{layer}")
         return result
-
-    # -- fault tolerance ----------------------------------------------------------------
-    def checkpoint(self, include_optimizer: bool = False) -> dict:
-        """The board carries no state across BSP iterations; nothing to save."""
-        return {}
-
-    def restore(self, snapshot: dict) -> None:
-        """Clear all in-flight board state (restart recovery)."""
-        with self._condition:
-            self._board.clear()
-            self._collected.clear()
-            self._abort_reason = None
-            self._condition.notify_all()
-
-    def abort(self, exc: BaseException) -> None:
-        """Wake every blocked ``collect`` with a failure."""
-        with self._condition:
-            self._abort_reason = exc
-            self._condition.notify_all()
-
-    def clear_abort(self) -> None:
-        """Re-arm the board after recovery handled the abort."""
-        with self._condition:
-            self._abort_reason = None
-
-    def _wrap_abort(self, layer: str, iteration: int) -> BaseException:
-        reason = self._abort_reason
-        if isinstance(reason, WorkerFailure):
-            return WorkerFailure(
-                f"SFB collect of {layer!r}@{iteration} aborted: {reason}",
-                worker_id=reason.worker_id, iteration=reason.iteration,
-                cascade=True)
-        return CommunicationError(
-            f"SFB collect of {layer!r}@{iteration} aborted: {reason}")
 
     def garbage_collect(self, before_iteration: int) -> int:
         """Drop board entries older than ``before_iteration``; returns count dropped."""

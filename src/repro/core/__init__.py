@@ -18,11 +18,10 @@ from repro.core.kvstore import KVPair, KVStorePartition
 from repro.core.poseidon import CommunicationPlan, PoseidonContext, SyncDecision
 from repro.core.wfbp import ScheduleMode, WFBPScheduler
 from repro.core.consistency import BSPController
-from repro.core.staleness import SSPClock, StalenessBoundedQueue
+from repro.core.staleness import SSPClock
 
 __all__ = [
     "SSPClock",
-    "StalenessBoundedQueue",
     "CommScheme",
     "CostModel",
     "SyncDecision",

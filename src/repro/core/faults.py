@@ -245,7 +245,9 @@ class FailureDetector:
     :class:`WorkerFailure`, or a lease expiry observed by a supervisor)
     the detector marks the worker dead and aborts every registered sync
     primitive so blocked peers raise instead of hanging until timeout.
-    Registered primitives implement ``abort(exc)`` and ``clear_abort()``.
+    Registered primitives implement ``abort(exc)`` and ``clear_abort()``
+    -- in the trainer, every one is a
+    :class:`~repro.core.consistency.Rendezvous`.
     """
 
     def __init__(self, num_workers: int, lease_seconds: float = 30.0):

@@ -16,18 +16,21 @@ tolerance.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
-from repro.exceptions import SyncTimeout, TrainingError, WorkerFailure
+from repro.core.consistency import Rendezvous
+from repro.exceptions import TrainingError
 
 #: Sentinel distinguishing "no timeout given" from an explicit ``None``
 #: (= wait forever) in :meth:`SSPClock.advance`.
 _USE_DEFAULT: Optional[float] = object()  # type: ignore[assignment]
 
 
-class SSPClock:
+class SSPClock(Rendezvous):
     """A stale-synchronous-parallel clock shared by all workers.
+
+    A dropped worker's frozen clock no longer counts toward the minimum
+    (``remove_worker``), so survivors never stall waiting for a ghost.
 
     Args:
         num_workers: workers sharing the clock.
@@ -40,19 +43,17 @@ class SSPClock:
             was hardcoded to 60 s regardless of the trainer setting).
     """
 
+    error = TrainingError
+
     def __init__(self, num_workers: int, staleness: Optional[int] = 0,
                  default_timeout: Optional[float] = 60.0):
-        if num_workers < 1:
-            raise TrainingError(f"num_workers must be >= 1, got {num_workers}")
+        super().__init__(num_workers)
         if staleness is not None and staleness < 0:
             raise TrainingError(f"staleness must be >= 0, got {staleness}")
-        self.num_workers = int(num_workers)
         self.staleness = None if staleness is None else int(staleness)
         self.default_timeout = default_timeout
-        self._clocks: List[int] = [0] * self.num_workers
-        self._condition = threading.Condition()
-        self._removed: set = set()
-        self._abort_reason: Optional[BaseException] = None
+        self._clocks: List[int] = [0] * self._size
+        self._condition = self._new_condition()
 
     # -- inspection ---------------------------------------------------------------
     def clock(self, worker_id: int) -> int:
@@ -91,32 +92,24 @@ class SSPClock:
                 ``default_timeout`` applies (``None`` waits forever).
 
         Raises:
-            TrainingError: if the wait exceeds the timeout.
+            SyncTimeout: if the wait exceeds the timeout.
+            WorkerFailure: if the clock was aborted before the bound held.
         """
         self._check_worker(worker_id)
         if timeout is _USE_DEFAULT:
             timeout = self.default_timeout
         with self._condition:
-            if self._abort_reason is not None:
-                raise self._wrap_abort(worker_id)
+            self._admit(worker_id, "SSP clock {verb} at worker {}", worker_id)
             self._clocks[worker_id] += 1
             new_clock = self._clocks[worker_id]
             self._condition.notify_all()
-            if self.staleness is None:
-                return new_clock
-
-            def _within_bound() -> bool:
-                return (self._abort_reason is not None
-                        or new_clock - self._min_locked() <= self.staleness)
-
-            if not self._condition.wait_for(_within_bound, timeout=timeout):
-                raise SyncTimeout(
-                    f"worker {worker_id} blocked at clock {new_clock}: slowest "
-                    f"worker is at {self._min_locked()} with staleness bound "
-                    f"{self.staleness}"
-                )
-            if self._abort_reason is not None:
-                raise self._wrap_abort(worker_id)
+            if self.staleness is not None:
+                self._wait(
+                    self._condition,
+                    lambda: new_clock - self._min_locked() <= self.staleness,
+                    timeout, "SSP clock {verb} at worker {}: blocked at clock "
+                    "{} with staleness bound {} on the slowest worker",
+                    worker_id, new_clock, self.staleness)
         return new_clock
 
     def can_proceed(self, worker_id: int) -> bool:
@@ -130,109 +123,17 @@ class SSPClock:
                 or self._clocks[worker_id] == minimum
 
     # -- fault-tolerance hooks -------------------------------------------------------
-    def remove_worker(self, worker_id: int) -> None:
-        """Exclude a dead worker from the staleness bound (drop mode).
-
-        The dead worker's frozen clock no longer counts toward the
-        minimum, so survivors never stall waiting for a ghost.
-        """
-        self._check_worker(worker_id)
-        with self._condition:
-            self._removed.add(worker_id)
-            if len(self._removed) >= self.num_workers:
-                raise TrainingError("cannot drop the last remaining worker")
-            self._condition.notify_all()
-
-    def abort(self, exc: BaseException) -> None:
-        """Wake every blocked ``advance`` with a failure."""
-        with self._condition:
-            self._abort_reason = exc
-            self._condition.notify_all()
-
-    def clear_abort(self) -> None:
-        """Re-arm the clock after recovery handled the abort."""
-        with self._condition:
-            self._abort_reason = None
-
     def restore(self, clocks: Dict[int, int]) -> None:
         """Restore clocks from a :meth:`snapshot` (restart recovery)."""
         with self._condition:
             for worker_id, value in clocks.items():
                 self._check_worker(worker_id)
                 self._clocks[worker_id] = int(value)
-            self._removed.clear()
-            self._abort_reason = None
+            self._readmit()
             self._condition.notify_all()
 
     def _min_locked(self) -> int:
-        if not self._removed:
+        if not self._dropped:
             return min(self._clocks)
-        live = [clock for worker, clock in enumerate(self._clocks)
-                if worker not in self._removed]
-        return min(live) if live else min(self._clocks)
-
-    def _wrap_abort(self, worker_id: int) -> BaseException:
-        reason = self._abort_reason
-        if isinstance(reason, WorkerFailure):
-            return WorkerFailure(
-                f"SSP clock aborted at worker {worker_id}: {reason}",
-                worker_id=reason.worker_id, iteration=reason.iteration,
-                cascade=True)
-        return TrainingError(f"SSP clock aborted at worker {worker_id}: {reason}")
-
-    def _check_worker(self, worker_id: int) -> None:
-        if not 0 <= worker_id < self.num_workers:
-            raise TrainingError(
-                f"worker_id {worker_id} out of range [0, {self.num_workers})"
-            )
-
-
-class StalenessBoundedQueue:
-    """Per-layer update buffer with bounded version staleness.
-
-    A lightweight companion to :class:`SSPClock` for asynchronous parameter
-    serving: readers may observe parameters that are at most ``staleness``
-    versions behind the newest applied update, mirroring how an SSP parameter
-    server answers reads.
-    """
-
-    def __init__(self, staleness: int = 0):
-        if staleness < 0:
-            raise TrainingError(f"staleness must be >= 0, got {staleness}")
-        self.staleness = int(staleness)
-        self._latest_version = 0
-        self._condition = threading.Condition()
-
-    @property
-    def latest_version(self) -> int:
-        """Version of the most recent applied update."""
-        with self._condition:
-            return self._latest_version
-
-    def publish(self, version: int) -> None:
-        """Record that ``version`` has been applied to the global parameters."""
-        with self._condition:
-            if version > self._latest_version:
-                self._latest_version = version
-                self._condition.notify_all()
-
-    def wait_for_read(self, requested_version: int,
-                      timeout: Optional[float] = 60.0) -> int:
-        """Block until a read at ``requested_version`` satisfies the bound.
-
-        Returns the version the read will observe (the newest available).
-
-        Raises:
-            TrainingError: on timeout.
-        """
-        with self._condition:
-            def _fresh_enough() -> bool:
-                return self._latest_version >= requested_version - self.staleness
-
-            if not self._condition.wait_for(_fresh_enough, timeout=timeout):
-                raise SyncTimeout(
-                    f"read at version {requested_version} timed out; newest "
-                    f"applied update is {self._latest_version} with staleness "
-                    f"bound {self.staleness}"
-                )
-            return self._latest_version
+        return min(clock for worker, clock in enumerate(self._clocks)
+                   if worker not in self._dropped)

@@ -370,16 +370,24 @@ class DistributedTrainer:
         if self._injector is not None or self.recovery != "none":
             self._detector = FailureDetector(self.num_workers,
                                              lease_seconds=self.sync_timeout)
-            self._detector.register(self.bsp)
-            if self.clock is not None:
-                self._detector.register(self.clock)
-            if self._averager is not None:
-                self._detector.register(self._averager)
-            for substrate in self._substrates.values():
-                self._detector.register(substrate)
+            for primitive in self._rendezvous():
+                self._detector.register(primitive)
         self._checkpoint: Optional[TrainerCheckpoint] = None
         self._dropped_workers: Set[int] = set()
         self.recoveries = 0
+
+    def _rendezvous(self) -> List[Any]:
+        """Every blocking sync primitive in play, the barrier last.
+
+        All speak the one protocol of :mod:`repro.core.consistency` --
+        ``abort`` / ``clear_abort`` for the failure detector's fan-out and
+        ``remove_worker`` for drop mode (which construction admits only
+        for backends declaring it).  The barrier goes last so a drop
+        releases the survivors after every substrate has renormalized.
+        """
+        return [primitive for primitive in (*self._substrates.values(),
+                                            self._averager, self.clock, self.bsp)
+                if primitive is not None]
 
     # -- construction helpers ---------------------------------------------------
     def substrate(self, scheme: CommScheme) -> Optional[Any]:
@@ -798,15 +806,8 @@ class DistributedTrainer:
     def _drop_worker(self, worker_id: int) -> None:
         """Excise a dead worker; survivors renormalize to a P-1 mean."""
         self._dropped_workers.add(worker_id)
-        for substrate in self._substrates.values():
-            remover = getattr(substrate, "remove_worker", None)
-            if remover is not None:
-                remover(worker_id)
-        if self._averager is not None:
-            self._averager.remove_worker(worker_id)
-        if self.clock is not None:
-            self.clock.remove_worker(worker_id)
-        self.bsp.remove_worker(worker_id)
+        for primitive in self._rendezvous():
+            primitive.remove_worker(worker_id)
 
     @property
     def dropped_workers(self) -> Set[int]:

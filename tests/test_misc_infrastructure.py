@@ -142,7 +142,7 @@ class TestPackageSurface:
             assert hasattr(repro, name)
 
     def test_core_exports_extensions(self):
-        from repro.core import SSPClock, StalenessBoundedQueue  # noqa: F401
+        from repro.core import SSPClock  # noqa: F401
 
 
 class TestRunnerCli:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.comm.parameter_server import ShardedParameterServer
-from repro.core.staleness import SSPClock, StalenessBoundedQueue
+from repro.core.staleness import SSPClock
 from repro.exceptions import CommunicationError, TrainingError
 from repro.nn.optim import SGD
 
@@ -67,42 +67,6 @@ class TestSSPClock:
         clock = SSPClock(num_workers=2)
         with pytest.raises(TrainingError):
             clock.clock(5)
-
-
-class TestStalenessBoundedQueue:
-    def test_read_satisfied_within_bound(self):
-        queue = StalenessBoundedQueue(staleness=2)
-        queue.publish(3)
-        assert queue.wait_for_read(5, timeout=0.5) == 3
-
-    def test_read_blocks_until_fresh_enough(self):
-        queue = StalenessBoundedQueue(staleness=0)
-        results = []
-
-        def reader():
-            results.append(queue.wait_for_read(2, timeout=5.0))
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        time.sleep(0.05)
-        queue.publish(2)
-        thread.join(timeout=5.0)
-        assert results == [2]
-
-    def test_read_timeout(self):
-        queue = StalenessBoundedQueue(staleness=0)
-        with pytest.raises(TrainingError):
-            queue.wait_for_read(1, timeout=0.05)
-
-    def test_publish_is_monotonic(self):
-        queue = StalenessBoundedQueue()
-        queue.publish(5)
-        queue.publish(3)
-        assert queue.latest_version == 5
-
-    def test_invalid_staleness(self):
-        with pytest.raises(TrainingError):
-            StalenessBoundedQueue(staleness=-2)
 
 
 class TestParameterServerCheckpoint:
