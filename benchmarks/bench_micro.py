@@ -130,6 +130,54 @@ def test_ps_sync_cycle_2workers(benchmark):
                                   layers[1].params["weight"])
 
 
+def test_sfb_sync_cycle_2workers(benchmark):
+    """Two workers' backward + ``Syncer.sync`` of a 1024x1024 Dense under SFB.
+
+    The shape of the repo benchmark's ``train_mlp_hybrid`` hot layers: each
+    thread backpropagates its own batch, publishes ``(x, dy)`` by
+    reference, reconstructs the aggregate from both workers' factors and
+    applies it to its own replica.  The syncers come from the backend's
+    ``create_syncer``, the binding the trainer uses.
+    """
+    import threading
+
+    from repro.comm.backend import TrainerContext, WorkerResources, get_backend
+
+    rng = np.random.default_rng(0)
+    layers = [Dense("fc", 1024, 1024, rng=np.random.default_rng(1))
+              for _ in range(2)]
+    inputs = [rng.standard_normal((32, 1024)).astype(np.float32) for _ in layers]
+    grads = [rng.standard_normal((32, 1024)).astype(np.float32) for _ in layers]
+    backend = get_backend("sfb")
+    ctx = TrainerContext(num_workers=2, num_servers=2, batch_size=32)
+    board = backend.build_substrate({"fc": layers[0].get_params()}, ctx)
+    syncers = [backend.create_syncer(
+        layer, board, WorkerResources(worker, local_optimizer=SGD(0.01)), ctx)
+        for worker, layer in enumerate(layers)]
+    steps = iter(range(1 << 30))
+
+    def work(worker, step):
+        layers[worker].forward(inputs[worker])
+        layers[worker].backward(grads[worker], need_input_grad=False)
+        syncers[worker].sync(step)
+
+    def cycle():
+        step = next(steps)
+        threads = [threading.Thread(target=work, args=(worker, step))
+                   for worker in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return syncers[0].stats.syncs - step
+
+    assert benchmark(cycle) == 1
+    np.testing.assert_array_equal(layers[0].params["weight"],
+                                  layers[1].params["weight"])
+    np.testing.assert_array_equal(layers[0].params["bias"],
+                                  layers[1].params["bias"])
+
+
 def test_sfb_aggregation(benchmark):
     """Aggregate 8 workers' sufficient factors for a 1024x1024 FC layer."""
     rng = np.random.default_rng(0)

@@ -533,6 +533,12 @@ class CommBackend(abc.ABC):
         parameter-averaging policies (local SGD with H > 1) to the
         substrate-agnostic :class:`~repro.core.syncer.LocalSGDSyncer`, and
         otherwise delegates to the backend's :meth:`make_syncer`.
+
+        This is where a syncer is bound to its layer, so it is also where
+        the layer learns which gradient representation it has to produce:
+        a syncer whose handler consumes sufficient factors makes its
+        ``Dense`` publish ``(x, dy)`` only (no local ``x^T @ dy``); every
+        other binding leaves the dense path alone.
         """
         policy = ctx.policy if policy is None else policy
         if not self.supports_policy(policy):
@@ -547,13 +553,17 @@ class CommBackend(abc.ABC):
                     f"policy {policy} needs a ParameterAverager in the "
                     f"TrainerContext"
                 )
-            return LocalSGDSyncer(resources.worker_id, layer, self.scheme,
-                                  averager=ctx.averager,
-                                  local_optimizer=resources.local_optimizer,
-                                  policy=policy,
-                                  sync_timeout=ctx.sync_timeout)
-        return self.make_syncer(layer, substrate, resources, ctx,
-                                policy=policy)
+            syncer = LocalSGDSyncer(resources.worker_id, layer, self.scheme,
+                                    averager=ctx.averager,
+                                    local_optimizer=resources.local_optimizer,
+                                    policy=policy,
+                                    sync_timeout=ctx.sync_timeout)
+        else:
+            syncer = self.make_syncer(layer, substrate, resources, ctx,
+                                      policy=policy)
+        if syncer.consumes_factors:
+            layer.publish_factors_only()
+        return syncer
 
 
 def reduce_in_worker_order(contributions: Dict[int, ArrayDict],

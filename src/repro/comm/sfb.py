@@ -10,6 +10,16 @@ replicas stay bit-wise consistent without a central server.
 The functional implementation below is a shared bulletin board with BSP
 semantics: ``publish`` posts a worker's factors for (layer, iteration) and
 ``collect`` blocks until all workers have posted.
+
+Under this scheme the factors are the only weight-gradient representation
+that crosses a boundary: the layer hands over ``(x, dy)`` by reference and
+never forms its local ``dW`` (:meth:`Dense.publish_factors_only
+<repro.nn.layers.dense.Dense.publish_factors_only>`), the board holds and
+hands out factors only, and a dense ``M x N`` matrix exists in exactly one
+place -- the aggregate :meth:`SufficientFactorBroadcaster.aggregate`
+reconstructs from everyone's factors, written into the ``out`` buffer the
+collecting syncer owns and overwritten at its next sync.  That buffer is
+never posted, staged or handed to a peer.
 """
 
 from __future__ import annotations
@@ -97,7 +107,8 @@ class SufficientFactorBroadcaster(KeyedBoard):
 
     @staticmethod
     def aggregate(contributions: List[Tuple[int, SufficientFactors, ExtraDict]],
-                  aggregation: str = "mean") -> Tuple[np.ndarray, ExtraDict]:
+                  aggregation: str = "mean",
+                  out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ExtraDict]:
         """Reconstruct and combine everyone's gradients.
 
         The weight gradient is computed with one GEMM over the
@@ -105,6 +116,10 @@ class SufficientFactorBroadcaster(KeyedBoard):
         the sum of the per-contribution outer-product reconstructions
         (Eq. 1) without materialising one dense ``M x N`` temporary per
         worker.  Extras accumulate in place into a single buffer per key.
+
+        Args:
+            out: optional ``(M, N)`` array of the factors' dtype the product
+                (and its mean) is written into instead of a fresh one.
 
         Returns:
             ``(weight_gradient, extra_gradients)`` where the weight gradient
@@ -116,7 +131,8 @@ class SufficientFactorBroadcaster(KeyedBoard):
             raise CommunicationError(
                 f"aggregation must be 'mean' or 'sum', got {aggregation!r}"
             )
-        weight_grad = batch_reconstruct([factors for _, factors, _ in contributions])
+        weight_grad = batch_reconstruct(
+            [factors for _, factors, _ in contributions], out=out)
         extra_totals: ExtraDict = {}
         for _, _, extras in contributions:
             for key, value in extras.items():

@@ -81,7 +81,20 @@ class Syncer:
         self.sync_timeout = sync_timeout
         self.stats = SyncStats()
         self._staged_grads: Optional[Dict[str, np.ndarray]] = None
+        #: Where ``_sync_sfb`` reconstructs the aggregate weight gradient:
+        #: private to this (worker, layer) syncer, rewritten every sync,
+        #: never staged, published or handed to a peer.
+        self._reconstruction: Optional[np.ndarray] = None
         self._validate_backends()
+
+    @property
+    def consumes_factors(self) -> bool:
+        """Whether the handler that will run reads the layer's ``(x, dy)``
+        factors and never its dense weight gradient, so the layer need not
+        (and, once bound by ``create_syncer``, does not) materialise
+        ``x^T @ dy`` -- a property of the handler, not of the reporting
+        :attr:`scheme`."""
+        return self._scheme_handler() in (self._sync_sfb, self._sync_adam)
 
     def ready(self, worker_clock: int, min_clock: int) -> bool:
         """Staleness gate: may this worker start its next iteration?
@@ -234,13 +247,21 @@ class Syncer:
                                 extras=extras)
         contributions = self.sfb.collect(self.worker_id, self.layer.name,
                                          iteration, timeout=self.sync_timeout)
+        dtype = np.result_type(factors.u, factors.v)
+        if self._reconstruction is None or self._reconstruction.dtype != dtype:
+            self._reconstruction = np.empty(factors.weight_shape, dtype=dtype)
+        # The aggregate lands in this syncer's buffer and the optimiser forms
+        # the step there too: one M x N pass each, no temporary.
         weight_grad, extra_grads = self.sfb.aggregate(
-            contributions, aggregation=self.aggregation)
+            contributions, aggregation=self.aggregation,
+            out=self._reconstruction)
         self.local_optimizer.apply(
-            f"{self.layer.name}/weight", dense_layer.params["weight"], weight_grad)
+            f"{self.layer.name}/weight", dense_layer.params["weight"], weight_grad,
+            grad_is_scratch=True)
         if "bias" in extra_grads:
             self.local_optimizer.apply(
-                f"{self.layer.name}/bias", dense_layer.params["bias"], extra_grads["bias"])
+                f"{self.layer.name}/bias", dense_layer.params["bias"],
+                extra_grads["bias"], grad_is_scratch=True)
         received = sum(
             factors.nbytes + sum(int(val.nbytes) for val in extras_dict.values())
             for wid, factors, extras_dict in contributions if wid != self.worker_id

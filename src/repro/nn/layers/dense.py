@@ -1,11 +1,20 @@
 """Fully-connected layer.
 
-The Dense layer keeps the per-batch activations and output gradients around
-after the backward pass so the sufficient factors ``(u, v)`` of its weight
-gradient can be extracted without recomputation -- this is the hook
-sufficient-factor broadcasting (Section 2.1 of the paper) relies on:
-``dW = x^T @ dy`` is exactly the sum over the batch of outer products of the
-per-sample input activation and per-sample output gradient.
+The weight gradient of an FC layer has two representations:
+``dW = x^T @ dy`` as a dense ``M x N`` matrix, and the pair ``(x, dy)``
+itself -- the *sufficient factors* of Section 2.1, ``K (M + N)`` floats whose
+batched outer product is ``dW``.  Which one exists after ``backward`` follows
+from who consumes it:
+
+* by default (no syncer, or one that ships dense gradients: PS, 1-bit,
+  compressed PS, ring, hierarchical PS, local SGD) ``backward`` computes the
+  dense matrix into ``grads["weight"]`` and :meth:`Dense.sufficient_factors`
+  is available as well, for free -- it only hands out the cached ``(x, dy)``;
+* once a factor-consuming syncer (SFB, Adam) is bound to the layer
+  (:meth:`Dense.publish_factors_only`), the factors *are* the gradient:
+  ``backward`` keeps ``(x, dy)`` and the bias gradient, never runs the
+  ``x^T @ dy`` GEMM, and ``grads`` has no ``"weight"`` entry at all -- a stray
+  reader gets a ``KeyError``, never a stale or zero matrix.
 """
 
 from __future__ import annotations
@@ -37,9 +46,26 @@ class Dense(Layer):
             ),
             "bias": zeros((self.out_features,)),
         }
+        self._dense_weight_grad = True
         self.zero_grads()
         self._last_input: Optional[np.ndarray] = None
         self._last_grad_output: Optional[np.ndarray] = None
+
+    def publish_factors_only(self) -> None:
+        """Make ``(x, dy)`` this layer's only weight-gradient representation.
+
+        Called once, where a syncer whose handler reads
+        :meth:`sufficient_factors` is bound to the layer.  From then on
+        ``backward`` skips ``x^T @ dy`` and ``grads`` carries only
+        ``"bias"``.
+        """
+        self._dense_weight_grad = False
+        self.grads.pop("weight", None)
+
+    def zero_grads(self) -> None:
+        super().zero_grads()
+        if not self._dense_weight_grad:
+            del self.grads["weight"]
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
         self._check_input(inputs, 2)
@@ -49,6 +75,9 @@ class Dense(Layer):
                 f"got {inputs.shape[1]}"
             )
         self._last_input = inputs if training else None
+        # The factors pair one forward with its own backward: drop the old
+        # dy so sufficient_factors() cannot hand out (new x, old dy).
+        self._last_grad_output = None
         return inputs @ self.params["weight"] + self.params["bias"]
 
     def backward(self, grad_output: np.ndarray,
@@ -59,7 +88,8 @@ class Dense(Layer):
             )
         self._check_input(grad_output, 2, "gradient")
         self._last_grad_output = grad_output
-        self.grads["weight"] = self._last_input.T @ grad_output
+        if self._dense_weight_grad:
+            self.grads["weight"] = self._last_input.T @ grad_output
         self.grads["bias"] = grad_output.sum(axis=0)
         if not need_input_grad:
             return None

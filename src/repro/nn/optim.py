@@ -40,13 +40,17 @@ class SGD:
                 grad = layer.grads[key]
                 self.apply(f"{layer.name}/{key}", param, grad)
 
-    def apply(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+    def apply(self, key: str, param: np.ndarray, grad: np.ndarray, *,
+              grad_is_scratch: bool = False) -> None:
         """Apply one gradient to one parameter array in place.
 
         Args:
             key: unique name for the parameter (used to track momentum state).
             param: parameter array, modified in place.
             grad: gradient of the loss with respect to ``param``.
+            grad_is_scratch: ``grad`` is the caller's private scratch that
+                nobody reads afterwards, so the step may be formed in it
+                instead of in a temporary (same arithmetic, same bits).
         """
         if param.shape != grad.shape:
             raise ConfigurationError(
@@ -55,6 +59,7 @@ class SGD:
         update = grad
         if self.weight_decay:
             update = update + self.weight_decay * param
+            grad_is_scratch = True  # a fresh array: ours to overwrite
         if self.momentum:
             velocity = self._velocity.get(key)
             if velocity is None:
@@ -62,6 +67,9 @@ class SGD:
             velocity = self.momentum * velocity - self.learning_rate * update
             self._velocity[key] = velocity
             param += velocity
+        elif grad_is_scratch:
+            np.multiply(update, self.learning_rate, out=update)
+            param -= update
         else:
             param -= self.learning_rate * update
 

@@ -16,7 +16,7 @@ gradients on the receiving side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class SufficientFactors:
         """Dense bytes divided by factor bytes (> 1 means SFs are smaller)."""
         return self.dense_nbytes / self.nbytes if self.nbytes else float("inf")
 
-    def reconstruct(self, out: np.ndarray = None) -> np.ndarray:
+    def reconstruct(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Rebuild the dense gradient ``dW = U^T @ V``.
 
         Args:
@@ -85,7 +85,7 @@ class SufficientFactors:
 
 
 def batch_reconstruct(factors: Sequence[SufficientFactors],
-                      out: np.ndarray = None) -> np.ndarray:
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum the dense gradients of several factor batches with one GEMM.
 
     By the batched-outer-product identity of Eq. 1,
@@ -129,14 +129,3 @@ def factorize_dense_gradient(inputs: np.ndarray, grad_output: np.ndarray) -> Suf
     """
     return SufficientFactors(u=np.ascontiguousarray(inputs),
                              v=np.ascontiguousarray(grad_output))
-
-
-def reconstruction_matches(factors: SufficientFactors, dense: np.ndarray,
-                           atol: float = 1e-5) -> bool:
-    """Check that the factors reconstruct ``dense`` within tolerance."""
-    if dense.shape != factors.weight_shape:
-        raise ShapeError(
-            f"dense gradient shape {dense.shape} does not match factors "
-            f"{factors.weight_shape}"
-        )
-    return bool(np.allclose(factors.reconstruct(), dense, atol=atol))

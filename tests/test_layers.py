@@ -62,6 +62,37 @@ class TestDense:
         u, v = layer.sufficient_factors()
         np.testing.assert_allclose(u.T @ v, layer.grads["weight"], rtol=1e-6)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_invalidates_the_previous_backwards_factors(self, rng,
+                                                                training):
+        """``(new x, old dy)`` has matching shapes; it must never be paired."""
+        layer = Dense("fc", 6, 5, rng=rng)
+        layer.forward(rng.standard_normal((4, 6)).astype(np.float32))
+        layer.backward(rng.standard_normal((4, 5)).astype(np.float32))
+        layer.sufficient_factors()
+        layer.forward(rng.standard_normal((4, 6)).astype(np.float32),
+                      training=training)
+        with pytest.raises(RuntimeError, match="before backward"):
+            layer.sufficient_factors()
+
+    def test_factor_only_layer_keeps_no_dense_weight_gradient(self, rng):
+        layer = Dense("fc", 6, 5, rng=rng)
+        layer.publish_factors_only()
+        assert set(layer.grads) == {"bias"}
+        inputs = rng.standard_normal((4, 6)).astype(np.float32)
+        grad_out = rng.standard_normal((4, 5)).astype(np.float32)
+        layer.forward(inputs)
+        grad_in = layer.backward(grad_out)
+        np.testing.assert_array_equal(grad_in, grad_out @ layer.params["weight"].T)
+        assert set(layer.grads) == {"bias"}
+        with pytest.raises(KeyError):
+            layer.grads["weight"]
+        np.testing.assert_array_equal(layer.grads["bias"], grad_out.sum(axis=0))
+        u, v = layer.sufficient_factors()
+        assert u is inputs and v is grad_out
+        layer.zero_grads()                      # no zero matrix sneaks back in
+        assert set(layer.grads) == {"bias"}
+
     def test_set_params_shape_mismatch(self, rng):
         layer = Dense("fc", 6, 5, rng=rng)
         with pytest.raises(ShapeError):
@@ -569,6 +600,31 @@ class TestGradientOwnership:
             np.testing.assert_array_equal(grad, frozen[key])
             assert not np.shares_memory(grad, layer.grads[key]), key
             assert np.any(layer.grads[key] != grad), key  # it did recompute
+
+    @pytest.mark.parametrize("need_input_grad", [True, False])
+    def test_factor_synchronised_dense_rebinds_what_it_publishes(
+            self, need_input_grad, rng):
+        """It publishes ``(x, dy)`` and the bias gradient, all by reference."""
+        factory, make_input = DTYPE_CASES["Dense"]
+        layer = factory()
+        layer.publish_factors_only()
+
+        def step():
+            out = layer.forward(make_input(rng, np.float32), training=True)
+            layer.backward(rng.standard_normal(out.shape).astype(np.float32),
+                           need_input_grad=need_input_grad)
+            u, v = layer.sufficient_factors()
+            return {"u": u, "v": v, **layer.grads}
+
+        captured = step()
+        assert set(captured) == {"u", "v", "bias"}
+        frozen = {key: array.copy() for key, array in captured.items()}
+        published = step()
+        assert "weight" not in layer.grads
+        for key, array in captured.items():
+            np.testing.assert_array_equal(array, frozen[key])
+            assert not np.shares_memory(array, published[key]), key
+            assert np.any(published[key] != array), key
 
 
 class TestDtypeContract:

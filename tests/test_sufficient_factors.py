@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ShapeError
-from repro.nn.sufficient_factors import (
-    SufficientFactors,
-    factorize_dense_gradient,
-    reconstruction_matches,
-)
+from repro.nn.sufficient_factors import SufficientFactors
 
 
 class TestSufficientFactors:
@@ -47,18 +43,6 @@ class TestSufficientFactors:
         factors = SufficientFactors(u=u, v=v)
         # MN / K(M+N) = 4096*4096 / (32*8192) = 64.
         assert factors.compression_ratio == pytest.approx(64.0)
-
-    def test_reconstruction_matches_helper(self, rng):
-        u = rng.standard_normal((6, 7)).astype(np.float32)
-        v = rng.standard_normal((6, 4)).astype(np.float32)
-        factors = factorize_dense_gradient(u, v)
-        assert reconstruction_matches(factors, u.T @ v)
-
-    def test_reconstruction_matches_shape_mismatch(self, rng):
-        factors = factorize_dense_gradient(rng.standard_normal((6, 7)),
-                                           rng.standard_normal((6, 4)))
-        with pytest.raises(ShapeError):
-            reconstruction_matches(factors, np.zeros((3, 3)))
 
 
 class TestSufficientFactorProperties:

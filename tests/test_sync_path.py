@@ -14,6 +14,9 @@ Contracts pinned here (ISSUE 14):
 """
 
 import gc
+import hashlib
+import json
+import os
 import threading
 import weakref
 
@@ -21,16 +24,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.backend import reduce_in_worker_order
+from repro.comm.backend import reduce_in_worker_order, registered_backends
 from repro.comm.hierarchical import HierarchicalParameterServer, HierPSSyncer
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.ring import RingAllReducer, RingSyncer
 from repro.comm.sfb import SufficientFactorBroadcaster
 from repro.config import TrainingConfig
 from repro.core.cost_model import CommScheme
-from repro.core.syncer import Syncer
+from repro.core.syncer import LocalSGDSyncer, Syncer
 from repro.data import make_linearly_separable, shard_dataset
-from repro.nn.gradcheck import check_network_input_gradient
+from repro.nn.gradcheck import check_layer_gradients, check_network_input_gradient
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.model_zoo import (
     build_cifar_quick_network,
@@ -38,6 +41,7 @@ from repro.nn.model_zoo import (
     build_transformer_network,
 )
 from repro.nn.optim import SGD
+from repro.nn.sufficient_factors import SufficientFactors
 from repro.parallel import DistributedTrainer, simulate_synchronous_sgd
 
 
@@ -476,3 +480,304 @@ def test_threaded_zero_copy_sync_keeps_replicas_and_server_identical():
     for layer in layers:
         for key, value in final.items():
             np.testing.assert_array_equal(layer.params[key], value)
+
+
+def test_threaded_sfb_sync_reconstructs_in_private_buffers():
+    """Two SFB layers per worker syncing at once, more threads than cores.
+
+    Every (worker, layer) syncer reconstructs into its own reused buffer
+    and lets the optimiser form the step there; a shared or leaked buffer
+    would show as replicas that differ from each other or from the serial
+    replay that allocates everything afresh (the parent's arithmetic).
+    """
+    import sys
+
+    from repro.comm.backend import TrainerContext, WorkerResources, get_backend
+
+    num_workers, rounds, names = 4, 12, ("a", "b")
+    layers = {(wid, name): Dense(name, 24, 16, rng=np.random.default_rng(42))
+              for wid in range(num_workers) for name in names}
+    backend = get_backend("sfb")
+    ctx = TrainerContext(num_workers=num_workers, num_servers=num_workers,
+                         batch_size=4, sync_timeout=20.0)
+    board = backend.build_substrate({}, ctx)
+    optimizers = [SGD(learning_rate=0.05) for _ in range(num_workers)]
+    syncers = {key: backend.create_syncer(
+        layer, board, WorkerResources(key[0], local_optimizer=optimizers[key[0]]),
+        ctx) for key, layer in layers.items()}
+
+    def batch(wid, name, step):
+        rng = np.random.default_rng([wid, names.index(name), step])
+        return (rng.standard_normal((4, 24)).astype(np.float32),
+                rng.standard_normal((4, 16)).astype(np.float32))
+
+    errors = []
+
+    def worker(wid, name):
+        layer, syncer = layers[(wid, name)], syncers[(wid, name)]
+        try:
+            for step in range(rounds):
+                x, dy = batch(wid, name, step)
+                layer.forward(x)
+                layer.backward(dy)
+                syncer.sync(step)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=key) for key in layers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+
+    for name in names:
+        want = Dense(name, 24, 16, rng=np.random.default_rng(42)).get_params()
+        for step in range(rounds):
+            xs, dys = zip(*(batch(wid, name, step) for wid in range(num_workers)))
+            weight = np.concatenate(xs).T @ np.concatenate(dys)
+            weight /= float(num_workers)
+            bias = dys[0].sum(axis=0)
+            for dy in dys[1:]:
+                bias = bias + dy.sum(axis=0)
+            bias /= float(num_workers)
+            want["weight"] -= 0.05 * weight
+            want["bias"] -= 0.05 * bias
+        for wid in range(num_workers):
+            for key, value in want.items():
+                np.testing.assert_array_equal(layers[(wid, name)].params[key],
+                                              value)
+
+
+# -- who keeps the dense weight gradient ---------------------------------------------
+
+#: Every registered backend: does a Dense bound to its syncer keep ``dW``?
+KEEPS_DENSE_WEIGHT = {"ps": True, "onebit": True, "ring": True, "hierps": True,
+                      "sfb": False, "adam": False}
+
+
+#: Steps the fixed batches of ``_factor_trainer`` cover (and the pins run).
+PIN_ITERATIONS = 5
+
+
+def _factor_trainer(mode, num_workers=2, widths=(64, 64, 64), batch=8,
+                    momentum=0.0, weight_decay=0.0, **kwargs):
+    """The benchmark MLP (at width 64 unless told otherwise) on fixed batches.
+
+    Batch 8 keeps Algorithm 1 on SFB for both 64 x 64 layers at every
+    worker count used here.
+    """
+    rng = np.random.default_rng(7)
+    batches = {(step, wid): (
+        rng.standard_normal((batch, widths[0])).astype(np.float32),
+        rng.integers(0, 10, size=batch))
+        for step in range(PIN_ITERATIONS) for wid in range(num_workers)}
+    config = TrainingConfig(batch_size=batch, learning_rate=0.05,
+                            iterations=PIN_ITERATIONS, seed=3,
+                            momentum=momentum, weight_decay=weight_decay)
+    kwargs.setdefault("deterministic", True)
+    return DistributedTrainer(
+        lambda: build_mlp_network(widths[0], widths[1:], 10), num_workers, None,
+        config, mode=mode,
+        batch_provider=lambda step, wid: batches[(step, wid)], **kwargs)
+
+
+def _dense_layers(trainer):
+    return [(wid, layer) for wid in range(trainer.num_workers)
+            for layer in trainer.replica(wid).layers if isinstance(layer, Dense)]
+
+
+def _assert_keeps_dense_weight(layer):
+    u, v = layer.sufficient_factors()           # still there, for free
+    assert set(layer.grads) == {"weight", "bias"}
+    np.testing.assert_array_equal(layer.grads["weight"], u.T @ v)
+
+
+def _assert_factors_are_the_gradient(layer):
+    assert set(layer.grads) == {"bias"}
+    with pytest.raises(KeyError):
+        layer.grads["weight"]
+    x, dy = layer.sufficient_factors()
+    reference = Dense("reference", layer.in_features, layer.out_features)
+    reference.set_params(layer.params)
+    reference.forward(x)
+    reference.backward(dy)
+    np.testing.assert_array_equal(SufficientFactors(x, dy).reconstruct(),
+                                  reference.grads["weight"])
+    np.testing.assert_array_equal(layer.grads["bias"], reference.grads["bias"])
+
+
+class TestWhoKeepsTheDenseGradient:
+    """The representation follows from the syncer the trainer bound.
+
+    Only a syncer whose handler reads ``sufficient_factors()`` (SFB, Adam)
+    relieves its ``Dense`` of ``x.T @ dy``; the binding is
+    ``CommBackend.create_syncer``, reached here through the trainer.
+    """
+
+    def test_every_registered_backend_is_in_the_table(self):
+        assert set(KEEPS_DENSE_WEIGHT) == set(registered_backends())
+
+    @pytest.mark.parametrize("mode", sorted(KEEPS_DENSE_WEIGHT))
+    def test_backend_by_backend(self, mode):
+        trainer = _factor_trainer(mode)
+        trainer.train(2)
+        layers = _dense_layers(trainer)
+        assert len(layers) == 6
+        for wid, layer in layers:
+            syncer = trainer._workers[wid].syncers[layer.name]
+            assert syncer.scheme.value == mode
+            assert syncer.consumes_factors is not KEEPS_DENSE_WEIGHT[mode]
+            if KEEPS_DENSE_WEIGHT[mode]:
+                _assert_keeps_dense_weight(layer)
+            else:
+                _assert_factors_are_the_gradient(layer)
+
+    def test_compressed_ps_keeps_it(self):
+        trainer = _factor_trainer("ps", compressor="topk(0.1)")
+        trainer.train(2)
+        for wid, layer in _dense_layers(trainer):
+            assert trainer._workers[wid].syncers[layer.name].compressor is not None
+            _assert_keeps_dense_weight(layer)
+
+    def test_hybrid_mlp_splits_by_layer(self):
+        """The benchmark model: two SFB layers and the 1024 x 10 PS head."""
+        trainer = _factor_trainer("hybrid", widths=(1024, 1024, 1024), batch=32)
+        trainer.train(1)
+        for wid, layer in _dense_layers(trainer):
+            scheme = trainer.assignment.scheme_for(layer.name)
+            if layer.name == "classifier":
+                assert scheme is CommScheme.PS
+                _assert_keeps_dense_weight(layer)
+            else:
+                assert scheme is CommScheme.SFB
+                _assert_factors_are_the_gradient(layer)
+
+    def test_local_sgd_keeps_it_whatever_scheme_it_reports(self):
+        """``LocalSGDSyncer`` applies dense gradients; ``scheme`` only names
+        the substrate, so the selection cannot be made from it."""
+        trainer = _factor_trainer("hybrid", policy="local_sgd(2)")
+        trainer.train(2)
+        for wid, layer in _dense_layers(trainer):
+            syncer = trainer._workers[wid].syncers[layer.name]
+            assert isinstance(syncer, LocalSGDSyncer)
+            assert syncer.scheme is CommScheme.SFB
+            assert not syncer.consumes_factors
+            _assert_keeps_dense_weight(layer)
+
+    def test_unbound_layers_keep_it(self):
+        network = build_mlp_network(12, (16, 8), 4, seed=3)
+        rng = np.random.default_rng(5)
+        network.train_step(rng.standard_normal((5, 12)).astype(np.float32),
+                           np.arange(5) % 4)
+        for layer in network.layers:
+            if isinstance(layer, Dense):
+                _assert_keeps_dense_weight(layer)
+        before = network.get_state()
+        SGD(learning_rate=0.1).step_network(network)
+        assert np.any(network.get_state()["fc1"]["weight"]
+                      != before["fc1"]["weight"])
+        check_layer_gradients(Dense("fc", 6, 5), rng.standard_normal((4, 6)))
+
+    def test_concurrent_sfb_layers_reconstruct_into_private_buffers(self):
+        """Threaded WFBP: a worker's SFB layers may sync at the same time."""
+        trainer = _factor_trainer("hybrid", deterministic=False)
+        posted = []
+        publish = trainer.broadcaster.publish
+
+        def recording_publish(worker_id, layer, iteration, factors, extras=None):
+            posted.extend([factors.u, factors.v, *(extras or {}).values()])
+            return publish(worker_id, layer, iteration, factors, extras=extras)
+
+        trainer.broadcaster.publish = recording_publish
+        trainer.train(2)
+        buffers = [syncer._reconstruction
+                   for runtime in trainer._workers
+                   for syncer in runtime.syncers.values()]
+        assert len(buffers) == 6 and all(b is not None for b in buffers)
+        for index, buffer in enumerate(buffers):
+            for other in buffers[index + 1:]:
+                assert not np.shares_memory(buffer, other)
+            for array in posted:                # nothing that met the board
+                assert not np.shares_memory(buffer, array)
+        for wid, layer in _dense_layers(trainer):
+            own = trainer._workers[wid].syncers[layer.name]._reconstruction
+            assert own.shape == layer.params["weight"].shape
+            assert not np.shares_memory(own, layer.params["weight"])
+
+
+# -- bit-identity pins for the factor-synchronised path ---------------------------
+
+PINS_PATH = os.path.join(os.path.dirname(__file__), "data", "sfb_pins.json")
+
+#: name -> ``_factor_trainer`` arguments.
+PIN_CASES = {
+    **{f"{mode}-P{workers}": dict(mode=mode, num_workers=workers)
+       for mode in ("hybrid", "sfb", "adam") for workers in (2, 3, 4)},
+    "hybrid-P2-momentum-decay": dict(mode="hybrid", num_workers=2,
+                                     momentum=0.9, weight_decay=1e-4),
+    "hybrid-P2-local_sgd2": dict(mode="hybrid", num_workers=2,
+                                 policy="local_sgd(2)"),
+}
+
+
+def _pin_run(**case):
+    """Losses and one parameter digest per replica of one pinned run."""
+    trainer = _factor_trainer(**case)
+    history = trainer.train(PIN_ITERATIONS)
+    digests = []
+    for wid in range(trainer.num_workers):
+        sha = hashlib.sha256()
+        for layer, params in sorted(trainer.replica(wid).get_state().items()):
+            for key, value in sorted(params.items()):
+                sha.update(f"{layer}/{key}".encode())
+                sha.update(np.ascontiguousarray(value).tobytes())
+        digests.append(sha.hexdigest())
+    schemes = {name: str(trainer.assignment.scheme_for(name).value)
+               for name in ("fc1", "fc2", "classifier")}
+    return {"losses": [repr(loss) for loss in history.losses],
+            "digests": digests, "schemes": schemes}
+
+
+class TestFactorPathBitIdentityPins:
+    """Recorded on the parent of ISSUE 20, before any source changed.
+
+    Skipping ``x.T @ dy``, reconstructing into a reused buffer and applying
+    the update without a temporary are all arithmetic-preserving, so every
+    per-step loss and every final parameter bit must survive them.
+    """
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        with open(PINS_PATH) as fh:
+            return json.load(fh)["cases"]
+
+    def test_every_case_is_pinned(self, pins):
+        assert set(pins) == set(PIN_CASES)
+
+    @pytest.mark.parametrize("case", sorted(PIN_CASES))
+    def test_losses_and_final_parameters_are_bit_identical(self, pins, case):
+        got = _pin_run(**PIN_CASES[case])
+        assert got == pins[case]
+        if case.startswith(("hybrid", "sfb")):  # the pin is on the SFB path
+            assert got["schemes"]["fc1"] == got["schemes"]["fc2"] == "sfb"
+        if "local_sgd" not in case:             # an odd step ends unaveraged
+            assert len(set(got["digests"])) == 1
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=<tree>/src python tests/test_sync_path.py
+    with open(PINS_PATH, "w") as fh:
+        json.dump({
+            "note": ("repr() of every per-step loss and a sha256 of each "
+                     "replica's final parameters: build_mlp_network(64, (64, "
+                     "64), 10), batch 8, 5 iterations, deterministic=True; "
+                     "recorded at the parent of ISSUE 20 (commit d102011)"),
+            "cases": {case: _pin_run(**kwargs)
+                      for case, kwargs in sorted(PIN_CASES.items())},
+        }, fh, indent=1)
+        fh.write("\n")
