@@ -4,7 +4,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 comma := ,
 
 .PHONY: test bench bench-update bench-full bench-smoke sweep-quick determinism \
-	examples-smoke docs-check reports-diff fluid-trace loc
+	examples-smoke docs-check reports-diff fluid-trace loc sim-points
 
 ## tier-1 test suite
 test:
@@ -47,6 +47,12 @@ loc:
 ## and print the keys whose values moved: review a re-pin from that list
 fluid-trace:
 	PYTHONPATH=src python tests/test_fluid.py
+
+## best-of-N wall time (and DES event count) of each of the 30 planner calls
+## one `sim_plan_mix` pass composes; with REF=<rev|dir>, beside REF's
+sim-points:
+	PYTHONPATH=src python tools/sim_points.py $(if $(N),--repeats $(N)) \
+		$(if $(REF),--ref "$(REF)")
 
 ## quick figure sweeps through the parallel runner (one worker per core)
 sweep-quick:

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the fluid-mode analytic simulator.
 
-Two measurements bracket the fluid engine's cost:
+Three measurements bracket the fluid engine's cost:
 
 * ``test_fluid_point`` -- one closed-form evaluation of a 1000-node
   oversubscribed cluster (the aggregate tier: class clocks + one
@@ -10,7 +10,11 @@ Two measurements bracket the fluid engine's cost:
   bandwidth axis for all seven registered backends on a 10k-node
   oversubscribed cluster, evaluated from a cold warm-start cache and exact
   per axis element.  ~40 ms with the racks an array dimension (0.35 s when
-  every phase looped over the 250 racks); the stated budget is 0.2 s.
+  every phase looped over the 250 racks); the stated budget is 0.2 s;
+* ``test_fluid_detail_convoy`` -- the detail tier where it is dearest: the
+  64-node SFB and HybComm points, ~20k all-to-all copies chained one heap
+  hop each.  ~20 ms on plain-float clocks (~59 ms when every booking went
+  through ``np.maximum``).
 
 The DES cannot be benchmarked at these sizes at all -- a single 10k-node
 iteration walk is minutes of event processing -- which is the point of the
@@ -56,11 +60,25 @@ def _sweep_all_backends(nodes: int):
     return curves
 
 
+def _detail_convoy(nodes: int):
+    cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
+    return [fluid.FluidSimulator(WORKLOAD, cluster, system,
+                                 mode="detail").iteration_seconds()
+            for system in SYSTEMS if system.name in ("SFB", "HybComm")]
+
+
 def test_fluid_point(benchmark):
     """One 1000-node closed-form evaluation (aggregate tier)."""
     result = benchmark(_fluid_point, 1000)
     assert result.iteration_seconds > 0
     benchmark.extra_info["nodes"] = 1000
+
+
+def test_fluid_detail_convoy(benchmark):
+    """64-node SFB and HybComm evaluations (detail tier, per-copy convoy)."""
+    seconds = benchmark(_detail_convoy, 64)
+    assert len(seconds) == 2 and all(type(t) is float for t in seconds)
+    benchmark.extra_info["nodes"] = 64
 
 
 def test_fluid_sweep_10k(benchmark):

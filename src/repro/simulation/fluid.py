@@ -188,8 +188,13 @@ class FluidSimulator:
         else:
             self._rack_scale = float("inf")
             self.nracks = 1
+        # A cross-rack flow runs at the slower of NIC and rack wire.
+        self._bottleneck = min(1.0, self._rack_scale)
         detail = self.num_workers <= DETAIL_NODE_MAX
         self.detail = detail if mode == "auto" else (mode == "detail")
+        #: "Latest of two clocks", bound once per tier: the detail tier's
+        #: clocks are plain floats, the aggregate tier's arrays over the axis.
+        self._latest = max if self.detail else np.maximum
         self.bandwidth_bps = cluster.effective_bandwidth_bps
         # Rack profile, one (racks, 1) column each (they broadcast against
         # the aggregate tier's (racks, axis) wire clocks): members, and the
@@ -205,6 +210,9 @@ class FluidSimulator:
         #: unmasked path) when that is every rack.
         crossing = (self._members > 0) & (self._cross > 0.0)
         self._crossing = True if crossing.all() else crossing
+        #: Detail tier: every node's rack, a list lookup per booking.
+        self._rack = ([self._rack_of(node) for node in range(cluster.num_nodes)]
+                      if self.detail else ())
 
     # -- shared arithmetic ---------------------------------------------------
     @property
@@ -220,10 +228,8 @@ class FluidSimulator:
 
     def _tfs(self, nbytes):
         """Cross-rack flow service time: the slower of NIC and rack wire."""
-        if not self.topo:
-            return self._tn(nbytes)
-        bw = np.minimum(self.bandwidth_bps, self.rack_bw)
-        return units.bytes_to_bits(nbytes) / bw + self.lam
+        return (units.bytes_to_bits(nbytes)
+                / (self.bandwidth_bps * self._bottleneck) + self.lam)
 
     def _wire(self, nbytes):
         """Rack-switch wire hold; multi-job contention stretches it."""
@@ -231,9 +237,6 @@ class FluidSimulator:
 
     def _rack_of(self, node: int) -> int:
         return self.cluster_config.rack_of(node) if self.topo else 0
-
-    def _cross_fraction(self, node: int) -> float:
-        return float(self._cross[self._rack_of(node), 0]) if self.topo else 0.0
 
     # -- result assembly -----------------------------------------------------
     def run(self):
@@ -282,10 +285,11 @@ class FluidSimulator:
         (per-copy chaining orders events per axis element).
         """
         if bandwidth_bps is not None:
-            self.bandwidth_bps = bandwidth_bps
-            if np.ndim(bandwidth_bps) > 0 and self.detail:
+            if self.detail and np.ndim(bandwidth_bps) > 0:
                 raise ConfigurationError(
                     "vectorized axis evaluation requires the aggregate tier")
+            self.bandwidth_bps = (float(bandwidth_bps) if self.detail
+                                  else bandwidth_bps)
         if self.detail or self.num_workers <= 1:
             return self._replay()
         # The elements a pass replayed in their own event order keep their
@@ -327,14 +331,15 @@ class FluidSimulator:
                 # like the DES's pre-dispatch timeout.
                 ready = ready + unit_plan.encode_seconds
             self._at(ready, self._drive(unit_plan))
-        while self._events:
-            _key, seq, when, fn = heapq.heappop(self._events)
-            if not self.detail:
+        events, detail = self._events, self.detail
+        while events:
+            _key, seq, when, fn = heapq.heappop(events)
+            if not detail:
                 self._popped.append((when, seq))
             fn(when)
         result = compute_end
         for completion in self._completions:
-            result = np.maximum(result, completion)
+            result = self._latest(result, completion)
         return self._apply_faults(self._apply_policy(result, compute_end),
                                   compute_end)
 
@@ -380,9 +385,9 @@ class FluidSimulator:
             return total
         exposed = (total - compute) / period
         if staleness is None:
-            return np.maximum(compute, exposed)
-        hidden = compute + np.maximum(0.0, exposed - staleness * compute)
-        return np.maximum(hidden, exposed)
+            return self._latest(compute, exposed)
+        hidden = compute + self._latest(0.0, exposed - staleness * compute)
+        return self._latest(hidden, exposed)
 
     def _apply_faults(self, total, compute):
         """Add the closed-form fault environment on top of one iteration.
@@ -425,7 +430,7 @@ class FluidSimulator:
     # vector for the callback: the arithmetic is elementwise, the order one
     # element's -- which ``_popped_in_own_order`` checks for the others.
     def _at(self, when, fn: Callable) -> None:
-        key = float(np.asarray(when).flat[0])
+        key = when if self.detail else float(np.asarray(when).flat[0])
         heapq.heappush(self._events, (key, self._seq, when, fn))
         self._seq += 1
 
@@ -434,7 +439,7 @@ class FluidSimulator:
         the system overlaps pulls."""
         if self.system.overlap_pull:
             return call
-        return np.maximum(call, self._compute_end)
+        return self._latest(call, self._compute_end)
 
     # -- the phase driver ----------------------------------------------------
     def _drive(self, plan: UnitPlan):
@@ -468,7 +473,7 @@ class FluidSimulator:
                         1 if group is None else len(self.plan.shape.racks),
                         fin])
                     pending[0] -= 1
-                    pending[1] = np.maximum(pending[1], fin)
+                    pending[1] = self._latest(pending[1], fin)
                     if pending[0]:
                         return
                     group, fin = None, pending[1]
@@ -504,78 +509,75 @@ class FluidSimulator:
     # ========================================================================
     # detail tier: per-node replay of the DES bookings
     # ========================================================================
-    def _flow(self, src: int, dst: int, nbytes: float, call):
+    # A scalar engine: every clock, call time and hold is a plain Python
+    # float and "latest of" is the builtin ``max`` -- one heap hop per copy
+    # leaves no room for a numpy dispatch per booking.  A phase's holds
+    # depend on its bytes and the bandwidth only, so each booker computes
+    # them once and hands them to the per-flow primitives.
+    def _holds(self, nbytes: float) -> Tuple[float, float, float]:
+        """One flow's NIC-rate time, cross-rack service time and wire hold."""
+        return self._tn(nbytes), self._tfs(nbytes), self._wire(nbytes)
+
+    def _flow(self, src: int, dst: int, nbytes: float, call, tn, fs, wr):
         """Point-to-point transfer between two nodes; returns its finish."""
         if src == dst or nbytes <= 0:
             return call
-        if not self.topo or self._rack_of(src) == self._rack_of(dst):
-            t = np.maximum(np.maximum(call, self.up[src]), self.down[dst])
-            fin = t + self._tn(nbytes)
-            self.up[src] = fin
-            self.down[dst] = fin
+        rs, rd = self._rack[src], self._rack[dst]
+        if rs == rd:
+            fin = max(call, self.up[src], self.down[dst]) + tn
+            self.up[src] = self.down[dst] = fin
             return fin
-        rs, rd = self._rack_of(src), self._rack_of(dst)
-        fs = self._tfs(nbytes)
-        wr = self._wire(nbytes)
         # Source-side coupling: the DES acquires nic.up < rack.up <
         # rack.down < nic.down holding earlier channels while queueing at
         # later ones; the source NIC and the rack wires form the dominant
         # head-of-line chain, while the receiver downlink drains as an
         # independent work-conserving share.
-        t = np.maximum(np.maximum(call, self.up[src]),
-                       np.maximum(self.rku[rs], self.rkd[rd]))
+        t = max(call, self.up[src], self.rku[rs], self.rkd[rd])
         self.up[src] = t + fs
-        self.rku[rs] = t + wr
-        self.rkd[rd] = t + wr
-        td = np.maximum(t, self.down[dst])
+        self.rku[rs] = self.rkd[rd] = t + wr
+        td = max(t, self.down[dst])
         self.down[dst] = td + fs
-        return np.maximum(t + wr, td + fs)
+        return max(t + wr, td + fs)
 
-    def _fabric_flow(self, node: int, nbytes: float, call, outbound: bool):
-        """node -> fabric (a fine-PS push) or fabric -> node (its pull)."""
-        nic = self.up if outbound else self.down
-        cross = nbytes * self._cross_fraction(node)
-        if cross <= 0.0:
-            t = np.maximum(call, nic[node])
-            fin = t + self._tn(nbytes)
-            nic[node] = fin
-            return fin
-        rkc = self.rku if outbound else self.rkd
-        rack = self._rack_of(node)
-        t = np.maximum(np.maximum(call, nic[node]), rkc[rack])
-        nic[node] = t + self._tn(nbytes)
-        rkc[rack] = t + self._wire(cross)
-        return t + np.maximum(self._tn(nbytes), self._wire(cross))
+    def _fabric(self, nodes: Sequence[int], nbytes: float, call,
+                outbound: bool, coupled: bool):
+        """Every node's flow into (or out of) the KV fabric; the last finish.
 
-    def _fabric_fan(self, nodes: Sequence[int], nbytes: float, call,
-                    outbound: bool):
-        """Independent (nic, rack-wire) bookings; returns the last finish."""
-        nic = self.up if outbound else self.down
-        rkc = self.rku if outbound else self.rkd
+        ``coupled`` is a worker's push or pull, which holds its NIC and its
+        rack's wire together; the shards' side books the two independently.
+        """
+        nic, rkc = (self.up, self.rku) if outbound else (self.down, self.rkd)
+        tn = self._tn(nbytes)
+        # Per rack: the bytes of one member's flow that leave it, their hold.
+        cross = [nbytes * share for share in self._cross[:, 0].tolist()]
+        wire = [self._wire(leaving) for leaving in cross]
         fin = call
         for node in nodes:
-            t = np.maximum(call, nic[node])
-            nic[node] = t + self._tn(nbytes)
-            fin = np.maximum(fin, nic[node])
-            cross = nbytes * self._cross_fraction(node)
-            if cross > 0.0:
-                rack = self._rack_of(node)
-                tr = np.maximum(call, rkc[rack])
-                rkc[rack] = tr + self._wire(cross)
-                fin = np.maximum(fin, rkc[rack])
+            rack = self._rack[node]
+            if cross[rack] <= 0.0:
+                nic[node] = t = max(call, nic[node]) + tn
+            elif coupled:
+                t = max(call, nic[node], rkc[rack])
+                nic[node] = t + tn
+                rkc[rack] = t + wire[rack]
+                t += max(tn, wire[rack])
+            else:
+                nic[node] = t = max(call, nic[node]) + tn
+                rkc[rack] = tr = max(call, rkc[rack]) + wire[rack]
+                t = max(t, tr)
+            fin = max(fin, t)
         return fin
 
     def _copy(self, src: int, dst: int, when, tn, fs, wr):
         """One copy of a batch whose sender already holds its uplink."""
-        if self.topo and self._rack_of(src) != self._rack_of(dst):
-            rs, rd = self._rack_of(src), self._rack_of(dst)
-            tr = np.maximum(when, np.maximum(self.rku[rs], self.rkd[rd]))
-            self.rku[rs] = tr + wr
-            self.rkd[rd] = tr + wr
-            td = np.maximum(tr, self.down[dst])
+        rs, rd = self._rack[src], self._rack[dst]
+        if rs != rd:
+            tr = max(when, self.rku[rs], self.rkd[rd])
+            self.rku[rs] = self.rkd[rd] = tr + wr
+            td = max(tr, self.down[dst])
             self.down[dst] = td + fs
-            return np.maximum(tr + wr, td + fs)
-        fin = np.maximum(when, self.down[dst]) + tn
+            return max(tr + wr, td + fs)
+        fin = max(when, self.down[dst]) + tn
         self.down[dst] = fin
         return fin
 
@@ -583,28 +585,25 @@ class FluidSimulator:
     # ``book(plan, phase, rack, call, done)`` books the phase on every rack,
     # or on ``rack`` only, and reports once per rack (``None`` for a phase
     # booked as a whole).  Copies that chain through the phase heap stay
-    # inside their booker.
+    # inside their booker, one cursor per sender.
     def _book_fabric(self, plan: UnitPlan, phase: Phase, rack, call,
                      done: Callable) -> None:
         """Workers against the KV fabric, the shards the other way."""
         outbound = phase.kind is PhaseKind.FABRIC_OUT
-        fin = self._fabric_fan(self.server_nodes, phase.hub_bytes, call,
-                               outbound=not outbound)
-        for worker in range(self.num_workers):
-            fin = np.maximum(fin, self._fabric_flow(worker, phase.nbytes,
-                                                    call, outbound))
-        done(None, fin)
+        fin = self._fabric(self.server_nodes, phase.hub_bytes, call,
+                           not outbound, coupled=False)
+        done(None, max(fin, self._fabric(range(self.num_workers), phase.nbytes,
+                                         call, outbound, coupled=True)))
 
     def _book_fan_in(self, plan: UnitPlan, phase: Phase, rack, call,
                      done: Callable) -> None:
         """Every sender's flow into its hub's downlink, all requested at once."""
+        holds = self._holds(phase.nbytes)
         for group, hub, members in fan_groups(phase, self.plan.shape,
                                               plan.owner, rack):
-            fin = call
-            for member in members:
-                fin = np.maximum(fin, self._flow(member, hub, phase.nbytes,
-                                                 call))
-            done(group, fin)
+            done(group, max([call] + [
+                self._flow(member, hub, phase.nbytes, call, *holds)
+                for member in members]))
 
     def _book_fan_out(self, plan: UnitPlan, phase: Phase, rack, call,
                       done: Callable) -> None:
@@ -620,26 +619,27 @@ class FluidSimulator:
         # A whole fan scoped per rack reports each copy as its rack's finish.
         per_rack = phase.scope is Scope.GROUP and group is None
         rack_size = self.plan.shape.rack_size
-        latest = [call]
+        holds = self._holds(phase.nbytes)
+        i, latest = 0, call
 
-        def step(i: int, when) -> None:
+        def step(when) -> None:
+            nonlocal i, latest
             while i < len(members):
                 member = members[i]
-                fin = self._flow(hub, member, phase.nbytes, when)
-                latest[0] = np.maximum(latest[0], fin)
+                fin = self._flow(hub, member, phase.nbytes, when, *holds)
+                latest = max(latest, fin)
                 if per_rack:
                     done(member // rack_size, fin)
                 i += 1
                 # The hub's own copy is free; it still takes its turn on
                 # the heap when it reports a rack of its own.
                 if (member != hub or per_rack) and i < len(members):
-                    self._at(np.maximum(when, self.up[hub]),
-                             lambda when, i=i: step(i, when))
+                    self._at(max(when, self.up[hub]), step)
                     return
             if not per_rack:
-                done(group, latest[0])
+                done(group, latest)
 
-        step(0, call)
+        step(call)
 
     def _book_broadcast(self, plan: UnitPlan, phase: Phase, rack, call,
                         done: Callable) -> None:
@@ -650,62 +650,59 @@ class FluidSimulator:
         the receivers' downlinks in request order.  A single hub's batch is
         booked in one go.
         """
-        tn = self._tn(phase.nbytes)
-        fs = self._tfs(phase.nbytes)
-        wr = self._wire(phase.nbytes)
+        tn, fs, wr = self._holds(phase.nbytes)
+        up, copy, at = self.up, self._copy, self._at
         if phase.src is not Peers.WORKERS:
             for group, hub, members in fan_groups(phase, self.plan.shape,
                                                   plan.owner, rack):
                 cur = call
                 if len(members) > 1:
-                    cur = np.maximum(call, self.up[hub])
+                    cur = max(call, up[hub])
                     for member in members:
                         if member != hub:
-                            cur = self._copy(hub, member, cur, tn, fs, wr)
-                    self.up[hub] = np.maximum(self.up[hub], cur)
+                            cur = copy(hub, member, cur, tn, fs, wr)
+                    up[hub] = max(up[hub], cur)
                 done(group, cur)
             return
         n = self.num_workers
-        pending = [n, call]
+        senders, latest = n, call
 
-        def step(s: int, i: int):
-            def fire(when):
-                if i == 0:
+        def sender(s: int) -> Callable:
+            sent = 0  # the cursor: copies of this batch already booked
+
+            def fire(when) -> None:
+                nonlocal sent, senders, latest
+                if not sent:
                     # batch uplink hold: queue behind the sender's prior
                     # holds (the DES broadcast claims the uplink once for
                     # the whole batch)
-                    when = np.maximum(when, self.up[s])
-                fin = self._copy(s, i if i < s else i + 1, when, tn, fs, wr)
-                if i + 2 < n:
-                    self._at(fin, step(s, i + 1))
+                    when = max(when, up[s])
+                fin = copy(s, sent if sent < s else sent + 1, when,
+                           tn, fs, wr)
+                sent += 1
+                if sent + 1 < n:
+                    at(fin, fire)
                     return
-                self.up[s] = fin  # batch uplink hold ends
-                pending[0] -= 1
-                pending[1] = np.maximum(pending[1], fin)
-                if pending[0] == 0:
-                    done(None, pending[1])
+                up[s] = fin  # batch uplink hold ends
+                senders -= 1
+                latest = max(latest, fin)
+                if not senders:
+                    done(None, latest)
             return fire
 
         for s in range(n):
-            self._at(np.maximum(call, self.up[s]), step(s, 0))
+            at(max(call, up[s]), sender(s))
 
     def _book_ring(self, plan: UnitPlan, phase: Phase, rack, call,
                    done: Callable) -> None:
         """Lockstep ring steps: a full-cluster barrier on every clock."""
-        start = np.maximum(call, self.ring_clock)
-        for clock in self.up:
-            start = np.maximum(start, clock)
-        for clock in self.down:
-            start = np.maximum(start, clock)
+        start = max(call, self.ring_clock, max(self.up), max(self.down))
         fin = start + phase.repeat * self._tfs(phase.nbytes)
         self.ring_clock = fin
-        for i in range(len(self.up)):
-            self.up[i] = fin
-            self.down[i] = fin
+        self.up[:] = self.down[:] = [fin] * len(self.up)
         if self.topo:
-            for r in range(self.nracks):
-                self.rku[r] = np.maximum(self.rku[r], fin)
-                self.rkd[r] = np.maximum(self.rkd[r], fin)
+            self.rku[:] = [max(clock, fin) for clock in self.rku]
+            self.rkd[:] = [max(clock, fin) for clock in self.rkd]
         done(None, fin)
 
     _DETAIL = {

@@ -400,6 +400,64 @@ class TestTiersAndSweeps:
         assert flat_schemes != racked_schemes  # rack premium shifts choices
 
 
+#: (label, racks, oversubscription, background jobs, system variant) of the
+#: scalar contract's 64-node points.
+SCALAR_VARIANTS = (
+    ("flat", 1, 1.0, 0, lambda system: system),
+    ("racked", 4, 4.0, 0, lambda system: system),
+    ("background-job", 4, 4.0, 1, lambda system: system),
+    ("no-overlap-pull", 4, 4.0, 0,
+     lambda system: replace(system, overlap_pull=False)),
+    ("sequential", 4, 4.0, 0,
+     lambda system: system.with_schedule(ScheduleMode.SEQUENTIAL)),
+    ("ssp+faults", 4, 4.0, 0,
+     lambda system: system.with_policy("ssp(2)").with_faults(
+         straggler_fraction=0.1, straggler_factor=2.0, mtbf_seconds=3600.0,
+         checkpoint_cost_seconds=5.0)),
+)
+
+
+class TestDetailTierIsScalar:
+    """The detail tier computes on plain floats; an axis needs the aggregate.
+
+    A deterministic stand-in for a timing gate: one ``np.float64`` on a
+    clock turns every later ``+`` and ``max`` on it into numpy scalar
+    arithmetic, several times the cost of the float it replaces.
+    """
+
+    @pytest.mark.parametrize("variant", SCALAR_VARIANTS,
+                             ids=[v[0] for v in SCALAR_VARIANTS])
+    @pytest.mark.parametrize("system", backend_systems(),
+                             ids=lambda system: system.name)
+    def test_every_clock_is_a_python_float(self, system, variant):
+        _label, racks, oversub, jobs, vary = variant
+        cluster = ClusterConfig(num_workers=64, bandwidth_gbps=10.0,
+                                racks=racks, oversubscription=oversub)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        simulator = FluidSimulator(workload, cluster, vary(system),
+                                   mode="detail", background_jobs=jobs)
+        seconds = simulator.iteration_seconds()
+        clocks = (simulator.up + simulator.down + simulator.rku
+                  + simulator.rkd + [simulator.ring_clock, seconds])
+        assert {type(clock) for clock in clocks} == {float}
+        axis = np.array([5e9, 1e10, 4e10])
+        swept = FluidSimulator(workload, cluster, vary(system),
+                               mode="aggregate", background_jobs=jobs
+                               ).iteration_seconds(bandwidth_bps=axis)
+        assert isinstance(swept, np.ndarray) and swept.shape == axis.shape
+
+    def test_rejected_axis_call_leaves_the_simulator_untouched(self):
+        cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0)
+        simulator = FluidSimulator(build_workload(VGG, gpu=cluster.gpu),
+                                   cluster, make_system(CommMode.PS))
+        before = simulator.iteration_seconds()
+        bandwidth = simulator.bandwidth_bps
+        with pytest.raises(ConfigurationError, match="aggregate tier"):
+            simulator.iteration_seconds(bandwidth_bps=np.array([1e9, 1e10]))
+        assert simulator.bandwidth_bps == bandwidth
+        assert repr(simulator.iteration_seconds()) == repr(before)
+
+
 class TestMultiJob:
     """Rack-uplink contention from concurrent jobs."""
 
@@ -502,7 +560,7 @@ def fluid_trace_points():
     workload = build_workload(VGG)
     backends = backend_systems()
 
-    def point(system, nodes, racks, oversub, mode, jobs=0):
+    def point(system, nodes, racks, oversub, mode, jobs=0, workload=workload):
         cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0,
                                 racks=racks, oversubscription=oversub)
         return lambda: [float(FluidSimulator(
@@ -536,6 +594,18 @@ def fluid_trace_points():
         for mode in ("detail", "aggregate"):
             yield (f"{label}|32n/2r/2|{mode}",
                    point(system, 32, 2, 2.0, mode))
+    # The detail tier where the repo benchmark and ``engine="auto"`` run it:
+    # at the fluid threshold and at the tier's ceiling, and a transformer.
+    for system in backends:
+        for nodes, racks, oversub in ((FLUID_NODE_THRESHOLD, 1, 1.0),
+                                      (DETAIL_NODE_MAX, 8, 4.0)):
+            yield (f"{system.name}|{nodes}n/{racks}r/{oversub:g}|detail",
+                   point(system, nodes, racks, oversub, "detail"))
+    gpt = build_workload(get_model_spec("nanogpt-12l"))
+    for system in backends:
+        if system.name in ("HybComm", "SFB"):
+            yield (f"nanogpt-12l {system.name}|64n/1r/1|detail",
+                   point(system, 64, 1, 1.0, "detail", workload=gpt))
     big = ClusterConfig(num_workers=10000, bandwidth_gbps=40.0, racks=250,
                         oversubscription=4.0)
     for system in backends:
@@ -566,12 +636,16 @@ if __name__ == "__main__":  # re-record: make fluid-trace
         recorded = json.load(fh)["points"]
     points = {key: [repr(t) for t in thunk()]
               for key, thunk in fluid_trace_points()}
-    # A re-pin is reviewed from this list, not from the JSON diff.
-    moved = [key for key in sorted(set(recorded) | set(points))
-             if recorded.get(key) != points.get(key)]
+    # A re-pin is reviewed from this list, not from the JSON diff: a moved
+    # key changed (or lost) its value, a new one had none.
+    moved = [key for key in sorted(recorded)
+             if recorded[key] != points.get(key)]
     for key in moved:
-        print(f"{key}: {recorded.get(key)} -> {points.get(key)}")
-    print(f"{len(moved)} of {len(points)} keys moved")
+        print(f"{key}: {recorded[key]} -> {points.get(key)}")
+    new = sorted(set(points) - set(recorded))
+    for key in new:
+        print(f"{key}: new {points[key]}")
+    print(f"{len(moved)} of {len(recorded)} keys moved, {len(new)} new")
     with open(TRACE_PATH, "w") as fh:
         json.dump({
             "note": ("repr() of FluidSimulator.iteration_seconds / "

@@ -1,0 +1,181 @@
+#!/usr/bin/env python
+"""Wall time of each planner call one ``sim_plan_mix`` pass composes.
+
+The repo benchmark times a whole what-if pass; this names the point inside
+it that costs the most, without a profiler.  The 30 calls are the pass's own
+(``bench/README.md``), made through the same public entry points:
+
+* 14 DES points -- vgg19, every registered backend, 8 and 32 nodes, 10 GbE;
+* 2 DES points -- nanogpt-12l under PS and HybComm at 16 nodes;
+* 7 cold sweeps -- ``fluid.sweep_axis`` over eight bandwidths on a 10k-node,
+  250-rack, 4:1 cluster, one per backend; every repeat nudges the
+  oversubscription so the sweep misses the warm-simulator cache, as a new
+  what-if query would;
+* 7 detail points -- vgg19, every backend, 64 nodes on the fluid engine.
+
+Each is reported as the best of ``--repeats`` wall times (planning memos
+warm, as they are from the benchmark's second pass on); a DES point also
+gives its ``events_processed``, which must not move under a change that only
+claims speed.  Usage::
+
+    PYTHONPATH=src python tools/sim_points.py [--repeats N] [--ref REV|DIR]
+
+With ``--ref`` the same points are measured on that tree too (a revision is
+unpacked with ``git archive``), the two sides taking turns in fresh
+interpreters, and printed beside this tree's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Callable, Dict, Iterator, Optional, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+SWEEP_BANDWIDTHS_GBPS = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 56.0, 100.0)
+
+#: Alternating rounds of a ``--ref`` comparison, ``--repeats`` calls each.
+ROUNDS = 3
+
+
+def points() -> Iterator[Tuple[str, Callable[[int], object],
+                               Optional[Callable[[], int]]]]:
+    """``(label, call(repeat), events() or None)`` of the 30 calls."""
+    from repro.config import ClusterConfig
+    from repro.experiments.fig_backends import backend_systems
+    from repro.nn.model_zoo import get_model_spec
+    from repro.simulation import fluid
+    from repro.simulation.speedup import simulate_point
+    from repro.simulation.throughput import IterationSimulator
+    from repro.simulation.workload import build_workload
+
+    vgg, gpt = get_model_spec("vgg19"), get_model_spec("nanogpt-12l")
+    systems = backend_systems()
+
+    def des(model, system, nodes, gbps):
+        def events() -> int:
+            cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=gbps)
+            simulator = IterationSimulator(
+                build_workload(model, gpu=cluster.gpu), cluster, system)
+            simulator.run()
+            return simulator.env.events_processed
+        return (f"des {model.name} {system.name} {nodes}n",
+                lambda _repeat: simulate_point(model, system, nodes,
+                                               bandwidth_gbps=gbps,
+                                               engine="des"),
+                events)
+
+    for system in systems:
+        for nodes in (8, 32):
+            yield des(vgg, system, nodes, 10.0)
+    for system in systems:
+        if system.name in ("PS", "HybComm"):
+            yield des(gpt, system, 16, 40.0)
+    for system in systems:
+        yield (f"sweep {vgg.name} {system.name} 10000n/250r x8",
+               lambda repeat, system=system: fluid.sweep_axis(
+                   vgg, system,
+                   ClusterConfig(num_workers=10000, bandwidth_gbps=40.0,
+                                 racks=250,
+                                 oversubscription=4.0 + 1e-7 * (repeat + 1)),
+                   SWEEP_BANDWIDTHS_GBPS),
+               None)
+    for system in systems:
+        yield (f"detail {vgg.name} {system.name} 64n",
+               lambda _repeat, system=system: simulate_point(
+                   vgg, system, 64, engine="fluid"),
+               None)
+
+
+def measure(repeats: int) -> Dict[str, dict]:
+    """Best-of-``repeats`` milliseconds (and DES event count) per point."""
+    measured = {}
+    for label, call, events in points():
+        best = float("inf")
+        for repeat in range(repeats):
+            start = time.perf_counter()
+            call(repeat)
+            best = min(best, time.perf_counter() - start)
+        measured[label] = {"ms": best * 1e3,
+                           "events": events() if events else None}
+    return measured
+
+
+def measure_tree(tree: Path, repeats: int) -> Dict[str, dict]:
+    """:func:`measure` in a fresh interpreter on ``tree``'s sources."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--repeats", str(repeats), "--json"],
+        env={**os.environ, "PYTHONPATH": str(tree / "src")}, check=True,
+        stdout=subprocess.PIPE).stdout
+    return json.loads(out)
+
+
+def compare(ref: str, repeats: int) -> Tuple[Dict[str, dict], Dict[str, dict]]:
+    """``(ref's, this tree's)`` best over :data:`ROUNDS` alternating rounds.
+
+    The box drifts between speed regimes within seconds, so the two sides
+    take turns (and swap who goes first) rather than run one after the other.
+    """
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(ref)
+        if not tree.is_dir():
+            tree = Path(scratch)
+            archive = subprocess.run(
+                ["git", "archive", ref, "src"], cwd=REPO_ROOT, check=True,
+                stdout=subprocess.PIPE).stdout
+            subprocess.run(["tar", "-x", "-C", scratch], input=archive,
+                           check=True)
+        sides = (tree, REPO_ROOT)
+        best: Tuple[Dict[str, dict], Dict[str, dict]] = ({}, {})
+        for round_ in range(ROUNDS):
+            for side in ((0, 1), (1, 0))[round_ % 2]:
+                for label, now in measure_tree(sides[side], repeats).items():
+                    seen = best[side].get(label, now)
+                    now["ms"] = min(now["ms"], seen["ms"])
+                    best[side][label] = now
+    return best
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--ref", help="revision or directory to compare with")
+    parser.add_argument("--json", action="store_true",
+                        help="print the measurements as one JSON object")
+    args = parser.parse_args()
+    if args.ref:
+        reference, measured = compare(args.ref, args.repeats)
+    else:
+        reference, measured = None, measure(args.repeats)
+    if args.json:
+        json.dump(measured, sys.stdout)
+        return 0
+    for side in filter(None, (measured, reference)):
+        side["total"] = {"ms": sum(m["ms"] for m in side.values()),
+                         "events": sum(m["events"] or 0 for m in side.values())}
+    print(f"{'point':44}" + (f"{'ref ms':>9}" if reference else "")
+          + f"{'ms':>9}" + (f"{'change':>8}" if reference else "")
+          + f"{'events':>8}")
+    for label, now in measured.items():
+        line = f"{label:44}"
+        if reference:
+            was = reference[label]
+            line += f"{was['ms']:9.2f}{now['ms']:9.2f}"
+            line += f"{(now['ms'] / was['ms'] - 1) * 100:+7.0f}%"
+            if was["events"] != now["events"]:
+                line += f"{was['events']:>8} ->"
+        else:
+            line += f"{now['ms']:9.2f}"
+        print(line + (f"{now['events']:>8}" if now["events"] else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
