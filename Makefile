@@ -3,12 +3,17 @@
 PYTEST := PYTHONPATH=src python -m pytest
 comma := ,
 
-.PHONY: test bench bench-update bench-full bench-smoke sweep-quick determinism \
-	examples-smoke docs-check reports-diff fluid-trace loc sim-points
+.PHONY: test slowest bench bench-update bench-full bench-smoke sweep-quick \
+	determinism examples-smoke docs-check reports-diff fluid-trace loc sim-points
 
 ## tier-1 test suite
 test:
 	$(PYTEST) -x -q
+
+## the tier-1 suite with its 20 slowest tests named (ROADMAP: a budget for
+## tier-1 starts from knowing who spends it)
+slowest:
+	$(PYTEST) -x -q --durations=20
 
 ## bit-reproducibility gate: trainer/determinism tests, then the fig11 smoke
 ## twice with the reports diffed (they must be byte-identical)

@@ -68,10 +68,10 @@ def test_conv_layer_forward_backward(benchmark):
 def test_parameter_server_push_pull(benchmark):
     """One push/aggregate/pull cycle of a 4M-parameter layer, warm server.
 
-    The server is built in set-up (its constructor copies the parameters
-    and allocates the accumulators -- 32 MB that used to be timed instead
-    of the sync path); a cycle is the single worker's push, the reduce and
-    optimiser step it triggers, and the pull into the worker's own arrays.
+    The server is built in set-up (its constructor copies the 16 MB of
+    parameters, which used to be timed instead of the sync path); a cycle
+    is the single worker's push, the blocked fold-and-step it triggers, and
+    the pull into the worker's own arrays.
     """
     rng = np.random.default_rng(0)
     params = {"fc": {"weight": rng.standard_normal((2048, 2048)).astype(np.float32)}}
@@ -85,8 +85,35 @@ def test_parameter_server_push_pull(benchmark):
         return server.pull(0, "fc", min_version=server.version("fc"),
                            out=mine)["weight"].shape
 
-    cycle()     # first-touch page faults of the accumulator and the target
+    cycle()     # first-touch page faults of the pull target
     assert benchmark(cycle) == (2048, 2048)
+
+
+def test_ps_server_step(benchmark):
+    """The completing push of a 2-worker version of a 1024x1024 layer, alone.
+
+    What the peer waits for in ``pull`` on ``train_mlp_ps``: the worker-ordered
+    fold, the mean and the SGD step of one 4 MB tensor under the slot lock.
+    Worker 0's push (buffered by reference) is each round's set-up.
+    """
+    rng = np.random.default_rng(0)
+    params = {"fc": {"weight": rng.standard_normal((1024, 1024)).astype(np.float32)}}
+    grads = [{"weight": rng.standard_normal((1024, 1024)).astype(np.float32)}
+             for _ in range(2)]
+    server = ShardedParameterServer(params, num_workers=2, ordered=True,
+                                    optimizer=SGD(learning_rate=0.01))
+
+    def first_push():
+        server.push(0, "fc", grads[0])
+
+    def completing_push():
+        server.push(1, "fc", grads[1])
+        return server.version("fc")
+
+    first_push()
+    assert completing_push() == 1   # warm: allocator and caches
+    last = benchmark.pedantic(completing_push, setup=first_push, rounds=300)
+    assert last == server.version("fc") >= 2    # every round stepped once
 
 
 def test_ps_sync_cycle_2workers(benchmark):

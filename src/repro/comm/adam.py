@@ -35,8 +35,6 @@ class AdamSFServer(ShardedParameterServer):
     run-to-run under the threaded trainer.
     """
 
-    #: Factors are reconstructed into fresh matrices, never accumulated.
-    _accumulates = False
     _pull_tag = "adam-pull"
 
     def __init__(self, initial_params: Dict[str, ArrayDict], num_workers: int,
@@ -74,11 +72,11 @@ class AdamSFServer(ShardedParameterServer):
         """
         return super().checkpoint(include_optimizer=include_optimizer)
 
-    def _reduce_locked(self, slot: _LayerSlot) -> ArrayDict:
-        """Reconstruct every worker's dense gradient, then fold them."""
+    def _step_locked(self, layer: str, slot: _LayerSlot, contributions) -> None:
+        """Reconstruct every worker's dense gradient, fold them, then step."""
         weight_total = None
         extra_totals: ArrayDict = {}
-        for _, (factors, extras) in sorted(slot.contributions.items()):
+        for factors, extras in contributions:
             dense = factors.reconstruct()
             weight_total = dense if weight_total is None else weight_total + dense
             for key, value in extras.items():
@@ -86,5 +84,6 @@ class AdamSFServer(ShardedParameterServer):
         if self.aggregation == "mean":
             weight_total = weight_total / float(self.num_workers)
             extra_totals = {k: v / float(self.num_workers) for k, v in extra_totals.items()}
-        totals = {"weight": weight_total, **extra_totals}
-        return {key: grad for key, grad in totals.items() if key in slot.params}
+        for key, grad in {"weight": weight_total, **extra_totals}.items():
+            if key in slot.params:
+                self.optimizer.apply(f"{layer}/{key}", slot.params[key], grad)

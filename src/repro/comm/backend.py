@@ -52,6 +52,7 @@ from repro.core.cost_model import (
 )
 from repro.core.policy import BSP, SyncPolicy
 from repro.exceptions import ConfigurationError
+from repro.nn.optim import fold_in_order
 
 #: A layer's parameters or gradients: parameter name -> array.
 ArrayDict = Dict[str, Any]
@@ -567,27 +568,21 @@ class CommBackend(abc.ABC):
 
 
 def reduce_in_worker_order(contributions: Dict[int, ArrayDict],
-                           mean_divisor: Optional[float] = None,
-                           out: Optional[ArrayDict] = None) -> ArrayDict:
+                           mean_divisor: Optional[float] = None) -> ArrayDict:
     """Sum per-worker gradient dicts in worker-id order, one pass per hop.
 
-    The one worker-ordered reduction every aggregating substrate uses
-    (parameter server, ring all-reduce, rack accumulators, parameter
-    averager), so they stay bit-identical to each other.  The fixed fold
-    order makes the result independent of which thread contributed first
-    (floating-point addition is not associative).
-
-    The first two contributions of a key are folded in a single
-    ``np.add(g0, g1, out=...)`` -- no copy-then-add.  A key present in
-    ``out`` accumulates into that preallocated buffer (cast to its dtype);
-    other keys get fresh buffers, mixed dtypes upcasting.  With
+    The reduction of every substrate whose aggregate has several readers
+    (ring all-reduce, rack accumulators, parameter averager); the parameter
+    server applies the same :func:`~repro.nn.optim.fold_in_order` block by
+    block inside its optimiser step, so they all stay bit-identical to
+    each other.  The fixed fold order makes the result independent of
+    which thread contributed first (floating-point addition is not
+    associative).  Every key gets a fresh buffer.  With
     ``mean_divisor`` the totals are scaled in place by the reciprocal
     ``1.0 / mean_divisor``, as :func:`~repro.parallel.serial.
     simulate_synchronous_sgd` does: a float32 multiply costs a third of
     the divide and equals it exactly whenever the divisor is a power of
-    two (at most 1 ulp apart otherwise).  Only keys that received a
-    contribution appear in the result, so a reused ``out`` never leaks a
-    previous round's value.
+    two (at most 1 ulp apart otherwise).
     """
     per_key: Dict[str, list] = {}
     for worker_id in sorted(contributions):
@@ -596,22 +591,7 @@ def reduce_in_worker_order(contributions: Dict[int, ArrayDict],
     scale = None if mean_divisor is None else 1.0 / float(mean_divisor)
     totals: ArrayDict = {}
     for name, grads in per_key.items():
-        total = None if out is None else out.get(name)
-        if total is not None:
-            if len(grads) > 1:
-                np.add(grads[0], grads[1], out=total, casting="unsafe")
-            else:
-                np.copyto(total, grads[0], casting="unsafe")
-            for grad in grads[2:]:
-                np.add(total, grad, out=total, casting="unsafe")
-        else:
-            total = (np.add(grads[0], grads[1]) if len(grads) > 1
-                     else np.array(grads[0], copy=True))
-            for grad in grads[2:]:
-                if total.dtype == grad.dtype and total.shape == grad.shape:
-                    np.add(total, grad, out=total)
-                else:  # mixed dtypes: fall back to upcasting semantics
-                    total = total + grad
+        total = fold_in_order(grads)
         if scale is not None:
             if np.issubdtype(total.dtype, np.floating):
                 total *= scale

@@ -7,6 +7,13 @@ contributed (bulk synchronous consistency: a KV pair is broadcast when its
 update count equals the number of workers), and hands the fresh parameters
 back.
 
+The paper's store "sets the size of a KV pair to a fixed small size" and
+applies each pair on its own.  The in-process analogue is the block of
+:data:`~repro.nn.optim.BLOCK_ELEMENTS` elements: ``SGD.apply`` folds, averages
+and steps a completed version one cache-resident block at a time, so the
+server owns no full-size gradient buffer -- only the parameters and
+references to the pushed contributions.
+
 Because the functional runtime lives in a single process, "shards" are a
 partitioning of the parameters used for byte accounting and balance
 statistics; correctness does not depend on the shard count.
@@ -14,7 +21,7 @@ statistics; correctness does not depend on the shard count.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,21 +37,16 @@ ArrayDict = Dict[str, np.ndarray]
 class _LayerSlot:
     """Per-layer aggregation state.
 
-    Pushes are buffered by reference and reduced in one go, into the
-    preallocated ``accum`` buffers (one per parameter, allocated once at
-    construction), when the version's last contribution arrives.
+    Pushes are buffered by reference and folded into the parameters, block
+    by block, when the version's last contribution arrives.
     """
 
     def __init__(self, params: ArrayDict, server: "ShardedParameterServer"):
         self.params = {key: value.copy() for key, value in params.items()}
-        self.accum = ({key: np.zeros_like(value) for key, value in self.params.items()}
-                      if server._accumulates else {})
-        self.pushes = 0                 # contributions this iteration
         self.version = 0
         self.condition = server._new_condition()    # this slot's wait point
-        # Contributions awaiting reduction, keyed by their place in the
-        # fold: the worker id in ordered mode, the arrival rank otherwise.
-        self.contributions: Dict[int, Any] = {}
+        # This version's (worker id, contribution) pairs, in arrival order.
+        self.contributions: List[Tuple[int, Any]] = []
 
 
 class ShardedParameterServer(Rendezvous):
@@ -67,8 +69,8 @@ class ShardedParameterServer(Rendezvous):
             regardless of which thread pushes first (floating-point
             addition is not associative).  The default folds them in
             arrival order, which lets thread scheduling perturb the last
-            bits.  Either way the reduction is the shared
-            :func:`~repro.comm.backend.reduce_in_worker_order`.
+            bits.  Either way the fold is the shared
+            :func:`~repro.nn.optim.fold_in_order`.
         updates_per_version: pushes that trigger one optimiser step and
             version bump.  ``None`` (the default) means ``num_workers`` --
             the BSP rendezvous.  Relaxed-consistency policies (SSP with
@@ -77,8 +79,6 @@ class ShardedParameterServer(Rendezvous):
             legitimately run ahead of each other.
     """
 
-    #: Dense pushes accumulate into preallocated per-slot buffers.
-    _accumulates = True
     _pull_tag = "pull"
 
     def __init__(self, initial_params: Dict[str, ArrayDict], num_workers: int,
@@ -107,7 +107,6 @@ class ShardedParameterServer(Rendezvous):
             name: _LayerSlot(params, self) for name, params in initial_params.items()
         }
         self.meter = ByteMeter()
-        self._apply_hooks: List[Callable[[str, ArrayDict], None]] = []
 
     # -- introspection -----------------------------------------------------------
     @property
@@ -129,10 +128,6 @@ class ShardedParameterServer(Rendezvous):
         slot = self._slot(layer)
         with slot.condition:
             return {key: value.copy() for key, value in slot.params.items()}
-
-    def add_apply_hook(self, hook: Callable[[str, ArrayDict], None]) -> None:
-        """Register a callback invoked with (layer, aggregated gradient) on apply."""
-        self._apply_hooks.append(hook)
 
     def _slot(self, layer: str) -> _LayerSlot:
         try:
@@ -174,7 +169,7 @@ class ShardedParameterServer(Rendezvous):
             self._check_arrays(layer, slot, grads, "gradient")
             # Buffered by reference: a staged gradient is never written
             # again (``Layer.backward`` rebinds ``grads[...]``), so the
-            # arrays are stable until the reduction runs.
+            # arrays are stable until the fold runs.
             self._contribute_locked(worker_id, layer, slot, grads)
         self.meter.record(push_bytes, "received", tag=f"push:{layer}")
         return push_bytes
@@ -184,23 +179,13 @@ class ShardedParameterServer(Rendezvous):
         """Buffer one contribution; the version's last one applies it."""
         self._admit(worker_id, "push to layer {!r} {verb}", layer)
         needed = self.updates_per_version
-        if slot.pushes >= needed:
+        if len(slot.contributions) >= needed or (self._folds_by_worker and any(
+                pusher == worker_id for pusher, _ in slot.contributions)):
             raise CommunicationError(
-                f"layer {layer!r} received {slot.pushes + 1} pushes for "
-                f"{needed} expected per version; "
-                f"a worker pushed twice in one iteration"
-            )
-        fold_key = slot.pushes      # arrival rank
-        if self._folds_by_worker:
-            if worker_id in slot.contributions:
-                raise CommunicationError(
-                    f"layer {layer!r}: worker {worker_id} pushed twice in "
-                    f"one iteration"
-                )
-            fold_key = worker_id
-        slot.contributions[fold_key] = contribution
-        slot.pushes += 1
-        if slot.pushes == needed:
+                f"layer {layer!r}: worker {worker_id} pushed twice in one "
+                f"iteration ({needed} pushes expected per version)")
+        slot.contributions.append((worker_id, contribution))
+        if len(slot.contributions) == needed:
             self._apply_locked(layer, slot)
 
     def pull(self, worker_id: int, layer: str, min_version: int,
@@ -283,7 +268,6 @@ class ShardedParameterServer(Rendezvous):
                             f"snapshot shape mismatch for {name}/{key}: "
                             f"{value.shape} vs {slot.params[key].shape}")
                     np.copyto(slot.params[key], value)
-                slot.pushes = 0
                 slot.contributions.clear()
                 slot.condition.notify_all()
         self._readmit()
@@ -301,34 +285,32 @@ class ShardedParameterServer(Rendezvous):
             return
         for layer, slot in self._slots.items():
             with slot.condition:
-                if self._folds_by_worker and worker_id in slot.contributions:
-                    del slot.contributions[worker_id]
-                    slot.pushes -= 1
-                if 0 < slot.pushes >= self.updates_per_version:
+                slot.contributions = [pair for pair in slot.contributions
+                                      if pair[0] != worker_id]
+                if 0 < len(slot.contributions) >= self.updates_per_version:
                     self._apply_locked(layer, slot)
 
     # -- aggregation -------------------------------------------------------------------
-    def _reduce_locked(self, slot: _LayerSlot) -> ArrayDict:
-        """Fold the pending contributions into one gradient per parameter."""
-        # Imported here: repro.comm.backend registers hierps, which builds
-        # on this module, so a module-level import would be circular.
-        from repro.comm.backend import reduce_in_worker_order
-        divisor = self.num_workers if self.aggregation == "mean" else None
-        return reduce_in_worker_order(
-            slot.contributions, mean_divisor=divisor, out=slot.accum)
-
     def _apply_locked(self, layer: str, slot: _LayerSlot) -> None:
-        """Reduce the pending contributions and apply them (lock held)."""
-        aggregated = self._reduce_locked(slot)
-        slot.contributions.clear()
-        for key, grad in aggregated.items():
-            self.optimizer.apply(f"{layer}/{key}", slot.params[key], grad)
-        slot.pushes = 0
+        """Step ``layer`` with the pending contributions (lock held)."""
+        pending = slot.contributions
+        if self._folds_by_worker:
+            pending = sorted(pending, key=lambda pair: pair[0])
+        slot.contributions = []
+        self._step_locked(layer, slot, [given for _, given in pending])
         slot.version += 1
-        if self._apply_hooks:
-            # Hooks get their own copies: the aggregated values above are the
-            # reusable accumulation buffers, overwritten next iteration.
-            hook_grads = {key: grad.copy() for key, grad in aggregated.items()}
-            for hook in self._apply_hooks:
-                hook(layer, hook_grads)
         slot.condition.notify_all()
+
+    def _step_locked(self, layer: str, slot: _LayerSlot,
+                     contributions: List[ArrayDict]) -> None:
+        """Step every parameter the contributions name, folding them in
+        the order given (fold, mean and step fused per block)."""
+        per_key: Dict[str, List[np.ndarray]] = {}
+        for grads in contributions:
+            for key, grad in grads.items():
+                per_key.setdefault(key, []).append(grad)
+        scale = (1.0 / float(self.num_workers) if self.aggregation == "mean"
+                 else None)
+        for key, grads in per_key.items():
+            self.optimizer.apply(f"{layer}/{key}", slot.params[key], grads,
+                                 scale=scale)

@@ -9,12 +9,39 @@ directly (single-node training) or to a bare dictionary of parameter arrays
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.nn.network import Network
+
+#: Elements per block of a folded step (256 KiB of float32): scratch,
+#: parameter block and contribution blocks stay cache-resident from fold to
+#: write-back.  The in-process analogue of the paper's fixed-size KV pair.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def fold_in_order(grads: Sequence[np.ndarray],
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Left fold ``((g0 + g1) + g2) + ...``, the first two in one ``np.add``.
+
+    Into ``out`` (cast to its dtype) when given; otherwise into a fresh
+    array, mixed dtypes upcasting.  The inputs are only read.
+    """
+    if len(grads) > 1:
+        total = np.add(grads[0], grads[1], out=out, casting="unsafe")
+    elif out is None:
+        total = np.array(grads[0], copy=True)
+    else:
+        total = out
+        np.copyto(total, grads[0], casting="unsafe")
+    for grad in grads[2:]:
+        if out is None and (total.dtype != grad.dtype or total.shape != grad.shape):
+            total = total + grad    # mixed dtypes: upcasting semantics
+        else:
+            np.add(total, grad, out=total, casting="unsafe")
+    return total
 
 
 class SGD:
@@ -40,38 +67,78 @@ class SGD:
                 grad = layer.grads[key]
                 self.apply(f"{layer.name}/{key}", param, grad)
 
-    def apply(self, key: str, param: np.ndarray, grad: np.ndarray, *,
-              grad_is_scratch: bool = False) -> None:
+    def apply(self, key: str, param: np.ndarray,
+              grad: Union[np.ndarray, Sequence[np.ndarray]], *,
+              grad_is_scratch: bool = False,
+              scale: Optional[float] = None) -> None:
         """Apply one gradient to one parameter array in place.
 
         Args:
             key: unique name for the parameter (used to track momentum state).
             param: parameter array, modified in place.
-            grad: gradient of the loss with respect to ``param``.
+            grad: gradient of the loss with respect to ``param`` -- or the
+                ordered contributions that sum to it (the parameter
+                server's step), which are folded, scaled and stepped one
+                :data:`BLOCK_ELEMENTS` block at a time through a scratch
+                private to this call: element for element the arithmetic
+                of folding first, with no full-size aggregate or step
+                temporary.  ``param`` must then be C-contiguous.
             grad_is_scratch: ``grad`` is the caller's private scratch that
                 nobody reads afterwards, so the step may be formed in it
                 instead of in a temporary (same arithmetic, same bits).
+            scale: multiplier of the folded contributions (a mean's ``1/P``).
         """
-        if param.shape != grad.shape:
+        folded = not isinstance(grad, np.ndarray)
+        if scale is not None and not folded:
             raise ConfigurationError(
-                f"parameter {key!r}: shape mismatch {param.shape} vs {grad.shape}"
-            )
-        update = grad
-        if self.weight_decay:
-            update = update + self.weight_decay * param
-            grad_is_scratch = True  # a fresh array: ours to overwrite
+                f"parameter {key!r}: scale is for a sequence of contributions")
+        grads = list(grad) if folded else [grad]
+        for array in grads:
+            if param.shape != array.shape:
+                raise ConfigurationError(
+                    f"parameter {key!r}: shape mismatch {param.shape} vs {array.shape}")
+        velocity = None
         if self.momentum:
             velocity = self._velocity.get(key)
             if velocity is None:
-                velocity = np.zeros_like(param)
-            velocity = self.momentum * velocity - self.learning_rate * update
-            self._velocity[key] = velocity
-            param += velocity
-        elif grad_is_scratch:
-            np.multiply(update, self.learning_rate, out=update)
-            param -= update
+                velocity = self._velocity[key] = np.zeros_like(param)
+        if not folded:
+            self._step(param, grad, velocity, grad_is_scratch)
+            return
+        if not param.flags.c_contiguous:    # reshape would step a copy
+            raise ConfigurationError(
+                f"parameter {key!r}: a folded step needs a C-contiguous array")
+        flat = param.reshape(-1)
+        grads = [array.reshape(-1) for array in grads]
+        if velocity is not None:
+            velocity = velocity.reshape(-1)
+        scratch = np.empty(min(flat.size, BLOCK_ELEMENTS), dtype=param.dtype)
+        for start in range(0, flat.size, BLOCK_ELEMENTS):
+            stop = start + BLOCK_ELEMENTS
+            block = flat[start:stop]
+            update = fold_in_order([array[start:stop] for array in grads],
+                                   out=scratch[:block.size])
+            if scale is not None:
+                update *= scale
+            self._step(block, update,
+                       None if velocity is None else velocity[start:stop], True)
+
+    def _step(self, param: np.ndarray, update: np.ndarray,
+              velocity: Optional[np.ndarray], update_is_scratch: bool) -> None:
+        """The elementwise step on a whole array or on one block of it."""
+        if self.weight_decay:
+            update = update + self.weight_decay * param
+            update_is_scratch = True    # a fresh array: ours to overwrite
+        if update_is_scratch:
+            step = np.multiply(update, self.learning_rate, out=update)
         else:
-            param -= self.learning_rate * update
+            step = self.learning_rate * update
+        if velocity is None:
+            param -= step
+        else:
+            velocity *= self.momentum
+            velocity -= step
+            param += velocity
 
     def reset(self) -> None:
         """Drop all accumulated momentum state."""
@@ -83,5 +150,5 @@ class SGD:
 
     def set_state(self, state: Dict[str, np.ndarray]) -> None:
         """Restore momentum state from a :meth:`get_state` snapshot."""
-        self._velocity = {key: np.array(velocity, copy=True)
+        self._velocity = {key: np.array(velocity, copy=True, order="C")
                           for key, velocity in state.items()}

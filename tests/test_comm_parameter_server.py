@@ -129,13 +129,6 @@ class TestValidation:
         with pytest.raises(CommunicationError):
             ShardedParameterServer(initial_params, num_workers=1, aggregation="max")
 
-    def test_apply_hook_invoked(self, initial_params):
-        server = make_server(initial_params, num_workers=1)
-        seen = []
-        server.add_apply_hook(lambda layer, grads: seen.append(layer))
-        server.push(0, "fc1", {"weight": np.zeros((4, 3)), "bias": np.zeros(3)})
-        assert seen == ["fc1"]
-
     def test_concurrent_pushes_from_threads(self, initial_params):
         server = make_server(initial_params, num_workers=4)
         grad = {"weight": np.ones((4, 3)), "bias": np.zeros(3)}
@@ -148,3 +141,34 @@ class TestValidation:
         for thread in threads:
             thread.join()
         assert server.version("fc1") == 1
+
+
+class TestDroppedWorker:
+    @pytest.mark.parametrize("ordered", [False, True], ids=["arrival", "ordered"])
+    def test_buffered_gradient_of_a_dropped_worker_is_discarded(self, ordered):
+        """A ghost contribution used to survive in arrival-order mode: the
+        version completed one push early with it folded in (-50.5) and the
+        last survivor's gradient leaked into the next version."""
+        server = ShardedParameterServer(
+            {"fc": {"w": np.zeros(4, dtype=np.float32)}}, num_workers=3,
+            optimizer=SGD(learning_rate=1.0), ordered=ordered)
+        server.push(2, "fc", {"w": np.full(4, 100.0, dtype=np.float32)})
+        server.remove_worker(2)
+        server.push(0, "fc", {"w": np.full(4, 1.0, dtype=np.float32)})
+        assert server.version("fc") == 0        # still waiting for worker 1
+        np.testing.assert_array_equal(server.global_params("fc")["w"], 0.0)
+        server.push(1, "fc", {"w": np.full(4, 3.0, dtype=np.float32)})
+        assert server.version("fc") == 1
+        np.testing.assert_array_equal(server.global_params("fc")["w"], -2.0)
+        server.push(0, "fc", {"w": np.full(4, 1.0, dtype=np.float32)})
+        assert server.version("fc") == 1        # nothing leaked into version 2
+
+    def test_survivors_complete_the_version_when_the_straggler_is_dropped(self):
+        server = ShardedParameterServer(
+            {"fc": {"w": np.zeros(4, dtype=np.float32)}}, num_workers=3,
+            optimizer=SGD(learning_rate=1.0))
+        server.push(0, "fc", {"w": np.full(4, 1.0, dtype=np.float32)})
+        server.push(1, "fc", {"w": np.full(4, 3.0, dtype=np.float32)})
+        server.remove_worker(2)
+        assert server.version("fc") == 1
+        np.testing.assert_array_equal(server.global_params("fc")["w"], -2.0)

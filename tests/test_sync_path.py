@@ -6,8 +6,10 @@ Contracts pinned here (ISSUE 14):
   arrays to the substrate, which is safe because ``backward`` rebinds
   ``grads[...]`` instead of writing into the staged arrays (the layer half
   of the contract is in ``tests/test_layers.py::TestGradientOwnership``);
-* :func:`repro.comm.backend.reduce_in_worker_order` is the one worker-ordered
-  reduction, so every substrate that folds dense gradients agrees bit for bit;
+* :func:`repro.nn.optim.fold_in_order` is the one ordered fold (whole arrays
+  in :func:`repro.comm.backend.reduce_in_worker_order`, block by block in the
+  parameter server's step), so every substrate that folds dense gradients
+  agrees bit for bit;
 * ``Network.train_step`` skips the bottom layer's input gradient and leaves
   every parameter gradient untouched by that;
 * a retired trainer is freed by reference counting alone.
@@ -40,7 +42,7 @@ from repro.nn.model_zoo import (
     build_mlp_network,
     build_transformer_network,
 )
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, fold_in_order
 from repro.nn.sufficient_factors import SufficientFactors
 from repro.parallel import DistributedTrainer, simulate_synchronous_sgd
 
@@ -137,13 +139,15 @@ class TestOneReduction:
         arrived = {wid: contributions[wid] for wid in arrival}
         divisor = num_workers if mean else None
         want = _naive_fold(contributions, divisor)
-        out = {"weight": np.full((5, 3), np.nan, dtype=np.float32),
-               "bias": np.full(3, np.nan, dtype=np.float32)}
-        got = reduce_in_worker_order(arrived, mean_divisor=divisor, out=out)
         fresh = reduce_in_worker_order(arrived, mean_divisor=divisor)
         for name in want:
-            assert got[name] is out[name]       # accumulated in place
-            np.testing.assert_array_equal(got[name], want[name])
+            out = np.full_like(want[name], np.nan)
+            got = fold_in_order([contributions[wid][name]
+                                 for wid in range(num_workers)], out=out)
+            assert got is out                   # accumulated in place
+            if mean:
+                got *= 1.0 / num_workers
+            np.testing.assert_array_equal(got, want[name])
             np.testing.assert_array_equal(fresh[name], want[name])
             assert fresh[name].dtype == np.float32
         for grads in contributions.values():    # inputs are read-only to it
@@ -159,10 +163,11 @@ class TestOneReduction:
         fresh = reduce_in_worker_order(contributions, mean_divisor=3)
         assert fresh["w"].dtype == np.float64
         np.testing.assert_allclose(fresh["w"], 0.2, rtol=1e-6)
-        out = {"w": np.zeros(4, dtype=np.float32)}
-        got = reduce_in_worker_order(contributions, mean_divisor=3, out=out)
-        assert got["w"] is out["w"] and got["w"].dtype == np.float32
-        np.testing.assert_allclose(got["w"], 0.2, rtol=1e-6)
+        out = np.zeros(4, dtype=np.float32)
+        got = fold_in_order([grads["w"] for grads in contributions.values()],
+                            out=out)
+        assert got is out and got.dtype == np.float32
+        np.testing.assert_allclose(got, 0.6, rtol=1e-6)
 
     def test_integer_totals_are_averaged_out_of_place(self):
         contributions = {0: {"n": np.array([2, 4])}, 1: {"n": np.array([4, 4])}}
@@ -171,22 +176,21 @@ class TestOneReduction:
         assert np.issubdtype(got["n"].dtype, np.floating)
 
     def test_reused_accumulators_never_leak_a_previous_round(self):
-        out = {"weight": np.zeros(3, dtype=np.float32),
-               "bias": np.zeros(3, dtype=np.float32)}
         first = reduce_in_worker_order(
             {0: {"weight": np.full(3, 1.0, dtype=np.float32),
                  "bias": np.full(3, 7.0, dtype=np.float32)},
              1: {"weight": np.full(3, 3.0, dtype=np.float32),
                  "bias": np.full(3, 9.0, dtype=np.float32)}},
-            mean_divisor=2, out=out)
+            mean_divisor=2)
         np.testing.assert_array_equal(first["weight"], 2.0)
         np.testing.assert_array_equal(first["bias"], 8.0)
         second = reduce_in_worker_order(
             {0: {"weight": np.full(3, 10.0, dtype=np.float32)},
              1: {"weight": np.full(3, 20.0, dtype=np.float32)}},
-            mean_divisor=2, out=out)
+            mean_divisor=2)
         assert set(second) == {"weight"}        # absent key: not reported ...
         np.testing.assert_array_equal(second["weight"], 15.0)
+        np.testing.assert_array_equal(first["weight"], 2.0)
 
     def test_server_skips_parameters_absent_from_a_round(self):
         params = {"fc": {"weight": np.zeros(3, dtype=np.float32),
