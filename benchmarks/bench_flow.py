@@ -9,15 +9,19 @@ event graph:
 * the SFB configs (VGG19 under HybComm) are dominated by the all-to-all
   sufficient-factor broadcasts of the FC layers -- the per-config event
   graph the tail-clock channels and countdown barriers collapse;
-* the fine-PS configs (VGG19 under Caffe+WFBP) are dominated by the
-  per-unit KV-store scatter/gather against the fabric;
+* the fine-PS configs (VGG19 under Caffe+WFBP) are the per-unit KV-store
+  scatter/gather against the fabric -- a symmetric plan, so the DES steps
+  one representative worker: 215 events at 8, 32 and 64 nodes (985 /
+  3,625 / 7,145 while it stepped every worker);
 * the ring configs (VGG19 under ring all-reduce) are ``2(P-1)`` lockstep
   chunk steps per unit, booked as one hold per worker in a ring-only BSP
-  plan (565 / 2,125 events; 2,320 / 32,320 while every step had its own
+  plan and, being symmetric too, stepped once: 110 events (565 / 2,125
+  with every worker; 2,320 / 32,320 while every step had its own
   all-worker countdown).
 
 The 8-node points track the constant overheads; the 32-node points are the
-scaling gate (the event graph used to be quadratic in cluster size).
+scaling gate (the event graph used to be quadratic in cluster size), and the
+64-node fine-PS point must process exactly the 8-node point's events.
 """
 
 import pytest
@@ -48,11 +52,12 @@ def test_flow_sim_sfb(benchmark, nodes):
     benchmark.extra_info["events_processed"] = events
 
 
-@pytest.mark.parametrize("nodes", [8, 32])
+@pytest.mark.parametrize("nodes", [8, 32, 64])
 def test_flow_sim_fine_ps(benchmark, nodes):
     """One VGG19 iteration under Caffe+WFBP (fine-grained KV scatter/gather)."""
     result, events = benchmark(_simulate, CAFFE_WFBP, nodes)
     assert result.iteration_seconds > 0
+    assert events == _simulate(CAFFE_WFBP, 8)[1]  # O(units), not O(P * units)
     benchmark.extra_info["events_processed"] = events
 
 

@@ -331,13 +331,17 @@ class IterationSimulator:
         self.plan = resolve_plan(workload, system, cluster)
         self.workload = self.plan.workload
         self.schemes = self.plan.schemes
-        self.server_nodes = cluster.server_nodes
+        #: Distinct shard hosts in id order: the order ``_fabric_fan`` books
+        #: same-instant flows in must not rest on a set's hash layout.
+        self.shard_nodes = tuple(sorted(set(cluster.server_nodes)))
         self.cluster_config = cluster
         self.system = system
         self.env = Environment()
         self.cluster = ClusterModel(self.env, cluster)
         self.num_workers = cluster.num_workers
-        self._iteration_seconds: Optional[float] = None
+        self._ran = False
+        #: Workers the run stepped: all of them, or a symmetric plan's one.
+        self.workers_stepped: Optional[int] = None
 
     def unit_plan(self, unit: SyncUnit) -> UnitPlan:
         """The resolved owner and payload (``.owner``, ``.bytes``) of one unit."""
@@ -354,8 +358,9 @@ class IterationSimulator:
         advance their own clocks, gated only by the policy's staleness
         bound -- and report amortized per-iteration figures.
         """
-        if self._iteration_seconds is not None:
+        if self._ran:
             raise SimulationError("IterationSimulator instances are single-use")
+        self._ran = True  # on entry: a run that raised left the queue half-drained
         if self.system.staleness == 0 and self.system.sync_period == 1:
             result = self._run_bsp()
         else:
@@ -369,9 +374,8 @@ class IterationSimulator:
             self.system.checkpoint_interval_seconds,
             self.system.checkpoint_cost_seconds)
         if factor != 1.0:
-            self._iteration_seconds = result.iteration_seconds * factor
-            result = replace(result,
-                             iteration_seconds=self._iteration_seconds)
+            result = replace(
+                result, iteration_seconds=result.iteration_seconds * factor)
         return result
 
     def _compute_scale(self, worker: int, round_index: int = 0) -> float:
@@ -406,23 +410,72 @@ class IterationSimulator:
         head-of-line-blocks a mixed plan's PS and SFB flows, lets fast
         workers run whole units ahead of a straggler, and hides the rotating
         slow set's per-step convoy under a relaxed policy.
+
+        A *symmetric* plan comes back lowered to worker 0 alone (its step
+        tuple, countdowns of one) and ``_run_bsp`` steps that representative
+        for all ``P``: exact, because every flow holds channels of its own
+        node only (a one-hold ring step its uplink and the downlink of
+        ``w + 1``), fed the same bytes at the same instants on every node
+        (docs/architecture.md, "DES lowering of a symmetric plan").
+        Observed like ``one_hold``; each conjunct, with the 16-node vgg19
+        point forced past it:
+
+        * one BSP round -- the policy path rotates the slow set and gates
+          each worker on its own clock: no representative to step;
+        * one compute speed -- worker 0 is a straggler: same time, every
+          GPU charged its kernels (0.25 x 2: busy fraction 0.519 -> 0.831);
+        * flat network -- rack members share their switch (PS at 4:1:
+          6.031 -> 2.343 s; ring at 8:1: 3.458 -> 1.890 s);
+        * a shard on every node -- of 8 shards node 0 hosts one: every node
+          charged its bytes (33.3 -> 50.6 GB); dedicated servers: none is
+          (36.8 -> 19.5 GB);
+        * fabric phases or the one-hold ring step only -- anything else
+          lands on a peer's NIC (coarse PS 18.36 -> 1.73 s; HybComm same
+          time, 7.4 -> 6.1 GB);
+        * one step tuple -- dropping workers ``1..P-1`` must lose nothing;
+          no plan the other conjuncts admit fails it today.
         """
         scales = {self._compute_scale(worker)
                   for worker in range(self.num_workers)}
-        one_hold = one_round and len(scales) == 1 and all(
-            [phase.kind for phase in unit.bytes.phases] == [PhaseKind.RING_STEP]
-            for unit in self.plan.units)
-        return _LOWERED.get((self.plan, one_hold), lambda: {
-            unit.unit.name: _lower_unit(unit, self.plan.shape, one_hold)
-            for unit in self.plan.units})
+        kinds = [[phase.kind for phase in unit.bytes.phases]
+                 for unit in self.plan.units]
+        uniform = one_round and len(scales) == 1
+        one_hold = uniform and all(unit == [PhaseKind.RING_STEP]
+                                   for unit in kinds)
+        config = self.cluster_config
+        symmetric = (uniform and not self.cluster.topology_active
+                     and config.colocate_servers
+                     and config.num_servers == self.num_workers
+                     and (one_hold or all(kind in _FABRIC_KINDS
+                                          for unit in kinds for kind in unit)))
+
+        def lower() -> Dict[str, _UnitSteps]:
+            lowered = {
+                unit.unit.name: _lower_unit(unit, self.plan.shape, one_hold)
+                for unit in self.plan.units}
+            if symmetric and all(len(set(steps.workers)) == 1
+                                 for steps in lowered.values()):
+                lowered = {
+                    name: replace(steps, workers=steps.workers[:1],
+                                  barriers=tuple(min(size, 1)
+                                                 for size in steps.barriers))
+                    for name, steps in lowered.items()}
+            return lowered
+
+        return _LOWERED.get((self.plan, one_hold, symmetric), lower)
 
     def _run_bsp(self) -> SimulationResult:
         """Simulate one globally synchronous (BSP) iteration."""
-        sync_round = _Round(self.env, self._lowered(one_round=True),
-                            self.num_workers)
+        lowered = self._lowered(one_round=True)
+        # A symmetric plan came back as its representative: one worker, and
+        # the shard helpers gather and scatter on that worker's node.
+        stepped = len(next(iter(lowered.values())).workers)
+        if stepped < self.num_workers:
+            self.shard_nodes = self.shard_nodes[:stepped]
+        sync_round = _Round(self.env, lowered, stepped)
         worker_processes = [
             self.env.process(self._worker_process(worker, sync_round))
-            for worker in range(self.num_workers)
+            for worker in range(stepped)
         ]
         self._start_shards(sync_round)
         return self._run_to_result(worker_processes, rounds=1)
@@ -435,10 +488,24 @@ class IterationSimulator:
                 raise process.value
         makespan = max(process.value for process in worker_processes)
         iteration_seconds = makespan / rounds
-        self._iteration_seconds = iteration_seconds
 
-        busy = [machine.gpu.busy_seconds for machine in
-                (self.cluster.machine(w) for w in range(self.num_workers))]
+        self.workers_stepped = len(worker_processes)
+        machines = [self.cluster.machine(w) for w in range(self.num_workers)]
+        if self.workers_stepped < self.num_workers:
+            # Every node did what the representative did: its GPU time, the
+            # bytes it sent and the bytes it delivered (a ring step's land on
+            # the successor's NIC) are each node's own.
+            sent = machines[0].nic.traffic
+            received = max((machine.nic.traffic for machine in machines),
+                           key=lambda account: account.bytes_received)
+            for machine in machines:
+                machine.gpu.busy_seconds = machines[0].gpu.busy_seconds
+                machine.nic.traffic = replace(
+                    sent, node_id=machine.node_id,
+                    by_tag_sent=dict(sent.by_tag_sent),
+                    bytes_received=received.bytes_received,
+                    by_tag_received=dict(received.by_tag_received))
+        busy = [machine.gpu.busy_seconds for machine in machines]
         gpu_busy_fraction = (sum(busy) / len(busy)) / makespan if busy else 0.0
         traffic = [
             self.cluster.machine(node).nic.traffic.total_bytes / rounds
@@ -600,15 +667,15 @@ class IterationSimulator:
     def _shard_process(self, state: _UnitSyncState):
         """Shard side of a unit's fabric phases: gather, apply, scatter."""
         yield state.started
-        shard_nodes = list(set(self.server_nodes))
         for pushed, nbytes, tag, phase in state.steps.shards:
             if pushed is not None:
-                yield self.cluster.fabric_gather(shard_nodes, nbytes, tag=tag)
+                yield self.cluster.fabric_gather(self.shard_nodes, nbytes,
+                                                 tag=tag)
                 yield state.barriers[pushed]
                 state.shard_events[phase].succeed()
             else:
                 state.shard_events[phase] = self.cluster.fabric_scatter(
-                    shard_nodes, nbytes, tag=tag)
+                    self.shard_nodes, nbytes, tag=tag)
 
     def _unit_sync(self, worker: int, unit: SyncUnit, sync_round: _Round):
         """Synchronize one unit at one worker: run its lowered steps."""

@@ -17,6 +17,12 @@
   per worker equals the stepped rounds (times, busy fraction, traffic) at a
   closed-form event count; mixed plans, stragglers and relaxed policies
   keep the stepped lowering, bit for bit;
+* the DES's two lowerings of a symmetric plan are each other's oracle: a
+  flat, uniform, shard-on-every-node BSP plan of fabric phases (or the
+  one-hold ring step) steps one representative worker, and equals the
+  every-worker lowering with ``==`` -- times, busy fraction, per-node and
+  per-tag traffic -- at an event count that does not depend on ``P``;
+  everything else keeps every worker, bit for bit;
 * the ``overlap_pull`` gate is one rule on the phase: toggling it moves
   both engines the same way for every backend;
 * memo tables key on the whole frozen inputs, so a warm ``sweep_axis``
@@ -377,22 +383,30 @@ class TestRingLoweringsAreEachOthersOracle:
         # worker: start, forward, backward-done, sync join, end; per unit:
         # started, the ring countdown, the rejoin countdown -- and a flow
         # that crosses racks releases four more channels on their own entries.
+        # On a flat network the plan is symmetric: one worker is stepped.
         units = simulator.workload.num_units
         encoded = sum(plan.encode_seconds > 0.0
                       for plan in simulator.plan.units)
         boundaries = (0 if cluster.is_flat_topology
                       else math.ceil(nodes / cluster.nodes_per_rack))
+        stepped = 1 if cluster.is_flat_topology else nodes
+        assert simulator.workers_stepped == stepped
         assert simulator.env.events_processed == (
-            nodes * (4 * units + encoded + 5) + units * (3 + 4 * boundaries))
+            stepped * (4 * units + encoded + 5) + units * (3 + 4 * boundaries))
 
-    @pytest.mark.parametrize("nodes,events,parent", [(8, 565, 2320),
-                                                     (32, 2125, 32320)])
-    def test_ring_event_graph_is_linear_in_cluster_size(self, nodes, events,
-                                                        parent):
+    @pytest.mark.parametrize("nodes,every_worker,parent", [
+        (8, 565, 2320), (32, 2125, 32320)])
+    def test_ring_event_graph_does_not_grow_with_cluster_size(
+            self, nodes, every_worker, parent):
+        """One hold per worker made it linear in ``P``; stepping the one
+        representative of this symmetric plan makes it constant."""
         cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
         simulator, _ = _run_ring(workload, cluster, RING_ALLREDUCE)
-        assert simulator.env.events_processed == events
+        assert simulator.env.events_processed == 110
+        held, _ = _run_des(workload, cluster, RING_ALLREDUCE,
+                           every_worker=True)
+        assert held.env.events_processed == every_worker
         stepped, _ = _run_ring(workload, cluster, RING_ALLREDUCE, stepped=True)
         assert stepped.env.events_processed == parent
 
@@ -442,6 +456,173 @@ class TestRingLoweringsAreEachOthersOracle:
         # Recorded on the parent commit.
         assert simulator.env.events_processed == events
         assert repr(result.iteration_seconds) == seconds
+
+
+# -- one symmetric plan, two lowerings -----------------------------------------------
+def _run_des(workload, cluster, system, every_worker=False):
+    """One DES run; ``every_worker`` keeps all ``P`` workers on any plan.
+
+    It falsifies one conjunct of the predicate (a shard on every node) for
+    the duration of ``_lowered`` only, so ``one_hold`` and the run itself
+    see the real cluster.
+    """
+    lowered = IterationSimulator._lowered
+
+    def full(self, one_round):
+        with mock.patch.object(self, "cluster_config", replace(
+                self.cluster_config, colocate_servers=False)):
+            return lowered(self, one_round)
+
+    with mock.patch.object(IterationSimulator, "_lowered",
+                           full if every_worker else lowered):
+        simulator = IterationSimulator(workload, cluster, system)
+        return simulator, simulator.run()
+
+
+def _accounts(simulator):
+    return [simulator.cluster.machine(node).nic.traffic
+            for node in sorted(simulator.cluster.machines)]
+
+
+SYSTEMS = {system.name: system for system in backend_systems()}
+
+#: Cluster layouts of the property, by node count: the one the predicate
+#: admits, then one per network / shard-placement conjunct.
+LAYOUTS = {
+    "flat": lambda nodes: {},
+    "racked 4:1": lambda nodes: dict(racks=min(4, nodes), oversubscription=4.0),
+    "fewer shards": lambda nodes: dict(num_servers=nodes // 2),
+    "dedicated servers": lambda nodes: dict(colocate_servers=False),
+}
+
+
+class TestSymmetricPlanLoweringsAreEachOthersOracle:
+    """``IterationSimulator._lowered`` hands ``_run_bsp`` one representative
+    worker when every node would do the same thing at the same instants; the
+    every-worker lowering it replaces there is the reference, and stays the
+    only one everywhere else."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(("vgg19", "googlenet", "nanogpt-12l")),
+        backend=st.sampled_from(("PS", "1-bit PS", "Ring-AllReduce")),
+        nodes=st.integers(2, 32),
+        bandwidth=st.sampled_from((1.0, 5.0, 10.0, 40.0)),
+        schedule=st.sampled_from(ScheduleMode),
+        overlap_pull=st.booleans(),
+        overlap_host_copy=st.booleans(),
+        gpus_per_node=st.sampled_from((1, 2, 4)),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        stragglers=st.sampled_from(
+            ((0.0, 1.0), (0.0, 1.0), (1.0, 2.0), (0.1, 1.5), (0.5, 3.0))))
+    def test_representative_equals_every_worker(
+            self, model, backend, nodes, bandwidth, schedule, overlap_pull,
+            overlap_host_copy, gpus_per_node, layout, stragglers):
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth,
+                                gpus_per_node=gpus_per_node,
+                                **LAYOUTS[layout](nodes))
+        system = replace(
+            SYSTEMS[backend], schedule=schedule, overlap_pull=overlap_pull,
+            overlap_host_copy=overlap_host_copy).with_faults(*stragglers)
+        workload = build_workload(get_model_spec(model), gpu=cluster.gpu)
+        simulator, result = _run_des(workload, cluster, system)
+        reference, full = _run_des(workload, cluster, system,
+                                   every_worker=True)
+
+        assert result == full  # every field, with ==
+        assert _accounts(simulator) == _accounts(reference)
+        assert reference.workers_stepped == nodes
+        slow = math.ceil(stragglers[0] * nodes)
+        if layout != "flat" or 0 < slow < nodes:
+            assert simulator.workers_stepped == nodes
+            assert (simulator.env.events_processed
+                    == reference.env.events_processed)
+        else:
+            assert simulator.workers_stepped == 1
+            assert (simulator.env.events_processed
+                    < reference.env.events_processed)
+
+    @pytest.mark.parametrize("backend", ("PS", "1-bit PS"))
+    @pytest.mark.parametrize("nodes,every_worker", [(8, 985), (32, 3625)])
+    def test_fabric_event_graph_does_not_grow_with_cluster_size(
+            self, backend, nodes, every_worker):
+        """O(units), where the every-worker lowering is O(P * units) (the
+        ring's pin is ``TestRingLoweringsAreEachOthersOracle``'s)."""
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        simulator, _ = _run_des(workload, cluster, SYSTEMS[backend])
+        assert simulator.workers_stepped == 1
+        assert simulator.env.events_processed == 215
+        reference, _ = _run_des(workload, cluster, SYSTEMS[backend],
+                                every_worker=True)
+        assert reference.env.events_processed == every_worker
+
+    def test_ring_receipts_land_on_every_node(self):
+        """The representative sends on NIC 0 and delivers to NIC 1; every
+        node's account carries both sides, not half of the traffic."""
+        cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        simulator, result = _run_des(workload, cluster, RING_ALLREDUCE)
+        for node, account in enumerate(_accounts(simulator)):
+            assert account.node_id == node
+            assert account.bytes_sent == account.bytes_received > 0
+            assert account.by_tag_sent == account.by_tag_received
+            assert account.total_bytes == result.per_node_traffic_bytes[node]
+
+    FLAT = ClusterConfig(num_workers=16, bandwidth_gbps=10.0)
+    KEEPS_EVERY_WORKER = {
+        # A quarter of the workers at half speed: the representative would
+        # be one of them (GPU-busy fraction 0.519 -> 0.831 when forced).
+        "stragglers": (VGG, FLAT, SYSTEMS["PS"].with_faults(0.25, 2.0),
+                       1865, "2.1700757040282235"),
+        # The members' flows share their rack switch (-> 2.343 s forced).
+        "racked": (VGG, replace(FLAT, racks=4, oversubscription=4.0),
+                   SYSTEMS["PS"], 3917, "6.030966441105002"),
+        # Node 0 hosts a shard, node 8 does not (33.3 -> 50.6 GB forced).
+        "half the shards": (VGG, replace(FLAT, num_servers=8), SYSTEMS["PS"],
+                            1656, "2.9897950956504786"),
+        # The shard side runs on machines no worker stands for.
+        "dedicated servers": (VGG, replace(FLAT, colocate_servers=False),
+                              SYSTEMS["1-bit PS"], 1865, "0.9017103881587709"),
+        # SFB broadcasts and ring steps land on peers' NICs.
+        "hybcomm": (get_model_spec("nanogpt-12l"),
+                    ClusterConfig(num_workers=16, bandwidth_gbps=40.0),
+                    SYSTEMS["HybComm"], 19374, "0.2578849828072717"),
+        # The relaxed-policy path has no representative to step.
+        "ssp(1)": (VGG, ClusterConfig(num_workers=8, bandwidth_gbps=10.0),
+                   SYSTEMS["PS"].with_policy("ssp(1)"),
+                   7792, "1.5018747615017685"),
+    }
+
+    @pytest.mark.parametrize("point", sorted(KEEPS_EVERY_WORKER))
+    def test_everything_else_keeps_every_worker(self, point):
+        model, cluster, system, events, seconds = self.KEEPS_EVERY_WORKER[point]
+        workload = build_workload(model, gpu=cluster.gpu)
+        simulator, result = _run_des(workload, cluster, system)
+        assert simulator.workers_stepped == cluster.num_workers
+        # Recorded on the parent commit.
+        assert simulator.env.events_processed == events
+        assert repr(result.iteration_seconds) == seconds
+
+    def test_unequal_step_tuples_keep_every_worker(self):
+        """Dropping workers 1..P-1 must lose nothing: a lowering that gives
+        one of them another schedule is run as lowered."""
+        from repro.simulation import throughput
+
+        def lower_unit(plan, shape, one_hold):
+            steps = real(plan, shape, one_hold)
+            odd = steps.workers[-1] + ((throughput._GATE,),)
+            return replace(steps, workers=steps.workers[:-1] + (odd,))
+
+        real = throughput._lower_unit
+        workload = build_workload(ALEXNET, gpu=self.FLAT.gpu)
+        memo.clear_all()
+        try:
+            with mock.patch.object(throughput, "_lower_unit", lower_unit):
+                simulator, _ = _run_des(workload, self.FLAT, SYSTEMS["PS"])
+        finally:
+            memo.clear_all()  # the patched lowering must not stay warm
+        assert simulator.workers_stepped == 16
 
 
 # -- one gate rule ----------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for the flow-level iteration simulator."""
 
+from unittest import mock
+
 import pytest
 
+from repro.cluster.machine import ClusterModel
 from repro.config import ClusterConfig
 from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
@@ -16,9 +19,11 @@ from repro.engines import (
     TF_WFBP,
 )
 from repro.engines.base import CommMode, Partitioning
+from repro.exceptions import SimulationError
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import build_workload, simulate_system
 from repro.simulation.speedup import scaling_curve
+from repro.simulation.throughput import IterationSimulator
 
 
 def cluster(nodes, bandwidth=40.0, **kwargs):
@@ -170,6 +175,35 @@ class TestSimulatorInternals:
         # per-node loads are symmetric by construction in the balanced case.
         assert max(result.per_node_traffic_bytes) == pytest.approx(
             min(result.per_node_traffic_bytes), rel=0.05)
+
+    @pytest.mark.parametrize("system", [CAFFE_WFBP, TF],
+                             ids=["symmetric", "every worker"])
+    def test_failed_run_is_still_the_one_use(self, googlenet_spec, system):
+        """A sync process that raises leaves the event queue half-drained;
+        the guard used to trip only once a run had succeeded."""
+        def failing_transfer(self, src, dst, nbytes, tag="untagged", repeat=1):
+            raise SimulationError("link down")
+            yield
+
+        simulator = IterationSimulator(build_workload(googlenet_spec),
+                                       cluster(4), system)
+        with mock.patch.object(ClusterModel, "transfer", failing_transfer):
+            with pytest.raises(SimulationError, match="link down"):
+                simulator.run()
+        with pytest.raises(SimulationError, match="single-use"):
+            simulator.run()
+
+    def test_shard_nodes_are_listed_once_in_id_order(self, googlenet_spec):
+        """``_fabric_fan`` books same-instant flows in the order it is given
+        the nodes: a sorted tuple, not a set's iteration order."""
+        workload = build_workload(googlenet_spec)
+        for layout, nodes in (
+                (cluster(8), tuple(range(8))),
+                (cluster(8, num_servers=3), (0, 1, 2)),
+                (cluster(8, num_servers=12), tuple(range(8))),
+                (cluster(4, num_servers=2, colocate_servers=False), (4, 5))):
+            simulator = IterationSimulator(workload, layout, CAFFE_WFBP)
+            assert simulator.shard_nodes == nodes
 
     def test_multi_gpu_adds_local_reduction_but_scales(self, googlenet_spec):
         single = simulate_system(googlenet_spec, POSEIDON_CAFFE,

@@ -15,8 +15,9 @@ it that costs the most, without a profiler.  The 30 calls are the pass's own
 
 Each is reported as the best of ``--repeats`` wall times (planning memos
 warm, as they are from the benchmark's second pass on); a DES point also
-gives its ``events_processed``, which must not move under a change that only
-claims speed.  Usage::
+gives its ``events_processed`` and how many workers the run stepped (one for
+a symmetric plan, else all of them): where the second did not move, the
+first must not under a change that only claims speed.  Usage::
 
     PYTHONPATH=src python tools/sim_points.py [--repeats N] [--ref REV|DIR]
 
@@ -46,8 +47,8 @@ ROUNDS = 3
 
 
 def points() -> Iterator[Tuple[str, Callable[[int], object],
-                               Optional[Callable[[], int]]]]:
-    """``(label, call(repeat), events() or None)`` of the 30 calls."""
+                               Optional[Callable[[], Tuple[int, int]]]]]:
+    """``(label, call(repeat), (events, workers stepped)() or None)`` of the 30."""
     from repro.config import ClusterConfig
     from repro.experiments.fig_backends import backend_systems
     from repro.nn.model_zoo import get_model_spec
@@ -60,12 +61,14 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
     systems = backend_systems()
 
     def des(model, system, nodes, gbps):
-        def events() -> int:
+        def events() -> Tuple[int, int]:
             cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=gbps)
             simulator = IterationSimulator(
                 build_workload(model, gpu=cluster.gpu), cluster, system)
             simulator.run()
-            return simulator.env.events_processed
+            # A --ref tree from before the attribute stepped every worker.
+            return (simulator.env.events_processed,
+                    getattr(simulator, "workers_stepped", nodes))
         return (f"des {model.name} {system.name} {nodes}n",
                 lambda _repeat: simulate_point(model, system, nodes,
                                                bandwidth_gbps=gbps,
@@ -95,7 +98,7 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
 
 
 def measure(repeats: int) -> Dict[str, dict]:
-    """Best-of-``repeats`` milliseconds (and DES event count) per point."""
+    """Best-of-``repeats`` milliseconds (and DES event / worker counts) per point."""
     measured = {}
     for label, call, events in points():
         best = float("inf")
@@ -103,8 +106,9 @@ def measure(repeats: int) -> Dict[str, dict]:
             start = time.perf_counter()
             call(repeat)
             best = min(best, time.perf_counter() - start)
-        measured[label] = {"ms": best * 1e3,
-                           "events": events() if events else None}
+        counted, stepped = events() if events else (None, None)
+        measured[label] = {"ms": best * 1e3, "events": counted,
+                           "stepped": stepped}
     return measured
 
 
@@ -159,10 +163,11 @@ def main() -> int:
         return 0
     for side in filter(None, (measured, reference)):
         side["total"] = {"ms": sum(m["ms"] for m in side.values()),
-                         "events": sum(m["events"] or 0 for m in side.values())}
+                         "events": sum(m["events"] or 0 for m in side.values()),
+                         "stepped": None}
     print(f"{'point':44}" + (f"{'ref ms':>9}" if reference else "")
           + f"{'ms':>9}" + (f"{'change':>8}" if reference else "")
-          + f"{'events':>8}")
+          + f"{'events':>8}{'workers stepped':>17}")
     for label, now in measured.items():
         line = f"{label:44}"
         if reference:
@@ -173,7 +178,8 @@ def main() -> int:
                 line += f"{was['events']:>8} ->"
         else:
             line += f"{now['ms']:9.2f}"
-        print(line + (f"{now['events']:>8}" if now["events"] else ""))
+        print(line + (f"{now['events']:>8}" if now["events"] else "")
+              + (f"{now['stepped']:>17}" if now["stepped"] else ""))
     return 0
 
 
