@@ -108,10 +108,12 @@ examples-smoke:
 	PYTHONPATH=src python examples/distributed_cifar_training.py \
 		--iterations 10 --workers 2
 
-## intra-repo markdown links + public-API doctests
+## intra-repo links (markdown, and every NAME.md / backticked path a .py
+## file under src, tests or benchmarks cites) + public-API doctests
 docs-check:
 	python tools/check_links.py README.md PERFORMANCE.md ROADMAP.md \
-		CHANGES.md docs/architecture.md docs/backends.md
+		CHANGES.md docs/architecture.md docs/backends.md \
+		src tests benchmarks
 	PYTHONPATH=src python -m doctest src/repro/config.py src/repro/sweep.py \
 		src/repro/comm/backend.py
 	@echo "docs check passed"

@@ -1,15 +1,22 @@
 """Benchmark: design-choice ablations (WFBP, HybComm, partitioning, shards)."""
 
+from dataclasses import replace
+
 from repro.experiments import ablation
+from repro.experiments.figures import MULTIGPU
 
 
 def test_ablation_system_variants(benchmark, once):
     """Full Poseidon vs. variants with one design choice removed."""
-    result = once(benchmark, ablation.run_system_ablation, "vgg19", 16, 10.0)
-    full = result.speedup("full poseidon")
-    assert full >= result.speedup("no WFBP")
-    assert full >= result.speedup("no HybComm (PS only)")
-    assert full >= result.speedup("coarse partitioning")
+    points = once(benchmark, ablation.FIGURE.run)
+
+    def speedup(variant):
+        return points.at(system=variant).result.speedup
+
+    full = speedup("full poseidon")
+    assert full >= speedup("no WFBP")
+    assert full >= speedup("no HybComm (PS only)")
+    assert full >= speedup("coarse partitioning")
 
 
 def test_ablation_server_shard_count(benchmark, once):
@@ -21,6 +28,5 @@ def test_ablation_server_shard_count(benchmark, once):
 
 def test_ablation_multigpu(benchmark, once):
     """Multi-GPU-per-node scaling (Section 5.1)."""
-    from repro.experiments import multigpu
-    result = once(benchmark, multigpu.run_multigpu, ("googlenet",))
-    assert result.speedup("GoogLeNet", 1, 4) > 3.5
+    points = once(benchmark, replace(MULTIGPU, models=("googlenet",)).run)
+    assert points.at(topology="1x4").gpu_speedup > 3.5

@@ -1,14 +1,18 @@
 """Benchmark: regenerate Figure 5 (Caffe-engine scaling at 40 GbE)."""
 
-from repro.experiments import fig5
+from repro.experiments.figures import FIG5
 
 
 def test_fig5_caffe_engine_scaling(benchmark, once):
     """All three Caffe-engine systems on GoogLeNet / VGG19 / VGG19-22K."""
-    result = once(benchmark, fig5.run_fig5, (1, 2, 4, 8, 16, 32))
+    points = once(benchmark, FIG5.run)
+
+    def speedup(model, system):
+        return points.at(model=model, system=system, nodes=32).result.speedup
+
     # Shape: Poseidon near-linear, vanilla PS clearly behind on VGG19-22K.
-    assert result.speedup("VGG19-22K", "Poseidon (Caffe)", 32) > 28.0
-    assert result.speedup("VGG19-22K", "Caffe+PS", 32) < 20.0
+    assert speedup("VGG19-22K", "Poseidon (Caffe)") > 28.0
+    assert speedup("VGG19-22K", "Caffe+PS") < 20.0
     for model in ("GoogLeNet", "VGG19", "VGG19-22K"):
-        assert (result.speedup(model, "Poseidon (Caffe)", 32)
-                >= result.speedup(model, "Caffe+WFBP", 32) - 1e-6)
+        assert (speedup(model, "Poseidon (Caffe)")
+                >= speedup(model, "Caffe+WFBP") - 1e-6)

@@ -1,16 +1,19 @@
 """Benchmark: regenerate Figure 6 (TensorFlow-engine scaling at 40 GbE)."""
 
-from repro.experiments import fig6
+from repro.experiments.figures import FIG6
 
 
 def test_fig6_tensorflow_engine_scaling(benchmark, once):
     """TF / TF+WFBP / Poseidon on Inception-V3, VGG19 and VGG19-22K."""
-    result = once(benchmark, fig6.run_fig6, (1, 2, 4, 8, 16, 32))
+    points = once(benchmark, FIG6.run)
+
+    def speedup(model, system):
+        return points.at(model=model, system=system, nodes=32).result.speedup
+
     # Paper: Poseidon ~31.5x on Inception-V3, a ~50% improvement over TF.
-    poseidon = result.speedup("Inception-V3", "Poseidon (TF)", 32)
-    tf = result.speedup("Inception-V3", "TF", 32)
+    poseidon = speedup("Inception-V3", "Poseidon (TF)")
     assert poseidon > 28.0
-    assert poseidon > 1.2 * tf
+    assert poseidon > 1.2 * speedup("Inception-V3", "TF")
     # Paper: stock TF fails to scale VGG19-22K.
-    assert result.speedup("VGG19-22K", "TF", 32) < 8.0
-    assert result.speedup("VGG19-22K", "Poseidon (TF)", 32) > 28.0
+    assert speedup("VGG19-22K", "TF") < 8.0
+    assert speedup("VGG19-22K", "Poseidon (TF)") > 28.0

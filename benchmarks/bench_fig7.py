@@ -1,13 +1,17 @@
 """Benchmark: regenerate Figure 7 (GPU computation vs. stall on 8 nodes)."""
 
-from repro.experiments import fig7
+from repro.experiments.figures import FIG7
 
 
 def test_fig7_stall_breakdown(benchmark, once):
     """Compute/stall split for TF, TF+WFBP and Poseidon on 8 nodes."""
-    result = once(benchmark, fig7.run_fig7, 8)
+    points = once(benchmark, FIG7.run)
+
+    def result(model, system):
+        return points.at(model=model, system=system).result
+
     for model in ("Inception-V3", "VGG19", "VGG19-22K"):
-        assert result.busy_fraction(model, "Poseidon (TF)") > 0.9
-        assert (result.stall_fraction(model, "TF")
-                >= result.stall_fraction(model, "Poseidon (TF)"))
-    assert result.stall_fraction("VGG19-22K", "TF") > 0.3
+        assert result(model, "Poseidon (TF)").gpu_busy_fraction > 0.9
+        assert (result(model, "TF").gpu_stall_fraction
+                >= result(model, "Poseidon (TF)").gpu_stall_fraction)
+    assert result("VGG19-22K", "TF").gpu_stall_fraction > 0.3

@@ -1,15 +1,20 @@
 """Benchmark: regenerate Figure 8 (scaling under limited bandwidth)."""
 
-from repro.experiments import fig8
+from repro.experiments.figures import FIG8
 
 
 def test_fig8_bandwidth_limited_scaling(benchmark, once):
     """Caffe+WFBP vs. Poseidon across the paper's bandwidth sweeps."""
-    result = once(benchmark, fig8.run_fig8, (1, 2, 4, 8, 16))
+    points = once(benchmark, FIG8.run)
+
+    def speedup(model, system):
+        return points.at(model=model, system=system, bandwidth=10.0,
+                         nodes=16).result.speedup
+
     # Paper: at 10 GbE a PS-based system reaches only ~8x on 16 nodes for
     # VGG19 while Poseidon keeps scaling nearly linearly.
-    assert result.speedup("VGG19", "Caffe+WFBP", 10.0, 16) < 11.0
-    assert result.speedup("VGG19", "Poseidon (Caffe)", 10.0, 16) > 14.0
+    assert speedup("VGG19", "Caffe+WFBP") < 11.0
+    assert speedup("VGG19", "Poseidon (Caffe)") > 14.0
     # VGG19-22K shows the same, more pronounced.
-    assert (result.speedup("VGG19-22K", "Poseidon (Caffe)", 10.0, 16)
-            > 1.5 * result.speedup("VGG19-22K", "Caffe+WFBP", 10.0, 16))
+    assert (speedup("VGG19-22K", "Poseidon (Caffe)")
+            > 1.5 * speedup("VGG19-22K", "Caffe+WFBP"))

@@ -9,32 +9,28 @@ is expected to finish >= 2x faster than the sequential runner.
 
 import os
 
-from repro.experiments import fig5, fig8
+from repro.experiments.figures import FIG5, FIG8
 
-QUICK_NODES = (1, 4, 16)
+#: The --quick sweeps: 1, 4 and 16 nodes.
+QUICK_FIG5 = FIG5.reduced(quick=True)
+QUICK_FIG8 = FIG8.reduced(quick=True)
 
 
 def test_fig5_quick_sweep_serial(benchmark):
     """Figure 5 quick sweep (9 series x 3 node counts), sequential."""
-    result = benchmark(fig5.run_fig5, node_counts=QUICK_NODES, jobs=1)
-    assert result.curves
+    assert benchmark(QUICK_FIG5.run, jobs=1)
 
 
 def test_fig5_quick_sweep_parallel(benchmark):
     """The same sweep over one worker per core."""
-    jobs = os.cpu_count() or 1
-    result = benchmark(fig5.run_fig5, node_counts=QUICK_NODES, jobs=jobs)
-    assert result.curves
+    assert benchmark(QUICK_FIG5.run, jobs=os.cpu_count() or 1)
 
 
 def test_fig8_quick_sweep_serial(benchmark):
     """Figure 8 quick sweep (18 bandwidth series), sequential."""
-    result = benchmark(fig8.run_fig8, node_counts=QUICK_NODES, jobs=1)
-    assert result.curves
+    assert benchmark(QUICK_FIG8.run, jobs=1)
 
 
 def test_fig8_quick_sweep_parallel(benchmark):
     """The same sweep over one worker per core."""
-    jobs = os.cpu_count() or 1
-    result = benchmark(fig8.run_fig8, node_counts=QUICK_NODES, jobs=jobs)
-    assert result.curves
+    assert benchmark(QUICK_FIG8.run, jobs=os.cpu_count() or 1)

@@ -1,7 +1,8 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md for the experiment index).  Simulation-backed benchmarks are cheap
+Every ``bench_fig*`` / ``bench_table*`` benchmark regenerates one of the
+paper's tables or figures (README's figure map says which is which); the
+others time one layer of the stack.  Simulation-backed benchmarks are cheap
 enough to run at full scale; the functional-training benchmark (Figure 11)
 uses a reduced iteration count.
 

@@ -20,7 +20,8 @@ The library is organised in layers, bottom-up:
   data-parallel training runtime.
 * :mod:`repro.simulation` -- throughput/traffic/convergence simulation used
   by the experiment harness.
-* :mod:`repro.experiments` -- one module per table/figure of the paper.
+* :mod:`repro.experiments` -- the paper's tables and figures: a sweep figure
+  is one :class:`~repro.experiments.figure.Figure` value.
 """
 
 from repro.version import __version__

@@ -6,7 +6,7 @@ classification datasets with matching shapes and class counts (downscaled
 spatially where noted).  Convergence *comparisons* between exact and
 approximate synchronization (Figure 11) depend on optimization dynamics, not
 on natural image statistics, so the substitution preserves the relevant
-behaviour; see DESIGN.md.
+behaviour.
 """
 
 from repro.data.datasets import (

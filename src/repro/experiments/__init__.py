@@ -1,57 +1,18 @@
-"""Experiment harness: one module per table/figure of the paper's evaluation.
+"""Experiment harness: the paper's tables and figures as report sections.
 
-Every module exposes a ``run_*`` function returning a structured result
-object and a ``render`` function producing the text table/series the paper
-reports.  ``python -m repro.experiments.runner`` (or the installed
-``poseidon-experiments`` script) regenerates everything and prints a
-paper-vs-measured comparison.
+A sweep figure is one frozen :class:`~repro.experiments.figure.Figure`
+value -- axes, ``--quick`` axes and a text layout -- that one driver
+simulates and one renderer prints (:mod:`repro.experiments.figure`).  The
+pure-data figures live in :mod:`repro.experiments.figures` and
+:mod:`repro.experiments.ablation`; sections of a different shape keep a
+custom ``report`` body in their own module and say why: ``table1``,
+``table3``, ``fig9`` (convergence panel), ``fig11`` (functional training),
+``fig_faults`` (Young--Daly rows), ``fig_llm`` (timed decision table),
+``fig_scale`` (multi-job fluid column), ``fig_topology`` (Algorithm-1
+shift) and ``fidelity``.  ``python -m repro.experiments.runner``
+regenerates every section; README's figure map says which section
+reproduces which figure.
 
-Index (see DESIGN.md for the full mapping):
-
-========  =======================================================
-table1    Analytic communication cost of PS / SFB / Adam
-table3    Model statistics
-fig5      Caffe-engine throughput scaling at 40 GbE
-fig6      TensorFlow-engine throughput scaling at 40 GbE
-fig7      GPU computation vs. stall breakdown on 8 nodes
-fig8      Throughput scaling under limited bandwidth
-fig9      ResNet-152 throughput and statistical convergence
-fig10     Per-node communication load (TF-WFBP / Adam / Poseidon)
-fig11     CIFAR-10 quick: exact sync vs. 1-bit quantization
-multigpu  Multi-GPU-per-node scaling (Section 5.1)
-ablation  Design-choice ablations (KV pair size, WFBP, HybComm)
-sweep     Parallel execution of a figure's independent configs
-========  =======================================================
+The package imports nothing, so importing one module (e.g.
+:mod:`repro.experiments.fig_backends`) pulls in only what that module needs.
 """
-
-from repro.experiments import (  # noqa: F401  (re-exported for discoverability)
-    ablation,
-    fidelity,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    multigpu,
-    sweep,
-    table1,
-    table3,
-)
-
-__all__ = [
-    "table1",
-    "table3",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "multigpu",
-    "ablation",
-    "fidelity",
-    "sweep",
-]

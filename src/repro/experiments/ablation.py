@@ -1,64 +1,53 @@
-"""Design-choice ablations (the knobs DESIGN.md calls out).
+"""Design-choice ablations.
 
 Not a paper figure, but each ablation isolates one of Poseidon's design
 decisions so its contribution can be quantified on the simulator:
 
-* WFBP on/off at a fixed communication scheme.
-* HybComm vs. always-PS vs. always-SFB.
-* Fine-grained (2 MB KV pair) vs. coarse per-tensor partitioning.
-* Number of dedicated vs. colocated parameter-server shards.
-* Batch-size sensitivity of the SFB/PS crossover (Algorithm 1).
+* WFBP on/off, HybComm vs. always-PS vs. always-SFB, fine-grained (2 MB
+  KV pair) vs. coarse per-tensor partitioning -- the :data:`FIGURE`.
+* Number of PS shards (:func:`run_server_count_ablation`).
+* Batch-size sensitivity of Algorithm 1's layer choice
+  (:func:`run_batch_size_crossover`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
+from repro.comm.backend import choose_scheme
 from repro.config import ClusterConfig
-from repro.core.cost_model import CommScheme, ps_combined_cost, sfb_worker_cost
+from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
 from repro.engines import POSEIDON_CAFFE
 from repro.engines.base import CommMode, Partitioning
-from repro.experiments.report import format_table
+from repro.experiments.figure import Figure, Table, Text
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation.throughput import simulate_system
 
+_SEQUENTIAL = POSEIDON_CAFFE.with_schedule(ScheduleMode.SEQUENTIAL)
 
-@dataclass
-class AblationResult:
-    """Speedups of each ablated variant, keyed by variant label."""
-
-    model: str
-    num_nodes: int
-    bandwidth_gbps: float
-    speedups: Dict[str, float] = field(default_factory=dict)
-
-    def speedup(self, label: str) -> float:
-        """Speedup of one variant."""
-        return self.speedups[label]
-
-
-def run_system_ablation(model_key: str = "vgg19", num_nodes: int = 16,
-                        bandwidth_gbps: float = 10.0) -> AblationResult:
-    """Ablate WFBP, HybComm and partitioning granularity on one model."""
-    spec = get_model_spec(model_key)
-    cluster = ClusterConfig(num_workers=num_nodes, bandwidth_gbps=bandwidth_gbps)
-    variants = {
-        "full poseidon": POSEIDON_CAFFE,
-        "no WFBP": POSEIDON_CAFFE.with_schedule(ScheduleMode.SEQUENTIAL),
-        "no HybComm (PS only)": POSEIDON_CAFFE.with_comm(CommMode.PS),
-        "SFB for all FC layers": POSEIDON_CAFFE.with_comm(CommMode.SFB_ONLY),
-        "coarse partitioning": POSEIDON_CAFFE.with_partitioning(Partitioning.COARSE),
-        "no WFBP, no HybComm": POSEIDON_CAFFE.with_schedule(
-            ScheduleMode.SEQUENTIAL).with_comm(CommMode.PS),
-    }
-    result = AblationResult(model=spec.name, num_nodes=num_nodes,
-                            bandwidth_gbps=bandwidth_gbps)
-    for label, system in variants.items():
-        result.speedups[label] = simulate_system(
-            spec, system.renamed(label), cluster).speedup
-    return result
+#: Full Poseidon and each variant with design choices removed, VGG19 on 16
+#: nodes at 10 GbE.
+FIGURE = Figure(
+    models=("vgg19",),
+    systems=tuple(system.renamed(label) for label, system in (
+        ("full poseidon", POSEIDON_CAFFE),
+        ("no WFBP", _SEQUENTIAL),
+        ("no HybComm (PS only)", POSEIDON_CAFFE.with_comm(CommMode.PS)),
+        ("SFB for all FC layers", POSEIDON_CAFFE.with_comm(CommMode.SFB_ONLY)),
+        ("coarse partitioning",
+         POSEIDON_CAFFE.with_partitioning(Partitioning.COARSE)),
+        ("no WFBP, no HybComm", _SEQUENTIAL.with_comm(CommMode.PS)),
+    )),
+    bandwidths=(10.0,),
+    nodes=(16,),
+    layout=(
+        Text("Ablation: {model.name} on {cluster.num_workers} nodes at "
+             "{cluster.bandwidth_gbps:g} GbE"),
+        Table(("Variant", "Speedup", "Relative to full Poseidon"),
+              ("{system.name}", "{result.speedup:.2f}", "{ratio:.0%}"),
+              baseline={"system": "full poseidon"}),
+    ))
 
 
 def run_server_count_ablation(model_key: str = "vgg19", num_nodes: int = 16,
@@ -82,31 +71,6 @@ def run_batch_size_crossover(m: int = 4096, n: int = 4096,
                                                            512, 1024, 2048)
                              ) -> Dict[int, CommScheme]:
     """Scheme Algorithm 1 picks for an FC layer as the batch size grows."""
-    decisions = {}
-    for batch in batch_sizes:
-        sfb = sfb_worker_cost(m, n, batch, num_workers)
-        ps = ps_combined_cost(m, n, num_workers, num_servers)
-        decisions[batch] = CommScheme.SFB if sfb <= ps else CommScheme.PS
-    return decisions
-
-
-def render(result: AblationResult) -> str:
-    """Render the system ablation as a table."""
-    baseline = result.speedups.get("full poseidon", 1.0)
-    rows: List[tuple] = []
-    for label, speedup in result.speedups.items():
-        rows.append((label, speedup, f"{speedup / baseline * 100:.0f}%"))
-    return format_table(
-        headers=["Variant", "Speedup", "Relative to full Poseidon"],
-        rows=rows,
-        title=(f"Ablation: {result.model} on {result.num_nodes} nodes at "
-               f"{result.bandwidth_gbps:g} GbE"),
-    )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_system_ablation()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return {batch: choose_scheme("hybrid", (m, n), True, num_workers,
+                                 num_servers, batch)
+            for batch in batch_sizes}

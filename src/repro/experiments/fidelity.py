@@ -9,12 +9,11 @@ every result holds" honest and machine-checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from repro.experiments import fig5 as fig5_module
-from repro.experiments import fig6 as fig6_module
 from repro.experiments import paper_reference
+from repro.experiments.figures import FIG5, FIG6
 from repro.experiments.report import format_table
 
 
@@ -97,59 +96,60 @@ class FidelityReport:
             rows=rows, title=title)
 
 
-def scaling_fidelity(node_counts=(1, 8, 16, 32),
+def scaling_fidelity(top: int = 32,
                      jobs: Optional[int] = None) -> FidelityReport:
     """Fidelity checks for the Figure 5 / Figure 6 headline speedups.
 
     The band is deliberately wide (±50%) -- the brief asks for the *shape*
     (who wins, roughly what factor), not testbed-exact numbers; ordering
-    checks capture the who-wins part exactly.  ``jobs`` is forwarded to the
-    underlying Figure 5 / Figure 6 sweeps.
+    checks capture the who-wins part exactly.  The speedups are the
+    :data:`~repro.experiments.figures.FIG5` / ``FIG6`` points on ``top``
+    nodes, simulated over ``jobs`` workers.
     """
-    report = FidelityReport()
-    fig5_result = fig5_module.run_fig5(node_counts=node_counts, jobs=jobs)
-    fig6_result = fig6_module.run_fig6(node_counts=node_counts, jobs=jobs)
-    top = max(node_counts)
+    scored = FidelityReport()
+    fig5 = replace(FIG5, nodes=(top,)).run(jobs)
+    fig6 = replace(FIG6, nodes=(top,)).run(jobs)
+
+    def fig5_speedup(model: str, system: str) -> float:
+        return fig5.at(model=model, system=system, nodes=top).result.speedup
+
+    def fig6_speedup(model: str, system: str) -> float:
+        return fig6.at(model=model, system=system, nodes=top).result.speedup
 
     for model, per_system in paper_reference.FIG5_SPEEDUPS_32_NODES.items():
         for system, reported in per_system.items():
-            measured = fig5_result.speedup(model, system, top)
-            report.add_ratio_check(
-                f"fig5 {model} {system} @{top} nodes", reported, measured)
+            scored.add_ratio_check(f"fig5 {model} {system} @{top} nodes",
+                                   reported, fig5_speedup(model, system))
     for model, per_system in paper_reference.FIG6_SPEEDUPS_32_NODES.items():
         for system, reported in per_system.items():
+            measured = fig6_speedup(model, system)
             if reported <= 4.0:
                 # "Fails to scale" claims are ordering checks, not ratios.
-                measured = fig6_result.speedup(model, system, top)
-                report.add_ordering_check(
+                scored.add_ordering_check(
                     f"fig6 {model} {system} stays far below Poseidon",
-                    measured, 0.35 * fig6_result.speedup(model, "Poseidon (TF)", top))
+                    measured, 0.35 * fig6_speedup(model, "Poseidon (TF)"))
                 continue
-            measured = fig6_result.speedup(model, system, top)
-            report.add_ratio_check(
+            scored.add_ratio_check(
                 f"fig6 {model} {system} @{top} nodes", reported, measured)
 
     # Ordering claims of Section 5.1: Poseidon >= WFBP >= vanilla PS / TF.
     for model in ("GoogLeNet", "VGG19", "VGG19-22K"):
-        report.add_ordering_check(
+        scored.add_ordering_check(
             f"fig5 {model}: WFBP <= Poseidon",
-            fig5_result.speedup(model, "Caffe+WFBP", top),
-            fig5_result.speedup(model, "Poseidon (Caffe)", top))
-        report.add_ordering_check(
+            fig5_speedup(model, "Caffe+WFBP"),
+            fig5_speedup(model, "Poseidon (Caffe)"))
+        scored.add_ordering_check(
             f"fig5 {model}: vanilla PS <= WFBP",
-            fig5_result.speedup(model, "Caffe+PS", top),
-            fig5_result.speedup(model, "Caffe+WFBP", top))
+            fig5_speedup(model, "Caffe+PS"),
+            fig5_speedup(model, "Caffe+WFBP"))
     for model in ("Inception-V3", "VGG19", "VGG19-22K"):
-        report.add_ordering_check(
+        scored.add_ordering_check(
             f"fig6 {model}: TF <= Poseidon",
-            fig6_result.speedup(model, "TF", top),
-            fig6_result.speedup(model, "Poseidon (TF)", top))
-    return report
+            fig6_speedup(model, "TF"),
+            fig6_speedup(model, "Poseidon (TF)"))
+    return scored
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(scaling_fidelity().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(quick: bool = False) -> str:
+    """The runner's fidelity section (up to 16 nodes when ``quick``)."""
+    return scaling_fidelity(16 if quick else 32).render()

@@ -12,7 +12,9 @@ This reproduction trains a (downscaled) CIFAR-quick CNN on a synthetic
 CIFAR-10-shaped dataset with the *functional* distributed runtime, so the
 loss/error curves come from real SGD.  The companion ``cntk_scaling``
 helper reports the simulated throughput speedups of the CNTK-1bit baseline
-(Section 5.3).
+(Section 5.3).  The figure keeps a custom body rather than a
+:class:`~repro.experiments.figure.Figure`: its points are functional
+training runs, not simulations.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config import ClusterConfig, TrainingConfig
+from repro.config import TrainingConfig
 from repro.core.wfbp import ScheduleMode
 from repro.data import make_cifar10_like, shard_dataset
 from repro.engines import CNTK_1BIT, POSEIDON_CAFFE
@@ -81,7 +83,7 @@ def run_fig11(iterations: int = 150, num_workers: int = 4, batch_size: int = 16,
     low test error while the 1-bit run is visibly behind at the same
     iteration count.  At this (CPU-sized) scale the gap is sensitive to the
     random seed -- the paper demonstrates it at full CIFAR-10 scale -- so
-    EXPERIMENTS.md records the comparison for this fixed configuration.
+    the report records the comparison for this fixed configuration.
 
     Args:
         iterations: SGD iterations per run.
@@ -217,9 +219,14 @@ def render(result: Fig11Result) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig11()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(quick: bool = False) -> str:
+    """The runner's fig11 section: both training runs plus Section 5.3."""
+    result = run_fig11(iterations=60 if quick else 300,
+                       eval_every=20 if quick else 50)
+    lines = [render(result), "",
+             "Section 5.3: VGG19 speedups, CNTK-1bit vs Poseidon"]
+    for system, per_nodes in cntk_scaling().items():
+        lines.append("  " + system + ": " + " ".join(
+            f"{nodes}nodes={speedup:.1f}x"
+            for nodes, speedup in sorted(per_nodes.items())))
+    return "\n".join(lines)

@@ -1,117 +1,73 @@
 """Figure 9: ResNet-152 throughput scaling and statistical convergence.
 
 Panel (a): speedup vs. number of nodes for Poseidon-TensorFlow against stock
-TensorFlow.  Panel (b): top-1 error vs. epoch for 8/16/32 nodes -- Poseidon's
-synchronous training reaches the reported 0.24 error within ~90 epochs on 16
-and 32 nodes, so time-to-accuracy scales with throughput.
+TensorFlow -- a :class:`~repro.experiments.figure.Figure`.  Panel (b):
+top-1 error vs. epoch for 8/16/32 nodes -- Poseidon's synchronous training
+reaches the reported 0.24 error within ~90 epochs on 16 and 32 nodes, so
+time-to-accuracy scales with throughput.
 
-The throughput panel uses the cluster simulator; the convergence panel uses
-the calibrated learning-curve model of
-:mod:`repro.simulation.convergence` (see DESIGN.md for the substitution
-rationale -- ImageNet-scale ResNet training is not runnable here).
+Panel (b) keeps a custom body: it is a table of the calibrated
+learning-curve model of :mod:`repro.simulation.convergence` (ImageNet-scale
+ResNet training is not runnable here), timed by panel (a)'s Poseidon
+points, not a sweep metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.engines import POSEIDON_TF, TF
-from repro.experiments.report import format_series, format_table
-from repro.experiments.sweep import sweep_scaling_curves
-from repro.nn.model_zoo import get_model_spec
+from repro.experiments.figure import Figure, Points, Series, Text, render
+from repro.experiments.report import format_table
 from repro.simulation.convergence import (
-    ConvergenceCurve,
     RESNET152_FINAL_ERROR,
     resnet152_error_curve,
     time_to_error_hours,
 )
-from repro.simulation.speedup import ScalingCurve
 
-#: Node counts of panel (a).
-FIG9_NODE_COUNTS = (1, 2, 4, 8, 16, 32)
+#: Panel (a).
+FIGURE = Figure(
+    models=("resnet-152",),
+    systems=(POSEIDON_TF, TF),
+    nodes=(1, 2, 4, 8, 16, 32),
+    quick={"nodes": (1, 8, 32)},
+    layout=(
+        Text("Figure 9(a): ResNet-152 throughput speedup"),
+        Series("  {system.name:14s}", "{cluster.num_workers}",
+               "{result.speedup:.1f}"),
+    ))
 
 #: Node counts of panel (b).
-FIG9_CONVERGENCE_NODES = (8, 16, 32)
+CONVERGENCE_NODES = (8, 16, 32)
 
 
-@dataclass
-class Fig9Result:
-    """Throughput curves plus convergence curves."""
+def convergence(points: Points, node_counts: Sequence[int] = CONVERGENCE_NODES
+                ) -> List[Tuple[int, float, Optional[float], Optional[float]]]:
+    """Panel (b): (nodes, final error, epochs to ~0.25, hours to accuracy).
 
-    throughput: Dict[str, ScalingCurve] = field(default_factory=dict)
-    convergence: Dict[int, ConvergenceCurve] = field(default_factory=dict)
-    time_to_error_hours: Dict[int, Optional[float]] = field(default_factory=dict)
-    target_error: float = RESNET152_FINAL_ERROR
-
-    def speedup(self, system: str, nodes: int) -> float:
-        """Panel (a) speedup for one system at one cluster size."""
-        return self.throughput[system].speedup_at(nodes)
-
-    def epochs_to_target(self, nodes: int) -> Optional[float]:
-        """Panel (b): epochs needed to reach the target error."""
-        return self.convergence[nodes].epochs_to_reach(self.target_error + 0.01)
-
-
-def run_fig9(node_counts: Sequence[int] = FIG9_NODE_COUNTS,
-             convergence_nodes: Sequence[int] = FIG9_CONVERGENCE_NODES,
-             epochs: int = 120,
-             bandwidth_gbps: float = 40.0,
-             jobs: Optional[int] = None) -> Fig9Result:
-    """Simulate both panels of Figure 9.
-
-    Panel (a)'s (system, nodes) configs run as one flat sweep; panel (b)'s
-    convergence model is analytic and stays in-process.
+    The hours are ``None`` where panel (a) did not simulate that node count.
     """
-    spec = get_model_spec("resnet-152")
-    result = Fig9Result()
-    systems = (POSEIDON_TF, TF)
-    combos = [(spec, system, bandwidth_gbps) for system in systems]
-    curves = sweep_scaling_curves(combos, node_counts, jobs=jobs)
-    for system in systems:
-        result.throughput[system.name] = curves[(spec, system, bandwidth_gbps)]
-    for nodes in convergence_nodes:
-        result.convergence[nodes] = resnet152_error_curve(nodes, epochs=epochs)
-        poseidon_curve = result.throughput[POSEIDON_TF.name]
-        try:
-            iteration_seconds = poseidon_curve.results[
-                poseidon_curve.node_counts.index(nodes)].iteration_seconds
-        except ValueError:
-            iteration_seconds = None
-        result.time_to_error_hours[nodes] = (
-            time_to_error_hours(nodes, iteration_seconds)
-            if iteration_seconds is not None else None
-        )
-    return result
-
-
-def render(result: Fig9Result) -> str:
-    """Render both panels as text."""
-    lines: List[str] = ["Figure 9(a): ResNet-152 throughput speedup"]
-    for system, curve in result.throughput.items():
-        lines.append("  " + format_series(
-            f"{system:14s}", curve.node_counts, curve.speedups))
-    lines.append("")
-    lines.append("Figure 9(b): top-1 error vs. epoch (calibrated convergence model)")
     rows = []
-    for nodes, curve in sorted(result.convergence.items()):
-        epochs_needed = result.epochs_to_target(nodes)
-        hours = result.time_to_error_hours.get(nodes)
-        rows.append((
-            f"{nodes} nodes",
-            curve.final_error,
-            epochs_needed if epochs_needed is not None else "not reached",
-            f"{hours:.1f} h" if hours is not None else "n/a",
-        ))
-    lines.append(format_table(
-        headers=["Cluster", "Final error", "Epochs to ~0.25", "Time to accuracy"],
-        rows=rows))
-    return "\n".join(lines)
+    for nodes in node_counts:
+        curve = resnet152_error_curve(nodes, epochs=120)
+        seconds = [point.result.iteration_seconds for point in
+                   points.where(system=POSEIDON_TF.name, nodes=nodes).values()]
+        hours = time_to_error_hours(nodes, seconds[0]) if seconds else None
+        rows.append((nodes, curve.final_error,
+                     curve.epochs_to_reach(RESNET152_FINAL_ERROR + 0.01), hours))
+    return rows
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig9()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(quick: bool = False) -> str:
+    """Both panels: (a) from the driver, (b) from the convergence model."""
+    figure = FIGURE.reduced(quick)
+    points = figure.run()
+    rows = [(f"{nodes} nodes", error,
+             epochs if epochs is not None else "not reached",
+             f"{hours:.1f} h" if hours is not None else "n/a")
+            for nodes, error, epochs, hours in convergence(points)]
+    return "\n".join([
+        render(figure.layout, points), "",
+        "Figure 9(b): top-1 error vs. epoch (calibrated convergence model)",
+        format_table(headers=["Cluster", "Final error", "Epochs to ~0.25",
+                              "Time to accuracy"], rows=rows)])

@@ -1,27 +1,20 @@
-"""Backend comparison: all registered communication schemes, one sweep.
+"""The compared communication schemes: every registered backend as a system.
 
 The paper evaluates PS, SFB, HybComm, Adam and 1-bit; the pluggable backend
 layer (:mod:`repro.comm.backend`) adds ring all-reduce and a hierarchical
-parameter server.  This experiment puts all seven through the flow-level
-simulator on identical clusters -- same engine, WFBP scheduling and
-overlapped pulls; only the communication scheme differs -- across node
-counts and bandwidths, answering the question Algorithm 1 raises: how far
-is each fixed scheme from the per-layer hybrid choice, and how do the new
-collectives compare on FC-heavy vs. conv-heavy models?
+parameter server.  :func:`backend_systems` puts all seven on identical
+systems -- same engine, WFBP scheduling and overlapped pulls; only the
+communication scheme differs -- for the backend comparison, topology,
+scale and LLM figures and the repository benchmark.  This module imports
+no experiment machinery, so those callers stay cheap to import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.comm.backend import registered_backends
 from repro.core.wfbp import ScheduleMode
 from repro.engines.base import CommMode, Partitioning, SystemConfig
-from repro.experiments.report import format_series
-from repro.experiments.sweep import sweep_scaling_curves
-from repro.nn.model_zoo import get_model_spec
-from repro.simulation.speedup import ScalingCurve
 
 #: Display label of every compared scheme, keyed by CommMode.
 SCHEME_LABELS: Tuple[Tuple[CommMode, str], ...] = (
@@ -34,99 +27,22 @@ SCHEME_LABELS: Tuple[Tuple[CommMode, str], ...] = (
     (CommMode.HIERPS, "Hierarchical-PS"),
 )
 
-#: Models swept: one FC-heavy (scheme choice matters) and one conv-heavy.
-FIG_BACKENDS_MODELS: Tuple[str, ...] = ("vgg19", "googlenet")
 
-#: Bandwidths swept (GbE): constrained and the paper's full testbed rate.
-FIG_BACKENDS_BANDWIDTHS: Tuple[float, ...] = (10.0, 40.0)
-
-#: Node counts on the x-axis.
-FIG_BACKENDS_NODE_COUNTS: Tuple[int, ...] = (2, 4, 8, 16, 32)
+def poseidon_system(name: str, comm: CommMode,
+                    partitioning: Partitioning = Partitioning.FINE
+                    ) -> SystemConfig:
+    """The Poseidon client (WFBP, overlapped pulls) over one scheme."""
+    return SystemConfig(
+        name=name,
+        engine="poseidon",
+        schedule=ScheduleMode.WFBP,
+        partitioning=partitioning,
+        comm=comm,
+        overlap_pull=True,
+        overlap_host_copy=True,
+    )
 
 
 def backend_systems() -> Tuple[SystemConfig, ...]:
     """One system per compared scheme, Poseidon client library throughout."""
-    return tuple(
-        SystemConfig(
-            name=label,
-            engine="poseidon",
-            schedule=ScheduleMode.WFBP,
-            partitioning=Partitioning.FINE,
-            comm=comm,
-            overlap_pull=True,
-            overlap_host_copy=True,
-        )
-        for comm, label in SCHEME_LABELS
-    )
-
-
-@dataclass
-class BackendSweepResult:
-    """Curves keyed by model -> scheme label -> bandwidth."""
-
-    node_counts: Sequence[int]
-    bandwidths: Sequence[float]
-    curves: Dict[str, Dict[str, Dict[float, ScalingCurve]]] = field(default_factory=dict)
-
-    def curve(self, model: str, scheme: str, bandwidth_gbps: float) -> ScalingCurve:
-        """Curve of one (model, scheme, bandwidth) combination."""
-        return self.curves[model][scheme][bandwidth_gbps]
-
-    def speedup(self, model: str, scheme: str, bandwidth_gbps: float,
-                nodes: int) -> float:
-        """Speedup at one point of the sweep."""
-        return self.curve(model, scheme, bandwidth_gbps).speedup_at(nodes)
-
-    @property
-    def scheme_names(self) -> List[str]:
-        """Compared scheme labels, in presentation order."""
-        return [label for _, label in SCHEME_LABELS]
-
-
-def run_fig_backends(node_counts: Sequence[int] = FIG_BACKENDS_NODE_COUNTS,
-                     bandwidths: Sequence[float] = FIG_BACKENDS_BANDWIDTHS,
-                     models: Sequence[str] = FIG_BACKENDS_MODELS,
-                     jobs: Optional[int] = None) -> BackendSweepResult:
-    """Simulate every (model, scheme, bandwidth, nodes) config in one sweep."""
-    systems = backend_systems()
-    specs = {model_key: get_model_spec(model_key) for model_key in models}
-    combos = [(specs[model_key], system, float(bandwidth))
-              for model_key in models
-              for system in systems
-              for bandwidth in bandwidths]
-    curves = sweep_scaling_curves(combos, node_counts, jobs=jobs)
-    result = BackendSweepResult(node_counts=tuple(node_counts),
-                                bandwidths=tuple(bandwidths))
-    for model_key in models:
-        spec = specs[model_key]
-        result.curves[spec.name] = {
-            system.name: {
-                bandwidth: curves[(spec, system, float(bandwidth))]
-                for bandwidth in bandwidths
-            }
-            for system in systems
-        }
-    return result
-
-
-def render(result: BackendSweepResult) -> str:
-    """Render one series per (model, scheme, bandwidth)."""
-    lines: List[str] = [
-        "Backend comparison: every registered communication scheme "
-        "(registry: " + ", ".join(sorted(registered_backends())) + ")"
-    ]
-    for model, schemes in result.curves.items():
-        for scheme, by_bandwidth in schemes.items():
-            for bandwidth, curve in sorted(by_bandwidth.items()):
-                label = f"{model:12s} {scheme:16s} {bandwidth:4.0f} GbE"
-                lines.append("  " + format_series(
-                    label, curve.node_counts, curve.speedups))
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig_backends()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return tuple(poseidon_system(label, comm) for comm, label in SCHEME_LABELS)

@@ -16,6 +16,10 @@ views share one sweep:
   under ``s`` clocks behind; fully asynchronous execution pays only the
   mean excess.
 
+Both views are one :class:`~repro.experiments.figure.Figure`; the
+Young--Daly rows between them keep a custom body, as they are closed forms
+of the MTBF axis rather than simulated points.
+
 Engine agreement: the checkpoint/restart axis uses the identical closed
 form in both engines (exact agreement by construction); on the straggler
 axis the fluid engine's first-order model is an upper bound of the DES --
@@ -26,243 +30,136 @@ chaos tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.faults import fault_overhead_factor, young_daly_interval
 from repro.core.policy import SyncPolicy
-from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import CommMode, SystemConfig
+from repro.experiments.fig_backends import poseidon_system
+from repro.experiments.figure import Figure, Series, Text, render
 from repro.experiments.report import format_series
-from repro.experiments.sweep import sweep_scaling_curves
-from repro.nn.model_zoo import get_model_spec
-from repro.simulation.speedup import ScalingCurve
 
 #: Backends on the cost-vs-MTBF frontier (the three substrate families).
-FIG_FAULTS_SCHEMES: Tuple[Tuple[CommMode, str], ...] = (
+SCHEMES: Tuple[Tuple[CommMode, str], ...] = (
     (CommMode.PS, "PS"),
     (CommMode.ONEBIT, "1-bit PS"),
     (CommMode.RING, "Ring-AllReduce"),
 )
 
-#: MTBF axis (seconds), flaky to healthy.  ``None`` = failures never happen
-#: (the fault-free baseline every overhead is measured against).
-FIG_FAULTS_MTBFS: Tuple[Optional[float], ...] = (
-    None, 86_400.0, 21_600.0, 3_600.0, 900.0)
+#: MTBF axis (seconds), flaky to healthy; each overhead is measured against
+#: the backend's failure-free system.
+MTBFS: Tuple[float, ...] = (900.0, 3_600.0, 21_600.0, 86_400.0)
 
 #: Checkpoint intervals (seconds); ``None`` = the Young--Daly optimum.
-FIG_FAULTS_INTERVALS: Tuple[Optional[float], ...] = (None, 120.0)
+INTERVALS: Tuple[Optional[float], ...] = (None, 120.0)
 
 #: Seconds one checkpoint costs (a full parameter snapshot to stable
 #: storage; order of a VGG19 parameter set over a 10 GbE store link).
-FIG_FAULTS_CHECKPOINT_COST: float = 5.0
+CHECKPOINT_COST: float = 5.0
 
-#: Straggler severities swept: (fraction of workers slowed, slowdown factor).
-FIG_FAULTS_STRAGGLERS: Tuple[Tuple[float, float], ...] = (
+#: Straggler severities: (fraction of workers slowed, slowdown factor); the
+#: first is the healthy baseline every slowdown is measured against.
+STRAGGLERS: Tuple[Tuple[float, float], ...] = (
     (0.0, 1.0), (0.125, 2.0), (0.25, 4.0))
 
 #: Policies on the masking view: the consistency gate is what determines
 #: how much of a straggler's excess the cluster pays.
-FIG_FAULTS_POLICIES: Tuple[str, ...] = ("bsp", "ssp-2", "async", "local-4")
+POLICIES: Tuple[str, ...] = ("bsp", "ssp-2", "async", "local-4")
 
-#: Node counts on the x-axis (kept <= 32: the engine-agreement envelope).
-FIG_FAULTS_NODE_COUNTS: Tuple[int, ...] = (8, 16)
-
-#: Bandwidth of every configuration (GbE).
-FIG_FAULTS_BANDWIDTH: float = 10.0
-
-#: Model swept: FC-heavy, so backend choice moves bytes too.
-FIG_FAULTS_MODEL = "vgg19"
+QUICK_MTBFS: Tuple[float, ...] = (900.0, 3_600.0)
 
 
-def _fmt_mtbf(mtbf: Optional[float]) -> str:
-    return "inf" if mtbf is None else f"{mtbf:g}s"
-
-
-def _fmt_interval(interval: Optional[float]) -> str:
+def _interval(interval: Optional[float]) -> str:
     return "yd" if interval is None else f"{interval:g}s"
 
 
-def _base_system(name: str, comm: CommMode) -> SystemConfig:
-    return SystemConfig(
-        name=name,
-        engine="poseidon",
-        schedule=ScheduleMode.WFBP,
-        partitioning=Partitioning.FINE,
-        comm=comm,
-        overlap_pull=True,
-        overlap_host_copy=True,
-    )
+def fault_systems(mtbfs: Sequence[float] = MTBFS,
+                  stragglers: Sequence[Tuple[float, float]] = STRAGGLERS,
+                  policies: Sequence[str] = POLICIES,
+                  schemes: Sequence[Tuple[CommMode, str]] = SCHEMES
+                  ) -> Dict[str, object]:
+    """``systems`` and ``tags`` of both views.
 
+    The frontier has one BSP system per (backend, MTBF, checkpoint
+    interval) plus the backend's failure-free one (tagged ``mtbf="inf"``,
+    no ``ckpt``); the masking view one PS system per (policy, straggler
+    severity).
+    """
+    systems, tags = [], {}
 
-def frontier_systems(schemes: Sequence[Tuple[CommMode, str]] = FIG_FAULTS_SCHEMES,
-                     mtbfs: Sequence[Optional[float]] = FIG_FAULTS_MTBFS,
-                     intervals: Sequence[Optional[float]] = FIG_FAULTS_INTERVALS,
-                     checkpoint_cost: float = FIG_FAULTS_CHECKPOINT_COST
-                     ) -> Tuple[SystemConfig, ...]:
-    """One BSP system per (backend, MTBF, checkpoint interval) point."""
-    systems: List[SystemConfig] = []
+    def add(system: SystemConfig, **tag: str) -> None:
+        systems.append(system)
+        tags[system.name] = tag
+
     for comm, label in schemes:
+        add(poseidon_system(f"{label} mtbf=inf ckpt=yd", comm).with_faults(
+            checkpoint_cost_seconds=CHECKPOINT_COST), scheme=label, mtbf="inf")
         for mtbf in mtbfs:
-            for interval in intervals:
-                name = (f"{label} mtbf={_fmt_mtbf(mtbf)} "
-                        f"ckpt={_fmt_interval(interval)}")
-                systems.append(_base_system(name, comm).with_faults(
-                    mtbf_seconds=mtbf,
-                    checkpoint_interval_seconds=interval,
-                    checkpoint_cost_seconds=checkpoint_cost))
-    return tuple(systems)
-
-
-def masking_systems(policies: Sequence[str] = FIG_FAULTS_POLICIES,
-                    stragglers: Sequence[Tuple[float, float]] = FIG_FAULTS_STRAGGLERS
-                    ) -> Tuple[SystemConfig, ...]:
-    """One PS system per (policy, straggler severity) point."""
-    systems: List[SystemConfig] = []
+            for interval in INTERVALS:
+                ckpt = _interval(interval)
+                add(poseidon_system(f"{label} mtbf={mtbf:g}s ckpt={ckpt}", comm)
+                    .with_faults(mtbf_seconds=mtbf,
+                                 checkpoint_interval_seconds=interval,
+                                 checkpoint_cost_seconds=CHECKPOINT_COST),
+                    scheme=label, mtbf=f"{mtbf:g}s", ckpt=ckpt)
     for spec in policies:
         policy = SyncPolicy.parse(spec)
         for fraction, factor in stragglers:
-            name = f"PS {policy} slow={fraction:g}x{factor:g}"
-            systems.append(_base_system(name, CommMode.PS)
-                           .with_policy(policy)
-                           .with_faults(straggler_fraction=fraction,
-                                        straggler_factor=factor))
-    return tuple(systems)
+            severity = f"{fraction:g}x{factor:g}"
+            add(poseidon_system(f"PS {policy} slow={severity}", CommMode.PS)
+                .with_policy(policy)
+                .with_faults(straggler_fraction=fraction,
+                             straggler_factor=factor),
+                policy=spec, severity=severity)
+    return {"systems": tuple(systems), "tags": tags}
 
 
-@dataclass
-class FaultSweepResult:
-    """Both views of the fault sweep, keyed back by their sweep axes."""
+FRONTIER = (
+    Text("Fault frontier: checkpoint cost vs. MTBF, straggler masking by "
+         "policy"),
+    Text("  iteration-time overhead factor at {cluster.num_workers} nodes "
+         f"(checkpoint cost C={CHECKPOINT_COST:g}s):", at={"nodes": max}),
+    Series("    {scheme:16s} ckpt={ckpt:5s}", "{mtbf}", "{ratio:.3f}",
+           at={"nodes": max}, baseline={"mtbf": "inf"},
+           metric="iteration_seconds"),
+)
+MASKING = (
+    Text("  straggler slowdown factor at {cluster.num_workers} nodes (PS, by "
+         "policy):", at={"nodes": max}),
+    Series("    {policy:16s}", "{severity}", "{ratio:.3f}",
+           at={"nodes": max}, baseline={"severity": "0x1"},
+           metric="iteration_seconds"),
+)
 
-    node_counts: Sequence[int]
-    mtbfs: Sequence[Optional[float]]
-    intervals: Sequence[Optional[float]]
-    stragglers: Sequence[Tuple[float, float]]
-    policies: Sequence[str]
-    checkpoint_cost: float = FIG_FAULTS_CHECKPOINT_COST
-    #: scheme label -> (mtbf, interval) -> curve
-    frontier: Dict[str, Dict[Tuple[Optional[float], Optional[float]],
-                             ScalingCurve]] = field(default_factory=dict)
-    #: policy spec -> (fraction, factor) -> curve
-    masking: Dict[str, Dict[Tuple[float, float], ScalingCurve]] = field(
-        default_factory=dict)
-
-    def _at(self, curve: ScalingCurve, nodes: int) -> float:
-        return curve.results[curve.node_counts.index(nodes)].iteration_seconds
-
-    def overhead(self, scheme: str, mtbf: Optional[float],
-                 interval: Optional[float], nodes: int) -> float:
-        """Iteration-time factor vs. the scheme's fault-free baseline."""
-        baseline = self._at(self.frontier[scheme][(None, self.intervals[0])],
-                            nodes)
-        return self._at(self.frontier[scheme][(mtbf, interval)],
-                        nodes) / baseline
-
-    def mtbf_frontier(self, scheme: str, interval: Optional[float],
-                      nodes: int) -> List[Tuple[Optional[float], float]]:
-        """(MTBF, overhead factor) pairs, flakiest cluster first."""
-        axis = sorted((m for m in self.mtbfs if m is not None))
-        return [(mtbf, self.overhead(scheme, mtbf, interval, nodes))
-                for mtbf in axis]
-
-    def straggler_slowdown(self, policy: str,
-                           straggler: Tuple[float, float],
-                           nodes: int) -> float:
-        """Iteration-time inflation of one policy under one severity."""
-        baseline = self._at(self.masking[policy][self.stragglers[0]], nodes)
-        return self._at(self.masking[policy][straggler], nodes) / baseline
-
-    @property
-    def scheme_names(self) -> List[str]:
-        """Frontier scheme labels, in presentation order."""
-        return list(self.frontier)
+#: Both views at 10 GbE; node counts stay <= 32, the engine-agreement
+#: envelope.  VGG19 is FC-heavy, so the backend choice moves bytes too.
+FIGURE = Figure(
+    models=("vgg19",),
+    bandwidths=(10.0,),
+    nodes=(8, 16),
+    **fault_systems(),
+    quick={"nodes": (8,),
+           **fault_systems(QUICK_MTBFS, ((0.0, 1.0), (0.25, 4.0)),
+                           ("bsp", "ssp-2", "async"))},
+    layout=FRONTIER + MASKING,
+)
 
 
-def run_fig_faults(node_counts: Sequence[int] = FIG_FAULTS_NODE_COUNTS,
-                   schemes: Sequence[Tuple[CommMode, str]] = FIG_FAULTS_SCHEMES,
-                   mtbfs: Sequence[Optional[float]] = FIG_FAULTS_MTBFS,
-                   intervals: Sequence[Optional[float]] = FIG_FAULTS_INTERVALS,
-                   stragglers: Sequence[Tuple[float, float]] = FIG_FAULTS_STRAGGLERS,
-                   policies: Sequence[str] = FIG_FAULTS_POLICIES,
-                   model: str = FIG_FAULTS_MODEL,
-                   bandwidth: float = FIG_FAULTS_BANDWIDTH,
-                   jobs: Optional[int] = None) -> FaultSweepResult:
-    """Simulate both fault views in one flat sweep."""
-    spec = get_model_spec(model)
-    frontier = frontier_systems(schemes, mtbfs, intervals)
-    masking = masking_systems(policies, stragglers)
-    combos = [(spec, system, float(bandwidth))
-              for system in frontier + masking]
-    curves = sweep_scaling_curves(combos, node_counts, jobs=jobs)
-    result = FaultSweepResult(node_counts=tuple(node_counts),
-                              mtbfs=tuple(mtbfs), intervals=tuple(intervals),
-                              stragglers=tuple(stragglers),
-                              policies=tuple(policies))
-    for comm, label in schemes:
-        by_point: Dict[Tuple[Optional[float], Optional[float]],
-                       ScalingCurve] = {}
-        for mtbf in mtbfs:
-            for interval in intervals:
-                name = (f"{label} mtbf={_fmt_mtbf(mtbf)} "
-                        f"ckpt={_fmt_interval(interval)}")
-                system = next(s for s in frontier if s.name == name)
-                by_point[(mtbf, interval)] = curves[(spec, system,
-                                                     float(bandwidth))]
-        result.frontier[label] = by_point
-    for policy_spec in policies:
-        policy = SyncPolicy.parse(policy_spec)
-        by_severity: Dict[Tuple[float, float], ScalingCurve] = {}
-        for fraction, factor in stragglers:
-            name = f"PS {policy} slow={fraction:g}x{factor:g}"
-            system = next(s for s in masking if s.name == name)
-            by_severity[(fraction, factor)] = curves[(spec, system,
-                                                      float(bandwidth))]
-        result.masking[policy_spec] = by_severity
-    return result
-
-
-def render(result: FaultSweepResult) -> str:
-    """Frontier and masking views as report text."""
-    lines: List[str] = [
-        "Fault frontier: checkpoint cost vs. MTBF, straggler masking by policy"
-    ]
-    nodes = max(result.node_counts)
-    cost = result.checkpoint_cost
-    lines.append(
-        f"  iteration-time overhead factor at {nodes} nodes "
-        f"(checkpoint cost C={cost:g}s):")
-    mtbf_axis = sorted(m for m in result.mtbfs if m is not None)
-    labels = [_fmt_mtbf(m) for m in mtbf_axis]
-    for scheme in result.scheme_names:
-        for interval in result.intervals:
-            values = [result.overhead(scheme, mtbf, interval, nodes)
-                      for mtbf in mtbf_axis]
-            tag = f"{scheme:16s} ckpt={_fmt_interval(interval):5s}"
-            lines.append("    " + format_series(tag, labels, values,
-                                                y_format="{:.3f}"))
-    lines.append("  Young--Daly optimal intervals (sqrt(2*C*M)):")
-    lines.append("    " + format_series(
-        f"{'interval (s)':16s}", labels,
-        [young_daly_interval(cost, m) for m in mtbf_axis],
-        y_format="{:.0f}"))
-    lines.append("    " + format_series(
-        f"{'model factor':16s}", labels,
-        [fault_overhead_factor(m, None, cost) for m in mtbf_axis],
-        y_format="{:.3f}"))
-    lines.append(
-        f"  straggler slowdown factor at {nodes} nodes (PS, by policy):")
-    severities = [f"{f:g}x{k:g}" for f, k in result.stragglers]
-    for policy in result.policies:
-        values = [result.straggler_slowdown(policy, severity, nodes)
-                  for severity in result.stragglers]
-        lines.append("    " + format_series(f"{policy:16s}", severities,
-                                            values, y_format="{:.3f}"))
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig_faults()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(quick: bool = False) -> str:
+    """Frontier, Young--Daly rows and masking view as report text."""
+    mtbfs = QUICK_MTBFS if quick else MTBFS
+    labels = [f"{mtbf:g}s" for mtbf in mtbfs]
+    points = FIGURE.reduced(quick).run()
+    return "\n".join([
+        render(FRONTIER, points),
+        "  Young--Daly optimal intervals (sqrt(2*C*M)):",
+        "    " + format_series(
+            f"{'interval (s)':16s}", labels,
+            [young_daly_interval(CHECKPOINT_COST, m) for m in mtbfs],
+            y_format="{:.0f}"),
+        "    " + format_series(
+            f"{'model factor':16s}", labels,
+            [fault_overhead_factor(m, None, CHECKPOINT_COST) for m in mtbfs],
+            y_format="{:.3f}"),
+        render(MASKING, points),
+    ])

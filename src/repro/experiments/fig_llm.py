@@ -12,6 +12,10 @@ per-message latency and factor-reconstruction compute) across bandwidth and
 rack topology, plus end-to-end DES throughput for the fixed schemes and the
 hybrid.
 
+The throughput series are a :class:`~repro.experiments.figure.Figure`; the
+decision table keeps a custom body, as it is the cost model's per-layer
+choice rather than a simulated point.
+
 Costing caveat (see :mod:`repro.nn.model_zoo.transformer`): Table-1 factor
 costs use ``K = batch`` where one sample is one *sequence*, the same
 abstraction as one image for a CNN.
@@ -19,43 +23,35 @@ abstraction as one image for a CNN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping
 
 from repro.config import ClusterConfig
 from repro.core.cost_model import CostModel
-from repro.engines.base import CommMode
 from repro.experiments.fig_backends import backend_systems
-from repro.experiments.report import format_series
+from repro.experiments.figure import Figure, Series, Text, render
 from repro.nn.model_zoo import get_model_spec
 from repro.nn.spec import LayerKind, ModelSpec
-from repro.simulation.throughput import SimulationResult, simulate_system
-from repro.simulation.workload import build_workload
-from repro.sweep import SweepTask, run_sweep
-
-#: GPT-style configs swept (both registered in the model zoo).
-FIG_LLM_MODELS: Tuple[str, ...] = ("nanogpt-12l", "gpt2-small")
-
-#: Bandwidths swept (GbE): the paper's constrained and full testbed rates.
-FIG_LLM_BANDWIDTHS: Tuple[float, ...] = (10.0, 40.0)
-
-#: Topologies swept: (label, racks, oversubscription).
-FIG_LLM_TOPOLOGIES: Tuple[Tuple[str, int, float], ...] = (
-    ("flat", 1, 1.0),
-    ("4:1-oversub", 4, 4.0),
-)
-
-#: Fixed cluster size (the paper's testbed scale).
-FIG_LLM_NODES = 16
 
 #: Throughput systems compared end to end (subset of the backend zoo).
-FIG_LLM_SYSTEM_NAMES: Tuple[str, ...] = ("PS", "SFB", "HybComm")
+SYSTEM_NAMES = ("PS", "SFB", "HybComm")
 
-
-def llm_systems():
-    """The PS / SFB / hybrid systems from the backend-comparison figure."""
-    return tuple(system for system in backend_systems()
-                 if system.name in FIG_LLM_SYSTEM_NAMES)
+#: GPT-style configs at the paper's testbed scale (16 nodes), at its
+#: constrained and full bandwidths, flat and 4:1 rack-oversubscribed.
+FIGURE = Figure(
+    models=("nanogpt-12l", "gpt2-small"),
+    systems=tuple(system for system in backend_systems()
+                  if system.name in SYSTEM_NAMES),
+    bandwidths=(10.0, 40.0),
+    clusters=(("flat", ClusterConfig(num_workers=16)),
+              ("4:1-oversub", ClusterConfig(num_workers=16, racks=4,
+                                            oversubscription=4.0))),
+    quick={"models": ("nanogpt-12l",)},
+    layout=(
+        Text("  DES throughput speedup at {cluster.num_workers} nodes:"),
+        Series("    {model.name} {system.name:8s}",
+               "{cluster.bandwidth_gbps:g}GbE/{topology}",
+               "{result.speedup:.1f}"),
+    ))
 
 
 def decision_layers(model: ModelSpec) -> List[str]:
@@ -70,182 +66,74 @@ def decision_layers(model: ModelSpec) -> List[str]:
             if name.startswith("h0_") or not name.startswith("h")]
 
 
-def simulate_llm_point(model: ModelSpec, system, bandwidth_gbps: float,
-                       racks: int, oversubscription: float, nodes: int,
-                       workload=None) -> SimulationResult:
-    """Simulate one (model, system, bandwidth, topology) config (picklable)."""
-    cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth_gbps,
-                            racks=racks, oversubscription=oversubscription)
-    return simulate_system(model, system, cluster, workload=workload)
-
-
-@dataclass
-class LLMSweepResult:
-    """Timed scheme decisions plus DES speedups for the GPT-style configs.
-
-    ``decisions`` is keyed model -> topology label -> bandwidth -> layer;
-    ``results`` is keyed model -> system label -> bandwidth -> topology label.
-    """
-
-    bandwidths: Sequence[float]
-    topologies: Sequence[Tuple[str, int, float]]
-    nodes: int
-    decisions: Dict[str, Dict[str, Dict[float, Dict[str, str]]]] = \
-        field(default_factory=dict)
-    results: Dict[str, Dict[str, Dict[float, Dict[str, SimulationResult]]]] = \
-        field(default_factory=dict)
-
-    def decision(self, model: str, topology: str, bandwidth_gbps: float,
-                 layer: str) -> str:
-        """The timed Algorithm-1 choice at one swept point."""
-        return self.decisions[model][topology][float(bandwidth_gbps)][layer]
-
-    def speedup(self, model: str, system: str, bandwidth_gbps: float,
-                topology: str) -> float:
-        """DES speedup at one swept point."""
-        return self.results[model][system][float(bandwidth_gbps)][topology].speedup
-
-    def head_schemes(self, model: str, head: str = "lm_head") -> List[str]:
-        """The vocabulary head's chosen scheme at every swept point."""
-        return [per_layer[head]
-                for by_bandwidth in self.decisions[model].values()
-                for per_layer in by_bandwidth.values()]
-
-    def flipping_layers(self, model: str, topology: str = "flat") -> List[str]:
-        """Layers whose choice differs across the swept bandwidths."""
-        by_bandwidth = self.decisions[model][topology]
-        layers = next(iter(by_bandwidth.values())).keys()
-        return [layer for layer in layers
-                if len({per_layer[layer]
-                        for per_layer in by_bandwidth.values()}) > 1]
-
-
-def _timed_decisions(model: ModelSpec, bandwidths: Sequence[float],
-                     topologies: Sequence[Tuple[str, int, float]],
-                     nodes: int) -> Dict[str, Dict[float, Dict[str, str]]]:
-    """best_scheme_timed for every (topology, bandwidth, decision layer)."""
+def timed_decisions(model: ModelSpec, figure: Figure = FIGURE
+                    ) -> Dict[str, Dict[float, Dict[str, str]]]:
+    """``best_scheme_timed`` per topology label -> bandwidth -> layer."""
     layers = decision_layers(model)
     decisions: Dict[str, Dict[float, Dict[str, str]]] = {}
-    for label, racks, oversub in topologies:
-        decisions[label] = {}
-        for bandwidth in bandwidths:
-            cluster = ClusterConfig(num_workers=nodes,
-                                    bandwidth_gbps=float(bandwidth),
-                                    racks=racks, oversubscription=oversub)
-            cost_model = CostModel(cluster,
+    for topology, cluster in figure.clusters:
+        decisions[topology] = {}
+        for bandwidth in map(float, figure.bandwidths):
+            cost_model = CostModel(cluster.with_bandwidth(bandwidth),
                                    batch_size=model.default_batch_size)
-            decisions[label][float(bandwidth)] = {
+            decisions[topology][bandwidth] = {
                 name: cost_model.best_scheme_timed(model.layer(name)).value
                 for name in layers
             }
     return decisions
 
 
-def run_fig_llm(models: Sequence[str] = FIG_LLM_MODELS,
-                bandwidths: Sequence[float] = FIG_LLM_BANDWIDTHS,
-                topologies: Sequence[Tuple[str, int, float]] = FIG_LLM_TOPOLOGIES,
-                nodes: int = FIG_LLM_NODES,
-                jobs: Optional[int] = None) -> LLMSweepResult:
-    """Timed decisions (analytic) plus one DES sweep over the systems."""
-    systems = llm_systems()
-    specs = {model_key: get_model_spec(model_key) for model_key in models}
-    workloads = {model_key: build_workload(spec)
-                 for model_key, spec in specs.items()}
-    tasks = [
-        SweepTask(
-            key=(specs[model_key].name, system.name, float(bandwidth), label),
-            fn=simulate_llm_point,
-            args=(specs[model_key], system, float(bandwidth), racks, oversub,
-                  nodes),
-            kwargs={"workload": workloads[model_key]},
-        )
-        for model_key in models
-        for system in systems
-        for bandwidth in bandwidths
-        for label, racks, oversub in topologies
-    ]
-    merged = run_sweep(tasks, jobs=jobs)
-    result = LLMSweepResult(
-        bandwidths=tuple(float(b) for b in bandwidths),
-        topologies=tuple(topologies), nodes=nodes)
-    for model_key in models:
-        spec = specs[model_key]
-        result.decisions[spec.name] = _timed_decisions(
-            spec, bandwidths, topologies, nodes)
-        result.results[spec.name] = {
-            system.name: {
-                float(bandwidth): {
-                    label: merged[(spec.name, system.name, float(bandwidth),
-                                   label)]
-                    for label, _, _ in topologies
-                }
-                for bandwidth in bandwidths
-            }
-            for system in systems
-        }
-    return result
+def flipping_layers(by_bandwidth: Mapping[float, Mapping[str, str]]
+                    ) -> List[str]:
+    """Layers whose choice differs across one topology's bandwidths."""
+    layers = next(iter(by_bandwidth.values()))
+    return [layer for layer in layers
+            if len({per_layer[layer] for per_layer in by_bandwidth.values()}) > 1]
 
 
-def render(result: LLMSweepResult) -> str:
-    """Render the decision grid, throughput series and headline facts."""
+def report(quick: bool = False) -> str:
+    """The decision grid with its headline facts, then the DES series."""
+    figure = FIGURE.reduced(quick)
+    bandwidths = [float(bandwidth) for bandwidth in figure.bandwidths]
     lines: List[str] = [
         f"Transformer/LLM sweep: timed Algorithm-1 choice per FC layer, "
-        f"{result.nodes} nodes",
+        f"{figure.clusters[0][1].num_workers} nodes",
         "  (Table-1 factor costs use K = batch, one sample = one sequence; "
         "see docs)",
     ]
-    topo_labels = [label for label, _, _ in result.topologies]
-    for model, by_topology in result.decisions.items():
-        spec = get_model_spec(model)
+    for model_key in figure.models:
+        spec = get_model_spec(model_key)
+        decisions = timed_decisions(spec, figure)
         blocks = sum(1 for layer in spec.layers
                      if layer.name.endswith("_attn_core"))
         lines.append(
-            f"  {model}: {spec.total_params / 1e6:.0f}M params, "
+            f"  {spec.name}: {spec.total_params / 1e6:.0f}M params, "
             f"{blocks} blocks, batch {spec.default_batch_size}")
-        for topology in topo_labels:
-            for bandwidth in result.bandwidths:
-                per_layer = by_topology[topology][bandwidth]
+        for topology, by_bandwidth in decisions.items():
+            for bandwidth, per_layer in by_bandwidth.items():
                 rendered = " ".join(f"{layer}={scheme}"
                                     for layer, scheme in per_layer.items())
                 lines.append(f"    {topology:12s} @ {bandwidth:g} GbE: "
                              f"{rendered}")
-        head = spec.layer("lm_head")
-        m, n = head.fc_dims
-        head_choices = set(result.head_schemes(model))
+        m, n = spec.layer("lm_head").fc_dims
+        head_choices = {per_layer["lm_head"]
+                        for by_bandwidth in decisions.values()
+                        for per_layer in by_bandwidth.values()}
         if head_choices == {"sfb"}:
             lines.append(f"    vocab head lm_head ({m}x{n}): sfb at every "
                          f"swept bandwidth and topology")
         else:
             lines.append(f"    vocab head lm_head ({m}x{n}): "
                          f"{sorted(head_choices)}")
-        flips = result.flipping_layers(model)
-        if flips:
-            for layer in flips:
-                choices = " -> ".join(
-                    by_topology["flat"][bandwidth][layer]
-                    for bandwidth in result.bandwidths)
-                lines.append(f"    crossover: {layer} flips {choices} across "
-                             f"{result.bandwidths[0]:g} -> "
-                             f"{result.bandwidths[-1]:g} GbE (flat)")
-        else:
+        flat = decisions["flat"]
+        flips = flipping_layers(flat)
+        for layer in flips:
+            choices = " -> ".join(flat[bandwidth][layer]
+                                  for bandwidth in bandwidths)
+            lines.append(f"    crossover: {layer} flips {choices} across "
+                         f"{bandwidths[0]:g} -> {bandwidths[-1]:g} GbE (flat)")
+        if not flips:
             lines.append("    no layer flips scheme across the swept "
                          "bandwidths (flat)")
-    lines.append(f"  DES throughput speedup at {result.nodes} nodes:")
-    for model, by_system in result.results.items():
-        for system, by_bandwidth in by_system.items():
-            labels, values = [], []
-            for bandwidth in result.bandwidths:
-                for topology in topo_labels:
-                    labels.append(f"{bandwidth:g}GbE/{topology}")
-                    values.append(by_bandwidth[bandwidth][topology].speedup)
-            lines.append("    " + format_series(
-                f"{model} {system:8s}", labels, values))
+    lines.append(render(figure.layout, figure.run()))
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig_llm()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,13 +14,18 @@ re-evaluates each point with ``background_jobs`` additional identical jobs
 whose cross-rack traffic fluid-shares the rack uplink aggregate
 (``node_bw * members / oversubscription``), stretching every rack-wire
 busy interval by the job count.
+
+The figure keeps a custom body rather than a
+:class:`~repro.experiments.figure.Figure`: the multi-job column is a
+``background_jobs`` argument of the fluid engine that no other figure
+sets, and the rack count follows the node count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config import ClusterConfig
 from repro.experiments.fig_backends import backend_systems
@@ -95,12 +100,11 @@ def run_fig_scale(node_counts: Sequence[int] = FIG_SCALE_NODE_COUNTS,
                   oversubscription: Sequence[float] = FIG_SCALE_OVERSUBSCRIPTION,
                   model: str = FIG_SCALE_MODEL,
                   bandwidth_gbps: float = FIG_SCALE_BANDWIDTH_GBPS,
-                  background_jobs: int = FIG_SCALE_BACKGROUND_JOBS,
-                  jobs: Optional[int] = None) -> ScaleSweepResult:
+                  background_jobs: int = FIG_SCALE_BACKGROUND_JOBS
+                  ) -> ScaleSweepResult:
     """Evaluate every (scheme, nodes, oversub) point with the fluid engine.
 
-    ``jobs`` is accepted for interface symmetry with the other experiments
-    but unused: the whole sweep is closed-form arithmetic and finishes in
+    The sweep runs in-process: it is closed-form arithmetic and finishes in
     well under a second, so process workers would only add overhead.
     """
     spec = get_model_spec(model)
@@ -153,9 +157,7 @@ def render(result: ScaleSweepResult) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig_scale()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(quick: bool = False) -> str:
+    """The runner's fig_scale section (1000 nodes only when ``quick``)."""
+    return render(run_fig_scale(node_counts=(1000,) if quick
+                                else FIG_SCALE_NODE_COUNTS))

@@ -12,86 +12,68 @@ boundary flow per rack) and hierarchical PS (one pre-reduced aggregate
 per rack) -- hold their throughput, and Algorithm 1's per-layer choice
 (now rack-aware, see :func:`repro.comm.backend.hybrid_choice`) shifts
 towards them.
+
+The speedup series are a :class:`~repro.experiments.figure.Figure`; the
+Algorithm-1 shift keeps a custom body, as it is the volumetric cost
+model's per-layer choice rather than a simulated point, printed after each
+model's series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.config import ClusterConfig
 from repro.core.cost_model import CostModel
 from repro.engines.base import CommMode
 from repro.experiments.fig_backends import SCHEME_LABELS, backend_systems
-from repro.experiments.report import format_series
+from repro.experiments.figure import Best, Figure, Group, Series, Text, render
 from repro.nn.model_zoo import get_model_spec
 from repro.nn.spec import LayerKind, ModelSpec
-from repro.simulation.throughput import SimulationResult, simulate_system
-from repro.simulation.workload import build_workload
-from repro.sweep import SweepTask, run_sweep
 
-#: Schemes that alter the computed update (ranked separately in the report:
-#: 1-bit quantization buys bandwidth with convergence, Section 5.3).
-APPROXIMATE_SCHEMES = frozenset(
-    label for comm, label in SCHEME_LABELS if comm is CommMode.ONEBIT)
-
-#: Cross-rack oversubscription factors swept (1 = the paper's flat network).
-FIG_TOPOLOGY_OVERSUBSCRIPTION: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-
-#: Models swept: one FC-heavy (hybrid choice matters) and one conv-heavy.
-FIG_TOPOLOGY_MODELS: Tuple[str, ...] = ("vgg19", "googlenet")
-
-#: Bandwidths swept (GbE): constrained and the paper's full testbed rate.
-FIG_TOPOLOGY_BANDWIDTHS: Tuple[float, ...] = (10.0, 40.0)
-
-#: Fixed cluster shape: 16 nodes in 4 racks of 4.
-FIG_TOPOLOGY_NODES = 16
-FIG_TOPOLOGY_RACKS = 4
+#: Schemes that compute the exact update (1-bit quantization buys bandwidth
+#: with convergence, Section 5.3, so it is ranked apart).
+EXACT_SCHEMES: Tuple[str, ...] = tuple(
+    label for comm, label in SCHEME_LABELS if comm is not CommMode.ONEBIT)
 
 
-def simulate_topology_point(model: ModelSpec, system, bandwidth_gbps: float,
-                            oversubscription: float, nodes: int, racks: int,
-                            workload=None) -> SimulationResult:
-    """Simulate one (scheme, bandwidth, oversubscription) config (picklable)."""
-    cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth_gbps,
-                            racks=racks, oversubscription=oversubscription)
-    return simulate_system(model, system, cluster, workload=workload)
+def racked(oversubscription: Sequence[float], nodes: int = 16, racks: int = 4
+           ) -> Tuple[Tuple[float, ClusterConfig], ...]:
+    """The cluster axis: ``nodes`` in ``racks`` at each oversubscription."""
+    return tuple((float(factor), ClusterConfig(num_workers=nodes, racks=racks,
+                                               oversubscription=factor))
+                 for factor in oversubscription)
 
 
-@dataclass
-class TopologySweepResult:
-    """Simulated speedups keyed model -> scheme label -> bandwidth -> oversub."""
+TITLE = Text("Rack-topology sweep: {cluster.num_workers} nodes in "
+             "{cluster.racks} racks, speedup vs. cross-rack oversubscription")
+SERIES = Group("  {model.name} @ {cluster.bandwidth_gbps:g} GbE:", (
+    Series("    {system.name:16s}", "{topology:g}x", "{result.speedup:.1f}"),
+    Best("    fastest exact scheme at {first.topology:g}x oversubscription: "
+         "{first.system.name} ({first.result.speedup:.1f}x speedup)",
+         metric="speedup", among=EXACT_SCHEMES, at={"topology": max}),
+))
 
-    oversubscription: Sequence[float]
-    bandwidths: Sequence[float]
-    nodes: int
-    racks: int
-    results: Dict[str, Dict[str, Dict[float, Dict[float, SimulationResult]]]] = \
-        field(default_factory=dict)
-    #: Algorithm-1 choices per model: {model: {oversub: {fc_layer: scheme}}}.
-    best_schemes: Dict[str, Dict[float, Dict[str, str]]] = field(default_factory=dict)
-
-    def speedup(self, model: str, scheme: str, bandwidth_gbps: float,
-                oversubscription: float) -> float:
-        """Speedup at one point of the sweep."""
-        return self.results[model][scheme][bandwidth_gbps][oversubscription].speedup
-
-    @property
-    def scheme_names(self) -> List[str]:
-        """Compared scheme labels, in presentation order."""
-        return [label for _, label in SCHEME_LABELS]
+#: An FC-heavy and a conv-heavy model at constrained and full bandwidth.
+FIGURE = Figure(
+    models=("vgg19", "googlenet"),
+    systems=backend_systems(),
+    bandwidths=(10.0, 40.0),
+    clusters=racked((1.0, 2.0, 4.0, 8.0)),
+    quick={"models": ("vgg19",), "clusters": racked((1.0, 4.0, 8.0))},
+    layout=(TITLE, SERIES),
+)
 
 
-def _fc_best_schemes(model: ModelSpec, oversubscription: Sequence[float],
-                     nodes: int, racks: int,
-                     bandwidth_gbps: float) -> Dict[float, Dict[str, str]]:
-    """Algorithm 1's per-FC-layer choice at every oversubscription factor."""
+def algorithm1_choices(model: ModelSpec, figure: Figure = FIGURE
+                       ) -> Dict[float, Dict[str, str]]:
+    """Algorithm 1's choice per FC layer at every oversubscription factor,
+    at the figure's first bandwidth."""
     choices: Dict[float, Dict[str, str]] = {}
-    for oversub in oversubscription:
-        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth_gbps,
-                                racks=racks, oversubscription=oversub)
-        cost_model = CostModel(cluster, batch_size=model.default_batch_size)
-        choices[float(oversub)] = {
+    for factor, cluster in figure.clusters:
+        cost_model = CostModel(cluster.with_bandwidth(figure.bandwidths[0]),
+                               batch_size=model.default_batch_size)
+        choices[factor] = {
             layer.name: cost_model.best_scheme(layer).value
             for layer in model.layers
             if layer.kind is LayerKind.FC and layer.sf_decomposable
@@ -99,91 +81,18 @@ def _fc_best_schemes(model: ModelSpec, oversubscription: Sequence[float],
     return choices
 
 
-def run_fig_topology(
-        oversubscription: Sequence[float] = FIG_TOPOLOGY_OVERSUBSCRIPTION,
-        bandwidths: Sequence[float] = FIG_TOPOLOGY_BANDWIDTHS,
-        models: Sequence[str] = FIG_TOPOLOGY_MODELS,
-        nodes: int = FIG_TOPOLOGY_NODES,
-        racks: int = FIG_TOPOLOGY_RACKS,
-        jobs: Optional[int] = None) -> TopologySweepResult:
-    """Simulate every (model, scheme, bandwidth, oversub) config in one sweep."""
-    systems = backend_systems()
-    specs = {model_key: get_model_spec(model_key) for model_key in models}
-    workloads = {model_key: build_workload(spec)
-                 for model_key, spec in specs.items()}
-    tasks = [
-        SweepTask(
-            key=(specs[model_key].name, system.name, float(bandwidth),
-                 float(oversub)),
-            fn=simulate_topology_point,
-            args=(specs[model_key], system, float(bandwidth), float(oversub),
-                  nodes, racks),
-            kwargs={"workload": workloads[model_key]},
-        )
-        for model_key in models
-        for system in systems
-        for bandwidth in bandwidths
-        for oversub in oversubscription
-    ]
-    merged = run_sweep(tasks, jobs=jobs)
-    result = TopologySweepResult(
-        oversubscription=tuple(float(o) for o in oversubscription),
-        bandwidths=tuple(float(b) for b in bandwidths),
-        nodes=nodes, racks=racks)
-    for model_key in models:
-        spec = specs[model_key]
-        result.results[spec.name] = {
-            system.name: {
-                float(bandwidth): {
-                    float(oversub): merged[(spec.name, system.name,
-                                            float(bandwidth), float(oversub))]
-                    for oversub in oversubscription
-                }
-                for bandwidth in bandwidths
-            }
-            for system in systems
-        }
-        result.best_schemes[spec.name] = _fc_best_schemes(
-            spec, oversubscription, nodes, racks, bandwidths[0])
-    return result
-
-
-def render(result: TopologySweepResult) -> str:
-    """Render speedup-vs-oversubscription series plus the Algorithm-1 shift."""
-    lines: List[str] = [
-        f"Rack-topology sweep: {result.nodes} nodes in {result.racks} racks, "
-        f"speedup vs. cross-rack oversubscription"
-    ]
-    oversubs = list(result.oversubscription)
-    for model, schemes in result.results.items():
-        for bandwidth in result.bandwidths:
-            lines.append(f"  {model} @ {bandwidth:g} GbE:")
-            best_label, best_speedup = "", -1.0
-            for scheme, by_bandwidth in schemes.items():
-                by_oversub = by_bandwidth[bandwidth]
-                speedups = [by_oversub[o].speedup for o in oversubs]
-                lines.append("    " + format_series(
-                    f"{scheme:16s}", [f"{o:g}x" for o in oversubs], speedups))
-                if scheme not in APPROXIMATE_SCHEMES and speedups[-1] > best_speedup:
-                    best_label, best_speedup = scheme, speedups[-1]
-            lines.append(f"    fastest exact scheme at {oversubs[-1]:g}x "
-                         f"oversubscription: {best_label} "
-                         f"({best_speedup:.1f}x speedup)")
-        shift = result.best_schemes.get(model)
-        if shift:
-            lines.append(f"  {model}: Algorithm-1 choice per FC layer "
-                         f"(rack-aware cost model):")
-            for oversub in oversubs:
-                per_layer = shift[oversub]
-                rendered = " ".join(f"{layer}={scheme}"
-                                    for layer, scheme in per_layer.items())
-                lines.append(f"    oversub {oversub:g}x: {rendered}")
+def report(quick: bool = False) -> str:
+    """Per model: the speedup series, then the Algorithm-1 shift."""
+    figure = FIGURE.reduced(quick)
+    points = figure.run()
+    lines = [render((TITLE,), points)]
+    for model_key in figure.models:
+        model = get_model_spec(model_key)
+        lines.append(render((SERIES,), points.where(model=model.name)))
+        lines.append(f"  {model.name}: Algorithm-1 choice per FC layer "
+                     f"(rack-aware cost model):")
+        for factor, per_layer in algorithm1_choices(model, figure).items():
+            rendered = " ".join(f"{layer}={scheme}"
+                                for layer, scheme in per_layer.items())
+            lines.append(f"    oversub {factor:g}x: {rendered}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig_topology()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,14 +8,14 @@ Usage::
     python -m repro.experiments.runner --jobs 4   # 4 sweep worker processes
 
 The runner prints each artefact's text rendering and, with ``--output``,
-also writes the combined report to a file (the basis of EXPERIMENTS.md).
+also writes the combined report to a file.
 
 ``--jobs`` controls how many worker processes the figure sweeps
-(:mod:`repro.experiments.sweep`) distribute their independent simulation
-configs over; the default is one per CPU core and ``--jobs 1`` runs
-everything sequentially.  Results are merged by config key, so the report
-is byte-identical for every worker count (per-experiment wall-clock goes
-to the log, not the report).
+(:mod:`repro.sweep`) distribute their independent simulation configs over;
+the default is one per CPU core and ``--jobs 1`` runs everything
+sequentially.  Results are merged by config key, so the report is
+byte-identical for every worker count (per-experiment wall-clock goes to
+the log, not the report).
 """
 
 from __future__ import annotations
@@ -25,25 +25,17 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro import sweep
 from repro.experiments import (
     ablation,
     fidelity,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
     fig9,
-    fig10,
     fig11,
-    fig_async,
-    fig_backends,
-    fig_compression,
     fig_faults,
     fig_llm,
     fig_scale,
     fig_topology,
-    multigpu,
-    sweep,
+    figures,
     table1,
     table3,
 )
@@ -52,141 +44,28 @@ from repro.simulation.fluid import ENGINES, use_engine
 
 LOGGER = get_logger(__name__)
 
-
-def _run_table1(quick: bool) -> str:
-    return table1.render(table1.run_table1())
-
-
-def _run_table3(quick: bool) -> str:
-    return table3.render(table3.run_table3())
-
-
-def _run_fig5(quick: bool) -> str:
-    nodes = (1, 4, 16) if quick else fig5.FIG5_NODE_COUNTS
-    return fig5.render(fig5.run_fig5(node_counts=nodes))
-
-
-def _run_fig6(quick: bool) -> str:
-    nodes = (1, 4, 16) if quick else fig6.FIG6_NODE_COUNTS
-    return fig6.render(fig6.run_fig6(node_counts=nodes))
-
-
-def _run_fig7(quick: bool) -> str:
-    return fig7.render(fig7.run_fig7())
-
-
-def _run_fig8(quick: bool) -> str:
-    nodes = (1, 4, 16) if quick else fig8.FIG8_NODE_COUNTS
-    return fig8.render(fig8.run_fig8(node_counts=nodes))
-
-
-def _run_fig9(quick: bool) -> str:
-    nodes = (1, 8, 32) if quick else fig9.FIG9_NODE_COUNTS
-    return fig9.render(fig9.run_fig9(node_counts=nodes))
-
-
-def _run_fig10(quick: bool) -> str:
-    return fig10.render(fig10.run_fig10())
-
-
-def _run_fig11(quick: bool) -> str:
-    iterations = 60 if quick else 300
-    result = fig11.run_fig11(iterations=iterations,
-                             eval_every=20 if quick else 50)
-    rendering = fig11.render(result)
-    scaling = fig11.cntk_scaling()
-    lines = [rendering, "", "Section 5.3: VGG19 speedups, CNTK-1bit vs Poseidon"]
-    for system, per_nodes in scaling.items():
-        lines.append("  " + system + ": " + " ".join(
-            f"{nodes}nodes={speedup:.1f}x" for nodes, speedup in sorted(per_nodes.items())))
-    return "\n".join(lines)
-
-
-def _run_fig_async(quick: bool) -> str:
-    nodes = (8,) if quick else fig_async.FIG_ASYNC_NODE_COUNTS
-    policies = (("bsp", "ssp-2", "async", "local-4") if quick
-                else fig_async.FIG_ASYNC_POLICIES)
-    return fig_async.render(fig_async.run_fig_async(node_counts=nodes,
-                                                    policies=policies))
-
-
-def _run_fig_faults(quick: bool) -> str:
-    nodes = (8,) if quick else fig_faults.FIG_FAULTS_NODE_COUNTS
-    mtbfs = ((None, 3600.0, 900.0) if quick
-             else fig_faults.FIG_FAULTS_MTBFS)
-    stragglers = (((0.0, 1.0), (0.25, 4.0)) if quick
-                  else fig_faults.FIG_FAULTS_STRAGGLERS)
-    policies = (("bsp", "ssp-2", "async") if quick
-                else fig_faults.FIG_FAULTS_POLICIES)
-    return fig_faults.render(fig_faults.run_fig_faults(
-        node_counts=nodes, mtbfs=mtbfs, stragglers=stragglers,
-        policies=policies))
-
-
-def _run_fig_compression(quick: bool) -> str:
-    nodes = (8,) if quick else fig_compression.FIG_COMPRESSION_NODE_COUNTS
-    bandwidths = ((1.0, 10.0) if quick
-                  else fig_compression.FIG_COMPRESSION_BANDWIDTHS)
-    return fig_compression.render(fig_compression.run_fig_compression(
-        node_counts=nodes, bandwidths=bandwidths))
-
-
-def _run_fig_backends(quick: bool) -> str:
-    nodes = (2, 8, 32) if quick else fig_backends.FIG_BACKENDS_NODE_COUNTS
-    return fig_backends.render(fig_backends.run_fig_backends(node_counts=nodes))
-
-
-def _run_fig_llm(quick: bool) -> str:
-    models = ("nanogpt-12l",) if quick else fig_llm.FIG_LLM_MODELS
-    return fig_llm.render(fig_llm.run_fig_llm(models=models))
-
-
-def _run_fig_scale(quick: bool) -> str:
-    nodes = (1000,) if quick else fig_scale.FIG_SCALE_NODE_COUNTS
-    return fig_scale.render(fig_scale.run_fig_scale(node_counts=nodes))
-
-
-def _run_fig_topology(quick: bool) -> str:
-    models = ("vgg19",) if quick else fig_topology.FIG_TOPOLOGY_MODELS
-    oversubs = ((1.0, 4.0, 8.0) if quick
-                else fig_topology.FIG_TOPOLOGY_OVERSUBSCRIPTION)
-    return fig_topology.render(fig_topology.run_fig_topology(
-        oversubscription=oversubs, models=models))
-
-
-def _run_multigpu(quick: bool) -> str:
-    return multigpu.render(multigpu.run_multigpu())
-
-
-def _run_ablation(quick: bool) -> str:
-    return ablation.render(ablation.run_system_ablation())
-
-
-def _run_fidelity(quick: bool) -> str:
-    nodes = (1, 8, 16) if quick else (1, 8, 16, 32)
-    return fidelity.scaling_fidelity(node_counts=nodes).render()
-
-
+#: Every report section in report order: a figure's ``report`` or a custom
+#: body's, each taking the ``--quick`` flag.
 EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
-    "table1": _run_table1,
-    "table3": _run_table3,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "fig_async": _run_fig_async,
-    "fig_backends": _run_fig_backends,
-    "fig_compression": _run_fig_compression,
-    "fig_faults": _run_fig_faults,
-    "fig_llm": _run_fig_llm,
-    "fig_scale": _run_fig_scale,
-    "fig_topology": _run_fig_topology,
-    "multigpu": _run_multigpu,
-    "ablation": _run_ablation,
-    "fidelity": _run_fidelity,
+    "table1": table1.report,
+    "table3": table3.report,
+    "fig5": figures.FIG5.report,
+    "fig6": figures.FIG6.report,
+    "fig7": figures.FIG7.report,
+    "fig8": figures.FIG8.report,
+    "fig9": fig9.report,
+    "fig10": figures.FIG10.report,
+    "fig11": fig11.report,
+    "fig_async": figures.FIG_ASYNC.report,
+    "fig_backends": figures.FIG_BACKENDS.report,
+    "fig_compression": figures.FIG_COMPRESSION.report,
+    "fig_faults": fig_faults.report,
+    "fig_llm": fig_llm.report,
+    "fig_scale": fig_scale.report,
+    "fig_topology": fig_topology.report,
+    "multigpu": figures.MULTIGPU.report,
+    "ablation": ablation.FIGURE.report,
+    "fidelity": fidelity.report,
 }
 
 

@@ -3,7 +3,10 @@
 Reproduces the worked example of Section 3.2 (a 4096x4096 FC layer, batch
 size 32, 8 workers and 8 server shards) and, more generally, evaluates the
 cost model over sweeps of the matrix shape, batch size and cluster size so
-the SFB/PS crossover can be inspected.
+the SFB/PS crossover can be inspected.  It keeps a custom body rather than
+a :class:`~repro.experiments.figure.Figure`: its rows are closed-form
+costs of one layer, not simulated points.  The "BestScheme" line is
+Algorithm 1 itself (:func:`repro.comm.backend.choose_scheme`).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.config import ClusterConfig, TrainingConfig
+from repro.comm.backend import choose_scheme
 from repro.core.cost_model import (
     CommScheme,
     adam_combined_cost,
@@ -80,26 +83,24 @@ def run_table1(m: int = 4096, n: int = 4096, batch_size: int = 32,
             server_and_worker=adam_combined_cost(m, n, batch_size, num_workers) * to_millions,
         ),
     ]
-    sfb = sfb_worker_cost(m, n, batch_size, num_workers)
-    ps = ps_combined_cost(m, n, num_workers, num_servers)
     return Table1Result(
         m=m, n=n, batch_size=batch_size,
         num_workers=num_workers, num_servers=num_servers,
         rows=rows,
-        best_scheme=CommScheme.SFB if sfb <= ps else CommScheme.PS,
+        best_scheme=choose_scheme("hybrid", (m, n), True, num_workers,
+                                  num_servers, batch_size),
     )
 
 
 def crossover_batch_size(m: int, n: int, num_workers: int, num_servers: int,
                          max_batch: int = 4096) -> int:
-    """Smallest batch size at which PS becomes cheaper than SFB for the layer.
+    """Smallest batch size at which Algorithm 1 stops choosing SFB.
 
-    Returns ``max_batch + 1`` if SFB stays cheaper over the whole range.
+    Returns ``max_batch + 1`` if SFB wins over the whole range.
     """
     for batch in range(1, max_batch + 1):
-        sfb = sfb_worker_cost(m, n, batch, num_workers)
-        ps = ps_combined_cost(m, n, num_workers, num_servers)
-        if sfb > ps:
+        if choose_scheme("hybrid", (m, n), True, num_workers, num_servers,
+                         batch) is not CommScheme.SFB:
             return batch
     return max_batch + 1
 
@@ -139,9 +140,6 @@ def render(result: Table1Result) -> str:
     return table + footer
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_table1()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(quick: bool = False) -> str:
+    """The runner's table1 section (one configuration, ``quick`` or not)."""
+    return render(run_table1())

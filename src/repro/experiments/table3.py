@@ -1,7 +1,9 @@
 """Table 3: the networks used in the evaluation.
 
 Regenerates the model-statistics table from the model zoo and compares the
-parameter counts against the paper's reported values.
+parameter counts against the paper's reported values.  It keeps a custom
+body rather than a :class:`~repro.experiments.figure.Figure`: it describes
+the models and simulates nothing.
 """
 
 from __future__ import annotations
@@ -102,9 +104,6 @@ def render(result: Table3Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_table3()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(quick: bool = False) -> str:
+    """The runner's table3 section (the same with ``quick`` or not)."""
+    return render(run_table3())

@@ -3,7 +3,7 @@
 Every figure of the paper's evaluation is a sweep over independent
 (model, system, nodes, bandwidth) configurations, each of which runs a
 self-contained discrete-event simulation.  This module provides the
-engine underneath :mod:`repro.experiments.sweep`: a sweep is a list of
+engine underneath :mod:`repro.experiments.figure`: a sweep is a list of
 :class:`SweepTask` objects -- a hashable config key plus a picklable
 callable spec -- executed either serially or over a
 :class:`~concurrent.futures.ProcessPoolExecutor`, with results merged

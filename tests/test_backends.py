@@ -441,17 +441,17 @@ class TestNewSimulatorSystems:
 
 class TestBackendSweep:
     def test_all_seven_schemes_in_sweep(self):
-        from repro.experiments import fig_backends
+        from dataclasses import replace
 
-        result = fig_backends.run_fig_backends(
-            node_counts=(2, 8), bandwidths=(40.0,), models=("vgg19",))
-        assert result.scheme_names == [
+        from repro.experiments.figures import FIG_BACKENDS
+
+        points = replace(FIG_BACKENDS, nodes=(2, 8), bandwidths=(40.0,),
+                         models=("vgg19",)).run()
+        schemes = [system.name for system in FIG_BACKENDS.systems]
+        assert schemes == [
             "PS", "SFB", "HybComm", "1-bit PS", "Adam",
             "Ring-AllReduce", "Hierarchical-PS"]
-        for scheme in result.scheme_names:
-            curve = result.curve("VGG19", scheme, 40.0)
-            assert curve.node_counts == [2, 8]
-            assert all(np.isfinite(curve.speedups))
-        rendering = fig_backends.render(result)
-        assert "Ring-AllReduce" in rendering
-        assert "Hierarchical-PS" in rendering
+        for scheme in schemes:
+            for nodes in (2, 8):
+                assert np.isfinite(points.at(system=scheme,
+                                             nodes=nodes).result.speedup)

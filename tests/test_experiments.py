@@ -1,23 +1,53 @@
 """Tests for the experiment harness: every table/figure runs and has the
 paper's qualitative shape (who wins, roughly by how much, where crossovers
-fall)."""
+fall); the quick report is pinned byte for byte for every sweep worker
+count; the package's import closure stays small."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments import (
-    ablation,
-    fig5,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    multigpu,
-    table1,
-    table3,
-)
-from repro.experiments import fig6
+import repro
+from repro.comm.backend import CommBackend, register_backend, unregister_backend
+from repro.core.cost_model import CommScheme
+from repro.experiments import ablation, fig9, fig11, table1, table3
+from repro.experiments.figure import Points, render
+from repro.experiments.figures import FIG5, FIG6, FIG7, FIG8, FIG10, MULTIGPU
 from repro.experiments.runner import EXPERIMENTS, run_experiments
+
+#: The --quick --jobs 1 report of every runner section but fig11, as
+#: recorded before figures became Figure values.
+REPORT_QUICK = os.path.join(os.path.dirname(__file__), "data",
+                            "report_quick.txt")
+
+
+def speedup(points, **coords):
+    return points.at(**coords).result.speedup
+
+
+class _Cheapest(CommBackend):
+    """A hybrid candidate undercutting PS and SFB on every layer."""
+
+    scheme = CommScheme.RING
+    hybrid_candidate = True
+    hybrid_rank = -1
+
+    @property
+    def name(self):
+        return "cheapest"
+
+    def cost(self, m, n, num_workers, num_servers, batch_size,
+             bandwidth_bps=None, topology=None):
+        return 0.0
+
+    def build_substrate(self, initial_layers, ctx):
+        return None
+
+    def make_syncer(self, layer, substrate, resources, ctx, policy=None):
+        return None
 
 
 class TestTable1:
@@ -49,6 +79,19 @@ class TestTable1:
     def test_render_mentions_paper_example(self):
         assert "Paper worked example" in table1.render(table1.run_table1())
 
+    def test_decisions_are_algorithm1(self):
+        """Table 1 and the batch ablation ask Algorithm 1, not PS-vs-SFB:
+        a registered cheaper candidate wins both."""
+        register_backend(_Cheapest())
+        try:
+            assert table1.run_table1().best_scheme is CommScheme.RING
+            assert "BestScheme choice: RING" in table1.report()
+            assert set(ablation.run_batch_size_crossover().values()) == {
+                CommScheme.RING}
+            assert table1.crossover_batch_size(4096, 4096, 8, 8) == 1
+        finally:
+            unregister_backend("cheapest")
+
 
 class TestTable3:
     def test_all_models_present(self):
@@ -71,155 +114,181 @@ class TestScalingFigures:
     """Figures 5 and 6 at reduced node counts (shape checks only)."""
 
     @pytest.fixture(scope="class")
-    def fig5_result(self):
-        return fig5.run_fig5(node_counts=(1, 8, 16))
+    def fig5_points(self):
+        return replace(FIG5, nodes=(1, 8, 16)).run()
 
     @pytest.fixture(scope="class")
-    def fig6_result(self):
-        return fig6.run_fig6(node_counts=(1, 8, 16))
+    def fig6_points(self):
+        return replace(FIG6, nodes=(1, 8, 16)).run()
 
-    def test_fig5_poseidon_beats_ps_baseline(self, fig5_result):
+    def test_fig5_poseidon_beats_ps_baseline(self, fig5_points):
         for model in ("GoogLeNet", "VGG19", "VGG19-22K"):
-            poseidon = fig5_result.speedup(model, "Poseidon (Caffe)", 16)
-            vanilla = fig5_result.speedup(model, "Caffe+PS", 16)
+            poseidon = speedup(fig5_points, model=model,
+                               system="Poseidon (Caffe)", nodes=16)
+            vanilla = speedup(fig5_points, model=model, system="Caffe+PS",
+                              nodes=16)
             assert poseidon > vanilla
 
-    def test_fig5_poseidon_near_linear_at_40gbe(self, fig5_result):
+    def test_fig5_poseidon_near_linear_at_40gbe(self, fig5_points):
         for model in ("GoogLeNet", "VGG19", "VGG19-22K"):
-            assert fig5_result.speedup(model, "Poseidon (Caffe)", 16) > 14.0
+            assert speedup(fig5_points, model=model, system="Poseidon (Caffe)",
+                           nodes=16) > 14.0
 
-    def test_fig5_wfbp_between_ps_and_poseidon(self, fig5_result):
+    def test_fig5_wfbp_between_ps_and_poseidon(self, fig5_points):
         for model in ("VGG19", "VGG19-22K"):
-            ps = fig5_result.speedup(model, "Caffe+PS", 16)
-            wfbp = fig5_result.speedup(model, "Caffe+WFBP", 16)
-            poseidon = fig5_result.speedup(model, "Poseidon (Caffe)", 16)
+            ps, wfbp, poseidon = (
+                speedup(fig5_points, model=model, system=system, nodes=16)
+                for system in ("Caffe+PS", "Caffe+WFBP", "Poseidon (Caffe)"))
             assert ps <= wfbp <= poseidon + 1e-6
 
-    def test_fig6_tf_vgg_fails_to_scale(self, fig6_result):
+    def test_fig6_tf_vgg_fails_to_scale(self, fig6_points):
         """Paper: distributed TF sometimes scales negatively on VGG19-22K."""
-        assert fig6_result.speedup("VGG19-22K", "TF", 16) < 6.0
+        assert speedup(fig6_points, model="VGG19-22K", system="TF",
+                       nodes=16) < 6.0
 
-    def test_fig6_poseidon_improves_over_tf(self, fig6_result):
+    def test_fig6_poseidon_improves_over_tf(self, fig6_points):
         for model in ("Inception-V3", "VGG19", "VGG19-22K"):
-            tf = fig6_result.speedup(model, "TF", 16)
-            poseidon = fig6_result.speedup(model, "Poseidon (TF)", 16)
+            tf = speedup(fig6_points, model=model, system="TF", nodes=16)
+            poseidon = speedup(fig6_points, model=model,
+                               system="Poseidon (TF)", nodes=16)
             assert poseidon > tf
 
-    def test_fig6_inception_tf_scales_but_below_poseidon(self, fig6_result):
-        tf = fig6_result.speedup("Inception-V3", "TF", 16)
-        poseidon = fig6_result.speedup("Inception-V3", "Poseidon (TF)", 16)
+    def test_fig6_inception_tf_scales_but_below_poseidon(self, fig6_points):
+        tf = speedup(fig6_points, model="Inception-V3", system="TF", nodes=16)
+        poseidon = speedup(fig6_points, model="Inception-V3",
+                           system="Poseidon (TF)", nodes=16)
         assert 8.0 < tf < poseidon
 
-    def test_renderers_emit_series(self, fig5_result, fig6_result):
-        assert "Figure 5" in fig5.render(fig5_result)
-        assert "Figure 6" in fig6.render(fig6_result)
+    def test_renderers_emit_series(self, fig5_points, fig6_points):
+        assert "Figure 5" in render(FIG5.layout, fig5_points)
+        assert "Figure 6" in render(FIG6.layout, fig6_points)
 
 
 class TestFig7:
+    MODELS = ("Inception-V3", "VGG19", "VGG19-22K")
+
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig7.run_fig7(num_nodes=8)
+    def points(self):
+        return FIG7.run()
 
-    def test_poseidon_keeps_gpu_busy(self, result):
-        for model in result.results:
-            assert result.busy_fraction(model, "Poseidon (TF)") > 0.9
+    @staticmethod
+    def stall(points, model, system):
+        return points.at(model=model, system=system).result.gpu_stall_fraction
 
-    def test_tf_wastes_time_on_big_models(self, result):
-        assert result.stall_fraction("VGG19", "TF") > 0.3
-        assert result.stall_fraction("VGG19-22K", "TF") > 0.3
+    def test_poseidon_keeps_gpu_busy(self, points):
+        for model in self.MODELS:
+            assert points.at(model=model, system="Poseidon (TF)") \
+                .result.gpu_busy_fraction > 0.9
 
-    def test_stall_ordering(self, result):
-        for model in result.results:
-            assert (result.stall_fraction(model, "TF")
-                    >= result.stall_fraction(model, "TF+WFBP") - 1e-9)
-            assert (result.stall_fraction(model, "TF+WFBP")
-                    >= result.stall_fraction(model, "Poseidon (TF)") - 1e-9)
+    def test_tf_wastes_time_on_big_models(self, points):
+        assert self.stall(points, "VGG19", "TF") > 0.3
+        assert self.stall(points, "VGG19-22K", "TF") > 0.3
 
-    def test_render(self, result):
-        assert "Stall" in fig7.render(result)
+    def test_stall_ordering(self, points):
+        for model in self.MODELS:
+            assert (self.stall(points, model, "TF")
+                    >= self.stall(points, model, "TF+WFBP") - 1e-9)
+            assert (self.stall(points, model, "TF+WFBP")
+                    >= self.stall(points, model, "Poseidon (TF)") - 1e-9)
+
+    def test_render(self, points):
+        assert "Stall" in render(FIG7.layout, points)
 
 
 class TestFig8:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig8.run_fig8(node_counts=(1, 8, 16))
+    def points(self):
+        return replace(FIG8, nodes=(1, 8, 16)).run()
 
-    def test_vgg19_10gbe_matches_paper_shape(self, result):
+    def test_vgg19_10gbe_matches_paper_shape(self, points):
         """Paper: PS-based ~8x on 16 nodes at 10 GbE; Poseidon near linear."""
-        wfbp = result.speedup("VGG19", "Caffe+WFBP", 10.0, 16)
-        poseidon = result.speedup("VGG19", "Poseidon (Caffe)", 10.0, 16)
+        wfbp = speedup(points, model="VGG19", system="Caffe+WFBP",
+                       bandwidth=10.0, nodes=16)
+        poseidon = speedup(points, model="VGG19", system="Poseidon (Caffe)",
+                           bandwidth=10.0, nodes=16)
         assert 5.0 <= wfbp <= 11.0
         assert poseidon > 14.0
 
-    def test_higher_bandwidth_closes_the_gap(self, result):
-        gap_10 = (result.speedup("VGG19", "Poseidon (Caffe)", 10.0, 16)
-                  - result.speedup("VGG19", "Caffe+WFBP", 10.0, 16))
-        gap_30 = (result.speedup("VGG19", "Poseidon (Caffe)", 30.0, 16)
-                  - result.speedup("VGG19", "Caffe+WFBP", 30.0, 16))
-        assert gap_30 < gap_10
+    def test_higher_bandwidth_closes_the_gap(self, points):
+        def gap(bandwidth):
+            return (speedup(points, model="VGG19", system="Poseidon (Caffe)",
+                            bandwidth=bandwidth, nodes=16)
+                    - speedup(points, model="VGG19", system="Caffe+WFBP",
+                              bandwidth=bandwidth, nodes=16))
+        assert gap(30.0) < gap(10.0)
 
-    def test_googlenet_poseidon_equals_wfbp(self, result):
+    def test_googlenet_poseidon_equals_wfbp(self, points):
         """Poseidon reduces to PS for GoogLeNet, so the two systems coincide."""
         for bandwidth in (2.0, 5.0, 10.0):
-            wfbp = result.speedup("GoogLeNet", "Caffe+WFBP", bandwidth, 16)
-            poseidon = result.speedup("GoogLeNet", "Poseidon (Caffe)", bandwidth, 16)
+            wfbp = speedup(points, model="GoogLeNet", system="Caffe+WFBP",
+                           bandwidth=bandwidth, nodes=16)
+            poseidon = speedup(points, model="GoogLeNet",
+                               system="Poseidon (Caffe)", bandwidth=bandwidth,
+                               nodes=16)
             assert poseidon == pytest.approx(wfbp, rel=0.05)
 
-    def test_render(self, result):
-        assert "Figure 8" in fig8.render(result)
+    def test_render(self, points):
+        assert "Figure 8" in render(FIG8.layout, points)
 
 
 class TestFig9:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig9.run_fig9(node_counts=(1, 8, 16, 32))
+    def points(self):
+        return replace(fig9.FIGURE, nodes=(1, 8, 16, 32)).run()
 
-    def test_poseidon_speedup_near_paper_value(self, result):
-        assert result.speedup("Poseidon (TF)", 32) > 28.0
+    def test_poseidon_speedup_near_paper_value(self, points):
+        assert speedup(points, system="Poseidon (TF)", nodes=32) > 28.0
 
-    def test_poseidon_beats_tf(self, result):
-        assert result.speedup("Poseidon (TF)", 32) > result.speedup("TF", 32)
+    def test_poseidon_beats_tf(self, points):
+        assert speedup(points, system="Poseidon (TF)", nodes=32) > \
+            speedup(points, system="TF", nodes=32)
 
-    def test_convergence_reaches_target_within_budget(self, result):
-        for nodes in (16, 32):
-            epochs = result.epochs_to_target(nodes)
+    def test_convergence_reaches_target_within_budget(self):
+        """The convergence model needs no simulation."""
+        for nodes, _, epochs, hours in fig9.convergence(Points(), (16, 32)):
             assert epochs is not None and epochs <= 90
+            assert hours is None  # no panel (a) point to time it by
 
-    def test_time_to_accuracy_improves_with_nodes(self, result):
-        assert result.time_to_error_hours[32] < result.time_to_error_hours[8]
+    def test_time_to_accuracy_improves_with_nodes(self, points):
+        hours = {nodes: hours for nodes, _, _, hours
+                 in fig9.convergence(points, (8, 32))}
+        assert hours[32] < hours[8]
 
-    def test_render(self, result):
-        assert "Figure 9" in fig9.render(result)
+    def test_render(self, points):
+        assert "Figure 9" in render(fig9.FIGURE.layout, points)
 
 
 class TestFig10:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig10.run_fig10()
+    def points(self):
+        return FIG10.run()
 
-    def test_adam_is_imbalanced(self, result):
-        assert result.imbalance("Adam") > 2.0
+    def test_adam_is_imbalanced(self, points):
+        assert points.at(system="Adam").imbalance > 2.0
 
-    def test_tf_wfbp_and_poseidon_balanced(self, result):
-        assert result.imbalance("TF+WFBP") < 1.1
-        assert result.imbalance("Poseidon (TF)") < 1.1
+    def test_tf_wfbp_and_poseidon_balanced(self, points):
+        assert points.at(system="TF+WFBP").imbalance < 1.1
+        assert points.at(system="Poseidon (TF)").imbalance < 1.1
 
-    def test_poseidon_traffic_much_lower_than_dense_ps(self, result):
-        assert result.mean_gbits("Poseidon (TF)") < 0.4 * result.mean_gbits("TF+WFBP")
+    def test_poseidon_traffic_much_lower_than_dense_ps(self, points):
+        assert points.at(system="Poseidon (TF)").result.mean_traffic_gbits < \
+            0.4 * points.at(system="TF+WFBP").result.mean_traffic_gbits
 
-    def test_adam_peak_exceeds_poseidon_peak(self, result):
-        assert result.max_gbits("Adam") > result.max_gbits("Poseidon (TF)")
+    def test_adam_peak_exceeds_poseidon_peak(self, points):
+        assert points.at(system="Adam").result.max_traffic_gbits > \
+            points.at(system="Poseidon (TF)").result.max_traffic_gbits
 
-    def test_render(self, result):
-        assert "Figure 10" in fig10.render(result)
+    def test_render(self, points):
+        assert "Figure 10" in render(FIG10.layout, points)
 
 
 class TestFig11:
     @pytest.fixture(scope="class")
     def result(self):
-        # The documented deterministic configuration (seed 0), shortened to
-        # 100 iterations; the quantization gap is already fully visible.
-        return fig11.run_fig11(iterations=100, eval_every=25)
+        # The configuration the --quick report renders (the one section
+        # the recorded report leaves out): the deterministic seed-0 runs
+        # at 60 iterations, where the quantization gap is already visible.
+        return fig11.run_fig11(iterations=60, eval_every=20)
 
     def test_exact_run_converges(self, result):
         losses = result.loss_curve("Poseidon")
@@ -247,20 +316,22 @@ class TestFig11:
 
 
 class TestMultiGpuAndAblation:
-    def test_multigpu_linear_on_local_gpus(self):
-        result = multigpu.run_multigpu(models=("googlenet",))
-        assert result.speedup("GoogLeNet", 1, 4) > 3.5
+    @pytest.fixture(scope="class")
+    def multigpu(self):
+        return replace(MULTIGPU, models=("googlenet",)).run()
 
-    def test_multigpu_cluster_speedup(self):
-        result = multigpu.run_multigpu(models=("googlenet",))
-        assert result.speedup("GoogLeNet", 4, 8) > 24.0
+    def test_multigpu_linear_on_local_gpus(self, multigpu):
+        assert multigpu.at(topology="1x4").gpu_speedup > 3.5
+
+    def test_multigpu_cluster_speedup(self, multigpu):
+        assert multigpu.at(topology="4x8").gpu_speedup > 24.0
 
     def test_ablation_full_system_wins(self):
-        result = ablation.run_system_ablation(num_nodes=8, bandwidth_gbps=10.0)
-        full = result.speedup("full poseidon")
-        assert full >= result.speedup("no WFBP")
-        assert full >= result.speedup("no HybComm (PS only)")
-        assert full >= result.speedup("no WFBP, no HybComm")
+        points = replace(ablation.FIGURE, nodes=(8,)).run()
+        full = speedup(points, system="full poseidon")
+        for variant in ("no WFBP", "no HybComm (PS only)",
+                        "no WFBP, no HybComm"):
+            assert full >= speedup(points, system=variant)
 
     def test_ablation_batch_crossover(self):
         decisions = ablation.run_batch_size_crossover()
@@ -289,3 +360,29 @@ class TestRunner:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_experiments(["fig99"])
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_quick_report_matches_recording(self, jobs):
+        """Every section but fig11 (numpy-trained, BLAS-dependent losses;
+        tests/test_determinism.py pins those), byte for byte."""
+        names = [name for name in EXPERIMENTS if name != "fig11"]
+        with open(REPORT_QUICK, encoding="utf-8") as handle:
+            recorded = handle.read()
+        assert run_experiments(names, quick=True, jobs=jobs) + "\n" == recorded
+
+
+class TestImportClosure:
+    def test_backend_systems_loads_neither_trainer_nor_data(self):
+        """The benchmark's setup probes import backend_systems; that must
+        not pull in the functional trainer or the datasets."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.experiments.fig_backends; "
+             "print(*sorted(sys.modules))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}).stdout.split()
+        assert "repro.experiments.fig_backends" in loaded
+        assert "repro.parallel.trainer" not in loaded
+        assert [name for name in loaded
+                if name == "repro.data" or name.startswith("repro.data.")] == []

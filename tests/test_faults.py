@@ -11,10 +11,12 @@ Covers the fault subsystem below the trainer:
 * the engines themselves: default fault axes are a byte-identical no-op,
   the cost-vs-MTBF frontier is monotone, relaxed policies mask stragglers,
   and the DES and fluid engines agree within the documented envelope;
-* the ``fig_faults`` experiment rendering.
+* the ``fig_faults`` experiment's frontier and masking views and its
+  rendering.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,41 +320,48 @@ class TestSimulatedFaults:
 # -- the fig_faults experiment -------------------------------------------------
 class TestFigFaults:
     @pytest.fixture(scope="class")
-    def result(self):
+    def points(self):
         from repro.experiments import fig_faults
 
-        return fig_faults.run_fig_faults(
-            node_counts=(8,),
-            schemes=((CommMode.PS, "PS"),),
-            mtbfs=(None, 3600.0, 600.0),
-            intervals=(None, 120.0),
+        return replace(fig_faults.FIGURE, nodes=(8,), **fig_faults.fault_systems(
+            mtbfs=(600.0, 3600.0),
             stragglers=((0.0, 1.0), (0.25, 4.0)),
             policies=("bsp", "ssp-2", "async"),
-            jobs=1)
+            schemes=((CommMode.PS, "PS"),))).run(jobs=1)
 
-    def test_frontier_monotone_and_above_one(self, result):
-        frontier = result.mtbf_frontier("PS", None, nodes=8)
-        overheads = [overhead for _, overhead in frontier]
+    @staticmethod
+    def seconds(points, **tags):
+        return points.at(**tags).result.iteration_seconds
+
+    def overhead(self, points, mtbf, ckpt):
+        return (self.seconds(points, scheme="PS", mtbf=mtbf, ckpt=ckpt)
+                / self.seconds(points, scheme="PS", mtbf="inf"))
+
+    def slowdown(self, points, policy, severity):
+        return (self.seconds(points, policy=policy, severity=severity)
+                / self.seconds(points, policy=policy, severity="0x1"))
+
+    def test_frontier_monotone_and_above_one(self, points):
+        overheads = [self.overhead(points, mtbf, "yd")
+                     for mtbf in ("600s", "3600s")]
         assert overheads == sorted(overheads, reverse=True)
         assert all(overhead > 1.0 for overhead in overheads)
 
-    def test_young_daly_beats_fixed_interval(self, result):
-        for mtbf in (3600.0, 600.0):
-            assert result.overhead("PS", mtbf, None, 8) <= \
-                result.overhead("PS", mtbf, 120.0, 8) + 1e-12
+    def test_young_daly_beats_fixed_interval(self, points):
+        for mtbf in ("3600s", "600s"):
+            assert self.overhead(points, mtbf, "yd") <= \
+                self.overhead(points, mtbf, "120s") + 1e-12
 
-    def test_policies_mask_stragglers(self, result):
-        severity = (0.25, 4.0)
-        bsp = result.straggler_slowdown("bsp", severity, 8)
-        ssp = result.straggler_slowdown("ssp-2", severity, 8)
-        free = result.straggler_slowdown("async", severity, 8)
+    def test_policies_mask_stragglers(self, points):
+        bsp, ssp, free = (self.slowdown(points, policy, "0.25x4")
+                          for policy in ("bsp", "ssp-2", "async"))
         assert free <= ssp <= bsp
         assert bsp > 1.0
 
-    def test_render_carries_smoke_marker(self, result):
+    def test_render_carries_smoke_marker(self):
         from repro.experiments import fig_faults
 
-        text = fig_faults.render(result)
+        text = fig_faults.report(quick=True)
         assert text.startswith("Fault frontier")
         assert "Young--Daly" in text
         assert "straggler slowdown factor" in text

@@ -11,16 +11,34 @@ and the runner registration.
 import pytest
 
 from repro.experiments import fig_llm
+from repro.experiments.figure import render
 from repro.experiments.runner import EXPERIMENTS
 from repro.nn.model_zoo import get_model_spec
+from repro.sweep import use_jobs
 
-#: Reduced sweep shared by the tests (module-scoped: one simulation pass).
-MODELS = ("nanogpt-12l",)
+#: The --quick sweep (this one model), shared by the tests.
+MODEL = "nanogpt-12l"
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig_llm.run_fig_llm(models=MODELS)
+def decisions():
+    return fig_llm.timed_decisions(get_model_spec(MODEL))
+
+
+@pytest.fixture(scope="module")
+def points():
+    return fig_llm.FIGURE.reduced(True).run(jobs=2)
+
+
+@pytest.fixture(scope="module")
+def rendering():
+    with use_jobs(1):
+        return fig_llm.report(quick=True)
+
+
+def speedup(points, system, bandwidth, topology):
+    return points.at(system=system, bandwidth=bandwidth,
+                     topology=topology).result.speedup
 
 
 class TestDecisionLayers:
@@ -31,52 +49,47 @@ class TestDecisionLayers:
                           "h0_mlp_proj", "lm_head"]
 
     def test_systems_subset_of_backend_zoo(self):
-        names = [system.name for system in fig_llm.llm_systems()]
-        assert names == list(fig_llm.FIG_LLM_SYSTEM_NAMES)
+        names = [system.name for system in fig_llm.FIGURE.systems]
+        assert names == list(fig_llm.SYSTEM_NAMES)
 
 
 class TestDecisions:
-    def test_vocab_head_is_sfb_everywhere(self, result):
+    def test_vocab_head_is_sfb_everywhere(self, decisions):
         """The headline: the giant untied head always favours factors."""
-        assert set(result.head_schemes("nanogpt-12l")) == {"sfb"}
+        assert {per_layer["lm_head"] for by_bandwidth in decisions.values()
+                for per_layer in by_bandwidth.values()} == {"sfb"}
 
-    def test_vocab_head_is_sfb_at_10gbe_flat(self, result):
-        assert result.decision("nanogpt-12l", "flat", 10.0, "lm_head") == "sfb"
+    def test_vocab_head_is_sfb_at_10gbe_flat(self, decisions):
+        assert decisions["flat"][10.0]["lm_head"] == "sfb"
 
-    def test_attention_projection_flips_across_bandwidths(self, result):
+    def test_attention_projection_flips_across_bandwidths(self, decisions):
         """The crossover: a square projection changes scheme with bandwidth."""
-        flips = result.flipping_layers("nanogpt-12l", topology="flat")
-        assert "h0_attn_proj" in flips
+        assert "h0_attn_proj" in fig_llm.flipping_layers(decisions["flat"])
 
-    def test_projection_prefers_sfb_only_when_constrained(self, result):
-        assert result.decision("nanogpt-12l", "flat", 10.0,
-                               "h0_attn_proj") == "sfb"
-        assert result.decision("nanogpt-12l", "flat", 40.0,
-                               "h0_attn_proj") == "ps"
+    def test_projection_prefers_sfb_only_when_constrained(self, decisions):
+        assert decisions["flat"][10.0]["h0_attn_proj"] == "sfb"
+        assert decisions["flat"][40.0]["h0_attn_proj"] == "ps"
 
-    def test_oversubscription_pulls_in_topology_schemes(self, result):
+    def test_oversubscription_pulls_in_topology_schemes(self, decisions):
         """On the 4:1 fabric the projection goes topology-aware, not PS."""
-        scheme = result.decision("nanogpt-12l", "4:1-oversub", 10.0,
-                                 "h0_attn_proj")
-        assert scheme in ("ring", "hierps")
+        assert decisions["4:1-oversub"][10.0]["h0_attn_proj"] in ("ring",
+                                                                 "hierps")
 
-    def test_speedups_positive_for_all_systems(self, result):
-        for system in fig_llm.FIG_LLM_SYSTEM_NAMES:
-            for bandwidth in fig_llm.FIG_LLM_BANDWIDTHS:
-                for label, _, _ in fig_llm.FIG_LLM_TOPOLOGIES:
-                    assert result.speedup("nanogpt-12l", system, bandwidth,
-                                          label) > 0.0
+    def test_speedups_positive_for_all_systems(self, points):
+        for system in fig_llm.SYSTEM_NAMES:
+            for bandwidth in fig_llm.FIGURE.bandwidths:
+                for label, _ in fig_llm.FIGURE.clusters:
+                    assert speedup(points, system, bandwidth, label) > 0.0
 
-    def test_sfb_beats_ps_when_constrained(self, result):
+    def test_sfb_beats_ps_when_constrained(self, points):
         """Factor traffic wins end to end at 10 GbE on both fabrics."""
-        for label, _, _ in fig_llm.FIG_LLM_TOPOLOGIES:
-            assert result.speedup("nanogpt-12l", "SFB", 10.0, label) > \
-                result.speedup("nanogpt-12l", "PS", 10.0, label)
+        for label, _ in fig_llm.FIGURE.clusters:
+            assert speedup(points, "SFB", 10.0, label) > \
+                speedup(points, "PS", 10.0, label)
 
 
 class TestRendering:
-    def test_render_structure(self, result):
-        rendering = fig_llm.render(result)
+    def test_render_structure(self, rendering):
         assert rendering.startswith(
             "Transformer/LLM sweep: timed Algorithm-1 choice per FC layer")
         assert "vocab head lm_head" in rendering
@@ -84,12 +97,11 @@ class TestRendering:
         assert "crossover: h0_attn_proj flips" in rendering
         assert "DES throughput speedup" in rendering
 
-    def test_report_byte_identical_across_jobs(self, result):
-        """The report must not depend on the sweep worker count."""
-        sequential = fig_llm.run_fig_llm(models=MODELS, jobs=1)
-        parallel = fig_llm.run_fig_llm(models=MODELS, jobs=2)
-        assert fig_llm.render(sequential) == fig_llm.render(parallel)
-        assert fig_llm.render(sequential) == fig_llm.render(result)
+    def test_report_byte_identical_across_jobs(self, points, rendering):
+        """The report must not depend on the sweep worker count: the
+        sequential report ends in the series of the two-worker sweep."""
+        assert rendering.endswith(
+            "\n" + render(fig_llm.FIGURE.layout, points))
 
     def test_registered_in_runner(self):
         assert "fig_llm" in EXPERIMENTS

@@ -1,17 +1,19 @@
 """Tests for the parallel sweep runner.
 
-Covers the generic engine (`repro.sweep`), the experiments facade
-(`repro.experiments.sweep`) and the headline determinism property: a
+Covers the generic engine (`repro.sweep`), the simulation-layer sweeps,
+the figure driver's keyed merge and the headline determinism property: a
 report produced with a process pool is byte-identical to the sequential
 one, including when there are more workers than configs.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engines import CAFFE_WFBP, POSEIDON_CAFFE
-from repro.experiments import fig5, fig8
+from repro.experiments.figure import Figure, Key, render
+from repro.experiments.figures import FIG5, FIG8
 from repro.experiments.runner import run_experiments
-from repro.experiments.sweep import sweep_scaling_curves
 from repro.sweep import (
     SweepTask,
     default_jobs,
@@ -152,28 +154,31 @@ class TestSpeedupSweeps:
         for name in serial:
             assert serial[name].speedups == parallel[name].speedups
 
-    def test_sweep_scaling_curves_keys(self, googlenet_spec):
-        combos = [(googlenet_spec, system, 40.0)
-                  for system in (CAFFE_WFBP, POSEIDON_CAFFE)]
-        curves = sweep_scaling_curves(combos, node_counts=(1, 4), jobs=2)
-        assert list(curves) == combos
-        for combo, curve in curves.items():
-            assert curve.system_name == combo[1].name
-            assert curve.node_counts == [1, 4]
+    def test_figure_points_keyed_in_axis_order(self):
+        systems = (CAFFE_WFBP, POSEIDON_CAFFE)
+        figure = Figure(models=("googlenet",), systems=systems, nodes=(1, 4),
+                        layout=())
+        points = figure.run(jobs=2)
+        assert list(points) == [Key("GoogLeNet", system.name, 40.0, None, nodes)
+                                for system in systems for nodes in (1, 4)]
+        for key, point in points.items():
+            assert point.result.system_name == key.system
+            assert point.cluster.num_workers == key.nodes
 
 
 class TestFigureDeterminism:
     """Figure-level and report-level byte-identity across worker counts."""
 
+    @staticmethod
+    def rendered(figure, jobs):
+        figure = replace(figure, nodes=(1, 4))
+        return render(figure.layout, figure.run(jobs=jobs))
+
     def test_fig5_render_identical(self):
-        serial = fig5.render(fig5.run_fig5(node_counts=(1, 4), jobs=1))
-        parallel = fig5.render(fig5.run_fig5(node_counts=(1, 4), jobs=4))
-        assert serial == parallel
+        assert self.rendered(FIG5, 1) == self.rendered(FIG5, 4)
 
     def test_fig8_render_identical(self):
-        serial = fig8.render(fig8.run_fig8(node_counts=(1, 4), jobs=1))
-        parallel = fig8.render(fig8.run_fig8(node_counts=(1, 4), jobs=4))
-        assert serial == parallel
+        assert self.rendered(FIG8, 1) == self.rendered(FIG8, 4)
 
     def test_quick_report_byte_identical_across_jobs(self):
         """The acceptance check: --quick fig5 fig8 fidelity, jobs 1 vs 4."""

@@ -426,14 +426,18 @@ class TestTopologyEndToEnd:
             speedups.append(simulate_system(vgg19_spec, ps, cluster).speedup)
         assert speedups == sorted(speedups, reverse=True)
 
-    def test_fig_topology_smoke(self):
+    def test_fig_topology_smoke(self, vgg19_spec):
+        from dataclasses import replace
+
         from repro.experiments import fig_topology
 
-        result = fig_topology.run_fig_topology(
-            oversubscription=(1.0, 8.0), bandwidths=(10.0,),
-            models=("vgg19",), nodes=8, racks=2)
-        rendering = fig_topology.render(result)
-        assert "VGG19 @ 10 GbE" in rendering
-        assert "Algorithm-1 choice" in rendering
-        assert result.speedup("VGG19", "PS", 10.0, 8.0) < \
-            result.speedup("VGG19", "PS", 10.0, 1.0)
+        figure = replace(fig_topology.FIGURE, bandwidths=(10.0,),
+                         models=("vgg19",),
+                         clusters=fig_topology.racked((1.0, 8.0), nodes=8,
+                                                      racks=2))
+        points = figure.run()
+        assert points.at(system="PS", topology=8.0).result.speedup < \
+            points.at(system="PS", topology=1.0).result.speedup
+        choices = fig_topology.algorithm1_choices(vgg19_spec, figure)
+        assert list(choices) == [1.0, 8.0]
+        assert set(choices[1.0]) == {"fc6", "fc7", "fc8"}

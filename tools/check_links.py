@@ -1,20 +1,26 @@
 #!/usr/bin/env python
-"""Check that intra-repo references in markdown files resolve.
+"""Check that intra-repo references in markdown and python files resolve.
 
-Two kinds of references are validated:
+Three kinds of references are validated:
 
-* markdown links ``[text](target)`` whose target is not an external URL
-  or a pure ``#anchor`` -- the target path (anchor stripped) must exist
-  relative to the referencing file (or the repo root);
+* markdown links ``[text](target)`` in a markdown file whose target is not
+  an external URL or a pure ``#anchor`` -- the target path (anchor
+  stripped) must exist relative to the referencing file (or the repo
+  root);
 * backticked file paths like ``src/repro/sim/core.py`` -- any backticked
   token that contains a ``/`` and ends in a known source extension must
   exist relative to the repo root (or under ``src/`` / ``src/repro/``,
   so package-relative spellings like ``repro/comm/ring.py`` and
-  ``comm/ring.py`` keep working).
+  ``comm/ring.py`` keep working);
+* in a python file, any ``NAME.md`` (or ``dir/NAME.md``) mentioned at
+  all, resolved the same way -- so a docstring cannot cite a document
+  that does not exist.
+
+A directory argument stands for every ``.py`` file under it.
 
 Usage::
 
-    python tools/check_links.py README.md PERFORMANCE.md docs/*.md
+    python tools/check_links.py README.md docs/*.md src tests benchmarks
 
 Exits non-zero and lists every broken reference if any fail.
 """
@@ -33,6 +39,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: `path/to/file.ext` tokens inside backticks.
 BACKTICK_RE = re.compile(r"`([^`\s]+/[^`\s]+\.(?:py|md|json|yml|yaml|txt|toml))`")
 
+#: Any ``NAME.md`` token (checked in python files).
+MARKDOWN_NAME_RE = re.compile(r"[\w./-]+\.md\b")
+
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
 
@@ -47,14 +56,16 @@ def candidate_paths(base: Path, target: str):
 def check_file(path: Path):
     """Yield (line_number, reference) for every broken reference."""
     text = path.read_text(encoding="utf-8")
+    python = path.suffix == ".py"
     for line_number, line in enumerate(text.splitlines(), start=1):
-        references = []
-        for match in LINK_RE.finditer(line):
-            target = match.group(1)
-            if target.startswith(EXTERNAL_PREFIXES) or target.startswith("#"):
-                continue
-            references.append(target.split("#", 1)[0])
-        references.extend(BACKTICK_RE.findall(line))
+        references = BACKTICK_RE.findall(line)
+        if python:
+            references.extend(MARKDOWN_NAME_RE.findall(line))
+        else:
+            for match in LINK_RE.finditer(line):
+                target = match.group(1)
+                if not target.startswith(EXTERNAL_PREFIXES + ("#",)):
+                    references.append(target.split("#", 1)[0])
         for target in references:
             if not target:
                 continue
@@ -64,12 +75,17 @@ def check_file(path: Path):
 
 def main(argv):
     if not argv:
-        print("usage: check_links.py FILE.md [FILE.md ...]", file=sys.stderr)
+        print("usage: check_links.py FILE.md|DIR [FILE.md|DIR ...]",
+              file=sys.stderr)
         return 2
     broken = 0
     checked = 0
+    paths = []
     for name in argv:
-        path = Path(name)
+        paths.extend(sorted(Path(name).rglob("*.py")) if Path(name).is_dir()
+                     else [Path(name)])
+    for path in paths:
+        name = str(path)
         if not path.exists():
             print(f"BROKEN {name}: file itself does not exist")
             broken += 1
