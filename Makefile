@@ -109,13 +109,13 @@ examples-smoke:
 		--iterations 10 --workers 2
 
 ## intra-repo links (markdown, and every NAME.md / backticked path a .py
-## file under src, tests or benchmarks cites) + public-API doctests
+## file under src, tests or benchmarks cites) + the doctests of every
+## tracked src/repro module that has one
 docs-check:
 	python tools/check_links.py README.md PERFORMANCE.md ROADMAP.md \
 		CHANGES.md docs/architecture.md docs/backends.md \
 		src tests benchmarks
-	PYTHONPATH=src python -m doctest src/repro/config.py src/repro/sweep.py \
-		src/repro/comm/backend.py
+	PYTHONPATH=src python -m doctest $$(git grep -l '>>>' -- 'src/repro/*.py')
 	@echo "docs check passed"
 
 ## every benchmark executed once as a plain test, no timing gates (CI smoke)

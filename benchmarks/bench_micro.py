@@ -126,7 +126,6 @@ def test_ps_sync_cycle_2workers(benchmark):
     """
     import threading
 
-    from repro.core.cost_model import CommScheme
     from repro.core.syncer import Syncer
 
     rng = np.random.default_rng(0)
@@ -139,7 +138,7 @@ def test_ps_sync_cycle_2workers(benchmark):
                                     num_workers=2,
                                     optimizer=SGD(learning_rate=0.01),
                                     ordered=True)
-    syncers = [Syncer(worker, layer, CommScheme.PS, ps=server)
+    syncers = [Syncer(worker, layer, "ps", ps=server)
                for worker, layer in enumerate(layers)]
 
     def cycle():
@@ -381,17 +380,15 @@ def test_backend_dispatch(benchmark):
     it must stay in dict-lookup territory (sub-microsecond).
     """
     from repro.comm.backend import get_backend, hybrid_choice
-    from repro.core.cost_model import CommScheme
 
-    schemes = (CommScheme.PS, CommScheme.SFB, CommScheme.ONEBIT,
-               CommScheme.ADAM, CommScheme.RING, CommScheme.HIERPS)
+    schemes = ("ps", "sfb", "onebit", "adam", "ring", "hierps")
 
     def dispatch():
         total = 0.0
         for _ in range(256):
             for scheme in schemes:
                 total += get_backend(scheme).cost(1024, 1024, 8, 8, 32)
-            if hybrid_choice(1024, 1024, 8, 8, 32) is CommScheme.SFB:
+            if hybrid_choice(1024, 1024, 8, 8, 32) == "sfb":
                 total += 1.0
         return total
 

@@ -10,7 +10,7 @@ def test_table1_worked_example(benchmark, once):
     result = once(benchmark, table1.run_table1)
     assert result.row("PS").server_and_worker == pytest.approx(58.7, rel=0.01)
     assert result.row("SFB").worker == pytest.approx(3.7, rel=0.02)
-    assert result.best_scheme.value == "sfb"
+    assert result.best_scheme == "sfb"
 
 
 def test_table1_cluster_size_sweep(benchmark, once):

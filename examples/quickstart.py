@@ -32,7 +32,7 @@ def main() -> None:
     print()
     print("Per-layer decisions for the three FC layers:")
     for layer_name in ("fc6", "fc7", "fc8"):
-        print(f"  {layer_name}: {context.best_scheme(layer_name).value.upper()}")
+        print(f"  {layer_name}: {context.best_scheme(layer_name).upper()}")
     print()
 
     # --- 2. simulation: what does that buy in throughput? --------------------

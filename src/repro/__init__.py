@@ -32,7 +32,6 @@ from repro.config import (
     TrainingConfig,
 )
 from repro.core.poseidon import PoseidonContext, CommunicationPlan
-from repro.core.cost_model import CommScheme
 
 __all__ = [
     "__version__",
@@ -42,5 +41,4 @@ __all__ = [
     "TrainingConfig",
     "PoseidonContext",
     "CommunicationPlan",
-    "CommScheme",
 ]

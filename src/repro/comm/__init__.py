@@ -17,15 +17,13 @@ These are used by the functional distributed trainer
 modelled separately by :mod:`repro.simulation`.
 """
 
-from repro.comm.message import Message, MessageKind, ByteMeter
+from repro.comm.message import ByteMeter
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.sfb import SufficientFactorBroadcaster
 from repro.comm.adam import AdamSFServer
 from repro.comm.quantization import OneBitQuantizer, QuantizedGradient
 
 __all__ = [
-    "Message",
-    "MessageKind",
     "ByteMeter",
     "ShardedParameterServer",
     "SufficientFactorBroadcaster",

@@ -1,11 +1,10 @@
 """Pluggable communication backends.
 
 Historically every communication scheme was hard-wired through four layers
-at once: the :class:`~repro.core.cost_model.CommScheme` enum, the
-``if``/``elif`` chains of :func:`repro.parallel.schemes.assign_schemes`, the
-substrate wiring inside :class:`~repro.parallel.trainer.DistributedTrainer`
-and the per-scheme flow processes of
-:class:`repro.simulation.throughput.IterationSimulator`.  Adding a scheme
+at once: a scheme enum, the ``if``/``elif`` chains of
+:func:`repro.parallel.schemes.assign_schemes`, the substrate wiring inside
+:class:`~repro.parallel.trainer.DistributedTrainer` and the per-scheme flow
+processes of :class:`repro.simulation.throughput.IterationSimulator`.  Adding a scheme
 meant editing all of them by hand.
 
 A :class:`CommBackend` bundles everything one scheme needs:
@@ -44,7 +43,6 @@ import numpy as np
 from repro import units
 from repro.comm.wire import CompressionConfig, unit_wire_bytes
 from repro.core.cost_model import (
-    CommScheme,
     NetworkTopology,
     adam_combined_cost,
     ps_combined_cost,
@@ -303,7 +301,8 @@ class CommBackend(abc.ABC):
     """One communication scheme, end to end.
 
     Class attributes:
-        scheme: the :class:`CommScheme` this backend implements.
+        name: the registry key -- the one name the scheme has: trainer
+            mode, simulator ``SystemConfig.comm`` and Algorithm-1 choice.
         requires_factorization: gradients travel as sufficient factors, so
             the scheme only applies to factorisable (Dense / SF-eligible)
             layers; everything else falls back to PS.
@@ -338,7 +337,7 @@ class CommBackend(abc.ABC):
             the trainer rejects drop mode for them at construction).
     """
 
-    scheme: ClassVar[CommScheme]
+    name: ClassVar[str]
     requires_factorization: ClassVar[bool] = False
     hybrid_candidate: ClassVar[bool] = False
     topology_candidate: ClassVar[bool] = False
@@ -347,11 +346,6 @@ class CommBackend(abc.ABC):
     compressible: ClassVar[bool] = False
     sync_semantics: ClassVar[Tuple[str, ...]] = ("bsp", "local_sgd")
     fault_modes: ClassVar[Tuple[str, ...]] = ("restart",)
-
-    @property
-    def name(self) -> str:
-        """Registry key (the scheme's wire name)."""
-        return self.scheme.value
 
     # -- Algorithm 1 ------------------------------------------------------------
     @abc.abstractmethod
@@ -554,7 +548,7 @@ class CommBackend(abc.ABC):
                     f"policy {policy} needs a ParameterAverager in the "
                     f"TrainerContext"
                 )
-            syncer = LocalSGDSyncer(resources.worker_id, layer, self.scheme,
+            syncer = LocalSGDSyncer(resources.worker_id, layer, self.name,
                                     averager=ctx.averager,
                                     local_optimizer=resources.local_optimizer,
                                     policy=policy,
@@ -616,11 +610,11 @@ def registry_generation() -> int:
 
 
 def register_backend(backend: CommBackend) -> CommBackend:
-    """Add a backend to the registry; rejects duplicate scheme names.
+    """Add a backend to the registry under its :attr:`~CommBackend.name`.
 
     Returns the backend so modules can ``BACKEND = register_backend(...)``.
-    Registering makes the scheme a valid trainer mode, simulator comm mode
-    and Algorithm-1 vocabulary entry everywhere at once:
+    Registering makes the name a valid trainer mode, simulator comm mode
+    and Algorithm-1 choice everywhere at once:
 
         >>> from repro.comm import backend as B
         >>> B.get_backend("ring") is B.registered_backends()["ring"]
@@ -629,10 +623,15 @@ def register_backend(backend: CommBackend) -> CommBackend:
         ['adam', 'hierps', 'onebit', 'ps', 'ring', 'sfb']
 
     Raises:
-        ConfigurationError: if a backend with the same name is registered.
+        ConfigurationError: if a backend with the same name is registered,
+            or the name is :data:`HYBRID_MODE` (Algorithm 1 owns it).
     """
     global _GENERATION
     key = backend.name
+    if key == HYBRID_MODE:
+        raise ConfigurationError(
+            f"{type(backend).__name__} cannot register as {key!r}: the name "
+            f"is the per-layer Algorithm-1 mode")
     if key in _REGISTRY:
         raise ConfigurationError(
             f"communication backend {key!r} is already registered "
@@ -646,19 +645,16 @@ def register_backend(backend: CommBackend) -> CommBackend:
 def unregister_backend(name: str) -> None:
     """Remove a backend (primarily for tests exercising registration)."""
     global _GENERATION
-    if _REGISTRY.pop(str(name), None) is not None:
+    if _REGISTRY.pop(name, None) is not None:
         _GENERATION += 1
 
 
-def get_backend(scheme: Any) -> CommBackend:
-    """Resolve a scheme (enum member or wire name) to its backend.
-
-    Accepts either the :class:`CommScheme` member or its wire name:
+def get_backend(name: str) -> CommBackend:
+    """Resolve a registered scheme name to its backend.
 
         >>> from repro.comm.backend import get_backend
-        >>> from repro.core.cost_model import CommScheme
-        >>> get_backend("sfb") is get_backend(CommScheme.SFB)
-        True
+        >>> get_backend("sfb").name
+        'sfb'
         >>> get_backend("ps").cost(m=4096, n=4096, num_workers=8,
         ...                        num_servers=8, batch_size=32)
         58720256.0
@@ -666,12 +662,11 @@ def get_backend(scheme: Any) -> CommBackend:
     Raises:
         ConfigurationError: for unknown schemes.
     """
-    key = scheme.value if isinstance(scheme, CommScheme) else str(scheme)
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown communication scheme {key!r}; registered backends: "
+            f"unknown communication scheme {name!r}; registered backends: "
             f"{sorted(_REGISTRY)}"
         ) from None
 
@@ -695,8 +690,8 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
                   batch_size: int, sf_eligible: bool = True,
                   topology: Optional[NetworkTopology] = None,
                   price: Optional[Callable[[CommBackend], float]] = None
-                  ) -> CommScheme:
-    """Algorithm 1: the cheapest hybrid-candidate scheme for one layer.
+                  ) -> str:
+    """Algorithm 1: the cheapest hybrid-candidate scheme's name for one layer.
 
     Factor-based candidates are skipped for non-factorisable layers and for
     single-worker clusters (one worker never communicates factors); ties go
@@ -713,11 +708,11 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
         >>> from repro.comm.backend import hybrid_choice
         >>> from repro.core.cost_model import NetworkTopology
         >>> hybrid_choice(4096, 1000, num_workers=16, num_servers=16,
-        ...               batch_size=32).value
+        ...               batch_size=32)
         'sfb'
         >>> racked = NetworkTopology(racks=4, oversubscription=4.0)
         >>> hybrid_choice(4096, 1000, num_workers=16, num_servers=16,
-        ...               batch_size=32, topology=racked).value
+        ...               batch_size=32, topology=racked)
         'ring'
     """
     candidates = hybrid_candidates()
@@ -728,7 +723,7 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
         topology = None
     if topology is not None:
         candidates += topology_candidates()
-    best: Optional[Tuple[Tuple[float, int], CommScheme]] = None
+    best: Optional[Tuple[Tuple[float, int], str]] = None
     for backend in candidates:
         if backend.requires_factorization and (not sf_eligible or num_workers <= 1):
             continue
@@ -736,7 +731,7 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
             topology, m, n, num_workers, num_servers, batch_size))
         key = (cost, backend.hybrid_rank)
         if best is None or key < best[0]:
-            best = (key, backend.scheme)
+            best = (key, backend.name)
     if best is None:
         raise ConfigurationError("no hybrid-candidate backend is registered")
     return best[1]
@@ -747,8 +742,8 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
                   batch_size: int,
                   topology: Optional[NetworkTopology] = None,
                   price: Optional[Callable[[CommBackend], float]] = None
-                  ) -> CommScheme:
-    """The scheme one layer synchronizes under in ``mode`` -- the one rule.
+                  ) -> str:
+    """The scheme (by name) one layer syncs under in ``mode`` -- the one rule.
 
     ``mode`` is ``"hybrid"`` (Algorithm 1 via :func:`hybrid_choice`) or a
     registered backend name.  A layer that is not sufficient-factor
@@ -758,22 +753,22 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
     :class:`~repro.core.cost_model.CostModel` all decide here:
 
         >>> from repro.comm.backend import choose_scheme
-        >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32).value
+        >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32)
         'sfb'
-        >>> choose_scheme("sfb", None, False, 16, 16, 32).value
+        >>> choose_scheme("sfb", None, False, 16, 16, 32)
         'ps'
     """
     factorizable = sf_eligible and fc_dims is not None
     if mode == HYBRID_MODE:
         if not factorizable:
-            return CommScheme.PS
+            return "ps"
         m, n = fc_dims
         return hybrid_choice(m, n, num_workers, num_servers, batch_size,
                              topology=topology, price=price)
     backend = get_backend(mode)
     if backend.requires_factorization and not factorizable:
-        return CommScheme.PS
-    return backend.scheme
+        return "ps"
+    return backend.name
 
 
 # -- built-in backends -------------------------------------------------------------
@@ -782,7 +777,7 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
 class PSBackend(CommBackend):
     """Dense gradients through the sharded parameter server (Figure 2(a))."""
 
-    scheme = CommScheme.PS
+    name = "ps"
     hybrid_candidate = True
     hybrid_rank = 1  # PS loses Algorithm-1 ties to SFB
     compressible = True  # whole dense gradients: compressors/buckets apply
@@ -848,7 +843,10 @@ class PSBackend(CommBackend):
 
     def make_syncer(self, layer, substrate, resources, ctx, policy=None):
         from repro.core.syncer import Syncer
-        return Syncer(resources.worker_id, layer, self.scheme, ps=substrate,
+        # The class's own name, not self.name: a subclass registered under
+        # another name still speaks this protocol.
+        return Syncer(resources.worker_id, layer, PSBackend.name,
+                      ps=substrate,
                       aggregation=ctx.aggregation,
                       compressor=resources.compressor,
                       policy=ctx.policy if policy is None else policy,
@@ -858,7 +856,7 @@ class PSBackend(CommBackend):
 class OneBitBackend(PSBackend):
     """1-bit quantized gradients through the PS (the CNTK baseline)."""
 
-    scheme = CommScheme.ONEBIT
+    name = "onebit"
     hybrid_candidate = False  # approximate: Algorithm 1 only weighs exact schemes
     compression = ONEBIT_COMPRESSION
     compressible = False  # already quantized: pluggable compressors don't stack
@@ -873,7 +871,8 @@ class OneBitBackend(PSBackend):
 
     def make_syncer(self, layer, substrate, resources, ctx, policy=None):
         from repro.core.syncer import Syncer
-        return Syncer(resources.worker_id, layer, self.scheme, ps=substrate,
+        return Syncer(resources.worker_id, layer, OneBitBackend.name,
+                      ps=substrate,
                       quantizer=resources.quantizer, aggregation=ctx.aggregation,
                       policy=ctx.policy if policy is None else policy,
                       sync_timeout=ctx.sync_timeout)
@@ -882,7 +881,7 @@ class OneBitBackend(PSBackend):
 class SFBBackend(CommBackend):
     """Peer-to-peer sufficient-factor broadcasting."""
 
-    scheme = CommScheme.SFB
+    name = "sfb"
     requires_factorization = True
     hybrid_candidate = True
     hybrid_rank = 0  # SFB wins Algorithm-1 ties
@@ -916,7 +915,8 @@ class SFBBackend(CommBackend):
 
     def make_syncer(self, layer, substrate, resources, ctx, policy=None):
         from repro.core.syncer import Syncer
-        return Syncer(resources.worker_id, layer, self.scheme, sfb=substrate,
+        return Syncer(resources.worker_id, layer, SFBBackend.name,
+                      sfb=substrate,
                       local_optimizer=resources.local_optimizer,
                       aggregation=ctx.aggregation,
                       policy=ctx.policy if policy is None else policy,
@@ -926,7 +926,7 @@ class SFBBackend(CommBackend):
 class AdamBackend(CommBackend):
     """Project Adam's SF-push / full-matrix-pull strategy."""
 
-    scheme = CommScheme.ADAM
+    name = "adam"
     requires_factorization = True
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
@@ -960,7 +960,8 @@ class AdamBackend(CommBackend):
 
     def make_syncer(self, layer, substrate, resources, ctx, policy=None):
         from repro.core.syncer import Syncer
-        return Syncer(resources.worker_id, layer, self.scheme, adam=substrate,
+        return Syncer(resources.worker_id, layer, AdamBackend.name,
+                      adam=substrate,
                       aggregation=ctx.aggregation,
                       policy=ctx.policy if policy is None else policy,
                       sync_timeout=ctx.sync_timeout)

@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.comm.backend import get_backend, registry_generation
 from repro.comm.wire import bucket_partition
-from repro.core.cost_model import CommScheme
 from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
@@ -96,7 +95,7 @@ class GradientBucketer:
         self.flush()
 
 
-def _bucketable(scheme: CommScheme) -> bool:
+def _bucketable(scheme: str) -> bool:
     """Whether a scheme's payload is a dense gradient that can be fused."""
     return get_backend(scheme).compressible
 
@@ -132,9 +131,9 @@ def _merge_units(members: List[SyncUnit]) -> SyncUnit:
 
 
 def bucket_workload(workload: IterationWorkload,
-                    schemes: Dict[str, CommScheme],
+                    schemes: Dict[str, str],
                     bucket_bytes: Optional[int]
-                    ) -> Tuple[IterationWorkload, Dict[str, CommScheme]]:
+                    ) -> Tuple[IterationWorkload, Dict[str, str]]:
     """Transform a workload to bucketed wire granularity.
 
     Walks the units in backward (reverse) order -- the order gradients
@@ -155,20 +154,20 @@ def bucket_workload(workload: IterationWorkload,
         key, lambda: _bucket(workload, schemes, int(bucket_bytes)))
 
 
-def _bucket(workload: IterationWorkload, schemes: Dict[str, CommScheme],
+def _bucket(workload: IterationWorkload, schemes: Dict[str, str],
             bucket_bytes: int
-            ) -> Tuple[IterationWorkload, Dict[str, CommScheme]]:
+            ) -> Tuple[IterationWorkload, Dict[str, str]]:
     """The uncached body of :func:`bucket_workload`."""
     new_units_backward: List[SyncUnit] = []
-    new_schemes: Dict[str, CommScheme] = {}
+    new_schemes: Dict[str, str] = {}
 
-    def emit(members: List[SyncUnit], scheme: CommScheme) -> None:
+    def emit(members: List[SyncUnit], scheme: str) -> None:
         merged = _merge_units(members)
         new_units_backward.append(merged)
         new_schemes[merged.name] = scheme
 
     run: List[SyncUnit] = []
-    run_scheme: Optional[CommScheme] = None
+    run_scheme: Optional[str] = None
 
     def flush_run() -> None:
         nonlocal run, run_scheme
@@ -188,7 +187,7 @@ def _bucket(workload: IterationWorkload, schemes: Dict[str, CommScheme],
             new_units_backward.append(unit)
             new_schemes[unit.name] = scheme
             continue
-        if run_scheme is not None and scheme is not run_scheme:
+        if run_scheme is not None and scheme != run_scheme:
             flush_run()
         run.append(unit)
         run_scheme = scheme

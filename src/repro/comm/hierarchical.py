@@ -39,7 +39,6 @@ from repro.comm.backend import (
     register_backend,
 )
 from repro.comm.parameter_server import ShardedParameterServer
-from repro.core.cost_model import CommScheme
 from repro.core.syncer import Syncer
 from repro.exceptions import CommunicationError, TrainingError
 from repro.nn.optim import SGD
@@ -180,7 +179,7 @@ class HierPSSyncer(Syncer):
                  aggregation: str = "mean", policy=None,
                  sync_timeout: Optional[float] = 30.0):
         self.hier = hier
-        super().__init__(worker_id, layer, CommScheme.HIERPS,
+        super().__init__(worker_id, layer, "hierps",
                          aggregation=aggregation, policy=policy,
                          sync_timeout=sync_timeout)
 
@@ -208,7 +207,7 @@ class HierPSSyncer(Syncer):
 class HierPSBackend(CommBackend):
     """Rack-aggregated parameter server as a pluggable backend."""
 
-    scheme = CommScheme.HIERPS
+    name = "hierps"
     #: Joins Algorithm 1 only on oversubscribed networks: rack aggregation
     #: shrinks cross-rack traffic from one flow per worker to one per rack.
     topology_candidate = True

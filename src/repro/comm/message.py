@@ -1,81 +1,16 @@
-"""Message envelope and byte accounting.
+"""Byte accounting for the functional substrates.
 
-The functional substrates exchange numpy payloads directly (they live in one
-process), but every exchange is described by a :class:`Message` so that the
-number of bytes that *would* cross the network is accounted identically to
-the wire formats of the real system: dense float32 tensors, sufficient
-factors, or 1-bit quantized tensors.
+The substrates exchange numpy payloads directly (they live in one process);
+a :class:`ByteMeter` counts the bytes that *would* cross the network, in
+the wire formats of the real system.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro import units
-
-
-class MessageKind(str, enum.Enum):
-    """Payload types exchanged by the synchronization substrates."""
-
-    DENSE_GRADIENT = "dense_gradient"
-    SUFFICIENT_FACTORS = "sufficient_factors"
-    QUANTIZED_GRADIENT = "quantized_gradient"
-    PARAMETERS = "parameters"
-    CONTROL = "control"
-
-
-_MESSAGE_IDS = itertools.count()
-
-
-def payload_nbytes(payload: Any) -> int:
-    """Wire size of a payload: numpy arrays, dicts/lists of arrays, or objects
-    exposing ``nbytes``."""
-    if payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, dict):
-        return sum(payload_nbytes(value) for value in payload.values())
-    if isinstance(payload, (list, tuple)):
-        return sum(payload_nbytes(value) for value in payload)
-    nbytes = getattr(payload, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    return 0
-
-
-@dataclass(frozen=True)
-class Message:
-    """One synchronization message.
-
-    Attributes:
-        kind: payload type.
-        layer: layer name the payload belongs to.
-        iteration: training iteration the payload was produced in.
-        src: sender identifier (worker id or ``server``).
-        dst: receiver identifier.
-        payload: the actual numpy data.
-        nbytes: wire size; computed from the payload if not given.
-    """
-
-    kind: MessageKind
-    layer: str
-    iteration: int
-    src: str
-    dst: str
-    payload: Any = None
-    nbytes: int = -1
-    message_id: int = field(default_factory=lambda: next(_MESSAGE_IDS))
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            object.__setattr__(self, "nbytes", payload_nbytes(self.payload))
 
 
 class ByteMeter:

@@ -36,7 +36,6 @@ from repro.comm.backend import (
 )
 from repro.comm.message import ByteMeter
 from repro.core.consistency import KeyedBoard
-from repro.core.cost_model import CommScheme
 from repro.core.syncer import Syncer
 from repro.exceptions import CommunicationError, TrainingError
 
@@ -128,7 +127,7 @@ class RingSyncer(Syncer):
                  local_optimizer, aggregation: str = "mean", policy=None,
                  compressor=None, sync_timeout: Optional[float] = 30.0):
         self.ring = ring
-        super().__init__(worker_id, layer, CommScheme.RING,
+        super().__init__(worker_id, layer, "ring",
                          local_optimizer=local_optimizer, aggregation=aggregation,
                          compressor=compressor, policy=policy,
                          sync_timeout=sync_timeout)
@@ -164,7 +163,7 @@ class RingSyncer(Syncer):
 class RingBackend(CommBackend):
     """Chunked ring all-reduce as an Algorithm-1-comparable backend."""
 
-    scheme = CommScheme.RING
+    name = "ring"
     #: Joins Algorithm 1 only on oversubscribed networks, where the ring's
     #: single boundary hop per rack makes it far cheaper than peer fan-outs.
     topology_candidate = True

@@ -1,7 +1,8 @@
 """Poseidon core: the paper's primary contribution.
 
 * :mod:`repro.core.cost_model` -- the analytic communication-cost model of
-  Table 1 and the :class:`CommScheme` vocabulary.
+  Table 1 and :class:`CostModel`, which prices and picks a layer's scheme
+  by its registered backend name.
 * :mod:`repro.core.kvstore` -- fine-grained (2 MB) KV-pair partitioning of
   model parameters across server shards.
 * :mod:`repro.core.wfbp` -- wait-free backpropagation scheduling.
@@ -13,7 +14,7 @@
   cost model.
 """
 
-from repro.core.cost_model import CommScheme, CostModel
+from repro.core.cost_model import CostModel
 from repro.core.kvstore import KVPair, KVStorePartition
 from repro.core.poseidon import CommunicationPlan, PoseidonContext, SyncDecision
 from repro.core.wfbp import ScheduleMode, WFBPScheduler
@@ -22,7 +23,6 @@ from repro.core.staleness import SSPClock
 
 __all__ = [
     "SSPClock",
-    "CommScheme",
     "CostModel",
     "SyncDecision",
     "KVPair",

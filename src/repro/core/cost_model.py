@@ -20,7 +20,6 @@ node; everything else goes through the parameter server.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -30,24 +29,6 @@ from repro.config import ClusterConfig
 from repro.core.policy import SyncPolicy
 from repro.exceptions import ConfigurationError
 from repro.nn.spec import LayerKind, LayerSpec
-
-
-class CommScheme(str, enum.Enum):
-    """Communication strategies Poseidon can assign to a layer.
-
-    Members are the *vocabulary*; behaviour lives in the corresponding
-    :class:`repro.comm.backend.CommBackend` registered under each value.
-    """
-
-    PS = "ps"
-    SFB = "sfb"
-    ADAM = "adam"
-    ONEBIT = "onebit"
-    RING = "ring"
-    HIERPS = "hierps"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -278,8 +259,8 @@ class CostModel:
 
     # -- per-layer ------------------------------------------------------------
     def choose(self, layer: LayerSpec, mode: str = "hybrid",
-               price=None) -> CommScheme:
-        """The scheme ``layer`` synchronizes under in ``mode`` on this cluster.
+               price=None) -> str:
+        """The name of the scheme ``layer`` synchronizes under in ``mode``.
 
         :func:`repro.comm.backend.choose_scheme` fed from the layer spec:
         ``"hybrid"`` is Algorithm 1 (optionally over another ``price``
@@ -295,7 +276,7 @@ class CostModel:
                              self.cluster.num_servers, self.batch_size,
                              topology=self.topology, price=price)
 
-    def best_scheme(self, layer: LayerSpec, policy=None) -> CommScheme:
+    def best_scheme(self, layer: LayerSpec, policy=None) -> str:
         """Algorithm 1: the cheapest hybrid-candidate backend for ``layer``.
 
         On a rack-oversubscribed cluster the comparison is topology-aware:
@@ -310,7 +291,7 @@ class CostModel:
         return self.choose(layer)
 
     # -- timed Algorithm 1 -------------------------------------------------------
-    def scheme_seconds(self, layer: LayerSpec, scheme: CommScheme,
+    def scheme_seconds(self, layer: LayerSpec, scheme: str,
                        policy=None) -> float:
         """Estimated seconds a combined node spends synchronizing ``layer``.
 
@@ -339,7 +320,7 @@ class CostModel:
             backend.extra_flops(m, n, p1, p2, self.batch_size))
         return wire_seconds + freq * (latency_seconds + compute_seconds)
 
-    def best_scheme_timed(self, layer: LayerSpec, policy=None) -> CommScheme:
+    def best_scheme_timed(self, layer: LayerSpec, policy=None) -> str:
         """Algorithm 1 with a clock: cheapest candidate by :meth:`scheme_seconds`.
 
         :meth:`best_scheme` compares transmitted parameter *counts*, so its
@@ -353,10 +334,10 @@ class CostModel:
         set and tie-breaking are :func:`~repro.comm.backend.hybrid_choice`'s.
         """
         return self.choose(layer, price=lambda backend: self.scheme_seconds(
-            layer, backend.scheme, policy=policy))
+            layer, backend.name, policy=policy))
 
     # -- bytes-on-the-wire helpers ----------------------------------------------
-    def scheme_cost_params(self, layer: LayerSpec, scheme: CommScheme,
+    def scheme_cost_params(self, layer: LayerSpec, scheme: str,
                            policy=None) -> float:
         """Parameter count a combined server/worker node moves for ``layer``.
 
@@ -384,7 +365,7 @@ class CostModel:
             self.topology, m, n, self.cluster.num_workers,
             self.cluster.num_servers, self.batch_size)
 
-    def scheme_cost_bytes(self, layer: LayerSpec, scheme: CommScheme,
+    def scheme_cost_bytes(self, layer: LayerSpec, scheme: str,
                           policy=None) -> float:
         """Same as :meth:`scheme_cost_params` but in bytes."""
         return (self.scheme_cost_params(layer, scheme, policy=policy)

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro import units
 from repro.config import ClusterConfig, TrainingConfig
-from repro.core.cost_model import CommScheme, CostModel
+from repro.core.cost_model import CostModel
 from repro.core.kvstore import (
     KVStorePartition,
     partition_coarse_grained,
@@ -42,14 +42,14 @@ class SyncDecision:
 
     Attributes:
         layer: layer name.
-        scheme: the scheme HybComm selected.
+        scheme: the registered name of the scheme HybComm selected.
         ps_bytes: bytes a combined server/worker node would move under PS.
         sfb_bytes: same under SFB (``None`` when SFB does not apply).
         layer_param_bytes: dense size of the layer's parameters.
     """
 
     layer: str
-    scheme: CommScheme
+    scheme: str
     ps_bytes: float
     sfb_bytes: Optional[float]
     layer_param_bytes: int
@@ -57,7 +57,7 @@ class SyncDecision:
     @property
     def chosen_bytes(self) -> float:
         """Bytes moved per node under the chosen scheme."""
-        if self.scheme is CommScheme.SFB and self.sfb_bytes is not None:
+        if self.scheme == "sfb" and self.sfb_bytes is not None:
             return self.sfb_bytes
         return self.ps_bytes
 
@@ -74,14 +74,14 @@ class CommunicationPlan:
     Attributes:
         model_name: the planned model.
         decisions: one :class:`SyncDecision` per parameter layer.
-        assignments: layer name -> chosen scheme (a convenience view).
+        assignments: layer name -> chosen scheme name (a convenience view).
         hybrid_bytes_per_node: per-node bytes per iteration under the plan.
         ps_bytes_per_node: per-node bytes per iteration under pure PS.
     """
 
     model_name: str
     decisions: List[SyncDecision]
-    assignments: Dict[str, CommScheme]
+    assignments: Dict[str, str]
     hybrid_bytes_per_node: float
     ps_bytes_per_node: float
 
@@ -96,9 +96,9 @@ class CommunicationPlan:
     def sfb_layer_names(self) -> List[str]:
         """Layers the plan synchronizes via sufficient-factor broadcasting."""
         return [name for name, scheme in self.assignments.items()
-                if scheme is CommScheme.SFB]
+                if scheme == "sfb"]
 
-    def scheme_for(self, layer_name: str) -> CommScheme:
+    def scheme_for(self, layer_name: str) -> str:
         """Scheme assigned to ``layer_name``.
 
         Raises:
@@ -164,7 +164,7 @@ class PoseidonContext:
         """The (lazily computed, cached) communication plan."""
         return self.build_plan()
 
-    def build_plan(self, force_scheme: Optional[CommScheme] = None
+    def build_plan(self, force_scheme: Optional[str] = None
                    ) -> CommunicationPlan:
         """Compute a plan: one :class:`SyncDecision` per parameter layer.
 
@@ -174,15 +174,15 @@ class PoseidonContext:
                 a factor scheme still leaves non-decomposable layers on PS.
         """
         if force_scheme is None and not self.hybrid_enabled:
-            force_scheme = CommScheme.PS
-        mode = "hybrid" if force_scheme is None else force_scheme.value
+            force_scheme = "ps"
+        mode = "hybrid" if force_scheme is None else force_scheme
         cost = self.cost_model.scheme_cost_bytes
         decisions = [
             SyncDecision(
                 layer=layer.name,
                 scheme=self.cost_model.choose(layer, mode),
-                ps_bytes=cost(layer, CommScheme.PS),
-                sfb_bytes=(cost(layer, CommScheme.SFB)
+                ps_bytes=cost(layer, "ps"),
+                sfb_bytes=(cost(layer, "sfb")
                            if layer.sf_decomposable else None),
                 layer_param_bytes=layer.param_bytes,
             )
@@ -196,7 +196,7 @@ class PoseidonContext:
             ps_bytes_per_node=sum(d.ps_bytes for d in decisions),
         )
 
-    def best_scheme(self, layer: Union[str, LayerSpec]) -> CommScheme:
+    def best_scheme(self, layer: Union[str, LayerSpec]) -> str:
         """Algorithm 1 for a single layer (the coordinator's ``BestScheme``)."""
         spec = self.model.layer(layer) if isinstance(layer, str) else layer
         return self.cost_model.best_scheme(spec)
@@ -210,7 +210,7 @@ class PoseidonContext:
         return partition_coarse_grained(self.model, self.cluster.num_servers)
 
     # -- reporting ---------------------------------------------------------------
-    def bytes_per_iteration(self, scheme: Optional[CommScheme] = None) -> float:
+    def bytes_per_iteration(self, scheme: Optional[str] = None) -> float:
         """Per-node communication bytes per iteration.
 
         Args:

@@ -24,7 +24,6 @@ from repro.comm.averaging import ParameterAverager
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.quantization import OneBitQuantizer, dequantize_dict, quantized_nbytes
 from repro.comm.sfb import SufficientFactorBroadcaster
-from repro.core.cost_model import CommScheme
 from repro.core.policy import BSP, SyncPolicy
 from repro.exceptions import TrainingError
 from repro.nn.layers.base import Layer
@@ -48,9 +47,14 @@ class SyncStats:
 
 
 class Syncer:
-    """Synchronizes one layer's parameters under a fixed scheme."""
+    """Synchronizes one layer's parameters under a fixed scheme.
 
-    def __init__(self, worker_id: int, layer: Layer, scheme: CommScheme,
+    ``scheme`` is the registered name of the protocol the syncer speaks
+    (``"ps"``, ``"onebit"``, ``"sfb"`` or ``"adam"`` here; subclasses name
+    their own).  A backend subclassing a built-in inherits its protocol.
+    """
+
+    def __init__(self, worker_id: int, layer: Layer, scheme: str,
                  ps: Optional[ShardedParameterServer] = None,
                  sfb: Optional[SufficientFactorBroadcaster] = None,
                  adam: Optional[AdamSFServer] = None,
@@ -62,7 +66,7 @@ class Syncer:
                  sync_timeout: Optional[float] = 30.0):
         self.worker_id = int(worker_id)
         self.layer = layer
-        self.scheme = CommScheme(scheme)
+        self.scheme = scheme
         self.ps = ps
         self.sfb = sfb
         self.adam = adam
@@ -119,15 +123,15 @@ class Syncer:
         return iteration + 1
 
     def _validate_backends(self) -> None:
-        if self.scheme in (CommScheme.PS, CommScheme.ONEBIT) and self.ps is None:
+        if self.scheme in ("ps", "onebit") and self.ps is None:
             raise TrainingError(
                 f"syncer for {self.layer.name!r}: scheme {self.scheme} needs a parameter server"
             )
-        if self.scheme is CommScheme.ONEBIT and self.quantizer is None:
+        if self.scheme == "onebit" and self.quantizer is None:
             raise TrainingError(
                 f"syncer for {self.layer.name!r}: 1-bit scheme needs a quantizer"
             )
-        if self.scheme is CommScheme.SFB:
+        if self.scheme == "sfb":
             if self.sfb is None or self.local_optimizer is None:
                 raise TrainingError(
                     f"syncer for {self.layer.name!r}: SFB needs a broadcaster and a local optimizer"
@@ -136,7 +140,7 @@ class Syncer:
                 raise TrainingError(
                     f"syncer for {self.layer.name!r}: SFB applies only to Dense layers"
                 )
-        if self.scheme is CommScheme.ADAM:
+        if self.scheme == "adam":
             if self.adam is None:
                 raise TrainingError(
                     f"syncer for {self.layer.name!r}: Adam scheme needs an AdamSFServer"
@@ -187,13 +191,13 @@ class Syncer:
         :class:`repro.comm.ring.RingSyncer`.
         """
         try:
-            if self.scheme is CommScheme.PS and self.compressor is not None:
+            if self.scheme == "ps" and self.compressor is not None:
                 return self._sync_compressed
             return {
-                CommScheme.PS: self._sync_ps,
-                CommScheme.ONEBIT: self._sync_onebit,
-                CommScheme.SFB: self._sync_sfb,
-                CommScheme.ADAM: self._sync_adam,
+                "ps": self._sync_ps,
+                "onebit": self._sync_onebit,
+                "sfb": self._sync_sfb,
+                "adam": self._sync_adam,
             }[self.scheme]
         except KeyError:
             raise TrainingError(
@@ -301,7 +305,7 @@ class LocalSGDSyncer(Syncer):
     so any backend can host it).
     """
 
-    def __init__(self, worker_id: int, layer: Layer, scheme: CommScheme,
+    def __init__(self, worker_id: int, layer: Layer, scheme: str,
                  averager: ParameterAverager, local_optimizer: SGD,
                  policy: SyncPolicy,
                  sync_timeout: Optional[float] = 60.0):

@@ -12,7 +12,7 @@ Each such combination is a :class:`~repro.engines.base.SystemConfig`; the
 presets below are the exact systems named in Figures 5-11.
 """
 
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 from repro.engines.caffe_like import (
     CAFFE_PS,
     CAFFE_WFBP,
@@ -31,7 +31,6 @@ from repro.engines.tensorflow_like import (
 
 __all__ = [
     "SystemConfig",
-    "CommMode",
     "Partitioning",
     "CAFFE_PS",
     "CAFFE_WFBP",

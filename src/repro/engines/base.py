@@ -19,37 +19,17 @@ class Partitioning(str, enum.Enum):
     COARSE = "coarse"
 
 
-class CommMode(str, enum.Enum):
-    """Which synchronization scheme(s) a system uses."""
-
-    #: Dense gradients through the parameter server for every layer.
-    PS = "ps"
-    #: Poseidon's HybComm: per-layer choice between PS and SFB (Algorithm 1).
-    HYBRID = "hybrid"
-    #: Sufficient factors pushed to the owning shard, full matrices pulled
-    #: back (Project Adam, Section 5.3).
-    ADAM = "adam"
-    #: 1-bit quantized gradients through the PS (CNTK baseline).
-    ONEBIT = "onebit"
-    #: Force SFB for every factorisable layer (ablation).
-    SFB_ONLY = "sfb"
-    #: Chunked bandwidth-optimal ring all-reduce (server-free).
-    RING = "ring"
-    #: Rack-local aggregation feeding a root PS shard.
-    HIERPS = "hierps"
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Complete description of one evaluated system.
 
     Attributes:
         name: label used in figures and result tables.
-        engine: ``"caffe"`` or ``"tensorflow"`` (cosmetic; behaviour is fully
-            captured by the remaining fields).
         schedule: WFBP (overlap communication with backprop) or sequential.
         partitioning: fine-grained KV pairs or coarse per-tensor placement.
-        comm: communication scheme selection.
+        comm: a registered backend name (every layer on that scheme, a
+            factor scheme leaving non-factorisable layers on ``"ps"``) or
+            ``"hybrid"`` (per-layer Algorithm 1).
         overlap_pull: whether receiving updated parameters overlaps with the
             backward pass (false for stock TF, which fetches at the start of
             the next iteration, and for the vanilla Caffe+PS baseline).
@@ -86,10 +66,9 @@ class SystemConfig:
     """
 
     name: str
-    engine: str
     schedule: ScheduleMode
     partitioning: Partitioning
-    comm: CommMode
+    comm: str
     overlap_pull: bool = True
     overlap_host_copy: bool = True
     host_copy_bandwidth_bps: float = 16 * units.GBIT
@@ -107,7 +86,7 @@ class SystemConfig:
         """Copy of this system under a different display name."""
         return replace(self, name=name)
 
-    def with_comm(self, comm: CommMode) -> "SystemConfig":
+    def with_comm(self, comm: str) -> "SystemConfig":
         """Copy of this system using a different communication scheme."""
         return replace(self, comm=comm)
 

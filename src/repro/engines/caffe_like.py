@@ -15,7 +15,7 @@ from typing import Dict
 
 from repro import units
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 
 #: Effective bandwidth of the non-overlapped DRAM<->GPU staging copies of the
 #: vanilla PS baseline.  Chosen so that single-node Caffe+PS lands near the
@@ -24,10 +24,9 @@ _STAGING_BANDWIDTH_BPS = 16 * units.GBIT
 
 CAFFE_PS = SystemConfig(
     name="Caffe+PS",
-    engine="caffe",
     schedule=ScheduleMode.SEQUENTIAL,
     partitioning=Partitioning.FINE,
-    comm=CommMode.PS,
+    comm="ps",
     overlap_pull=False,
     overlap_host_copy=False,
     host_copy_bandwidth_bps=_STAGING_BANDWIDTH_BPS,
@@ -35,20 +34,18 @@ CAFFE_PS = SystemConfig(
 
 CAFFE_WFBP = SystemConfig(
     name="Caffe+WFBP",
-    engine="caffe",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.FINE,
-    comm=CommMode.PS,
+    comm="ps",
     overlap_pull=True,
     overlap_host_copy=True,
 )
 
 POSEIDON_CAFFE = SystemConfig(
     name="Poseidon (Caffe)",
-    engine="caffe",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.FINE,
-    comm=CommMode.HYBRID,
+    comm="hybrid",
     overlap_pull=True,
     overlap_host_copy=True,
 )

@@ -11,24 +11,22 @@ only the communication scheme differs.
 from __future__ import annotations
 
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 
 RING_ALLREDUCE = SystemConfig(
     name="Ring-AllReduce",
-    engine="poseidon",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.FINE,  # no PS traffic; partitioning is moot
-    comm=CommMode.RING,
+    comm="ring",
     overlap_pull=True,
     overlap_host_copy=True,
 )
 
 HIERARCHICAL_PS = SystemConfig(
     name="Hierarchical-PS",
-    engine="poseidon",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.FINE,
-    comm=CommMode.HIERPS,
+    comm="hierps",
     overlap_pull=True,
     overlap_host_copy=True,
 )

@@ -17,54 +17,49 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 
 TF = SystemConfig(
     name="TF",
-    engine="tensorflow",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.COARSE,
-    comm=CommMode.PS,
+    comm="ps",
     overlap_pull=False,
     overlap_host_copy=True,
 )
 
 TF_WFBP = SystemConfig(
     name="TF+WFBP",
-    engine="tensorflow",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.FINE,
-    comm=CommMode.PS,
+    comm="ps",
     overlap_pull=True,
     overlap_host_copy=True,
 )
 
 POSEIDON_TF = SystemConfig(
     name="Poseidon (TF)",
-    engine="tensorflow",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.FINE,
-    comm=CommMode.HYBRID,
+    comm="hybrid",
     overlap_pull=True,
     overlap_host_copy=True,
 )
 
 ADAM_TF = SystemConfig(
     name="Adam",
-    engine="tensorflow",
     schedule=ScheduleMode.WFBP,
     partitioning=Partitioning.COARSE,
-    comm=CommMode.ADAM,
+    comm="adam",
     overlap_pull=True,
     overlap_host_copy=True,
 )
 
 CNTK_1BIT = SystemConfig(
     name="CNTK-1bit",
-    engine="cntk",
     schedule=ScheduleMode.SEQUENTIAL,
     partitioning=Partitioning.FINE,
-    comm=CommMode.ONEBIT,
+    comm="onebit",
     overlap_pull=True,
     # CNTK's 1-bit SGD quantizes (and keeps the error-feedback residual) on
     # the host, so gradients are staged through DRAM without overlap.

@@ -16,10 +16,9 @@ from typing import Dict, Sequence
 
 from repro.comm.backend import choose_scheme
 from repro.config import ClusterConfig
-from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
 from repro.engines import POSEIDON_CAFFE
-from repro.engines.base import CommMode, Partitioning
+from repro.engines.base import Partitioning
 from repro.experiments.figure import Figure, Table, Text
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation.throughput import simulate_system
@@ -33,11 +32,11 @@ FIGURE = Figure(
     systems=tuple(system.renamed(label) for label, system in (
         ("full poseidon", POSEIDON_CAFFE),
         ("no WFBP", _SEQUENTIAL),
-        ("no HybComm (PS only)", POSEIDON_CAFFE.with_comm(CommMode.PS)),
-        ("SFB for all FC layers", POSEIDON_CAFFE.with_comm(CommMode.SFB_ONLY)),
+        ("no HybComm (PS only)", POSEIDON_CAFFE.with_comm("ps")),
+        ("SFB for all FC layers", POSEIDON_CAFFE.with_comm("sfb")),
         ("coarse partitioning",
          POSEIDON_CAFFE.with_partitioning(Partitioning.COARSE)),
-        ("no WFBP, no HybComm", _SEQUENTIAL.with_comm(CommMode.PS)),
+        ("no WFBP, no HybComm", _SEQUENTIAL.with_comm("ps")),
     )),
     bandwidths=(10.0,),
     nodes=(16,),
@@ -56,7 +55,7 @@ def run_server_count_ablation(model_key: str = "vgg19", num_nodes: int = 16,
                               ) -> Dict[int, float]:
     """Speedup of PS-only Poseidon as the number of PS shards varies."""
     spec = get_model_spec(model_key)
-    system = POSEIDON_CAFFE.with_comm(CommMode.PS).renamed("PS shards ablation")
+    system = POSEIDON_CAFFE.with_comm("ps").renamed("PS shards ablation")
     speedups = {}
     for servers in server_counts:
         cluster = ClusterConfig(num_workers=num_nodes, num_servers=servers,
@@ -69,7 +68,7 @@ def run_batch_size_crossover(m: int = 4096, n: int = 4096,
                              num_workers: int = 8, num_servers: int = 8,
                              batch_sizes: Sequence[int] = (8, 16, 32, 64, 128, 256,
                                                            512, 1024, 2048)
-                             ) -> Dict[int, CommScheme]:
+                             ) -> Dict[int, str]:
     """Scheme Algorithm 1 picks for an FC layer as the batch size grows."""
     return {batch: choose_scheme("hybrid", (m, n), True, num_workers,
                                  num_servers, batch)

@@ -14,27 +14,26 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 
-#: Display label of every compared scheme, keyed by CommMode.
-SCHEME_LABELS: Tuple[Tuple[CommMode, str], ...] = (
-    (CommMode.PS, "PS"),
-    (CommMode.SFB_ONLY, "SFB"),
-    (CommMode.HYBRID, "HybComm"),
-    (CommMode.ONEBIT, "1-bit PS"),
-    (CommMode.ADAM, "Adam"),
-    (CommMode.RING, "Ring-AllReduce"),
-    (CommMode.HIERPS, "Hierarchical-PS"),
+#: Display label of every compared scheme, keyed by its comm name.
+SCHEME_LABELS: Tuple[Tuple[str, str], ...] = (
+    ("ps", "PS"),
+    ("sfb", "SFB"),
+    ("hybrid", "HybComm"),
+    ("onebit", "1-bit PS"),
+    ("adam", "Adam"),
+    ("ring", "Ring-AllReduce"),
+    ("hierps", "Hierarchical-PS"),
 )
 
 
-def poseidon_system(name: str, comm: CommMode,
+def poseidon_system(name: str, comm: str,
                     partitioning: Partitioning = Partitioning.FINE
                     ) -> SystemConfig:
     """The Poseidon client (WFBP, overlapped pulls) over one scheme."""
     return SystemConfig(
         name=name,
-        engine="poseidon",
         schedule=ScheduleMode.WFBP,
         partitioning=partitioning,
         comm=comm,

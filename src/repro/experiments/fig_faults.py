@@ -34,16 +34,16 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.faults import fault_overhead_factor, young_daly_interval
 from repro.core.policy import SyncPolicy
-from repro.engines.base import CommMode, SystemConfig
+from repro.engines.base import SystemConfig
 from repro.experiments.fig_backends import poseidon_system
 from repro.experiments.figure import Figure, Series, Text, render
 from repro.experiments.report import format_series
 
 #: Backends on the cost-vs-MTBF frontier (the three substrate families).
-SCHEMES: Tuple[Tuple[CommMode, str], ...] = (
-    (CommMode.PS, "PS"),
-    (CommMode.ONEBIT, "1-bit PS"),
-    (CommMode.RING, "Ring-AllReduce"),
+SCHEMES: Tuple[Tuple[str, str], ...] = (
+    ("ps", "PS"),
+    ("onebit", "1-bit PS"),
+    ("ring", "Ring-AllReduce"),
 )
 
 #: MTBF axis (seconds), flaky to healthy; each overhead is measured against
@@ -76,7 +76,7 @@ def _interval(interval: Optional[float]) -> str:
 def fault_systems(mtbfs: Sequence[float] = MTBFS,
                   stragglers: Sequence[Tuple[float, float]] = STRAGGLERS,
                   policies: Sequence[str] = POLICIES,
-                  schemes: Sequence[Tuple[CommMode, str]] = SCHEMES
+                  schemes: Sequence[Tuple[str, str]] = SCHEMES
                   ) -> Dict[str, object]:
     """``systems`` and ``tags`` of both views.
 
@@ -106,7 +106,7 @@ def fault_systems(mtbfs: Sequence[float] = MTBFS,
         policy = SyncPolicy.parse(spec)
         for fraction, factor in stragglers:
             severity = f"{fraction:g}x{factor:g}"
-            add(poseidon_system(f"PS {policy} slow={severity}", CommMode.PS)
+            add(poseidon_system(f"PS {policy} slow={severity}", "ps")
                 .with_policy(policy)
                 .with_faults(straggler_fraction=fraction,
                              straggler_factor=factor),

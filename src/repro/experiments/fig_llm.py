@@ -77,7 +77,7 @@ def timed_decisions(model: ModelSpec, figure: Figure = FIGURE
             cost_model = CostModel(cluster.with_bandwidth(bandwidth),
                                    batch_size=model.default_batch_size)
             decisions[topology][bandwidth] = {
-                name: cost_model.best_scheme_timed(model.layer(name)).value
+                name: cost_model.best_scheme_timed(model.layer(name))
                 for name in layers
             }
     return decisions

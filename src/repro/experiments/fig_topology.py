@@ -25,7 +25,6 @@ from typing import Dict, Sequence, Tuple
 
 from repro.config import ClusterConfig
 from repro.core.cost_model import CostModel
-from repro.engines.base import CommMode
 from repro.experiments.fig_backends import SCHEME_LABELS, backend_systems
 from repro.experiments.figure import Best, Figure, Group, Series, Text, render
 from repro.nn.model_zoo import get_model_spec
@@ -34,7 +33,7 @@ from repro.nn.spec import LayerKind, ModelSpec
 #: Schemes that compute the exact update (1-bit quantization buys bandwidth
 #: with convergence, Section 5.3, so it is ranked apart).
 EXACT_SCHEMES: Tuple[str, ...] = tuple(
-    label for comm, label in SCHEME_LABELS if comm is not CommMode.ONEBIT)
+    label for comm, label in SCHEME_LABELS if comm != "onebit")
 
 
 def racked(oversubscription: Sequence[float], nodes: int = 16, racks: int = 4
@@ -74,7 +73,7 @@ def algorithm1_choices(model: ModelSpec, figure: Figure = FIGURE
         cost_model = CostModel(cluster.with_bandwidth(figure.bandwidths[0]),
                                batch_size=model.default_batch_size)
         choices[factor] = {
-            layer.name: cost_model.best_scheme(layer).value
+            layer.name: cost_model.best_scheme(layer)
             for layer in model.layers
             if layer.kind is LayerKind.FC and layer.sf_decomposable
         }

@@ -23,7 +23,7 @@ from repro.engines import (
     TF,
     TF_WFBP,
 )
-from repro.engines.base import CommMode, Partitioning
+from repro.engines.base import Partitioning
 from repro.experiments.fig_backends import backend_systems, poseidon_system
 from repro.experiments.figure import Best, Figure, Series, Table, Text
 
@@ -119,10 +119,10 @@ FIG10 = Figure(
 
 #: Backends of the beyond-BSP frontier: the three substrate families
 #: (sharded PS, quantized PS, server-free collective).
-ASYNC_SCHEMES: Tuple[Tuple[CommMode, str], ...] = (
-    (CommMode.PS, "PS"),
-    (CommMode.ONEBIT, "1-bit PS"),
-    (CommMode.RING, "Ring-AllReduce"),
+ASYNC_SCHEMES: Tuple[Tuple[str, str], ...] = (
+    ("ps", "PS"),
+    ("onebit", "1-bit PS"),
+    ("ring", "Ring-AllReduce"),
 )
 
 
@@ -189,15 +189,15 @@ COMPRESSION_BUCKET_BYTES: int = 4 * 1024 * 1024
 #: (wire format burned in) and dense ring; the compressed variants put
 #: topk / powersgd on both dense-gradient substrates, and the bucketed rows
 #: isolate the granularity axis.
-COMPRESSION_VARIANTS: Tuple[Tuple[str, CommMode, str, Optional[int]], ...] = (
-    ("PS dense", CommMode.PS, "none", None),
-    ("PS dense +bucket", CommMode.PS, "none", COMPRESSION_BUCKET_BYTES),
-    ("PS topk(0.01)", CommMode.PS, "topk(0.01)", None),
-    ("PS powersgd(4)", CommMode.PS, "powersgd(4)", None),
-    ("1-bit PS", CommMode.ONEBIT, "none", None),
-    ("Ring dense", CommMode.RING, "none", None),
-    ("Ring topk(0.01)", CommMode.RING, "topk(0.01)", None),
-    ("Ring topk(0.01) +bucket", CommMode.RING, "topk(0.01)",
+COMPRESSION_VARIANTS: Tuple[Tuple[str, str, str, Optional[int]], ...] = (
+    ("PS dense", "ps", "none", None),
+    ("PS dense +bucket", "ps", "none", COMPRESSION_BUCKET_BYTES),
+    ("PS topk(0.01)", "ps", "topk(0.01)", None),
+    ("PS powersgd(4)", "ps", "powersgd(4)", None),
+    ("1-bit PS", "onebit", "none", None),
+    ("Ring dense", "ring", "none", None),
+    ("Ring topk(0.01)", "ring", "topk(0.01)", None),
+    ("Ring topk(0.01) +bucket", "ring", "topk(0.01)",
      COMPRESSION_BUCKET_BYTES),
 )
 

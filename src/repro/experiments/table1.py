@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence
 
 from repro.comm.backend import choose_scheme
 from repro.core.cost_model import (
-    CommScheme,
     adam_combined_cost,
     adam_server_cost,
     adam_worker_cost,
@@ -49,7 +48,7 @@ class Table1Result:
     num_workers: int
     num_servers: int
     rows: List[Table1Row] = field(default_factory=list)
-    best_scheme: CommScheme = CommScheme.PS
+    best_scheme: str = "ps"
 
     def row(self, method: str) -> Table1Row:
         """Look a strategy's row up by name."""
@@ -100,7 +99,7 @@ def crossover_batch_size(m: int, n: int, num_workers: int, num_servers: int,
     """
     for batch in range(1, max_batch + 1):
         if choose_scheme("hybrid", (m, n), True, num_workers, num_servers,
-                         batch) is not CommScheme.SFB:
+                         batch) != "sfb":
             return batch
     return max_batch + 1
 
@@ -132,7 +131,7 @@ def render(result: Table1Result) -> str:
     )
     reference = paper_reference.TABLE1_EXAMPLE
     footer = (
-        f"\nBestScheme choice: {result.best_scheme.value.upper()}"
+        f"\nBestScheme choice: {result.best_scheme.upper()}"
         f"\nPaper worked example: PS worker {reference['ps_worker_millions']:.0f}M, "
         f"combined {reference['ps_combined_millions']:.1f}M, "
         f"SFB {reference['sfb_worker_millions']:.1f}M"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.comm.backend import HYBRID_MODE, choose_scheme, registered_backends
-from repro.core.cost_model import CommScheme, NetworkTopology
+from repro.core.cost_model import NetworkTopology
 from repro.exceptions import ConfigurationError
 from repro.nn.layers.dense import Dense
 from repro.nn.network import Network
@@ -29,20 +29,20 @@ def trainer_modes() -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SchemeAssignment:
-    """Scheme chosen for every parameter layer of a runnable network."""
+    """Scheme name chosen for every parameter layer of a runnable network."""
 
     mode: str
-    schemes: Dict[str, CommScheme]
+    schemes: Dict[str, str]
 
-    def scheme_for(self, layer_name: str) -> CommScheme:
+    def scheme_for(self, layer_name: str) -> str:
         """Scheme assigned to a layer (PS for unknown layers)."""
-        return self.schemes.get(layer_name, CommScheme.PS)
+        return self.schemes.get(layer_name, "ps")
 
     @property
     def sfb_layers(self) -> List[str]:
         """Layers synchronized by sufficient-factor broadcasting."""
         return [name for name, scheme in self.schemes.items()
-                if scheme is CommScheme.SFB]
+                if scheme == "sfb"]
 
 
 def assign_schemes(network: Network, mode: str, num_workers: int,
@@ -78,7 +78,7 @@ def assign_schemes(network: Network, mode: str, num_workers: int,
         raise ConfigurationError(
             f"unknown trainer mode {mode!r}; expected one of {modes}"
         )
-    schemes: Dict[str, CommScheme] = {}
+    schemes: Dict[str, str] = {}
     for _, layer in network.parameter_layers():
         # Dense layers are exactly the runnable layers whose gradients admit
         # a sufficient-factor decomposition (outer product of activations

@@ -36,7 +36,6 @@ from repro.comm.quantization import OneBitQuantizer
 from repro.comm.wire import CompressionConfig
 from repro.config import TrainingConfig
 from repro.core.consistency import BSPController
-from repro.core.cost_model import CommScheme
 from repro.core.faults import FailureDetector, FaultInjector, FaultPlan
 from repro.core.policy import SyncPolicy
 from repro.core.staleness import SSPClock
@@ -108,7 +107,7 @@ class TrainerCheckpoint:
     optimizer_states: List[Dict[str, np.ndarray]]
     quantizer_states: List[dict]
     sampler_states: List[Optional[dict]]
-    substrate_snapshots: Dict[CommScheme, Any]
+    substrate_snapshots: Dict[str, Any]
     clock_snapshot: Optional[Dict[int, int]] = None
     #: Per-worker pluggable-compressor state (error-feedback residuals,
     #: PowerSGD factors); empty dicts when no compressor is configured.
@@ -298,18 +297,17 @@ class DistributedTrainer:
         # Every substrate in play must be able to run the policy and the
         # configured recovery mode (collectives reject "drop": a ring or
         # bulletin board has no server that could renormalize to P-1).
-        for scheme in sorted({s for s in self.assignment.schemes.values()},
-                             key=lambda s: s.value):
+        for scheme in sorted(set(self.assignment.schemes.values())):
             backend = get_backend(scheme)
             if not backend.supports_policy(self.policy):
                 raise TrainingError(
-                    f"backend {scheme.value!r} cannot run under policy "
+                    f"backend {scheme!r} cannot run under policy "
                     f"{self.policy} (supported semantics: "
                     f"{backend.sync_semantics})"
                 )
             if not backend.supports_fault_mode(self.recovery):
                 raise TrainingError(
-                    f"backend {scheme.value!r} cannot run recovery mode "
+                    f"backend {scheme!r} cannot run recovery mode "
                     f"{self.recovery!r} (supported fault modes: "
                     f"{backend.fault_modes})"
                 )
@@ -344,11 +342,11 @@ class DistributedTrainer:
             sync_timeout=self.sync_timeout,
         )
         initial_state = reference.get_state()
-        layers_by_scheme: Dict[CommScheme, Dict[str, Dict[str, np.ndarray]]] = {}
+        layers_by_scheme: Dict[str, Dict[str, Dict[str, np.ndarray]]] = {}
         for name, params in initial_state.items():
             scheme = self.assignment.scheme_for(name)
             layers_by_scheme.setdefault(scheme, {})[name] = params
-        self._substrates: Dict[CommScheme, Any] = {
+        self._substrates: Dict[str, Any] = {
             scheme: get_backend(scheme).build_substrate(layers,
                                                         self._backend_context)
             for scheme, layers in layers_by_scheme.items()
@@ -390,25 +388,24 @@ class DistributedTrainer:
                 if primitive is not None]
 
     # -- construction helpers ---------------------------------------------------
-    def substrate(self, scheme: CommScheme) -> Optional[Any]:
+    def substrate(self, scheme: str) -> Optional[Any]:
         """The shared communication substrate of one scheme (None if absent)."""
-        return self._substrates.get(CommScheme(scheme))
+        return self._substrates.get(scheme)
 
     @property
     def parameter_server(self) -> Optional[Any]:
         """The dense (or quantized) PS substrate, when one is in play."""
-        return (self._substrates.get(CommScheme.PS)
-                or self._substrates.get(CommScheme.ONEBIT))
+        return self._substrates.get("ps") or self._substrates.get("onebit")
 
     @property
     def broadcaster(self) -> Optional[Any]:
         """The SFB bulletin board, when one is in play."""
-        return self._substrates.get(CommScheme.SFB)
+        return self._substrates.get("sfb")
 
     @property
     def adam_server(self) -> Optional[Any]:
         """The Adam SF server, when one is in play."""
-        return self._substrates.get(CommScheme.ADAM)
+        return self._substrates.get("adam")
 
     def _build_worker(self, worker_id: int) -> _WorkerRuntime:
         network = self._replicas[worker_id]
@@ -729,7 +726,7 @@ class DistributedTrainer:
     # -- checkpointing and recovery ---------------------------------------------------
     def _take_checkpoint(self, step: int) -> None:
         """Snapshot the whole job at a quiescent step boundary."""
-        substrate_snapshots: Dict[CommScheme, Any] = {
+        substrate_snapshots: Dict[str, Any] = {
             scheme: substrate.checkpoint(include_optimizer=True)
             for scheme, substrate in self._substrates.items()}
         self._checkpoint = TrainerCheckpoint(

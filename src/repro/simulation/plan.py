@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cluster.machine import FABRIC
 from repro.comm.backend import (
     DEFAULT_RACK_SIZE,
+    HYBRID_MODE,
     PHASE_PEERS,
     CommBackend,
     Peers,
@@ -33,12 +34,13 @@ from repro.comm.backend import (
     UnitBytes,
     choose_scheme,
     get_backend,
+    registered_backends,
     registry_generation,
 )
 from repro.comm.wire import CompressionConfig, unit_compression_flops
 from repro.config import ClusterConfig
-from repro.core.cost_model import CommScheme, NetworkTopology
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.core.cost_model import NetworkTopology
+from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
@@ -53,13 +55,13 @@ _SCHEMES = Memo(registry_generation)
 _PLANS = Memo(registry_generation)
 
 
-def decide_schemes(workload: IterationWorkload, comm: CommMode,
+def decide_schemes(workload: IterationWorkload, comm: str,
                    num_workers: int, num_servers: int,
                    topology: Optional[NetworkTopology] = None
-                   ) -> Dict[str, CommScheme]:
-    """Per-unit scheme assignment (:func:`~repro.comm.backend.choose_scheme`).
+                   ) -> Dict[str, str]:
+    """Unit name -> scheme name (:func:`~repro.comm.backend.choose_scheme`).
 
-    With a non-flat ``topology`` the HYBRID decisions become rack-aware
+    With a non-flat ``topology`` the ``"hybrid"`` decisions become rack-aware
     (cross-rack premiums plus the topology-candidate collectives); a flat
     or absent topology reproduces the paper's Algorithm-1 table.  The
     returned dict is memoized, shared between callers and must not be
@@ -68,19 +70,18 @@ def decide_schemes(workload: IterationWorkload, comm: CommMode,
     return _SCHEMES.get(
         (workload, comm, num_workers, num_servers, topology),
         lambda: {
-            unit.name: choose_scheme(comm.value, unit.fc_dims,
-                                     unit.sf_eligible, num_workers,
-                                     num_servers, workload.batch_size,
-                                     topology)
+            unit.name: choose_scheme(comm, unit.fc_dims, unit.sf_eligible,
+                                     num_workers, num_servers,
+                                     workload.batch_size, topology)
             for unit in workload.units
         })
 
 
-def _carries(comm: CommMode, config: CompressionConfig) -> bool:
+def _carries(comm: str, config: CompressionConfig) -> bool:
     """Whether ``comm`` can carry ``config``: its backend has a dense-gradient
-    path (HYBRID always keeps its non-factorisable units on the PS)."""
-    return (comm is CommMode.HYBRID
-            or get_backend(comm.value).supports_compression(config))
+    path (``"hybrid"`` always keeps its non-factorisable units on the PS)."""
+    return (comm == HYBRID_MODE
+            or get_backend(comm).supports_compression(config))
 
 
 def validate_compression(system: SystemConfig) -> Optional[CompressionConfig]:
@@ -93,7 +94,8 @@ def validate_compression(system: SystemConfig) -> Optional[CompressionConfig]:
     fast and identically in both engines.
 
     Raises:
-        ConfigurationError: on an invalid combination.
+        ConfigurationError: on an invalid combination or an unknown
+            ``comm`` name.
     """
     config = CompressionConfig.parse(system.compressor)
     wire_axes_active = (not config.is_identity
@@ -103,9 +105,11 @@ def validate_compression(system: SystemConfig) -> Optional[CompressionConfig]:
             f"system {system.name!r}: compressor/bucket_bytes require coarse "
             f"partitioning; fine-grained KV pairs fix the wire granularity")
     if not _carries(system.comm, config):
-        supported = ", ".join(m.value for m in CommMode if _carries(m, config))
+        supported = ", ".join(
+            mode for mode in (*registered_backends(), HYBRID_MODE)
+            if _carries(mode, config))
         raise ConfigurationError(
-            f"system {system.name!r}: comm mode {system.comm.value!r} has no "
+            f"system {system.name!r}: comm mode {system.comm!r} has no "
             f"dense-gradient path for compressor {system.compressor!r} "
             f"(supported modes: {supported})")
     if system.bucket_bytes is not None and system.bucket_bytes < 1:
@@ -154,9 +158,9 @@ class SyncPlan:
     units: Tuple[UnitPlan, ...]
 
     @cached_property
-    def schemes(self) -> Dict[str, CommScheme]:
-        """Unit name -> scheme (shared; do not mutate)."""
-        return {plan.unit.name: plan.backend.scheme for plan in self.units}
+    def schemes(self) -> Dict[str, str]:
+        """Unit name -> scheme name (shared; do not mutate)."""
+        return {plan.unit.name: plan.backend.name for plan in self.units}
 
     @cached_property
     def by_name(self) -> Dict[str, UnitPlan]:

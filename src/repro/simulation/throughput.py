@@ -121,8 +121,7 @@ def simulation_result(simulator, iteration_seconds: float,
         compute_seconds=workload.compute_seconds,
         gpu_busy_fraction=min(1.0, gpu_busy_fraction),
         per_node_traffic_bytes=traffic,
-        scheme_by_unit={name: scheme.value
-                        for name, scheme in simulator.schemes.items()},
+        scheme_by_unit=dict(simulator.schemes),
     )
 
 

@@ -7,13 +7,17 @@ system -- functional trainer and flow simulator -- and the backend
 comparison sweep.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.backend import (
+    HYBRID_MODE,
     CommBackend,
+    PSBackend,
     TrainerContext,
     get_backend,
     hybrid_candidates,
@@ -26,19 +30,21 @@ from repro.comm.hierarchical import HierarchicalParameterServer, HierPSSyncer
 from repro.comm.ring import RingAllReducer, RingSyncer
 from repro.config import ClusterConfig, TrainingConfig
 from repro.core.cost_model import (
-    CommScheme,
     CostModel,
     ps_combined_cost,
     sfb_worker_cost,
 )
-from repro.engines import HIERARCHICAL_PS, RING_ALLREDUCE
+from repro.core.poseidon import PoseidonContext
+from repro.engines import HIERARCHICAL_PS, RING_ALLREDUCE, TF_WFBP
 from repro.exceptions import CommunicationError, ConfigurationError, TrainingError
 from repro.data import make_linearly_separable, shard_dataset
 from repro.nn.layers import Dense
 from repro.nn.model_zoo import build_mlp_network, get_model_spec
 from repro.nn.optim import SGD
 from repro.parallel import DistributedTrainer, assign_schemes, simulate_synchronous_sgd
-from repro.simulation.throughput import simulate_system
+from repro.parallel.schemes import trainer_modes
+from repro.simulation.throughput import decide_schemes, simulate_system
+from repro.simulation.workload import build_workload
 
 NUM_WORKERS = 3
 BATCH = 8
@@ -49,62 +55,96 @@ class TestRegistry:
         names = set(registered_backends())
         assert {"ps", "sfb", "onebit", "adam", "ring", "hierps"} <= names
 
-    def test_resolution_by_enum_and_by_name(self):
-        assert get_backend(CommScheme.RING) is get_backend("ring")
-        assert get_backend(CommScheme.PS).scheme is CommScheme.PS
+    def test_resolution_by_name(self):
+        assert get_backend("ring") is registered_backends()["ring"]
+        assert get_backend("ps").name == "ps"
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
             get_backend("carrier-pigeon")
 
     def test_duplicate_registration_rejected(self):
-        class Dummy(CommBackend):
-            scheme = CommScheme.PS
-
-            def cost(self, m, n, num_workers, num_servers, batch_size,
-                     bandwidth_bps=None, topology=None):
-                return 0.0
-
-            def build_substrate(self, initial_layers, ctx):
-                return None
-
-            def make_syncer(self, layer, substrate, resources, ctx):
-                return None
+        class Dummy(PSBackend):
+            pass  # inherits the registered name "ps"
 
         with pytest.raises(ConfigurationError):
             register_backend(Dummy())
 
-    def test_new_backend_becomes_a_trainer_mode(self):
-        class Pigeon(CommBackend):
-            scheme = CommScheme.PS  # reuse PS cost/syncers under a new name
+    def test_hybrid_is_not_a_backend_name(self):
+        class Hybrid(PSBackend):
+            name = HYBRID_MODE
 
-            @property
-            def name(self):
-                return "pigeon"
-
-            def cost(self, m, n, num_workers, num_servers, batch_size,
-                     bandwidth_bps=None, topology=None):
-                return ps_combined_cost(m, n, num_workers, num_servers)
-
-            def build_substrate(self, initial_layers, ctx):
-                return None
-
-            def make_syncer(self, layer, substrate, resources, ctx):
-                return None
-
-        register_backend(Pigeon())
-        try:
-            network = build_mlp_network(input_dim=8, hidden_dims=(8,),
-                                        num_classes=4, seed=0)
-            assignment = assign_schemes(network, "pigeon", 2, 2, 8)
-            assert set(assignment.schemes.values()) == {CommScheme.PS}
-        finally:
-            unregister_backend("pigeon")
+        with pytest.raises(ConfigurationError):
+            register_backend(Hybrid())
+        assert trainer_modes().count(HYBRID_MODE) == 1
 
     def test_wire_bytes_is_cost_in_bytes(self):
-        backend = get_backend(CommScheme.PS)
+        backend = get_backend("ps")
         assert backend.wire_bytes(100, 10, 8, 8, 32) == \
             backend.cost(100, 10, 8, 8, 32) * 4
+
+
+class Pigeon(PSBackend):
+    name = "pigeon"  # the PS protocol under its own name, nothing else
+
+
+@pytest.fixture
+def pigeon():
+    register_backend(Pigeon())
+    try:
+        yield
+    finally:
+        unregister_backend("pigeon")
+
+
+class TestARegisteredBackendIsItself:
+    SPEC, CLUSTER = get_model_spec("vgg19"), ClusterConfig(num_workers=4)
+
+    def test_every_decision_names_it(self, pigeon):
+        network = build_mlp_network(input_dim=8, hidden_dims=(8,),
+                                    num_classes=4, seed=0)
+        cost_model = CostModel(self.CLUSTER, batch_size=32)
+        context = PoseidonContext(self.SPEC, self.CLUSTER, TrainingConfig())
+        for decisions in (
+                assign_schemes(network, "pigeon", 2, 2, 8).schemes.values(),
+                decide_schemes(build_workload(self.SPEC), "pigeon", 4,
+                               4).values(),
+                [cost_model.choose(layer, "pigeon")
+                 for layer in self.SPEC.parameter_layers()],
+                context.build_plan("pigeon").assignments.values()):
+            assert set(decisions) == {"pigeon"}
+
+    def test_trains_bit_for_bit_as_ps(self, pigeon, trainer_setup):
+        factory, _, config, provider = trainer_setup
+
+        def run(mode):
+            trainer = DistributedTrainer(factory, 2, None, config, mode=mode,
+                                         deterministic=True,
+                                         batch_provider=provider)
+            return trainer.train(3).losses, [
+                sorted((layer, key, value.tobytes()) for layer, params
+                       in trainer.replica(w).get_state().items()
+                       for key, value in params.items()) for w in range(2)]
+
+        assert run("pigeon") == run("ps")
+
+    @pytest.mark.parametrize("engine", ["des", "fluid"])
+    def test_simulates_as_ps(self, pigeon, engine):
+        pigeon_run, ps_run = (
+            simulate_system(self.SPEC, replace(TF_WFBP, comm=comm),
+                            self.CLUSTER, engine=engine)
+            for comm in ("pigeon", "ps"))
+        assert set(pigeon_run.scheme_by_unit.values()) == {"pigeon"}
+        assert replace(pigeon_run, scheme_by_unit={}) == replace(
+            ps_run, scheme_by_unit={})
+
+
+@pytest.mark.parametrize("engine", ["des", "fluid", "auto"])
+def test_unknown_comm_name_is_a_configuration_error(engine):
+    with pytest.raises(ConfigurationError, match="carrier-pigeon"):
+        simulate_system(get_model_spec("vgg19"),
+                        replace(TF_WFBP, comm="carrier-pigeon"),
+                        ClusterConfig(num_workers=4), engine=engine)
 
 
 class TestAssignSchemesValidation:
@@ -127,19 +167,19 @@ class TestAssignSchemesValidation:
 
     def test_ring_mode_assigns_ring_everywhere(self, network):
         assignment = assign_schemes(network, "ring", 4, 4, 8)
-        assert set(assignment.schemes.values()) == {CommScheme.RING}
+        assert set(assignment.schemes.values()) == {"ring"}
 
     def test_hierps_mode_assigns_hierps_everywhere(self, network):
         assignment = assign_schemes(network, "hierps", 4, 4, 8)
-        assert set(assignment.schemes.values()) == {CommScheme.HIERPS}
+        assert set(assignment.schemes.values()) == {"hierps"}
 
 
 class TestHybridDecisionBoundary:
     """Algorithm 1 must pick the cheapest hybrid-candidate backend."""
 
     def test_candidates_are_exact_schemes_only(self):
-        schemes = {backend.scheme for backend in hybrid_candidates()}
-        assert schemes == {CommScheme.PS, CommScheme.SFB}
+        schemes = {backend.name for backend in hybrid_candidates()}
+        assert schemes == {"ps", "sfb"}
 
     def test_tie_goes_to_sfb(self):
         # Pick M, N, P1, P2 so the costs tie exactly, then solve for K:
@@ -149,8 +189,8 @@ class TestHybridDecisionBoundary:
         ps = ps_combined_cost(m, n, p1, p2)
         k = int(ps / (2 * (p1 - 1) * (m + n)))
         assert sfb_worker_cost(m, n, k, p1) == ps  # exact crossover
-        assert hybrid_choice(m, n, p1, p2, k) is CommScheme.SFB
-        assert hybrid_choice(m, n, p1, p2, k + 1) is CommScheme.PS
+        assert hybrid_choice(m, n, p1, p2, k) == "sfb"
+        assert hybrid_choice(m, n, p1, p2, k + 1) == "ps"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -185,8 +225,8 @@ class TestHybridDecisionBoundary:
 
 class TestCostModelDispatch:
     def test_ring_and_hierps_costs_exposed(self):
-        ring = get_backend(CommScheme.RING)
-        hier = get_backend(CommScheme.HIERPS)
+        ring = get_backend("ring")
+        hier = get_backend("hierps")
         # Ring equals the colocated sharded-PS combined cost (both are
         # bandwidth optimal): 4MN(P-1)/P.
         assert ring.cost(100, 50, 8, 8, 32) == ps_combined_cost(100, 50, 8, 8)
@@ -200,8 +240,8 @@ class TestCostModelDispatch:
         layer = LayerSpec(name="fc", kind=LayerKind.FC, param_shape=(64, 32),
                           flops_forward=0.0, flops_backward=0.0)
         model = CostModel(ClusterConfig(num_workers=8), batch_size=16)
-        assert model.scheme_cost_params(layer, CommScheme.RING) == \
-            get_backend(CommScheme.RING).cost(64, 32, 8, 8, 16)
+        assert model.scheme_cost_params(layer, "ring") == \
+            get_backend("ring").cost(64, 32, 8, 8, 16)
 
 
 class TestRingAllReducer:
@@ -333,7 +373,7 @@ class TestNewSyncers:
 
         ps = ShardedParameterServer({"fc": layers[0].get_params()}, 1,
                                     optimizer=SGD(learning_rate=0.1))
-        Syncer(0, layers[0], CommScheme.PS, ps=ps).sync(0)
+        Syncer(0, layers[0], "ps", ps=ps).sync(0)
         hier = HierarchicalParameterServer({"fc": layers[1].get_params()}, 1,
                                            optimizer=SGD(learning_rate=0.1))
         HierPSSyncer(0, layers[1], hier).sync(0)
@@ -404,7 +444,7 @@ class TestNewTrainerModes:
         factory, shards, config, _ = trainer_setup
         trainer = DistributedTrainer(factory, NUM_WORKERS, shards, config,
                                      mode="hierps")
-        substrate = trainer.substrate(CommScheme.HIERPS)
+        substrate = trainer.substrate("hierps")
         assert isinstance(substrate, HierarchicalParameterServer)
         assert trainer.parameter_server is None
 

@@ -30,10 +30,9 @@ from repro.comm import wire
 from repro.comm.bucketing import GradientBucketer, bucket_workload
 from repro.comm.wire import CompressionConfig
 from repro.config import ClusterConfig, TrainingConfig
-from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
 from repro.data import make_linearly_separable, shard_dataset
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import build_mlp_network, get_model_spec
 from repro.parallel import DistributedTrainer
@@ -45,10 +44,10 @@ VGG = get_model_spec("vgg19")
 NUM_WORKERS = 3
 
 
-def coarse_system(comm: CommMode, compressor: str = "none",
+def coarse_system(comm: str, compressor: str = "none",
                   bucket_bytes=None) -> SystemConfig:
     return SystemConfig(
-        name="probe", engine="probe", comm=comm,
+        name="probe", comm=comm,
         schedule=ScheduleMode.WFBP, partitioning=Partitioning.COARSE,
         overlap_pull=True, overlap_host_copy=True,
     ).with_compression(compressor, bucket_bytes)
@@ -84,7 +83,7 @@ class TestBucketPartition:
 
 # -- simulator-side transformation ---------------------------------------------
 class TestBucketWorkload:
-    def bucketed(self, comm=CommMode.PS, bucket=4 * 1024 * 1024):
+    def bucketed(self, comm="ps", bucket=4 * 1024 * 1024):
         cluster = ClusterConfig(num_workers=4, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
         schemes = decide_schemes(workload, comm, cluster.num_workers,
@@ -129,7 +128,7 @@ class TestBucketWorkload:
 
     def test_non_bucketable_schemes_pass_through(self):
         workload, schemes, bucketed, new_schemes = self.bucketed(
-            comm=CommMode.ONEBIT)
+            comm="onebit")
         # The onebit backend is not compressible, so nothing fuses.
         assert [u.name for u in bucketed.units] \
             == [u.name for u in workload.units]
@@ -142,7 +141,7 @@ class TestBucketWorkload:
         other, _ = bucket_workload(workload, schemes, 1024)
         assert other is not bucketed and len(other.units) > len(bucketed.units)
 
-    @pytest.mark.parametrize("comm", [CommMode.PS, CommMode.RING])
+    @pytest.mark.parametrize("comm", ["ps", "ring"])
     @pytest.mark.parametrize("bucket", [None, 1, 512 * 1024, 16 * 1024 * 1024])
     def test_traffic_invariant_under_bucketing(self, comm, bucket):
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
@@ -157,7 +156,7 @@ class TestBucketWorkload:
     def test_des_and_fluid_agree_when_bucketed(self):
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
-        system = coarse_system(CommMode.RING, "topk(0.01)", 4 * 1024 * 1024)
+        system = coarse_system("ring", "topk(0.01)", 4 * 1024 * 1024)
         des = IterationSimulator(workload, cluster, system).run()
         fluid = FluidSimulator(workload, cluster, system).run()
         assert des.mean_traffic_gbits == pytest.approx(
@@ -268,7 +267,7 @@ class TestSweepCacheAudit:
         different results; a stale cross-config hit would make them equal."""
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         bandwidths = [1.0, 10.0]
-        base = coarse_system(CommMode.RING)
+        base = coarse_system("ring")
         variants = {
             "dense": base,
             "sparse": base.with_compression("topk(0.01)"),
@@ -293,8 +292,8 @@ class TestSweepCacheAudit:
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
         plain = IterationSimulator(workload, cluster,
-                                   coarse_system(CommMode.HYBRID)).schemes
+                                   coarse_system("hybrid")).schemes
         compressed = IterationSimulator(
             workload, cluster,
-            coarse_system(CommMode.HYBRID, "topk(0.01)")).schemes
+            coarse_system("hybrid", "topk(0.01)")).schemes
         assert plain == compressed

@@ -24,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import TrainingConfig
 from repro.core.consistency import BSPController
-from repro.core.cost_model import CommScheme
 from repro.core.faults import CrashFault, FaultPlan, PushPullFault, SlowdownFault
 from repro.data import make_linearly_separable, shard_dataset
 from repro.exceptions import SyncTimeout, TrainingError
@@ -184,7 +183,7 @@ class TestDropRecovery:
                    for w in (0, 2))
         assert np.isfinite(history.losses).all()
         # The PS renormalized its mean to the P-1 survivors.
-        assert trainer.substrate(CommScheme.PS).num_workers == NUM_WORKERS - 1
+        assert trainer.substrate("ps").num_workers == NUM_WORKERS - 1
         # Survivors still agree bit-exactly with each other.
         assert_states_identical(trainer.replica(2).get_state(),
                                 trainer.replica(0).get_state())

@@ -39,11 +39,11 @@ from repro.comm.compression import (
 from repro.comm.quantization import OneBitQuantizer
 from repro.comm.wire import CompressionConfig
 from repro.config import ClusterConfig, TrainingConfig
-from repro.core.cost_model import CommScheme, CostModel
+from repro.core.cost_model import CostModel
 from repro.core.faults import CrashFault, FaultPlan
 from repro.core.wfbp import ScheduleMode
 from repro.data import make_linearly_separable, shard_dataset
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import (
     build_mlp_network,
@@ -96,10 +96,10 @@ def make_trainer(setup, mode, **kwargs):
     )
 
 
-def coarse_system(comm: CommMode, compressor: str = "none",
+def coarse_system(comm: str, compressor: str = "none",
                   bucket_bytes=None) -> SystemConfig:
     return SystemConfig(
-        name="probe", engine="probe", comm=comm,
+        name="probe", comm=comm,
         schedule=ScheduleMode.WFBP, partitioning=Partitioning.COARSE,
         overlap_pull=True, overlap_host_copy=True,
     ).with_compression(compressor, bucket_bytes)
@@ -383,17 +383,17 @@ class TestValidation:
 
     def test_backend_compressible_registry(self):
         config = CompressionConfig.parse("topk(0.1)")
-        assert get_backend(CommScheme.PS).supports_compression(config)
-        assert get_backend(CommScheme.RING).supports_compression(config)
-        assert not get_backend(CommScheme.ONEBIT).supports_compression(config)
-        assert not get_backend(CommScheme.SFB).supports_compression(config)
+        assert get_backend("ps").supports_compression(config)
+        assert get_backend("ring").supports_compression(config)
+        assert not get_backend("onebit").supports_compression(config)
+        assert not get_backend("sfb").supports_compression(config)
         # Identity is supported everywhere.
         identity = CompressionConfig.parse("none")
-        assert get_backend(CommScheme.SFB).supports_compression(identity)
+        assert get_backend("sfb").supports_compression(identity)
 
     def test_simulators_reject_compressor_under_fine_partitioning(self):
         fine = SystemConfig(
-            name="probe", engine="probe", comm=CommMode.PS,
+            name="probe", comm="ps",
             schedule=ScheduleMode.WFBP, partitioning=Partitioning.FINE,
             overlap_pull=True, overlap_host_copy=True,
         ).with_compression("topk(0.1)")
@@ -407,13 +407,13 @@ class TestValidation:
             FluidSimulator(workload, cluster, fine)
 
     def test_simulators_reject_compressor_on_non_dense_backend(self):
-        system = coarse_system(CommMode.SFB_ONLY, "topk(0.1)")
+        system = coarse_system("sfb", "topk(0.1)")
         with pytest.raises(ConfigurationError):
             validate_compression(system)
 
     def test_validate_identity_returns_none(self):
-        assert validate_compression(coarse_system(CommMode.PS)) is None
-        config = validate_compression(coarse_system(CommMode.PS, "topk(0.1)"))
+        assert validate_compression(coarse_system("ps")) is None
+        config = validate_compression(coarse_system("ps", "topk(0.1)"))
         assert config is not None and config.kind == "topk"
 
 
@@ -532,8 +532,8 @@ class TestCostModelAgreement:
             if layer.kind is not LayerKind.FC:
                 continue
             m, n = layer.fc_dims
-            base = plain.scheme_cost_params(layer, CommScheme.PS)
-            got = compressed.scheme_cost_params(layer, CommScheme.PS)
+            base = plain.scheme_cost_params(layer, "ps")
+            got = compressed.scheme_cost_params(layer, "ps")
             expected = base * (1.0 + config.weight_ratio(m, n)) / 2.0
             assert got == pytest.approx(expected)
 
@@ -547,8 +547,8 @@ class TestCostModelAgreement:
             if layer.kind is not LayerKind.FC:
                 continue
             m, n = layer.fc_dims
-            base = plain.scheme_cost_params(layer, CommScheme.RING)
-            got = compressed.scheme_cost_params(layer, CommScheme.RING)
+            base = plain.scheme_cost_params(layer, "ring")
+            got = compressed.scheme_cost_params(layer, "ring")
             assert got == pytest.approx(base * config.weight_ratio(m, n))
 
     def test_best_scheme_never_considers_compression(self):
@@ -564,7 +564,7 @@ class TestCostModelAgreement:
 class TestSimulatorAgreement:
     """DES and fluid book identical traffic for every compressor."""
 
-    @pytest.mark.parametrize("comm", [CommMode.PS, CommMode.RING])
+    @pytest.mark.parametrize("comm", ["ps", "ring"])
     @pytest.mark.parametrize("spec", ["none", "topk(0.01)", "powersgd(4)",
                                       "onebit"])
     def test_des_and_fluid_traffic_exactly_equal(self, comm, spec):
@@ -580,10 +580,10 @@ class TestSimulatorAgreement:
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
         dense = IterationSimulator(
-            workload, cluster, coarse_system(CommMode.RING)).run()
+            workload, cluster, coarse_system("ring")).run()
         sparse = IterationSimulator(
             workload, cluster,
-            coarse_system(CommMode.RING, "topk(0.01)")).run()
+            coarse_system("ring", "topk(0.01)")).run()
         assert sparse.mean_traffic_gbits < dense.mean_traffic_gbits / 4
         assert sparse.iteration_seconds < dense.iteration_seconds
 
@@ -593,7 +593,7 @@ class TestSimulatorAgreement:
         workload = build_workload(VGG, gpu=cluster.gpu)
         config = CompressionConfig.parse("topk(0.01)")
         sim = IterationSimulator(workload, cluster,
-                                 coarse_system(CommMode.PS, "topk(0.01)"))
+                                 coarse_system("ps", "topk(0.01)"))
         for unit in sim.workload.units:
             push, pull = sim.unit_plan(unit).bytes.phases
             expected = wire.unit_wire_bytes(config, unit.param_bytes,

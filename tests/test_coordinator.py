@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import ClusterConfig, TrainingConfig
-from repro.core.cost_model import CommScheme
 from repro.core.poseidon import PoseidonContext
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import get_model_spec
@@ -42,8 +41,8 @@ class TestInformationBook:
 
 class TestBestSchemeAndPartition:
     def test_best_scheme_by_name_and_spec(self, vgg_context, vgg19_spec):
-        assert vgg_context.best_scheme("fc6") is CommScheme.SFB
-        assert vgg_context.best_scheme(vgg19_spec.layer("conv1_1")) is CommScheme.PS
+        assert vgg_context.best_scheme("fc6") == "sfb"
+        assert vgg_context.best_scheme(vgg19_spec.layer("conv1_1")) == "ps"
 
     def test_assignments_cover_all_parameter_layers(self, vgg_context,
                                                     vgg19_spec):
@@ -77,28 +76,28 @@ class TestHybridPlan:
         assert plan.savings_fraction > 0.5
 
     def test_force_ps_removes_savings(self, vgg_context):
-        plan = vgg_context.build_plan(force_scheme=CommScheme.PS)
+        plan = vgg_context.build_plan(force_scheme="ps")
         assert plan.savings_fraction == pytest.approx(0.0)
-        assert vgg_context.bytes_per_iteration(CommScheme.PS) == \
+        assert vgg_context.bytes_per_iteration("ps") == \
             plan.ps_bytes_per_node
 
     def test_force_sfb_falls_back_to_ps_for_conv(self, vgg_context):
         decisions = vgg_context.build_plan(
-            force_scheme=CommScheme.SFB).decisions
+            force_scheme="sfb").decisions
         conv_decisions = [d for d in decisions if d.layer.startswith("conv")]
         fc_decisions = [d for d in decisions if d.layer.startswith("fc")]
-        assert all(d.scheme is CommScheme.PS for d in conv_decisions)
-        assert all(d.scheme is CommScheme.SFB for d in fc_decisions)
+        assert all(d.scheme == "ps" for d in conv_decisions)
+        assert all(d.scheme == "sfb" for d in fc_decisions)
 
     def test_force_adam_follows_the_one_rule(self, vgg_context):
         # Any factor-based scheme, not only SFB, leaves non-decomposable
         # layers on the PS -- what decide_schemes / assign_schemes do under
         # mode "adam" (the old planner put conv layers on ADAM too).  Byte
         # totals are unaffected: only SFB has its own byte column.
-        plan = vgg_context.build_plan(force_scheme=CommScheme.ADAM)
+        plan = vgg_context.build_plan(force_scheme="adam")
         for decision in plan.decisions:
-            expected = (CommScheme.ADAM if decision.layer.startswith("fc")
-                        else CommScheme.PS)
+            expected = ("adam" if decision.layer.startswith("fc")
+                        else "ps")
             assert decision.scheme is expected
         assert plan.hybrid_bytes_per_node == plan.ps_bytes_per_node
 
@@ -114,8 +113,8 @@ class TestPoseidonContext:
         context = PoseidonContext(vgg19_spec, ClusterConfig(num_workers=16),
                                   TrainingConfig(batch_size=32))
         plan = context.plan
-        assert plan.scheme_for("fc6") is CommScheme.SFB
-        assert plan.scheme_for("conv1_1") is CommScheme.PS
+        assert plan.scheme_for("fc6") == "sfb"
+        assert plan.scheme_for("conv1_1") == "ps"
 
     def test_googlenet_reduces_to_ps(self, googlenet_spec):
         context = PoseidonContext(googlenet_spec, ClusterConfig(num_workers=16),
@@ -131,7 +130,7 @@ class TestPoseidonContext:
         context = PoseidonContext(vgg19_spec, ClusterConfig(num_workers=16),
                                   TrainingConfig(batch_size=32))
         hybrid = context.bytes_per_iteration()
-        ps_only = context.bytes_per_iteration(CommScheme.PS)
+        ps_only = context.bytes_per_iteration("ps")
         assert hybrid < ps_only
 
     def test_savings_fraction_grows_with_vocabulary(self):

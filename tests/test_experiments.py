@@ -12,7 +12,6 @@ import pytest
 
 import repro
 from repro.comm.backend import CommBackend, register_backend, unregister_backend
-from repro.core.cost_model import CommScheme
 from repro.experiments import ablation, fig9, fig11, table1, table3
 from repro.experiments.figure import Points, render
 from repro.experiments.figures import FIG5, FIG6, FIG7, FIG8, FIG10, MULTIGPU
@@ -31,13 +30,9 @@ def speedup(points, **coords):
 class _Cheapest(CommBackend):
     """A hybrid candidate undercutting PS and SFB on every layer."""
 
-    scheme = CommScheme.RING
+    name = "cheapest"
     hybrid_candidate = True
     hybrid_rank = -1
-
-    @property
-    def name(self):
-        return "cheapest"
 
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):
@@ -60,7 +55,7 @@ class TestTable1:
         assert sfb.worker == pytest.approx(3.7, rel=0.02)
 
     def test_best_scheme_is_sfb_for_worked_example(self):
-        assert table1.run_table1().best_scheme.value == "sfb"
+        assert table1.run_table1().best_scheme == "sfb"
 
     def test_crossover_batch_size_finite(self):
         crossover = table1.crossover_batch_size(4096, 4096, 8, 8)
@@ -68,8 +63,8 @@ class TestTable1:
         # Below the crossover SFB wins, above it PS wins.
         below = table1.run_table1(batch_size=crossover - 1)
         above = table1.run_table1(batch_size=crossover + 1)
-        assert below.best_scheme.value == "sfb"
-        assert above.best_scheme.value == "ps"
+        assert below.best_scheme == "sfb"
+        assert above.best_scheme == "ps"
 
     def test_cluster_size_sweep_monotone_sfb_cost(self):
         sweep = table1.sweep_cluster_sizes(cluster_sizes=(2, 8, 32))
@@ -84,10 +79,10 @@ class TestTable1:
         a registered cheaper candidate wins both."""
         register_backend(_Cheapest())
         try:
-            assert table1.run_table1().best_scheme is CommScheme.RING
-            assert "BestScheme choice: RING" in table1.report()
+            assert table1.run_table1().best_scheme == "cheapest"
+            assert "BestScheme choice: CHEAPEST" in table1.report()
             assert set(ablation.run_batch_size_crossover().values()) == {
-                CommScheme.RING}
+                "cheapest"}
             assert table1.crossover_batch_size(4096, 4096, 8, 8) == 1
         finally:
             unregister_backend("cheapest")
@@ -335,10 +330,10 @@ class TestMultiGpuAndAblation:
 
     def test_ablation_batch_crossover(self):
         decisions = ablation.run_batch_size_crossover()
-        assert decisions[8].value == "sfb"
+        assert decisions[8] == "sfb"
         # Analytic crossover for a 4096^2 layer on 8+8 nodes sits at K=512.
-        assert decisions[1024].value == "ps"
-        assert decisions[2048].value == "ps"
+        assert decisions[1024] == "ps"
+        assert decisions[2048] == "ps"
 
     def test_server_count_ablation_more_shards_helps(self):
         speedups = ablation.run_server_count_ablation(

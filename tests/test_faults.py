@@ -35,14 +35,14 @@ from repro.core.faults import (
     young_daly_interval,
 )
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError, TransientFault, WorkerFailure
 from repro.simulation.fluid import simulate_fluid
 from repro.simulation.throughput import simulate_system
 
 
-def _system(name="sys", comm=CommMode.PS):
-    return SystemConfig(name=name, engine="poseidon",
+def _system(name="sys", comm="ps"):
+    return SystemConfig(name=name,
                         schedule=ScheduleMode.WFBP,
                         partitioning=Partitioning.FINE, comm=comm)
 
@@ -327,7 +327,7 @@ class TestFigFaults:
             mtbfs=(600.0, 3600.0),
             stragglers=((0.0, 1.0), (0.25, 4.0)),
             policies=("bsp", "ssp-2", "async"),
-            schemes=((CommMode.PS, "PS"),))).run(jobs=1)
+            schemes=(("ps", "PS"),))).run(jobs=1)
 
     @staticmethod
     def seconds(points, **tags):

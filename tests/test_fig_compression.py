@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engines.base import CommMode, Partitioning
+from repro.engines.base import Partitioning
 from repro.experiments.figure import Best, render
 from repro.experiments.figures import COMPRESSION_VARIANTS, FIG_COMPRESSION
 from repro.experiments.runner import EXPERIMENTS
@@ -44,7 +44,7 @@ class TestVariantSystems:
         assert any(bucket is not None for *_, bucket in variants)
         assert any(spec.startswith("topk") for _, _, spec, _ in variants)
         assert any(spec.startswith("powersgd") for _, _, spec, _ in variants)
-        assert any(comm is CommMode.ONEBIT for _, comm, _, _ in variants)
+        assert any(comm == "onebit" for _, comm, _, _ in variants)
 
 
 class TestCrossover:

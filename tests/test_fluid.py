@@ -31,9 +31,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.backend import SyncShape, get_backend
+from repro.comm.backend import SyncShape, get_backend, registered_backends
 from repro.config import ClusterConfig
-from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
 from repro.engines import (
     ADAM_TF,
@@ -45,7 +44,7 @@ from repro.engines import (
     TF,
     TF_WFBP,
 )
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
@@ -66,11 +65,14 @@ from repro.simulation.workload import build_workload
 
 VGG = get_model_spec("vgg19")
 
+#: Every comm mode a system can name: the six built-in backends and hybrid.
+COMMS = ("adam", "hierps", "hybrid", "onebit", "ps", "ring", "sfb")
+
 #: Fluid-vs-DES relative tolerance on flat clusters.  The PS family and
 #: ring reproduce the DES bookings exactly; the SF schemes (broadcast
 #: convoys, owner fans, leader hierarchies) approximate head-of-line
 #: coupling and carry a measured worst case just above 10%.
-FLAT_EXACT = {CommScheme.PS, CommScheme.ONEBIT, CommScheme.RING}
+FLAT_EXACT = {"ps", "onebit", "ring"}
 FLAT_TOL_EXACT = 5e-3
 FLAT_TOL_APPROX = 0.15
 
@@ -81,14 +83,14 @@ FLAT_TOL_APPROX = 0.15
 TOPO_TOL = 0.45
 
 
-def make_system(comm: CommMode, name: str = "probe") -> SystemConfig:
-    return SystemConfig(name=name, engine="probe", comm=comm,
+def make_system(comm: str, name: str = "probe") -> SystemConfig:
+    return SystemConfig(name=name, comm=comm,
                         schedule=ScheduleMode.WFBP,
                         partitioning=Partitioning.FINE,
                         overlap_pull=True, overlap_host_copy=True)
 
 
-def relative_error(cluster: ClusterConfig, comm: CommMode) -> float:
+def relative_error(cluster: ClusterConfig, comm: str) -> float:
     workload = build_workload(VGG, gpu=cluster.gpu)
     system = make_system(comm)
     des = IterationSimulator(workload, cluster, system).run()
@@ -103,7 +105,7 @@ class TestFluidVsDes:
     @settings(max_examples=12, deadline=None)
     @given(
         nodes=st.sampled_from([2, 4, 8, 16]),
-        comm=st.sampled_from(sorted(CommMode, key=lambda m: m.value)),
+        comm=st.sampled_from(COMMS),
         bandwidth=st.sampled_from([10.0, 40.0]),
         topo=st.sampled_from([(1, 1.0), (2, 2.0), (2, 4.0), (4, 4.0)]),
     )
@@ -122,7 +124,7 @@ class TestFluidVsDes:
             tol = TOPO_TOL
         assert err <= tol
 
-    @pytest.mark.parametrize("comm", sorted(CommMode, key=lambda m: m.value))
+    @pytest.mark.parametrize("comm", COMMS)
     @pytest.mark.parametrize("racks,oversub", [(1, 1.0), (4, 4.0)])
     def test_32_node_envelope(self, comm, racks, oversub):
         cluster = ClusterConfig(num_workers=32, bandwidth_gbps=10.0,
@@ -138,13 +140,13 @@ class TestFluidVsDes:
 
     def test_flat_ps_is_exact(self):
         cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0)
-        assert abs(relative_error(cluster, CommMode.PS)) < 1e-9
+        assert abs(relative_error(cluster, "ps")) < 1e-9
 
     def test_result_contract_matches_des(self):
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0,
                                 racks=2, oversubscription=2.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
-        system = make_system(CommMode.HYBRID)
+        system = make_system("hybrid")
         des = IterationSimulator(workload, cluster, system).run()
         fluid = FluidSimulator(workload, cluster, system).run()
         assert fluid.scheme_by_unit == des.scheme_by_unit
@@ -155,7 +157,7 @@ class TestFluidVsDes:
         assert fluid.single_node_seconds == des.single_node_seconds
 
 
-def decide_all(cluster: ClusterConfig, comm: CommMode):
+def decide_all(cluster: ClusterConfig, comm: str):
     from repro.core.cost_model import NetworkTopology
     from repro.simulation.throughput import decide_schemes
 
@@ -192,13 +194,13 @@ class TestEngineSelection:
                 pass  # pragma: no cover
         cluster = ClusterConfig(num_workers=2)
         with pytest.raises(ConfigurationError):
-            simulate_system(VGG, make_system(CommMode.PS), cluster,
+            simulate_system(VGG, make_system("ps"), cluster,
                             engine=bogus)
         with pytest.raises(ConfigurationError):
-            curve_tasks(VGG, make_system(CommMode.PS), (2, 4), engine=bogus)
+            curve_tasks(VGG, make_system("ps"), (2, 4), engine=bogus)
 
     def test_auto_below_threshold_is_byte_identical_to_des(self):
-        system = make_system(CommMode.HYBRID)
+        system = make_system("hybrid")
         for nodes in (2, 8, 32):
             auto = simulate_point(VGG, system, nodes, bandwidth_gbps=10.0,
                                   engine="auto")
@@ -208,16 +210,16 @@ class TestEngineSelection:
 
     def test_default_engine_is_des(self):
         cluster = ClusterConfig(num_workers=4, bandwidth_gbps=10.0)
-        default = simulate_system(VGG, make_system(CommMode.PS), cluster)
-        des = simulate_system(VGG, make_system(CommMode.PS), cluster,
+        default = simulate_system(VGG, make_system("ps"), cluster)
+        des = simulate_system(VGG, make_system("ps"), cluster,
                               engine="des")
         assert default == des
 
     def test_fluid_engine_dispatches(self):
         cluster = ClusterConfig(num_workers=4, bandwidth_gbps=10.0)
-        fluid = simulate_system(VGG, make_system(CommMode.PS), cluster,
+        fluid = simulate_system(VGG, make_system("ps"), cluster,
                                 engine="fluid")
-        des = simulate_system(VGG, make_system(CommMode.PS), cluster,
+        des = simulate_system(VGG, make_system("ps"), cluster,
                               engine="des")
         # flat PS is one of the exact replays: same number, fluid path
         assert fluid.iteration_seconds == pytest.approx(
@@ -240,7 +242,7 @@ class TestTransformerFluidVsDes:
 
     GPT = get_model_spec("nanogpt-12l")
 
-    def transformer_error(self, comm: CommMode) -> float:
+    def transformer_error(self, comm: str) -> float:
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=40.0)
         workload = build_workload(self.GPT, gpu=cluster.gpu)
         system = make_system(comm)
@@ -250,9 +252,9 @@ class TestTransformerFluidVsDes:
             / des.iteration_seconds
 
     def test_flat_ps_is_exact(self):
-        assert abs(self.transformer_error(CommMode.PS)) < 1e-9
+        assert abs(self.transformer_error("ps")) < 1e-9
 
-    @pytest.mark.parametrize("comm", [CommMode.SFB_ONLY, CommMode.HYBRID])
+    @pytest.mark.parametrize("comm", ["sfb", "hybrid"])
     def test_sf_schemes_within_flat_envelope(self, comm):
         assert abs(self.transformer_error(comm)) <= FLAT_TOL_APPROX
 
@@ -291,13 +293,13 @@ class TestTiersAndSweeps:
     """Aggregate tier, vectorized axis sweeps, warm caches."""
 
     @pytest.mark.parametrize("comm,tol", [
-        (CommMode.PS, 0.20),
-        (CommMode.ONEBIT, 0.05),
-        (CommMode.RING, 1e-9),
-        (CommMode.ADAM, 0.10),
-        (CommMode.SFB_ONLY, 0.60),
-        (CommMode.HYBRID, 0.60),
-        (CommMode.HIERPS, 0.30),
+        ("ps", 0.20),
+        ("onebit", 0.05),
+        ("ring", 1e-9),
+        ("adam", 0.10),
+        ("sfb", 0.60),
+        ("hybrid", 0.60),
+        ("hierps", 0.30),
     ])
     def test_detail_vs_aggregate(self, comm, tol):
         cluster = ClusterConfig(num_workers=64, bandwidth_gbps=20.0,
@@ -315,7 +317,7 @@ class TestTiersAndSweeps:
         big = ClusterConfig(num_workers=DETAIL_NODE_MAX + 1,
                             bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=flat.gpu)
-        system = make_system(CommMode.PS)
+        system = make_system("ps")
         assert FluidSimulator(workload, flat, system).detail
         assert not FluidSimulator(workload, big, system).detail
 
@@ -323,7 +325,7 @@ class TestTiersAndSweeps:
         cluster = ClusterConfig(num_workers=4)
         workload = build_workload(VGG, gpu=cluster.gpu)
         with pytest.raises(ConfigurationError):
-            FluidSimulator(workload, cluster, make_system(CommMode.PS),
+            FluidSimulator(workload, cluster, make_system("ps"),
                            mode="exact")
 
     @pytest.mark.parametrize("topology", sorted(SWEEP_CLUSTERS))
@@ -358,7 +360,7 @@ class TestTiersAndSweeps:
         bandwidths = [1.0, 5.0, 10.0, 40.0, 100.0]
         cluster = ClusterConfig(num_workers=4000, bandwidth_gbps=40.0,
                                 racks=100, oversubscription=4.0)
-        for comm in CommMode:
+        for comm in COMMS:
             axis = sweep_axis(VGG, make_system(comm), cluster, bandwidths)
             assert np.all(np.diff(axis) <= 1e-12), comm
 
@@ -371,7 +373,7 @@ class TestTiersAndSweeps:
         """
         bandwidths = [10.0, 40.0]
         workload = build_workload(VGG)
-        system = make_system(CommMode.SFB_ONLY)
+        system = make_system("sfb")
         flat = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0)
         results = {}
         for oversub in (1.0, 2.0, 4.0):
@@ -393,9 +395,9 @@ class TestTiersAndSweeps:
         flat = ClusterConfig(num_workers=32, bandwidth_gbps=10.0)
         racked = ClusterConfig(num_workers=32, bandwidth_gbps=10.0,
                                racks=4, oversubscription=8.0)
-        flat_schemes = decide_all(flat, CommMode.HYBRID)
-        racked_schemes = decide_all(racked, CommMode.HYBRID)
-        again = decide_all(flat, CommMode.HYBRID)
+        flat_schemes = decide_all(flat, "hybrid")
+        racked_schemes = decide_all(racked, "hybrid")
+        again = decide_all(flat, "hybrid")
         assert again == flat_schemes
         assert flat_schemes != racked_schemes  # rack premium shifts choices
 
@@ -449,7 +451,7 @@ class TestDetailTierIsScalar:
     def test_rejected_axis_call_leaves_the_simulator_untouched(self):
         cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0)
         simulator = FluidSimulator(build_workload(VGG, gpu=cluster.gpu),
-                                   cluster, make_system(CommMode.PS))
+                                   cluster, make_system("ps"))
         before = simulator.iteration_seconds()
         bandwidth = simulator.bandwidth_bps
         with pytest.raises(ConfigurationError, match="aggregate tier"):
@@ -464,7 +466,7 @@ class TestMultiJob:
     def test_background_jobs_slow_oversubscribed_clusters(self):
         cluster = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0,
                                 racks=25, oversubscription=4.0)
-        system = make_system(CommMode.SFB_ONLY)
+        system = make_system("sfb")
         alone = simulate_fluid(VGG, system, cluster).iteration_seconds
         shared = simulate_fluid(VGG, system, cluster,
                                 background_jobs=1).iteration_seconds
@@ -474,7 +476,7 @@ class TestMultiJob:
 
     def test_background_jobs_do_not_touch_flat_clusters(self):
         cluster = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0)
-        system = make_system(CommMode.PS)
+        system = make_system("ps")
         alone = simulate_fluid(VGG, system, cluster).iteration_seconds
         shared = simulate_fluid(VGG, system, cluster,
                                 background_jobs=4).iteration_seconds
@@ -489,13 +491,13 @@ class TestUnitBytes:
         unit = next(u for u in workload.units if u.sf_eligible)
         n = 16
         shape = SyncShape(n, n, workload.batch_size)
-        nbytes = get_backend(CommScheme.SFB).unit_bytes(unit, shape, owner=0)
+        nbytes = get_backend("sfb").unit_bytes(unit, shape, owner=0)
         sf = unit.sufficient_factor_bytes(workload.batch_size)
         assert [phase.nbytes for phase in nbytes.phases] == [sf]
         assert nbytes.worker == 2 * (n - 1) * sf
         assert nbytes.owner == 0.0
 
-    @pytest.mark.parametrize("scheme", list(CommScheme))
+    @pytest.mark.parametrize("scheme", sorted(registered_backends()))
     def test_bytes_are_nonnegative(self, scheme):
         workload = build_workload(VGG)
         unit = next(u for u in workload.units if u.sf_eligible)
@@ -512,7 +514,7 @@ class TestUnitBytes:
     def test_fine_vs_coarse_ps(self):
         workload = build_workload(VGG)
         unit = workload.units[0]
-        backend = get_backend(CommScheme.PS)
+        backend = get_backend("ps")
         fine = backend.unit_bytes(
             unit, SyncShape(8, 8, workload.batch_size, fine=True), owner=0)
         coarse = backend.unit_bytes(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, PoseidonContext, TrainingConfig
-from repro.core.cost_model import CommScheme
 from repro.data import make_cifar10_like, shard_dataset
 from repro.engines import CAFFE_WFBP, POSEIDON_CAFFE
 from repro.nn.model_zoo import build_cifar_quick_small_network, get_model_spec
@@ -35,7 +34,7 @@ class TestPlanningToSimulationConsistency:
         context = PoseidonContext(vgg19_spec, cluster, TrainingConfig(batch_size=32))
         simulated = simulate_system(vgg19_spec, POSEIDON_CAFFE, cluster)
         for layer_name in ("fc6", "fc7", "fc8"):
-            assert context.plan.scheme_for(layer_name) is CommScheme.SFB
+            assert context.plan.scheme_for(layer_name) == "sfb"
             assert simulated.scheme_by_unit[layer_name] == "sfb"
 
     def test_batch_size_flips_both_layers_consistently(self, googlenet_spec):

@@ -1,53 +1,17 @@
-"""Tests for supporting infrastructure: messages, reports, logging, runner CLI,
-exceptions and the package surface."""
+"""Tests for supporting infrastructure: byte meters, reports, logging,
+runner CLI, exceptions and the package surface."""
 
 import logging
 
-import numpy as np
 import pytest
 
 import repro
 from repro import exceptions
-from repro.comm.message import ByteMeter, Message, MessageKind, payload_nbytes
+from repro.comm.message import ByteMeter
 from repro.experiments import paper_reference
 from repro.experiments.report import format_series, format_table, ratio_string
 from repro.experiments.runner import main as runner_main
 from repro.logging_util import enable_console_logging, get_logger
-from repro.nn.sufficient_factors import SufficientFactors
-
-
-class TestMessage:
-    def test_payload_nbytes_array(self):
-        assert payload_nbytes(np.zeros((4, 4), dtype=np.float32)) == 64
-
-    def test_payload_nbytes_nested_dict(self):
-        payload = {"a": np.zeros(10, dtype=np.float32),
-                   "b": [np.zeros(5, dtype=np.float32)]}
-        assert payload_nbytes(payload) == 60
-
-    def test_payload_nbytes_sufficient_factors(self, rng):
-        factors = SufficientFactors(u=rng.standard_normal((2, 3)).astype(np.float32),
-                                    v=rng.standard_normal((2, 4)).astype(np.float32))
-        assert payload_nbytes(factors) == factors.nbytes
-
-    def test_payload_nbytes_none(self):
-        assert payload_nbytes(None) == 0
-
-    def test_message_computes_size_from_payload(self):
-        message = Message(kind=MessageKind.DENSE_GRADIENT, layer="fc", iteration=0,
-                          src="worker-0", dst="server",
-                          payload=np.zeros(100, dtype=np.float32))
-        assert message.nbytes == 400
-
-    def test_message_explicit_size_preserved(self):
-        message = Message(kind=MessageKind.QUANTIZED_GRADIENT, layer="fc",
-                          iteration=0, src="w", dst="s", payload=None, nbytes=13)
-        assert message.nbytes == 13
-
-    def test_message_ids_unique(self):
-        a = Message(MessageKind.CONTROL, "fc", 0, "w", "s")
-        b = Message(MessageKind.CONTROL, "fc", 0, "w", "s")
-        assert a.message_id != b.message_id
 
 
 class TestByteMeter:
@@ -138,7 +102,7 @@ class TestPackageSurface:
 
     def test_top_level_exports(self):
         for name in ("PoseidonContext", "ClusterConfig", "TrainingConfig",
-                     "CommScheme", "BandwidthPreset"):
+                     "BandwidthPreset"):
             assert hasattr(repro, name)
 
     def test_core_exports_extensions(self):

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ClusterConfig, TrainingConfig
-from repro.core.cost_model import CommScheme, CostModel
+from repro.core.cost_model import CostModel
 from repro.core.policy import BSP, SyncPolicy
 from repro.core.staleness import SSPClock
 from repro.core.wfbp import ScheduleMode
 from repro.data import make_linearly_separable, shard_dataset
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.model_zoo import build_mlp_network
 from repro.parallel import DistributedTrainer
@@ -242,8 +242,8 @@ class TestBackendCapabilities:
 
 
 # -- simulators ----------------------------------------------------------------
-def _system(comm=CommMode.PS, name="sys"):
-    return SystemConfig(name=name, engine="poseidon",
+def _system(comm="ps", name="sys"):
+    return SystemConfig(name=name,
                         schedule=ScheduleMode.WFBP,
                         partitioning=Partitioning.FINE, comm=comm)
 
@@ -304,12 +304,12 @@ class TestCostModelPolicy:
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         model = CostModel(cluster, batch_size=32)
         layer = next(l for l in vgg19_spec.layers if l.sf_decomposable)
-        base = model.scheme_cost_params(layer, CommScheme.PS)
-        scaled = model.scheme_cost_params(layer, CommScheme.PS,
+        base = model.scheme_cost_params(layer, "ps")
+        scaled = model.scheme_cost_params(layer, "ps",
                                           policy="local-4")
         assert scaled == pytest.approx(base / 4)
         sticky = CostModel(cluster, batch_size=32, policy="local-2")
-        assert sticky.scheme_cost_params(layer, CommScheme.PS) == \
+        assert sticky.scheme_cost_params(layer, "ps") == \
             pytest.approx(base / 2)
 
     def test_best_scheme_policy_invariant(self, vgg19_spec):

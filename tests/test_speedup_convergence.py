@@ -13,7 +13,7 @@ from repro.engines import (
     caffe_systems,
     tensorflow_systems,
 )
-from repro.engines.base import CommMode, Partitioning
+from repro.engines.base import Partitioning
 from repro.exceptions import ConfigurationError
 from repro.simulation.convergence import (
     RESNET152_FINAL_ERROR,
@@ -125,7 +125,7 @@ class TestSystemDescriptors:
         assert set(systems) == {"TF", "TF+WFBP", "Poseidon (TF)"}
 
     def test_poseidon_uses_hybrid_and_wfbp(self):
-        assert POSEIDON_CAFFE.comm is CommMode.HYBRID
+        assert POSEIDON_CAFFE.comm == "hybrid"
         assert POSEIDON_CAFFE.schedule is ScheduleMode.WFBP
         assert POSEIDON_CAFFE.partitioning is Partitioning.FINE
 
@@ -138,9 +138,9 @@ class TestSystemDescriptors:
         assert CAFFE_PS.schedule is ScheduleMode.SEQUENTIAL
 
     def test_with_helpers_return_modified_copies(self):
-        modified = POSEIDON_CAFFE.with_comm(CommMode.PS)
-        assert modified.comm is CommMode.PS
-        assert POSEIDON_CAFFE.comm is CommMode.HYBRID
+        modified = POSEIDON_CAFFE.with_comm("ps")
+        assert modified.comm == "ps"
+        assert POSEIDON_CAFFE.comm == "hybrid"
         renamed = POSEIDON_CAFFE.renamed("x")
         assert renamed.name == "x"
         rescheduled = POSEIDON_CAFFE.with_schedule(ScheduleMode.SEQUENTIAL)

@@ -32,7 +32,6 @@ from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.ring import RingAllReducer, RingSyncer
 from repro.comm.sfb import SufficientFactorBroadcaster
 from repro.config import TrainingConfig
-from repro.core.cost_model import CommScheme
 from repro.core.syncer import LocalSGDSyncer, Syncer
 from repro.data import make_linearly_separable, shard_dataset
 from repro.nn.gradcheck import check_layer_gradients, check_network_input_gradient
@@ -58,10 +57,10 @@ def _dense_after_backward(seed: int = 0) -> Dense:
 def _single_worker_syncer(kind: str, layer: Dense) -> Syncer:
     initial = {layer.name: layer.get_params()}
     if kind == "ps":
-        return Syncer(0, layer, CommScheme.PS,
+        return Syncer(0, layer, "ps",
                       ps=ShardedParameterServer(initial, num_workers=1))
     if kind == "sfb":
-        return Syncer(0, layer, CommScheme.SFB,
+        return Syncer(0, layer, "sfb",
                       sfb=SufficientFactorBroadcaster(1),
                       local_optimizer=SGD(learning_rate=0.1))
     if kind == "ring":
@@ -97,7 +96,7 @@ class TestZeroCopyStaging:
             {"fc": layers[0].get_params()}, num_workers=2,
             optimizer=SGD(learning_rate=1.0), ordered=True)
         start = server.global_params("fc")
-        staged = [Syncer(w, layer, CommScheme.PS, ps=server).move_out()
+        staged = [Syncer(w, layer, "ps", ps=server).move_out()
                   for w, layer in enumerate(layers)]
         want = {key: (staged[0][key] + staged[1][key]) * np.float32(0.5)
                 for key in staged[0]}
@@ -455,7 +454,7 @@ def test_threaded_zero_copy_sync_keeps_replicas_and_server_identical():
 
     def worker(wid):
         rng = np.random.default_rng(100 + wid)
-        syncer = Syncer(wid, layers[wid], CommScheme.PS, ps=server,
+        syncer = Syncer(wid, layers[wid], "ps", ps=server,
                         sync_timeout=20.0)
         try:
             for step in range(rounds):
@@ -635,7 +634,7 @@ class TestWhoKeepsTheDenseGradient:
         assert len(layers) == 6
         for wid, layer in layers:
             syncer = trainer._workers[wid].syncers[layer.name]
-            assert syncer.scheme.value == mode
+            assert syncer.scheme == mode
             assert syncer.consumes_factors is not KEEPS_DENSE_WEIGHT[mode]
             if KEEPS_DENSE_WEIGHT[mode]:
                 _assert_keeps_dense_weight(layer)
@@ -656,10 +655,10 @@ class TestWhoKeepsTheDenseGradient:
         for wid, layer in _dense_layers(trainer):
             scheme = trainer.assignment.scheme_for(layer.name)
             if layer.name == "classifier":
-                assert scheme is CommScheme.PS
+                assert scheme == "ps"
                 _assert_keeps_dense_weight(layer)
             else:
-                assert scheme is CommScheme.SFB
+                assert scheme == "sfb"
                 _assert_factors_are_the_gradient(layer)
 
     def test_local_sgd_keeps_it_whatever_scheme_it_reports(self):
@@ -670,7 +669,7 @@ class TestWhoKeepsTheDenseGradient:
         for wid, layer in _dense_layers(trainer):
             syncer = trainer._workers[wid].syncers[layer.name]
             assert isinstance(syncer, LocalSGDSyncer)
-            assert syncer.scheme is CommScheme.SFB
+            assert syncer.scheme == "sfb"
             assert not syncer.consumes_factors
             _assert_keeps_dense_weight(layer)
 
@@ -742,7 +741,7 @@ def _pin_run(**case):
                 sha.update(f"{layer}/{key}".encode())
                 sha.update(np.ascontiguousarray(value).tobytes())
         digests.append(sha.hexdigest())
-    schemes = {name: str(trainer.assignment.scheme_for(name).value)
+    schemes = {name: trainer.assignment.scheme_for(name)
                for name in ("fc1", "fc2", "classifier")}
     return {"losses": [repr(loss) for loss in history.losses],
             "digests": digests, "schemes": schemes}

@@ -7,7 +7,6 @@ from repro.comm.adam import AdamSFServer
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.quantization import OneBitQuantizer
 from repro.comm.sfb import SufficientFactorBroadcaster
-from repro.core.cost_model import CommScheme
 from repro.core.syncer import Syncer
 from repro.exceptions import TrainingError
 from repro.nn.layers import Conv2D, Dense
@@ -32,32 +31,32 @@ def make_ps(layer, num_workers=1, lr=0.1):
 class TestSyncerValidation:
     def test_ps_scheme_requires_server(self, dense_layer):
         with pytest.raises(TrainingError):
-            Syncer(0, dense_layer, CommScheme.PS)
+            Syncer(0, dense_layer, "ps")
 
     def test_sfb_scheme_requires_broadcaster_and_optimizer(self, dense_layer):
         with pytest.raises(TrainingError):
-            Syncer(0, dense_layer, CommScheme.SFB,
+            Syncer(0, dense_layer, "sfb",
                    sfb=SufficientFactorBroadcaster(1))
 
     def test_sfb_scheme_requires_dense_layer(self, rng):
         conv = Conv2D("conv", 1, 2, kernel=3, rng=rng)
         with pytest.raises(TrainingError):
-            Syncer(0, conv, CommScheme.SFB,
+            Syncer(0, conv, "sfb",
                    sfb=SufficientFactorBroadcaster(1), local_optimizer=SGD(0.1))
 
     def test_onebit_scheme_requires_quantizer(self, dense_layer):
         with pytest.raises(TrainingError):
-            Syncer(0, dense_layer, CommScheme.ONEBIT, ps=make_ps(dense_layer))
+            Syncer(0, dense_layer, "onebit", ps=make_ps(dense_layer))
 
     def test_adam_scheme_requires_server(self, dense_layer):
         with pytest.raises(TrainingError):
-            Syncer(0, dense_layer, CommScheme.ADAM)
+            Syncer(0, dense_layer, "adam")
 
 
 class TestPsSyncer:
     def test_sync_applies_server_update_to_layer(self, dense_layer):
         ps = make_ps(dense_layer, lr=0.1)
-        syncer = Syncer(0, dense_layer, CommScheme.PS, ps=ps)
+        syncer = Syncer(0, dense_layer, "ps", ps=ps)
         before = dense_layer.params["weight"].copy()
         grads = dense_layer.get_grads()
         syncer.sync(iteration=0)
@@ -65,7 +64,7 @@ class TestPsSyncer:
         np.testing.assert_allclose(dense_layer.params["weight"], expected, rtol=1e-5)
 
     def test_sync_updates_stats(self, dense_layer):
-        syncer = Syncer(0, dense_layer, CommScheme.PS, ps=make_ps(dense_layer))
+        syncer = Syncer(0, dense_layer, "ps", ps=make_ps(dense_layer))
         stats = syncer.sync(iteration=0)
         assert stats.syncs == 1
         assert stats.bytes_sent > 0
@@ -73,7 +72,7 @@ class TestPsSyncer:
 
     def test_layer_matches_server_copy_after_sync(self, dense_layer):
         ps = make_ps(dense_layer)
-        syncer = Syncer(0, dense_layer, CommScheme.PS, ps=ps)
+        syncer = Syncer(0, dense_layer, "ps", ps=ps)
         syncer.sync(iteration=0)
         server_params = ps.global_params("fc")
         np.testing.assert_allclose(dense_layer.params["weight"],
@@ -92,11 +91,11 @@ class TestOneBitSyncer:
 
     def test_wire_bytes_smaller_than_dense(self):
         dense_layer = self._prepared_layer(seed=1)
-        dense_stats = Syncer(0, dense_layer, CommScheme.PS,
+        dense_stats = Syncer(0, dense_layer, "ps",
                              ps=make_ps(dense_layer)).sync(iteration=0)
 
         layer2 = self._prepared_layer(seed=1)
-        onebit_stats = Syncer(0, layer2, CommScheme.ONEBIT, ps=make_ps(layer2),
+        onebit_stats = Syncer(0, layer2, "onebit", ps=make_ps(layer2),
                               quantizer=OneBitQuantizer()).sync(iteration=0)
         assert onebit_stats.bytes_sent < dense_stats.bytes_sent
 
@@ -104,8 +103,8 @@ class TestOneBitSyncer:
         """The 1-bit path must not produce the exact dense update."""
         exact_layer = self._prepared_layer(seed=5)
         lossy_layer = self._prepared_layer(seed=5)
-        Syncer(0, exact_layer, CommScheme.PS, ps=make_ps(exact_layer)).sync(0)
-        Syncer(0, lossy_layer, CommScheme.ONEBIT, ps=make_ps(lossy_layer),
+        Syncer(0, exact_layer, "ps", ps=make_ps(exact_layer)).sync(0)
+        Syncer(0, lossy_layer, "onebit", ps=make_ps(lossy_layer),
                quantizer=OneBitQuantizer()).sync(0)
         assert not np.allclose(exact_layer.params["weight"],
                                lossy_layer.params["weight"])
@@ -123,7 +122,7 @@ class TestSfbSyncer:
             layer.forward(x + worker)  # different data per worker
             layer.backward(rng.standard_normal((3, 4)).astype(np.float32))
             layers.append(layer)
-            syncers.append(Syncer(worker, layer, CommScheme.SFB, sfb=broadcaster,
+            syncers.append(Syncer(worker, layer, "sfb", sfb=broadcaster,
                                   local_optimizer=SGD(learning_rate=0.1)))
         import threading
         threads = [threading.Thread(target=syncer.sync, args=(0,))
@@ -144,14 +143,14 @@ class TestSfbSyncer:
         x = rng.standard_normal((2, 256)).astype(np.float32)
         layer.forward(x)
         layer.backward(rng.standard_normal((2, 256)).astype(np.float32))
-        syncer = Syncer(0, layer, CommScheme.SFB, sfb=broadcaster,
+        syncer = Syncer(0, layer, "sfb", sfb=broadcaster,
                         local_optimizer=SGD(0.1))
         import threading
 
         peer_layer = Dense("wide", 256, 256, rng=np.random.default_rng(0))
         peer_layer.forward(x)
         peer_layer.backward(rng.standard_normal((2, 256)).astype(np.float32))
-        peer = Syncer(1, peer_layer, CommScheme.SFB, sfb=broadcaster,
+        peer = Syncer(1, peer_layer, "sfb", sfb=broadcaster,
                       local_optimizer=SGD(0.1))
         threads = [threading.Thread(target=s.sync, args=(0,)) for s in (syncer, peer)]
         for t in threads:
@@ -166,7 +165,7 @@ class TestAdamSyncer:
     def test_sync_pulls_full_matrix(self, dense_layer):
         adam = AdamSFServer({dense_layer.name: dense_layer.get_params()},
                             num_workers=1, optimizer=SGD(learning_rate=0.1))
-        syncer = Syncer(0, dense_layer, CommScheme.ADAM, adam=adam)
+        syncer = Syncer(0, dense_layer, "adam", adam=adam)
         stats = syncer.sync(iteration=0)
         dense_bytes = sum(p.nbytes for p in dense_layer.params.values())
         assert stats.bytes_received == dense_bytes
@@ -180,9 +179,9 @@ class TestAdamSyncer:
         for layer in (ps_layer, adam_layer):
             layer.forward(x.copy())
             layer.backward(grad_out.copy())
-        Syncer(0, ps_layer, CommScheme.PS, ps=make_ps(ps_layer)).sync(0)
+        Syncer(0, ps_layer, "ps", ps=make_ps(ps_layer)).sync(0)
         adam = AdamSFServer({adam_layer.name: adam_layer.get_params()},
                             num_workers=1, optimizer=SGD(learning_rate=0.1))
-        Syncer(0, adam_layer, CommScheme.ADAM, adam=adam).sync(0)
+        Syncer(0, adam_layer, "adam", adam=adam).sync(0)
         np.testing.assert_allclose(ps_layer.params["weight"],
                                    adam_layer.params["weight"], rtol=1e-5)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster.machine import ClusterModel
 from repro.config import ClusterConfig
-from repro.core.cost_model import CommScheme
 from repro.core.wfbp import ScheduleMode
 from repro.engines import (
     ADAM_TF,
@@ -18,7 +17,7 @@ from repro.engines import (
     TF,
     TF_WFBP,
 )
-from repro.engines.base import CommMode, Partitioning
+from repro.engines.base import Partitioning
 from repro.exceptions import SimulationError
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import build_workload, simulate_system
@@ -92,12 +91,12 @@ class TestScalingShapes:
     def test_googlenet_poseidon_reduces_to_ps(self, googlenet_spec):
         """GoogLeNet (thin FC, batch 128): the hybrid plan contains no SFB unit."""
         result = simulate_system(googlenet_spec, POSEIDON_CAFFE, cluster(16))
-        assert CommScheme.SFB.value not in result.scheme_by_unit.values()
+        assert "sfb" not in result.scheme_by_unit.values()
 
     def test_vgg_poseidon_uses_sfb_for_fc(self, vgg19_spec):
         result = simulate_system(vgg19_spec, POSEIDON_CAFFE, cluster(16))
-        assert result.scheme_by_unit["fc6"] == CommScheme.SFB.value
-        assert result.scheme_by_unit["conv1_1"] == CommScheme.PS.value
+        assert result.scheme_by_unit["fc6"] == "sfb"
+        assert result.scheme_by_unit["conv1_1"] == "ps"
 
 
 class TestTensorFlowBaseline:

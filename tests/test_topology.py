@@ -22,7 +22,6 @@ from repro.cluster.machine import ClusterModel
 from repro.comm.backend import get_backend, hybrid_choice
 from repro.config import ClusterConfig
 from repro.core.cost_model import (
-    CommScheme,
     CostModel,
     NetworkTopology,
     adam_combined_cost,
@@ -30,7 +29,7 @@ from repro.core.cost_model import (
     sfb_worker_cost,
 )
 from repro.core.wfbp import ScheduleMode
-from repro.engines.base import CommMode, Partitioning, SystemConfig
+from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.nn.spec import LayerKind, LayerSpec
 from repro.sim import Environment
@@ -38,15 +37,14 @@ from repro.simulation.throughput import decide_schemes, simulate_system
 from repro.simulation.workload import build_workload
 
 
-def poseidon_style(comm: CommMode, name: str = "sys") -> SystemConfig:
-    return SystemConfig(name=name, engine="poseidon", schedule=ScheduleMode.WFBP,
+def poseidon_style(comm: str, name: str = "sys") -> SystemConfig:
+    return SystemConfig(name=name, schedule=ScheduleMode.WFBP,
                         partitioning=Partitioning.FINE, comm=comm,
                         overlap_pull=True, overlap_host_copy=True)
 
 
-ALL_COMM_MODES = (CommMode.PS, CommMode.SFB_ONLY, CommMode.HYBRID,
-                  CommMode.ONEBIT, CommMode.ADAM, CommMode.RING,
-                  CommMode.HIERPS)
+ALL_COMM_MODES = ("ps", "sfb", "hybrid", "onebit", "adam", "ring", "hierps")
+ALL_SCHEMES = ("ps", "sfb", "adam", "onebit", "ring", "hierps")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +155,7 @@ class TestFlatEquivalence:
 
     def test_flat_topology_cost_is_bit_exact(self):
         flat_topo = NetworkTopology(racks=4, oversubscription=1.0)
-        for scheme in CommScheme:
+        for scheme in ALL_SCHEMES:
             backend = get_backend(scheme)
             base = backend.cost(1024, 1000, 16, 16, 32)
             assert backend.cost(1024, 1000, 16, 16, 32,
@@ -256,7 +254,7 @@ class TestCostByteSplit:
         flat_model = CostModel(ClusterConfig(num_workers=16), batch_size=32)
         assert flat_model.topology is None  # flat clusters pass no topology
 
-    @pytest.mark.parametrize("scheme", [s.value for s in CommScheme])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_cost_monotone_in_oversubscription(self, scheme):
         backend = get_backend(scheme)
         costs = [
@@ -266,7 +264,7 @@ class TestCostByteSplit:
         ]
         assert costs == sorted(costs)
 
-    @pytest.mark.parametrize("scheme", [s.value for s in CommScheme])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_wire_bytes_carry_the_topology(self, scheme):
         backend = get_backend(scheme)
         assert backend.wire_bytes(M, N, P, S, K, topology=TOPO) == \
@@ -289,8 +287,8 @@ class TestRackAwareHybridChoice:
     def test_small_fc_layer_shifts_to_ring(self):
         # VGG19's fc8 (4096 x 1000): SFB on the flat network, ring once
         # cross-rack bandwidth is 4:1 oversubscribed.
-        assert hybrid_choice(4096, 1000, P, S, K) is CommScheme.SFB
-        assert hybrid_choice(4096, 1000, P, S, K, topology=TOPO) is CommScheme.RING
+        assert hybrid_choice(4096, 1000, P, S, K) == "sfb"
+        assert hybrid_choice(4096, 1000, P, S, K, topology=TOPO) == "ring"
 
     def test_best_scheme_shifts_with_the_cluster(self):
         fc8 = LayerSpec(name="fc8", kind=LayerKind.FC, param_count=4096 * 1000,
@@ -300,20 +298,20 @@ class TestRackAwareHybridChoice:
         racked = CostModel(
             ClusterConfig(num_workers=16, racks=4, oversubscription=4.0),
             batch_size=32)
-        assert flat.best_scheme(fc8) is CommScheme.SFB
-        assert racked.best_scheme(fc8) is CommScheme.RING
+        assert flat.best_scheme(fc8) == "sfb"
+        assert racked.best_scheme(fc8) == "ring"
         # scheme_cost_params carries the cross-rack premium for the loser.
-        assert racked.scheme_cost_params(fc8, CommScheme.SFB) > \
-            flat.scheme_cost_params(fc8, CommScheme.SFB)
+        assert racked.scheme_cost_params(fc8, "sfb") > \
+            flat.scheme_cost_params(fc8, "sfb")
 
     def test_decide_schemes_is_topology_aware(self, vgg19_spec):
         workload = build_workload(vgg19_spec)
-        flat = decide_schemes(workload, CommMode.HYBRID, 16, 16)
-        racked = decide_schemes(workload, CommMode.HYBRID, 16, 16,
+        flat = decide_schemes(workload, "hybrid", 16, 16)
+        racked = decide_schemes(workload, "hybrid", 16, 16,
                                 topology=TOPO)
-        assert flat["fc8"] is CommScheme.SFB
-        assert racked["fc8"] is CommScheme.RING
-        assert flat["fc6"] is racked["fc6"] is CommScheme.SFB
+        assert flat["fc8"] == "sfb"
+        assert racked["fc8"] == "ring"
+        assert flat["fc6"] is racked["fc6"] == "sfb"
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +396,8 @@ class TestRackContention:
 class TestTopologyEndToEnd:
     def test_ring_overtakes_flat_ps_under_oversubscription(self, vgg19_spec):
         """The PR's acceptance point: ring > PS at oversubscription >= 4."""
-        ps = poseidon_style(CommMode.PS, "PS")
-        ring = poseidon_style(CommMode.RING, "Ring")
+        ps = poseidon_style("ps", "PS")
+        ring = poseidon_style("ring", "Ring")
         cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0, racks=4,
                                 oversubscription=4.0)
         ps_result = simulate_system(vgg19_spec, ps, cluster)
@@ -408,8 +406,8 @@ class TestTopologyEndToEnd:
             ps_result.throughput_images_per_sec
 
     def test_hierps_overtakes_flat_ps_on_conv_models(self, googlenet_spec):
-        ps = poseidon_style(CommMode.PS, "PS")
-        hierps = poseidon_style(CommMode.HIERPS, "HierPS")
+        ps = poseidon_style("ps", "PS")
+        hierps = poseidon_style("hierps", "HierPS")
         cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0, racks=4,
                                 oversubscription=8.0)
         ps_result = simulate_system(googlenet_spec, ps, cluster)
@@ -418,7 +416,7 @@ class TestTopologyEndToEnd:
             ps_result.throughput_images_per_sec
 
     def test_ps_degrades_monotonically_with_oversubscription(self, vgg19_spec):
-        ps = poseidon_style(CommMode.PS, "PS")
+        ps = poseidon_style("ps", "PS")
         speedups = []
         for oversub in (1.0, 2.0, 4.0, 8.0):
             cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0,
