@@ -3,13 +3,14 @@
 Three measurements bracket the fluid engine's cost:
 
 * ``test_fluid_point`` -- one closed-form evaluation of a 1000-node
-  oversubscribed cluster (the aggregate tier: class clocks + one
-  (racks, axis) wire-clock array per direction), the unit of work behind
-  every ``engine="fluid"`` sweep point;
+  oversubscribed cluster (the aggregate tier: class clocks and one wire
+  clock per rack class and direction), the unit of work behind every
+  ``engine="fluid"`` sweep point;
 * ``test_fluid_sweep_10k`` -- the headline interactive what-if: a full
   bandwidth axis for all seven registered backends on a 10k-node
-  oversubscribed cluster, evaluated from a cold warm-start cache and exact
-  per axis element.  ~40 ms with the racks an array dimension (0.35 s when
+  oversubscribed cluster, evaluated from a cold warm-start cache, one
+  scalar pass per axis element.  14-31 ms on rack classes (40-96 ms with
+  numpy (racks, axis) wire clocks and order-check re-passes, 0.35 s when
   every phase looped over the 250 racks); the stated budget is 0.2 s;
 * ``test_fluid_detail_convoy`` -- the detail tier where it is dearest: the
   64-node SFB and HybComm points, ~20k all-to-all copies chained one heap

@@ -212,7 +212,11 @@ class ClusterConfig:
         dedicated nodes after the workers otherwise.  Cached: every
         simulator of one cluster shares the tuple (10k entries at scale)."""
         if self.colocate_servers:
-            return tuple(s % self.num_workers for s in range(self.num_servers))
+            # Shard s on worker s % P: whole rounds of the workers, then the
+            # first servers % P of them.
+            rounds, rest = divmod(self.num_servers, self.num_workers)
+            workers = range(self.num_workers)
+            return tuple(workers) * rounds + tuple(workers[:rest])
         return tuple(range(self.num_workers, self.num_nodes))
 
     @property

@@ -11,7 +11,7 @@ descriptor into the quantities the paper's evaluation reports:
   synchronization under PS/SFB/Adam/1-bit with or without WFBP, per-node
   traffic and GPU stall accounting.
 * :mod:`repro.simulation.fluid` -- the fluid-mode analytic engine: the same
-  per-iteration quantity as the DES computed in closed form (plus vectorized
+  per-iteration quantity as the DES computed in closed form (plus bandwidth
   axis sweeps), for interactive what-if at 1k-10k nodes.
 * :mod:`repro.simulation.speedup` -- scaling sweeps (speedup vs. nodes,
   bandwidth sweeps).

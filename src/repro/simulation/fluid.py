@@ -21,15 +21,15 @@ Two fidelity tiers share one phase structure:
   FIFO/head-of-line coupling is approximated by work-conserving fluid
   shares (see PERFORMANCE.md for the measured envelope).
 * **aggregate** (above :data:`DETAIL_NODE_MAX`): node-symmetric class
-  clocks and per-rack wire clocks.  Two dimensions are arrays, not loops:
-  the bandwidth axis (every clock is a vector over it; one bandwidth is an
-  axis of one) and the racks (one ``(racks, axis)`` wire-clock array per
-  direction, booked a whole phase at a time), so a unit phase costs one
-  heap pop and a fixed handful of numpy calls at any rack count -- what
-  makes interactive 1k-10k-node what-if sweeps possible.  A pass pops in
-  the order of the axis' first element; every other element is checked
-  against the recorded pops and re-evaluated if its own order differs, so
-  :func:`sweep_axis` equals point-by-point evaluation bit for bit.
+  clocks and *rack classes*.  Racks that share a profile (members and
+  cross-rack share) and a booking history are one class with one wire
+  clock per direction; a booking addressed to one rack (an owner's) splits
+  that rack off first.  A unit phase costs one heap pop and a loop over a
+  handful of classes at any rack count -- what makes interactive
+  1k-10k-node what-if sweeps possible.  Both tiers are scalar engines
+  (every clock a plain float), so :func:`sweep_axis` is one pass per axis
+  element, each popping its phases in its own order: point-by-point
+  evaluation by construction.
 
 Which scheme, owner, payload and schedule each unit has comes from the
 resolved :class:`~repro.simulation.plan.SyncPlan` -- the same value the DES
@@ -49,8 +49,10 @@ where the fluid approximation under oversubscription is weakest.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -180,8 +182,8 @@ class FluidSimulator:
         self.jobs_factor = 1 + max(0, int(background_jobs))
         if self.topo:
             # Rack uplink aggregate = node_bw * members / oversubscription;
-            # kept as a ratio so axis sweeps that swap bandwidth_bps see the
-            # uplink scale with it (rack_bw is a property).
+            # kept as a ratio so a sweep that swaps bandwidth_bps sees the
+            # uplink scale with it.
             members = min(cluster.nodes_per_rack, self.num_workers)
             self._rack_scale = members / cluster.oversubscription
             self.nracks = cluster.racks
@@ -192,48 +194,68 @@ class FluidSimulator:
         self._bottleneck = min(1.0, self._rack_scale)
         detail = self.num_workers <= DETAIL_NODE_MAX
         self.detail = detail if mode == "auto" else (mode == "detail")
-        #: "Latest of two clocks", bound once per tier: the detail tier's
-        #: clocks are plain floats, the aggregate tier's arrays over the axis.
-        self._latest = max if self.detail else np.maximum
         self.bandwidth_bps = cluster.effective_bandwidth_bps
-        # Rack profile, one (racks, 1) column each (they broadcast against
-        # the aggregate tier's (racks, axis) wire clocks): members, and the
-        # share of a member's fabric traffic that leaves the rack (none on
-        # a flat network).
+        # Rack profile: each rack's members (full racks, a part-filled one,
+        # then racks of dedicated servers only), and the share of a member's
+        # fabric traffic that leaves the rack (none on a flat network).
         per_rack = cluster.nodes_per_rack
-        self._rack_ids = np.arange(self.nracks)[:, None]
-        self._members = np.clip(self.num_workers - self._rack_ids * per_rack,
-                                0, per_rack)
-        self._cross = ((self.num_workers - self._members) * self.topo
-                       / max(1, self.num_workers - 1))
-        #: Racks with fabric traffic on their uplink; ``True`` (numpy's
-        #: unmasked path) when that is every rack.
-        crossing = (self._members > 0) & (self._cross > 0.0)
-        self._crossing = True if crossing.all() else crossing
-        #: Detail tier: every node's rack, a list lookup per booking.
+        full, rest = divmod(self.num_workers, per_rack)
+        self._members = ([per_rack] * full + [rest]
+                         + [0] * self.nracks)[:self.nracks]
+        racks = Counter(self._members)
+        leaving = {members: (self.num_workers - members) * self.topo
+                   / max(1, self.num_workers - 1) for members in racks}
+        self._cross = list(map(leaving.__getitem__, self._members))
+        #: Aggregate tier: racks per distinct ``(members, cross)`` profile,
+        #: the rack classes every pass starts from.
+        self._profiles = {(members, leaving[members]): count
+                          for members, count in racks.items()}
+        #: Detail tier: every node's rack, a list lookup per booking; the
+        #: aggregate tier only asks for the owners' (racks are contiguous
+        #: blocks of ``per_rack`` node ids).
         self._rack = ([self._rack_of(node) for node in range(cluster.num_nodes)]
-                      if self.detail else ())
+                      if self.detail else
+                      {plan.owner: plan.owner // per_rack if self.topo else 0
+                       for plan in self.plan.units})
+        # What no bandwidth changes, derived once: backward-done of the
+        # whole iteration, and the phase heap every pass starts from -- each
+        # unit's driver at its send time (its own backward-done under WFBP,
+        # else the iteration's, delayed by the compressor's encode pass
+        # exactly like the DES's pre-dispatch timeout).
+        w = self.workload
+        self._compute_end = (w.forward_seconds
+                             + sum(u.backward_seconds for u in w.units)
+                             + w.tail_backward_seconds)
+        seq_mode = system.schedule is not ScheduleMode.WFBP
+        bookers = self._DETAIL if self.detail else self._AGGREGATE
+        self._first_events: List[tuple] = []
+        t = w.forward_seconds
+        for unit, unit_plan in enumerate(reversed(self.plan.units)):
+            t += unit_plan.unit.backward_seconds
+            ready = self._compute_end if seq_mode else t
+            if unit_plan.encode_seconds > 0.0:
+                ready = ready + unit_plan.encode_seconds
+            schedule = tuple((phase, bookers[phase.kind])
+                             for phase in unit_plan.bytes.phases)
+            self._first_events.append(
+                (ready, unit, self._drive(unit, unit_plan, schedule)))
+        heapq.heapify(self._first_events)
 
     # -- shared arithmetic ---------------------------------------------------
-    @property
-    def rack_bw(self):
-        """Aggregate rack-uplink goodput at the current (axis) bandwidth."""
-        if not self.topo:
-            return float("inf")
-        return self.bandwidth_bps * self._rack_scale
-
-    def _tn(self, nbytes):
+    def _tn(self, nbytes: float) -> float:
         """NIC-rate transfer time of one flow (matches the DES's tn)."""
         return units.bytes_to_bits(nbytes) / self.bandwidth_bps + self.lam
 
-    def _tfs(self, nbytes):
+    def _tfs(self, nbytes: float) -> float:
         """Cross-rack flow service time: the slower of NIC and rack wire."""
         return (units.bytes_to_bits(nbytes)
                 / (self.bandwidth_bps * self._bottleneck) + self.lam)
 
-    def _wire(self, nbytes):
-        """Rack-switch wire hold; multi-job contention stretches it."""
-        return (units.bytes_to_bits(nbytes) / self.rack_bw) * self.jobs_factor
+    def _wire(self, nbytes: float) -> float:
+        """Rack-switch wire hold at the rack uplink's aggregate goodput
+        (infinite on a flat network); multi-job contention stretches it."""
+        return (units.bytes_to_bits(nbytes)
+                / (self.bandwidth_bps * self._rack_scale)) * self.jobs_factor
 
     def _rack_of(self, node: int) -> int:
         return self.cluster_config.rack_of(node) if self.topo else 0
@@ -241,7 +263,7 @@ class FluidSimulator:
     # -- result assembly -----------------------------------------------------
     def run(self):
         """Compute the iteration and wrap it like the DES does."""
-        iteration_seconds = float(self.iteration_seconds())
+        iteration_seconds = self.iteration_seconds()
         return simulation_result(
             self, iteration_seconds,
             self.workload.compute_seconds / iteration_seconds,
@@ -275,88 +297,38 @@ class FluidSimulator:
             totals = [t / self.system.sync_period for t in totals]
         return totals
 
-    def iteration_seconds(self, bandwidth_bps=None):
+    def iteration_seconds(self, bandwidth_bps: Optional[float] = None
+                          ) -> float:
         """Length of one BSP iteration; the core closed-form evaluation.
 
-        ``bandwidth_bps`` may be a numpy array (an entire sweep axis): every
-        busy clock is then carried as a vector over the axis and the result
-        has the same shape, each element equal to the evaluation at that
-        bandwidth alone.  Axis evaluation requires the aggregate tier
-        (per-copy chaining orders events per axis element).
+        ``bandwidth_bps``, one NIC goodput, re-evaluates the iteration at it
+        (and stays the simulator's bandwidth).  A sweep is one call per
+        axis element (:func:`sweep_axis`): every clock is a plain float.
+
+        Raises:
+            ConfigurationError: on an array of bandwidths, before the
+                simulator is touched.
         """
         if bandwidth_bps is not None:
-            if self.detail and np.ndim(bandwidth_bps) > 0:
+            if isinstance(bandwidth_bps, np.ndarray):
                 raise ConfigurationError(
-                    "vectorized axis evaluation requires the aggregate tier")
-            self.bandwidth_bps = (float(bandwidth_bps) if self.detail
-                                  else bandwidth_bps)
-        if self.detail or self.num_workers <= 1:
-            return self._replay()
-        # The elements a pass replayed in their own event order keep their
-        # result; the others go round again, one of them leading.
-        given = self.bandwidth_bps
-        axis = np.asarray(given, dtype=float)
-        seconds = np.empty(axis.size)
-        todo = np.arange(axis.size)
-        while todo.size:
-            self.bandwidth_bps = axis.flat[todo]
-            result = np.broadcast_to(self._replay(), todo.shape)
-            own = self._popped_in_own_order()
-            seconds[todo[own]] = result[own]
-            todo = todo[~own]
-        self.bandwidth_bps = given
-        return seconds.reshape(axis.shape)[()]
-
-    def _replay(self):
-        """One pass over the phase heap at the current bandwidth (axis)."""
-        w = self.workload
-        compute_end = (w.forward_seconds
-                       + sum(u.backward_seconds for u in w.units)
-                       + w.tail_backward_seconds)
+                    "iteration_seconds takes one bandwidth; sweep_axis "
+                    "evaluates an axis")
+            self.bandwidth_bps = float(bandwidth_bps)
+        compute_end = self._compute_end
         if self.num_workers <= 1:
             return self._apply_faults(compute_end, compute_end)
-        self._compute_end = compute_end
-        self._events: List[tuple] = []
-        self._seq = 0
-        self._completions: List = []
-        self._popped: List[tuple] = []  # (when, seq), aggregate tier only
-        seq_mode = self.system.schedule is not ScheduleMode.WFBP
+        events = self._events = list(self._first_events)
+        self._seq = len(events)
+        self._completions: List[float] = []
+        self._joins: Dict[Tuple[int, int], list] = {}
         self._init_clocks()
-        t = w.forward_seconds
-        for unit_plan in reversed(self.plan.units):
-            t += unit_plan.unit.backward_seconds
-            ready = compute_end if seq_mode else t
-            if unit_plan.encode_seconds > 0.0:
-                # The compressor's encode pass delays the send, exactly
-                # like the DES's pre-dispatch timeout.
-                ready = ready + unit_plan.encode_seconds
-            self._at(ready, self._drive(unit_plan))
-        events, detail = self._events, self.detail
         while events:
-            _key, seq, when, fn = heapq.heappop(events)
-            if not detail:
-                self._popped.append((when, seq))
+            when, _seq, fn = heapq.heappop(events)
             fn(when)
-        result = compute_end
-        for completion in self._completions:
-            result = self._latest(result, completion)
+        result = max(compute_end, *self._completions)
         return self._apply_faults(self._apply_policy(result, compute_end),
                                   compute_end)
-
-    def _popped_in_own_order(self) -> np.ndarray:
-        """Which axis elements the last pass replayed in their own order.
-
-        The pass popped by ``(when[lead], seq)``; element ``j`` alone pops by
-        ``(when[j], seq)``.  If the recorded pops are sorted under that key
-        too, every pop was also ``j``'s minimum (the heap held only events
-        popped later), so by induction ``j`` saw exactly its own bookings.
-        """
-        when = np.empty((len(self._popped), np.size(self.bandwidth_bps)))
-        for row, (at, _seq) in zip(when, self._popped):
-            row[:] = at
-        step = np.diff(when, axis=0)
-        later = np.diff([seq for _at, seq in self._popped]) > 0
-        return ((step > 0.0) | ((step == 0.0) & later[:, None])).all(axis=0)
 
     def _apply_policy(self, total, compute):
         """Rescale one BSP iteration for the system's execution semantics.
@@ -385,9 +357,9 @@ class FluidSimulator:
             return total
         exposed = (total - compute) / period
         if staleness is None:
-            return self._latest(compute, exposed)
-        hidden = compute + self._latest(0.0, exposed - staleness * compute)
-        return self._latest(hidden, exposed)
+            return max(compute, exposed)
+        hidden = compute + max(0.0, exposed - staleness * compute)
+        return max(hidden, exposed)
 
     def _apply_faults(self, total, compute):
         """Add the closed-form fault environment on top of one iteration.
@@ -425,69 +397,72 @@ class FluidSimulator:
     # Phases are booked at their DES request times (push at the unit's
     # ready, pull at all_sent/aggregated, ...) so bookings from different
     # units land on the shared busy clocks in the same order the
-    # event-driven simulator issues them.  With a vector axis the heap
-    # orders by the lead (first) element and the entry keeps the whole
-    # vector for the callback: the arithmetic is elementwise, the order one
-    # element's -- which ``_popped_in_own_order`` checks for the others.
-    def _at(self, when, fn: Callable) -> None:
-        key = when if self.detail else float(np.asarray(when).flat[0])
-        heapq.heappush(self._events, (key, self._seq, when, fn))
+    # event-driven simulator issues them; ties pop in push order.
+    def _at(self, when: float, fn: Callable) -> None:
+        heapq.heappush(self._events, (when, self._seq, fn))
         self._seq += 1
 
-    def _pull_call(self, call):
+    def _pull_call(self, call: float) -> float:
         """The one gate: parameter traffic waits for backward-done unless
         the system overlaps pulls."""
         if self.system.overlap_pull:
             return call
-        return self._latest(call, self._compute_end)
+        return max(call, self._compute_end)
 
     # -- the phase driver ----------------------------------------------------
-    def _drive(self, plan: UnitPlan):
-        """Run one unit's phases: the only code that sequences them.
+    def _drive(self, unit: int, plan: UnitPlan,
+               schedule: Tuple[Tuple[Phase, Callable], ...]) -> Callable:
+        """One unit's driver: the only code that sequences its phases.
 
-        Bookers (one per phase kind and tier, ``_DETAIL`` / ``_AGGREGATE``)
-        put one phase's flows on the clocks from ``call`` and report
-        ``done(rack, finish)``; they never start a successor.  Phase
-        ``k + 1`` starts -- through the gate if it is gated -- when phase
-        ``k`` reports done: per rack under :attr:`Scope.GROUP`, else once
-        every rack (or the one whole-phase booking) has.  The tiers differ
+        ``schedule`` pairs each phase with its booker (one per phase kind
+        and tier, ``_DETAIL`` / ``_AGGREGATE``).  Bookers put one phase's
+        flows on the clocks from ``call`` and report ``done(rack,
+        finish)``; they never start a successor.  Phase ``k + 1`` starts
+        -- through the gate if it is gated -- when phase ``k`` reports
+        done: per rack under :attr:`Scope.GROUP`, else once every rack (or
+        the one whole-phase booking) has.  The tiers differ
         in when a phase re-enters the phase heap: the detail tier at every
         phase start, so bookings of different units land on the per-node
         clocks in request order; the aggregate tier (no racks to join) only
         at a gated phase -- an ungated successor is booked in the same slot,
         the hub's class clock already carrying the intermediate finish.
-        """
-        phases = plan.bytes.phases
-        bookers = self._DETAIL if self.detail else self._AGGREGATE
-        joins: Dict[int, list] = {}
 
+        Built once per simulator; returns the entry point ``start(call)``.
+        What a pass changes -- clocks, heap, and the joins of per-rack
+        reports (``self._joins``, keyed by unit and phase) -- lives on the
+        simulator.
+        """
         def run(index: int, rack: Optional[int], call) -> None:
-            if index == len(phases):
+            if index == len(schedule):
                 self._completions.append(call)
                 return
-            phase = phases[index]
+            phase, booker = schedule[index]
+            done = reports[index]
+            if phase.gated or (index and self.detail):
+                self._at(self._pull_call(call) if phase.gated else call,
+                         lambda when: booker(self, plan, phase, rack, when,
+                                             done))
+            else:  # the unit's ready time already is a heap hop
+                booker(self, plan, phase, rack, call, done)
 
+        def report(index: int, phase: Phase) -> Callable:
             def done(group: Optional[int], fin) -> None:
-                if phase.scope is Scope.ALL and index + 1 < len(phases):
-                    pending = joins.setdefault(index, [
-                        1 if group is None else len(self.plan.shape.racks),
-                        fin])
+                # A whole-phase booking (``group is None``) is its own join.
+                if (group is not None and phase.scope is Scope.ALL
+                        and index + 1 < len(schedule)):
+                    pending = self._joins.setdefault(
+                        (unit, index), [len(self.plan.shape.racks), fin])
                     pending[0] -= 1
-                    pending[1] = self._latest(pending[1], fin)
+                    pending[1] = max(pending[1], fin)
                     if pending[0]:
                         return
                     group, fin = None, pending[1]
                 run(index + 1, group, fin)
+            return done
 
-            def book(when) -> None:
-                bookers[phase.kind](self, plan, phase, rack, when, done)
-            if phase.gated:
-                self._at(self._pull_call(call), book)
-            elif index and self.detail:
-                self._at(call, book)
-            else:  # the unit's ready time already is a heap hop
-                book(call)
-        return lambda call: run(0, None, call)
+        reports = [report(index, phase)
+                   for index, (phase, _booker) in enumerate(schedule)]
+        return partial(run, 0, None)
 
     # -- clock state ---------------------------------------------------------
     def _init_clocks(self) -> None:
@@ -498,13 +473,16 @@ class FluidSimulator:
             self.ring_clock = 0.0
             return
         # Node-symmetric class clocks: one up/down pair stands in for the
-        # (statistically identical) worker NICs; they are rebound, never
-        # written in place.  The rack wires are one (racks, axis) array per
-        # direction.
-        zero = np.zeros(np.shape(self.bandwidth_bps))
-        self.up, self.down, self.ring_clock = [zero], [zero], zero
-        self.rku = np.zeros((self.nracks,) + zero.shape)
-        self.rkd = np.zeros_like(self.rku)
+        # (statistically identical) worker NICs.  The rack wires start as
+        # one class per profile; rku[k] / rkd[k] is class k's clock,
+        # _class_profile[k] its (members, cross) and _class_racks[k] how
+        # many racks it holds.  _alone maps a rack split off to its class.
+        self.up, self.down, self.ring_clock = [0.0], [0.0], 0.0
+        self._class_profile = list(self._profiles)
+        self._class_racks = list(self._profiles.values())
+        self.rku = [0.0] * len(self._class_profile)
+        self.rkd = [0.0] * len(self._class_profile)
+        self._alone: Dict[int, int] = {}
 
     # ========================================================================
     # detail tier: per-node replay of the DES bookings
@@ -549,7 +527,7 @@ class FluidSimulator:
         nic, rkc = (self.up, self.rku) if outbound else (self.down, self.rkd)
         tn = self._tn(nbytes)
         # Per rack: the bytes of one member's flow that leave it, their hold.
-        cross = [nbytes * share for share in self._cross[:, 0].tolist()]
+        cross = [nbytes * share for share in self._cross]
         wire = [self._wire(leaving) for leaving in cross]
         fin = call
         for node in nodes:
@@ -715,38 +693,52 @@ class FluidSimulator:
     }
 
     # ========================================================================
-    # aggregate tier: node-symmetric class clocks, racks an array dimension
+    # aggregate tier: node-symmetric class clocks, racks in rack classes
     # ========================================================================
     # Conventions: self.up[0]/self.down[0] are the worker-class NIC clocks;
-    # self.rku/self.rkd hold every rack's wire clock, booked a whole phase
-    # at a time against the (racks, 1) profile columns of ``__init__``: each
-    # element sees the float64 operations a per-rack, per-bandwidth loop
-    # would apply, in the same order.  Owners are round-robin over the
-    # server nodes, so with units << workers (always true at 1k+ nodes)
-    # every unit's owner NIC starts from the class clock -- the same
-    # approximation the cross-tier tests quantify.
+    # self.rku/self.rkd hold one wire clock per rack class (``_init_clocks``),
+    # so "every crossing rack" is a loop over a handful of classes at any
+    # rack count.  Each class clock sees the float64 operations a per-rack
+    # loop would apply to each of its racks, in the same order.  Owners are
+    # round-robin over the server nodes, so with units << workers (always
+    # true at 1k+ nodes) every unit's owner NIC starts from the class clock
+    # -- the same approximation the cross-tier tests quantify.
     # Same booker signature as the detail tier; ``rack`` is always ``None``.
-    def _book_racks(self, clock: np.ndarray, racks, call, hold):
-        """Queue ``hold`` behind ``call`` on the wire clocks of ``racks`` (a
-        mask column); returns the latest of their new busy tails."""
-        np.copyto(clock, np.maximum(call, clock) + hold, where=racks)
-        return clock.max(axis=0, where=racks, initial=-np.inf)
+    def _split_off(self, rack: int) -> int:
+        """The class holding ``rack`` alone, split off the class it shared
+        (carrying that class's clocks: their history is its history)."""
+        k = self._alone.get(rack)
+        if k is None:
+            k = self._class_profile.index(
+                (self._members[rack], self._cross[rack]))
+            if self._class_racks[k] > 1:
+                self._class_racks[k] -= 1
+                self._class_racks.append(1)
+                self._class_profile.append(self._class_profile[k])
+                self.rku.append(self.rku[k])
+                self.rkd.append(self.rkd[k])
+                k = len(self.rku) - 1
+            self._alone[rack] = k
+        return k
 
     def _agg_fabric(self, plan: UnitPlan, phase: Phase, rack, call,
                     done: Callable) -> None:
         """Workers against the KV fabric, the shards the other way."""
-        def fabric(nbytes: float, outbound: bool):
-            nic = self.up if outbound else self.down
-            fin = nic[0] = np.maximum(call, nic[0]) + self._tn(nbytes)
-            if self.topo:
-                fin = np.maximum(fin, self._book_racks(
-                    self.rku if outbound else self.rkd, self._crossing, call,
-                    self._members * self._wire(nbytes * self._cross)))
-            return fin
-
         outbound = phase.kind is PhaseKind.FABRIC_OUT
-        done(None, np.maximum(fabric(phase.nbytes, outbound),
-                              fabric(phase.hub_bytes, not outbound)))
+        fin = call
+        for nbytes, out in ((phase.nbytes, outbound),
+                            (phase.hub_bytes, not outbound)):
+            nic, clock = (self.up, self.rku) if out else (self.down, self.rkd)
+            nic[0] = max(call, nic[0]) + self._tn(nbytes)
+            fin = max(fin, nic[0])
+            if self.topo:
+                # Every rack with members whose traffic leaves it.
+                for k, (members, cross) in enumerate(self._class_profile):
+                    if members and cross:
+                        clock[k] = (max(call, clock[k])
+                                    + members * self._wire(nbytes * cross))
+                        fin = max(fin, clock[k])
+        done(None, fin)
 
     def _agg_fan(self, plan: UnitPlan, phase: Phase, rack, call,
                  done: Callable) -> None:
@@ -754,9 +746,9 @@ class FluidSimulator:
 
         The hub's NIC drains (or serializes) the fan from its class clock:
         peers in its rack at NIC rate, the others at the slower of NIC and
-        rack wire, whose holds are booked per rack.  What else is booked is
-        the recorded model of each peer pair, kept as it was (ROADMAP,
-        differential-oracle item):
+        rack wire, whose holds are booked per rack class.  What else is
+        booked is the recorded model of each peer pair, kept as it was
+        (ROADMAP, differential-oracle item):
 
         * workers <-> owner: every worker's one message also holds the
           other class clock; the owner's finish is stored nowhere -- with
@@ -769,37 +761,40 @@ class FluidSimulator:
         nbytes = phase.nbytes
         inbound = phase.kind is PhaseKind.FAN_IN
         many, hub = (self.up, self.down) if inbound else (self.down, self.up)
-        start = np.maximum(call, hub[0])
+        start = max(call, hub[0])
         if Peers.RACK_MEMBERS in (phase.src, phase.dst):
             members = len(self.plan.shape.racks[0])
             done(None, start + (members - 1) * self._tn(nbytes))
             return
         leaders = Peers.RACK_LEADERS in (phase.src, phase.dst)
-        o_rack = self._rack_of(plan.owner)
+        o_rack = self._rack[plan.owner]
         # Peers of the owner: all of them, and those outside its rack.
         if leaders:
             peers = len(self.plan.shape.racks) - 1
             cross = peers if self.topo else 0
         else:
             peers = self.num_workers - 1
-            cross = (self.num_workers - int(self._members[o_rack, 0])
+            cross = (self.num_workers - self._members[o_rack]
                      if self.topo else 0)
         fan = fin = (start + (peers - cross) * self._tn(nbytes)
                      + cross * self._tfs(nbytes))
         if not leaders:
-            many[0] = np.maximum(call, many[0]) + self._tn(nbytes)
-            fin = np.maximum(many[0], fan)
+            many[0] = max(call, many[0]) + self._tn(nbytes)
+            fin = max(many[0], fan)
         if cross:
             # The owner's rack carries the whole cross fan on one wire, every
             # other rack its share (one leader, or its members) on the other.
             near, far = ((self.rkd, self.rku) if inbound
                          else (self.rku, self.rkd))
             wire = self._wire(nbytes)
-            near[o_rack] = np.maximum(call, near[o_rack]) + cross * wire
-            share = 1 if leaders else self._members
-            fin = np.maximum(np.maximum(fin, near[o_rack]), self._book_racks(
-                far, (self._rack_ids != o_rack) & (share > 0), call,
-                share * wire))
+            owner = self._split_off(o_rack)
+            near[owner] = max(call, near[owner]) + cross * wire
+            fin = max(fin, near[owner])
+            for k, (members, _cross) in enumerate(self._class_profile):
+                share = 1 if leaders else members
+                if share and k != owner:
+                    far[k] = max(call, far[k]) + share * wire
+                    fin = max(fin, far[k])
         if leaders and inbound:
             self.down[0] = fin
         elif leaders:
@@ -818,44 +813,41 @@ class FluidSimulator:
                       if phase.src is Peers.RACK_LEADERS else n) - 1
             fin = call + copies * self._tn(nbytes)
             self.up[0] = fin
-            self.down[0] = np.maximum(self.down[0], fin)
+            self.down[0] = max(self.down[0], fin)
             done(None, fin)
             return
         slot = self._tn(nbytes)
-        members = int(self._members[0, 0]) if self.topo else n
+        members = self._members[0] if self.topo else n
         intra, cross = members - 1, n - members
         drain = intra * slot + cross * self._tfs(nbytes)
         # Symmetric convoy: every NIC sends N-1 and receives N-1 copies;
         # from an idle network the exact flat finish is (2N-3) slots
         # (pipeline fill of N-2 plus one receiver's full drain).
-        start = np.maximum(call, np.maximum(self.up[0], self.down[0]))
+        start = max(call, self.up[0], self.down[0])
         fin = start + (n - 2) * slot + drain
-        self.up[0] = np.maximum(call, self.up[0]) + drain
-        self.down[0] = np.maximum(call, self.down[0]) + drain
+        self.up[0] = max(call, self.up[0]) + drain
+        self.down[0] = max(call, self.down[0]) + drain
         if self.topo and cross:
             # The broadcast convoys sweep the racks in sender order, so the
             # per-copy max-coupling of (source rack up, dest rack down)
             # ratchets every rack-wire clock to the global maximum: cross
             # copies serialize globally, not per rack pair.  Book the whole
             # unit's cross traffic on one lockstep clock.
-            lock = (np.maximum(call, np.maximum(self.rku.max(axis=0),
-                                                self.rkd.max(axis=0)))
+            lock = (max(call, *self.rku, *self.rkd)
                     + n * cross * self._wire(nbytes))
-            self.rku[:] = lock
-            self.rkd[:] = lock
-            fin = np.maximum(fin, lock + self._tfs(nbytes))
+            self.rku[:] = self.rkd[:] = [lock] * len(self.rku)
+            fin = max(fin, lock + self._tfs(nbytes))
         done(None, fin)
 
     def _agg_ring(self, plan: UnitPlan, phase: Phase, rack, call,
                   done: Callable) -> None:
         """Lockstep ring steps: a full-cluster barrier on every clock."""
-        start = np.maximum(np.maximum(call, self.ring_clock),
-                           np.maximum(self.up[0], self.down[0]))
-        fin = start + phase.repeat * self._tfs(phase.nbytes)
+        fin = (max(call, self.ring_clock, self.up[0], self.down[0])
+               + phase.repeat * self._tfs(phase.nbytes))
         self.ring_clock = self.up[0] = self.down[0] = fin
         if self.topo:
-            np.maximum(self.rku, fin, out=self.rku)
-            np.maximum(self.rkd, fin, out=self.rkd)
+            self.rku[:] = [max(clock, fin) for clock in self.rku]
+            self.rkd[:] = [max(clock, fin) for clock in self.rkd]
         done(None, fin)
 
     _AGGREGATE = {
@@ -880,7 +872,7 @@ def simulate_fluid(model: ModelSpec, system: SystemConfig,
                           background_jobs=background_jobs).run()
 
 
-# -- vectorized axis sweeps --------------------------------------------------
+# -- axis sweeps --------------------------------------------------------------
 #: Warm aggregate-tier simulators, one per what-if query shape.
 _AXIS_SIMULATORS = Memo(registry_generation)
 
@@ -891,15 +883,15 @@ def sweep_axis(model: ModelSpec, system: SystemConfig,
                batch_size: Optional[int] = None,
                workload: Optional[IterationWorkload] = None,
                background_jobs: int = 0) -> np.ndarray:
-    """Iteration seconds across a whole bandwidth axis in one fluid pass.
+    """Iteration seconds across a whole bandwidth axis on the aggregate tier.
 
-    The entire axis is evaluated as numpy array ops over the precomputed
-    per-unit byte terms: every busy clock is a vector over the axis, so
-    adjacent sweep points share all structure derivation.  Repeat calls
-    with the same workload, system and cluster (bandwidth aside) reuse the
-    memoized simulator -- resolved plan and rack profile survive a change
-    of axis, so incremental what-if re-evaluation only pays the numpy
-    arithmetic (:func:`repro.memo.clear_all` forces the cold path).
+    One scalar pass per axis element, each the evaluation at that bandwidth
+    alone (its phases pop in its own order).  Every pass shares the
+    structure derivation: repeat calls with the same workload, system and
+    cluster (bandwidth aside) reuse the memoized simulator -- resolved plan
+    and rack profile survive a change of axis, so incremental what-if
+    re-evaluation only pays the passes (:func:`repro.memo.clear_all`
+    forces the cold path).
 
     Returns:
         ``np.ndarray`` of iteration seconds, same length as the axis.
@@ -914,8 +906,8 @@ def sweep_axis(model: ModelSpec, system: SystemConfig,
          int(background_jobs)),
         lambda: FluidSimulator(workload, cluster, system, mode="aggregate",
                                background_jobs=background_jobs))
-    axis = np.asarray([
-        cluster.with_bandwidth(bw).effective_bandwidth_bps
+    return np.array([
+        simulator.iteration_seconds(
+            cluster.with_bandwidth(bw).effective_bandwidth_bps)
         for bw in bandwidths_gbps
     ], dtype=float)
-    return np.asarray(simulator.iteration_seconds(bandwidth_bps=axis))

@@ -21,6 +21,17 @@ class TestTopology:
         assert cluster.config.server_nodes == (0, 1, 2, 3)
         assert len(cluster.machines) == 4
 
+    @pytest.mark.parametrize("workers", [1, 3, 40])
+    @pytest.mark.parametrize("servers_per_worker", [0.5, 1.0, 2.5])
+    def test_colocated_shards_round_robin_over_workers(self, workers,
+                                                       servers_per_worker):
+        """Shard s lives on worker s % P, for fewer, as many and more
+        shards than workers."""
+        servers = max(1, int(workers * servers_per_worker))
+        config = ClusterConfig(num_workers=workers, num_servers=servers)
+        assert config.server_nodes == tuple(
+            s % workers for s in range(servers))
+
     def test_dedicated_servers_get_extra_nodes(self):
         env = Environment()
         config = ClusterConfig(num_workers=4, num_servers=2, colocate_servers=False,

@@ -9,9 +9,10 @@ Four layers of protection:
 * exact-equality pins that ``engine="auto"`` below the node threshold
   reproduces the DES results byte-identically, and that unknown engine
   names raise ``ConfigurationError`` at every entry point;
-* internal consistency: the vectorized ``sweep_axis`` path equals
-  point-by-point aggregate evaluation bit for bit on every backend and in
-  any axis order, the detail and aggregate tiers agree within per-scheme
+* internal consistency: ``sweep_axis`` (one scalar pass per axis element)
+  equals point-by-point aggregate evaluation bit for bit on every backend
+  and in any axis order, both tiers compute on plain floats over a handful
+  of rack classes, the detail and aggregate tiers agree within per-scheme
   bounds where they overlap, and warm caches keyed on topology fields
   never leak state across oversubscription settings (the PR 3 memo-table
   audit);
@@ -290,7 +291,7 @@ def check_sweep_is_pointwise(system, cluster, jobs=0):
 
 
 class TestTiersAndSweeps:
-    """Aggregate tier, vectorized axis sweeps, warm caches."""
+    """Aggregate tier, bandwidth axis sweeps, warm caches."""
 
     @pytest.mark.parametrize("comm,tol", [
         ("ps", 0.20),
@@ -333,8 +334,8 @@ class TestTiersAndSweeps:
                              ids=lambda system: system.name)
     def test_sweep_axis_equals_pointwise(self, system, topology):
         """Every axis element is the evaluation at that bandwidth alone,
-        whichever element leads the pass: request times cross along the
-        axis, so an element replayed in another's event order is wrong."""
+        in any axis order: request times cross along the axis, so each
+        element's pass pops its phases in its own order."""
         check_sweep_is_pointwise(system, SWEEP_CLUSTERS[topology])
 
     @pytest.mark.parametrize("system", backend_systems(),
@@ -419,45 +420,104 @@ SCALAR_VARIANTS = (
 )
 
 
-class TestDetailTierIsScalar:
-    """The detail tier computes on plain floats; an axis needs the aggregate.
+#: Rack-class bound of each aggregate-tier cluster (profiles + owner racks):
+#: uniform racks, a ragged last rack, owners on three racks, and dedicated
+#: server racks.
+RACK_CLASS_CLUSTERS = {
+    "10000n/250r/4": (ClusterConfig(num_workers=10000, racks=250,
+                                    oversubscription=4.0), 2),
+    "1003n/26r/3": (SWEEP_CLUSTERS["ragged"], 3),
+    "1000n/125r/4": (ClusterConfig(num_workers=1000, racks=125,
+                                   oversubscription=4.0), 4),
+    "1000+100s/22r/4": (ClusterConfig(num_workers=1000, num_servers=100,
+                                      colocate_servers=False, racks=22,
+                                      oversubscription=4.0), 3),
+}
+
+
+class TestTiersAreScalar:
+    """Both tiers compute on plain floats; an axis is one pass per element.
 
     A deterministic stand-in for a timing gate: one ``np.float64`` on a
     clock turns every later ``+`` and ``max`` on it into numpy scalar
     arithmetic, several times the cost of the float it replaces.
     """
 
+    @staticmethod
+    def clocks(simulator):
+        return (simulator.up + simulator.down + simulator.rku
+                + simulator.rkd + [simulator.ring_clock])
+
+    @pytest.mark.parametrize("mode", ["detail", "aggregate"])
     @pytest.mark.parametrize("variant", SCALAR_VARIANTS,
                              ids=[v[0] for v in SCALAR_VARIANTS])
     @pytest.mark.parametrize("system", backend_systems(),
                              ids=lambda system: system.name)
-    def test_every_clock_is_a_python_float(self, system, variant):
+    def test_every_clock_is_a_python_float(self, system, variant, mode):
         _label, racks, oversub, jobs, vary = variant
         cluster = ClusterConfig(num_workers=64, bandwidth_gbps=10.0,
                                 racks=racks, oversubscription=oversub)
         workload = build_workload(VGG, gpu=cluster.gpu)
         simulator = FluidSimulator(workload, cluster, vary(system),
-                                   mode="detail", background_jobs=jobs)
+                                   mode=mode, background_jobs=jobs)
         seconds = simulator.iteration_seconds()
-        clocks = (simulator.up + simulator.down + simulator.rku
-                  + simulator.rkd + [simulator.ring_clock, seconds])
+        clocks = self.clocks(simulator) + [seconds]
         assert {type(clock) for clock in clocks} == {float}
-        axis = np.array([5e9, 1e10, 4e10])
-        swept = FluidSimulator(workload, cluster, vary(system),
-                               mode="aggregate", background_jobs=jobs
-                               ).iteration_seconds(bandwidth_bps=axis)
-        assert isinstance(swept, np.ndarray) and swept.shape == axis.shape
 
-    def test_rejected_axis_call_leaves_the_simulator_untouched(self):
-        cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0)
+    @pytest.mark.parametrize("mode", ["detail", "aggregate"])
+    def test_rejected_axis_call_leaves_the_simulator_untouched(self, mode):
+        cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0,
+                                racks=2, oversubscription=2.0)
         simulator = FluidSimulator(build_workload(VGG, gpu=cluster.gpu),
-                                   cluster, make_system("ps"))
+                                   cluster, make_system("hybrid"), mode=mode)
         before = simulator.iteration_seconds()
-        bandwidth = simulator.bandwidth_bps
-        with pytest.raises(ConfigurationError, match="aggregate tier"):
+        bandwidth, clocks = simulator.bandwidth_bps, self.clocks(simulator)
+        with pytest.raises(ConfigurationError, match="one bandwidth"):
             simulator.iteration_seconds(bandwidth_bps=np.array([1e9, 1e10]))
         assert simulator.bandwidth_bps == bandwidth
+        assert self.clocks(simulator) == clocks
         assert repr(simulator.iteration_seconds()) == repr(before)
+
+    @pytest.mark.parametrize("label", sorted(RACK_CLASS_CLUSTERS))
+    @pytest.mark.parametrize("system", backend_systems(),
+                             ids=lambda system: system.name)
+    def test_rack_classes_stay_few(self, system, label):
+        """A pass books one wire clock per rack class, not per rack: at most
+        one class per rack profile plus one per owner rack split off."""
+        cluster, bound = RACK_CLASS_CLUSTERS[label]
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        for variant in (system, system.with_partitioning(Partitioning.COARSE)):
+            simulator = FluidSimulator(workload, cluster, variant,
+                                       mode="aggregate")
+            seconds = simulator.iteration_seconds()
+            per_rack = cluster.nodes_per_rack
+            profiles = {min(per_rack, max(0, cluster.num_workers - rack
+                                          * per_rack))
+                        for rack in range(cluster.racks)}
+            owners = {cluster.rack_of(unit.owner)
+                      for unit in simulator.plan.units}
+            assert (len(simulator.rku) == len(simulator.rkd)
+                    <= len(profiles) + len(owners) <= bound)
+            clocks = self.clocks(simulator) + [seconds]
+            assert {type(clock) for clock in clocks} == {float}
+
+    @pytest.mark.parametrize("cluster", [
+        ClusterConfig(num_workers=1, bandwidth_gbps=40.0),
+        SWEEP_CLUSTERS["ragged"]], ids=["1n", "1003n/26r/3"])
+    def test_sweep_axis_has_one_value_per_element(self, cluster):
+        """Also on a one-worker cluster (no traffic at all), and an empty
+        axis gives an empty array."""
+        system = make_system("ps")
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        swept = sweep_axis(VGG, system, cluster, SWEEP_AXIS_GBPS,
+                           workload=workload)
+        assert swept.shape == (len(SWEEP_AXIS_GBPS),)
+        assert swept.tolist() == [
+            FluidSimulator(workload, cluster.with_bandwidth(bw), system,
+                           mode="aggregate").iteration_seconds()
+            for bw in SWEEP_AXIS_GBPS]
+        empty = sweep_axis(VGG, system, cluster, (), workload=workload)
+        assert empty.shape == (0,)
 
 
 class TestMultiJob:
@@ -614,6 +674,63 @@ def fluid_trace_points():
         yield (f"{system.name}|10000n/250r/4|sweep_axis",
                lambda system=system: [float(t) for t in sweep_axis(
                    VGG, system, big, TRACE_SWEEP_GBPS, workload=workload)])
+    yield from rack_class_trace_points(workload, backends)
+
+
+def rack_class_trace_points(workload, backends):
+    """Aggregate-tier points where racks differ: every way a rack class splits.
+
+    A ragged last rack (1003 = 25 x 39 + 28); dedicated server nodes, on a
+    part-filled worker rack (1000 + 1000 nodes on 25 racks) and on racks of
+    their own (1000 + 100 on 22); owners spread over three racks (1000
+    nodes on 125 racks of 8); two background jobs; a relaxed, faulty
+    policy; and a transformer sweep.
+    """
+    def cluster(label, **fields):
+        nodes, racks, oversub = label.split("/")
+        return ClusterConfig(num_workers=int(nodes.rstrip("n")),
+                             bandwidth_gbps=40.0, racks=int(racks.rstrip("r")),
+                             oversubscription=float(oversub), **fields)
+
+    def point(system, config, jobs=0, workload=workload):
+        return lambda: [float(FluidSimulator(
+            workload, config, system, mode="aggregate",
+            background_jobs=jobs).iteration_seconds())]
+
+    def sweep(system, config, model=VGG, workload=workload):
+        return lambda: [float(t) for t in sweep_axis(
+            model, system, config, TRACE_SWEEP_GBPS, workload=workload)]
+
+    ragged = cluster("1003n/26r/3")
+    spread = cluster("1000n/125r/4")
+    dedicated = {"1000+1000s/25r/4": cluster("1000n/25r/4",
+                                              colocate_servers=False),
+                 "1000+100s/22r/4": cluster("1000n/22r/4", num_servers=100,
+                                            colocate_servers=False)}
+    coarse_ps = backends[0].with_partitioning(Partitioning.COARSE)
+    for system in backends + (coarse_ps,):
+        name = system.name + (" coarse" if system is coarse_ps else "")
+        yield f"{name}|1003n/26r/3|aggregate", point(system, ragged)
+        yield f"{name}|1003n/26r/3|sweep_axis", sweep(system, ragged)
+        yield (f"{name}|no-overlap-pull|1003n/26r/3|sweep_axis",
+               sweep(replace(system, overlap_pull=False), ragged))
+        yield f"{name}|1000n/125r/4|aggregate", point(system, spread)
+        yield f"{name}|1000n/125r/4|sweep_axis", sweep(system, spread)
+        for label, config in dedicated.items():
+            yield f"{name}|{label}|aggregate", point(system, config)
+            yield f"{name}|{label}|sweep_axis", sweep(system, config)
+        yield (f"{name}|1000n/25r/4|aggregate|jobs=2",
+               point(system, cluster("1000n/25r/4"), jobs=2))
+        yield (f"{name}|ssp(2)+faults|1000n/25r/4|aggregate",
+               point(system.with_policy("ssp(2)").with_faults(
+                   straggler_fraction=0.1, straggler_factor=2.0,
+                   mtbf_seconds=3600.0, checkpoint_cost_seconds=5.0),
+                   cluster("1000n/25r/4")))
+    gpt_model = get_model_spec("nanogpt-12l")
+    gpt = build_workload(gpt_model)
+    for system in backends:
+        yield (f"nanogpt-12l {system.name}|10000n/250r/4|sweep_axis",
+               sweep(system, cluster("10000n/250r/4"), gpt_model, gpt))
 
 
 class TestRecordedFluidTrace:
@@ -652,9 +769,12 @@ if __name__ == "__main__":  # re-record: make fluid-trace
         json.dump({
             "note": ("repr() of FluidSimulator.iteration_seconds / "
                      "sweep_axis on vgg19; recorded at the parent of the "
-                     "phase-interpreter refactor (PR 16), the PS and 1-bit "
+                     "phase-interpreter refactor, the PS and 1-bit "
                      "PS sweep_axis vectors re-recorded when sweep_axis "
-                     "became exact per axis element (PR 17)"),
+                     "became exact per axis element; the rack-class keys "
+                     "(ragged, dedicated-server, spread-owner, jobs=2, "
+                     "ssp+faults, nanogpt-12l sweeps) recorded before the "
+                     "aggregate tier became scalar"),
             "points": points,
         }, fh, indent=1)
         fh.write("\n")
