@@ -26,15 +26,15 @@ scaling gate (the event graph used to be quadratic in cluster size), and the
 
 import pytest
 
-from repro.config import ClusterConfig
-from repro.engines import CAFFE_WFBP, POSEIDON_CAFFE
-from repro.engines.collective import RING_ALLREDUCE
+from repro.config import (CAFFE_WFBP, POSEIDON_CAFFE, ClusterConfig,
+                          poseidon_system)
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation.throughput import IterationSimulator
 from repro.simulation.workload import build_workload
 
 VGG19 = get_model_spec("vgg19")
 WORKLOAD = build_workload(VGG19)
+RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")
 
 
 def _simulate(system, nodes):

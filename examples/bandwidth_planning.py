@@ -15,8 +15,7 @@ Run::
 
 import argparse
 
-from repro.config import ClusterConfig
-from repro.engines import CAFFE_WFBP, POSEIDON_CAFFE
+from repro.config import CAFFE_WFBP, POSEIDON_CAFFE, ClusterConfig
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import simulate_system
 

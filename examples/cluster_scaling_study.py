@@ -14,7 +14,7 @@ Run::
 import argparse
 
 from repro.config import ClusterConfig
-from repro.engines import caffe_systems, tensorflow_systems
+from repro.experiments.figures import FIG5, FIG6
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import simulate_system
 from repro.simulation.speedup import scaling_curve
@@ -30,24 +30,25 @@ def main() -> None:
     args = parser.parse_args()
 
     model = get_model_spec(args.model)
-    systems = caffe_systems() if args.engine == "caffe" else tensorflow_systems()
+    systems = (FIG5 if args.engine == "caffe" else FIG6).systems
 
     print(f"{model.name} on up to {max(args.nodes)} nodes at "
           f"{args.bandwidth:g} GbE ({args.engine} engine)\n")
     print("Speedup vs. single node:")
-    for name, system in systems.items():
+    for system in systems:
         curve = scaling_curve(model, system, node_counts=args.nodes,
                               bandwidth_gbps=args.bandwidth)
         series = "  ".join(f"{n}:{s:5.1f}" for n, s in
                            zip(curve.node_counts, curve.speedups))
-        print(f"  {name:16s} {series}")
+        print(f"  {system.name:16s} {series}")
 
     largest = max(args.nodes)
     cluster = ClusterConfig(num_workers=largest, bandwidth_gbps=args.bandwidth)
     print(f"\nAt {largest} nodes:")
-    for name, system in systems.items():
+    for system in systems:
         result = simulate_system(model, system, cluster)
-        print(f"  {name:16s} traffic {result.mean_traffic_gbits:6.1f} Gb/node/iter   "
+        print(f"  {system.name:16s} traffic "
+              f"{result.mean_traffic_gbits:6.1f} Gb/node/iter   "
               f"GPU stall {result.gpu_stall_fraction * 100:5.1f}%")
 
 

@@ -16,7 +16,7 @@ Run::
 """
 
 from repro import ClusterConfig, PoseidonContext, TrainingConfig
-from repro.engines import CAFFE_PS, CAFFE_WFBP, POSEIDON_CAFFE
+from repro.config import CAFFE_PS, CAFFE_WFBP, POSEIDON_CAFFE
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import simulate_system
 

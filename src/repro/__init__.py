@@ -4,7 +4,10 @@ This package reproduces the system described in *"Poseidon: An Efficient
 Communication Architecture for Distributed Deep Learning on GPU Clusters"*
 (Zhang et al., USENIX ATC 2017).
 
-The library is organised in layers, bottom-up:
+The library is organised in layers, bottom-up, around the configuration
+values of :mod:`repro.config` -- the cluster, the training run and the
+*system* (schedule, partitioning, overlap, scheme, policy, fault and wire
+axes; the paper's Caffe and TensorFlow systems are named values of it):
 
 * :mod:`repro.nn` -- a numpy neural-network substrate plus a model zoo whose
   per-layer specifications match the networks evaluated in the paper.
@@ -15,7 +18,6 @@ The library is organised in layers, bottom-up:
   sufficient-factor broadcasting, the Adam strategy and 1-bit quantization.
 * :mod:`repro.core` -- Poseidon itself: coordinator, cost model, KV store,
   syncers, wait-free backpropagation and hybrid communication.
-* :mod:`repro.engines` -- Caffe-like and TensorFlow-like engine behaviour.
 * :mod:`repro.parallel` -- a functional (threaded, real numpy math)
   data-parallel training runtime.
 * :mod:`repro.simulation` -- throughput/traffic/convergence simulation used

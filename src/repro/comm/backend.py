@@ -676,6 +676,32 @@ def registered_backends() -> Dict[str, CommBackend]:
     return dict(_REGISTRY)
 
 
+def check_compression(comm: str, compressor: Any
+                      ) -> Optional[CompressionConfig]:
+    """Parse ``compressor`` and check that mode ``comm`` can carry it.
+
+    ``"hybrid"`` always can (its non-factorisable units stay on the PS), a
+    backend if it :meth:`~CommBackend.supports_compression`.  Plans and the
+    trainer ask here: a :class:`~repro.config.SystemConfig` cannot, since the
+    registry changes at run time.  Returns the parsed config (``None`` at
+    the identity); raises :class:`ConfigurationError` on an unparseable
+    spec, an unknown ``comm`` or a mode without a dense-gradient path.
+    """
+    config = CompressionConfig.parse(compressor)
+
+    def carries(mode: str) -> bool:
+        return (mode == HYBRID_MODE
+                or get_backend(mode).supports_compression(config))
+
+    if not carries(comm):
+        supported = ", ".join(mode for mode in (*_REGISTRY, HYBRID_MODE)
+                              if carries(mode))
+        raise ConfigurationError(
+            f"comm mode {comm!r} has no dense-gradient path for compressor "
+            f"{compressor!r} (supported modes: {supported})")
+    return None if config.is_identity else config
+
+
 def hybrid_candidates() -> Tuple[CommBackend, ...]:
     """Backends Algorithm 1 chooses between, in registration order."""
     return tuple(b for b in _REGISTRY.values() if b.hybrid_candidate)

@@ -145,9 +145,6 @@ def bucket_workload(workload: IterationWorkload,
     """
     if bucket_bytes is None:
         return workload, schemes
-    if bucket_bytes < 1:
-        raise ConfigurationError(
-            f"bucket_bytes must be >= 1, got {bucket_bytes}")
     key = (workload, tuple(schemes[unit.name] for unit in workload.units),
            int(bucket_bytes))
     return _BUCKETED.get(

@@ -1,10 +1,12 @@
-"""Cluster and training configuration objects.
+"""Cluster, training and system configuration objects.
 
 These dataclasses describe the experimental setup of the paper: a cluster of
 single-GPU machines connected by Ethernet of configurable bandwidth, where
 every machine acts as a worker and (usually) also hosts a shard of the
 parameter server, exactly as in the paper's testbed ("every node also holding
-1/8 of parameters as a PS shard", Section 2.2).
+1/8 of parameters as a PS shard", Section 2.2) -- and the *system* run on it,
+one frozen :class:`SystemConfig` whose named values are the paper's Caffe and
+TensorFlow systems (:data:`CAFFE_PS` ... :data:`CNTK_1BIT`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from repro import units
+from repro.core.policy import BSP, SyncPolicy
 from repro.exceptions import ConfigurationError
 
 
@@ -310,3 +313,175 @@ class TrainingConfig:
             raise ConfigurationError(
                 f"iterations must be non-negative, got {self.iterations}"
             )
+
+
+class ScheduleMode(str, enum.Enum):
+    """When layer synchronization may start relative to computation."""
+
+    #: Synchronize layer ``l`` as soon as its backward pass finishes
+    #: (Poseidon's wait-free backpropagation).
+    WFBP = "wfbp"
+    #: Synchronize only after the full backward pass (the vanilla PS baseline).
+    SEQUENTIAL = "sequential"
+
+
+class Partitioning(str, enum.Enum):
+    """How parameters are spread over PS shards."""
+
+    #: Poseidon's KV store: fixed-size (2 MB) pairs balanced across shards.
+    FINE = "fine"
+    #: Stock distributed TensorFlow: one whole tensor per shard.
+    COARSE = "coarse"
+
+
+@dataclass(frozen=True)
+class SystemConfig:
+    """Complete description of one evaluated system.
+
+    The value checks itself when it is built (``ConfigurationError`` on
+    anything no engine can run); whether ``comm``'s backend can carry the
+    compressor asks the run-time registry, so plans and the trainer do that
+    (:func:`repro.comm.backend.check_compression`).
+
+    Attributes:
+        name: label used in figures and result tables.
+        schedule: WFBP (overlap communication with backprop) or sequential.
+        partitioning: fine-grained KV pairs or coarse per-tensor placement.
+        comm: a registered backend name (every layer on that scheme, a
+            factor scheme leaving non-factorisable layers on ``"ps"``) or
+            ``"hybrid"`` (per-layer Algorithm 1).
+        overlap_pull: whether receiving updated parameters overlaps with the
+            backward pass (false for stock TF, which fetches at the start of
+            the next iteration, and for the vanilla Caffe+PS baseline).
+        overlap_host_copy: whether DRAM<->GPU staging copies are overlapped
+            with computation (false only for the vanilla Caffe+PS baseline,
+            which is why its single-node throughput is below plain Caffe).
+        host_copy_bandwidth_bps: effective bandwidth of non-overlapped
+            staging copies (lands single-node Caffe+PS near the paper's
+            213 / 21.3 / 18.5 img/s for GoogLeNet / VGG19 / VGG19-22K).
+        policy: execution semantics, the trainer's
+            :class:`~repro.core.policy.SyncPolicy` (BSP in every paper figure).
+        straggler_fraction: fraction of workers running slow each
+            iteration (quantized to whole workers: ``ceil(f*P)/P``).
+        straggler_factor: compute slowdown multiplier of a straggler.
+        mtbf_seconds: cluster mean-time-between-failures driving the
+            checkpoint/restart overhead model; ``None``: no failures.
+        checkpoint_interval_seconds: seconds between checkpoints; ``None``
+            picks the Young--Daly optimum ``sqrt(2*C*M)`` under an MTBF.
+        checkpoint_cost_seconds: seconds one checkpoint costs (``C``).
+        compressor: gradient compressor spec for the dense-gradient
+            backends (``"none"``, ``"onebit"``, ``"topk(k)"``,
+            ``"powersgd(r)"``; see :class:`repro.comm.wire.CompressionConfig`).
+        bucket_bytes: wire granularity -- fuse consecutive same-scheme
+            dense-gradient units into buckets of this many bytes
+            (:func:`repro.comm.bucketing.bucket_workload`); ``None`` keeps
+            per-layer messages.
+    """
+
+    name: str
+    schedule: ScheduleMode
+    partitioning: Partitioning
+    comm: str
+    overlap_pull: bool = True
+    overlap_host_copy: bool = True
+    host_copy_bandwidth_bps: float = 16 * units.GBIT
+    policy: SyncPolicy = BSP
+    straggler_fraction: float = 0.0
+    straggler_factor: float = 1.0
+    mtbf_seconds: Optional[float] = None
+    checkpoint_interval_seconds: Optional[float] = None
+    checkpoint_cost_seconds: float = 0.0
+    compressor: str = "none"
+    bucket_bytes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        wired = self.bucket_bytes is not None
+        if self.compressor != "none":
+            # Past the default: a plain system must not load repro.comm.
+            from repro.comm.wire import CompressionConfig
+            wired |= not CompressionConfig.parse(self.compressor).is_identity
+        mtbf, interval = self.mtbf_seconds, self.checkpoint_interval_seconds
+        for ok, problem in (
+                (isinstance(self.policy, SyncPolicy),
+                 f"policy {self.policy!r} is not a SyncPolicy (with_policy)"),
+                (self.host_copy_bandwidth_bps > 0,
+                 "host_copy_bandwidth_bps must be positive"),
+                (0.0 <= self.straggler_fraction <= 1.0,
+                 "straggler_fraction must be in [0, 1]"),
+                (self.straggler_factor >= 1, "straggler_factor must be >= 1"),
+                (mtbf is None or mtbf > 0, "mtbf_seconds must be positive"),
+                (interval is None or interval > 0,
+                 "checkpoint_interval_seconds must be positive"),
+                (self.checkpoint_cost_seconds >= 0,
+                 "checkpoint_cost_seconds must be >= 0"),
+                (self.bucket_bytes is None or self.bucket_bytes >= 1,
+                 "bucket_bytes must be >= 1"),
+                (not wired or self.partitioning is Partitioning.COARSE,
+                 "compressor/bucket_bytes require coarse partitioning; "
+                 "fine-grained KV pairs fix the wire granularity")):
+            if not ok:
+                raise ConfigurationError(f"system {self.name!r}: {problem}")
+
+    def with_policy(self, policy) -> "SystemConfig":
+        """Copy under a :class:`SyncPolicy` or any spec its ``parse`` takes
+        (``"ssp(2)"``, ``"async"``, ``"local-4"`` ...)."""
+        return replace(self, policy=SyncPolicy.parse(policy))
+
+    def with_faults(self, straggler_fraction: float = 0.0,
+                    straggler_factor: float = 1.0,
+                    mtbf_seconds: Optional[float] = None,
+                    checkpoint_interval_seconds: Optional[float] = None,
+                    checkpoint_cost_seconds: float = 0.0) -> "SystemConfig":
+        """Copy of this system under a fault environment.
+
+        The axes feed both engines: the DES injects per-worker compute
+        slowdowns and the fluid engine uses the closed-form straggler and
+        Young--Daly checkpoint models of :mod:`repro.core.faults`.
+        """
+        return replace(self, straggler_fraction=straggler_fraction,
+                       straggler_factor=straggler_factor,
+                       mtbf_seconds=mtbf_seconds,
+                       checkpoint_interval_seconds=checkpoint_interval_seconds,
+                       checkpoint_cost_seconds=checkpoint_cost_seconds)
+
+    def with_compression(self, compressor: str = "none",
+                         bucket_bytes: Optional[int] = None) -> "SystemConfig":
+        """Copy of this system under a compressor (what dense-gradient
+        backends put on the wire) and a bucket size (how many messages carry
+        it); both are orthogonal to the scheme choice."""
+        return replace(self, compressor=compressor, bucket_bytes=bucket_bytes)
+
+
+def poseidon_system(name: str, comm: str,
+                    partitioning: Partitioning = Partitioning.FINE
+                    ) -> SystemConfig:
+    """The Poseidon client library (WFBP, overlapped pulls and host copies)
+    over one scheme; every preset below is this or one ``replace`` of it."""
+    return SystemConfig(name=name, schedule=ScheduleMode.WFBP,
+                        partitioning=partitioning, comm=comm)
+
+
+# -- the systems of the paper's evaluation (Figures 5-11) ---------------------
+
+#: Caffe with a vanilla PS: sync after the backward pass, nothing overlapped.
+CAFFE_PS = replace(poseidon_system("Caffe+PS", "ps"),
+                   schedule=ScheduleMode.SEQUENTIAL, overlap_pull=False,
+                   overlap_host_copy=False)
+#: Caffe on Poseidon's client library with HybComm off (fine-grained PS only).
+CAFFE_WFBP = poseidon_system("Caffe+WFBP", "ps")
+#: The full system on Caffe: WFBP plus hybrid communication.
+POSEIDON_CAFFE = poseidon_system("Poseidon (Caffe)", "hybrid")
+#: Stock distributed TensorFlow: a whole tensor per PS task, and parameter
+#: fetches at the start of the iteration, not overlapped with backprop.
+TF = replace(poseidon_system("TF", "ps", Partitioning.COARSE),
+             overlap_pull=False)
+#: TensorFlow on Poseidon's client library, dense PS communication only.
+TF_WFBP = poseidon_system("TF+WFBP", "ps")
+#: The full system on TensorFlow.
+POSEIDON_TF = poseidon_system("Poseidon (TF)", "hybrid")
+#: Project Adam's SF-push / full-matrix-pull strategy (Figure 10).
+ADAM_TF = poseidon_system("Adam", "adam", Partitioning.COARSE)
+#: CNTK's 1-bit SGD (Section 5.3): quantized, with its error-feedback
+#: residual, on the host, so gradients are staged without overlap.
+CNTK_1BIT = replace(poseidon_system("CNTK-1bit", "onebit"),
+                    schedule=ScheduleMode.SEQUENTIAL, overlap_host_copy=False)

@@ -25,7 +25,8 @@ from functools import cached_property
 from typing import Any, Dict, List, Optional, Union
 
 from repro import units
-from repro.config import ClusterConfig, TrainingConfig
+from repro.config import (POSEIDON_CAFFE, ClusterConfig, Partitioning,
+                          SystemConfig, TrainingConfig)
 from repro.core.cost_model import CostModel
 from repro.core.kvstore import (
     KVStorePartition,
@@ -108,18 +109,17 @@ class CommunicationPlan:
 
 
 class PoseidonContext:
-    """Poseidon's planning facade for one (model, cluster, training) triple."""
+    """Poseidon's planning facade for one (model, cluster, training) triple:
+    the plan's mode is ``system.comm``, the KV store's ``partitioning``."""
 
     def __init__(self, model: ModelSpec, cluster: ClusterConfig,
                  training: Optional[TrainingConfig] = None,
-                 fine_grained: bool = True,
-                 hybrid_enabled: bool = True):
+                 system: SystemConfig = POSEIDON_CAFFE):
         self.model = model
         self.cluster = cluster
         self.training = training or TrainingConfig(
             batch_size=model.default_batch_size)
-        self.fine_grained = bool(fine_grained)
-        self.hybrid_enabled = bool(hybrid_enabled)
+        self.system = system
         self.cost_model = CostModel(cluster, self.training.batch_size)
 
     # -- information book ---------------------------------------------------------
@@ -169,13 +169,11 @@ class PoseidonContext:
         """Compute a plan: one :class:`SyncDecision` per parameter layer.
 
         Args:
-            force_scheme: bypass Algorithm 1 and put every layer the scheme
-                applies to onto it (the always-PS / always-SFB ablations);
-                a factor scheme still leaves non-decomposable layers on PS.
+            force_scheme: plan under this mode instead of the system's
+                ``comm`` (the always-PS / always-SFB ablations); a factor
+                scheme still leaves non-decomposable layers on PS.
         """
-        if force_scheme is None and not self.hybrid_enabled:
-            force_scheme = "ps"
-        mode = "hybrid" if force_scheme is None else force_scheme
+        mode = self.system.comm if force_scheme is None else force_scheme
         cost = self.cost_model.scheme_cost_bytes
         decisions = [
             SyncDecision(
@@ -204,7 +202,7 @@ class PoseidonContext:
     @cached_property
     def kv_partition(self) -> KVStorePartition:
         """The fine- (or coarse-) grained KV partition for this cluster."""
-        if self.fine_grained:
+        if self.system.partitioning is Partitioning.FINE:
             return partition_fine_grained(self.model, self.cluster.num_servers,
                                           self.cluster.kv_pair_bytes)
         return partition_coarse_grained(self.model, self.cluster.num_servers)
@@ -214,7 +212,7 @@ class PoseidonContext:
         """Per-node communication bytes per iteration.
 
         Args:
-            scheme: ``None`` for the hybrid plan, otherwise force a scheme.
+            scheme: ``None`` for the system's plan, otherwise force a scheme.
         """
         if scheme is None:
             return self.plan.hybrid_bytes_per_node

@@ -3,34 +3,22 @@
 WFBP overlaps communication with computation by starting a layer's
 synchronization "once its gradients are generated after [its backward
 pass]", instead of waiting for the whole backward pass to finish (Section
-3.1, Algorithm 2).  Two pieces live here:
-
-* :class:`ScheduleMode` -- the vocabulary shared by the functional trainer
-  and the throughput simulator (overlapped vs. sequential synchronization).
-* :class:`WFBPScheduler` -- the client library's thread pool: syncer jobs
-  are scheduled onto it as each layer's backward pass completes, and the
-  trainer waits for all of them before starting the next iteration
-  (``wait_until(sync_count == net.num_layers)`` in Algorithm 2).
+3.1, Algorithm 2).  :class:`WFBPScheduler` is the client library's thread
+pool: syncer jobs are scheduled onto it as each layer's backward pass
+completes, and the trainer waits for all of them before starting the next
+iteration (``wait_until(sync_count == net.num_layers)`` in Algorithm 2).
+Whether it overlaps is the system's :class:`~repro.config.ScheduleMode`,
+the vocabulary the trainer and both simulators share.
 """
 
 from __future__ import annotations
 
-import enum
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, List, Optional
 
+from repro.config import ScheduleMode
 from repro.exceptions import SyncTimeout, TrainingError, WorkerFailure
-
-
-class ScheduleMode(str, enum.Enum):
-    """When layer synchronization may start relative to computation."""
-
-    #: Synchronize layer ``l`` as soon as its backward pass finishes
-    #: (Poseidon's wait-free backpropagation).
-    WFBP = "wfbp"
-    #: Synchronize only after the full backward pass (the vanilla PS baseline).
-    SEQUENTIAL = "sequential"
 
 
 class WFBPScheduler:

@@ -12,32 +12,33 @@ decisions so its contribution can be quantified on the simulator:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Sequence
 
 from repro.comm.backend import choose_scheme
-from repro.config import ClusterConfig
-from repro.core.wfbp import ScheduleMode
-from repro.engines import POSEIDON_CAFFE
-from repro.engines.base import Partitioning
+from repro.config import (POSEIDON_CAFFE, ClusterConfig, Partitioning,
+                          ScheduleMode)
 from repro.experiments.figure import Figure, Table, Text
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation.throughput import simulate_system
 
-_SEQUENTIAL = POSEIDON_CAFFE.with_schedule(ScheduleMode.SEQUENTIAL)
+#: Each variant's label and the design choices it changes.
+_VARIANTS = (
+    ("full poseidon", {}),
+    ("no WFBP", {"schedule": ScheduleMode.SEQUENTIAL}),
+    ("no HybComm (PS only)", {"comm": "ps"}),
+    ("SFB for all FC layers", {"comm": "sfb"}),
+    ("coarse partitioning", {"partitioning": Partitioning.COARSE}),
+    ("no WFBP, no HybComm", {"schedule": ScheduleMode.SEQUENTIAL,
+                             "comm": "ps"}),
+)
 
 #: Full Poseidon and each variant with design choices removed, VGG19 on 16
 #: nodes at 10 GbE.
 FIGURE = Figure(
     models=("vgg19",),
-    systems=tuple(system.renamed(label) for label, system in (
-        ("full poseidon", POSEIDON_CAFFE),
-        ("no WFBP", _SEQUENTIAL),
-        ("no HybComm (PS only)", POSEIDON_CAFFE.with_comm("ps")),
-        ("SFB for all FC layers", POSEIDON_CAFFE.with_comm("sfb")),
-        ("coarse partitioning",
-         POSEIDON_CAFFE.with_partitioning(Partitioning.COARSE)),
-        ("no WFBP, no HybComm", _SEQUENTIAL.with_comm("ps")),
-    )),
+    systems=tuple(replace(POSEIDON_CAFFE, name=label, **change)
+                  for label, change in _VARIANTS),
     bandwidths=(10.0,),
     nodes=(16,),
     layout=(
@@ -55,7 +56,7 @@ def run_server_count_ablation(model_key: str = "vgg19", num_nodes: int = 16,
                               ) -> Dict[int, float]:
     """Speedup of PS-only Poseidon as the number of PS shards varies."""
     spec = get_model_spec(model_key)
-    system = POSEIDON_CAFFE.with_comm("ps").renamed("PS shards ablation")
+    system = replace(POSEIDON_CAFFE, name="PS shards ablation", comm="ps")
     speedups = {}
     for servers in server_counts:
         cluster = ClusterConfig(num_workers=num_nodes, num_servers=servers,

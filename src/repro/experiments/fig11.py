@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config import TrainingConfig
-from repro.core.wfbp import ScheduleMode
+from repro.config import (CNTK_1BIT, POSEIDON_CAFFE, ScheduleMode,
+                          TrainingConfig)
 from repro.data import make_cifar10_like, shard_dataset
-from repro.engines import CNTK_1BIT, POSEIDON_CAFFE
 from repro.experiments.report import format_table
 from repro.nn.model_zoo import (
     build_cifar_quick_network,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engines import POSEIDON_TF, TF
+from repro.config import POSEIDON_TF, TF
 from repro.experiments.figure import Figure, Points, Series, Text, render
 from repro.experiments.report import format_table
 from repro.simulation.convergence import (

@@ -2,19 +2,17 @@
 
 The paper evaluates PS, SFB, HybComm, Adam and 1-bit; the pluggable backend
 layer (:mod:`repro.comm.backend`) adds ring all-reduce and a hierarchical
-parameter server.  :func:`backend_systems` puts all seven on identical
-systems -- same engine, WFBP scheduling and overlapped pulls; only the
-communication scheme differs -- for the backend comparison, topology,
-scale and LLM figures and the repository benchmark.  This module imports
-no experiment machinery, so those callers stay cheap to import.
+parameter server.  :func:`backend_systems` puts all seven on the Poseidon
+client library (:func:`repro.config.poseidon_system`) for the backend,
+topology, scale and LLM figures and the repository benchmark.  This module
+imports no experiment machinery, so those callers stay cheap to import.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.wfbp import ScheduleMode
-from repro.engines.base import Partitioning, SystemConfig
+from repro.config import SystemConfig, poseidon_system
 
 #: Display label of every compared scheme, keyed by its comm name.
 SCHEME_LABELS: Tuple[Tuple[str, str], ...] = (
@@ -26,20 +24,6 @@ SCHEME_LABELS: Tuple[Tuple[str, str], ...] = (
     ("ring", "Ring-AllReduce"),
     ("hierps", "Hierarchical-PS"),
 )
-
-
-def poseidon_system(name: str, comm: str,
-                    partitioning: Partitioning = Partitioning.FINE
-                    ) -> SystemConfig:
-    """The Poseidon client (WFBP, overlapped pulls) over one scheme."""
-    return SystemConfig(
-        name=name,
-        schedule=ScheduleMode.WFBP,
-        partitioning=partitioning,
-        comm=comm,
-        overlap_pull=True,
-        overlap_host_copy=True,
-    )
 
 
 def backend_systems() -> Tuple[SystemConfig, ...]:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.config import SystemConfig, poseidon_system
 from repro.core.faults import fault_overhead_factor, young_daly_interval
 from repro.core.policy import SyncPolicy
-from repro.engines.base import SystemConfig
-from repro.experiments.fig_backends import poseidon_system
 from repro.experiments.figure import Figure, Series, Text, render
 from repro.experiments.report import format_series
 

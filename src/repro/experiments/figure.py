@@ -26,7 +26,7 @@ from typing import (Any, Dict, Hashable, Iterator, List, Mapping, NamedTuple,
 from repro import units
 from repro.comm.backend import registered_backends
 from repro.config import ClusterConfig
-from repro.engines.base import SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.report import format_table
 from repro.nn.model_zoo import get_model_spec
 from repro.nn.spec import ModelSpec

@@ -12,19 +12,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.config import ClusterConfig, TESLA_K80
-from repro.core.policy import SyncPolicy
-from repro.engines import (
+from repro.config import (
     ADAM_TF,
     CAFFE_PS,
     CAFFE_WFBP,
     POSEIDON_CAFFE,
     POSEIDON_TF,
+    TESLA_K80,
     TF,
     TF_WFBP,
+    ClusterConfig,
+    Partitioning,
+    poseidon_system,
 )
-from repro.engines.base import Partitioning
-from repro.experiments.fig_backends import backend_systems, poseidon_system
+from repro.core.policy import SyncPolicy
+from repro.experiments.fig_backends import backend_systems
 from repro.experiments.figure import Best, Figure, Series, Table, Text
 
 _SPEEDUP = "{result.speedup:.1f}"

@@ -29,18 +29,18 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 import numpy as np
 
 from repro.comm.averaging import ParameterAverager
-from repro.comm.backend import TrainerContext, WorkerResources, get_backend
+from repro.comm.backend import (TrainerContext, WorkerResources,
+                                check_compression, get_backend)
 from repro.comm.bucketing import GradientBucketer
 from repro.comm.compression import make_compressor
 from repro.comm.quantization import OneBitQuantizer
-from repro.comm.wire import CompressionConfig
-from repro.config import TrainingConfig
+from repro.config import ScheduleMode, TrainingConfig
 from repro.core.consistency import BSPController
 from repro.core.faults import FailureDetector, FaultInjector, FaultPlan
 from repro.core.policy import SyncPolicy
 from repro.core.staleness import SSPClock
 from repro.core.syncer import Syncer
-from repro.core.wfbp import DeterministicScheduler, ScheduleMode, WFBPScheduler
+from repro.core.wfbp import DeterministicScheduler, WFBPScheduler
 from repro.data.samplers import BatchSampler
 from repro.exceptions import (
     ConfigurationError,
@@ -257,20 +257,13 @@ class DistributedTrainer:
 
         # Wire axes: the compressor spec is parsed (and rejected) up front;
         # worker-local compressor instances are built in _build_worker.
-        parsed = CompressionConfig.parse(compressor)
         self.compressor_spec: Optional[str] = (
-            None if parsed.is_identity else str(compressor))
+            None if check_compression(mode, compressor) is None
+            else str(compressor))
         self.bucket_bytes = None if bucket_bytes is None else int(bucket_bytes)
         if self.bucket_bytes is not None and self.bucket_bytes < 1:
             raise ConfigurationError(
                 f"bucket_bytes must be >= 1, got {bucket_bytes}")
-        if self.compressor_spec is not None and mode != "hybrid":
-            backend = get_backend(mode)
-            if not backend.supports_compression(parsed):
-                raise ConfigurationError(
-                    f"mode {mode!r} has no dense-gradient path for "
-                    f"compressor {compressor!r}; compressible backends "
-                    f"carry dense gradients (ps, ring)")
         if self.recovery == "drop" and not self.policy.is_bsp_equivalent:
             raise TrainingError(
                 f"drop-dead-worker recovery needs a BSP-equivalent policy "
@@ -294,17 +287,12 @@ class DistributedTrainer:
         self.assignment: SchemeAssignment = assign_schemes(
             reference, mode, self.num_workers, self.num_servers, training.batch_size)
 
-        # Every substrate in play must be able to run the policy and the
-        # configured recovery mode (collectives reject "drop": a ring or
-        # bulletin board has no server that could renormalize to P-1).
+        # Every substrate in play must be able to serve the configured
+        # recovery mode (collectives reject "drop": a ring or bulletin board
+        # has no server that could renormalize to P-1); the policy is checked
+        # where each syncer is built (CommBackend.create_syncer).
         for scheme in sorted(set(self.assignment.schemes.values())):
             backend = get_backend(scheme)
-            if not backend.supports_policy(self.policy):
-                raise TrainingError(
-                    f"backend {scheme!r} cannot run under policy "
-                    f"{self.policy} (supported semantics: "
-                    f"{backend.sync_semantics})"
-                )
             if not backend.supports_fault_mode(self.recovery):
                 raise TrainingError(
                     f"backend {scheme!r} cannot run recovery mode "

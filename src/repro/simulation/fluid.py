@@ -59,10 +59,8 @@ import numpy as np
 
 from repro import units
 from repro.comm.backend import Peers, Phase, PhaseKind, Scope, registry_generation
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ScheduleMode, SystemConfig
 from repro.core.faults import fault_overhead_factor, straggler_excess_seconds
-from repro.core.wfbp import ScheduleMode
-from repro.engines.base import SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.nn.spec import ModelSpec
@@ -291,10 +289,10 @@ class FluidSimulator:
             totals[node] += worker
         for node in set(self.server_nodes):
             totals[node] += server
-        if self.system.sync_period > 1:
+        if self.system.policy.sync_period > 1:
             # Local SGD syncs every H-th round: per-iteration wire volume
             # amortizes to 1/H of the BSP figure.
-            totals = [t / self.system.sync_period for t in totals]
+            totals = [t / self.system.policy.sync_period for t in totals]
         return totals
 
     def iteration_seconds(self, bandwidth_bps: Optional[float] = None
@@ -333,16 +331,16 @@ class FluidSimulator:
     def _apply_policy(self, total, compute):
         """Rescale one BSP iteration for the system's execution semantics.
 
-        Under the defaults (``staleness == 0``, ``sync_period == 1``) the
-        BSP figure passes through untouched (byte-identical sweeps).  For
-        relaxed policies the transform works on the *exposed* (non-hidden)
-        communication time per round:
+        Under a BSP-equivalent policy the BSP figure passes through
+        untouched (byte-identical sweeps).  For relaxed policies the
+        transform works on the *exposed* (non-hidden) communication time per
+        round:
 
         - local SGD amortizes the sync over ``sync_period`` rounds, so the
           exposed share shrinks by ``1/H``;
         - SSP hides the remaining exposure under up to ``staleness``
           subsequent compute rounds;
-        - fully asynchronous execution (``staleness is None``) is the
+        - fully asynchronous execution (no staleness bound) is the
           staleness limit: per-round time is the larger of compute and the
           NIC-serialized exposure.
 
@@ -351,10 +349,10 @@ class FluidSimulator:
         pipeline -- which also makes throughput monotone in the staleness
         bound and continuous at ``s == 0``.
         """
-        staleness = self.system.staleness
-        period = self.system.sync_period
-        if staleness == 0 and period == 1:
+        policy = self.system.policy
+        if policy.is_bsp_equivalent:
             return total
+        staleness, period = policy.bound, policy.sync_period
         exposed = (total - compute) / period
         if staleness is None:
             return max(compute, exposed)
@@ -386,8 +384,8 @@ class FluidSimulator:
         excess = straggler_excess_seconds(
             compute, system.straggler_fraction, system.straggler_factor,
             self.num_workers,
-            staleness=(0 if system.staleness is None else system.staleness),
-            is_async=system.staleness is None)
+            staleness=system.policy.staleness,
+            is_async=system.policy.bound is None)
         factor = fault_overhead_factor(
             system.mtbf_seconds, system.checkpoint_interval_seconds,
             system.checkpoint_cost_seconds)

@@ -3,11 +3,12 @@
 Poseidon's coordinator makes one static decision per layer -- which scheme
 carries it and how many bytes that puts on the wire, from the layer's
 shape, the batch size and the cluster (Algorithm 1).  :func:`resolve_plan`
-makes it once per ``(workload, system, cluster)``: validate the wire axes,
-assign every unit a scheme (:func:`decide_schemes`), apply the bucketed
-wire granularity, place each unit on its owner shard and ask the scheme's
-backend for the unit's :class:`~repro.comm.backend.UnitBytes` -- payload
-and :class:`~repro.comm.backend.Phase` schedule, checked here against the
+makes it once per ``(workload, system, cluster)``: check the scheme can
+carry the system's compressor, assign every unit a scheme
+(:func:`decide_schemes`), apply the bucketed wire granularity, place each
+unit on its owner shard and ask the scheme's backend for the unit's
+:class:`~repro.comm.backend.UnitBytes` -- payload and
+:class:`~repro.comm.backend.Phase` schedule, checked here against the
 closed phase vocabulary.  The DES interpreter and the fluid engine (both
 tiers and its per-node traffic) read the frozen :class:`SyncPlan`; none of
 them prices a payload or sequences a scheme itself.
@@ -23,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cluster.machine import FABRIC
 from repro.comm.backend import (
     DEFAULT_RACK_SIZE,
-    HYBRID_MODE,
     PHASE_PEERS,
     CommBackend,
     Peers,
@@ -32,21 +32,20 @@ from repro.comm.backend import (
     Scope,
     SyncShape,
     UnitBytes,
+    check_compression,
     choose_scheme,
     get_backend,
-    registered_backends,
     registry_generation,
 )
-from repro.comm.wire import CompressionConfig, unit_compression_flops
-from repro.config import ClusterConfig
+from repro.comm.wire import unit_compression_flops
+from repro.config import ClusterConfig, Partitioning, SystemConfig
 from repro.core.cost_model import NetworkTopology
-from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
 
 __all__ = ["SyncPlan", "UnitPlan", "decide_schemes", "fan_groups",
-           "resolve_plan", "validate_compression"]
+           "resolve_plan"]
 
 #: Algorithm 1 only looks at the workload's units, the comm mode and the
 #: cluster shape, none of which vary across the bandwidth points of a sweep.
@@ -75,47 +74,6 @@ def decide_schemes(workload: IterationWorkload, comm: str,
                                      workload.batch_size, topology)
             for unit in workload.units
         })
-
-
-def _carries(comm: str, config: CompressionConfig) -> bool:
-    """Whether ``comm`` can carry ``config``: its backend has a dense-gradient
-    path (``"hybrid"`` always keeps its non-factorisable units on the PS)."""
-    return (comm == HYBRID_MODE
-            or get_backend(comm).supports_compression(config))
-
-
-def validate_compression(system: SystemConfig) -> Optional[CompressionConfig]:
-    """Parse and validate a system's compression/bucketing axes.
-
-    Returns the parsed config (``None`` at the identity).  A compressor on
-    a comm mode without a dense-gradient (``compressible``) backend, or
-    wire axes combined with fine-grained KV partitioning (whose 2 MB pairs
-    already fix the granularity and slice tensors across shards), fails
-    fast and identically in both engines.
-
-    Raises:
-        ConfigurationError: on an invalid combination or an unknown
-            ``comm`` name.
-    """
-    config = CompressionConfig.parse(system.compressor)
-    wire_axes_active = (not config.is_identity
-                       or system.bucket_bytes is not None)
-    if wire_axes_active and system.partitioning is not Partitioning.COARSE:
-        raise ConfigurationError(
-            f"system {system.name!r}: compressor/bucket_bytes require coarse "
-            f"partitioning; fine-grained KV pairs fix the wire granularity")
-    if not _carries(system.comm, config):
-        supported = ", ".join(
-            mode for mode in (*registered_backends(), HYBRID_MODE)
-            if _carries(mode, config))
-        raise ConfigurationError(
-            f"system {system.name!r}: comm mode {system.comm!r} has no "
-            f"dense-gradient path for compressor {system.compressor!r} "
-            f"(supported modes: {supported})")
-    if system.bucket_bytes is not None and system.bucket_bytes < 1:
-        raise ConfigurationError(
-            f"bucket_bytes must be >= 1, got {system.bucket_bytes}")
-    return None if config.is_identity else config
 
 
 @dataclass(frozen=True)
@@ -173,7 +131,8 @@ def resolve_plan(workload: IterationWorkload, system: SystemConfig,
     """Resolve (or fetch the memoized) :class:`SyncPlan`.
 
     Raises:
-        ConfigurationError: on an invalid compression/bucketing axis, or a
+        ConfigurationError: on a compressor the system's ``comm`` cannot
+            carry (:func:`~repro.comm.backend.check_compression`), or a
             scheme whose backend declares no ``unit_bytes``, no phases, or
             a phase outside the vocabulary (unknown kind or peer role, a
             repeat count no interpreter runs, a negative or non-finite size).
@@ -188,7 +147,7 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
     # package imports the engines (and through them this module).
     from repro.comm.bucketing import bucket_workload
 
-    compression = validate_compression(system)
+    compression = check_compression(system.comm, system.compressor)
     num_workers, num_servers = cluster.num_workers, cluster.num_servers
     schemes = decide_schemes(workload, system.comm, num_workers, num_servers,
                              NetworkTopology.from_cluster(cluster))

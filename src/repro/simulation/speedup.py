@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import ClusterConfig
-from repro.engines.base import SystemConfig
+from repro.config import ClusterConfig, SystemConfig
 from repro.nn.spec import ModelSpec
 from repro.simulation.fluid import resolve_engine, session_engine
 from repro.simulation.throughput import SimulationResult, simulate_system

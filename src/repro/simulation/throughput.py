@@ -33,10 +33,8 @@ from typing import Dict, List, Optional, Tuple
 from repro import units
 from repro.cluster.machine import ClusterModel
 from repro.comm.backend import PhaseKind, Scope, SyncShape, registry_generation
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ScheduleMode, SystemConfig
 from repro.core.faults import fault_overhead_factor
-from repro.core.wfbp import ScheduleMode
-from repro.engines.base import SystemConfig
 from repro.exceptions import SimulationError
 from repro.memo import Memo
 from repro.nn.spec import ModelSpec
@@ -47,12 +45,11 @@ from repro.simulation.plan import (
     decide_schemes,
     fan_groups,
     resolve_plan,
-    validate_compression,
 )
 from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
 
 __all__ = ["SimulationResult", "IterationSimulator", "decide_schemes",
-           "simulate_system", "validate_compression"]
+           "simulate_system"]
 
 
 @dataclass
@@ -350,8 +347,8 @@ class IterationSimulator:
     def run(self) -> SimulationResult:
         """Simulate the system and return per-iteration statistics.
 
-        Under the default execution semantics (``staleness == 0`` and
-        ``sync_period == 1``) this runs the single-iteration BSP simulation
+        Under a BSP-equivalent policy (``bsp``, ``ssp(0)``,
+        ``local_sgd(1)``) this runs the single-iteration BSP simulation
         unchanged.  Relaxed policies (SSP, async, local SGD) instead
         simulate several consecutive rounds in one environment -- workers
         advance their own clocks, gated only by the policy's staleness
@@ -360,7 +357,7 @@ class IterationSimulator:
         if self._ran:
             raise SimulationError("IterationSimulator instances are single-use")
         self._ran = True  # on entry: a run that raised left the queue half-drained
-        if self.system.staleness == 0 and self.system.sync_period == 1:
+        if self.system.policy.is_bsp_equivalent:
             result = self._run_bsp()
         else:
             result = self._run_policy()
@@ -528,8 +525,8 @@ class IterationSimulator:
         and SSP's pipelining of communication under later rounds' compute
         shows up as reduced per-iteration time.
         """
-        staleness = self.system.staleness
-        period = self.system.sync_period
+        staleness = self.system.policy.bound
+        period = self.system.policy.sync_period
         # Enough rounds to reach pipeline steady state.  The horizon is the
         # SAME for every relaxed policy (only the gate strength differs):
         # with per-policy horizons the warmup/drain rounds would amortize
@@ -603,7 +600,7 @@ class IterationSimulator:
         machine = self.cluster.machine(worker)
         gpu = machine.gpu
         start = self.env.now
-        staleness = self.system.staleness
+        staleness = self.system.policy.bound
         for r in range(rounds):
             # SSP staleness gate: before computing round r, the sync of the
             # latest sync round at or before r - 1 - s must have landed.
@@ -627,7 +624,7 @@ class IterationSimulator:
                 yield from gpu.compute(staging_seconds * scale)
             yield from gpu.compute(self.workload.forward_seconds * scale)
 
-            is_sync = (r + 1) % self.system.sync_period == 0
+            is_sync = (r + 1) % self.system.policy.sync_period == 0
             view = views.get(r)
             sync_barrier = self._sync_done[(worker, r)] if is_sync else None
             pending_sequential = []

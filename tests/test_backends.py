@@ -28,14 +28,19 @@ from repro.comm.backend import (
 )
 from repro.comm.hierarchical import HierarchicalParameterServer, HierPSSyncer
 from repro.comm.ring import RingAllReducer, RingSyncer
-from repro.config import ClusterConfig, TrainingConfig
+from repro.config import (
+    TF,
+    TF_WFBP,
+    ClusterConfig,
+    TrainingConfig,
+    poseidon_system,
+)
 from repro.core.cost_model import (
     CostModel,
     ps_combined_cost,
     sfb_worker_cost,
 )
 from repro.core.poseidon import PoseidonContext
-from repro.engines import HIERARCHICAL_PS, RING_ALLREDUCE, TF_WFBP
 from repro.exceptions import CommunicationError, ConfigurationError, TrainingError
 from repro.data import make_linearly_separable, shard_dataset
 from repro.nn.layers import Dense
@@ -449,6 +454,10 @@ class TestNewTrainerModes:
         assert trainer.parameter_server is None
 
 
+RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")
+HIERARCHICAL_PS = poseidon_system("Hierarchical-PS", "hierps")
+
+
 class TestNewSimulatorSystems:
     @pytest.mark.parametrize("system,scheme", [(RING_ALLREDUCE, "ring"),
                                                (HIERARCHICAL_PS, "hierps")])
@@ -469,13 +478,11 @@ class TestNewSimulatorSystems:
 
     def test_hierps_reduces_cross_rack_flows_on_conv_model(self):
         """Rack aggregation must beat the coarse per-tensor baseline at scale."""
-        from repro.engines import TF
-
         spec = get_model_spec("googlenet")
         cluster = ClusterConfig(num_workers=32, bandwidth_gbps=10.0)
         hier = simulate_system(spec, HIERARCHICAL_PS, cluster)
-        coarse = simulate_system(spec, TF.with_schedule(HIERARCHICAL_PS.schedule),
-                                 cluster)
+        coarse = simulate_system(
+            spec, replace(TF, schedule=HIERARCHICAL_PS.schedule), cluster)
         assert hier.speedup > coarse.speedup
 
 

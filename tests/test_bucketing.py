@@ -29,10 +29,14 @@ from hypothesis import given, settings, strategies as st
 from repro.comm import wire
 from repro.comm.bucketing import GradientBucketer, bucket_workload
 from repro.comm.wire import CompressionConfig
-from repro.config import ClusterConfig, TrainingConfig
-from repro.core.wfbp import ScheduleMode
+from repro.config import (
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
+    SystemConfig,
+    TrainingConfig,
+)
 from repro.data import make_linearly_separable, shard_dataset
-from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import build_mlp_network, get_model_spec
 from repro.parallel import DistributedTrainer

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import wire
-from repro.comm.backend import get_backend
+from repro.comm.backend import check_compression, get_backend
 from repro.comm.compression import (
     OneBitCompressor,
     PowerSGDCompressor,
@@ -38,12 +38,16 @@ from repro.comm.compression import (
 )
 from repro.comm.quantization import OneBitQuantizer
 from repro.comm.wire import CompressionConfig
-from repro.config import ClusterConfig, TrainingConfig
+from repro.config import (
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
+    SystemConfig,
+    TrainingConfig,
+)
 from repro.core.cost_model import CostModel
 from repro.core.faults import CrashFault, FaultPlan
-from repro.core.wfbp import ScheduleMode
 from repro.data import make_linearly_separable, shard_dataset
-from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import (
     build_mlp_network,
@@ -53,10 +57,7 @@ from repro.nn.model_zoo import (
 from repro.nn.spec import LayerKind
 from repro.parallel import DistributedTrainer
 from repro.simulation.fluid import FluidSimulator
-from repro.simulation.throughput import (
-    IterationSimulator,
-    validate_compression,
-)
+from repro.simulation.throughput import IterationSimulator
 from repro.simulation.workload import build_workload
 
 VGG = get_model_spec("vgg19")
@@ -396,24 +397,27 @@ class TestValidation:
             name="probe", comm="ps",
             schedule=ScheduleMode.WFBP, partitioning=Partitioning.FINE,
             overlap_pull=True, overlap_host_copy=True,
-        ).with_compression("topk(0.1)")
-        with pytest.raises(ConfigurationError):
-            validate_compression(fine)
-        cluster = ClusterConfig(num_workers=4, bandwidth_gbps=10.0)
-        workload = build_workload(VGG, gpu=cluster.gpu)
-        with pytest.raises(ConfigurationError):
-            IterationSimulator(workload, cluster, fine)
-        with pytest.raises(ConfigurationError):
-            FluidSimulator(workload, cluster, fine)
+        )
+        # No simulator is reached: the system value refuses to exist.
+        with pytest.raises(ConfigurationError, match="coarse partitioning"):
+            fine.with_compression("topk(0.1)")
+        with pytest.raises(ConfigurationError, match="coarse partitioning"):
+            fine.with_compression(bucket_bytes=1 << 20)
 
     def test_simulators_reject_compressor_on_non_dense_backend(self):
         system = coarse_system("sfb", "topk(0.1)")
-        with pytest.raises(ConfigurationError):
-            validate_compression(system)
+        with pytest.raises(ConfigurationError, match="dense-gradient path"):
+            check_compression(system.comm, system.compressor)
+        cluster = ClusterConfig(num_workers=4, bandwidth_gbps=10.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        with pytest.raises(ConfigurationError, match="dense-gradient path"):
+            IterationSimulator(workload, cluster, system)
+        with pytest.raises(ConfigurationError, match="dense-gradient path"):
+            FluidSimulator(workload, cluster, system)
 
     def test_validate_identity_returns_none(self):
-        assert validate_compression(coarse_system("ps")) is None
-        config = validate_compression(coarse_system("ps", "topk(0.1)"))
+        assert check_compression("ps", "none") is None
+        config = check_compression("ps", "topk(0.1)")
         assert config is not None and config.kind == "topk"
 
 

@@ -1,16 +1,31 @@
-"""Tests for cluster and training configuration objects."""
+"""Tests for cluster, training and system configuration objects."""
+
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.config import (
+    ADAM_TF,
+    CAFFE_PS,
+    CAFFE_WFBP,
+    CNTK_1BIT,
+    POSEIDON_CAFFE,
+    POSEIDON_TF,
+    TESLA_K80,
+    TF,
+    TF_WFBP,
+    TITAN_X,
     BandwidthPreset,
     ClusterConfig,
     GpuModel,
-    TESLA_K80,
-    TITAN_X,
+    Partitioning,
+    ScheduleMode,
+    SystemConfig,
     TrainingConfig,
 )
+from repro.core.policy import BSP
 from repro.exceptions import ConfigurationError
+from repro.experiments.fig_backends import backend_systems
 
 
 class TestBandwidthPreset:
@@ -96,3 +111,83 @@ class TestTrainingConfig:
     def test_invalid_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainingConfig(**kwargs)
+
+
+WFBP, SEQUENTIAL = ScheduleMode.WFBP, ScheduleMode.SEQUENTIAL
+FINE, COARSE = Partitioning.FINE, Partitioning.COARSE
+
+#: Every preset's fields past ``overlap_host_copy``, as recorded before the
+#: presets moved here (host-copy bandwidth, policy -- the recorded
+#: ``staleness=0, sync_period=1`` pair -- straggler fraction and factor,
+#: MTBF, checkpoint interval and cost, compressor, bucket bytes).
+DEFAULT_TAIL = (16_000_000_000, BSP, 0.0, 1.0, None, None, 0.0, "none", None)
+
+#: (system, (name, schedule, partitioning, comm, overlap_pull,
+#: overlap_host_copy)) of the paper's eight systems and the seven compared
+#: schemes, as recorded before the presets moved here.
+RECORDED_SYSTEMS = (
+    (CAFFE_PS, ("Caffe+PS", SEQUENTIAL, FINE, "ps", False, False)),
+    (CAFFE_WFBP, ("Caffe+WFBP", WFBP, FINE, "ps", True, True)),
+    (POSEIDON_CAFFE, ("Poseidon (Caffe)", WFBP, FINE, "hybrid", True, True)),
+    (TF, ("TF", WFBP, COARSE, "ps", False, True)),
+    (TF_WFBP, ("TF+WFBP", WFBP, FINE, "ps", True, True)),
+    (POSEIDON_TF, ("Poseidon (TF)", WFBP, FINE, "hybrid", True, True)),
+    (ADAM_TF, ("Adam", WFBP, COARSE, "adam", True, True)),
+    (CNTK_1BIT, ("CNTK-1bit", SEQUENTIAL, FINE, "onebit", True, False)),
+    *zip(backend_systems(), (
+        ("PS", WFBP, FINE, "ps", True, True),
+        ("SFB", WFBP, FINE, "sfb", True, True),
+        ("HybComm", WFBP, FINE, "hybrid", True, True),
+        ("1-bit PS", WFBP, FINE, "onebit", True, True),
+        ("Adam", WFBP, FINE, "adam", True, True),
+        ("Ring-AllReduce", WFBP, FINE, "ring", True, True),
+        ("Hierarchical-PS", WFBP, FINE, "hierps", True, True),
+    )),
+)
+
+
+class TestSystemConfig:
+    def test_presets_are_the_recorded_values(self):
+        assert len(backend_systems()) == 7
+        for system, recorded in RECORDED_SYSTEMS:
+            values = tuple(getattr(system, f.name) for f in fields(system))
+            assert values == (*recorded, *DEFAULT_TAIL), system.name
+
+    def test_has_fifteen_fields(self):
+        names = [f.name for f in fields(SystemConfig)]
+        assert len(names) == 15 and "policy" in names
+        assert "staleness" not in names and "sync_period" not in names
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: replace(POSEIDON_CAFFE, straggler_factor=0.5),
+                     id="straggler-factor-below-one"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE, straggler_fraction=2.0),
+                     id="straggler-fraction-above-one"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE,
+                                     host_copy_bandwidth_bps=0),
+                     id="zero-host-copy-bandwidth"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE, mtbf_seconds=-5.0),
+                     id="negative-mtbf"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE,
+                                     checkpoint_cost_seconds=-1.0),
+                     id="negative-checkpoint-cost"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE,
+                                     checkpoint_interval_seconds=0.0),
+                     id="zero-checkpoint-interval"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE, bucket_bytes=0),
+                     id="zero-bucket-bytes"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE, compressor="topk("),
+                     id="malformed-compressor"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE, compressor="topk(0.01)"),
+                     id="compressor-on-fine-partitioning"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE, policy="ssp(2)"),
+                     id="policy-spec-not-parsed"),
+        pytest.param(lambda: POSEIDON_CAFFE.with_policy("local_sgd(0)"),
+                     id="local-sgd-period-zero"),
+    ])
+    def test_bad_system_fails_when_built(self, build):
+        """A value no engine can run fails when it is built.  The field
+        cases used to build, and the DES and the fluid engine then crashed
+        on them, disagreed, or one of them ran them silently."""
+        with pytest.raises(ConfigurationError):
+            build()

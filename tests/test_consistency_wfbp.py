@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from repro.config import ScheduleMode
 from repro.core.consistency import BSPController
-from repro.core.wfbp import ScheduleMode, WFBPScheduler
+from repro.core.wfbp import WFBPScheduler
 from repro.exceptions import TrainingError
 
 

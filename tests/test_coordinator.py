@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ClusterConfig, TrainingConfig
+from repro.config import CAFFE_WFBP, TF, ClusterConfig, TrainingConfig
 from repro.core.poseidon import PoseidonContext
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import get_model_spec
@@ -59,8 +59,7 @@ class TestBestSchemeAndPartition:
 
     def test_coarse_partition_option(self, vgg19_spec):
         context = PoseidonContext(vgg19_spec, ClusterConfig(num_workers=8),
-                                  TrainingConfig(batch_size=32),
-                                  fine_grained=False)
+                                  TrainingConfig(batch_size=32), system=TF)
         assert context.kv_partition.imbalance() > 1.5
 
 
@@ -123,7 +122,8 @@ class TestPoseidonContext:
 
     def test_hybrid_disabled_forces_ps(self, vgg19_spec):
         context = PoseidonContext(vgg19_spec, ClusterConfig(num_workers=16),
-                                  TrainingConfig(batch_size=32), hybrid_enabled=False)
+                                  TrainingConfig(batch_size=32),
+                                  system=CAFFE_WFBP)
         assert context.plan.sfb_layer_names == []
 
     def test_bytes_per_iteration_scheme_comparison(self, vgg19_spec):

@@ -16,8 +16,8 @@ import pytest
 
 from repro.comm.adam import AdamSFServer
 from repro.comm.parameter_server import ShardedParameterServer
-from repro.config import TrainingConfig
-from repro.core.wfbp import DeterministicScheduler, ScheduleMode
+from repro.config import ScheduleMode, TrainingConfig
+from repro.core.wfbp import DeterministicScheduler
 from repro.data import make_linearly_separable, shard_dataset
 from repro.experiments.fig11 import run_fig11
 from repro.nn.model_zoo import build_mlp_network, build_transformer_network

@@ -22,8 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.cluster.machine import FABRIC, ClusterModel
-from repro.config import ClusterConfig
-from repro.engines import (
+from repro.config import (
     ADAM_TF,
     CAFFE_PS,
     CAFFE_WFBP,
@@ -32,6 +31,7 @@ from repro.engines import (
     POSEIDON_TF,
     TF,
     TF_WFBP,
+    ClusterConfig,
 )
 from repro.exceptions import SimulationError
 from repro.nn.model_zoo import get_model_spec

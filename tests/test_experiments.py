@@ -366,18 +366,32 @@ class TestRunner:
         assert run_experiments(names, quick=True, jobs=jobs) + "\n" == recorded
 
 
+def _loaded_by_import(module):
+    """Every module a fresh interpreter holds after ``import module``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert module in loaded
+    return loaded
+
+
 class TestImportClosure:
     def test_backend_systems_loads_neither_trainer_nor_data(self):
         """The benchmark's setup probes import backend_systems; that must
         not pull in the functional trainer or the datasets."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        loaded = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro.experiments.fig_backends; "
-             "print(*sorted(sys.modules))"],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src}).stdout.split()
-        assert "repro.experiments.fig_backends" in loaded
+        loaded = _loaded_by_import("repro.experiments.fig_backends")
         assert "repro.parallel.trainer" not in loaded
         assert [name for name in loaded
                 if name == "repro.data" or name.startswith("repro.data.")] == []
+
+    def test_system_value_loads_no_comm_simulation_or_trainer_module(self):
+        """A SystemConfig checks itself without the backend registry, which
+        it must not reach: the registry changes at run time."""
+        loaded = _loaded_by_import("repro.config")
+        assert [name for name in loaded
+                if name.split(".")[:2] in (["repro", "comm"],
+                                           ["repro", "simulation"],
+                                           ["repro", "parallel"])] == []

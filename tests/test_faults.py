@@ -21,7 +21,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ClusterConfig
+from repro.config import (
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
+    SystemConfig,
+)
 from repro.core.faults import (
     CrashFault,
     FailureDetector,
@@ -34,8 +39,6 @@ from repro.core.faults import (
     straggler_excess_seconds,
     young_daly_interval,
 )
-from repro.core.wfbp import ScheduleMode
-from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError, TransientFault, WorkerFailure
 from repro.simulation.fluid import simulate_fluid
 from repro.simulation.throughput import simulate_system

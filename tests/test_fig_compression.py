@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engines.base import Partitioning
+from repro.config import Partitioning
 from repro.experiments.figure import Best, render
 from repro.experiments.figures import COMPRESSION_VARIANTS, FIG_COMPRESSION
 from repro.experiments.runner import EXPERIMENTS

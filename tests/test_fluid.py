@@ -33,9 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm.backend import SyncShape, get_backend, registered_backends
-from repro.config import ClusterConfig
-from repro.core.wfbp import ScheduleMode
-from repro.engines import (
+from repro.config import (
     ADAM_TF,
     CAFFE_PS,
     CAFFE_WFBP,
@@ -44,8 +42,11 @@ from repro.engines import (
     POSEIDON_TF,
     TF,
     TF_WFBP,
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
+    SystemConfig,
 )
-from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
@@ -412,7 +413,7 @@ SCALAR_VARIANTS = (
     ("no-overlap-pull", 4, 4.0, 0,
      lambda system: replace(system, overlap_pull=False)),
     ("sequential", 4, 4.0, 0,
-     lambda system: system.with_schedule(ScheduleMode.SEQUENTIAL)),
+     lambda system: replace(system, schedule=ScheduleMode.SEQUENTIAL)),
     ("ssp+faults", 4, 4.0, 0,
      lambda system: system.with_policy("ssp(2)").with_faults(
          straggler_fraction=0.1, straggler_factor=2.0, mtbf_seconds=3600.0,
@@ -486,7 +487,8 @@ class TestTiersAreScalar:
         one class per rack profile plus one per owner rack split off."""
         cluster, bound = RACK_CLASS_CLUSTERS[label]
         workload = build_workload(VGG, gpu=cluster.gpu)
-        for variant in (system, system.with_partitioning(Partitioning.COARSE)):
+        coarse = replace(system, partitioning=Partitioning.COARSE)
+        for variant in (system, coarse):
             simulator = FluidSimulator(workload, cluster, variant,
                                        mode="aggregate")
             seconds = simulator.iteration_seconds()
@@ -645,11 +647,11 @@ def fluid_trace_points():
                 for label, variant in (
                     ("no-overlap-pull", replace(system, overlap_pull=False)),
                     ("sequential",
-                     system.with_schedule(ScheduleMode.SEQUENTIAL)),
-                    ("coarse", replace(
-                        system.with_partitioning(Partitioning.COARSE),
-                        overlap_pull=False)))]
-    coarse_ps = backends[0].with_partitioning(Partitioning.COARSE)
+                     replace(system, schedule=ScheduleMode.SEQUENTIAL)),
+                    ("coarse", replace(system,
+                                       partitioning=Partitioning.COARSE,
+                                       overlap_pull=False)))]
+    coarse_ps = replace(backends[0], partitioning=Partitioning.COARSE)
     variants.append(("PS|coarse|topk+buckets", coarse_ps.with_compression(
         "topk(0.01)", bucket_bytes=4 << 20)))
     for label, system in variants:
@@ -707,7 +709,7 @@ def rack_class_trace_points(workload, backends):
                                               colocate_servers=False),
                  "1000+100s/22r/4": cluster("1000n/22r/4", num_servers=100,
                                             colocate_servers=False)}
-    coarse_ps = backends[0].with_partitioning(Partitioning.COARSE)
+    coarse_ps = replace(backends[0], partitioning=Partitioning.COARSE)
     for system in backends + (coarse_ps,):
         name = system.name + (" coarse" if system is coarse_ps else "")
         yield f"{name}|1003n/26r/3|aggregate", point(system, ragged)

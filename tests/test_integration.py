@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, PoseidonContext, TrainingConfig
+from repro.config import CAFFE_WFBP, POSEIDON_CAFFE
 from repro.data import make_cifar10_like, shard_dataset
-from repro.engines import CAFFE_WFBP, POSEIDON_CAFFE
 from repro.nn.model_zoo import build_cifar_quick_small_network, get_model_spec
 from repro.parallel import DistributedTrainer
 from repro.simulation import simulate_system

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import TrainingConfig
-from repro.core.wfbp import ScheduleMode
+from repro.config import ScheduleMode, TrainingConfig
 from repro.data import make_linearly_separable, shard_dataset
 from repro.exceptions import TrainingError
 from repro.nn.model_zoo import build_mlp_network

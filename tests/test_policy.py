@@ -20,13 +20,17 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ClusterConfig, TrainingConfig
+from repro.config import (
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
+    SystemConfig,
+    TrainingConfig,
+)
 from repro.core.cost_model import CostModel
 from repro.core.policy import BSP, SyncPolicy
 from repro.core.staleness import SSPClock
-from repro.core.wfbp import ScheduleMode
 from repro.data import make_linearly_separable, shard_dataset
-from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.model_zoo import build_mlp_network
 from repro.parallel import DistributedTrainer
@@ -204,7 +208,8 @@ class TestTrainerPolicies:
 
     def test_unsupported_policy_rejected_at_construction(self):
         factory, shards, config = _make_setup()
-        with pytest.raises(TrainingError, match="cannot run under policy"):
+        with pytest.raises(ConfigurationError,
+                           match="cannot run under policy"):
             DistributedTrainer(factory, NUM_WORKERS, shards, config,
                                mode="sfb", policy="ssp-2")
 
@@ -254,11 +259,12 @@ class TestSystemConfigPolicy:
     ])
     def test_with_policy_maps_axes(self, spec, staleness, period):
         system = _system().with_policy(spec)
-        assert (system.staleness, system.sync_period) == (staleness, period)
+        assert system.policy == SyncPolicy.parse(spec)
+        assert (system.policy.bound, system.policy.sync_period) == (
+            staleness, period)
 
     def test_defaults_are_bsp(self):
-        system = _system()
-        assert (system.staleness, system.sync_period) == (0, 1)
+        assert _system().policy is BSP
 
 
 @pytest.mark.parametrize("engine", ["des", "fluid"])

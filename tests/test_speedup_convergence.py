@@ -1,19 +1,19 @@
 """Tests for scaling sweeps, convergence models and engine descriptors."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config import ClusterConfig
-from repro.core.wfbp import ScheduleMode
-from repro.engines import (
+from repro.config import (
     CAFFE_PS,
     CAFFE_WFBP,
     POSEIDON_CAFFE,
     POSEIDON_TF,
     TF,
-    caffe_systems,
-    tensorflow_systems,
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
 )
-from repro.engines.base import Partitioning
 from repro.exceptions import ConfigurationError
 from repro.simulation.convergence import (
     RESNET152_FINAL_ERROR,
@@ -116,14 +116,6 @@ class TestConvergenceModel:
 
 
 class TestSystemDescriptors:
-    def test_caffe_systems_registry(self):
-        systems = caffe_systems()
-        assert set(systems) == {"Caffe+PS", "Caffe+WFBP", "Poseidon (Caffe)"}
-
-    def test_tensorflow_systems_registry(self):
-        systems = tensorflow_systems()
-        assert set(systems) == {"TF", "TF+WFBP", "Poseidon (TF)"}
-
     def test_poseidon_uses_hybrid_and_wfbp(self):
         assert POSEIDON_CAFFE.comm == "hybrid"
         assert POSEIDON_CAFFE.schedule is ScheduleMode.WFBP
@@ -137,13 +129,14 @@ class TestSystemDescriptors:
         assert CAFFE_PS.overlap_host_copy is False
         assert CAFFE_PS.schedule is ScheduleMode.SEQUENTIAL
 
-    def test_with_helpers_return_modified_copies(self):
-        modified = POSEIDON_CAFFE.with_comm("ps")
+    def test_replace_returns_modified_copies(self):
+        modified = replace(POSEIDON_CAFFE, comm="ps")
         assert modified.comm == "ps"
         assert POSEIDON_CAFFE.comm == "hybrid"
-        renamed = POSEIDON_CAFFE.renamed("x")
+        renamed = replace(POSEIDON_CAFFE, name="x")
         assert renamed.name == "x"
-        rescheduled = POSEIDON_CAFFE.with_schedule(ScheduleMode.SEQUENTIAL)
+        rescheduled = replace(POSEIDON_CAFFE, schedule=ScheduleMode.SEQUENTIAL)
         assert rescheduled.schedule is ScheduleMode.SEQUENTIAL
-        repartitioned = POSEIDON_CAFFE.with_partitioning(Partitioning.COARSE)
+        repartitioned = replace(POSEIDON_CAFFE,
+                                partitioning=Partitioning.COARSE)
         assert repartitioned.partitioning is Partitioning.COARSE

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engines import CAFFE_WFBP, POSEIDON_CAFFE
+from repro.config import CAFFE_WFBP, POSEIDON_CAFFE
 from repro.experiments.figure import Figure, Key, render
 from repro.experiments.figures import FIG5, FIG8
 from repro.experiments.runner import run_experiments

@@ -50,13 +50,16 @@ from repro.comm.backend import (
     register_backend,
     unregister_backend,
 )
-from repro.config import ClusterConfig, TrainingConfig
+from repro.config import (
+    POSEIDON_TF,
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
+    TrainingConfig,
+    poseidon_system,
+)
 from repro.core.cost_model import NetworkTopology
 from repro.core.poseidon import PoseidonContext
-from repro.core.wfbp import ScheduleMode
-from repro.engines import POSEIDON_TF
-from repro.engines.base import Partitioning
-from repro.engines.collective import RING_ALLREDUCE
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
@@ -70,6 +73,7 @@ from repro.simulation.workload import build_workload
 
 ALEXNET = get_model_spec("alexnet")
 VGG = get_model_spec("vgg19")
+RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")
 
 #: Flat, and two racks at 2:1 oversubscription.
 TOPOLOGIES = ((1, 1.0), (2, 2.0))
@@ -670,10 +674,10 @@ class TestAxisMemoKeysOnWholeInputs:
     CLUSTER = ClusterConfig(num_workers=256, bandwidth_gbps=40.0)
 
     VARIANTS = {
-        "schedule": (POSEIDON_TF.with_schedule(ScheduleMode.SEQUENTIAL),
+        "schedule": (replace(POSEIDON_TF, schedule=ScheduleMode.SEQUENTIAL),
                      CLUSTER),
-        "partitioning": (POSEIDON_TF.with_partitioning(Partitioning.COARSE),
-                         CLUSTER),
+        "partitioning": (
+            replace(POSEIDON_TF, partitioning=Partitioning.COARSE), CLUSTER),
         "overlap_pull": (replace(POSEIDON_TF, overlap_pull=False), CLUSTER),
         "latency_seconds": (POSEIDON_TF,
                             replace(CLUSTER, latency_seconds=5e-3)),

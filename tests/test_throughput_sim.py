@@ -5,9 +5,7 @@ from unittest import mock
 import pytest
 
 from repro.cluster.machine import ClusterModel
-from repro.config import ClusterConfig
-from repro.core.wfbp import ScheduleMode
-from repro.engines import (
+from repro.config import (
     ADAM_TF,
     CAFFE_PS,
     CAFFE_WFBP,
@@ -16,8 +14,10 @@ from repro.engines import (
     POSEIDON_TF,
     TF,
     TF_WFBP,
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
 )
-from repro.engines.base import Partitioning
 from repro.exceptions import SimulationError
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import build_workload, simulate_system

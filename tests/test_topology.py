@@ -20,7 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.machine import ClusterModel
 from repro.comm.backend import get_backend, hybrid_choice
-from repro.config import ClusterConfig
+from repro.config import (
+    ClusterConfig,
+    Partitioning,
+    ScheduleMode,
+    SystemConfig,
+)
 from repro.core.cost_model import (
     CostModel,
     NetworkTopology,
@@ -28,8 +33,6 @@ from repro.core.cost_model import (
     ps_combined_cost,
     sfb_worker_cost,
 )
-from repro.core.wfbp import ScheduleMode
-from repro.engines.base import Partitioning, SystemConfig
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.nn.spec import LayerKind, LayerSpec
 from repro.sim import Environment
