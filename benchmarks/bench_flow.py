@@ -17,7 +17,12 @@ event graph:
   chunk steps per unit, booked as one hold per worker in a ring-only BSP
   plan and, being symmetric too, stepped once: 110 events (565 / 2,125
   with every worker; 2,320 / 32,320 while every step had its own
-  all-worker countdown).
+  all-worker countdown);
+* the LLM convoy (``nanogpt-12l`` under HybComm, 16 nodes, 40 GbE) is
+  the dearest DES point of a planner pass: 11,760 of its 19,374 events
+  are broadcast copies, each one queue entry and the float operations
+  that book it -- the event count is the floor, the time per copy the
+  gate.
 
 The 8-node points track the constant overheads; the 32-node points are the
 scaling gate (the event graph used to be quadratic in cluster size), and the
@@ -34,12 +39,13 @@ from repro.simulation.workload import build_workload
 
 VGG19 = get_model_spec("vgg19")
 WORKLOAD = build_workload(VGG19)
+LLM_WORKLOAD = build_workload(get_model_spec("nanogpt-12l"))
 RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")
 
 
-def _simulate(system, nodes):
+def _simulate(system, nodes, workload=WORKLOAD):
     cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=40.0)
-    simulator = IterationSimulator(WORKLOAD, cluster, system)
+    simulator = IterationSimulator(workload, cluster, system)
     result = simulator.run()
     return result, simulator.env.events_processed
 
@@ -66,4 +72,12 @@ def test_flow_sim_ring(benchmark, nodes):
     """One VGG19 iteration under ring all-reduce (lockstep chunk steps)."""
     result, events = benchmark(_simulate, RING_ALLREDUCE, nodes)
     assert result.iteration_seconds > 0
+    benchmark.extra_info["events_processed"] = events
+
+
+def test_flow_sim_llm_convoy(benchmark):
+    """One nanogpt-12l iteration under HybComm at 16 nodes (SFB convoy)."""
+    result, events = benchmark(_simulate, POSEIDON_CAFFE, 16, LLM_WORKLOAD)
+    assert result.iteration_seconds > 0
+    assert events == 19374  # every worker stepped; a copy is one entry
     benchmark.extra_info["events_processed"] = events

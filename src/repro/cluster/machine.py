@@ -172,9 +172,9 @@ class ClusterModel:
                 members = min(rack_size, num_nodes - rack_id * rack_size)
                 self.rack_switches.append(RackSwitch(
                     env, rack_id, config.rack_bisection_bps(members)))
-            # Per-node lookup tables: rack_of / fabric_cross_fraction sit on
-            # every flow's hot path, so the chained config properties are
-            # resolved once here.
+            # Per-node lookup tables: every flow reads its endpoints' racks
+            # and fabric cross fraction, so the chained config properties
+            # are resolved once here.
             for node_id in range(num_nodes):
                 rack = node_id // rack_size
                 members = min(rack_size, num_nodes - rack * rack_size)
@@ -344,47 +344,29 @@ class ClusterModel:
         serialise through the shared rack switch channels; intra-rack
         flows take the historical path untouched.
         """
-        if nbytes < 0 or repeat < 1:
+        if not nbytes >= 0 or repeat < 1:
             raise SimulationError(f"negative size or repeat < 1: {nbytes} x {repeat}")
         if FABRIC in (src, dst) and (src == dst or repeat > 1):
             raise SimulationError("transfer needs one real endpoint, two to repeat")
         if src == dst or nbytes == 0:
             return
-        src_nic = None if src == FABRIC else self.machine(src).nic
-        dst_nic = None if dst == FABRIC else self.machine(dst).nic
+        env = self.env
+        bits = units.bytes_to_bits(nbytes)
 
-        if self.topology_active:
-            if src_nic is not None and dst_nic is not None:
-                if self.rack_of(src) != self.rack_of(dst):
-                    yield from self._cross_rack_transfer(
-                        src, dst, src_nic, dst_nic, nbytes, tag, repeat=repeat)
-                    return
-            else:
-                node = src if src_nic is not None else dst
-                nic = src_nic if src_nic is not None else dst_nic
-                cross_bytes = nbytes * self.fabric_cross_fraction(node)
+        if src == FABRIC or dst == FABRIC:
+            outbound = dst == FABRIC
+            node = src if outbound else dst
+            nic = self.machine(node).nic
+            if self.topology_active:
+                cross_bytes = nbytes * self._cross_fraction_by_node[node]
                 if cross_bytes > 0.0:
                     yield from self._rack_fabric_flow(
-                        node, nic, src_nic is not None, nbytes, cross_bytes,
-                        tag)
+                        node, nic, outbound, nbytes, cross_bytes, tag)
                     return
-
-        bandwidth = min(
-            nic.bandwidth_bps for nic in (src_nic, dst_nic) if nic is not None
-        )
-        latency = max(
-            nic.latency_seconds for nic in (src_nic, dst_nic) if nic is not None
-        )
-        duration = repeat * (units.transfer_seconds(nbytes, bandwidth) + latency)
-        env = self.env
-
-        if src_nic is None or dst_nic is None:
             # Fabric flow: a single channel, so the whole hold is one
             # analytic booking (or a chained wait behind an open hold).
-            if src_nic is not None:
-                channel = src_nic.uplink
-            else:
-                channel = dst_nic.downlink
+            duration = bits / nic.bandwidth_bps + nic.latency_seconds
+            channel = nic.uplink if outbound else nic.downlink
             release = channel._release
             if release is None or release.triggered:
                 finish = channel.book(duration)
@@ -398,12 +380,22 @@ class ClusterModel:
                 finish = env._now + duration
                 channel.release(mine, finish)
                 yield mine  # the release entry doubles as our own wake-up
-            if src_nic is not None:
-                src_nic.traffic.record_sent(nbytes, tag)
+            if outbound:
+                nic.traffic.record_sent(nbytes, tag)
             else:
-                dst_nic.traffic.record_received(nbytes, tag)
+                nic.traffic.record_received(nbytes, tag)
             return
 
+        src_nic = self.machine(src).nic
+        dst_nic = self.machine(dst).nic
+        if (self.topology_active
+                and self._rack_by_node[src] != self._rack_by_node[dst]):
+            yield from self._cross_rack_transfer(
+                src, dst, src_nic, dst_nic, nbytes, tag, repeat=repeat)
+            return
+        duration = repeat * (
+            bits / min(src_nic.bandwidth_bps, dst_nic.bandwidth_bps)
+            + max(src_nic.latency_seconds, dst_nic.latency_seconds))
         up = src_nic.uplink
         down = dst_nic.downlink
         # Phase 1: the uplink, claimed at call time.
@@ -496,7 +488,7 @@ class ClusterModel:
         rack additionally serialise through the source rack's uplink and
         the destination rack's downlink while the batch holds the NIC.
         """
-        if nbytes_each < 0:
+        if not nbytes_each >= 0:
             raise SimulationError(f"negative transfer size: {nbytes_each}")
         destinations = [dst for dst in dst_ids if dst != src]
         if not destinations or nbytes_each == 0:
@@ -504,6 +496,27 @@ class ClusterModel:
         env = self.env
         src_nic = self.machine(src).nic
         up = src_nic.uplink
+        # Every copy's receiver channel, account, hold and path, resolved
+        # (each id validated) before the batch starts.  The hold is
+        # bits / min(bandwidth) + max(latency) of the two NICs, as in
+        # transfer(); a copy is then one queue entry and the float
+        # operations that book it.
+        bits = units.bytes_to_bits(nbytes_each)
+        bandwidth, latency = src_nic.bandwidth_bps, src_nic.latency_seconds
+        racks = self._rack_by_node if self.topology_active else None
+        copies = []
+        for dst in destinations:
+            dst_nic = self.machine(dst).nic
+            bw = dst_nic.bandwidth_bps
+            lat = dst_nic.latency_seconds
+            copies.append((
+                dst, dst_nic, dst_nic.downlink, dst_nic.traffic,
+                bits / (bw if bw < bandwidth else bandwidth)
+                + (lat if lat > latency else latency),
+                racks is not None and racks[src] != racks[dst]))
+        sent = src_nic.traffic
+        sent_by_tag = sent.by_tag_sent
+        timeout_at = env.timeout_at
         # Replicate the hop structure of the per-destination processes so
         # same-instant interleaving with other flows is unchanged: a copy
         # requested its receiver's downlink one queue hop after its uplink
@@ -514,31 +527,34 @@ class ClusterModel:
         if acquired_synchronously:
             yield env.timeout(0.0)
         yield env.timeout(0.0)
-        for dst in destinations:
-            dst_nic = self.machine(dst).nic
-            if self.topology_active and self.rack_of(src) != self.rack_of(dst):
+        for dst, dst_nic, down, received, duration, cross_rack in copies:
+            if cross_rack:
                 # Cross-rack copy: serialise through both rack switches
                 # (while this process keeps holding the batch uplink).
                 yield from self._cross_rack_transfer(
                     src, dst, src_nic, dst_nic, nbytes_each, tag,
                     uplink_held=True)
                 continue
-            bandwidth = min(src_nic.bandwidth_bps, dst_nic.bandwidth_bps)
-            latency = max(src_nic.latency_seconds, dst_nic.latency_seconds)
-            duration = units.transfer_seconds(nbytes_each, bandwidth) + latency
-            down = dst_nic.downlink
             previous = down._release
             if previous is None or previous.triggered:
-                finish = down.book(duration)
-                yield env.timeout_at(finish)
+                # TailChannel.book, inline: start at max(now, tail).
+                start = down.tail
+                now = env._now
+                finish = (start if start > now else now) + duration
+                down.tail = finish
+                yield timeout_at(finish)
             else:
                 down_release = Event(env)
                 down._release = down_release
                 yield previous
                 down.release(down_release, env._now + duration)
                 yield down_release
-            src_nic.traffic.record_sent(nbytes_each, tag)
-            dst_nic.traffic.record_received(nbytes_each, tag)
+            # TrafficAccount.record_sent / record_received, inline.
+            sent.bytes_sent += nbytes_each
+            sent_by_tag[tag] = sent_by_tag.get(tag, 0.0) + nbytes_each
+            received.bytes_received += nbytes_each
+            by_tag = received.by_tag_received
+            by_tag[tag] = by_tag.get(tag, 0.0) + nbytes_each
         up.release(up_release)
 
     def _fabric_fan(self, node_ids: List[int], nbytes_each: float, tag: str,
@@ -556,7 +572,7 @@ class ClusterModel:
         hold.  One deferred event fires at the last finish.
         """
         env = self.env
-        if nbytes_each < 0:
+        if not nbytes_each >= 0:
             raise SimulationError(f"negative transfer size: {nbytes_each}")
         if not node_ids or nbytes_each == 0:
             return Event(env).succeed()

@@ -18,6 +18,10 @@ process-resume path are written allocation-consciously:
   making ``yield env.timeout(...)`` cost one :class:`Timeout` allocation,
   one heap-entry tuple, and one generator resume per step.
 
+Every time guard reads ``not time >= now`` (``not delay >= 0``), so a NaN
+fails it: a NaN entry would pop first, set the clock to NaN and let every
+later event run at its bare delay.
+
 Determinism is unchanged relative to the historical event-based
 implementation: every queue entry -- event or thunk -- consumes one tick of
 the same monotonically increasing sequence counter, so the relative order
@@ -120,7 +124,7 @@ class Event:
             SimulationError: if ``time`` lies in the past.
         """
         env = self.env
-        if time < env._now:
+        if not time >= env._now:
             raise SimulationError(
                 f"cannot succeed_at into the past: {time} < {env._now}")
         if self.triggered:
@@ -166,7 +170,7 @@ class Timeout(Event):
     ok = True
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         # Inlined Event.__init__ (minus the shadowed constants).
         self.env = env
@@ -474,7 +478,7 @@ class Environment:
         # Hand-inlined Timeout construction (this is the hottest allocation
         # in every simulation sweep): skip the __init__ dispatch and push
         # straight into the front register / heap.
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         t = _TIMEOUT_NEW(Timeout)
         t.env = self
@@ -508,18 +512,33 @@ class Environment:
         derived analytically (e.g. a tail-clock finish) and must coincide
         with other occurrences at the same instant.
         """
-        if time < self._now:
+        now = self._now
+        if not time >= now:
             raise SimulationError(
-                f"cannot time out in the past: {time} < {self._now}")
+                f"cannot time out in the past: {time} < {now}")
+        # Every analytic booking wakes through here: the same inlined
+        # construction and front-register push as timeout().
         t = _TIMEOUT_NEW(Timeout)
         t.env = self
         t._waiter = None
         t._waiters = None
         t.value = value
         t.processed = False
-        t.delay = time - self._now
-        self._push((time, self._sequence, t))
+        t.delay = time - now
+        entry = (time, self._sequence, t)
         self._sequence += 1
+        front = self._front
+        if front is None:
+            queue = self._queue
+            if queue and queue[0] < entry:
+                heapq.heappush(queue, entry)
+            else:
+                self._front = entry
+        elif entry < front:
+            heapq.heappush(self._queue, front)
+            self._front = entry
+        else:
+            heapq.heappush(self._queue, entry)
         return t
 
     def process(self, generator: Generator) -> Process:
@@ -541,7 +560,7 @@ class Environment:
     # -- scheduling ----------------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Insert a triggered event into the queue ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._push((self._now + delay, self._sequence, event))
         self._sequence += 1
@@ -553,7 +572,7 @@ class Environment:
         events: they take a queue slot (and a sequence tick) exactly like an
         event, but carry no state and run no waiter list.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._push((self._now + delay, self._sequence, thunk))
         self._sequence += 1

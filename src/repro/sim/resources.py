@@ -162,7 +162,7 @@ class TailChannel:
         at ``max(now, tail)`` -- the same grant a FIFO resource would give
         -- and the channel's tail advances to the returned finish time.
         """
-        if duration < 0:
+        if not duration >= 0:
             raise SimulationError(f"negative hold duration: {duration}")
         if not self.resolved:
             raise SimulationError(
@@ -207,7 +207,7 @@ class TailChannel:
 
     def occupy(self, duration: float) -> Generator:
         """Process helper: hold the channel for ``duration`` seconds (FIFO)."""
-        if duration < 0:
+        if not duration >= 0:
             raise SimulationError(f"negative hold duration: {duration}")
         if self.resolved:
             finish = self.book(duration)

@@ -642,6 +642,7 @@ class FluidSimulator:
             return
         n = self.num_workers
         senders, latest = n, call
+        flat, down, events = not self.topo, self.down, self._events
 
         def sender(s: int) -> Callable:
             sent = 0  # the cursor: copies of this batch already booked
@@ -653,11 +654,16 @@ class FluidSimulator:
                     # holds (the DES broadcast claims the uplink once for
                     # the whole batch)
                     when = max(when, up[s])
-                fin = copy(s, sent if sent < s else sent + 1, when,
-                           tn, fs, wr)
+                dst = sent if sent < s else sent + 1
+                if flat:  # _copy within one rack, inline
+                    busy = down[dst]
+                    fin = down[dst] = (busy if busy > when else when) + tn
+                else:
+                    fin = copy(s, dst, when, tn, fs, wr)
                 sent += 1
-                if sent + 1 < n:
-                    at(fin, fire)
+                if sent + 1 < n:  # _at, inline
+                    heapq.heappush(events, (fin, self._seq, fire))
+                    self._seq += 1
                     return
                 up[s] = fin  # batch uplink hold ends
                 senders -= 1

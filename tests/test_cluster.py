@@ -15,6 +15,10 @@ def make_cluster(num_workers=4, bandwidth_gbps=10.0, **kwargs):
     return env, ClusterModel(env, config)
 
 
+def _fabric_gather(cluster, nbytes):
+    yield cluster.fabric_gather([0, 1], nbytes)
+
+
 class TestTopology:
     def test_colocated_servers_reuse_worker_nodes(self):
         _, cluster = make_cluster(num_workers=4)
@@ -93,6 +97,25 @@ class TestTransfers:
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
             env.run_process(cluster.transfer(0, 1, -5))
+
+    @pytest.mark.parametrize("topology", [{}, {"racks": 2,
+                                               "oversubscription": 4.0}])
+    @pytest.mark.parametrize("flow", [
+        lambda cluster, nbytes: cluster.transfer(0, 3, nbytes),
+        lambda cluster, nbytes: cluster.transfer(FABRIC, 2, nbytes),
+        lambda cluster, nbytes: cluster.broadcast(0, [1, 2, 3], nbytes),
+        _fabric_gather,
+    ], ids=["transfer", "fabric transfer", "broadcast", "fabric fan"])
+    def test_nan_bytes_rejected(self, flow, topology):
+        """A NaN size raises before it reaches a clock or an account (it
+        used to finish at ``t = nan`` and record NaN bytes)."""
+        env, cluster = make_cluster(**topology)
+        with pytest.raises(SimulationError):
+            env.run_process(flow(cluster, float("nan")))
+        assert env.now == 0.0
+        assert all(account.total_bytes == 0 and not account.by_tag_sent
+                   and not account.by_tag_received
+                   for account in cluster.traffic_by_node().values())
 
     @pytest.mark.parametrize("topology", [{}, {"racks": 2,
                                                "oversubscription": 4.0}])

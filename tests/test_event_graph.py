@@ -1,19 +1,22 @@
 """Tests for the event-graph reduction primitives (PR 3).
 
-Three layers of protection:
+Four layers of protection:
 
 * property-style tests pinning :class:`CountdownEvent` against ``all_of``
   and :class:`TailChannel` against the :class:`Resource` implementation on
   randomized schedules (identical completion times);
-* a transfer-level equivalence test pinning the tail-clock cluster model
+* transfer-level equivalence tests pinning the tail-clock cluster model
   against a resource-based reference implementation on randomized flow
-  schedules (identical per-flow finish times and traffic);
+  schedules (identical per-flow finish times and traffic), and the
+  batched broadcast against per-destination transfers;
 * a recorded-trace test: the committed ``tests/data/flow_sim_trace.json``
   holds the exact (``repr``-level) outputs of the pre-reduction simulator
   on figure-style configs of every scheme path, and the current simulator
-  must reproduce them byte-identically.
+  must reproduce them byte-identically;
+* per-tag account pins of the SFB convoy points, flat and racked.
 """
 
+import hashlib
 import json
 import os
 
@@ -34,9 +37,11 @@ from repro.config import (
     ClusterConfig,
 )
 from repro.exceptions import SimulationError
+from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
 from repro.sim import CountdownEvent, Environment, Event, Resource, TailChannel
-from repro.simulation.throughput import simulate_system
+from repro.simulation.throughput import IterationSimulator, simulate_system
+from repro.simulation.workload import build_workload
 
 TRACE_PATH = os.path.join(os.path.dirname(__file__), "data",
                           "flow_sim_trace.json")
@@ -380,30 +385,76 @@ class TestTransferAgainstResourceModel:
         assert tail_finished == ref_finished
         assert tail_traffic == ref_traffic
 
-    def test_broadcast_matches_spawned_transfers(self):
-        """Batched broadcast == per-destination processes joined by all_of."""
-        config = ClusterConfig(num_workers=5, bandwidth_gbps=10.0,
-                               latency_seconds=0.0, network_efficiency=1.0)
+    @given(
+        racked=st.booleans(),
+        src=st.integers(0, 5),
+        order=st.permutations(range(6)),
+        nbytes=st.sampled_from((1.0, 3000.0, 2.5e6, 2.5e8)),
+        background=st.lists(st.tuples(
+            st.booleans(),                                 # hold, or a flow
+            st.integers(0, 5), st.integers(0, 5),          # its two nodes
+            st.sampled_from((0.0, 1e-4, 3e-3)),            # its start
+            st.sampled_from((1e3, 1e6, 5e7))),             # its bytes
+            max_size=4))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_broadcast_matches_spawned_transfers(self, racked, src, order,
+                                                 nbytes, background):
+        """Batched broadcast == per-destination processes joined by all_of.
+
+        Flat and oversubscribed two-rack clusters (copies that cross the
+        rack boundary serialise through both rack switches); receivers idle,
+        or busy with background flows, or with an open downlink hold whose
+        end is not known when a copy arrives.  Finish time and every
+        account (per node and per rack, totals and per tag) must agree.
+        The broadcast starts off every background start: the two sides
+        take a different number of same-instant hops to their first
+        request, so a tie at the start is ordered differently by design.
+        """
+        config = ClusterConfig(num_workers=6, bandwidth_gbps=10.0,
+                               latency_seconds=50 * units.US,
+                               network_efficiency=1.0,
+                               **(dict(racks=2, oversubscription=4.0)
+                                  if racked else {}))
 
         def run(batched):
             env = Environment()
             cluster = ClusterModel(env, config)
 
+            def hold(node, start, seconds):
+                yield env.timeout(start)
+                down = cluster.machine(node).nic.downlink
+                release = yield from down.request()
+                yield env.timeout(seconds)
+                down.release(release)
+
+            def flow(a, b, start, size):
+                yield env.timeout(start)
+                yield env.process(cluster.transfer(a, b, size, tag="bg"))
+
+            for is_hold, a, b, start, size in background:
+                env.process(hold(b, start, size * 1e-10) if is_hold
+                            else flow(a, b, start, size))
+
             def proc():
+                yield env.timeout(1.5e-4)
                 if batched:
-                    yield env.process(cluster.broadcast(0, [1, 2, 3, 4], 2.5e8))
+                    yield env.process(cluster.broadcast(src, list(order),
+                                                        nbytes, tag="sfb"))
                 else:
-                    transfers = [
-                        env.process(cluster.transfer(0, dst, 2.5e8))
-                        for dst in (1, 2, 3, 4)
-                    ]
-                    yield env.all_of(transfers)
+                    yield env.all_of([
+                        env.process(cluster.transfer(src, dst, nbytes,
+                                                     tag="sfb"))
+                        for dst in order if dst != src])
                 return env.now
 
             finish = env.run_process(proc())
-            traffic = {node: account.total_bytes for node, account
-                       in cluster.traffic_by_node().items()}
-            return finish, traffic
+            accounts = [(account.bytes_sent, account.bytes_received,
+                         account.by_tag_sent, account.by_tag_received)
+                        for account in
+                        [cluster.machine(node).nic.traffic
+                         for node in range(config.num_nodes)]
+                        + [switch.traffic for switch in cluster.rack_switches]]
+            return finish, accounts
 
         assert run(True) == run(False)
 
@@ -429,3 +480,57 @@ class TestRecordedTrace:
         assert ([repr(t) for t in result.per_node_traffic_bytes]
                 == config["per_node_traffic_bytes"])
         assert result.scheme_by_unit == config["scheme_by_unit"]
+
+
+def _accounts_digest(simulator) -> str:
+    """sha256 of every node's NIC account: totals and per-tag, ``repr``-exact."""
+    accounts = [simulator.cluster.machine(node).nic.traffic
+                for node in sorted(simulator.cluster.machines)]
+    blob = json.dumps([[repr(a.bytes_sent), repr(a.bytes_received),
+                        {tag: repr(v) for tag, v in a.by_tag_sent.items()},
+                        {tag: repr(v) for tag, v in a.by_tag_received.items()}]
+                       for a in accounts], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestConvoyAccounts:
+    """The SFB all-to-all convoys book every copy on the receivers' NICs;
+    each copy's bytes land on two accounts under the unit's tag.  Per-node
+    totals are pinned elsewhere (``flow_sim_trace.json``); these points pin
+    every per-tag account too, as recorded on the parent of the change that
+    inlined the per-copy booking."""
+
+    RACKED = dict(racks=4, oversubscription=4.0)
+    POINTS = {
+        "nanogpt-12l HybComm 16n": (
+            "nanogpt-12l", "HybComm",
+            ClusterConfig(num_workers=16, bandwidth_gbps=40.0),
+            19374, "0.2578849828072717", "221c2da9c677dace"),
+        "vgg19 SFB 32n": (
+            "vgg19", "SFB", ClusterConfig(num_workers=32, bandwidth_gbps=10.0),
+            6623, "1.0525831066383051", "c8c79b9dcf7086b3"),
+        "vgg19 HybComm 32n": (
+            "vgg19", "HybComm",
+            ClusterConfig(num_workers=32, bandwidth_gbps=10.0),
+            6623, "1.0525831066383051", "c8c79b9dcf7086b3"),
+        "vgg19 SFB 32n racked 4:1": (
+            "vgg19", "SFB",
+            ClusterConfig(num_workers=32, bandwidth_gbps=10.0, **RACKED),
+            16130, "3.4740676023623895", "c8c79b9dcf7086b3"),
+        "vgg19 HybComm 32n racked 4:1": (
+            "vgg19", "HybComm",
+            ClusterConfig(num_workers=32, bandwidth_gbps=10.0, **RACKED),
+            15805, "3.312692537575469", "9d68b4edd968b0ff"),
+    }
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_per_tag_accounts_pinned(self, point):
+        model, system, cluster, events, seconds, digest = self.POINTS[point]
+        workload = build_workload(get_model_spec(model), gpu=cluster.gpu)
+        simulator = IterationSimulator(
+            workload, cluster,
+            {s.name: s for s in backend_systems()}[system])
+        result = simulator.run()
+        assert simulator.env.events_processed == events
+        assert repr(result.iteration_seconds) == seconds
+        assert _accounts_digest(simulator)[:16] == digest

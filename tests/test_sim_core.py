@@ -3,7 +3,8 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource, Store
+from repro.sim import (AllOf, AnyOf, Environment, Event, Interrupt, Resource,
+                       Store, TailChannel, Timeout)
 
 
 class TestEnvironmentBasics:
@@ -23,6 +24,31 @@ class TestEnvironmentBasics:
         env = Environment()
         with pytest.raises(SimulationError):
             env.timeout(-1)
+
+    @pytest.mark.parametrize("call", [
+        lambda env, nan: env.timeout(nan),
+        lambda env, nan: Timeout(env, nan),
+        lambda env, nan: env.timeout_at(nan),
+        lambda env, nan: env.schedule(env.event(), nan),
+        lambda env, nan: env.schedule_thunk(lambda: None, nan),
+        lambda env, nan: env.event().succeed_at(nan),
+        lambda env, nan: TailChannel(env).book(nan),
+        lambda env, nan: env.run_process(TailChannel(env).occupy(nan)),
+    ], ids=["timeout", "Timeout", "timeout_at", "schedule", "schedule_thunk",
+            "succeed_at", "book", "occupy"])
+    def test_nan_never_enters_the_queue(self, call):
+        """A NaN time raises; it used to pop first, set the clock to NaN and
+        let every later event run at its bare delay (1.0, 2.0, ...)."""
+        env = Environment()
+        with pytest.raises(SimulationError):
+            call(env, float("nan"))
+
+        def proc():
+            yield env.timeout(0.5)
+            yield env.timeout(0.5)
+            return env.now
+
+        assert env.run_process(proc()) == 1.0
 
     def test_events_processed_counter(self):
         env = Environment()
