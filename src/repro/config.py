@@ -163,7 +163,7 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"num_servers must be >= 1, got {self.num_servers}"
             )
-        if self.bandwidth_gbps <= 0:
+        if not self.bandwidth_gbps > 0:  # NaN too
             raise ConfigurationError(
                 f"bandwidth_gbps must be positive, got {self.bandwidth_gbps}"
             )
@@ -179,9 +179,13 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"network_efficiency must be in (0, 1], got {self.network_efficiency}"
             )
+        if not self.latency_seconds >= 0:
+            raise ConfigurationError(
+                f"latency_seconds must be >= 0, got {self.latency_seconds}"
+            )
         if self.racks < 1:
             raise ConfigurationError(f"racks must be >= 1, got {self.racks}")
-        if self.oversubscription < 1.0:
+        if not self.oversubscription >= 1.0:
             raise ConfigurationError(
                 f"oversubscription must be >= 1.0, got {self.oversubscription}"
             )

@@ -27,6 +27,7 @@ by CLIs and experiment tables: ``"bsp"``, ``"ssp"``/``"ssp(2)"``,
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -60,6 +61,11 @@ class SyncPolicy:
             raise ConfigurationError(
                 f"unknown sync policy kind {self.kind!r}; "
                 f"expected one of {POLICY_KINDS}")
+        for name in ("staleness", "sync_period"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
         if self.staleness < 0:
             raise ConfigurationError(
                 f"staleness must be >= 0, got {self.staleness}")
@@ -117,8 +123,9 @@ class SyncPolicy:
 
         ``ssp(0)`` (nobody may run ahead) and ``local_sgd(1)`` (average
         after every step) rendezvous every iteration exactly as BSP does.
-        Degenerate policies route through the unchanged BSP execution path
-        so they stay bit-identical to it by construction.
+        The trainer and both simulators run them as BSP (the DES as the
+        one-round case of its only run path), so they stay bit-identical
+        to it by construction.
         """
         if self.kind == "bsp":
             return True

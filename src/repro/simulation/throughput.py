@@ -12,8 +12,8 @@ broadcasting, Adam's SF-push/matrix-pull, chunked ring all-reduce,
 rack-hierarchical PS, or any newly registered sequence.  One interpreter
 lowers those phases to per-worker steps (:func:`_lower_unit`) and executes
 them on the cluster's flow primitives; it knows phase kinds, never schemes.
-The iteration ends when every worker holds every unit's fresh parameters
-(BSP).
+An iteration ends when every worker holds every unit's fresh parameters
+(BSP); a relaxed policy runs several rounds and amortizes them.
 
 Network contention is modelled at each node's full-duplex NIC: uplink and
 downlink are FIFO channels of the configured bandwidth.  Scatter/gather
@@ -302,23 +302,29 @@ class _UnitSyncState:
 
 
 class _Round:
-    """Unit states and backward-done events of one sync round."""
+    """Unit states, backward-done events and sync joins of one sync round."""
 
-    __slots__ = ("states", "backward_done")
+    __slots__ = ("states", "backward_done", "sync_done")
 
     def __init__(self, env: Environment, lowered: Dict[str, _UnitSteps],
                  num_workers: int):
         self.states = {name: _UnitSyncState(env, steps)
                        for name, steps in lowered.items()}
         self.backward_done = [env.event() for _ in range(num_workers)]
+        #: Each worker's join of its unit syncs (a failing sync fails it,
+        #: and with it the worker).  A countdown of ``n >= 1`` enqueues
+        #: nothing, so building it before the worker starts is free.
+        self.sync_done = [env.countdown(len(lowered))
+                          for _ in range(num_workers)]
 
 
-#: Sync-round horizon of the relaxed-policy DES path (see ``_run_policy``).
+#: Sync-round horizon of a relaxed policy's run (see ``_run_rounds``).
 _POLICY_WINDOWS = 8
 
 
 class IterationSimulator:
-    """Simulates one BSP iteration of one system on one cluster."""
+    """Simulates training rounds of one system on one cluster: one BSP
+    iteration, or a relaxed policy's rounds amortized to one."""
 
     def __init__(self, workload: IterationWorkload, cluster: ClusterConfig,
                  system: SystemConfig):
@@ -347,20 +353,15 @@ class IterationSimulator:
     def run(self) -> SimulationResult:
         """Simulate the system and return per-iteration statistics.
 
-        Under a BSP-equivalent policy (``bsp``, ``ssp(0)``,
-        ``local_sgd(1)``) this runs the single-iteration BSP simulation
-        unchanged.  Relaxed policies (SSP, async, local SGD) instead
-        simulate several consecutive rounds in one environment -- workers
-        advance their own clocks, gated only by the policy's staleness
-        bound -- and report amortized per-iteration figures.
+        Every policy runs :meth:`_run_rounds`: a BSP-equivalent one
+        (``bsp``, ``ssp(0)``, ``local_sgd(1)``) is its one-round case, a
+        relaxed one (SSP, async, local SGD) several rounds whose workers
+        advance their own clocks, gated only by the staleness bound.
         """
         if self._ran:
             raise SimulationError("IterationSimulator instances are single-use")
         self._ran = True  # on entry: a run that raised left the queue half-drained
-        if self.system.policy.is_bsp_equivalent:
-            result = self._run_bsp()
-        else:
-            result = self._run_policy()
+        result = self._run_rounds()
         # Crash/recovery events are modelled by their expected cost: the
         # Young--Daly checkpoint/rework factor scales the iteration time
         # (identical closed form in the fluid engine, so the two engines
@@ -393,7 +394,7 @@ class IterationSimulator:
         return 1.0
 
     def _lowered(self, one_round: bool) -> Dict[str, _UnitSteps]:
-        """The plan's lowered units, for the one BSP round or a policy run.
+        """The plan's lowered units, for one BSP round or a relaxed policy's.
 
         A repeated phase (the ring's ``2(P-1)`` steps) is one hold per worker
         instead of one countdown round per step exactly when that is exact:
@@ -408,7 +409,7 @@ class IterationSimulator:
         slow set's per-step convoy under a relaxed policy.
 
         A *symmetric* plan comes back lowered to worker 0 alone (its step
-        tuple, countdowns of one) and ``_run_bsp`` steps that representative
+        tuple, countdowns of one) and ``_run_rounds`` steps that representative
         for all ``P``: exact, because every flow holds channels of its own
         node only (a one-hold ring step its uplink and the downlink of
         ``w + 1``), fed the same bytes at the same instants on every node
@@ -416,8 +417,8 @@ class IterationSimulator:
         Observed like ``one_hold``; each conjunct, with the 16-node vgg19
         point forced past it:
 
-        * one BSP round -- the policy path rotates the slow set and gates
-          each worker on its own clock: no representative to step;
+        * one BSP round -- more rounds rotate the slow set and gate each
+          worker on its own clock: no representative to step;
         * one compute speed -- worker 0 is a straggler: same time, every
           GPU charged its kernels (0.25 x 2: busy fraction 0.519 -> 0.831);
         * flat network -- rack members share their switch (PS at 4:1:
@@ -460,22 +461,6 @@ class IterationSimulator:
 
         return _LOWERED.get((self.plan, one_hold, symmetric), lower)
 
-    def _run_bsp(self) -> SimulationResult:
-        """Simulate one globally synchronous (BSP) iteration."""
-        lowered = self._lowered(one_round=True)
-        # A symmetric plan came back as its representative: one worker, and
-        # the shard helpers gather and scatter on that worker's node.
-        stepped = len(next(iter(lowered.values())).workers)
-        if stepped < self.num_workers:
-            self.shard_nodes = self.shard_nodes[:stepped]
-        sync_round = _Round(self.env, lowered, stepped)
-        worker_processes = [
-            self.env.process(self._worker_process(worker, sync_round))
-            for worker in range(stepped)
-        ]
-        self._start_shards(sync_round)
-        return self._run_to_result(worker_processes, rounds=1)
-
     def _run_to_result(self, worker_processes, rounds: int) -> SimulationResult:
         """Drain the event queue; per-iteration figures over ``rounds`` steps."""
         self.env.run()
@@ -510,144 +495,93 @@ class IterationSimulator:
         return simulation_result(self, iteration_seconds, gpu_busy_fraction,
                                  traffic)
 
-    def _run_policy(self) -> SimulationResult:
-        """Simulate a multi-round relaxed-consistency (SSP/async/local SGD) run.
+    def _run_rounds(self) -> SimulationResult:
+        """Simulate consecutive training rounds in one environment.
 
-        ``rounds`` consecutive training steps share one DES environment.
-        Communication happens only on sync rounds (every ``sync_period``-th
-        step); a worker entering step ``r`` waits -- unless fully async --
-        until its sync of the latest sync round at or before ``r - 1 -
-        staleness`` has completed, which is exactly the SSP bound: no
-        worker computes on state more than ``staleness`` clocks behind the
-        slowest sync it depends on.  Reported figures (iteration time,
-        per-node traffic) are the makespan and byte totals amortized over
-        the simulated rounds, so local SGD's wire volume scales as ``1/H``
-        and SSP's pipelining of communication under later rounds' compute
-        shows up as reduced per-iteration time.
+        A BSP-equivalent policy is one round.  A relaxed one syncs only
+        every ``sync_period``-th round, and each worker is gated by the SSP
+        bound alone (see ``_worker_process``).  Figures are the makespan and
+        byte totals amortized over the rounds, so local SGD's wire volume
+        scales as ``1/H`` and SSP's pipelining of communication under later
+        rounds' compute shows up as reduced per-iteration time.
         """
-        staleness = self.system.policy.bound
-        period = self.system.policy.sync_period
-        # Enough rounds to reach pipeline steady state.  The horizon is the
-        # SAME for every relaxed policy (only the gate strength differs):
-        # with per-policy horizons the warmup/drain rounds would amortize
-        # differently and mask the staleness effect, breaking the expected
-        # monotone throughput-vs-staleness ordering.  It must exceed the
-        # deepest staleness bound swept, so bounded policies with a larger
-        # ``s`` are gated on strictly fewer rounds.
-        windows = (max(_POLICY_WINDOWS, staleness + 2)
-                   if staleness is not None else _POLICY_WINDOWS)
-        rounds = period * windows
-        sync_rounds = [r for r in range(rounds) if (r + 1) % period == 0]
-        lowered = self._lowered(one_round=False)
-        views = {r: _Round(self.env, lowered, self.num_workers)
-                 for r in sync_rounds}
-        self._sync_done = {
-            (worker, r): self.env.countdown(self.workload.num_units)
-            for worker in range(self.num_workers) for r in sync_rounds
-        }
-
-        worker_processes = [
-            self.env.process(self._policy_worker_process(
-                worker, rounds, sync_rounds, views))
-            for worker in range(self.num_workers)
-        ]
-        for r in sync_rounds:
-            self._start_shards(views[r])
+        policy = self.system.policy
+        period = policy.sync_period
+        if policy.is_bsp_equivalent:
+            rounds = 1
+        else:
+            staleness = policy.bound
+            # Enough rounds to reach pipeline steady state.  The horizon is the
+            # SAME for every relaxed policy (only the gate strength differs):
+            # with per-policy horizons the warmup/drain rounds would amortize
+            # differently and mask the staleness effect, breaking the expected
+            # monotone throughput-vs-staleness ordering.  It must exceed the
+            # deepest staleness bound swept, so bounded policies with a larger
+            # ``s`` are gated on strictly fewer rounds.
+            windows = (max(_POLICY_WINDOWS, staleness + 2)
+                       if staleness is not None else _POLICY_WINDOWS)
+            rounds = period * windows
+        lowered = self._lowered(one_round=rounds == 1)
+        # A symmetric plan came back as its representative: one worker, and
+        # the shard helpers gather and scatter on that worker's node.
+        stepped = len(next(iter(lowered.values())).workers)
+        if stepped < self.num_workers:
+            self.shard_nodes = self.shard_nodes[:stepped]
+        # Indexed by round; ``rounds`` is a multiple of the period, so the
+        # last round syncs.
+        views = [_Round(self.env, lowered, stepped)
+                 if (r + 1) % period == 0 else None for r in range(rounds)]
+        worker_processes = [self.env.process(self._worker_process(worker, views))
+                            for worker in range(stepped)]
+        for view in views:
+            if view is not None:
+                self._start_shards(view)
         return self._run_to_result(worker_processes, rounds)
 
     # -- worker side --------------------------------------------------------------------
-    def _worker_process(self, worker: int, sync_round: _Round):
-        machine = self.cluster.machine(worker)
-        gpu = machine.gpu
+    def _worker_process(self, worker: int, views: List[Optional[_Round]]):
+        """One worker's rounds: compute, and sync each unit of a sync round
+        as its backward pass finishes (WFBP) or after the whole pass."""
+        gpu = self.cluster.machine(worker).gpu
         start = self.env.now
-        scale = self._compute_scale(worker)
-        # One countdown barrier joins every unit's sync process (a failing
-        # sync fails the barrier, and with it this worker).
-        sync_barrier = self.env.countdown(self.workload.num_units)
-
-        if not self.system.overlap_host_copy:
-            staging_seconds = units.transfer_seconds(
-                2 * self.workload.total_param_bytes,
-                self.system.host_copy_bandwidth_bps,
-            )
-            yield from gpu.compute(staging_seconds * scale)
-
-        yield from gpu.compute(self.workload.forward_seconds * scale)
-
-        pending_sequential = []
-        for unit in reversed(self.workload.units):
-            yield from gpu.compute(unit.backward_seconds * scale)
-            if self.system.schedule is ScheduleMode.WFBP:
-                sync_barrier.arrive_on(self.env.process(
-                    self._unit_sync(worker, unit, sync_round)))
-            else:
-                pending_sequential.append(unit)
-        if self.workload.tail_backward_seconds > 0:
-            yield from gpu.compute(self.workload.tail_backward_seconds * scale)
-        sync_round.backward_done[worker].succeed()
-
-        for unit in pending_sequential:
-            sync_barrier.arrive_on(self.env.process(
-                self._unit_sync(worker, unit, sync_round)))
-
-        if self.num_workers > 1:
-            yield sync_barrier
-        return self.env.now - start
-
-    def _policy_worker_process(self, worker: int, rounds: int,
-                               sync_rounds: List[int],
-                               views: Dict[int, _Round]):
-        machine = self.cluster.machine(worker)
-        gpu = machine.gpu
-        start = self.env.now
-        staleness = self.system.policy.bound
-        for r in range(rounds):
+        system = self.system
+        workload = self.workload
+        staleness = system.policy.bound
+        period = system.policy.sync_period
+        peers = self.num_workers > 1
+        staging_seconds = units.transfer_seconds(
+            2 * workload.total_param_bytes, system.host_copy_bandwidth_bps)
+        for r, view in enumerate(views):
             # SSP staleness gate: before computing round r, the sync of the
-            # latest sync round at or before r - 1 - s must have landed.
+            # latest sync round at or before r - 1 - s (the last multiple of
+            # the period at or before r - s, less one) must have landed.
             # Fully asynchronous workers (staleness None) never wait.
-            if self.num_workers > 1 and staleness is not None:
-                horizon = r - 1 - staleness
-                gate = None
-                for g in reversed(sync_rounds):
-                    if g <= horizon:
-                        gate = g
-                        break
-                if gate is not None:
-                    yield self._sync_done[(worker, gate)]
+            if peers and staleness is not None:
+                gate = (r - staleness) // period * period - 1
+                if gate >= 0:
+                    yield views[gate].sync_done[worker]
 
             scale = self._compute_scale(worker, round_index=r)
-            if not self.system.overlap_host_copy:
-                staging_seconds = units.transfer_seconds(
-                    2 * self.workload.total_param_bytes,
-                    self.system.host_copy_bandwidth_bps,
-                )
+            if not system.overlap_host_copy:
                 yield from gpu.compute(staging_seconds * scale)
-            yield from gpu.compute(self.workload.forward_seconds * scale)
-
-            is_sync = (r + 1) % self.system.policy.sync_period == 0
-            view = views.get(r)
-            sync_barrier = self._sync_done[(worker, r)] if is_sync else None
-            pending_sequential = []
-            for unit in reversed(self.workload.units):
+            yield from gpu.compute(workload.forward_seconds * scale)
+            wfbp = view is not None and system.schedule is ScheduleMode.WFBP
+            for unit in reversed(workload.units):
                 yield from gpu.compute(unit.backward_seconds * scale)
-                if not is_sync:
-                    continue
-                if self.system.schedule is ScheduleMode.WFBP:
-                    sync_barrier.arrive_on(self.env.process(
+                if wfbp:
+                    view.sync_done[worker].arrive_on(self.env.process(
                         self._unit_sync(worker, unit, view)))
-                else:
-                    pending_sequential.append(unit)
-            if self.workload.tail_backward_seconds > 0:
-                yield from gpu.compute(self.workload.tail_backward_seconds * scale)
-            if is_sync:
+            if workload.tail_backward_seconds > 0:
+                yield from gpu.compute(workload.tail_backward_seconds * scale)
+            if view is not None:
                 view.backward_done[worker].succeed()
-                for unit in pending_sequential:
-                    sync_barrier.arrive_on(self.env.process(
+                for unit in () if wfbp else reversed(workload.units):
+                    view.sync_done[worker].arrive_on(self.env.process(
                         self._unit_sync(worker, unit, view)))
         # Drain: the makespan must cover the final sync round's traffic,
         # otherwise relaxed policies would report communication as free.
-        if self.num_workers > 1 and sync_rounds:
-            yield self._sync_done[(worker, sync_rounds[-1])]
+        if peers:
+            yield views[-1].sync_done[worker]
         return self.env.now - start
 
     def _start_shards(self, sync_round: _Round) -> None:

@@ -1,5 +1,6 @@
 """Tests for cluster, training and system configuration objects."""
 
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -26,6 +27,8 @@ from repro.config import (
 from repro.core.policy import BSP
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
+from repro.nn.model_zoo import get_model_spec
+from repro.simulation import simulate_system
 
 
 class TestBandwidthPreset:
@@ -94,6 +97,30 @@ class TestClusterConfig:
     def test_invalid_configurations_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ClusterConfig(**kwargs)
+
+    @pytest.mark.parametrize("engine", ["des", "fluid"])
+    @pytest.mark.parametrize("kwargs", [
+        {"bandwidth_gbps": math.nan},
+        {"latency_seconds": math.nan},
+        {"latency_seconds": -1e-6},
+        {"racks": 2, "oversubscription": math.nan},
+    ], ids=["bandwidth nan", "latency nan", "latency negative",
+            "oversubscription nan"])
+    def test_nan_or_negative_network_fails_when_built(self, kwargs, engine):
+        """Not mid-run (the DES's ``SimulationError``) and not as a free
+        network (the fluid engine's alexnet speedup of exactly 4.0)."""
+        with pytest.raises(ConfigurationError):
+            simulate_system(get_model_spec("alexnet"), POSEIDON_CAFFE,
+                            ClusterConfig(num_workers=4, **kwargs),
+                            engine=engine)
+
+    def test_nan_bandwidth_fails_in_a_sweep(self):
+        """``sweep_axis`` builds each point with ``with_bandwidth``."""
+        with pytest.raises(ConfigurationError):
+            ClusterConfig(num_workers=4).with_bandwidth(math.nan)
+
+    def test_zero_latency_is_valid(self):
+        assert ClusterConfig(num_workers=2, latency_seconds=0.0).latency_seconds == 0.0
 
 
 class TestTrainingConfig:

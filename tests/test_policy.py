@@ -67,6 +67,18 @@ class TestSyncPolicyParsing:
         with pytest.raises(ConfigurationError):
             SyncPolicy.parse(bad)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "local_sgd", "sync_period": 2.5},
+        {"kind": "local_sgd", "sync_period": 2.0},
+        {"kind": "ssp", "staleness": 1.5},
+        {"kind": "ssp", "staleness": "1"},
+    ])
+    def test_non_integer_axis_rejected(self, kwargs):
+        """Not the DES's bare ``TypeError`` mid-run, nor a fluid price of
+        1/2.5 of the traffic."""
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            SyncPolicy(**kwargs)
+
     def test_degenerate_policies_are_bsp_equivalent(self):
         assert SyncPolicy.parse("ssp(0)").is_bsp_equivalent
         assert SyncPolicy.parse("local_sgd(1)").is_bsp_equivalent

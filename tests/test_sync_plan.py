@@ -502,8 +502,9 @@ LAYOUTS = {
 
 
 class TestSymmetricPlanLoweringsAreEachOthersOracle:
-    """``IterationSimulator._lowered`` hands ``_run_bsp`` one representative
-    worker when every node would do the same thing at the same instants; the
+    """``IterationSimulator._lowered`` hands a one-round run (``_run_rounds``
+    under a BSP-equivalent policy) one representative worker when every
+    node would do the same thing at the same instants; the
     every-worker lowering it replaces there is the reference, and stays the
     only one everywhere else."""
 

@@ -1,5 +1,15 @@
-"""Tests for the flow-level iteration simulator."""
+"""Tests for the flow-level iteration simulator.
 
+``tests/data/des_policy_table.json`` pins the DES under every sync policy
+(``TestRecordedPolicyTable``); re-record it on purpose with
+``PYTHONPATH=src python tests/test_throughput_sim.py``, which prints every
+key whose entry moved.
+"""
+
+import hashlib
+import json
+import os
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -17,9 +27,11 @@ from repro.config import (
     ClusterConfig,
     Partitioning,
     ScheduleMode,
+    poseidon_system,
 )
 from repro.exceptions import SimulationError
 from repro.nn.model_zoo import get_model_spec
+from repro.nn.spec import SpecBuilder
 from repro.simulation import build_workload, simulate_system
 from repro.simulation.speedup import scaling_curve
 from repro.simulation.throughput import IterationSimulator
@@ -211,3 +223,124 @@ class TestSimulatorInternals:
                                 cluster(1, gpus_per_node=4))
         # Per-GPU iteration time barely changes; total throughput is ~4x.
         assert multi.iteration_seconds < 1.2 * single.iteration_seconds
+
+
+# -- recorded table: every policy, schedule, straggler set and network -----------
+TABLE_PATH = os.path.join(os.path.dirname(__file__), "data",
+                          "des_policy_table.json")
+
+
+def _table_spec():
+    """Three units (the merged convolutions, an FC that HybComm sends as
+    sufficient factors, a small head) with compute ~1/4 of a 10 GbE sync,
+    so that every policy and straggler set moves the result."""
+    builder = SpecBuilder("policy-table-net", input_shape=(3, 128, 128))
+    builder.conv("conv1", out_channels=64, kernel=5, pad=2)
+    builder.max_pool("pool1", kernel=4, stride=4)
+    builder.conv("conv2", out_channels=128, kernel=3, pad=1)
+    builder.max_pool("pool2", kernel=4, stride=4)
+    builder.flatten("flat")
+    builder.fc("fc1", 1024)
+    builder.fc("fc2", 10)
+    return builder.build(default_batch_size=128)
+
+
+TABLE_WORKLOAD = build_workload(_table_spec())
+TABLE_SYSTEMS = (("PS", CAFFE_WFBP), ("HybComm", POSEIDON_CAFFE),
+                 ("Ring-AllReduce", poseidon_system("Ring-AllReduce", "ring")),
+                 ("TF", TF))
+TABLE_POLICIES = ("bsp", "ssp(1)", "ssp(3)", "async", "local_sgd(4)")
+
+
+def des_table_points(policies=TABLE_POLICIES):
+    """``(key, system, cluster)`` of every recorded point (8 nodes, 10 GbE)."""
+    flat = cluster(8, 10.0)
+    racked = flat.with_topology(racks=2, oversubscription=4.0)
+    for label, base in TABLE_SYSTEMS:
+        networks = [("flat", flat)]
+        if label in ("PS", "HybComm"):
+            networks.append(("2r/4", racked))
+        for schedule in ScheduleMode:
+            for slow in ("uniform", "stragglers"):
+                system = replace(base, schedule=schedule)
+                if slow == "stragglers":
+                    system = system.with_faults(0.25, 2.0)
+                for network, layout in networks:
+                    for policy in policies:
+                        yield (f"{label}|{schedule.value}|{slow}|{network}"
+                               f"|{policy}", system.with_policy(policy), layout)
+
+
+def des_table_entry(system, layout):
+    """``repr`` of every result field, the event count and a digest of
+    every node's per-tag sent and received bytes."""
+    simulator = IterationSimulator(TABLE_WORKLOAD, layout, system)
+    result = simulator.run()
+    accounts = [
+        [sorted((tag, repr(nbytes)) for tag, nbytes in by_tag.items())
+         for by_tag in (traffic.by_tag_sent, traffic.by_tag_received)]
+        for traffic in (simulator.cluster.machine(node).nic.traffic
+                        for node in sorted(simulator.cluster.machines))]
+    return {
+        "result": {f.name: repr(getattr(result, f.name))
+                   for f in fields(result)},
+        "events": simulator.env.events_processed,
+        "accounts": hashlib.sha256(
+            json.dumps(accounts).encode()).hexdigest(),
+    }
+
+
+class TestRecordedPolicyTable:
+    """Every policy runs the one worker loop: BSP is its one-round case and
+    the relaxed policies its multi-round one, each pinned event for event."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        with open(TABLE_PATH) as fh:
+            return json.load(fh)["points"]
+
+    def test_table_covers_every_point(self, table):
+        assert sorted(table) == sorted(key for key, *_ in des_table_points())
+
+    @pytest.mark.parametrize("key,system,layout", list(des_table_points()),
+                             ids=[key for key, *_ in des_table_points()])
+    def test_point_bit_identical(self, table, key, system, layout):
+        assert des_table_entry(system, layout) == table[key]
+
+    @pytest.mark.parametrize("degenerate", ["ssp(0)", "local_sgd(1)"])
+    @pytest.mark.parametrize("key,system,layout",
+                             list(des_table_points(("bsp",))),
+                             ids=[key for key, *_ in des_table_points(("bsp",))])
+    def test_degenerate_policy_is_bsp(self, key, system, layout, degenerate):
+        bsp = IterationSimulator(TABLE_WORKLOAD, layout, system)
+        same = IterationSimulator(TABLE_WORKLOAD, layout,
+                                  system.with_policy(degenerate))
+        assert same.run() == bsp.run()
+        assert same.env.events_processed == bsp.env.events_processed
+        for node in bsp.cluster.machines:
+            assert (same.cluster.machine(node).nic.traffic
+                    == bsp.cluster.machine(node).nic.traffic)
+
+
+if __name__ == "__main__":  # re-record the policy table
+    recorded = {}
+    if os.path.exists(TABLE_PATH):
+        with open(TABLE_PATH) as fh:
+            recorded = json.load(fh)["points"]
+    points = {key: des_table_entry(system, layout)
+              for key, system, layout in des_table_points()}
+    moved = [key for key in sorted(recorded) if recorded[key] != points.get(key)]
+    for key in moved:
+        print(f"{key}: {recorded[key]} -> {points.get(key)}")
+    new = sorted(set(points) - set(recorded))
+    print(f"{len(moved)} of {len(recorded)} keys moved, {len(new)} new")
+    with open(TABLE_PATH, "w") as fh:
+        json.dump({
+            "note": ("IterationSimulator on a three-unit net at 8 nodes and "
+                     "10 GbE: repr() of every SimulationResult field, "
+                     "events_processed and a sha256 of every node's per-tag "
+                     "byte accounts; recorded before BSP became the "
+                     "one-round case of the relaxed-policy run"),
+            "points": points,
+        }, fh, indent=1)
+        fh.write("\n")
