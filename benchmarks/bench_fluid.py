@@ -15,7 +15,13 @@ Three measurements bracket the fluid engine's cost:
 * ``test_fluid_detail_convoy`` -- the detail tier where it is dearest: the
   64-node SFB and HybComm points, ~20k all-to-all copies chained one heap
   hop each.  ~20 ms on plain-float clocks (~59 ms when every booking went
-  through ``np.maximum``).
+  through ``np.maximum``);
+* ``test_plan_resolution_10k`` -- what every cold what-if query pays before
+  its first pass: resolving the hierarchical-PS and PS plans of a new
+  10k-node cluster.  Owners are placed by arithmetic and rack leaders named
+  as ranges, so it is O(units) at any cluster size: ~0.5-0.9 ms (2.1-3.5 ms
+  while it built a 10k-entry shard tuple and looped over the 250 racks per
+  unit).
 
 The DES cannot be benchmarked at these sizes at all -- a single 10k-node
 iteration walk is minutes of event processing -- which is the point of the
@@ -30,6 +36,7 @@ from repro.config import ClusterConfig
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import fluid
+from repro.simulation.plan import resolve_plan
 from repro.simulation.workload import build_workload
 
 VGG19 = get_model_spec("vgg19")
@@ -61,6 +68,13 @@ def _sweep_all_backends(nodes: int):
     return curves
 
 
+def _resolve_plans_cold(nodes: int):
+    memo.clear_all()  # scheme decisions and plans both cold
+    cluster = _cluster(nodes)
+    return [resolve_plan(WORKLOAD, system, cluster)
+            for system in SYSTEMS if system.comm in ("hierps", "ps")]
+
+
 def _detail_convoy(nodes: int):
     cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
     return [fluid.FluidSimulator(WORKLOAD, cluster, system,
@@ -80,6 +94,13 @@ def test_fluid_detail_convoy(benchmark):
     seconds = benchmark(_detail_convoy, 64)
     assert len(seconds) == 2 and all(type(t) is float for t in seconds)
     benchmark.extra_info["nodes"] = 64
+
+
+def test_plan_resolution_10k(benchmark):
+    """Cold hierarchical-PS and PS plan resolution on a new 10k-node cluster."""
+    plans = benchmark(_resolve_plans_cold, 10000)
+    assert [len(plan.units) for plan in plans] == [len(WORKLOAD.units)] * 2
+    benchmark.extra_info["nodes"] = 10000
 
 
 def test_fluid_sweep_10k(benchmark):

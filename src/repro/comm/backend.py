@@ -91,9 +91,25 @@ class SyncShape:
     rack_size: int = DEFAULT_RACK_SIZE
     compression: Optional[CompressionConfig] = None
 
+    @property
+    def num_racks(self) -> int:
+        """Tree racks: full ones of ``rack_size`` workers, then a short one."""
+        return -(-self.num_workers // self.rack_size)
+
+    @property
+    def leader_fan(self) -> int:
+        """Workers under the first leader, the leader included."""
+        return min(self.rack_size, self.num_workers)
+
     @cached_property
     def racks(self) -> Tuple[range, ...]:
-        """Worker ids under each tree leader (a rack's first member)."""
+        """Worker ids under each tree leader (a rack's first member).
+
+        Built only for the engines that walk nodes (the DES and the fluid
+        detail tier, through :func:`~repro.simulation.plan.fan_groups`);
+        planning and the aggregate tier use :attr:`num_racks` and
+        :attr:`leader_fan`, so a 10k-node plan holds no rack list.
+        """
         return tuple(
             range(first, min(first + self.rack_size, self.num_workers))
             for first in range(0, self.num_workers, self.rack_size))
@@ -202,7 +218,8 @@ class UnitBytes:
     Message sizes live on the phases.  The role fields are sent+received
     bytes per sync -- a node moves ``worker`` if it is a worker, plus
     ``server`` if it hosts a PS shard, plus ``owner`` if it owns the unit,
-    plus its entry in ``nodes``.
+    plus its entry in ``nodes``.  The value stays O(1) in the cluster size:
+    ``nodes`` names node sets as ranges, never one entry per node.
 
     Attributes:
         phases: the ordered :class:`Phase` tuple that moves the messages;
@@ -210,15 +227,16 @@ class UnitBytes:
         worker: sent+received bytes at every worker.
         server: additional bytes at every node hosting a server shard.
         owner: additional bytes at the unit's owner.
-        nodes: ``(node, bytes)`` adjustments for individually named nodes
-            (rack leaders), relative to their ``worker`` share.
+        nodes: ``(range, bytes)`` adjustments, relative to the ``worker``
+            share, of every node in the range (rack leaders); the ranges
+            are disjoint.
     """
 
     phases: Tuple[Phase, ...] = ()
     worker: float = 0.0
     server: float = 0.0
     owner: float = 0.0
-    nodes: Tuple[Tuple[int, float], ...] = ()
+    nodes: Tuple[Tuple[range, float], ...] = ()
 
 
 def owner_fan_bytes(push: float, pull: float, shape: SyncShape,

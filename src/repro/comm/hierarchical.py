@@ -256,14 +256,26 @@ class HierPSBackend(CommBackend):
         # A leader instead fans in and out its rack's other members and,
         # unless it is the root owner itself, exchanges one aggregate with
         # the root; the root sees one such exchange per remote leader.
-        leaders = []
-        remote_leaders = 0
-        for members in shape.racks:
-            remote = members[0] != owner
-            remote_leaders += remote
-            leaders.append(
-                (members[0], 2.0 * dense * (len(members) - 2 + remote)))
-        # The tree follows ``shape.racks`` -- the physical racks of an
+        # Leaders are every rack_size-th worker: the full racks' (split
+        # around an owner that leads one), then a short last rack's.
+        size = shape.rack_size
+        full, short = divmod(shape.num_workers, size)
+        end = full * size
+        leads = owner < shape.num_workers and owner % size == 0
+        remote_leaders = shape.num_racks - leads
+
+        def lead(nodes: range, members: int, remote: bool = True):
+            return nodes, 2.0 * dense * (members - 2 + remote)
+
+        if leads and owner < end:
+            leaders = [lead(range(0, owner, size), size),
+                       lead(range(owner + size, end, size), size),
+                       lead(range(owner, owner + 1), size, remote=False)]
+        else:
+            leaders = [lead(range(0, end, size), size)]
+        if short:
+            leaders.append(lead(range(end, end + 1), short, owner != end))
+        # The tree follows ``shape.rack_size`` -- the physical racks of an
         # oversubscribed cluster (the whole point of the scheme), logical
         # racks of DEFAULT_RACK_SIZE on a flat one: members push to their
         # leader, each complete rack's leader forwards one aggregate to the
@@ -271,7 +283,8 @@ class HierPSBackend(CommBackend):
         # the fresh parameters and redistribute them inside their racks.
         return UnitBytes(
             worker=2.0 * dense,
-            owner=2.0 * dense * remote_leaders, nodes=tuple(leaders),
+            owner=2.0 * dense * remote_leaders,
+            nodes=tuple(entry for entry in leaders if entry[0]),
             phases=(
                 Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS,
                       Peers.RACK_LEADERS, dense, scope=Scope.GROUP),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Tuple
@@ -153,42 +154,28 @@ class ClusterConfig:
     oversubscription: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ConfigurationError(
-                f"num_workers must be >= 1, got {self.num_workers}"
-            )
         if self.num_servers is None:
             object.__setattr__(self, "num_servers", self.num_workers)
-        if self.num_servers < 1:
-            raise ConfigurationError(
-                f"num_servers must be >= 1, got {self.num_servers}"
-            )
-        if not self.bandwidth_gbps > 0:  # NaN too
-            raise ConfigurationError(
-                f"bandwidth_gbps must be positive, got {self.bandwidth_gbps}"
-            )
-        if self.gpus_per_node < 1:
-            raise ConfigurationError(
-                f"gpus_per_node must be >= 1, got {self.gpus_per_node}"
-            )
-        if self.kv_pair_bytes <= 0:
-            raise ConfigurationError(
-                f"kv_pair_bytes must be positive, got {self.kv_pair_bytes}"
-            )
-        if not 0.0 < self.network_efficiency <= 1.0:
-            raise ConfigurationError(
-                f"network_efficiency must be in (0, 1], got {self.network_efficiency}"
-            )
-        if not self.latency_seconds >= 0:
-            raise ConfigurationError(
-                f"latency_seconds must be >= 0, got {self.latency_seconds}"
-            )
-        if self.racks < 1:
-            raise ConfigurationError(f"racks must be >= 1, got {self.racks}")
-        if not self.oversubscription >= 1.0:
-            raise ConfigurationError(
-                f"oversubscription must be >= 1.0, got {self.oversubscription}"
-            )
+        # Counts are whole (numpy ints too): shards and racks are placed by
+        # integer arithmetic on them.  Sizes are finite; NaN fails every test.
+        for name in ("num_workers", "num_servers", "gpus_per_node", "racks"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {count!r}")
+        for ok, name, rule in (
+                (self.bandwidth_gbps > 0, "bandwidth_gbps", "positive"),
+                (0 < self.kv_pair_bytes < math.inf, "kv_pair_bytes",
+                 "positive and finite"),
+                (0.0 < self.network_efficiency <= 1.0, "network_efficiency",
+                 "in (0, 1]"),
+                (0 <= self.latency_seconds < math.inf, "latency_seconds",
+                 "finite and >= 0"),
+                (1.0 <= self.oversubscription < math.inf, "oversubscription",
+                 "finite and >= 1.0")):
+            if not ok:
+                raise ConfigurationError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def bandwidth_bps(self) -> float:
@@ -213,18 +200,21 @@ class ClusterConfig:
             return self.num_workers
         return self.num_workers + self.num_servers
 
+    def server_node(self, shard: int) -> int:
+        """Node id of PS shard ``shard``: worker ``shard % P1`` when
+        colocated, the dedicated node ``P1 + shard`` after the workers
+        otherwise.  Planning places units with this rule alone."""
+        if self.colocate_servers:
+            return shard % self.num_workers
+        return self.num_workers + shard
+
     @cached_property
     def server_nodes(self) -> Tuple[int, ...]:
-        """Node id of every PS shard: workers (round-robin) when colocated,
-        dedicated nodes after the workers otherwise.  Cached: every
-        simulator of one cluster shares the tuple (10k entries at scale)."""
-        if self.colocate_servers:
-            # Shard s on worker s % P: whole rounds of the workers, then the
-            # first servers % P of them.
-            rounds, rest = divmod(self.num_servers, self.num_workers)
-            workers = range(self.num_workers)
-            return tuple(workers) * rounds + tuple(workers[:rest])
-        return tuple(range(self.num_workers, self.num_nodes))
+        """:meth:`server_node` of every shard, for the code that walks
+        nodes: the DES, the fluid detail tier and fluid per-node traffic.
+        Cached on the cluster (10k entries at scale), so a what-if sweep,
+        which never asks, keeps none."""
+        return tuple(map(self.server_node, range(self.num_servers)))
 
     @property
     def is_flat_topology(self) -> bool:

@@ -171,7 +171,6 @@ class FluidSimulator:
         self.plan = resolve_plan(workload, system, cluster)
         self.workload = self.plan.workload
         self.schemes = self.plan.schemes
-        self.server_nodes = cluster.server_nodes
         self.cluster_config = cluster
         self.system = system
         self.num_workers = cluster.num_workers
@@ -193,28 +192,31 @@ class FluidSimulator:
         detail = self.num_workers <= DETAIL_NODE_MAX
         self.detail = detail if mode == "auto" else (mode == "detail")
         self.bandwidth_bps = cluster.effective_bandwidth_bps
-        # Rack profile: each rack's members (full racks, a part-filled one,
-        # then racks of dedicated servers only), and the share of a member's
-        # fabric traffic that leaves the rack (none on a flat network).
+        # Rack profiles (``_profile``) by arithmetic, so the aggregate tier
+        # holds no per-rack list: full racks, a part-filled one, then racks
+        # of dedicated servers only.
         per_rack = cluster.nodes_per_rack
         full, rest = divmod(self.num_workers, per_rack)
-        self._members = ([per_rack] * full + [rest]
-                         + [0] * self.nracks)[:self.nracks]
-        racks = Counter(self._members)
-        leaving = {members: (self.num_workers - members) * self.topo
-                   / max(1, self.num_workers - 1) for members in racks}
-        self._cross = list(map(leaving.__getitem__, self._members))
+        self._fill = (per_rack, full, rest)
         #: Aggregate tier: racks per distinct ``(members, cross)`` profile,
         #: the rack classes every pass starts from.
-        self._profiles = {(members, leaving[members]): count
-                          for members, count in racks.items()}
-        #: Detail tier: every node's rack, a list lookup per booking; the
-        #: aggregate tier only asks for the owners' (racks are contiguous
-        #: blocks of ``per_rack`` node ids).
-        self._rack = ([self._rack_of(node) for node in range(cluster.num_nodes)]
-                      if self.detail else
-                      {plan.owner: plan.owner // per_rack if self.topo else 0
-                       for plan in self.plan.units})
+        self._profiles: Counter = Counter()
+        for rack, count in ((0, min(full, self.nracks)),
+                            (full, full < self.nracks),
+                            (full + 1, self.nracks - full - 1)):
+            if count > 0:
+                self._profiles[self._profile(rack)] += count
+        #: Detail tier: every node's rack and every rack's cross share, a
+        #: list lookup per booking; the aggregate tier only asks for the
+        #: owners' racks (contiguous blocks of ``per_rack`` node ids).
+        if self.detail:
+            self._rack = [self._rack_of(node)
+                          for node in range(cluster.num_nodes)]
+            self._cross = [self._profile(rack)[1]
+                           for rack in range(self.nracks)]
+        else:
+            self._rack = {plan.owner: plan.owner // per_rack if self.topo
+                          else 0 for plan in self.plan.units}
         # What no bandwidth changes, derived once: backward-done of the
         # whole iteration, and the phase heap every pass starts from -- each
         # unit's driver at its send time (its own backward-done under WFBP,
@@ -258,6 +260,14 @@ class FluidSimulator:
     def _rack_of(self, node: int) -> int:
         return self.cluster_config.rack_of(node) if self.topo else 0
 
+    def _profile(self, rack: int) -> Tuple[int, float]:
+        """``(members, cross)`` of ``rack``: its workers, and the share of a
+        member's fabric traffic that leaves it (none on a flat network)."""
+        per_rack, full, rest = self._fill
+        members = per_rack if rack < full else rest if rack == full else 0
+        return members, ((self.num_workers - members) * self.topo
+                         / max(1, self.num_workers - 1))
+
     # -- result assembly -----------------------------------------------------
     def run(self):
         """Compute the iteration and wrap it like the DES does."""
@@ -272,7 +282,9 @@ class FluidSimulator:
 
         Sums every unit's declared per-role traffic
         (:class:`~repro.comm.backend.UnitBytes`) over the nodes holding
-        each role -- the same figures the DES measures at its NICs.
+        each role -- the same figures the DES measures at its NICs.  One of
+        the places node ids are enumerated: a result carries one figure
+        per node.
         """
         totals = [0.0] * self.cluster_config.num_nodes
         if self.num_workers <= 1:
@@ -283,11 +295,12 @@ class FluidSimulator:
             worker += nbytes.worker
             server += nbytes.server
             totals[unit_plan.owner] += nbytes.owner
-            for node, extra in nbytes.nodes:
-                totals[node] += extra
+            for nodes, extra in nbytes.nodes:
+                for node in nodes:
+                    totals[node] += extra
         for node in range(self.num_workers):
             totals[node] += worker
-        for node in set(self.server_nodes):
+        for node in set(self.cluster_config.server_nodes):
             totals[node] += server
         if self.system.policy.sync_period > 1:
             # Local SGD syncs every H-th round: per-iteration wire volume
@@ -449,7 +462,7 @@ class FluidSimulator:
                 if (group is not None and phase.scope is Scope.ALL
                         and index + 1 < len(schedule)):
                     pending = self._joins.setdefault(
-                        (unit, index), [len(self.plan.shape.racks), fin])
+                        (unit, index), [self.plan.shape.num_racks, fin])
                     pending[0] -= 1
                     pending[1] = max(pending[1], fin)
                     if pending[0]:
@@ -566,8 +579,8 @@ class FluidSimulator:
                      done: Callable) -> None:
         """Workers against the KV fabric, the shards the other way."""
         outbound = phase.kind is PhaseKind.FABRIC_OUT
-        fin = self._fabric(self.server_nodes, phase.hub_bytes, call,
-                           not outbound, coupled=False)
+        fin = self._fabric(self.cluster_config.server_nodes, phase.hub_bytes,
+                           call, not outbound, coupled=False)
         done(None, max(fin, self._fabric(range(self.num_workers), phase.nbytes,
                                          call, outbound, coupled=True)))
 
@@ -713,8 +726,7 @@ class FluidSimulator:
         (carrying that class's clocks: their history is its history)."""
         k = self._alone.get(rack)
         if k is None:
-            k = self._class_profile.index(
-                (self._members[rack], self._cross[rack]))
+            k = self._class_profile.index(self._profile(rack))
             if self._class_racks[k] > 1:
                 self._class_racks[k] -= 1
                 self._class_racks.append(1)
@@ -767,18 +779,18 @@ class FluidSimulator:
         many, hub = (self.up, self.down) if inbound else (self.down, self.up)
         start = max(call, hub[0])
         if Peers.RACK_MEMBERS in (phase.src, phase.dst):
-            members = len(self.plan.shape.racks[0])
+            members = self.plan.shape.leader_fan
             done(None, start + (members - 1) * self._tn(nbytes))
             return
         leaders = Peers.RACK_LEADERS in (phase.src, phase.dst)
         o_rack = self._rack[plan.owner]
         # Peers of the owner: all of them, and those outside its rack.
         if leaders:
-            peers = len(self.plan.shape.racks) - 1
+            peers = self.plan.shape.num_racks - 1
             cross = peers if self.topo else 0
         else:
             peers = self.num_workers - 1
-            cross = (self.num_workers - self._members[o_rack]
+            cross = (self.num_workers - self._profile(o_rack)[0]
                      if self.topo else 0)
         fan = fin = (start + (peers - cross) * self._tn(nbytes)
                      + cross * self._tfs(nbytes))
@@ -813,7 +825,7 @@ class FluidSimulator:
         n = self.num_workers
         if phase.src is not Peers.WORKERS:
             # One hub per group; the batch leaves on the class uplink.
-            copies = (len(self.plan.shape.racks[0])
+            copies = (self.plan.shape.leader_fan
                       if phase.src is Peers.RACK_LEADERS else n) - 1
             fin = call + copies * self._tn(nbytes)
             self.up[0] = fin
@@ -821,7 +833,7 @@ class FluidSimulator:
             done(None, fin)
             return
         slot = self._tn(nbytes)
-        members = self._members[0] if self.topo else n
+        members = self._profile(0)[0] if self.topo else n
         intra, cross = members - 1, n - members
         drain = intra * slot + cross * self._tfs(nbytes)
         # Symmetric convoy: every NIC sends N-1 and receives N-1 copies;
@@ -895,7 +907,8 @@ def sweep_axis(model: ModelSpec, system: SystemConfig,
     cluster (bandwidth aside) reuse the memoized simulator -- resolved plan
     and rack profile survive a change of axis, so incremental what-if
     re-evaluation only pays the passes (:func:`repro.memo.clear_all`
-    forces the cold path).
+    forces the cold path).  What a query keeps is O(units x rack
+    classes) at any cluster size: no node or rack list is built.
 
     Returns:
         ``np.ndarray`` of iteration seconds, same length as the axis.

@@ -160,11 +160,10 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
         rack_size=(DEFAULT_RACK_SIZE if cluster.is_flat_topology
                    else cluster.nodes_per_rack),
         compression=compression)
-    server_nodes = cluster.server_nodes
     units = []
     for index, unit in enumerate(workload.units):
         backend = get_backend(schemes[unit.name])
-        owner = server_nodes[index % len(server_nodes)]
+        owner = cluster.server_node(index % num_servers)
         encode_seconds = 0.0
         if compression is not None and backend.compressible:
             encode_seconds = cluster.gpu.compute_seconds(unit_compression_flops(

@@ -71,8 +71,10 @@ class SimulationResult:
     scheme_by_unit: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.iteration_seconds <= 0:
-            raise SimulationError("iteration time must be positive")
+        if not 0 < self.iteration_seconds < math.inf:  # NaN too
+            raise SimulationError(
+                f"iteration time must be positive and finite, got "
+                f"{self.iteration_seconds!r}")
         cluster_images = self.num_workers * self.batch_size
         self.throughput_images_per_sec = cluster_images / self.iteration_seconds
         single_node_throughput = self.batch_size / self.single_node_seconds

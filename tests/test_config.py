@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -113,6 +114,37 @@ class TestClusterConfig:
             simulate_system(get_model_spec("alexnet"), POSEIDON_CAFFE,
                             ClusterConfig(num_workers=4, **kwargs),
                             engine=engine)
+
+    @pytest.mark.parametrize("engine", ["des", "fluid"])
+    @pytest.mark.parametrize("kwargs", [
+        {"num_workers": 4.0},
+        {"num_workers": 2.5},
+        {"num_servers": 2.5},
+        {"num_servers": math.nan},
+        {"gpus_per_node": 1.5},
+        {"racks": 2.5, "oversubscription": 4.0},
+        {"racks": math.nan, "oversubscription": 4.0},
+        {"kv_pair_bytes": math.nan},
+        {"oversubscription": math.inf, "racks": 2},
+        {"latency_seconds": math.inf},
+    ], ids=["workers float", "workers fractional", "servers fractional",
+            "servers nan", "gpus fractional", "racks fractional",
+            "racks nan", "kv pair nan", "oversubscription inf",
+            "latency inf"])
+    def test_fractional_count_or_infinite_size_fails_when_built(self, kwargs,
+                                                                engine):
+        """Not as a bare ``TypeError`` mid-run, not as an infinite
+        iteration, and not as two engines disagreeing (one raising, the
+        other returning a number)."""
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            simulate_system(get_model_spec("alexnet"), POSEIDON_CAFFE,
+                            ClusterConfig(**{"num_workers": 4, **kwargs}),
+                            engine=engine)
+
+    def test_numpy_integer_counts_are_valid(self):
+        cluster = ClusterConfig(num_workers=np.int64(8), racks=np.int32(2),
+                                gpus_per_node=np.int64(1))
+        assert cluster.nodes_per_rack == 4
 
     def test_nan_bandwidth_fails_in_a_sweep(self):
         """``sweep_axis`` builds each point with ``with_bandwidth``."""

@@ -13,9 +13,9 @@ Four layers of protection:
   equals point-by-point aggregate evaluation bit for bit on every backend
   and in any axis order, both tiers compute on plain floats over a handful
   of rack classes, the detail and aggregate tiers agree within per-scheme
-  bounds where they overlap, and warm caches keyed on topology fields
+  bounds where they overlap, warm caches keyed on topology fields
   never leak state across oversubscription settings (the PR 3 memo-table
-  audit);
+  audit), and a cold 10k-node query retains no more than a 1k-node one;
 * the multi-job contention model: background jobs slow oversubscribed
   clusters monotonically and leave flat clusters untouched;
 * a recorded trace: ``tests/data/fluid_trace.json`` holds the ``repr`` of
@@ -24,14 +24,17 @@ Four layers of protection:
   bit for bit (``python tests/test_fluid.py`` re-records the file).
 """
 
+import gc
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import memo
 from repro.comm.backend import SyncShape, get_backend, registered_backends
 from repro.config import (
     ADAM_TF,
@@ -522,6 +525,35 @@ class TestTiersAreScalar:
         assert empty.shape == (0,)
 
 
+class TestQueryStateDoesNotGrowWithTheCluster:
+    """A cold what-if query keeps O(units x rack classes) state: owners are
+    placed by arithmetic, leaders are ranges, racks are profiles."""
+
+    @staticmethod
+    def retained(nodes: int, racks: int):
+        """Bytes a cold seven-backend sweep leaves held, and its cluster."""
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=40.0,
+                                racks=racks, oversubscription=4.0)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for system in backend_systems():
+            sweep_axis(VGG, system, cluster, (1.0, 40.0))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, cluster
+
+    def test_ten_thousand_nodes_retain_what_one_thousand_do(self):
+        memo.clear_all()  # both queries below are cold
+        tracemalloc.start()
+        try:
+            self.retained(100, 4)  # warm-up: workload, specs, memo tables
+            small, _ = self.retained(1000, 25)
+            large, cluster = self.retained(10000, 250)
+        finally:
+            tracemalloc.stop()
+        assert large <= 1.1 * small, (small, large)
+        assert "server_nodes" not in cluster.__dict__
+
+
 class TestMultiJob:
     """Rack-uplink contention from concurrent jobs."""
 
@@ -571,7 +603,7 @@ class TestUnitBytes:
         assert nbytes.worker >= 0
         assert nbytes.owner >= 0
         # Named-node entries adjust a worker share, never below zero.
-        assert all(nbytes.worker + extra >= 0 for _node, extra in nbytes.nodes)
+        assert all(nbytes.worker + extra >= 0 for _nodes, extra in nbytes.nodes)
 
     def test_fine_vs_coarse_ps(self):
         workload = build_workload(VGG)

@@ -5,7 +5,8 @@
   the same scheme per layer, for every mode on flat and racked clusters;
 * the per-node traffic the DES measures at its NICs equals the traffic the
   fluid engine sums from the backends' declared ``UnitBytes``, for every
-  backend x topology x cluster size;
+  backend x topology x cluster size; hierarchical PS's ``(range, bytes)``
+  leader entries expand to its per-rack loop, bit for bit;
 * a backend declaring ``unit_bytes`` -- payload and phases, including a
   phase sequence no shipped backend uses -- runs under the DES and both
   fluid tiers with no edit to either; one declaring no phases, an unknown
@@ -45,7 +46,9 @@ from repro.comm.backend import (
     Phase,
     PhaseKind,
     Scope,
+    SyncShape,
     UnitBytes,
+    get_backend,
     owner_fan_bytes,
     register_backend,
     unregister_backend,
@@ -69,7 +72,7 @@ from repro.simulation import fluid
 from repro.simulation.fluid import FluidSimulator, sweep_axis
 from repro.simulation.plan import resolve_plan
 from repro.simulation.throughput import IterationSimulator, decide_schemes
-from repro.simulation.workload import build_workload
+from repro.simulation.workload import SyncUnit, build_workload
 
 ALEXNET = get_model_spec("alexnet")
 VGG = get_model_spec("vgg19")
@@ -149,7 +152,8 @@ class TestDeclaredTrafficMatchesMeasured:
                       if s.comm == "hierps")
         plan = resolve_plan(workload, hierps, cluster)
         assert plan.shape.rack_size == 8
-        leaders = {node for node, _ in plan.units[0].bytes.nodes}
+        leaders = {node for nodes, _ in plan.units[0].bytes.nodes
+                   for node in nodes}
         assert leaders == {0, 8}
         np.testing.assert_allclose(
             _traffic(FluidSimulator, workload, cluster, hierps),
@@ -168,6 +172,44 @@ class TestDeclaredTrafficMatchesMeasured:
                                        err_msg=system.name)
 
 
+def _hierps_reference(dense, shape, owner):
+    """Hierarchical PS's leader traffic as a loop over every rack: leader
+    node -> its bytes, and the root owner's bytes."""
+    leaders, remote_leaders = {}, 0
+    for members in shape.racks:
+        remote = members[0] != owner
+        remote_leaders += remote
+        leaders[members[0]] = 2.0 * dense * (len(members) - 2 + remote)
+    return leaders, 2.0 * dense * remote_leaders
+
+
+class TestHierPSLeadersAreTheRackLoop:
+    """The ``(range, bytes)`` entries name exactly the per-rack loop's nodes
+    and values, bit for bit, wherever the owner sits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(workers=st.integers(1, 300), rack_size=st.integers(1, 64),
+           colocated=st.booleans(), data=st.data(),
+           param_bytes=st.floats(1.0, 1e9))
+    def test_ranges_expand_to_the_loop(self, workers, rack_size, colocated,
+                                       data, param_bytes):
+        servers = workers if colocated else data.draw(st.integers(1, 300))
+        shape = SyncShape(num_workers=workers, num_servers=servers,
+                          batch_size=32, colocated=colocated,
+                          rack_size=rack_size)
+        owner = data.draw(st.integers(0, workers - 1) if colocated
+                          else st.integers(workers, workers + servers - 1))
+        unit = SyncUnit("fc", param_bytes, True, (1, 1), 0.0, ("fc",))
+        declared = get_backend("hierps").unit_bytes(unit, shape, owner)
+        expanded = [(node, extra) for nodes, extra in declared.nodes
+                    for node in nodes]
+        leaders, owner_bytes = _hierps_reference(param_bytes, shape, owner)
+        assert dict(expanded) == leaders
+        assert len(expanded) == len(leaders)  # no node named twice
+        assert declared.owner == owner_bytes
+        assert len(declared.nodes) <= 4
+
+
 class _OwnerFanHalf(AdamBackend):
     """Test-only scheme: half-size gradients up, dense parameters back."""
 
@@ -182,7 +224,7 @@ class _TwoLevelFanInFlatBroadcast(AdamBackend):
     def unit_bytes(self, unit, shape, owner):
         dense = unit.param_bytes
         leaders = tuple(
-            (members[0],
+            (members[:1],
              dense * (len(members) - 1) - (dense if members[0] == owner else 0))
             for members in shape.racks)
         remote = sum(members[0] != owner for members in shape.racks)

@@ -34,7 +34,7 @@ from repro.nn.model_zoo import get_model_spec
 from repro.nn.spec import SpecBuilder
 from repro.simulation import build_workload, simulate_system
 from repro.simulation.speedup import scaling_curve
-from repro.simulation.throughput import IterationSimulator
+from repro.simulation.throughput import IterationSimulator, SimulationResult
 
 
 def cluster(nodes, bandwidth=40.0, **kwargs):
@@ -215,6 +215,11 @@ class TestSimulatorInternals:
                 (cluster(4, num_servers=2, colocate_servers=False), (4, 5))):
             simulator = IterationSimulator(workload, layout, CAFFE_WFBP)
             assert simulator.shard_nodes == nodes
+
+    @pytest.mark.parametrize("seconds", [float("inf"), float("nan")])
+    def test_result_rejects_a_non_finite_iteration(self, seconds):
+        with pytest.raises(SimulationError, match="positive and finite"):
+            SimulationResult("m", "s", 4, 10.0, 32, seconds, 1.0, 1.0)
 
     def test_multi_gpu_adds_local_reduction_but_scales(self, googlenet_spec):
         single = simulate_system(googlenet_spec, POSEIDON_CAFFE,

@@ -14,10 +14,12 @@ it that costs the most, without a profiler.  The 30 calls are the pass's own
 * 7 detail points -- vgg19, every backend, 64 nodes on the fluid engine.
 
 Each is reported as the best of ``--repeats`` wall times (planning memos
-warm, as they are from the benchmark's second pass on); a DES point also
-gives its ``events_processed`` and how many workers the run stepped (one for
-a symmetric plan, else all of them): where the second did not move, the
-first must not under a change that only claims speed.  Usage::
+warm, as they are from the benchmark's second pass on) and the KB one more
+call leaves held (``tracemalloc`` after ``gc.collect()``; for a sweep, what a
+new what-if query keeps, which must not grow with the cluster); a DES point
+also gives its ``events_processed`` and how many workers the run stepped
+(one for a symmetric plan, else all of them): where the second did not
+move, the first must not under a change that only claims speed.  Usage::
 
     PYTHONPATH=src python tools/sim_points.py [--repeats N] [--ref REV|DIR]
 
@@ -29,12 +31,14 @@ interpreters, and printed beside this tree's.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -97,8 +101,23 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
                None)
 
 
+def retained_kb(call: Callable[[int], object], repeat: int) -> float:
+    """KB a call leaves held: traced bytes still alive, after
+    ``gc.collect()``, once it returned (its memo entries, for instance)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(repeat)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def measure(repeats: int) -> Dict[str, dict]:
-    """Best-of-``repeats`` milliseconds (and DES event / worker counts) per point."""
+    """Best-of-``repeats`` milliseconds (and DES event / worker counts) per
+    point, and the KB one more call retains, outside the timed repeats (a
+    fresh repeat index: a cold query for the sweeps)."""
     measured = {}
     for label, call, events in points():
         best = float("inf")
@@ -108,7 +127,8 @@ def measure(repeats: int) -> Dict[str, dict]:
             best = min(best, time.perf_counter() - start)
         counted, stepped = events() if events else (None, None)
         measured[label] = {"ms": best * 1e3, "events": counted,
-                           "stepped": stepped}
+                           "stepped": stepped,
+                           "kb": retained_kb(call, repeats)}
     return measured
 
 
@@ -164,9 +184,11 @@ def main() -> int:
     for side in filter(None, (measured, reference)):
         side["total"] = {"ms": sum(m["ms"] for m in side.values()),
                          "events": sum(m["events"] or 0 for m in side.values()),
-                         "stepped": None}
+                         "stepped": None,
+                         "kb": sum(m["kb"] for m in side.values())}
     print(f"{'point':44}" + (f"{'ref ms':>9}" if reference else "")
           + f"{'ms':>9}" + (f"{'change':>8}" if reference else "")
+          + (f"{'ref KB':>9}" if reference else "") + f"{'retained KB':>12}"
           + f"{'events':>8}{'workers stepped':>17}")
     for label, now in measured.items():
         line = f"{label:44}"
@@ -174,10 +196,12 @@ def main() -> int:
             was = reference[label]
             line += f"{was['ms']:9.2f}{now['ms']:9.2f}"
             line += f"{(now['ms'] / was['ms'] - 1) * 100:+7.0f}%"
-            if was["events"] != now["events"]:
-                line += f"{was['events']:>8} ->"
+            line += f"{was['kb']:9.0f}"
         else:
             line += f"{now['ms']:9.2f}"
+        line += f"{now['kb']:12.0f}"
+        if reference and was["events"] != now["events"]:
+            line += f"{was['events']:>8} ->"
         print(line + (f"{now['events']:>8}" if now["events"] else "")
               + (f"{now['stepped']:>17}" if now["stepped"] else ""))
     return 0
