@@ -15,8 +15,14 @@ Run::
     python examples/quickstart.py
 """
 
-from repro import ClusterConfig, PoseidonContext, TrainingConfig
-from repro.config import CAFFE_PS, CAFFE_WFBP, POSEIDON_CAFFE
+from repro.config import (
+    CAFFE_PS,
+    CAFFE_WFBP,
+    POSEIDON_CAFFE,
+    ClusterConfig,
+    TrainingConfig,
+)
+from repro.core.poseidon import PoseidonContext
 from repro.nn.model_zoo import get_model_spec
 from repro.simulation import simulate_system
 

@@ -14,9 +14,12 @@ axes; the paper's Caffe and TensorFlow systems are named values of it):
 * :mod:`repro.data` -- synthetic stand-ins for the paper's datasets.
 * :mod:`repro.sim` -- a small process-based discrete-event simulation engine.
 * :mod:`repro.cluster` -- GPU machines, NICs and links built on :mod:`repro.sim`.
-* :mod:`repro.comm` -- communication substrates: parameter server,
-  sufficient-factor broadcasting, the Adam strategy and 1-bit quantization.
-* :mod:`repro.core` -- Poseidon itself: coordinator, cost model, KV store,
+* :mod:`repro.comm` -- every scheme's plan half (cost and schedule, in
+  :mod:`repro.comm.backend`) over its substrate: parameter server,
+  sufficient-factor broadcasting, the Adam strategy, 1-bit quantization,
+  ring all-reduce and the hierarchical parameter server.
+* :mod:`repro.core` -- Poseidon itself: coordinator
+  (:class:`repro.core.poseidon.PoseidonContext`), cost model, KV store,
   syncers, wait-free backpropagation and hybrid communication.
 * :mod:`repro.parallel` -- a functional (threaded, real numpy math)
   data-parallel training runtime.
@@ -24,6 +27,10 @@ axes; the paper's Caffe and TensorFlow systems are named values of it):
   by the experiment harness.
 * :mod:`repro.experiments` -- the paper's tables and figures: a sweep figure
   is one :class:`~repro.experiments.figure.Figure` value.
+
+The package itself re-exports only the :mod:`repro.config` values; every
+other name is imported by its module's path, so ``import repro`` loads no
+trainer code.
 """
 
 from repro.version import __version__
@@ -33,7 +40,6 @@ from repro.config import (
     GpuModel,
     TrainingConfig,
 )
-from repro.core.poseidon import PoseidonContext, CommunicationPlan
 
 __all__ = [
     "__version__",
@@ -41,6 +47,4 @@ __all__ = [
     "ClusterConfig",
     "GpuModel",
     "TrainingConfig",
-    "PoseidonContext",
-    "CommunicationPlan",
 ]

@@ -1,7 +1,11 @@
-"""Communication substrates.
+"""Communication: every scheme's plan half and its trainer substrate.
 
-Functional (real numpy payloads, thread-safe, BSP-consistent) implementations
-of the synchronization mechanisms the paper builds on and compares against:
+:mod:`repro.comm.backend` holds each registered scheme's plan half -- the
+Algorithm-1 cost, the schedule the simulators run and the capability
+fields -- and the registry.  Each scheme's functional substrate (real
+numpy payloads, thread-safe, BSP-consistent) and per-layer syncer live in
+their own module, which the backend imports on its first
+``build_substrate`` / ``make_syncer``:
 
 * :class:`~repro.comm.parameter_server.ShardedParameterServer` -- the
   client/server scheme of Figure 2(a).
@@ -11,23 +15,13 @@ of the synchronization mechanisms the paper builds on and compares against:
   full-matrix-pull strategy (Section 3.2, Section 5.3).
 * :mod:`repro.comm.quantization` -- CNTK's 1-bit quantization with error
   feedback (Section 5.3).
+* :mod:`repro.comm.ring` and :mod:`repro.comm.hierarchical` -- ring
+  all-reduce and the rack-aggregated parameter server.
 
-These are used by the functional distributed trainer
+The substrates are used by the functional distributed trainer
 (:mod:`repro.parallel`); the *timing* of the same schemes on a cluster is
-modelled separately by :mod:`repro.simulation`.
+modelled separately by :mod:`repro.simulation` from the plan halves alone.
+
+The package imports nothing: import each module by its own path, so the
+planner (:mod:`repro.comm.backend`) loads no trainer code.
 """
-
-from repro.comm.message import ByteMeter
-from repro.comm.parameter_server import ShardedParameterServer
-from repro.comm.sfb import SufficientFactorBroadcaster
-from repro.comm.adam import AdamSFServer
-from repro.comm.quantization import OneBitQuantizer, QuantizedGradient
-
-__all__ = [
-    "ByteMeter",
-    "ShardedParameterServer",
-    "SufficientFactorBroadcaster",
-    "AdamSFServer",
-    "OneBitQuantizer",
-    "QuantizedGradient",
-]

@@ -18,6 +18,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.consistency import KeyedBoard
+from repro.nn.optim import reduce_in_worker_order
 
 #: A layer's parameters: parameter name -> array.
 ArrayDict = Dict[str, np.ndarray]
@@ -63,9 +64,6 @@ class ParameterAverager(KeyedBoard):
 
     def _mean(self, contributions: Dict[int, ArrayDict]) -> ArrayDict:
         """Mean of the contributions, folded in ascending worker-id order."""
-        # Imported here: repro.comm.backend's registry imports the syncers,
-        # which import this module.
-        from repro.comm.backend import reduce_in_worker_order
         total = reduce_in_worker_order(contributions,
                                        mean_divisor=self.num_workers)
         for value in total.values():

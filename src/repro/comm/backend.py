@@ -15,7 +15,8 @@ A :class:`CommBackend` bundles everything one scheme needs:
 * ``wire_bytes(...)`` -- the same cost in bytes on the wire;
 * ``build_substrate`` / ``make_syncer`` -- the functional trainer side: the
   shared communication substrate (parameter server, bulletin board, ...)
-  and the per-layer :class:`~repro.core.syncer.Syncer` that speaks to it;
+  and the per-layer :class:`~repro.core.syncer.Syncer` that speaks to it,
+  both imported from the scheme's substrate module on first use;
 * ``unit_bytes`` -- the scheme's per-unit payload *and schedule*
   (:class:`UnitBytes`): message sizes, node traffic and the ordered tuple
   of :class:`Phase` values that moves them, stated once and frozen into the
@@ -25,20 +26,22 @@ A :class:`CommBackend` bundles everything one scheme needs:
 
 Backends register themselves in a process-wide registry; the scheme
 assigner, the trainer and the simulator all resolve schemes through
-:func:`get_backend`, so a new scheme is one self-registering file (see
-:mod:`repro.comm.ring` and :mod:`repro.comm.hierarchical` for complete
-examples, and PERFORMANCE.md "Communication backends" for the recipe).
+:func:`get_backend`.  Every built-in backend is this module's plan half
+(cost, schedule, capabilities) over a substrate module it imports lazily
+(:mod:`repro.comm.parameter_server`, :mod:`repro.comm.ring`, ...), so the
+planner and both simulators load no trainer code; a new scheme is a
+registered :class:`CommBackend` plus its substrate module (see
+docs/backends.md for the recipe).
 """
 
 from __future__ import annotations
 
 import abc
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
-
-import numpy as np
 
 from repro import units
 from repro.comm.wire import CompressionConfig, unit_wire_bytes
@@ -50,7 +53,6 @@ from repro.core.cost_model import (
 )
 from repro.core.policy import BSP, SyncPolicy
 from repro.exceptions import ConfigurationError
-from repro.nn.optim import fold_in_order
 
 #: A layer's parameters or gradients: parameter name -> array.
 ArrayDict = Dict[str, Any]
@@ -579,40 +581,6 @@ class CommBackend(abc.ABC):
         return syncer
 
 
-def reduce_in_worker_order(contributions: Dict[int, ArrayDict],
-                           mean_divisor: Optional[float] = None) -> ArrayDict:
-    """Sum per-worker gradient dicts in worker-id order, one pass per hop.
-
-    The reduction of every substrate whose aggregate has several readers
-    (ring all-reduce, rack accumulators, parameter averager); the parameter
-    server applies the same :func:`~repro.nn.optim.fold_in_order` block by
-    block inside its optimiser step, so they all stay bit-identical to
-    each other.  The fixed fold order makes the result independent of
-    which thread contributed first (floating-point addition is not
-    associative).  Every key gets a fresh buffer.  With
-    ``mean_divisor`` the totals are scaled in place by the reciprocal
-    ``1.0 / mean_divisor``, as :func:`~repro.parallel.serial.
-    simulate_synchronous_sgd` does: a float32 multiply costs a third of
-    the divide and equals it exactly whenever the divisor is a power of
-    two (at most 1 ulp apart otherwise).
-    """
-    per_key: Dict[str, list] = {}
-    for worker_id in sorted(contributions):
-        for name, grad in contributions[worker_id].items():
-            per_key.setdefault(name, []).append(grad)
-    scale = None if mean_divisor is None else 1.0 / float(mean_divisor)
-    totals: ArrayDict = {}
-    for name, grads in per_key.items():
-        total = fold_in_order(grads)
-        if scale is not None:
-            if np.issubdtype(total.dtype, np.floating):
-                total *= scale
-            else:
-                total = total * scale
-        totals[name] = total
-    return totals
-
-
 # -- registry ---------------------------------------------------------------------
 
 _REGISTRY: Dict[str, CommBackend] = {}
@@ -1011,12 +979,193 @@ class AdamBackend(CommBackend):
                       sync_timeout=ctx.sync_timeout)
 
 
+class HierPSBackend(CommBackend):
+    """Rack-aggregated parameter server as a pluggable backend."""
+
+    name = "hierps"
+    #: Joins Algorithm 1 only on oversubscribed networks: rack aggregation
+    #: shrinks cross-rack traffic from one flow per worker to one per rack.
+    topology_candidate = True
+    hybrid_rank = 3  # never steals a flat tie from SFB (0) or PS (1)
+
+    def _cost_rack_size(self, num_workers: int, topology=None) -> int:
+        """Aggregation rack size: physical racks when oversubscribed."""
+        if topology is not None and not topology.is_flat:
+            return topology.nodes_per_rack(num_workers)
+        return DEFAULT_RACK_SIZE
+
+    def cost(self, m, n, num_workers, num_servers, batch_size,
+             bandwidth_bps=None, topology=None):
+        """Transmit+receive volume at the busiest node of the tree.
+
+        A rack leader exchanges the whole rack's gradients and parameters
+        (``2 R M N``); the root owner exchanges one aggregate per rack
+        (``2 ceil(P1/R) M N``).  The hotspot is whichever fan is wider.
+        On an oversubscribed cluster the tree follows the physical racks,
+        and the cross-rack premium applies only to the per-rack aggregates
+        (see :meth:`rack_uplink_params`).
+        """
+        if num_workers <= 1:
+            return 0.0
+        rack_size = self._cost_rack_size(num_workers, topology)
+        local_fan = min(rack_size, num_workers)
+        num_racks = math.ceil(num_workers / rack_size)
+        flat = 2.0 * m * n * max(local_fan, num_racks)
+        return self._topology_cost(flat, m, n, num_workers, num_servers,
+                                   batch_size, topology)
+
+    def rack_uplink_params(self, m, n, num_workers, num_servers, batch_size,
+                           topology):
+        # Only the pre-reduced per-rack aggregates cross rack boundaries.
+        # The root owner's rack is the hotspot: every other rack's
+        # aggregate comes in and the updated parameters go back out.
+        return 2.0 * m * n * (topology.num_racks(num_workers) - 1)
+
+    def latency_messages(self, num_workers, num_servers):
+        # Two tree levels, each a push + pull round trip.
+        return 4.0
+
+    def unit_bytes(self, unit, shape, owner):
+        dense = unit.param_bytes / self.compression
+        # A member sends one gradient up and gets one parameter copy back.
+        # A leader instead fans in and out its rack's other members and,
+        # unless it is the root owner itself, exchanges one aggregate with
+        # the root; the root sees one such exchange per remote leader.
+        # Leaders are every rack_size-th worker: the full racks' (split
+        # around an owner that leads one), then a short last rack's.
+        size = shape.rack_size
+        full, short = divmod(shape.num_workers, size)
+        end = full * size
+        leads = owner < shape.num_workers and owner % size == 0
+        remote_leaders = shape.num_racks - leads
+
+        def lead(nodes: range, members: int, remote: bool = True):
+            return nodes, 2.0 * dense * (members - 2 + remote)
+
+        if leads and owner < end:
+            leaders = [lead(range(0, owner, size), size),
+                       lead(range(owner + size, end, size), size),
+                       lead(range(owner, owner + 1), size, remote=False)]
+        else:
+            leaders = [lead(range(0, end, size), size)]
+        if short:
+            leaders.append(lead(range(end, end + 1), short, owner != end))
+        # The tree follows ``shape.rack_size`` -- the physical racks of an
+        # oversubscribed cluster (the whole point of the scheme), logical
+        # racks of DEFAULT_RACK_SIZE on a flat one: members push to their
+        # leader, each complete rack's leader forwards one aggregate to the
+        # root owner, and once every aggregate arrived the leaders fetch
+        # the fresh parameters and redistribute them inside their racks.
+        return UnitBytes(
+            worker=2.0 * dense,
+            owner=2.0 * dense * remote_leaders,
+            nodes=tuple(entry for entry in leaders if entry[0]),
+            phases=(
+                Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS,
+                      Peers.RACK_LEADERS, dense, scope=Scope.GROUP),
+                Phase(PhaseKind.FAN_IN, Peers.RACK_LEADERS, Peers.OWNER,
+                      dense),
+                Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.RACK_LEADERS,
+                      dense, scope=Scope.GROUP, gated=True),
+                Phase(PhaseKind.BROADCAST, Peers.RACK_LEADERS,
+                      Peers.RACK_MEMBERS, dense, scope=Scope.GROUP,
+                      rejoin=True)))
+
+    def build_substrate(self, initial_layers, ctx):
+        from repro.comm.hierarchical import HierarchicalParameterServer
+        return HierarchicalParameterServer(
+            initial_layers, ctx.num_workers,
+            optimizer=ctx.make_optimizer(), aggregation=ctx.aggregation,
+        )
+
+    def make_syncer(self, layer, substrate, resources, ctx, policy=None):
+        from repro.comm.hierarchical import HierPSSyncer
+        return HierPSSyncer(resources.worker_id, layer, substrate,
+                            aggregation=ctx.aggregation,
+                            policy=ctx.policy if policy is None else policy,
+                            sync_timeout=ctx.sync_timeout)
+
+
+class RingBackend(CommBackend):
+    """Chunked ring all-reduce as an Algorithm-1-comparable backend."""
+
+    name = "ring"
+    #: Joins Algorithm 1 only on oversubscribed networks, where the ring's
+    #: single boundary hop per rack makes it far cheaper than peer fan-outs.
+    topology_candidate = True
+    hybrid_rank = 2  # never steals a flat tie from SFB (0) or PS (1)
+    #: Dense-gradient collective: pluggable compressors apply (the lossy
+    #: payload is what both ring phases carry).
+    compressible = True
+
+    def cost(self, m, n, num_workers, num_servers, batch_size,
+             bandwidth_bps=None, topology=None):
+        """Transmit+receive volume per node: ``4 M N (P1-1)/P1`` parameters.
+
+        Each direction moves ``2 (P1-1)/P1 * M N`` -- notably equal to the
+        colocated sharded-PS combined cost when ``P2 == P1``, which is why
+        the paper's PS-with-colocated-shards baseline is already
+        bandwidth-optimal for dense layers.  Under rack oversubscription
+        the ring shines: consecutive-id workers make every hop intra-rack
+        except one per rack, so a rack uplink carries a single node's
+        volume however many nodes share it.
+        """
+        if num_workers <= 1:
+            return 0.0
+        flat = 4.0 * m * n * (num_workers - 1) / num_workers
+        return self._topology_cost(flat, m, n, num_workers, num_servers,
+                                   batch_size, topology)
+
+    def rack_uplink_params(self, m, n, num_workers, num_servers, batch_size,
+                           topology):
+        # One boundary flow leaves (and one enters) each rack per ring
+        # step: the uplink carries exactly one node's transmit volume,
+        # independent of how many nodes the rack aggregates.
+        return 4.0 * m * n * (num_workers - 1) / num_workers
+
+    def latency_messages(self, num_workers, num_servers):
+        # 2 (P1 - 1) serialized ring steps (reduce-scatter + all-gather).
+        return 2.0 * max(num_workers - 1, 1)
+
+    def compression_cost_factor(self, compression, m, n):
+        """Both ring phases carry the compressed payload: the factor is
+        the wire ratio itself."""
+        if compression is None or not compression.compresses(m, n):
+            return 1.0
+        return compression.weight_ratio(m, n)
+
+    def unit_bytes(self, unit, shape, owner):
+        # Reduce-scatter then all-gather move the (compressed) gradient in
+        # 1/P chunks: 2 (P - 1) lockstep steps, each shipping one chunk to
+        # the ring successor's downlink (point-to-point flows, so NIC
+        # contention with other units emerges naturally) behind an
+        # all-worker barrier -- the ring's data dependency.  The fluid tiers
+        # book them as one ``repeat * step`` hold; the DES steps them, or
+        # holds once where that is exact (``IterationSimulator._lowered``).
+        # A lone worker's plan is never run; one step keeps it valid.
+        chunk = self.gradient_bytes(unit, shape) / shape.num_workers
+        steps = max(2 * (shape.num_workers - 1), 1)
+        return UnitBytes(
+            worker=4.0 * (shape.num_workers - 1) * chunk,
+            phases=(Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR,
+                          chunk, repeat=steps, rejoin=True),))
+
+    def build_substrate(self, initial_layers, ctx):
+        from repro.comm.ring import RingAllReducer
+        return RingAllReducer(ctx.num_workers)
+
+    def make_syncer(self, layer, substrate, resources, ctx, policy=None):
+        from repro.comm.ring import RingSyncer
+        return RingSyncer(resources.worker_id, layer, substrate,
+                          resources.local_optimizer, aggregation=ctx.aggregation,
+                          compressor=resources.compressor,
+                          policy=ctx.policy if policy is None else policy,
+                          sync_timeout=ctx.sync_timeout)
+
+
 PS_BACKEND = register_backend(PSBackend())
 SFB_BACKEND = register_backend(SFBBackend())
 ONEBIT_BACKEND = register_backend(OneBitBackend())
 ADAM_BACKEND = register_backend(AdamBackend())
-
-# Self-registering backends that live in their own modules -- importing this
-# module is the single entry point that guarantees the full registry.
-from repro.comm import hierarchical as _hierarchical  # noqa: E402,F401
-from repro.comm import ring as _ring  # noqa: E402,F401
+HIERPS_BACKEND = register_backend(HierPSBackend())
+RING_BACKEND = register_backend(RingBackend())

@@ -8,13 +8,13 @@ gradient per rack to the root shard that owns the layer, and distributes
 the updated parameters back down the same tree -- cross-rack traffic drops
 from ``P1`` flows to ``ceil(P1 / R)`` flows per layer.
 
-Like :mod:`repro.comm.ring`, this module is a complete self-registering
-communication backend: functional substrate
+This module is the scheme's trainer half: the functional substrate
 (:class:`HierarchicalParameterServer`, which reuses
-:class:`~repro.comm.parameter_server.ShardedParameterServer` as its root),
-trainer syncer (:class:`HierPSSyncer`), the simulators' four-phase tree
-schedule (:meth:`HierPSBackend.unit_bytes`) and Algorithm-1 cost
-(:class:`HierPSBackend`).
+:class:`~repro.comm.parameter_server.ShardedParameterServer` as its root)
+and the per-layer syncer (:class:`HierPSSyncer`).  Its plan half -- the
+Algorithm-1 cost and the four-phase tree schedule -- is
+:class:`~repro.comm.backend.HierPSBackend`, which imports this module on
+its first ``build_substrate`` / ``make_syncer``.
 """
 
 from __future__ import annotations
@@ -25,23 +25,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.backend import (
-    DEFAULT_RACK_SIZE,
-    CommBackend,
-    Peers,
-    Phase,
-    PhaseKind,
-    Scope,
-    TrainerContext,
-    UnitBytes,
-    WorkerResources,
-    reduce_in_worker_order,
-    register_backend,
-)
+from repro.comm.backend import DEFAULT_RACK_SIZE
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.core.syncer import Syncer
 from repro.exceptions import CommunicationError, TrainingError
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, reduce_in_worker_order
 
 #: A layer's parameters or gradients: parameter name -> array.
 ArrayDict = Dict[str, np.ndarray]
@@ -202,112 +190,3 @@ class HierPSSyncer(Syncer):
                                 out=self.layer.params)
         self.stats.bytes_sent += sent
         self.stats.bytes_received += sum(int(p.nbytes) for p in params.values())
-
-
-class HierPSBackend(CommBackend):
-    """Rack-aggregated parameter server as a pluggable backend."""
-
-    name = "hierps"
-    #: Joins Algorithm 1 only on oversubscribed networks: rack aggregation
-    #: shrinks cross-rack traffic from one flow per worker to one per rack.
-    topology_candidate = True
-    hybrid_rank = 3  # never steals a flat tie from SFB (0) or PS (1)
-
-    def _cost_rack_size(self, num_workers: int, topology=None) -> int:
-        """Aggregation rack size: physical racks when oversubscribed."""
-        if topology is not None and not topology.is_flat:
-            return topology.nodes_per_rack(num_workers)
-        return DEFAULT_RACK_SIZE
-
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
-        """Transmit+receive volume at the busiest node of the tree.
-
-        A rack leader exchanges the whole rack's gradients and parameters
-        (``2 R M N``); the root owner exchanges one aggregate per rack
-        (``2 ceil(P1/R) M N``).  The hotspot is whichever fan is wider.
-        On an oversubscribed cluster the tree follows the physical racks,
-        and the cross-rack premium applies only to the per-rack aggregates
-        (see :meth:`rack_uplink_params`).
-        """
-        if num_workers <= 1:
-            return 0.0
-        rack_size = self._cost_rack_size(num_workers, topology)
-        local_fan = min(rack_size, num_workers)
-        num_racks = math.ceil(num_workers / rack_size)
-        flat = 2.0 * m * n * max(local_fan, num_racks)
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
-
-    def rack_uplink_params(self, m, n, num_workers, num_servers, batch_size,
-                           topology):
-        # Only the pre-reduced per-rack aggregates cross rack boundaries.
-        # The root owner's rack is the hotspot: every other rack's
-        # aggregate comes in and the updated parameters go back out.
-        return 2.0 * m * n * (topology.num_racks(num_workers) - 1)
-
-    def latency_messages(self, num_workers, num_servers):
-        # Two tree levels, each a push + pull round trip.
-        return 4.0
-
-    def unit_bytes(self, unit, shape, owner):
-        dense = unit.param_bytes / self.compression
-        # A member sends one gradient up and gets one parameter copy back.
-        # A leader instead fans in and out its rack's other members and,
-        # unless it is the root owner itself, exchanges one aggregate with
-        # the root; the root sees one such exchange per remote leader.
-        # Leaders are every rack_size-th worker: the full racks' (split
-        # around an owner that leads one), then a short last rack's.
-        size = shape.rack_size
-        full, short = divmod(shape.num_workers, size)
-        end = full * size
-        leads = owner < shape.num_workers and owner % size == 0
-        remote_leaders = shape.num_racks - leads
-
-        def lead(nodes: range, members: int, remote: bool = True):
-            return nodes, 2.0 * dense * (members - 2 + remote)
-
-        if leads and owner < end:
-            leaders = [lead(range(0, owner, size), size),
-                       lead(range(owner + size, end, size), size),
-                       lead(range(owner, owner + 1), size, remote=False)]
-        else:
-            leaders = [lead(range(0, end, size), size)]
-        if short:
-            leaders.append(lead(range(end, end + 1), short, owner != end))
-        # The tree follows ``shape.rack_size`` -- the physical racks of an
-        # oversubscribed cluster (the whole point of the scheme), logical
-        # racks of DEFAULT_RACK_SIZE on a flat one: members push to their
-        # leader, each complete rack's leader forwards one aggregate to the
-        # root owner, and once every aggregate arrived the leaders fetch
-        # the fresh parameters and redistribute them inside their racks.
-        return UnitBytes(
-            worker=2.0 * dense,
-            owner=2.0 * dense * remote_leaders,
-            nodes=tuple(entry for entry in leaders if entry[0]),
-            phases=(
-                Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS,
-                      Peers.RACK_LEADERS, dense, scope=Scope.GROUP),
-                Phase(PhaseKind.FAN_IN, Peers.RACK_LEADERS, Peers.OWNER,
-                      dense),
-                Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.RACK_LEADERS,
-                      dense, scope=Scope.GROUP, gated=True),
-                Phase(PhaseKind.BROADCAST, Peers.RACK_LEADERS,
-                      Peers.RACK_MEMBERS, dense, scope=Scope.GROUP,
-                      rejoin=True)))
-
-    def build_substrate(self, initial_layers, ctx: TrainerContext):
-        return HierarchicalParameterServer(
-            initial_layers, ctx.num_workers,
-            optimizer=ctx.make_optimizer(), aggregation=ctx.aggregation,
-        )
-
-    def make_syncer(self, layer, substrate, resources: WorkerResources,
-                    ctx: TrainerContext, policy=None):
-        return HierPSSyncer(resources.worker_id, layer, substrate,
-                            aggregation=ctx.aggregation,
-                            policy=ctx.policy if policy is None else policy,
-                            sync_timeout=ctx.sync_timeout)
-
-
-HIERPS_BACKEND = register_backend(HierPSBackend())

@@ -1,4 +1,4 @@
-"""Ring all-reduce: a bandwidth-optimal peer-to-peer communication backend.
+"""Ring all-reduce: the substrate of a bandwidth-optimal peer-to-peer scheme.
 
 The classic chunked ring (Baidu/Horovod style): the ``P`` workers form a
 logical ring and run ``2(P-1)`` lockstep steps -- ``P-1`` reduce-scatter
@@ -9,12 +9,12 @@ the bandwidth-optimal bound for an all-reduce.  Like SFB, the scheme is
 server-free: every replica applies the same aggregate update locally, so
 replicas stay consistent without a parameter server.
 
-This module is a complete, self-registering communication backend -- the
-functional substrate (:class:`RingAllReducer`), the per-layer trainer syncer
-(:class:`RingSyncer`), the simulators' schedule (the one ring-step
-:class:`~repro.comm.backend.Phase` declared by :meth:`RingBackend.unit_bytes`)
-and the Algorithm-1 cost model (:class:`RingBackend`) all live here; nothing
-outside this file special-cases the scheme.
+This module is the scheme's trainer half: the functional substrate
+(:class:`RingAllReducer`) and the per-layer syncer (:class:`RingSyncer`).
+Its plan half -- the Algorithm-1 cost and the one ring-step
+:class:`~repro.comm.backend.Phase` the simulators run -- is
+:class:`~repro.comm.backend.RingBackend`, which imports this module on its
+first ``build_substrate`` / ``make_syncer``.
 """
 
 from __future__ import annotations
@@ -23,21 +23,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.backend import (
-    CommBackend,
-    Peers,
-    Phase,
-    PhaseKind,
-    TrainerContext,
-    UnitBytes,
-    WorkerResources,
-    reduce_in_worker_order,
-    register_backend,
-)
 from repro.comm.message import ByteMeter
 from repro.core.consistency import KeyedBoard
 from repro.core.syncer import Syncer
 from repro.exceptions import CommunicationError, TrainingError
+from repro.nn.optim import reduce_in_worker_order
 
 #: A layer's parameters or gradients: parameter name -> array.
 ArrayDict = Dict[str, np.ndarray]
@@ -158,82 +148,3 @@ class RingSyncer(Syncer):
                 f"{self.layer.name}/{key}", self.layer.params[key], grad)
         self.stats.bytes_sent += sent
         self.stats.bytes_received += received
-
-
-class RingBackend(CommBackend):
-    """Chunked ring all-reduce as an Algorithm-1-comparable backend."""
-
-    name = "ring"
-    #: Joins Algorithm 1 only on oversubscribed networks, where the ring's
-    #: single boundary hop per rack makes it far cheaper than peer fan-outs.
-    topology_candidate = True
-    hybrid_rank = 2  # never steals a flat tie from SFB (0) or PS (1)
-    #: Dense-gradient collective: pluggable compressors apply (the lossy
-    #: payload is what both ring phases carry).
-    compressible = True
-
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
-        """Transmit+receive volume per node: ``4 M N (P1-1)/P1`` parameters.
-
-        Each direction moves ``2 (P1-1)/P1 * M N`` -- notably equal to the
-        colocated sharded-PS combined cost when ``P2 == P1``, which is why
-        the paper's PS-with-colocated-shards baseline is already
-        bandwidth-optimal for dense layers.  Under rack oversubscription
-        the ring shines: consecutive-id workers make every hop intra-rack
-        except one per rack, so a rack uplink carries a single node's
-        volume however many nodes share it.
-        """
-        if num_workers <= 1:
-            return 0.0
-        flat = 4.0 * m * n * (num_workers - 1) / num_workers
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
-
-    def rack_uplink_params(self, m, n, num_workers, num_servers, batch_size,
-                           topology):
-        # One boundary flow leaves (and one enters) each rack per ring
-        # step: the uplink carries exactly one node's transmit volume,
-        # independent of how many nodes the rack aggregates.
-        return 4.0 * m * n * (num_workers - 1) / num_workers
-
-    def latency_messages(self, num_workers, num_servers):
-        # 2 (P1 - 1) serialized ring steps (reduce-scatter + all-gather).
-        return 2.0 * max(num_workers - 1, 1)
-
-    def compression_cost_factor(self, compression, m, n):
-        """Both ring phases carry the compressed payload: the factor is
-        the wire ratio itself."""
-        if compression is None or not compression.compresses(m, n):
-            return 1.0
-        return compression.weight_ratio(m, n)
-
-    def unit_bytes(self, unit, shape, owner):
-        # Reduce-scatter then all-gather move the (compressed) gradient in
-        # 1/P chunks: 2 (P - 1) lockstep steps, each shipping one chunk to
-        # the ring successor's downlink (point-to-point flows, so NIC
-        # contention with other units emerges naturally) behind an
-        # all-worker barrier -- the ring's data dependency.  The fluid tiers
-        # book them as one ``repeat * step`` hold; the DES steps them, or
-        # holds once where that is exact (``IterationSimulator._lowered``).
-        # A lone worker's plan is never run; one step keeps it valid.
-        chunk = self.gradient_bytes(unit, shape) / shape.num_workers
-        steps = max(2 * (shape.num_workers - 1), 1)
-        return UnitBytes(
-            worker=4.0 * (shape.num_workers - 1) * chunk,
-            phases=(Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR,
-                          chunk, repeat=steps, rejoin=True),))
-
-    def build_substrate(self, initial_layers, ctx: TrainerContext):
-        return RingAllReducer(ctx.num_workers)
-
-    def make_syncer(self, layer, substrate, resources: WorkerResources,
-                    ctx: TrainerContext, policy=None):
-        return RingSyncer(resources.worker_id, layer, substrate,
-                          resources.local_optimizer, aggregation=ctx.aggregation,
-                          compressor=resources.compressor,
-                          policy=ctx.policy if policy is None else policy,
-                          sync_timeout=ctx.sync_timeout)
-
-
-RING_BACKEND = register_backend(RingBackend())

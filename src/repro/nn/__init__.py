@@ -10,24 +10,7 @@ Two halves live here:
   :mod:`repro.nn.optim` -- a runnable numpy implementation (forward,
   backward, SGD) used by the functional distributed trainer and the
   convergence experiments.
+
+The package imports nothing: import each module by its own path, so a
+specification (:mod:`repro.nn.spec`) loads no runnable layer.
 """
-
-from repro.nn.spec import (
-    LayerKind,
-    LayerSpec,
-    ModelSpec,
-    SpecBuilder,
-)
-from repro.nn.network import Network
-from repro.nn.loss import SoftmaxCrossEntropyLoss
-from repro.nn.optim import SGD
-
-__all__ = [
-    "LayerKind",
-    "LayerSpec",
-    "ModelSpec",
-    "SpecBuilder",
-    "Network",
-    "SoftmaxCrossEntropyLoss",
-    "SGD",
-]

@@ -21,6 +21,9 @@ from repro.nn.network import Network
 #: write-back.  The in-process analogue of the paper's fixed-size KV pair.
 BLOCK_ELEMENTS = 1 << 16
 
+#: A layer's parameters or gradients: parameter name -> array.
+ArrayDict = Dict[str, np.ndarray]
+
 
 def fold_in_order(grads: Sequence[np.ndarray],
                   out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -42,6 +45,39 @@ def fold_in_order(grads: Sequence[np.ndarray],
         else:
             np.add(total, grad, out=total, casting="unsafe")
     return total
+
+
+def reduce_in_worker_order(contributions: Dict[int, ArrayDict],
+                           mean_divisor: Optional[float] = None) -> ArrayDict:
+    """Sum per-worker gradient dicts in worker-id order, one pass per hop.
+
+    The reduction of every substrate whose aggregate has several readers
+    (ring all-reduce, rack accumulators, parameter averager); the parameter
+    server applies the same :func:`fold_in_order` block by block inside its
+    optimiser step, so they all stay bit-identical to each other.  The fixed fold order makes the result independent of
+    which thread contributed first (floating-point addition is not
+    associative).  Every key gets a fresh buffer.  With
+    ``mean_divisor`` the totals are scaled in place by the reciprocal
+    ``1.0 / mean_divisor``, as :func:`~repro.parallel.serial.
+    simulate_synchronous_sgd` does: a float32 multiply costs a third of
+    the divide and equals it exactly whenever the divisor is a power of
+    two (at most 1 ulp apart otherwise).
+    """
+    per_key: Dict[str, list] = {}
+    for worker_id in sorted(contributions):
+        for name, grad in contributions[worker_id].items():
+            per_key.setdefault(name, []).append(grad)
+    scale = None if mean_divisor is None else 1.0 / float(mean_divisor)
+    totals: ArrayDict = {}
+    for name, grads in per_key.items():
+        total = fold_in_order(grads)
+        if scale is not None:
+            if np.issubdtype(total.dtype, np.floating):
+                total *= scale
+            else:
+                total = total * scale
+        totals[name] = total
+    return totals
 
 
 class SGD:

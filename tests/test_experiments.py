@@ -366,6 +366,19 @@ class TestRunner:
         assert run_experiments(names, quick=True, jobs=jobs) + "\n" == recorded
 
 
+#: The trainer's modules (a name's first three dotted parts): the runnable
+#: nn stack, the syncers and their rendezvous, the coordinator, the KV
+#: store and every scheme's substrate.
+TRAINER_MODULES = (
+    "repro.nn.layers", "repro.nn.network", "repro.nn.optim", "repro.nn.loss",
+    "repro.core.syncer", "repro.core.consistency", "repro.core.poseidon",
+    "repro.core.kvstore",
+    *(f"repro.comm.{name}" for name in (
+        "parameter_server", "sfb", "adam", "ring", "hierarchical",
+        "quantization", "averaging", "message")),
+)
+
+
 def _loaded_by_import(module):
     """Every module a fresh interpreter holds after ``import module``."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -395,3 +408,33 @@ class TestImportClosure:
                 if name.split(".")[:2] in (["repro", "comm"],
                                            ["repro", "simulation"],
                                            ["repro", "parallel"])] == []
+
+    @pytest.mark.parametrize("module", [
+        "repro.simulation.fluid", "repro.simulation.throughput",
+        "repro.core.cost_model", "repro.comm.backend"])
+    def test_planner_loads_no_trainer_module(self, module):
+        """The planner prices and schedules from the backends' plan halves;
+        a substrate loads on a backend's first build."""
+        loaded = _loaded_by_import(module)
+        assert [name for name in loaded
+                if ".".join(name.split(".")[:3]) in TRAINER_MODULES] == []
+
+    def test_root_package_loads_no_coordinator(self):
+        assert "repro.core.poseidon" not in _loaded_by_import("repro")
+
+    def test_config_loads_no_nn_module(self):
+        loaded = _loaded_by_import("repro.config")
+        assert [name for name in loaded
+                if name.split(".")[:2] == ["repro", "nn"]] == []
+
+    def test_backend_module_registers_every_backend_in_order(self):
+        """The plan halves register themselves; no substrate import is
+        needed to complete the registry."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        names = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.comm.backend import registered_backends; "
+             "print(*registered_backends())"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}).stdout.split()
+        assert names == ["ps", "sfb", "onebit", "adam", "hierps", "ring"]

@@ -4,8 +4,8 @@ layers together the way the examples and the experiment harness use them."""
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, PoseidonContext, TrainingConfig
-from repro.config import CAFFE_WFBP, POSEIDON_CAFFE
+from repro.config import CAFFE_WFBP, POSEIDON_CAFFE, ClusterConfig, TrainingConfig
+from repro.core.poseidon import PoseidonContext
 from repro.data import make_cifar10_like, shard_dataset
 from repro.nn.model_zoo import build_cifar_quick_small_network, get_model_spec
 from repro.parallel import DistributedTrainer

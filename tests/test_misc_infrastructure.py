@@ -101,8 +101,7 @@ class TestPackageSurface:
         assert repro.__version__.count(".") == 2
 
     def test_top_level_exports(self):
-        for name in ("PoseidonContext", "ClusterConfig", "TrainingConfig",
-                     "BandwidthPreset"):
+        for name in ("ClusterConfig", "TrainingConfig", "BandwidthPreset"):
             assert hasattr(repro, name)
 
     def test_core_extension_modules_import(self):

@@ -7,7 +7,7 @@ Contracts pinned here (ISSUE 14):
   ``grads[...]`` instead of writing into the staged arrays (the layer half
   of the contract is in ``tests/test_layers.py::TestGradientOwnership``);
 * :func:`repro.nn.optim.fold_in_order` is the one ordered fold (whole arrays
-  in :func:`repro.comm.backend.reduce_in_worker_order`, block by block in the
+  in :func:`repro.nn.optim.reduce_in_worker_order`, block by block in the
   parameter server's step), so every substrate that folds dense gradients
   agrees bit for bit;
 * ``Network.train_step`` skips the bottom layer's input gradient and leaves
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.backend import reduce_in_worker_order, registered_backends
+from repro.comm.backend import registered_backends
 from repro.comm.hierarchical import HierarchicalParameterServer, HierPSSyncer
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.ring import RingAllReducer, RingSyncer
@@ -41,7 +41,7 @@ from repro.nn.model_zoo import (
     build_mlp_network,
     build_transformer_network,
 )
-from repro.nn.optim import SGD, fold_in_order
+from repro.nn.optim import SGD, fold_in_order, reduce_in_worker_order
 from repro.nn.sufficient_factors import SufficientFactors
 from repro.parallel import DistributedTrainer, simulate_synchronous_sgd
 
