@@ -4,7 +4,8 @@ PYTEST := PYTHONPATH=src python -m pytest
 comma := ,
 
 .PHONY: test slowest bench bench-update bench-full bench-smoke sweep-quick \
-	determinism examples-smoke docs-check reports-diff fluid-trace loc sim-points
+	determinism examples-smoke docs-check reports-diff fluid-trace loc sim-points \
+	trainer-mem
 
 ## tier-1 test suite
 test:
@@ -58,6 +59,12 @@ fluid-trace:
 sim-points:
 	PYTHONPATH=src python tools/sim_points.py $(if $(N),--repeats $(N)) \
 		$(if $(REF),--ref "$(REF)")
+
+## peak RSS of each phase (prepare / train / serial check) of one op of
+## every trainer workload, and the tracemalloc retained / peak bytes of
+## building its trainer: the per-phase view of the benchmark's peak_rss_mb
+trainer-mem:
+	PYTHONPATH=src python tools/trainer_mem.py
 
 ## quick figure sweeps through the parallel runner (one worker per core)
 sweep-quick:

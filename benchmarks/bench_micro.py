@@ -350,6 +350,30 @@ def test_trainer_checkpoint(benchmark):
     benchmark(checkpoint)
 
 
+def test_trainer_build_mlp(benchmark):
+    """Construction of the repo benchmark's MLP trainer (``train_mlp_ps``).
+
+    Two replicas of the 1024-1024-1024-10 MLP (8 MiB of float32 parameters
+    each) and the parameter server's copy: the untimed ``prepare`` of every
+    ``bench/run.py`` trainer op, which ``op_ms`` does not see.
+    """
+    from repro.config import TrainingConfig
+    from repro.nn.model_zoo import build_mlp_network
+    from repro.parallel import DistributedTrainer
+
+    config = TrainingConfig(batch_size=32, learning_rate=0.01, iterations=20,
+                            seed=0)
+    batch = (np.zeros((32, 1024), np.float32), np.zeros(32, np.int64))
+
+    def build():
+        return DistributedTrainer(
+            lambda: build_mlp_network(1024, (1024, 1024), 10), 2, None, config,
+            mode="ps", batch_provider=lambda _step, _worker: batch,
+            deterministic=True)
+
+    assert benchmark(build).num_workers == 2
+
+
 def test_ssp_clock_advance_rate(benchmark):
     """Raw advance()/gate throughput of the SSP clock, 4 workers round-robin.
 

@@ -476,7 +476,12 @@ class CommBackend(abc.ABC):
     @abc.abstractmethod
     def build_substrate(self, initial_layers: Dict[str, ArrayDict],
                         ctx: TrainerContext) -> Any:
-        """Build the shared communication substrate for this scheme's layers."""
+        """Build the shared communication substrate for this scheme's layers.
+
+        ``initial_layers`` maps each layer name to worker 0's *live*
+        parameter dict, which that worker goes on training: a substrate
+        that keeps parameters must copy them.
+        """
 
     @abc.abstractmethod
     def make_syncer(self, layer: Any, substrate: Any,

@@ -57,9 +57,18 @@ class Layer:
         return int(sum(p.size for p in self.params.values()))
 
     def zero_grads(self) -> None:
-        """Reset all parameter gradients to zero."""
+        """Reset all parameter gradients to zero, at no memory cost.
+
+        Each gradient becomes a read-only view of one zero scalar broadcast
+        to its parameter's shape and dtype: it reads as zeros and costs
+        O(1), and a write into it raises ``ValueError``.  Nothing writes
+        into a gradient -- :meth:`backward` rebinds every ``grads[key]``
+        to a fresh array before anyone reads it -- so a zeroed layer holds
+        no gradient memory until its next backward.
+        """
         for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
+            self.grads[key] = np.broadcast_to(np.zeros((), value.dtype),
+                                              value.shape)
 
     def set_params(self, new_params: Dict[str, np.ndarray]) -> None:
         """Overwrite parameters in place (used when pulling from a PS).

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.initializers import xavier_uniform
+from repro.nn.initializers import normal, xavier_uniform
 from repro.nn.layers.base import Layer
 
 
@@ -91,8 +91,7 @@ class PositionalEmbedding(Layer):
         self.max_len = int(max_len)
         self.dim = int(dim)
         self.params = {
-            "weight": (0.02 * rng.standard_normal(
-                (self.max_len, self.dim))).astype(np.float32),
+            "weight": normal((self.max_len, self.dim), 0.02, rng),
         }
         self.zero_grads()
         self._seq_len: Optional[int] = None

@@ -50,7 +50,7 @@ from repro.exceptions import (
     WorkerFailure,
 )
 from repro.nn.network import Network
-from repro.nn.optim import SGD
+from repro.nn.optim import BLOCK_ELEMENTS, SGD
 from repro.parallel.schemes import SchemeAssignment, assign_schemes
 
 #: Recognised crash-recovery modes (validated against backend capabilities).
@@ -129,12 +129,52 @@ class _WorkerRuntime:
         self.losses: List[float] = []
 
 
+def _array_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal`` a block at a time: no full-size comparison mask."""
+    if a.shape != b.shape:
+        return False
+    a, b = a.reshape(-1), b.reshape(-1)
+    return all(np.array_equal(a[i:i + BLOCK_ELEMENTS], b[i:i + BLOCK_ELEMENTS])
+               for i in range(0, a.size, BLOCK_ELEMENTS))
+
+
+def _check_replicas_equal(replicas: Sequence[Network]) -> None:
+    """Raise unless every replica's parameters equal worker 0's exactly.
+
+    Server-free substrates (SFB, ring) never reconcile replicas that start
+    apart, and under a parameter server iteration 0's gradients would come
+    from different weights before the first pull hid the difference.
+    """
+    def layers(replica: Network) -> List[Tuple[str, Dict[str, np.ndarray]]]:
+        return [(layer.name, layer.params) for _, layer in replica.parameter_layers()]
+
+    reference = layers(replicas[0])
+    for worker_id, replica in enumerate(replicas[1:], start=1):
+        replica_layers = layers(replica)
+        if ([(name, sorted(params)) for name, params in replica_layers]
+                != [(name, sorted(params)) for name, params in reference]):
+            raise TrainingError(
+                f"worker {worker_id}'s replica has other parameter layers or "
+                f"parameters than worker 0's")
+        for (name, expected), (_, params) in zip(reference, replica_layers):
+            for key, value in expected.items():
+                if not _array_equal(params[key], value):
+                    raise TrainingError(
+                        f"worker {worker_id}'s initial parameter {name}.{key} "
+                        f"differs from worker 0's: network_factory must build "
+                        f"identical replicas")
+
+
 class DistributedTrainer:
     """Data-parallel BSP trainer over in-process workers.
 
     Args:
-        network_factory: builds one model replica; must be deterministic so
-            all replicas (and the global parameter-server copy) start equal.
+        network_factory: builds one model replica; called once per worker,
+            it must return exactly equal initial parameters every time
+            (checked: a replica that differs from worker 0's raises
+            :class:`TrainingError`).  The substrates are seeded from
+            worker 0's replica, so the parameter-server copy starts equal
+            too.
         num_workers: number of worker replicas.
         train_shards: per-worker ``(images, labels)`` partitions; may be
             ``None`` when a ``batch_provider`` is given.
@@ -281,9 +321,9 @@ class DistributedTrainer:
                 "serialized deterministic schedule (free-running workers "
                 "have no consistent cut); pass deterministic=True")
 
-        # Build replicas (identical initial weights by construction).
         self._replicas = [network_factory() for _ in range(self.num_workers)]
         reference = self._replicas[0]
+        _check_replicas_equal(self._replicas)
         self.assignment: SchemeAssignment = assign_schemes(
             reference, mode, self.num_workers, self.num_servers, training.batch_size)
 
@@ -329,18 +369,20 @@ class DistributedTrainer:
             averager=self._averager,
             sync_timeout=self.sync_timeout,
         )
-        initial_state = reference.get_state()
+        # Worker 0's live parameter dicts, not a copy: a substrate that
+        # keeps parameters (the PS family's layer slots) copies them itself.
         layers_by_scheme: Dict[str, Dict[str, Dict[str, np.ndarray]]] = {}
-        for name, params in initial_state.items():
-            scheme = self.assignment.scheme_for(name)
-            layers_by_scheme.setdefault(scheme, {})[name] = params
+        for _, layer in reference.parameter_layers():
+            scheme = self.assignment.scheme_for(layer.name)
+            layers_by_scheme.setdefault(scheme, {})[layer.name] = layer.params
         self._substrates: Dict[str, Any] = {
             scheme: get_backend(scheme).build_substrate(layers,
                                                         self._backend_context)
             for scheme, layers in layers_by_scheme.items()
         }
 
-        self._param_layer_names = [name for name in initial_state]
+        self._param_layer_names = [layer.name for _, layer
+                                   in reference.parameter_layers()]
         self.bsp = BSPController(self.num_workers, self._param_layer_names)
         self._workers = [self._build_worker(w) for w in range(self.num_workers)]
         self._errors: List[BaseException] = []

@@ -627,6 +627,115 @@ class TestGradientOwnership:
             assert np.any(published[key] != array), key
 
 
+    @pytest.mark.parametrize("name", PARAMETERISED)
+    def test_zeroed_grads_are_read_only_zero_views(self, name, rng):
+        """``zero_grads`` costs no memory, and nothing may write into it."""
+        factory, make_input = DTYPE_CASES[name]
+        layer = factory()
+        out = layer.forward(make_input(rng, np.float32), training=True)
+        layer.backward(rng.standard_normal(out.shape).astype(np.float32))
+        layer.zero_grads()
+        assert set(layer.grads) == set(layer.params)
+        for key, grad in layer.grads.items():
+            param = layer.params[key]
+            assert grad.shape == param.shape and grad.dtype == param.dtype
+            np.testing.assert_array_equal(grad, np.zeros_like(param))
+            assert grad.strides == (0,) * grad.ndim, key   # one scalar
+            assert not grad.flags.writeable, key
+            with pytest.raises(ValueError):
+                grad[...] = 1.0
+            with pytest.raises(ValueError):
+                grad += 1.0
+
+    def test_network_gradients_of_zeroed_layers_are_writeable_copies(self):
+        from repro.nn.model_zoo import build_transformer_network
+        network = build_transformer_network(vocab_size=20, block_size=6,
+                                            n_embd=8, num_heads=2,
+                                            num_blocks=1, num_classes=3)
+        network.zero_grads()
+        for layer_name, grads in network.get_gradients().items():
+            layer = network.layer_by_name(layer_name)
+            for key, grad in grads.items():
+                assert grad.flags.writeable, (layer_name, key)
+                assert not np.shares_memory(grad, layer.grads[key])
+                grad += 1.0
+                np.testing.assert_array_equal(layer.grads[key], 0.0)
+
+
+class TestInitializers:
+    """The float32 initialisers draw exactly what the float64 expression did.
+
+    The oracle is the whole-tensor expression the initialisers replaced:
+    one float64 draw of the full shape, cast to float32.  The block-by-block
+    fill must give the same bits and leave the generator where the oracle
+    left it.
+    """
+
+    @staticmethod
+    def _shapes():
+        from repro.nn.initializers import BLOCK_ELEMENTS as block
+        return [(1,), (7,), (block - 1,), (block,), (block + 1,), (3, block + 5),
+                (1024, 1024)]
+
+    @staticmethod
+    def _cases():
+        from repro.nn import initializers as init
+        limit = lambda fan_in, fan_out: np.sqrt(6.0 / float(fan_in + fan_out))
+        std = lambda fan_in: np.sqrt(2.0 / float(fan_in))
+        return {
+            "xavier_uniform": (
+                lambda shape, rng: init.xavier_uniform(shape, 5, 11, rng),
+                lambda shape, rng: rng.uniform(-limit(5, 11), limit(5, 11),
+                                               size=shape).astype(np.float32)),
+            "he_normal": (
+                lambda shape, rng: init.he_normal(shape, 9, rng),
+                lambda shape, rng: (rng.standard_normal(size=shape)
+                                    * std(9)).astype(np.float32)),
+            "positional": (
+                lambda shape, rng: init.normal(shape, 0.02, rng),
+                lambda shape, rng: (0.02 * rng.standard_normal(
+                    shape)).astype(np.float32)),
+        }
+
+    @pytest.mark.parametrize("kind", ["xavier_uniform", "he_normal", "positional"])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_bit_identical_to_the_float64_expression(self, kind, seed):
+        new, old = self._cases()[kind]
+        for shape in self._shapes():
+            rng_new = np.random.default_rng(seed)
+            rng_old = np.random.default_rng(seed)
+            got, want = new(shape, rng_new), old(shape, rng_old)
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint32),
+                                          want.view(np.uint32))
+            # The generator stands where the oracle left it.
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            assert rng_new.standard_normal() == rng_old.standard_normal()
+
+    def test_positional_embedding_table_matches_the_old_expression(self):
+        max_len, dim = 40, 300   # 12,000 elements: more than one block
+        table = PositionalEmbedding("pos", max_len, dim,
+                                    rng=np.random.default_rng(3)).params["weight"]
+        want = (0.02 * np.random.default_rng(3).standard_normal(
+            (max_len, dim))).astype(np.float32)
+        np.testing.assert_array_equal(table.view(np.uint32), want.view(np.uint32))
+
+    def test_no_float64_twin_of_the_tensor(self):
+        """The largest temporary is one block, not the tensor."""
+        import tracemalloc
+        from repro.nn.initializers import BLOCK_ELEMENTS, he_normal, xavier_uniform
+        for make in (lambda rng: xavier_uniform((1024, 1024), 8, 8, rng),
+                     lambda rng: he_normal((1024, 1024), 8, rng)):
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                make(rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1024 * 1024 * 4 + BLOCK_ELEMENTS * 8 + 64 * 1024
+
+
 class TestDtypeContract:
     """A layer never changes precision on its own.
 

@@ -193,6 +193,81 @@ class TestDistributedTraining:
             DistributedTrainer(factory, 3, None, config)
 
 
+class TestReplicasStartEqual:
+    @pytest.mark.parametrize("mode", ["ps", "sfb", "ring"])
+    def test_replicas_that_differ_are_rejected(self, setup, mode):
+        """A factory seeding each replica differently fails construction.
+
+        Server-free substrates would never reconcile such replicas, and
+        under a parameter server iteration 0 would train on different
+        weights before the first pull hid it.
+        """
+        _, shards, config, _ = setup
+        seeds = iter(range(21, 30))
+
+        def factory():
+            return build_mlp_network(input_dim=16, hidden_dims=(32, 16),
+                                     num_classes=4, seed=next(seeds))
+
+        with pytest.raises(TrainingError, match=r"worker 1's .*fc1\.weight"):
+            DistributedTrainer(factory, NUM_WORKERS, shards, config, mode=mode)
+
+    def test_one_differing_scalar_names_its_worker_layer_and_parameter(self, setup):
+        base, shards, config, _ = setup
+        built = []
+
+        def factory():
+            network = base()
+            if len(built) == 2:
+                network.layer_by_name("classifier").params["bias"][3] += 1e-7
+            built.append(network)
+            return network
+
+        with pytest.raises(TrainingError,
+                           match=r"worker 2's .*classifier\.bias differs"):
+            DistributedTrainer(factory, NUM_WORKERS, shards, config, mode="ps")
+
+
+class TestConstructionMemory:
+    """A trainer holds each parameter tensor once per replica and server.
+
+    ``P`` replicas plus, under a parameter server, the server's copy --
+    no float64 twin from the initialisers, no zero-gradient buffers and no
+    intermediate snapshot of the reference replica on the way in.
+    """
+
+    @pytest.mark.parametrize("mode, server_copies", [("ps", 1), ("hybrid", 0)])
+    def test_construction_peak_is_the_copies_it_keeps(self, mode, server_copies):
+        import gc
+        import tracemalloc
+
+        workers = 2
+
+        def factory():
+            return build_mlp_network(512, (512, 512), 10)
+
+        config = TrainingConfig(batch_size=32, learning_rate=0.01, seed=0)
+        batch = (np.zeros((32, 512), np.float32), np.zeros(32, np.int64))
+
+        def build():
+            return DistributedTrainer(factory, workers, None, config, mode=mode,
+                                      batch_provider=lambda _i, _w: batch,
+                                      deterministic=True)
+
+        build()                   # the first build loads the substrate modules
+        gc.collect()
+        param_bytes = sum(value.nbytes for _, layer in factory().parameter_layers()
+                          for value in layer.params.values())
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copies = workers + server_copies
+        assert peak <= copies * param_bytes * 1.05, peak / param_bytes
+
+
 class TestSerialTrainer:
     def test_loss_decreases(self, setup):
         factory, _, config, test_data = setup
