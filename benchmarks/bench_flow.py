@@ -18,11 +18,12 @@ event graph:
   plan and, being symmetric too, stepped once: 110 events (565 / 2,125
   with every worker; 2,320 / 32,320 while every step had its own
   all-worker countdown);
-* the LLM convoy (``nanogpt-12l`` under HybComm, 16 nodes, 40 GbE) is
-  the dearest DES point of a planner pass: 11,760 of its 19,374 events
-  are broadcast copies, each one queue entry and the float operations
-  that book it -- the event count is the floor, the time per copy the
-  gate;
+* the LLM convoy (``nanogpt-12l`` under SFB, 16 nodes, 40 GbE): 11,760
+  of its 19,339 events are broadcast copies of the 49 token FCs' factors,
+  each one queue entry and the float operations that book it -- the event
+  count is the floor, the time per copy the gate (under HybComm the same
+  model broadcasts nothing: at ``K = B * T`` factor rows every unit rides
+  the PS);
 * the relaxed-policy config (VGG19 under Caffe+WFBP with ``ssp(1)``, 8
   nodes, 10 GbE) is the multi-round run: eight rounds, every worker
   stepped, each gated on its own clock -- 7,792 events where BSP's one
@@ -45,6 +46,7 @@ VGG19 = get_model_spec("vgg19")
 WORKLOAD = build_workload(VGG19)
 LLM_WORKLOAD = build_workload(get_model_spec("nanogpt-12l"))
 RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")
+SFB = poseidon_system("SFB", "sfb")
 
 
 def _simulate(system, nodes, workload=WORKLOAD, bandwidth=40.0):
@@ -80,10 +82,10 @@ def test_flow_sim_ring(benchmark, nodes):
 
 
 def test_flow_sim_llm_convoy(benchmark):
-    """One nanogpt-12l iteration under HybComm at 16 nodes (SFB convoy)."""
-    result, events = benchmark(_simulate, POSEIDON_CAFFE, 16, LLM_WORKLOAD)
+    """One nanogpt-12l iteration under forced SFB at 16 nodes (SFB convoy)."""
+    result, events = benchmark(_simulate, SFB, 16, LLM_WORKLOAD)
     assert result.iteration_seconds > 0
-    assert events == 19374  # every worker stepped; a copy is one entry
+    assert events == 19339  # every worker stepped; a copy is one entry
     benchmark.extra_info["events_processed"] = events
 
 

@@ -42,4 +42,4 @@ def test_gelu_forward_backward(benchmark):
 def test_fig_llm_quick(benchmark, once):
     """The reduced (nanogpt-only) transformer sweep, as run by --quick."""
     report = once(benchmark, fig_llm.report, True)
-    assert "lm_head (384x50304): sfb at every swept bandwidth" in report
+    assert "no FC layer picks sfb at any swept bandwidth" in report

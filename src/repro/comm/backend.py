@@ -11,7 +11,8 @@ A :class:`CommBackend` bundles everything one scheme needs:
 
 * ``cost(m, n, P1, P2, K)`` -- the Algorithm-1 / Table-1 cost (parameters
   transmitted plus received per combined server/worker node per iteration),
-  the quantity HybComm minimises;
+  the quantity HybComm minimises; ``K`` is the number of sufficient-factor
+  rows, the batch size times the layer's factor rank;
 * ``wire_bytes(...)`` -- the same cost in bytes on the wire;
 * ``build_substrate`` / ``make_syncer`` -- the functional trainer side: the
   shared communication substrate (parameter server, bulletin board, ...)
@@ -39,6 +40,7 @@ from __future__ import annotations
 import abc
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
@@ -75,7 +77,8 @@ class SyncShape:
     Attributes:
         num_workers: worker count (``P1``).
         num_servers: PS shard count (``P2``).
-        batch_size: per-worker batch size (``K``).
+        batch_size: per-worker batch size; a unit's factors have
+            ``batch_size * unit.factor_rank`` rows (``K``).
         fine: fine-grained KV shards rather than coarse whole-unit owners.
         colocated: PS shards live on the worker nodes, so a node's own
             shard (and an owner's own copy) never crosses the network.
@@ -263,7 +266,7 @@ class TrainerContext:
     Attributes:
         num_workers: worker count (``P1``).
         num_servers: PS shard count (``P2``).
-        batch_size: per-worker batch size (``K``).
+        batch_size: per-worker batch size.
         aggregation: ``"mean"`` or ``"sum"`` gradient aggregation.
         deterministic: request bit-reproducible reductions (worker-id order)
             from every substrate that aggregates floating point.
@@ -374,8 +377,11 @@ class CommBackend(abc.ABC):
              topology: Optional[NetworkTopology] = None) -> float:
         """Table-1 cost: parameters a combined server/worker node moves.
 
-        ``bandwidth_bps`` is accepted for cost models that are not purely
-        volumetric (none of the built-ins use it).  With a non-flat
+        ``batch_size`` is Table 1's ``K``: the rows of the layer's
+        sufficient factors, the batch size times its factor rank
+        (:attr:`~repro.nn.spec.LayerSpec.factor_rank`); only the factor
+        schemes read it.  ``bandwidth_bps`` is accepted for cost models
+        that are not purely volumetric (none of the built-ins use it).  With a non-flat
         ``topology`` the value includes the scheme's cross-rack premium:
         ``max(flat_cost, rack_uplink_params * oversubscription / L)``
         (see :class:`~repro.core.cost_model.NetworkTopology`); a flat or
@@ -710,9 +716,11 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
                   ) -> str:
     """Algorithm 1: the cheapest hybrid-candidate scheme's name for one layer.
 
-    Factor-based candidates are skipped for non-factorisable layers and for
-    single-worker clusters (one worker never communicates factors); ties go
-    to the lowest ``hybrid_rank`` (SFB before PS, matching the paper).
+    ``batch_size`` is the layer's factor row count ``K`` (see
+    :meth:`CommBackend.cost`).  Factor-based candidates are skipped for
+    non-factorisable layers and for single-worker clusters (one worker
+    never communicates factors); ties go to the lowest ``hybrid_rank``
+    (SFB before PS, matching the paper).
 
     With a non-flat ``topology`` every candidate's cost carries its
     cross-rack premium and the :attr:`~CommBackend.topology_candidate`
@@ -758,30 +766,45 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
                   sf_eligible: bool, num_workers: int, num_servers: int,
                   batch_size: int,
                   topology: Optional[NetworkTopology] = None,
-                  price: Optional[Callable[[CommBackend], float]] = None
-                  ) -> str:
+                  price: Optional[Callable[[CommBackend], float]] = None,
+                  factor_rank: int = 1) -> str:
     """The scheme (by name) one layer syncs under in ``mode`` -- the one rule.
 
     ``mode`` is ``"hybrid"`` (Algorithm 1 via :func:`hybrid_choice`) or a
     registered backend name.  A layer that is not sufficient-factor
     decomposable (``sf_eligible`` with ``(M, N)`` ``fc_dims``) rides the PS
-    under ``"hybrid"`` and under any factor-based backend.  The trainer
+    under ``"hybrid"`` and under any factor-based backend.  Its factors
+    have ``K = batch_size * factor_rank`` rows (``factor_rank``: rows per
+    sample, 1 for a CNN FC layer, ``T`` for a token FC).  The trainer
     (``assign_schemes``), the simulators (``decide_schemes``) and the
     :class:`~repro.core.cost_model.CostModel` all decide here:
 
         >>> from repro.comm.backend import choose_scheme
         >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32)
         'sfb'
+        >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32,
+        ...               factor_rank=256)
+        'ps'
         >>> choose_scheme("sfb", None, False, 16, 16, 32)
         'ps'
+
+    Raises:
+        ConfigurationError: in every mode, when ``batch_size`` or
+            ``factor_rank`` is not an integer >= 1, or ``mode`` is unknown.
     """
+    for label, count in (("batch_size", batch_size),
+                         ("factor_rank", factor_rank)):
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ConfigurationError(
+                f"{label} must be an integer >= 1, got {count!r}")
     factorizable = sf_eligible and fc_dims is not None
     if mode == HYBRID_MODE:
         if not factorizable:
             return "ps"
         m, n = fc_dims
-        return hybrid_choice(m, n, num_workers, num_servers, batch_size,
-                             topology=topology, price=price)
+        return hybrid_choice(m, n, num_workers, num_servers,
+                             batch_size * factor_rank, topology=topology,
+                             price=price)
     backend = get_backend(mode)
     if backend.requires_factorization and not factorizable:
         return "ps"

@@ -1,8 +1,9 @@
 """The analytic communication-cost model of Table 1.
 
 For an ``M x N`` fully-connected layer synchronized across ``P1`` worker
-nodes and ``P2`` server shards with per-worker batch size ``K``, Table 1
-gives the number of *parameters* (float values) a node must transmit plus
+nodes and ``P2`` server shards whose sufficient factors have ``K`` rows
+per worker (the batch size times the layer's factor rank: one row per
+image, or one per token of a token FC), Table 1 gives the number of *parameters* (float values) a node must transmit plus
 receive in one iteration under three strategies:
 
 =============  =======================  =========================  ==============================
@@ -274,7 +275,12 @@ class CostModel:
         return choose_scheme(mode, fc_dims, layer.sf_decomposable,
                              self.cluster.num_workers,
                              self.cluster.num_servers, self.batch_size,
-                             topology=self.topology, price=price)
+                             topology=self.topology, price=price,
+                             factor_rank=layer.factor_rank or 1)
+
+    def factor_rows(self, layer: LayerSpec) -> int:
+        """Table 1's ``K`` for ``layer``: the batch times its factor rank."""
+        return self.batch_size * (layer.factor_rank or 1)
 
     def best_scheme(self, layer: LayerSpec, policy=None) -> str:
         """Algorithm 1: the cheapest hybrid-candidate backend for ``layer``.
@@ -317,7 +323,7 @@ class CostModel:
         latency_seconds = (backend.latency_messages(p1, p2)
                            * self.cluster.latency_seconds)
         compute_seconds = self.cluster.gpu.compute_seconds(
-            backend.extra_flops(m, n, p1, p2, self.batch_size))
+            backend.extra_flops(m, n, p1, p2, self.factor_rows(layer)))
         return wire_seconds + freq * (latency_seconds + compute_seconds)
 
     def best_scheme_timed(self, layer: LayerSpec, policy=None) -> str:
@@ -328,10 +334,8 @@ class CostModel:
         wall time instead, which adds two bandwidth-dependent effects: at
         high bandwidth SFB's ``P1 - 1`` per-peer broadcast setups and its
         gradient-reconstruction matmuls stop amortizing, pushing
-        near-crossover layers (a transformer's ``C x C`` attention output
-        projection) back to PS, while strongly factor-favoured layers (a
-        GPT vocabulary head) stay SFB at any swept bandwidth.  Candidate
-        set and tie-breaking are :func:`~repro.comm.backend.hybrid_choice`'s.
+        near-crossover layers back to PS.  Candidate set and tie-breaking
+        are :func:`~repro.comm.backend.hybrid_choice`'s.
         """
         return self.choose(layer, price=lambda backend: self.scheme_seconds(
             layer, backend.name, policy=policy))
@@ -363,7 +367,7 @@ class CostModel:
                   if is_fc and self.compression is not None else 1.0)
         return freq * factor * backend.cost_on(
             self.topology, m, n, self.cluster.num_workers,
-            self.cluster.num_servers, self.batch_size)
+            self.cluster.num_servers, self.factor_rows(layer))
 
     def scheme_cost_bytes(self, layer: LayerSpec, scheme: str,
                           policy=None) -> float:

@@ -1,12 +1,16 @@
 """Transformer/LLM sweep: timed per-layer scheme choice, bandwidth x topology.
 
-The paper's Algorithm 1 was designed around CNN-era FC layers, but its
-sweet spot replays directly on GPT workloads: the untied vocabulary head is
-a giant ``n_embd x vocab`` FC layer whose sufficient factors are tiny next
-to its dense gradient (SFB crushes PS at every swept bandwidth), while the
-``n_embd x n_embd`` attention output projections sit near the crossover.
-The volumetric Algorithm 1 cannot see the crossover move -- parameter
-counts are bandwidth-invariant -- so this figure sweeps the *timed* variant
+The paper's Algorithm 1 was designed around CNN-era FC layers; this figure
+puts GPT workloads in front of it.  A token FC layer caches one factor row
+per token, so its sufficient factors have ``K = batch * seq_len`` rows
+(3,072 for ``nanogpt-12l``) and SFB's ``2 K (P1 - 1)(M + N)`` dwarfs the
+dense ``M x N`` gradient for every layer, the ``n_embd x vocab`` head
+included: no FC layer picks SFB at any swept bandwidth or topology.  The
+flat fabric keeps every layer on the PS; under 4:1 rack oversubscription
+the topology-aware collectives take over, and there the attention output
+projection flips ring -> hierarchical PS as the bandwidth grows.  The
+volumetric Algorithm 1 cannot see such a flip -- parameter counts are
+bandwidth-invariant -- so the figure sweeps the *timed* variant
 (:meth:`~repro.core.cost_model.CostModel.best_scheme_timed`, which adds
 per-message latency and factor-reconstruction compute) across bandwidth and
 rack topology, plus end-to-end DES throughput for the fixed schemes and the
@@ -15,10 +19,6 @@ hybrid.
 The throughput series are a :class:`~repro.experiments.figure.Figure`; the
 decision table keeps a custom body, as it is the cost model's per-layer
 choice rather than a simulated point.
-
-Costing caveat (see :mod:`repro.nn.model_zoo.transformer`): Table-1 factor
-costs use ``K = batch`` where one sample is one *sequence*, the same
-abstraction as one image for a CNN.
 """
 
 from __future__ import annotations
@@ -98,42 +98,52 @@ def report(quick: bool = False) -> str:
     lines: List[str] = [
         f"Transformer/LLM sweep: timed Algorithm-1 choice per FC layer, "
         f"{figure.clusters[0][1].num_workers} nodes",
-        "  (Table-1 factor costs use K = batch, one sample = one sequence; "
-        "see docs)",
+        "  (Table-1 factor costs use K = batch x seq_len, one factor row "
+        "per token; see docs)",
     ]
     for model_key in figure.models:
         spec = get_model_spec(model_key)
         decisions = timed_decisions(spec, figure)
         blocks = sum(1 for layer in spec.layers
                      if layer.name.endswith("_attn_core"))
+        head = spec.layer("lm_head")
+        rows = spec.default_batch_size * head.factor_rank
         lines.append(
             f"  {spec.name}: {spec.total_params / 1e6:.0f}M params, "
-            f"{blocks} blocks, batch {spec.default_batch_size}")
+            f"{blocks} blocks, batch {spec.default_batch_size}, "
+            f"K = {rows} factor rows")
         for topology, by_bandwidth in decisions.items():
             for bandwidth, per_layer in by_bandwidth.items():
                 rendered = " ".join(f"{layer}={scheme}"
                                     for layer, scheme in per_layer.items())
                 lines.append(f"    {topology:12s} @ {bandwidth:g} GbE: "
                              f"{rendered}")
-        m, n = spec.layer("lm_head").fc_dims
-        head_choices = {per_layer["lm_head"]
-                        for by_bandwidth in decisions.values()
-                        for per_layer in by_bandwidth.values()}
-        if head_choices == {"sfb"}:
-            lines.append(f"    vocab head lm_head ({m}x{n}): sfb at every "
-                         f"swept bandwidth and topology")
+        sfb_layers = sorted({layer for by_bandwidth in decisions.values()
+                             for per_layer in by_bandwidth.values()
+                             for layer, scheme in per_layer.items()
+                             if scheme == "sfb"})
+        if sfb_layers:
+            lines.append(f"    sfb picked for: {' '.join(sfb_layers)}")
         else:
-            lines.append(f"    vocab head lm_head ({m}x{n}): "
-                         f"{sorted(head_choices)}")
-        flat = decisions["flat"]
-        flips = flipping_layers(flat)
-        for layer in flips:
-            choices = " -> ".join(flat[bandwidth][layer]
+            lines.append("    no FC layer picks sfb at any swept bandwidth "
+                         "or topology")
+        m, n = head.fc_dims
+        head_choices = ", ".join(
+            "/".join(sorted({per_layer["lm_head"]
+                             for per_layer in by_bandwidth.values()}))
+            + f" ({topology})"
+            for topology, by_bandwidth in decisions.items())
+        lines.append(f"    vocab head lm_head ({m}x{n}): {head_choices}")
+        flips = [(topology, layer) for topology, by_bandwidth
+                 in decisions.items() for layer in flipping_layers(by_bandwidth)]
+        for topology, layer in flips:
+            choices = " -> ".join(decisions[topology][bandwidth][layer]
                                   for bandwidth in bandwidths)
             lines.append(f"    crossover: {layer} flips {choices} across "
-                         f"{bandwidths[0]:g} -> {bandwidths[-1]:g} GbE (flat)")
+                         f"{bandwidths[0]:g} -> {bandwidths[-1]:g} GbE "
+                         f"({topology})")
         if not flips:
             lines.append("    no layer flips scheme across the swept "
-                         "bandwidths (flat)")
+                         "bandwidths")
     lines.append(render(figure.layout, figure.run()))
     return "\n".join(lines)

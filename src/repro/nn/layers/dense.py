@@ -3,8 +3,11 @@
 The weight gradient of an FC layer has two representations:
 ``dW = x^T @ dy`` as a dense ``M x N`` matrix, and the pair ``(x, dy)``
 itself -- the *sufficient factors* of Section 2.1, ``K (M + N)`` floats whose
-batched outer product is ``dW``.  Which one exists after ``backward`` follows
-from who consumes it:
+batched outer product is ``dW``.  ``K`` is the number of rows the layer
+saw: the batch size times its :attr:`Dense.factor_rank` (one row per
+image, or one per token behind a
+:class:`~repro.nn.layers.attention.TokenFlatten`).  Which one exists after
+``backward`` follows from who consumes it:
 
 * by default (no syncer, or one that ships dense gradients: PS, 1-bit,
   compressed PS, ring, hierarchical PS, local SGD) ``backward`` computes the
@@ -29,14 +32,23 @@ from repro.exceptions import ShapeError
 
 
 class Dense(Layer):
-    """Affine transformation ``y = x W + b`` with ``W`` of shape ``(M, N)``."""
+    """Affine transformation ``y = x W + b`` with ``W`` of shape ``(M, N)``.
+
+    ``factor_rank`` is the number of input rows per sample: 1 for a layer
+    fed one row per sample, ``T`` for a vocabulary head behind a
+    :class:`~repro.nn.layers.attention.TokenFlatten` of ``T``-token
+    sequences.  Algorithm 1 prices the layer's factors at
+    ``batch * factor_rank`` rows.
+    """
 
     def __init__(self, name: str, in_features: int, out_features: int,
-                 rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None,
+                 factor_rank: int = 1):
         super().__init__(name)
         rng = rng or np.random.default_rng(0)
         self.in_features = int(in_features)
         self.out_features = int(out_features)
+        self.factor_rank = factor_rank
         self.params = {
             "weight": xavier_uniform(
                 (self.in_features, self.out_features),
@@ -99,9 +111,10 @@ class Dense(Layer):
     def sufficient_factors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return the ``(U, V)`` factors of the last weight gradient.
 
-        ``U`` has shape ``(K, M)`` (per-sample input activations) and ``V``
-        has shape ``(K, N)`` (per-sample output gradients) so that
-        ``dW = U^T @ V``.
+        ``U`` has shape ``(K, M)`` (the input rows) and ``V`` has shape
+        ``(K, N)`` (the output-gradient rows) so that ``dW = U^T @ V``;
+        ``K`` is the number of rows the last forward saw, the batch size
+        times :attr:`factor_rank`.
 
         Raises:
             RuntimeError: if no backward pass has been run yet.

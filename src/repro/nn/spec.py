@@ -8,7 +8,8 @@ decomposable), and per-sample FLOP counts (to model GPU compute time).
 
 The paper's cost model (Table 1) and the `BestScheme` algorithm (Algorithm 1)
 operate on exactly this information: layer type, the ``M x N`` shape of FC
-layers, batch size and cluster size.
+layers, the number ``K`` of sufficient-factor rows (batch size times the
+layer's factor rank) and cluster size.
 
 Specs are built with :class:`SpecBuilder`, a tiny builder that tracks the
 spatial dimensions of the activations so that model-zoo definitions read like
@@ -18,6 +19,7 @@ ordinary network definitions.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -69,6 +71,10 @@ class LayerSpec:
         sf_decomposable: whether the layer's gradient can be expressed as a
             sum of ``K`` outer products (true for fully-connected layers),
             enabling sufficient-factor broadcasting.
+        factor_rank: rows of the cached factors ``(x, dy)`` per sample, so
+            ``K = batch * factor_rank``: 1 for a CNN FC layer (one row per
+            image), ``seq_len`` for a token FC (one row per token).  FC
+            layers only; an FC layer built without one gets 1.
     """
 
     name: str
@@ -79,6 +85,7 @@ class LayerSpec:
     flops_backward: float = 0.0
     output_shape: Tuple[int, ...] = ()
     sf_decomposable: bool = False
+    factor_rank: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.param_count < 0:
@@ -95,6 +102,18 @@ class LayerSpec:
             raise ModelSpecError(
                 f"layer {self.name!r}: only FC layers are sufficient-factor decomposable"
             )
+        if self.kind is not LayerKind.FC:
+            if self.factor_rank is not None:
+                raise ModelSpecError(
+                    f"layer {self.name!r}: kind {self.kind.value} has no "
+                    f"sufficient factors, so no factor_rank")
+        elif self.factor_rank is None:
+            object.__setattr__(self, "factor_rank", 1)
+        elif (not isinstance(self.factor_rank, numbers.Integral)
+              or self.factor_rank < 1):
+            raise ModelSpecError(
+                f"layer {self.name!r}: factor_rank must be an integer >= 1, "
+                f"got {self.factor_rank!r}")
 
     @property
     def has_parameters(self) -> bool:
@@ -124,10 +143,11 @@ class LayerSpec:
     def sufficient_factor_bytes(self, batch_size: int) -> int:
         """Bytes required to send this layer's gradient as sufficient factors.
 
-        For an FC layer with weight ``M x N`` trained on a batch of ``K``
-        samples, the gradient is the sum of ``K`` outer products
-        ``u_i v_i^T`` with ``u_i`` of length ``M`` and ``v_i`` of length
-        ``N``; transmitting the factors costs ``K (M + N)`` floats.
+        For an FC layer with weight ``M x N`` whose cached factors have
+        ``K = batch_size * factor_rank`` rows, the gradient is the sum of
+        ``K`` outer products ``u_i v_i^T`` with ``u_i`` of length ``M`` and
+        ``v_i`` of length ``N``; transmitting the factors costs
+        ``K (M + N)`` floats.
 
         Raises:
             ModelSpecError: if the layer is not SF-decomposable.
@@ -137,7 +157,8 @@ class LayerSpec:
                 f"layer {self.name!r} is not sufficient-factor decomposable"
             )
         m, n = self.fc_dims
-        return int(batch_size * (m + n) * units.FLOAT32_BYTES)
+        return int(batch_size * self.factor_rank * (m + n)
+                   * units.FLOAT32_BYTES)
 
 
 @dataclass(frozen=True)
@@ -619,9 +640,8 @@ class SpecBuilder:
         The ``C x out_features`` weight is shared across the ``T`` positions,
         so the layer is FC-shaped for scheme decisions (``fc_dims``,
         sufficient-factor decomposable) while its FLOPs scale with ``T``.
-        Table-1 costing keeps ``K = batch`` (sequences, like images for CNN
-        FC layers); see :mod:`repro.nn.model_zoo.transformer` for the
-        token-level caveat.
+        Its cached factors ``(x, dy)`` have one row per *token*, so its
+        factor rank is ``T`` and Table 1 prices ``K = batch * T`` rows.
         """
         seq_len, in_features = self._require_tokens("token_fc")
         weights = in_features * int(out_features)
@@ -638,6 +658,21 @@ class SpecBuilder:
                 flops_backward=flops_bwd,
                 output_shape=(seq_len, int(out_features)),
                 sf_decomposable=True,
+                factor_rank=seq_len,
+            )
+        )
+
+    def sequence_mean_pool(self, name: str) -> LayerSpec:
+        """Mean-pool a ``(T, C)`` activation over its tokens: ``-> (C,)``."""
+        seq_len, dim = self._require_tokens("sequence_mean_pool")
+        count = float(seq_len * dim)
+        return self._add(
+            LayerSpec(
+                name=name,
+                kind=LayerKind.POOL,
+                flops_forward=count,
+                flops_backward=count,
+                output_shape=(dim,),
             )
         )
 

@@ -59,7 +59,8 @@ def assign_schemes(network: Network, mode: str, num_workers: int,
             are not sufficient-factor decomposable.
         num_workers: worker count (``P1``).
         num_servers: PS shard count (``P2``).
-        batch_size: per-worker batch size (``K``).
+        batch_size: per-worker batch size; a ``Dense`` layer's factors
+            have ``batch_size * layer.factor_rank`` rows (``K``).
         topology: rack topology for rack-aware ``"hybrid"`` decisions
             (``None`` or a flat topology keeps the paper's flat Algorithm 1).
 
@@ -71,8 +72,6 @@ def assign_schemes(network: Network, mode: str, num_workers: int,
         raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
     if num_servers < 1:
         raise ConfigurationError(f"num_servers must be >= 1, got {num_servers}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     modes = trainer_modes()
     if mode not in modes:
         raise ConfigurationError(
@@ -88,5 +87,6 @@ def assign_schemes(network: Network, mode: str, num_workers: int,
                    if factorizable else None)
         schemes[layer.name] = choose_scheme(
             mode, fc_dims, factorizable, num_workers, num_servers,
-            batch_size, topology)
+            batch_size, topology,
+            factor_rank=layer.factor_rank if factorizable else 1)
     return SchemeAssignment(mode=mode, schemes=schemes)

@@ -2,7 +2,8 @@
 
 Poseidon's coordinator makes one static decision per layer -- which scheme
 carries it and how many bytes that puts on the wire, from the layer's
-shape, the batch size and the cluster (Algorithm 1).  :func:`resolve_plan`
+shape, its factor rows (batch size times factor rank) and the cluster
+(Algorithm 1).  :func:`resolve_plan`
 makes it once per ``(workload, system, cluster)``: check the scheme can
 carry the system's compressor, assign every unit a scheme
 (:func:`decide_schemes`), apply the bucketed wire granularity, place each
@@ -71,7 +72,8 @@ def decide_schemes(workload: IterationWorkload, comm: str,
         lambda: {
             unit.name: choose_scheme(comm, unit.fc_dims, unit.sf_eligible,
                                      num_workers, num_servers,
-                                     workload.batch_size, topology)
+                                     workload.batch_size, topology,
+                                     factor_rank=unit.factor_rank)
             for unit in workload.units
         })
 

@@ -50,6 +50,10 @@ class SyncUnit:
             so compressed wire accounting stays exact member by member.
             ``None`` (the default, and every non-bucketed unit) prices the
             unit from its own ``param_bytes``/``fc_dims``.
+        factor_rank: rows of the unit's sufficient factors per sample
+            (:attr:`~repro.nn.spec.LayerSpec.factor_rank`): a factor scheme
+            ships ``K = batch * factor_rank`` rows.  1 on every unit that
+            is not a single FC layer.
     """
 
     name: str
@@ -59,9 +63,11 @@ class SyncUnit:
     backward_seconds: float
     layer_names: Tuple[str, ...]
     payload_parts: Optional[Tuple[Tuple[int, Optional[Tuple[int, int]]], ...]] = None
+    factor_rank: int = 1
 
     def sufficient_factor_bytes(self, batch_size: int) -> int:
-        """Bytes of the unit's gradient encoded as sufficient factors.
+        """Bytes of the unit's gradient encoded as sufficient factors:
+        ``batch_size * factor_rank`` rows of ``M + N`` floats.
 
         Raises:
             ConfigurationError: if the unit is not SF-eligible.
@@ -69,7 +75,8 @@ class SyncUnit:
         if not self.sf_eligible or self.fc_dims is None:
             raise ConfigurationError(f"unit {self.name!r} is not SF-eligible")
         m, n = self.fc_dims
-        return int(batch_size * (m + n) * units.FLOAT32_BYTES)
+        return int(batch_size * self.factor_rank * (m + n)
+                   * units.FLOAT32_BYTES)
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,7 @@ def _derive_workload(model: ModelSpec, batch: int, gpu: GpuModel,
                     fc_dims=fc_dims,
                     backward_seconds=backward,
                     layer_names=(layer.name,),
+                    factor_rank=layer.factor_rank or 1,
                 )
             )
         else:

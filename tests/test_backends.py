@@ -19,6 +19,7 @@ from repro.comm.backend import (
     CommBackend,
     PSBackend,
     TrainerContext,
+    choose_scheme,
     get_backend,
     hybrid_candidates,
     hybrid_choice,
@@ -177,6 +178,34 @@ class TestAssignSchemesValidation:
     def test_hierps_mode_assigns_hierps_everywhere(self, network):
         assignment = assign_schemes(network, "hierps", 4, 4, 8)
         assert set(assignment.schemes.values()) == {"hierps"}
+
+
+class TestDecisionEntryValidation:
+    """``choose_scheme`` checks ``batch_size`` and ``factor_rank`` before it
+    looks at the mode, so a bad ``K`` is refused in every mode alike."""
+
+    MODES = tuple(registered_backends()) + (HYBRID_MODE,)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("batch,rank", [
+        (0, 1), (-3, 1), (2.5, 1), (4, 0), (4, -1), (4, 1.5)])
+    def test_bad_factor_rows_raise_in_every_mode(self, mode, batch, rank):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            choose_scheme(mode, (4, 4), True, 4, 4, batch, factor_rank=rank)
+
+    def test_rank_multiplies_the_batch(self):
+        """A 4096x1000 FC is SFB at 32 rows, PS at 32 x 256."""
+        assert choose_scheme(HYBRID_MODE, (4096, 1000), True, 16, 16, 32) \
+            == hybrid_choice(4096, 1000, 16, 16, 32) == "sfb"
+        assert choose_scheme(HYBRID_MODE, (4096, 1000), True, 16, 16, 32,
+                             factor_rank=256) \
+            == hybrid_choice(4096, 1000, 16, 16, 32 * 256) == "ps"
+
+    def test_trainer_refuses_a_fractional_batch(self):
+        network = build_mlp_network(input_dim=8, hidden_dims=(8,),
+                                    num_classes=4, seed=0)
+        with pytest.raises(ConfigurationError):
+            assign_schemes(network, "ps", 2, 2, 2.5)
 
 
 class TestHybridDecisionBoundary:

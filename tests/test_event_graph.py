@@ -502,10 +502,12 @@ class TestConvoyAccounts:
 
     RACKED = dict(racks=4, oversubscription=4.0)
     POINTS = {
-        "nanogpt-12l HybComm 16n": (
-            "nanogpt-12l", "HybComm",
+        # Recorded when it replaced nanogpt-12l under HybComm: priced at
+        # K = B * T factor rows, that plan broadcasts nothing.
+        "nanogpt-12l SFB 16n": (
+            "nanogpt-12l", "SFB",
             ClusterConfig(num_workers=16, bandwidth_gbps=40.0),
-            19374, "0.2578849828072717", "221c2da9c677dace"),
+            19339, "13.350370748078483", "d563c19e659acb0f"),
         "vgg19 SFB 32n": (
             "vgg19", "SFB", ClusterConfig(num_workers=32, bandwidth_gbps=10.0),
             6623, "1.0525831066383051", "c8c79b9dcf7086b3"),

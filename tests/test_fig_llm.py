@@ -1,8 +1,10 @@
 """Tests for the fig_llm experiment (transformer scheme choice x topology).
 
-Pins the acceptance physics the figure exists to show: the untied
-vocabulary head picks SFB at every swept bandwidth and topology, while at
-least one attention/MLP projection flips scheme across the swept
+Pins the acceptance physics the figure exists to show: priced at its real
+rank (``K = batch * seq_len`` factor rows), no FC layer picks SFB at any
+swept bandwidth or topology -- the flat fabric keeps every layer on the PS
+and rack oversubscription hands them to the topology-aware collectives,
+where the attention output projection flips scheme across the swept
 bandwidths (the timed Algorithm-1 crossover the volumetric variant cannot
 see).  Also pins byte-identity of the report across sweep worker counts
 and the runner registration.
@@ -54,21 +56,28 @@ class TestDecisionLayers:
 
 
 class TestDecisions:
-    def test_vocab_head_is_sfb_everywhere(self, decisions):
-        """The headline: the giant untied head always favours factors."""
-        assert {per_layer["lm_head"] for by_bandwidth in decisions.values()
-                for per_layer in by_bandwidth.values()} == {"sfb"}
+    def test_no_fc_layer_picks_sfb(self, decisions):
+        """The headline: at K = B * T factor rows SFB never pays."""
+        assert "sfb" not in {scheme for by_bandwidth in decisions.values()
+                             for per_layer in by_bandwidth.values()
+                             for scheme in per_layer.values()}
 
-    def test_vocab_head_is_sfb_at_10gbe_flat(self, decisions):
-        assert decisions["flat"][10.0]["lm_head"] == "sfb"
+    def test_flat_fabric_is_all_ps(self, decisions):
+        for per_layer in decisions["flat"].values():
+            assert set(per_layer.values()) == {"ps"}
 
-    def test_attention_projection_flips_across_bandwidths(self, decisions):
+    def test_vocab_head_rides_the_ring_when_oversubscribed(self, decisions):
+        assert {per_layer["lm_head"] for per_layer
+                in decisions["4:1-oversub"].values()} == {"ring"}
+
+    def test_attention_projection_flips_only_when_oversubscribed(
+            self, decisions):
         """The crossover: a square projection changes scheme with bandwidth."""
-        assert "h0_attn_proj" in fig_llm.flipping_layers(decisions["flat"])
-
-    def test_projection_prefers_sfb_only_when_constrained(self, decisions):
-        assert decisions["flat"][10.0]["h0_attn_proj"] == "sfb"
-        assert decisions["flat"][40.0]["h0_attn_proj"] == "ps"
+        assert fig_llm.flipping_layers(decisions["flat"]) == []
+        assert fig_llm.flipping_layers(decisions["4:1-oversub"]) == [
+            "h0_attn_proj"]
+        assert decisions["4:1-oversub"][10.0]["h0_attn_proj"] == "ring"
+        assert decisions["4:1-oversub"][40.0]["h0_attn_proj"] == "hierps"
 
     def test_oversubscription_pulls_in_topology_schemes(self, decisions):
         """On the 4:1 fabric the projection goes topology-aware, not PS."""
@@ -81,20 +90,26 @@ class TestDecisions:
                 for label, _ in fig_llm.FIGURE.clusters:
                     assert speedup(points, system, bandwidth, label) > 0.0
 
-    def test_sfb_beats_ps_when_constrained(self, points):
-        """Factor traffic wins end to end at 10 GbE on both fabrics."""
-        for label, _ in fig_llm.FIGURE.clusters:
-            assert speedup(points, "SFB", 10.0, label) > \
-                speedup(points, "PS", 10.0, label)
+    def test_ps_beats_sfb_and_hybcomm_keeps_up(self, points):
+        """End to end, forced SFB loses to the PS at every point, and the
+        hybrid is never slower than the PS it mostly picks."""
+        for bandwidth in fig_llm.FIGURE.bandwidths:
+            for label, _ in fig_llm.FIGURE.clusters:
+                ps = speedup(points, "PS", bandwidth, label)
+                assert speedup(points, "SFB", bandwidth, label) < ps
+                assert speedup(points, "HybComm", bandwidth, label) >= ps
 
 
 class TestRendering:
     def test_render_structure(self, rendering):
         assert rendering.startswith(
             "Transformer/LLM sweep: timed Algorithm-1 choice per FC layer")
-        assert "vocab head lm_head" in rendering
-        assert "sfb at every swept bandwidth and topology" in rendering
-        assert "crossover: h0_attn_proj flips" in rendering
+        assert "K = 3072 factor rows" in rendering
+        assert "no FC layer picks sfb at any swept bandwidth" in rendering
+        assert ("vocab head lm_head (384x50304): ps (flat), "
+                "ring (4:1-oversub)") in rendering
+        assert ("crossover: h0_attn_proj flips ring -> hierps across "
+                "10 -> 40 GbE (4:1-oversub)") in rendering
         assert "DES throughput speedup" in rendering
 
     def test_report_byte_identical_across_jobs(self, points, rendering):

@@ -64,6 +64,33 @@ class TestLayerSpec:
             LayerSpec(name="conv", kind=LayerKind.CONV, param_count=9,
                       sf_decomposable=True)
 
+    def test_factor_rank_multiplies_the_factor_rows(self):
+        """K = batch * factor_rank rows of M + N floats."""
+        layer = LayerSpec(name="fc", kind=LayerKind.FC, param_count=200,
+                          param_shape=(10, 20), sf_decomposable=True,
+                          output_shape=(6, 20), factor_rank=6)
+        assert layer.sufficient_factor_bytes(batch_size=4) == \
+            4 * 6 * 30 * units.FLOAT32_BYTES
+
+    def test_fc_built_without_a_rank_has_rank_one(self):
+        layer = LayerSpec(name="fc", kind=LayerKind.FC, param_count=200,
+                          param_shape=(10, 20), sf_decomposable=True)
+        assert layer.factor_rank == 1
+
+    @pytest.mark.parametrize("rank", [0, -3, 2.5, "4"])
+    def test_bad_factor_rank_rejected(self, rank):
+        with pytest.raises(ModelSpecError, match="factor_rank"):
+            LayerSpec(name="fc", kind=LayerKind.FC, param_count=200,
+                      param_shape=(10, 20), sf_decomposable=True,
+                      factor_rank=rank)
+
+    @pytest.mark.parametrize("kind", [LayerKind.CONV, LayerKind.NORM,
+                                      LayerKind.EMBED, LayerKind.POOL])
+    def test_factor_rank_only_on_fc(self, kind):
+        with pytest.raises(ModelSpecError, match="factor_rank"):
+            LayerSpec(name="x", kind=kind, factor_rank=1)
+        assert LayerSpec(name="x", kind=kind).factor_rank is None
+
 
 class TestSpecBuilder:
     def test_conv_output_shape_tracking(self):
@@ -116,6 +143,26 @@ class TestSpecBuilder:
         builder = SpecBuilder("t", input_shape=(8, 14, 14))
         layer = builder.concat_channels("cat", (8, 16, 4))
         assert layer.output_shape == (28, 14, 14)
+
+
+class TestFactorRankOfBuiltLayers:
+    def test_cnn_fc_has_one_row_per_sample(self):
+        spec = build_toy_spec()
+        assert [layer.factor_rank for layer in spec.fc_layers()] == [1, 1]
+
+    def test_token_fc_has_one_row_per_token(self):
+        builder = SpecBuilder("lm", input_shape=(7,))
+        builder.embedding("wte", 50, 8)
+        head = builder.token_fc("head", 50)
+        assert head.factor_rank == 7
+        assert head.sufficient_factor_bytes(3) == \
+            3 * 7 * (8 + 50) * units.FLOAT32_BYTES
+
+    def test_sequence_mean_pool_leaves_one_row_per_sample(self):
+        builder = SpecBuilder("cls", input_shape=(7,))
+        builder.embedding("wte", 50, 8)
+        builder.sequence_mean_pool("pool")
+        assert builder.fc("head", 4).factor_rank == 1
 
 
 class TestModelSpec:

@@ -5,7 +5,8 @@
   the same scheme per layer, for every mode on flat and racked clusters;
 * the per-node traffic the DES measures at its NICs equals the traffic the
   fluid engine sums from the backends' declared ``UnitBytes``, for every
-  backend x topology x cluster size; hierarchical PS's ``(range, bytes)``
+  backend x topology x cluster size, and for a transformer's token FCs
+  priced at their real factor rank; hierarchical PS's ``(range, bytes)``
   leader entries expand to its per-rack loop, bit for bit;
 * a backend declaring ``unit_bytes`` -- payload and phases, including a
   phase sequence no shipped backend uses -- runs under the DES and both
@@ -143,6 +144,27 @@ class TestDeclaredTrafficMatchesMeasured:
                 system.name
             assert declared.max() == pytest.approx(measured.max(), rel=1e-9), \
                 system.name
+
+    @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
+    @pytest.mark.parametrize("nodes", (4, 8))
+    @pytest.mark.parametrize("system", ("SFB", "HybComm", "Adam"))
+    def test_token_fc_rank_reaches_both_engines(self, system, nodes, racks,
+                                                oversubscription):
+        """nanogpt-12l's token FCs ship ``K = B * T`` factor rows in both
+        engines: the plan both read prices them so, node for node."""
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=40.0,
+                                racks=racks, oversubscription=oversubscription)
+        workload = build_workload(get_model_spec("nanogpt-12l"),
+                                  gpu=cluster.gpu)
+        np.testing.assert_allclose(
+            _traffic(FluidSimulator, workload, cluster, SYSTEMS[system]),
+            _traffic(IterationSimulator, workload, cluster, SYSTEMS[system]),
+            rtol=1e-9)
+        head = resolve_plan(workload, SYSTEMS[system], cluster).by_name["lm_head"]
+        rows = workload.batch_size * 256
+        assert head.unit.factor_rank == 256
+        if head.backend.requires_factorization:
+            assert head.bytes.phases[0].nbytes == rows * (384 + 50304) * 4
 
     def test_hierps_counts_leader_fan_and_real_racks(self):
         """The parent's fluid figure ignored leaders and hard-coded racks of 4."""
@@ -459,19 +481,19 @@ class TestRingLoweringsAreEachOthersOracle:
 
     def test_mixed_plan_keeps_the_stepped_rounds(self):
         """One long hold would head-of-line-block the PS and SFB flows that
-        share the NICs (3.4 -> 2.6 speedup on this point when forced)."""
-        cluster = ClusterConfig(num_workers=16, bandwidth_gbps=40.0, racks=4,
-                                oversubscription=4.0)
+        share the NICs (2.15 -> 2.04 speedup on this point when forced)."""
+        cluster = ClusterConfig(num_workers=8, bandwidth_gbps=40.0, racks=4,
+                                oversubscription=8.0)
         hybrid = next(s for s in backend_systems()
                       if s.comm == "hybrid")
-        workload = build_workload(get_model_spec("nanogpt-12l"),
-                                  gpu=cluster.gpu)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
         simulator, result = _run_ring(workload, cluster, hybrid)
         schemes = list(simulator.schemes.values())
-        assert [schemes.count(s) for s in ("ring", "sfb", "ps")] == [24, 25, 26]
-        # Recorded on the parent commit.
-        assert simulator.env.events_processed == 54437
-        assert repr(result.iteration_seconds) == "0.6312748469876356"
+        assert [schemes.count(s) for s in ("ring", "sfb", "ps")] == [1, 2, 5]
+        # Recorded on the change that moved this check off nanogpt-12l,
+        # whose hybrid plan here no longer holds SFB flows.
+        assert simulator.env.events_processed == 1501
+        assert repr(result.iteration_seconds) == "0.928163188230593"
 
     def test_stragglers_keep_the_stepped_rounds(self):
         """Nobody runs more than one step ahead of the slow workers; one
@@ -632,10 +654,11 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
         # The shard side runs on machines no worker stands for.
         "dedicated servers": (VGG, replace(FLAT, colocate_servers=False),
                               SYSTEMS["1-bit PS"], 1865, "0.9017103881587709"),
-        # SFB broadcasts and ring steps land on peers' NICs.
-        "hybcomm": (get_model_spec("nanogpt-12l"),
-                    ClusterConfig(num_workers=16, bandwidth_gbps=40.0),
-                    SYSTEMS["HybComm"], 19374, "0.2578849828072717"),
+        # SFB broadcasts land on peers' NICs (recorded when this point
+        # replaced nanogpt-12l under HybComm, now an all-PS plan).
+        "sfb": (get_model_spec("nanogpt-12l"),
+                ClusterConfig(num_workers=16, bandwidth_gbps=40.0),
+                SYSTEMS["SFB"], 19339, "13.350370748078483"),
         # The relaxed-policy path has no representative to step.
         "ssp(1)": (VGG, ClusterConfig(num_workers=8, bandwidth_gbps=10.0),
                    SYSTEMS["PS"].with_policy("ssp(1)"),

@@ -17,9 +17,10 @@ Each is reported as the best of ``--repeats`` wall times (planning memos
 warm, as they are from the benchmark's second pass on) and the KB one more
 call leaves held (``tracemalloc`` after ``gc.collect()``; for a sweep, what a
 new what-if query keeps, which must not grow with the cluster); a DES point
-also gives its ``events_processed`` and how many workers the run stepped
-(one for a symmetric plan, else all of them): where the second did not
-move, the first must not under a change that only claims speed.  Usage::
+also gives its ``events_processed``, how many workers the run stepped
+(one for a symmetric plan, else all of them) and its scheme mix (units per
+scheme, e.g. ``sfb 49 · ps 26``): where the last two did not move, the
+first must not under a change that only claims speed.  Usage::
 
     PYTHONPATH=src python tools/sim_points.py [--repeats N] [--ref REV|DIR]
 
@@ -40,7 +41,8 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from collections import Counter
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,7 +54,8 @@ ROUNDS = 3
 
 def points() -> Iterator[Tuple[str, Callable[[int], object],
                                Optional[Callable[[], Tuple[int, int]]]]]:
-    """``(label, call(repeat), (events, workers stepped)() or None)`` of the 30."""
+    """``(label, call(repeat), (events, workers stepped, mix)() or None)``
+    of the 30."""
     from repro.config import ClusterConfig
     from repro.experiments.fig_backends import backend_systems
     from repro.nn.model_zoo import get_model_spec
@@ -65,14 +68,15 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
     systems = backend_systems()
 
     def des(model, system, nodes, gbps):
-        def events() -> Tuple[int, int]:
+        def events() -> Tuple[int, int, str]:
             cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=gbps)
             simulator = IterationSimulator(
                 build_workload(model, gpu=cluster.gpu), cluster, system)
             simulator.run()
             # A --ref tree from before the attribute stepped every worker.
             return (simulator.env.events_processed,
-                    getattr(simulator, "workers_stepped", nodes))
+                    getattr(simulator, "workers_stepped", nodes),
+                    scheme_mix(simulator.schemes.values()))
         return (f"des {model.name} {system.name} {nodes}n",
                 lambda _repeat: simulate_point(model, system, nodes,
                                                bandwidth_gbps=gbps,
@@ -101,6 +105,13 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
                None)
 
 
+def scheme_mix(schemes: Iterable[str]) -> str:
+    """Units per scheme, most first: ``"sfb 49 · ps 26"``."""
+    counts = Counter(schemes)
+    return " · ".join(f"{scheme} {count}" for scheme, count
+                      in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
 def retained_kb(call: Callable[[int], object], repeat: int) -> float:
     """KB a call leaves held: traced bytes still alive, after
     ``gc.collect()``, once it returned (its memo entries, for instance)."""
@@ -115,8 +126,8 @@ def retained_kb(call: Callable[[int], object], repeat: int) -> float:
 
 
 def measure(repeats: int) -> Dict[str, dict]:
-    """Best-of-``repeats`` milliseconds (and DES event / worker counts) per
-    point, and the KB one more call retains, outside the timed repeats (a
+    """Best-of-``repeats`` milliseconds (and DES event / worker counts and
+    scheme mix) per point, and the KB one more call retains, outside the timed repeats (a
     fresh repeat index: a cold query for the sweeps)."""
     measured = {}
     for label, call, events in points():
@@ -125,9 +136,9 @@ def measure(repeats: int) -> Dict[str, dict]:
             start = time.perf_counter()
             call(repeat)
             best = min(best, time.perf_counter() - start)
-        counted, stepped = events() if events else (None, None)
+        counted, stepped, mix = events() if events else (None, None, None)
         measured[label] = {"ms": best * 1e3, "events": counted,
-                           "stepped": stepped,
+                           "stepped": stepped, "schemes": mix,
                            "kb": retained_kb(call, repeats)}
     return measured
 
@@ -184,12 +195,12 @@ def main() -> int:
     for side in filter(None, (measured, reference)):
         side["total"] = {"ms": sum(m["ms"] for m in side.values()),
                          "events": sum(m["events"] or 0 for m in side.values()),
-                         "stepped": None,
+                         "stepped": None, "schemes": None,
                          "kb": sum(m["kb"] for m in side.values())}
     print(f"{'point':44}" + (f"{'ref ms':>9}" if reference else "")
           + f"{'ms':>9}" + (f"{'change':>8}" if reference else "")
           + (f"{'ref KB':>9}" if reference else "") + f"{'retained KB':>12}"
-          + f"{'events':>8}{'workers stepped':>17}")
+          + f"{'events':>8}{'workers stepped':>17}  schemes")
     for label, now in measured.items():
         line = f"{label:44}"
         if reference:
@@ -202,8 +213,14 @@ def main() -> int:
         line += f"{now['kb']:12.0f}"
         if reference and was["events"] != now["events"]:
             line += f"{was['events']:>8} ->"
-        print(line + (f"{now['events']:>8}" if now["events"] else "")
-              + (f"{now['stepped']:>17}" if now["stepped"] else ""))
+        line += ((f"{now['events']:>8}" if now["events"] else "")
+                 + (f"{now['stepped']:>17}" if now["stepped"] else ""))
+        if now["schemes"]:
+            line += "  "
+            if reference and was.get("schemes") not in (None, now["schemes"]):
+                line += f"{was['schemes']} -> "
+            line += now["schemes"]
+        print(line)
     return 0
 
 
