@@ -10,7 +10,7 @@ import pytest
 
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.quantization import OneBitQuantizer
-from repro.comm.sfb import SufficientFactorBroadcaster
+from repro.comm.sfb import plan_aggregate
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.model_zoo import get_model_spec
 from repro.nn.optim import SGD
@@ -160,10 +160,11 @@ def test_sfb_sync_cycle_2workers(benchmark):
     """Two workers' backward + ``Syncer.sync`` of a 1024x1024 Dense under SFB.
 
     The shape of the repo benchmark's ``train_mlp_hybrid`` hot layers: each
-    thread backpropagates its own batch, publishes ``(x, dy)`` by
-    reference, reconstructs the aggregate from both workers' factors and
-    applies it to its own replica.  The syncers come from the backend's
-    ``create_syncer``, the binding the trainer uses.
+    thread backpropagates its own batch and publishes ``(x, dy)`` by
+    reference; the two collectors build the one aggregate of both workers'
+    factors together, row slab by row slab, and each applies it to its own
+    replica.  The syncers come from the backend's ``create_syncer``, the
+    binding the trainer uses.
     """
     import threading
 
@@ -205,21 +206,26 @@ def test_sfb_sync_cycle_2workers(benchmark):
 
 
 def test_sfb_aggregation(benchmark):
-    """Aggregate 8 workers' sufficient factors for a 1024x1024 FC layer."""
+    """Aggregate 8 workers' sufficient factors for a 1024x1024 FC layer.
+
+    The SFB board's one build, every row slab and the extras fold run on
+    this thread (a board's collectors split them between themselves).
+    """
     rng = np.random.default_rng(0)
-    contributions = [
-        (worker,
-         SufficientFactors(
-             u=rng.standard_normal((32, 1024)).astype(np.float32),
-             v=rng.standard_normal((32, 1024)).astype(np.float32)),
-         {"bias": rng.standard_normal(1024).astype(np.float32)})
+    contributions = {
+        worker: (
+            SufficientFactors(
+                u=rng.standard_normal((32, 1024)).astype(np.float32),
+                v=rng.standard_normal((32, 1024)).astype(np.float32)),
+            {"bias": rng.standard_normal(1024).astype(np.float32)})
         for worker in range(8)
-    ]
+    }
 
     def aggregate():
-        total, extras = SufficientFactorBroadcaster.aggregate(
-            contributions, aggregation="mean")
-        return total.shape
+        (weight, _, _), blocks = plan_aggregate(contributions, aggregation="mean")
+        for block in blocks:
+            block()
+        return weight.shape
 
     assert benchmark(aggregate) == (1024, 1024)
 

@@ -13,15 +13,10 @@ Averaging rounds happen every ``H``-th iteration, so wire traffic drops by
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.core.consistency import KeyedBoard
-from repro.nn.optim import reduce_in_worker_order
-
-#: A layer's parameters: parameter name -> array.
-ArrayDict = Dict[str, np.ndarray]
+from repro.nn.optim import ArrayDict, fold_per_key
 
 
 class ParameterAverager(KeyedBoard):
@@ -59,13 +54,9 @@ class ParameterAverager(KeyedBoard):
             read-only across workers -- install via a copying setter such
             as ``Layer.set_params`` and never mutate it.
         """
-        return self._exchange((layer, int(round_index)), worker_id, params,
-                              self._mean, timeout, self._WHAT, layer, round_index)
-
-    def _mean(self, contributions: Dict[int, ArrayDict]) -> ArrayDict:
-        """Mean of the contributions, folded in ascending worker-id order."""
-        total = reduce_in_worker_order(contributions,
-                                       mean_divisor=self.num_workers)
-        for value in total.values():
-            value.setflags(write=False)
-        return total
+        # The mean over the live workers when the round completes, folded
+        # in ascending worker id.
+        return self._exchange(
+            (layer, int(round_index)), worker_id, params,
+            lambda entry: fold_per_key(entry, mean_divisor=self.num_workers),
+            timeout, self._WHAT, layer, round_index)

@@ -21,35 +21,25 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.comm.message import ByteMeter
 from repro.core.consistency import KeyedBoard
 from repro.core.syncer import Syncer
 from repro.exceptions import CommunicationError, TrainingError
-from repro.nn.optim import reduce_in_worker_order
-
-#: A layer's parameters or gradients: parameter name -> array.
-ArrayDict = Dict[str, np.ndarray]
+from repro.nn.optim import ArrayDict, fold_per_key
 
 
 class RingAllReducer(KeyedBoard):
     """A BSP all-reduce board with ring wire-cost accounting.
 
     Functionally the all-reduce is modelled like the SFB bulletin board:
-    every worker posts its gradient dict for (layer, iteration), the first
-    collector reduces all contributions **in worker-id order** (so the
-    result is bit-identical run-to-run regardless of thread arrival order)
-    and the reduced dict is shared read-only by every collector.  The wire
-    cost charged per worker is the chunked ring's ``2 (P-1)/P`` of the
-    dense gradient size in each direction.
+    every worker posts its gradient dict for (layer, iteration), the
+    collectors fold all contributions **in worker-id order**, one parameter
+    name per block (so the result is bit-identical run-to-run regardless of
+    thread arrival order), and the reduced dict is shared read-only by every
+    collector.  The wire cost charged per worker is the chunked ring's
+    ``2 (P-1)/P`` of the dense gradient size in each direction.
     """
 
     _WHAT = "ring all-reduce of {!r}@{} {verb}"
-
-    def __init__(self, num_workers: int):
-        super().__init__(num_workers)
-        self.meter = ByteMeter()
 
     def wire_bytes(self, dense_bytes: int) -> int:
         """Ring traffic one worker sends (= receives) for a dense payload."""
@@ -90,19 +80,14 @@ class RingAllReducer(KeyedBoard):
                    if nbytes is None else int(nbytes))
         wire = self.wire_bytes(payload)
 
-        def reduce(entry: Dict[int, ArrayDict]) -> ArrayDict:
-            # Worker-id order, whichever thread gets here first.
-            totals = reduce_in_worker_order(
-                entry, mean_divisor=(self.num_workers
-                                     if aggregation == "mean" else None))
-            for total in totals.values():
-                total.setflags(write=False)
-            return totals
+        def plan(entry: Dict[int, ArrayDict]):
+            # Worker-id order, whichever threads fold which keys; the mean
+            # is over the live workers when the entry completes.
+            return fold_per_key(entry, mean_divisor=(
+                self.num_workers if aggregation == "mean" else None))
 
-        reduced = self._exchange(key, worker_id, grads, reduce, timeout,
+        reduced = self._exchange(key, worker_id, grads, plan, timeout,
                                  self._WHAT, layer, iteration)
-        self.meter.record(wire, "sent", tag=f"ring:{layer}")
-        self.meter.record(wire, "received", tag=f"ring:{layer}")
         return reduced, wire, wire
 
 

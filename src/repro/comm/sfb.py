@@ -9,43 +9,56 @@ replicas stay bit-wise consistent without a central server.
 
 The functional implementation below is a shared bulletin board with BSP
 semantics: ``publish`` posts a worker's factors for (layer, iteration) and
-``collect`` blocks until all workers have posted.
+``collect`` blocks until all workers have posted, then returns the
+aggregate.
 
 Under this scheme the factors are the only weight-gradient representation
 that crosses a boundary: the layer hands over ``(x, dy)`` by reference and
 never forms its local ``dW`` (:meth:`Dense.publish_factors_only
-<repro.nn.layers.dense.Dense.publish_factors_only>`), the board holds and
-hands out factors only, and a dense ``M x N`` matrix exists in exactly one
-place -- the aggregate :meth:`SufficientFactorBroadcaster.aggregate`
-reconstructs from everyone's factors, written into the ``out`` buffer the
-collecting syncer owns and overwritten at its next sync.  That buffer is
-never posted, staged or handed to a peer.
+<repro.nn.layers.dense.Dense.publish_factors_only>`), and the board only
+reads the posted factors.  Every machine of the paper rebuilds the same
+``sum_p U_p^T V_p``; in process the board builds it once per (layer,
+iteration): a dense ``M x N`` aggregate that the collectors fill together,
+row slab by row slab (:meth:`KeyedBoard._share
+<repro.core.consistency.KeyedBoard._share>`), and then share read-only --
+each steps its own replica from it and none keeps it past the iteration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.message import ByteMeter
 from repro.core.consistency import KeyedBoard
 from repro.exceptions import CommunicationError
-from repro.nn.sufficient_factors import SufficientFactors, batch_reconstruct
+from repro.nn.optim import fold_in_order
+from repro.nn.sufficient_factors import SufficientFactors
 
 #: Extra (non-factorisable) arrays sent alongside the factors, e.g. the bias
 #: gradient of an FC layer.  name -> array.
 ExtraDict = Dict[str, np.ndarray]
+
+#: Elements per row slab of an aggregate (1 MiB of float32): a 1024 x 1024
+#: layer is four slabs.  Every slab's GEMM packs all of ``concat(V)`` again,
+#: so thinner slabs cost more in total: on the two-worker sync cycle of
+#: ``train_mlp_hybrid``'s layer 128 K and 256 K elements ran fastest (64 K
+#: +4 %, one slab that leaves the peer idle +15 %), and 256 K re-packs half
+#: as often as 128 K when one thread runs every block.
+SLAB_ELEMENTS = 1 << 18
+
+#: Fewest rows of an aggregate slab.  A thinner GEMM may take BLAS's
+#: matrix-vector or small-matrix path, whose sums are ordered differently
+#: from the full product's; at eight rows and up a slab is bit-identical to
+#: the same rows of the full ``concat(U)^T @ concat(V)``.
+MIN_SLAB_ROWS = 8
 
 
 class SufficientFactorBroadcaster(KeyedBoard):
     """A BSP bulletin board for sufficient factors."""
 
     _WHAT = "SFB exchange of {!r}@{} {verb}"
-
-    def __init__(self, num_workers: int):
-        super().__init__(num_workers)
-        self.meter = ByteMeter()
 
     def publish(self, worker_id: int, layer: str, iteration: int,
                 factors: SufficientFactors, extras: Optional[ExtraDict] = None) -> int:
@@ -60,98 +73,94 @@ class SufficientFactorBroadcaster(KeyedBoard):
                        (factors, {k: np.asarray(v) for k, v in extras.items()}),
                        self._WHAT, layer, iteration)
         per_peer = factors.nbytes + sum(int(v.nbytes) for v in extras.values())
-        nbytes = per_peer * (self.num_workers - 1)
-        self.meter.record(nbytes, "sent", tag=f"sfb:{layer}")
-        return nbytes
+        return per_peer * (self.num_workers - 1)
 
     def collect(self, worker_id: int, layer: str, iteration: int,
-                timeout: Optional[float] = 30.0
-                ) -> List[Tuple[int, SufficientFactors, ExtraDict]]:
+                aggregation: str = "mean", timeout: Optional[float] = 30.0
+                ) -> Tuple[np.ndarray, ExtraDict, int]:
         """Block until every worker has published (layer, iteration).
 
-        Returns:
-            A list of ``(worker_id, factors, extras)`` sorted by worker id,
-            including the caller's own contribution (so aggregation is simply
-            a sum over the list).
+        The collectors then build the aggregate together
+        (:func:`plan_aggregate`) and each is handed the same arrays; once
+        every worker has collected an iteration its board entry is dropped,
+        so collecting it again times out like a missing iteration would.
 
-        Once every worker has collected an iteration its board entry is
-        garbage-collected automatically (the board would otherwise grow
-        without bound over a long BSP run); a worker collecting the same
-        iteration a second time after that point times out like a missing
-        iteration would.
+        Returns:
+            ``(weight_gradient, extra_gradients, bytes_received)``: the sum
+            (or mean) of everyone's reconstructed outer products and
+            extras, read-only, and the bytes of the peers' contributions.
 
         Raises:
+            CommunicationError: on an unknown ``aggregation``.
             SyncTimeout: on timeout.
         """
-        key = (layer, int(iteration))
-        with self._condition:
-            entry = self._await(key, timeout, self._WHAT, layer, iteration)
-            result = [(wid, factors, extras)
-                      for wid, (factors, extras) in sorted(entry.items())]
-            self._release(key, worker_id)
-        received = sum(
-            factors.nbytes + sum(int(v.nbytes) for v in extras.values())
-            for wid, factors, extras in result if wid != worker_id
-        )
-        self.meter.record(received, "received", tag=f"sfb:{layer}")
-        return result
-
-    def garbage_collect(self, before_iteration: int) -> int:
-        """Drop board entries older than ``before_iteration``; returns count dropped."""
-        with self._condition:
-            stale = [key for key in self._board if key[1] < before_iteration]
-            for key in stale:
-                del self._board[key]
-                self._collected.pop(key, None)
-        return len(stale)
-
-    @staticmethod
-    def aggregate(contributions: List[Tuple[int, SufficientFactors, ExtraDict]],
-                  aggregation: str = "mean",
-                  out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ExtraDict]:
-        """Reconstruct and combine everyone's gradients.
-
-        The weight gradient is computed with one GEMM over the
-        row-concatenated factors (``concat(U)^T @ concat(V)``), which equals
-        the sum of the per-contribution outer-product reconstructions
-        (Eq. 1) without materialising one dense ``M x N`` temporary per
-        worker.  Extras accumulate in place into a single buffer per key.
-
-        Args:
-            out: optional ``(M, N)`` array of the factors' dtype the product
-                (and its mean) is written into instead of a fresh one.
-
-        Returns:
-            ``(weight_gradient, extra_gradients)`` where the weight gradient
-            is the sum (or mean) of all reconstructed outer products.
-        """
-        if not contributions:
-            raise CommunicationError("cannot aggregate an empty contribution list")
         if aggregation not in ("mean", "sum"):
             raise CommunicationError(
                 f"aggregation must be 'mean' or 'sum', got {aggregation!r}"
             )
-        weight_grad = batch_reconstruct(
-            [factors for _, factors, _ in contributions], out=out)
-        extra_totals: ExtraDict = {}
-        for _, _, extras in contributions:
-            for key, value in extras.items():
-                total = extra_totals.get(key)
-                if total is None:
-                    extra_totals[key] = np.array(value, copy=True)
-                elif total.dtype == value.dtype and total.shape == value.shape:
-                    np.add(total, value, out=total)
-                else:  # mixed dtypes: fall back to upcasting semantics
-                    extra_totals[key] = total + value
-        if aggregation == "mean":
-            count = float(len(contributions))
-            if np.issubdtype(weight_grad.dtype, np.floating):
-                weight_grad /= count
-            else:
-                weight_grad = weight_grad / count
-            for key, total in extra_totals.items():
-                if np.issubdtype(total.dtype, np.floating):
-                    total /= count
-                else:
-                    extra_totals[key] = total / count
-        return weight_grad, extra_totals
+        weight, extras, received = self._share(
+            (layer, int(iteration)), worker_id,
+            functools.partial(plan_aggregate, aggregation=aggregation),
+            timeout, self._WHAT, layer, iteration)
+        weight.setflags(write=False)        # every block is written
+        return weight, extras, received[worker_id]
+
+
+def plan_aggregate(contributions: Dict[int, Tuple[SufficientFactors, ExtraDict]],
+                   aggregation: str = "mean"
+                   ) -> Tuple[Tuple[np.ndarray, ExtraDict, Dict[int, int]],
+                              List[Callable[[], None]]]:
+    """Lay out the aggregate of everyone's factors as independent blocks.
+
+    The weight gradient is one GEMM over the row-concatenated factors,
+    ``concat(U)^T @ concat(V)``, which equals the sum of the per-worker
+    outer-product reconstructions (Eq. 1) without a dense temporary per
+    worker.  It is cut into row slabs of about :data:`SLAB_ELEMENTS`
+    elements, none thinner than :data:`MIN_SLAB_ROWS`; each block computes
+    its rows and divides them by the contribution count (``"mean"``).  One
+    more block folds the extras in ascending worker id.  The contributions
+    are only read.
+
+    Returns:
+        ``((weight, extras, received), blocks)``: the weight and extras
+        gradients are complete once every block has run, in any order, on
+        any threads; ``received`` maps each worker to the bytes of everyone
+        else's contributions.
+    """
+    if not contributions:
+        raise CommunicationError("cannot aggregate an empty contribution list")
+    ids = sorted(contributions)
+    factors = [contributions[wid][0] for wid in ids]
+    m, n = factors[0].weight_shape
+    u = np.concatenate([f.u for f in factors], axis=0)
+    v = np.concatenate([f.v for f in factors], axis=0)
+    weight = np.empty((m, n), dtype=np.result_type(u, v))
+    count = float(len(ids)) if aggregation == "mean" else None
+    per_key: Dict[str, list] = {}
+    for wid in ids:
+        for key, value in contributions[wid][1].items():
+            per_key.setdefault(key, []).append(value)
+    extras: ExtraDict = dict.fromkeys(per_key)
+
+    def slab(start: int, stop: int) -> None:
+        rows = weight[start:stop]
+        np.matmul(u[:, start:stop].T, v, out=rows)
+        if count is not None:
+            rows /= count
+
+    def fold_extras() -> None:
+        for key, values in per_key.items():
+            total = fold_in_order(values)
+            extras[key] = total if count is None else total / count
+            extras[key].setflags(write=False)
+
+    slabs = max(1, min(-(-m * n // SLAB_ELEMENTS), m // MIN_SLAB_ROWS))
+    blocks = [fold_extras] + [
+        functools.partial(slab, m * i // slabs, m * (i + 1) // slabs)
+        for i in range(slabs)]
+    sizes = {wid: contributions[wid][0].nbytes
+             + sum(int(x.nbytes) for x in contributions[wid][1].values())
+             for wid in ids}
+    total = sum(sizes.values())
+    received = {wid: total - size for wid, size in sizes.items()}
+    return (weight, extras, received), blocks

@@ -27,6 +27,7 @@ select exactly the same bytes for every layer kind.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -139,8 +140,9 @@ class CompressionConfig:
             except ValueError:
                 raise ConfigurationError(
                     f"invalid topk parameter {arg!r} in {spec!r}") from None
-            if k <= 0:
-                raise ConfigurationError(f"topk parameter must be > 0, got {k}")
+            if not (math.isfinite(k) and k > 0):
+                raise ConfigurationError(
+                    f"topk parameter must be finite and > 0, got {k}")
             return cls(kind="topk", k=k)
         if kind == "powersgd":
             if arg is None:

@@ -45,7 +45,7 @@ cut, which is exactly when the trainer snapshots a checkpoint.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import (
     CommunicationError,
@@ -174,23 +174,38 @@ class Rendezvous:
         self._abort_reason = None
 
 
+#: ``plan(contributions) -> (result, blocks)``, see :meth:`KeyedBoard._share`.
+Plan = Callable[[Dict[int, Any]], Tuple[Any, Sequence[Callable[[], None]]]]
+
+
+class _Build:
+    """One key's shared result and the blocks that fill it."""
+
+    def __init__(self, result: Any, blocks: Sequence[Callable[[], None]]):
+        self.result = result
+        self.blocks = list(blocks)
+        #: Block indices nobody has claimed yet; a failed block comes back.
+        self.unclaimed = list(range(len(self.blocks)))
+        self.unfinished = len(self.blocks)
+
+
 class KeyedBoard(Rendezvous):
     """``key -> one contribution per worker``, complete at ``P``.
 
     The bookkeeping the SFB bulletin board, the ring all-reduce and the
     parameter averager share: a key's entry fills with one contribution per
     worker id, waiters block until all ``P`` live workers have posted,
-    :meth:`_exchange` shares one result per key, and the entry is dropped
-    once all ``P`` have read it (a long BSP run would otherwise grow without
-    bound).  ``_post`` / ``_await`` / ``_release`` run under ``_condition``,
-    which the owner holds.
+    :meth:`_share` builds one result per key together and hands it to every
+    reader, and the entry is dropped once all ``P`` have read it (a long BSP
+    run would otherwise grow without bound).  ``_post`` / ``_await`` /
+    ``_release`` run under ``_condition``, which the owner holds.
     """
 
     def __init__(self, num_workers: int):
         super().__init__(num_workers)
         self._condition = self._new_condition()
         self._board: Dict[Hashable, Dict[int, Any]] = {}
-        self._results: Dict[Hashable, Any] = {}
+        self._builds: Dict[Hashable, _Build] = {}
         #: Workers that have read each completed key.
         self._collected: Dict[Hashable, Set[int]] = {}
 
@@ -229,25 +244,54 @@ class KeyedBoard(Rendezvous):
         if len(seen) >= self.num_workers:
             del self._board[key]
             del self._collected[key]
-            self._results.pop(key, None)
+            self._builds.pop(key, None)
 
-    def _exchange(self, key: Hashable, worker_id: int, value: Any,
-                  build: Callable[[Dict[int, Any]], Any],
+    def _exchange(self, key: Hashable, worker_id: int, value: Any, plan: Plan,
                   timeout: Optional[float], what: str, *args: Any) -> Any:
-        """Post, block for all ``P``, return the key's one shared result.
-
-        The first worker through builds it from the complete contributions
-        (``build`` must not depend on who that is); the others are handed
-        the same object, so it should be read-only.
-        """
+        """:meth:`_post` ``value``, then :meth:`_share` the key's result."""
         with self._condition:
             self._post(key, worker_id, value, what, *args)
-            entry = self._await(key, timeout, what, *args)
-            result = self._results.get(key)
-            if result is None:
-                result = self._results[key] = build(entry)
-            self._release(key, worker_id)
-        return result
+        return self._share(key, worker_id, plan, timeout, what, *args)
+
+    def _share(self, key: Hashable, worker_id: int, plan: Plan,
+               timeout: Optional[float], what: str, *args: Any) -> Any:
+        """Block for all ``P``, build the key's one result together, return it.
+
+        The first collector through lays the build out under the lock:
+        ``plan(contributions)`` returns ``(result, blocks)`` -- the object
+        every collector is handed and callables that each fill a disjoint
+        part of it (``plan`` must not depend on who calls it, and nothing
+        may write the contributions).  Every collector then claims blocks
+        one at a time and runs them outside the lock, so whoever is waiting
+        shares the work; all return once the last block is written, and the
+        result is read-only to them.  A block that raises goes back for a
+        peer to retry.
+        """
+        index: Optional[int] = None
+        while True:
+            with self._condition:
+                if index is None:
+                    entry = self._await(key, timeout, what, *args)
+                    build = (self._builds.get(key)
+                             or self._builds.setdefault(key, _Build(*plan(entry))))
+                else:
+                    build.unfinished -= 1
+                    if not build.unfinished:
+                        self._condition.notify_all()
+                self._wait(self._condition,
+                           lambda: bool(build.unclaimed) or not build.unfinished,
+                           timeout, what, *args)
+                if not build.unclaimed:
+                    self._release(key, worker_id)
+                    return build.result
+                index = build.unclaimed.pop()
+            try:
+                build.blocks[index]()
+            except BaseException:
+                with self._condition:
+                    build.unclaimed.append(index)
+                    self._condition.notify_all()
+                raise
 
     # -- fault tolerance ----------------------------------------------------------------
     def checkpoint(self, include_optimizer: bool = False) -> dict:
@@ -258,7 +302,7 @@ class KeyedBoard(Rendezvous):
         """Clear all in-flight board state (restart recovery)."""
         with self._condition:
             self._board.clear()
-            self._results.clear()
+            self._builds.clear()
             self._collected.clear()
             self._readmit()
             self._condition.notify_all()
@@ -266,13 +310,14 @@ class KeyedBoard(Rendezvous):
     def remove_worker(self, worker_id: int) -> None:
         """Drop a dead worker: pending keys complete at ``P - 1``.
 
-        The ghost's contribution to a key nobody has reduced yet is
-        discarded, so the survivors' result is their own mean.
+        The ghost's contribution to a key whose build has not been laid
+        out yet is discarded, so the survivors' result is their own mean;
+        a build already in flight keeps its ``P`` contributions.
         """
         with self._condition:
             if self._drop(worker_id):
                 for key, entry in self._board.items():
-                    if key not in self._results:
+                    if key not in self._builds:
                         entry.pop(worker_id, None)
                 self._condition.notify_all()
 

@@ -85,10 +85,6 @@ class Syncer:
         self.sync_timeout = sync_timeout
         self.stats = SyncStats()
         self._staged_grads: Optional[Dict[str, np.ndarray]] = None
-        #: Where ``_sync_sfb`` reconstructs the aggregate weight gradient:
-        #: private to this (worker, layer) syncer, rewritten every sync,
-        #: never staged, published or handed to a peer.
-        self._reconstruction: Optional[np.ndarray] = None
         self._validate_backends()
 
     @property
@@ -245,31 +241,19 @@ class Syncer:
         dense_layer = self.layer
         assert isinstance(dense_layer, Dense)
         u, v = dense_layer.sufficient_factors()
-        factors = factorize_dense_gradient(u, v)
-        extras = {"bias": dense_layer.grads["bias"]}
-        sent = self.sfb.publish(self.worker_id, self.layer.name, iteration, factors,
-                                extras=extras)
-        contributions = self.sfb.collect(self.worker_id, self.layer.name,
-                                         iteration, timeout=self.sync_timeout)
-        dtype = np.result_type(factors.u, factors.v)
-        if self._reconstruction is None or self._reconstruction.dtype != dtype:
-            self._reconstruction = np.empty(factors.weight_shape, dtype=dtype)
-        # The aggregate lands in this syncer's buffer and the optimiser forms
-        # the step there too: one M x N pass each, no temporary.
-        weight_grad, extra_grads = self.sfb.aggregate(
-            contributions, aggregation=self.aggregation,
-            out=self._reconstruction)
+        sent = self.sfb.publish(self.worker_id, self.layer.name, iteration,
+                                factorize_dense_gradient(u, v),
+                                extras={"bias": dense_layer.grads["bias"]})
+        weight_grad, extra_grads, received = self.sfb.collect(
+            self.worker_id, self.layer.name, iteration,
+            aggregation=self.aggregation, timeout=self.sync_timeout)
+        # The aggregate is every peer's too: the blocked step reads it once
+        # and forms the update in a block-sized scratch, not a full copy.
         self.local_optimizer.apply(
-            f"{self.layer.name}/weight", dense_layer.params["weight"], weight_grad,
-            grad_is_scratch=True)
-        if "bias" in extra_grads:
+            f"{self.layer.name}/weight", dense_layer.params["weight"], [weight_grad])
+        for key, grad in extra_grads.items():
             self.local_optimizer.apply(
-                f"{self.layer.name}/bias", dense_layer.params["bias"],
-                extra_grads["bias"], grad_is_scratch=True)
-        received = sum(
-            factors.nbytes + sum(int(val.nbytes) for val in extras_dict.values())
-            for wid, factors, extras_dict in contributions if wid != self.worker_id
-        )
+                f"{self.layer.name}/{key}", dense_layer.params[key], grad)
         self.stats.bytes_sent += sent
         self.stats.bytes_received += received
 

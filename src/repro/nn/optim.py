@@ -9,7 +9,8 @@ directly (single-node training) or to a bare dictionary of parameter arrays
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +48,38 @@ def fold_in_order(grads: Sequence[np.ndarray],
     return total
 
 
+def fold_per_key(contributions: Dict[int, ArrayDict],
+                 mean_divisor: Optional[float] = None
+                 ) -> Tuple[ArrayDict, List[Callable[[], None]]]:
+    """:func:`reduce_in_worker_order` cut into one fold per parameter name.
+
+    Returns the totals dict, its keys already in place, and one callable per
+    key that fills that key's total.  The callables touch disjoint keys, so
+    they may run in any order and on any threads (a board's collectors
+    split them, :meth:`~repro.core.consistency.KeyedBoard._share`).  Every
+    total is a fresh buffer, read-only once folded: a reduction is shared
+    by all of its readers.
+    """
+    per_key: Dict[str, list] = {}
+    for worker_id in sorted(contributions):
+        for name, grad in contributions[worker_id].items():
+            per_key.setdefault(name, []).append(grad)
+    scale = None if mean_divisor is None else 1.0 / float(mean_divisor)
+    totals: ArrayDict = dict.fromkeys(per_key)
+
+    def fold(name: str) -> None:
+        total = fold_in_order(per_key[name])
+        if scale is not None:
+            if np.issubdtype(total.dtype, np.floating):
+                total *= scale
+            else:
+                total = total * scale
+        total.setflags(write=False)
+        totals[name] = total
+
+    return totals, [functools.partial(fold, name) for name in per_key]
+
+
 def reduce_in_worker_order(contributions: Dict[int, ArrayDict],
                            mean_divisor: Optional[float] = None) -> ArrayDict:
     """Sum per-worker gradient dicts in worker-id order, one pass per hop.
@@ -56,27 +89,16 @@ def reduce_in_worker_order(contributions: Dict[int, ArrayDict],
     server applies the same :func:`fold_in_order` block by block inside its
     optimiser step, so they all stay bit-identical to each other.  The fixed fold order makes the result independent of
     which thread contributed first (floating-point addition is not
-    associative).  Every key gets a fresh buffer.  With
+    associative).  Every key gets a fresh, read-only buffer.  With
     ``mean_divisor`` the totals are scaled in place by the reciprocal
     ``1.0 / mean_divisor``, as :func:`~repro.parallel.serial.
     simulate_synchronous_sgd` does: a float32 multiply costs a third of
     the divide and equals it exactly whenever the divisor is a power of
     two (at most 1 ulp apart otherwise).
     """
-    per_key: Dict[str, list] = {}
-    for worker_id in sorted(contributions):
-        for name, grad in contributions[worker_id].items():
-            per_key.setdefault(name, []).append(grad)
-    scale = None if mean_divisor is None else 1.0 / float(mean_divisor)
-    totals: ArrayDict = {}
-    for name, grads in per_key.items():
-        total = fold_in_order(grads)
-        if scale is not None:
-            if np.issubdtype(total.dtype, np.floating):
-                total *= scale
-            else:
-                total = total * scale
-        totals[name] = total
+    totals, folds = fold_per_key(contributions, mean_divisor)
+    for fold in folds:
+        fold()
     return totals
 
 
@@ -105,7 +127,6 @@ class SGD:
 
     def apply(self, key: str, param: np.ndarray,
               grad: Union[np.ndarray, Sequence[np.ndarray]], *,
-              grad_is_scratch: bool = False,
               scale: Optional[float] = None) -> None:
         """Apply one gradient to one parameter array in place.
 
@@ -119,9 +140,6 @@ class SGD:
                 private to this call: element for element the arithmetic
                 of folding first, with no full-size aggregate or step
                 temporary.  ``param`` must then be C-contiguous.
-            grad_is_scratch: ``grad`` is the caller's private scratch that
-                nobody reads afterwards, so the step may be formed in it
-                instead of in a temporary (same arithmetic, same bits).
             scale: multiplier of the folded contributions (a mean's ``1/P``).
         """
         folded = not isinstance(grad, np.ndarray)
@@ -139,7 +157,7 @@ class SGD:
             if velocity is None:
                 velocity = self._velocity[key] = np.zeros_like(param)
         if not folded:
-            self._step(param, grad, velocity, grad_is_scratch)
+            self._step(param, grad, velocity, False)
             return
         if not param.flags.c_contiguous:    # reshape would step a copy
             raise ConfigurationError(

@@ -16,7 +16,7 @@ gradients on the receiving side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -73,51 +73,9 @@ class SufficientFactors:
         """Dense bytes divided by factor bytes (> 1 means SFs are smaller)."""
         return self.dense_nbytes / self.nbytes if self.nbytes else float("inf")
 
-    def reconstruct(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rebuild the dense gradient ``dW = U^T @ V``.
-
-        Args:
-            out: optional preallocated ``(M, N)`` array to write into.
-        """
-        if out is not None:
-            return np.matmul(self.u.T, self.v, out=out)
+    def reconstruct(self) -> np.ndarray:
+        """Rebuild the dense gradient ``dW = U^T @ V``."""
         return self.u.T @ self.v
-
-
-def batch_reconstruct(factors: Sequence[SufficientFactors],
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sum the dense gradients of several factor batches with one GEMM.
-
-    By the batched-outer-product identity of Eq. 1,
-    ``sum_j U_j^T @ V_j == concat(U)^T @ concat(V)`` (rows concatenated along
-    the sample axis), so the whole aggregate costs a single
-    ``(M, sum K_j) x (sum K_j, N)`` matrix product instead of one dense
-    ``M x N`` temporary per contribution.
-
-    Args:
-        factors: factor batches; all must share the same ``(M, N)``
-            weight shape.
-        out: optional preallocated ``(M, N)`` array to write into.
-
-    Raises:
-        ShapeError: if ``factors`` is empty or the weight shapes differ.
-    """
-    if not factors:
-        raise ShapeError("batch_reconstruct needs at least one factor batch")
-    first = factors[0]
-    if len(factors) == 1:
-        return first.reconstruct(out=out)
-    shape = first.weight_shape
-    for f in factors[1:]:
-        if f.weight_shape != shape:
-            raise ShapeError(
-                f"cannot batch factors of shape {f.weight_shape} with {shape}"
-            )
-    u_all = np.concatenate([f.u for f in factors], axis=0)
-    v_all = np.concatenate([f.v for f in factors], axis=0)
-    if out is not None:
-        return np.matmul(u_all.T, v_all, out=out)
-    return u_all.T @ v_all
 
 
 def factorize_dense_gradient(inputs: np.ndarray, grad_output: np.ndarray) -> SufficientFactors:

@@ -21,6 +21,7 @@ reproducible run-to-run.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -270,6 +271,9 @@ class DistributedTrainer:
         self.eval_every = int(eval_every)
         self.aggregation = aggregation
         self.sync_timeout = float(sync_timeout)
+        if not (math.isfinite(self.sync_timeout) and self.sync_timeout > 0):
+            raise ConfigurationError(
+                f"sync_timeout must be finite and > 0, got {sync_timeout}")
         self.deterministic = bool(deterministic)
         self.policy = SyncPolicy.parse(policy)
         self._external_provider = batch_provider
@@ -300,10 +304,11 @@ class DistributedTrainer:
         self.compressor_spec: Optional[str] = (
             None if check_compression(mode, compressor) is None
             else str(compressor))
-        self.bucket_bytes = None if bucket_bytes is None else int(bucket_bytes)
-        if self.bucket_bytes is not None and self.bucket_bytes < 1:
+        if bucket_bytes is not None and not (
+                float(bucket_bytes).is_integer() and bucket_bytes >= 1):
             raise ConfigurationError(
-                f"bucket_bytes must be >= 1, got {bucket_bytes}")
+                f"bucket_bytes must be an integer >= 1, got {bucket_bytes}")
+        self.bucket_bytes = None if bucket_bytes is None else int(bucket_bytes)
         if self.recovery == "drop" and not self.policy.is_bsp_equivalent:
             raise TrainingError(
                 f"drop-dead-worker recovery needs a BSP-equivalent policy "

@@ -164,6 +164,7 @@ class TestWireFormulas:
     @pytest.mark.parametrize("spec", [
         "gzip", "topk", "topk()", "topk(-1)", "topk(x)", "powersgd",
         "powersgd(0)", "powersgd(1.5)", "onebit(3)", "none(1)", "topk(0.1",
+        "topk(nan)", "topk(NaN)", "topk(inf)", "topk(1e999)",
     ])
     def test_parse_rejects_malformed_specs(self, spec):
         with pytest.raises(ConfigurationError):
@@ -381,6 +382,15 @@ class TestValidation:
     def test_trainer_rejects_bad_bucket(self, setup):
         with pytest.raises(ConfigurationError):
             make_trainer(setup, "ps", bucket_bytes=0)
+
+    @pytest.mark.parametrize("bucket_bytes", [2.5, float("nan"), float("inf")])
+    def test_trainer_rejects_a_bucket_that_is_not_a_whole_byte_count(
+            self, setup, bucket_bytes):
+        with pytest.raises(ConfigurationError, match="bucket_bytes"):
+            make_trainer(setup, "ps", bucket_bytes=bucket_bytes)
+
+    def test_trainer_takes_a_whole_float_bucket(self, setup):
+        assert make_trainer(setup, "ps", bucket_bytes=4096.0).bucket_bytes == 4096
 
     def test_backend_compressible_registry(self):
         config = CompressionConfig.parse("topk(0.1)")

@@ -9,8 +9,9 @@ the rank to one value wherever it is known:
   describes -- the rows a forward pass caches equal ``batch * rank``, for
   the MLP, CIFAR-10 quick and both transformer heads;
 * the price and the trainer's measured bytes -- a 2-block LM-mode
-  transformer trained under ``sfb`` and ``hybrid`` sends, per layer and
-  iteration, exactly the bytes the simulators' :class:`SyncUnit` prices.
+  transformer trained under ``sfb`` and ``hybrid`` on 2, 3 and 4 workers
+  sends and receives, per layer and iteration, exactly the bytes the
+  simulators' :class:`SyncUnit` prices.
 """
 
 import numpy as np
@@ -79,9 +80,8 @@ class TestSpecAndRunnableAgreeOnTheRank:
 
 
 class TestTrainerBytesAreThePrice:
-    """The trainer's measured ``bytes_sent`` is the referee of the price."""
+    """The trainer's measured bytes, both ways, are the referee of the price."""
 
-    WORKERS = 2
     ITERATIONS = 2
 
     @staticmethod
@@ -91,39 +91,44 @@ class TestTrainerBytesAreThePrice:
                               size=(BATCH, GPT["block_size"] + 1))
         return tokens[:, :-1], tokens[:, 1:].reshape(-1)
 
-    def _train(self, mode):
+    def _train(self, mode, workers):
         trainer = DistributedTrainer(
-            lambda: build_transformer_network(**GPT), self.WORKERS, None,
+            lambda: build_transformer_network(**GPT), workers, None,
             TrainingConfig(batch_size=BATCH, learning_rate=0.05),
             mode=mode, batch_provider=self._batches, deterministic=True)
         trainer.train(self.ITERATIONS)
         return trainer
 
-    def _priced(self, layer, scheme, unit):
-        """Bytes one worker sends for ``layer`` in one iteration, as priced:
-        its factors (``unit``'s ``K = batch * rank`` rows) plus the dense
-        bias to each peer under SFB, the dense gradient to the PS."""
+    @staticmethod
+    def _priced(layer, scheme, unit, workers):
+        """Bytes one worker sends -- and, every exchange being symmetric,
+        receives -- for ``layer`` in one iteration, as priced: its factors
+        (``unit``'s ``K = batch * rank`` rows) plus the dense bias to each
+        peer under SFB, and each peer's back; the dense gradient to the PS
+        and the dense parameters back."""
         dense = sum(int(p.nbytes) for p in layer.params.values())
         if scheme == "ps":
             return dense
         assert scheme == "sfb"
         bias = int(layer.params["bias"].nbytes)
-        return (self.WORKERS - 1) * (unit.sufficient_factor_bytes(BATCH)
-                                     + bias)
+        return (workers - 1) * (unit.sufficient_factor_bytes(BATCH) + bias)
 
     @pytest.mark.parametrize("mode,head", [("sfb", "sfb"), ("hybrid", "ps")])
     def test_each_layer_sends_its_priced_bytes(self, mode, head):
-        trainer = self._train(mode)
         workload = build_workload(_gpt_spec(), batch_size=BATCH)
-        assert trainer.assignment.scheme_for("lm_head") == head
-        assert decide_schemes(workload, mode, self.WORKERS,
-                              self.WORKERS)["lm_head"] == head
         unit = workload.unit_by_name("lm_head")
         assert unit.factor_rank == GPT["block_size"]
-        for _, layer in trainer.replica(0).parameter_layers():
-            scheme = trainer.assignment.scheme_for(layer.name)
-            want = self._priced(layer, scheme, unit)
-            for worker in range(self.WORKERS):
-                stats = trainer._workers[worker].syncers[layer.name].stats
-                assert stats.bytes_sent == self.ITERATIONS * want, \
-                    (layer.name, worker)
+        for workers in (2, 3, 4):
+            trainer = self._train(mode, workers)
+            assert trainer.assignment.scheme_for("lm_head") == head
+            assert decide_schemes(workload, mode, workers,
+                                  workers)["lm_head"] == head
+            for _, layer in trainer.replica(0).parameter_layers():
+                scheme = trainer.assignment.scheme_for(layer.name)
+                want = self.ITERATIONS * self._priced(layer, scheme, unit,
+                                                      workers)
+                for worker in range(workers):
+                    stats = trainer._workers[worker].syncers[layer.name].stats
+                    assert stats.bytes_sent == want, (layer.name, workers, worker)
+                    assert stats.bytes_received == want, \
+                        (layer.name, workers, worker)

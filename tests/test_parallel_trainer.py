@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ScheduleMode, TrainingConfig
 from repro.data import make_linearly_separable, shard_dataset
-from repro.exceptions import TrainingError
+from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.model_zoo import build_mlp_network
 from repro.parallel import (
     DistributedTrainer,
@@ -191,6 +191,12 @@ class TestDistributedTraining:
             DistributedTrainer(factory, 2, shards, config)  # 3 shards for 2 workers
         with pytest.raises(TrainingError):
             DistributedTrainer(factory, 3, None, config)
+
+    @pytest.mark.parametrize("sync_timeout", [0, -1, float("nan"), float("inf")])
+    def test_sync_timeout_must_be_finite_and_positive(self, setup, sync_timeout):
+        """Rejected at construction, not as a misleading "timed out" later."""
+        with pytest.raises(ConfigurationError, match="sync_timeout"):
+            make_trainer(setup, "ps", sync_timeout=sync_timeout)
 
 
 class TestReplicasStartEqual:

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from repro.comm.parameter_server import ShardedParameterServer
-from repro.comm.sfb import SufficientFactorBroadcaster
+from repro.comm.sfb import SufficientFactorBroadcaster, plan_aggregate
 from repro.exceptions import CommunicationError
 from repro.nn.layers import Conv2D
 from repro.nn.layers.conv import col2im, im2col
 from repro.nn.optim import SGD
-from repro.nn.sufficient_factors import SufficientFactors, batch_reconstruct
+from repro.nn.sufficient_factors import SufficientFactors
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
 
 ATOL = 1e-6
@@ -81,6 +81,16 @@ def naive_aggregate(contributions, aggregation="mean"):
     return weight_grad, extra_totals
 
 
+def board_aggregate(contributions, aggregation="mean"):
+    """The board's one build of an aggregate, every block run on this thread."""
+    (weight, extras, _), blocks = plan_aggregate(
+        {wid: (factors, extras) for wid, factors, extras in contributions},
+        aggregation)
+    for block in blocks:
+        block()
+    return weight, extras
+
+
 def make_factors(rng, batch=4, m=16, n=12):
     return SufficientFactors(
         u=rng.standard_normal((batch, m)).astype(np.float32),
@@ -96,8 +106,7 @@ class TestSFBAggregationEquivalence:
             (w, make_factors(rng), {"bias": rng.standard_normal(12).astype(np.float32)})
             for w in range(5)
         ]
-        got_w, got_e = SufficientFactorBroadcaster.aggregate(
-            contributions, aggregation=aggregation)
+        got_w, got_e = board_aggregate(contributions, aggregation=aggregation)
         exp_w, exp_e = naive_aggregate(contributions, aggregation=aggregation)
         np.testing.assert_allclose(got_w, exp_w, atol=ATOL, rtol=RTOL)
         assert set(got_e) == set(exp_e)
@@ -107,7 +116,7 @@ class TestSFBAggregationEquivalence:
     def test_heterogeneous_batch_sizes(self, rng):
         contributions = [(w, make_factors(rng, batch=b), {})
                          for w, b in enumerate([1, 3, 7])]
-        got_w, _ = SufficientFactorBroadcaster.aggregate(contributions, "sum")
+        got_w, _ = board_aggregate(contributions, "sum")
         exp_w, _ = naive_aggregate(contributions, "sum")
         np.testing.assert_allclose(got_w, exp_w, atol=ATOL, rtol=RTOL)
 
@@ -118,20 +127,11 @@ class TestSFBAggregationEquivalence:
         ]
         before = [(c[1].u.copy(), c[1].v.copy(), c[2]["bias"].copy())
                   for c in contributions]
-        SufficientFactorBroadcaster.aggregate(contributions, "mean")
+        board_aggregate(contributions, "mean")
         for (u, v, b), (_, factors, extras) in zip(before, contributions):
             np.testing.assert_array_equal(u, factors.u)
             np.testing.assert_array_equal(v, factors.v)
             np.testing.assert_array_equal(b, extras["bias"])
-
-    def test_batch_reconstruct_matches_sum(self, rng):
-        factors = [make_factors(rng, batch=b) for b in (2, 5)]
-        expected = factors[0].reconstruct() + factors[1].reconstruct()
-        np.testing.assert_allclose(batch_reconstruct(factors), expected, atol=ATOL, rtol=RTOL)
-        out = np.empty_like(expected)
-        result = batch_reconstruct(factors, out=out)
-        assert result is out
-        np.testing.assert_allclose(out, expected, atol=ATOL, rtol=RTOL)
 
 
 # -- im2col / col2im -------------------------------------------------------------
@@ -343,13 +343,6 @@ class TestSFBAutoGarbageCollect:
             board.publish(0, "fc6", iteration, make_factors(rng))
             board.collect(0, "fc6", iteration)
         assert len(board._board) == 0
-
-    def test_manual_garbage_collect_still_works(self, rng):
-        board = SufficientFactorBroadcaster(num_workers=2)
-        board.publish(0, "fc6", 0, make_factors(rng))
-        board.publish(0, "fc6", 7, make_factors(rng))
-        assert board.garbage_collect(before_iteration=5) == 1
-        assert ("fc6", 7) in board._board
 
 
 # -- DES determinism --------------------------------------------------------------
