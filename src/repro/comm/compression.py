@@ -3,11 +3,11 @@
 Generalizes the 1-bit quantizer into a protocol the dense-gradient
 backends (PS, ring) plug in behind their syncers, DDP-communication-hook
 style: a :class:`Compressor` takes one layer's gradient dict and returns
-a *lossy* dict of the same shapes plus the exact wire bytes the
-compressed message would occupy.  The substrate then moves the lossy
-gradients with the compressed byte count booked against the wire, so the
-trainer's arithmetic sees what the receiver would reconstruct while the
-byte accounting matches :func:`repro.comm.wire.unit_wire_bytes` exactly.
+what each array sends (a *lossy* array, or top-k's index/value payload
+that the fold scatter-adds) plus the exact wire bytes of the message.
+The substrate books those bytes, so the trainer's arithmetic sees what
+the receiver would reconstruct while the byte accounting matches
+:func:`repro.comm.wire.unit_wire_bytes` exactly.
 
 Scope rule (shared with :mod:`repro.comm.wire`): only 2-D weight
 matrices with at least :data:`~repro.comm.wire.MIN_COMPRESS_ELEMENTS`
@@ -23,6 +23,7 @@ checkpoint/restore API through :meth:`Compressor.get_state` /
 
 from __future__ import annotations
 
+import threading
 import zlib
 from typing import Any, Dict, Optional, Tuple
 
@@ -35,6 +36,7 @@ from repro.comm.wire import (
     powersgd_rank,
     topk_count,
 )
+from repro.nn.optim import SparseGradient
 
 ArrayDict = Dict[str, np.ndarray]
 
@@ -49,7 +51,7 @@ class Compressor:
 
     Subclasses implement :meth:`_compress_array` for in-scope 2-D weight
     matrices; everything else passes through dense.  ``compress`` returns
-    the lossy gradients plus the total wire bytes of the compressed
+    what each gradient sends plus the total wire bytes of the compressed
     message (compressed weights + dense remainder), which by construction
     equals ``wire.unit_wire_bytes(self.config, ...)`` for the layer.
     """
@@ -61,14 +63,15 @@ class Compressor:
     def spec(self) -> str:
         """Canonical spec string (round-trips through ``make_compressor``)."""
         if self.config.kind == "topk":
-            return f"topk({self.config.k:g})"
+            k = self.config.k   # a whole count, or the exact shortest repr
+            return f"topk({int(k) if k >= 1 else repr(k)})"
         if self.config.kind == "powersgd":
             return f"powersgd({self.config.rank})"
         return self.config.kind
 
-    def compress(self, layer: str, grads: ArrayDict) -> Tuple[ArrayDict, int]:
+    def compress(self, layer: str, grads: ArrayDict) -> Tuple[dict, int]:
         """Lossy-compress ``grads``; returns ``(lossy_grads, wire_bytes)``."""
-        lossy: ArrayDict = {}
+        lossy: dict = {}
         wire = 0
         for name, grad in grads.items():
             if _compressible(grad):
@@ -80,8 +83,7 @@ class Compressor:
                 wire += int(grad.nbytes)
         return lossy, wire
 
-    def _compress_array(self, key: str,
-                        grad: np.ndarray) -> Tuple[np.ndarray, int]:
+    def _compress_array(self, key: str, grad: np.ndarray) -> Tuple[Any, int]:
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -122,53 +124,70 @@ class OneBitCompressor(Compressor):
         self._quantizer.set_state(state["residuals"])
 
 
-def _topk_indices(magnitudes: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest ``magnitudes``, ties to the lowest index.
+#: Magnitudes in the fixed strided sample the top-k threshold is read from,
+#: and the candidates per kept entry that threshold aims at.
+TOPK_SAMPLE, TOPK_OVERSAMPLE = 1024, 2.0
 
-    Exactly the set ``np.argsort(-magnitudes, kind="stable")[:count]`` keeps,
-    found with an O(n) partition: everything above the ``count``-th largest
-    value, plus as many of the lowest-index entries equal to it as it takes.
-    NaN magnitudes compare false against any threshold and leave that
-    selection short; only then is the full stable sort paid for.
+
+def _topk_indices(magnitudes: np.ndarray, count: int) -> np.ndarray:
+    """Sorted indices of the ``count`` largest ``magnitudes``, ties to the
+    lowest index (the set ``np.argsort(-magnitudes, kind="stable")[:count]``).
+
+    At least ``count`` candidates at or above a threshold read from a
+    strided sample hold every kept entry: the selection recurses on them.
+    Else an O(n) partition: all above the ``count``-th largest value, plus
+    the lowest-index entries equal to it.  NaN magnitudes compare false
+    and leave that short; only then is the full stable sort paid for.
     """
+    stride = magnitudes.size // TOPK_SAMPLE
+    if stride >= 4:
+        sample = magnitudes[::stride | 1]   # odd: walks across the columns
+        rank = int(TOPK_OVERSAMPLE * count * sample.size / magnitudes.size) + 1
+        if rank < sample.size:
+            candidates = np.flatnonzero(
+                magnitudes >= np.partition(sample, -rank)[-rank])
+            if count <= candidates.size < magnitudes.size:
+                return candidates[_topk_indices(magnitudes[candidates], count)]
     kth = magnitudes.size - count
     threshold = np.partition(magnitudes, kth)[kth]
     above = np.flatnonzero(magnitudes > threshold)
     ties = np.flatnonzero(magnitudes == threshold)[:count - above.size]
     if above.size + ties.size != count:
-        return np.argsort(-magnitudes, kind="stable")[:count]
-    return np.concatenate([above, ties])
+        return np.sort(np.argsort(-magnitudes, kind="stable")[:count])
+    return np.sort(np.concatenate([above, ties]))
 
 
 class TopKCompressor(Compressor):
     """Top-k magnitude sparsification with per-key error feedback.
 
-    Keeps the ``topk_count(k, elements)`` largest-magnitude entries of the
-    residual-corrected gradient (deterministic selection: ties go to the
-    lowest flat index, see :func:`_topk_indices`) and carries everything
-    un-sent forward as the next iteration's residual, so no gradient mass
-    is ever dropped.
+    Sends the ``topk_count(k, elements)`` largest-magnitude entries of the
+    residual-corrected gradient as a :class:`~repro.nn.optim.SparseGradient`
+    (ties go to the lowest flat index, see :func:`_topk_indices`) and keeps
+    everything un-sent as the next iteration's residual, updated in place
+    from ``+0.0`` (so no payload holds ``-0.0``).  Magnitudes go to a
+    scratch per thread: a worker's pool compresses layers concurrently.
     """
 
     def __init__(self, config: CompressionConfig):
         super().__init__(config)
         self._residuals: Dict[str, np.ndarray] = {}
+        self._local = threading.local()
 
     def _compress_array(self, key, grad):
-        corrected = grad + self._residuals.get(key, 0.0)
-        flat = corrected.reshape(-1)
-        keep = _topk_indices(np.abs(flat), topk_count(self.config.k, flat.size))
-        lossy_flat = np.zeros_like(flat)
-        lossy_flat[keep] = flat[keep]
-        lossy = lossy_flat.reshape(corrected.shape).astype(grad.dtype,
-                                                           copy=False)
-        # The residual is the corrected gradient minus what was sent: zero
-        # the sent entries of the freshly allocated ``corrected`` (through
-        # ``flat``, which is a copy rather than a view for F-ordered input).
+        residual = self._residuals.get(key)
+        if residual is None:
+            residual = self._residuals[key] = np.zeros(grad.shape, grad.dtype)
+        residual += grad
+        flat = residual.reshape(-1)     # a view: the residual is C-ordered
+        scratch = getattr(self._local, "scratch", flat[:0])
+        if scratch.size < flat.size or scratch.dtype != flat.dtype:
+            scratch = self._local.scratch = np.empty_like(flat)
+        keep = _topk_indices(np.abs(flat, out=scratch[:flat.size]),
+                             topk_count(self.config.k, flat.size))
+        payload = SparseGradient(grad.shape, keep.astype(np.int32), flat[keep])
         flat[keep] = 0
-        self._residuals[key] = flat.reshape(corrected.shape)
         m, n = grad.shape
-        return lossy, self.config.weight_payload_bytes(m, n)
+        return payload, self.config.weight_payload_bytes(m, n)
 
     def reset(self):
         self._residuals.clear()
@@ -178,7 +197,7 @@ class TopKCompressor(Compressor):
                               for key, residual in self._residuals.items()}}
 
     def set_state(self, state):
-        self._residuals = {key: np.array(residual, copy=True)
+        self._residuals = {key: np.array(residual, copy=True, order="C")
                            for key, residual in state["residuals"].items()}
 
 

@@ -140,9 +140,10 @@ class CompressionConfig:
             except ValueError:
                 raise ConfigurationError(
                     f"invalid topk parameter {arg!r} in {spec!r}") from None
-            if not (math.isfinite(k) and k > 0):
-                raise ConfigurationError(
-                    f"topk parameter must be finite and > 0, got {k}")
+            if not (math.isfinite(k) and k > 0 and (k < 1 or k.is_integer())):
+                raise ConfigurationError(   # k >= 1 counts entries
+                    f"topk parameter must be finite, > 0 and whole if >= 1, "
+                    f"got {k}")
             return cls(kind="topk", k=k)
         if kind == "powersgd":
             if arg is None:

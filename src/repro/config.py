@@ -408,8 +408,9 @@ class SystemConfig:
                  "checkpoint_interval_seconds must be positive"),
                 (self.checkpoint_cost_seconds >= 0,
                  "checkpoint_cost_seconds must be >= 0"),
-                (self.bucket_bytes is None or self.bucket_bytes >= 1,
-                 "bucket_bytes must be >= 1"),
+                (self.bucket_bytes is None or self.bucket_bytes >= 1
+                 and float(self.bucket_bytes).is_integer(),
+                 "bucket_bytes must be an integer >= 1"),
                 (not wired or self.partitioning is Partitioning.COARSE,
                  "compressor/bucket_bytes require coarse partitioning; "
                  "fine-grained KV pairs fix the wire granularity")):

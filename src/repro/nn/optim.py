@@ -10,6 +10,8 @@ directly (single-node training) or to a bare dictionary of parameter arrays
 from __future__ import annotations
 
 import functools
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,13 +28,48 @@ BLOCK_ELEMENTS = 1 << 16
 ArrayDict = Dict[str, np.ndarray]
 
 
-def fold_in_order(grads: Sequence[np.ndarray],
+@dataclass(frozen=True)
+class SparseGradient:
+    """A gradient zero outside ``indices`` (sorted, distinct int32 C-order
+    flat positions into ``shape``), ``values`` there: the top-k payload.
+    ``payload.reshape(-1)[start:stop]`` is the payload of that flat block.
+    """
+
+    shape: Tuple[int, ...]
+    indices: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.indices.nbytes + self.values.nbytes)
+
+    def reshape(self, size: int) -> "SparseGradient":   # size: -1
+        return replace(self, shape=(math.prod(self.shape),))
+
+    def __getitem__(self, block: slice) -> "SparseGradient":
+        start, stop, _ = block.indices(self.shape[0])
+        lo, hi = np.searchsorted(self.indices, (start, stop))
+        return SparseGradient((stop - start,), self.indices[lo:hi] - start,
+                              self.values[lo:hi])
+
+
+def fold_in_order(grads: Sequence[Union[np.ndarray, SparseGradient]],
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Left fold ``((g0 + g1) + g2) + ...``, the first two in one ``np.add``.
 
     Into ``out`` (cast to its dtype) when given; otherwise into a fresh
-    array, mixed dtypes upcasting.  The inputs are only read.
+    array, mixed dtypes upcasting.  The inputs are only read.  Sparse
+    payloads (all or none) are scatter-added in order into a ``+0.0``
+    total: the dense fold of their zero-filled arrays, bit for bit, unless
+    one holds ``-0.0`` (a top-k payload never does).
     """
+    if isinstance(grads[0], SparseGradient):
+        if out is None:
+            out = np.empty(grads[0].shape, grads[0].values.dtype)
+        out.fill(0)
+        for grad in grads:
+            out.reshape(-1)[grad.indices] += grad.values
+        return out
     if len(grads) > 1:
         total = np.add(grads[0], grads[1], out=out, casting="unsafe")
     elif out is None:

@@ -30,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.comm import wire
 from repro.comm.backend import check_compression, get_backend
 from repro.comm.compression import (
+    TOPK_SAMPLE,
     OneBitCompressor,
     PowerSGDCompressor,
     TopKCompressor,
@@ -53,6 +54,12 @@ from repro.nn.model_zoo import (
     build_mlp_network,
     build_transformer_network,
     get_model_spec,
+)
+from repro.nn.optim import (
+    SGD,
+    SparseGradient,
+    fold_in_order,
+    reduce_in_worker_order,
 )
 from repro.nn.spec import LayerKind
 from repro.parallel import DistributedTrainer
@@ -165,6 +172,7 @@ class TestWireFormulas:
         "gzip", "topk", "topk()", "topk(-1)", "topk(x)", "powersgd",
         "powersgd(0)", "powersgd(1.5)", "onebit(3)", "none(1)", "topk(0.1",
         "topk(nan)", "topk(NaN)", "topk(inf)", "topk(1e999)",
+        "topk(2.5)",    # k >= 1 is a count: not silently truncated to 2
     ])
     def test_parse_rejects_malformed_specs(self, spec):
         with pytest.raises(ConfigurationError):
@@ -203,6 +211,12 @@ def reference_topk(grad, residual, k):
     return keep, lossy, corrected - lossy
 
 
+def dense(payload):
+    """The zero-filled array a sparse payload stands for (a one-term fold)."""
+    assert isinstance(payload, SparseGradient)
+    return fold_in_order([payload])
+
+
 class TestTopKCompressor:
     def test_error_feedback_conserves_mass(self):
         compressor = TopKCompressor(CompressionConfig.parse("topk(0.1)"))
@@ -210,7 +224,7 @@ class TestTopKCompressor:
         lossy, _ = compressor.compress("fc", grads)
         residual = compressor._residuals["fc/weight"]
         # Sent + residual == the full corrected gradient, elementwise.
-        np.testing.assert_allclose(lossy["weight"] + residual,
+        np.testing.assert_allclose(dense(lossy["weight"]) + residual,
                                    grads["weight"], rtol=0, atol=1e-7)
 
     def test_residual_reenters_next_iteration(self):
@@ -220,8 +234,8 @@ class TestTopKCompressor:
         # Iteration 2's corrected gradient doubles every un-sent entry, so
         # entry 62 (62 + 62 = 124) overtakes the freshly-sent entry 63.
         lossy, _ = compressor.compress("fc", grads)
-        assert lossy["weight"].reshape(-1)[62] == pytest.approx(124.0)
-        assert np.count_nonzero(lossy["weight"]) == 1
+        assert lossy["weight"].indices.tolist() == [62]
+        assert lossy["weight"].values.tolist() == [124.0]
 
     def test_bias_passes_through_dense(self):
         compressor = TopKCompressor(CompressionConfig.parse("topk(0.1)"))
@@ -238,7 +252,10 @@ class TestTopKCompressor:
         b.set_state(a.get_state())
         lossy_a, _ = a.compress("fc", random_grads(4))
         lossy_b, _ = b.compress("fc", random_grads(4))
-        np.testing.assert_array_equal(lossy_a["weight"], lossy_b["weight"])
+        np.testing.assert_array_equal(lossy_a["weight"].indices,
+                                      lossy_b["weight"].indices)
+        np.testing.assert_array_equal(lossy_a["weight"].values,
+                                      lossy_b["weight"].values)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.sampled_from([0.01, 0.1, 0.5, 3]))
@@ -250,47 +267,108 @@ class TestTopKCompressor:
             grads = random_grads(seed + step, shape=(12, 8))
             corrected = corrected + grads["weight"]
             lossy, _ = compressor.compress("fc", grads)
-            sent = lossy["weight"]
+            sent = dense(lossy["weight"])
             count = wire.topk_count(k, 96)
             assert int(np.count_nonzero(sent)) <= count
             residual = compressor._residuals["fc/weight"]
             np.testing.assert_allclose(sent + residual, corrected, atol=1e-5)
             corrected = residual
 
+    @staticmethod
+    def draw(kind, rng, shape, count):
+        """One worker's gradient of the given kind."""
+        if kind == "normal":
+            return rng.standard_normal(shape).astype(np.float32)
+        if kind == "ties":      # few distinct magnitudes, both signs
+            return rng.integers(-2, 3, size=shape).astype(np.float32)
+        # Both signs of zero everywhere else.
+        grad = np.where(rng.random(shape) < 0.5, np.float32(-0.0),
+                        np.float32(0.0))
+        flat = grad.reshape(-1)
+        if kind == "strided":   # large exactly where the sample looks
+            flat[::flat.size // TOPK_SAMPLE | 1] = 100.0
+            flat += rng.standard_normal(flat.size).astype(np.float32)
+        elif kind == "sparse":  # fewer nonzeros than kept entries
+            where = rng.choice(flat.size, count // 2, replace=False)
+            flat[where] = rng.standard_normal(where.size)
+        return grad
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000),
-           shape=st.sampled_from([(8, 8), (12, 8), (5, 31), (64, 16)]),
+           # the sampled threshold runs from 4096 elements; (257, 512)
+           # spans three server blocks
+           shape=st.sampled_from([(8, 8), (12, 8), (5, 31), (64, 16),
+                                  (128, 512), (257, 512)]),
            # tiny fraction, the benchmark's 1 %, half, one entry, everything
            k=st.sampled_from([1e-4, 0.01, 0.5, 1.0, 10_000]),
-           kind=st.sampled_from(["normal", "ties", "zeros"]))
-    def test_matches_stable_argsort_reference(self, seed, shape, k, kind):
-        """Partition selection == the stable argsort it replaced, bit for bit."""
-        compressor = TopKCompressor(CompressionConfig.parse(f"topk({k})"))
+           kind=st.sampled_from(["normal", "ties", "zeros", "strided",
+                                 "sparse"]),
+           workers=st.sampled_from([2, 3]))
+    def test_matches_stable_argsort_reference(self, seed, shape, k, kind,
+                                              workers):
+        """Sampled selection == the stable argsort it replaced, bit for bit,
+        and the payloads fold on the ring and in the server's blocked step
+        exactly as the dense lossy arrays did, signed zeros included."""
+        compressors = [TopKCompressor(CompressionConfig.parse(f"topk({k})"))
+                       for _ in range(workers)]
         rng = np.random.default_rng(seed)
-        residual = np.zeros(shape, dtype=np.float32)
+        count = wire.topk_count(k, shape[0] * shape[1])
+        residuals = [np.zeros(shape, dtype=np.float32)] * workers
         for _ in range(3):
-            if kind == "normal":
-                grad = rng.standard_normal(shape).astype(np.float32)
-            elif kind == "ties":   # few distinct magnitudes, both signs
-                grad = rng.integers(-2, 3, size=shape).astype(np.float32)
-            else:
-                grad = np.zeros(shape, dtype=np.float32)
-            lossy, _ = compressor.compress("fc", {"weight": grad})
-            magnitudes = np.abs(grad + residual).reshape(-1)
-            want_keep, want_lossy, residual = reference_topk(grad, residual, k)
-            got_lossy = lossy["weight"]
-            got_residual = compressor._residuals["fc/weight"]
-            assert got_lossy.dtype == got_residual.dtype == np.float32
-            assert got_lossy.tobytes() == want_lossy.tobytes()
-            assert got_residual.tobytes() == residual.tobytes()
-            got_keep = _topk_indices(magnitudes, want_keep.size)
-            assert sorted(got_keep.tolist()) == sorted(want_keep.tolist())
+            payloads, wants = [], []
+            for worker, compressor in enumerate(compressors):
+                grad = self.draw(kind, rng, shape, count)
+                lossy, _ = compressor.compress("fc", {"weight": grad})
+                magnitudes = np.abs(grad + residuals[worker]).reshape(-1)
+                want_keep, want_lossy, residuals[worker] = reference_topk(
+                    grad, residuals[worker], k)
+                payload = lossy["weight"]
+                got_residual = compressor._residuals["fc/weight"]
+                assert payload.indices.dtype == np.int32
+                assert payload.values.dtype == got_residual.dtype == np.float32
+                assert payload.indices.tolist() == sorted(want_keep.tolist())
+                assert dense(payload).tobytes() == want_lossy.tobytes()
+                assert got_residual.tobytes() == residuals[worker].tobytes()
+                got_keep = _topk_indices(magnitudes, count)
+                assert got_keep.tolist() == sorted(want_keep.tolist())
+                payloads.append(payload)
+                wants.append(want_lossy)
+            folds = [reduce_in_worker_order(dict(enumerate(
+                {"weight": grad} for grad in grads)), mean_divisor=workers)
+                for grads in (payloads, wants)]
+            assert folds[0]["weight"].tobytes() == folds[1]["weight"].tobytes()
+            # -0.0 parameters show the sign of a zero step.
+            params = [np.full(shape, -0.0, dtype=np.float32) for _ in range(2)]
+            for param, grads in zip(params, (payloads, wants)):
+                SGD(learning_rate=0.5).apply("fc/weight", param, grads,
+                                             scale=1.0 / workers)
+            assert params[0].tobytes() == params[1].tobytes()
+
+    def test_a_strided_pattern_takes_the_fallback(self, monkeypatch):
+        """Large magnitudes on every sampled position but too few of them:
+        the sampled threshold keeps too few candidates, so the whole array
+        is partitioned; a normal gradient is never partitioned whole."""
+        sizes = []
+
+        def spy(array, kth):
+            sizes.append(array.size)
+            return partition(array, kth)
+
+        partition = np.partition
+        monkeypatch.setattr(np, "partition", spy)
+        rng = np.random.default_rng(0)
+        for kind, whole in (("normal", False), ("strided", True)):
+            sizes.clear()
+            grad = self.draw(kind, rng, (128, 512), 655)
+            TopKCompressor(CompressionConfig.parse("topk(0.01)")).compress(
+                "fc", {"weight": grad})
+            assert (128 * 512 in sizes) == whole
 
     def test_count_equal_to_size_keeps_everything(self):
         compressor = TopKCompressor(CompressionConfig.parse("topk(10000)"))
         grads = random_grads(7)
         lossy, _ = compressor.compress("fc", grads)
-        np.testing.assert_array_equal(lossy["weight"], grads["weight"])
+        np.testing.assert_array_equal(dense(lossy["weight"]), grads["weight"])
         assert not compressor._residuals["fc/weight"].any()
 
     def test_non_finite_magnitudes_fall_back_to_argsort(self):
@@ -364,8 +442,11 @@ class TestMakeCompressor:
         assert make_compressor("none") is None
 
     def test_spec_round_trips(self):
-        for spec in ("onebit", "topk(0.01)", "powersgd(4)"):
+        for spec in ("onebit", "topk(0.01)", "topk(3)", "powersgd(4)"):
             assert make_compressor(spec).spec == spec
+        for spec in ("topk(0.0123456789)", "topk(1234567)", "topk(1e-07)"):
+            compressor = make_compressor(spec)
+            assert make_compressor(compressor.spec).config == compressor.config
 
     def test_rejects_unknown(self):
         with pytest.raises(ConfigurationError):
@@ -388,6 +469,15 @@ class TestValidation:
             self, setup, bucket_bytes):
         with pytest.raises(ConfigurationError, match="bucket_bytes"):
             make_trainer(setup, "ps", bucket_bytes=bucket_bytes)
+
+    @pytest.mark.parametrize("bucket_bytes", [2.5, float("nan"), float("inf")])
+    def test_system_rejects_a_bucket_that_is_not_a_whole_byte_count(
+            self, bucket_bytes):
+        """The simulators would price 2.5 as 2-byte buckets and die on inf
+        in ``bucket_workload``; the trainer already refuses both."""
+        with pytest.raises(ConfigurationError, match="bucket_bytes"):
+            coarse_system("ps", "topk(0.1)", bucket_bytes=bucket_bytes)
+        assert coarse_system("ps", bucket_bytes=4096.0).bucket_bytes == 4096
 
     def test_trainer_takes_a_whole_float_bucket(self, setup):
         assert make_trainer(setup, "ps", bucket_bytes=4096.0).bucket_bytes == 4096
@@ -529,6 +619,42 @@ class TestTransformerWireBytes:
         history = trainer.train(self.ITERATIONS)
         assert history.total_bytes == (
             self.ITERATIONS * self.formula_bytes_per_iteration(spec))
+
+    def test_ring_topk_payloads_are_the_priced_bytes(self):
+        """What the compressor hands the ring is what the wire prices: an
+        index/value payload of ``topk_payload_bytes`` per in-scope weight."""
+        config = TrainingConfig(batch_size=8, learning_rate=0.01,
+                                iterations=1, seed=0)
+        trainer = DistributedTrainer(
+            self.factory, self.WORKERS, None, config, mode="ring",
+            batch_provider=self.provider, deterministic=True,
+            compressor="topk(0.01)", bucket_bytes=262144)
+        sent = []
+        for runtime in trainer._workers:
+            compressor = runtime.resources.compressor
+
+            def recording(layer, grads, compress=compressor.compress):
+                lossy, nbytes = compress(layer, grads)
+                sent.extend((f"{layer}/{name}", payload)
+                            for name, payload in lossy.items())
+                return lossy, nbytes
+            compressor.compress = recording
+        trainer.train(1)
+        shapes = {f"{layer.name}/{name}": param.shape
+                  for _, layer in self.factory().parameter_layers()
+                  for name, param in layer.params.items()}
+        assert (sorted(key for key, _ in sent)
+                == sorted(list(shapes) * self.WORKERS))
+        sparse = 0
+        for key, payload in sent:
+            shape = shapes[key]
+            if len(shape) == 2 and shape[0] * shape[1] >= 64:
+                assert isinstance(payload, SparseGradient)
+                assert payload.nbytes == wire.topk_payload_bytes(0.01, *shape)
+                sparse += 1
+            else:
+                assert isinstance(payload, np.ndarray)
+        assert sparse == 11 * self.WORKERS
 
     def test_benchmark_model_topk_bytes_pinned(self):
         assert self.formula_bytes_per_iteration("topk(0.01)") == 206_016

@@ -5,7 +5,9 @@
   kept here as the reference, at every block boundary;
 * two layers of one server stepping at once never share scratch;
 * bit-identity pins for every trainer path that ends in the server step,
-  recorded with the parent's sources (``tests/data/ps_pins.json``).
+  recorded with the parent's sources (``tests/data/ps_pins.json``), and
+  for the compressed ring, whose top-k payloads fold the same way
+  (``tests/data/ring_topk_pins.json``).
 """
 
 import json
@@ -206,6 +208,20 @@ PIN_CASES = {
                                  momentum=0.9, weight_decay=1e-4),
 }
 
+RING_PINS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                              "ring_topk_pins.json")
+
+#: The compressed ring: ``fc1`` and ``fc2`` are large enough for the sampled
+#: top-k threshold, the head is not.
+RING_PIN_CASES = {
+    **{f"ring-topk0.1-P{workers}": dict(
+        mode="ring", num_workers=workers, widths=PIN_WIDTHS,
+        compressor="topk(0.1)") for workers in (2, 3, 4)},
+    "ring-topk0.1-P2-momentum-decay": dict(
+        mode="ring", num_workers=2, widths=PIN_WIDTHS, compressor="topk(0.1)",
+        momentum=0.9, weight_decay=1e-4),
+}
+
 
 class TestServerStepBitIdentityPins:
     """Recorded on the parent of ISSUE 23, before any source changed.
@@ -225,11 +241,42 @@ class TestServerStepBitIdentityPins:
 
     @pytest.mark.parametrize("case", sorted(PIN_CASES))
     def test_losses_and_final_parameters_are_bit_identical(self, pins, case):
-        got = _pin_run(**PIN_CASES[case])
+        _check_pin(pins, PIN_CASES, case)
+
+
+class TestRingTopKBitIdentityPins:
+    """Recorded on the parent of the sparse top-k payload, before any
+    source changed: the scatter-add fold adds the same values in the same
+    worker order as the dense fold of the lossy arrays did."""
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        with open(RING_PINS_PATH) as fh:
+            return json.load(fh)["cases"]
+
+    def test_every_case_is_pinned(self, pins):
+        assert set(pins) == set(RING_PIN_CASES)
+
+    @pytest.mark.parametrize("case", sorted(RING_PIN_CASES))
+    def test_losses_and_final_parameters_are_bit_identical(self, pins, case):
+        _check_pin(pins, RING_PIN_CASES, case)
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_an_unordered_schedule_ends_bit_identical(self, pins, workers):
+        """Up to four syncer jobs per worker at once: each thread compresses
+        through its own magnitude scratch, and the ring folds in worker
+        order, so nothing moves."""
+        case = f"ring-topk0.1-P{workers}"
+        got = _pin_run(**RING_PIN_CASES[case], deterministic=False)
         assert got == pins[case]
-        assert set(got["schemes"].values()) == {PIN_CASES[case]["mode"]}
-        if "policy" not in PIN_CASES[case]:     # BSP: one model everywhere
-            assert len(set(got["digests"])) == 1
+
+
+def _check_pin(pins, cases, case):
+    got = _pin_run(**cases[case])
+    assert got == pins[case]
+    assert set(got["schemes"].values()) == {cases[case]["mode"]}
+    if "policy" not in cases[case]:     # BSP: one model everywhere
+        assert len(set(got["digests"])) == 1
 
 
 if __name__ == "__main__":  # re-record: PYTHONPATH=<tree>/src python tests/test_ps_step.py
@@ -242,5 +289,16 @@ if __name__ == "__main__":  # re-record: PYTHONPATH=<tree>/src python tests/test
                      "(commit ad049a9)"),
             "cases": {case: _pin_run(**kwargs)
                       for case, kwargs in sorted(PIN_CASES.items())},
+        }, fh, indent=1)
+        fh.write("\n")
+    with open(RING_PINS_PATH, "w") as fh:
+        json.dump({
+            "note": ("repr() of every per-step loss and a sha256 of each "
+                     "replica's final parameters: build_mlp_network(64, (320, "
+                     f"320), 10), batch 8, {PIN_ITERATIONS} iterations, "
+                     "deterministic=True; recorded at the parent of the "
+                     "sparse top-k payload (commit 12c3155)"),
+            "cases": {case: _pin_run(**kwargs)
+                      for case, kwargs in sorted(RING_PIN_CASES.items())},
         }, fh, indent=1)
         fh.write("\n")
