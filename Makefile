@@ -116,8 +116,9 @@ examples-smoke:
 		--iterations 10 --workers 2
 
 ## intra-repo links (markdown, and every NAME.md / backticked path a .py
-## file under src, tests or benchmarks cites) + the doctests of every
-## tracked src/repro module that has one
+## file under src, tests or benchmarks cites; backticked repro.* names
+## outside ROADMAP.md / CHANGES.md) + the doctests of every tracked
+## src/repro module that has one
 docs-check:
 	python tools/check_links.py README.md PERFORMANCE.md ROADMAP.md \
 		CHANGES.md docs/architecture.md docs/backends.md \

@@ -18,9 +18,11 @@ axes; the paper's Caffe and TensorFlow systems are named values of it):
   :mod:`repro.comm.backend`) over its substrate: parameter server,
   sufficient-factor broadcasting, the Adam strategy, 1-bit quantization,
   ring all-reduce and the hierarchical parameter server.
-* :mod:`repro.core` -- Poseidon itself: coordinator
-  (:class:`repro.core.poseidon.PoseidonContext`), cost model, KV store,
-  syncers, wait-free backpropagation and hybrid communication.
+* :mod:`repro.core` -- Poseidon itself: the Table-1 cost model, syncers,
+  wait-free backpropagation and hybrid communication.  The coordinator's
+  per-layer decision is one rule, :func:`repro.comm.backend.choose_scheme`,
+  which the trainer and the simulators' plan
+  (:func:`repro.simulation.plan.resolve_plan`) both call.
 * :mod:`repro.parallel` -- a functional (threaded, real numpy math)
   data-parallel training runtime.
 * :mod:`repro.simulation` -- throughput/traffic/convergence simulation used

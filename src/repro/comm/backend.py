@@ -777,7 +777,8 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
     have ``K = batch_size * factor_rank`` rows (``factor_rank``: rows per
     sample, 1 for a CNN FC layer, ``T`` for a token FC).  The trainer
     (``assign_schemes``), the simulators (``decide_schemes``) and the
-    :class:`~repro.core.cost_model.CostModel` all decide here:
+    :class:`~repro.core.cost_model.CostModel` (``best_scheme`` and
+    ``best_scheme_timed``, under ``"hybrid"`` only) all decide here:
 
         >>> from repro.comm.backend import choose_scheme
         >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32)

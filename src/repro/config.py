@@ -122,8 +122,6 @@ class ClusterConfig:
         gpu: throughput model of each GPU.
         colocate_servers: whether PS shards live on worker nodes (sharing
             their NIC) or on dedicated machines.
-        kv_pair_bytes: size of a KV-store pair; Poseidon uses a "fixed small
-            size (e.g. 2MB)" to spread parameters evenly across shards.
         latency_seconds: per-message network latency added to every transfer.
         network_efficiency: fraction of the NIC line rate achievable as
             application goodput (TCP/IP framing, kernel overheads,
@@ -147,7 +145,6 @@ class ClusterConfig:
     gpus_per_node: int = 1
     gpu: GpuModel = field(default_factory=lambda: TITAN_X)
     colocate_servers: bool = True
-    kv_pair_bytes: int = 2 * units.MB
     latency_seconds: float = 50 * units.US
     network_efficiency: float = 0.55
     racks: int = 1
@@ -165,8 +162,6 @@ class ClusterConfig:
                     f"{name} must be an integer >= 1, got {count!r}")
         for ok, name, rule in (
                 (self.bandwidth_gbps > 0, "bandwidth_gbps", "positive"),
-                (0 < self.kv_pair_bytes < math.inf, "kv_pair_bytes",
-                 "positive and finite"),
                 (0.0 < self.network_efficiency <= 1.0, "network_efficiency",
                  "in (0, 1]"),
                 (0 <= self.latency_seconds < math.inf, "latency_seconds",
@@ -293,20 +288,22 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(
-                f"momentum must be in [0, 1), got {self.momentum}"
-            )
-        if self.iterations < 0:
-            raise ConfigurationError(
-                f"iterations must be non-negative, got {self.iterations}"
-            )
+        # Counts are whole (numpy ints too); rates are finite, since a NaN
+        # fails every comparison and would train silently to a NaN loss.
+        for name, low in (("batch_size", 1), ("iterations", 0)):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < low:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {low}, got {count!r}")
+        for ok, name, rule in (
+                (0 < self.learning_rate < math.inf, "learning_rate",
+                 "finite and positive"),
+                (0.0 <= self.momentum < 1.0, "momentum", "in [0, 1)"),
+                (0 <= self.weight_decay < math.inf, "weight_decay",
+                 "finite and >= 0")):
+            if not ok:
+                raise ConfigurationError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 class ScheduleMode(str, enum.Enum):

@@ -3,17 +3,11 @@
 * :mod:`repro.core.cost_model` -- the analytic communication-cost model of
   Table 1 and :class:`~repro.core.cost_model.CostModel`, which prices and
   picks a layer's scheme by its registered backend name.
-* :mod:`repro.core.kvstore` -- fine-grained (2 MB) KV-pair partitioning of
-  model parameters across server shards.
 * :mod:`repro.core.wfbp` -- wait-free backpropagation scheduling.
 * :mod:`repro.core.syncer` -- per-layer syncers (Send / Receive / Move).
 * :mod:`repro.core.consistency` -- bulk-synchronous consistency management.
 * :mod:`repro.core.policy` -- execution semantics (BSP, SSP, async, local
   SGD), one field of :class:`repro.config.SystemConfig`.
-* :mod:`repro.core.poseidon` -- :class:`~repro.core.poseidon.PoseidonContext`,
-  the coordinator: information book (``Query``), ``BestScheme`` and the
-  per-layer HybComm plan, a thin view over
-  :func:`repro.comm.backend.choose_scheme` and the cost model.
 
 The package imports none of them (:mod:`repro.config` reads the policy).
 """

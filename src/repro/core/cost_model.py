@@ -22,6 +22,7 @@ node; everything else goes through the parameter server.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -223,8 +224,9 @@ class CostModel:
 
     def __init__(self, cluster: ClusterConfig, batch_size: int,
                  policy=None, compression=None):
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+        if not isinstance(batch_size, numbers.Integral) or batch_size < 1:
+            raise ConfigurationError(
+                f"batch_size must be an integer >= 1, got {batch_size!r}")
         self.cluster = cluster
         self.batch_size = int(batch_size)
         # Imported lazily for symmetry with the backend imports below
@@ -259,20 +261,19 @@ class CostModel:
         return resolved.sync_frequency
 
     # -- per-layer ------------------------------------------------------------
-    def choose(self, layer: LayerSpec, mode: str = "hybrid",
-               price=None) -> str:
-        """The name of the scheme ``layer`` synchronizes under in ``mode``.
+    def choose(self, layer: LayerSpec, price=None) -> str:
+        """The name of the hybrid scheme ``layer`` synchronizes under.
 
         :func:`repro.comm.backend.choose_scheme` fed from the layer spec:
-        ``"hybrid"`` is Algorithm 1 (optionally over another ``price``
-        than the Table-1 volume), a backend name forces that scheme.
+        Algorithm 1, optionally over another ``price`` than the Table-1
+        volume.
         """
         # Imported lazily: repro.comm.backend depends on this module's
         # Table-1 formulas, so a module-level import would be circular.
-        from repro.comm.backend import choose_scheme
+        from repro.comm.backend import HYBRID_MODE, choose_scheme
 
         fc_dims = layer.fc_dims if layer.kind is LayerKind.FC else None
-        return choose_scheme(mode, fc_dims, layer.sf_decomposable,
+        return choose_scheme(HYBRID_MODE, fc_dims, layer.sf_decomposable,
                              self.cluster.num_workers,
                              self.cluster.num_servers, self.batch_size,
                              topology=self.topology, price=price,

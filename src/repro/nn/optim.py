@@ -144,12 +144,15 @@ class SGD:
 
     def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0,
                  weight_decay: float = 0.0):
-        if learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
+        # Finite: a NaN fails every comparison and would step silently to NaN.
+        if not 0 < learning_rate < math.inf:
+            raise ConfigurationError(
+                f"learning_rate must be finite and positive, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not 0 <= weight_decay < math.inf:
+            raise ConfigurationError(
+                f"weight_decay must be finite and >= 0, got {weight_decay}")
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)

@@ -16,6 +16,7 @@ faithful to the paper's Titan X testbed without needing the hardware.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -151,9 +152,12 @@ def build_workload(model: ModelSpec, batch_size: Optional[int] = None,
             single-node throughput for this model.
         coarsen_bytes: merge threshold for small adjacent non-FC units.
     """
-    batch = int(batch_size) if batch_size is not None else model.default_batch_size
-    if batch < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch}")
+    batch = model.default_batch_size if batch_size is None else batch_size
+    # Whole (numpy ints too), as the trainer requires: never truncated.
+    if not isinstance(batch, numbers.Integral) or batch < 1:
+        raise ConfigurationError(
+            f"batch_size must be an integer >= 1, got {batch!r}")
+    batch = int(batch)
     return _WORKLOADS.get(
         (model, batch, gpu, coarsen_bytes),
         lambda: _derive_workload(model, batch, gpu, coarsen_bytes))

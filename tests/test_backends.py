@@ -41,7 +41,6 @@ from repro.core.cost_model import (
     ps_combined_cost,
     sfb_worker_cost,
 )
-from repro.core.poseidon import PoseidonContext
 from repro.exceptions import CommunicationError, ConfigurationError, TrainingError
 from repro.data import make_linearly_separable, shard_dataset
 from repro.nn.layers import Dense
@@ -109,15 +108,10 @@ class TestARegisteredBackendIsItself:
     def test_every_decision_names_it(self, pigeon):
         network = build_mlp_network(input_dim=8, hidden_dims=(8,),
                                     num_classes=4, seed=0)
-        cost_model = CostModel(self.CLUSTER, batch_size=32)
-        context = PoseidonContext(self.SPEC, self.CLUSTER, TrainingConfig())
         for decisions in (
                 assign_schemes(network, "pigeon", 2, 2, 8).schemes.values(),
                 decide_schemes(build_workload(self.SPEC), "pigeon", 4,
-                               4).values(),
-                [cost_model.choose(layer, "pigeon")
-                 for layer in self.SPEC.parameter_layers()],
-                context.build_plan("pigeon").assignments.values()):
+                               4).values()):
             assert set(decisions) == {"pigeon"}
 
     def test_trains_bit_for_bit_as_ps(self, pigeon, trainer_setup):

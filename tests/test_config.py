@@ -91,9 +91,10 @@ class TestClusterConfig:
         {"num_workers": 2, "num_servers": 0},
         {"num_workers": 2, "bandwidth_gbps": 0},
         {"num_workers": 2, "gpus_per_node": 0},
-        {"num_workers": 2, "kv_pair_bytes": 0},
         {"num_workers": 2, "network_efficiency": 0.0},
         {"num_workers": 2, "network_efficiency": 1.5},
+        {"num_workers": 2, "racks": 0},
+        {"num_workers": 2, "racks": 2, "oversubscription": 0.5},
     ])
     def test_invalid_configurations_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -105,8 +106,9 @@ class TestClusterConfig:
         {"latency_seconds": math.nan},
         {"latency_seconds": -1e-6},
         {"racks": 2, "oversubscription": math.nan},
+        {"network_efficiency": math.nan},
     ], ids=["bandwidth nan", "latency nan", "latency negative",
-            "oversubscription nan"])
+            "oversubscription nan", "efficiency nan"])
     def test_nan_or_negative_network_fails_when_built(self, kwargs, engine):
         """Not mid-run (the DES's ``SimulationError``) and not as a free
         network (the fluid engine's alexnet speedup of exactly 4.0)."""
@@ -124,12 +126,11 @@ class TestClusterConfig:
         {"gpus_per_node": 1.5},
         {"racks": 2.5, "oversubscription": 4.0},
         {"racks": math.nan, "oversubscription": 4.0},
-        {"kv_pair_bytes": math.nan},
         {"oversubscription": math.inf, "racks": 2},
         {"latency_seconds": math.inf},
     ], ids=["workers float", "workers fractional", "servers fractional",
             "servers nan", "gpus fractional", "racks fractional",
-            "racks nan", "kv pair nan", "oversubscription inf",
+            "racks nan", "oversubscription inf",
             "latency inf"])
     def test_fractional_count_or_infinite_size_fails_when_built(self, kwargs,
                                                                 engine):
@@ -166,10 +167,26 @@ class TestTrainingConfig:
         {"momentum": 1.0},
         {"momentum": -0.1},
         {"iterations": -1},
+        # Not accepted and then trained silently to a NaN loss, or
+        # rejected only later by the trainer's scheme choice:
+        {"batch_size": 2.5},
+        {"batch_size": 32.0},
+        {"batch_size": math.nan},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"weight_decay": math.nan},
+        {"weight_decay": math.inf},
+        {"weight_decay": -0.1},
+        {"iterations": 2.5},
+        {"iterations": math.nan},
     ])
     def test_invalid_hyperparameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             TrainingConfig(**kwargs)
+
+    def test_numpy_integer_counts_are_valid(self):
+        config = TrainingConfig(batch_size=np.int64(8), iterations=np.int32(3))
+        assert (config.batch_size, config.iterations) == (8, 3)
 
 
 WFBP, SEQUENTIAL = ScheduleMode.WFBP, ScheduleMode.SEQUENTIAL

@@ -1,5 +1,8 @@
 """Tests for the Table 1 cost model and Algorithm 1 (BestScheme)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,5 +162,10 @@ class TestBestScheme:
             model.scheme_cost_params(self.make_conv(), "sfb")
 
     def test_invalid_batch_rejected(self, small_cluster):
-        with pytest.raises(ConfigurationError):
-            CostModel(small_cluster, batch_size=0)
+        # Not truncated (``CostModel(cluster, 2.5).batch_size == 2``).
+        for batch in (0, 2.5, 32.0, math.nan):
+            with pytest.raises(ConfigurationError, match="batch_size"):
+                CostModel(small_cluster, batch_size=batch)
+
+    def test_numpy_integer_batch_is_valid(self, small_cluster):
+        assert CostModel(small_cluster, batch_size=np.int64(8)).batch_size == 8

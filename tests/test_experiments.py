@@ -367,12 +367,10 @@ class TestRunner:
 
 
 #: The trainer's modules (a name's first three dotted parts): the runnable
-#: nn stack, the syncers and their rendezvous, the coordinator, the KV
-#: store and every scheme's substrate.
+#: nn stack, the syncers and their rendezvous and every scheme's substrate.
 TRAINER_MODULES = (
     "repro.nn.layers", "repro.nn.network", "repro.nn.optim", "repro.nn.loss",
-    "repro.core.syncer", "repro.core.consistency", "repro.core.poseidon",
-    "repro.core.kvstore",
+    "repro.core.syncer", "repro.core.consistency",
     *(f"repro.comm.{name}" for name in (
         "parameter_server", "sfb", "adam", "ring", "hierarchical",
         "quantization", "averaging", "message")),
@@ -418,9 +416,6 @@ class TestImportClosure:
         loaded = _loaded_by_import(module)
         assert [name for name in loaded
                 if ".".join(name.split(".")[:3]) in TRAINER_MODULES] == []
-
-    def test_root_package_loads_no_coordinator(self):
-        assert "repro.core.poseidon" not in _loaded_by_import("repro")
 
     def test_config_loads_no_nn_module(self):
         loaded = _loaded_by_import("repro.config")

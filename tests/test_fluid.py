@@ -616,6 +616,26 @@ class TestUnitBytes:
         assert fine.owner == 0.0 and fine.phases[0].hub_bytes > 0.0
         assert coarse.owner > 0.0 and coarse.phases[0].hub_bytes == 0.0
 
+    @pytest.mark.parametrize("workers,servers,colocated",
+                             [(8, 8, True), (8, 3, False)])
+    def test_fine_ps_shards_gather_what_workers_push(self, workers, servers,
+                                                     colocated):
+        """Fine KV sharding spreads a unit evenly: every shard gathers the
+        same slice, and the shards together gather what the workers push
+        over the network."""
+        workload = build_workload(VGG)
+        unit = next(u for u in workload.units if u.name == "fc6")
+        shape = SyncShape(workers, servers, workload.batch_size,
+                          colocated=colocated)
+        nbytes = get_backend("ps").unit_bytes(unit, shape, owner=0)
+        push = nbytes.phases[0]
+        assert nbytes.owner == 0.0
+        assert nbytes.server == 2 * push.hub_bytes
+        assert servers * push.hub_bytes == pytest.approx(workers * push.nbytes)
+        local = 1 if colocated else 0
+        assert workers * push.nbytes == pytest.approx(
+            unit.param_bytes * (servers - local) * workers / servers)
+
 
 class TestScaleFigure:
     """fig_scale rides entirely on the fluid engine."""

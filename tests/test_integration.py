@@ -5,45 +5,84 @@ import numpy as np
 import pytest
 
 from repro.config import CAFFE_WFBP, POSEIDON_CAFFE, ClusterConfig, TrainingConfig
-from repro.core.poseidon import PoseidonContext
+from repro.core.cost_model import CostModel
 from repro.data import make_cifar10_like, shard_dataset
 from repro.nn.model_zoo import build_cifar_quick_small_network, get_model_spec
 from repro.parallel import DistributedTrainer
 from repro.simulation import simulate_system
 
 
+def _planned(spec, cluster, batch_size):
+    """Table 1's plan: each parameter layer's Algorithm-1 scheme and the
+    per-node bytes the plan and pure PS move."""
+    cost_model = CostModel(cluster, batch_size)
+    layers = spec.parameter_layers()
+    schemes = {layer.name: cost_model.best_scheme(layer) for layer in layers}
+    hybrid_bytes = sum(cost_model.scheme_cost_bytes(layer, schemes[layer.name])
+                       for layer in layers)
+    ps_bytes = sum(cost_model.scheme_cost_bytes(layer, "ps")
+                   for layer in layers)
+    return schemes, 1.0 - hybrid_bytes / ps_bytes
+
+
+def _planned_saving(key, nodes):
+    spec = get_model_spec(key)
+    return _planned(spec, ClusterConfig(num_workers=nodes),
+                    spec.default_batch_size)[1]
+
+
+def _simulated_saving(key, nodes):
+    """1 - (per-node traffic under Poseidon / under dense PS), from the DES."""
+    spec = get_model_spec(key)
+    cluster = ClusterConfig(num_workers=nodes)
+    dense = simulate_system(spec, CAFFE_WFBP, cluster)
+    hybrid = simulate_system(spec, POSEIDON_CAFFE, cluster)
+    return 1.0 - hybrid.mean_traffic_gbits / dense.mean_traffic_gbits
+
+
 class TestPlanningToSimulationConsistency:
     """The planner's byte accounting and the simulator's traffic must agree."""
 
-    def test_plan_savings_show_up_as_simulated_traffic_savings(self, vgg19_spec):
-        cluster = ClusterConfig(num_workers=8)
-        context = PoseidonContext(vgg19_spec, cluster, TrainingConfig(batch_size=32))
-        plan_saving = context.plan.savings_fraction
+    @pytest.mark.parametrize("key,nodes", [
+        ("vgg19", 2), ("vgg19", 8), ("vgg19", 16), ("vgg19-22k", 16),
+        ("alexnet", 8), ("resnet-50", 4)])
+    def test_plan_savings_show_up_as_simulated_traffic_savings(self, key,
+                                                               nodes):
+        # The DES's scatter/gather adds only the small non-parameter
+        # messages Table 1 does not price.
+        plan_saving = _planned_saving(key, nodes)
+        assert abs(plan_saving - _simulated_saving(key, nodes)) < 1e-3
 
-        dense = simulate_system(vgg19_spec, CAFFE_WFBP, cluster)
-        hybrid = simulate_system(vgg19_spec, POSEIDON_CAFFE, cluster)
-        traffic_saving = 1.0 - (hybrid.mean_traffic_gbits / dense.mean_traffic_gbits)
-        # Same order of magnitude of savings (the simulator adds scatter/gather
-        # round-trips, so the numbers are not expected to match exactly).
-        assert plan_saving > 0.5
-        assert traffic_saving > 0.5
-        assert abs(plan_saving - traffic_saving) < 0.25
+    def test_hybrid_saves_over_half_of_vgg_traffic(self):
+        assert _planned_saving("vgg19", 8) > 0.5
+        assert _simulated_saving("vgg19", 8) > 0.5
+
+    def test_savings_fraction_grows_with_vocabulary(self):
+        """VGG19-22K (91% FC) saves a larger traffic fraction than VGG19."""
+        assert _planned_saving("vgg19-22k", 16) > _planned_saving("vgg19", 16)
+        assert (_simulated_saving("vgg19-22k", 16)
+                > _simulated_saving("vgg19", 16))
 
     def test_scheme_decisions_match_between_planner_and_simulator(self, vgg19_spec):
         cluster = ClusterConfig(num_workers=16)
-        context = PoseidonContext(vgg19_spec, cluster, TrainingConfig(batch_size=32))
+        planned, _ = _planned(vgg19_spec, cluster, 32)
         simulated = simulate_system(vgg19_spec, POSEIDON_CAFFE, cluster)
-        for layer_name in ("fc6", "fc7", "fc8"):
-            assert context.plan.scheme_for(layer_name) == "sfb"
-            assert simulated.scheme_by_unit[layer_name] == "sfb"
+        for schemes in (planned, simulated.scheme_by_unit):
+            assert {name for name, scheme in schemes.items()
+                    if scheme == "sfb"} == {"fc6", "fc7", "fc8"}
+
+    def test_hybrid_disabled_forces_ps(self, vgg19_spec):
+        """A system without hybrid communication picks no SFB."""
+        ps_only = simulate_system(vgg19_spec, CAFFE_WFBP,
+                                  ClusterConfig(num_workers=16))
+        assert set(ps_only.scheme_by_unit.values()) == {"ps"}
 
     def test_batch_size_flips_both_layers_consistently(self, googlenet_spec):
         """GoogLeNet at batch 128: planner and simulator both choose pure PS."""
         cluster = ClusterConfig(num_workers=16)
-        context = PoseidonContext(googlenet_spec, cluster,
-                                  TrainingConfig(batch_size=128))
+        planned, _ = _planned(googlenet_spec, cluster, 128)
         simulated = simulate_system(googlenet_spec, POSEIDON_CAFFE, cluster)
-        assert context.plan.sfb_layer_names == []
+        assert "sfb" not in planned.values()
         assert "sfb" not in simulated.scheme_by_unit.values()
 
 

@@ -121,6 +121,12 @@ class TestSGD:
             SGD(learning_rate=0.1, momentum=1.0)
         with pytest.raises(ConfigurationError):
             SGD(learning_rate=0.1, weight_decay=-1.0)
+        # A NaN fails every ``<= 0`` test and would step silently to NaN.
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="learning_rate"):
+                SGD(learning_rate=rate)
+            with pytest.raises(ConfigurationError, match="weight_decay"):
+                SGD(learning_rate=0.1, weight_decay=rate)
 
     def test_step_network_reduces_loss(self):
         network = build_mlp_network(input_dim=10, hidden_dims=(16,), num_classes=3,

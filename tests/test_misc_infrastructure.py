@@ -123,3 +123,41 @@ class TestRunnerCli:
     def test_cli_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             runner_main(["does-not-exist"])
+
+
+def _check_links():
+    """``tools/check_links.py``, loaded from its file (tools is no package)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "check_links.py"
+    spec = importlib.util.spec_from_file_location("check_links", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDottedReferenceCheck:
+    @pytest.mark.parametrize("name,resolves", [
+        ("repro.core", True),
+        ("repro.core.cost_model.CostModel", True),
+        ("repro.core.cost_model.CostModel.best_scheme", True),
+        ("repro.simulation.simulate_system", True),  # bound by an import
+        ("repro.config.ClusterConfig.num_workers", True),  # a field
+        ("repro.core.coordinator.Coordinator", False),  # no such module
+        ("repro.core.cost_model.Coordinator", False),  # no such name
+        ("repro.config.ClusterConfig.no_such_field", False),
+    ])
+    def test_resolves_by_file_lookup(self, name, resolves):
+        assert _check_links().dotted_resolves(name) is resolves
+
+    def test_flags_a_stale_reference_outside_the_history_files(self, tmp_path):
+        check_links = _check_links()
+        stale = "repro.core.coordinator.Coordinator"
+        for file_name, flagged in (("notes.txt", True), ("module.py", True),
+                                   ("CHANGES.md", False),
+                                   ("ROADMAP.md", False)):
+            path = tmp_path / file_name
+            path.write_text(f"See :class:`~{stale}`.\n", encoding="utf-8")
+            assert (list(check_links.check_file(path))
+                    == ([(1, stale)] if flagged else [])), file_name

@@ -1,8 +1,12 @@
 """The resolved sync plan: one decision rule, one payload statement, one memo.
 
 * every planning entry point -- the trainer's ``assign_schemes``, the
-  simulators' ``decide_schemes`` and ``PoseidonContext.plan`` -- returns
-  the same scheme per layer, for every mode on flat and racked clusters;
+  simulators' ``decide_schemes`` and, under ``"hybrid"``, the cost model's
+  ``best_scheme`` -- returns the same scheme per layer, for every mode on
+  flat and racked clusters;
+* a zoo model's resolved plan syncs every parameter layer exactly once,
+  puts SFB only on units with sufficient factors, and Algorithm 1 never
+  picks a scheme that moves more bytes than pure PS;
 * the per-node traffic the DES measures at its NICs equals the traffic the
   fluid engine sums from the backends' declared ``UnitBytes``, for every
   backend x topology x cluster size, and for a transformer's token FCs
@@ -55,15 +59,14 @@ from repro.comm.backend import (
     unregister_backend,
 )
 from repro.config import (
+    POSEIDON_CAFFE,
     POSEIDON_TF,
     ClusterConfig,
     Partitioning,
     ScheduleMode,
-    TrainingConfig,
     poseidon_system,
 )
-from repro.core.cost_model import NetworkTopology
-from repro.core.poseidon import PoseidonContext
+from repro.core.cost_model import CostModel, NetworkTopology
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
@@ -85,7 +88,8 @@ TOPOLOGIES = ((1, 1.0), (2, 2.0))
 
 # -- one decision rule -----------------------------------------------------------
 class TestOneDecisionRule:
-    """assign_schemes == decide_schemes == PoseidonContext.plan, layer by layer."""
+    """assign_schemes == decide_schemes (== CostModel.best_scheme under
+    hybrid), layer by layer."""
 
     # 512x512 favours SFB at K=8, the 512x10 head the PS; under rack
     # oversubscription the topology candidates join the hybrid choice.
@@ -108,12 +112,11 @@ class TestOneDecisionRule:
         simulator_side = decide_schemes(
             workload, mode, 8, 8,
             topology=None if topology.is_flat else topology)
-        context = PoseidonContext(spec, cluster,
-                                  TrainingConfig(batch_size=self.BATCH))
-        force = None if mode == "hybrid" else mode
-        planner_side = context.build_plan(force_scheme=force).assignments
-
-        assert trainer_side == dict(simulator_side) == planner_side
+        assert trainer_side == dict(simulator_side)
+        if mode == "hybrid":
+            cost_model = CostModel(cluster, self.BATCH)
+            assert trainer_side == {layer.name: cost_model.best_scheme(layer)
+                                    for layer in spec.parameter_layers()}
         assert set(trainer_side) == {"fc1", "fc2", "classifier"}
 
     def test_hybrid_mixes_schemes_on_this_stack(self):
@@ -121,6 +124,36 @@ class TestOneDecisionRule:
         schemes = decide_schemes(workload, "hybrid", 8, 8)
         assert schemes["fc1"] == "sfb"
         assert schemes["classifier"] == "ps"
+
+
+class TestModelLevelDecisions:
+    """The engines' plan of each zoo model: every parameter layer is synced
+    exactly once, SFB only where sufficient factors exist, and Algorithm 1
+    never moves more bytes than pure PS."""
+
+    MODELS = ("alexnet", "googlenet", "resnet-50", "vgg19", "vgg19-22k",
+              "nanogpt-12l")
+    CLUSTER = ClusterConfig(num_workers=8)
+
+    @pytest.mark.parametrize("key", MODELS)
+    def test_plan_covers_every_parameter_layer_once(self, key):
+        spec = get_model_spec(key)
+        plan = resolve_plan(build_workload(spec), POSEIDON_CAFFE, self.CLUSTER)
+        synced = [name for unit_plan in plan.units
+                  for name in unit_plan.unit.layer_names]
+        assert sorted(synced) == sorted(
+            layer.name for layer in spec.parameter_layers())
+        assert all(unit_plan.unit.sf_eligible for unit_plan in plan.units
+                   if unit_plan.backend.name == "sfb")
+
+    @pytest.mark.parametrize("key", MODELS)
+    def test_best_scheme_never_moves_more_bytes_than_ps(self, key):
+        spec = get_model_spec(key)
+        cost_model = CostModel(self.CLUSTER, spec.default_batch_size)
+        for layer in spec.parameter_layers():
+            best = cost_model.best_scheme(layer)
+            assert (cost_model.scheme_cost_bytes(layer, best)
+                    <= cost_model.scheme_cost_bytes(layer, "ps")), layer.name
 
 
 # -- one payload statement --------------------------------------------------------

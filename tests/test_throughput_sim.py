@@ -34,7 +34,8 @@ from repro.nn.model_zoo import get_model_spec
 from repro.nn.spec import SpecBuilder
 from repro.simulation import build_workload, simulate_system
 from repro.simulation.speedup import scaling_curve
-from repro.simulation.throughput import IterationSimulator, SimulationResult
+from repro.simulation.throughput import (IterationSimulator, SimulationResult,
+                                         decide_schemes)
 
 
 def cluster(nodes, bandwidth=40.0, **kwargs):
@@ -109,6 +110,15 @@ class TestScalingShapes:
         result = simulate_system(vgg19_spec, POSEIDON_CAFFE, cluster(16))
         assert result.scheme_by_unit["fc6"] == "sfb"
         assert result.scheme_by_unit["conv1_1"] == "ps"
+
+    @pytest.mark.parametrize("mode", ["sfb", "adam"])
+    def test_factor_mode_leaves_conv_on_ps(self, vgg19_spec, mode):
+        """A factor scheme forced on every layer still leaves the conv
+        layers, which have no sufficient factors, on the PS."""
+        schemes = decide_schemes(build_workload(vgg19_spec), mode, 16, 16)
+        assert {name: scheme for name, scheme in schemes.items()
+                if scheme != "ps"} == dict.fromkeys(("fc6", "fc7", "fc8"), mode)
+        assert schemes["conv1_1"] == "ps"
 
 
 class TestTensorFlowBaseline:

@@ -1,12 +1,16 @@
 """Tests for workload derivation (calibration, coarsening, unit ordering)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.config import TITAN_X
+from repro.config import POSEIDON_CAFFE, TITAN_X, ClusterConfig
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import get_model_spec
+from repro.simulation import simulate_system
 from repro.simulation.workload import build_workload
 
 
@@ -38,8 +42,22 @@ class TestCalibration:
         assert workload.single_node_seconds == pytest.approx(expected, rel=1e-6)
 
     def test_invalid_batch_rejected(self, vgg19_spec):
-        with pytest.raises(ConfigurationError):
-            build_workload(vgg19_spec, batch_size=0)
+        # Not priced as a truncated batch (2.5 as 2), which the trainer
+        # would reject, and not a bare ``ValueError`` from ``int()``.
+        for batch in (0, 2.5, 32.0, math.nan):
+            with pytest.raises(ConfigurationError, match="batch_size"):
+                build_workload(vgg19_spec, batch_size=batch)
+
+    @pytest.mark.parametrize("engine", ["des", "fluid"])
+    def test_simulators_reject_a_fractional_batch(self, vgg19_spec, engine):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            simulate_system(vgg19_spec, POSEIDON_CAFFE,
+                            ClusterConfig(num_workers=4), batch_size=2.5,
+                            engine=engine)
+
+    def test_numpy_integer_batch_is_the_same_workload(self, vgg19_spec):
+        assert build_workload(vgg19_spec, batch_size=np.int64(16)) is \
+            build_workload(vgg19_spec, batch_size=16)
 
 
 class TestUnits:

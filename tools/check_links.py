@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that intra-repo references in markdown and python files resolve.
 
-Three kinds of references are validated:
+Four kinds of references are validated:
 
 * markdown links ``[text](target)`` in a markdown file whose target is not
   an external URL or a pure ``#anchor`` -- the target path (anchor
@@ -14,7 +14,14 @@ Three kinds of references are validated:
   ``comm/ring.py`` keep working);
 * in a python file, any ``NAME.md`` (or ``dir/NAME.md``) mentioned at
   all, resolved the same way -- so a docstring cannot cite a document
-  that does not exist.
+  that does not exist;
+* backticked dotted names like ``repro.core.cost_model.CostModel`` (a
+  leading ``~`` allowed, as in ``:class:`~repro.a.B```) -- the longest
+  prefix must be a module or package under ``src/`` and every trailing
+  component must be bound in that module's source (a ``def``, a
+  ``class``, an assignment or an import).  The file is parsed, never
+  imported.  ROADMAP.md and CHANGES.md are exempt from this check: they
+  narrate code that later changes deleted.
 
 A directory argument stands for every ``.py`` file under it.
 
@@ -27,8 +34,10 @@ Exits non-zero and lists every broken reference if any fail.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +51,12 @@ BACKTICK_RE = re.compile(r"`([^`\s]+/[^`\s]+\.(?:py|md|json|yml|yaml|txt|toml))`
 #: Any ``NAME.md`` token (checked in python files).
 MARKDOWN_NAME_RE = re.compile(r"[\w./-]+\.md\b")
 
+#: `repro.a.b[.Name]` tokens inside backticks.
+DOTTED_RE = re.compile(r"`~?(repro(?:\.[A-Za-z_]\w*)+)`")
+
+#: Documents that narrate deleted code: no dotted check.
+HISTORY_FILES = ("ROADMAP.md", "CHANGES.md")
+
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
 
@@ -51,6 +66,38 @@ def candidate_paths(base: Path, target: str):
     yield (REPO_ROOT / target).resolve()
     yield (REPO_ROOT / "src" / target).resolve()
     yield (REPO_ROOT / "src" / "repro" / target).resolve()
+
+
+@lru_cache(maxsize=None)
+def bound_names(module_file: Path) -> frozenset:
+    """Every name a ``def``, ``class``, assignment or import binds
+    anywhere in ``module_file``."""
+    names = set()
+    for node in ast.walk(ast.parse(module_file.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            names.add(node.attr)
+    return frozenset(names)
+
+
+def dotted_resolves(name: str) -> bool:
+    """Whether ``repro.a.b[.Name...]`` names a module under ``src/`` and,
+    past it, names that module binds."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        base = REPO_ROOT / "src" / Path(*parts[:cut])
+        for module_file in (base.with_suffix(".py"), base / "__init__.py"):
+            if module_file.is_file():
+                return set(parts[cut:]) <= bound_names(module_file)
+    return False
 
 
 def check_file(path: Path):
@@ -71,6 +118,10 @@ def check_file(path: Path):
                 continue
             if not any(p.exists() for p in candidate_paths(path, target)):
                 yield line_number, target
+        if path.name not in HISTORY_FILES:
+            for name in DOTTED_RE.findall(line):
+                if not dotted_resolves(name):
+                    yield line_number, name
 
 
 def main(argv):
