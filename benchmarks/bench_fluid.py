@@ -8,7 +8,7 @@ Three measurements bracket the fluid engine's cost:
   ``engine="fluid"`` sweep point;
 * ``test_fluid_sweep_10k`` -- the headline interactive what-if: a full
   bandwidth axis for all seven registered backends on a 10k-node
-  oversubscribed cluster, evaluated from a cold warm-start cache, one
+  oversubscribed cluster, from cold plan and workload memos, one
   scalar pass per axis element.  14-31 ms on rack classes (40-96 ms with
   numpy (racks, axis) wire clocks and order-check re-passes, 0.35 s when
   every phase looped over the 250 racks); the stated budget is 0.2 s;
@@ -58,7 +58,7 @@ def _fluid_point(nodes: int):
 
 
 def _sweep_all_backends(nodes: int):
-    memo.clear_all()  # measure the cold path, not a warm re-query
+    memo.clear_all()  # cold plans: a new what-if query, not a re-query
     cluster = _cluster(nodes)
     curves = [
         fluid.sweep_axis(VGG19, system, cluster, SWEEP_BANDWIDTHS,
@@ -69,7 +69,7 @@ def _sweep_all_backends(nodes: int):
 
 
 def _resolve_plans_cold(nodes: int):
-    memo.clear_all()  # scheme decisions and plans both cold
+    memo.clear_all()  # plans cold (scheme decisions are never cached)
     cluster = _cluster(nodes)
     return [resolve_plan(WORKLOAD, system, cluster)
             for system in SYSTEMS if system.comm in ("hierps", "ps")]

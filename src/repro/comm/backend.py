@@ -596,8 +596,8 @@ class CommBackend(abc.ABC):
 
 _REGISTRY: Dict[str, CommBackend] = {}
 
-#: Bumped on every (un)registration so caches keyed on scheme decisions
-#: (e.g. the simulator's memoized assignments) can detect registry changes.
+#: Bumped on every (un)registration so caches of values derived from scheme
+#: decisions (the memoized plans and lowerings) can detect registry changes.
 _GENERATION = 0
 
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.comm.backend import get_backend, registry_generation
+from repro.comm.backend import get_backend
 from repro.comm.wire import bucket_partition
 from repro.exceptions import ConfigurationError
-from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
 
 
@@ -100,12 +99,6 @@ def _bucketable(scheme: str) -> bool:
     return get_backend(scheme).compressible
 
 
-#: The transformation only depends on the workload, the per-unit scheme
-#: assignment, the bucket size and the registry generation (bucketability
-#: is a backend capability).
-_BUCKETED = Memo(registry_generation)
-
-
 def _merge_units(members: List[SyncUnit]) -> SyncUnit:
     """Fuse a backward-order run of units into one bucket unit."""
     if len(members) == 1:
@@ -140,21 +133,12 @@ def bucket_workload(workload: IterationWorkload,
     appear -- and fuses consecutive same-scheme runs of bucketable units
     with the greedy :func:`~repro.comm.wire.bucket_partition` rule; a
     non-bucketable unit flushes the partial bucket and passes through
-    unchanged.  Returns the (memoized) transformed workload plus its
-    scheme assignment; ``bucket_bytes=None`` returns the inputs untouched.
+    unchanged.  Returns the transformed workload plus its scheme
+    assignment; ``bucket_bytes=None`` returns the inputs untouched.
     """
     if bucket_bytes is None:
         return workload, schemes
-    key = (workload, tuple(schemes[unit.name] for unit in workload.units),
-           int(bucket_bytes))
-    return _BUCKETED.get(
-        key, lambda: _bucket(workload, schemes, int(bucket_bytes)))
-
-
-def _bucket(workload: IterationWorkload, schemes: Dict[str, str],
-            bucket_bytes: int
-            ) -> Tuple[IterationWorkload, Dict[str, str]]:
-    """The uncached body of :func:`bucket_workload`."""
+    bucket_bytes = int(bucket_bytes)
     new_units_backward: List[SyncUnit] = []
     new_schemes: Dict[str, str] = {}
 

@@ -14,7 +14,7 @@ functional substrates in :mod:`repro.comm`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np

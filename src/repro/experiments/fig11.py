@@ -20,7 +20,7 @@ training runs, not simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.config import (CNTK_1BIT, POSEIDON_CAFFE, ScheduleMode,
                           TrainingConfig)
@@ -141,31 +141,6 @@ def run_fig11(iterations: int = 150, num_workers: int = 4, batch_size: int = 16,
             policy=policy,
         )
         result.histories[label] = trainer.train(iterations)
-    return result
-
-
-def policy_convergence(mode: str = "ps",
-                       policies: Sequence[str] = ("bsp", "ssp-2", "async",
-                                                  "local-2", "local-4"),
-                       iterations: int = 150,
-                       label: Optional[str] = None,
-                       **kwargs) -> Fig11Result:
-    """Convergence of one backend across synchronization policies.
-
-    Trains the fig11 workload once per policy on the same backend (any
-    registered name) and returns the histories keyed ``"<mode> <policy>"``,
-    so staleness bound and local-SGD period become convergence axes next to
-    the scheme axis.  Extra keyword arguments forward to :func:`run_fig11`.
-    """
-    prefix = mode if label is None else label
-    result = Fig11Result(iterations=iterations,
-                         num_workers=kwargs.get("num_workers", 4))
-    for spec in policies:
-        policy = SyncPolicy.parse(spec)
-        sub = run_fig11(iterations=iterations,
-                        systems=((f"{prefix} {policy}", mode),),
-                        policy=policy, **kwargs)
-        result.histories.update(sub.histories)
     return result
 
 

@@ -1,9 +1,13 @@
 """One keyed memo for every derivation the planning layers share.
 
-Model specs, workloads, scheme decisions, bucketed workloads, resolved
-sync plans and warm fluid simulators are all pure functions of frozen
-(hashable) inputs, so one helper caches them all.  A table is keyed on
-the *whole* input value -- there is no hand-listed field subset to audit
+Three derivations are pure functions of frozen (hashable) inputs and are
+hit on every measured path, so one helper caches them: workloads
+(``repro.simulation.workload``), resolved sync plans
+(``repro.simulation.plan``) and the DES lowerings of a plan
+(``repro.simulation.throughput``).  Cheaper derivations (model specs,
+scheme decisions, bucketed workloads, sweep simulators) are recomputed:
+a table that is never hit only holds memory.  A table is keyed on the
+*whole* input value -- there is no hand-listed field subset to audit
 when a config grows a field.  A memo whose values also depend on process
 state that is not part of the key (the communication-backend registry)
 names that state's ``generation`` counter and is dropped whenever it

@@ -1,9 +1,10 @@
 """Registry mapping model names to spec builder functions.
 
 The registry is filled lazily: builder callables are registered at import
-time, but specs are only constructed (and then cached) when first requested,
-because some of the big specs (ResNet-152, Inception-V3) take a visible
-fraction of a millisecond to build and most callers only need one or two.
+time, but a spec is only constructed when it is requested, because the big
+ones (ResNet-152, Inception-V3) take milliseconds to build and most callers
+only need one or two.  Specs are frozen values: two lookups of one name
+build equal specs, and every table keyed on a spec keys on that value.
 """
 
 from __future__ import annotations
@@ -11,14 +12,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.exceptions import ConfigurationError
-from repro.memo import Memo
 from repro.nn.spec import ModelSpec
 
 SpecFactory = Callable[[], ModelSpec]
 
 MODEL_REGISTRY: Dict[str, SpecFactory] = {}
-#: Built specs, keyed by (name, factory) so re-registering a name rebuilds.
-_SPECS = Memo()
 
 
 def register_model(name: str, factory: SpecFactory, overwrite: bool = False) -> None:
@@ -34,7 +32,7 @@ def register_model(name: str, factory: SpecFactory, overwrite: bool = False) -> 
 
 
 def get_model_spec(name: str) -> ModelSpec:
-    """Return the (cached) :class:`ModelSpec` registered under ``name``.
+    """Build the :class:`ModelSpec` registered under ``name``.
 
     Raises:
         KeyError: if no model with that name is registered.
@@ -44,8 +42,7 @@ def get_model_spec(name: str) -> ModelSpec:
         raise KeyError(
             f"unknown model {name!r}; available: {', '.join(available_models())}"
         )
-    factory = MODEL_REGISTRY[key]
-    return _SPECS.get((key, factory), factory)
+    return MODEL_REGISTRY[key]()
 
 
 def available_models() -> List[str]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import units

@@ -3,33 +3,30 @@
 This is the substrate the cluster/network simulator is built on.  The design
 follows the classic process-interaction style (as popularised by SimPy):
 simulation *processes* are Python generators that ``yield`` events --
-timeouts, resource requests, other processes -- and are resumed when those
-events fire.  Only the features the cluster model needs are implemented:
+timeouts, other processes, barriers -- and are resumed when those events
+fire.  Only the features the cluster model needs are implemented:
 
 * :class:`Environment` -- the event loop and simulated clock.
-* :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
-  :class:`AnyOf` -- the events processes wait on.
+* :class:`Event`, :class:`Timeout`, :class:`Process` -- the events
+  processes wait on.
 * :class:`CountdownEvent` -- a counter-based barrier: the O(1)-per-arrival
-  replacement for ``all_of`` over homogeneous fan-ins.
-* :class:`Resource` -- a FIFO server with fixed integer capacity (kept as
-  the general-purpose primitive and the reference the tail-clock channels
-  are property-tested against).
+  join of homogeneous fan-ins.
 * :class:`TailChannel` -- a capacity-1 FIFO link on a busy-until clock
   (NIC directions); uncontended holds are pure arithmetic.
-* :class:`Store` -- an unbounded FIFO queue of items (message mailboxes).
+* :class:`AllOf` and :class:`Resource` -- the general-purpose conjunction
+  and FIFO server that :class:`CountdownEvent` and :class:`TailChannel`
+  are property-tested against.
 """
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     CountdownEvent,
     Environment,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
-from repro.sim.resources import Request, Resource, Store, TailChannel
+from repro.sim.resources import Request, Resource, TailChannel
 
 __all__ = [
     "Environment",
@@ -37,11 +34,8 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "CountdownEvent",
-    "Interrupt",
     "Resource",
     "Request",
-    "Store",
     "TailChannel",
 ]

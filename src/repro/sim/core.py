@@ -8,9 +8,9 @@ process-resume path are written allocation-consciously:
   a dedicated ``_waiter`` slot, so the common one-waiter event never
   allocates a callback list, and a :class:`Process` registers *itself* as
   the waiter so no bound method is materialised per wait;
-* process bookkeeping (bootstrap, interrupt delivery, resuming after an
-  already-processed event) schedules bound-method thunks directly on the
-  heap instead of allocating throwaway :class:`Event` objects;
+* process bookkeeping (bootstrap, resuming after an already-processed
+  event) schedules thunks directly on the heap instead of allocating
+  throwaway :class:`Event` objects;
 * the earliest pending queue entry is held in a front register, so the
   dominant schedule-next/pop-next cycle of chained timeouts never touches
   the heap;
@@ -44,14 +44,6 @@ Waiter = Callable[[Optional[bool], Any], None]
 #: Sentinel marking "the generator did not yield a new event" in the inlined
 #: resume path (``None`` is a legal -- if invalid -- yield value).
 _NO_EVENT = object()
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -90,16 +82,6 @@ class Event:
             self._waiters = [waiter]
         else:
             self._waiters.append(waiter)
-
-    def remove_waiter(self, waiter: Any) -> None:
-        """Unregister a waiter previously passed to :meth:`add_waiter`."""
-        if self._waiter is waiter:
-            self._waiter = None
-        elif self._waiters is not None:
-            try:
-                self._waiters.remove(waiter)
-            except ValueError:
-                pass
 
     def succeed(self, value: Any = None) -> "Event":
         """Mark the event successful and schedule its waiters."""
@@ -191,7 +173,7 @@ class Process(Event):
     object.
     """
 
-    __slots__ = ("_generator", "_target", "_interrupts", "_send", "_throw")
+    __slots__ = ("_generator", "_send", "_throw")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
@@ -200,41 +182,15 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
         self._send = generator.send
         self._throw = generator.throw
         # Kick the process off at the current simulation time (no throwaway
         # bootstrap event; the thunk occupies the same queue slot one would).
         env.schedule_thunk(self._start)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the process has not yet terminated."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a terminated process")
-        self._interrupts.append(Interrupt(cause))
-        self.env.schedule_thunk(self._deliver_interrupt)
-
-    # -- queue thunks ------------------------------------------------------------
     def _start(self) -> None:
         if not self.triggered:
             self._advance(True, None)
-
-    def _deliver_interrupt(self) -> None:
-        # The process may have terminated -- or consumed the interrupt via an
-        # earlier same-time resume -- between scheduling and delivery.
-        if self.triggered or not self._interrupts:
-            return
-        target = self._target
-        if target is not None:
-            self._target = None
-            target.remove_waiter(self)
-        self._advance(True, None)
 
     # -- resume machinery ----------------------------------------------------------
     def _advance(self, ok: Optional[bool], value: Any) -> None:
@@ -242,17 +198,12 @@ class Process(Event):
         if self.triggered:
             return
         try:
-            if self._interrupts:
-                next_event = self._throw(self._interrupts.pop(0))
-            elif ok is False:
+            if ok is False:
                 next_event = self._throw(value)
             else:
                 next_event = self._send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as interrupt:
-            self.fail(interrupt)
             return
         except BaseException as exc:  # surface process crashes to the caller
             self.fail(exc)
@@ -263,10 +214,7 @@ class Process(Event):
         """Register this process to resume when ``next_event`` fires."""
         if next_event.__class__ is Timeout and not next_event.processed:
             # Fast path: a freshly created timeout, the dominant yield in
-            # simulation workloads.  The _waiters check keeps registration
-            # order exact even when the _waiter slot was vacated (e.g. by an
-            # interrupt detach) while later waiters queue in _waiters.
-            self._target = next_event
+            # simulation workloads.
             if next_event._waiter is None and next_event._waiters is None:
                 next_event._waiter = self
             else:
@@ -282,7 +230,6 @@ class Process(Event):
             ok2, value2 = next_event.ok, next_event.value
             self.env.schedule_thunk(lambda: self._advance(ok2, value2))
         else:
-            self._target = next_event
             next_event.add_waiter(self)
 
 
@@ -393,36 +340,6 @@ class CountdownEvent(Event):
             self.fail(value)
         else:
             self.arrive()
-
-
-class AnyOf(Event):
-    """Fires as soon as any one of the given events fires."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        fired = [e for e in self._events if e.processed]
-        if fired:
-            first = fired[0]
-            if first.ok is False:
-                # Propagate an already-processed failure instead of handing
-                # the exception object out as a success value.
-                self.fail(first.value)
-            else:
-                self.succeed(first.value)
-            return
-        for event in self._events:
-            event.add_waiter(self._on_event)
-
-    def _on_event(self, ok: Optional[bool], value: Any) -> None:
-        if self.triggered:
-            return
-        if ok is False:
-            self.fail(value)
-        else:
-            self.succeed(value)
 
 
 class Environment:
@@ -549,10 +466,6 @@ class Environment:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
     def countdown(self, count: int) -> CountdownEvent:
         """Barrier event that fires after ``count`` arrivals."""
         return CountdownEvent(self, count)
@@ -577,59 +490,16 @@ class Environment:
         self._push((self._now + delay, self._sequence, thunk))
         self._sequence += 1
 
-    @staticmethod
-    def _dispatch(item: Any) -> None:
-        """Run one popped queue item (event waiters or a thunk)."""
-        if isinstance(item, Event):
-            item.processed = True
-            waiter = item._waiter
-            if waiter is not None:
-                item._waiter = None
-                _fire(waiter, item.ok, item.value)
-            waiters = item._waiters
-            if waiters:
-                item._waiters = None
-                ok, value = item.ok, item.value
-                for waiter in waiters:
-                    _fire(waiter, ok, value)
-        else:
-            item()
-
-    def step(self) -> None:
-        """Process the next item in the queue.
-
-        Raises:
-            SimulationError: if the queue is empty.
-        """
-        entry = self._front
-        if entry is None:
-            if not self._queue:
-                raise SimulationError("no scheduled events left to process")
-            entry = heapq.heappop(self._queue)
-        else:
-            self._front = None
-        time, _, item = entry
-        if time < self._now:
-            raise SimulationError(
-                f"event scheduled in the past: {time} < {self._now}"
-            )
-        self._now = time
-        self._dispatch(item)
-        self.events_processed += 1
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or the clock passes ``until`` seconds.
+    def run(self) -> None:
+        """Run until the queue drains.
 
         Any process that raised an exception fails silently unless something
         was waiting on it; :meth:`run_process` is the safer entry point for
         a single root process.
         """
         # Hot loop: the timeout->single-process-resume cycle is fully inlined
-        # (no step()/_dispatch/_advance frames).  The scheduled-in-the-past
-        # guard of step() cannot trip here -- entries are pushed at
-        # >= self._now and consumed in priority order.  The `until` bound
-        # gets its own loop so the unbounded run pays no per-iteration bound
-        # check.
+        # (no _advance frames).  Entries are pushed at >= self._now and
+        # consumed in priority order, so the clock never runs backwards.
         #
         # Automatic (cyclic) garbage collection is paused for the duration:
         # the engine's per-event allocations (timeouts, heap tuples) are
@@ -643,127 +513,98 @@ class Environment:
         if gc_was_enabled:
             gc.disable()
         try:
-            if until is None:
-                while True:
-                    entry = self._front
-                    if entry is not None:
-                        self._front = None
-                    elif queue:
-                        entry = pop(queue)
-                    else:
-                        return
-                    time, _, item = entry
-                    self._now = time
-                    processed += 1
-                    if item.__class__ is Timeout:
-                        item.processed = True
-                        w = item._waiter
-                        if w is not None:
-                            item._waiter = None
-                            if w.__class__ is Process and not w.triggered:
-                                # Inlined Process._advance for the ok=True
-                                # timeout outcome, with a tight chain loop:
-                                # while the process yields a fresh timeout
-                                # that is also the globally next entry (the
-                                # dominant simulation pattern), consume it
-                                # here without bouncing through the outer
-                                # dispatch.  The chain is taken only when
-                                # `item` has no extra waiters, so multi-
-                                # waiter firing order matches the seed.
-                                send = w._send
-                                throw = w._throw
-                                interrupts = w._interrupts
-                                chain_ok = item._waiters is None
-                                value = item.value
-                                while True:
-                                    nxt = _NO_EVENT
-                                    try:
-                                        if interrupts:
-                                            nxt = throw(interrupts.pop(0))
-                                        else:
-                                            nxt = send(value)
-                                    except StopIteration as stop:
-                                        w.succeed(stop.value)
-                                    except Interrupt as interrupt:
-                                        w.fail(interrupt)
-                                    except BaseException as exc:
-                                        w.fail(exc)
-                                    if nxt is _NO_EVENT:
-                                        break
-                                    if (nxt.__class__ is Timeout
-                                            and nxt._waiter is None
-                                            and nxt._waiters is None
-                                            and not nxt.processed):
-                                        if chain_ok:
-                                            fentry = self._front
-                                            if (fentry is not None
-                                                    and fentry[2] is nxt):
-                                                # Nothing can have registered
-                                                # on nxt or scheduled ahead of
-                                                # it: consume it immediately.
-                                                self._front = None
-                                                self._now = fentry[0]
-                                                processed += 1
-                                                nxt.processed = True
-                                                value = nxt.value
-                                                continue
-                                        nxt._waiter = w
-                                        w._target = nxt
-                                        break
-                                    w._wait_on(nxt)
-                                    break
-                            elif w.__class__ is Process:
-                                pass  # terminated while queued: drop resume
-                            else:
-                                w(True, item.value)
-                        waiters = item._waiters
-                        if waiters:
-                            item._waiters = None
+            while True:
+                entry = self._front
+                if entry is not None:
+                    self._front = None
+                elif queue:
+                    entry = pop(queue)
+                else:
+                    return
+                time, _, item = entry
+                self._now = time
+                processed += 1
+                if item.__class__ is Timeout:
+                    item.processed = True
+                    w = item._waiter
+                    if w is not None:
+                        item._waiter = None
+                        if w.__class__ is Process and not w.triggered:
+                            # Inlined Process._advance for the ok=True timeout
+                            # outcome, with a tight chain loop: while the
+                            # process yields a fresh timeout that is also the
+                            # globally next entry (the dominant simulation
+                            # pattern), consume it here without bouncing
+                            # through the outer dispatch.  The chain is taken
+                            # only when `item` has no extra waiters, so
+                            # multi-waiter firing order matches the seed.
+                            send = w._send
+                            chain_ok = item._waiters is None
                             value = item.value
-                            for waiter in waiters:
-                                _fire(waiter, True, value)
-                    elif isinstance(item, Event):
-                        item.processed = True
-                        waiter = item._waiter
-                        if waiter is not None:
-                            item._waiter = None
-                            _fire(waiter, item.ok, item.value)
-                        waiters = item._waiters
-                        if waiters:
-                            item._waiters = None
-                            ok, value = item.ok, item.value
-                            for waiter in waiters:
-                                _fire(waiter, ok, value)
-                    else:
-                        item()
-            else:
-                while True:
-                    entry = self._front
-                    if entry is not None:
-                        if entry[0] > until:
-                            self._now = until
-                            return
-                        self._front = None
-                    elif queue:
-                        if queue[0][0] > until:
-                            self._now = until
-                            return
-                        entry = pop(queue)
-                    else:
-                        return
-                    time, _, item = entry
-                    self._now = time
-                    self._dispatch(item)
-                    processed += 1
+                            while True:
+                                nxt = _NO_EVENT
+                                try:
+                                    nxt = send(value)
+                                except StopIteration as stop:
+                                    w.succeed(stop.value)
+                                except BaseException as exc:
+                                    w.fail(exc)
+                                if nxt is _NO_EVENT:
+                                    break
+                                if (nxt.__class__ is Timeout
+                                        and nxt._waiter is None
+                                        and nxt._waiters is None
+                                        and not nxt.processed):
+                                    if chain_ok:
+                                        fentry = self._front
+                                        if (fentry is not None
+                                                and fentry[2] is nxt):
+                                            # Nothing can have registered on
+                                            # nxt or scheduled ahead of it:
+                                            # consume it immediately.
+                                            self._front = None
+                                            self._now = fentry[0]
+                                            processed += 1
+                                            nxt.processed = True
+                                            value = nxt.value
+                                            continue
+                                    nxt._waiter = w
+                                    break
+                                w._wait_on(nxt)
+                                break
+                        elif w.__class__ is Process:
+                            pass  # terminated while queued: drop resume
+                        else:
+                            w(True, item.value)
+                    waiters = item._waiters
+                    if waiters:
+                        item._waiters = None
+                        value = item.value
+                        for waiter in waiters:
+                            _fire(waiter, True, value)
+                elif isinstance(item, Event):
+                    item.processed = True
+                    waiter = item._waiter
+                    if waiter is not None:
+                        item._waiter = None
+                        _fire(waiter, item.ok, item.value)
+                    waiters = item._waiters
+                    if waiters:
+                        item._waiters = None
+                        ok, value = item.ok, item.value
+                        for waiter in waiters:
+                            _fire(waiter, ok, value)
+                else:
+                    item()
         finally:
             self.events_processed += processed
             if gc_was_enabled:
                 gc.enable()
 
-    def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
+    def run_process(self, generator: Generator) -> Any:
         """Run a root process to completion and return (or raise) its result."""
         process = self.process(generator)
-        self.run(until=until)
+        self.run()
         if not process.triggered:
             raise SimulationError(
                 "root process did not finish before the simulation ended"

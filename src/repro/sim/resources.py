@@ -1,9 +1,9 @@
-"""Shared resources for the discrete-event engine: FIFO servers and stores."""
+"""Shared resources for the discrete-event engine: FIFO servers and links."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Deque, Generator, List, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.core import Environment, Event
@@ -219,35 +219,3 @@ class TailChannel:
             # The scheduled release entry doubles as this holder's wake-up.
             yield mine
 
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    def __init__(self, env: Environment, name: str = ""):
-        self.env = env
-        self.name = name
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> Event:
-        """Deposit an item; returns an already-fired event for uniformity."""
-        event = Event(self.env)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self.items.append(item)
-        event.succeed()
-        return event
-
-    def get(self) -> Event:
-        """Event that fires with the next item (immediately if one is queued)."""
-        event = Event(self.env)
-        if self.items:
-            event.succeed(self.items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self.items)

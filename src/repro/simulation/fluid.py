@@ -49,20 +49,19 @@ where the fluid approximation under oversubscription is weakest.
 from __future__ import annotations
 
 import heapq
+import numbers
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import units
-from repro.comm.backend import Peers, Phase, PhaseKind, Scope, registry_generation
+from repro.comm.backend import Peers, Phase, PhaseKind, Scope
 from repro.config import ClusterConfig, ScheduleMode, SystemConfig
 from repro.core.faults import fault_overhead_factor, straggler_excess_seconds
 from repro.exceptions import ConfigurationError
-from repro.memo import Memo
 from repro.nn.spec import ModelSpec
 from repro.simulation.plan import UnitPlan, fan_groups, resolve_plan
 from repro.simulation.throughput import simulation_result
@@ -166,6 +165,12 @@ class FluidSimulator:
             raise ConfigurationError(
                 f"unknown fluid mode {mode!r}; "
                 "expected 'auto', 'detail' or 'aggregate'")
+        # Whole (numpy ints too): never truncated or clamped.
+        if not isinstance(background_jobs, numbers.Integral) \
+                or background_jobs < 0:
+            raise ConfigurationError(
+                f"background_jobs must be an integer >= 0, "
+                f"got {background_jobs!r}")
         #: Scheme, owner, payload and encode delay of every unit, resolved
         #: once; ``workload`` is the plan's (bucketed when the system asks).
         self.plan = resolve_plan(workload, system, cluster)
@@ -176,7 +181,7 @@ class FluidSimulator:
         self.num_workers = cluster.num_workers
         self.lam = cluster.latency_seconds
         self.topo = not cluster.is_flat_topology
-        self.jobs_factor = 1 + max(0, int(background_jobs))
+        self.jobs_factor = 1 + int(background_jobs)
         if self.topo:
             # Rack uplink aggregate = node_bw * members / oversubscription;
             # kept as a ratio so a sweep that swaps bandwidth_bps sees the
@@ -889,10 +894,6 @@ def simulate_fluid(model: ModelSpec, system: SystemConfig,
 
 
 # -- axis sweeps --------------------------------------------------------------
-#: Warm aggregate-tier simulators, one per what-if query shape.
-_AXIS_SIMULATORS = Memo(registry_generation)
-
-
 def sweep_axis(model: ModelSpec, system: SystemConfig,
                cluster: ClusterConfig,
                bandwidths_gbps: Sequence[float],
@@ -902,27 +903,20 @@ def sweep_axis(model: ModelSpec, system: SystemConfig,
     """Iteration seconds across a whole bandwidth axis on the aggregate tier.
 
     One scalar pass per axis element, each the evaluation at that bandwidth
-    alone (its phases pop in its own order).  Every pass shares the
-    structure derivation: repeat calls with the same workload, system and
-    cluster (bandwidth aside) reuse the memoized simulator -- resolved plan
-    and rack profile survive a change of axis, so incremental what-if
-    re-evaluation only pays the passes (:func:`repro.memo.clear_all`
-    forces the cold path).  What a query keeps is O(units x rack
-    classes) at any cluster size: no node or rack list is built.
+    alone (its phases pop in its own order).  Every pass shares one
+    simulator, so the structure derivation -- resolved plan (itself
+    memoized with the bandwidth normalised away) and rack profile -- is
+    paid once per query; the simulator is dropped when the call returns.
+    It is O(units x rack classes) at any cluster size: no node or rack
+    list is built.
 
     Returns:
         ``np.ndarray`` of iteration seconds, same length as the axis.
     """
     workload = workload or build_workload(model, batch_size=batch_size,
                                           gpu=cluster.gpu)
-    # Keyed on the whole frozen inputs -- only the bandwidth, which is the
-    # axis itself, is normalised away -- so no system or cluster field can
-    # be forgotten: a query differing in any of them builds its own state.
-    simulator = _AXIS_SIMULATORS.get(
-        (workload, system, replace(cluster, bandwidth_gbps=1.0),
-         int(background_jobs)),
-        lambda: FluidSimulator(workload, cluster, system, mode="aggregate",
-                               background_jobs=background_jobs))
+    simulator = FluidSimulator(workload, cluster, system, mode="aggregate",
+                               background_jobs=background_jobs)
     return np.array([
         simulator.iteration_seconds(
             cluster.with_bandwidth(bw).effective_bandwidth_bps)

@@ -48,9 +48,6 @@ from repro.simulation.workload import IterationWorkload, SyncUnit
 __all__ = ["SyncPlan", "UnitPlan", "decide_schemes", "fan_groups",
            "resolve_plan"]
 
-#: Algorithm 1 only looks at the workload's units, the comm mode and the
-#: cluster shape, none of which vary across the bandwidth points of a sweep.
-_SCHEMES = Memo(registry_generation)
 #: Plans never depend on the link bandwidth, so a bandwidth axis shares one.
 _PLANS = Memo(registry_generation)
 
@@ -63,19 +60,15 @@ def decide_schemes(workload: IterationWorkload, comm: str,
 
     With a non-flat ``topology`` the ``"hybrid"`` decisions become rack-aware
     (cross-rack premiums plus the topology-candidate collectives); a flat
-    or absent topology reproduces the paper's Algorithm-1 table.  The
-    returned dict is memoized, shared between callers and must not be
-    mutated.
+    or absent topology reproduces the paper's Algorithm-1 table.
     """
-    return _SCHEMES.get(
-        (workload, comm, num_workers, num_servers, topology),
-        lambda: {
-            unit.name: choose_scheme(comm, unit.fc_dims, unit.sf_eligible,
-                                     num_workers, num_servers,
-                                     workload.batch_size, topology,
-                                     factor_rank=unit.factor_rank)
-            for unit in workload.units
-        })
+    return {
+        unit.name: choose_scheme(comm, unit.fc_dims, unit.sf_eligible,
+                                 num_workers, num_servers,
+                                 workload.batch_size, topology,
+                                 factor_rank=unit.factor_rank)
+        for unit in workload.units
+    }
 
 
 @dataclass(frozen=True)

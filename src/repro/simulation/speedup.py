@@ -103,9 +103,9 @@ def curve_tasks(model: ModelSpec, system: SystemConfig,
     is derived once here -- :func:`build_workload` memoizes by exactly that
     key, so repeated curves (e.g. one per bandwidth in Figure 8) share one
     instance -- and shipped with every task instead of being rebuilt per
-    sweep point.  Scheme decisions are likewise memoized per
-    (workload, comm mode, cluster shape) inside the simulator, so a
-    bandwidth sweep re-derives neither.
+    sweep point.  Resolved plans are likewise memoized per (workload,
+    system, cluster with the bandwidth normalised away), so a bandwidth
+    sweep re-derives neither.
     """
     gpu_source = base_cluster if base_cluster is not None else ClusterConfig(
         num_workers=1)

@@ -40,7 +40,6 @@ from repro.memo import Memo
 from repro.nn.spec import ModelSpec
 from repro.sim import Environment, Event
 from repro.simulation.plan import (
-    SyncPlan,
     UnitPlan,
     decide_schemes,
     fan_groups,

@@ -25,9 +25,10 @@ callers are unaffected unless they, or the experiment runner's
 
 Tasks should ship (or memoize) their config-independent derivations: the
 simulation layers cache workload derivation by (model, batch, gpu,
-coarsen) and scheme decisions by (workload, comm, cluster shape), and
-those caches are per-process, so both the serial path and every pool
-worker pay each derivation at most once per sweep.
+coarsen) and resolved plans by (workload, system, cluster with the
+bandwidth normalised away), and those caches are per-process, so both
+the serial path and every pool worker pay each derivation at most once
+per sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from repro.logging_util import get_logger
 

@@ -13,9 +13,9 @@ Four layers of protection:
   equals point-by-point aggregate evaluation bit for bit on every backend
   and in any axis order, both tiers compute on plain floats over a handful
   of rack classes, the detail and aggregate tiers agree within per-scheme
-  bounds where they overlap, warm caches keyed on topology fields
-  never leak state across oversubscription settings (the PR 3 memo-table
-  audit), and a cold 10k-node query retains no more than a 1k-node one;
+  bounds where they overlap, memoized plans keyed on topology fields
+  never leak state across oversubscription settings, and a 10k-node
+  query retains no more than a 1k-node one -- no simulator at all;
 * the multi-job contention model: background jobs slow oversubscribed
   clusters monotonically and leave flat clusters untouched;
 * a recorded trace: ``tests/data/fluid_trace.json`` holds the ``repr`` of
@@ -295,7 +295,7 @@ def check_sweep_is_pointwise(system, cluster, jobs=0):
 
 
 class TestTiersAndSweeps:
-    """Aggregate tier, bandwidth axis sweeps, warm caches."""
+    """Aggregate tier, bandwidth axis sweeps, topology-keyed memos."""
 
     @pytest.mark.parametrize("comm,tol", [
         ("ps", 0.20),
@@ -370,11 +370,10 @@ class TestTiersAndSweeps:
             assert np.all(np.diff(axis) <= 1e-12), comm
 
     def test_sweep_axis_warm_cache_is_topology_keyed(self):
-        """The PR 3 memo-table audit, applied to the fluid warm cache.
-
-        Sweeping oversubscription with a warm cache must re-derive the
-        rack state: an oversubscribed cluster evaluated after a flat one
-        (same workload, same node count) must not reuse the flat answer.
+        """Sweeping oversubscription with warm plan and workload memos must
+        re-derive the rack state: an oversubscribed cluster evaluated after
+        a flat one (same workload, same node count) must not reuse the flat
+        answer.
         """
         bandwidths = [10.0, 40.0]
         workload = build_workload(VGG)
@@ -395,8 +394,8 @@ class TestTiersAndSweeps:
         assert np.all(results[4.0] > results[2.0])
 
     def test_scheme_cache_is_topology_keyed(self):
-        """Scheme decisions warmed on a flat cluster must not leak into an
-        oversubscribed one (and vice versa), for the same workload."""
+        """Scheme decisions on a flat cluster differ from an oversubscribed
+        one's and repeat unchanged after it, for the same workload."""
         flat = ClusterConfig(num_workers=32, bandwidth_gbps=10.0)
         racked = ClusterConfig(num_workers=32, bandwidth_gbps=10.0,
                                racks=4, oversubscription=8.0)
@@ -545,13 +544,31 @@ class TestQueryStateDoesNotGrowWithTheCluster:
         memo.clear_all()  # both queries below are cold
         tracemalloc.start()
         try:
-            self.retained(100, 4)  # warm-up: workload, specs, memo tables
+            self.retained(100, 4)  # warm-up: workload and memo tables
             small, _ = self.retained(1000, 25)
             large, cluster = self.retained(10000, 250)
         finally:
             tracemalloc.stop()
         assert large <= 1.1 * small, (small, large)
         assert "server_nodes" not in cluster.__dict__
+
+    def test_a_query_retains_no_simulator(self):
+        """Each query's simulator is dropped when it returns; none is kept
+        for a repeat of the query that may never come."""
+        def live_simulators():
+            return sum(isinstance(obj, FluidSimulator)
+                       for obj in gc.get_objects())
+
+        gc.collect()
+        before = live_simulators()
+        for oversubscription in (2.0, 3.0, 4.0, 5.0):
+            cluster = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0,
+                                    racks=25,
+                                    oversubscription=oversubscription)
+            for system in backend_systems():
+                sweep_axis(VGG, system, cluster, (1.0, 40.0))
+        gc.collect()
+        assert live_simulators() == before
 
 
 class TestMultiJob:
@@ -575,6 +592,35 @@ class TestMultiJob:
         shared = simulate_fluid(VGG, system, cluster,
                                 background_jobs=4).iteration_seconds
         assert shared == alone
+
+    CONTENDED = ClusterConfig(num_workers=1000, bandwidth_gbps=10.0,
+                              racks=25, oversubscription=4.0)
+    ENTRY_POINTS = {
+        "FluidSimulator": lambda cluster, jobs: FluidSimulator(
+            build_workload(VGG), cluster, make_system("sfb"),
+            background_jobs=jobs),
+        "simulate_fluid": lambda cluster, jobs: simulate_fluid(
+            VGG, make_system("sfb"), cluster, background_jobs=jobs),
+        "sweep_axis": lambda cluster, jobs: sweep_axis(
+            VGG, make_system("sfb"), cluster, (10.0,), background_jobs=jobs),
+    }
+
+    @pytest.mark.parametrize("jobs", [-1, 1.5, float("nan")],
+                             ids=["negative", "fractional", "nan"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_background_jobs_must_be_a_whole_count(self, entry, jobs):
+        """1.5 used to be priced as 1 and -1 as 0 (truncated, clamped);
+        NaN raised a bare ValueError from ``int()``."""
+        with pytest.raises(ConfigurationError, match="background_jobs"):
+            self.ENTRY_POINTS[entry](self.CONTENDED, jobs)
+
+    def test_a_numpy_integer_count_stays_valid(self):
+        system = make_system("sfb")
+        plain = sweep_axis(VGG, system, self.CONTENDED, (10.0,),
+                           background_jobs=2)
+        numpy_int = sweep_axis(VGG, system, self.CONTENDED, (10.0,),
+                               background_jobs=np.int64(2))
+        np.testing.assert_array_equal(numpy_int, plain)
 
 
 class TestUnitBytes:

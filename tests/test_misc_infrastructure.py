@@ -125,13 +125,13 @@ class TestRunnerCli:
             runner_main(["does-not-exist"])
 
 
-def _check_links():
-    """``tools/check_links.py``, loaded from its file (tools is no package)."""
+def _tool(name):
+    """A ``tools`` script, loaded from its file (tools is no package)."""
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parent.parent / "tools" / "check_links.py"
-    spec = importlib.util.spec_from_file_location("check_links", path)
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -149,10 +149,10 @@ class TestDottedReferenceCheck:
         ("repro.config.ClusterConfig.no_such_field", False),
     ])
     def test_resolves_by_file_lookup(self, name, resolves):
-        assert _check_links().dotted_resolves(name) is resolves
+        assert _tool("check_links").dotted_resolves(name) is resolves
 
     def test_flags_a_stale_reference_outside_the_history_files(self, tmp_path):
-        check_links = _check_links()
+        check_links = _tool("check_links")
         stale = "repro.core.coordinator.Coordinator"
         for file_name, flagged in (("notes.txt", True), ("module.py", True),
                                    ("CHANGES.md", False),
@@ -161,3 +161,39 @@ class TestDottedReferenceCheck:
             path.write_text(f"See :class:`~{stale}`.\n", encoding="utf-8")
             assert (list(check_links.check_file(path))
                     == ([(1, stale)] if flagged else [])), file_name
+
+
+class TestUnusedImportCheck:
+    @staticmethod
+    def unused(tmp_path, source):
+        path = tmp_path / "module.py"
+        path.write_text(source, encoding="utf-8")
+        return list(_tool("check_imports").check_file(path))
+
+    def test_flags_an_unused_import(self, tmp_path):
+        assert self.unused(tmp_path, "import os\nfrom typing import List\n") \
+            == [(1, "os"), (2, "List")]
+
+    def test_a_used_name_passes(self, tmp_path):
+        source = ("from typing import List\n"
+                  "def f(items: List[int]) -> int:\n"
+                  "    return len(items)\n")
+        assert self.unused(tmp_path, source) == []
+
+    def test_a_reexport_in_all_passes(self, tmp_path):
+        source = 'from os.path import join\n__all__ = ["join"]\n'
+        assert self.unused(tmp_path, source) == []
+
+    def test_future_imports_are_ignored(self, tmp_path):
+        assert self.unused(tmp_path,
+                           "from __future__ import annotations\n") == []
+
+    def test_a_dotted_import_is_used_through_its_head(self, tmp_path):
+        source = "import os.path\nSEP = os.path.sep.join(['a', 'b'])\n"
+        assert self.unused(tmp_path, source) == []
+
+    def test_a_name_in_a_string_annotation_is_used(self, tmp_path):
+        source = ("from typing import List\n"
+                  "def f(items: \"List[int]\") -> int:\n"
+                  "    return len(items)\n")
+        assert self.unused(tmp_path, source) == []

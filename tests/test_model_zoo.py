@@ -27,8 +27,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_model_spec("not-a-model")
 
-    def test_specs_are_cached(self):
-        assert get_model_spec("vgg19") is get_model_spec("vgg19")
+    def test_lookups_build_equal_specs(self):
+        """Tables keyed on a spec key on its value: each lookup builds a
+        new spec, and two of one name must hash and compare equal."""
+        first, second = get_model_spec("vgg19"), get_model_spec("vgg19")
+        assert first == second and hash(first) == hash(second)
 
     def test_lookup_case_insensitive(self):
         assert get_model_spec("VGG19").name == "VGG19"

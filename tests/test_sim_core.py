@@ -3,8 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import (AllOf, AnyOf, Environment, Event, Interrupt, Resource,
-                       Store, TailChannel, Timeout)
+from repro.sim import AllOf, Environment, Event, Resource, TailChannel, Timeout
 
 
 class TestEnvironmentBasics:
@@ -60,19 +59,6 @@ class TestEnvironmentBasics:
         env.run_process(proc())
         assert env.events_processed >= 2
 
-    def test_run_until_stops_clock(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(100)
-
-        env.process(proc())
-        env.run(until=10)
-        assert env.now == pytest.approx(10)
-
-    def test_step_on_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
 
 
 class TestProcesses:
@@ -132,27 +118,6 @@ class TestProcesses:
         assert process.ok is False
         assert isinstance(process.value, SimulationError)
 
-    def test_interrupt_raises_inside_process(self):
-        env = Environment()
-        observed = []
-
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                observed.append(interrupt.cause)
-                return "interrupted"
-
-        def attacker(process):
-            yield env.timeout(5)
-            process.interrupt(cause="stop")
-
-        victim_process = env.process(victim())
-        env.process(attacker(victim_process))
-        env.run()
-        assert observed == ["stop"]
-        assert victim_process.value == "interrupted"
-
     def test_waiting_on_already_processed_event(self):
         env = Environment()
 
@@ -175,15 +140,6 @@ class TestCompositeEvents:
             return env.now
 
         assert env.run_process(proc()) == pytest.approx(4)
-
-    def test_any_of_fires_on_fastest(self):
-        env = Environment()
-
-        def proc():
-            yield AnyOf(env, [env.timeout(5), env.timeout(1)])
-            return env.now
-
-        assert env.run_process(proc()) == pytest.approx(1)
 
     def test_all_of_empty_list_fires_immediately(self):
         env = Environment()
@@ -254,52 +210,3 @@ class TestResource:
         with pytest.raises(SimulationError):
             Resource(Environment(), capacity=0)
 
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-
-        def proc():
-            store.put("item")
-            value = yield store.get()
-            return value
-
-        assert env.run_process(proc()) == "item"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def consumer():
-            value = yield store.get()
-            received.append((value, env.now))
-
-        def producer():
-            yield env.timeout(7)
-            store.put("late")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert received == [("late", 7)]
-
-    def test_fifo_ordering(self):
-        env = Environment()
-        store = Store(env)
-
-        def proc():
-            store.put(1)
-            store.put(2)
-            first = yield store.get()
-            second = yield store.get()
-            return (first, second)
-
-        assert env.run_process(proc()) == (1, 2)
-
-    def test_len_reflects_queued_items(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-        assert len(store) == 1

@@ -9,8 +9,8 @@ it that costs the most, without a profiler.  The 30 calls are the pass's own
 * 2 DES points -- nanogpt-12l under PS and HybComm at 16 nodes;
 * 7 cold sweeps -- ``fluid.sweep_axis`` over eight bandwidths on a 10k-node,
   250-rack, 4:1 cluster, one per backend; every repeat nudges the
-  oversubscription so the sweep misses the warm-simulator cache, as a new
-  what-if query would;
+  oversubscription so the sweep resolves its plans cold, as a new what-if
+  query would;
 * 7 detail points -- vgg19, every backend, 64 nodes on the fluid engine.
 
 Each is reported as the best of ``--repeats`` wall times (planning memos
