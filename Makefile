@@ -76,7 +76,7 @@ sweep-quick:
 ## sweep inside a 10 s budget; async: policy tests + the beyond-BSP
 ## frontier; chaos: chaos/checkpoint tests + the fault frontier;
 ## compression: wire/compressor/bucketing tests + the crossover line;
-## llm: layer gradchecks + the SFB vocab head and its crossover.
+## llm: layer gradchecks + the vocab head's scheme-choice line.
 SMOKE_scale_FIGURE := fig_scale
 SMOKE_scale_PREFIX := timeout 10
 SMOKE_scale_GREP := Scale extrapolation

@@ -5,10 +5,12 @@ systems across models x bandwidths x cluster sizes, plus a few cluster
 axes -- so a figure of that shape is one frozen :class:`Figure`: its axes,
 the reduced axes ``--quick`` uses, and a layout of text blocks.
 :meth:`Figure.run` expands the axes into :class:`~repro.sweep.SweepTask`
-objects through :func:`~repro.simulation.speedup.curve_tasks` and merges
-the results by key into one :class:`Points` mapping; :func:`render` prints
-a layout over it.  Merging by key, never by completion order, keeps a
-report byte-identical for every ``--jobs`` value.
+objects through :func:`~repro.simulation.speedup.curve_tasks`, runs each
+distinct simulation once (:func:`~repro.simulation.speedup.run_points`)
+and merges the results by key into one :class:`Points` mapping;
+:func:`render` prints a layout over it.  Merging by key, never by
+completion order, keeps a report byte-identical for every ``--jobs``
+value.
 
 Block templates use ``str.format`` syntax over one :class:`Point`:
 ``{model.name}``, ``{system.name}``, ``{cluster.num_workers}``,
@@ -30,9 +32,8 @@ from repro.config import SystemConfig
 from repro.experiments.report import format_table
 from repro.nn.model_zoo import get_model_spec
 from repro.nn.spec import ModelSpec
-from repro.simulation.speedup import curve_tasks
+from repro.simulation.speedup import curve_tasks, run_points
 from repro.simulation.throughput import SimulationResult
-from repro.sweep import run_sweep
 
 _MISSING = object()
 
@@ -268,7 +269,7 @@ class Figure:
                             tasks.append(replace(task, key=key))
                             places[key] = (model, system, cluster, topology)
         points = Points()
-        for key, result in run_sweep(tasks, jobs=jobs).items():
+        for key, result in run_points(tasks, jobs=jobs).items():
             model, system, cluster, topology = places[key]
             points[key] = Point(model, system, cluster, topology, result,
                                 self.tags.get(system.name, {}))

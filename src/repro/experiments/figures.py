@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.comm.backend import get_backend
 from repro.config import (
     ADAM_TF,
     CAFFE_PS,
@@ -131,13 +132,17 @@ ASYNC_SCHEMES: Tuple[Tuple[str, str], ...] = (
 def policy_systems(policies: Sequence[str]) -> Dict[str, object]:
     """``systems`` and ``tags`` of one Poseidon system per (backend, policy).
 
-    Names are unique per pair (``"PS ssp(2)"``); the tags carry the
-    backend label and the policy as spelled on the axis.
+    A pair the backend's ``supports_policy`` refuses (ring under SSP or
+    async) is left out: no trainer or engine runs it.  Names are unique
+    per pair (``"PS ssp(2)"``); the tags carry the backend label and the
+    policy as spelled on the axis.
     """
     systems, tags = [], {}
     for comm, label in ASYNC_SCHEMES:
         for spec in policies:
             policy = SyncPolicy.parse(spec)
+            if not get_backend(comm).supports_policy(policy):
+                continue
             system = poseidon_system(f"{label} {policy}", comm).with_policy(policy)
             systems.append(system)
             tags[system.name] = {"scheme": label, "policy": spec}

@@ -257,12 +257,6 @@ class ModelSpec:
             layer for layer in self.layers if layer.kind is LayerKind.FC
         )
 
-    def conv_layers(self) -> Tuple[LayerSpec, ...]:
-        """Convolutional layers."""
-        return tuple(
-            layer for layer in self.layers if layer.kind is LayerKind.CONV
-        )
-
     def layer(self, name: str) -> LayerSpec:
         """Look a layer up by name.
 

@@ -437,11 +437,6 @@ class DistributedTrainer:
         """The SFB bulletin board, when one is in play."""
         return self._substrates.get("sfb")
 
-    @property
-    def adam_server(self) -> Optional[Any]:
-        """The Adam SF server, when one is in play."""
-        return self._substrates.get("adam")
-
     def _build_worker(self, worker_id: int) -> _WorkerRuntime:
         network = self._replicas[worker_id]
         resources = WorkerResources(

@@ -127,10 +127,13 @@ def resolve_plan(workload: IterationWorkload, system: SystemConfig,
 
     Raises:
         ConfigurationError: on a compressor the system's ``comm`` cannot
-            carry (:func:`~repro.comm.backend.check_compression`), or a
-            scheme whose backend declares no ``unit_bytes``, no phases, or
-            a phase outside the vocabulary (unknown kind or peer role, a
-            repeat count no interpreter runs, a negative or non-finite size).
+            carry (:func:`~repro.comm.backend.check_compression`), a unit
+            whose scheme cannot run under the system's policy (the
+            trainer's :meth:`~repro.comm.backend.CommBackend.supports_policy`
+            check), or a scheme whose backend declares no ``unit_bytes``,
+            no phases, or a phase outside the vocabulary (unknown kind or
+            peer role, a repeat count no interpreter runs, a negative or
+            non-finite size).
     """
     return _PLANS.get((workload, system, replace(cluster, bandwidth_gbps=1.0)),
                       lambda: _resolve(workload, system, cluster))
@@ -158,6 +161,11 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
     units = []
     for index, unit in enumerate(workload.units):
         backend = get_backend(schemes[unit.name])
+        if not backend.supports_policy(system.policy):
+            raise ConfigurationError(
+                f"backend {backend.name!r} cannot run under policy "
+                f"{system.policy} (supported semantics: "
+                f"{backend.sync_semantics})")
         owner = cluster.server_node(index % num_servers)
         encode_seconds = 0.0
         if compression is not None and backend.compressible:

@@ -11,19 +11,24 @@ them through :func:`repro.sweep.run_sweep` -- serially by default, or over
 a process pool when a ``jobs`` argument (or the runner's ``--jobs`` flag)
 asks for one.  Results are merged by config key, so the curves are
 identical whichever way the sweep ran.
+
+:func:`run_points` runs each distinct :func:`simulation_identity` of a
+sweep once, so a HybComm point whose per-layer decision is SFB's (or
+PS's) shares that point's run; nothing is kept across calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import ClusterConfig, SystemConfig
 from repro.nn.spec import ModelSpec
 from repro.simulation.fluid import resolve_engine, session_engine
+from repro.simulation.plan import SyncPlan, resolve_plan
 from repro.simulation.throughput import SimulationResult, simulate_system
 from repro.simulation.workload import IterationWorkload, build_workload
-from repro.sweep import SweepTask, run_sweep
+from repro.sweep import SweepTask, _check_unique_keys, run_sweep
 
 #: Node counts used by the paper's scaling figures.
 DEFAULT_NODE_COUNTS = (1, 2, 4, 8, 16, 32)
@@ -51,11 +56,6 @@ class ScalingCurve:
         except ValueError as exc:
             raise KeyError(f"no result for {nodes} nodes") from exc
 
-    @property
-    def final_speedup(self) -> float:
-        """Speedup at the largest simulated cluster size."""
-        return self.speedups[-1] if self.speedups else 0.0
-
     def scaling_efficiency(self, nodes: Optional[int] = None) -> float:
         """Speedup divided by node count (1.0 = perfectly linear)."""
         nodes = nodes if nodes is not None else (
@@ -77,12 +77,43 @@ def simulate_point(model: ModelSpec, system: SystemConfig, nodes: int,
                    workload: Optional[IterationWorkload] = None,
                    engine: Optional[str] = None) -> SimulationResult:
     """Simulate one sweep point (module-level, hence picklable)."""
+    return simulate_system(model, system,
+                           _point_cluster(nodes, bandwidth_gbps, base_cluster),
+                           batch_size=batch_size, workload=workload,
+                           engine=engine)
+
+
+def _point_cluster(nodes: int, bandwidth_gbps: float,
+                   base_cluster: Optional[ClusterConfig]) -> ClusterConfig:
     if base_cluster is not None:
-        cluster = base_cluster.with_workers(nodes).with_bandwidth(bandwidth_gbps)
-    else:
-        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth_gbps)
-    return simulate_system(model, system, cluster, batch_size=batch_size,
-                           workload=workload, engine=engine)
+        return base_cluster.with_workers(nodes).with_bandwidth(bandwidth_gbps)
+    return ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth_gbps)
+
+
+def simulation_identity(engine: str, workload: IterationWorkload,
+                        plan: SyncPlan, system: SystemConfig,
+                        cluster: ClusterConfig) -> Hashable:
+    """Everything one simulation's result depends on but the system's name.
+
+    ``engine`` is the resolved engine (``"des"`` or ``"fluid"``).  A
+    :class:`SyncPlan` compares by object, so its contents stand in for it:
+    ``shape`` and ``units`` (a bucketed plan's workload follows from those
+    and ``bucket_bytes``).  The engines read ``system.comm`` only through
+    the plan, so it is left out with the name, and HybComm's point where
+    Algorithm 1 puts every unit on SFB has SFB's identity.
+    """
+    return (engine, workload, plan.shape, plan.units,
+            tuple(getattr(system, f.name) for f in fields(system)
+                  if f.name not in ("name", "comm")),
+            cluster)
+
+
+@dataclass(frozen=True)
+class PointTask(SweepTask):
+    """One sweep point: :func:`simulate_point` over ``args`` / ``kwargs``,
+    and the :func:`simulation_identity` of the simulation it runs."""
+
+    identity: Hashable = None
 
 
 def point_key(model: ModelSpec, system: SystemConfig, bandwidth_gbps: float,
@@ -96,7 +127,7 @@ def curve_tasks(model: ModelSpec, system: SystemConfig,
                 bandwidth_gbps: float = 40.0,
                 batch_size: Optional[int] = None,
                 base_cluster: Optional[ClusterConfig] = None,
-                engine: Optional[str] = None) -> List[SweepTask]:
+                engine: Optional[str] = None) -> List[PointTask]:
     """Enumerate one scaling curve as independent sweep tasks.
 
     The iteration workload only depends on (model, batch size, GPU), so it
@@ -105,7 +136,9 @@ def curve_tasks(model: ModelSpec, system: SystemConfig,
     instance -- and shipped with every task instead of being rebuilt per
     sweep point.  Resolved plans are likewise memoized per (workload,
     system, cluster with the bandwidth normalised away), so a bandwidth
-    sweep re-derives neither.
+    sweep re-derives neither.  Each point's plan is resolved here, in the
+    enumerating process, for the point's :func:`simulation_identity`; so a
+    configuration no engine can run (say ring under SSP) raises here.
     """
     gpu_source = base_cluster if base_cluster is not None else ClusterConfig(
         num_workers=1)
@@ -114,21 +147,56 @@ def curve_tasks(model: ModelSpec, system: SystemConfig,
     # Bake the session default in at enumeration time: sweep tasks may run
     # in worker processes where a use_engine() context would not be active.
     engine = session_engine() if engine is None else engine
-    for nodes in node_counts:
-        resolve_engine(engine, int(nodes))  # validate the name eagerly
-    return [
-        SweepTask(
+    tasks = []
+    for nodes in map(int, node_counts):
+        cluster = _point_cluster(nodes, bandwidth_gbps, base_cluster)
+        identity = simulation_identity(
+            resolve_engine(engine, nodes), workload,
+            resolve_plan(workload, system, cluster), system, cluster)
+        tasks.append(PointTask(
             key=point_key(model, system, bandwidth_gbps, nodes),
             fn=simulate_point,
-            args=(model, system, int(nodes)),
+            args=(model, system, nodes),
             kwargs={"bandwidth_gbps": bandwidth_gbps,
                     "batch_size": batch_size,
                     "base_cluster": base_cluster,
                     "workload": workload,
                     "engine": engine},
-        )
-        for nodes in node_counts
-    ]
+            identity=identity))
+    return tasks
+
+
+def run_points(tasks: Sequence[PointTask], jobs: Optional[int] = None
+               ) -> Dict[Hashable, SimulationResult]:
+    """Run a sweep's points: ``{task.key: result}`` in task order.
+
+    Each distinct :attr:`PointTask.identity` runs once, through
+    :func:`~repro.sweep.run_sweep` (so before any pool dispatch); a later
+    point with the same identity gets a copy of that run's result,
+    relabelled with its own system name.  Nothing outlives the call: a
+    second sweep over the same points simulates them again.
+
+    Raises:
+        ValueError: on duplicate task keys.
+    """
+    _check_unique_keys(tasks)
+    runs: Dict[Hashable, PointTask] = {}
+    for task in tasks:
+        runs.setdefault(task.identity, task)
+    # The identity stays here: a pool worker needs only what it runs.
+    done = run_sweep([SweepTask(task.key, task.fn, task.args, task.kwargs)
+                      for task in runs.values()], jobs=jobs)
+    results: Dict[Hashable, SimulationResult] = {}
+    for task in tasks:
+        run = runs[task.identity]
+        result = done[run.key]
+        if run is not task:  # args are simulate_point's (model, system, nodes)
+            result = replace(
+                result, system_name=task.args[1].name,
+                per_node_traffic_bytes=list(result.per_node_traffic_bytes),
+                scheme_by_unit=dict(result.scheme_by_unit))
+        results[task.key] = result
+    return results
 
 
 def curve_from_results(model: ModelSpec, system: SystemConfig,
@@ -160,7 +228,7 @@ def scaling_curve(model: ModelSpec, system: SystemConfig,
     tasks = curve_tasks(model, system, node_counts,
                         bandwidth_gbps=bandwidth_gbps, batch_size=batch_size,
                         base_cluster=base_cluster, engine=engine)
-    results = run_sweep(tasks, jobs=jobs)
+    results = run_points(tasks, jobs=jobs)
     return curve_from_results(model, system, node_counts, bandwidth_gbps,
                               results)
 
@@ -182,7 +250,7 @@ def bandwidth_sweep(model: ModelSpec, system: SystemConfig,
                                 bandwidth_gbps=bandwidth,
                                 batch_size=batch_size, engine=engine)
     ]
-    results = run_sweep(tasks, jobs=jobs)
+    results = run_points(tasks, jobs=jobs)
     return {
         bandwidth: curve_from_results(model, system, node_counts, bandwidth,
                                       results)
@@ -207,7 +275,7 @@ def compare_systems(model: ModelSpec, systems: Sequence[SystemConfig],
                                 bandwidth_gbps=bandwidth_gbps,
                                 batch_size=batch_size, engine=engine)
     ]
-    results = run_sweep(tasks, jobs=jobs)
+    results = run_points(tasks, jobs=jobs)
     return {
         system.name: curve_from_results(model, system, node_counts,
                                         bandwidth_gbps, results)

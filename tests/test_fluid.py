@@ -406,6 +406,18 @@ class TestTiersAndSweeps:
         assert flat_schemes != racked_schemes  # rack premium shifts choices
 
 
+#: Backends whose every unit can run under SSP (the trainer's
+#: ``supports_policy``): the PS family.  The plan refuses SSP on the rest.
+SSP_COMMS = ("ps", "onebit")
+
+
+def ssp_with_faults(system):
+    """``system`` under ssp(2), with stragglers and failures."""
+    return system.with_policy("ssp(2)").with_faults(
+        straggler_fraction=0.1, straggler_factor=2.0, mtbf_seconds=3600.0,
+        checkpoint_cost_seconds=5.0)
+
+
 #: (label, racks, oversubscription, background jobs, system variant) of the
 #: scalar contract's 64-node points.
 SCALAR_VARIANTS = (
@@ -416,11 +428,17 @@ SCALAR_VARIANTS = (
      lambda system: replace(system, overlap_pull=False)),
     ("sequential", 4, 4.0, 0,
      lambda system: replace(system, schedule=ScheduleMode.SEQUENTIAL)),
-    ("ssp+faults", 4, 4.0, 0,
-     lambda system: system.with_policy("ssp(2)").with_faults(
-         straggler_fraction=0.1, straggler_factor=2.0, mtbf_seconds=3600.0,
-         checkpoint_cost_seconds=5.0)),
+    ("ssp+faults", 4, 4.0, 0, ssp_with_faults),
 )
+
+
+def scalar_cases(refused=False):
+    """``(system, variant)`` of every scalar-contract point the plan runs;
+    with ``refused``, of every one it refuses instead."""
+    return [pytest.param(system, variant, id=f"{system.name}-{variant[0]}")
+            for system in backend_systems() for variant in SCALAR_VARIANTS
+            if (variant[0] == "ssp+faults"
+                and system.comm not in SSP_COMMS) == refused]
 
 
 #: Rack-class bound of each aggregate-tier cluster (profiles + owner racks):
@@ -451,21 +469,29 @@ class TestTiersAreScalar:
         return (simulator.up + simulator.down + simulator.rku
                 + simulator.rkd + [simulator.ring_clock])
 
-    @pytest.mark.parametrize("mode", ["detail", "aggregate"])
-    @pytest.mark.parametrize("variant", SCALAR_VARIANTS,
-                             ids=[v[0] for v in SCALAR_VARIANTS])
-    @pytest.mark.parametrize("system", backend_systems(),
-                             ids=lambda system: system.name)
-    def test_every_clock_is_a_python_float(self, system, variant, mode):
+    @staticmethod
+    def simulator(system, variant, mode):
         _label, racks, oversub, jobs, vary = variant
         cluster = ClusterConfig(num_workers=64, bandwidth_gbps=10.0,
                                 racks=racks, oversubscription=oversub)
         workload = build_workload(VGG, gpu=cluster.gpu)
-        simulator = FluidSimulator(workload, cluster, vary(system),
-                                   mode=mode, background_jobs=jobs)
+        return FluidSimulator(workload, cluster, vary(system), mode=mode,
+                              background_jobs=jobs)
+
+    @pytest.mark.parametrize("mode", ["detail", "aggregate"])
+    @pytest.mark.parametrize("system,variant", scalar_cases())
+    def test_every_clock_is_a_python_float(self, system, variant, mode):
+        simulator = self.simulator(system, variant, mode)
         seconds = simulator.iteration_seconds()
         clocks = self.clocks(simulator) + [seconds]
         assert {type(clock) for clock in clocks} == {float}
+
+    @pytest.mark.parametrize("mode", ["detail", "aggregate"])
+    @pytest.mark.parametrize("system,variant", scalar_cases(refused=True))
+    def test_a_policy_the_trainer_refuses_builds_no_simulator(
+            self, system, variant, mode):
+        with pytest.raises(ConfigurationError, match="cannot run under policy"):
+            self.simulator(system, variant, mode)
 
     @pytest.mark.parametrize("mode", ["detail", "aggregate"])
     def test_rejected_axis_call_leaves_the_simulator_untouched(self, mode):
@@ -821,16 +847,25 @@ def rack_class_trace_points(workload, backends):
             yield f"{name}|{label}|sweep_axis", sweep(system, config)
         yield (f"{name}|1000n/25r/4|aggregate|jobs=2",
                point(system, cluster("1000n/25r/4"), jobs=2))
-        yield (f"{name}|ssp(2)+faults|1000n/25r/4|aggregate",
-               point(system.with_policy("ssp(2)").with_faults(
-                   straggler_fraction=0.1, straggler_factor=2.0,
-                   mtbf_seconds=3600.0, checkpoint_cost_seconds=5.0),
-                   cluster("1000n/25r/4")))
+        if system.comm in SSP_COMMS:
+            yield (f"{name}|ssp(2)+faults|1000n/25r/4|aggregate",
+                   point(ssp_with_faults(system), cluster("1000n/25r/4")))
     gpt_model = get_model_spec("nanogpt-12l")
     gpt = build_workload(gpt_model)
     for system in backends:
         yield (f"nanogpt-12l {system.name}|10000n/250r/4|sweep_axis",
                sweep(system, cluster("10000n/250r/4"), gpt_model, gpt))
+
+
+def refused_trace_points():
+    """``(key, system, cluster)`` of the ``ssp(2)+faults`` points recorded
+    before the plan refused SSP on a BSP-only scheme."""
+    cluster = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0, racks=25,
+                            oversubscription=4.0)
+    for system in backend_systems():
+        if system.comm not in SSP_COMMS:
+            yield (f"{system.name}|ssp(2)+faults|1000n/25r/4|aggregate",
+                   ssp_with_faults(system), cluster)
 
 
 class TestRecordedFluidTrace:
@@ -842,7 +877,18 @@ class TestRecordedFluidTrace:
             return json.load(fh)["points"]
 
     def test_trace_covers_every_point(self, trace):
-        assert sorted(trace) == sorted(k for k, _ in fluid_trace_points())
+        # Keys recorded before the plan refused a point are not read; the
+        # next re-record drops them.
+        refused = {key for key, *_ in refused_trace_points()}
+        assert sorted(set(trace) - refused) == sorted(
+            k for k, _ in fluid_trace_points())
+
+    @pytest.mark.parametrize("key,system,config", list(refused_trace_points()),
+                             ids=[k for k, *_ in refused_trace_points()])
+    def test_point_the_trainer_refuses_is_refused(self, key, system, config):
+        with pytest.raises(ConfigurationError, match="cannot run under policy"):
+            FluidSimulator(build_workload(VGG), config, system,
+                           mode="aggregate")
 
     @pytest.mark.parametrize("key,thunk", list(fluid_trace_points()),
                              ids=[k for k, _ in fluid_trace_points()])

@@ -308,6 +308,17 @@ class TestSimulatedPolicies:
         for earlier, later in zip(frontier, frontier[1:]):
             assert later >= earlier * (1.0 - 1e-9)
 
+    @pytest.mark.parametrize("policy", ["ssp(1)", "async"])
+    def test_ring_under_relaxed_consistency_is_refused(
+            self, tiny_model_spec, engine, policy):
+        """The trainer refuses ring under SSP and async; so do the engines."""
+        cluster = ClusterConfig(num_workers=8, bandwidth_gbps=1.0)
+        with pytest.raises(ConfigurationError,
+                           match="'ring' cannot run under policy"):
+            simulate_system(tiny_model_spec,
+                            _system("ring").with_policy(policy), cluster,
+                            engine=engine)
+
     def test_default_policy_unchanged(self, tiny_model_spec, engine):
         plain = self._simulate(tiny_model_spec, _system(), engine)
         explicit = self._simulate(tiny_model_spec,

@@ -7,13 +7,18 @@ one, including when there are more workers than configs.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
-from repro.config import CAFFE_WFBP, POSEIDON_CAFFE
+from repro.config import CAFFE_WFBP, POSEIDON_CAFFE, ClusterConfig
+from repro.experiments.fig_backends import backend_systems
 from repro.experiments.figure import Figure, Key, render
 from repro.experiments.figures import FIG5, FIG8
 from repro.experiments.runner import run_experiments
+from repro.nn.model_zoo import get_model_spec
+from repro.simulation import speedup
+from repro.simulation.throughput import IterationSimulator, simulate_system
 from repro.sweep import (
     SweepTask,
     default_jobs,
@@ -164,6 +169,67 @@ class TestSpeedupSweeps:
         for key, point in points.items():
             assert point.result.system_name == key.system
             assert point.cluster.num_workers == key.nodes
+
+
+class TestOneRunPerSimulationIdentity:
+    """A sweep runs each distinct simulation once: a point whose identity
+    (engine, workload, plan contents, system fields but the name, cluster)
+    another point has gets a relabelled copy of that run's result."""
+
+    NODES = (2, 8, 32)
+
+    @pytest.mark.parametrize("engine", ["des", "fluid"])
+    @pytest.mark.parametrize("model_key", ["vgg19", "googlenet", "nanogpt-12l"])
+    def test_every_point_equals_its_own_simulation(self, model_key, engine):
+        model = get_model_spec(model_key)
+        systems = backend_systems()
+        alone = {
+            (system.name, nodes): simulate_system(
+                model, system,
+                ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0),
+                engine=engine)
+            for system in systems for nodes in self.NODES}
+        for jobs in (1, 2):
+            curves = compare_systems(model, systems, node_counts=self.NODES,
+                                     bandwidth_gbps=10.0, jobs=jobs,
+                                     engine=engine)
+            assert list(curves) == [system.name for system in systems]
+            for name, curve in curves.items():
+                for nodes, result in zip(self.NODES, curve.results):
+                    assert result == alone[name, nodes], (name, nodes, jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_vgg19_runs_twelve_simulations_for_fourteen_points(
+            self, monkeypatch, vgg19_spec, jobs):
+        """HybComm puts every VGG19 FC layer on SFB at 8 and 32 nodes, so
+        its two points share SFB's runs; a second call runs them again."""
+        dispatched = []
+
+        def counting(tasks, jobs=None):
+            dispatched.append(len(tasks))
+            return run_sweep(tasks, jobs=jobs)
+
+        monkeypatch.setattr(speedup, "run_sweep", counting)
+        for _ in range(2):
+            curves = compare_systems(vgg19_spec, backend_systems(),
+                                     node_counts=(8, 32), bandwidth_gbps=10.0,
+                                     jobs=jobs, engine="des")
+            assert sum(len(curve.results) for curve in curves.values()) == 14
+        assert dispatched == [12, 12]
+        hybrid, sfb = curves["HybComm"].results, curves["SFB"].results
+        assert [r.system_name for r in hybrid] == ["HybComm"] * 2
+        assert [replace(r, system_name="SFB") for r in hybrid] == sfb
+        assert hybrid[0].scheme_by_unit is not sfb[0].scheme_by_unit
+
+    def test_a_second_call_simulates_again(self, vgg19_spec):
+        runs = mock.patch.object(IterationSimulator, "run", autospec=True,
+                                 side_effect=IterationSimulator.run)
+        with runs as run:
+            for _ in range(2):
+                compare_systems(vgg19_spec, backend_systems(),
+                                node_counts=(8, 32), bandwidth_gbps=10.0,
+                                jobs=1, engine="des")
+        assert run.call_count == 24
 
 
 class TestFigureDeterminism:

@@ -542,14 +542,13 @@ class TestRingLoweringsAreEachOthersOracle:
         assert repr(result.iteration_seconds) == "8.448351148961205"
 
     @pytest.mark.parametrize("policy,events,seconds", [
-        ("ssp(1)", 18451, "3.078166363185333"),
-        ("async", 18448, "3.022415881730785"),
         ("local_sgd(4)", 21688, "1.7105923991623138"),
     ])
     def test_relaxed_policy_keeps_the_stepped_rounds(self, policy, events,
                                                      seconds):
         """Across rounds the slow set rotates, so the per-step convoy is
-        signal (3.078 -> 3.011 s under ssp(1) when forced into one hold)."""
+        signal.  (SSP and async rings, once pinned here too, are refused
+        like the trainer refuses them.)"""
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=5.0)
         system = RING_ALLREDUCE.with_policy(policy).with_faults(0.1, 2.0)
         workload = build_workload(VGG, gpu=cluster.gpu)

@@ -20,7 +20,11 @@ new what-if query keeps, which must not grow with the cluster); a DES point
 also gives its ``events_processed``, how many workers the run stepped
 (one for a symmetric plan, else all of them) and its scheme mix (units per
 scheme, e.g. ``sfb 49 · ps 26``): where the last two did not move, the
-first must not under a change that only claims speed.  Usage::
+first must not under a change that only claims speed.  A DES point that the
+pass's ``compare_systems`` call serves from another point's run (its
+simulation identity is that point's: ``HybComm 8n = SFB 8n``) is marked
+``= <that point>`` and left out of the total, which so sums what the pass
+really runs.  Usage::
 
     PYTHONPATH=src python tools/sim_points.py [--repeats N] [--ref REV|DIR]
 
@@ -77,7 +81,7 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
             return (simulator.env.events_processed,
                     getattr(simulator, "workers_stepped", nodes),
                     scheme_mix(simulator.schemes.values()))
-        return (f"des {model.name} {system.name} {nodes}n",
+        return (des_label(model, system, nodes),
                 lambda _repeat: simulate_point(model, system, nodes,
                                                bandwidth_gbps=gbps,
                                                engine="des"),
@@ -105,6 +109,33 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
                None)
 
 
+def des_label(model, system, nodes: int) -> str:
+    return f"des {model.name} {system.name} {nodes}n"
+
+
+def shared_runs() -> Dict[str, str]:
+    """DES label -> label of the point whose run the pass's
+    ``compare_systems`` call serves it from (equal simulation identities)."""
+    from repro.experiments.fig_backends import backend_systems
+    from repro.nn.model_zoo import get_model_spec
+    from repro.simulation import speedup
+
+    if not hasattr(speedup, "run_points"):
+        return {}  # a --ref tree from before shared runs ran every point
+    vgg, nodes = get_model_spec("vgg19"), (8, 32)
+    first: Dict[object, str] = {}
+    shared = {}
+    for system in backend_systems():
+        tasks = speedup.curve_tasks(vgg, system, nodes, bandwidth_gbps=10.0,
+                                    engine="des")
+        for count, task in zip(nodes, tasks):
+            label = des_label(vgg, system, count)
+            owner = first.setdefault(task.identity, label)
+            if owner != label:
+                shared[label] = owner
+    return shared
+
+
 def scheme_mix(schemes: Iterable[str]) -> str:
     """Units per scheme, most first: ``"sfb 49 · ps 26"``."""
     counts = Counter(schemes)
@@ -130,6 +161,7 @@ def measure(repeats: int) -> Dict[str, dict]:
     scheme mix) per point, and the KB one more call retains, outside the timed repeats (a
     fresh repeat index: a cold query for the sweeps)."""
     measured = {}
+    shared = shared_runs()
     for label, call, events in points():
         best = float("inf")
         for repeat in range(repeats):
@@ -139,7 +171,8 @@ def measure(repeats: int) -> Dict[str, dict]:
         counted, stepped, mix = events() if events else (None, None, None)
         measured[label] = {"ms": best * 1e3, "events": counted,
                            "stepped": stepped, "schemes": mix,
-                           "kb": retained_kb(call, repeats)}
+                           "kb": retained_kb(call, repeats),
+                           "shares": shared.get(label)}
     return measured
 
 
@@ -193,10 +226,11 @@ def main() -> int:
         json.dump(measured, sys.stdout)
         return 0
     for side in filter(None, (measured, reference)):
-        side["total"] = {"ms": sum(m["ms"] for m in side.values()),
-                         "events": sum(m["events"] or 0 for m in side.values()),
+        runs = [m for m in side.values() if not m["shares"]]
+        side["total"] = {"ms": sum(m["ms"] for m in runs),
+                         "events": sum(m["events"] or 0 for m in runs),
                          "stepped": None, "schemes": None,
-                         "kb": sum(m["kb"] for m in side.values())}
+                         "kb": sum(m["kb"] for m in runs), "shares": None}
     print(f"{'point':44}" + (f"{'ref ms':>9}" if reference else "")
           + f"{'ms':>9}" + (f"{'change':>8}" if reference else "")
           + (f"{'ref KB':>9}" if reference else "") + f"{'retained KB':>12}"
@@ -220,6 +254,8 @@ def main() -> int:
             if reference and was.get("schemes") not in (None, now["schemes"]):
                 line += f"{was['schemes']} -> "
             line += now["schemes"]
+        if now["shares"]:
+            line += f"  = {now['shares'].removeprefix('des ')}"
         print(line)
     return 0
 
