@@ -88,7 +88,8 @@ SMOKE_chaos_TESTS := tests/test_chaos.py tests/test_faults.py \
 SMOKE_chaos_FIGURE := fig_faults
 SMOKE_chaos_GREP := Fault frontier
 SMOKE_compression_TESTS := tests/test_compression.py tests/test_bucketing.py \
-	tests/test_fig_compression.py tests/test_ps_step.py
+	tests/test_fig_compression.py tests/test_ps_step.py \
+	tests/test_quantization.py
 SMOKE_compression_FIGURE := fig_compression
 SMOKE_compression_GREP := Compression zoo|crossover at
 SMOKE_llm_TESTS := tests/test_layers.py tests/test_fig_llm.py

@@ -308,15 +308,14 @@ class WorkerResources:
         worker_id: the worker these resources belong to.
         local_optimizer: optimiser applied to the worker's own replica by
             peer-to-peer schemes (SFB, ring all-reduce).
-        quantizer: the worker's stateful 1-bit quantizer (error feedback).
-        compressor: the worker's stateful pluggable
-            :class:`~repro.comm.compression.Compressor` (``None`` for the
-            default dense wire format).
+        compressor: the worker's one stateful lossy encoder: a
+            :class:`~repro.comm.compression.Compressor`, or the backend's
+            own :attr:`~CommBackend.encoder` (``None`` for the default
+            dense wire format).
     """
 
     worker_id: int
     local_optimizer: Any = None
-    quantizer: Any = None
     compressor: Any = None
 
 
@@ -338,6 +337,11 @@ class CommBackend(abc.ABC):
         hybrid_rank: tie-break for equal Algorithm-1 costs -- lower wins,
             which keeps the paper's "SFB on ties" rule.
         compression: payload shrink factor on dense PS-style transfers.
+        encoder: factory of the worker-local lossy encoder the scheme's
+            syncers always run (1-bit's quantizer, which has the
+            :meth:`~repro.comm.compression.Compressor.compress` signature);
+            ``None`` leaves the worker's one encoder slot to the configured
+            compressor.
         compressible: whether the scheme moves whole dense gradients, so a
             pluggable :mod:`~repro.comm.compression` compressor (and the
             gradient bucketer) can ride it.  True for the PS and ring
@@ -366,6 +370,7 @@ class CommBackend(abc.ABC):
     topology_candidate: ClassVar[bool] = False
     hybrid_rank: ClassVar[int] = 0
     compression: ClassVar[float] = 1.0
+    encoder: ClassVar[Optional[Callable[[], Any]]] = None
     compressible: ClassVar[bool] = False
     sync_semantics: ClassVar[Tuple[str, ...]] = ("bsp", "local_sgd")
     fault_modes: ClassVar[Tuple[str, ...]] = ("restart",)
@@ -509,6 +514,17 @@ class CommBackend(abc.ABC):
         kind = "bsp" if policy.is_bsp_equivalent else policy.kind
         return kind in self.sync_semantics
 
+    def check_policy(self, policy: SyncPolicy) -> None:
+        """Raise :class:`ConfigurationError` unless :meth:`supports_policy`.
+
+        The one refusal the trainer, ``resolve_plan`` and the cost model
+        share.
+        """
+        if not self.supports_policy(policy):
+            raise ConfigurationError(
+                f"backend {self.name!r} cannot run under policy {policy} "
+                f"(supported semantics: {self.sync_semantics})")
+
     def supports_fault_mode(self, mode: str) -> bool:
         """Whether this substrate can serve a trainer recovery mode.
 
@@ -567,11 +583,7 @@ class CommBackend(abc.ABC):
         other binding leaves the dense path alone.
         """
         policy = ctx.policy if policy is None else policy
-        if not self.supports_policy(policy):
-            raise ConfigurationError(
-                f"backend {self.name!r} cannot run under policy {policy} "
-                f"(supported semantics: {self.sync_semantics})"
-            )
+        self.check_policy(policy)
         if policy.averages_parameters:
             from repro.core.syncer import LocalSGDSyncer
             if ctx.averager is None:
@@ -902,6 +914,14 @@ class OneBitBackend(PSBackend):
     compression = ONEBIT_COMPRESSION
     compressible = False  # already quantized: pluggable compressors don't stack
 
+    @staticmethod
+    def encoder():
+        # The PS syncer's compressed path runs the quantizer: lossy push,
+        # dense pull, conv kernels quantized too (every engine prices both
+        # directions of every parameter at 1/32; see docs/backends.md).
+        from repro.comm.quantization import OneBitQuantizer
+        return OneBitQuantizer()
+
     def cost(self, m, n, num_workers, num_servers, batch_size,
              bandwidth_bps=None, topology=None):
         # 1-bit quantization shrinks the PS payload by ~32x in both
@@ -909,14 +929,6 @@ class OneBitBackend(PSBackend):
         flat = ps_combined_cost(m, n, num_workers, num_servers) / self.compression
         return self._topology_cost(flat, m, n, num_workers, num_servers,
                                    batch_size, topology)
-
-    def make_syncer(self, layer, substrate, resources, ctx, policy=None):
-        from repro.core.syncer import Syncer
-        return Syncer(resources.worker_id, layer, OneBitBackend.name,
-                      ps=substrate,
-                      quantizer=resources.quantizer, aggregation=ctx.aggregation,
-                      policy=ctx.policy if policy is None else policy,
-                      sync_timeout=ctx.sync_timeout)
 
 
 class SFBBackend(CommBackend):

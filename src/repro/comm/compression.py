@@ -1,10 +1,10 @@
 """Pluggable gradient compressors (the zoo behind ``compressor=...``).
 
-Generalizes the 1-bit quantizer into a protocol the dense-gradient
-backends (PS, ring) plug in behind their syncers, DDP-communication-hook
-style: a :class:`Compressor` takes one layer's gradient dict and returns
-what each array sends (a *lossy* array, or top-k's index/value payload
-that the fold scatter-adds) plus the exact wire bytes of the message.
+A protocol the dense-gradient backends (PS, ring) plug in behind their
+syncers, DDP-communication-hook style: a :class:`Compressor` takes one
+layer's gradient dict and returns what each array sends (a *lossy*
+array, or top-k's index/value payload that the fold scatter-adds) plus
+the exact wire bytes of the message.
 The substrate books those bytes, so the trainer's arithmetic sees what
 the receiver would reconstruct while the byte accounting matches
 :func:`repro.comm.wire.unit_wire_bytes` exactly.
@@ -13,7 +13,11 @@ Scope rule (shared with :mod:`repro.comm.wire`): only 2-D weight
 matrices with at least :data:`~repro.comm.wire.MIN_COMPRESS_ELEMENTS`
 elements are compressed -- fully-connected weights.  Biases and
 convolution kernels ship dense under every compressor, which is what
-lets the simulators price any layer kind from ``fc_dims`` alone.
+lets the simulators price any layer kind from ``fc_dims`` alone.  1-bit
+quantization is a backend, not a compressor
+(:class:`~repro.comm.backend.OneBitBackend`): its
+:class:`~repro.comm.quantization.OneBitQuantizer` has the same
+``compress`` signature but its own scope and wire model.
 
 Compressors are stateful (error-feedback residuals, PowerSGD's
 warm-started factors); their state joins the trainer's substrate-wide
@@ -29,7 +33,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.quantization import OneBitQuantizer
 from repro.comm.wire import (
     MIN_COMPRESS_ELEMENTS,
     CompressionConfig,
@@ -95,33 +98,6 @@ class Compressor:
 
     def set_state(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`get_state` snapshot."""
-
-
-class OneBitCompressor(Compressor):
-    """1-bit sign quantization with error feedback, as a compressor.
-
-    Delegates the math to :class:`~repro.comm.quantization.OneBitQuantizer`
-    byte-for-byte (same masked-sum scales, same residual update); only the
-    scope rule differs from the legacy ``mode="onebit"`` path, which also
-    quantizes >=2-D convolution kernels.
-    """
-
-    def __init__(self, config: CompressionConfig):
-        super().__init__(config)
-        self._quantizer = OneBitQuantizer()
-
-    def _compress_array(self, key, grad):
-        quantized = self._quantizer.quantize(key, grad)
-        return quantized.dequantize(), quantized.nbytes
-
-    def reset(self):
-        self._quantizer.reset()
-
-    def get_state(self):
-        return {"residuals": self._quantizer.get_state()}
-
-    def set_state(self, state):
-        self._quantizer.set_state(state["residuals"])
 
 
 #: Magnitudes in the fixed strided sample the top-k threshold is read from,
@@ -256,7 +232,6 @@ class PowerSGDCompressor(Compressor):
 
 
 _COMPRESSORS = {
-    "onebit": OneBitCompressor,
     "topk": TopKCompressor,
     "powersgd": PowerSGDCompressor,
 }

@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.wire import MIN_COMPRESS_ELEMENTS, sign_payload_bytes
 from repro.exceptions import CommunicationError
 
 
@@ -46,7 +47,6 @@ class QuantizedGradient:
         ceil-divide itself lives in :func:`repro.comm.wire.sign_payload_bytes`
         so the trainer, cost model and simulators share one formula.
         """
-        from repro.comm.wire import sign_payload_bytes
         bits = int(np.prod(self.shape))
         return (sign_payload_bytes(bits) + int(self.positive_scale.nbytes)
                 + int(self.negative_scale.nbytes))
@@ -99,22 +99,28 @@ class OneBitQuantizer:
         self._residuals[key] = corrected - quantized.dequantize()
         return quantized
 
-    def quantize_dict(self, layer: str, grads: Dict[str, np.ndarray],
-                      min_elements: int = 64
-                      ) -> Tuple[Dict[str, QuantizedGradient], Dict[str, np.ndarray]]:
-        """Quantize every large-enough array in a gradient dict.
+    def compress(self, layer: str, grads: Dict[str, np.ndarray]
+                 ) -> Tuple[Dict[str, np.ndarray], int]:
+        """Quantize one layer's gradient dict; returns ``(lossy, wire_bytes)``.
 
-        Small tensors (biases) are cheaper to send exactly than to quantize;
-        they are returned unmodified in the second dict.
+        The :meth:`repro.comm.compression.Compressor.compress` signature,
+        so a syncer's compressed path runs it.  The scope is the 1-bit
+        scheme's own: every >= 2-D tensor of at least
+        :data:`~repro.comm.wire.MIN_COMPRESS_ELEMENTS` elements, conv
+        kernels included.  Smaller tensors (biases) are cheaper to send
+        exactly and pass through dense.
         """
-        quantized: Dict[str, QuantizedGradient] = {}
-        dense: Dict[str, np.ndarray] = {}
+        lossy: Dict[str, np.ndarray] = {}
+        wire = 0
         for key, grad in grads.items():
-            if grad.size >= min_elements and grad.ndim >= 2:
-                quantized[key] = self.quantize(f"{layer}/{key}", grad)
+            if grad.ndim >= 2 and grad.size >= MIN_COMPRESS_ELEMENTS:
+                quantized = self.quantize(f"{layer}/{key}", grad)
+                lossy[key] = quantized.dequantize()
+                wire += quantized.nbytes
             else:
-                dense[key] = grad
-        return quantized, dense
+                lossy[key] = grad
+                wire += int(grad.nbytes)
+        return lossy, wire
 
     def reset(self) -> None:
         """Drop all residual state."""
@@ -129,18 +135,3 @@ class OneBitQuantizer:
         self._residuals = {key: np.array(residual, copy=True)
                            for key, residual in state.items()}
 
-
-def dequantize_dict(quantized: Dict[str, QuantizedGradient],
-                    dense: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Merge quantized and dense parts back into a full gradient dict."""
-    result = {key: q.dequantize() for key, q in quantized.items()}
-    result.update({key: np.asarray(value) for key, value in dense.items()})
-    return result
-
-
-def quantized_nbytes(quantized: Dict[str, QuantizedGradient],
-                     dense: Dict[str, np.ndarray]) -> int:
-    """Wire size of a mixed quantized/dense gradient message."""
-    total = sum(q.nbytes for q in quantized.values())
-    total += sum(int(v.nbytes) for v in dense.values())
-    return total

@@ -9,13 +9,18 @@ construction instead of by parallel re-implementation.
 Two vocabulary pieces live here:
 
 * :class:`CompressionConfig` -- the parsed form of a compressor spec
-  string (``"none"``, ``"onebit"``, ``"topk(0.01)"``, ``"powersgd(4)"``)
-  with the per-matrix payload formulas and the compute-cost model.
-* the payload formulas themselves (:func:`sign_payload_bytes`,
-  :func:`onebit_payload_bytes`, :func:`topk_payload_bytes`,
+  string (``"none"``, ``"topk(0.01)"``, ``"powersgd(4)"``) with the
+  per-matrix payload formulas and the compute-cost model.
+* the payload formulas themselves (:func:`topk_payload_bytes`,
   :func:`powersgd_payload_bytes`) plus :func:`unit_wire_bytes`, the
   single entry point that prices a whole sync unit (optionally a merged
   bucket via its ``payload_parts``).
+
+1-bit quantization is the ``OneBitBackend``, not a compressor: the
+trainer books its :class:`~repro.comm.quantization.QuantizedGradient`
+sizes (sign bits by :func:`sign_payload_bytes`), and the engines price
+both directions of every parameter at a ``ONEBIT_COMPRESSION`` (32x)
+shrink.
 
 Scope rule (shared with :mod:`repro.comm.compression`): a compressor
 applies to 2-D weight matrices with at least
@@ -35,8 +40,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro import units
 from repro.exceptions import ConfigurationError
 
-#: Minimum element count before a 2-D weight matrix is worth compressing.
-#: Matches the 1-bit quantizer's historical ``min_elements`` threshold.
+#: Minimum element count before a 2-D weight matrix is worth compressing
+#: (and, for the 1-bit quantizer, any >= 2-D tensor).
 MIN_COMPRESS_ELEMENTS = 64
 
 #: Bytes of one top-k entry on the wire: an int32 flat index + a float32 value.
@@ -46,20 +51,10 @@ TOPK_ENTRY_BYTES = 8
 def sign_payload_bytes(elements: int) -> int:
     """Bytes of a 1-bit sign payload for ``elements`` values (ceil-divide).
 
-    The PR 2 wire-accounting rule for quantized gradients; shared by
-    :class:`repro.comm.quantization.QuantizedGradient` and the 1-bit
-    compressor payload formula below.
+    The wire-accounting rule of
+    :attr:`repro.comm.quantization.QuantizedGradient.nbytes`.
     """
     return (int(elements) + 7) // 8
-
-
-def onebit_payload_bytes(m: int, n: int) -> int:
-    """Wire bytes of a 1-bit quantized ``m x n`` matrix.
-
-    Sign bits (ceil-divided) plus the two per-column float32 scale rows --
-    byte-identical to ``QuantizedGradient.nbytes``.
-    """
-    return sign_payload_bytes(m * n) + 2 * n * units.FLOAT32_BYTES
 
 
 def topk_count(k: float, elements: int) -> int:
@@ -99,7 +94,7 @@ class CompressionConfig:
     """Parsed compressor spec: kind plus its parameter.
 
     Attributes:
-        kind: ``"none"`` / ``"onebit"`` / ``"topk"`` / ``"powersgd"``.
+        kind: ``"none"`` / ``"topk"`` / ``"powersgd"``.
         k: top-k keep parameter (fraction if < 1, else absolute count).
         rank: PowerSGD factor rank.
     """
@@ -112,9 +107,9 @@ class CompressionConfig:
     def parse(cls, spec: Optional[str]) -> "CompressionConfig":
         """Parse a compressor spec string.
 
-        Accepts ``None`` / ``"none"``, ``"onebit"``, ``"topk(K)"`` and
-        ``"powersgd(R)"``; raises :class:`ConfigurationError` on anything
-        else so misconfigurations surface at construction time.
+        Accepts ``None`` / ``"none"``, ``"topk(K)"`` and ``"powersgd(R)"``;
+        raises :class:`ConfigurationError` on anything else (1-bit too: it
+        is a backend) so misconfigurations surface at construction time.
         """
         if spec is None:
             return cls(kind="none")
@@ -124,12 +119,12 @@ class CompressionConfig:
         if match is None:
             raise ConfigurationError(
                 f"unparseable compressor spec {spec!r}; expected 'none', "
-                f"'onebit', 'topk(K)' or 'powersgd(R)'")
+                f"'topk(K)' or 'powersgd(R)'")
         kind, arg = match.group("kind"), match.group("arg")
-        if kind in ("none", "onebit"):
+        if kind == "none":
             if arg is not None:
                 raise ConfigurationError(
-                    f"compressor {kind!r} takes no argument, got {spec!r}")
+                    f"compressor 'none' takes no argument, got {spec!r}")
             return cls(kind=kind)
         if kind == "topk":
             if arg is None:
@@ -159,7 +154,7 @@ class CompressionConfig:
             return cls(kind="powersgd", rank=rank)
         raise ConfigurationError(
             f"unknown compressor {kind!r} in spec {spec!r}; expected 'none', "
-            f"'onebit', 'topk(K)' or 'powersgd(R)'")
+            f"'topk(K)' or 'powersgd(R)'")
 
     @property
     def is_identity(self) -> bool:
@@ -174,8 +169,6 @@ class CompressionConfig:
         """Wire bytes of one ``m x n`` weight matrix under this config."""
         if not self.compresses(m, n):
             return m * n * units.FLOAT32_BYTES
-        if self.kind == "onebit":
-            return onebit_payload_bytes(m, n)
         if self.kind == "topk":
             return topk_payload_bytes(self.k, m, n)
         return powersgd_payload_bytes(self.rank, m, n)
@@ -189,15 +182,12 @@ class CompressionConfig:
         """Modelled compressor FLOPs for one ``m x n`` weight matrix.
 
         A deliberately coarse per-element model, zero at the identity:
-        1-bit costs a sign pass plus per-column scale reductions (~4
-        flops/element), top-k a selection pass (~8 flops/element),
-        PowerSGD its two rank-``r`` GEMMs (~4 r flops/element).
+        top-k costs a selection pass (~8 flops/element), PowerSGD its two
+        rank-``r`` GEMMs (~4 r flops/element).
         """
         if not self.compresses(m, n):
             return 0.0
         elements = m * n
-        if self.kind == "onebit":
-            return 4.0 * elements
         if self.kind == "topk":
             return 8.0 * elements
         return 4.0 * powersgd_rank(self.rank, m, n) * elements

@@ -361,8 +361,9 @@ class SystemConfig:
             picks the Young--Daly optimum ``sqrt(2*C*M)`` under an MTBF.
         checkpoint_cost_seconds: seconds one checkpoint costs (``C``).
         compressor: gradient compressor spec for the dense-gradient
-            backends (``"none"``, ``"onebit"``, ``"topk(k)"``,
-            ``"powersgd(r)"``; see :class:`repro.comm.wire.CompressionConfig`).
+            backends (``"none"``, ``"topk(k)"``, ``"powersgd(r)"``; see
+            :class:`repro.comm.wire.CompressionConfig`).  1-bit quantization
+            is the ``onebit`` comm mode, not a compressor.
         bucket_bytes: wire granularity -- fuse consecutive same-scheme
             dense-gradient units into buckets of this many bytes
             (:func:`repro.comm.bucketing.bucket_workload`); ``None`` keeps

@@ -255,10 +255,9 @@ class CostModel:
         self.topology: Optional[NetworkTopology] = (
             None if topology.is_flat else topology)
 
-    def _sync_frequency(self, policy) -> float:
-        """Effective syncs per iteration of ``policy`` (or the model's own)."""
-        resolved = self.policy if policy is None else SyncPolicy.parse(policy)
-        return resolved.sync_frequency
+    def _policy(self, policy) -> SyncPolicy:
+        """``policy`` parsed, or the model's own when it is ``None``."""
+        return self.policy if policy is None else SyncPolicy.parse(policy)
 
     # -- per-layer ------------------------------------------------------------
     def choose(self, layer: LayerSpec, price=None) -> str:
@@ -320,7 +319,7 @@ class CostModel:
         p1 = self.cluster.num_workers
         p2 = self.cluster.num_servers
         m, n = _matrix_dims(layer)
-        freq = self._sync_frequency(policy)
+        freq = self._policy(policy).sync_frequency
         latency_seconds = (backend.latency_messages(p1, p2)
                            * self.cluster.latency_seconds)
         compute_seconds = self.cluster.gpu.compute_seconds(
@@ -349,11 +348,15 @@ class CostModel:
         Topology-aware: on an oversubscribed cluster the value includes the
         scheme's cross-rack premium (see :class:`NetworkTopology`).  Under a
         local-SGD ``policy`` the per-iteration amount shrinks by the sync
-        frequency ``1/H``.
+        frequency ``1/H``.  A scheme whose backend cannot run under the
+        resolved policy raises :class:`ConfigurationError`, as
+        ``resolve_plan`` and the trainer do.
         """
         from repro.comm.backend import get_backend
 
         backend = get_backend(scheme)
+        resolved = self._policy(policy)
+        backend.check_policy(resolved)
         if backend.requires_factorization and not layer.sf_decomposable:
             raise ConfigurationError(
                 f"layer {layer.name!r} is not SF-decomposable; "
@@ -361,7 +364,7 @@ class CostModel:
             )
         is_fc = layer.kind is LayerKind.FC
         m, n = _matrix_dims(layer)
-        freq = self._sync_frequency(policy)
+        freq = resolved.sync_frequency
         # The compressor only touches FC weight matrices (the shared scope
         # rule of repro.comm.wire); conv/bias blobs ship dense everywhere.
         factor = (backend.compression_cost_factor(self.compression, m, n)

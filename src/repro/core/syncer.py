@@ -22,7 +22,6 @@ import numpy as np
 from repro.comm.adam import AdamSFServer
 from repro.comm.averaging import ParameterAverager
 from repro.comm.parameter_server import ShardedParameterServer
-from repro.comm.quantization import OneBitQuantizer, dequantize_dict, quantized_nbytes
 from repro.comm.sfb import SufficientFactorBroadcaster
 from repro.core.policy import BSP, SyncPolicy
 from repro.exceptions import TrainingError
@@ -50,8 +49,8 @@ class Syncer:
     """Synchronizes one layer's parameters under a fixed scheme.
 
     ``scheme`` is the registered name of the protocol the syncer speaks
-    (``"ps"``, ``"onebit"``, ``"sfb"`` or ``"adam"`` here; subclasses name
-    their own).  A backend subclassing a built-in inherits its protocol.
+    (``"ps"``, ``"sfb"`` or ``"adam"`` here; subclasses name their own).
+    A backend subclassing a built-in inherits its protocol.
     """
 
     def __init__(self, worker_id: int, layer: Layer, scheme: str,
@@ -59,7 +58,6 @@ class Syncer:
                  sfb: Optional[SufficientFactorBroadcaster] = None,
                  adam: Optional[AdamSFServer] = None,
                  local_optimizer: Optional[SGD] = None,
-                 quantizer: Optional[OneBitQuantizer] = None,
                  compressor=None,
                  aggregation: str = "mean",
                  policy: Optional[SyncPolicy] = None,
@@ -71,10 +69,11 @@ class Syncer:
         self.sfb = sfb
         self.adam = adam
         self.local_optimizer = local_optimizer
-        self.quantizer = quantizer
-        #: Optional pluggable :class:`repro.comm.compression.Compressor`;
-        #: when set on a dense-gradient scheme the push travels lossy at
-        #: the compressed wire size while the pull stays dense.
+        #: Optional lossy encoder with the
+        #: :meth:`repro.comm.compression.Compressor.compress` signature (a
+        #: compressor, or the 1-bit backend's quantizer); when set on a
+        #: dense-gradient scheme the push travels lossy at the encoded wire
+        #: size while the pull stays dense.
         self.compressor = compressor
         self.aggregation = aggregation
         self.policy = BSP if policy is None else policy
@@ -119,13 +118,9 @@ class Syncer:
         return iteration + 1
 
     def _validate_backends(self) -> None:
-        if self.scheme in ("ps", "onebit") and self.ps is None:
+        if self.scheme == "ps" and self.ps is None:
             raise TrainingError(
                 f"syncer for {self.layer.name!r}: scheme {self.scheme} needs a parameter server"
-            )
-        if self.scheme == "onebit" and self.quantizer is None:
-            raise TrainingError(
-                f"syncer for {self.layer.name!r}: 1-bit scheme needs a quantizer"
             )
         if self.scheme == "sfb":
             if self.sfb is None or self.local_optimizer is None:
@@ -191,7 +186,6 @@ class Syncer:
                 return self._sync_compressed
             return {
                 "ps": self._sync_ps,
-                "onebit": self._sync_onebit,
                 "sfb": self._sync_sfb,
                 "adam": self._sync_adam,
             }[self.scheme]
@@ -223,18 +217,11 @@ class Syncer:
         self._push_pull(iteration, self._staged_grads)
 
     def _sync_compressed(self, iteration: int) -> None:
-        """PS sync with a pluggable compressor: lossy push, dense pull."""
+        """PS sync through the lossy encoder: lossy push, dense pull."""
         assert self.compressor is not None and self._staged_grads is not None
         lossy_grads, wire_bytes = self.compressor.compress(
             self.layer.name, self._staged_grads)
         self._push_pull(iteration, lossy_grads, nbytes=wire_bytes)
-
-    def _sync_onebit(self, iteration: int) -> None:
-        assert self.quantizer is not None and self._staged_grads is not None
-        quantized, dense = self.quantizer.quantize_dict(
-            self.layer.name, self._staged_grads)
-        self._push_pull(iteration, dequantize_dict(quantized, dense),
-                        nbytes=quantized_nbytes(quantized, dense))
 
     def _sync_sfb(self, iteration: int) -> None:
         assert self.sfb is not None and self.local_optimizer is not None

@@ -21,10 +21,6 @@ class CommunicationError(ReproError):
     """A communication substrate detected a protocol violation."""
 
 
-class PartitionError(ReproError):
-    """Parameters could not be partitioned into KV pairs / shards."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 

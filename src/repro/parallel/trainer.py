@@ -34,7 +34,6 @@ from repro.comm.backend import (TrainerContext, WorkerResources,
                                 check_compression, get_backend)
 from repro.comm.bucketing import GradientBucketer
 from repro.comm.compression import make_compressor
-from repro.comm.quantization import OneBitQuantizer
 from repro.config import ScheduleMode, TrainingConfig
 from repro.core.consistency import BSPController
 from repro.core.faults import FailureDetector, FaultInjector, FaultPlan
@@ -98,7 +97,7 @@ class TrainerCheckpoint:
     Captured at a step boundary where no sync is in flight -- inside the
     BSP barrier release (all other workers parked) or between rounds of
     the serialized relaxed-policy loop -- so every piece is from the same
-    logical instant: the replicas, their local optimizer / quantizer /
+    logical instant: the replicas, their local optimizer / lossy encoder /
     sampler state, the substrates' global state (including server-side
     optimizer state) and the SSP clock vector.
     """
@@ -106,13 +105,12 @@ class TrainerCheckpoint:
     step: int
     replica_states: List[Dict[str, Dict[str, np.ndarray]]]
     optimizer_states: List[Dict[str, np.ndarray]]
-    quantizer_states: List[dict]
+    #: Per-worker lossy-encoder state (error-feedback residuals, PowerSGD
+    #: factors); empty dicts when gradients travel dense.
+    compressor_states: List[dict]
     sampler_states: List[Optional[dict]]
     substrate_snapshots: Dict[str, Any]
     clock_snapshot: Optional[Dict[int, int]] = None
-    #: Per-worker pluggable-compressor state (error-feedback residuals,
-    #: PowerSGD factors); empty dicts when no compressor is configured.
-    compressor_states: List[dict] = field(default_factory=list)
 
 
 class _WorkerRuntime:
@@ -181,8 +179,8 @@ class DistributedTrainer:
             ``None`` when a ``batch_provider`` is given.
         training: hyper-parameters.
         mode: communication mode -- any registered backend name (``"ps"``,
-            ``"sfb"``, ``"onebit"``, ``"adam"``, ``"ring"``, ``"hierps"``,
-            ...) or ``"hybrid"`` (per-layer Algorithm 1).
+            ``"sfb"``, ``"adam"``, ``"ring"``, ``"hierps"``, ...) or
+            ``"hybrid"`` (per-layer Algorithm 1).
         schedule: WFBP (overlapped) or sequential synchronization.
         num_servers: PS shard count used by the hybrid cost model.
         test_data: optional held-out set for periodic evaluation.
@@ -222,10 +220,10 @@ class DistributedTrainer:
             worker is declared dead.
         retry_backoff: base seconds of the exponential retry backoff.
         compressor: pluggable gradient compressor spec for dense-gradient
-            backends (``"none"``, ``"onebit"``, ``"topk(K)"``,
-            ``"powersgd(R)"``); lossy push at the compressed wire size,
-            dense pull.  The configured mode (or, under ``"hybrid"``, each
-            layer's chosen backend) must have a dense-gradient path.
+            backends (``"none"``, ``"topk(K)"``, ``"powersgd(R)"``); lossy
+            push at the compressed wire size, dense pull.  The configured
+            mode (or, under ``"hybrid"``, each layer's chosen backend) must
+            have a dense-gradient path.
         bucket_bytes: fuse per-layer sync jobs of bucketable schemes into
             combined scheduler jobs of this many dense-gradient bytes
             (flushed the moment the bucket fills during backprop); ``None``
@@ -336,14 +334,22 @@ class DistributedTrainer:
         # recovery mode (collectives reject "drop": a ring or bulletin board
         # has no server that could renormalize to P-1); the policy is checked
         # where each syncer is built (CommBackend.create_syncer).
-        for scheme in sorted(set(self.assignment.schemes.values())):
-            backend = get_backend(scheme)
+        backends = [get_backend(scheme) for scheme
+                    in sorted(set(self.assignment.schemes.values()))]
+        for backend in backends:
             if not backend.supports_fault_mode(self.recovery):
                 raise TrainingError(
-                    f"backend {scheme!r} cannot run recovery mode "
+                    f"backend {backend.name!r} cannot run recovery mode "
                     f"{self.recovery!r} (supported fault modes: "
                     f"{backend.fault_modes})"
                 )
+        # Each worker has one lossy-encoder slot: a backend's own encoder
+        # (1-bit's quantizer) or the configured compressor, never both --
+        # check_compression refuses a compressor on such a backend, and
+        # Algorithm 1 never picks one.
+        self._make_encoder: Callable[[], Any] = next(
+            (backend.encoder for backend in backends if backend.encoder),
+            functools.partial(make_compressor, self.compressor_spec))
 
         # Policy state: the shared parameter averager (local SGD) and the
         # per-worker SSP clock (ssp s>0, async -- where the bound is None).
@@ -427,25 +433,14 @@ class DistributedTrainer:
         """The shared communication substrate of one scheme (None if absent)."""
         return self._substrates.get(scheme)
 
-    @property
-    def parameter_server(self) -> Optional[Any]:
-        """The dense (or quantized) PS substrate, when one is in play."""
-        return self._substrates.get("ps") or self._substrates.get("onebit")
-
-    @property
-    def broadcaster(self) -> Optional[Any]:
-        """The SFB bulletin board, when one is in play."""
-        return self._substrates.get("sfb")
-
     def _build_worker(self, worker_id: int) -> _WorkerRuntime:
         network = self._replicas[worker_id]
         resources = WorkerResources(
             worker_id=worker_id,
             local_optimizer=self._make_optimizer(),
-            quantizer=OneBitQuantizer(),
             # Worker-local instance: error-feedback residuals and PowerSGD
-            # factors are per-replica state, like the 1-bit quantizer's.
-            compressor=make_compressor(self.compressor_spec),
+            # factors are per-replica state.
+            compressor=self._make_encoder(),
         )
         syncers: Dict[str, Syncer] = {}
         for _, layer in network.parameter_layers():
@@ -764,8 +759,6 @@ class DistributedTrainer:
             replica_states=[r.network.get_state() for r in self._workers],
             optimizer_states=[r.resources.local_optimizer.get_state()
                               for r in self._workers],
-            quantizer_states=[r.resources.quantizer.get_state()
-                              for r in self._workers],
             compressor_states=[
                 r.resources.compressor.get_state()
                 if r.resources.compressor is not None else {}
@@ -788,10 +781,7 @@ class DistributedTrainer:
             runtime.network.set_state(ckpt.replica_states[worker_id])
             runtime.resources.local_optimizer.set_state(
                 ckpt.optimizer_states[worker_id])
-            runtime.resources.quantizer.set_state(
-                ckpt.quantizer_states[worker_id])
-            if (runtime.resources.compressor is not None
-                    and ckpt.compressor_states):
+            if runtime.resources.compressor is not None:
                 runtime.resources.compressor.set_state(
                     ckpt.compressor_states[worker_id])
             if (runtime.sampler is not None

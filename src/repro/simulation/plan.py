@@ -161,11 +161,7 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
     units = []
     for index, unit in enumerate(workload.units):
         backend = get_backend(schemes[unit.name])
-        if not backend.supports_policy(system.policy):
-            raise ConfigurationError(
-                f"backend {backend.name!r} cannot run under policy "
-                f"{system.policy} (supported semantics: "
-                f"{backend.sync_semantics})")
+        backend.check_policy(system.policy)
         owner = cluster.server_node(index % num_servers)
         encode_seconds = 0.0
         if compression is not None and backend.compressible:

@@ -474,7 +474,7 @@ class TestNewTrainerModes:
                                      mode="hierps")
         substrate = trainer.substrate("hierps")
         assert isinstance(substrate, HierarchicalParameterServer)
-        assert trainer.parameter_server is None
+        assert trainer.substrate("ps") is None
 
 
 RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")

@@ -7,9 +7,7 @@ Four layers of protection:
   its rejection of malformed specs at construction time);
 * compressor math (:mod:`repro.comm.compression`): top-k error feedback
   conserves gradient mass (residual = exactly the un-sent entries, a
-  hypothesis property), the 1-bit compressor reproduces
-  ``OneBitQuantizer`` byte-for-byte and value-for-value, PowerSGD's
-  warm-started factors are deterministic, and every compressor's state
+  hypothesis property), PowerSGD's warm-started factors are deterministic, and every compressor's state
   round-trips through ``get_state``/``set_state`` -- including through a
   trainer checkpoint/restore cycle under fault injection;
 * end-to-end wire-byte agreement: the trainer's measured per-layer
@@ -18,7 +16,8 @@ Four layers of protection:
   ``repro.comm.wire`` formulas, pinned exactly for every (backend,
   compressor) pair;
 * configuration validation: a compressor on a backend with no
-  dense-gradient path (sfb, onebit, adam) and wire axes under fine
+  dense-gradient path (sfb, onebit, adam), the retired ``"onebit"``
+  compressor spec (1-bit is a backend) and wire axes under fine
   partitioning raise ``ConfigurationError`` in the trainer and in both
   simulators.
 """
@@ -31,13 +30,11 @@ from repro.comm import wire
 from repro.comm.backend import check_compression, get_backend
 from repro.comm.compression import (
     TOPK_SAMPLE,
-    OneBitCompressor,
     PowerSGDCompressor,
     TopKCompressor,
     _topk_indices,
     make_compressor,
 )
-from repro.comm.quantization import OneBitQuantizer
 from repro.comm.wire import CompressionConfig
 from repro.config import (
     ClusterConfig,
@@ -64,6 +61,7 @@ from repro.nn.optim import (
 from repro.nn.spec import LayerKind
 from repro.parallel import DistributedTrainer
 from repro.simulation.fluid import FluidSimulator
+from repro.simulation.plan import resolve_plan
 from repro.simulation.throughput import IterationSimulator
 from repro.simulation.workload import build_workload
 
@@ -119,11 +117,6 @@ class TestWireFormulas:
         assert wire.sign_payload_bytes(8) == 1
         assert wire.sign_payload_bytes(9) == 2
         assert wire.sign_payload_bytes(0) == 0
-
-    def test_onebit_payload_matches_quantizer(self):
-        grad = np.random.default_rng(0).standard_normal((37, 21)).astype(np.float32)
-        quantized = OneBitQuantizer().quantize("w", grad)
-        assert wire.onebit_payload_bytes(37, 21) == quantized.nbytes
 
     def test_topk_count_fraction_and_absolute(self):
         assert wire.topk_count(0.01, 1000) == 10
@@ -181,7 +174,6 @@ class TestWireFormulas:
     def test_parse_accepts_canonical_specs(self):
         assert CompressionConfig.parse(None).is_identity
         assert CompressionConfig.parse("none").is_identity
-        assert CompressionConfig.parse("onebit").kind == "onebit"
         assert CompressionConfig.parse("topk(0.01)").k == 0.01
         assert CompressionConfig.parse("powersgd(4)").rank == 4
 
@@ -386,28 +378,6 @@ class TestTopKCompressor:
             _topk_indices(np.full(8, np.inf, dtype=np.float32), 3), [0, 1, 2])
 
 
-class TestOneBitCompressor:
-    def test_matches_quantizer_bytes_and_values(self):
-        compressor = OneBitCompressor(CompressionConfig.parse("onebit"))
-        quantizer = OneBitQuantizer()
-        for step in range(3):   # across steps, so residuals must agree too
-            grads = random_grads(10 + step)
-            lossy, nbytes = compressor.compress("fc", grads)
-            reference = quantizer.quantize("fc/weight", grads["weight"])
-            np.testing.assert_array_equal(lossy["weight"],
-                                          reference.dequantize())
-            assert nbytes == reference.nbytes + grads["bias"].nbytes
-
-    def test_state_round_trips(self):
-        a = OneBitCompressor(CompressionConfig.parse("onebit"))
-        b = OneBitCompressor(CompressionConfig.parse("onebit"))
-        a.compress("fc", random_grads(20))
-        b.set_state(a.get_state())
-        lossy_a, _ = a.compress("fc", random_grads(21))
-        lossy_b, _ = b.compress("fc", random_grads(21))
-        np.testing.assert_array_equal(lossy_a["weight"], lossy_b["weight"])
-
-
 class TestPowerSGDCompressor:
     def test_lossy_is_rank_r(self):
         compressor = PowerSGDCompressor(CompressionConfig.parse("powersgd(2)"))
@@ -442,7 +412,7 @@ class TestMakeCompressor:
         assert make_compressor("none") is None
 
     def test_spec_round_trips(self):
-        for spec in ("onebit", "topk(0.01)", "topk(3)", "powersgd(4)"):
+        for spec in ("topk(0.01)", "topk(3)", "powersgd(4)"):
             assert make_compressor(spec).spec == spec
         for spec in ("topk(0.0123456789)", "topk(1234567)", "topk(1e-07)"):
             compressor = make_compressor(spec)
@@ -515,6 +485,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="dense-gradient path"):
             FluidSimulator(workload, cluster, system)
 
+    def test_parse_refuses_onebit(self):
+        """1-bit is the ``onebit`` backend, not a compressor spec."""
+        with pytest.raises(ConfigurationError, match="unknown compressor"):
+            CompressionConfig.parse("onebit")
+        with pytest.raises(ConfigurationError):
+            make_compressor("onebit")
+
+    @pytest.mark.parametrize("mode", ["ps", "ring", "hybrid"])
+    def test_trainer_refuses_onebit_compressor(self, setup, mode):
+        with pytest.raises(ConfigurationError, match="unknown compressor"):
+            make_trainer(setup, mode, compressor="onebit")
+
+    def test_resolve_plan_refuses_onebit_compressor(self):
+        cluster = ClusterConfig(num_workers=4, bandwidth_gbps=10.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        # The coarse PS system value already refuses to exist, so no plan
+        # (and no engine) is ever built for it.
+        with pytest.raises(ConfigurationError, match="unknown compressor"):
+            resolve_plan(workload, coarse_system("ps", "onebit"), cluster)
+
     def test_validate_identity_returns_none(self):
         assert check_compression("ps", "none") is None
         config = check_compression("ps", "topk(0.1)")
@@ -525,7 +515,7 @@ class TestValidation:
 class TestTrainerWireBytes:
     """Trainer-measured bytes == the shared wire formulas, per layer."""
 
-    @pytest.mark.parametrize("spec", ["topk(0.1)", "powersgd(2)", "onebit"])
+    @pytest.mark.parametrize("spec", ["topk(0.1)", "powersgd(2)"])
     def test_ps_bytes_sent_match_formula(self, setup, spec):
         config = CompressionConfig.parse(spec)
         trainer = make_trainer(setup, "ps", compressor=spec)
@@ -705,8 +695,7 @@ class TestSimulatorAgreement:
     """DES and fluid book identical traffic for every compressor."""
 
     @pytest.mark.parametrize("comm", ["ps", "ring"])
-    @pytest.mark.parametrize("spec", ["none", "topk(0.01)", "powersgd(4)",
-                                      "onebit"])
+    @pytest.mark.parametrize("spec", ["none", "topk(0.01)", "powersgd(4)"])
     def test_des_and_fluid_traffic_exactly_equal(self, comm, spec):
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)

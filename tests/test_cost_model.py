@@ -1,6 +1,7 @@
 """Tests for the Table 1 cost model and Algorithm 1 (BestScheme)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,3 +170,36 @@ class TestBestScheme:
 
     def test_numpy_integer_batch_is_valid(self, small_cluster):
         assert CostModel(small_cluster, batch_size=np.int64(8)).batch_size == 8
+
+
+class TestPolicyRefusal:
+    """A scheme the trainer and ``resolve_plan`` refuse under a policy has
+    no price either (VGG19 fc6 at 8 nodes)."""
+
+    FC6 = get_model_spec("vgg19").layer("fc6")
+    CLUSTER = ClusterConfig(num_workers=8)
+
+    @pytest.mark.parametrize("policy", ["ssp(2)", "async"])
+    @pytest.mark.parametrize("scheme", ["ring", "sfb"])
+    def test_every_query_refuses(self, scheme, policy):
+        per_call = CostModel(self.CLUSTER, batch_size=32)
+        sticky = CostModel(self.CLUSTER, batch_size=32, policy=policy)
+        queries = (
+            lambda: per_call.scheme_cost_params(self.FC6, scheme, policy=policy),
+            lambda: per_call.scheme_cost_bytes(self.FC6, scheme, policy=policy),
+            lambda: per_call.scheme_seconds(self.FC6, scheme, policy=policy),
+            lambda: sticky.scheme_cost_params(self.FC6, scheme),
+            lambda: sticky.scheme_seconds(self.FC6, scheme),
+        )
+        for query in queries:
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"backend '{scheme}' cannot run under policy {policy}")):
+                query()
+
+    @pytest.mark.parametrize("scheme, policy", [
+        ("ps", "ssp(2)"), ("ps", "async"), ("ring", "ssp(0)"),
+        ("sfb", "ssp(0)")])
+    def test_a_pair_the_trainer_runs_keeps_its_bsp_price(self, scheme, policy):
+        model = CostModel(self.CLUSTER, batch_size=32)
+        assert (model.scheme_cost_params(self.FC6, scheme, policy=policy)
+                == model.scheme_cost_params(self.FC6, scheme))

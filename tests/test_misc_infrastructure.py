@@ -85,7 +85,6 @@ class TestExceptions:
         exceptions.ConfigurationError,
         exceptions.ModelSpecError,
         exceptions.CommunicationError,
-        exceptions.PartitionError,
         exceptions.SimulationError,
         exceptions.TrainingError,
         exceptions.ShapeError,

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.quantization import (
-    OneBitQuantizer,
-    dequantize_dict,
-    quantized_nbytes,
-)
+from repro.comm.quantization import OneBitQuantizer
 from repro.exceptions import CommunicationError
 
 
@@ -70,22 +66,28 @@ class TestOneBitQuantizer:
         quantizer.reset()
         assert quantizer.residual("w") is None
 
-    def test_quantize_dict_splits_small_tensors(self, rng):
+    def test_compress_quantizes_every_large_tensor(self, rng):
+        """Scope: >= 2-D tensors of >= 64 elements, conv kernels too;
+        small tensors pass through untouched, the same array."""
+        grads = {"weight": rng.standard_normal((8, 3, 3, 3)).astype(np.float32),
+                 "small": rng.standard_normal((7, 9)).astype(np.float32),
+                 "bias": rng.standard_normal(8).astype(np.float32)}
+        reference = OneBitQuantizer()
         quantizer = OneBitQuantizer()
-        grads = {"weight": rng.standard_normal((32, 16)).astype(np.float32),
-                 "bias": rng.standard_normal(16).astype(np.float32)}
-        quantized, dense = quantizer.quantize_dict("fc", grads)
-        assert "weight" in quantized
-        assert "bias" in dense
+        for step in range(3):   # across steps, so the residuals agree too
+            lossy, _ = quantizer.compress("conv", grads)
+            expected = reference.quantize("conv/weight", grads["weight"])
+            np.testing.assert_array_equal(lossy["weight"], expected.dequantize())
+            assert lossy["small"] is grads["small"]
+            assert lossy["bias"] is grads["bias"]
+        assert quantizer.residual("conv/small") is None
 
-    def test_dequantize_dict_merges(self, rng):
-        quantizer = OneBitQuantizer()
+    def test_compress_keeps_every_key_and_shape(self, rng):
         grads = {"weight": rng.standard_normal((32, 16)).astype(np.float32),
                  "bias": rng.standard_normal(16).astype(np.float32)}
-        quantized, dense = quantizer.quantize_dict("fc", grads)
-        merged = dequantize_dict(quantized, dense)
-        assert set(merged) == {"weight", "bias"}
-        assert merged["weight"].shape == (32, 16)
+        lossy, _ = OneBitQuantizer().compress("fc", grads)
+        assert list(lossy) == ["weight", "bias"]
+        assert lossy["weight"].shape == (32, 16)
 
     @pytest.mark.parametrize("shape", [(3, 3), (5, 7), (13, 1), (7, 3)])
     def test_wire_size_rounds_sign_payload_up(self, rng, shape):
@@ -121,13 +123,12 @@ class TestOneBitQuantizer:
                 assert quantized.negative_scale[0, column] == pytest.approx(
                     expected_neg, abs=1e-6)
 
-    def test_quantized_nbytes_accounts_both_parts(self, rng):
-        quantizer = OneBitQuantizer()
+    def test_compress_wire_bytes_account_both_parts(self, rng):
         grads = {"weight": rng.standard_normal((32, 16)).astype(np.float32),
                  "bias": rng.standard_normal(16).astype(np.float32)}
-        quantized, dense = quantizer.quantize_dict("fc", grads)
-        total = quantized_nbytes(quantized, dense)
-        assert total == quantized["weight"].nbytes + dense["bias"].nbytes
+        _, total = OneBitQuantizer().compress("fc", grads)
+        quantized = OneBitQuantizer().quantize("fc/weight", grads["weight"])
+        assert total == quantized.nbytes + grads["bias"].nbytes
 
 
 class TestQuantizationProperties:

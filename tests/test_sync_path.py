@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.comm.backend import registered_backends
 from repro.comm.hierarchical import HierarchicalParameterServer, HierPSSyncer
 from repro.comm.parameter_server import ShardedParameterServer
+from repro.comm.quantization import OneBitQuantizer
 from repro.comm.ring import RingAllReducer, RingSyncer
 from repro.comm.sfb import SufficientFactorBroadcaster
 from repro.config import TrainingConfig
@@ -635,7 +636,10 @@ class TestWhoKeepsTheDenseGradient:
         assert len(layers) == 6
         for wid, layer in layers:
             syncer = trainer._workers[wid].syncers[layer.name]
-            assert syncer.scheme == mode
+            # 1-bit is the PS protocol with the quantizer as its encoder.
+            assert syncer.scheme == ("ps" if mode == "onebit" else mode)
+            assert (isinstance(syncer.compressor, OneBitQuantizer)
+                    is (mode == "onebit"))
             assert syncer.consumes_factors is not KEEPS_DENSE_WEIGHT[mode]
             if KEEPS_DENSE_WEIGHT[mode]:
                 _assert_keeps_dense_weight(layer)

@@ -451,7 +451,7 @@ class TestRingLoweringsAreEachOthersOracle:
             ((0.0, 1.0), (1.0, 2.0), (0.1, 1.5), (0.5, 3.0))),
         schedule=st.sampled_from(ScheduleMode),
         compressor=st.sampled_from(
-            ("none", "topk(0.01)", "onebit", "powersgd(4)")),
+            ("none", "topk(0.01)", "powersgd(4)")),
         bucket_bytes=st.sampled_from((None, 256 << 10, 4 << 20, 64 << 20)))
     def test_one_hold_equals_the_stepped_rounds(
             self, model, nodes, bandwidth, topology, stragglers, schedule,

@@ -44,9 +44,11 @@ class TestSyncerValidation:
             Syncer(0, conv, "sfb",
                    sfb=SufficientFactorBroadcaster(1), local_optimizer=SGD(0.1))
 
-    def test_onebit_scheme_requires_quantizer(self, dense_layer):
-        with pytest.raises(TrainingError):
-            Syncer(0, dense_layer, "onebit", ps=make_ps(dense_layer))
+    def test_onebit_is_no_syncer_scheme(self, dense_layer):
+        """1-bit is the PS syncer with a quantizer for its compressor."""
+        syncer = Syncer(0, dense_layer, "onebit", ps=make_ps(dense_layer))
+        with pytest.raises(TrainingError, match="no functional handler"):
+            syncer.sync(iteration=0)
 
     def test_adam_scheme_requires_server(self, dense_layer):
         with pytest.raises(TrainingError):
@@ -79,7 +81,9 @@ class TestPsSyncer:
                                    server_params["weight"])
 
 
-class TestOneBitSyncer:
+class TestQuantizedPsSyncer:
+    """The 1-bit backend's path: the PS syncer, a quantizer compressing."""
+
     @staticmethod
     def _prepared_layer(seed: int, m: int = 32, n: int = 16) -> Dense:
         """A Dense layer large enough for the quantizer to engage (>= 64 weights)."""
@@ -95,17 +99,19 @@ class TestOneBitSyncer:
                              ps=make_ps(dense_layer)).sync(iteration=0)
 
         layer2 = self._prepared_layer(seed=1)
-        onebit_stats = Syncer(0, layer2, "onebit", ps=make_ps(layer2),
-                              quantizer=OneBitQuantizer()).sync(iteration=0)
+        onebit_stats = Syncer(0, layer2, "ps", ps=make_ps(layer2),
+                              compressor=OneBitQuantizer()).sync(iteration=0)
         assert onebit_stats.bytes_sent < dense_stats.bytes_sent
+        # The pull stays dense.
+        assert onebit_stats.bytes_received == dense_stats.bytes_received
 
     def test_update_is_lossy(self):
         """The 1-bit path must not produce the exact dense update."""
         exact_layer = self._prepared_layer(seed=5)
         lossy_layer = self._prepared_layer(seed=5)
         Syncer(0, exact_layer, "ps", ps=make_ps(exact_layer)).sync(0)
-        Syncer(0, lossy_layer, "onebit", ps=make_ps(lossy_layer),
-               quantizer=OneBitQuantizer()).sync(0)
+        Syncer(0, lossy_layer, "ps", ps=make_ps(lossy_layer),
+               compressor=OneBitQuantizer()).sync(0)
         assert not np.allclose(exact_layer.params["weight"],
                                lossy_layer.params["weight"])
 
