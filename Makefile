@@ -119,13 +119,14 @@ examples-smoke:
 ## intra-repo links (markdown, and every NAME.md / backticked path a .py
 ## file under src, tests or benchmarks cites; backticked repro.* names
 ## outside ROADMAP.md / CHANGES.md), no unused module-level import in a
-## src/repro module, + the doctests of every tracked src/repro module that
-## has one
+## src/repro module, no src/repro definition without a use outside tests/,
+## + the doctests of every tracked src/repro module that has one
 docs-check:
 	python tools/check_links.py README.md PERFORMANCE.md ROADMAP.md \
 		CHANGES.md docs/architecture.md docs/backends.md \
 		src tests benchmarks
 	python tools/check_imports.py src/repro
+	python tools/check_refs.py
 	PYTHONPATH=src python -m doctest $$(git grep -l '>>>' -- 'src/repro/*.py')
 	@echo "docs check passed"
 

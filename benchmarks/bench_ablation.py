@@ -19,13 +19,6 @@ def test_ablation_system_variants(benchmark, once):
     assert full >= speedup("coarse partitioning")
 
 
-def test_ablation_server_shard_count(benchmark, once):
-    """More PS shards spread load and improve PS-only throughput."""
-    speedups = once(benchmark, ablation.run_server_count_ablation,
-                    "vgg19", 16, 10.0, (1, 4, 16))
-    assert speedups[16] > speedups[1]
-
-
 def test_ablation_multigpu(benchmark, once):
     """Multi-GPU-per-node scaling (Section 5.1)."""
     points = once(benchmark, replace(MULTIGPU, models=("googlenet",)).run)

@@ -15,7 +15,7 @@ def test_fig11_exact_vs_onebit_training(benchmark, once):
     """Train CIFAR-quick (downscaled) with exact and 1-bit synchronization."""
     result = once(benchmark, fig11.run_fig11, 40)
     for label in ("Poseidon", "Poseidon-1bit"):
-        losses = result.loss_curve(label)
+        losses = result.histories[label].losses
         assert len(losses) == 40
         assert np.isfinite(losses).all()
 

@@ -29,7 +29,8 @@ def test_des_event_throughput(benchmark):
             for _ in range(5_000):
                 yield env.timeout(0.001)
 
-        env.run_process(proc())
+        env.process(proc())
+        env.run()
         return env.events_processed
 
     events = benchmark(run_chain)
@@ -268,14 +269,15 @@ def test_workload_derivation(benchmark, model):
     """Spec -> simulation workload derivation time for large models."""
     spec = get_model_spec(model)
     workload = benchmark(build_workload, spec)
-    assert workload.num_units > 5
+    assert len(workload.units) > 5
 
 
 def _trainer_run(policy, **fault_kwargs):
     from repro.config import TrainingConfig
-    from repro.data import make_linearly_separable, shard_dataset
+    from repro.data import shard_dataset
     from repro.nn.model_zoo import build_mlp_network
     from repro.parallel import DistributedTrainer
+    from train_reference import make_linearly_separable
 
     train_x, train_y, _, _ = make_linearly_separable(
         num_train=96, num_test=8, input_dim=16, num_classes=4, seed=1)
@@ -313,7 +315,7 @@ def test_trainer_iteration_nofault(benchmark):
     """Same BSP run with the fault-injection machinery armed but idle.
 
     An empty FaultPlan attaches the injector hooks (begin_step +
-    before_sync on every layer), the heartbeat detector and the retry
+    before_sync on every layer), the failure detector and the retry
     wrapper to the identical run as test_trainer_iteration_bsp, so the
     ratio of the two means is the fault-free overhead of the hooks on
     the hot path (gated < 5% in benchmarks/baseline.json).  Checkpoint
@@ -333,9 +335,10 @@ def test_trainer_checkpoint(benchmark):
     near-zero at realistic intervals.
     """
     from repro.config import TrainingConfig
-    from repro.data import make_linearly_separable, shard_dataset
+    from repro.data import shard_dataset
     from repro.nn.model_zoo import build_mlp_network
     from repro.parallel import DistributedTrainer
+    from train_reference import make_linearly_separable
 
     train_x, train_y, _, _ = make_linearly_separable(
         num_train=96, num_test=8, input_dim=16, num_classes=4, seed=1)

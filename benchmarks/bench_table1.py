@@ -11,15 +11,3 @@ def test_table1_worked_example(benchmark, once):
     assert result.row("PS").server_and_worker == pytest.approx(58.7, rel=0.01)
     assert result.row("SFB").worker == pytest.approx(3.7, rel=0.02)
     assert result.best_scheme == "sfb"
-
-
-def test_table1_cluster_size_sweep(benchmark, once):
-    """Cost-model sweep over cluster sizes 2..64."""
-    sweep = once(benchmark, table1.sweep_cluster_sizes)
-    assert set(sweep) == {2, 4, 8, 16, 32, 64}
-
-
-def test_table1_crossover_search(benchmark, once):
-    """Batch-size crossover search for the 4096x4096 layer."""
-    crossover = once(benchmark, table1.crossover_batch_size, 4096, 4096, 8, 8)
-    assert 256 < crossover <= 1024

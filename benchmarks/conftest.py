@@ -13,7 +13,14 @@ Run with::
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The trainer micro-benchmarks draw their data from the tests' reference
+# dataset (tests/train_reference.py).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -15,9 +15,10 @@ transfer is a single analytically-computed timeout instead of a
 request/yield/release resource round-trip, and a broadcast serialises its
 copies on the sender's uplink inside one process instead of spawning one
 process per destination.  Completion times are identical to the historical
-:class:`~repro.sim.resources.Resource`-based model: FIFO order is by
-acquisition call either way, and contended holds chain on the previous
-holder's release event, which is processed exactly when the channel frees.
+FIFO-server model (the ``Resource`` reference in ``tests/sim_reference.py``):
+FIFO order is by acquisition call either way, and contended holds chain on
+the previous holder's release event, which is processed exactly when the
+channel frees.
 
 With a non-flat rack topology (``ClusterConfig.racks > 1`` and
 ``oversubscription > 1``), every rack additionally owns a
@@ -74,10 +75,6 @@ class GpuDevice:
         self._free_at = finish
         yield self.env.timeout_at(finish)
         self.busy_seconds += seconds
-
-    def compute_flops(self, flops: float) -> Generator:
-        """Process: run ``flops`` worth of work at the device's throughput."""
-        return self.compute(flops / self.effective_flops)
 
 
 class NetworkInterface:
@@ -184,19 +181,6 @@ class ClusterModel:
                     if num_nodes > 1 else 0.0)
 
     # -- topology helpers --------------------------------------------------------
-    def rack_of(self, node_id: int) -> int:
-        """Rack index of a node under the physical topology.
-
-        Raises:
-            SimulationError: for ids outside the cluster (including the
-                :data:`FABRIC` sentinel, which belongs to no rack).
-        """
-        if self.topology_active:
-            if 0 <= node_id < len(self._rack_by_node):
-                return self._rack_by_node[node_id]
-            raise SimulationError(f"node id {node_id} belongs to no rack")
-        return self.config.rack_of(node_id)
-
     def rack_switch(self, node_id: int) -> RackSwitch:
         """The :class:`RackSwitch` of a node's rack (topology must be active)."""
         if not self.topology_active:
@@ -646,22 +630,3 @@ class ClusterModel:
                        tag: str = "untagged") -> Event:
         """Node-to-fabric flows out of every node's uplink; fires at the last."""
         return self._fabric_fan(node_ids, nbytes_each, tag, outbound=True)
-
-    # -- accounting ------------------------------------------------------------------
-    def reset_traffic(self) -> None:
-        """Clear all per-node (and per-rack) traffic counters."""
-        for machine in self.machines.values():
-            machine.nic.traffic.reset()
-        for switch in self.rack_switches:
-            switch.traffic.reset()
-
-    def cross_rack_bytes(self) -> float:
-        """Total bytes that left any rack through its oversubscribed uplink.
-
-        Zero for flat topologies (no rack switches are modelled there).
-        """
-        return sum(switch.traffic.bytes_sent for switch in self.rack_switches)
-
-    def traffic_by_node(self) -> Dict[int, TrafficAccount]:
-        """Per-node traffic accounts, keyed by node id."""
-        return {node_id: m.nic.traffic for node_id, m in self.machines.items()}

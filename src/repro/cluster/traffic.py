@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro import units
-
 
 @dataclass
 class TrafficAccount:
@@ -37,15 +35,3 @@ class TrafficAccount:
     def total_bytes(self) -> float:
         """Total bytes through this node's NIC in both directions."""
         return self.bytes_sent + self.bytes_received
-
-    @property
-    def total_gigabits(self) -> float:
-        """Total traffic in gigabits (the unit of Figure 10)."""
-        return units.bytes_to_bits(self.total_bytes) / units.GBIT
-
-    def reset(self) -> None:
-        """Clear all counters (called between measured iterations)."""
-        self.bytes_sent = 0.0
-        self.bytes_received = 0.0
-        self.by_tag_sent.clear()
-        self.by_tag_received.clear()

@@ -89,9 +89,6 @@ class Compressor:
     def _compress_array(self, key: str, grad: np.ndarray) -> Tuple[Any, int]:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Drop all compressor state."""
-
     def get_state(self) -> Dict[str, Any]:
         """Deep-copied state snapshot (for checkpointing)."""
         return {}
@@ -165,9 +162,6 @@ class TopKCompressor(Compressor):
         m, n = grad.shape
         return payload, self.config.weight_payload_bytes(m, n)
 
-    def reset(self):
-        self._residuals.clear()
-
     def get_state(self):
         return {"residuals": {key: residual.copy()
                               for key, residual in self._residuals.items()}}
@@ -212,10 +206,6 @@ class PowerSGDCompressor(Compressor):
         self._qs[key] = q_new.astype(np.float32)
         self._residuals[key] = corrected - lossy
         return lossy, self.config.weight_payload_bytes(m, n)
-
-    def reset(self):
-        self._qs.clear()
-        self._residuals.clear()
 
     def get_state(self):
         return {

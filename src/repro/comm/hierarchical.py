@@ -87,10 +87,6 @@ class HierarchicalParameterServer:
         first = rack * self.rack_size
         return list(range(first, min(first + self.rack_size, self.num_workers)))
 
-    def leader_of(self, rack: int) -> int:
-        """The rack's aggregating worker (its first member)."""
-        return self.rack_members(rack)[0]
-
     # -- worker-facing API --------------------------------------------------------
     def push(self, worker_id: int, layer: str, grads: ArrayDict) -> int:
         """Contribute one worker's gradient; returns its wire bytes.
@@ -129,10 +125,6 @@ class HierarchicalParameterServer:
     def version(self, layer: str) -> int:
         """Aggregated updates applied to ``layer`` at the root."""
         return self.root.version(layer)
-
-    def global_params(self, layer: str) -> ArrayDict:
-        """Copy of the root's current global parameters of ``layer``."""
-        return self.root.global_params(layer)
 
     # -- fault tolerance ----------------------------------------------------------
     def checkpoint(self, include_optimizer: bool = False) -> Dict[str, ArrayDict]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
-from repro import units
-
 
 class ByteMeter:
     """Thread-safe counter of bytes sent/received, grouped by tag."""
@@ -39,11 +37,6 @@ class ByteMeter:
     def total(self) -> int:
         """Total bytes in both directions."""
         return self.sent + self.received
-
-    @property
-    def total_megabytes(self) -> float:
-        """Total traffic in MiB."""
-        return self.total / units.MB
 
     def snapshot(self) -> Dict[str, int]:
         """A copy of the counters, safe to read while training continues."""

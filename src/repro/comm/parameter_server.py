@@ -123,12 +123,6 @@ class ShardedParameterServer(Rendezvous):
         """Number of aggregated updates applied to ``layer`` so far."""
         return self._slot(layer).version
 
-    def global_params(self, layer: str) -> ArrayDict:
-        """Copy of the current global parameters of ``layer``."""
-        slot = self._slot(layer)
-        with slot.condition:
-            return {key: value.copy() for key, value in slot.params.items()}
-
     def _slot(self, layer: str) -> _LayerSlot:
         try:
             return self._slots[layer]

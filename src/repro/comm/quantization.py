@@ -11,7 +11,7 @@ the technique works well for speech.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class OneBitQuantizer:
 
     def __init__(self) -> None:
         self._residuals: Dict[str, np.ndarray] = {}
-
-    def residual(self, key: str) -> Optional[np.ndarray]:
-        """The residual currently carried for ``key`` (None before first use)."""
-        return self._residuals.get(key)
 
     def quantize(self, key: str, gradient: np.ndarray) -> QuantizedGradient:
         """Quantize ``gradient`` to 1 bit, folding in and updating the residual."""
@@ -121,10 +117,6 @@ class OneBitQuantizer:
                 lossy[key] = grad
                 wire += int(grad.nbytes)
         return lossy, wire
-
-    def reset(self) -> None:
-        """Drop all residual state."""
-        self._residuals.clear()
 
     def get_state(self) -> Dict[str, np.ndarray]:
         """Deep copy of the error-feedback residuals (for checkpointing)."""

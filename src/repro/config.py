@@ -34,11 +34,6 @@ class BandwidthPreset(float, enum.Enum):
     GBE_30 = 30.0
     GBE_40 = 40.0
 
-    @property
-    def bits_per_second(self) -> float:
-        """Bandwidth in bits per second."""
-        return units.gbe(self.value)
-
 
 @dataclass(frozen=True)
 class GpuModel:
@@ -103,7 +98,8 @@ class ClusterConfig:
         >>> flat = ClusterConfig(num_workers=8, bandwidth_gbps=10.0)
         >>> flat.is_flat_topology
         True
-        >>> racked = flat.with_topology(racks=2, oversubscription=4.0)
+        >>> racked = ClusterConfig(num_workers=8, bandwidth_gbps=10.0, racks=2,
+        ...                        oversubscription=4.0)
         >>> racked.is_flat_topology, racked.nodes_per_rack
         (False, 4)
         >>> racked.rack_of(0), racked.rack_of(5)
@@ -259,11 +255,6 @@ class ClusterConfig:
     def with_bandwidth(self, bandwidth_gbps: float) -> "ClusterConfig":
         """Return a copy with a different per-node bandwidth."""
         return replace(self, bandwidth_gbps=bandwidth_gbps)
-
-    def with_topology(self, racks: int,
-                      oversubscription: float) -> "ClusterConfig":
-        """Return a copy with a different rack topology."""
-        return replace(self, racks=racks, oversubscription=oversubscription)
 
 
 @dataclass(frozen=True)

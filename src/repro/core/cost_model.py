@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 from repro import units
 from repro.config import ClusterConfig
-from repro.core.policy import SyncPolicy
+from repro.core.policy import BSP, SyncPolicy
 from repro.exceptions import ConfigurationError
 from repro.nn.spec import LayerKind, LayerSpec
 
@@ -290,11 +290,18 @@ class CostModel:
         backends (ring all-reduce, hierarchical PS) join the choice.
 
         The sync-frequency factor of ``policy`` multiplies every candidate
-        alike, so the ranking itself is policy-invariant; the parameter is
-        accepted for interface symmetry with the cost queries.
+        alike, so the argmin is policy-invariant; a chosen backend that
+        cannot run under ``policy`` raises :class:`ConfigurationError`, as
+        ``resolve_plan`` and the trainer do.
         """
-        del policy  # uniform scale: cannot change the argmin
-        return self.choose(layer)
+        return self._checked(self.choose(layer), policy)
+
+    def _checked(self, scheme: str, policy) -> str:
+        """``scheme``, once its backend is known to run under ``policy``."""
+        from repro.comm.backend import get_backend
+
+        get_backend(scheme).check_policy(self._policy(policy))
+        return scheme
 
     # -- timed Algorithm 1 -------------------------------------------------------
     def scheme_seconds(self, layer: LayerSpec, scheme: str,
@@ -335,10 +342,14 @@ class CostModel:
         high bandwidth SFB's ``P1 - 1`` per-peer broadcast setups and its
         gradient-reconstruction matmuls stop amortizing, pushing
         near-crossover layers back to PS.  Candidate set and tie-breaking
-        are :func:`~repro.comm.backend.hybrid_choice`'s.
+        are :func:`~repro.comm.backend.hybrid_choice`'s.  The candidates are
+        priced under BSP: ``policy`` scales every price by the same sync
+        frequency, and is checked on the chosen backend only (see
+        :meth:`best_scheme`).
         """
-        return self.choose(layer, price=lambda backend: self.scheme_seconds(
-            layer, backend.name, policy=policy))
+        choice = self.choose(layer, price=lambda backend: self.scheme_seconds(
+            layer, backend.name, policy=BSP))
+        return self._checked(choice, policy)
 
     # -- bytes-on-the-wire helpers ----------------------------------------------
     def scheme_cost_params(self, layer: LayerSpec, scheme: str,

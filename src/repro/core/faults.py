@@ -35,7 +35,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -102,9 +102,9 @@ class FaultPlan:
     """A frozen, seeded schedule of faults for one training run.
 
     Build one explicitly from fault tuples, or sample one with
-    :meth:`random`.  An empty plan (the default) is the documented
-    zero-cost no-op: the trainer skips every injection hook when
-    ``plan.is_empty``.
+    :meth:`random`.  An empty plan schedules nothing, but its hooks stay
+    armed; the trainer skips every injection hook only without a plan
+    (``fault_plan=None``).
     """
 
     crashes: Tuple[CrashFault, ...] = ()
@@ -116,16 +116,6 @@ class FaultPlan:
     #: factor, this only shapes observable wall-clock in the live trainer.
     slowdown_unit_seconds: float = 0.002
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no fault is scheduled (hooks become no-ops)."""
-        return not (self.crashes or self.slowdowns or self.transients)
-
-    def crash_iteration(self, worker_id: int) -> Optional[int]:
-        """First iteration at which ``worker_id`` is scheduled to crash."""
-        its = [c.iteration for c in self.crashes if c.worker_id == worker_id]
-        return min(its) if its else None
-
     def slow_factor(self, worker_id: int, iteration: int) -> float:
         """Combined slowdown factor for a worker step (1.0 = full speed)."""
         factor = 1.0
@@ -133,11 +123,6 @@ class FaultPlan:
             if slow.worker_id == worker_id and slow.covers(iteration):
                 factor *= slow.factor
         return factor
-
-    def transient_failures(self, worker_id: int, iteration: int) -> int:
-        """Scheduled consecutive sync failures for (worker, iteration)."""
-        return sum(t.failures for t in self.transients
-                   if t.worker_id == worker_id and t.iteration == iteration)
 
     @classmethod
     def random(cls, seed: int, num_workers: int, iterations: int,
@@ -239,23 +224,19 @@ class FaultInjector:
 
 
 class FailureDetector:
-    """Heartbeat/lease board plus the abort fan-out registry.
+    """The dead set plus the abort fan-out registry.
 
-    Workers ``beat`` at every step; when a failure is detected (a raised
-    :class:`WorkerFailure`, or a lease expiry observed by a supervisor)
-    the detector marks the worker dead and aborts every registered sync
-    primitive so blocked peers raise instead of hanging until timeout.
+    When a worker raises :class:`WorkerFailure` the detector marks it dead
+    and aborts every registered sync primitive, so blocked peers raise
+    instead of hanging until timeout.
     Registered primitives implement ``abort(exc)`` and ``clear_abort()``
     -- in the trainer, every one is a
     :class:`~repro.core.consistency.Rendezvous`.
     """
 
-    def __init__(self, num_workers: int, lease_seconds: float = 30.0):
+    def __init__(self, num_workers: int):
         self.num_workers = num_workers
-        self.lease_seconds = lease_seconds
         self._lock = threading.Lock()
-        self._last_beat: Dict[int, float] = {}
-        self._last_step: Dict[int, int] = {}
         self._dead: Set[int] = set()
         self._abortables: List[object] = []
 
@@ -264,30 +245,6 @@ class FailureDetector:
         with self._lock:
             if primitive not in self._abortables:
                 self._abortables.append(primitive)
-
-    def beat(self, worker_id: int, step: int) -> None:
-        """Record a heartbeat (called at the top of every worker step)."""
-        with self._lock:
-            self._last_beat[worker_id] = time.monotonic()
-            self._last_step[worker_id] = step
-
-    def is_dead(self, worker_id: int) -> bool:
-        """Whether the worker has been declared dead."""
-        with self._lock:
-            return worker_id in self._dead
-
-    def dead_workers(self) -> FrozenSet[int]:
-        """The set of workers declared dead so far."""
-        with self._lock:
-            return frozenset(self._dead)
-
-    def expired_leases(self, now: Optional[float] = None) -> List[int]:
-        """Workers whose lease has lapsed (no beat within the lease)."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            return [worker for worker, beat in self._last_beat.items()
-                    if worker not in self._dead
-                    and now - beat > self.lease_seconds]
 
     def mark_dead(self, worker_id: int, exc: BaseException) -> bool:
         """Declare a worker dead and abort all registered primitives.
@@ -308,8 +265,6 @@ class FailureDetector:
         """Clear dead set and aborts (restart-from-checkpoint recovery)."""
         with self._lock:
             self._dead.clear()
-            self._last_beat.clear()
-            self._last_step.clear()
             abortables = list(self._abortables)
         for primitive in abortables:
             primitive.clear_abort()

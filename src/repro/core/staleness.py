@@ -67,12 +67,6 @@ class SSPClock(Rendezvous):
         with self._condition:
             return self._min_locked()
 
-    def lag(self, worker_id: int) -> int:
-        """How far ahead of the slowest worker this worker currently is."""
-        self._check_worker(worker_id)
-        with self._condition:
-            return self._clocks[worker_id] - self._min_locked()
-
     def snapshot(self) -> Dict[int, int]:
         """Copy of every worker's clock."""
         with self._condition:
@@ -111,16 +105,6 @@ class SSPClock(Rendezvous):
                     "{} with staleness bound {} on the slowest worker",
                     worker_id, new_clock, self.staleness)
         return new_clock
-
-    def can_proceed(self, worker_id: int) -> bool:
-        """Whether the worker could start its next iteration without blocking."""
-        self._check_worker(worker_id)
-        if self.staleness is None:
-            return True
-        with self._condition:
-            minimum = self._min_locked()
-            return (self._clocks[worker_id] + 1 - minimum) <= self.staleness \
-                or self._clocks[worker_id] == minimum
 
     # -- fault-tolerance hooks -------------------------------------------------------
     def restore(self, clocks: Dict[int, int]) -> None:

@@ -36,12 +36,6 @@ class DatasetSpec:
     num_classes: int
 
 
-#: Shape metadata of the paper's datasets (Section 5, "Dataset and Models").
-CIFAR10_SPEC = DatasetSpec("CIFAR-10", 50_000, 10_000, (3, 32, 32), 10)
-ILSVRC12_SPEC = DatasetSpec("ILSVRC12", 1_281_167, 50_000, (3, 224, 224), 1_000)
-IMAGENET22K_SPEC = DatasetSpec("ImageNet22K", 14_197_087, 0, (3, 224, 224), 21_841)
-
-
 class SyntheticImageDataset:
     """A deterministic synthetic stand-in for an image-classification dataset.
 
@@ -106,10 +100,6 @@ class SyntheticImageDataset:
         """Number of target classes."""
         return self.spec.num_classes
 
-    def train_batch(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather a training batch by index."""
-        return self.train_images[indices], self.train_labels[indices]
-
 
 def make_cifar10_like(num_train: int = 2_000, num_test: int = 500,
                       image_size: int = 32, noise_scale: float = 0.8,
@@ -128,53 +118,4 @@ def make_cifar10_like(num_train: int = 2_000, num_test: int = 500,
         num_classes=10,
         noise_scale=noise_scale,
         seed=seed,
-    )
-
-
-def make_ilsvrc12_like(num_train: int = 512, num_test: int = 128, image_size: int = 32,
-                       num_classes: int = 100, seed: int = 0) -> SyntheticImageDataset:
-    """A heavily downscaled ILSVRC12 stand-in (default 100 classes, 32x32)."""
-    return SyntheticImageDataset(
-        name="synthetic-ILSVRC12",
-        num_train=num_train,
-        num_test=num_test,
-        image_shape=(3, image_size, image_size),
-        num_classes=num_classes,
-        seed=seed,
-    )
-
-
-def make_imagenet22k_like(num_train: int = 512, num_test: int = 0, image_size: int = 32,
-                          num_classes: int = 1_000, seed: int = 0) -> SyntheticImageDataset:
-    """A downscaled ImageNet22K stand-in (many classes, small images)."""
-    return SyntheticImageDataset(
-        name="synthetic-ImageNet22K",
-        num_train=num_train,
-        num_test=num_test,
-        image_shape=(3, image_size, image_size),
-        num_classes=num_classes,
-        seed=seed,
-    )
-
-
-def make_linearly_separable(num_train: int = 1_024, num_test: int = 256,
-                            input_dim: int = 64, num_classes: int = 10,
-                            margin: float = 2.0, seed: int = 0
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A flat-feature classification problem for MLP-based unit tests.
-
-    Returns:
-        ``(train_x, train_y, test_x, test_y)`` arrays.
-    """
-    rng = np.random.default_rng(seed)
-    centroids = rng.standard_normal((num_classes, input_dim)) * margin
-    train_y = rng.integers(0, num_classes, size=num_train)
-    test_y = rng.integers(0, num_classes, size=num_test)
-    train_x = centroids[train_y] + rng.standard_normal((num_train, input_dim))
-    test_x = centroids[test_y] + rng.standard_normal((num_test, input_dim))
-    return (
-        train_x.astype(np.float32),
-        train_y.astype(np.int64),
-        test_x.astype(np.float32),
-        test_y.astype(np.int64),
     )

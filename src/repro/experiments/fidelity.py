@@ -72,11 +72,6 @@ class FidelityReport:
         """Number of checks within their band."""
         return sum(1 for check in self.checks if check.passed)
 
-    @property
-    def all_passed(self) -> bool:
-        """Whether every check passed."""
-        return self.num_passed == len(self.checks)
-
     def render(self) -> str:
         """Readable table of all checks."""
         rows = [

@@ -20,7 +20,7 @@ training runs, not simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.config import (CNTK_1BIT, POSEIDON_CAFFE, ScheduleMode,
                           TrainingConfig)
@@ -49,22 +49,6 @@ class Fig11Result:
     iterations: int
     num_workers: int
     histories: Dict[str, TrainingHistory] = field(default_factory=dict)
-
-    def final_loss(self, label: str) -> float:
-        """Final training loss of one run."""
-        return self.histories[label].final_loss
-
-    def final_error(self, label: str) -> float:
-        """Final test error of one run."""
-        return self.histories[label].final_test_error
-
-    def loss_curve(self, label: str) -> List[float]:
-        """Per-iteration training loss of one run."""
-        return self.histories[label].losses
-
-    def error_curve(self, label: str) -> List[Tuple[int, float]]:
-        """(iteration, test error) samples of one run."""
-        return self.histories[label].test_errors
 
 
 def run_fig11(iterations: int = 150, num_workers: int = 4, batch_size: int = 16,

@@ -8,7 +8,7 @@ the experiment renderers and by the reproduction-fidelity tests, which check
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Table 3 -- parameter counts (millions) and per-GPU batch sizes.
 TABLE3_MODELS: Dict[str, Tuple[float, int]] = {
@@ -82,9 +82,3 @@ MULTIGPU_REFERENCE: Dict[str, float] = {
     "GoogLeNet@32gpus": 32.0,
     "VGG19@32gpus": 28.0,
 }
-
-
-def reported_speedup(figure: str, model: str, system: str) -> Optional[float]:
-    """Look up a reported 32-node speedup for Figures 5/6 (None if absent)."""
-    table = FIG5_SPEEDUPS_32_NODES if figure == "fig5" else FIG6_SPEEDUPS_32_NODES
-    return table.get(model, {}).get(system)

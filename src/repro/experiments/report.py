@@ -45,10 +45,3 @@ def format_series(label: str, xs: Sequence[object], ys: Sequence[float],
     pairs = " ".join(
         f"{x}={y_format.format(y)}" for x, y in zip(xs, ys))
     return f"{label}: {pairs}"
-
-
-def ratio_string(measured: float, reported: Optional[float]) -> str:
-    """Render a measured value next to the paper's reported value."""
-    if reported is None:
-        return f"{measured:.2f} (paper: n/a)"
-    return f"{measured:.2f} (paper: {reported:.2f})"

@@ -1,9 +1,8 @@
 """Table 1: analytic communication cost of PS, SFB and Adam.
 
 Reproduces the worked example of Section 3.2 (a 4096x4096 FC layer, batch
-size 32, 8 workers and 8 server shards) and, more generally, evaluates the
-cost model over sweeps of the matrix shape, batch size and cluster size so
-the SFB/PS crossover can be inspected.  It keeps a custom body rather than
+size 32, 8 workers and 8 server shards); :func:`run_table1` evaluates the
+cost model at any matrix shape, batch size and cluster size.  It keeps a custom body rather than
 a :class:`~repro.experiments.figure.Figure`: its rows are closed-form
 costs of one layer, not simulated points.  The "BestScheme" line is
 Algorithm 1 itself (:func:`repro.comm.backend.choose_scheme`).
@@ -12,7 +11,7 @@ Algorithm 1 itself (:func:`repro.comm.backend.choose_scheme`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List
 
 from repro.comm.backend import choose_scheme
 from repro.core.cost_model import (
@@ -89,29 +88,6 @@ def run_table1(m: int = 4096, n: int = 4096, batch_size: int = 32,
         best_scheme=choose_scheme("hybrid", (m, n), True, num_workers,
                                   num_servers, batch_size),
     )
-
-
-def crossover_batch_size(m: int, n: int, num_workers: int, num_servers: int,
-                         max_batch: int = 4096) -> int:
-    """Smallest batch size at which Algorithm 1 stops choosing SFB.
-
-    Returns ``max_batch + 1`` if SFB wins over the whole range.
-    """
-    for batch in range(1, max_batch + 1):
-        if choose_scheme("hybrid", (m, n), True, num_workers, num_servers,
-                         batch) != "sfb":
-            return batch
-    return max_batch + 1
-
-
-def sweep_cluster_sizes(m: int = 4096, n: int = 4096, batch_size: int = 32,
-                        cluster_sizes: Sequence[int] = (2, 4, 8, 16, 32, 64)
-                        ) -> Dict[int, Table1Result]:
-    """Table 1 evaluated across cluster sizes (workers == servers)."""
-    return {
-        p: run_table1(m, n, batch_size, num_workers=p, num_servers=p)
-        for p in cluster_sizes
-    }
 
 
 def render(result: Table1Result) -> str:

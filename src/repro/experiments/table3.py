@@ -39,14 +39,6 @@ class Table3Row:
     fc_fraction: float
     num_param_layers: int
 
-    @property
-    def relative_error(self) -> Optional[float]:
-        """Relative deviation of the measured parameter count from the paper's."""
-        if not self.reported_params_millions:
-            return None
-        return (self.params_millions - self.reported_params_millions) \
-            / self.reported_params_millions
-
 
 @dataclass
 class Table3Result:

@@ -3,10 +3,9 @@
 from repro.nn.layers.base import Layer
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D
+from repro.nn.layers.pooling import MaxPool2D
 from repro.nn.layers.activation import GELU, ReLU
 from repro.nn.layers.flatten import Flatten
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import Embedding, PositionalEmbedding
 from repro.nn.layers.norm import LayerNorm
 from repro.nn.layers.attention import (
@@ -21,11 +20,9 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "ReLU",
     "GELU",
     "Flatten",
-    "Dropout",
     "Embedding",
     "PositionalEmbedding",
     "LayerNorm",

@@ -84,25 +84,3 @@ class GELU(Layer):
         local += 1.0
         local *= 0.5
         return grad_output * local
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
-        out = np.tanh(inputs)
-        if training:
-            self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray,
-                 need_input_grad: bool = True) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError(
-                f"layer {self.name!r}: backward called before forward(training=True)"
-            )
-        return grad_output * (1.0 - self._output ** 2)

@@ -182,10 +182,6 @@ class TransformerBlock(Layer):
         }
         self.zero_grads()
 
-    def sublayer(self, prefix: str) -> Layer:
-        """Return a sublayer by its parameter prefix (e.g. ``"attn"``)."""
-        return self._sublayers[prefix]
-
     def _collect_grads(self) -> None:
         self.grads = {
             f"{prefix}.{key}": grad

@@ -27,11 +27,6 @@ class InceptionConfig:
     n5x5: int
     pool_proj: int
 
-    @property
-    def output_channels(self) -> int:
-        """Channels after concatenating the four branches."""
-        return self.n1x1 + self.n3x3 + self.n5x5 + self.pool_proj
-
 
 #: The nine inception modules of GoogLeNet (Szegedy et al., 2015, Table 1).
 INCEPTION_MODULES: Tuple[InceptionConfig, ...] = (

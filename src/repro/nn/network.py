@@ -35,11 +35,6 @@ class Network:
         self.loss = SoftmaxCrossEntropyLoss()
 
     # -- introspection ----------------------------------------------------------
-    @property
-    def num_layers(self) -> int:
-        """Number of layers in the stack."""
-        return len(self.layers)
-
     def parameter_layers(self) -> List[Tuple[int, Layer]]:
         """Indices and layers that carry trainable parameters."""
         return [(i, layer) for i, layer in enumerate(self.layers) if layer.has_parameters]

@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.nn.network import Network
 
 #: Elements per block of a folded step (256 KiB of float32): scratch,
 #: parameter block and contribution blocks stay cache-resident from fold to
@@ -158,13 +157,6 @@ class SGD:
         self.weight_decay = float(weight_decay)
         self._velocity: Dict[str, np.ndarray] = {}
 
-    def step_network(self, network: Network) -> None:
-        """Apply each layer's stored gradients to its parameters in place."""
-        for _, layer in network.parameter_layers():
-            for key, param in layer.params.items():
-                grad = layer.grads[key]
-                self.apply(f"{layer.name}/{key}", param, grad)
-
     def apply(self, key: str, param: np.ndarray,
               grad: Union[np.ndarray, Sequence[np.ndarray]], *,
               scale: Optional[float] = None) -> None:
@@ -233,10 +225,6 @@ class SGD:
             velocity *= self.momentum
             velocity -= step
             param += velocity
-
-    def reset(self) -> None:
-        """Drop all accumulated momentum state."""
-        self._velocity.clear()
 
     def get_state(self) -> Dict[str, np.ndarray]:
         """Deep copy of the momentum state (for checkpointing)."""

@@ -197,11 +197,6 @@ class ModelSpec:
 
     # -- aggregate statistics -------------------------------------------------
     @property
-    def num_layers(self) -> int:
-        """Number of layer records (including parameter-free ones)."""
-        return len(self.layers)
-
-    @property
     def total_params(self) -> int:
         """Total trainable parameters across all layers."""
         return sum(layer.param_count for layer in self.layers)
@@ -216,13 +211,6 @@ class ModelSpec:
         """Parameters held by fully-connected layers."""
         return sum(
             layer.param_count for layer in self.layers if layer.kind is LayerKind.FC
-        )
-
-    @property
-    def conv_params(self) -> int:
-        """Parameters held by convolutional layers."""
-        return sum(
-            layer.param_count for layer in self.layers if layer.kind is LayerKind.CONV
         )
 
     @property
@@ -251,12 +239,6 @@ class ModelSpec:
         """Layers that carry trainable parameters (the ones that synchronize)."""
         return tuple(layer for layer in self.layers if layer.has_parameters)
 
-    def fc_layers(self) -> Tuple[LayerSpec, ...]:
-        """Fully-connected layers."""
-        return tuple(
-            layer for layer in self.layers if layer.kind is LayerKind.FC
-        )
-
     def layer(self, name: str) -> LayerSpec:
         """Look a layer up by name.
 
@@ -267,21 +249,6 @@ class ModelSpec:
             if layer.name == name:
                 return layer
         raise KeyError(f"model {self.name!r} has no layer named {name!r}")
-
-    def summary(self) -> str:
-        """A human-readable multi-line summary, one line per parameter layer."""
-        lines = [
-            f"Model {self.name}: {self.total_params / 1e6:.1f}M parameters, "
-            f"{self.num_layers} layers, dataset={self.dataset}, "
-            f"batch={self.default_batch_size}"
-        ]
-        for layer in self.parameter_layers():
-            lines.append(
-                f"  {layer.name:<28s} {layer.kind.value:<6s} "
-                f"params={layer.param_count:>12,d}  "
-                f"fwd={layer.flops_forward / 1e6:10.1f} MFLOP/sample"
-            )
-        return "\n".join(lines)
 
 
 def _conv_output_dim(size: int, kernel: int, stride: int, pad: int) -> int:

@@ -20,7 +20,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro import units
 from repro.exceptions import ShapeError
 
 
@@ -61,17 +60,6 @@ class SufficientFactors:
     def nbytes(self) -> int:
         """Bytes needed to transmit the factors."""
         return int(self.u.nbytes + self.v.nbytes)
-
-    @property
-    def dense_nbytes(self) -> int:
-        """Bytes the equivalent dense gradient matrix would occupy."""
-        m, n = self.weight_shape
-        return int(m * n * units.FLOAT32_BYTES)
-
-    @property
-    def compression_ratio(self) -> float:
-        """Dense bytes divided by factor bytes (> 1 means SFs are smaller)."""
-        return self.dense_nbytes / self.nbytes if self.nbytes else float("inf")
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the dense gradient ``dW = U^T @ V``."""

@@ -12,13 +12,12 @@ demonstrated on it.  Wall-clock performance on a real cluster is the job of
 
 from repro.parallel.schemes import SchemeAssignment, assign_schemes
 from repro.parallel.trainer import DistributedTrainer, TrainingHistory
-from repro.parallel.serial import SerialTrainer, simulate_synchronous_sgd
+from repro.parallel.serial import simulate_synchronous_sgd
 
 __all__ = [
     "SchemeAssignment",
     "assign_schemes",
     "DistributedTrainer",
     "TrainingHistory",
-    "SerialTrainer",
     "simulate_synchronous_sgd",
 ]

@@ -1,80 +1,22 @@
-"""Single-process reference trainers.
+"""Single-process reference trainer.
 
-Two reference points are provided:
-
-* :class:`SerialTrainer` -- ordinary single-replica SGD, the "1 node"
-  baseline of every speedup figure.
-* :func:`simulate_synchronous_sgd` -- an *exact* serial emulation of
-  BSP data-parallel SGD: at every iteration it computes each worker's
-  gradient on that worker's batch, averages them, and applies one update.
-  The distributed trainer must produce bit-for-bit (up to float tolerance)
-  the same parameters; the equivalence tests rely on this function.
+:func:`simulate_synchronous_sgd` is an *exact* serial emulation of BSP
+data-parallel SGD: at every iteration it computes each worker's gradient on
+that worker's batch, averages them, and applies one update.  The
+distributed trainer must produce bit-for-bit (up to float tolerance) the
+same parameters; the equivalence tests and the benchmark's loss check rely
+on this function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import TrainingConfig
-from repro.data.samplers import BatchSampler
 from repro.nn.network import Network
 from repro.nn.optim import SGD
-
-
-@dataclass
-class SerialHistory:
-    """Loss/error trace of a serial run."""
-
-    losses: List[float] = field(default_factory=list)
-    test_errors: List[Tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def final_loss(self) -> float:
-        """Loss of the last recorded iteration."""
-        return self.losses[-1] if self.losses else float("nan")
-
-
-class SerialTrainer:
-    """Plain single-node SGD training loop."""
-
-    def __init__(self, network: Network, train_data: Tuple[np.ndarray, np.ndarray],
-                 training: TrainingConfig,
-                 test_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                 eval_every: int = 0):
-        self.network = network
-        self.train_images, self.train_labels = train_data
-        self.test_data = test_data
-        self.training = training
-        self.eval_every = int(eval_every)
-        self.optimizer = SGD(
-            learning_rate=training.learning_rate,
-            momentum=training.momentum,
-            weight_decay=training.weight_decay,
-        )
-        self.sampler = BatchSampler(
-            num_samples=self.train_images.shape[0],
-            batch_size=training.batch_size,
-            seed=training.seed,
-        )
-
-    def train(self, iterations: Optional[int] = None) -> SerialHistory:
-        """Run SGD for the configured number of iterations."""
-        iterations = iterations if iterations is not None else self.training.iterations
-        history = SerialHistory()
-        for step in range(iterations):
-            indices = self.sampler.next_batch()
-            loss = self.network.train_step(
-                self.train_images[indices], self.train_labels[indices])
-            self.optimizer.step_network(self.network)
-            history.losses.append(loss)
-            if (self.eval_every and self.test_data is not None
-                    and (step + 1) % self.eval_every == 0):
-                _, error = self.network.evaluate(*self.test_data)
-                history.test_errors.append((step + 1, error))
-        return history
 
 
 def simulate_synchronous_sgd(

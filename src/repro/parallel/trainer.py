@@ -400,15 +400,14 @@ class DistributedTrainer:
         self._error_lock = threading.Lock()
 
         # Fault-tolerance runtime: the injector realizes the plan, the
-        # detector tracks heartbeats and fans an abort out to every
+        # detector marks a failed worker dead and fans an abort out to every
         # blocking sync primitive so a dead peer fails the run instead of
         # hanging it.  Both are None on the default fault-free path.
         self._injector = (FaultInjector(fault_plan)
                           if fault_plan is not None else None)
         self._detector: Optional[FailureDetector] = None
         if self._injector is not None or self.recovery != "none":
-            self._detector = FailureDetector(self.num_workers,
-                                             lease_seconds=self.sync_timeout)
+            self._detector = FailureDetector(self.num_workers)
             for primitive in self._rendezvous():
                 self._detector.register(primitive)
         self._checkpoint: Optional[TrainerCheckpoint] = None
@@ -659,8 +658,6 @@ class DistributedTrainer:
                      eval_records: List[Tuple[int, float]]) -> None:
         """One iteration of Algorithm 2 at one worker (no end-of-step gate)."""
         runtime = self._workers[worker_id]
-        if self._detector is not None:
-            self._detector.beat(worker_id, step)
         if self._injector is not None:
             # Crash-at-step-start: a dying worker contributed nothing this
             # iteration, so nobody has to unwind a partial push.
@@ -826,23 +823,7 @@ class DistributedTrainer:
         for primitive in self._rendezvous():
             primitive.remove_worker(worker_id)
 
-    @property
-    def dropped_workers(self) -> Set[int]:
-        """Workers excised by drop-dead-worker recovery so far."""
-        return set(self._dropped_workers)
-
     # -- post-training access -------------------------------------------------------
     def replica(self, worker_id: int) -> Network:
         """The model replica of one worker (e.g. for evaluation)."""
         return self._replicas[worker_id]
-
-    def replica_states_close(self, atol: float = 1e-4) -> bool:
-        """Whether all replicas hold (numerically) identical parameters."""
-        reference = self._replicas[0].get_state()
-        for replica in self._replicas[1:]:
-            state = replica.get_state()
-            for layer_name, params in reference.items():
-                for key, value in params.items():
-                    if not np.allclose(state[layer_name][key], value, atol=atol):
-                        return False
-        return True

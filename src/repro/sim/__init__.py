@@ -13,29 +13,26 @@ fire.  Only the features the cluster model needs are implemented:
   join of homogeneous fan-ins.
 * :class:`TailChannel` -- a capacity-1 FIFO link on a busy-until clock
   (NIC directions); uncontended holds are pure arithmetic.
-* :class:`AllOf` and :class:`Resource` -- the general-purpose conjunction
-  and FIFO server that :class:`CountdownEvent` and :class:`TailChannel`
-  are property-tested against.
+
+The general-purpose conjunction and FIFO server that
+:class:`CountdownEvent` and :class:`TailChannel` are property-tested
+against live with the tests (``tests/sim_reference.py``).
 """
 
 from repro.sim.core import (
-    AllOf,
     CountdownEvent,
     Environment,
     Event,
     Process,
     Timeout,
 )
-from repro.sim.resources import Request, Resource, TailChannel
+from repro.sim.resources import TailChannel
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "CountdownEvent",
-    "Resource",
-    "Request",
     "TailChannel",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
@@ -246,44 +246,13 @@ def _fire(waiter: Any, ok: Optional[bool], value: Any) -> None:
         waiter(ok, value)
 
 
-class AllOf(Event):
-    """Fires when every one of the given events has fired successfully."""
-
-    __slots__ = ("_pending", "_events")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._pending = 0
-        self._events = list(events)
-        for event in self._events:
-            if event.processed:
-                if event.ok is False:
-                    # An already-failed member fails the conjunction outright
-                    # (its value is an exception, not a result).
-                    self.fail(event.value)
-                    return
-                continue
-            self._pending += 1
-            event.add_waiter(self._on_event)
-        if self._pending == 0 and not self.triggered:
-            self.succeed([e.value for e in self._events])
-
-    def _on_event(self, ok: Optional[bool], value: Any) -> None:
-        if self.triggered:
-            return
-        if ok is False:
-            self.fail(value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([e.value for e in self._events])
-
-
 class CountdownEvent(Event):
     """A counter-based barrier: fires once :meth:`arrive` was called ``count`` times.
 
     The O(1)-per-arrival replacement for joining *homogeneous* fan-ins with
-    :class:`AllOf`: where ``all_of`` materialises an N-element event list
+    a general conjunction (``AllOf``, the reference the tests hold it to in
+    ``tests/sim_reference.py``): where a conjunction materialises an
+    N-element event list
     (and every waiter builds its own), a countdown barrier is one shared
     event plus an integer.  Completion time is identical to an ``AllOf``
     over the corresponding per-member events -- the barrier succeeds during
@@ -303,11 +272,6 @@ class CountdownEvent(Event):
         self._remaining = count
         if count == 0:
             self.succeed()
-
-    @property
-    def remaining(self) -> int:
-        """Arrivals still outstanding before the barrier fires."""
-        return self._remaining
 
     def arrive(self) -> None:
         """Record one arrival; the barrier succeeds on the ``count``-th.
@@ -462,10 +426,6 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     def countdown(self, count: int) -> CountdownEvent:
         """Barrier event that fires after ``count`` arrivals."""
         return CountdownEvent(self, count)
@@ -494,8 +454,7 @@ class Environment:
         """Run until the queue drains.
 
         Any process that raised an exception fails silently unless something
-        was waiting on it; :meth:`run_process` is the safer entry point for
-        a single root process.
+        was waiting on it.
         """
         # Hot loop: the timeout->single-process-resume cycle is fully inlined
         # (no _advance frames).  Entries are pushed at >= self._now and
@@ -600,15 +559,3 @@ class Environment:
             self.events_processed += processed
             if gc_was_enabled:
                 gc.enable()
-
-    def run_process(self, generator: Generator) -> Any:
-        """Run a root process to completion and return (or raise) its result."""
-        process = self.process(generator)
-        self.run()
-        if not process.triggered:
-            raise SimulationError(
-                "root process did not finish before the simulation ended"
-            )
-        if process.ok is False:
-            raise process.value
-        return process.value

@@ -1,109 +1,19 @@
-"""Shared resources for the discrete-event engine: FIFO servers and links."""
+"""The discrete-event engine's FIFO link: a channel on a busy-until clock."""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.core import Environment, Event
 
 
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
-
-    The request event fires when the resource grants the slot.  The holder
-    must eventually call :meth:`Resource.release` with this request.
-    """
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-
-
-class Resource:
-    """A FIFO resource with fixed integer capacity.
-
-    Used to model exclusive devices: a GPU executes one kernel sequence at a
-    time, a NIC direction carries one transfer at a time (FIFO serialisation
-    of a link is equivalent, in total completion time, to fair sharing when
-    the link is the bottleneck, and keeps the simulation deterministic).
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = int(capacity)
-        self.name = name
-        self.users: List[Request] = []
-        self.queue: Deque[Request] = deque()
-        # Utilisation accounting.
-        self.busy_time = 0.0
-        self._busy_since: Optional[float] = None
-
-    # -- bookkeeping -----------------------------------------------------------
-    def _update_busy(self) -> None:
-        if self.users and self._busy_since is None:
-            self._busy_since = self.env.now
-        elif not self.users and self._busy_since is not None:
-            self.busy_time += self.env.now - self._busy_since
-            self._busy_since = None
-
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Fraction of time the resource was busy up to ``horizon`` (or now)."""
-        horizon = self.env.now if horizon is None else horizon
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += max(0.0, min(self.env.now, horizon) - self._busy_since)
-        return busy / horizon if horizon > 0 else 0.0
-
-    # -- protocol ----------------------------------------------------------------
-    def request(self) -> Request:
-        """Ask for a slot; the returned event fires once the slot is granted."""
-        request = Request(self)
-        if len(self.users) < self.capacity:
-            self.users.append(request)
-            self._update_busy()
-            request.succeed()
-        else:
-            self.queue.append(request)
-        return request
-
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot.
-
-        Raises:
-            SimulationError: if the request does not hold a slot.
-        """
-        if request in self.users:
-            self.users.remove(request)
-        elif request in self.queue:
-            self.queue.remove(request)
-            return
-        else:
-            raise SimulationError("release() of a request that holds no slot")
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.popleft()
-            self.users.append(nxt)
-            nxt.succeed()
-        self._update_busy()
-
-    def occupy(self, duration: float):
-        """Process helper: request, hold for ``duration`` seconds, release."""
-        request = self.request()
-        yield request
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release(request)
-
-
 class TailChannel:
     """A capacity-1 FIFO link modelled by a busy-until ("tail") clock.
 
-    Time-equivalent to a capacity-1 :class:`Resource` that every holder
-    occupies for its transfer duration, but without the per-hold
+    Time-equivalent to a capacity-1 FIFO server (the ``Resource`` reference
+    in ``tests/sim_reference.py``) that every holder occupies for its
+    transfer duration, but without the per-hold
     request/grant/release event round-trip:
 
     * the channel's schedule is summarised by ``tail`` -- the simulated
@@ -118,8 +28,8 @@ class TailChannel:
 
     The channel is *resolved* when no hold is open (``_release`` is absent
     or already triggered); only then is ``tail`` meaningful.  FIFO order is
-    by acquisition call, which is exactly the order :class:`Resource`
-    grants queued requests.
+    by acquisition call, which is exactly the order a FIFO server grants
+    queued requests.
     """
 
     __slots__ = ("env", "name", "tail", "_release", "_entry", "_entry_tail")
@@ -204,18 +114,4 @@ class TailChannel:
         self.tail = finish
         release_event.succeed_at(finish)
         self.note_entry(release_event, finish)
-
-    def occupy(self, duration: float) -> Generator:
-        """Process helper: hold the channel for ``duration`` seconds (FIFO)."""
-        if not duration >= 0:
-            raise SimulationError(f"negative hold duration: {duration}")
-        if self.resolved:
-            finish = self.book(duration)
-            yield self.env.timeout_at(finish)
-        else:
-            mine = yield from self.request()
-            finish = self.env._now + duration
-            self.release(mine, finish)
-            # The scheduled release entry doubles as this holder's wake-up.
-            yield mine
 

@@ -30,12 +30,7 @@ from repro.simulation.fluid import (
     sweep_axis,
     use_engine,
 )
-from repro.simulation.speedup import (
-    ScalingCurve,
-    bandwidth_sweep,
-    scaling_curve,
-    single_node_reference_seconds,
-)
+from repro.simulation.speedup import ScalingCurve, scaling_curve
 from repro.simulation.convergence import (
     ConvergenceCurve,
     epochs_to_error,
@@ -57,8 +52,6 @@ __all__ = [
     "use_engine",
     "ScalingCurve",
     "scaling_curve",
-    "bandwidth_sweep",
-    "single_node_reference_seconds",
     "ConvergenceCurve",
     "epochs_to_error",
     "resnet152_error_curve",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.exceptions import ConfigurationError
 
@@ -41,14 +41,6 @@ class ConvergenceCurve:
     label: str
     epochs: List[float] = field(default_factory=list)
     errors: List[float] = field(default_factory=list)
-
-    def error_at(self, epoch: float) -> float:
-        """Error at (or interpolated near) a given epoch."""
-        if not self.epochs:
-            raise ConfigurationError("empty convergence curve")
-        best_index = min(range(len(self.epochs)),
-                         key=lambda i: abs(self.epochs[i] - epoch))
-        return self.errors[best_index]
 
     def epochs_to_reach(self, target_error: float) -> Optional[float]:
         """First epoch at which the curve dips below ``target_error``."""
@@ -132,10 +124,3 @@ def time_to_error_hours(num_nodes: int, iteration_seconds: float,
     iterations_per_epoch = samples_per_epoch / (num_nodes * per_gpu_batch)
     total_seconds = epochs * iterations_per_epoch * iteration_seconds
     return total_seconds / 3600.0
-
-
-def compare_convergence(node_counts: Sequence[int], epochs: int = 120
-                        ) -> List[Tuple[int, ConvergenceCurve]]:
-    """Convergence curves for several cluster sizes (the Figure 9b panel)."""
-    return [(nodes, resnet152_error_curve(nodes, epochs=epochs))
-            for nodes in node_counts]

@@ -56,19 +56,6 @@ class ScalingCurve:
         except ValueError as exc:
             raise KeyError(f"no result for {nodes} nodes") from exc
 
-    def scaling_efficiency(self, nodes: Optional[int] = None) -> float:
-        """Speedup divided by node count (1.0 = perfectly linear)."""
-        nodes = nodes if nodes is not None else (
-            self.node_counts[-1] if self.node_counts else 1)
-        return self.speedup_at(nodes) / nodes
-
-
-def single_node_reference_seconds(model: ModelSpec,
-                                  batch_size: Optional[int] = None) -> float:
-    """Calibrated single-node iteration time of the unmodified engine."""
-    workload = build_workload(model, batch_size=batch_size)
-    return workload.single_node_seconds
-
 
 def simulate_point(model: ModelSpec, system: SystemConfig, nodes: int,
                    bandwidth_gbps: float = 40.0,
@@ -231,31 +218,6 @@ def scaling_curve(model: ModelSpec, system: SystemConfig,
     results = run_points(tasks, jobs=jobs)
     return curve_from_results(model, system, node_counts, bandwidth_gbps,
                               results)
-
-
-def bandwidth_sweep(model: ModelSpec, system: SystemConfig,
-                    bandwidths_gbps: Sequence[float],
-                    node_counts: Sequence[int] = (1, 2, 4, 8, 16),
-                    batch_size: Optional[int] = None,
-                    jobs: Optional[int] = None,
-                    engine: Optional[str] = None) -> Dict[float, ScalingCurve]:
-    """Scaling curves of one system at several Ethernet bandwidths (Figure 8).
-
-    All (bandwidth, nodes) configurations run in a single flat sweep.
-    """
-    tasks = [
-        task
-        for bandwidth in bandwidths_gbps
-        for task in curve_tasks(model, system, node_counts,
-                                bandwidth_gbps=bandwidth,
-                                batch_size=batch_size, engine=engine)
-    ]
-    results = run_points(tasks, jobs=jobs)
-    return {
-        bandwidth: curve_from_results(model, system, node_counts, bandwidth,
-                                      results)
-        for bandwidth in bandwidths_gbps
-    }
 
 
 def compare_systems(model: ModelSpec, systems: Sequence[SystemConfig],

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import units
 from repro.config import GpuModel, TITAN_X
@@ -114,25 +113,6 @@ class IterationWorkload:
     def compute_seconds(self) -> float:
         """Total GPU compute time of one iteration."""
         return self.forward_seconds + self.backward_seconds
-
-    @property
-    def num_units(self) -> int:
-        """Number of sync units."""
-        return len(self.units)
-
-    @cached_property
-    def _units_by_name(self) -> Dict[str, SyncUnit]:
-        # cached_property stores via the instance __dict__, which bypasses
-        # the frozen-dataclass setattr guard; equality/hash ignore it.
-        return {unit.name: unit for unit in self.units}
-
-    def unit_by_name(self, name: str) -> SyncUnit:
-        """Look up a unit by its representative name."""
-        try:
-            return self._units_by_name[name]
-        except KeyError:
-            raise KeyError(f"workload has no unit named {name!r}") from None
-
 
 #: A workload only depends on (model, batch, gpu, coarsen threshold) -- not
 #: on bandwidth or cluster size -- so every point of a figure sweep shares

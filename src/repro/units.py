@@ -37,19 +37,9 @@ def gbe(gigabits_per_second: float) -> float:
     return gigabits_per_second * GBIT
 
 
-def bits_to_bytes(bits: float) -> float:
-    """Convert a quantity of bits to bytes."""
-    return bits / 8.0
-
-
 def bytes_to_bits(num_bytes: float) -> float:
     """Convert a quantity of bytes to bits."""
     return num_bytes * 8.0
-
-
-def params_to_bytes(num_params: float, dtype_bytes: int = FLOAT32_BYTES) -> float:
-    """Size in bytes of ``num_params`` parameters of the given element width."""
-    return num_params * dtype_bytes
 
 
 def transfer_seconds(num_bytes: float, bandwidth_bps: float) -> float:
@@ -61,30 +51,3 @@ def transfer_seconds(num_bytes: float, bandwidth_bps: float) -> float:
     if bandwidth_bps <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
     return bytes_to_bits(num_bytes) / bandwidth_bps
-
-
-def human_bytes(num_bytes: float) -> str:
-    """Render a byte count using binary prefixes, e.g. ``'2.0 MiB'``."""
-    value = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    return f"{value:.1f} TiB"
-
-
-def human_seconds(seconds: float) -> str:
-    """Render a duration with an adaptive unit, e.g. ``'1.3 ms'``.
-
-    The unit is chosen by magnitude so negative durations (e.g. a time
-    delta) render symmetrically: ``human_seconds(-0.5) == '-500.0 ms'``,
-    not ``'-500000.0 us'``.
-    """
-    magnitude = abs(seconds)
-    if magnitude < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if magnitude < 1.0:
-        return f"{seconds * 1e3:.1f} ms"
-    if magnitude < 120.0:
-        return f"{seconds:.2f} s"
-    return f"{seconds / 60.0:.1f} min"

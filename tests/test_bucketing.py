@@ -35,13 +35,14 @@ from repro.config import (
     SystemConfig,
     TrainingConfig,
 )
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import build_mlp_network, get_model_spec
 from repro.parallel import DistributedTrainer
 from repro.simulation.fluid import FluidSimulator, sweep_axis
 from repro.simulation.throughput import IterationSimulator, decide_schemes
 from repro.simulation.workload import build_workload
+from train_reference import make_linearly_separable
 
 VGG = get_model_spec("vgg19")
 NUM_WORKERS = 3

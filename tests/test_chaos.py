@@ -25,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 from repro.config import TrainingConfig
 from repro.core.consistency import BSPController
 from repro.core.faults import CrashFault, FaultPlan, PushPullFault, SlowdownFault
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.exceptions import SyncTimeout, TrainingError
 from repro.nn.model_zoo import build_mlp_network
 from repro.parallel import DistributedTrainer
+from train_reference import make_linearly_separable
 
 NUM_WORKERS = 3
 ITERATIONS = 6
@@ -176,7 +177,7 @@ class TestDropRecovery:
         plan = FaultPlan(crashes=(CrashFault(worker_id=1, iteration=3),))
         trainer = _make_trainer(plan=plan, recovery="drop")
         history = trainer.train()
-        assert trainer.dropped_workers == {1}
+        assert trainer._dropped_workers == {1}
         # The dead worker contributed exactly its pre-crash iterations.
         assert len(history.per_worker_losses[1]) == 3
         assert all(len(history.per_worker_losses[w]) == ITERATIONS
@@ -197,7 +198,7 @@ class TestDropRecovery:
         plan = FaultPlan(crashes=(CrashFault(worker_id=2, iteration=2),))
         trainer = _make_trainer(mode="onebit", plan=plan, recovery="drop")
         history = trainer.train()
-        assert trainer.dropped_workers == {2}
+        assert trainer._dropped_workers == {2}
         assert np.isfinite(history.losses).all()
 
 

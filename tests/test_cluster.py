@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.cluster.machine import FABRIC, ClusterModel
+from repro.cluster.machine import (FABRIC, ClusterModel, NetworkInterface,
+                                   RackSwitch)
+from repro.cluster.traffic import TrafficAccount
 from repro.config import ClusterConfig
 from repro.exceptions import SimulationError
 from repro.sim import Environment
+from sim_reference import run_process
 
 
 def make_cluster(num_workers=4, bandwidth_gbps=10.0, **kwargs):
@@ -64,7 +67,7 @@ class TestTransfers:
             yield env.process(cluster.transfer(0, 1, 1.25e9))
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(1.0, rel=1e-6)
+        assert run_process(env, proc()) == pytest.approx(1.0, rel=1e-6)
 
     def test_self_transfer_is_free(self):
         env, cluster = make_cluster()
@@ -73,7 +76,7 @@ class TestTransfers:
             yield env.process(cluster.transfer(2, 2, 1e9))
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(0.0)
+        assert run_process(env, proc()) == pytest.approx(0.0)
 
     def test_fabric_transfer_occupies_only_one_end(self):
         env, cluster = make_cluster(bandwidth_gbps=10.0)
@@ -82,7 +85,7 @@ class TestTransfers:
             yield env.process(cluster.transfer(0, FABRIC, 1.25e9))
             return env.now
 
-        env.run_process(proc())
+        run_process(env, proc())
         assert cluster.machine(0).nic.traffic.bytes_sent == pytest.approx(1.25e9)
         # No receiver was charged.
         for node in (1, 2, 3):
@@ -91,12 +94,12 @@ class TestTransfers:
     def test_transfer_needs_one_real_endpoint(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            env.run_process(cluster.transfer(FABRIC, FABRIC, 100))
+            run_process(env, cluster.transfer(FABRIC, FABRIC, 100))
 
     def test_negative_bytes_rejected(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            env.run_process(cluster.transfer(0, 1, -5))
+            run_process(env, cluster.transfer(0, 1, -5))
 
     @pytest.mark.parametrize("topology", [{}, {"racks": 2,
                                                "oversubscription": 4.0}])
@@ -111,11 +114,11 @@ class TestTransfers:
         used to finish at ``t = nan`` and record NaN bytes)."""
         env, cluster = make_cluster(**topology)
         with pytest.raises(SimulationError):
-            env.run_process(flow(cluster, float("nan")))
+            run_process(env, flow(cluster, float("nan")))
         assert env.now == 0.0
+        accounts = [machine.nic.traffic for machine in cluster.machines.values()]
         assert all(account.total_bytes == 0 and not account.by_tag_sent
-                   and not account.by_tag_received
-                   for account in cluster.traffic_by_node().values())
+                   and not account.by_tag_received for account in accounts)
 
     @pytest.mark.parametrize("topology", [{}, {"racks": 2,
                                                "oversubscription": 4.0}])
@@ -129,10 +132,11 @@ class TestTransfers:
                     yield from cluster.transfer(1, 2, 1.25e8, repeat=repeat)
                 return env.now
 
-            finish = env.run_process(proc())
+            finish = run_process(env, proc())
             accounts = [cluster.machine(node).nic.traffic.total_bytes
                         for node in range(4)]
-            return finish, accounts, cluster.cross_rack_bytes()
+            return finish, accounts, [switch.traffic.bytes_sent
+                                      for switch in cluster.rack_switches]
 
         held, stepped = finish_and_traffic(6, 1), finish_and_traffic(1, 6)
         assert held[0] == pytest.approx(stepped[0], rel=1e-12)
@@ -142,9 +146,9 @@ class TestTransfers:
     def test_repeat_below_one_and_repeated_fabric_flow_rejected(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            env.run_process(cluster.transfer(0, 1, 100, repeat=0))
+            run_process(env, cluster.transfer(0, 1, 100, repeat=0))
         with pytest.raises(SimulationError):
-            env.run_process(cluster.transfer(0, FABRIC, 100, repeat=2))
+            run_process(env, cluster.transfer(0, FABRIC, 100, repeat=2))
 
     def test_shared_uplink_serialises_flows(self):
         env, cluster = make_cluster(bandwidth_gbps=10.0)
@@ -193,7 +197,7 @@ class TestTransfers:
             yield env.process(cluster.broadcast(0, [1, 2, 3], 1.25e9))
             return env.now
 
-        finish = env.run_process(proc())
+        finish = run_process(env, proc())
         assert finish == pytest.approx(3.0, rel=1e-6)
         for node in (1, 2, 3):
             assert cluster.machine(node).nic.traffic.bytes_received == pytest.approx(1.25e9)
@@ -207,29 +211,20 @@ class TestTrafficAccounting:
             yield env.process(cluster.transfer(0, 1, 1000, tag="push:fc6"))
             yield env.process(cluster.transfer(1, 0, 500, tag="pull:fc6"))
 
-        env.run_process(proc())
+        run_process(env, proc())
         sent_tags = cluster.machine(0).nic.traffic.by_tag_sent
         assert sent_tags["push:fc6"] == 1000
         assert cluster.machine(0).nic.traffic.bytes_received == 500
 
-    def test_total_gigabits(self):
-        env, cluster = make_cluster()
-
-        def proc():
-            yield env.process(cluster.transfer(0, 1, 125e6))
-
-        env.run_process(proc())
-        assert cluster.machine(0).nic.traffic.total_gigabits == pytest.approx(1.0)
-
-    def test_reset_traffic(self):
-        env, cluster = make_cluster()
-
-        def proc():
-            yield env.process(cluster.transfer(0, 1, 1000))
-
-        env.run_process(proc())
-        cluster.reset_traffic()
-        assert cluster.machine(0).nic.traffic.total_bytes == 0
+    def test_account_totals_both_directions_by_tag(self):
+        account = TrafficAccount(node_id=3)
+        account.record_sent(1000, tag="push:fc6")
+        account.record_sent(24)
+        account.record_received(500, tag="pull:fc6")
+        assert account.bytes_sent == 1024
+        assert account.total_bytes == 1524
+        assert account.by_tag_sent == {"push:fc6": 1000, "untagged": 24}
+        assert account.by_tag_received == {"pull:fc6": 500}
 
     def test_latency_added_to_transfer(self):
         env = Environment()
@@ -241,7 +236,32 @@ class TestTrafficAccounting:
             yield env.process(cluster.transfer(0, 1, 1.25e9))
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(1.5, rel=1e-6)
+        assert run_process(env, proc()) == pytest.approx(1.5, rel=1e-6)
+
+
+class TestWireTime:
+    def test_nic_wire_time_is_bytes_over_goodput(self):
+        env = Environment()
+        config = ClusterConfig(num_workers=2, bandwidth_gbps=10.0,
+                               network_efficiency=0.5)
+        nic = ClusterModel(env, config).machine(0).nic
+        # 10 Gb/s at 50 % goodput moves 0.625 GB in one second.
+        assert nic.wire_time(0.625e9) == pytest.approx(1.0)
+
+    def test_rack_switch_wire_time_is_the_bisection_share(self):
+        # 4 nodes per rack at 8:1 oversubscription: half of one NIC's rate.
+        env, cluster = make_cluster(num_workers=8, racks=2,
+                                    oversubscription=8.0)
+        switch = cluster.rack_switch(5)
+        assert switch.rack_id == 1
+        assert switch.wire_time(1.25e9) == pytest.approx(
+            2 * cluster.machine(5).nic.wire_time(1.25e9))
+
+    @pytest.mark.parametrize("link", [NetworkInterface, RackSwitch])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e9])
+    def test_non_positive_bandwidth_rejected(self, link, bandwidth):
+        with pytest.raises(SimulationError):
+            link(Environment(), 0, bandwidth)
 
 
 class TestGpuDevice:
@@ -254,23 +274,13 @@ class TestGpuDevice:
             yield env.process(gpu.compute(0.75))
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(1.0)
+        assert run_process(env, proc()) == pytest.approx(1.0)
         assert gpu.busy_seconds == pytest.approx(1.0)
-
-    def test_compute_flops_uses_throughput(self):
-        env, cluster = make_cluster()
-        gpu = cluster.machine(0).gpu
-
-        def proc():
-            yield env.process(gpu.compute_flops(gpu.effective_flops))
-            return env.now
-
-        assert env.run_process(proc()) == pytest.approx(1.0)
 
     def test_negative_compute_rejected(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            env.run_process(cluster.machine(0).gpu.compute(-1.0))
+            run_process(env, cluster.machine(0).gpu.compute(-1.0))
 
     def test_multi_gpu_machines(self):
         env = Environment()

@@ -8,6 +8,7 @@ import pytest
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.exceptions import CommunicationError
 from repro.nn.optim import SGD
+from train_reference import server_params
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ class TestPushPull:
         server.push(0, "fc2", {"weight": np.zeros((3, 2))})
         params = server.pull(0, "fc2", min_version=1)
         params["weight"][:] = 99.0
-        fresh = server.global_params("fc2")
+        fresh = server_params(server, "fc2")
         assert not np.allclose(fresh["weight"], 99.0)
 
     def test_pull_blocks_until_version(self, initial_params):
@@ -156,10 +157,10 @@ class TestDroppedWorker:
         server.remove_worker(2)
         server.push(0, "fc", {"w": np.full(4, 1.0, dtype=np.float32)})
         assert server.version("fc") == 0        # still waiting for worker 1
-        np.testing.assert_array_equal(server.global_params("fc")["w"], 0.0)
+        np.testing.assert_array_equal(server_params(server, "fc")["w"], 0.0)
         server.push(1, "fc", {"w": np.full(4, 3.0, dtype=np.float32)})
         assert server.version("fc") == 1
-        np.testing.assert_array_equal(server.global_params("fc")["w"], -2.0)
+        np.testing.assert_array_equal(server_params(server, "fc")["w"], -2.0)
         server.push(0, "fc", {"w": np.full(4, 1.0, dtype=np.float32)})
         assert server.version("fc") == 1        # nothing leaked into version 2
 
@@ -171,4 +172,4 @@ class TestDroppedWorker:
         server.push(1, "fc", {"w": np.full(4, 3.0, dtype=np.float32)})
         server.remove_worker(2)
         assert server.version("fc") == 1
-        np.testing.assert_array_equal(server.global_params("fc")["w"], -2.0)
+        np.testing.assert_array_equal(server_params(server, "fc")["w"], -2.0)

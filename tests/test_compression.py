@@ -45,7 +45,7 @@ from repro.config import (
 )
 from repro.core.cost_model import CostModel
 from repro.core.faults import CrashFault, FaultPlan
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import (
     build_mlp_network,
@@ -64,6 +64,7 @@ from repro.simulation.fluid import FluidSimulator
 from repro.simulation.plan import resolve_plan
 from repro.simulation.throughput import IterationSimulator
 from repro.simulation.workload import build_workload
+from train_reference import make_linearly_separable
 
 VGG = get_model_spec("vgg19")
 NUM_WORKERS = 3

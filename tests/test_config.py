@@ -36,8 +36,10 @@ class TestBandwidthPreset:
     def test_values_in_gbps(self):
         assert BandwidthPreset.GBE_40.value == 40.0
 
-    def test_bits_per_second(self):
-        assert BandwidthPreset.GBE_10.bits_per_second == 10e9
+    def test_a_preset_is_a_cluster_bandwidth(self):
+        cluster = ClusterConfig(num_workers=2,
+                                bandwidth_gbps=BandwidthPreset.GBE_10)
+        assert cluster.bandwidth_bps == 10e9
 
 
 class TestGpuModel:

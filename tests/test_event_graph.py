@@ -2,8 +2,8 @@
 
 Four layers of protection:
 
-* property-style tests pinning :class:`CountdownEvent` against ``all_of``
-  and :class:`TailChannel` against the :class:`Resource` implementation on
+* property-style tests pinning :class:`CountdownEvent` against ``AllOf``
+  and :class:`TailChannel` against the ``Resource`` implementation on
   randomized schedules (identical completion times);
 * transfer-level equivalence tests pinning the tail-clock cluster model
   against a resource-based reference implementation on randomized flow
@@ -39,9 +39,10 @@ from repro.config import (
 from repro.exceptions import SimulationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
-from repro.sim import CountdownEvent, Environment, Event, Resource, TailChannel
+from repro.sim import CountdownEvent, Environment, Event, TailChannel
 from repro.simulation.throughput import IterationSimulator, simulate_system
 from repro.simulation.workload import build_workload
+from sim_reference import AllOf, Resource, occupy, run_process
 
 TRACE_PATH = os.path.join(os.path.dirname(__file__), "data",
                           "flow_sim_trace.json")
@@ -87,7 +88,7 @@ class TestCountdownEvent:
             yield barrier
             return env.now
 
-        assert env.run_process(waiter()) == 0.0
+        assert run_process(env, waiter()) == 0.0
 
     def test_extra_arrival_rejected(self):
         env = Environment()
@@ -128,7 +129,7 @@ class TestCountdownEvent:
         min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_matches_all_of_on_random_schedules(self, delays):
-        """Barrier completion time equals an all_of over member events."""
+        """Barrier completion time equals an AllOf over member events."""
 
         def run(use_countdown):
             env = Environment()
@@ -149,7 +150,7 @@ class TestCountdownEvent:
                 if use_countdown:
                     yield barrier
                 else:
-                    yield env.all_of(members)
+                    yield AllOf(env, members)
                 done.append(env.now)
 
             env.process(waiter())
@@ -172,7 +173,7 @@ class TestDeferredTrigger:
             value = yield event
             return env.now, value
 
-        assert env.run_process(waiter()) == (4.0, "late")
+        assert run_process(env, waiter()) == (4.0, "late")
 
     def test_succeed_at_past_rejected(self):
         env = Environment()
@@ -180,7 +181,7 @@ class TestDeferredTrigger:
         def proc():
             yield env.timeout(2.0)
 
-        env.run_process(proc())
+        run_process(env, proc())
         with pytest.raises(SimulationError):
             env.event().succeed_at(1.0)
 
@@ -209,7 +210,7 @@ class TestDeferredTrigger:
             yield env.timeout_at(target)
             return env.now
 
-        assert env.run_process(proc()) == target
+        assert run_process(env, proc()) == target
 
 
 class TestTailChannelAgainstResource:
@@ -242,8 +243,7 @@ class TestTailChannelAgainstResource:
 
         resource_times = run(lambda env: Resource(env, capacity=1),
                              lambda ch, d: ch.occupy(d))
-        tail_times = run(lambda env: TailChannel(env),
-                         lambda ch, d: ch.occupy(d))
+        tail_times = run(lambda env: TailChannel(env), occupy)
         assert tail_times == resource_times
 
     def test_request_release_protocol(self):
@@ -276,7 +276,7 @@ class TestTailChannelAgainstResource:
             channel.release(release, env.now + 1.0)
             yield release
 
-        env.run_process(holder())
+        run_process(env, holder())
         # Resolved again: analytic booking allowed.
         assert channel.book(2.0) == pytest.approx(3.0)
 
@@ -353,8 +353,8 @@ class TestTransferAgainstResourceModel:
             for index, (spawn, src, dst, nbytes) in enumerate(flows):
                 env.process(flow(index, spawn, src, dst, nbytes))
             env.run()
-            traffic = {node: account.total_bytes for node, account
-                       in cluster.traffic_by_node().items()}
+            traffic = {node: machine.nic.traffic.total_bytes
+                       for node, machine in cluster.machines.items()}
             return finished, traffic
 
         def run_reference():
@@ -399,7 +399,7 @@ class TestTransferAgainstResourceModel:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_broadcast_matches_spawned_transfers(self, racked, src, order,
                                                  nbytes, background):
-        """Batched broadcast == per-destination processes joined by all_of.
+        """Batched broadcast == per-destination processes joined by AllOf.
 
         Flat and oversubscribed two-rack clusters (copies that cross the
         rack boundary serialise through both rack switches); receivers idle,
@@ -441,13 +441,13 @@ class TestTransferAgainstResourceModel:
                     yield env.process(cluster.broadcast(src, list(order),
                                                         nbytes, tag="sfb"))
                 else:
-                    yield env.all_of([
+                    yield AllOf(env, [
                         env.process(cluster.transfer(src, dst, nbytes,
                                                      tag="sfb"))
                         for dst in order if dst != src])
                 return env.now
 
-            finish = env.run_process(proc())
+            finish = run_process(env, proc())
             accounts = [(account.bytes_sent, account.bytes_received,
                          account.by_tag_sent, account.by_tag_received)
                         for account in

@@ -116,7 +116,7 @@ class TestTrainerBytesAreThePrice:
     @pytest.mark.parametrize("mode,head", [("sfb", "sfb"), ("hybrid", "ps")])
     def test_each_layer_sends_its_priced_bytes(self, mode, head):
         workload = build_workload(_gpt_spec(), batch_size=BATCH)
-        unit = workload.unit_by_name("lm_head")
+        unit, = (unit for unit in workload.units if unit.name == "lm_head")
         assert unit.factor_rank == GPT["block_size"]
         for workers in (2, 3, 4):
             trainer = self._train(mode, workers)

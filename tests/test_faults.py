@@ -4,8 +4,8 @@ Covers the fault subsystem below the trainer:
 
 * :class:`repro.core.faults.FaultPlan` construction, seeded sampling and
   the fire-once :class:`~repro.core.faults.FaultInjector` semantics;
-* the :class:`~repro.core.faults.FailureDetector` heartbeat/lease board
-  and its one-shot abort fan-out;
+* the :class:`~repro.core.faults.FailureDetector` and its one-shot abort
+  fan-out;
 * the closed-form Young--Daly checkpoint model and straggler-excess model
   shared by both simulation engines;
 * the engines themselves: default fault axes are a byte-identical no-op,
@@ -52,15 +52,6 @@ def _system(name="sys", comm="ps"):
 
 # -- FaultPlan -----------------------------------------------------------------
 class TestFaultPlan:
-    def test_empty_plan_is_empty(self):
-        assert FaultPlan().is_empty
-        assert not FaultPlan(crashes=(CrashFault(0, 1),)).is_empty
-
-    def test_crash_iteration_picks_first(self):
-        plan = FaultPlan(crashes=(CrashFault(1, 5), CrashFault(1, 2)))
-        assert plan.crash_iteration(1) == 2
-        assert plan.crash_iteration(0) is None
-
     def test_slow_factor_compounds_overlapping_slowdowns(self):
         plan = FaultPlan(slowdowns=(
             SlowdownFault(0, start_iteration=1, duration=3, factor=2.0),
@@ -71,12 +62,6 @@ class TestFaultPlan:
         assert plan.slow_factor(0, 2) == 6.0
         assert plan.slow_factor(0, 4) == 1.0
         assert plan.slow_factor(1, 2) == 1.0
-
-    def test_transient_failures_sum_per_step(self):
-        plan = FaultPlan(transients=(PushPullFault(0, 3, failures=2),
-                                     PushPullFault(0, 3, failures=1)))
-        assert plan.transient_failures(0, 3) == 3
-        assert plan.transient_failures(0, 2) == 0
 
     def test_random_is_deterministic_in_seed(self):
         a = FaultPlan.random(seed=11, num_workers=4, iterations=8)
@@ -127,6 +112,22 @@ class TestFaultInjector:
         injector.before_sync(0, 1)  # budget consumed: clean from now on
         injector.before_sync(1, 1)  # other workers never affected
 
+    def test_crash_fires_only_for_its_worker(self):
+        injector = FaultInjector(FaultPlan(crashes=(CrashFault(1, 2),)))
+        injector.begin_step(0, 2)  # same step, other worker: no-op
+        with pytest.raises(WorkerFailure):
+            injector.begin_step(1, 2)
+
+    def test_transients_for_one_step_add_up(self):
+        plan = FaultPlan(transients=(PushPullFault(0, 3, failures=2),
+                                     PushPullFault(0, 3, failures=1)))
+        injector = FaultInjector(plan)
+        injector.before_sync(0, 2)  # another iteration: nothing scheduled
+        for _ in range(3):
+            with pytest.raises(TransientFault):
+                injector.before_sync(0, 3)
+        injector.before_sync(0, 3)
+
     def test_empty_plan_hooks_are_noops(self):
         injector = FaultInjector(FaultPlan())
         injector.begin_step(0, 0)
@@ -156,8 +157,6 @@ class TestFailureDetector:
         assert detector.mark_dead(1, exc)
         assert not detector.mark_dead(1, exc)  # second declaration: no-op
         assert primitive.aborts == [exc]
-        assert detector.is_dead(1)
-        assert detector.dead_workers() == frozenset({1})
 
     def test_revive_clears_dead_set_and_aborts(self):
         detector = FailureDetector(num_workers=2)
@@ -165,18 +164,8 @@ class TestFailureDetector:
         detector.register(primitive)
         detector.mark_dead(0, WorkerFailure("boom", worker_id=0))
         detector.revive_all()
-        assert not detector.is_dead(0)
         assert primitive.cleared == 1
-
-    def test_expired_leases_track_heartbeats(self):
-        detector = FailureDetector(num_workers=2, lease_seconds=10.0)
-        detector.beat(0, step=0)
-        detector.beat(1, step=0)
-        now = __import__("time").monotonic()
-        assert detector.expired_leases(now) == []
-        assert sorted(detector.expired_leases(now + 11.0)) == [0, 1]
-        detector.mark_dead(1, WorkerFailure("boom", worker_id=1))
-        assert detector.expired_leases(now + 11.0) == [0]  # dead not re-reported
+        assert detector.mark_dead(0, WorkerFailure("again", worker_id=0))
 
 
 # -- closed-form model ---------------------------------------------------------

@@ -17,7 +17,7 @@ class TestFidelityReport:
         check = report.add_ratio_check("x", reported=10.0, measured=30.0,
                                        rel_tolerance=0.5)
         assert not check.passed
-        assert not report.all_passed
+        assert report.num_passed == 0
 
     def test_missing_paper_value_is_recorded_not_failed(self):
         report = FidelityReport()

@@ -10,6 +10,7 @@ from repro.data import make_cifar10_like, shard_dataset
 from repro.nn.model_zoo import build_cifar_quick_small_network, get_model_spec
 from repro.parallel import DistributedTrainer
 from repro.simulation import simulate_system
+from train_reference import replica_states_close
 
 
 def _planned(spec, cluster, batch_size):
@@ -107,7 +108,7 @@ class TestFunctionalPipeline:
         history = trainer.train(80)
         assert history.losses[-1] < history.losses[0] / 2
         assert history.final_test_error < 0.5
-        assert trainer.replica_states_close()
+        assert replica_states_close(trainer)
 
     def test_functional_byte_accounting_orders_like_cost_model(self):
         """For a wide-FC model, hybrid mode moves fewer bytes than pure PS."""

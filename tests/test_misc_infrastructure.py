@@ -9,7 +9,7 @@ import repro
 from repro import exceptions
 from repro.comm.message import ByteMeter
 from repro.experiments import paper_reference
-from repro.experiments.report import format_series, format_table, ratio_string
+from repro.experiments.report import format_series, format_table
 from repro.experiments.runner import main as runner_main
 from repro.logging_util import enable_console_logging, get_logger
 
@@ -34,7 +34,6 @@ class TestByteMeter:
         snapshot = meter.snapshot()
         assert snapshot["sent"] == 2 ** 20
         assert snapshot["tag:sfb"] == 2 ** 20
-        assert meter.total_megabytes == pytest.approx(1.0)
 
 
 class TestReportHelpers:
@@ -50,17 +49,8 @@ class TestReportHelpers:
         series = format_series("label", [1, 2], [1.0, 2.5])
         assert series == "label: 1=1.0 2=2.5"
 
-    def test_ratio_string_with_and_without_reference(self):
-        assert "paper: 2.00" in ratio_string(1.5, 2.0)
-        assert "n/a" in ratio_string(1.5, None)
-
 
 class TestPaperReference:
-    def test_reported_speedup_lookup(self):
-        assert paper_reference.reported_speedup("fig5", "VGG19-22K", "Caffe+WFBP") == 21.5
-        assert paper_reference.reported_speedup("fig6", "Inception-V3", "TF") == 20.0
-        assert paper_reference.reported_speedup("fig5", "nope", "x") is None
-
     def test_table3_reference_contains_all_models(self):
         assert set(paper_reference.TABLE3_MODELS) == {
             "CIFAR-10 quick", "GoogLeNet", "Inception-V3", "VGG19", "VGG19-22K",
@@ -196,3 +186,194 @@ class TestUnusedImportCheck:
                   "def f(items: \"List[int]\") -> int:\n"
                   "    return len(items)\n")
         assert self.unused(tmp_path, source) == []
+
+
+class TestReferenceCheck:
+    @staticmethod
+    def problems(tmp_path, files, allowlist=None):
+        """Run the check over a fixture tree of ``{relative path: source}``."""
+        for relative, source in files.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        return _tool("check_refs").check(tmp_path, allowlist or {})
+
+    def test_flags_an_unreferenced_definition(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": "def orphan():\n    return orphan\n",
+        }) == ["UNUSED src/repro/mod.py:1: repro.mod.orphan"]
+
+    @pytest.mark.parametrize("other", [
+        '"""Call ``helper`` first."""\n',
+        "from repro.mod import helper\n",
+        '__all__ = ["helper"]\n',
+    ], ids=["docstring", "import", "__all__"])
+    def test_a_docstring_an_import_or_all_is_no_use(self, tmp_path, other):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    pass\n",
+            "bench/run.py": other,
+        }) == ["UNUSED src/repro/mod.py:1: repro.mod.helper"]
+
+    def test_uses_count_from_bench_but_not_from_tests(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("class Board:\n"
+                                 "    def publish(self):\n        pass\n"
+                                 "    def collect(self):\n        pass\n"),
+            "bench/run.py": "from repro.mod import Board\nBoard().publish()\n",
+            "tests/test_mod.py": "Board().collect()\n",
+        }) == ["UNUSED src/repro/mod.py:4: repro.mod.Board.collect"]
+
+    @pytest.mark.parametrize("relative", [
+        "src/repro/other.py", "bench/run.py", "examples/demo.py",
+        "tools/script.py",
+    ])
+    def test_a_call_counts_from_every_use_root(self, tmp_path, relative):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    pass\n",
+            relative: "from repro.mod import helper\nhelper()\n",
+        }) == []
+
+    def test_an_attribute_is_a_use(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    pass\n",
+            "bench/run.py": "import repro.mod as mod\nmod.helper()\n",
+        }) == []
+
+    def test_a_use_inside_the_definition_itself_is_no_use(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("def walk(node):\n"
+                                 "    return walk(node.child)\n"
+                                 "class Tree:\n"
+                                 "    def visit(self):\n"
+                                 "        return self.visit()\n"),
+            "bench/run.py": "from repro.mod import Tree\nTree()\n",
+        }) == ["UNUSED src/repro/mod.py:1: repro.mod.walk",
+               "UNUSED src/repro/mod.py:4: repro.mod.Tree.visit"]
+
+    def test_a_call_from_a_sibling_method_is_a_use(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("class Tree:\n"
+                                 "    def run(self):\n"
+                                 "        return self.step()\n"
+                                 "    def step(self):\n"
+                                 "        pass\n"),
+            "bench/run.py": "from repro.mod import Tree\nTree().run()\n",
+        }) == []
+
+    def test_dunder_and_private_definitions_are_exempt(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("def _private():\n    pass\n"
+                                 "class _Hidden:\n"
+                                 "    def method(self):\n        pass\n"
+                                 "class Box:\n"
+                                 "    def __init__(self):\n        pass\n"
+                                 "    def __len__(self):\n        return 0\n"
+                                 "    def _helper(self):\n        pass\n"),
+            "bench/run.py": "from repro.mod import Box\nBox()\n",
+        }) == []
+
+    def test_nested_definitions_are_not_checked(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("def outer():\n"
+                                 "    def inner():\n        pass\n"
+                                 "    class Local:\n"
+                                 "        def method(self):\n            pass\n"
+                                 "    return 1\n"
+                                 "class Box:\n"
+                                 "    class Inner:\n"
+                                 "        def deep(self):\n            pass\n"),
+            "bench/run.py": "from repro.mod import Box, outer\nouter(), Box()\n",
+        }) == []
+
+    def test_an_unused_property_and_async_function_are_flagged(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("class Box:\n"
+                                 "    @property\n"
+                                 "    def size(self):\n        return 1\n"
+                                 "async def fetch():\n    pass\n"),
+            "bench/run.py": "from repro.mod import Box\nBox()\n",
+        }) == ["UNUSED src/repro/mod.py:3: repro.mod.Box.size",
+               "UNUSED src/repro/mod.py:5: repro.mod.fetch"]
+
+    def test_a_format_field_is_a_use(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("class Result:\n"
+                                 "    @property\n"
+                                 "    def speedup(self):\n        return 2.0\n"),
+            "bench/layout.py": ("from repro.mod import Result\n"
+                                "LINE = '{result.speedup:.2f}x'.format(\n"
+                                "    result=Result())\n"),
+        }) == []
+
+    def test_a_malformed_format_string_is_only_a_plain_string(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    pass\n",
+            "bench/run.py": "TEMPLATE = '{helper'\n",
+        }) == ["UNUSED src/repro/mod.py:1: repro.mod.helper"]
+
+    def test_a_package_init_names_the_package(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/pkg/__init__.py": "def thing():\n    pass\n",
+        }) == ["UNUSED src/repro/pkg/__init__.py:1: repro.pkg.thing"]
+
+    def test_a_name_shared_with_a_used_definition_passes(self, tmp_path):
+        """The documented limit of a check by name: an unused ``reset``
+        passes while another class's ``reset`` is called."""
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("class Meter:\n"
+                                 "    def reset(self):\n        pass\n"
+                                 "class Clock:\n"
+                                 "    def reset(self):\n        pass\n"),
+            "bench/run.py": ("from repro.mod import Clock, Meter\n"
+                             "Meter().reset()\nClock()\n"),
+        }) == []
+
+    def test_main_rejects_arguments(self, capsys):
+        assert _tool("check_refs").main(["src"]) == 2
+        assert "usage" in capsys.readouterr().err
+
+    def test_main_exits_nonzero_and_lists_every_problem(self, tmp_path,
+                                                        monkeypatch, capsys):
+        check_refs = _tool("check_refs")
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "mod.py").write_text(
+            "def orphan():\n    pass\n", encoding="utf-8")
+        monkeypatch.setattr(check_refs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_refs, "ALLOWLIST", {})
+        assert check_refs.main([]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "UNUSED src/repro/mod.py:1: repro.mod.orphan",
+            "1 problem(s)",
+        ]
+
+    def test_a_method_wrapped_by_its_string_name_passes(self, tmp_path):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("class Syncer:\n"
+                                 "    def sync(self):\n        pass\n"),
+            "bench/trace.py": ("from repro.mod import Syncer\n"
+                               "setattr(Syncer, \"sync\", None)\n"),
+        }) == []
+
+    def test_an_allowlisted_name_with_a_reason_passes(self, tmp_path):
+        assert self.problems(
+            tmp_path, {"src/repro/mod.py": "def unregister():\n    pass\n"},
+            {"repro.mod.unregister": "the registry's own API"}) == []
+
+    @pytest.mark.parametrize("allowlist,problem", [
+        ({"repro.mod.unregister": " "},
+         "ALLOWLIST repro.mod.unregister: no reason given"),
+        ({"repro.mod.unregister": "why", "repro.mod.gone": "why"},
+         "ALLOWLIST repro.mod.gone: names no definition"),
+        ({"repro.mod.unregister": "why", "repro.mod.register": "why"},
+         "ALLOWLIST repro.mod.register: is used, drop the entry"),
+    ], ids=["no reason", "no definition", "used"])
+    def test_a_bad_allowlist_entry_fails(self, tmp_path, allowlist, problem):
+        assert self.problems(tmp_path, {
+            "src/repro/mod.py": ("def register():\n    pass\n"
+                                 "def unregister():\n    pass\n"),
+            "examples/demo.py": "from repro.mod import register\nregister()\n",
+        }, allowlist) == [problem]
+
+    def test_the_repository_passes(self):
+        check_refs = _tool("check_refs")
+        assert check_refs.check(check_refs.REPO_ROOT, check_refs.ALLOWLIST) == []

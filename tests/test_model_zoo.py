@@ -68,7 +68,8 @@ class TestParameterCounts:
 
     def test_googlenet_single_thin_fc_layer(self):
         spec = get_model_spec("googlenet")
-        fc_layers = spec.fc_layers()
+        fc_layers = [layer for layer in spec.layers
+                     if layer.kind is LayerKind.FC]
         assert len(fc_layers) == 1
         assert fc_layers[0].fc_dims == (1024, 1000)
 
@@ -77,15 +78,18 @@ class TestParameterCounts:
         assert spec.fc_param_fraction < 0.1
 
     def test_vgg19_has_three_fc_layers(self):
-        assert len(get_model_spec("vgg19").fc_layers()) == 3
+        assert sum(layer.kind is LayerKind.FC
+                   for layer in get_model_spec("vgg19").layers) == 3
 
     def test_vgg19_22k_classifier_width(self):
         spec = get_model_spec("vgg19-22k")
         assert spec.layer("fc8").fc_dims == (4096, 21841)
 
     def test_inception_modules_channel_arithmetic(self):
+        spec = get_model_spec("googlenet")
         for config in INCEPTION_MODULES:
-            assert config.output_channels == (
+            output = spec.layer(f"{config.name}/output")
+            assert output.output_shape[0] == (
                 config.n1x1 + config.n3x3 + config.n5x5 + config.pool_proj)
 
     def test_batch_sizes_match_table3(self):

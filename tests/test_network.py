@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import check_network_input_gradient
 from repro.nn.layers import Dense, ReLU
 from repro.nn.model_zoo import build_mlp_network
 from repro.nn.network import Network
+from gradcheck import check_network_input_gradient
+from train_reference import step_network
 
 
 @pytest.fixture
@@ -49,7 +50,7 @@ class TestExecution:
         x, y = batch
         network.train_step(x, y, hook=lambda idx, layer: order.append(idx))
         assert order == sorted(order, reverse=True)
-        assert len(order) == network.num_layers
+        assert len(order) == len(network.layers)
 
     def test_hook_sees_fresh_gradients(self, network, batch):
         """When the hook fires for a layer, that layer's gradients are populated."""
@@ -80,7 +81,7 @@ class TestState:
         original = network.get_state()
         network.train_step(*batch)
         from repro.nn.optim import SGD
-        SGD(learning_rate=0.1).step_network(network)
+        step_network(SGD(learning_rate=0.1), network)
         changed = network.get_state()
         assert any(
             not np.allclose(original[l][k], changed[l][k])

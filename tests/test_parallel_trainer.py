@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.config import ScheduleMode, TrainingConfig
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.model_zoo import build_mlp_network
 from repro.parallel import (
     DistributedTrainer,
-    SerialTrainer,
     assign_schemes,
     simulate_synchronous_sgd,
 )
+from train_reference import make_linearly_separable, replica_states_close
 
 
 NUM_WORKERS = 3
@@ -97,7 +97,7 @@ class TestDistributedTraining:
         history = trainer.train(4)
         assert len(history.losses) == 4
         assert np.isfinite(history.losses).all()
-        assert trainer.replica_states_close()
+        assert replica_states_close(trainer)
 
     def test_exact_modes_agree_with_each_other(self, setup):
         """PS, SFB, hybrid and Adam all perform exact synchronization."""
@@ -272,23 +272,3 @@ class TestConstructionMemory:
             tracemalloc.stop()
         copies = workers + server_copies
         assert peak <= copies * param_bytes * 1.05, peak / param_bytes
-
-
-class TestSerialTrainer:
-    def test_loss_decreases(self, setup):
-        factory, _, config, test_data = setup
-        train_x, train_y, _, _ = make_linearly_separable(
-            num_train=180, num_test=10, input_dim=16, num_classes=4, seed=1)
-        trainer = SerialTrainer(factory(), (train_x, train_y), config,
-                                test_data=test_data, eval_every=10)
-        history = trainer.train(40)
-        assert history.losses[-1] < history.losses[0]
-        assert history.test_errors
-
-    def test_final_loss_property(self, setup):
-        factory, _, config, _ = setup
-        train_x, train_y, _, _ = make_linearly_separable(
-            num_train=64, num_test=10, input_dim=16, num_classes=4, seed=1)
-        trainer = SerialTrainer(factory(), (train_x, train_y), config)
-        history = trainer.train(3)
-        assert history.final_loss == history.losses[-1]

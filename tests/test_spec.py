@@ -148,7 +148,8 @@ class TestSpecBuilder:
 class TestFactorRankOfBuiltLayers:
     def test_cnn_fc_has_one_row_per_sample(self):
         spec = build_toy_spec()
-        assert [layer.factor_rank for layer in spec.fc_layers()] == [1, 1]
+        assert [layer.factor_rank for layer in spec.layers
+                if layer.kind is LayerKind.FC] == [1, 1]
 
     def test_token_fc_has_one_row_per_token(self):
         builder = SpecBuilder("lm", input_shape=(7,))
@@ -179,9 +180,12 @@ class TestModelSpec:
         spec = build_toy_spec()
         assert spec.total_params == sum(l.param_count for l in spec.layers)
 
-    def test_fc_plus_conv_params_cover_all(self):
+    def test_fc_params_are_the_fc_layers(self):
         spec = build_toy_spec()
-        assert spec.fc_params + spec.conv_params == spec.total_params
+        fc = sum(layer.param_count for layer in spec.layers
+                 if layer.kind is LayerKind.FC)
+        assert 0 < spec.fc_params == fc < spec.total_params
+        assert spec.fc_param_fraction == pytest.approx(fc / spec.total_params)
 
     def test_parameter_layers_only_parameterised(self):
         spec = build_toy_spec()
@@ -191,9 +195,6 @@ class TestModelSpec:
         spec = build_toy_spec()
         with pytest.raises(KeyError):
             spec.layer("nonexistent")
-
-    def test_summary_mentions_model_name(self):
-        assert "toy" in build_toy_spec().summary()
 
     def test_flops_positive(self):
         spec = build_toy_spec()

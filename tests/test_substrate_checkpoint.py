@@ -17,10 +17,11 @@ from repro.comm.averaging import ParameterAverager
 from repro.comm.parameter_server import ShardedParameterServer
 from repro.comm.quantization import OneBitQuantizer
 from repro.config import TrainingConfig
-from repro.data import make_linearly_separable, shard_dataset
+from repro.data import shard_dataset
 from repro.nn.model_zoo import build_mlp_network
 from repro.nn.optim import SGD
 from repro.parallel import DistributedTrainer
+from train_reference import make_linearly_separable
 
 NUM_WORKERS = 3
 

@@ -42,7 +42,7 @@ class TestSufficientFactors:
         v = rng.standard_normal((32, 4096)).astype(np.float32)
         factors = SufficientFactors(u=u, v=v)
         # MN / K(M+N) = 4096*4096 / (32*8192) = 64.
-        assert factors.compression_ratio == pytest.approx(64.0)
+        assert 4096 * 4096 * 4 / factors.nbytes == pytest.approx(64.0)
 
 
 class TestSufficientFactorProperties:

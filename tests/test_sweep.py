@@ -27,11 +27,7 @@ from repro.sweep import (
     set_default_jobs,
     use_jobs,
 )
-from repro.simulation.speedup import (
-    bandwidth_sweep,
-    compare_systems,
-    scaling_curve,
-)
+from repro.simulation.speedup import compare_systems, scaling_curve
 
 
 def _square(x):
@@ -140,14 +136,6 @@ class TestSpeedupSweeps:
                                  node_counts=(1, 4, 8), jobs=4)
         assert serial.node_counts == parallel.node_counts
         assert serial.speedups == parallel.speedups
-
-    def test_bandwidth_sweep_parallel_matches_serial(self, vgg19_spec):
-        kwargs = dict(bandwidths_gbps=(10.0, 40.0), node_counts=(1, 8))
-        serial = bandwidth_sweep(vgg19_spec, CAFFE_WFBP, jobs=1, **kwargs)
-        parallel = bandwidth_sweep(vgg19_spec, CAFFE_WFBP, jobs=4, **kwargs)
-        assert list(serial) == list(parallel)
-        for bandwidth in serial:
-            assert serial[bandwidth].speedups == parallel[bandwidth].speedups
 
     def test_compare_systems_parallel_matches_serial(self, googlenet_spec):
         systems = (CAFFE_WFBP, POSEIDON_CAFFE)

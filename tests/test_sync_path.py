@@ -34,8 +34,7 @@ from repro.comm.ring import RingAllReducer, RingSyncer
 from repro.comm.sfb import SufficientFactorBroadcaster
 from repro.config import TrainingConfig
 from repro.core.syncer import LocalSGDSyncer, Syncer
-from repro.data import make_linearly_separable, shard_dataset
-from repro.nn.gradcheck import check_layer_gradients, check_network_input_gradient
+from repro.data import shard_dataset
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.model_zoo import (
     build_cifar_quick_network,
@@ -45,6 +44,8 @@ from repro.nn.model_zoo import (
 from repro.nn.optim import SGD, fold_in_order, reduce_in_worker_order
 from repro.nn.sufficient_factors import SufficientFactors
 from repro.parallel import DistributedTrainer, simulate_synchronous_sgd
+from gradcheck import check_layer_gradients, check_network_input_gradient
+from train_reference import make_linearly_separable, server_params, step_network
 
 
 def _dense_after_backward(seed: int = 0) -> Dense:
@@ -96,7 +97,7 @@ class TestZeroCopyStaging:
         server = ShardedParameterServer(
             {"fc": layers[0].get_params()}, num_workers=2,
             optimizer=SGD(learning_rate=1.0), ordered=True)
-        start = server.global_params("fc")
+        start = server_params(server, "fc")
         staged = [Syncer(w, layer, "ps", ps=server).move_out()
                   for w, layer in enumerate(layers)]
         want = {key: (staged[0][key] + staged[1][key]) * np.float32(0.5)
@@ -106,7 +107,7 @@ class TestZeroCopyStaging:
         layers[0].forward(rng.standard_normal((3, 12)).astype(np.float32))
         layers[0].backward(rng.standard_normal((3, 8)).astype(np.float32))
         server.push(1, "fc", staged[1])
-        got = server.global_params("fc")
+        got = server_params(server, "fc")
         for key in want:
             np.testing.assert_array_equal(got[key], start[key] - want[key])
 
@@ -206,7 +207,7 @@ class TestOneReduction:
             for wid in range(2):                # ... and not applied again
                 server.push(wid, "fc",
                             {"weight": np.full(3, 1.0, dtype=np.float32)})
-            got = server.global_params("fc")
+            got = server_params(server, "fc")
             np.testing.assert_array_equal(got["weight"], -2.0)
             np.testing.assert_array_equal(got["bias"], -5.0)
 
@@ -218,7 +219,7 @@ class TestOneReduction:
             optimizer=SGD(learning_rate=1.0), aggregation="sum")
         for wid in (2, 0, 1):
             server.push(wid, "fc", {"w": grads[wid]})
-        np.testing.assert_array_equal(server.global_params("fc")["w"],
+        np.testing.assert_array_equal(server_params(server, "fc")["w"],
                                       -((grads[2] + grads[0]) + grads[1]))
 
 
@@ -288,8 +289,8 @@ class TestSubstratesAgree:
         for wid, layer in enumerate(layers):
             flat.push(wid, "fc", dict(layer.grads))
             tree.push(wid, "fc", dict(layer.grads))
-        for key, value in flat.global_params("fc").items():
-            np.testing.assert_allclose(tree.global_params("fc")[key], value,
+        for key, value in server_params(flat, "fc").items():
+            np.testing.assert_allclose(server_params(tree, "fc")[key], value,
                                        rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("num_workers", [2, 3])
@@ -381,7 +382,7 @@ class TestBottomLayerSkip:
         seen = []
         assert network.backward(
             grad_logits, hook=lambda index, layer: seen.append(index)) is None
-        assert seen == list(range(network.num_layers - 1, -1, -1))
+        assert seen == list(range(len(network.layers) - 1, -1, -1))
         assert network.backward(grad_logits, need_input_grad=True).shape == (5, 12)
 
     @pytest.mark.parametrize("layer,shape", [
@@ -480,7 +481,7 @@ def test_threaded_zero_copy_sync_keeps_replicas_and_server_identical():
         sys.setswitchinterval(previous)
     assert not errors and not any(thread.is_alive() for thread in threads)
     assert server.version("fc") == rounds
-    final = server.global_params("fc")
+    final = server_params(server, "fc")
     for layer in layers:
         for key, value in final.items():
             np.testing.assert_array_equal(layer.params[key], value)
@@ -687,7 +688,7 @@ class TestWhoKeepsTheDenseGradient:
             if isinstance(layer, Dense):
                 _assert_keeps_dense_weight(layer)
         before = network.get_state()
-        SGD(learning_rate=0.1).step_network(network)
+        step_network(SGD(learning_rate=0.1), network)
         assert np.any(network.get_state()["fc1"]["weight"]
                       != before["fc1"]["weight"])
         check_layer_gradients(Dense("fc", 6, 5), rng.standard_normal((4, 6)))

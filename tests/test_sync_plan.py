@@ -485,7 +485,7 @@ class TestRingLoweringsAreEachOthersOracle:
         # started, the ring countdown, the rejoin countdown -- and a flow
         # that crosses racks releases four more channels on their own entries.
         # On a flat network the plan is symmetric: one worker is stepped.
-        units = simulator.workload.num_units
+        units = len(simulator.workload.units)
         encoded = sum(plan.encode_seconds > 0.0
                       for plan in simulator.plan.units)
         boundaries = (0 if cluster.is_flat_topology

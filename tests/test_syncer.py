@@ -11,6 +11,7 @@ from repro.core.syncer import Syncer
 from repro.exceptions import TrainingError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.optim import SGD
+from train_reference import server_params
 
 
 @pytest.fixture
@@ -76,9 +77,8 @@ class TestPsSyncer:
         ps = make_ps(dense_layer)
         syncer = Syncer(0, dense_layer, "ps", ps=ps)
         syncer.sync(iteration=0)
-        server_params = ps.global_params("fc")
         np.testing.assert_allclose(dense_layer.params["weight"],
-                                   server_params["weight"])
+                                   server_params(ps, "fc")["weight"])
 
 
 class TestQuantizedPsSyncer:

@@ -275,7 +275,7 @@ def des_table_points(policies=TABLE_POLICIES, refused=False):
     """``(key, system, cluster)`` of every recorded point (8 nodes, 10 GbE);
     with ``refused``, of every point the plan refuses instead."""
     flat = cluster(8, 10.0)
-    racked = flat.with_topology(racks=2, oversubscription=4.0)
+    racked = replace(flat, racks=2, oversubscription=4.0)
     for label, base in TABLE_SYSTEMS:
         networks = [("flat", flat)]
         if label in ("PS", "HybComm"):

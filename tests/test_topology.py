@@ -14,6 +14,7 @@ Three layers of protection:
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,8 +96,8 @@ class TestClusterConfigTopology:
         assert config.rack_bisection_bps(4) == pytest.approx(
             config.effective_bandwidth_bps * 4 / 4.0)
 
-    def test_with_topology_and_with_workers_compose(self):
-        config = ClusterConfig(num_workers=8).with_topology(2, 4.0)
+    def test_with_workers_keeps_the_topology(self):
+        config = ClusterConfig(num_workers=8, racks=2, oversubscription=4.0)
         grown = config.with_workers(16)
         assert (grown.racks, grown.oversubscription) == (2, 4.0)
         assert grown.nodes_per_rack == 8
@@ -141,7 +142,7 @@ class TestFlatEquivalence:
         """Property: racks at oversubscription 1.0 are byte-identical to flat."""
         system = poseidon_style(comm)
         flat = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth)
-        racked = flat.with_topology(racks=racks, oversubscription=1.0)
+        racked = replace(flat, racks=racks, oversubscription=1.0)
         result_flat = simulate_system(tiny_model_spec, system, flat)
         result_racked = simulate_system(tiny_model_spec, system, racked)
         assert result_flat.iteration_seconds == result_racked.iteration_seconds
@@ -154,7 +155,6 @@ class TestFlatEquivalence:
         model = ClusterModel(env, ClusterConfig(num_workers=8, racks=4))
         assert not model.topology_active
         assert model.rack_switches == []
-        assert model.cross_rack_bytes() == 0.0
 
     def test_flat_topology_cost_is_bit_exact(self):
         flat_topo = NetworkTopology(racks=4, oversubscription=1.0)
@@ -340,6 +340,11 @@ def run_transfers(config, flows):
     return done, model
 
 
+def cross_rack_bytes(model):
+    """Total bytes that left any rack through its oversubscribed uplink."""
+    return sum(switch.traffic.bytes_sent for switch in model.rack_switches)
+
+
 class TestRackContention:
     CONFIG = ClusterConfig(num_workers=8, bandwidth_gbps=10.0, racks=2,
                            oversubscription=8.0, latency_seconds=0.0)
@@ -351,14 +356,14 @@ class TestRackContention:
                           latency_seconds=0.0),
             [(0, 1, 10_000_000)])
         assert durations[0] == flat[0]
-        assert model.cross_rack_bytes() == 0.0
+        assert cross_rack_bytes(model) == 0.0
 
     def test_cross_rack_flow_is_throttled_by_the_uplink(self):
         # 4 nodes/rack at 8:1 oversubscription: bisection = NIC / 2.
         intra, _ = run_transfers(self.CONFIG, [(0, 1, 10_000_000)])
         cross, model = run_transfers(self.CONFIG, [(0, 4, 10_000_000)])
         assert cross[0] == pytest.approx(2 * intra[0])
-        assert model.cross_rack_bytes() == 10_000_000
+        assert cross_rack_bytes(model) == 10_000_000
 
     def test_concurrent_cross_rack_flows_share_the_uplink(self):
         # Two senders in rack 0: together they serialise through one uplink.
@@ -366,7 +371,7 @@ class TestRackContention:
         durations, model = run_transfers(self.CONFIG, flows)
         solo, _ = run_transfers(self.CONFIG, [(0, 4, 10_000_000)])
         assert max(durations.values()) == pytest.approx(2 * solo[0])
-        assert model.cross_rack_bytes() == 20_000_000
+        assert cross_rack_bytes(model) == 20_000_000
 
     def test_concurrent_flows_in_different_racks_do_not_contend(self):
         config = ClusterConfig(num_workers=16, bandwidth_gbps=10.0, racks=4,
@@ -376,19 +381,24 @@ class TestRackContention:
             config, [(0, 4, 10_000_000), (8, 12, 10_000_000)])
         assert max(both.values()) == pytest.approx(solo[0])
 
+    def test_fabric_cross_fraction_counts_the_out_of_rack_peers(self):
+        # Each node of 8 in racks of 4 has 4 of its 7 peers in the other rack.
+        model = ClusterModel(Environment(), self.CONFIG)
+        assert [model.fabric_cross_fraction(node) for node in range(8)] == \
+            [pytest.approx(4 / 7)] * 8
+        # Racks of 4, 4 and 2: the short rack's nodes see 8 of 9 peers outside.
+        uneven = ClusterModel(Environment(), replace(
+            self.CONFIG, num_workers=10, racks=3))
+        assert uneven.fabric_cross_fraction(0) == pytest.approx(6 / 9)
+        assert uneven.fabric_cross_fraction(9) == pytest.approx(8 / 9)
+        flat = ClusterModel(Environment(), ClusterConfig(num_workers=8))
+        assert flat.fabric_cross_fraction(0) == 0.0
+
     def test_rack_switch_lookup_requires_topology(self):
         env = Environment()
         model = ClusterModel(env, ClusterConfig(num_workers=4))
         with pytest.raises(SimulationError):
             model.rack_switch(0)
-
-    def test_rack_of_rejects_fabric_and_unknown_nodes(self):
-        env = Environment()
-        model = ClusterModel(env, self.CONFIG)
-        with pytest.raises(SimulationError):
-            model.rack_of(-1)  # the FABRIC sentinel belongs to no rack
-        with pytest.raises(SimulationError):
-            model.rack_of(len(model.machines))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestUnits:
         spec = get_model_spec("resnet-152")
         fine = build_workload(spec, coarsen_bytes=0)
         coarse = build_workload(spec, coarsen_bytes=2 * units.MB)
-        assert coarse.num_units < fine.num_units
+        assert len(coarse.units) < len(fine.units)
         assert sum(u.param_bytes for u in fine.units) == \
             sum(u.param_bytes for u in coarse.units)
 
@@ -96,16 +96,12 @@ class TestUnits:
 
     def test_sf_bytes_accessor(self, vgg19_spec):
         workload = build_workload(vgg19_spec, batch_size=32)
-        fc6 = workload.unit_by_name("fc6")
+        units = {unit.name: unit for unit in workload.units}
+        fc6 = units["fc6"]
         assert fc6.sufficient_factor_bytes(32) == 32 * (25088 + 4096) * 4
-        conv = workload.unit_by_name("conv1_1")
+        conv = units["conv1_1"]
         with pytest.raises(ConfigurationError):
             conv.sufficient_factor_bytes(32)
-
-    def test_unknown_unit_lookup(self, vgg19_spec):
-        workload = build_workload(vgg19_spec)
-        with pytest.raises(KeyError):
-            workload.unit_by_name("bogus")
 
     @settings(max_examples=10, deadline=None)
     @given(coarsen_mb=st.sampled_from([0, 1, 2, 4, 16]))
