@@ -7,8 +7,10 @@ configuration and reports the wall-clock per simulated iteration; the
 event graph:
 
 * the SFB configs (VGG19 under HybComm) are dominated by the all-to-all
-  sufficient-factor broadcasts of the FC layers -- the per-config event
-  graph the tail-clock channels and countdown barriers collapse;
+  sufficient-factor broadcasts of the FC layers -- a symmetric plan since
+  the all-to-all became one rotated schedule, so the DES steps one
+  representative worker: 216 / 292 events at 8 / 32 nodes (1,098 / 6,456
+  while it stepped every worker);
 * the fine-PS configs (VGG19 under Caffe+WFBP) are the per-unit KV-store
   scatter/gather against the fabric -- a symmetric plan, so the DES steps
   one representative worker: 215 events at 8, 32 and 64 nodes (985 /
@@ -18,12 +20,15 @@ event graph:
   plan and, being symmetric too, stepped once: 110 events (565 / 2,125
   with every worker; 2,320 / 32,320 while every step had its own
   all-worker countdown);
-* the LLM convoy (``nanogpt-12l`` under SFB, 16 nodes, 40 GbE): 11,760
-  of its 19,339 events are broadcast copies of the 49 token FCs' factors,
-  each one queue entry and the float operations that book it -- the event
-  count is the floor, the time per copy the gate (under HybComm the same
-  model broadcasts nothing: at ``K = B * T`` factor rows every unit rides
-  the PS);
+* the LLM convoy (``nanogpt-12l`` under SFB, 16 nodes, 40 GbE, two racks
+  at 2:1): 41,046 events, every worker stepped through the 49 token FCs'
+  all-to-all broadcasts, each copy one queue entry and the float
+  operations that book it (a cross-rack copy also holds both rack
+  switches) -- the event count is the floor, the time per copy the gate.
+  On a flat network the same plan is symmetric and one representative
+  worker is stepped (1,474 events), so the gate is racked (under HybComm
+  the model broadcasts nothing: at ``K = B * T`` factor rows every unit
+  rides the PS);
 * the relaxed-policy config (VGG19 under Caffe+WFBP with ``ssp(1)``, 8
   nodes, 10 GbE) is the multi-round run: eight rounds, every worker
   stepped, each gated on its own clock -- 7,792 events where BSP's one
@@ -49,8 +54,9 @@ RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")
 SFB = poseidon_system("SFB", "sfb")
 
 
-def _simulate(system, nodes, workload=WORKLOAD, bandwidth=40.0):
-    cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth)
+def _simulate(system, nodes, workload=WORKLOAD, bandwidth=40.0, **topology):
+    cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth,
+                            **topology)
     simulator = IterationSimulator(workload, cluster, system)
     result = simulator.run()
     return result, simulator.env.events_processed
@@ -82,10 +88,12 @@ def test_flow_sim_ring(benchmark, nodes):
 
 
 def test_flow_sim_llm_convoy(benchmark):
-    """One nanogpt-12l iteration under forced SFB at 16 nodes (SFB convoy)."""
-    result, events = benchmark(_simulate, SFB, 16, LLM_WORKLOAD)
+    """One nanogpt-12l iteration under forced SFB at 16 nodes on two racks
+    at 2:1 (SFB convoy, every worker stepped)."""
+    result, events = benchmark(_simulate, SFB, 16, LLM_WORKLOAD,
+                               racks=2, oversubscription=2.0)
     assert result.iteration_seconds > 0
-    assert events == 19339  # every worker stepped; a copy is one entry
+    assert events == 41046  # every worker stepped; a copy is one entry
     benchmark.extra_info["events_processed"] = events
 
 

@@ -457,7 +457,7 @@ class ClusterModel:
         dst_nic.traffic.record_received(repeat * nbytes, tag)
 
     def broadcast(self, src: int, dst_ids: List[int], nbytes_each: float,
-                  tag: str = "untagged") -> Generator:
+                  tag: str = "untagged", proxy: bool = False) -> Generator:
         """Process: send ``nbytes_each`` from ``src`` to every node in ``dst_ids``.
 
         The sender's uplink carries the copies back to back (FIFO) and is
@@ -468,13 +468,26 @@ class ClusterModel:
         downlink while holding the uplink (head-of-line blocking, exactly
         as before).  Completes when the last copy has been delivered.
 
+        The copies walk the receivers in node-id order starting after the
+        sender, ``(src + 1 + k) mod N``: when every worker broadcasts at
+        once, copy ``k`` of each sender lands on a different node, not all
+        on node 0.  A hub that is its group's lowest id (a rack leader)
+        keeps plain id order.  The sender's own id is skipped.
+
+        With ``proxy``, every copy is booked on the sender's own downlink
+        and account: a symmetric plan's representative
+        (``IterationSimulator._lowered``) stands for every receiver, whose
+        downlinks are in the same state as its own.
+
         Under a non-flat topology, copies addressed outside the sender's
         rack additionally serialise through the source rack's uplink and
         the destination rack's downlink while the batch holds the NIC.
         """
         if not nbytes_each >= 0:
             raise SimulationError(f"negative transfer size: {nbytes_each}")
-        destinations = [dst for dst in dst_ids if dst != src]
+        nodes = len(self.machines)
+        destinations = sorted((dst for dst in dst_ids if dst != src),
+                              key=lambda dst: (dst - src) % nodes)
         if not destinations or nbytes_each == 0:
             return
         env = self.env
@@ -490,7 +503,7 @@ class ClusterModel:
         racks = self._rack_by_node if self.topology_active else None
         copies = []
         for dst in destinations:
-            dst_nic = self.machine(dst).nic
+            dst_nic = src_nic if proxy else self.machine(dst).nic
             bw = dst_nic.bandwidth_bps
             lat = dst_nic.latency_seconds
             copies.append((

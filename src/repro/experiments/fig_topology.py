@@ -5,13 +5,15 @@ full-bisection network.  Real GPU clusters are rack-oversubscribed: the
 top-of-rack uplink carries a fraction ``1/oversubscription`` of the
 bandwidth its members could inject.  This experiment sweeps that factor
 across every registered communication backend and shows the headline
-consequence: the flat-network ranking inverts.  Schemes that fan dense
-traffic across all peers (PS, SFB) degrade with the oversubscription
-factor, while the topology-aware collectives -- ring all-reduce (one
-boundary flow per rack) and hierarchical PS (one pre-reduced aggregate
-per rack) -- hold their throughput, and Algorithm 1's per-layer choice
-(now rack-aware, see :func:`repro.comm.backend.hybrid_choice`) shifts
-towards them.
+consequence: schemes that fan traffic across all peers (PS, SFB) degrade
+with the oversubscription factor, while the topology-aware collectives
+-- ring all-reduce (one boundary flow per rack) and hierarchical PS (one
+pre-reduced aggregate per rack) -- hold their throughput.  PS falls
+behind ring all-reduce, ring becomes GoogLeNet's fastest exact scheme,
+and Algorithm 1's per-layer choice (rack-aware, see
+:func:`repro.comm.backend.hybrid_choice`) shifts towards it; VGG19's
+sufficient factors stay small enough for SFB to remain its fastest exact
+scheme at 8x.
 
 The speedup series are a :class:`~repro.experiments.figure.Figure`; the
 Algorithm-1 shift keeps a custom body, as it is the volumetric cost

@@ -140,26 +140,6 @@ class LayerSpec:
             )
         return self.param_shape[0], self.param_shape[1]
 
-    def sufficient_factor_bytes(self, batch_size: int) -> int:
-        """Bytes required to send this layer's gradient as sufficient factors.
-
-        For an FC layer with weight ``M x N`` whose cached factors have
-        ``K = batch_size * factor_rank`` rows, the gradient is the sum of
-        ``K`` outer products ``u_i v_i^T`` with ``u_i`` of length ``M`` and
-        ``v_i`` of length ``N``; transmitting the factors costs
-        ``K (M + N)`` floats.
-
-        Raises:
-            ModelSpecError: if the layer is not SF-decomposable.
-        """
-        if not self.sf_decomposable:
-            raise ModelSpecError(
-                f"layer {self.name!r} is not sufficient-factor decomposable"
-            )
-        m, n = self.fc_dims
-        return int(batch_size * self.factor_rank * (m + n)
-                   * units.FLOAT32_BYTES)
-
 
 @dataclass(frozen=True)
 class ModelSpec:

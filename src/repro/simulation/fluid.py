@@ -16,10 +16,15 @@ Two fidelity tiers share one phase structure:
 * **detail** (``num_workers`` <= :data:`DETAIL_NODE_MAX`): per-node tail
   clocks, with single-source fans and SFB broadcast convoys chained copy by
   copy through a time-ordered phase heap so concurrent units interleave on
-  shared channels in DES request order.  On flat topologies this reproduces
-  the DES to float precision; under rack oversubscription the channels'
-  FIFO/head-of-line coupling is approximated by work-conserving fluid
-  shares (see PERFORMANCE.md for the measured envelope).
+  shared channels in DES request order.  On flat topologies the fabric
+  (PS, 1-bit) and ring phases reproduce the DES to float precision; the
+  convoys, owner fans and leader trees do not replay the DES's
+  same-instant interleaving with other units' flows, and miss it by a
+  measured, unbounded amount (flat VGG19 at 1 GbE: SFB / HybComm -26 %
+  at 8 nodes, hierarchical PS -12 %).  Under rack oversubscription the
+  channels' FIFO/head-of-line coupling is approximated by
+  work-conserving fluid shares (see PERFORMANCE.md, "Exactness
+  envelope", for both).
 * **aggregate** (above :data:`DETAIL_NODE_MAX`): node-symmetric class
   clocks and *rack classes*.  Racks that share a profile (members and
   cross-rack share) and a booking history are one class with one wire
@@ -639,20 +644,24 @@ class FluidSimulator:
                         done: Callable) -> None:
         """Batches of copies, each batch holding its hub's uplink throughout.
 
-        An all-to-all (every worker a hub) is a convoy: each sender's
-        copies chain through the phase heap so the P batches interleave on
-        the receivers' downlinks in request order.  A single hub's batch is
-        booked in one go.
+        Every batch walks its receivers starting after its sender, as the
+        DES broadcast does: copy ``k`` of sender ``s`` goes to ``(s + 1 +
+        k) mod P``.  An all-to-all (every worker a hub) is a convoy: each
+        sender's copies chain through the phase heap so the P batches
+        interleave on the receivers' downlinks in request order.  A single
+        hub's batch is booked in one go.
         """
         tn, fs, wr = self._holds(phase.nbytes)
         up, copy, at = self.up, self._copy, self._at
         if phase.src is not Peers.WORKERS:
+            nodes = len(self.up)
             for group, hub, members in fan_groups(phase, self.plan.shape,
                                                   plan.owner, rack):
                 cur = call
                 if len(members) > 1:
                     cur = max(call, up[hub])
-                    for member in members:
+                    for member in sorted(members,
+                                         key=lambda dst: (dst - hub) % nodes):
                         if member != hub:
                             cur = copy(hub, member, cur, tn, fs, wr)
                     up[hub] = max(up[hub], cur)
@@ -672,7 +681,7 @@ class FluidSimulator:
                     # holds (the DES broadcast claims the uplink once for
                     # the whole batch)
                     when = max(when, up[s])
-                dst = sent if sent < s else sent + 1
+                dst = (s + 1 + sent) % n
                 if flat:  # _copy within one rack, inline
                     busy = down[dst]
                     fin = down[dst] = (busy if busy > when else when) + tn
@@ -837,27 +846,26 @@ class FluidSimulator:
             self.down[0] = max(self.down[0], fin)
             done(None, fin)
             return
-        slot = self._tn(nbytes)
+        tfs = self._tfs(nbytes)
         members = self._profile(0)[0] if self.topo else n
-        intra, cross = members - 1, n - members
-        drain = intra * slot + cross * self._tfs(nbytes)
-        # Symmetric convoy: every NIC sends N-1 and receives N-1 copies;
-        # from an idle network the exact flat finish is (2N-3) slots
-        # (pipeline fill of N-2 plus one receiver's full drain).
+        drain = (members - 1) * self._tn(nbytes) + (n - members) * tfs
+        # Symmetric convoy: every NIC sends N-1 and receives N-1 copies, and
+        # in copy slot k sender s feeds receiver s + 1 + k alone, so from an
+        # idle flat network the finish is one NIC's drain, N-1 slots.
         start = max(call, self.up[0], self.down[0])
-        fin = start + (n - 2) * slot + drain
+        fin = start + drain
         self.up[0] = max(call, self.up[0]) + drain
         self.down[0] = max(call, self.down[0]) + drain
-        if self.topo and cross:
-            # The broadcast convoys sweep the racks in sender order, so the
-            # per-copy max-coupling of (source rack up, dest rack down)
-            # ratchets every rack-wire clock to the global maximum: cross
-            # copies serialize globally, not per rack pair.  Book the whole
-            # unit's cross traffic on one lockstep clock.
-            lock = (max(call, *self.rku, *self.rkd)
-                    + n * cross * self._wire(nbytes))
-            self.rku[:] = self.rkd[:] = [lock] * len(self.rku)
-            fin = max(fin, lock + self._tfs(nbytes))
+        if self.topo and n > members:
+            # Each rack's wires carry its own members' cross copies, out
+            # and in: members x (N - members) per direction.
+            wire = self._wire(nbytes)
+            for k, (size, _cross) in enumerate(self._class_profile):
+                if size and n > size:
+                    hold = size * (n - size) * wire
+                    self.rku[k] = max(call, self.rku[k]) + hold
+                    self.rkd[k] = max(call, self.rkd[k]) + hold
+                    fin = max(fin, self.rku[k] + tfs, self.rkd[k] + tfs)
         done(None, fin)
 
     def _agg_ring(self, plan: UnitPlan, phase: Phase, rack, call,

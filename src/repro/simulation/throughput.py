@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import units
 from repro.cluster.machine import ClusterModel
-from repro.comm.backend import PhaseKind, Scope, SyncShape, registry_generation
+from repro.comm.backend import (
+    Peers, PhaseKind, Scope, SyncShape, registry_generation)
 from repro.config import ClusterConfig, ScheduleMode, SystemConfig
 from repro.core.faults import fault_overhead_factor
 from repro.exceptions import SimulationError
@@ -427,25 +428,31 @@ class IterationSimulator:
         * a shard on every node -- of 8 shards node 0 hosts one: every node
           charged its bytes (33.3 -> 50.6 GB); dedicated servers: none is
           (36.8 -> 19.5 GB);
-        * fabric phases or the one-hold ring step only -- anything else
-          lands on a peer's NIC (coarse PS 18.36 -> 1.73 s; HybComm same
-          time, 7.4 -> 6.1 GB);
+        * fabric phases, all-to-all broadcasts or the one-hold ring step
+          only -- anything else lands on a peer's NIC (coarse PS 18.36 ->
+          1.73 s).  An all-to-all's copy ``k`` of each sender lands on a
+          different node, so the representative books its copies on its
+          own downlink and account, the proxy of each receiver's
+          (``ClusterModel.broadcast(..., proxy=True)``);
         * one step tuple -- dropping workers ``1..P-1`` must lose nothing;
           no plan the other conjuncts admit fails it today.
         """
         scales = {self._compute_scale(worker)
                   for worker in range(self.num_workers)}
-        kinds = [[phase.kind for phase in unit.bytes.phases]
-                 for unit in self.plan.units]
+        phases = [unit.bytes.phases for unit in self.plan.units]
         uniform = one_round and len(scales) == 1
-        one_hold = uniform and all(unit == [PhaseKind.RING_STEP]
-                                   for unit in kinds)
+        one_hold = uniform and all(
+            [phase.kind for phase in unit] == [PhaseKind.RING_STEP]
+            for unit in phases)
         config = self.cluster_config
         symmetric = (uniform and not self.cluster.topology_active
                      and config.colocate_servers
                      and config.num_servers == self.num_workers
-                     and (one_hold or all(kind in _FABRIC_KINDS
-                                          for unit in kinds for kind in unit)))
+                     and (one_hold or all(
+                         phase.kind in _FABRIC_KINDS
+                         or (phase.kind is PhaseKind.BROADCAST
+                             and phase.src is Peers.WORKERS)
+                         for unit in phases for phase in unit)))
 
         def lower() -> Dict[str, _UnitSteps]:
             lowered = {
@@ -471,12 +478,12 @@ class IterationSimulator:
         makespan = max(process.value for process in worker_processes)
         iteration_seconds = makespan / rounds
 
-        self.workers_stepped = len(worker_processes)
         machines = [self.cluster.machine(w) for w in range(self.num_workers)]
         if self.workers_stepped < self.num_workers:
             # Every node did what the representative did: its GPU time, the
             # bytes it sent and the bytes it delivered (a ring step's land on
-            # the successor's NIC) are each node's own.
+            # the successor's NIC, an all-to-all's on its own) are each
+            # node's own.
             sent = machines[0].nic.traffic
             received = max((machine.nic.traffic for machine in machines),
                            key=lambda account: account.bytes_received)
@@ -526,6 +533,7 @@ class IterationSimulator:
         # A symmetric plan came back as its representative: one worker, and
         # the shard helpers gather and scatter on that worker's node.
         stepped = len(next(iter(lowered.values())).workers)
+        self.workers_stepped = stepped
         if stepped < self.num_workers:
             self.shard_nodes = self.shard_nodes[:stepped]
         # Indexed by round; ``rounds`` is a multiple of the period, so the
@@ -654,8 +662,9 @@ class IterationSimulator:
             elif op == _AWAIT:
                 yield state.shard_events[step[1]]
             elif op == _BROADCAST:
-                yield from self.cluster.broadcast(src, dst, step[3],
-                                                  tag=step[4])
+                yield from self.cluster.broadcast(
+                    src, dst, step[3], tag=step[4],
+                    proxy=self.workers_stepped < self.num_workers)
             else:  # _SPAWN
                 yield self.env.process(transfer(src, dst, step[3], tag=step[4]))
 

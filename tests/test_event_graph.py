@@ -401,6 +401,9 @@ class TestTransferAgainstResourceModel:
                                                  nbytes, background):
         """Batched broadcast == per-destination processes joined by AllOf.
 
+        Whatever order the receivers are listed in, the batch walks them
+        starting after its sender, ``(src + 1 + k) mod N``; the reference
+        spawns its transfers in that order.
         Flat and oversubscribed two-rack clusters (copies that cross the
         rack boundary serialise through both rack switches); receivers idle,
         or busy with background flows, or with an open downlink hold whose
@@ -441,10 +444,11 @@ class TestTransferAgainstResourceModel:
                     yield env.process(cluster.broadcast(src, list(order),
                                                         nbytes, tag="sfb"))
                 else:
+                    nodes = config.num_nodes
                     yield AllOf(env, [
-                        env.process(cluster.transfer(src, dst, nbytes,
-                                                     tag="sfb"))
-                        for dst in order if dst != src])
+                        env.process(cluster.transfer(
+                            src, (src + 1 + k) % nodes, nbytes, tag="sfb"))
+                        for k in range(nodes - 1)])
                 return env.now
 
             finish = run_process(env, proc())
@@ -494,11 +498,14 @@ def _accounts_digest(simulator) -> str:
 
 
 class TestConvoyAccounts:
-    """The SFB all-to-all convoys book every copy on the receivers' NICs;
-    each copy's bytes land on two accounts under the unit's tag.  Per-node
+    """The SFB all-to-all convoys book every copy on two accounts under the
+    unit's tag: the sender's and the receiver's (on a flat network, the one
+    representative worker's own, as every receiver's proxy).  Per-node
     totals are pinned elsewhere (``flow_sim_trace.json``); these points pin
     every per-tag account too, as recorded on the parent of the change that
-    inlined the per-copy booking."""
+    inlined the per-copy booking.  Event counts and times were re-recorded
+    when the all-to-all became the rotated schedule (copy ``k`` of sender
+    ``s`` to ``s + 1 + k``): the accounts did not move."""
 
     RACKED = dict(racks=4, oversubscription=4.0)
     POINTS = {
@@ -507,22 +514,22 @@ class TestConvoyAccounts:
         "nanogpt-12l SFB 16n": (
             "nanogpt-12l", "SFB",
             ClusterConfig(num_workers=16, bandwidth_gbps=40.0),
-            19339, "13.350370748078483", "d563c19e659acb0f"),
+            1474, "8.544168478987517", "d563c19e659acb0f"),
         "vgg19 SFB 32n": (
             "vgg19", "SFB", ClusterConfig(num_workers=32, bandwidth_gbps=10.0),
-            6623, "1.0525831066383051", "c8c79b9dcf7086b3"),
+            299, "0.9077685117951346", "c8c79b9dcf7086b3"),
         "vgg19 HybComm 32n": (
             "vgg19", "HybComm",
             ClusterConfig(num_workers=32, bandwidth_gbps=10.0),
-            6623, "1.0525831066383051", "c8c79b9dcf7086b3"),
+            299, "0.9077685117951346", "c8c79b9dcf7086b3"),
         "vgg19 SFB 32n racked 4:1": (
             "vgg19", "SFB",
             ClusterConfig(num_workers=32, bandwidth_gbps=10.0, **RACKED),
-            16130, "3.4740676023623895", "c8c79b9dcf7086b3"),
+            16770, "2.268062715431489", "c8c79b9dcf7086b3"),
         "vgg19 HybComm 32n racked 4:1": (
             "vgg19", "HybComm",
             ClusterConfig(num_workers=32, bandwidth_gbps=10.0, **RACKED),
-            15805, "3.312692537575469", "9d68b4edd968b0ff"),
+            16340, "2.2029148619391234", "9d68b4edd968b0ff"),
     }
 
     @pytest.mark.parametrize("point", sorted(POINTS))

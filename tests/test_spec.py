@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro import units
 from repro.exceptions import ModelSpecError
 from repro.nn.spec import LayerKind, LayerSpec, ModelSpec, SpecBuilder
+from repro.simulation.workload import build_workload
 
 
 def build_toy_spec():
@@ -18,6 +19,14 @@ def build_toy_spec():
     builder.fc("fc2", 10)
     builder.softmax("prob")
     return builder.build(dataset="toy", default_batch_size=8)
+
+
+def factor_bytes(layer, batch):
+    """A layer's sufficient-factor bytes as the simulators price them: the
+    ``SyncUnit`` the workload derives from it."""
+    unit, = build_workload(ModelSpec(name="one", layers=(layer,)),
+                           batch_size=batch).units
+    return unit.sufficient_factor_bytes(batch)
 
 
 class TestLayerSpec:
@@ -39,18 +48,6 @@ class TestLayerSpec:
         with pytest.raises(ModelSpecError):
             layer.fc_dims
 
-    def test_sufficient_factor_bytes(self):
-        layer = LayerSpec(name="fc", kind=LayerKind.FC, param_count=200,
-                          param_shape=(10, 20), sf_decomposable=True,
-                          output_shape=(20,))
-        assert layer.sufficient_factor_bytes(batch_size=4) == 4 * 30 * units.FLOAT32_BYTES
-
-    def test_sf_bytes_rejected_for_non_decomposable(self):
-        layer = LayerSpec(name="conv", kind=LayerKind.CONV, param_count=9,
-                          param_shape=(1, 1, 3, 3), output_shape=(1, 4, 4))
-        with pytest.raises(ModelSpecError):
-            layer.sufficient_factor_bytes(4)
-
     def test_negative_params_rejected(self):
         with pytest.raises(ModelSpecError):
             LayerSpec(name="x", kind=LayerKind.FC, param_count=-1)
@@ -69,8 +66,7 @@ class TestLayerSpec:
         layer = LayerSpec(name="fc", kind=LayerKind.FC, param_count=200,
                           param_shape=(10, 20), sf_decomposable=True,
                           output_shape=(6, 20), factor_rank=6)
-        assert layer.sufficient_factor_bytes(batch_size=4) == \
-            4 * 6 * 30 * units.FLOAT32_BYTES
+        assert factor_bytes(layer, batch=4) == 4 * 6 * 30 * units.FLOAT32_BYTES
 
     def test_fc_built_without_a_rank_has_rank_one(self):
         layer = LayerSpec(name="fc", kind=LayerKind.FC, param_count=200,
@@ -156,7 +152,7 @@ class TestFactorRankOfBuiltLayers:
         builder.embedding("wte", 50, 8)
         head = builder.token_fc("head", 50)
         assert head.factor_rank == 7
-        assert head.sufficient_factor_bytes(3) == \
+        assert factor_bytes(head, batch=3) == \
             3 * 7 * (8 + 50) * units.FLOAT32_BYTES
 
     def test_sequence_mean_pool_leaves_one_row_per_sample(self):
@@ -210,7 +206,7 @@ class TestSpecProperties:
         layer = LayerSpec(name="fc", kind=LayerKind.FC, param_count=m * n,
                           param_shape=(m, n), sf_decomposable=True,
                           output_shape=(n,))
-        sf = layer.sufficient_factor_bytes(batch)
+        sf = factor_bytes(layer, batch)
         dense = layer.param_bytes
         # SFs win exactly when K(M+N) < MN.
         assert (sf < dense) == (batch * (m + n) < m * n)

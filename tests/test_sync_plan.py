@@ -24,11 +24,14 @@
   closed-form event count; mixed plans, stragglers and relaxed policies
   keep the stepped lowering, bit for bit;
 * the DES's two lowerings of a symmetric plan are each other's oracle: a
-  flat, uniform, shard-on-every-node BSP plan of fabric phases (or the
-  one-hold ring step) steps one representative worker, and equals the
-  every-worker lowering with ``==`` -- times, busy fraction, per-node and
-  per-tag traffic -- at an event count that does not depend on ``P``;
-  everything else keeps every worker, bit for bit;
+  flat, uniform, shard-on-every-node BSP plan of fabric phases and
+  all-to-all broadcasts (or the one-hold ring step) steps one
+  representative worker, and equals the every-worker lowering with ``==``
+  -- times, busy fraction, per-node and per-tag traffic -- at an event
+  count that does not depend on ``P``; everything else keeps every
+  worker, bit for bit;
+* an all-to-all is one rotated schedule in the DES and both fluid tiers:
+  idle and flat, it takes exactly ``P - 1`` copy slots in each;
 * the ``overlap_pull`` gate is one rule on the phase: toggling it moves
   both engines the same way for every backend;
 * memo tables key on the whole frozen inputs, so a warm ``sweep_axis``
@@ -43,7 +46,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import memo
+from repro import memo, units
 from repro.comm.backend import (
     ADAM_BACKEND,
     AdamBackend,
@@ -75,7 +78,7 @@ from repro.parallel import assign_schemes
 from repro.simulation.fluid import FluidSimulator, sweep_axis
 from repro.simulation.plan import resolve_plan
 from repro.simulation.throughput import IterationSimulator, decide_schemes
-from repro.simulation.workload import SyncUnit, build_workload
+from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
 
 ALEXNET = get_model_spec("alexnet")
 VGG = get_model_spec("vgg19")
@@ -512,8 +515,9 @@ class TestRingLoweringsAreEachOthersOracle:
         assert stepped.env.events_processed == parent
 
     def test_mixed_plan_keeps_the_stepped_rounds(self):
-        """One long hold would head-of-line-block the PS and SFB flows that
-        share the NICs (2.15 -> 2.04 speedup on this point when forced)."""
+        """One long hold would reorder the PS and SFB flows that share the
+        NICs (0.614 -> 0.612 s on this point when forced; 0.928 -> 0.978 s
+        while the all-to-all walked its receivers in id order)."""
         cluster = ClusterConfig(num_workers=8, bandwidth_gbps=40.0, racks=4,
                                 oversubscription=8.0)
         hybrid = next(s for s in backend_systems()
@@ -522,10 +526,10 @@ class TestRingLoweringsAreEachOthersOracle:
         simulator, result = _run_ring(workload, cluster, hybrid)
         schemes = list(simulator.schemes.values())
         assert [schemes.count(s) for s in ("ring", "sfb", "ps")] == [1, 2, 5]
-        # Recorded on the change that moved this check off nanogpt-12l,
-        # whose hybrid plan here no longer holds SFB flows.
-        assert simulator.env.events_processed == 1501
-        assert repr(result.iteration_seconds) == "0.928163188230593"
+        # Re-recorded when the all-to-all became the rotated schedule
+        # (1,501 events, 0.928163188230593 s before).
+        assert simulator.env.events_processed == 1563
+        assert repr(result.iteration_seconds) == "0.614023169293995"
 
     def test_stragglers_keep_the_stepped_rounds(self):
         """Nobody runs more than one step ahead of the slow workers; one
@@ -606,7 +610,8 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         model=st.sampled_from(("vgg19", "googlenet", "nanogpt-12l")),
-        backend=st.sampled_from(("PS", "1-bit PS", "Ring-AllReduce")),
+        backend=st.sampled_from(
+            ("PS", "1-bit PS", "Ring-AllReduce", "SFB", "HybComm")),
         nodes=st.integers(2, 32),
         bandwidth=st.sampled_from((1.0, 5.0, 10.0, 40.0)),
         schedule=st.sampled_from(ScheduleMode),
@@ -685,11 +690,6 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
         # The shard side runs on machines no worker stands for.
         "dedicated servers": (VGG, replace(FLAT, colocate_servers=False),
                               SYSTEMS["1-bit PS"], 1865, "0.9017103881587709"),
-        # SFB broadcasts land on peers' NICs (recorded when this point
-        # replaced nanogpt-12l under HybComm, now an all-PS plan).
-        "sfb": (get_model_spec("nanogpt-12l"),
-                ClusterConfig(num_workers=16, bandwidth_gbps=40.0),
-                SYSTEMS["SFB"], 19339, "13.350370748078483"),
         # The relaxed-policy path has no representative to step.
         "ssp(1)": (VGG, ClusterConfig(num_workers=8, bandwidth_gbps=10.0),
                    SYSTEMS["PS"].with_policy("ssp(1)"),
@@ -725,6 +725,45 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
         finally:
             memo.clear_all()  # the patched lowering must not stay warm
         assert simulator.workers_stepped == 16
+
+
+# -- one all-to-all schedule ------------------------------------------------------
+class TestAllToAllIsOneRotatedSchedule:
+    """Copy ``k`` of sender ``s`` goes to ``(s + 1 + k) mod P`` in the DES
+    (every worker stepped, or its representative), the fluid detail tier and
+    the aggregate tier's closed form: in every copy slot each receiver hears
+    one sender, so on an idle flat network the all-to-all takes one NIC's
+    drain, ``P - 1`` slots.  Walking receivers in id order made it an incast
+    on node 0 that took ``2P - 3``."""
+
+    @staticmethod
+    def one_fc(m=512, n=256, batch=32):
+        """One SFB unit and no compute: the iteration is the all-to-all."""
+        unit = SyncUnit(name="fc", param_bytes=4 * m * n, sf_eligible=True,
+                        fc_dims=(m, n), backward_seconds=0.0,
+                        layer_names=("fc",))
+        return IterationWorkload(
+            model_name="one-fc", batch_size=batch, forward_seconds=0.0,
+            tail_backward_seconds=0.0, units=(unit,), single_node_seconds=1.0,
+            total_param_bytes=unit.param_bytes)
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 8])
+    def test_idle_flat_all_to_all_takes_p_minus_one_slots(self, nodes):
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
+        workload = self.one_fc()
+        system = SYSTEMS["SFB"]
+        sf = workload.units[0].sufficient_factor_bytes(workload.batch_size)
+        slot = (units.bytes_to_bits(sf) / cluster.effective_bandwidth_bps
+                + cluster.latency_seconds)
+        every, full = _run_des(workload, cluster, system, every_worker=True)
+        representative, result = _run_des(workload, cluster, system)
+        assert (every.workers_stepped, representative.workers_stepped) == (
+            nodes, 1)
+        seconds = [full.iteration_seconds, result.iteration_seconds] + [
+            FluidSimulator(workload, cluster, system,
+                           mode=mode).iteration_seconds()
+            for mode in ("detail", "aggregate")]
+        assert seconds == pytest.approx([(nodes - 1) * slot] * 4, rel=1e-12)
 
 
 # -- one gate rule ----------------------------------------------------------------
