@@ -16,9 +16,11 @@ Two fidelity tiers share one phase structure:
 * **detail** (``num_workers`` <= :data:`DETAIL_NODE_MAX`): per-node tail
   clocks, with single-source fans and SFB broadcast convoys chained copy by
   copy through a time-ordered phase heap so concurrent units interleave on
-  shared channels in DES request order.  On flat topologies the fabric
-  (PS, 1-bit) and ring phases reproduce the DES to float precision; the
-  convoys, owner fans and leader trees do not replay the DES's
+  shared channels in DES request order.  A node-symmetric plan
+  (``SyncPlan.node_symmetric``, the value the DES steps one worker on)
+  books node 0 alone, its all-to-all one sender.  On flat topologies the
+  fabric (PS, 1-bit) and ring phases reproduce the DES to float precision;
+  the convoys, owner fans and leader trees do not replay the DES's
   same-instant interleaving with other units' flows, and miss it by a
   measured, unbounded amount (flat VGG19 at 1 GbE: SFB / HybComm -26 %
   at 8 nodes, hierarchical PS -12 %).  Under rack oversubscription the
@@ -93,9 +95,9 @@ ENGINES: Tuple[str, ...] = ("des", "fluid", "auto")
 #: bottleneck and the fluid tiers take over.
 FLUID_NODE_THRESHOLD: int = 64
 
-#: Largest cluster the per-node detail tier replays (the SFB convoy replay
-#: is O(N^2) copies per unit); beyond it the aggregate tier's symmetric
-#: class clocks are used.
+#: Largest cluster the per-node detail tier replays (an SFB convoy is
+#: O(N^2) copies per unit on a plan that is not node-symmetric, O(N) on one
+#: that is); beyond it the aggregate tier's symmetric class clocks are used.
 DETAIL_NODE_MAX: int = 128
 
 _SESSION_ENGINE: str = "des"
@@ -488,7 +490,10 @@ class FluidSimulator:
     # -- clock state ---------------------------------------------------------
     def _init_clocks(self) -> None:
         if self.detail:
-            nodes = self.cluster_config.num_nodes
+            # A node-symmetric plan books node 0 alone: every node's clocks
+            # would read the same.
+            nodes = (1 if self.plan.node_symmetric
+                     else self.cluster_config.num_nodes)
             self.up, self.down = [0.0] * nodes, [0.0] * nodes
             self.rku, self.rkd = [0.0] * self.nracks, [0.0] * self.nracks
             self.ring_clock = 0.0
@@ -589,10 +594,13 @@ class FluidSimulator:
                      done: Callable) -> None:
         """Workers against the KV fabric, the shards the other way."""
         outbound = phase.kind is PhaseKind.FABRIC_OUT
-        fin = self._fabric(self.cluster_config.server_nodes, phase.hub_bytes,
-                           call, not outbound, coupled=False)
-        done(None, max(fin, self._fabric(range(self.num_workers), phase.nbytes,
-                                         call, outbound, coupled=True)))
+        shards, workers = ((range(1), range(1)) if self.plan.node_symmetric
+                           else (self.cluster_config.server_nodes,
+                                 range(self.num_workers)))
+        fin = self._fabric(shards, phase.hub_bytes, call, not outbound,
+                           coupled=False)
+        done(None, max(fin, self._fabric(workers, phase.nbytes, call,
+                                         outbound, coupled=True)))
 
     def _book_fan_in(self, plan: UnitPlan, phase: Phase, rack, call,
                      done: Callable) -> None:
@@ -648,8 +656,10 @@ class FluidSimulator:
         DES broadcast does: copy ``k`` of sender ``s`` goes to ``(s + 1 +
         k) mod P``.  An all-to-all (every worker a hub) is a convoy: each
         sender's copies chain through the phase heap so the P batches
-        interleave on the receivers' downlinks in request order.  A single
-        hub's batch is booked in one go.
+        interleave on the receivers' downlinks in request order.  On a
+        node-symmetric plan sender 0 alone runs, booking its copies on its
+        own downlink, the proxy of each receiver's (as the DES's
+        representative does).  A single hub's batch is booked in one go.
         """
         tn, fs, wr = self._holds(phase.nbytes)
         up, copy, at = self.up, self._copy, self._at
@@ -668,7 +678,8 @@ class FluidSimulator:
                 done(group, cur)
             return
         n = self.num_workers
-        senders, latest = n, call
+        proxy = self.plan.node_symmetric
+        senders, latest = 1 if proxy else n, call
         flat, down, events = not self.topo, self.down, self._events
 
         def sender(s: int) -> Callable:
@@ -681,7 +692,7 @@ class FluidSimulator:
                     # holds (the DES broadcast claims the uplink once for
                     # the whole batch)
                     when = max(when, up[s])
-                dst = (s + 1 + sent) % n
+                dst = s if proxy else (s + 1 + sent) % n
                 if flat:  # _copy within one rack, inline
                     busy = down[dst]
                     fin = down[dst] = (busy if busy > when else when) + tn
@@ -699,7 +710,7 @@ class FluidSimulator:
                     done(None, latest)
             return fire
 
-        for s in range(n):
+        for s in range(senders):  # before any copy fires
             at(max(call, up[s]), sender(s))
 
     def _book_ring(self, plan: UnitPlan, phase: Phase, rack, call,

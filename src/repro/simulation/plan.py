@@ -104,11 +104,21 @@ class SyncPlan:
             system sets ``bucket_bytes``).
         shape: the cluster/system shape the payloads were priced under.
         units: one :class:`UnitPlan` per workload unit, in forward order.
+        node_symmetric: every node's channels see the same bytes at the
+            same instants, so an engine may run node 0 for all ``P``.  The
+            network is flat (rack members share their switch: PS at 4:1
+            6.031 -> 2.343 s when forced), every worker hosts a shard (of 8
+            shards node 0 hosts one: 33.3 -> 50.6 GB; dedicated servers
+            host them all: 36.8 -> 19.5 GB), and every phase is a fabric
+            phase, an all-to-all broadcast or a ring step -- anything else
+            lands on a peer's NIC (coarse PS 18.36 -> 1.73 s).  The forced
+            figures are the DES's on the 16-node vgg19 point.
     """
 
     workload: IterationWorkload
     shape: SyncShape
     units: Tuple[UnitPlan, ...]
+    node_symmetric: bool
 
     @cached_property
     def schemes(self) -> Dict[str, str]:
@@ -170,9 +180,18 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
         nbytes = backend.unit_bytes(unit, shape, owner)
         _check_phases(backend.name, nbytes.phases, shape)
         units.append(UnitPlan(unit, backend, owner, nbytes, encode_seconds))
-    return SyncPlan(workload, shape, tuple(units))
+    symmetric = (cluster.is_flat_topology and cluster.colocate_servers
+                 and num_servers == num_workers and all(
+                     phase.kind in _SYMMETRIC_KINDS or (
+                         phase.kind is PhaseKind.BROADCAST
+                         and phase.src is Peers.WORKERS)
+                     for plan in units for phase in plan.bytes.phases))
+    return SyncPlan(workload, shape, tuple(units), symmetric)
 
 
+#: Phase kinds that book only a node's own channels, or lock every node's.
+_SYMMETRIC_KINDS = (PhaseKind.FABRIC_OUT, PhaseKind.FABRIC_IN,
+                    PhaseKind.RING_STEP)
 _RACK_PEERS = (Peers.RACK_LEADERS, Peers.RACK_MEMBERS)
 
 

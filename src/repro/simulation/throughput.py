@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import units
 from repro.cluster.machine import ClusterModel
 from repro.comm.backend import (
-    Peers, PhaseKind, Scope, SyncShape, registry_generation)
+    PhaseKind, Scope, SyncShape, registry_generation)
 from repro.config import ClusterConfig, ScheduleMode, SystemConfig
 from repro.core.faults import fault_overhead_factor
 from repro.exceptions import SimulationError
@@ -245,11 +245,16 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
                 steps[hub].append(
                     (_BROADCAST, _SELF, members, phase.nbytes, tag))
                 arrive(hub, barrier(index, hub))
+            # Receivers per distinct (countdown, members): an all-to-all's
+            # P groups are one entry, walked once, not P times.
+            hubs: Dict[tuple, set] = {}
             for _rack, hub, members in groups:
+                hubs.setdefault((barrier(index, hub), members), set()).add(hub)
+            for (barrier_id, members), senders in hubs.items():
                 for member in members:
-                    if member != hub:
+                    if len(senders) > 1 or member not in senders:
                         gate(member, index)
-                        wait(member, (_WAIT, barrier(index, hub)))
+                        wait(member, (_WAIT, barrier_id))
             continue
         inbound = kind in (PhaseKind.FAN_IN, PhaseKind.FABRIC_OUT)
         counted = kind is not PhaseKind.FAN_OUT or (
@@ -415,25 +420,20 @@ class IterationSimulator:
         for all ``P``: exact, because every flow holds channels of its own
         node only (a one-hold ring step its uplink and the downlink of
         ``w + 1``), fed the same bytes at the same instants on every node
-        (docs/architecture.md, "DES lowering of a symmetric plan").
-        Observed like ``one_hold``; each conjunct, with the 16-node vgg19
-        point forced past it:
+        (docs/architecture.md, "DES lowering of a symmetric plan").  An
+        all-to-all's copy ``k`` of each sender lands on a different node, so
+        the representative books its copies on its own downlink and account,
+        the proxy of each receiver's (``ClusterModel.broadcast(...,
+        proxy=True)``).  The plan says whether its nodes are alike
+        (``SyncPlan.node_symmetric``); the run adds its own conjuncts, each
+        with the 16-node vgg19 point forced past it:
 
         * one BSP round -- more rounds rotate the slow set and gate each
           worker on its own clock: no representative to step;
         * one compute speed -- worker 0 is a straggler: same time, every
           GPU charged its kernels (0.25 x 2: busy fraction 0.519 -> 0.831);
-        * flat network -- rack members share their switch (PS at 4:1:
-          6.031 -> 2.343 s; ring at 8:1: 3.458 -> 1.890 s);
-        * a shard on every node -- of 8 shards node 0 hosts one: every node
-          charged its bytes (33.3 -> 50.6 GB); dedicated servers: none is
-          (36.8 -> 19.5 GB);
-        * fabric phases, all-to-all broadcasts or the one-hold ring step
-          only -- anything else lands on a peer's NIC (coarse PS 18.36 ->
-          1.73 s).  An all-to-all's copy ``k`` of each sender lands on a
-          different node, so the representative books its copies on its
-          own downlink and account, the proxy of each receiver's
-          (``ClusterModel.broadcast(..., proxy=True)``);
+        * a ring step only as the one hold -- a stepped ring step books the
+          successor's downlink, which a mixed plan's other phases share;
         * one step tuple -- dropping workers ``1..P-1`` must lose nothing;
           no plan the other conjuncts admit fails it today.
         """
@@ -444,15 +444,9 @@ class IterationSimulator:
         one_hold = uniform and all(
             [phase.kind for phase in unit] == [PhaseKind.RING_STEP]
             for unit in phases)
-        config = self.cluster_config
-        symmetric = (uniform and not self.cluster.topology_active
-                     and config.colocate_servers
-                     and config.num_servers == self.num_workers
-                     and (one_hold or all(
-                         phase.kind in _FABRIC_KINDS
-                         or (phase.kind is PhaseKind.BROADCAST
-                             and phase.src is Peers.WORKERS)
-                         for unit in phases for phase in unit)))
+        symmetric = uniform and self.plan.node_symmetric and (
+            one_hold or not any(phase.kind is PhaseKind.RING_STEP
+                                for unit in phases for phase in unit))
 
         def lower() -> Dict[str, _UnitSteps]:
             lowered = {

@@ -6,15 +6,30 @@ server with request / grant / release events) for
 :class:`~repro.sim.resources.TailChannel`'s busy-until clock.
 :func:`run_process` runs a root process to completion and :func:`occupy`
 holds a channel for a duration.
+
+Two references stand for the simulators' symmetric short paths:
+:func:`every_node` makes both engines run every node on any plan, and
+:func:`lower_unit_per_hub` is the DES lowering with one receiver pass per
+broadcast hub, O(P^2) per all-to-all.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Iterable, List, Optional
+from contextlib import contextmanager
+from dataclasses import replace
+from typing import (Any, Deque, Dict, Generator, Iterable, Iterator, List,
+                    Optional)
+from unittest import mock
 
+from repro.comm.backend import PhaseKind, Scope
 from repro.exceptions import SimulationError
 from repro.sim import Environment, Event, TailChannel
+from repro.simulation import fluid, plan as plan_module, throughput
+from repro.simulation.plan import fan_groups
+from repro.simulation.throughput import (
+    _ARRIVE, _AWAIT, _BROADCAST, _FABRIC_KINDS, _GATE, _RING, _SELF, _SPAWN,
+    _TRANSFER, _WAIT, _UnitSteps)
 
 
 class AllOf(Event):
@@ -166,3 +181,122 @@ def occupy(channel: TailChannel, duration: float) -> Generator:
         channel.release(mine, finish)
         # The scheduled release entry doubles as this holder's wake-up.
         yield mine
+
+
+@contextmanager
+def every_node() -> Iterator[None]:
+    """Inside, both engines step (DES) or book (fluid detail tier) every node.
+
+    The plan each engine resolves comes back with ``node_symmetric`` false;
+    nothing else in it, the cluster or the run changes, so the one
+    predicate the engines share is the only thing forced.
+    """
+    def resolve(*args):
+        return replace(plan_module.resolve_plan(*args), node_symmetric=False)
+
+    with mock.patch.object(throughput, "resolve_plan", resolve), \
+            mock.patch.object(fluid, "resolve_plan", resolve):
+        yield
+
+
+def lower_unit_per_hub(plan, shape, one_hold: bool) -> _UnitSteps:
+    """``throughput._lower_unit`` as it walked a broadcast's receivers: once
+    per hub, so an all-to-all costs P x (P - 1) gate / wait calls of which
+    all but one per receiver are dropped as duplicates."""
+    phases = plan.bytes.phases
+    workers = range(shape.num_workers)
+    steps: List[List[tuple]] = [[] for _ in workers]
+    sizes: List[int] = []
+    ids: Dict[tuple, int] = {}
+    waited: List[Optional[tuple]] = [None] * len(workers)
+    gate_from = next((index for index, phase in enumerate(phases)
+                      if phase.gated), len(phases))
+    gated = [False] * len(workers)
+    shards: List[tuple] = []
+    rounds = [1 if one_hold else phase.repeat for phase in phases]
+
+    def barrier(index: int, node: int, step: int = 0) -> int:
+        rack = (node // shape.rack_size
+                if phases[index].scope is Scope.GROUP else None)
+        if (index, rack, step) not in ids:
+            ids[index, rack, step] = len(sizes)
+            sizes.append(0)
+        return ids[index, rack, step]
+
+    def arrive(worker: int, barrier_id: int) -> None:
+        sizes[barrier_id] += 1
+        steps[worker].append((_ARRIVE, barrier_id))
+
+    def wait(worker: int, step: tuple) -> None:
+        if waited[worker] != step:
+            waited[worker] = step
+            steps[worker].append(step)
+
+    def gate(worker: int, index: int) -> None:
+        if index >= gate_from and not gated[worker]:
+            gated[worker] = True
+            steps[worker].append((_GATE,))
+
+    def before_act(worker: int, index: int) -> None:
+        before = phases[index - 1] if index else None
+        if before is None or (before.kind is PhaseKind.FAN_OUT
+                              and before.scope is Scope.GROUP):
+            pass
+        elif before.kind in _FABRIC_KINDS:
+            wait(worker, (_AWAIT, index - 1))
+        else:
+            wait(worker, (_WAIT, barrier(index - 1, worker,
+                                         rounds[index - 1] - 1)))
+        gate(worker, index)
+
+    for index, phase in enumerate(phases):
+        kind = phase.kind
+        tag = f"{kind.value}:{plan.unit.name}"
+        if kind is PhaseKind.RING_STEP:
+            first = barrier(index, 0)
+            for step in range(rounds[index]):
+                sizes[barrier(index, 0, step)] = len(workers)
+            for worker in workers:
+                before_act(worker, index)
+                steps[worker].append((_RING, phase.nbytes, tag, first,
+                                      rounds[index],
+                                      phase.repeat // rounds[index]))
+                waited[worker] = (_WAIT, first + rounds[index] - 1)
+            continue
+        groups = fan_groups(phase, shape, plan.owner)
+        if kind is PhaseKind.BROADCAST:
+            for _rack, hub, members in groups:
+                before_act(hub, index)
+                steps[hub].append(
+                    (_BROADCAST, _SELF, members, phase.nbytes, tag))
+                arrive(hub, barrier(index, hub))
+            for _rack, hub, members in groups:
+                for member in members:
+                    if member != hub:
+                        gate(member, index)
+                        wait(member, (_WAIT, barrier(index, hub)))
+            continue
+        inbound = kind in (PhaseKind.FAN_IN, PhaseKind.FABRIC_OUT)
+        counted = kind is not PhaseKind.FAN_OUT or (
+            phase.scope is Scope.ALL and index + 1 < len(phases))
+        op = _SPAWN if phase.detached else _TRANSFER
+        for _rack, hub, members in groups:
+            for member in members:
+                before_act(member, index)
+                src, dst = (_SELF, hub) if inbound else (hub, _SELF)
+                steps[member].append((op, src, dst, phase.nbytes, tag))
+                if kind is PhaseKind.FABRIC_IN:
+                    wait(member, (_AWAIT, index))
+                elif counted:
+                    arrive(member, barrier(index, member))
+        if kind in _FABRIC_KINDS:
+            shards.append((barrier(index, 0) if inbound else None,
+                           phase.hub_bytes, f"shards/{tag}", index))
+    if phases[-1].rejoin:
+        sizes.append(0)
+        for worker in workers:
+            arrive(worker, len(sizes) - 1)
+    shared: Dict[tuple, tuple] = {}
+    return _UnitSteps(
+        tuple(shared.setdefault(role, role) for role in map(tuple, steps)),
+        tuple(sizes), tuple(shards))

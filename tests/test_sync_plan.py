@@ -30,6 +30,12 @@
   -- times, busy fraction, per-node and per-tag traffic -- at an event
   count that does not depend on ``P``; everything else keeps every
   worker, bit for bit;
+* the fluid detail tier's two bookings of a symmetric plan are each
+  other's oracle: a node-symmetric plan (``SyncPlan.node_symmetric``) books
+  node 0 alone and equals the every-node replay with ``==``; owner fans,
+  rack leaders, racks and partial shard layouts book every node;
+* the DES lowers a broadcast's receivers once per distinct countdown, to
+  the step tuples the per-hub walk made;
 * an all-to-all is one rotated schedule in the DES and both fluid tiers:
   idle and flat, it takes exactly ``P - 1`` copy slots in each;
 * the ``overlap_pull`` gate is one rule on the phase: toggling it moves
@@ -38,13 +44,14 @@
   misses whenever any system or cluster field differs.
 """
 
+import contextlib
 import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import memo, units
 from repro.comm.backend import (
@@ -79,6 +86,7 @@ from repro.simulation.fluid import FluidSimulator, sweep_axis
 from repro.simulation.plan import resolve_plan
 from repro.simulation.throughput import IterationSimulator, decide_schemes
 from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
+from sim_reference import every_node, lower_unit_per_hub
 
 ALEXNET = get_model_spec("alexnet")
 VGG = get_model_spec("vgg19")
@@ -564,21 +572,9 @@ class TestRingLoweringsAreEachOthersOracle:
 
 # -- one symmetric plan, two lowerings -----------------------------------------------
 def _run_des(workload, cluster, system, every_worker=False):
-    """One DES run; ``every_worker`` keeps all ``P`` workers on any plan.
-
-    It falsifies one conjunct of the predicate (a shard on every node) for
-    the duration of ``_lowered`` only, so ``one_hold`` and the run itself
-    see the real cluster.
-    """
-    lowered = IterationSimulator._lowered
-
-    def full(self, one_round):
-        with mock.patch.object(self, "cluster_config", replace(
-                self.cluster_config, colocate_servers=False)):
-            return lowered(self, one_round)
-
-    with mock.patch.object(IterationSimulator, "_lowered",
-                           full if every_worker else lowered):
+    """One DES run; ``every_worker`` keeps all ``P`` workers on any plan
+    (:func:`sim_reference.every_node`)."""
+    with every_node() if every_worker else contextlib.nullcontext():
         simulator = IterationSimulator(workload, cluster, system)
         return simulator, simulator.run()
 
@@ -725,6 +721,124 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
         finally:
             memo.clear_all()  # the patched lowering must not stay warm
         assert simulator.workers_stepped == 16
+
+
+# -- one symmetric plan, the fluid detail tier's two bookings ------------------------
+#: Backends whose flat plans are node-symmetric, then the ones whose plans
+#: name an owner or rack leaders; "coarse PS" is PS placed per tensor.
+SYMMETRIC_BACKENDS = ("PS", "1-bit PS", "Ring-AllReduce", "SFB", "HybComm")
+OWNER_BACKENDS = {
+    "Adam": SYSTEMS["Adam"],
+    "Hierarchical-PS": SYSTEMS["Hierarchical-PS"],
+    "coarse PS": replace(SYSTEMS["PS"], partitioning=Partitioning.COARSE),
+}
+
+
+def _run_detail(workload, cluster, system, all_nodes=False):
+    """One detail-tier evaluation and the number of nodes it booked."""
+    with every_node() if all_nodes else contextlib.nullcontext():
+        simulator = FluidSimulator(workload, cluster, system, mode="detail")
+        result = simulator.run()
+    return len(simulator.up), result
+
+
+class TestDetailTierRepresentativeIsEveryNode:
+    """On a node-symmetric plan the detail tier books node 0 alone (one
+    clock pair, one all-to-all sender whose copies land on its own
+    downlink); the every-node replay it replaces there is the reference,
+    compared with ``==``, and stays the only booking everywhere else."""
+
+    @staticmethod
+    def check(model, system, nodes, bandwidth, layout, variant):
+        """Both bookings of one point, ``==``; the nodes the first booked."""
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=bandwidth,
+                                **LAYOUTS[layout](nodes))
+        system = replace(system, schedule=variant[0], overlap_pull=variant[1],
+                         overlap_host_copy=variant[2]).with_faults(*variant[3])
+        workload = build_workload(get_model_spec(model), gpu=cluster.gpu)
+        booked, result = _run_detail(workload, cluster, system)
+        every, full = _run_detail(workload, cluster, system, all_nodes=True)
+        assert result == full  # iteration time and per-node traffic, with ==
+        assert every == cluster.num_nodes
+        return booked, cluster.num_nodes
+
+    MODELS = st.sampled_from(("vgg19", "googlenet", "nanogpt-12l"))
+    NODES = st.integers(2, 128)
+    BANDWIDTHS = st.sampled_from((1.0, 10.0, 40.0))
+    #: schedule, overlap_pull, overlap_host_copy, stragglers
+    VARIANTS = st.tuples(
+        st.sampled_from(ScheduleMode), st.booleans(), st.booleans(),
+        st.sampled_from(((0.0, 1.0), (0.1, 1.5), (0.5, 3.0))))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(model=MODELS, nodes=NODES, bandwidth=BANDWIDTHS, variant=VARIANTS,
+           backend=st.sampled_from(SYMMETRIC_BACKENDS),
+           ring=st.sampled_from(((), ("topk(0.01)", None),
+                                 ("powersgd(4)", None), ("none", 256 << 10))))
+    def test_symmetric_plan_books_node_zero(self, model, nodes, bandwidth,
+                                            variant, backend, ring):
+        system = SYSTEMS[backend]
+        if backend == "Ring-AllReduce" and ring:  # coarse, compressed or bucketed
+            system = replace(system, partitioning=Partitioning.COARSE,
+                             compressor=ring[0], bucket_bytes=ring[1])
+        booked, _ = self.check(model, system, nodes, bandwidth, "flat",
+                               variant)
+        assert booked == 1
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(model=MODELS, nodes=NODES, bandwidth=BANDWIDTHS, variant=VARIANTS,
+           layout=st.sampled_from(sorted(LAYOUTS)),
+           backend=st.sampled_from(SYMMETRIC_BACKENDS + tuple(OWNER_BACKENDS)))
+    def test_everything_else_books_every_node(self, model, nodes, bandwidth,
+                                              variant, layout, backend):
+        assume(layout != "flat" or backend in OWNER_BACKENDS)
+        system = OWNER_BACKENDS.get(backend) or SYSTEMS[backend]
+        booked, every = self.check(model, system, nodes, bandwidth, layout,
+                                   variant)
+        assert booked == every
+
+    @pytest.mark.parametrize("backend", sorted(OWNER_BACKENDS))
+    def test_owner_plans_book_every_node(self, backend):
+        cluster = ClusterConfig(num_workers=16, bandwidth_gbps=10.0)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        booked, _ = _run_detail(workload, cluster, OWNER_BACKENDS[backend])
+        assert booked == 16
+        assert not resolve_plan(workload, OWNER_BACKENDS[backend],
+                                cluster).node_symmetric
+
+
+# -- one receiver pass per all-to-all ------------------------------------------------
+class TestBroadcastLowersOncePerReceiver:
+    """``_lower_unit`` walks a broadcast's receivers once per distinct
+    countdown, not once per hub: the step tuples equal the per-hub
+    reference's, for every backend, topology and a part-filled last rack."""
+
+    @pytest.mark.parametrize("nodes", (2, 5, 16, 33))
+    @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
+    @pytest.mark.parametrize("one_hold", (False, True))
+    def test_steps_equal_the_per_hub_reference(self, nodes, racks,
+                                               oversubscription, one_hold):
+        from repro.simulation.throughput import _lower_unit
+
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0,
+                                racks=racks, oversubscription=oversubscription)
+        workload = build_workload(VGG, gpu=cluster.gpu)
+        for system in backend_systems():
+            plan = resolve_plan(workload, system, cluster)
+            for unit in plan.units:
+                assert (_lower_unit(unit, plan.shape, one_hold)
+                        == lower_unit_per_hub(unit, plan.shape, one_hold))
+
+    def test_owner_broadcast_after_a_rack_fan_in(self, swap_adam_backend):
+        from repro.simulation.throughput import _lower_unit
+
+        swap_adam_backend(_TwoLevelFanInFlatBroadcast())
+        cluster = ClusterConfig(num_workers=10, racks=3, oversubscription=2.0)
+        workload = build_workload(ALEXNET, gpu=cluster.gpu)
+        plan = resolve_plan(workload, SYSTEMS["Adam"], cluster)
+        for unit in plan.units:
+            assert (_lower_unit(unit, plan.shape, False)
+                    == lower_unit_per_hub(unit, plan.shape, False))
 
 
 # -- one all-to-all schedule ------------------------------------------------------

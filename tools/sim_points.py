@@ -20,11 +20,13 @@ new what-if query keeps, which must not grow with the cluster); a DES point
 also gives its ``events_processed``, how many workers the run stepped
 (one for a symmetric plan, else all of them) and its scheme mix (units per
 scheme, e.g. ``sfb 49 · ps 26``): where the last two did not move, the
-first must not under a change that only claims speed.  A DES point that the
-pass's ``compare_systems`` call serves from another point's run (its
-simulation identity is that point's: ``HybComm 8n = SFB 8n``) is marked
-``= <that point>`` and left out of the total, which so sums what the pass
-really runs.  Usage::
+first must not under a change that only claims speed.  A detail point
+gives its scheme mix and, in the same column, how many nodes the detail
+tier booked (one for a node-symmetric plan, else all 64).  A DES point
+that the pass's ``compare_systems`` call serves from another point's run
+(its simulation identity is that point's: ``HybComm 8n = SFB 8n``) is
+marked ``= <that point>`` and left out of the total, which so sums what
+the pass really runs.  Usage::
 
     PYTHONPATH=src python tools/sim_points.py [--repeats N] [--ref REV|DIR]
 
@@ -46,6 +48,7 @@ import time
 import tracemalloc
 from pathlib import Path
 from collections import Counter
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -57,8 +60,8 @@ ROUNDS = 3
 
 
 def points() -> Iterator[Tuple[str, Callable[[int], object],
-                               Optional[Callable[[], Tuple[int, int]]]]]:
-    """``(label, call(repeat), (events, workers stepped, mix)() or None)``
+                               Optional[Callable[[], tuple]]]]:
+    """``(label, call(repeat), (events, stepped or booked, mix)() or None)``
     of the 30."""
     from repro.config import ClusterConfig
     from repro.experiments.fig_backends import backend_systems
@@ -102,11 +105,21 @@ def points() -> Iterator[Tuple[str, Callable[[int], object],
                                  oversubscription=4.0 + 1e-7 * (repeat + 1)),
                    SWEEP_BANDWIDTHS_GBPS),
                None)
+
+    def booked(system, nodes=64) -> Tuple[None, int, str]:
+        cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=40.0)
+        simulator = fluid.FluidSimulator(
+            build_workload(vgg, gpu=cluster.gpu), cluster, system)
+        simulator.iteration_seconds()
+        # One clock pair per node the detail tier booked.
+        return (None, len(simulator.up),
+                scheme_mix(simulator.schemes.values()))
+
     for system in systems:
         yield (f"detail {vgg.name} {system.name} 64n",
                lambda _repeat, system=system: simulate_point(
                    vgg, system, 64, engine="fluid"),
-               None)
+               partial(booked, system))
 
 
 def des_label(model, system, nodes: int) -> str:
@@ -234,7 +247,7 @@ def main() -> int:
     print(f"{'point':44}" + (f"{'ref ms':>9}" if reference else "")
           + f"{'ms':>9}" + (f"{'change':>8}" if reference else "")
           + (f"{'ref KB':>9}" if reference else "") + f"{'retained KB':>12}"
-          + f"{'events':>8}{'workers stepped':>17}  schemes")
+          + f"{'events':>8}{'stepped/booked':>17}  schemes")
     for label, now in measured.items():
         line = f"{label:44}"
         if reference:
@@ -247,8 +260,10 @@ def main() -> int:
         line += f"{now['kb']:12.0f}"
         if reference and was["events"] != now["events"]:
             line += f"{was['events']:>8} ->"
-        line += ((f"{now['events']:>8}" if now["events"] else "")
-                 + (f"{now['stepped']:>17}" if now["stepped"] else ""))
+        stepped = now["stepped"] or ""
+        if reference and was["stepped"] not in (None, now["stepped"]):
+            stepped = f"{was['stepped']} -> {stepped}"
+        line += f"{now['events'] or '':>8}{stepped:>17}"
         if now["schemes"]:
             line += "  "
             if reference and was.get("schemes") not in (None, now["schemes"]):
@@ -256,7 +271,7 @@ def main() -> int:
             line += now["schemes"]
         if now["shares"]:
             line += f"  = {now['shares'].removeprefix('des ')}"
-        print(line)
+        print(line.rstrip())
     return 0
 
 
