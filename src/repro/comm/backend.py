@@ -13,17 +13,17 @@ A :class:`CommBackend` bundles everything one scheme needs:
   transmitted plus received per combined server/worker node per iteration),
   the quantity HybComm minimises; ``K`` is the number of sufficient-factor
   rows, the batch size times the layer's factor rank;
-* ``wire_bytes(...)`` -- the same cost in bytes on the wire;
 * ``build_substrate`` / ``make_syncer`` -- the functional trainer side: the
   shared communication substrate (parameter server, bulletin board, ...)
   and the per-layer :class:`~repro.core.syncer.Syncer` that speaks to it,
   both imported from the scheme's substrate module on first use;
-* ``unit_bytes`` -- the scheme's per-unit payload *and schedule*
-  (:class:`UnitBytes`): message sizes, node traffic and the ordered tuple
-  of :class:`Phase` values that moves them, stated once and frozen into the
-  resolved :class:`~repro.simulation.plan.SyncPlan`.  The event-driven
-  simulator and both fluid tiers each have one interpreter over that
-  value; no engine knows a scheme by name.
+* ``unit_phases`` -- the scheme's per-unit schedule: the ordered tuple of
+  :class:`Phase` values, message sizes included, stated once and frozen
+  into the resolved :class:`~repro.simulation.plan.SyncPlan`.  The
+  event-driven simulator and both fluid tiers each have one interpreter
+  over that value, and every node's traffic is folded from it
+  (:func:`~repro.simulation.plan.node_traffic`); no engine knows a scheme
+  by name.
 
 Backends register themselves in a process-wide registry; the scheme
 assigner, the trainer and the simulator all resolve schemes through
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
 
-from repro import units
 from repro.comm.wire import CompressionConfig, unit_wire_bytes
 from repro.core.cost_model import (
     NetworkTopology,
@@ -216,47 +215,12 @@ class Phase:
     rejoin: bool = False
 
 
-@dataclass(frozen=True)
-class UnitBytes:
-    """One unit under one scheme: its schedule and the node traffic it causes.
-
-    Message sizes live on the phases.  The role fields are sent+received
-    bytes per sync -- a node moves ``worker`` if it is a worker, plus
-    ``server`` if it hosts a PS shard, plus ``owner`` if it owns the unit,
-    plus its entry in ``nodes``.  The value stays O(1) in the cluster size:
-    ``nodes`` names node sets as ranges, never one entry per node.
-
-    Attributes:
-        phases: the ordered :class:`Phase` tuple that moves the messages;
-            all three simulation interpreters execute exactly this value.
-        worker: sent+received bytes at every worker.
-        server: additional bytes at every node hosting a server shard.
-        owner: additional bytes at the unit's owner.
-        nodes: ``(range, bytes)`` adjustments, relative to the ``worker``
-            share, of every node in the range (rack leaders); the ranges
-            are disjoint.
-    """
-
-    phases: Tuple[Phase, ...] = ()
-    worker: float = 0.0
-    server: float = 0.0
-    owner: float = 0.0
-    nodes: Tuple[Tuple[range, float], ...] = ()
-
-
-def owner_fan_bytes(push: float, pull: float, shape: SyncShape,
-                    detached: bool = False) -> UnitBytes:
-    """The owner fan: every worker pushes to one owner, then pulls.
-
-    A colocated owner is itself a worker whose own copy stays on the node,
-    so it exchanges with ``P1 - 1`` peers; a dedicated owner with all ``P1``.
-    """
-    each = push + pull
-    fan = (shape.num_workers - 2) if shape.colocated else shape.num_workers
-    return UnitBytes(worker=each, owner=fan * each, phases=(
-        Phase(PhaseKind.FAN_IN, Peers.WORKERS, Peers.OWNER, push),
-        Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.WORKERS, pull,
-              gated=True, detached=detached)))
+def owner_fan_phases(push: float, pull: float,
+                     detached: bool = False) -> Tuple[Phase, ...]:
+    """The owner fan: every worker pushes to one owner, then pulls."""
+    return (Phase(PhaseKind.FAN_IN, Peers.WORKERS, Peers.OWNER, push),
+            Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.WORKERS, pull,
+                  gated=True, detached=detached))
 
 
 @dataclass(frozen=True)
@@ -378,16 +342,15 @@ class CommBackend(abc.ABC):
     # -- Algorithm 1 ------------------------------------------------------------
     @abc.abstractmethod
     def cost(self, m: int, n: int, num_workers: int, num_servers: int,
-             batch_size: int, bandwidth_bps: Optional[float] = None,
-             topology: Optional[NetworkTopology] = None) -> float:
+             batch_size: int, topology: Optional[NetworkTopology] = None
+             ) -> float:
         """Table-1 cost: parameters a combined server/worker node moves.
 
         ``batch_size`` is Table 1's ``K``: the rows of the layer's
         sufficient factors, the batch size times its factor rank
         (:attr:`~repro.nn.spec.LayerSpec.factor_rank`); only the factor
-        schemes read it.  ``bandwidth_bps`` is accepted for cost models
-        that are not purely volumetric (none of the built-ins use it).  With a non-flat
-        ``topology`` the value includes the scheme's cross-rack premium:
+        schemes read it.  With a non-flat ``topology`` the value includes
+        the scheme's cross-rack premium:
         ``max(flat_cost, rack_uplink_params * oversubscription / L)``
         (see :class:`~repro.core.cost_model.NetworkTopology`); a flat or
         absent topology returns the flat Table-1 cost bit-exactly.
@@ -423,25 +386,6 @@ class CommBackend(abc.ABC):
                                          batch_size, topology)
         return max(flat, uplink * topology.oversubscription / local)
 
-    def cost_on(self, topology: Optional[NetworkTopology], m: int, n: int,
-                num_workers: int, num_servers: int, batch_size: int) -> float:
-        """:meth:`cost`, forwarding ``topology`` only when it is set.
-
-        Backends implementing the flat Table-1 ``cost`` signature thereby
-        keep working everywhere a topology cannot carry a premium.
-        """
-        if topology is None:
-            return self.cost(m, n, num_workers, num_servers, batch_size)
-        return self.cost(m, n, num_workers, num_servers, batch_size,
-                         topology=topology)
-
-    def wire_bytes(self, m: int, n: int, num_workers: int, num_servers: int,
-                   batch_size: int,
-                   topology: Optional[NetworkTopology] = None) -> float:
-        """Same as :meth:`cost` (see :meth:`cost_on`) in bytes on the wire."""
-        return (self.cost_on(topology, m, n, num_workers, num_servers,
-                             batch_size) * units.FLOAT32_BYTES)
-
     # -- timed Algorithm 1 hooks -------------------------------------------------
     def latency_messages(self, num_workers: int, num_servers: int) -> float:
         """Serialized message rounds on the critical path of one sync.
@@ -472,15 +416,17 @@ class CommBackend(abc.ABC):
                                          unit.fc_dims, unit.payload_parts))
         return unit.param_bytes / self.compression
 
-    def unit_bytes(self, unit: Any, shape: SyncShape, owner: int) -> UnitBytes:
-        """The scheme's payload and schedule for one unit -- written only here.
+    def unit_phases(self, unit: Any, shape: SyncShape,
+                    owner: int) -> Tuple[Phase, ...]:
+        """The scheme's schedule for one unit -- written only here.
 
         ``unit`` is a :class:`~repro.simulation.workload.SyncUnit`, ``owner``
         the node the plan placed it on.  The DES and both fluid tiers read
-        the result, phases included, from the resolved plan.
+        the phases from the resolved plan, and every node's traffic is
+        folded from them (:func:`~repro.simulation.plan.node_traffic`).
         """
         raise ConfigurationError(
-            f"backend {self.name!r} declares no unit_bytes; "
+            f"backend {self.name!r} declares no unit_phases; "
             f"it cannot be simulated")
 
     # -- functional trainer -----------------------------------------------------
@@ -753,19 +699,14 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
         'ring'
     """
     candidates = hybrid_candidates()
-    if topology is not None and topology.is_flat:
-        # A flat topology carries no premium: treat it as absent, so
-        # backends implementing the flat Table-1 cost signature are
-        # still valid hybrid candidates.
-        topology = None
-    if topology is not None:
+    if topology is not None and not topology.is_flat:
         candidates += topology_candidates()
     best: Optional[Tuple[Tuple[float, int], str]] = None
     for backend in candidates:
         if backend.requires_factorization and (not sf_eligible or num_workers <= 1):
             continue
-        cost = (price(backend) if price is not None else backend.cost_on(
-            topology, m, n, num_workers, num_servers, batch_size))
+        cost = (price(backend) if price is not None else backend.cost(
+            m, n, num_workers, num_servers, batch_size, topology=topology))
         key = (cost, backend.hybrid_rank)
         if best is None or key < best[0]:
             best = (key, backend.name)
@@ -841,15 +782,14 @@ class PSBackend(CommBackend):
     # renormalize to P-1 when a dead worker is dropped mid-run.
     fault_modes = ("restart", "drop")
 
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
+    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
         flat = ps_combined_cost(m, n, num_workers, num_servers)
         # Sharded traffic is spread uniformly over peers, so the default
         # rack-uplink split applies.
         return self._topology_cost(flat, m, n, num_workers, num_servers,
                                    batch_size, topology)
 
-    def unit_bytes(self, unit, shape, owner):
+    def unit_phases(self, unit, shape, owner):
         if shape.fine:
             # KV-sharded: a worker exchanges its remote shards with the
             # fabric, a shard gathers (then scatters) its remote workers'
@@ -860,18 +800,15 @@ class PSBackend(CommBackend):
                     / self.compression)
             shard = (unit.param_bytes * (shape.num_workers - local)
                      / shape.num_servers / self.compression)
-            return UnitBytes(
-                worker=2.0 * push, server=2.0 * shard,
-                phases=(Phase(PhaseKind.FABRIC_OUT, Peers.WORKERS,
-                              Peers.SHARDS, push, hub_bytes=shard),
-                        Phase(PhaseKind.FABRIC_IN, Peers.SHARDS,
-                              Peers.WORKERS, push, hub_bytes=shard,
-                              gated=True)))
+            return (Phase(PhaseKind.FABRIC_OUT, Peers.WORKERS, Peers.SHARDS,
+                          push, hub_bytes=shard),
+                    Phase(PhaseKind.FABRIC_IN, Peers.SHARDS, Peers.WORKERS,
+                          push, hub_bytes=shard, gated=True))
         # Coarse: a compressor shrinks the pushed gradient, the pulled
         # parameters stay dense.
-        return owner_fan_bytes(self.gradient_bytes(unit, shape),
-                               unit.param_bytes / self.compression, shape,
-                               detached=True)
+        return owner_fan_phases(self.gradient_bytes(unit, shape),
+                                unit.param_bytes / self.compression,
+                                detached=True)
 
     def compression_cost_factor(self, compression, m, n):
         # PS pushes travel compressed, pulls come back dense; with
@@ -922,8 +859,7 @@ class OneBitBackend(PSBackend):
         from repro.comm.quantization import OneBitQuantizer
         return OneBitQuantizer()
 
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
+    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
         # 1-bit quantization shrinks the PS payload by ~32x in both
         # directions (scales are negligible at this granularity).
         flat = ps_combined_cost(m, n, num_workers, num_servers) / self.compression
@@ -939,8 +875,7 @@ class SFBBackend(CommBackend):
     hybrid_candidate = True
     hybrid_rank = 0  # SFB wins Algorithm-1 ties
 
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
+    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
         flat = sfb_worker_cost(m, n, batch_size, num_workers)
         # Factor broadcasts address every peer directly, so the default
         # uniform peer split is the exact cross-rack accounting.
@@ -955,12 +890,10 @@ class SFBBackend(CommBackend):
         # Reconstruct each peer's dW = U^T V: 2 K M N FLOPs per peer.
         return 2.0 * batch_size * max(num_workers - 1, 0) * m * n
 
-    def unit_bytes(self, unit, shape, owner):
-        sf = unit.sufficient_factor_bytes(shape.batch_size)
+    def unit_phases(self, unit, shape, owner):
         # One factor copy to, and one from, each of the P1 - 1 peers.
-        return UnitBytes(worker=2.0 * (shape.num_workers - 1) * sf,
-                         phases=(Phase(PhaseKind.BROADCAST, Peers.WORKERS,
-                                       Peers.WORKERS, sf),))
+        return (Phase(PhaseKind.BROADCAST, Peers.WORKERS, Peers.WORKERS,
+                      unit.sufficient_factor_bytes(shape.batch_size)),)
 
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.sfb import SufficientFactorBroadcaster
@@ -982,8 +915,7 @@ class AdamBackend(CommBackend):
     name = "adam"
     requires_factorization = True
 
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
+    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
         flat = adam_combined_cost(m, n, batch_size, num_workers)
         return self._topology_cost(flat, m, n, num_workers, num_servers,
                                    batch_size, topology)
@@ -1000,9 +932,9 @@ class AdamBackend(CommBackend):
         # The owning node reconstructs every peer's factors before applying.
         return 2.0 * batch_size * max(num_workers - 1, 0) * m * n
 
-    def unit_bytes(self, unit, shape, owner):
-        return owner_fan_bytes(unit.sufficient_factor_bytes(shape.batch_size),
-                               unit.param_bytes, shape)
+    def unit_phases(self, unit, shape, owner):
+        return owner_fan_phases(
+            unit.sufficient_factor_bytes(shape.batch_size), unit.param_bytes)
 
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.adam import AdamSFServer
@@ -1035,8 +967,7 @@ class HierPSBackend(CommBackend):
             return topology.nodes_per_rack(num_workers)
         return DEFAULT_RACK_SIZE
 
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
+    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
         """Transmit+receive volume at the busiest node of the tree.
 
         A rack leader exchanges the whole rack's gradients and parameters
@@ -1066,51 +997,23 @@ class HierPSBackend(CommBackend):
         # Two tree levels, each a push + pull round trip.
         return 4.0
 
-    def unit_bytes(self, unit, shape, owner):
+    def unit_phases(self, unit, shape, owner):
         dense = unit.param_bytes / self.compression
-        # A member sends one gradient up and gets one parameter copy back.
-        # A leader instead fans in and out its rack's other members and,
-        # unless it is the root owner itself, exchanges one aggregate with
-        # the root; the root sees one such exchange per remote leader.
-        # Leaders are every rack_size-th worker: the full racks' (split
-        # around an owner that leads one), then a short last rack's.
-        size = shape.rack_size
-        full, short = divmod(shape.num_workers, size)
-        end = full * size
-        leads = owner < shape.num_workers and owner % size == 0
-        remote_leaders = shape.num_racks - leads
-
-        def lead(nodes: range, members: int, remote: bool = True):
-            return nodes, 2.0 * dense * (members - 2 + remote)
-
-        if leads and owner < end:
-            leaders = [lead(range(0, owner, size), size),
-                       lead(range(owner + size, end, size), size),
-                       lead(range(owner, owner + 1), size, remote=False)]
-        else:
-            leaders = [lead(range(0, end, size), size)]
-        if short:
-            leaders.append(lead(range(end, end + 1), short, owner != end))
         # The tree follows ``shape.rack_size`` -- the physical racks of an
         # oversubscribed cluster (the whole point of the scheme), logical
         # racks of DEFAULT_RACK_SIZE on a flat one: members push to their
         # leader, each complete rack's leader forwards one aggregate to the
         # root owner, and once every aggregate arrived the leaders fetch
         # the fresh parameters and redistribute them inside their racks.
-        return UnitBytes(
-            worker=2.0 * dense,
-            owner=2.0 * dense * remote_leaders,
-            nodes=tuple(entry for entry in leaders if entry[0]),
-            phases=(
-                Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS,
-                      Peers.RACK_LEADERS, dense, scope=Scope.GROUP),
+        return (Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS, Peers.RACK_LEADERS,
+                      dense, scope=Scope.GROUP),
                 Phase(PhaseKind.FAN_IN, Peers.RACK_LEADERS, Peers.OWNER,
                       dense),
                 Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.RACK_LEADERS,
                       dense, scope=Scope.GROUP, gated=True),
                 Phase(PhaseKind.BROADCAST, Peers.RACK_LEADERS,
                       Peers.RACK_MEMBERS, dense, scope=Scope.GROUP,
-                      rejoin=True)))
+                      rejoin=True))
 
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.hierarchical import HierarchicalParameterServer
@@ -1139,8 +1042,7 @@ class RingBackend(CommBackend):
     #: payload is what both ring phases carry).
     compressible = True
 
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
+    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
         """Transmit+receive volume per node: ``4 M N (P1-1)/P1`` parameters.
 
         Each direction moves ``2 (P1-1)/P1 * M N`` -- notably equal to the
@@ -1175,7 +1077,7 @@ class RingBackend(CommBackend):
             return 1.0
         return compression.weight_ratio(m, n)
 
-    def unit_bytes(self, unit, shape, owner):
+    def unit_phases(self, unit, shape, owner):
         # Reduce-scatter then all-gather move the (compressed) gradient in
         # 1/P chunks: 2 (P - 1) lockstep steps, each shipping one chunk to
         # the ring successor's downlink (point-to-point flows, so NIC
@@ -1186,10 +1088,8 @@ class RingBackend(CommBackend):
         # A lone worker's plan is never run; one step keeps it valid.
         chunk = self.gradient_bytes(unit, shape) / shape.num_workers
         steps = max(2 * (shape.num_workers - 1), 1)
-        return UnitBytes(
-            worker=4.0 * (shape.num_workers - 1) * chunk,
-            phases=(Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR,
-                          chunk, repeat=steps, rejoin=True),))
+        return (Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR,
+                      chunk, repeat=steps, rejoin=True),)
 
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.ring import RingAllReducer

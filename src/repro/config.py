@@ -157,7 +157,8 @@ class ClusterConfig:
                 raise ConfigurationError(
                     f"{name} must be an integer >= 1, got {count!r}")
         for ok, name, rule in (
-                (self.bandwidth_gbps > 0, "bandwidth_gbps", "positive"),
+                (0 < self.bandwidth_gbps < math.inf, "bandwidth_gbps",
+                 "finite and positive"),
                 (0.0 < self.network_efficiency <= 1.0, "network_efficiency",
                  "in (0, 1]"),
                 (0 <= self.latency_seconds < math.inf, "latency_seconds",
@@ -387,16 +388,19 @@ class SystemConfig:
         for ok, problem in (
                 (isinstance(self.policy, SyncPolicy),
                  f"policy {self.policy!r} is not a SyncPolicy (with_policy)"),
-                (self.host_copy_bandwidth_bps > 0,
-                 "host_copy_bandwidth_bps must be positive"),
+                (0 < self.host_copy_bandwidth_bps < math.inf,
+                 "host_copy_bandwidth_bps must be finite and positive"),
                 (0.0 <= self.straggler_fraction <= 1.0,
                  "straggler_fraction must be in [0, 1]"),
-                (self.straggler_factor >= 1, "straggler_factor must be >= 1"),
-                (mtbf is None or mtbf > 0, "mtbf_seconds must be positive"),
-                (interval is None or interval > 0,
-                 "checkpoint_interval_seconds must be positive"),
-                (self.checkpoint_cost_seconds >= 0,
-                 "checkpoint_cost_seconds must be >= 0"),
+                (1 <= self.straggler_factor < math.inf,
+                 "straggler_factor must be finite and >= 1"),
+                (mtbf is None or 0 < mtbf < math.inf,
+                 "mtbf_seconds must be finite and positive (None: no "
+                 "failures)"),
+                (interval is None or 0 < interval < math.inf,
+                 "checkpoint_interval_seconds must be finite and positive"),
+                (0 <= self.checkpoint_cost_seconds < math.inf,
+                 "checkpoint_cost_seconds must be finite and >= 0"),
                 (self.bucket_bytes is None or self.bucket_bytes >= 1
                  and float(self.bucket_bytes).is_integer(),
                  "bucket_bytes must be an integer >= 1"),

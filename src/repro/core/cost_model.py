@@ -247,10 +247,8 @@ class CostModel:
         #: actually crosses the wire per training step.  The default (BSP)
         #: reproduces Table 1 exactly.
         self.policy: SyncPolicy = SyncPolicy.parse(policy)
-        # None on flat clusters (the convention decide_schemes also uses):
-        # backends are only handed a topology that actually carries a
-        # premium, so Table-1-signature cost models keep working anywhere
-        # the topology cannot matter.
+        # None on flat clusters: a flat topology carries no premium and
+        # adds no Algorithm-1 candidate, so it reads as absent.
         topology = NetworkTopology.from_cluster(cluster)
         self.topology: Optional[NetworkTopology] = (
             None if topology.is_flat else topology)
@@ -380,9 +378,9 @@ class CostModel:
         # rule of repro.comm.wire); conv/bias blobs ship dense everywhere.
         factor = (backend.compression_cost_factor(self.compression, m, n)
                   if is_fc and self.compression is not None else 1.0)
-        return freq * factor * backend.cost_on(
-            self.topology, m, n, self.cluster.num_workers,
-            self.cluster.num_servers, self.factor_rows(layer))
+        return freq * factor * backend.cost(
+            m, n, self.cluster.num_workers, self.cluster.num_servers,
+            self.factor_rows(layer), topology=self.topology)
 
     def scheme_cost_bytes(self, layer: LayerSpec, scheme: str,
                           policy=None) -> float:

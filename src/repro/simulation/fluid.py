@@ -43,8 +43,10 @@ resolved :class:`~repro.simulation.plan.SyncPlan` -- the same value the DES
 reads.  Both tiers are one driver over the unit's declared
 :class:`~repro.comm.backend.Phase` tuple (:meth:`FluidSimulator._drive`):
 the driver alone decides when a phase starts, and one booking function per
-phase *kind* and tier puts its flows on the busy clocks.  Nothing here
-knows a scheme by name or prices a payload.
+phase *kind* and tier puts its flows on the busy clocks.  A result's
+per-node traffic is the plan's :func:`~repro.simulation.plan.node_traffic`
+fold over the same phases.  Nothing here knows a scheme by name or prices
+a payload.
 
 Engine selection is shared with the figure/sweep layers through
 :func:`resolve_engine`: ``"des"`` (default, byte-identical reports),
@@ -70,7 +72,12 @@ from repro.config import ClusterConfig, ScheduleMode, SystemConfig
 from repro.core.faults import fault_overhead_factor, straggler_excess_seconds
 from repro.exceptions import ConfigurationError
 from repro.nn.spec import ModelSpec
-from repro.simulation.plan import UnitPlan, fan_groups, resolve_plan
+from repro.simulation.plan import (
+    UnitPlan,
+    fan_groups,
+    node_traffic,
+    resolve_plan,
+)
 from repro.simulation.throughput import simulation_result
 from repro.simulation.workload import IterationWorkload, build_workload
 
@@ -248,7 +255,7 @@ class FluidSimulator:
             if unit_plan.encode_seconds > 0.0:
                 ready = ready + unit_plan.encode_seconds
             schedule = tuple((phase, bookers[phase.kind])
-                             for phase in unit_plan.bytes.phases)
+                             for phase in unit_plan.phases)
             self._first_events.append(
                 (ready, unit, self._drive(unit, unit_plan, schedule)))
         heapq.heapify(self._first_events)
@@ -290,30 +297,10 @@ class FluidSimulator:
             self._per_node_traffic())
 
     def _per_node_traffic(self) -> List[float]:
-        """Analytic sent+received bytes per node (Figure 10 accounting).
-
-        Sums every unit's declared per-role traffic
-        (:class:`~repro.comm.backend.UnitBytes`) over the nodes holding
-        each role -- the same figures the DES measures at its NICs.  One of
-        the places node ids are enumerated: a result carries one figure
-        per node.
-        """
-        totals = [0.0] * self.cluster_config.num_nodes
-        if self.num_workers <= 1:
-            return totals
-        worker = server = 0.0
-        for unit_plan in self.plan.units:
-            nbytes = unit_plan.bytes
-            worker += nbytes.worker
-            server += nbytes.server
-            totals[unit_plan.owner] += nbytes.owner
-            for nodes, extra in nbytes.nodes:
-                for node in nodes:
-                    totals[node] += extra
-        for node in range(self.num_workers):
-            totals[node] += worker
-        for node in set(self.cluster_config.server_nodes):
-            totals[node] += server
+        """Sent+received bytes per node (Figure 10 accounting): the plan's
+        :func:`~repro.simulation.plan.node_traffic` fold, the figures the
+        DES measures at its NICs."""
+        totals = node_traffic(self.plan, self.cluster_config)
         if self.system.policy.sync_period > 1:
             # Local SGD syncs every H-th round: per-iteration wire volume
             # amortizes to 1/H of the BSP figure.

@@ -8,11 +8,11 @@ makes it once per ``(workload, system, cluster)``: check the scheme can
 carry the system's compressor, assign every unit a scheme
 (:func:`decide_schemes`), apply the bucketed wire granularity, place each
 unit on its owner shard and ask the scheme's backend for the unit's
-:class:`~repro.comm.backend.UnitBytes` -- payload and
-:class:`~repro.comm.backend.Phase` schedule, checked here against the
-closed phase vocabulary.  The DES interpreter and the fluid engine (both
-tiers and its per-node traffic) read the frozen :class:`SyncPlan`; none of
-them prices a payload or sequences a scheme itself.
+:class:`~repro.comm.backend.Phase` schedule, message sizes included,
+checked here against the closed phase vocabulary.  The DES interpreter and
+both fluid tiers read the frozen :class:`SyncPlan`; none of them prices a
+payload or sequences a scheme itself.  Every node's traffic is a fold over
+the same phases (:func:`node_traffic`), so a scheme is stated once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.comm.backend import (
     PhaseKind,
     Scope,
     SyncShape,
-    UnitBytes,
     check_compression,
     choose_scheme,
     get_backend,
@@ -46,7 +45,7 @@ from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
 
 __all__ = ["SyncPlan", "UnitPlan", "decide_schemes", "fan_groups",
-           "resolve_plan"]
+           "node_traffic", "resolve_plan"]
 
 #: Plans never depend on the link bandwidth, so a bandwidth axis shares one.
 _PLANS = Memo(registry_generation)
@@ -80,7 +79,8 @@ class UnitPlan:
         backend: the registered backend of the scheme that carries it.
         owner: node of the server shard the unit is placed on (round-robin
             over the server nodes; the root of owner-fan and tree schemes).
-        bytes: the backend's declared payload and phases for the unit.
+        phases: the backend's declared schedule for the unit, message
+            sizes included.
         encode_seconds: GPU seconds the active compressor spends encoding
             the unit before its send (0 when it ships dense).
     """
@@ -88,7 +88,7 @@ class UnitPlan:
     unit: SyncUnit
     backend: CommBackend
     owner: int
-    bytes: UnitBytes
+    phases: Tuple[Phase, ...]
     encode_seconds: float
 
 
@@ -140,7 +140,7 @@ def resolve_plan(workload: IterationWorkload, system: SystemConfig,
             carry (:func:`~repro.comm.backend.check_compression`), a unit
             whose scheme cannot run under the system's policy (the
             trainer's :meth:`~repro.comm.backend.CommBackend.supports_policy`
-            check), or a scheme whose backend declares no ``unit_bytes``,
+            check), or a scheme whose backend declares no ``unit_phases``,
             no phases, or a phase outside the vocabulary (unknown kind or
             peer role, a repeat count no interpreter runs, a negative or
             non-finite size).
@@ -177,28 +177,28 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
         if compression is not None and backend.compressible:
             encode_seconds = cluster.gpu.compute_seconds(unit_compression_flops(
                 compression, unit.fc_dims, unit.payload_parts))
-        nbytes = backend.unit_bytes(unit, shape, owner)
-        _check_phases(backend.name, nbytes.phases, shape)
-        units.append(UnitPlan(unit, backend, owner, nbytes, encode_seconds))
+        phases = backend.unit_phases(unit, shape, owner)
+        _check_phases(backend.name, phases, shape)
+        units.append(UnitPlan(unit, backend, owner, phases, encode_seconds))
     symmetric = (cluster.is_flat_topology and cluster.colocate_servers
                  and num_servers == num_workers and all(
                      phase.kind in _SYMMETRIC_KINDS or (
                          phase.kind is PhaseKind.BROADCAST
                          and phase.src is Peers.WORKERS)
-                     for plan in units for phase in plan.bytes.phases))
+                     for plan in units for phase in plan.phases))
     return SyncPlan(workload, shape, tuple(units), symmetric)
 
 
+_FABRIC_KINDS = (PhaseKind.FABRIC_OUT, PhaseKind.FABRIC_IN)
 #: Phase kinds that book only a node's own channels, or lock every node's.
-_SYMMETRIC_KINDS = (PhaseKind.FABRIC_OUT, PhaseKind.FABRIC_IN,
-                    PhaseKind.RING_STEP)
+_SYMMETRIC_KINDS = _FABRIC_KINDS + (PhaseKind.RING_STEP,)
 _RACK_PEERS = (Peers.RACK_LEADERS, Peers.RACK_MEMBERS)
 
 
 def _check_phases(backend: str, phases: Sequence[Phase],
                   shape: SyncShape) -> None:
     """Refuse a schedule no interpreter could run, before any engine exists."""
-    problem = None if phases else "its unit_bytes declares no phases"
+    problem = None if phases else "it declares no phases"
     for index, phase in enumerate(phases):
         before = phases[index - 1] if index else None
         racked = phase.src in _RACK_PEERS or phase.dst in _RACK_PEERS
@@ -257,3 +257,67 @@ def fan_groups(phase: Phase, shape: SyncShape, owner: int,
     if hub_role is Peers.RACK_LEADERS:
         return [(index, members[0], members) for index, members in racks]
     return [(rack, owner, tuple(members[0] for _, members in racks))]
+
+
+def node_traffic(plan: SyncPlan, cluster: ClusterConfig) -> List[float]:
+    """Sent+received bytes of every node for one sync, folded from the phases.
+
+    Every ``(kind, src, dst)`` pair of
+    :data:`~repro.comm.backend.PHASE_PEERS` has a rule (pairs that move
+    alike share one) charging a phase's messages to roles: every worker,
+    every node hosting a shard, the unit's owner, every full rack's leader,
+    the part-filled last rack's leader.  A node moves the sum of the roles
+    it holds.  A node's own copy never crosses the network, so a colocated
+    owner, or a leader that owns the unit, exchanges with one peer fewer.
+    O(units x phases), then one pass over the nodes: a result carries one
+    figure per node.  The DES measures the same figures at its NICs.
+    """
+    shape = plan.shape
+    workers, size = shape.num_workers, shape.rack_size
+    totals = [0.0] * cluster.num_nodes
+    if workers <= 1:
+        return totals
+    short = workers % size
+    # Copies an owner fan adds at the owner beyond a worker share: one per
+    # worker, less a colocated owner's own and the one its share counted.
+    fan = workers - 2 if shape.colocated else workers
+    worker = server = full = last = 0.0
+    for unit in plan.units:
+        leads = unit.owner < workers and unit.owner % size == 0
+        w = s = o = lead_full = lead_last = 0.0
+        for phase in unit.phases:
+            n, roles = phase.nbytes, (phase.src, phase.dst)
+            if phase.kind is PhaseKind.RING_STEP:
+                # One chunk out and one in per step.
+                w += 2.0 * phase.repeat * n
+            elif phase.kind in _FABRIC_KINDS:
+                w += n
+                s += phase.hub_bytes
+            elif Peers.RACK_MEMBERS in roles:
+                # A member's one copy; a leader moves its other members'.
+                w += n
+                lead_full += (size - 2) * n
+                lead_last += (short - 2) * n
+            elif Peers.RACK_LEADERS in roles:
+                # One copy between every leader and the owner; a leading
+                # owner keeps its own, which its leader share counted.
+                lead_full += n
+                lead_last += n
+                o += (shape.num_racks - 2 * leads) * n
+            elif Peers.OWNER in roles:
+                w += n
+                o += fan * n
+            else:  # all-to-all: one copy to and one from every peer
+                w += 2.0 * (workers - 1) * n
+        worker += w
+        server += s
+        full += lead_full
+        last += lead_last
+        totals[unit.owner] += o
+    for leader in range(0, workers, size):
+        totals[leader] += full if leader + size <= workers else last
+    for node in range(workers):
+        totals[node] += worker
+    for node in set(cluster.server_nodes):
+        totals[node] += server
+    return totals

@@ -41,6 +41,7 @@ from repro.memo import Memo
 from repro.nn.spec import ModelSpec
 from repro.sim import Environment, Event
 from repro.simulation.plan import (
+    _FABRIC_KINDS,
     UnitPlan,
     decide_schemes,
     fan_groups,
@@ -140,8 +141,6 @@ _AWAIT = 7      # (op, phase): that fabric phase's shard side has finished
 #: distinct tuples per unit, not 32).
 _SELF = -2
 
-_FABRIC_KINDS = (PhaseKind.FABRIC_OUT, PhaseKind.FABRIC_IN)
-
 
 @dataclass(frozen=True)
 class _UnitSteps:
@@ -179,7 +178,7 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
     its own countdown -- or, with ``one_hold`` (``IterationSimulator._lowered``
     decides), one round whose flow holds its path ``k`` times as long.
     """
-    phases = plan.bytes.phases
+    phases = plan.phases
     workers = range(shape.num_workers)
     steps: List[List[tuple]] = [[] for _ in workers]
     sizes: List[int] = []
@@ -353,7 +352,7 @@ class IterationSimulator:
         self.workers_stepped: Optional[int] = None
 
     def unit_plan(self, unit: SyncUnit) -> UnitPlan:
-        """The resolved owner and payload (``.owner``, ``.bytes``) of one unit."""
+        """The resolved owner and schedule (``.owner``, ``.phases``) of one unit."""
         return self.plan.by_name[unit.name]
 
     # -- simulation ------------------------------------------------------------------
@@ -439,7 +438,7 @@ class IterationSimulator:
         """
         scales = {self._compute_scale(worker)
                   for worker in range(self.num_workers)}
-        phases = [unit.bytes.phases for unit in self.plan.units]
+        phases = [unit.phases for unit in self.plan.units]
         uniform = one_round and len(scales) == 1
         one_hold = uniform and all(
             [phase.kind for phase in unit] == [PhaseKind.RING_STEP]

@@ -11,6 +11,9 @@ Two references stand for the simulators' symmetric short paths:
 :func:`every_node` makes both engines run every node on any plan, and
 :func:`lower_unit_per_hub` is the DES lowering with one receiver pass per
 broadcast hub, O(P^2) per all-to-all.
+
+:func:`one_unit_plan` is one scheme's schedule for one unit as a plan, the
+smallest input :func:`~repro.simulation.plan.node_traffic` folds.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from repro.comm.backend import PhaseKind, Scope
 from repro.exceptions import SimulationError
 from repro.sim import Environment, Event, TailChannel
 from repro.simulation import fluid, plan as plan_module, throughput
-from repro.simulation.plan import fan_groups
+from repro.simulation.plan import SyncPlan, UnitPlan, fan_groups
 from repro.simulation.throughput import (
     _ARRIVE, _AWAIT, _BROADCAST, _FABRIC_KINDS, _GATE, _RING, _SELF, _SPAWN,
     _TRANSFER, _WAIT, _UnitSteps)
+from repro.simulation.workload import IterationWorkload
 
 
 class AllOf(Event):
@@ -203,7 +207,7 @@ def lower_unit_per_hub(plan, shape, one_hold: bool) -> _UnitSteps:
     """``throughput._lower_unit`` as it walked a broadcast's receivers: once
     per hub, so an all-to-all costs P x (P - 1) gate / wait calls of which
     all but one per receiver are dropped as duplicates."""
-    phases = plan.bytes.phases
+    phases = plan.phases
     workers = range(shape.num_workers)
     steps: List[List[tuple]] = [[] for _ in workers]
     sizes: List[int] = []
@@ -300,3 +304,14 @@ def lower_unit_per_hub(plan, shape, one_hold: bool) -> _UnitSteps:
     return _UnitSteps(
         tuple(shared.setdefault(role, role) for role in map(tuple, steps)),
         tuple(sizes), tuple(shards))
+
+
+def one_unit_plan(backend, unit, shape, owner: int) -> SyncPlan:
+    """``unit`` alone under ``backend``, placed on ``owner``."""
+    workload = IterationWorkload(
+        model_name=unit.name, batch_size=shape.batch_size,
+        forward_seconds=0.0, tail_backward_seconds=0.0, units=(unit,),
+        single_node_seconds=1.0, total_param_bytes=unit.param_bytes)
+    unit_plan = UnitPlan(unit, backend, owner,
+                         backend.unit_phases(unit, shape, owner), 0.0)
+    return SyncPlan(workload, shape, (unit_plan,), node_symmetric=False)

@@ -85,11 +85,6 @@ class TestRegistry:
             register_backend(Hybrid())
         assert trainer_modes().count(HYBRID_MODE) == 1
 
-    def test_wire_bytes_is_cost_in_bytes(self):
-        backend = get_backend("ps")
-        assert backend.wire_bytes(100, 10, 8, 8, 32) == \
-            backend.cost(100, 10, 8, 8, 32) * 4
-
 
 class Pigeon(PSBackend):
     name = "pigeon"  # the PS protocol under its own name, nothing else

@@ -130,10 +130,11 @@ class TestClusterConfig:
         {"racks": math.nan, "oversubscription": 4.0},
         {"oversubscription": math.inf, "racks": 2},
         {"latency_seconds": math.inf},
+        {"bandwidth_gbps": math.inf},
     ], ids=["workers float", "workers fractional", "servers fractional",
             "servers nan", "gpus fractional", "racks fractional",
             "racks nan", "oversubscription inf",
-            "latency inf"])
+            "latency inf", "bandwidth inf"])
     def test_fractional_count_or_infinite_size_fails_when_built(self, kwargs,
                                                                 engine):
         """Not as a bare ``TypeError`` mid-run, not as an infinite
@@ -254,6 +255,22 @@ class TestSystemConfig:
                      id="zero-checkpoint-interval"),
         pytest.param(lambda: replace(POSEIDON_CAFFE, bucket_bytes=0),
                      id="zero-bucket-bytes"),
+        # Infinite values used to build: checkpoint_cost_seconds=inf under
+        # a 1 h MTBF priced 4-node alexnet as fault-free (0.2502 s/iter).
+        pytest.param(lambda: replace(POSEIDON_CAFFE,
+                                     straggler_factor=math.inf),
+                     id="infinite-straggler-factor"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE, mtbf_seconds=math.inf),
+                     id="infinite-mtbf"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE,
+                                     checkpoint_interval_seconds=math.inf),
+                     id="infinite-checkpoint-interval"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE,
+                                     checkpoint_cost_seconds=math.inf),
+                     id="infinite-checkpoint-cost"),
+        pytest.param(lambda: replace(POSEIDON_CAFFE,
+                                     host_copy_bandwidth_bps=math.inf),
+                     id="infinite-host-copy-bandwidth"),
         pytest.param(lambda: replace(POSEIDON_CAFFE, compressor="topk("),
                      id="malformed-compressor"),
         pytest.param(lambda: replace(POSEIDON_CAFFE, compressor="topk(0.01)"),

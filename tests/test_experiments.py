@@ -34,8 +34,7 @@ class _Cheapest(CommBackend):
     hybrid_candidate = True
     hybrid_rank = -1
 
-    def cost(self, m, n, num_workers, num_servers, batch_size,
-             bandwidth_bps=None, topology=None):
+    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
         return 0.0
 
     def build_substrate(self, initial_layers, ctx):

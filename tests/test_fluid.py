@@ -64,9 +64,11 @@ from repro.simulation.fluid import (
     sweep_axis,
     use_engine,
 )
+from repro.simulation.plan import node_traffic
 from repro.simulation.speedup import curve_tasks, simulate_point
 from repro.simulation.throughput import IterationSimulator, simulate_system
 from repro.simulation.workload import build_workload
+from sim_reference import one_unit_plan
 
 VGG = get_model_spec("vgg19")
 
@@ -652,44 +654,53 @@ class TestMultiJob:
         np.testing.assert_array_equal(numpy_int, plain)
 
 
-class TestUnitBytes:
-    """Each backend's declared per-unit payload (what both engines read)."""
+class TestOneUnitTraffic:
+    """Each backend's phases for one unit (what both engines read) and the
+    per-node traffic folded from them."""
+
+    @staticmethod
+    def fold(scheme, unit, shape, owner):
+        """The unit's phases under ``scheme`` and every node's traffic."""
+        cluster = ClusterConfig(num_workers=shape.num_workers,
+                                num_servers=shape.num_servers,
+                                colocate_servers=shape.colocated)
+        plan = one_unit_plan(get_backend(scheme), unit, shape, owner)
+        return plan.units[0].phases, node_traffic(plan, cluster)
 
     def test_sfb_bytes(self):
         workload = build_workload(VGG)
         unit = next(u for u in workload.units if u.sf_eligible)
         n = 16
         shape = SyncShape(n, n, workload.batch_size)
-        nbytes = get_backend("sfb").unit_bytes(unit, shape, owner=0)
+        phases, traffic = self.fold("sfb", unit, shape, owner=0)
         sf = unit.sufficient_factor_bytes(workload.batch_size)
-        assert [phase.nbytes for phase in nbytes.phases] == [sf]
-        assert nbytes.worker == 2 * (n - 1) * sf
-        assert nbytes.owner == 0.0
+        assert [phase.nbytes for phase in phases] == [sf]
+        # The owner moves no more than any other worker.
+        assert traffic == [2 * (n - 1) * sf] * n
 
     @pytest.mark.parametrize("scheme", sorted(registered_backends()))
     def test_bytes_are_nonnegative(self, scheme):
         workload = build_workload(VGG)
         unit = next(u for u in workload.units if u.sf_eligible)
         shape = SyncShape(8, 8, workload.batch_size)
-        nbytes = get_backend(scheme).unit_bytes(unit, shape, owner=1)
-        assert nbytes.phases
+        phases, traffic = self.fold(scheme, unit, shape, owner=1)
+        assert phases
         assert all(phase.nbytes >= 0 and phase.hub_bytes >= 0
-                   for phase in nbytes.phases)
-        assert nbytes.worker >= 0
-        assert nbytes.owner >= 0
-        # Named-node entries adjust a worker share, never below zero.
-        assert all(nbytes.worker + extra >= 0 for _nodes, extra in nbytes.nodes)
+                   for phase in phases)
+        assert min(traffic) >= 0
 
     def test_fine_vs_coarse_ps(self):
         workload = build_workload(VGG)
         unit = workload.units[0]
-        backend = get_backend("ps")
-        fine = backend.unit_bytes(
-            unit, SyncShape(8, 8, workload.batch_size, fine=True), owner=0)
-        coarse = backend.unit_bytes(
-            unit, SyncShape(8, 8, workload.batch_size, fine=False), owner=0)
-        assert fine.owner == 0.0 and fine.phases[0].hub_bytes > 0.0
-        assert coarse.owner > 0.0 and coarse.phases[0].hub_bytes == 0.0
+        fine_phases, fine = self.fold(
+            "ps", unit, SyncShape(8, 8, workload.batch_size, fine=True),
+            owner=0)
+        coarse_phases, coarse = self.fold(
+            "ps", unit, SyncShape(8, 8, workload.batch_size, fine=False),
+            owner=0)
+        # Only the coarse owner moves more than the other workers.
+        assert fine[0] == fine[1] and fine_phases[0].hub_bytes > 0.0
+        assert coarse[0] > coarse[1] and coarse_phases[0].hub_bytes == 0.0
 
     @pytest.mark.parametrize("workers,servers,colocated",
                              [(8, 8, True), (8, 3, False)])
@@ -702,10 +713,16 @@ class TestUnitBytes:
         unit = next(u for u in workload.units if u.name == "fc6")
         shape = SyncShape(workers, servers, workload.batch_size,
                           colocated=colocated)
-        nbytes = get_backend("ps").unit_bytes(unit, shape, owner=0)
-        push = nbytes.phases[0]
-        assert nbytes.owner == 0.0
-        assert nbytes.server == 2 * push.hub_bytes
+        phases, traffic = self.fold("ps", unit, shape, owner=0)
+        push = phases[0]
+        # A worker pushes and pulls its slices, a shard host gathers and
+        # scatters its own; the owner moves nothing more.
+        expected = [2 * push.nbytes] * workers + [0.0] * (len(traffic)
+                                                         - workers)
+        for node in (range(servers) if colocated
+                     else range(workers, workers + servers)):
+            expected[node] += 2 * push.hub_bytes
+        assert traffic == expected
         assert servers * push.hub_bytes == pytest.approx(workers * push.nbytes)
         local = 1 if colocated else 0
         assert workers * push.nbytes == pytest.approx(

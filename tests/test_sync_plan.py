@@ -7,14 +7,16 @@
 * a zoo model's resolved plan syncs every parameter layer exactly once,
   puts SFB only on units with sufficient factors, and Algorithm 1 never
   picks a scheme that moves more bytes than pure PS;
-* the per-node traffic the DES measures at its NICs equals the traffic the
-  fluid engine sums from the backends' declared ``UnitBytes``, for every
-  backend x topology x cluster size, and for a transformer's token FCs
-  priced at their real factor rank; hierarchical PS's ``(range, bytes)``
-  leader entries expand to its per-rack loop, bit for bit;
-* a backend declaring ``unit_bytes`` -- payload and phases, including a
-  phase sequence no shipped backend uses -- runs under the DES and both
-  fluid tiers with no edit to either; one declaring no phases, an unknown
+* the per-node traffic the DES measures at its NICs equals, node for
+  node, the traffic ``node_traffic`` folds from the plan's phases, for
+  every backend x topology x cluster size x shard placement x
+  partitioning, and for a transformer's token FCs priced at their real
+  factor rank; hierarchical PS's folded leader traffic is its per-rack
+  loop, bit for bit;
+* a backend declaring ``unit_phases`` -- phases only, including a phase
+  sequence no shipped backend uses -- runs under the DES and both fluid
+  tiers with no edit to either, and gets the DES's per-node traffic from
+  the fold; one declaring no phases, an unknown
   kind or peer role, a repeat count no interpreter runs or a negative /
   non-finite size is refused by ``resolve_plan``, hence at construction of
   either engine;
@@ -62,9 +64,8 @@ from repro.comm.backend import (
     PhaseKind,
     Scope,
     SyncShape,
-    UnitBytes,
     get_backend,
-    owner_fan_bytes,
+    owner_fan_phases,
     register_backend,
     unregister_backend,
 )
@@ -83,10 +84,10 @@ from repro.nn.model_zoo import get_model_spec
 from repro.nn.model_zoo.mlp import build_mlp_network, mlp_spec
 from repro.parallel import assign_schemes
 from repro.simulation.fluid import FluidSimulator, sweep_axis
-from repro.simulation.plan import resolve_plan
+from repro.simulation.plan import node_traffic, resolve_plan
 from repro.simulation.throughput import IterationSimulator, decide_schemes
 from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
-from sim_reference import every_node, lower_unit_per_hub
+from sim_reference import every_node, lower_unit_per_hub, one_unit_plan
 
 ALEXNET = get_model_spec("alexnet")
 VGG = get_model_spec("vgg19")
@@ -166,27 +167,33 @@ class TestModelLevelDecisions:
                     <= cost_model.scheme_cost_bytes(layer, "ps")), layer.name
 
 
-# -- one payload statement --------------------------------------------------------
+# -- one schedule statement, its traffic folded -----------------------------------
 def _traffic(simulator_cls, workload, cluster, system):
     return np.asarray(
         simulator_cls(workload, cluster, system).run().per_node_traffic_bytes)
 
 
 class TestDeclaredTrafficMatchesMeasured:
+    @pytest.mark.parametrize("partitioning", Partitioning)
+    @pytest.mark.parametrize("servers", (None, 3),
+                             ids=("colocated", "dedicated"))
     @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
-    @pytest.mark.parametrize("nodes", (8, 16, 32))
+    @pytest.mark.parametrize("nodes", (5, 8, 16))
     def test_des_equals_fluid_for_every_backend(self, nodes, racks,
-                                                oversubscription):
+                                                oversubscription, servers,
+                                                partitioning):
+        shards = (dict(num_servers=servers, colocate_servers=False)
+                  if servers else {})
         cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=40.0,
-                                racks=racks, oversubscription=oversubscription)
+                                racks=racks, oversubscription=oversubscription,
+                                **shards)
         workload = build_workload(ALEXNET, gpu=cluster.gpu)
         for system in backend_systems():
-            measured = _traffic(IterationSimulator, workload, cluster, system)
-            declared = _traffic(FluidSimulator, workload, cluster, system)
-            assert declared.sum() == pytest.approx(measured.sum(), rel=1e-9), \
-                system.name
-            assert declared.max() == pytest.approx(measured.max(), rel=1e-9), \
-                system.name
+            system = replace(system, partitioning=partitioning)
+            np.testing.assert_allclose(
+                _traffic(FluidSimulator, workload, cluster, system),
+                _traffic(IterationSimulator, workload, cluster, system),
+                rtol=1e-9, err_msg=system.name)
 
     @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
     @pytest.mark.parametrize("nodes", (4, 8))
@@ -207,7 +214,7 @@ class TestDeclaredTrafficMatchesMeasured:
         rows = workload.batch_size * 256
         assert head.unit.factor_rank == 256
         if head.backend.requires_factorization:
-            assert head.bytes.phases[0].nbytes == rows * (384 + 50304) * 4
+            assert head.phases[0].nbytes == rows * (384 + 50304) * 4
 
     def test_hierps_counts_leader_fan_and_real_racks(self):
         """The parent's fluid figure ignored leaders and hard-coded racks of 4."""
@@ -217,8 +224,10 @@ class TestDeclaredTrafficMatchesMeasured:
                       if s.comm == "hierps")
         plan = resolve_plan(workload, hierps, cluster)
         assert plan.shape.rack_size == 8
-        leaders = {node for nodes, _ in plan.units[0].bytes.nodes
-                   for node in nodes}
+        # The first unit alone: only its leaders move more than a member.
+        first = node_traffic(replace(plan, units=plan.units[:1]), cluster)
+        leaders = {node for node, moved in enumerate(first)
+                   if moved > min(first)}
         assert leaders == {0, 8}
         np.testing.assert_allclose(
             _traffic(FluidSimulator, workload, cluster, hierps),
@@ -249,67 +258,60 @@ def _hierps_reference(dense, shape, owner):
 
 
 class TestHierPSLeadersAreTheRackLoop:
-    """The ``(range, bytes)`` entries name exactly the per-rack loop's nodes
-    and values, bit for bit, wherever the owner sits."""
+    """The fold's hierarchical-PS traffic is the per-rack loop's, node for
+    node and bit for bit, wherever the owner sits."""
 
     @settings(max_examples=300, deadline=None)
     @given(workers=st.integers(1, 300), rack_size=st.integers(1, 64),
            colocated=st.booleans(), data=st.data(),
-           param_bytes=st.floats(1.0, 1e9))
-    def test_ranges_expand_to_the_loop(self, workers, rack_size, colocated,
-                                       data, param_bytes):
+           param_bytes=st.integers(1, 10**9).map(float))
+    def test_fold_is_the_loop(self, workers, rack_size, colocated, data,
+                              param_bytes):
         servers = workers if colocated else data.draw(st.integers(1, 300))
         shape = SyncShape(num_workers=workers, num_servers=servers,
                           batch_size=32, colocated=colocated,
                           rack_size=rack_size)
+        cluster = ClusterConfig(num_workers=workers, num_servers=servers,
+                                colocate_servers=colocated)
         owner = data.draw(st.integers(0, workers - 1) if colocated
                           else st.integers(workers, workers + servers - 1))
         unit = SyncUnit("fc", param_bytes, True, (1, 1), 0.0, ("fc",))
-        declared = get_backend("hierps").unit_bytes(unit, shape, owner)
-        expanded = [(node, extra) for nodes, extra in declared.nodes
-                    for node in nodes]
-        leaders, owner_bytes = _hierps_reference(param_bytes, shape, owner)
-        assert dict(expanded) == leaders
-        assert len(expanded) == len(leaders)  # no node named twice
-        assert declared.owner == owner_bytes
-        assert len(declared.nodes) <= 4
+        plan = one_unit_plan(get_backend("hierps"), unit, shape, owner)
+        expected = [0.0] * cluster.num_nodes
+        if workers > 1:
+            leaders, owner_bytes = _hierps_reference(param_bytes, shape, owner)
+            for node in range(workers):
+                expected[node] = 2.0 * param_bytes + leaders.get(node, 0.0)
+            expected[owner] += owner_bytes
+        assert node_traffic(plan, cluster) == expected
 
 
 class _OwnerFanHalf(AdamBackend):
     """Test-only scheme: half-size gradients up, dense parameters back."""
 
-    def unit_bytes(self, unit, shape, owner):
-        return owner_fan_bytes(unit.param_bytes / 2.0, unit.param_bytes, shape)
+    def unit_phases(self, unit, shape, owner):
+        return owner_fan_phases(unit.param_bytes / 2.0, unit.param_bytes)
 
 
 class _TwoLevelFanInFlatBroadcast(AdamBackend):
     """Test-only sequence no shipped backend uses: rack-local fan-in, the
     leaders' aggregates to the owner, then one owner broadcast to everyone."""
 
-    def unit_bytes(self, unit, shape, owner):
+    def unit_phases(self, unit, shape, owner):
         dense = unit.param_bytes
-        leaders = tuple(
-            (members[:1],
-             dense * (len(members) - 1) - (dense if members[0] == owner else 0))
-            for members in shape.racks)
-        remote = sum(members[0] != owner for members in shape.racks)
-        return UnitBytes(
-            worker=2.0 * dense, nodes=leaders,
-            # aggregates in, P - 1 copies out, no copy of its own back
-            owner=dense * (remote + shape.num_workers - 2),
-            phases=(Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS,
-                          Peers.RACK_LEADERS, dense, scope=Scope.GROUP),
-                    Phase(PhaseKind.FAN_IN, Peers.RACK_LEADERS, Peers.OWNER,
-                          dense),
-                    Phase(PhaseKind.BROADCAST, Peers.OWNER, Peers.WORKERS,
-                          dense, gated=True)))
+        return (Phase(PhaseKind.FAN_IN, Peers.RACK_MEMBERS, Peers.RACK_LEADERS,
+                      dense, scope=Scope.GROUP),
+                Phase(PhaseKind.FAN_IN, Peers.RACK_LEADERS, Peers.OWNER,
+                      dense),
+                Phase(PhaseKind.BROADCAST, Peers.OWNER, Peers.WORKERS, dense,
+                      gated=True))
 
 
 def _declares(*phases):
     """A test-only backend whose every unit declares exactly ``phases``."""
     class Declared(AdamBackend):
-        def unit_bytes(self, unit, shape, owner):
-            return UnitBytes(worker=2.0 * unit.param_bytes, phases=phases)
+        def unit_phases(self, unit, shape, owner):
+            return phases
     return Declared()
 
 
@@ -409,8 +411,8 @@ class TestBackendDeclaresItsPayloadOnce:
         misses = _LOWERED.misses
         for system in backend_systems():
             for unit in resolve_plan(workload, system, big).units:
-                assert 1 <= len(unit.bytes.phases) <= 4
-                for phase in unit.bytes.phases:
+                assert 1 <= len(unit.phases) <= 4
+                for phase in unit.phases:
                     assert all(isinstance(value, (int, float, Peers,
                                                   PhaseKind, Scope))
                                for value in vars(phase).values())
@@ -430,9 +432,9 @@ class TestBackendDeclaresItsPayloadOnce:
         swap_adam_backend(_OwnerFanHalf())
         after = resolve_plan(workload, self.SYSTEM, cluster)
         fc = next(i for i, u in enumerate(workload.units) if u.sf_eligible)
-        push = after.units[fc].bytes.phases[0].nbytes
+        push = after.units[fc].phases[0].nbytes
         assert push == workload.units[fc].param_bytes / 2
-        assert before.units[fc].bytes.phases[0].nbytes != push
+        assert before.units[fc].phases[0].nbytes != push
 
 
 # -- one ring phase, two lowerings ---------------------------------------------------

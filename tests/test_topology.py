@@ -164,6 +164,9 @@ class TestFlatEquivalence:
             assert backend.cost(1024, 1000, 16, 16, 32,
                                 topology=flat_topo) == base
             assert backend.cost(1024, 1000, 16, 16, 32, topology=None) == base
+        # A flat cluster's cost model holds no topology at all.
+        flat_model = CostModel(ClusterConfig(num_workers=16), batch_size=32)
+        assert flat_model.topology is None
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +246,6 @@ class TestCostByteSplit:
         assert backend.cost(M, N, 4, 4, K, topology=topology) > \
             backend.cost(M, N, 4, 4, K)
 
-    def test_flat_table1_cost_signature_still_works(self):
-        # A backend written against the PR-4 protocol (no topology kwarg)
-        # must keep working wherever the topology cannot carry a premium.
-        class FlatCostBackend(get_backend("ps").__class__):
-            def cost(self, m, n, num_workers, num_servers, batch_size,
-                     bandwidth_bps=None):
-                return ps_combined_cost(m, n, num_workers, num_servers)
-
-        backend = FlatCostBackend()
-        assert backend.wire_bytes(M, N, P, S, K) == \
-            ps_combined_cost(M, N, P, S) * 4.0
-        flat_model = CostModel(ClusterConfig(num_workers=16), batch_size=32)
-        assert flat_model.topology is None  # flat clusters pass no topology
-
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_cost_monotone_in_oversubscription(self, scheme):
         backend = get_backend(scheme)
@@ -266,12 +255,6 @@ class TestCostByteSplit:
             for o in (1.0, 2.0, 4.0, 8.0, 16.0)
         ]
         assert costs == sorted(costs)
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_wire_bytes_carry_the_topology(self, scheme):
-        backend = get_backend(scheme)
-        assert backend.wire_bytes(M, N, P, S, K, topology=TOPO) == \
-            pytest.approx(backend.cost(M, N, P, S, K, topology=TOPO) * 4.0)
 
 
 # ---------------------------------------------------------------------------
