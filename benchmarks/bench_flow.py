@@ -9,30 +9,35 @@ event graph:
 * the SFB configs (VGG19 under HybComm) are dominated by the all-to-all
   sufficient-factor broadcasts of the FC layers -- a symmetric plan since
   the all-to-all became one rotated schedule, so the DES steps one
-  representative worker: 216 / 292 events at 8 / 32 nodes (1,098 / 6,456
+  representative worker: 178 / 254 events at 8 / 32 nodes (1,098 / 6,456
   while it stepped every worker);
 * the fine-PS configs (VGG19 under Caffe+WFBP) are the per-unit KV-store
   scatter/gather against the fabric -- a symmetric plan, so the DES steps
-  one representative worker: 215 events at 8, 32 and 64 nodes (985 /
+  one representative worker: 171 events at 8, 32 and 64 nodes (985 /
   3,625 / 7,145 while it stepped every worker);
 * the ring configs (VGG19 under ring all-reduce) are ``2(P-1)`` lockstep
   chunk steps per unit, booked as one hold per worker in a ring-only BSP
-  plan and, being symmetric too, stepped once: 110 events (565 / 2,125
-  with every worker; 2,320 / 32,320 while every step had its own
-  all-worker countdown);
+  plan and, being symmetric too, stepped once: 95 events (565 / 2,125
+  with every worker in its own process; 2,320 / 32,320 while every step
+  had its own all-worker countdown);
 * the LLM convoy (``nanogpt-12l`` under SFB, 16 nodes, 40 GbE, two racks
-  at 2:1): 41,046 events, every worker stepped through the 49 token FCs'
+  at 2:1): 35,888 events, every worker stepped through the 49 token FCs'
   all-to-all broadcasts, each copy one queue entry and the float
   operations that book it (a cross-rack copy also holds both rack
   switches) -- the event count is the floor, the time per copy the gate.
   On a flat network the same plan is symmetric and one representative
-  worker is stepped (1,474 events), so the gate is racked (under HybComm
+  worker is stepped (1,348 events), so the gate is racked (under HybComm
   the model broadcasts nothing: at ``K = B * T`` factor rows every unit
   rides the PS);
 * the relaxed-policy config (VGG19 under Caffe+WFBP with ``ssp(1)``, 8
   nodes, 10 GbE) is the multi-round run: eight rounds, every worker
-  stepped, each gated on its own clock -- 7,792 events where BSP's one
-  round of the same plan is 215.
+  stepped, each gated on its own clock -- 4,920 events where BSP's one
+  round of the same plan is 171;
+* the every-worker configs (VGG19 under Adam and hierarchical PS, 32
+  nodes, 10 GbE) are plans no node stands for: every worker is stepped,
+  as one compute class whose kernels are booked once and whose members'
+  same-instant syncs start from one entry -- 1,270 / 2,001 events (3,540 /
+  3,504 with one process per worker).
 
 The 8-node points track the constant overheads; the 32-node points are the
 scaling gate (the event graph used to be quadratic in cluster size), and the
@@ -52,6 +57,11 @@ WORKLOAD = build_workload(VGG19)
 LLM_WORKLOAD = build_workload(get_model_spec("nanogpt-12l"))
 RING_ALLREDUCE = poseidon_system("Ring-AllReduce", "ring")
 SFB = poseidon_system("SFB", "sfb")
+#: Plans no node stands for, with the events of their 32-node point.
+EVERY_WORKER = {
+    "Adam": (poseidon_system("Adam", "adam"), 1270),
+    "Hierarchical-PS": (poseidon_system("Hierarchical-PS", "hierps"), 2001),
+}
 
 
 def _simulate(system, nodes, workload=WORKLOAD, bandwidth=40.0, **topology):
@@ -93,7 +103,7 @@ def test_flow_sim_llm_convoy(benchmark):
     result, events = benchmark(_simulate, SFB, 16, LLM_WORKLOAD,
                                racks=2, oversubscription=2.0)
     assert result.iteration_seconds > 0
-    assert events == 41046  # every worker stepped; a copy is one entry
+    assert events == 35888  # every worker stepped; a copy is one entry
     benchmark.extra_info["events_processed"] = events
 
 
@@ -102,5 +112,16 @@ def test_flow_sim_relaxed_policy(benchmark):
     result, events = benchmark(_simulate, CAFFE_WFBP.with_policy("ssp(1)"),
                                8, WORKLOAD, 10.0)
     assert result.iteration_seconds > 0
-    assert events == 7792  # every worker in every round
+    assert events == 4920  # every worker in every round
+    benchmark.extra_info["events_processed"] = events
+
+
+@pytest.mark.parametrize("system", sorted(EVERY_WORKER))
+def test_flow_sim_every_worker(benchmark, system):
+    """One VGG19 iteration at 32 nodes, 10 GbE, under a plan no node
+    stands for (every worker stepped, one compute class)."""
+    config, pinned = EVERY_WORKER[system]
+    result, events = benchmark(_simulate, config, 32, WORKLOAD, 10.0)
+    assert result.iteration_seconds > 0
+    assert events == pinned  # one compute class, not one process per worker
     benchmark.extra_info["events_processed"] = events

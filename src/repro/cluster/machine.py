@@ -34,7 +34,7 @@ to the pre-topology model.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro import units
 from repro.config import ClusterConfig
@@ -63,8 +63,10 @@ class GpuDevice:
         self.busy_seconds = 0.0
         self._free_at = 0.0
 
-    def compute(self, seconds: float) -> Generator:
-        """Process: run a kernel sequence of the given duration."""
+    def compute(self, seconds: float,
+                alike: Sequence["GpuDevice"] = ()) -> Generator:
+        """Process: run a kernel sequence of the given duration (and charge
+        it to the ``alike`` GPUs, which run it at the same instants)."""
         if seconds < 0:
             raise SimulationError(f"negative compute duration: {seconds}")
         now = self.env._now
@@ -75,6 +77,8 @@ class GpuDevice:
         self._free_at = finish
         yield self.env.timeout_at(finish)
         self.busy_seconds += seconds
+        for gpu in alike:
+            gpu.busy_seconds += seconds
 
 
 class NetworkInterface:
@@ -561,11 +565,9 @@ class ClusterModel:
         Each flow occupies exactly one channel (``node -> FABRIC`` the
         node's uplink, ``FABRIC -> node`` its downlink), so no flow ever
         holds one channel while waiting for another; its schedule is fully
-        determined at booking.  Each flow is therefore a single scheduled
-        *booking thunk* -- occupying exactly the queue slot the historical
-        per-node transfer process' bootstrap did, so same-instant
-        interleaving with other flows is unchanged -- that either books the
-        resolved channel analytically or chains a waiter behind the open
+        determined at booking.  One scheduled thunk (where the per-node
+        transfer processes' bootstraps sat, back to back) books each
+        resolved channel analytically or chains a waiter behind its open
         hold.  One deferred event fires at the last finish.
         """
         env = self.env
@@ -574,64 +576,53 @@ class ClusterModel:
         if not node_ids or nbytes_each == 0:
             return Event(env).succeed()
         done = Event(env)
+        #: [holds still waiting for their channel, latest finish so far]
+        pending = [0, env._now]
 
-        # One booking per occupied channel: every node's NIC channel and --
-        # under a non-flat topology -- its rack switch channel, which
-        # carries the cross-rack share of the fabric bytes.  A flat
-        # topology schedules exactly the historical per-NIC thunks.
-        bookings: List[Tuple[TailChannel, float, TrafficAccount, float]] = []
-        for node in node_ids:
-            nic = self.machine(node).nic
-            channel = nic.uplink if outbound else nic.downlink
-            duration = (units.transfer_seconds(nbytes_each, nic.bandwidth_bps)
-                        + nic.latency_seconds)
-            bookings.append((channel, duration, nic.traffic, nbytes_each))
-            if self.topology_active:
+        def note(finish: float) -> None:
+            if finish > pending[1]:
+                pending[1] = finish
+
+        def book(channel: TailChannel, duration: float,
+                 traffic: TrafficAccount, nbytes: float) -> None:
+            previous = channel._release
+            if previous is None or previous.triggered:
+                note(channel.book(duration))
+            else:
+                mine = Event(env)
+                channel._release = mine
+                pending[0] += 1
+
+                def on_grant(ok, value) -> None:
+                    finish = env._now + duration
+                    channel.release(mine, finish)
+                    note(finish)
+                    pending[0] -= 1
+                    if pending[0] == 0:
+                        done.succeed_at(pending[1])
+
+                previous.add_waiter(on_grant)
+            (traffic.record_sent if outbound
+             else traffic.record_received)(nbytes, tag)
+
+        def book_all() -> None:
+            # Each node's NIC and, off a flat network, its rack switch's
+            # channel, which carries the cross-rack share of the bytes.
+            for node in node_ids:
+                nic = self.machine(node).nic
+                book(nic.uplink if outbound else nic.downlink,
+                     units.transfer_seconds(nbytes_each, nic.bandwidth_bps)
+                     + nic.latency_seconds, nic.traffic, nbytes_each)
                 cross_bytes = nbytes_each * self.fabric_cross_fraction(node)
                 if cross_bytes > 0.0:
                     switch = self.rack_switch(node)
-                    rack_channel = (switch.uplink if outbound
-                                    else switch.downlink)
-                    bookings.append((rack_channel,
-                                     switch.wire_time(cross_bytes),
-                                     switch.traffic, cross_bytes))
-
-        #: [bookings not yet placed, latest finish seen so far]
-        pending = [len(bookings), env._now]
-
-        def complete(finish: float) -> None:
-            if finish > pending[1]:
-                pending[1] = finish
-            pending[0] -= 1
+                    book(switch.uplink if outbound else switch.downlink,
+                         switch.wire_time(cross_bytes), switch.traffic,
+                         cross_bytes)
             if pending[0] == 0:
                 done.succeed_at(pending[1])
 
-        def booking_thunk(channel: TailChannel, duration: float,
-                          traffic: TrafficAccount, nbytes: float):
-            def thunk() -> None:
-                previous = channel._release
-                if previous is None or previous.triggered:
-                    complete(channel.book(duration))
-                else:
-                    mine = Event(env)
-                    channel._release = mine
-
-                    def on_grant(ok, value, channel=channel, mine=mine,
-                                 duration=duration) -> None:
-                        finish = env._now + duration
-                        channel.release(mine, finish)
-                        complete(finish)
-
-                    previous.add_waiter(on_grant)
-                if outbound:
-                    traffic.record_sent(nbytes, tag)
-                else:
-                    traffic.record_received(nbytes, tag)
-
-            return thunk
-
-        for booking in bookings:
-            env.schedule_thunk(booking_thunk(*booking))
+        env.schedule_thunk(book_all)
         return done
 
     def fabric_gather(self, node_ids: List[int], nbytes_each: float,

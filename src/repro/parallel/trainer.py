@@ -294,6 +294,16 @@ class DistributedTrainer:
             raise TrainingError(
                 "retry_limit and retry_backoff must be >= 0, got "
                 f"{retry_limit} / {retry_backoff}")
+        # Counts are whole: int() would truncate 2.5 to 2 without a word.
+        for name, value in (("num_servers", num_servers or 0),
+                            ("eval_every", eval_every), ("retry_limit", retry_limit),
+                            ("checkpoint_interval", checkpoint_interval)):
+            if not (float(value).is_integer() and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 0, got {value!r}")
+        if not math.isfinite(retry_backoff):
+            raise ConfigurationError(
+                f"retry_backoff must be finite, got {retry_backoff!r}")
         self.retry_limit = int(retry_limit)
         self.retry_backoff = float(retry_backoff)
 

@@ -10,7 +10,7 @@ process-resume path are written allocation-consciously:
   the waiter so no bound method is materialised per wait;
 * process bookkeeping (bootstrap, resuming after an already-processed
   event) schedules thunks directly on the heap instead of allocating
-  throwaway :class:`Event` objects;
+  throwaway :class:`Event` objects (and detached ones, one per batch);
 * the earliest pending queue entry is held in a front register, so the
   dominant schedule-next/pop-next cycle of chained timeouts never touches
   the heap;
@@ -25,14 +25,15 @@ later event run at its bare delay.
 Determinism is unchanged relative to the historical event-based
 implementation: every queue entry -- event or thunk -- consumes one tick of
 the same monotonically increasing sequence counter, so the relative order
-of same-time occurrences is identical.
+of same-time occurrences is identical (a batch entry stands for entries
+pushed back to back at one instant, between which nothing could pop).
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
@@ -170,12 +171,13 @@ class Process(Event):
 
     The process is itself an event that succeeds with the generator's return
     value, so processes can wait for each other by yielding the process
-    object.
+    object -- except a detached one (:meth:`Environment.spawn`).
     """
 
-    __slots__ = ("_generator", "_send", "_throw")
+    __slots__ = ("_generator", "_send", "_throw", "_on_exit")
 
-    def __init__(self, env: "Environment", generator: Generator):
+    def __init__(self, env: "Environment", generator: Generator,
+                 on_exit: Optional[Waiter] = None):
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"Process expects a generator, got {type(generator).__name__}"
@@ -184,13 +186,23 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
+        self._on_exit = on_exit
         # Kick the process off at the current simulation time (no throwaway
         # bootstrap event; the thunk occupies the same queue slot one would).
-        env.schedule_thunk(self._start)
+        if on_exit is None:
+            env.schedule_thunk(self._start)
 
     def _start(self) -> None:
         if not self.triggered:
             self._advance(True, None)
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """End the process: a completion entry, or straight to ``on_exit``."""
+        if self._on_exit is None:
+            (self.succeed if ok else self.fail)(value)
+        else:
+            self.triggered, self.ok, self.value = True, ok, value
+            self._on_exit(ok, value)
 
     # -- resume machinery ----------------------------------------------------------
     def _advance(self, ok: Optional[bool], value: Any) -> None:
@@ -203,10 +215,10 @@ class Process(Event):
             else:
                 next_event = self._send(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._finish(True, stop.value)
             return
         except BaseException as exc:  # surface process crashes to the caller
-            self.fail(exc)
+            self._finish(False, exc)
             return
         self._wait_on(next_event)
 
@@ -222,7 +234,8 @@ class Process(Event):
             return
         if not isinstance(next_event, Event):
             self._generator.close()
-            self.fail(SimulationError(f"process yielded a non-event: {next_event!r}"))
+            self._finish(False, SimulationError(
+                f"process yielded a non-event: {next_event!r}"))
             return
         if next_event.processed:
             # The event already fired; resume at the same time via a thunk
@@ -258,9 +271,9 @@ class CountdownEvent(Event):
     over the corresponding per-member events -- the barrier succeeds during
     the same dispatch in which the last member would have fired.
 
-    Members that are themselves events (e.g. processes) can be attached
-    with :meth:`arrive_on`, which also propagates the first member failure
-    to the barrier, matching ``AllOf``'s failure semantics.
+    Detached processes (:meth:`Environment.spawn`) arrive with their
+    outcome through :meth:`arrive_with`, which also propagates the first
+    member failure to the barrier, matching ``AllOf``'s failure semantics.
     """
 
     __slots__ = ("_remaining",)
@@ -286,18 +299,8 @@ class CountdownEvent(Event):
         if self._remaining == 0:
             self.succeed()
 
-    def arrive_on(self, event: Event) -> None:
-        """Arrive when ``event`` fires; its failure fails the barrier."""
-        if event.processed:
-            if event.ok is False:
-                if not self.triggered:
-                    self.fail(event.value)
-                return
-            self.arrive()
-        else:
-            event.add_waiter(self._on_member)
-
-    def _on_member(self, ok: Optional[bool], value: Any) -> None:
+    def arrive_with(self, ok: Optional[bool], value: Any) -> None:
+        """A detached member's ``on_exit``: an arrival, or on failure the barrier's."""
         if self.triggered:
             return
         if ok is False:
@@ -426,6 +429,24 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator)
 
+    def spawn(self, generators: Iterable[Generator],
+              on_exit: Waiter = lambda ok, value: None) -> None:
+        """Start detached processes, all from one queue entry.
+
+        Each runs to its first yield in the order given, as back-to-back
+        :meth:`process` calls would; none takes a completion entry (nothing
+        may wait on it), each hands its outcome to ``on_exit(ok, value)``.
+        """
+        started = [Process(self, generator, on_exit)
+                   for generator in generators]
+
+        def start() -> None:
+            for process in started:
+                process._start()
+
+        if started:
+            self.schedule_thunk(start)
+
     def countdown(self, count: int) -> CountdownEvent:
         """Barrier event that fires after ``count`` arrivals."""
         return CountdownEvent(self, count)
@@ -505,9 +526,9 @@ class Environment:
                                 try:
                                     nxt = send(value)
                                 except StopIteration as stop:
-                                    w.succeed(stop.value)
+                                    w._finish(True, stop.value)
                                 except BaseException as exc:
-                                    w.fail(exc)
+                                    w._finish(False, exc)
                                 if nxt is _NO_EVENT:
                                     break
                                 if (nxt.__class__ is Timeout

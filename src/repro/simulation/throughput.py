@@ -313,15 +313,16 @@ class _Round:
     __slots__ = ("states", "backward_done", "sync_done")
 
     def __init__(self, env: Environment, lowered: Dict[str, _UnitSteps],
-                 num_workers: int):
+                 classes: List[Tuple[int, ...]]):
         self.states = {name: _UnitSyncState(env, steps)
                        for name, steps in lowered.items()}
-        self.backward_done = [env.event() for _ in range(num_workers)]
-        #: Each worker's join of its unit syncs (a failing sync fails it,
-        #: and with it the worker).  A countdown of ``n >= 1`` enqueues
-        #: nothing, so building it before the worker starts is free.
-        self.sync_done = [env.countdown(len(lowered))
-                          for _ in range(num_workers)]
+        self.backward_done = [env.event() for members in classes
+                              for _ in members]
+        #: Each compute class's join of its members' unit syncs (a failing
+        #: sync fails it, and with it the class).  A countdown of ``n >= 1``
+        #: enqueues nothing, so building it before the class starts is free.
+        self.sync_done = [env.countdown(len(lowered) * len(members))
+                          for members in classes]
 
 
 #: Sync-round horizon of a relaxed policy's run (see ``_run_rounds``).
@@ -399,8 +400,9 @@ class IterationSimulator:
             return factor
         return 1.0
 
-    def _lowered(self, one_round: bool) -> Dict[str, _UnitSteps]:
-        """The plan's lowered units, for one BSP round or a relaxed policy's.
+    def _lowered(self, one_round: bool) -> Tuple[Dict[str, _UnitSteps], bool]:
+        """The plan's lowered units, for one BSP round or a relaxed policy's,
+        and whether the stepped workers are one compute class.
 
         A repeated phase (the ring's ``2(P-1)`` steps) is one hold per worker
         instead of one countdown round per step exactly when that is exact:
@@ -435,6 +437,10 @@ class IterationSimulator:
           successor's downlink, which a mixed plan's other phases share;
         * one step tuple -- dropping workers ``1..P-1`` must lose nothing;
           no plan the other conjuncts admit fails it today.
+
+        The stepped workers are one *compute class* (one process) when the
+        run is one round at one speed and every kernel that follows a sync's
+        start takes time (docs/architecture.md, "DES compute classes").
         """
         scales = {self._compute_scale(worker)
                   for worker in range(self.num_workers)}
@@ -460,7 +466,9 @@ class IterationSimulator:
                     for name, steps in lowered.items()}
             return lowered
 
-        return _LOWERED.get((self.plan, one_hold, symmetric), lower)
+        one_class = uniform and all(unit.backward_seconds > 0
+                                    for unit in self.workload.units[:-1])
+        return _LOWERED.get((self.plan, one_hold, symmetric), lower), one_class
 
     def _run_to_result(self, worker_processes, rounds: int) -> SimulationResult:
         """Drain the event queue; per-iteration figures over ``rounds`` steps."""
@@ -522,37 +530,54 @@ class IterationSimulator:
             windows = (max(_POLICY_WINDOWS, staleness + 2)
                        if staleness is not None else _POLICY_WINDOWS)
             rounds = period * windows
-        lowered = self._lowered(one_round=rounds == 1)
+        lowered, one_class = self._lowered(one_round=rounds == 1)
         # A symmetric plan came back as its representative: one worker, and
         # the shard helpers gather and scatter on that worker's node.
         stepped = len(next(iter(lowered.values())).workers)
         self.workers_stepped = stepped
         if stepped < self.num_workers:
             self.shard_nodes = self.shard_nodes[:stepped]
+        classes = ([tuple(range(stepped))] if one_class
+                   else [(worker,) for worker in range(stepped)])
         # Indexed by round; ``rounds`` is a multiple of the period, so the
         # last round syncs.
-        views = [_Round(self.env, lowered, stepped)
+        views = [_Round(self.env, lowered, classes)
                  if (r + 1) % period == 0 else None for r in range(rounds)]
-        worker_processes = [self.env.process(self._worker_process(worker, views))
-                            for worker in range(stepped)]
+        worker_processes = [
+            self.env.process(self._worker_process(join, members, views))
+            for join, members in enumerate(classes)]
+        # Each round's shard helpers start from one entry, behind the workers.
         for view in views:
             if view is not None:
-                self._start_shards(view)
+                self.env.spawn(self._shard_process(state)
+                               for state in view.states.values()
+                               if state.steps.shards)
         return self._run_to_result(worker_processes, rounds)
 
     # -- worker side --------------------------------------------------------------------
-    def _worker_process(self, worker: int, views: List[Optional[_Round]]):
-        """One worker's rounds: compute, and sync each unit of a sync round
-        as its backward pass finishes (WFBP) or after the whole pass."""
-        gpu = self.cluster.machine(worker).gpu
+    def _worker_process(self, join: int, members: Tuple[int, ...],
+                        views: List[Optional[_Round]]):
+        """One compute class's rounds: compute once for every member, and
+        sync each unit of a sync round at each member as its backward pass
+        finishes (WFBP) or after the whole pass -- members in worker order,
+        each as its own process did.  ``join`` indexes the class's joins."""
+        gpu, *alike = [self.cluster.machine(member).gpu for member in members]
         start = self.env.now
         system = self.system
         workload = self.workload
+        backward = workload.units[::-1]
+        tail = workload.tail_backward_seconds
         staleness = system.policy.bound
         period = system.policy.sync_period
         peers = self.num_workers > 1
         staging_seconds = units.transfer_seconds(
             2 * workload.total_param_bytes, system.host_copy_bandwidth_bps)
+
+        def start_syncs(workers, batch):  # from one queue entry
+            self.env.spawn((self._unit_sync(worker, unit, view)
+                            for worker in workers for unit in batch),
+                           view.sync_done[join].arrive_with)
+
         for r, view in enumerate(views):
             # SSP staleness gate: before computing round r, the sync of the
             # latest sync round at or before r - 1 - s (the last multiple of
@@ -561,40 +586,33 @@ class IterationSimulator:
             if peers and staleness is not None:
                 gate = (r - staleness) // period * period - 1
                 if gate >= 0:
-                    yield views[gate].sync_done[worker]
+                    yield views[gate].sync_done[join]
 
-            scale = self._compute_scale(worker, round_index=r)
+            scale = self._compute_scale(members[0], round_index=r)
             if not system.overlap_host_copy:
-                yield from gpu.compute(staging_seconds * scale)
-            yield from gpu.compute(workload.forward_seconds * scale)
+                yield from gpu.compute(staging_seconds * scale, alike)
+            yield from gpu.compute(workload.forward_seconds * scale, alike)
             wfbp = view is not None and system.schedule is ScheduleMode.WFBP
-            for unit in reversed(workload.units):
-                yield from gpu.compute(unit.backward_seconds * scale)
-                if wfbp:
-                    view.sync_done[worker].arrive_on(self.env.process(
-                        self._unit_sync(worker, unit, view)))
-            if workload.tail_backward_seconds > 0:
-                yield from gpu.compute(workload.tail_backward_seconds * scale)
+            for index, unit in enumerate(backward):
+                yield from gpu.compute(unit.backward_seconds * scale, alike)
+                # The last unit's syncs start here only if a tail kernel
+                # comes between them and the members' backward-done.
+                if wfbp and (index + 1 < len(backward) or tail > 0):
+                    start_syncs(members, (unit,))
+            if tail > 0:
+                yield from gpu.compute(tail * scale, alike)
             if view is not None:
-                view.backward_done[worker].succeed()
-                for unit in () if wfbp else reversed(workload.units):
-                    view.sync_done[worker].arrive_on(self.env.process(
-                        self._unit_sync(worker, unit, view)))
+                for member in members:
+                    if wfbp and not tail > 0:
+                        start_syncs((member,), backward[-1:])
+                    view.backward_done[member].succeed()
+                    if not wfbp:
+                        start_syncs((member,), backward)
         # Drain: the makespan must cover the final sync round's traffic,
         # otherwise relaxed policies would report communication as free.
         if peers:
-            yield views[-1].sync_done[worker]
+            yield views[-1].sync_done[join]
         return self.env.now - start
-
-    def _start_shards(self, sync_round: _Round) -> None:
-        """Spawn the round's shard-side helpers, in plan order.
-
-        Called after the round's worker processes exist, so the helpers
-        queue behind them as they always have.
-        """
-        for state in sync_round.states.values():
-            if state.steps.shards:
-                self.env.process(self._shard_process(state))
 
     def _shard_process(self, state: _UnitSyncState):
         """Shard side of a unit's fabric phases: gather, apply, scatter."""

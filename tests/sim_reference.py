@@ -7,10 +7,11 @@ server with request / grant / release events) for
 :func:`run_process` runs a root process to completion and :func:`occupy`
 holds a channel for a duration.
 
-Two references stand for the simulators' symmetric short paths:
-:func:`every_node` makes both engines run every node on any plan, and
-:func:`lower_unit_per_hub` is the DES lowering with one receiver pass per
-broadcast hub, O(P^2) per all-to-all.
+Three references stand for the simulators' short paths:
+:func:`every_node` makes both engines run every node on any plan,
+:func:`worker_per_process` makes the DES run each worker in its own process
+(no compute class), and :func:`lower_unit_per_hub` is the DES lowering with
+one receiver pass per broadcast hub, O(P^2) per all-to-all.
 
 :func:`one_unit_plan` is one scheme's schedule for one unit as a plan, the
 smallest input :func:`~repro.simulation.plan.node_traffic` folds.
@@ -200,6 +201,24 @@ def every_node() -> Iterator[None]:
 
     with mock.patch.object(throughput, "resolve_plan", resolve), \
             mock.patch.object(fluid, "resolve_plan", resolve):
+        yield
+
+
+@contextmanager
+def worker_per_process() -> Iterator[None]:
+    """Inside, the DES runs every stepped worker in its own process.
+
+    ``IterationSimulator._lowered`` reports that the stepped workers are
+    not one compute class; the lowering, the plan and the run are the
+    ones it would use anyway, so the one predicate is the only thing forced.
+    """
+    lowered = throughput.IterationSimulator._lowered
+
+    def one_per_worker(self, one_round: bool):
+        return lowered(self, one_round)[0], False
+
+    with mock.patch.object(throughput.IterationSimulator, "_lowered",
+                           one_per_worker):
         yield
 
 

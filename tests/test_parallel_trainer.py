@@ -198,6 +198,17 @@ class TestDistributedTraining:
         with pytest.raises(ConfigurationError, match="sync_timeout"):
             make_trainer(setup, "ps", sync_timeout=sync_timeout)
 
+    @pytest.mark.parametrize("knob,value", [
+        ("eval_every", 2.5), ("checkpoint_interval", 1.5),
+        ("retry_limit", 2.7), ("num_servers", 1.5), ("eval_every", -3),
+        ("retry_backoff", float("nan"))])
+    def test_counts_must_be_whole_and_backoff_finite(self, setup, knob, value):
+        """Refused at construction: ``int()`` used to truncate the
+        fractional counts, and a negative ``eval_every`` or a NaN backoff
+        went through."""
+        with pytest.raises(ConfigurationError, match=knob):
+            make_trainer(setup, "ps", **{knob: value})
+
 
 class TestReplicasStartEqual:
     @pytest.mark.parametrize("mode", ["ps", "sfb", "ring"])

@@ -132,6 +132,65 @@ class TestProcesses:
         assert run_process(env, proc()) == pytest.approx(5)
 
 
+class TestSpawnedProcesses:
+    """``Environment.spawn`` starts a batch from one entry and the batch ends
+    without completion entries; everything else happens as with back-to-back
+    ``process`` calls."""
+
+    @staticmethod
+    def _run(start):
+        env = Environment()
+        trace, outcomes = [], []
+
+        def member(name, delay):
+            trace.append((name, env.now, "start"))
+            yield env.timeout(delay)
+            yield env.timeout(0.0)  # a same-instant entry per member
+            trace.append((name, env.now, "end"))
+            return name
+
+        def other():
+            yield env.timeout(1.0)
+            trace.append(("other", env.now, "end"))
+
+        env.process(other())
+        start(env, [member(name, 1.0) for name in "abc"],
+              lambda ok, value: outcomes.append((ok, value)))
+        env.run()
+        return trace, outcomes, env.events_processed
+
+    def test_same_order_fewer_entries(self):
+        def one_by_one(env, generators, on_exit):
+            for generator in generators:
+                process = env.process(generator)
+                process.add_waiter(on_exit)
+
+        spawned = self._run(lambda env, generators, on_exit:
+                            env.spawn(generators, on_exit))
+        processed = self._run(one_by_one)
+        assert spawned[:2] == processed[:2]
+        assert [ok for ok, _ in spawned[1]] == [True] * 3
+        # Two of three bootstraps and all three completions are gone.
+        assert spawned[2] == processed[2] - 5
+
+    def test_empty_batch_takes_no_entry(self):
+        env = Environment()
+        env.spawn([])
+        env.run()
+        assert env.events_processed == 0
+
+    def test_outcome_is_dropped_by_default(self):
+        env = Environment()
+
+        def boom():
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        env.spawn([boom()])
+        env.run()
+        assert env.now == 1.0
+
+
 class TestCompositeEvents:
     def test_all_of_waits_for_slowest(self):
         env = Environment()

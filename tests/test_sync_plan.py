@@ -53,7 +53,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro import memo, units
 from repro.comm.backend import (
@@ -87,7 +87,8 @@ from repro.simulation.fluid import FluidSimulator, sweep_axis
 from repro.simulation.plan import node_traffic, resolve_plan
 from repro.simulation.throughput import IterationSimulator, decide_schemes
 from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
-from sim_reference import every_node, lower_unit_per_hub, one_unit_plan
+from sim_reference import (every_node, lower_unit_per_hub, one_unit_plan,
+                           worker_per_process)
 
 ALEXNET = get_model_spec("alexnet")
 VGG = get_model_spec("vgg19")
@@ -492,12 +493,15 @@ class TestRingLoweringsAreEachOthersOracle:
                     == reference.env.events_processed)
             assert held == stepped
             return
-        # Per worker and unit: backward kernel, sync process start, the one
-        # hold, process end (and the encode delay of a compressed unit); per
-        # worker: start, forward, backward-done, sync join, end; per unit:
-        # started, the ring countdown, the rejoin countdown -- and a flow
-        # that crosses racks releases four more channels on their own entries.
-        # On a flat network the plan is symmetric: one worker is stepped.
+        # The stepped workers are one compute class.  Per class: start,
+        # forward, each unit's backward kernel, sync join, end, and under
+        # WFBP the start of every unit's syncs but the last's; per worker:
+        # backward-done, the start of its last (WFBP) or every (sequential)
+        # unit's syncs, and per unit the one hold (and the encode delay of a
+        # compressed unit); per unit: started, the ring countdown, the
+        # rejoin countdown -- and a flow that crosses racks releases four
+        # more channels on their own entries.  On a flat network the plan
+        # is symmetric: one worker is stepped.
         units = len(simulator.workload.units)
         encoded = sum(plan.encode_seconds > 0.0
                       for plan in simulator.plan.units)
@@ -506,10 +510,12 @@ class TestRingLoweringsAreEachOthersOracle:
         stepped = 1 if cluster.is_flat_topology else nodes
         assert simulator.workers_stepped == stepped
         assert simulator.env.events_processed == (
-            stepped * (4 * units + encoded + 5) + units * (3 + 4 * boundaries))
+            units + 4 + (units - 1 if schedule is ScheduleMode.WFBP else 0)
+            + stepped * (units + encoded + 2)
+            + units * (3 + 4 * boundaries))
 
     @pytest.mark.parametrize("nodes,every_worker,parent", [
-        (8, 565, 2320), (32, 2125, 32320)])
+        (8, 214, 2200), (32, 622, 31840)])
     def test_ring_event_graph_does_not_grow_with_cluster_size(
             self, nodes, every_worker, parent):
         """One hold per worker made it linear in ``P``; stepping the one
@@ -517,7 +523,7 @@ class TestRingLoweringsAreEachOthersOracle:
         cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
         simulator, _ = _run_ring(workload, cluster, RING_ALLREDUCE)
-        assert simulator.env.events_processed == 110
+        assert simulator.env.events_processed == 95
         held, _ = _run_des(workload, cluster, RING_ALLREDUCE,
                            every_worker=True)
         assert held.env.events_processed == every_worker
@@ -537,8 +543,9 @@ class TestRingLoweringsAreEachOthersOracle:
         schemes = list(simulator.schemes.values())
         assert [schemes.count(s) for s in ("ring", "sfb", "ps")] == [1, 2, 5]
         # Re-recorded when the all-to-all became the rotated schedule
-        # (1,501 events, 0.928163188230593 s before).
-        assert simulator.env.events_processed == 1563
+        # (1,501 events, 0.928163188230593 s before), and when the stepped
+        # workers became one compute class (1,563 events; same time).
+        assert simulator.env.events_processed == 1207
         assert repr(result.iteration_seconds) == "0.614023169293995"
 
     def test_stragglers_keep_the_stepped_rounds(self):
@@ -551,12 +558,13 @@ class TestRingLoweringsAreEachOthersOracle:
                          ).with_faults(0.5, 3.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
         simulator, result = _run_ring(workload, cluster, system)
-        # Recorded on the parent commit.
-        assert simulator.env.events_processed == 7820
+        # Recorded on the parent commit; re-recorded (7,820 before) when
+        # sync processes stopped taking completion entries.
+        assert simulator.env.events_processed == 7530
         assert repr(result.iteration_seconds) == "8.448351148961205"
 
     @pytest.mark.parametrize("policy,events,seconds", [
-        ("local_sgd(4)", 21688, "1.7105923991623138"),
+        ("local_sgd(4)", 20728, "1.7105923991623138"),
     ])
     def test_relaxed_policy_keeps_the_stepped_rounds(self, policy, events,
                                                      seconds):
@@ -647,7 +655,7 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
                     < reference.env.events_processed)
 
     @pytest.mark.parametrize("backend", ("PS", "1-bit PS"))
-    @pytest.mark.parametrize("nodes,every_worker", [(8, 985), (32, 3625)])
+    @pytest.mark.parametrize("nodes,every_worker", [(8, 395), (32, 1163)])
     def test_fabric_event_graph_does_not_grow_with_cluster_size(
             self, backend, nodes, every_worker):
         """O(units), where the every-worker lowering is O(P * units) (the
@@ -656,7 +664,7 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
         workload = build_workload(VGG, gpu=cluster.gpu)
         simulator, _ = _run_des(workload, cluster, SYSTEMS[backend])
         assert simulator.workers_stepped == 1
-        assert simulator.env.events_processed == 215
+        assert simulator.env.events_processed == 171
         reference, _ = _run_des(workload, cluster, SYSTEMS[backend],
                                 every_worker=True)
         assert reference.env.events_processed == every_worker
@@ -678,20 +686,20 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
         # A quarter of the workers at half speed: the representative would
         # be one of them (GPU-busy fraction 0.519 -> 0.831 when forced).
         "stragglers": (VGG, FLAT, SYSTEMS["PS"].with_faults(0.25, 2.0),
-                       1865, "2.1700757040282235"),
+                       1146, "2.1700757040282235"),
         # The members' flows share their rack switch (-> 2.343 s forced).
         "racked": (VGG, replace(FLAT, racks=4, oversubscription=4.0),
-                   SYSTEMS["PS"], 3917, "6.030966441105002"),
+                   SYSTEMS["PS"], 2223, "6.030966441105002"),
         # Node 0 hosts a shard, node 8 does not (33.3 -> 50.6 GB forced).
         "half the shards": (VGG, replace(FLAT, num_servers=8), SYSTEMS["PS"],
-                            1656, "2.9897950956504786"),
+                            682, "2.9897950956504786"),
         # The shard side runs on machines no worker stands for.
         "dedicated servers": (VGG, replace(FLAT, colocate_servers=False),
-                              SYSTEMS["1-bit PS"], 1865, "0.9017103881587709"),
+                              SYSTEMS["1-bit PS"], 651, "0.9017103881587709"),
         # The relaxed-policy path has no representative to step.
         "ssp(1)": (VGG, ClusterConfig(num_workers=8, bandwidth_gbps=10.0),
                    SYSTEMS["PS"].with_policy("ssp(1)"),
-                   7792, "1.5018747615017685"),
+                   4920, "1.5018747615017685"),
     }
 
     @pytest.mark.parametrize("point", sorted(KEEPS_EVERY_WORKER))
@@ -700,7 +708,8 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
         workload = build_workload(model, gpu=cluster.gpu)
         simulator, result = _run_des(workload, cluster, system)
         assert simulator.workers_stepped == cluster.num_workers
-        # Recorded on the parent commit.
+        # Recorded before the symmetric short path; the events re-recorded
+        # when a compute class became one process (the times did not move).
         assert simulator.env.events_processed == events
         assert repr(result.iteration_seconds) == seconds
 
@@ -724,6 +733,79 @@ class TestSymmetricPlanLoweringsAreEachOthersOracle:
             memo.clear_all()  # the patched lowering must not stay warm
         assert simulator.workers_stepped == 16
 
+
+
+# -- one compute class, two lowerings ------------------------------------------------
+#: A workload with a tail kernel (layers below the lowest unit): no zoo model
+#: has one, so the branch that starts the last unit's syncs before it is
+#: otherwise never run.
+TAIL = replace(build_workload(ALEXNET), model_name="alexnet+tail",
+               tail_backward_seconds=0.0125)
+
+
+class TestComputeClassLoweringsAreEachOthersOracle:
+    """``_run_rounds`` runs the stepped workers of a one-round run at one
+    compute speed as one process, one compute class, whose kernels are
+    booked once and whose members' same-instant syncs start from one queue
+    entry; a process per worker (:func:`sim_reference.worker_per_process`)
+    is the reference.  Both sides step every worker (``every_node``), so
+    every backend's plan is run node for node."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(("alexnet", "vgg19", "googlenet", "tail")),
+        backend=st.sampled_from(sorted(SYSTEMS)),
+        nodes=st.integers(2, 33),
+        schedule=st.sampled_from(ScheduleMode),
+        overlap_pull=st.booleans(),
+        overlap_host_copy=st.booleans(),
+        racked=st.booleans(),
+        policy=st.sampled_from(("bsp", "bsp", "ssp(1)", "local_sgd(2)")),
+        stragglers=st.sampled_from(
+            ((0.0, 1.0), (0.0, 1.0), (1.0, 2.0), (0.25, 2.0))),
+        gpus_per_node=st.sampled_from((1, 2)))
+    # Adam with its pulls gated on backward-done: starting every member's
+    # last-unit sync before any member's backward-done moves this point.
+    @example(model="alexnet", backend="Adam", nodes=3,
+             schedule=ScheduleMode.WFBP, overlap_pull=False,
+             overlap_host_copy=False, racked=False, policy="bsp",
+             stragglers=(0.0, 1.0), gpus_per_node=1)
+    def test_one_process_per_class_equals_one_per_worker(
+            self, model, backend, nodes, schedule, overlap_pull,
+            overlap_host_copy, racked, policy, stragglers, gpus_per_node):
+        cluster = ClusterConfig(
+            num_workers=nodes, bandwidth_gbps=10.0,
+            gpus_per_node=gpus_per_node,
+            **(dict(racks=min(4, nodes), oversubscription=4.0) if racked
+               else {}))
+        system = replace(SYSTEMS[backend], schedule=schedule,
+                         overlap_pull=overlap_pull,
+                         overlap_host_copy=overlap_host_copy)
+        system = system.with_policy(policy).with_faults(*stragglers)
+        workload = (TAIL if model == "tail"
+                    else build_workload(get_model_spec(model), gpu=cluster.gpu))
+        try:
+            simulator, result = _run_des(workload, cluster, system,
+                                         every_worker=True)
+        except ConfigurationError:
+            assume(False)  # the backend refuses the policy
+        with worker_per_process():
+            reference, per_worker = _run_des(workload, cluster, system,
+                                             every_worker=True)
+
+        assert result == per_worker  # every field, with ==
+        assert _accounts(simulator) == _accounts(reference)
+        assert [[gpu.busy_seconds for gpu in machine.gpus]
+                for machine in simulator.cluster.machines.values()] == [
+                    [gpu.busy_seconds for gpu in machine.gpus]
+                    for machine in reference.cluster.machines.values()]
+        slow = math.ceil(stragglers[0] * nodes)
+        if policy == "bsp" and slow in (0, nodes):  # one class of P
+            assert (simulator.env.events_processed
+                    < reference.env.events_processed)
+        else:
+            assert (simulator.env.events_processed
+                    == reference.env.events_processed)
 
 # -- one symmetric plan, the fluid detail tier's two bookings ------------------------
 #: Backends whose flat plans are node-symmetric, then the ones whose plans
