@@ -413,15 +413,17 @@ def test_backend_dispatch(benchmark):
     it must stay in dict-lookup territory (sub-microsecond).
     """
     from repro.comm.backend import get_backend, hybrid_choice
+    from repro.config import ClusterConfig
 
     schemes = ("ps", "sfb", "onebit", "adam", "ring", "hierps")
+    cluster = ClusterConfig(num_workers=8)
 
     def dispatch():
         total = 0.0
         for _ in range(256):
             for scheme in schemes:
-                total += get_backend(scheme).cost(1024, 1024, 8, 8, 32)
-            if hybrid_choice(1024, 1024, 8, 8, 32) == "sfb":
+                total += get_backend(scheme).cost(1024, 1024, cluster, 32)
+            if hybrid_choice(1024, 1024, cluster, 32) == "sfb":
                 total += 1.0
         return total
 

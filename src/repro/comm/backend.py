@@ -9,9 +9,10 @@ meant editing all of them by hand.
 
 A :class:`CommBackend` bundles everything one scheme needs:
 
-* ``cost(m, n, P1, P2, K)`` -- the Algorithm-1 / Table-1 cost (parameters
+* ``cost(m, n, cluster, K)`` -- the Algorithm-1 / Table-1 cost (parameters
   transmitted plus received per combined server/worker node per iteration),
-  the quantity HybComm minimises; ``K`` is the number of sufficient-factor
+  the quantity HybComm minimises: the scheme's own ``flat_cost`` plus the
+  cluster's cross-rack premium; ``K`` is the number of sufficient-factor
   rows, the batch size times the layer's factor rank;
 * ``build_substrate`` / ``make_syncer`` -- the functional trainer side: the
   shared communication substrate (parameter server, bulletin board, ...)
@@ -46,8 +47,8 @@ from functools import cached_property
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
 
 from repro.comm.wire import CompressionConfig, unit_wire_bytes
+from repro.config import ClusterConfig
 from repro.core.cost_model import (
-    NetworkTopology,
     adam_combined_cost,
     ps_combined_cost,
     sfb_worker_cost,
@@ -69,6 +70,14 @@ DEFAULT_RACK_SIZE = 4
 HYBRID_MODE = "hybrid"
 
 
+def tree_rack_size(cluster: ClusterConfig) -> int:
+    """Workers a tree scheme aggregates under one leader on ``cluster``:
+    its physical racks when oversubscribed, :data:`DEFAULT_RACK_SIZE` on a
+    flat network.  The plan's tree and hierarchical PS's price read it."""
+    return (DEFAULT_RACK_SIZE if cluster.is_flat_topology
+            else cluster.nodes_per_rack)
+
+
 @dataclass(frozen=True)
 class SyncShape:
     """What a unit's payload depends on besides the unit itself.
@@ -81,8 +90,8 @@ class SyncShape:
         fine: fine-grained KV shards rather than coarse whole-unit owners.
         colocated: PS shards live on the worker nodes, so a node's own
             shard (and an owner's own copy) never crosses the network.
-        rack_size: workers per rack of a tree scheme: the physical rack
-            size of an oversubscribed cluster, else :data:`DEFAULT_RACK_SIZE`.
+        rack_size: workers per rack of a tree scheme
+            (:func:`tree_rack_size`).
         compression: the validated compressor config (``None`` when dense);
             only :attr:`CommBackend.compressible` backends apply it.
     """
@@ -197,10 +206,6 @@ class Phase:
             (one queue hop later).  The coarse PS's gated pulls, released
             in one cascade at backward-done, stay ordered behind the last
             unit's pushes that way, as recorded; Adam fetches inline.
-        rejoin: DES only -- after this final phase every worker arrives at
-            one more all-worker countdown nobody waits on.  The seed's ring
-            and tree plans did; kept so recorded event counts stay equal
-            (ROADMAP, differential-oracle item).
     """
 
     kind: PhaseKind
@@ -212,7 +217,6 @@ class Phase:
     gated: bool = False
     repeat: int = 1
     detached: bool = False
-    rejoin: bool = False
 
 
 def owner_fan_phases(push: float, pull: float,
@@ -340,54 +344,51 @@ class CommBackend(abc.ABC):
     fault_modes: ClassVar[Tuple[str, ...]] = ("restart",)
 
     # -- Algorithm 1 ------------------------------------------------------------
-    @abc.abstractmethod
-    def cost(self, m: int, n: int, num_workers: int, num_servers: int,
-             batch_size: int, topology: Optional[NetworkTopology] = None
-             ) -> float:
-        """Table-1 cost: parameters a combined server/worker node moves.
+    def cost(self, m: int, n: int, cluster: ClusterConfig,
+             batch_size: int) -> float:
+        """Parameters a combined server/worker node of ``cluster`` moves.
 
         ``batch_size`` is Table 1's ``K``: the rows of the layer's
         sufficient factors, the batch size times its factor rank
         (:attr:`~repro.nn.spec.LayerSpec.factor_rank`); only the factor
-        schemes read it.  With a non-flat ``topology`` the value includes
-        the scheme's cross-rack premium:
-        ``max(flat_cost, rack_uplink_params * oversubscription / L)``
-        (see :class:`~repro.core.cost_model.NetworkTopology`); a flat or
-        absent topology returns the flat Table-1 cost bit-exactly.
+        schemes read it.  On a flat network (or a lone worker) this is
+        :meth:`flat_cost` bit-exactly.  On a rack-oversubscribed one a
+        parameter that leaves its rack competes for ``1/oversubscription``
+        of what the rack's ``L`` members could inject, so the cost is
+        ``max(flat_cost, rack_uplink_params * oversubscription / L)`` --
+        whichever is slower of the busiest NIC and the busiest rack uplink
+        (dividing by ``L`` puts the rack's volume in per-node units).
         """
+        flat = self.flat_cost(m, n, cluster, batch_size)
+        if cluster.is_flat_topology or cluster.num_workers <= 1:
+            return flat
+        uplink = self.rack_uplink_params(m, n, cluster, batch_size)
+        return max(flat, uplink * cluster.oversubscription
+                   / cluster.nodes_per_rack)
 
-    def rack_uplink_params(self, m: int, n: int, num_workers: int,
-                           num_servers: int, batch_size: int,
-                           topology: NetworkTopology) -> float:
+    @abc.abstractmethod
+    def flat_cost(self, m: int, n: int, cluster: ClusterConfig,
+                  batch_size: int) -> float:
+        """Table 1's cost on full bisection: the scheme's one price hook."""
+
+    def rack_uplink_params(self, m: int, n: int, cluster: ClusterConfig,
+                           batch_size: int) -> float:
         """Parameters crossing the busiest rack's uplink per iteration (tx+rx).
 
         The default models traffic spread uniformly over peers (true for
         the PS, SFB and 1-bit schemes): each of the rack's ``L`` members
-        contributes its flat per-node cost scaled by the fraction of peers
-        outside the rack.  Schemes with non-uniform cross-rack patterns
-        (ring, hierarchical PS, Adam) override this with their exact split.
+        contributes its flat per-node cost scaled by the fraction of its
+        peers outside the rack, ``(N - L) / (N - 1)`` of the ``N`` nodes
+        (dedicated server nodes included, as the simulator routes them).
+        Schemes with non-uniform cross-rack patterns (ring, hierarchical
+        PS, Adam) override this with their exact split.
         """
-        local = topology.nodes_per_rack(num_workers)
-        flat = self.cost(m, n, num_workers, num_servers, batch_size)
-        return local * flat * topology.cross_peer_fraction(num_workers)
-
-    def _topology_cost(self, flat: float, m: int, n: int, num_workers: int,
-                       num_servers: int, batch_size: int,
-                       topology: Optional[NetworkTopology]) -> float:
-        """Combine a flat Table-1 cost with the rack-uplink bottleneck term.
-
-        Returns ``flat`` itself (bit-exact) when the topology is flat or
-        absent, so default configurations reproduce the paper's numbers.
-        """
-        if topology is None or topology.is_flat or num_workers <= 1:
-            return flat
-        local = topology.nodes_per_rack(num_workers)
-        uplink = self.rack_uplink_params(m, n, num_workers, num_servers,
-                                         batch_size, topology)
-        return max(flat, uplink * topology.oversubscription / local)
+        total, local = cluster.num_nodes, cluster.nodes_per_rack
+        flat = self.flat_cost(m, n, cluster, batch_size)
+        return local * flat * ((total - local) / max(total - 1, 1))
 
     # -- timed Algorithm 1 hooks -------------------------------------------------
-    def latency_messages(self, num_workers: int, num_servers: int) -> float:
+    def latency_messages(self, cluster: ClusterConfig) -> float:
         """Serialized message rounds on the critical path of one sync.
 
         Multiplied by the cluster's per-message latency in the timed variant
@@ -397,7 +398,7 @@ class CommBackend(abc.ABC):
         """
         return 2.0
 
-    def extra_flops(self, m: int, n: int, num_workers: int, num_servers: int,
+    def extra_flops(self, m: int, n: int, cluster: ClusterConfig,
                     batch_size: int) -> float:
         """Scheme-specific compute overhead (FLOPs) of one sync at one node.
 
@@ -610,8 +611,9 @@ def get_backend(name: str) -> CommBackend:
         >>> from repro.comm.backend import get_backend
         >>> get_backend("sfb").name
         'sfb'
-        >>> get_backend("ps").cost(m=4096, n=4096, num_workers=8,
-        ...                        num_servers=8, batch_size=32)
+        >>> from repro.config import ClusterConfig
+        >>> get_backend("ps").cost(4096, 4096, ClusterConfig(num_workers=8),
+        ...                        batch_size=32)
         58720256.0
 
     Raises:
@@ -667,9 +669,8 @@ def topology_candidates() -> Tuple[CommBackend, ...]:
     return tuple(b for b in _REGISTRY.values() if b.topology_candidate)
 
 
-def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
-                  batch_size: int, sf_eligible: bool = True,
-                  topology: Optional[NetworkTopology] = None,
+def hybrid_choice(m: int, n: int, cluster: ClusterConfig, batch_size: int,
+                  sf_eligible: bool = True,
                   price: Optional[Callable[[CommBackend], float]] = None
                   ) -> str:
     """Algorithm 1: the cheapest hybrid-candidate scheme's name for one layer.
@@ -680,7 +681,7 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
     never communicates factors); ties go to the lowest ``hybrid_rank``
     (SFB before PS, matching the paper).
 
-    With a non-flat ``topology`` every candidate's cost carries its
+    On a rack-oversubscribed ``cluster`` every candidate's cost carries its
     cross-rack premium and the :attr:`~CommBackend.topology_candidate`
     backends (ring all-reduce, hierarchical PS) enter the comparison --
     so the per-layer choice becomes rack-aware.  ``price`` replaces the
@@ -689,24 +690,25 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
     tie-break:
 
         >>> from repro.comm.backend import hybrid_choice
-        >>> from repro.core.cost_model import NetworkTopology
-        >>> hybrid_choice(4096, 1000, num_workers=16, num_servers=16,
+        >>> from repro.config import ClusterConfig
+        >>> hybrid_choice(4096, 1000, ClusterConfig(num_workers=16),
         ...               batch_size=32)
         'sfb'
-        >>> racked = NetworkTopology(racks=4, oversubscription=4.0)
-        >>> hybrid_choice(4096, 1000, num_workers=16, num_servers=16,
-        ...               batch_size=32, topology=racked)
+        >>> racked = ClusterConfig(num_workers=16, racks=4,
+        ...                        oversubscription=4.0)
+        >>> hybrid_choice(4096, 1000, racked, batch_size=32)
         'ring'
     """
     candidates = hybrid_candidates()
-    if topology is not None and not topology.is_flat:
+    if not cluster.is_flat_topology:
         candidates += topology_candidates()
+    factors = sf_eligible and cluster.num_workers > 1
     best: Optional[Tuple[Tuple[float, int], str]] = None
     for backend in candidates:
-        if backend.requires_factorization and (not sf_eligible or num_workers <= 1):
+        if backend.requires_factorization and not factors:
             continue
-        cost = (price(backend) if price is not None else backend.cost(
-            m, n, num_workers, num_servers, batch_size, topology=topology))
+        cost = (price(backend) if price is not None
+                else backend.cost(m, n, cluster, batch_size))
         key = (cost, backend.hybrid_rank)
         if best is None or key < best[0]:
             best = (key, backend.name)
@@ -716,30 +718,31 @@ def hybrid_choice(m: int, n: int, num_workers: int, num_servers: int,
 
 
 def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
-                  sf_eligible: bool, num_workers: int, num_servers: int,
-                  batch_size: int,
-                  topology: Optional[NetworkTopology] = None,
+                  sf_eligible: bool, cluster: ClusterConfig, batch_size: int,
                   price: Optional[Callable[[CommBackend], float]] = None,
                   factor_rank: int = 1) -> str:
     """The scheme (by name) one layer syncs under in ``mode`` -- the one rule.
 
-    ``mode`` is ``"hybrid"`` (Algorithm 1 via :func:`hybrid_choice`) or a
-    registered backend name.  A layer that is not sufficient-factor
-    decomposable (``sf_eligible`` with ``(M, N)`` ``fc_dims``) rides the PS
-    under ``"hybrid"`` and under any factor-based backend.  Its factors
-    have ``K = batch_size * factor_rank`` rows (``factor_rank``: rows per
-    sample, 1 for a CNN FC layer, ``T`` for a token FC).  The trainer
-    (``assign_schemes``), the simulators (``decide_schemes``) and the
-    :class:`~repro.core.cost_model.CostModel` (``best_scheme`` and
-    ``best_scheme_timed``, under ``"hybrid"`` only) all decide here:
+    ``mode`` is ``"hybrid"`` (Algorithm 1 via :func:`hybrid_choice` on
+    ``cluster``) or a registered backend name.  A layer that is not
+    sufficient-factor decomposable (``sf_eligible`` with ``(M, N)``
+    ``fc_dims``) rides the PS under ``"hybrid"`` and under any factor-based
+    backend.  Its factors have ``K = batch_size * factor_rank`` rows
+    (``factor_rank``: rows per sample, 1 for a CNN FC layer, ``T`` for a
+    token FC).  The trainer (``assign_schemes``), the simulators
+    (``decide_schemes``) and the :class:`~repro.core.cost_model.CostModel`
+    (``best_scheme`` and ``best_scheme_timed``, under ``"hybrid"`` only)
+    all decide here:
 
         >>> from repro.comm.backend import choose_scheme
-        >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32)
+        >>> from repro.config import ClusterConfig
+        >>> cluster = ClusterConfig(num_workers=16)
+        >>> choose_scheme("hybrid", (4096, 1000), True, cluster, 32)
         'sfb'
-        >>> choose_scheme("hybrid", (4096, 1000), True, 16, 16, 32,
+        >>> choose_scheme("hybrid", (4096, 1000), True, cluster, 32,
         ...               factor_rank=256)
         'ps'
-        >>> choose_scheme("sfb", None, False, 16, 16, 32)
+        >>> choose_scheme("sfb", None, False, cluster, 32)
         'ps'
 
     Raises:
@@ -756,8 +759,7 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
         if not factorizable:
             return "ps"
         m, n = fc_dims
-        return hybrid_choice(m, n, num_workers, num_servers,
-                             batch_size * factor_rank, topology=topology,
+        return hybrid_choice(m, n, cluster, batch_size * factor_rank,
                              price=price)
     backend = get_backend(mode)
     if backend.requires_factorization and not factorizable:
@@ -782,12 +784,10 @@ class PSBackend(CommBackend):
     # renormalize to P-1 when a dead worker is dropped mid-run.
     fault_modes = ("restart", "drop")
 
-    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
-        flat = ps_combined_cost(m, n, num_workers, num_servers)
+    def flat_cost(self, m, n, cluster, batch_size):
         # Sharded traffic is spread uniformly over peers, so the default
         # rack-uplink split applies.
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
+        return ps_combined_cost(m, n, cluster.num_workers, cluster.num_servers)
 
     def unit_phases(self, unit, shape, owner):
         if shape.fine:
@@ -859,12 +859,11 @@ class OneBitBackend(PSBackend):
         from repro.comm.quantization import OneBitQuantizer
         return OneBitQuantizer()
 
-    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
+    def flat_cost(self, m, n, cluster, batch_size):
         # 1-bit quantization shrinks the PS payload by ~32x in both
         # directions (scales are negligible at this granularity).
-        flat = ps_combined_cost(m, n, num_workers, num_servers) / self.compression
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
+        return (ps_combined_cost(m, n, cluster.num_workers, cluster.num_servers)
+                / self.compression)
 
 
 class SFBBackend(CommBackend):
@@ -875,20 +874,18 @@ class SFBBackend(CommBackend):
     hybrid_candidate = True
     hybrid_rank = 0  # SFB wins Algorithm-1 ties
 
-    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
-        flat = sfb_worker_cost(m, n, batch_size, num_workers)
+    def flat_cost(self, m, n, cluster, batch_size):
         # Factor broadcasts address every peer directly, so the default
         # uniform peer split is the exact cross-rack accounting.
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
+        return sfb_worker_cost(m, n, batch_size, cluster.num_workers)
 
-    def latency_messages(self, num_workers, num_servers):
+    def latency_messages(self, cluster):
         # P-1 unicast broadcasts: each peer transfer pays its own setup.
-        return float(max(num_workers - 1, 1))
+        return float(max(cluster.num_workers - 1, 1))
 
-    def extra_flops(self, m, n, num_workers, num_servers, batch_size):
+    def extra_flops(self, m, n, cluster, batch_size):
         # Reconstruct each peer's dW = U^T V: 2 K M N FLOPs per peer.
-        return 2.0 * batch_size * max(num_workers - 1, 0) * m * n
+        return 2.0 * batch_size * max(cluster.num_workers - 1, 0) * m * n
 
     def unit_phases(self, unit, shape, owner):
         # One factor copy to, and one from, each of the P1 - 1 peers.
@@ -915,22 +912,19 @@ class AdamBackend(CommBackend):
     name = "adam"
     requires_factorization = True
 
-    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
-        flat = adam_combined_cost(m, n, batch_size, num_workers)
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
+    def flat_cost(self, m, n, cluster, batch_size):
+        return adam_combined_cost(m, n, batch_size, cluster.num_workers)
 
-    def rack_uplink_params(self, m, n, num_workers, num_servers, batch_size,
-                           topology):
+    def rack_uplink_params(self, m, n, cluster, batch_size):
         # The owning shard is the hotspot: its rack's uplink carries every
         # out-of-rack worker's factors in and full matrices back out.
-        local = min(topology.nodes_per_rack(num_workers), num_workers)
-        remote = num_workers - local
+        workers = cluster.num_workers
+        remote = workers - min(cluster.nodes_per_rack, workers)
         return remote * (m * n + batch_size * (m + n))
 
-    def extra_flops(self, m, n, num_workers, num_servers, batch_size):
+    def extra_flops(self, m, n, cluster, batch_size):
         # The owning node reconstructs every peer's factors before applying.
-        return 2.0 * batch_size * max(num_workers - 1, 0) * m * n
+        return 2.0 * batch_size * max(cluster.num_workers - 1, 0) * m * n
 
     def unit_phases(self, unit, shape, owner):
         return owner_fan_phases(
@@ -961,39 +955,33 @@ class HierPSBackend(CommBackend):
     topology_candidate = True
     hybrid_rank = 3  # never steals a flat tie from SFB (0) or PS (1)
 
-    def _cost_rack_size(self, num_workers: int, topology=None) -> int:
-        """Aggregation rack size: physical racks when oversubscribed."""
-        if topology is not None and not topology.is_flat:
-            return topology.nodes_per_rack(num_workers)
-        return DEFAULT_RACK_SIZE
-
-    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
+    def flat_cost(self, m, n, cluster, batch_size):
         """Transmit+receive volume at the busiest node of the tree.
 
         A rack leader exchanges the whole rack's gradients and parameters
         (``2 R M N``); the root owner exchanges one aggregate per rack
         (``2 ceil(P1/R) M N``).  The hotspot is whichever fan is wider.
-        On an oversubscribed cluster the tree follows the physical racks,
-        and the cross-rack premium applies only to the per-rack aggregates
+        ``R`` is the plan's tree rack (:func:`tree_rack_size`), so on an
+        oversubscribed cluster the tree follows the physical racks, and
+        the cross-rack premium applies only to the per-rack aggregates
         (see :meth:`rack_uplink_params`).
         """
-        if num_workers <= 1:
+        workers = cluster.num_workers
+        if workers <= 1:
             return 0.0
-        rack_size = self._cost_rack_size(num_workers, topology)
-        local_fan = min(rack_size, num_workers)
-        num_racks = math.ceil(num_workers / rack_size)
-        flat = 2.0 * m * n * max(local_fan, num_racks)
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
+        rack_size = tree_rack_size(cluster)
+        local_fan = min(rack_size, workers)
+        num_racks = math.ceil(workers / rack_size)
+        return 2.0 * m * n * max(local_fan, num_racks)
 
-    def rack_uplink_params(self, m, n, num_workers, num_servers, batch_size,
-                           topology):
+    def rack_uplink_params(self, m, n, cluster, batch_size):
         # Only the pre-reduced per-rack aggregates cross rack boundaries.
         # The root owner's rack is the hotspot: every other rack's
         # aggregate comes in and the updated parameters go back out.
-        return 2.0 * m * n * (topology.num_racks(num_workers) - 1)
+        racks = math.ceil(cluster.num_workers / cluster.nodes_per_rack)
+        return 2.0 * m * n * (racks - 1)
 
-    def latency_messages(self, num_workers, num_servers):
+    def latency_messages(self, cluster):
         # Two tree levels, each a push + pull round trip.
         return 4.0
 
@@ -1012,8 +1000,7 @@ class HierPSBackend(CommBackend):
                 Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.RACK_LEADERS,
                       dense, scope=Scope.GROUP, gated=True),
                 Phase(PhaseKind.BROADCAST, Peers.RACK_LEADERS,
-                      Peers.RACK_MEMBERS, dense, scope=Scope.GROUP,
-                      rejoin=True))
+                      Peers.RACK_MEMBERS, dense, scope=Scope.GROUP))
 
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.hierarchical import HierarchicalParameterServer
@@ -1042,7 +1029,7 @@ class RingBackend(CommBackend):
     #: payload is what both ring phases carry).
     compressible = True
 
-    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
+    def flat_cost(self, m, n, cluster, batch_size):
         """Transmit+receive volume per node: ``4 M N (P1-1)/P1`` parameters.
 
         Each direction moves ``2 (P1-1)/P1 * M N`` -- notably equal to the
@@ -1053,22 +1040,20 @@ class RingBackend(CommBackend):
         except one per rack, so a rack uplink carries a single node's
         volume however many nodes share it.
         """
-        if num_workers <= 1:
+        workers = cluster.num_workers
+        if workers <= 1:
             return 0.0
-        flat = 4.0 * m * n * (num_workers - 1) / num_workers
-        return self._topology_cost(flat, m, n, num_workers, num_servers,
-                                   batch_size, topology)
+        return 4.0 * m * n * (workers - 1) / workers
 
-    def rack_uplink_params(self, m, n, num_workers, num_servers, batch_size,
-                           topology):
+    def rack_uplink_params(self, m, n, cluster, batch_size):
         # One boundary flow leaves (and one enters) each rack per ring
         # step: the uplink carries exactly one node's transmit volume,
         # independent of how many nodes the rack aggregates.
-        return 4.0 * m * n * (num_workers - 1) / num_workers
+        return self.flat_cost(m, n, cluster, batch_size)
 
-    def latency_messages(self, num_workers, num_servers):
+    def latency_messages(self, cluster):
         # 2 (P1 - 1) serialized ring steps (reduce-scatter + all-gather).
-        return 2.0 * max(num_workers - 1, 1)
+        return 2.0 * max(cluster.num_workers - 1, 1)
 
     def compression_cost_factor(self, compression, m, n):
         """Both ring phases carry the compressed payload: the factor is
@@ -1089,7 +1074,7 @@ class RingBackend(CommBackend):
         chunk = self.gradient_bytes(unit, shape) / shape.num_workers
         steps = max(2 * (shape.num_workers - 1), 1)
         return (Phase(PhaseKind.RING_STEP, Peers.WORKERS, Peers.SUCCESSOR,
-                      chunk, repeat=steps, rejoin=True),)
+                      chunk, repeat=steps),)
 
     def build_substrate(self, initial_layers, ctx):
         from repro.comm.ring import RingAllReducer

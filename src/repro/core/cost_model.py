@@ -21,9 +21,7 @@ node; everything else goes through the parameter server.
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import units
@@ -31,107 +29,6 @@ from repro.config import ClusterConfig
 from repro.core.policy import BSP, SyncPolicy
 from repro.exceptions import ConfigurationError
 from repro.nn.spec import LayerKind, LayerSpec
-
-
-@dataclass(frozen=True)
-class NetworkTopology:
-    """Rack shape of the network as the analytic cost model sees it.
-
-    Table 1 prices every transmitted parameter equally, which assumes full
-    bisection.  On a rack-oversubscribed network a parameter that crosses
-    the rack boundary competes for ``1/oversubscription`` of the bandwidth
-    its rack's members could inject, so the topology-aware cost of a scheme
-    is ``max(flat_cost, rack_uplink_params * oversubscription / L)`` --
-    whichever is slower of the busiest NIC and the busiest rack uplink
-    (``L`` = nodes per rack; dividing by ``L`` converts the rack-aggregate
-    volume into the same per-node-bandwidth time units as Table 1).
-
-    A flat topology (one rack, or ``oversubscription == 1``) makes the
-    uplink term a no-op, reproducing Table 1 exactly.
-
-    Attributes:
-        racks: number of top-of-rack switches.
-        oversubscription: the rack uplink's oversubscription factor.
-        rack_size: explicit nodes-per-rack override.  Set by
-            :meth:`from_cluster` so the cost model prices exactly the
-            rack partition the simulator builds -- they differ when PS
-            shards live on dedicated (non-colocated) nodes, which share
-            the racks with the workers.  ``None`` derives the size from
-            ``racks`` and the worker count alone.
-        num_nodes: total node count (workers plus dedicated servers).
-            Set by :meth:`from_cluster`; used by
-            :meth:`cross_peer_fraction` so traffic towards dedicated
-            server racks is priced as cross-rack.  ``None`` assumes the
-            colocated testbed (nodes == workers).
-    """
-
-    racks: int = 1
-    oversubscription: float = 1.0
-    rack_size: Optional[int] = None
-    num_nodes: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.racks < 1:
-            raise ConfigurationError(f"racks must be >= 1, got {self.racks}")
-        if self.oversubscription < 1.0:
-            raise ConfigurationError(
-                f"oversubscription must be >= 1.0, got {self.oversubscription}"
-            )
-        if self.rack_size is not None and self.rack_size < 1:
-            raise ConfigurationError(
-                f"rack_size must be >= 1, got {self.rack_size}")
-        if self.num_nodes is not None and self.num_nodes < 1:
-            raise ConfigurationError(
-                f"num_nodes must be >= 1, got {self.num_nodes}")
-
-    @classmethod
-    def from_cluster(cls, cluster: ClusterConfig) -> "NetworkTopology":
-        """The topology of a :class:`~repro.config.ClusterConfig`.
-
-        Captures the cluster's *physical* rack size and node count, so
-        worker-count-based cost queries agree with the simulator's node
-        partition even when dedicated server nodes extend the racks.
-        """
-        return cls(racks=cluster.racks,
-                   oversubscription=cluster.oversubscription,
-                   rack_size=cluster.nodes_per_rack,
-                   num_nodes=cluster.num_nodes)
-
-    @property
-    def is_flat(self) -> bool:
-        """Whether the topology is cost-equivalent to full bisection."""
-        return self.racks <= 1 or self.oversubscription <= 1.0
-
-    def nodes_per_rack(self, num_workers: int) -> int:
-        """Workers under one top-of-rack switch (contiguous-id blocks)."""
-        if num_workers < 1:
-            raise ConfigurationError(
-                f"num_workers must be >= 1, got {num_workers}")
-        if self.rack_size is not None:
-            return self.rack_size
-        return math.ceil(num_workers / self.racks)
-
-    def num_racks(self, num_workers: int) -> int:
-        """Occupied racks (at most ``racks``; fewer for small clusters)."""
-        return math.ceil(num_workers / self.nodes_per_rack(num_workers))
-
-    def cross_peer_fraction(self, num_workers: int) -> float:
-        """Fraction of a node's peers that live outside its rack.
-
-        The byte split used by schemes whose traffic is spread uniformly
-        over peers (PS shards, SFB broadcasts, Adam owners): of the
-        ``N - 1`` remote endpoints, ``L - 1`` share the rack.  ``N`` is
-        the *node* population -- for colocated clusters that equals the
-        worker count, but dedicated server nodes (:attr:`num_nodes` set
-        by :meth:`from_cluster`) extend it, so traffic towards racks
-        full of PS shards is priced as cross-rack just like the
-        simulator routes it.
-        """
-        total = self.num_nodes if self.num_nodes is not None else num_workers
-        if total <= 1 or num_workers < 1:
-            return 0.0
-        local = min(self.nodes_per_rack(num_workers), total)
-        return (total - local) / (total - 1)
 
 
 # -- raw Table 1 formulas (parameter counts) -------------------------------------
@@ -214,12 +111,11 @@ def _matrix_dims(layer: LayerSpec) -> Tuple[int, int]:
 class CostModel:
     """Evaluates Table 1 for concrete layers and cluster configurations.
 
-    The cluster's rack topology is threaded into every backend cost query,
-    so on an oversubscribed cluster :meth:`best_scheme` and
-    :meth:`scheme_cost_params` automatically price cross-rack bytes at a
-    premium (and Algorithm 1's candidate set grows by the topology-aware
-    collectives); on the default flat cluster they reproduce Table 1
-    exactly.
+    Every backend cost query takes the cluster, so on an oversubscribed
+    cluster :meth:`best_scheme` and :meth:`scheme_cost_params` price
+    cross-rack bytes at a premium (and Algorithm 1's candidate set grows by
+    the topology-aware collectives); on the default flat cluster they
+    reproduce Table 1 exactly.
     """
 
     def __init__(self, cluster: ClusterConfig, batch_size: int,
@@ -247,11 +143,6 @@ class CostModel:
         #: actually crosses the wire per training step.  The default (BSP)
         #: reproduces Table 1 exactly.
         self.policy: SyncPolicy = SyncPolicy.parse(policy)
-        # None on flat clusters: a flat topology carries no premium and
-        # adds no Algorithm-1 candidate, so it reads as absent.
-        topology = NetworkTopology.from_cluster(cluster)
-        self.topology: Optional[NetworkTopology] = (
-            None if topology.is_flat else topology)
 
     def _policy(self, policy) -> SyncPolicy:
         """``policy`` parsed, or the model's own when it is ``None``."""
@@ -271,9 +162,7 @@ class CostModel:
 
         fc_dims = layer.fc_dims if layer.kind is LayerKind.FC else None
         return choose_scheme(HYBRID_MODE, fc_dims, layer.sf_decomposable,
-                             self.cluster.num_workers,
-                             self.cluster.num_servers, self.batch_size,
-                             topology=self.topology, price=price,
+                             self.cluster, self.batch_size, price=price,
                              factor_rank=layer.factor_rank or 1)
 
     def factor_rows(self, layer: LayerSpec) -> int:
@@ -321,14 +210,12 @@ class CostModel:
         backend = get_backend(scheme)
         wire_seconds = (self.scheme_cost_bytes(layer, scheme, policy=policy)
                         / (self.cluster.effective_bandwidth_bps / 8.0))
-        p1 = self.cluster.num_workers
-        p2 = self.cluster.num_servers
         m, n = _matrix_dims(layer)
         freq = self._policy(policy).sync_frequency
-        latency_seconds = (backend.latency_messages(p1, p2)
+        latency_seconds = (backend.latency_messages(self.cluster)
                            * self.cluster.latency_seconds)
         compute_seconds = self.cluster.gpu.compute_seconds(
-            backend.extra_flops(m, n, p1, p2, self.factor_rows(layer)))
+            backend.extra_flops(m, n, self.cluster, self.factor_rows(layer)))
         return wire_seconds + freq * (latency_seconds + compute_seconds)
 
     def best_scheme_timed(self, layer: LayerSpec, policy=None) -> str:
@@ -355,7 +242,8 @@ class CostModel:
         """Parameter count a combined server/worker node moves for ``layer``.
 
         Topology-aware: on an oversubscribed cluster the value includes the
-        scheme's cross-rack premium (see :class:`NetworkTopology`).  Under a
+        scheme's cross-rack premium (see
+        :meth:`~repro.comm.backend.CommBackend.cost`).  Under a
         local-SGD ``policy`` the per-iteration amount shrinks by the sync
         frequency ``1/H``.  A scheme whose backend cannot run under the
         resolved policy raises :class:`ConfigurationError`, as
@@ -378,9 +266,8 @@ class CostModel:
         # rule of repro.comm.wire); conv/bias blobs ship dense everywhere.
         factor = (backend.compression_cost_factor(self.compression, m, n)
                   if is_fc and self.compression is not None else 1.0)
-        return freq * factor * backend.cost(
-            m, n, self.cluster.num_workers, self.cluster.num_servers,
-            self.factor_rows(layer), topology=self.topology)
+        return freq * factor * backend.cost(m, n, self.cluster,
+                                            self.factor_rows(layer))
 
     def scheme_cost_bytes(self, layer: LayerSpec, scheme: str,
                           policy=None) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.comm.backend import choose_scheme
+from repro.config import ClusterConfig
 from repro.core.cost_model import (
     adam_combined_cost,
     adam_server_cost,
@@ -85,8 +86,10 @@ def run_table1(m: int = 4096, n: int = 4096, batch_size: int = 32,
         m=m, n=n, batch_size=batch_size,
         num_workers=num_workers, num_servers=num_servers,
         rows=rows,
-        best_scheme=choose_scheme("hybrid", (m, n), True, num_workers,
-                                  num_servers, batch_size),
+        best_scheme=choose_scheme(
+            "hybrid", (m, n), True,
+            ClusterConfig(num_workers=num_workers, num_servers=num_servers),
+            batch_size),
     )
 
 

@@ -13,10 +13,10 @@ valid trainer mode without any change here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.comm.backend import HYBRID_MODE, choose_scheme, registered_backends
-from repro.core.cost_model import NetworkTopology
+from repro.config import ClusterConfig
 from repro.exceptions import ConfigurationError
 from repro.nn.layers.dense import Dense
 from repro.nn.network import Network
@@ -45,10 +45,8 @@ class SchemeAssignment:
                 if scheme == "sfb"]
 
 
-def assign_schemes(network: Network, mode: str, num_workers: int,
-                   num_servers: int, batch_size: int,
-                   topology: Optional[NetworkTopology] = None
-                   ) -> SchemeAssignment:
+def assign_schemes(network: Network, mode: str, cluster: ClusterConfig,
+                   batch_size: int) -> SchemeAssignment:
     """Assign a communication scheme to every parameter layer.
 
     Args:
@@ -57,21 +55,14 @@ def assign_schemes(network: Network, mode: str, num_workers: int,
             ``"adam"``, ``"ring"``, ``"hierps"``, ...) or ``"hybrid"``.
             Factor-based backends fall back to PS for layers whose gradients
             are not sufficient-factor decomposable.
-        num_workers: worker count (``P1``).
-        num_servers: PS shard count (``P2``).
+        cluster: the cluster Algorithm 1 prices ``"hybrid"`` on (rack-aware
+            when oversubscribed, the paper's flat Algorithm 1 otherwise).
         batch_size: per-worker batch size; a ``Dense`` layer's factors
             have ``batch_size * layer.factor_rank`` rows (``K``).
-        topology: rack topology for rack-aware ``"hybrid"`` decisions
-            (``None`` or a flat topology keeps the paper's flat Algorithm 1).
 
     Raises:
-        ConfigurationError: on an unknown mode or a degenerate cluster /
-            batch configuration.
+        ConfigurationError: on an unknown mode or a degenerate batch size.
     """
-    if num_workers < 1:
-        raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
-    if num_servers < 1:
-        raise ConfigurationError(f"num_servers must be >= 1, got {num_servers}")
     modes = trainer_modes()
     if mode not in modes:
         raise ConfigurationError(
@@ -86,7 +77,6 @@ def assign_schemes(network: Network, mode: str, num_workers: int,
         fc_dims = ((layer.in_features, layer.out_features)
                    if factorizable else None)
         schemes[layer.name] = choose_scheme(
-            mode, fc_dims, factorizable, num_workers, num_servers,
-            batch_size, topology,
+            mode, fc_dims, factorizable, cluster, batch_size,
             factor_rank=layer.factor_rank if factorizable else 1)
     return SchemeAssignment(mode=mode, schemes=schemes)

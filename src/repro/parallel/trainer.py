@@ -34,7 +34,7 @@ from repro.comm.backend import (TrainerContext, WorkerResources,
                                 check_compression, get_backend)
 from repro.comm.bucketing import GradientBucketer
 from repro.comm.compression import make_compressor
-from repro.config import ScheduleMode, TrainingConfig
+from repro.config import ClusterConfig, ScheduleMode, TrainingConfig
 from repro.core.consistency import BSPController
 from repro.core.faults import FailureDetector, FaultInjector, FaultPlan
 from repro.core.policy import SyncPolicy
@@ -174,7 +174,7 @@ class DistributedTrainer:
             :class:`TrainingError`).  The substrates are seeded from
             worker 0's replica, so the parameter-server copy starts equal
             too.
-        num_workers: number of worker replicas.
+        num_workers: number of worker replicas (a whole count >= 1).
         train_shards: per-worker ``(images, labels)`` partitions; may be
             ``None`` when a ``batch_provider`` is given.
         training: hyper-parameters.
@@ -182,7 +182,8 @@ class DistributedTrainer:
             ``"sfb"``, ``"adam"``, ``"ring"``, ``"hierps"``, ...) or
             ``"hybrid"`` (per-layer Algorithm 1).
         schedule: WFBP (overlapped) or sequential synchronization.
-        num_servers: PS shard count used by the hybrid cost model.
+        num_servers: PS shard count used by the hybrid cost model
+            (``None`` or 0: one shard per worker).
         test_data: optional held-out set for periodic evaluation.
         eval_every: evaluate every N iterations (0 disables).
         batch_provider: overrides shard-based sampling with an explicit
@@ -252,16 +253,19 @@ class DistributedTrainer:
                  retry_backoff: float = 0.001,
                  compressor: str = "none",
                  bucket_bytes: Optional[int] = None):
-        if num_workers < 1:
-            raise TrainingError(f"num_workers must be >= 1, got {num_workers}")
+        # Algorithm 1 decides on a flat cluster of these counts; building it
+        # first refuses a fractional or non-positive count before any int().
+        # No shard count (None or 0) means one shard per worker.
+        cluster = ClusterConfig(num_workers=num_workers,
+                                num_servers=num_servers or None)
         if train_shards is None and batch_provider is None:
             raise TrainingError("either train_shards or batch_provider is required")
         if train_shards is not None and len(train_shards) != num_workers:
             raise TrainingError(
                 f"expected {num_workers} shards, got {len(train_shards)}"
             )
-        self.num_workers = int(num_workers)
-        self.num_servers = int(num_servers) if num_servers else self.num_workers
+        self.num_workers = int(cluster.num_workers)
+        self.num_servers = int(cluster.num_servers)
         self.training = training
         self.mode = mode
         self.schedule = ScheduleMode(schedule)
@@ -295,8 +299,7 @@ class DistributedTrainer:
                 "retry_limit and retry_backoff must be >= 0, got "
                 f"{retry_limit} / {retry_backoff}")
         # Counts are whole: int() would truncate 2.5 to 2 without a word.
-        for name, value in (("num_servers", num_servers or 0),
-                            ("eval_every", eval_every), ("retry_limit", retry_limit),
+        for name, value in (("eval_every", eval_every), ("retry_limit", retry_limit),
                             ("checkpoint_interval", checkpoint_interval)):
             if not (float(value).is_integer() and value >= 0):
                 raise ConfigurationError(
@@ -338,7 +341,7 @@ class DistributedTrainer:
         reference = self._replicas[0]
         _check_replicas_equal(self._replicas)
         self.assignment: SchemeAssignment = assign_schemes(
-            reference, mode, self.num_workers, self.num_servers, training.batch_size)
+            reference, mode, cluster, training.batch_size)
 
         # Every substrate in play must be able to serve the configured
         # recovery mode (collectives reject "drop": a ring or bulletin board

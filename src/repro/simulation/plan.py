@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import FABRIC
 from repro.comm.backend import (
-    DEFAULT_RACK_SIZE,
     PHASE_PEERS,
     CommBackend,
     Peers,
@@ -36,10 +35,10 @@ from repro.comm.backend import (
     choose_scheme,
     get_backend,
     registry_generation,
+    tree_rack_size,
 )
 from repro.comm.wire import unit_compression_flops
 from repro.config import ClusterConfig, Partitioning, SystemConfig
-from repro.core.cost_model import NetworkTopology
 from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.simulation.workload import IterationWorkload, SyncUnit
@@ -52,19 +51,16 @@ _PLANS = Memo(registry_generation)
 
 
 def decide_schemes(workload: IterationWorkload, comm: str,
-                   num_workers: int, num_servers: int,
-                   topology: Optional[NetworkTopology] = None
-                   ) -> Dict[str, str]:
+                   cluster: ClusterConfig) -> Dict[str, str]:
     """Unit name -> scheme name (:func:`~repro.comm.backend.choose_scheme`).
 
-    With a non-flat ``topology`` the ``"hybrid"`` decisions become rack-aware
-    (cross-rack premiums plus the topology-candidate collectives); a flat
-    or absent topology reproduces the paper's Algorithm-1 table.
+    On a rack-oversubscribed ``cluster`` the ``"hybrid"`` decisions are
+    rack-aware (cross-rack premiums plus the topology-candidate
+    collectives); a flat one reproduces the paper's Algorithm-1 table.
     """
     return {
         unit.name: choose_scheme(comm, unit.fc_dims, unit.sf_eligible,
-                                 num_workers, num_servers,
-                                 workload.batch_size, topology,
+                                 cluster, workload.batch_size,
                                  factor_rank=unit.factor_rank)
         for unit in workload.units
     }
@@ -157,16 +153,14 @@ def _resolve(workload: IterationWorkload, system: SystemConfig,
 
     compression = check_compression(system.comm, system.compressor)
     num_workers, num_servers = cluster.num_workers, cluster.num_servers
-    schemes = decide_schemes(workload, system.comm, num_workers, num_servers,
-                             NetworkTopology.from_cluster(cluster))
+    schemes = decide_schemes(workload, system.comm, cluster)
     workload, schemes = bucket_workload(workload, schemes, system.bucket_bytes)
     shape = SyncShape(
         num_workers=num_workers, num_servers=num_servers,
         batch_size=workload.batch_size,
         fine=system.partitioning is Partitioning.FINE,
         colocated=cluster.colocate_servers,
-        rack_size=(DEFAULT_RACK_SIZE if cluster.is_flat_topology
-                   else cluster.nodes_per_rack),
+        rack_size=tree_rack_size(cluster),
         compression=compression)
     units = []
     for index, unit in enumerate(workload.units):

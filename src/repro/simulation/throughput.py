@@ -273,10 +273,6 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
         if kind in _FABRIC_KINDS:
             shards.append((barrier(index, 0) if inbound else None,
                            phase.hub_bytes, f"shards/{tag}", index))
-    if phases[-1].rejoin:
-        sizes.append(0)
-        for worker in workers:
-            arrive(worker, len(sizes) - 1)
     shared: Dict[tuple, tuple] = {}
     return _UnitSteps(
         tuple(shared.setdefault(role, role) for role in map(tuple, steps)),

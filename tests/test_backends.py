@@ -86,6 +86,11 @@ class TestRegistry:
         assert trainer_modes().count(HYBRID_MODE) == 1
 
 
+def cluster(num_workers, num_servers=None):
+    """A flat cluster of ``num_workers`` workers and ``num_servers`` shards."""
+    return ClusterConfig(num_workers=num_workers, num_servers=num_servers)
+
+
 class Pigeon(PSBackend):
     name = "pigeon"  # the PS protocol under its own name, nothing else
 
@@ -106,9 +111,9 @@ class TestARegisteredBackendIsItself:
         network = build_mlp_network(input_dim=8, hidden_dims=(8,),
                                     num_classes=4, seed=0)
         for decisions in (
-                assign_schemes(network, "pigeon", 2, 2, 8).schemes.values(),
-                decide_schemes(build_workload(self.SPEC), "pigeon", 4,
-                               4).values()):
+                assign_schemes(network, "pigeon", cluster(2), 8).schemes.values(),
+                decide_schemes(build_workload(self.SPEC), "pigeon",
+                               self.CLUSTER).values()):
             assert set(decisions) == {"pigeon"}
 
     def test_trains_bit_for_bit_as_ps(self, pigeon, trainer_setup):
@@ -150,24 +155,26 @@ class TestAssignSchemesValidation:
         return build_mlp_network(input_dim=8, hidden_dims=(8,), num_classes=4,
                                  seed=0)
 
+    # A degenerate cluster is refused where it is built, so no entry
+    # point ever sees one.
     def test_zero_workers_rejected(self, network):
-        with pytest.raises(ConfigurationError):
-            assign_schemes(network, "ps", 0, 1, 8)
+        with pytest.raises(ConfigurationError, match="num_workers"):
+            assign_schemes(network, "ps", cluster(0, 1), 8)
 
     def test_zero_servers_rejected(self, network):
-        with pytest.raises(ConfigurationError):
-            assign_schemes(network, "ps", 1, 0, 8)
+        with pytest.raises(ConfigurationError, match="num_servers"):
+            assign_schemes(network, "ps", cluster(1, 0), 8)
 
     def test_zero_batch_rejected(self, network):
         with pytest.raises(ConfigurationError):
-            assign_schemes(network, "ps", 1, 1, 0)
+            assign_schemes(network, "ps", cluster(1), 0)
 
     def test_ring_mode_assigns_ring_everywhere(self, network):
-        assignment = assign_schemes(network, "ring", 4, 4, 8)
+        assignment = assign_schemes(network, "ring", cluster(4), 8)
         assert set(assignment.schemes.values()) == {"ring"}
 
     def test_hierps_mode_assigns_hierps_everywhere(self, network):
-        assignment = assign_schemes(network, "hierps", 4, 4, 8)
+        assignment = assign_schemes(network, "hierps", cluster(4), 8)
         assert set(assignment.schemes.values()) == {"hierps"}
 
 
@@ -182,21 +189,23 @@ class TestDecisionEntryValidation:
         (0, 1), (-3, 1), (2.5, 1), (4, 0), (4, -1), (4, 1.5)])
     def test_bad_factor_rows_raise_in_every_mode(self, mode, batch, rank):
         with pytest.raises(ConfigurationError, match="must be an integer"):
-            choose_scheme(mode, (4, 4), True, 4, 4, batch, factor_rank=rank)
+            choose_scheme(mode, (4, 4), True, cluster(4), batch,
+                          factor_rank=rank)
 
     def test_rank_multiplies_the_batch(self):
         """A 4096x1000 FC is SFB at 32 rows, PS at 32 x 256."""
-        assert choose_scheme(HYBRID_MODE, (4096, 1000), True, 16, 16, 32) \
-            == hybrid_choice(4096, 1000, 16, 16, 32) == "sfb"
-        assert choose_scheme(HYBRID_MODE, (4096, 1000), True, 16, 16, 32,
+        sixteen = cluster(16)
+        assert choose_scheme(HYBRID_MODE, (4096, 1000), True, sixteen, 32) \
+            == hybrid_choice(4096, 1000, sixteen, 32) == "sfb"
+        assert choose_scheme(HYBRID_MODE, (4096, 1000), True, sixteen, 32,
                              factor_rank=256) \
-            == hybrid_choice(4096, 1000, 16, 16, 32 * 256) == "ps"
+            == hybrid_choice(4096, 1000, sixteen, 32 * 256) == "ps"
 
     def test_trainer_refuses_a_fractional_batch(self):
         network = build_mlp_network(input_dim=8, hidden_dims=(8,),
                                     num_classes=4, seed=0)
         with pytest.raises(ConfigurationError):
-            assign_schemes(network, "ps", 2, 2, 2.5)
+            assign_schemes(network, "ps", cluster(2), 2.5)
 
 
 class TestHybridDecisionBoundary:
@@ -214,8 +223,8 @@ class TestHybridDecisionBoundary:
         ps = ps_combined_cost(m, n, p1, p2)
         k = int(ps / (2 * (p1 - 1) * (m + n)))
         assert sfb_worker_cost(m, n, k, p1) == ps  # exact crossover
-        assert hybrid_choice(m, n, p1, p2, k) == "sfb"
-        assert hybrid_choice(m, n, p1, p2, k + 1) == "ps"
+        assert hybrid_choice(m, n, cluster(p1, p2), k) == "sfb"
+        assert hybrid_choice(m, n, cluster(p1, p2), k + 1) == "ps"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -226,10 +235,11 @@ class TestHybridDecisionBoundary:
         k=st.integers(min_value=1, max_value=512),
     )
     def test_chosen_cost_is_minimal_among_candidates(self, m, n, p1, p2, k):
-        chosen = hybrid_choice(m, n, p1, p2, k, sf_eligible=True)
-        chosen_cost = get_backend(chosen).cost(m, n, p1, p2, k)
+        shape = cluster(p1, p2)
+        chosen = hybrid_choice(m, n, shape, k, sf_eligible=True)
+        chosen_cost = get_backend(chosen).cost(m, n, shape, k)
         for backend in hybrid_candidates():
-            assert chosen_cost <= backend.cost(m, n, p1, p2, k)
+            assert chosen_cost <= backend.cost(m, n, shape, k)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -245,7 +255,7 @@ class TestHybridDecisionBoundary:
         layer = LayerSpec(name="fc", kind=LayerKind.FC, param_count=m * n,
                           param_shape=(m, n), sf_decomposable=True)
         model = CostModel(ClusterConfig(num_workers=p1), batch_size=k)
-        assert model.best_scheme(layer) is hybrid_choice(m, n, p1, p1, k)
+        assert model.best_scheme(layer) is hybrid_choice(m, n, cluster(p1), k)
 
 
 class TestCostModelDispatch:
@@ -254,10 +264,10 @@ class TestCostModelDispatch:
         hier = get_backend("hierps")
         # Ring equals the colocated sharded-PS combined cost (both are
         # bandwidth optimal): 4MN(P-1)/P.
-        assert ring.cost(100, 50, 8, 8, 32) == ps_combined_cost(100, 50, 8, 8)
-        assert ring.cost(100, 50, 1, 1, 32) == 0.0
+        assert ring.cost(100, 50, cluster(8), 32) == ps_combined_cost(100, 50, 8, 8)
+        assert ring.cost(100, 50, cluster(1), 32) == 0.0
         # Hierarchical hotspot: max(rack fan, root fan) full exchanges.
-        assert hier.cost(10, 10, 16, 16, 32) == 2.0 * 100 * 4  # R=4, racks=4
+        assert hier.cost(10, 10, cluster(16), 32) == 2.0 * 100 * 4  # R=4, racks=4
 
     def test_scheme_cost_params_routes_through_registry(self):
         from repro.nn.spec import LayerKind, LayerSpec
@@ -266,7 +276,7 @@ class TestCostModelDispatch:
                           flops_forward=0.0, flops_backward=0.0)
         model = CostModel(ClusterConfig(num_workers=8), batch_size=16)
         assert model.scheme_cost_params(layer, "ring") == \
-            get_backend("ring").cost(64, 32, 8, 8, 16)
+            get_backend("ring").cost(64, 32, cluster(8), 16)
 
 
 class TestRingAllReducer:

@@ -90,8 +90,7 @@ class TestBucketWorkload:
     def bucketed(self, comm="ps", bucket=4 * 1024 * 1024):
         cluster = ClusterConfig(num_workers=4, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
-        schemes = decide_schemes(workload, comm, cluster.num_workers,
-                                 cluster.num_servers)
+        schemes = decide_schemes(workload, comm, cluster)
         return (workload, schemes,
                 *bucket_workload(workload, schemes, bucket))
 

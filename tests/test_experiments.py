@@ -34,7 +34,7 @@ class _Cheapest(CommBackend):
     hybrid_candidate = True
     hybrid_rank = -1
 
-    def cost(self, m, n, num_workers, num_servers, batch_size, topology=None):
+    def flat_cost(self, m, n, cluster, batch_size):
         return 0.0
 
     def build_substrate(self, initial_layers, ctx):

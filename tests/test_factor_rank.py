@@ -17,7 +17,7 @@ the rank to one value wherever it is known:
 import numpy as np
 import pytest
 
-from repro.config import TrainingConfig
+from repro.config import ClusterConfig, TrainingConfig
 from repro.nn.layers import Dense
 from repro.nn.model_zoo import (
     build_cifar_quick_network,
@@ -121,8 +121,8 @@ class TestTrainerBytesAreThePrice:
         for workers in (2, 3, 4):
             trainer = self._train(mode, workers)
             assert trainer.assignment.scheme_for("lm_head") == head
-            assert decide_schemes(workload, mode, workers,
-                                  workers)["lm_head"] == head
+            assert decide_schemes(workload, mode, ClusterConfig(
+                num_workers=workers))["lm_head"] == head
             for _, layer in trainer.replica(0).parameter_layers():
                 scheme = trainer.assignment.scheme_for(layer.name)
                 want = self.ITERATIONS * self._priced(layer, scheme, unit,

@@ -167,14 +167,9 @@ class TestFluidVsDes:
 
 
 def decide_all(cluster: ClusterConfig, comm: str):
-    from repro.core.cost_model import NetworkTopology
     from repro.simulation.throughput import decide_schemes
 
-    workload = build_workload(VGG, gpu=cluster.gpu)
-    topology = NetworkTopology.from_cluster(cluster)
-    return decide_schemes(workload, comm, cluster.num_workers,
-                          cluster.num_servers,
-                          topology=None if topology.is_flat else topology)
+    return decide_schemes(build_workload(VGG, gpu=cluster.gpu), comm, cluster)
 
 
 class TestEngineSelection:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import ScheduleMode, TrainingConfig
+from repro.config import ClusterConfig, ScheduleMode, TrainingConfig
 from repro.data import shard_dataset
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.model_zoo import build_mlp_network
@@ -59,35 +59,36 @@ def make_trainer(setup, mode, schedule=ScheduleMode.WFBP, provider=None, **kwarg
 
 
 class TestSchemeAssignment:
+    FOUR = ClusterConfig(num_workers=4)
     def test_ps_mode_assigns_ps_everywhere(self, setup):
         factory = setup[0]
-        assignment = assign_schemes(factory(), "ps", 4, 4, 32)
+        assignment = assign_schemes(factory(), "ps", self.FOUR, 32)
         assert all(s == "ps" for s in assignment.schemes.values())
 
     def test_sfb_mode_assigns_sfb_to_dense(self, setup):
         factory = setup[0]
-        assignment = assign_schemes(factory(), "sfb", 4, 4, 32)
+        assignment = assign_schemes(factory(), "sfb", self.FOUR, 32)
         assert assignment.sfb_layers  # every Dense layer
         assert set(assignment.sfb_layers) == set(assignment.schemes)
 
     def test_hybrid_prefers_ps_for_small_layers(self, setup):
         factory = setup[0]
-        assignment = assign_schemes(factory(), "hybrid", 4, 4, 32)
+        assignment = assign_schemes(factory(), "hybrid", self.FOUR, 32)
         # These layers are tiny (32x16 etc.); PS should win everywhere.
         assert assignment.sfb_layers == []
 
     def test_hybrid_prefers_sfb_for_wide_layer_and_small_batch(self):
         network = build_mlp_network(input_dim=2048, hidden_dims=(2048,),
                                     num_classes=1000, seed=0)
-        assignment = assign_schemes(network, "hybrid", num_workers=8, num_servers=8,
-                                    batch_size=4)
+        assignment = assign_schemes(network, "hybrid",
+                                    ClusterConfig(num_workers=8), batch_size=4)
         assert "fc1" in assignment.sfb_layers
 
     def test_unknown_mode_rejected(self, setup):
         factory = setup[0]
         from repro.exceptions import ConfigurationError
         with pytest.raises(ConfigurationError):
-            assign_schemes(factory(), "carrier-pigeon", 2, 2, 8)
+            assign_schemes(factory(), "carrier-pigeon", self.FOUR, 8)
 
 
 class TestDistributedTraining:
@@ -185,12 +186,21 @@ class TestDistributedTraining:
 
     def test_invalid_configurations_rejected(self, setup):
         factory, shards, config, _ = setup
-        with pytest.raises(TrainingError):
+        with pytest.raises(ConfigurationError):
             DistributedTrainer(factory, 0, shards, config)
         with pytest.raises(TrainingError):
             DistributedTrainer(factory, 2, shards, config)  # 3 shards for 2 workers
         with pytest.raises(TrainingError):
             DistributedTrainer(factory, 3, None, config)
+
+    @pytest.mark.parametrize("num_workers", [2.5, 0, -1])
+    def test_worker_count_must_be_whole_and_positive(self, setup, num_workers):
+        """Refused like every cluster count: ``int()`` used to truncate 2.5
+        to a 2-worker trainer, and 0 raised a ``TrainingError``."""
+        factory, shards, config, _ = setup
+        with pytest.raises(ConfigurationError, match="num_workers"):
+            DistributedTrainer(factory, num_workers, None, config,
+                               batch_provider=lambda step, worker: shards[0])
 
     @pytest.mark.parametrize("sync_timeout", [0, -1, float("nan"), float("inf")])
     def test_sync_timeout_must_be_finite_and_positive(self, setup, sync_timeout):

@@ -65,6 +65,7 @@ from repro.comm.backend import (
     Scope,
     SyncShape,
     get_backend,
+    tree_rack_size,
     owner_fan_phases,
     register_backend,
     unregister_backend,
@@ -77,7 +78,7 @@ from repro.config import (
     ScheduleMode,
     poseidon_system,
 )
-from repro.core.cost_model import CostModel, NetworkTopology
+from repro.core.cost_model import CostModel
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
@@ -108,32 +109,49 @@ class TestOneDecisionRule:
     DIMS = dict(input_dim=512, hidden_dims=(512, 64), num_classes=10)
     BATCH = 8
 
-    @pytest.mark.parametrize("racks,oversubscription", TOPOLOGIES)
+    @pytest.mark.parametrize("racks,oversubscription,colocated", (
+        *(pytest.param(*topology, True, id="-".join(map(str, topology)))
+          for topology in TOPOLOGIES),
+        # 8 dedicated shards extend the racks: 4 nodes each, where
+        # ceil(8 workers / 4 racks) would be 2.
+        pytest.param(4, 4.0, False, id="4-4.0-dedicated")))
     @pytest.mark.parametrize(
         "mode", ("ps", "hybrid", "adam", "onebit", "sfb", "ring", "hierps"))
-    def test_three_entry_points_agree(self, mode, racks, oversubscription):
+    def test_three_entry_points_agree(self, mode, racks, oversubscription,
+                                      colocated):
         cluster = ClusterConfig(num_workers=8, racks=racks,
-                                oversubscription=oversubscription)
-        topology = NetworkTopology.from_cluster(cluster)
+                                oversubscription=oversubscription,
+                                colocate_servers=colocated)
         spec = mlp_spec(**self.DIMS)
         network = build_mlp_network(**self.DIMS)
 
-        trainer_side = assign_schemes(network, mode, 8, 8, self.BATCH,
-                                      topology=topology).schemes
+        trainer_side = assign_schemes(network, mode, cluster,
+                                      self.BATCH).schemes
         workload = build_workload(spec, batch_size=self.BATCH)
-        simulator_side = decide_schemes(
-            workload, mode, 8, 8,
-            topology=None if topology.is_flat else topology)
+        simulator_side = decide_schemes(workload, mode, cluster)
         assert trainer_side == dict(simulator_side)
         if mode == "hybrid":
             cost_model = CostModel(cluster, self.BATCH)
             assert trainer_side == {layer.name: cost_model.best_scheme(layer)
                                     for layer in spec.parameter_layers()}
+        if mode == "hierps":
+            # The plan's tree and the price's tree are one rack size.
+            plan = resolve_plan(workload, poseidon_system("HierPS", mode),
+                                cluster)
+            shape = plan.shape
+            assert shape.rack_size == tree_rack_size(cluster) == (
+                4 if cluster.is_flat_topology else cluster.nodes_per_rack)
+            hierps, (m, n) = get_backend(mode), workload.units[0].fc_dims
+            assert hierps.flat_cost(m, n, cluster, self.BATCH) == \
+                2.0 * m * n * max(shape.leader_fan, shape.num_racks)
+            if not cluster.is_flat_topology:
+                assert hierps.rack_uplink_params(m, n, cluster, self.BATCH) \
+                    == 2.0 * m * n * (shape.num_racks - 1)
         assert set(trainer_side) == {"fc1", "fc2", "classifier"}
 
     def test_hybrid_mixes_schemes_on_this_stack(self):
         workload = build_workload(mlp_spec(**self.DIMS), batch_size=self.BATCH)
-        schemes = decide_schemes(workload, "hybrid", 8, 8)
+        schemes = decide_schemes(workload, "hybrid", ClusterConfig(num_workers=8))
         assert schemes["fc1"] == "sfb"
         assert schemes["classifier"] == "ps"
 
@@ -498,9 +516,9 @@ class TestRingLoweringsAreEachOthersOracle:
         # WFBP the start of every unit's syncs but the last's; per worker:
         # backward-done, the start of its last (WFBP) or every (sequential)
         # unit's syncs, and per unit the one hold (and the encode delay of a
-        # compressed unit); per unit: started, the ring countdown, the
-        # rejoin countdown -- and a flow that crosses racks releases four
-        # more channels on their own entries.  On a flat network the plan
+        # compressed unit); per unit: started and the ring countdown -- and
+        # a flow that crosses racks releases four more channels on their
+        # own entries.  On a flat network the plan
         # is symmetric: one worker is stepped.
         units = len(simulator.workload.units)
         encoded = sum(plan.encode_seconds > 0.0
@@ -512,10 +530,10 @@ class TestRingLoweringsAreEachOthersOracle:
         assert simulator.env.events_processed == (
             units + 4 + (units - 1 if schedule is ScheduleMode.WFBP else 0)
             + stepped * (units + encoded + 2)
-            + units * (3 + 4 * boundaries))
+            + units * (2 + 4 * boundaries))
 
     @pytest.mark.parametrize("nodes,every_worker,parent", [
-        (8, 214, 2200), (32, 622, 31840)])
+        (8, 199, 2185), (32, 607, 31825)])
     def test_ring_event_graph_does_not_grow_with_cluster_size(
             self, nodes, every_worker, parent):
         """One hold per worker made it linear in ``P``; stepping the one
@@ -523,7 +541,7 @@ class TestRingLoweringsAreEachOthersOracle:
         cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=10.0)
         workload = build_workload(VGG, gpu=cluster.gpu)
         simulator, _ = _run_ring(workload, cluster, RING_ALLREDUCE)
-        assert simulator.env.events_processed == 95
+        assert simulator.env.events_processed == 80
         held, _ = _run_des(workload, cluster, RING_ALLREDUCE,
                            every_worker=True)
         assert held.env.events_processed == every_worker
@@ -544,8 +562,9 @@ class TestRingLoweringsAreEachOthersOracle:
         assert [schemes.count(s) for s in ("ring", "sfb", "ps")] == [1, 2, 5]
         # Re-recorded when the all-to-all became the rotated schedule
         # (1,501 events, 0.928163188230593 s before), and when the stepped
-        # workers became one compute class (1,563 events; same time).
-        assert simulator.env.events_processed == 1207
+        # workers became one compute class (1,563 events; same time), and
+        # when the ring's final, unwaited countdown went (1,207).
+        assert simulator.env.events_processed == 1206
         assert repr(result.iteration_seconds) == "0.614023169293995"
 
     def test_stragglers_keep_the_stepped_rounds(self):
@@ -559,12 +578,13 @@ class TestRingLoweringsAreEachOthersOracle:
         workload = build_workload(VGG, gpu=cluster.gpu)
         simulator, result = _run_ring(workload, cluster, system)
         # Recorded on the parent commit; re-recorded (7,820 before) when
-        # sync processes stopped taking completion entries.
-        assert simulator.env.events_processed == 7530
+        # sync processes stopped taking completion entries, and (7,530)
+        # when the ring's final, unwaited countdown went.
+        assert simulator.env.events_processed == 7515
         assert repr(result.iteration_seconds) == "8.448351148961205"
 
     @pytest.mark.parametrize("policy,events,seconds", [
-        ("local_sgd(4)", 20728, "1.7105923991623138"),
+        ("local_sgd(4)", 20608, "1.7105923991623138"),
     ])
     def test_relaxed_policy_keeps_the_stepped_rounds(self, policy, events,
                                                      seconds):

@@ -116,7 +116,8 @@ class TestScalingShapes:
     def test_factor_mode_leaves_conv_on_ps(self, vgg19_spec, mode):
         """A factor scheme forced on every layer still leaves the conv
         layers, which have no sufficient factors, on the PS."""
-        schemes = decide_schemes(build_workload(vgg19_spec), mode, 16, 16)
+        schemes = decide_schemes(build_workload(vgg19_spec), mode,
+                                 ClusterConfig(num_workers=16))
         assert {name: scheme for name, scheme in schemes.items()
                 if scheme != "ps"} == dict.fromkeys(("fc6", "fc7", "fc8"), mode)
         assert schemes["conv1_1"] == "ps"

@@ -29,7 +29,6 @@ from repro.config import (
 )
 from repro.core.cost_model import (
     CostModel,
-    NetworkTopology,
     adam_combined_cost,
     ps_combined_cost,
     sfb_worker_cost,
@@ -109,19 +108,17 @@ class TestClusterConfigTopology:
         assert config.nodes_per_rack == 2
         assert config.rack_of(5) == 2
 
-    def test_from_cluster_prices_the_physical_racks(self):
-        # Non-colocated shards extend the racks: the cost model must use
-        # the simulator's node partition (racks of 4), not ceil(P1/racks).
+    def test_cost_prices_the_physical_racks(self):
+        # Non-colocated shards extend the racks: the cost model uses the
+        # simulator's node partition (racks of 4), not ceil(P1/racks) = 2.
         cluster = ClusterConfig(num_workers=8, num_servers=8,
                                 colocate_servers=False, racks=4,
                                 oversubscription=4.0)
-        topology = NetworkTopology.from_cluster(cluster)
         assert cluster.nodes_per_rack == 4
-        assert topology.nodes_per_rack(cluster.num_workers) == 4
-        # Colocated clusters are unaffected: both views coincide.
-        colocated = ClusterConfig(num_workers=16, racks=4, oversubscription=4.0)
-        assert NetworkTopology.from_cluster(colocated).nodes_per_rack(16) == \
-            NetworkTopology(racks=4, oversubscription=4.0).nodes_per_rack(16)
+        ps = get_backend("ps")
+        flat = ps.flat_cost(M, N, cluster, K)
+        assert ps.cost(M, N, cluster, K) == pytest.approx(
+            4 * flat * (12 / 15) * 4.0 / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -157,52 +154,65 @@ class TestFlatEquivalence:
         assert model.rack_switches == []
 
     def test_flat_topology_cost_is_bit_exact(self):
-        flat_topo = NetworkTopology(racks=4, oversubscription=1.0)
+        one_rack = ClusterConfig(num_workers=16)
+        four_racks = replace(one_rack, racks=4, oversubscription=1.0)
         for scheme in ALL_SCHEMES:
             backend = get_backend(scheme)
-            base = backend.cost(1024, 1000, 16, 16, 32)
-            assert backend.cost(1024, 1000, 16, 16, 32,
-                                topology=flat_topo) == base
-            assert backend.cost(1024, 1000, 16, 16, 32, topology=None) == base
-        # A flat cluster's cost model holds no topology at all.
-        flat_model = CostModel(ClusterConfig(num_workers=16), batch_size=32)
-        assert flat_model.topology is None
+            base = backend.flat_cost(1024, 1000, one_rack, 32)
+            assert backend.cost(1024, 1000, one_rack, 32) == base
+            assert backend.cost(1024, 1000, four_racks, 32) == base
 
 
 # ---------------------------------------------------------------------------
 # per-backend intra-/cross-rack byte-split accounting
 # ---------------------------------------------------------------------------
 
-#: 16 workers in 4 racks of 4, 4:1 oversubscribed.
-TOPO = NetworkTopology(racks=4, oversubscription=4.0)
 P, S, K, M, N = 16, 16, 32, 1024, 1000
-L = TOPO.nodes_per_rack(P)  # = 4
+#: 16 workers in 4 racks of 4, 4:1 oversubscribed.
+TOPO = ClusterConfig(num_workers=P, racks=4, oversubscription=4.0)
+L = TOPO.nodes_per_rack  # = 4
 CROSS_PEERS = (P - L) / (P - 1)  # 12 of 15 peers live outside the rack
 
 
 class TestCostByteSplit:
     def test_cross_peer_fraction(self):
-        assert TOPO.cross_peer_fraction(P) == pytest.approx(CROSS_PEERS)
-        assert TOPO.cross_peer_fraction(1) == 0.0
+        # The default uplink split charges each rack member's flat cost by
+        # the share of its peers outside the rack: of the N - 1 other
+        # nodes, dedicated server nodes included.
+        ps = get_backend("ps")
+
+        def share(cluster):
+            local = cluster.nodes_per_rack
+            return (ps.rack_uplink_params(M, N, cluster, K)
+                    / (local * ps.flat_cost(M, N, cluster, K)))
+
+        assert share(TOPO) == pytest.approx(CROSS_PEERS)
+        dedicated = ClusterConfig(num_workers=4, num_servers=4,
+                                  colocate_servers=False, racks=2,
+                                  oversubscription=4.0)
+        assert share(dedicated) == pytest.approx(4 / 7)
+        # A lone node has no peers and sends nothing across a rack.
+        assert ps.rack_uplink_params(M, N, ClusterConfig(num_workers=1),
+                                     K) == 0.0
 
     def test_ps_uplink_is_uniform_peer_split(self):
         backend = get_backend("ps")
         flat = ps_combined_cost(M, N, P, S)
-        uplink = backend.rack_uplink_params(M, N, P, S, K, TOPO)
+        uplink = backend.rack_uplink_params(M, N, TOPO, K)
         assert uplink == pytest.approx(L * flat * CROSS_PEERS)
-        assert backend.cost(M, N, P, S, K, topology=TOPO) == pytest.approx(
+        assert backend.cost(M, N, TOPO, K) == pytest.approx(
             max(flat, uplink * TOPO.oversubscription / L))
 
     def test_onebit_uplink_is_ps_over_compression(self):
         onebit = get_backend("onebit")
         ps = get_backend("ps")
-        assert onebit.rack_uplink_params(M, N, P, S, K, TOPO) == pytest.approx(
-            ps.rack_uplink_params(M, N, P, S, K, TOPO) / 32.0)
+        assert onebit.rack_uplink_params(M, N, TOPO, K) == pytest.approx(
+            ps.rack_uplink_params(M, N, TOPO, K) / 32.0)
 
     def test_sfb_uplink_counts_out_of_rack_peers(self):
         backend = get_backend("sfb")
         flat = sfb_worker_cost(M, N, K, P)
-        uplink = backend.rack_uplink_params(M, N, P, S, K, TOPO)
+        uplink = backend.rack_uplink_params(M, N, TOPO, K)
         # Every rack member broadcasts to (and hears from) the P - L peers
         # outside the rack: L * 2 K (P - L) (M + N) parameters.
         assert uplink == pytest.approx(L * 2.0 * K * (P - L) * (M + N))
@@ -210,29 +220,30 @@ class TestCostByteSplit:
 
     def test_adam_uplink_is_the_owner_racks(self):
         backend = get_backend("adam")
-        uplink = backend.rack_uplink_params(M, N, P, S, K, TOPO)
+        uplink = backend.rack_uplink_params(M, N, TOPO, K)
         # Out-of-rack workers send factors in, full matrices come back out.
         assert uplink == pytest.approx((P - L) * (M * N + K * (M + N)))
 
     def test_ring_uplink_is_one_node_volume(self):
         backend = get_backend("ring")
-        uplink = backend.rack_uplink_params(M, N, P, S, K, TOPO)
+        uplink = backend.rack_uplink_params(M, N, TOPO, K)
         # One boundary flow per direction per rack, whatever L is.
         assert uplink == pytest.approx(4.0 * M * N * (P - 1) / P)
         # So the topology cost only grows once oversubscription exceeds L.
-        flat = backend.cost(M, N, P, S, K)
-        assert backend.cost(M, N, P, S, K, topology=TOPO) == pytest.approx(
+        flat = backend.flat_cost(M, N, TOPO, K)
+        assert backend.cost(M, N, TOPO, K) == pytest.approx(
             flat * max(1.0, TOPO.oversubscription / L))
 
     def test_hierps_uplink_is_one_aggregate_per_rack(self):
         backend = get_backend("hierps")
-        uplink = backend.rack_uplink_params(M, N, P, S, K, TOPO)
+        uplink = backend.rack_uplink_params(M, N, TOPO, K)
         num_racks = math.ceil(P / L)
         assert uplink == pytest.approx(2.0 * M * N * (num_racks - 1))
 
     def test_adam_flat_cost_unchanged(self):
         backend = get_backend("adam")
-        assert backend.cost(M, N, P, S, K) == adam_combined_cost(M, N, K, P)
+        assert backend.cost(M, N, ClusterConfig(num_workers=P), K) == \
+            adam_combined_cost(M, N, K, P)
 
     def test_dedicated_server_racks_carry_a_premium(self):
         # Workers fill rack 0, dedicated PS shards rack 1: every PS byte
@@ -240,20 +251,15 @@ class TestCostByteSplit:
         cluster = ClusterConfig(num_workers=4, num_servers=4,
                                 colocate_servers=False, racks=2,
                                 oversubscription=8.0)
-        topology = NetworkTopology.from_cluster(cluster)
-        assert topology.cross_peer_fraction(4) > 0.0
         backend = get_backend("ps")
-        assert backend.cost(M, N, 4, 4, K, topology=topology) > \
-            backend.cost(M, N, 4, 4, K)
+        assert backend.cost(M, N, cluster, K) > \
+            backend.flat_cost(M, N, cluster, K)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_cost_monotone_in_oversubscription(self, scheme):
         backend = get_backend(scheme)
-        costs = [
-            backend.cost(M, N, P, S, K,
-                         topology=NetworkTopology(racks=4, oversubscription=o))
-            for o in (1.0, 2.0, 4.0, 8.0, 16.0)
-        ]
+        costs = [backend.cost(M, N, replace(TOPO, oversubscription=o), K)
+                 for o in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert costs == sorted(costs)
 
 
@@ -264,17 +270,17 @@ class TestCostByteSplit:
 
 class TestRackAwareHybridChoice:
     def test_flat_choice_is_unchanged_by_flat_topology(self):
-        flat_topo = NetworkTopology(racks=4, oversubscription=1.0)
+        one_rack = ClusterConfig(num_workers=P)
+        four_racks = replace(TOPO, oversubscription=1.0)
         for m, n in [(256, 256), (1024, 1000), (4096, 4096), (25088, 4096)]:
-            baseline = hybrid_choice(m, n, P, S, K)
-            assert hybrid_choice(m, n, P, S, K, topology=flat_topo) == baseline
-            assert hybrid_choice(m, n, P, S, K, topology=None) == baseline
+            assert hybrid_choice(m, n, four_racks, K) == \
+                hybrid_choice(m, n, one_rack, K)
 
     def test_small_fc_layer_shifts_to_ring(self):
         # VGG19's fc8 (4096 x 1000): SFB on the flat network, ring once
         # cross-rack bandwidth is 4:1 oversubscribed.
-        assert hybrid_choice(4096, 1000, P, S, K) == "sfb"
-        assert hybrid_choice(4096, 1000, P, S, K, topology=TOPO) == "ring"
+        assert hybrid_choice(4096, 1000, ClusterConfig(num_workers=P), K) == "sfb"
+        assert hybrid_choice(4096, 1000, TOPO, K) == "ring"
 
     def test_best_scheme_shifts_with_the_cluster(self):
         fc8 = LayerSpec(name="fc8", kind=LayerKind.FC, param_count=4096 * 1000,
@@ -292,9 +298,8 @@ class TestRackAwareHybridChoice:
 
     def test_decide_schemes_is_topology_aware(self, vgg19_spec):
         workload = build_workload(vgg19_spec)
-        flat = decide_schemes(workload, "hybrid", 16, 16)
-        racked = decide_schemes(workload, "hybrid", 16, 16,
-                                topology=TOPO)
+        flat = decide_schemes(workload, "hybrid", ClusterConfig(num_workers=16))
+        racked = decide_schemes(workload, "hybrid", TOPO)
         assert flat["fc8"] == "sfb"
         assert racked["fc8"] == "ring"
         assert flat["fc6"] is racked["fc6"] == "sfb"
