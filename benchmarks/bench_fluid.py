@@ -1,6 +1,6 @@
 """Micro-benchmarks of the fluid-mode analytic simulator.
 
-Three measurements bracket the fluid engine's cost:
+Five measurements bracket the fluid engine's cost:
 
 * ``test_fluid_point`` -- one closed-form evaluation of a 1000-node
   oversubscribed cluster (the aggregate tier: class clocks and one wire
@@ -19,6 +19,11 @@ Three measurements bracket the fluid engine's cost:
   one that still runs the every-node convoy: ~30-40 ms on plain-float
   clocks (the flat point read ~20 ms before it booked one node, ~59 ms
   when every booking went through ``np.maximum``);
+* ``test_fluid_detail_every_node`` -- the two detail points that book every
+  node: 64-node flat Adam (an owner fan: 64 fetches chained one heap hop
+  each per unit) and hierarchical PS (a tree of 16 rack groups per unit),
+  each from a new simulator, as ``engine="fluid"`` at 64 workers runs
+  them: the plan's lowering (once per simulator) and one pass;
 * ``test_plan_resolution_10k`` -- what every cold what-if query pays before
   its first pass: resolving the hierarchical-PS and PS plans of a new
   10k-node cluster.  Owners are placed by arithmetic and rack leaders named
@@ -86,6 +91,13 @@ def _detail_convoy(nodes: int):
             for system in SYSTEMS if system.name in ("SFB", "HybComm")]
 
 
+def _detail_every_node(nodes: int):
+    cluster = ClusterConfig(num_workers=nodes, bandwidth_gbps=40.0)
+    return [fluid.FluidSimulator(WORKLOAD, cluster, system,
+                                 mode="detail").iteration_seconds()
+            for system in SYSTEMS if system.comm in ("adam", "hierps")]
+
+
 def test_fluid_point(benchmark):
     """One 1000-node closed-form evaluation (aggregate tier)."""
     result = benchmark(_fluid_point, 1000)
@@ -97,6 +109,14 @@ def test_fluid_detail_convoy(benchmark):
     """64-node, 2-rack SFB and HybComm evaluations (detail tier, per-copy
     convoy on every node)."""
     seconds = benchmark(_detail_convoy, 64)
+    assert len(seconds) == 2 and all(type(t) is float for t in seconds)
+    benchmark.extra_info["nodes"] = 64
+
+
+def test_fluid_detail_every_node(benchmark):
+    """64-node flat Adam and hierarchical-PS evaluations (detail tier, every
+    node booked), lowering included."""
+    seconds = benchmark(_detail_every_node, 64)
     assert len(seconds) == 2 and all(type(t) is float for t in seconds)
     benchmark.extra_info["nodes"] = 64
 

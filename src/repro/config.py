@@ -15,7 +15,6 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional, Tuple
 
 from repro import units
@@ -77,6 +76,13 @@ TESLA_K80 = GpuModel(
     effective_flops=2.8 * units.TFLOPS,
     memory_bytes=12 * units.GB,
 )
+
+
+def _is_bool(value) -> bool:
+    """A bool, numpy's included (a non-number equal to True or False), so
+    NaN or 2.5 is not taken as true -- without importing numpy."""
+    return isinstance(value, bool) or (
+        not isinstance(value, numbers.Number) and value in (True, False))
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,9 @@ class ClusterConfig:
                 raise ConfigurationError(
                     f"{name} must be an integer >= 1, got {count!r}")
         for ok, name, rule in (
+                (isinstance(self.gpu, GpuModel), "gpu", "a GpuModel"),
+                (_is_bool(self.colocate_servers), "colocate_servers",
+                 "a bool"),
                 (0 < self.bandwidth_gbps < math.inf, "bandwidth_gbps",
                  "finite and positive"),
                 (0.0 < self.network_efficiency <= 1.0, "network_efficiency",
@@ -200,11 +209,12 @@ class ClusterConfig:
             return shard % self.num_workers
         return self.num_workers + shard
 
-    @cached_property
+    @property
     def server_nodes(self) -> Tuple[int, ...]:
         """:meth:`server_node` of every shard, for the code that walks
-        nodes: the DES, the fluid detail tier and fluid per-node traffic.
-        Cached on the cluster (10k entries at scale), so a what-if sweep,
+        nodes: the DES, the fluid detail tier and fluid per-node traffic,
+        each of which reads it once.  Built per read and never stored on
+        the frozen cluster (10k entries at scale), so a what-if sweep,
         which never asks, keeps none."""
         return tuple(map(self.server_node, range(self.num_servers)))
 
@@ -282,7 +292,7 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         # Counts are whole (numpy ints too); rates are finite, since a NaN
         # fails every comparison and would train silently to a NaN loss.
-        for name, low in (("batch_size", 1), ("iterations", 0)):
+        for name, low in (("batch_size", 1), ("iterations", 0), ("seed", 0)):
             count = getattr(self, name)
             if not isinstance(count, numbers.Integral) or count < low:
                 raise ConfigurationError(
@@ -401,6 +411,11 @@ class SystemConfig:
                  "checkpoint_interval_seconds must be finite and positive"),
                 (0 <= self.checkpoint_cost_seconds < math.inf,
                  "checkpoint_cost_seconds must be finite and >= 0"),
+                # The closed-form overhead factor describes a job that
+                # completes checkpoints between failures: C < M.
+                (mtbf is None or self.checkpoint_cost_seconds < mtbf,
+                 "checkpoint_cost_seconds must be below mtbf_seconds (a "
+                 "checkpoint must complete between failures)"),
                 (self.bucket_bytes is None or self.bucket_bytes >= 1
                  and float(self.bucket_bytes).is_integer(),
                  "bucket_bytes must be an integer >= 1"),

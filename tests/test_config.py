@@ -150,6 +150,23 @@ class TestClusterConfig:
                                 gpus_per_node=np.int64(1))
         assert cluster.nodes_per_rack == 4
 
+    @pytest.mark.parametrize("kwargs", [
+        {"gpu": math.nan},
+        {"colocate_servers": math.nan},
+        {"colocate_servers": 2.5},
+    ], ids=["gpu nan", "colocate nan", "colocate fractional"])
+    def test_non_model_gpu_or_non_bool_placement_fails_when_built(self,
+                                                                  kwargs):
+        """Not mid-run (the DES's ``AttributeError`` on a float GPU), and
+        not a NaN or 2.5 taken as true."""
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            ClusterConfig(num_workers=4, **kwargs)
+
+    def test_numpy_bool_placement_is_valid(self):
+        cluster = ClusterConfig(num_workers=4, num_servers=2,
+                                colocate_servers=np.bool_(False))
+        assert cluster.num_nodes == 6
+
     def test_nan_bandwidth_fails_in_a_sweep(self):
         """``sweep_axis`` builds each point with ``with_bandwidth``."""
         with pytest.raises(ConfigurationError):
@@ -182,14 +199,20 @@ class TestTrainingConfig:
         {"weight_decay": -0.1},
         {"iterations": 2.5},
         {"iterations": math.nan},
+        {"seed": math.nan},
+        {"seed": math.inf},
+        {"seed": -math.inf},
+        {"seed": -1},
+        {"seed": 2.5},
     ])
     def test_invalid_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             TrainingConfig(**kwargs)
 
     def test_numpy_integer_counts_are_valid(self):
-        config = TrainingConfig(batch_size=np.int64(8), iterations=np.int32(3))
-        assert (config.batch_size, config.iterations) == (8, 3)
+        config = TrainingConfig(batch_size=np.int64(8), iterations=np.int32(3),
+                                seed=np.int64(7))
+        assert (config.batch_size, config.iterations, config.seed) == (8, 3, 7)
 
 
 WFBP, SEQUENTIAL = ScheduleMode.WFBP, ScheduleMode.SEQUENTIAL
@@ -271,6 +294,14 @@ class TestSystemConfig:
         pytest.param(lambda: replace(POSEIDON_CAFFE,
                                      host_copy_bandwidth_bps=math.inf),
                      id="infinite-host-copy-bandwidth"),
+        # A checkpoint that outlasts the MTBF used to build, priced by the
+        # overhead factor at 24.57x: a job that never completes one.
+        pytest.param(lambda: POSEIDON_CAFFE.with_faults(
+            mtbf_seconds=3600.0, checkpoint_cost_seconds=1e6),
+                     id="checkpoint-cost-above-mtbf"),
+        pytest.param(lambda: POSEIDON_CAFFE.with_faults(
+            mtbf_seconds=3600.0, checkpoint_cost_seconds=3600.0),
+                     id="checkpoint-cost-at-mtbf"),
         pytest.param(lambda: replace(POSEIDON_CAFFE, compressor="topk("),
                      id="malformed-compressor"),
         pytest.param(lambda: replace(POSEIDON_CAFFE, compressor="topk(0.01)"),
@@ -286,3 +317,23 @@ class TestSystemConfig:
         on them, disagreed, or one of them ran them silently."""
         with pytest.raises(ConfigurationError):
             build()
+
+    @pytest.mark.parametrize("engine", ["des", "fluid"])
+    def test_checkpoint_outlasting_the_mtbf_builds_no_simulator(self, engine):
+        """Both engines apply the overhead factor; neither is handed a
+        system whose checkpoint never completes between failures."""
+        from repro.simulation.fluid import FluidSimulator
+        from repro.simulation.throughput import IterationSimulator
+        from repro.simulation.workload import build_workload
+
+        simulator = {"des": IterationSimulator,
+                     "fluid": FluidSimulator}[engine]
+        cluster = ClusterConfig(num_workers=4)
+        workload = build_workload(get_model_spec("alexnet"), gpu=cluster.gpu)
+        with pytest.raises(ConfigurationError, match="checkpoint_cost"):
+            simulator(workload, cluster, POSEIDON_CAFFE.with_faults(
+                mtbf_seconds=3600.0, checkpoint_cost_seconds=1e6))
+        below = POSEIDON_CAFFE.with_faults(mtbf_seconds=3600.0,
+                                           checkpoint_cost_seconds=5.0)
+        assert math.isfinite(simulator(workload, cluster, below).run()
+                             .iteration_seconds)

@@ -816,6 +816,49 @@ def fluid_trace_points():
                lambda system=system: [float(t) for t in sweep_axis(
                    VGG, system, big, TRACE_SWEEP_GBPS, workload=workload)])
     yield from rack_class_trace_points(workload, backends)
+    yield from every_node_trace_points(workload, backends, big)
+
+
+def every_node_trace_points(workload, backends, big):
+    """The points that book every node or every owner hop, under each gate.
+
+    Adam and hierarchical PS (owner fans and leader trees, never
+    node-symmetric) at the detail tier's ceiling and on the 10k-node sweep,
+    under the sequential schedule and without pull overlap; hierarchical PS
+    beside a background job on the detail tier; and every backend on
+    dedicated server nodes on the detail tier (its shard list).
+    """
+    def point(system, config, mode, jobs=0):
+        return lambda: [float(FluidSimulator(
+            workload, config, system, mode=mode,
+            background_jobs=jobs).iteration_seconds())]
+
+    ceiling = ClusterConfig(num_workers=DETAIL_NODE_MAX, bandwidth_gbps=10.0,
+                            racks=8, oversubscription=4.0)
+    racked = ClusterConfig(num_workers=64, bandwidth_gbps=10.0, racks=4,
+                           oversubscription=4.0)
+    dedicated = ClusterConfig(num_workers=32, num_servers=8,
+                              colocate_servers=False, bandwidth_gbps=10.0,
+                              racks=2, oversubscription=2.0)
+    for system in backends:
+        if system.comm in ("adam", "hierps"):
+            for label, variant in (
+                    ("sequential",
+                     replace(system, schedule=ScheduleMode.SEQUENTIAL)),
+                    ("no-overlap-pull", replace(system, overlap_pull=False))):
+                yield (f"{system.name}|{label}|128n/8r/4|detail",
+                       point(variant, ceiling, "detail"))
+                yield (f"{system.name}|{label}|10000n/250r/4|sweep_axis",
+                       lambda variant=variant: [float(t) for t in sweep_axis(
+                           VGG, variant, big, TRACE_SWEEP_GBPS,
+                           workload=workload)])
+        if system.comm == "hierps":
+            yield (f"{system.name}|64n/4r/4|detail|jobs=1",
+                   point(system, racked, "detail", jobs=1))
+            yield (f"{system.name}|128n/8r/4|detail|jobs=1",
+                   point(system, ceiling, "detail", jobs=1))
+        yield (f"{system.name}|32+8s/2r/2|detail",
+               point(system, dedicated, "detail"))
 
 
 def rack_class_trace_points(workload, backends):
@@ -873,8 +916,8 @@ def rack_class_trace_points(workload, backends):
 
 
 def refused_trace_points():
-    """``(key, system, cluster)`` of the ``ssp(2)+faults`` points recorded
-    before the plan refused SSP on a BSP-only scheme."""
+    """``(key, system, cluster)`` of the ``ssp(2)+faults`` points the plan
+    refuses (SSP on a BSP-only scheme): the trace holds no value for them."""
     cluster = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0, racks=25,
                             oversubscription=4.0)
     for system in backend_systems():
@@ -892,11 +935,7 @@ class TestRecordedFluidTrace:
             return json.load(fh)["points"]
 
     def test_trace_covers_every_point(self, trace):
-        # Keys recorded before the plan refused a point are not read; the
-        # next re-record drops them.
-        refused = {key for key, *_ in refused_trace_points()}
-        assert sorted(set(trace) - refused) == sorted(
-            k for k, _ in fluid_trace_points())
+        assert sorted(trace) == sorted(k for k, _ in fluid_trace_points())
 
     @pytest.mark.parametrize("key,system,config", list(refused_trace_points()),
                              ids=[k for k, *_ in refused_trace_points()])
@@ -935,7 +974,11 @@ if __name__ == "__main__":  # re-record: make fluid-trace
                      "became exact per axis element; the rack-class keys "
                      "(ragged, dedicated-server, spread-owner, jobs=2, "
                      "ssp+faults, nanogpt-12l sweeps) recorded before the "
-                     "aggregate tier became scalar"),
+                     "aggregate tier became scalar; the every-node keys "
+                     "(Adam / hierarchical PS gates at 128 nodes and on "
+                     "the 10k sweep, hierarchical PS beside a job on the "
+                     "detail tier, dedicated servers on the detail tier) "
+                     "recorded before both tiers lowered a plan once"),
             "points": points,
         }, fh, indent=1)
         fh.write("\n")

@@ -386,6 +386,33 @@ class TestBackendDeclaresItsPayloadOnce:
             assert analytic.iteration_seconds == pytest.approx(
                 des.iteration_seconds, rel=0.5), mode
 
+    @pytest.mark.parametrize("mode", ["detail", "aggregate"])
+    def test_gated_first_phase_enters_through_the_gate(
+            self, swap_adam_backend, mode):
+        """No shipped backend gates a unit's first phase; a schedule that
+        does enters it through the gate.  Without pull overlap the gate
+        opens at backward-done, so under WFBP the gated schedule books what
+        the ungated one does under the sequential schedule (every unit
+        ready at backward-done) -- on an all-FC model, whose every unit
+        takes the declared schedule."""
+        cluster = ClusterConfig(num_workers=8, racks=2, oversubscription=2.0)
+        workload = build_workload(mlp_spec(1024, (1024, 1024), 10),
+                                  gpu=cluster.gpu)
+
+        def seconds(gated, schedule):
+            swap_adam_backend(_declares(
+                Phase(PhaseKind.FAN_IN, Peers.WORKERS, Peers.OWNER, 4e6,
+                      gated=gated),
+                Phase(PhaseKind.FAN_OUT, Peers.OWNER, Peers.WORKERS, 8e6,
+                      gated=True)))
+            system = replace(self.SYSTEM, schedule=schedule,
+                             overlap_pull=False)
+            return FluidSimulator(workload, cluster, system,
+                                  mode=mode).iteration_seconds()
+
+        assert (seconds(True, ScheduleMode.WFBP)
+                == seconds(False, ScheduleMode.SEQUENTIAL))
+
     @pytest.mark.parametrize("phases,problem", [
         ((), "declares no phases"),
         ((Phase("teleport", Peers.WORKERS, Peers.OWNER, 1.0),),
