@@ -5,6 +5,7 @@ comma := ,
 
 .PHONY: test slowest bench bench-update bench-full bench-smoke sweep-quick \
 	determinism examples-smoke docs-check reports-diff fluid-trace loc sim-points \
+	equiv \
 	trainer-mem
 
 ## tier-1 test suite
@@ -156,3 +157,11 @@ bench-update:
 bench-full:
 	$(PYTEST) benchmarks/ --benchmark-only -q \
 		-o python_files='test_*.py bench_*.py'
+
+## the DES oracle: one digest per point of tests/equiv_points.py (results,
+## per-tag accounts, GPU busy times, events; a refusal's type and layer) on
+## REF -- a revision, unpacked with git archive, or a directory -- and on
+## this tree; prints "k of n moved" and the first moved points
+equiv:
+	@test -n "$(REF)" || { echo "usage: make equiv REF=<rev|dir>"; exit 2; }
+	PYTHONPATH=src python tools/equiv.py --ref "$(REF)"
