@@ -39,7 +39,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from repro import units
 from repro.config import ClusterConfig
 from repro.exceptions import SimulationError
-from repro.sim import Environment, Event, TailChannel
+from repro.sim import Environment, Event, Process, TailChannel
 from repro.cluster.traffic import TrafficAccount
 
 #: Node id used to address the switching fabric pseudo-endpoint.
@@ -150,6 +150,389 @@ class Machine:
         return self.gpus[0]
 
 
+#: Stages of a flow record: waiting for its grant, for the start of its
+#: transmission, for a busy receiver's release, or for its own finish.
+_GRANT, _START, _QUEUED, _DONE = range(4)
+
+
+class _Flow(Event):
+    """A flow in flight, and the event that completes it.
+
+    A flow record is the waiter (``flow(ok, value)``) of the channel event
+    it waits on; resumed, it takes its next stage (:meth:`_step`) until it
+    must wait again.  When its last hold has finished it records its bytes
+    and settles: its own waiter runs inside that dispatch, where a
+    generator caller's ``yield from`` resumed, without a queue entry.
+    """
+
+    __slots__ = ("stage", "sent", "received", "nbytes", "tag")
+
+    def __init__(self, env: Environment, sent: Optional[TrafficAccount],
+                 received: Optional[TrafficAccount], nbytes: float, tag: str):
+        # Inlined Event.__init__: one of these per flow.
+        self.env = env
+        self._waiter = None
+        self._waiters = None
+        self.value = None
+        self.ok = None
+        self.triggered = False
+        self.processed = False
+        self.stage = _GRANT
+        self.sent = sent
+        self.received = received
+        self.nbytes = nbytes
+        self.tag = tag
+
+    def _step(self) -> None:
+        raise NotImplementedError
+
+    def __call__(self, ok, value) -> None:
+        if self.stage != _DONE:
+            self._step()
+            return
+        # Finished: TrafficAccount.record_sent / record_received, inline.
+        tag, nbytes = self.tag, self.nbytes
+        account = self.sent
+        if account is not None:
+            account.bytes_sent += nbytes
+            by_tag = account.by_tag_sent
+            by_tag[tag] = by_tag.get(tag, 0.0) + nbytes
+        account = self.received
+        if account is not None:
+            account.bytes_received += nbytes
+            by_tag = account.by_tag_received
+            by_tag[tag] = by_tag.get(tag, 0.0) + nbytes
+        waiter = self._waiter
+        if (waiter is not None and self._waiters is None
+                and waiter.__class__ is not Process):
+            # Event._settle for the one record waiting, inline.
+            self.triggered = self.processed = True
+            self.ok = True
+            self._waiter = None
+            waiter(True, None)
+        else:
+            self._settle()
+
+
+#: Allocator of the two flow records :meth:`ClusterModel.transfer` fills in
+#: itself (``_Flow.__init__``, inline: one per flow).
+_new_flow = object.__new__
+
+
+class _ChannelFlow(_Flow):
+    """A fabric flow: one channel, booked at once or queued behind the
+    channel's open hold, whose release entry is then its own wake-up."""
+
+    __slots__ = ("channel", "duration", "mine")
+
+    def _step(self) -> None:  # granted
+        finish = self.env._now + self.duration
+        self.channel.release(self.mine, finish)
+        self.stage = _DONE
+        self.mine.add_waiter(self)
+
+
+class _PointFlow(_Flow):
+    """A point-to-point flow: an open uplink hold waits for its grant, then
+    books the receiver -- idle, busy (wait for the start of transmission)
+    or queued behind an open hold (wait for its release).  Each stage is
+    one :meth:`_step` of the transfer generator it replaced, in order."""
+
+    __slots__ = ("up", "down", "duration", "up_release", "down_release",
+                 "finish")
+
+    def _step(self) -> None:
+        env = self.env
+        up, down = self.up, self.down
+        stage = self.stage
+        if stage == _GRANT:
+            # Phase 2: the downlink, requested at the uplink grant.  The
+            # uplink is released (``succeed_at`` with a sequence tick) at
+            # the moment the copy starts transmitting -- the moment the
+            # resource-based model created the transmit timeout -- so
+            # same-instant uplink releases across channels dispatch in the
+            # seed's order.
+            previous = down._release
+            if previous is not None and not previous.triggered:
+                self.down_release = down._release = Event(env)
+                if self.up_release is None:
+                    # The uplink hold stays open while we queue at the
+                    # receiver.
+                    self.up_release = up._release = Event(env)
+                self.stage = _QUEUED
+                previous.add_waiter(self)
+                return
+            now = env._now
+            start = down.tail
+            if start > now:
+                # Receiver busy but resolved: take the FIFO spot now, hold
+                # the uplink open, and release it once transmission starts.
+                self.finish = finish = start + self.duration
+                down.tail = finish
+                if self.up_release is None:
+                    self.up_release = up._release = Event(env)
+                self.stage = _START
+                env.timeout_at(start)._waiter = self
+                return
+            # Receiver idle: the whole hold is analytic from here.
+            finish = now + self.duration
+            down.tail = finish
+            up.tail = finish
+            self.stage = _DONE
+            release = self.up_release
+            if release is None:
+                wake = env.timeout_at(finish)
+                up._entry, up._entry_tail = wake, finish  # note_entry
+                wake._waiter = self
+                return
+            wake = release
+        elif stage == _START:  # transmission starts
+            finish = self.finish
+            wake = release = self.up_release
+        else:  # _QUEUED: the receiver just freed up
+            finish = env._now + self.duration
+            wake = self.down_release
+            down.release(wake, finish)
+            release = self.up_release
+        up.tail = finish
+        release.succeed_at(finish)
+        up.note_entry(release, finish)
+        self.stage = _DONE
+        wake.add_waiter(self)
+
+
+class _HoldPath(_Flow):
+    """A flow that holds a chain of channels FIFO (cross-rack, or a fabric
+    flow through an oversubscribed rack); it finishes at the last release.
+
+    ``plan`` is a sequence of ``(channel, hold_seconds)`` pairs.  The
+    channels are acquired in order, with earlier channels staying held
+    while the flow queues for later ones (head-of-line blocking, the same
+    protocol point-to-point flows use at their two NICs).  Once the final
+    channel is granted every hold starts, and each channel frees after its
+    own ``hold_seconds`` -- a NIC holds for the flow's bottleneck
+    serialisation time, a rack switch only for the flow's share of the
+    aggregate pipe.  ``records`` are the ``(account, sent, nbytes)`` it
+    books on completion.
+
+    Deadlock safety: every caller must list channels in the global
+    acquisition order ``NIC uplink < rack uplink < rack downlink < NIC
+    downlink`` (the sender side climbs the tree, the receiver side
+    descends it).  Hold-and-wait cycles are impossible as long as all
+    holders respect that order.
+    """
+
+    __slots__ = ("plan", "records", "releases")
+
+    def __init__(self, env, plan, records, tag):
+        super().__init__(env, None, None, 0.0, tag)
+        self.plan = plan
+        self.records = records
+        self.releases: List[Event] = []
+
+    def _start(self) -> "_HoldPath":
+        self._acquire()
+        return self
+
+    def _acquire(self) -> None:
+        plan, releases = self.plan, self.releases
+        while len(releases) < len(plan):
+            release, grant = plan[len(releases)][0].request()
+            releases.append(release)
+            if grant is not None:
+                grant.add_waiter(self)
+                return
+        env = self.env
+        start = finish = env._now
+        for (channel, hold_seconds), release in zip(plan, releases):
+            channel_finish = start + hold_seconds
+            channel.release(release, channel_finish)
+            if channel_finish > finish:
+                finish = channel_finish
+        self.stage = _DONE
+        env.timeout_at(finish)._waiter = self
+
+    def __call__(self, ok, value) -> None:
+        if self.stage != _DONE:
+            self._acquire()
+            return
+        tag = self.tag
+        for account, sent, nbytes in self.records:
+            (account.record_sent if sent
+             else account.record_received)(nbytes, tag)
+        self._settle()
+
+
+class _Broadcast(_Flow):
+    """A broadcast batch: the sender's uplink held across its copies.
+
+    The batch replicates the hop structure of the per-destination processes
+    it replaced, so same-instant interleaving with other flows is
+    unchanged: a copy requested its receiver's downlink one queue hop after
+    its uplink grant (the grant-event dispatch), and the first copy of an
+    uncontended batch also consumed its process-bootstrap hop -- two
+    zero-delay hops after an immediate grant, one after a waited one.  A
+    copy is then one queue entry (two behind an open receiver hold) and the
+    float operations that book it: its hold is ``bits / bandwidth +
+    latency`` of the two NICs, as in :meth:`ClusterModel.transfer`.
+    """
+
+    __slots__ = ("cluster", "src", "src_nic", "destinations", "hold",
+                 "proxy", "up_release", "hops", "copy", "down_release",
+                 "copy_nic")
+
+    def __init__(self, cluster, src, src_nic, destinations, nbytes, hold,
+                 tag, proxy):
+        super().__init__(cluster.env, src_nic.traffic, None, nbytes, tag)
+        self.cluster = cluster
+        self.src = src
+        self.src_nic = src_nic
+        self.destinations = destinations
+        self.hold = hold
+        self.proxy = proxy
+        self.copy = 0
+
+    def _start(self) -> "_Broadcast":
+        release, grant = self.src_nic.uplink.request()
+        self.up_release = release
+        self.stage = _START
+        self.hops = 1  # zero-delay hops still to take once this wait is over
+        if grant is None:
+            self.env.timeout(0.0)._waiter = self
+        else:
+            grant.add_waiter(self)
+        return self
+
+    def __call__(self, ok, value) -> None:
+        stage = self.stage
+        if stage == _START:  # granted, or one hop on
+            if self.hops:
+                self.hops -= 1
+                self.env.timeout(0.0)._waiter = self
+                return
+        elif stage == _QUEUED:  # the receiver just freed up
+            release = self.down_release
+            self.copy_nic.downlink.release(release,
+                                           self.env._now + self.hold)
+            self.stage = _DONE
+            release.add_waiter(self)
+            return
+        elif stage == _DONE:
+            # TrafficAccount.record_sent / record_received, inline.
+            tag, nbytes = self.tag, self.nbytes
+            sent = self.sent
+            sent.bytes_sent += nbytes
+            by_tag = sent.by_tag_sent
+            by_tag[tag] = by_tag.get(tag, 0.0) + nbytes
+            received = self.copy_nic.traffic
+            received.bytes_received += nbytes
+            by_tag = received.by_tag_received
+            by_tag[tag] = by_tag.get(tag, 0.0) + nbytes
+            self.copy += 1
+        else:  # a cross-rack copy recorded its own bytes
+            self.copy += 1
+        # The next copy, or the end of the batch.
+        destinations = self.destinations
+        if self.copy == len(destinations):
+            self.src_nic.uplink.release(self.up_release)
+            self._settle()
+            return
+        cluster, env = self.cluster, self.env
+        dst = destinations[self.copy]
+        src_nic = self.src_nic
+        self.copy_nic = dst_nic = src_nic if self.proxy else cluster._nics[dst]
+        if (cluster.topology_active
+                and cluster._rack_by_node[self.src] != cluster._rack_by_node[dst]):
+            # Cross-rack copy: serialise through both rack switches (while
+            # this batch keeps holding the uplink).
+            self.stage = _GRANT
+            cluster._cross_rack_transfer(
+                self.src, dst, src_nic, dst_nic, self.nbytes, self.tag,
+                uplink_held=True)._start().add_waiter(self)
+            return
+        down = dst_nic.downlink
+        previous = down._release
+        if previous is None or previous.triggered:
+            # TailChannel.book, inline: start at max(now, tail).
+            start = down.tail
+            now = env._now
+            finish = (start if start > now else now) + self.hold
+            down.tail = finish
+            self.stage = _DONE
+            env.timeout_at(finish)._waiter = self
+        else:
+            self.down_release = down._release = Event(env)
+            self.stage = _QUEUED
+            previous.add_waiter(self)
+
+
+class _FabricFan:
+    """The booking thunk of a fabric fan (:meth:`ClusterModel._fabric_fan`).
+
+    Each node's NIC channel and, off a flat network, its rack switch's
+    channel (which carries the cross-rack share of the bytes) is booked
+    analytically when resolved, or chained behind its open hold; ``done``
+    fires (``succeed_at``) at the latest finish once no hold is waiting.
+    """
+
+    __slots__ = ("cluster", "node_ids", "nbytes", "hold", "tag", "outbound",
+                 "done", "pending", "latest")
+
+    def __init__(self, cluster, node_ids, nbytes, hold, tag, outbound):
+        self.cluster = cluster
+        self.node_ids = node_ids
+        self.nbytes = nbytes
+        self.hold = hold
+        self.tag = tag
+        self.outbound = outbound
+        self.done = Event(cluster.env)
+        self.pending = 0  # holds still waiting for their channel
+        self.latest = cluster.env._now
+
+    def __call__(self) -> None:
+        cluster, nbytes, outbound = self.cluster, self.nbytes, self.outbound
+        for node in self.node_ids:
+            nic = cluster._nic(node)
+            self._book(nic.uplink if outbound else nic.downlink, self.hold,
+                       nic.traffic, nbytes)
+            cross_bytes = nbytes * cluster.fabric_cross_fraction(node)
+            if cross_bytes > 0.0:
+                switch = cluster.rack_switch(node)
+                self._book(switch.uplink if outbound else switch.downlink,
+                           switch.wire_time(cross_bytes), switch.traffic,
+                           cross_bytes)
+        if self.pending == 0:
+            self.done.succeed_at(self.latest)
+
+    def _book(self, channel: TailChannel, duration: float,
+              traffic: TrafficAccount, nbytes: float) -> None:
+        previous = channel._release
+        if previous is None or previous.triggered:
+            # TailChannel.book, inline: start at max(now, tail).
+            start = channel.tail
+            now = self.cluster.env._now
+            finish = (start if start > now else now) + duration
+            channel.tail = finish
+            if finish > self.latest:
+                self.latest = finish
+        else:
+            mine = channel._release = Event(channel.env)
+            self.pending += 1
+
+            def on_grant(ok, value) -> None:
+                finish = channel.env._now + duration
+                channel.release(mine, finish)
+                if finish > self.latest:
+                    self.latest = finish
+                self.pending -= 1
+                if self.pending == 0:
+                    self.done.succeed_at(self.latest)
+
+            previous.add_waiter(on_grant)
+        (traffic.record_sent if self.outbound
+         else traffic.record_received)(nbytes, self.tag)
+
+
 class ClusterModel:
     """The simulated cluster: machines plus flow-level transfer primitives."""
 
@@ -164,6 +547,12 @@ class ClusterModel:
         #: topology (single rack or full bisection) takes the historical
         #: code paths untouched -- byte-identical event graphs.
         self.topology_active = not config.is_flat_topology
+        #: Per-node NICs, and the one NIC rate and latency of the cluster.
+        self._nics = [self.machines[node].nic for node in range(num_nodes)]
+        self._bandwidth = float(config.effective_bandwidth_bps)
+        self._latency = float(config.latency_seconds)
+        #: One message's NIC hold by message size (:meth:`_hold`).
+        self._holds: Dict[float, float] = {}
         self.rack_switches: List[RackSwitch] = []
         self._rack_by_node: List[int] = []
         self._cross_fraction_by_node: List[float] = []
@@ -217,44 +606,31 @@ class ClusterModel:
             raise SimulationError(f"unknown node id {node_id}") from exc
 
     # -- flows ---------------------------------------------------------------------
-    def _hold_path(self, plan) -> Generator:
-        """Process: hold a chain of channels FIFO; finish at the last release.
+    # A flow is a booking: it claims its channels at call time and returns
+    # the event that completes it (a flow record), or ``None`` when it
+    # completed inline (a local copy, zero bytes).  Every queue entry the
+    # flow needs is pushed at the point, and in the order, that the
+    # generator process it replaced pushed it.
+    def _hold(self, nbytes: float) -> float:
+        """One message's NIC hold, ``bits / bandwidth + latency``, computed
+        once per size: every NIC of the cluster has the same rate."""
+        hold = self._holds[nbytes] = (units.bytes_to_bits(nbytes)
+                                      / self._bandwidth + self._latency)
+        return hold
 
-        ``plan`` is a sequence of ``(channel, hold_seconds)`` pairs.  The
-        channels are acquired in order, with earlier channels staying held
-        while the flow queues for later ones (head-of-line blocking, the
-        same protocol point-to-point flows use at their two NICs).  Once
-        the final channel is granted every hold starts, and each channel
-        frees after its own ``hold_seconds`` -- a NIC holds for the flow's
-        bottleneck serialisation time, a rack switch only for the flow's
-        share of the aggregate pipe.
-
-        Deadlock safety: every caller must list channels in the global
-        acquisition order ``NIC uplink < rack uplink < rack downlink <
-        NIC downlink`` (the sender side climbs the tree, the receiver side
-        descends it).  Hold-and-wait cycles are impossible as long as all
-        holders respect that order.
-        """
-        env = self.env
-        releases = []
-        for channel, _ in plan:
-            release = yield from channel.request()
-            releases.append(release)
-        start = env._now
-        finish = start
-        for (channel, hold_seconds), release in zip(plan, releases):
-            channel_finish = start + hold_seconds
-            channel.release(release, channel_finish)
-            if channel_finish > finish:
-                finish = channel_finish
-        yield env.timeout_at(finish)
+    def _nic(self, node: int) -> NetworkInterface:
+        """A real node's NIC (:meth:`machine`'s errors for any other id)."""
+        if 0 <= node < len(self._nics):
+            return self._nics[node]
+        return self.machine(node).nic
 
     def _cross_rack_transfer(self, src: int, dst: int,
                              src_nic: NetworkInterface,
                              dst_nic: NetworkInterface,
                              nbytes: float, tag: str,
-                             uplink_held: bool = False, repeat: int = 1) -> Generator:
-        """Process: a point-to-point flow whose endpoints sit in different racks.
+                             uplink_held: bool = False,
+                             repeat: int = 1) -> "_HoldPath":
+        """A point-to-point flow whose endpoints sit in different racks.
 
         In addition to the two NICs, the flow serialises its bytes through
         the source rack's aggregate uplink and the destination rack's
@@ -278,17 +654,16 @@ class ClusterModel:
         )
         if not uplink_held:
             plan = ((src_nic.uplink, flow_seconds),) + plan
-        yield from self._hold_path(plan)
         total = repeat * nbytes
-        src_nic.traffic.record_sent(total, tag)
-        src_switch.traffic.record_sent(total, tag)
-        dst_switch.traffic.record_received(total, tag)
-        dst_nic.traffic.record_received(total, tag)
+        return _HoldPath(self.env, plan, (
+            (src_nic.traffic, True, total), (src_switch.traffic, True, total),
+            (dst_switch.traffic, False, total), (dst_nic.traffic, False, total)),
+            tag)
 
     def _rack_fabric_flow(self, node: int, nic: NetworkInterface,
                           outbound: bool, nbytes: float, cross_bytes: float,
-                          tag: str) -> Generator:
-        """Process: a fabric flow of a node in an oversubscribed rack.
+                          tag: str) -> "_HoldPath":
+        """A fabric flow of a node in an oversubscribed rack.
 
         The node's NIC carries the full payload; the rack switch carries
         only the cross-rack share (``cross_bytes``), since fabric traffic
@@ -302,24 +677,22 @@ class ClusterModel:
             plan = ((nic.uplink, nic_seconds), (switch.uplink, rack_seconds))
         else:  # descend it: rack downlink before NIC downlink
             plan = ((switch.downlink, rack_seconds), (nic.downlink, nic_seconds))
-        yield from self._hold_path(plan)
-        if outbound:
-            nic.traffic.record_sent(nbytes, tag)
-            switch.traffic.record_sent(cross_bytes, tag)
-        else:
-            nic.traffic.record_received(nbytes, tag)
-            switch.traffic.record_received(cross_bytes, tag)
+        return _HoldPath(self.env, plan, (
+            (nic.traffic, outbound, nbytes),
+            (switch.traffic, outbound, cross_bytes)), tag)
 
     def transfer(self, src: int, dst: int, nbytes: float, tag: str = "untagged",
-                 repeat: int = 1) -> Generator:
-        """Process: move ``nbytes`` from ``src`` to ``dst``, ``repeat`` times.
+                 repeat: int = 1) -> Optional[Event]:
+        """Book ``nbytes`` from ``src`` to ``dst``, ``repeat`` times; returns
+        the flow's completion event, or ``None`` when it completed inline.
 
         Either endpoint may be :data:`FABRIC`, in which case only the other
         endpoint's NIC is occupied.  A transfer between a node and itself is
         local and takes no network time (the colocated-PS-shard fast path).
         ``repeat`` messages between two nodes go back to back as one flow:
         every channel on the path holds ``repeat`` times its one-message
-        time (latency included) and the accounts record ``repeat * nbytes``.
+        time (latency included) and the accounts record ``repeat * nbytes``
+        when the flow completes.
 
         The flow claims the sender's uplink at call time (FIFO) and the
         receiver's downlink at the moment the uplink is granted -- the same
@@ -334,139 +707,102 @@ class ClusterModel:
         """
         if not nbytes >= 0 or repeat < 1:
             raise SimulationError(f"negative size or repeat < 1: {nbytes} x {repeat}")
-        if FABRIC in (src, dst) and (src == dst or repeat > 1):
+        if (src == FABRIC or dst == FABRIC) and (src == dst or repeat > 1):
             raise SimulationError("transfer needs one real endpoint, two to repeat")
         if src == dst or nbytes == 0:
-            return
+            return None
         env = self.env
-        bits = units.bytes_to_bits(nbytes)
+        hold = self._holds.get(nbytes)
+        if hold is None:
+            hold = self._hold(nbytes)
 
         if src == FABRIC or dst == FABRIC:
             outbound = dst == FABRIC
             node = src if outbound else dst
-            nic = self.machine(node).nic
+            nics = self._nics
+            nic = nics[node] if 0 <= node < len(nics) else self.machine(node).nic
             if self.topology_active:
                 cross_bytes = nbytes * self._cross_fraction_by_node[node]
                 if cross_bytes > 0.0:
-                    yield from self._rack_fabric_flow(
-                        node, nic, outbound, nbytes, cross_bytes, tag)
-                    return
+                    return self._rack_fabric_flow(
+                        node, nic, outbound, nbytes, cross_bytes, tag)._start()
             # Fabric flow: a single channel, so the whole hold is one
             # analytic booking (or a chained wait behind an open hold).
-            duration = bits / nic.bandwidth_bps + nic.latency_seconds
             channel = nic.uplink if outbound else nic.downlink
+            flow = _new_flow(_ChannelFlow)
+            flow.env = env
+            flow._waiter = flow._waiters = flow.value = flow.ok = None
+            flow.triggered = flow.processed = False
+            if outbound:
+                flow.sent, flow.received = nic.traffic, None
+            else:
+                flow.sent, flow.received = None, nic.traffic
+            flow.nbytes, flow.tag = nbytes, tag
             release = channel._release
             if release is None or release.triggered:
-                finish = channel.book(duration)
+                # TailChannel.book and note_entry, inline.
+                start = channel.tail
+                now = env._now
+                finish = (start if start > now else now) + hold
+                channel.tail = finish
                 wake = env.timeout_at(finish)
-                channel.note_entry(wake, finish)
-                yield wake
+                channel._entry, channel._entry_tail = wake, finish
+                wake._waiter = flow
+                flow.stage = _DONE
             else:
-                mine = Event(env)
-                channel._release = mine
-                yield release  # granted exactly when the holder frees up
-                finish = env._now + duration
-                channel.release(mine, finish)
-                yield mine  # the release entry doubles as our own wake-up
-            if outbound:
-                nic.traffic.record_sent(nbytes, tag)
-            else:
-                nic.traffic.record_received(nbytes, tag)
-            return
+                flow.stage = _GRANT
+                flow.channel, flow.duration = channel, hold
+                flow.mine = channel._release = Event(env)
+                release.add_waiter(flow)  # granted when the holder frees up
+            return flow
 
-        src_nic = self.machine(src).nic
-        dst_nic = self.machine(dst).nic
+        nics = self._nics
+        src_nic = nics[src] if 0 <= src < len(nics) else self.machine(src).nic
+        dst_nic = nics[dst] if 0 <= dst < len(nics) else self.machine(dst).nic
         if (self.topology_active
                 and self._rack_by_node[src] != self._rack_by_node[dst]):
-            yield from self._cross_rack_transfer(
-                src, dst, src_nic, dst_nic, nbytes, tag, repeat=repeat)
-            return
-        duration = repeat * (
-            bits / min(src_nic.bandwidth_bps, dst_nic.bandwidth_bps)
-            + max(src_nic.latency_seconds, dst_nic.latency_seconds))
+            return self._cross_rack_transfer(
+                src, dst, src_nic, dst_nic, nbytes, tag, repeat=repeat)._start()
         up = src_nic.uplink
-        down = dst_nic.downlink
+        flow = _new_flow(_PointFlow)
+        flow.env = env
+        flow._waiter = flow._waiters = flow.value = flow.ok = None
+        flow.triggered = flow.processed = False
+        flow.stage = _GRANT
+        flow.sent, flow.received = src_nic.traffic, dst_nic.traffic
+        flow.nbytes, flow.tag = repeat * nbytes, tag
+        flow.up, flow.down = up, dst_nic.downlink
+        flow.duration = hold if repeat == 1 else repeat * hold
         # Phase 1: the uplink, claimed at call time.
-        up_release: Optional[Event] = None
         previous = up._release
         if previous is not None and not previous.triggered:
-            up_release = Event(env)
-            up._release = up_release
-            yield previous
-        else:
-            now = env._now
-            if up.tail > now:
-                # Busy but resolved: keep the hold open and wake at the
-                # grant, which is when the downlink gets requested.  Anchor
-                # the wake on the holder's own finish entry when known, so
-                # same-instant grants across channels dispatch in the
-                # holders' order (as resource releases did).
-                up_release = Event(env)
-                up._release = up_release
-                anchor = up.grant_anchor()
-                if anchor is not None:
-                    yield anchor
-                else:
-                    yield env.timeout_at(up.tail)
-        # Phase 2: the downlink, requested at the uplink grant.  The uplink
-        # is released (succeed_at with a sequence tick) at the moment the
-        # copy starts transmitting -- the moment the resource-based model
-        # created the transmit timeout -- so same-instant uplink releases
-        # across channels dispatch in the seed's order.
-        previous = down._release
-        if previous is None or previous.triggered:
-            now = env._now
-            start = down.tail
-            if start <= now:
-                # Receiver idle: the whole hold is analytic from here.
-                finish = now + duration
-                down.tail = finish
-                up.tail = finish
-                if up_release is not None:
-                    up_release.succeed_at(finish)
-                    up.note_entry(up_release, finish)
-                    yield up_release
-                else:
-                    wake = env.timeout_at(finish)
-                    up.note_entry(wake, finish)
-                    yield wake
+            flow.up_release = up._release = Event(env)
+            previous.add_waiter(flow)
+        elif up.tail > env._now:
+            # Busy but resolved: keep the hold open and wake at the grant,
+            # which is when the downlink gets requested.  Anchor the wake on
+            # the holder's own finish entry when known, so same-instant
+            # grants across channels dispatch in the holders' order (as
+            # resource releases did).
+            flow.up_release = up._release = Event(env)
+            anchor = up.grant_anchor()
+            if anchor is not None:
+                anchor.add_waiter(flow)
             else:
-                # Receiver busy but resolved: take the FIFO spot now, hold
-                # the uplink open, and release it once transmission starts.
-                finish = start + duration
-                down.tail = finish
-                if up_release is None:
-                    up_release = Event(env)
-                    up._release = up_release
-                yield env.timeout_at(start)
-                up.tail = finish
-                up_release.succeed_at(finish)
-                up.note_entry(up_release, finish)
-                yield up_release
+                env.timeout_at(up.tail)._waiter = flow
         else:
-            down_release = Event(env)
-            down._release = down_release
-            if up_release is None:
-                # The uplink hold stays open while we queue at the receiver.
-                up_release = Event(env)
-                up._release = up_release
-            yield previous
-            finish = env._now + duration
-            down.release(down_release, finish)
-            up.tail = finish
-            up_release.succeed_at(finish)
-            up.note_entry(up_release, finish)
-            yield down_release
-        src_nic.traffic.record_sent(repeat * nbytes, tag)
-        dst_nic.traffic.record_received(repeat * nbytes, tag)
+            flow.up_release = None
+            flow._step()
+        return flow
 
     def broadcast(self, src: int, dst_ids: List[int], nbytes_each: float,
-                  tag: str = "untagged", proxy: bool = False) -> Generator:
-        """Process: send ``nbytes_each`` from ``src`` to every node in ``dst_ids``.
+                  tag: str = "untagged", proxy: bool = False) -> Optional[Event]:
+        """Book ``nbytes_each`` from ``src`` to every node in ``dst_ids``;
+        returns the batch's completion event (``None``: nothing to send).
 
         The sender's uplink carries the copies back to back (FIFO) and is
-        held across the whole batch by this single process -- equivalent to
-        the per-destination processes that used to queue all their uplink
+        held across the whole batch by this one booking -- equivalent to
+        the per-destination flows that used to queue all their uplink
         requests up front, but with one queue entry per copy instead of a
         process per destination.  Each copy still queues for its receiver's
         downlink while holding the uplink (head-of-line blocking, exactly
@@ -493,70 +829,16 @@ class ClusterModel:
         destinations = sorted((dst for dst in dst_ids if dst != src),
                               key=lambda dst: (dst - src) % nodes)
         if not destinations or nbytes_each == 0:
-            return
-        env = self.env
-        src_nic = self.machine(src).nic
-        up = src_nic.uplink
-        # Every copy's receiver channel, account, hold and path, resolved
-        # (each id validated) before the batch starts.  The hold is
-        # bits / min(bandwidth) + max(latency) of the two NICs, as in
-        # transfer(); a copy is then one queue entry and the float
-        # operations that book it.
-        bits = units.bytes_to_bits(nbytes_each)
-        bandwidth, latency = src_nic.bandwidth_bps, src_nic.latency_seconds
-        racks = self._rack_by_node if self.topology_active else None
-        copies = []
-        for dst in destinations:
-            dst_nic = src_nic if proxy else self.machine(dst).nic
-            bw = dst_nic.bandwidth_bps
-            lat = dst_nic.latency_seconds
-            copies.append((
-                dst, dst_nic, dst_nic.downlink, dst_nic.traffic,
-                bits / (bw if bw < bandwidth else bandwidth)
-                + (lat if lat > latency else latency),
-                racks is not None and racks[src] != racks[dst]))
-        sent = src_nic.traffic
-        sent_by_tag = sent.by_tag_sent
-        timeout_at = env.timeout_at
-        # Replicate the hop structure of the per-destination processes so
-        # same-instant interleaving with other flows is unchanged: a copy
-        # requested its receiver's downlink one queue hop after its uplink
-        # grant (the grant-event dispatch), and the first copy of an
-        # uncontended batch also consumed its process-bootstrap hop.
-        acquired_synchronously = up.resolved and up.tail <= env._now
-        up_release = yield from up.request()
-        if acquired_synchronously:
-            yield env.timeout(0.0)
-        yield env.timeout(0.0)
-        for dst, dst_nic, down, received, duration, cross_rack in copies:
-            if cross_rack:
-                # Cross-rack copy: serialise through both rack switches
-                # (while this process keeps holding the batch uplink).
-                yield from self._cross_rack_transfer(
-                    src, dst, src_nic, dst_nic, nbytes_each, tag,
-                    uplink_held=True)
-                continue
-            previous = down._release
-            if previous is None or previous.triggered:
-                # TailChannel.book, inline: start at max(now, tail).
-                start = down.tail
-                now = env._now
-                finish = (start if start > now else now) + duration
-                down.tail = finish
-                yield timeout_at(finish)
-            else:
-                down_release = Event(env)
-                down._release = down_release
-                yield previous
-                down.release(down_release, env._now + duration)
-                yield down_release
-            # TrafficAccount.record_sent / record_received, inline.
-            sent.bytes_sent += nbytes_each
-            sent_by_tag[tag] = sent_by_tag.get(tag, 0.0) + nbytes_each
-            received.bytes_received += nbytes_each
-            by_tag = received.by_tag_received
-            by_tag[tag] = by_tag.get(tag, 0.0) + nbytes_each
-        up.release(up_release)
+            return None
+        src_nic = self._nic(src)
+        if not proxy:  # every receiver id validated before the batch starts
+            for dst in destinations:
+                self._nic(dst)
+        hold = self._holds.get(nbytes_each)
+        if hold is None:
+            hold = self._hold(nbytes_each)
+        return _Broadcast(self, src, src_nic, destinations, nbytes_each, hold,
+                          tag, proxy)._start()
 
     def _fabric_fan(self, node_ids: List[int], nbytes_each: float, tag: str,
                     outbound: bool) -> Event:
@@ -568,62 +850,20 @@ class ClusterModel:
         determined at booking.  One scheduled thunk (where the per-node
         transfer processes' bootstraps sat, back to back) books each
         resolved channel analytically or chains a waiter behind its open
-        hold.  One deferred event fires at the last finish.
+        hold (:class:`_FabricFan`).  One deferred event fires at the last
+        finish.
         """
         env = self.env
         if not nbytes_each >= 0:
             raise SimulationError(f"negative transfer size: {nbytes_each}")
         if not node_ids or nbytes_each == 0:
             return Event(env).succeed()
-        done = Event(env)
-        #: [holds still waiting for their channel, latest finish so far]
-        pending = [0, env._now]
-
-        def note(finish: float) -> None:
-            if finish > pending[1]:
-                pending[1] = finish
-
-        def book(channel: TailChannel, duration: float,
-                 traffic: TrafficAccount, nbytes: float) -> None:
-            previous = channel._release
-            if previous is None or previous.triggered:
-                note(channel.book(duration))
-            else:
-                mine = Event(env)
-                channel._release = mine
-                pending[0] += 1
-
-                def on_grant(ok, value) -> None:
-                    finish = env._now + duration
-                    channel.release(mine, finish)
-                    note(finish)
-                    pending[0] -= 1
-                    if pending[0] == 0:
-                        done.succeed_at(pending[1])
-
-                previous.add_waiter(on_grant)
-            (traffic.record_sent if outbound
-             else traffic.record_received)(nbytes, tag)
-
-        def book_all() -> None:
-            # Each node's NIC and, off a flat network, its rack switch's
-            # channel, which carries the cross-rack share of the bytes.
-            for node in node_ids:
-                nic = self.machine(node).nic
-                book(nic.uplink if outbound else nic.downlink,
-                     units.transfer_seconds(nbytes_each, nic.bandwidth_bps)
-                     + nic.latency_seconds, nic.traffic, nbytes_each)
-                cross_bytes = nbytes_each * self.fabric_cross_fraction(node)
-                if cross_bytes > 0.0:
-                    switch = self.rack_switch(node)
-                    book(switch.uplink if outbound else switch.downlink,
-                         switch.wire_time(cross_bytes), switch.traffic,
-                         cross_bytes)
-            if pending[0] == 0:
-                done.succeed_at(pending[1])
-
-        env.schedule_thunk(book_all)
-        return done
+        hold = self._holds.get(nbytes_each)
+        if hold is None:
+            hold = self._hold(nbytes_each)
+        fan = _FabricFan(self, node_ids, nbytes_each, hold, tag, outbound)
+        env.schedule_thunk(fan)
+        return fan.done
 
     def fabric_gather(self, node_ids: List[int], nbytes_each: float,
                       tag: str = "untagged") -> Event:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional, Tuple
 
 from repro.exceptions import SimulationError
 from repro.sim.core import Environment, Event
@@ -86,26 +86,26 @@ class TailChannel:
         self.tail = finish
         return finish
 
-    def request(self) -> Generator:
-        """Process helper: wait for the channel, FIFO; returns the release event.
+    def request(self) -> Tuple[Event, Optional[Event]]:
+        """Claim the channel, FIFO: ``(release, grant)``.
 
-        The caller owns the channel from the moment this generator returns
-        and must eventually call :meth:`release` with the returned event
-        and the hold's finish time.
+        The caller owns the channel once ``grant`` has fired -- at once
+        when it is ``None`` -- and must eventually call :meth:`release`
+        with ``release`` and the hold's finish time.  ``grant`` is the
+        previous holder's open release, the pending entry dispatching at
+        ``tail`` or a fresh wake at ``tail``.
         """
-        mine = Event(self.env)
+        env = self.env
+        mine = Event(env)
         previous = self._release
         self._release = mine
         if previous is not None and not previous.triggered:
-            yield previous
-        else:
-            if self.tail > self.env._now:
-                anchor = self.grant_anchor()
-                if anchor is not None:
-                    yield anchor
-                else:
-                    yield self.env.timeout_at(self.tail)
-        return mine
+            return mine, previous
+        if self.tail > env._now:
+            anchor = self.grant_anchor()
+            return mine, (anchor if anchor is not None
+                          else env.timeout_at(self.tail))
+        return mine, None
 
     def release(self, release_event: Event, finish: Optional[float] = None) -> None:
         """Resolve a hold acquired via :meth:`request` (finish defaults to now)."""

@@ -345,12 +345,10 @@ class IterationSimulator:
         self.cluster = ClusterModel(self.env, cluster)
         self.num_workers = cluster.num_workers
         self._ran = False
+        #: The first exception a shard side raised (``_shard_exit``).
+        self._shard_error: Optional[BaseException] = None
         #: Workers the run stepped: all of them, or a symmetric plan's one.
         self.workers_stepped: Optional[int] = None
-
-    def unit_plan(self, unit: SyncUnit) -> UnitPlan:
-        """The resolved owner and schedule (``.owner``, ``.phases``) of one unit."""
-        return self.plan.by_name[unit.name]
 
     # -- simulation ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -466,10 +464,22 @@ class IterationSimulator:
                                     for unit in self.workload.units[:-1])
         return _LOWERED.get((self.plan, one_hold, symmetric), lower), one_class
 
-    def _run_to_result(self, worker_processes, rounds: int) -> SimulationResult:
-        """Drain the event queue; per-iteration figures over ``rounds`` steps."""
+    def _run_to_result(self, worker_processes, classes,
+                       rounds: int) -> SimulationResult:
+        """Drain the event queue; per-iteration figures over ``rounds`` steps.
+
+        A shard side that raised surfaces as itself; a compute class still
+        unfinished when the queue drained (its syncs wait on an event that
+        can no longer fire) raises :class:`SimulationError` naming it.
+        """
         self.env.run()
-        for process in worker_processes:
+        if self._shard_error is not None:
+            raise self._shard_error
+        for members, process in zip(classes, worker_processes):
+            if not process.triggered:
+                raise SimulationError(
+                    f"compute class of workers {members} did not finish: "
+                    f"the event queue drained while it waited")
             if process.ok is False:
                 raise process.value
         makespan = max(process.value for process in worker_processes)
@@ -539,16 +549,36 @@ class IterationSimulator:
         # last round syncs.
         views = [_Round(self.env, lowered, classes)
                  if (r + 1) % period == 0 else None for r in range(rounds)]
+        # Per unit, what a sync waits out before its first step: the local
+        # multi-GPU reduction onto the leader GPU over PCIe (Section 5.1,
+        # multi-GPU setting) and the compressor's encode pass (a plain
+        # delay, not GPU occupancy: production stacks run it on side
+        # streams or the CPU without stalling backprop).
+        gpus = self.cluster_config.gpus_per_node
+        pcie = self.cluster_config.gpu.pcie_bandwidth_bps
+        self._preludes = {
+            plan.unit.name: (((units.transfer_seconds(
+                plan.unit.param_bytes * (gpus - 1), pcie),)
+                if gpus > 1 else ())
+                + ((plan.encode_seconds,) if plan.encode_seconds > 0.0
+                   else ()))
+            for plan in self.plan.units}
+        self._proxy = stepped < self.num_workers
         worker_processes = [
             self.env.process(self._worker_process(join, members, views))
             for join, members in enumerate(classes)]
-        # Each round's shard helpers start from one entry, behind the workers.
+        # Each round's shard sides start from one entry, behind the workers.
         for view in views:
             if view is not None:
-                self.env.spawn(self._shard_process(state)
-                               for state in view.states.values()
-                               if state.steps.shards)
-        return self._run_to_result(worker_processes, rounds)
+                self.env.spawn((_ShardSide(self, state)
+                                for state in view.states.values()
+                                if state.steps.shards), self._shard_exit)
+        return self._run_to_result(worker_processes, classes, rounds)
+
+    def _shard_exit(self, ok: Optional[bool], value) -> None:
+        """A shard side's ``on_exit``: keep the first failure for the run."""
+        if ok is False and self._shard_error is None:
+            self._shard_error = value
 
     # -- worker side --------------------------------------------------------------------
     def _worker_process(self, join: int, members: Tuple[int, ...],
@@ -570,8 +600,8 @@ class IterationSimulator:
             2 * workload.total_param_bytes, system.host_copy_bandwidth_bps)
 
         def start_syncs(workers, batch):  # from one queue entry
-            self.env.spawn((self._unit_sync(worker, unit, view)
-                            for worker in workers for unit in batch),
+            self.env.spawn([_UnitSync(self, worker, unit.name, view)
+                            for worker in workers for unit in batch],
                            view.sync_done[join].arrive_with)
 
         for r, view in enumerate(views):
@@ -610,70 +640,223 @@ class IterationSimulator:
             yield views[-1].sync_done[join]
         return self.env.now - start
 
-    def _shard_process(self, state: _UnitSyncState):
-        """Shard side of a unit's fabric phases: gather, apply, scatter."""
-        yield state.started
-        for pushed, nbytes, tag, phase in state.steps.shards:
-            if pushed is not None:
-                yield self.cluster.fabric_gather(self.shard_nodes, nbytes,
-                                                 tag=tag)
-                yield state.barriers[pushed]
-                state.shard_events[phase].succeed()
-            else:
-                state.shard_events[phase] = self.cluster.fabric_scatter(
-                    self.shard_nodes, nbytes, tag=tag)
 
-    def _unit_sync(self, worker: int, unit: SyncUnit, sync_round: _Round):
-        """Synchronize one unit at one worker: run its lowered steps."""
-        if self.num_workers == 1:
+def _wait(record, event: Event) -> None:
+    """Resume ``record`` when ``event`` fires -- from a thunk at this
+    instant if it already has, as a process yielding it was."""
+    if event._waiter is None and event._waiters is None:
+        if event.processed:
+            ok, value = event.ok, event.value
+            event.env.schedule_thunk(lambda: record(ok, value))
+        else:
+            event._waiter = record
+    else:
+        event.add_waiter(record)
+
+
+class _UnitSync:
+    """One unit's sync at one worker in one sync round: a step record.
+
+    It holds the worker, the unit's round state, its lowered step tuple
+    and a step index; it is the waiter (``sync(ok, value)``) of the event
+    it waits on and walks its steps until it must wait again.  A flow step
+    waits on the flow's completion event, unless the flow completed inline
+    (a local copy, zero bytes).  A failed event ends the sync with that
+    failure, as it ended the generator process this record replaced; so
+    does an exception raised by a step.
+    """
+
+    __slots__ = ("sim", "worker", "round", "state", "steps", "prelude",
+                 "index", "ring", "on_exit")
+
+    def __init__(self, sim: "IterationSimulator", worker: int, name: str,
+                 sync_round: _Round):
+        self.sim = sim
+        self.worker = worker
+        self.round = sync_round
+        self.state = state = sync_round.states[name]
+        self.steps = state.steps.workers[worker]
+        self.prelude = prelude = sim._preludes[name]
+        #: Below 0, the prelude delays still to wait out (-1: none left).
+        self.index = -1 - len(prelude)
+        #: Half-rounds done in the current ring step.
+        self.ring = 0
+
+    def _start(self) -> None:
+        if self.sim.num_workers == 1:
+            self.on_exit(True, None)
+        else:
+            self(True, None)
+
+    def __call__(self, ok: Optional[bool], value) -> None:
+        if ok is False:
+            self.on_exit(False, value)
             return
-        if self.cluster_config.gpus_per_node > 1:
-            # Local multi-GPU reduction onto the leader GPU over PCIe before
-            # anything touches the network (Section 5.1, multi-GPU setting).
-            local_bytes = unit.param_bytes * (self.cluster_config.gpus_per_node - 1)
-            yield self.env.timeout(units.transfer_seconds(
-                local_bytes, self.cluster_config.gpu.pcie_bandwidth_bps))
-        plan = self.unit_plan(unit)
-        if plan.encode_seconds > 0.0:
-            # The compressor's encode pass delays the unit's send; modelled
-            # as a plain delay (not GPU occupancy) because production
-            # stacks run it on side streams/CPU without stalling backprop.
-            yield self.env.timeout(plan.encode_seconds)
-        state = sync_round.states[unit.name]
-        if not state.started.triggered:
-            state.started.succeed()
-        barriers = state.barriers
-        transfer = self.cluster.transfer
-        for step in state.steps.workers[worker]:
-            op = step[0]
-            if op <= _BROADCAST:  # node fields: _SELF is this worker
-                src = worker if step[1] == _SELF else step[1]
-                dst = worker if step[2] == _SELF else step[2]
-            if op == _TRANSFER:
-                yield from transfer(src, dst, step[3], tag=step[4])
-            elif op == _ARRIVE:
-                barriers[step[1]].arrive()
-            elif op == _WAIT:
-                yield barriers[step[1]]
-            elif op == _RING:
-                _, nbytes, tag, first, rounds, holds = step
-                successor = (worker + 1) % self.num_workers
-                for barrier in barriers[first:first + rounds]:
-                    yield from transfer(worker, successor, nbytes, tag=tag,
-                                        repeat=holds)
-                    barrier.arrive()
-                    yield barrier
-            elif op == _GATE:
-                if not self.system.overlap_pull:
-                    yield sync_round.backward_done[worker]
-            elif op == _AWAIT:
-                yield state.shard_events[step[1]]
-            elif op == _BROADCAST:
-                yield from self.cluster.broadcast(
-                    src, dst, step[3], tag=step[4],
-                    proxy=self.workers_stepped < self.num_workers)
-            else:  # _SPAWN
-                yield self.env.process(transfer(src, dst, step[3], tag=step[4]))
+        index = self.index
+        sim = self.sim
+        try:
+            if index < 0:
+                if index < -1:
+                    self.index = index + 1
+                    sim.env.timeout(self.prelude[index + 1])._waiter = self
+                    return
+                started = self.state.started
+                if not started.triggered:
+                    started.succeed()
+                index = 0
+            steps = self.steps
+            count = len(steps)
+            while index < count:
+                step = steps[index]
+                op = step[0]
+                index += 1
+                if op == _TRANSFER:
+                    src, dst = step[1], step[2]
+                    done = sim.cluster.transfer(
+                        self.worker if src == _SELF else src,
+                        self.worker if dst == _SELF else dst, step[3], step[4])
+                    if done is not None:
+                        self.index = index
+                        done._waiter = self  # a fresh flow: no waiter yet
+                        return
+                elif op == _ARRIVE:
+                    self.state.barriers[step[1]].arrive()
+                elif op == _WAIT:
+                    self.index = index
+                    _wait(self, self.state.barriers[step[1]])
+                    return
+                elif op == _RING:
+                    # (send to the successor, arrive, wait for the round),
+                    # ``rounds`` times: ``ring`` counts the halves done.
+                    _, nbytes, tag, first, rounds, holds = step
+                    half = self.ring
+                    if half == 2 * rounds:
+                        self.ring = 0
+                        continue
+                    self.ring = half + 1
+                    self.index = index - 1  # this step again after the wait
+                    worker = self.worker
+                    if half % 2 == 0:
+                        done = sim.cluster.transfer(
+                            worker, (worker + 1) % sim.num_workers,
+                            nbytes, tag, holds)
+                        if done is not None:
+                            done._waiter = self
+                            return
+                        index -= 1
+                    else:
+                        barrier = self.state.barriers[first + half // 2]
+                        barrier.arrive()
+                        _wait(self, barrier)
+                        return
+                elif op == _GATE:
+                    if not sim.system.overlap_pull:
+                        self.index = index
+                        _wait(self, self.round.backward_done[self.worker])
+                        return
+                elif op == _AWAIT:
+                    self.index = index
+                    _wait(self, self.state.shard_events[step[1]])
+                    return
+                elif op == _BROADCAST:
+                    done = sim.cluster.broadcast(
+                        self.worker if step[1] == _SELF else step[1], step[2],
+                        step[3], step[4], sim._proxy)
+                    if done is not None:
+                        self.index = index
+                        done._waiter = self
+                        return
+                else:  # _SPAWN
+                    src, dst = step[1], step[2]
+                    self.index = index
+                    _wait(self, _Detached(
+                        sim.cluster, self.worker if src == _SELF else src,
+                        self.worker if dst == _SELF else dst, step[3], step[4]))
+                    return
+        except BaseException as exc:  # a step raised: the sync fails
+            self.on_exit(False, exc)
+            return
+        self.on_exit(True, None)
+
+
+class _Detached(Event):
+    """A detached fetch (``Phase.detached``): the flow is booked from its
+    own bootstrap entry, and the event succeeds in a completion entry once
+    the flow has finished -- the two entries running it as its own process
+    took."""
+
+    __slots__ = ("cluster", "args")
+
+    def __init__(self, cluster: ClusterModel, *args):
+        super().__init__(cluster.env)
+        self.cluster = cluster
+        self.args = args
+        cluster.env.schedule_thunk(self._start)
+
+    def _start(self) -> None:
+        try:
+            done = self.cluster.transfer(*self.args)
+        except BaseException as exc:
+            self.fail(exc)
+            return
+        if done is None:
+            self.succeed()
+        else:
+            done._waiter = self
+
+    def __call__(self, ok: Optional[bool], value) -> None:
+        self.succeed()
+
+
+class _ShardSide:
+    """Shard side of a unit's fabric phases in one sync round: once the
+    unit has started, gather and fire each pushed phase's event when its
+    barrier has; scatter, and the scatter's finish is the phase's event."""
+
+    __slots__ = ("sim", "state", "index", "stage", "on_exit")
+
+    def __init__(self, sim: "IterationSimulator", state: _UnitSyncState):
+        self.sim = sim
+        self.state = state
+        self.index = 0
+        #: Of a pushed phase: 0 gather next, 1 wait for the pushes, 2 fire.
+        self.stage = 0
+
+    def _start(self) -> None:
+        _wait(self, self.state.started)
+
+    def __call__(self, ok: Optional[bool], value) -> None:
+        if ok is False:
+            self.on_exit(False, value)
+            return
+        try:
+            self._walk()
+        except BaseException as exc:
+            self.on_exit(False, exc)
+
+    def _walk(self) -> None:
+        sim, state = self.sim, self.state
+        shards = state.steps.shards
+        index = self.index
+        while index < len(shards):
+            pushed, nbytes, tag, phase = shards[index]
+            if pushed is None:
+                state.shard_events[phase] = sim.cluster.fabric_scatter(
+                    sim.shard_nodes, nbytes, tag=tag)
+            elif self.stage == 0:
+                self.index, self.stage = index, 1
+                _wait(self, sim.cluster.fabric_gather(sim.shard_nodes,
+                                                      nbytes, tag=tag))
+                return
+            elif self.stage == 1:
+                self.index, self.stage = index, 2
+                _wait(self, state.barriers[pushed])
+                return
+            else:
+                self.stage = 0
+                state.shard_events[phase].succeed()
+            index += 1
+        self.on_exit(True, None)
 
 
 def simulate_system(model: ModelSpec, system: SystemConfig, cluster: ClusterConfig,

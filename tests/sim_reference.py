@@ -4,8 +4,9 @@
 :class:`~repro.sim.core.CountdownEvent`, and :class:`Resource` (a FIFO
 server with request / grant / release events) for
 :class:`~repro.sim.resources.TailChannel`'s busy-until clock.
-:func:`run_process` runs a root process to completion and :func:`occupy`
-holds a channel for a duration.
+:func:`run_process` runs a root process to completion, :func:`run_flow` runs a
+cluster flow as a process, :func:`acquire` waits for a channel and
+:func:`occupy` holds one for a duration.
 
 Three references stand for the simulators' short paths:
 :func:`every_node` makes both engines run every node on any plan,
@@ -173,6 +174,24 @@ def run_process(env: Environment, generator: Generator) -> Any:
     return process.value
 
 
+def run_flow(book, *args, **kwargs) -> Generator:
+    """Process: the flow ``book(*args, **kwargs)`` (a booking of
+    :class:`~repro.cluster.machine.ClusterModel`), booked when the process
+    runs and waited for until it completes."""
+    done = book(*args, **kwargs)
+    if done is not None:
+        yield done
+
+
+def acquire(channel: TailChannel) -> Generator:
+    """Process helper: wait for the channel, FIFO; returns the release event
+    (:meth:`~repro.sim.resources.TailChannel.request`)."""
+    release, grant = channel.request()
+    if grant is not None:
+        yield grant
+    return release
+
+
 def occupy(channel: TailChannel, duration: float) -> Generator:
     """Process helper: hold the channel for ``duration`` seconds (FIFO)."""
     if not duration >= 0:
@@ -181,7 +200,7 @@ def occupy(channel: TailChannel, duration: float) -> Generator:
         finish = channel.book(duration)
         yield channel.env.timeout_at(finish)
     else:
-        mine = yield from channel.request()
+        mine = yield from acquire(channel)
         finish = channel.env._now + duration
         channel.release(mine, finish)
         # The scheduled release entry doubles as this holder's wake-up.

@@ -8,7 +8,7 @@ from repro.cluster.traffic import TrafficAccount
 from repro.config import ClusterConfig
 from repro.exceptions import SimulationError
 from repro.sim import Environment
-from sim_reference import run_process
+from sim_reference import run_flow, run_process
 
 
 def make_cluster(num_workers=4, bandwidth_gbps=10.0, **kwargs):
@@ -64,7 +64,7 @@ class TestTransfers:
 
         def proc():
             # 1.25 GB at 10 Gb/s = 1 second.
-            yield env.process(cluster.transfer(0, 1, 1.25e9))
+            yield env.process(run_flow(cluster.transfer, 0, 1, 1.25e9))
             return env.now
 
         assert run_process(env, proc()) == pytest.approx(1.0, rel=1e-6)
@@ -73,7 +73,7 @@ class TestTransfers:
         env, cluster = make_cluster()
 
         def proc():
-            yield env.process(cluster.transfer(2, 2, 1e9))
+            yield env.process(run_flow(cluster.transfer, 2, 2, 1e9))
             return env.now
 
         assert run_process(env, proc()) == pytest.approx(0.0)
@@ -82,7 +82,7 @@ class TestTransfers:
         env, cluster = make_cluster(bandwidth_gbps=10.0)
 
         def proc():
-            yield env.process(cluster.transfer(0, FABRIC, 1.25e9))
+            yield env.process(run_flow(cluster.transfer, 0, FABRIC, 1.25e9))
             return env.now
 
         run_process(env, proc())
@@ -94,19 +94,19 @@ class TestTransfers:
     def test_transfer_needs_one_real_endpoint(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            run_process(env, cluster.transfer(FABRIC, FABRIC, 100))
+            run_process(env, run_flow(cluster.transfer, FABRIC, FABRIC, 100))
 
     def test_negative_bytes_rejected(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            run_process(env, cluster.transfer(0, 1, -5))
+            run_process(env, run_flow(cluster.transfer, 0, 1, -5))
 
     @pytest.mark.parametrize("topology", [{}, {"racks": 2,
                                                "oversubscription": 4.0}])
     @pytest.mark.parametrize("flow", [
-        lambda cluster, nbytes: cluster.transfer(0, 3, nbytes),
-        lambda cluster, nbytes: cluster.transfer(FABRIC, 2, nbytes),
-        lambda cluster, nbytes: cluster.broadcast(0, [1, 2, 3], nbytes),
+        lambda cluster, nbytes: run_flow(cluster.transfer, 0, 3, nbytes),
+        lambda cluster, nbytes: run_flow(cluster.transfer, FABRIC, 2, nbytes),
+        lambda cluster, nbytes: run_flow(cluster.broadcast, 0, [1, 2, 3], nbytes),
         _fabric_gather,
     ], ids=["transfer", "fabric transfer", "broadcast", "fabric fan"])
     def test_nan_bytes_rejected(self, flow, topology):
@@ -129,7 +129,7 @@ class TestTransfers:
 
             def proc():
                 for _ in range(messages):  # 1 -> 2 crosses the rack boundary
-                    yield from cluster.transfer(1, 2, 1.25e8, repeat=repeat)
+                    yield from run_flow(cluster.transfer, 1, 2, 1.25e8, repeat=repeat)
                 return env.now
 
             finish = run_process(env, proc())
@@ -146,16 +146,16 @@ class TestTransfers:
     def test_repeat_below_one_and_repeated_fabric_flow_rejected(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            run_process(env, cluster.transfer(0, 1, 100, repeat=0))
+            run_process(env, run_flow(cluster.transfer, 0, 1, 100, repeat=0))
         with pytest.raises(SimulationError):
-            run_process(env, cluster.transfer(0, FABRIC, 100, repeat=2))
+            run_process(env, run_flow(cluster.transfer, 0, FABRIC, 100, repeat=2))
 
     def test_shared_uplink_serialises_flows(self):
         env, cluster = make_cluster(bandwidth_gbps=10.0)
         completions = []
 
         def sender(dst):
-            yield env.process(cluster.transfer(0, dst, 1.25e9))
+            yield env.process(run_flow(cluster.transfer, 0, dst, 1.25e9))
             completions.append(env.now)
 
         env.process(sender(1))
@@ -168,7 +168,7 @@ class TestTransfers:
         completions = []
 
         def sender(src, dst):
-            yield env.process(cluster.transfer(src, dst, 1.25e9))
+            yield env.process(run_flow(cluster.transfer, src, dst, 1.25e9))
             completions.append(env.now)
 
         env.process(sender(0, 2))
@@ -182,7 +182,7 @@ class TestTransfers:
         completions = []
 
         def sender(src):
-            yield env.process(cluster.transfer(src, 3, 1.25e9))
+            yield env.process(run_flow(cluster.transfer, src, 3, 1.25e9))
             completions.append(env.now)
 
         for src in (0, 1, 2):
@@ -194,7 +194,7 @@ class TestTransfers:
         env, cluster = make_cluster(bandwidth_gbps=10.0)
 
         def proc():
-            yield env.process(cluster.broadcast(0, [1, 2, 3], 1.25e9))
+            yield env.process(run_flow(cluster.broadcast, 0, [1, 2, 3], 1.25e9))
             return env.now
 
         finish = run_process(env, proc())
@@ -208,8 +208,8 @@ class TestTrafficAccounting:
         env, cluster = make_cluster()
 
         def proc():
-            yield env.process(cluster.transfer(0, 1, 1000, tag="push:fc6"))
-            yield env.process(cluster.transfer(1, 0, 500, tag="pull:fc6"))
+            yield env.process(run_flow(cluster.transfer, 0, 1, 1000, tag="push:fc6"))
+            yield env.process(run_flow(cluster.transfer, 1, 0, 500, tag="pull:fc6"))
 
         run_process(env, proc())
         sent_tags = cluster.machine(0).nic.traffic.by_tag_sent
@@ -233,7 +233,7 @@ class TestTrafficAccounting:
         cluster = ClusterModel(env, config)
 
         def proc():
-            yield env.process(cluster.transfer(0, 1, 1.25e9))
+            yield env.process(run_flow(cluster.transfer, 0, 1, 1.25e9))
             return env.now
 
         assert run_process(env, proc()) == pytest.approx(1.5, rel=1e-6)

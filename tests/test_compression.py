@@ -725,7 +725,7 @@ class TestSimulatorAgreement:
         sim = IterationSimulator(workload, cluster,
                                  coarse_system("ps", "topk(0.01)"))
         for unit in sim.workload.units:
-            push, pull = sim.unit_plan(unit).phases
+            push, pull = sim.plan.by_name[unit.name].phases
             expected = wire.unit_wire_bytes(config, unit.param_bytes,
                                             unit.fc_dims, unit.payload_parts)
             assert push.nbytes == expected

@@ -42,7 +42,8 @@ from repro.nn.model_zoo import get_model_spec
 from repro.sim import CountdownEvent, Environment, Event, TailChannel
 from repro.simulation.throughput import IterationSimulator, simulate_system
 from repro.simulation.workload import build_workload
-from sim_reference import AllOf, Resource, occupy, run_process
+from sim_reference import (AllOf, Resource, acquire, occupy, run_flow,
+                           run_process)
 
 TRACE_PATH = os.path.join(os.path.dirname(__file__), "data",
                           "flow_sim_trace.json")
@@ -252,7 +253,7 @@ class TestTailChannelAgainstResource:
 
         def holder(name, spawn, duration):
             yield env.timeout(spawn)
-            release = yield from channel.request()
+            release = yield from acquire(channel)
             start = env.now
             channel.release(release, start + duration)
             yield release
@@ -269,7 +270,7 @@ class TestTailChannelAgainstResource:
         channel = TailChannel(env)
 
         def holder():
-            release = yield from channel.request()
+            release = yield from acquire(channel)
             with pytest.raises(SimulationError):
                 channel.book(1.0)
             channel.release(release, env.now + 1.0)
@@ -346,7 +347,7 @@ class TestTransferAgainstResourceModel:
 
             def flow(index, spawn, src, dst, nbytes):
                 yield env.timeout(spawn)
-                yield env.process(cluster.transfer(src, dst, nbytes))
+                yield env.process(run_flow(cluster.transfer, src, dst, nbytes))
                 finished[index] = env.now
 
             for index, (spawn, src, dst, nbytes) in enumerate(flows):
@@ -425,13 +426,13 @@ class TestTransferAgainstResourceModel:
             def hold(node, start, seconds):
                 yield env.timeout(start)
                 down = cluster.machine(node).nic.downlink
-                release = yield from down.request()
+                release = yield from acquire(down)
                 yield env.timeout(seconds)
                 down.release(release)
 
             def flow(a, b, start, size):
                 yield env.timeout(start)
-                yield env.process(cluster.transfer(a, b, size, tag="bg"))
+                yield env.process(run_flow(cluster.transfer, a, b, size, tag="bg"))
 
             for is_hold, a, b, start, size in background:
                 env.process(hold(b, start, size * 1e-10) if is_hold
@@ -440,12 +441,12 @@ class TestTransferAgainstResourceModel:
             def proc():
                 yield env.timeout(1.5e-4)
                 if batched:
-                    yield env.process(cluster.broadcast(src, list(order),
+                    yield env.process(run_flow(cluster.broadcast, src, list(order),
                                                         nbytes, tag="sfb"))
                 else:
                     nodes = config.num_nodes
                     yield AllOf(env, [
-                        env.process(cluster.transfer(
+                        env.process(run_flow(cluster.transfer,
                             src, (src + 1 + k) % nodes, nbytes, tag="sfb"))
                         for k in range(nodes - 1)])
                 return env.now

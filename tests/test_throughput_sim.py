@@ -206,7 +206,6 @@ class TestSimulatorInternals:
         the guard used to trip only once a run had succeeded."""
         def failing_transfer(self, src, dst, nbytes, tag="untagged", repeat=1):
             raise SimulationError("link down")
-            yield
 
         simulator = IterationSimulator(build_workload(googlenet_spec),
                                        cluster(4), system)

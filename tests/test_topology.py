@@ -38,6 +38,7 @@ from repro.nn.spec import LayerKind, LayerSpec
 from repro.sim import Environment
 from repro.simulation.throughput import decide_schemes, simulate_system
 from repro.simulation.workload import build_workload
+from sim_reference import run_flow
 
 
 def poseidon_style(comm: str, name: str = "sys") -> SystemConfig:
@@ -318,7 +319,7 @@ def run_transfers(config, flows):
 
     def flow(index, src, dst, nbytes):
         start = env.now
-        yield from model.transfer(src, dst, nbytes, tag=f"flow{index}")
+        yield from run_flow(model.transfer, src, dst, nbytes, tag=f"flow{index}")
         done[index] = env.now - start
 
     for index, (src, dst, nbytes) in enumerate(flows):
