@@ -829,33 +829,31 @@ class _ShardSide:
         if ok is False:
             self.on_exit(False, value)
             return
-        try:
-            self._walk()
-        except BaseException as exc:
-            self.on_exit(False, exc)
-
-    def _walk(self) -> None:
         sim, state = self.sim, self.state
         shards = state.steps.shards
         index = self.index
-        while index < len(shards):
-            pushed, nbytes, tag, phase = shards[index]
-            if pushed is None:
-                state.shard_events[phase] = sim.cluster.fabric_scatter(
-                    sim.shard_nodes, nbytes, tag=tag)
-            elif self.stage == 0:
-                self.index, self.stage = index, 1
-                _wait(self, sim.cluster.fabric_gather(sim.shard_nodes,
-                                                      nbytes, tag=tag))
-                return
-            elif self.stage == 1:
-                self.index, self.stage = index, 2
-                _wait(self, state.barriers[pushed])
-                return
-            else:
-                self.stage = 0
-                state.shard_events[phase].succeed()
-            index += 1
+        try:
+            while index < len(shards):
+                pushed, nbytes, tag, phase = shards[index]
+                if pushed is None:
+                    state.shard_events[phase] = sim.cluster.fabric_scatter(
+                        sim.shard_nodes, nbytes, tag=tag)
+                elif self.stage == 0:
+                    self.index, self.stage = index, 1
+                    _wait(self, sim.cluster.fabric_gather(
+                        sim.shard_nodes, nbytes, tag=tag))
+                    return
+                elif self.stage == 1:
+                    self.index, self.stage = index, 2
+                    _wait(self, state.barriers[pushed])
+                    return
+                else:
+                    self.stage = 0
+                    state.shard_events[phase].succeed()
+                index += 1
+        except BaseException as exc:  # the shard side fails
+            self.on_exit(False, exc)
+            return
         self.on_exit(True, None)
 
 
