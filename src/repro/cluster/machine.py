@@ -609,8 +609,8 @@ class ClusterModel:
     # A flow is a booking: it claims its channels at call time and returns
     # the event that completes it (a flow record), or ``None`` when it
     # completed inline (a local copy, zero bytes).  Every queue entry the
-    # flow needs is pushed at the point, and in the order, that the
-    # generator process it replaced pushed it.
+    # flow needs is pushed at the point, and in the order, that a process
+    # stepping through the same stages would push it.
     def _hold(self, nbytes: float) -> float:
         """One message's NIC hold, ``bits / bandwidth + latency``, computed
         once per size: every NIC of the cluster has the same rate."""

@@ -202,8 +202,8 @@ class Phase:
             waits for the worker's backward pass unless the system
             overlaps pulls (``SystemConfig.overlap_pull``).
         repeat: how many times the pattern runs back to back.
-        detached: DES only -- each fan-out fetch runs as its own process
-            (one queue hop later).  The coarse PS's gated pulls, released
+        detached: DES only -- each fan-out fetch is booked from its own
+            queue entry (one hop later) and completes in another.  The coarse PS's gated pulls, released
             in one cascade at backward-done, stay ordered behind the last
             unit's pushes that way, as recorded; Adam fetches inline.
     """

@@ -22,16 +22,24 @@ from typing import Any, Callable, Dict, Hashable, List, Optional
 
 
 class Memo:
-    """A table ``key -> value`` with ``hits`` / ``misses`` counters."""
+    """A table ``key -> value`` with ``hits`` / ``misses`` counters.
 
-    __slots__ = ("hits", "misses", "_table", "_generation", "_seen")
+    With a ``limit``, the table keeps the ``limit`` most recently used
+    entries: a table whose keys carry every one-off query (the plans of a
+    what-if sweep over nudged clusters) stays bounded.
+    """
 
-    def __init__(self, generation: Optional[Callable[[], int]] = None):
+    __slots__ = ("hits", "misses", "_table", "_generation", "_seen",
+                 "_limit")
+
+    def __init__(self, generation: Optional[Callable[[], int]] = None,
+                 limit: Optional[int] = None):
         self.hits = 0
         self.misses = 0
         self._table: Dict[Hashable, Any] = {}
         self._generation = generation
         self._seen: Optional[int] = None
+        self._limit = limit
         _MEMOS.append(self)
 
     def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
@@ -44,13 +52,18 @@ class Memo:
             if generation != self._seen:
                 self._table.clear()
                 self._seen = generation
+        table = self._table
         try:
-            value = self._table[key]
+            value = table[key]
         except KeyError:
             self.misses += 1
-            value = self._table[key] = build()
+            value = table[key] = build()
+            if self._limit is not None and len(table) > self._limit:
+                del table[next(iter(table))]  # the least recently used
         else:
             self.hits += 1
+            if self._limit is not None:
+                table[key] = table.pop(key)  # now the most recently used
         return value
 
 

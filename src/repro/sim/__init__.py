@@ -1,10 +1,13 @@
 """A small process-based discrete-event simulation (DES) engine.
 
-This is the substrate the cluster/network simulator is built on.  The design
-follows the classic process-interaction style (as popularised by SimPy):
-simulation *processes* are Python generators that ``yield`` events --
-timeouts, other processes, barriers -- and are resumed when those events
-fire.  Only the features the cluster model needs are implemented:
+This is the substrate the cluster/network simulator is built on.  It
+serves two world views: the process-interaction style (as popularised by
+SimPy), where simulation *processes* are Python generators that ``yield``
+events -- timeouts, other processes, barriers -- and are resumed when those
+events fire; and event scheduling, where a slotted *record* is the waiter
+of the event it waits on and walks its state when called (the cluster
+simulator's unit syncs and flows).  Only the features the cluster model
+needs are implemented:
 
 * :class:`Environment` -- the event loop and simulated clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` -- the events

@@ -46,8 +46,14 @@ from repro.simulation.workload import IterationWorkload, SyncUnit
 __all__ = ["SyncPlan", "UnitPlan", "decide_schemes", "fan_groups",
            "node_traffic", "resolve_plan"]
 
+#: Plans kept by the plan memo (and DES lowerings by theirs): the most
+#: recently used.  A what-if query over a cluster no run asks about again
+#: leaves its plans behind; ``runner --quick`` resolves 209 distinct plans
+#: and comes back to early ones late, so fewer would re-resolve some.
+MEMO_PLANS = 256
+
 #: Plans never depend on the link bandwidth, so a bandwidth axis shares one.
-_PLANS = Memo(registry_generation)
+_PLANS = Memo(registry_generation, limit=MEMO_PLANS)
 
 
 def decide_schemes(workload: IterationWorkload, comm: str,

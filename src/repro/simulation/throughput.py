@@ -39,15 +39,16 @@ from repro.core.faults import fault_overhead_factor
 from repro.exceptions import SimulationError
 from repro.memo import Memo
 from repro.nn.spec import ModelSpec
-from repro.sim import Environment, Event
+from repro.sim import CountdownEvent, Environment, Event
 from repro.simulation.plan import (
     _FABRIC_KINDS,
+    MEMO_PLANS,
     UnitPlan,
     decide_schemes,
     fan_groups,
     resolve_plan,
 )
-from repro.simulation.workload import IterationWorkload, SyncUnit, build_workload
+from repro.simulation.workload import IterationWorkload, build_workload
 
 __all__ = ["SimulationResult", "IterationSimulator", "decide_schemes",
            "simulate_system"]
@@ -127,9 +128,12 @@ def simulation_result(simulator, iteration_seconds: float,
 
 # -- the interpreter: phases -> per-worker steps -----------------------------------
 # A unit's phases are lowered once per plan to one step tuple per worker;
-# running a sync is then a loop over opcodes, whatever the scheme.
+# running a sync is then a step record (``_UnitSync``) walking the opcodes,
+# whatever the scheme, until one must wait: on a flow's completion event,
+# a barrier, the gate or a shard side's event.  It resumes as that event's
+# waiter, so no generator runs per sync or per flow.
 _TRANSFER = 0   # (op, src, dst, nbytes, tag): inline point-to-point flow
-_SPAWN = 1      # same, as its own process (Phase.detached)
+_SPAWN = 1      # same, booked from its own entry (Phase.detached)
 _BROADCAST = 2  # (op, src, dst_ids, nbytes, tag): one uplink hold, many copies
 _RING = 3       # (op, nbytes, tag, first_barrier, rounds, holds): to the successor
 _ARRIVE = 4     # (op, barrier)
@@ -279,8 +283,9 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
         tuple(sizes), tuple(shards))
 
 
-#: Lowered plans; built on first DES use, never by ``resolve_plan``.
-_LOWERED = Memo(registry_generation)
+#: Lowered plans; built on first DES use, never by ``resolve_plan``.  Keyed
+#: on plans, so bounded as the plan memo is (it would keep them alive).
+_LOWERED = Memo(registry_generation, limit=MEMO_PLANS)
 
 
 class _UnitSyncState:
@@ -296,11 +301,12 @@ class _UnitSyncState:
 
     def __init__(self, env: Environment, steps: _UnitSteps):
         self.steps = steps
-        self.started: Event = env.event()
-        self.barriers = [env.countdown(count) for count in steps.barriers]
+        self.started = Event(env)
+        self.barriers = [CountdownEvent(env, count)
+                         for count in steps.barriers]
         #: Completion of each fabric phase's shard side, by phase index.
         self.shard_events: Dict[int, Event] = {
-            phase: env.event() for *_, phase in steps.shards}
+            phase: Event(env) for *_, phase in steps.shards}
 
 
 class _Round:
@@ -538,7 +544,7 @@ class IterationSimulator:
             rounds = period * windows
         lowered, one_class = self._lowered(one_round=rounds == 1)
         # A symmetric plan came back as its representative: one worker, and
-        # the shard helpers gather and scatter on that worker's node.
+        # the shard sides gather and scatter on that worker's node.
         stepped = len(next(iter(lowered.values())).workers)
         self.workers_stepped = stepped
         if stepped < self.num_workers:
@@ -662,8 +668,8 @@ class _UnitSync:
     it waits on and walks its steps until it must wait again.  A flow step
     waits on the flow's completion event, unless the flow completed inline
     (a local copy, zero bytes).  A failed event ends the sync with that
-    failure, as it ended the generator process this record replaced; so
-    does an exception raised by a step.
+    failure, and so does an exception raised by a step: the sync hands it
+    to ``on_exit`` (its compute class's join).
     """
 
     __slots__ = ("sim", "worker", "round", "state", "steps", "prelude",

@@ -64,7 +64,7 @@ from repro.simulation.fluid import (
     sweep_axis,
     use_engine,
 )
-from repro.simulation.plan import node_traffic
+from repro.simulation.plan import MEMO_PLANS, SyncPlan, node_traffic
 from repro.simulation.speedup import curve_tasks, simulate_point
 from repro.simulation.throughput import IterationSimulator, simulate_system
 from repro.simulation.workload import build_workload
@@ -580,21 +580,27 @@ class TestQueryStateDoesNotGrowWithTheCluster:
 
     def test_a_query_retains_no_simulator(self):
         """Each query's simulator is dropped when it returns; none is kept
-        for a repeat of the query that may never come."""
-        def live_simulators():
-            return sum(isinstance(obj, FluidSimulator)
-                       for obj in gc.get_objects())
+        for a repeat of the query that may never come.  Its plans stay in
+        the plan memo, which keeps the ``MEMO_PLANS`` most recently used:
+        more distinct queries than that leave no more plans alive (the
+        memo used to keep the plan of every one-off query)."""
+        def live(kind):
+            return sum(isinstance(obj, kind) for obj in gc.get_objects())
 
         gc.collect()
-        before = live_simulators()
-        for oversubscription in (2.0, 3.0, 4.0, 5.0):
+        before, plans_before = live(FluidSimulator), live(SyncPlan)
+        systems = backend_systems()
+        queries = 0
+        while queries <= MEMO_PLANS:
             cluster = ClusterConfig(num_workers=1000, bandwidth_gbps=40.0,
                                     racks=25,
-                                    oversubscription=oversubscription)
-            for system in backend_systems():
+                                    oversubscription=2.0 + queries / 64)
+            for system in systems:
                 sweep_axis(VGG, system, cluster, (1.0, 40.0))
+            queries += len(systems)
         gc.collect()
-        assert live_simulators() == before
+        assert live(FluidSimulator) == before
+        assert live(SyncPlan) - plans_before <= MEMO_PLANS
 
 
 class TestMultiJob:

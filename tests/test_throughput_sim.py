@@ -215,6 +215,34 @@ class TestSimulatorInternals:
         with pytest.raises(SimulationError, match="single-use"):
             simulator.run()
 
+    @pytest.mark.parametrize("system", [
+        CAFFE_WFBP, poseidon_system("Adam", "adam")], ids=["ps", "adam"])
+    def test_a_failing_shard_side_surfaces_as_itself(self, vgg19_spec,
+                                                      system):
+        """A shard side that raises used to be dropped: its members waited
+        forever, the queue drained and the unfinished worker's ``None``
+        makespan failed as an unrelated ``TypeError``."""
+        def failing_gather(self, node_ids, nbytes_each, tag="untagged"):
+            raise SimulationError("shard side failed")
+
+        with mock.patch.object(ClusterModel, "fabric_gather", failing_gather):
+            with pytest.raises(SimulationError, match="shard side failed"):
+                IterationSimulator(build_workload(vgg19_spec),
+                                   cluster(8, 10.0), system).run()
+
+    def test_a_drained_queue_names_the_unfinished_compute_class(
+            self, vgg19_spec):
+        """A gather that never completes leaves every member waiting: the
+        run names the compute class that did not finish."""
+        def stuck_gather(self, node_ids, nbytes_each, tag="untagged"):
+            return self.env.event()
+
+        with mock.patch.object(ClusterModel, "fabric_gather", stuck_gather):
+            with pytest.raises(SimulationError,
+                               match=r"compute class of workers \(0,"):
+                IterationSimulator(build_workload(vgg19_spec),
+                                   cluster(8, 10.0), CAFFE_WFBP).run()
+
     def test_shard_nodes_are_listed_once_in_id_order(self, googlenet_spec):
         """``_fabric_fan`` books same-instant flows in the order it is given
         the nodes: a sorted tuple, not a set's iteration order."""
