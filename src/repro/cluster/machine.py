@@ -161,8 +161,8 @@ class _Flow(Event):
     A flow record is the waiter (``flow(ok, value)``) of the channel event
     it waits on; resumed, it takes its next stage (:meth:`_step`) until it
     must wait again.  When its last hold has finished it records its bytes
-    and settles: its own waiter runs inside that dispatch, where a
-    generator caller's ``yield from`` resumed, without a queue entry.
+    and settles: its own waiter (the step record or process that booked
+    it) continues inside that same dispatch, without a queue entry.
     """
 
     __slots__ = ("stage", "sent", "received", "nbytes", "tag")
@@ -215,7 +215,8 @@ class _Flow(Event):
 
 
 #: Allocator of the two flow records :meth:`ClusterModel.transfer` fills in
-#: itself (``_Flow.__init__``, inline: one per flow).
+#: itself (``_Flow.__init__``, inline: one per flow, the hottest
+#: allocation of a DES run).
 _new_flow = object.__new__
 
 
@@ -236,7 +237,8 @@ class _PointFlow(_Flow):
     """A point-to-point flow: an open uplink hold waits for its grant, then
     books the receiver -- idle, busy (wait for the start of transmission)
     or queued behind an open hold (wait for its release).  Each stage is
-    one :meth:`_step` of the transfer generator it replaced, in order."""
+    one :meth:`_step` of the protocol :meth:`ClusterModel.transfer`
+    describes."""
 
     __slots__ = ("up", "down", "duration", "up_release", "down_release",
                  "finish")

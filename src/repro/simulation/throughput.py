@@ -561,14 +561,17 @@ class IterationSimulator:
         # delay, not GPU occupancy: production stacks run it on side
         # streams or the CPU without stalling backprop).
         gpus = self.cluster_config.gpus_per_node
-        pcie = self.cluster_config.gpu.pcie_bandwidth_bps
-        self._preludes = {
-            plan.unit.name: (((units.transfer_seconds(
-                plan.unit.param_bytes * (gpus - 1), pcie),)
-                if gpus > 1 else ())
-                + ((plan.encode_seconds,) if plan.encode_seconds > 0.0
-                   else ()))
-            for plan in self.plan.units}
+        self._preludes = {}
+        for plan in self.plan.units:
+            delays = ()
+            if gpus > 1:
+                delays += (units.transfer_seconds(
+                    plan.unit.param_bytes * (gpus - 1),
+                    self.cluster_config.gpu.pcie_bandwidth_bps),)
+            if plan.encode_seconds > 0.0:
+                delays += (plan.encode_seconds,)
+            self._preludes[plan.unit.name] = delays
+        #: Whether broadcasts book every copy on the sender's own downlink.
         self._proxy = stepped < self.num_workers
         worker_processes = [
             self.env.process(self._worker_process(join, members, views))
@@ -786,10 +789,10 @@ class _UnitSync:
 
 
 class _Detached(Event):
-    """A detached fetch (``Phase.detached``): the flow is booked from its
-    own bootstrap entry, and the event succeeds in a completion entry once
-    the flow has finished -- the two entries running it as its own process
-    took."""
+    """A detached fetch (``Phase.detached``): the flow is booked from a
+    bootstrap entry of its own, and this event succeeds in a completion
+    entry of its own once the flow has finished -- the entries of a fetch
+    run as its own process."""
 
     __slots__ = ("cluster", "args")
 
