@@ -214,6 +214,12 @@ class _Flow(Event):
             self._settle()
 
 
+#: Allocator of the two flow records :meth:`ClusterModel.transfer` fills in
+#: itself (``_Flow.__init__``, inline: one per flow, the hottest
+#: allocation of a DES run).
+_new_flow = object.__new__
+
+
 class _ChannelFlow(_Flow):
     """A fabric flow: one channel, booked at once or queued behind the
     channel's open hold, whose release entry is then its own wake-up."""
@@ -278,7 +284,7 @@ class _PointFlow(_Flow):
             release = self.up_release
             if release is None:
                 wake = env.timeout_at(finish)
-                up.note_entry(wake, finish)
+                up._entry, up._entry_tail = wake, finish  # note_entry
                 wake._waiter = self
                 return
             wake = release
@@ -504,7 +510,11 @@ class _FabricFan:
               traffic: TrafficAccount, nbytes: float) -> None:
         previous = channel._release
         if previous is None or previous.triggered:
-            finish = channel.book(duration)
+            # TailChannel.book, inline: start at max(now, tail).
+            start = channel.tail
+            now = self.cluster.env._now
+            finish = (start if start > now else now) + duration
+            channel.tail = finish
             if finish > self.latest:
                 self.latest = finish
         else:
@@ -711,7 +721,8 @@ class ClusterModel:
         if src == FABRIC or dst == FABRIC:
             outbound = dst == FABRIC
             node = src if outbound else dst
-            nic = self._nic(node)
+            nics = self._nics
+            nic = nics[node] if 0 <= node < len(nics) else self.machine(node).nic
             if self.topology_active:
                 cross_bytes = nbytes * self._cross_fraction_by_node[node]
                 if cross_bytes > 0.0:
@@ -720,13 +731,24 @@ class ClusterModel:
             # Fabric flow: a single channel, so the whole hold is one
             # analytic booking (or a chained wait behind an open hold).
             channel = nic.uplink if outbound else nic.downlink
-            flow = _ChannelFlow(env, nic.traffic if outbound else None,
-                                None if outbound else nic.traffic, nbytes, tag)
+            flow = _new_flow(_ChannelFlow)
+            flow.env = env
+            flow._waiter = flow._waiters = flow.value = flow.ok = None
+            flow.triggered = flow.processed = False
+            if outbound:
+                flow.sent, flow.received = nic.traffic, None
+            else:
+                flow.sent, flow.received = None, nic.traffic
+            flow.nbytes, flow.tag = nbytes, tag
             release = channel._release
             if release is None or release.triggered:
-                finish = channel.book(hold)
+                # TailChannel.book and note_entry, inline.
+                start = channel.tail
+                now = env._now
+                finish = (start if start > now else now) + hold
+                channel.tail = finish
                 wake = env.timeout_at(finish)
-                channel.note_entry(wake, finish)
+                channel._entry, channel._entry_tail = wake, finish
                 wake._waiter = flow
                 flow.stage = _DONE
             else:
@@ -736,15 +758,21 @@ class ClusterModel:
                 release.add_waiter(flow)  # granted when the holder frees up
             return flow
 
-        src_nic = self._nic(src)
-        dst_nic = self._nic(dst)
+        nics = self._nics
+        src_nic = nics[src] if 0 <= src < len(nics) else self.machine(src).nic
+        dst_nic = nics[dst] if 0 <= dst < len(nics) else self.machine(dst).nic
         if (self.topology_active
                 and self._rack_by_node[src] != self._rack_by_node[dst]):
             return self._cross_rack_transfer(
                 src, dst, src_nic, dst_nic, nbytes, tag, repeat=repeat)._start()
         up = src_nic.uplink
-        flow = _PointFlow(env, src_nic.traffic, dst_nic.traffic,
-                          repeat * nbytes, tag)
+        flow = _new_flow(_PointFlow)
+        flow.env = env
+        flow._waiter = flow._waiters = flow.value = flow.ok = None
+        flow.triggered = flow.processed = False
+        flow.stage = _GRANT
+        flow.sent, flow.received = src_nic.traffic, dst_nic.traffic
+        flow.nbytes, flow.tag = repeat * nbytes, tag
         flow.up, flow.down = up, dst_nic.downlink
         flow.duration = hold if repeat == 1 else repeat * hold
         # Phase 1: the uplink, claimed at call time.
