@@ -284,7 +284,7 @@ class _PointFlow(_Flow):
             release = self.up_release
             if release is None:
                 wake = env.timeout_at(finish)
-                up._entry, up._entry_tail = wake, finish  # note_entry
+                up.note_entry(wake, finish)
                 wake._waiter = self
                 return
             wake = release
@@ -510,11 +510,7 @@ class _FabricFan:
               traffic: TrafficAccount, nbytes: float) -> None:
         previous = channel._release
         if previous is None or previous.triggered:
-            # TailChannel.book, inline: start at max(now, tail).
-            start = channel.tail
-            now = self.cluster.env._now
-            finish = (start if start > now else now) + duration
-            channel.tail = finish
+            finish = channel.book(duration)
             if finish > self.latest:
                 self.latest = finish
         else:
@@ -742,13 +738,9 @@ class ClusterModel:
             flow.nbytes, flow.tag = nbytes, tag
             release = channel._release
             if release is None or release.triggered:
-                # TailChannel.book and note_entry, inline.
-                start = channel.tail
-                now = env._now
-                finish = (start if start > now else now) + hold
-                channel.tail = finish
+                finish = channel.book(hold)
                 wake = env.timeout_at(finish)
-                channel._entry, channel._entry_tail = wake, finish
+                channel.note_entry(wake, finish)
                 wake._waiter = flow
                 flow.stage = _DONE
             else:
