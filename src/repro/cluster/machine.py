@@ -284,7 +284,7 @@ class _PointFlow(_Flow):
             release = self.up_release
             if release is None:
                 wake = env.timeout_at(finish)
-                up.note_entry(wake, finish)
+                up._entry, up._entry_tail = wake, finish  # note_entry
                 wake._waiter = self
                 return
             wake = release
@@ -510,7 +510,11 @@ class _FabricFan:
               traffic: TrafficAccount, nbytes: float) -> None:
         previous = channel._release
         if previous is None or previous.triggered:
-            finish = channel.book(duration)
+            # TailChannel.book, inline: start at max(now, tail).
+            start = channel.tail
+            now = self.cluster.env._now
+            finish = (start if start > now else now) + duration
+            channel.tail = finish
             if finish > self.latest:
                 self.latest = finish
         else:
@@ -738,9 +742,13 @@ class ClusterModel:
             flow.nbytes, flow.tag = nbytes, tag
             release = channel._release
             if release is None or release.triggered:
-                finish = channel.book(hold)
+                # TailChannel.book and note_entry, inline.
+                start = channel.tail
+                now = env._now
+                finish = (start if start > now else now) + hold
+                channel.tail = finish
                 wake = env.timeout_at(finish)
-                channel.note_entry(wake, finish)
+                channel._entry, channel._entry_tail = wake, finish
                 wake._waiter = flow
                 flow.stage = _DONE
             else:

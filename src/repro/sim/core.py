@@ -1,13 +1,22 @@
 """Core of the discrete-event engine: environment, events and processes.
 
+Two kinds of simulation task wait on events.  A :class:`Process` wraps a
+generator that yields events (the DES keeps one per compute class, and
+the tests drive flows through them); a *record* is a slotted object
+that is itself the waiter -- called as ``record(ok, value)`` -- and walks
+its own state until it must wait again (the DES's unit syncs, shard sides
+and flows).  Records carry no generator frame, and neither takes a queue
+entry to resume.
+
 The engine is the substrate of every figure sweep, so the event loop and the
 process-resume path are written allocation-consciously:
 
 * all event classes carry ``__slots__`` (no per-instance ``__dict__``);
 * waiters are invoked as ``callback(ok, value)``; the first waiter lives in
   a dedicated ``_waiter`` slot, so the common one-waiter event never
-  allocates a callback list, and a :class:`Process` registers *itself* as
-  the waiter so no bound method is materialised per wait;
+  allocates a callback list, and a :class:`Process` (like a record)
+  registers *itself* as the waiter so no bound method is materialised per
+  wait;
 * process bookkeeping (bootstrap, resuming after an already-processed
   event) schedules thunks directly on the heap instead of allocating
   throwaway :class:`Event` objects (and detached ones, one per batch);
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
@@ -133,6 +143,26 @@ class Event:
         self.value = exception
         self.env.schedule(self)
         return self
+
+    def _settle(self) -> None:
+        """Succeed and process at once: the waiters run now, inside the
+        current dispatch, and no queue entry is taken.
+
+        A flow record (:mod:`repro.cluster.machine`) completes this way in
+        the dispatch of its last channel event, exactly where a generator
+        caller's ``yield from`` would have resumed.
+        """
+        self.triggered = self.processed = True
+        self.ok = True
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            _fire(waiter, True, None)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = None
+            for waiter in waiters:
+                _fire(waiter, True, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
@@ -279,9 +309,12 @@ class CountdownEvent(Event):
     __slots__ = ("_remaining",)
 
     def __init__(self, env: "Environment", count: int):
-        super().__init__(env)
         if count < 0:
             raise SimulationError(f"countdown count must be >= 0, got {count}")
+        # Inlined Event.__init__: one of these per barrier and sync round.
+        self.env = env
+        self._waiter = self._waiters = self.value = self.ok = None
+        self.triggered = self.processed = False
         self._remaining = count
         if count == 0:
             self.succeed()
@@ -297,7 +330,11 @@ class CountdownEvent(Event):
             raise SimulationError(f"{self!r}: arrival after the barrier fired")
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed()
+            # Event.succeed, inline: one of these per barrier.
+            self.triggered = self.ok = True
+            env = self.env
+            env._push((env._now, env._sequence, self))
+            env._sequence += 1
 
     def arrive_with(self, ok: Optional[bool], value: Any) -> None:
         """A detached member's ``on_exit``: an arrival, or on failure the barrier's."""
@@ -429,20 +466,28 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator)
 
-    def spawn(self, generators: Iterable[Generator],
+    def spawn(self, tasks: Iterable[Any],
               on_exit: Waiter = lambda ok, value: None) -> None:
-        """Start detached processes, all from one queue entry.
+        """Start detached tasks, all from one queue entry.
 
-        Each runs to its first yield in the order given, as back-to-back
-        :meth:`process` calls would; none takes a completion entry (nothing
-        may wait on it), each hands its outcome to ``on_exit(ok, value)``.
+        A task is a generator (run as a detached :class:`Process`) or a
+        record: an object with an ``on_exit`` attribute and a ``_start()``
+        that runs it to its first wait.  Each runs to its first wait in the
+        order given, as back-to-back :meth:`process` calls would; none takes
+        a completion entry (nothing may wait on it), each hands its outcome
+        to ``on_exit(ok, value)``.
         """
-        started = [Process(self, generator, on_exit)
-                   for generator in generators]
+        started = []
+        for task in tasks:
+            if task.__class__ is GeneratorType:
+                task = Process(self, task, on_exit)
+            else:
+                task.on_exit = on_exit
+            started.append(task)
 
         def start() -> None:
-            for process in started:
-                process._start()
+            for task in started:
+                task._start()
 
         if started:
             self.schedule_thunk(start)
@@ -509,7 +554,9 @@ class Environment:
                     w = item._waiter
                     if w is not None:
                         item._waiter = None
-                        if w.__class__ is Process and not w.triggered:
+                        if w.__class__ is not Process:
+                            w(True, item.value)  # a record
+                        elif not w.triggered:
                             # Inlined Process._advance for the ok=True timeout
                             # outcome, with a tight chain loop: while the
                             # process yields a fresh timeout that is also the
@@ -552,28 +599,35 @@ class Environment:
                                     break
                                 w._wait_on(nxt)
                                 break
-                        elif w.__class__ is Process:
-                            pass  # terminated while queued: drop resume
-                        else:
-                            w(True, item.value)
+                        # (a process that ended while queued is not resumed)
                     waiters = item._waiters
                     if waiters:
                         item._waiters = None
                         value = item.value
                         for waiter in waiters:
-                            _fire(waiter, True, value)
+                            if waiter.__class__ is Process:
+                                waiter._advance(True, value)
+                            else:
+                                waiter(True, value)
                 elif isinstance(item, Event):
                     item.processed = True
                     waiter = item._waiter
                     if waiter is not None:
                         item._waiter = None
-                        _fire(waiter, item.ok, item.value)
+                        # _fire, inline: a record is called, a process resumed.
+                        if waiter.__class__ is Process:
+                            waiter._advance(item.ok, item.value)
+                        else:
+                            waiter(item.ok, item.value)
                     waiters = item._waiters
                     if waiters:
                         item._waiters = None
                         ok, value = item.ok, item.value
                         for waiter in waiters:
-                            _fire(waiter, ok, value)
+                            if waiter.__class__ is Process:
+                                waiter._advance(ok, value)
+                            else:
+                                waiter(ok, value)
                 else:
                     item()
         finally:

@@ -39,7 +39,7 @@ from repro.core.faults import fault_overhead_factor
 from repro.exceptions import SimulationError
 from repro.memo import Memo
 from repro.nn.spec import ModelSpec
-from repro.sim import Environment, Event
+from repro.sim import CountdownEvent, Environment, Event
 from repro.simulation.plan import (
     _FABRIC_KINDS,
     MEMO_PLANS,
@@ -301,11 +301,12 @@ class _UnitSyncState:
 
     def __init__(self, env: Environment, steps: _UnitSteps):
         self.steps = steps
-        self.started: Event = env.event()
-        self.barriers = [env.countdown(count) for count in steps.barriers]
+        self.started = Event(env)
+        self.barriers = [CountdownEvent(env, count)
+                         for count in steps.barriers]
         #: Completion of each fabric phase's shard side, by phase index.
         self.shard_events: Dict[int, Event] = {
-            phase: env.event() for *_, phase in steps.shards}
+            phase: Event(env) for *_, phase in steps.shards}
 
 
 class _Round:
