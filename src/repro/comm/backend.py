@@ -41,7 +41,6 @@ from __future__ import annotations
 import abc
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
@@ -54,6 +53,7 @@ from repro.core.cost_model import (
     sfb_worker_cost,
 )
 from repro.core.policy import BSP, SyncPolicy
+from repro.domains import COUNT, require
 from repro.exceptions import ConfigurationError
 
 #: A layer's parameters or gradients: parameter name -> array.
@@ -749,11 +749,8 @@ def choose_scheme(mode: str, fc_dims: Optional[Tuple[int, int]],
         ConfigurationError: in every mode, when ``batch_size`` or
             ``factor_rank`` is not an integer >= 1, or ``mode`` is unknown.
     """
-    for label, count in (("batch_size", batch_size),
-                         ("factor_rank", factor_rank)):
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ConfigurationError(
-                f"{label} must be an integer >= 1, got {count!r}")
+    require("batch_size", batch_size, COUNT)
+    require("factor_rank", factor_rank, COUNT)
     factorizable = sf_eligible and fc_dims is not None
     if mode == HYBRID_MODE:
         if not factorizable:

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.comm.backend import get_backend
 from repro.comm.wire import bucket_partition
-from repro.exceptions import ConfigurationError
+from repro.domains import WHOLE, require
 from repro.simulation.workload import IterationWorkload, SyncUnit
 
 
@@ -49,9 +49,7 @@ class GradientBucketer:
     """
 
     def __init__(self, bucket_bytes: int, scheduler: Any):
-        if bucket_bytes < 1:
-            raise ConfigurationError(
-                f"bucket_bytes must be >= 1, got {bucket_bytes}")
+        require("bucket_bytes", bucket_bytes, WHOLE)
         self.bucket_bytes = int(bucket_bytes)
         self.scheduler = scheduler
         self._pending: List[Callable[[], Any]] = []

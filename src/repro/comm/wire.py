@@ -32,12 +32,13 @@ select exactly the same bytes for every layer kind.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro import units
+from repro.domains import (COUNT, POSITIVE, WHOLE, Domain, check_fields,
+                           declared, one_of, optional, require)
 from repro.exceptions import ConfigurationError
 
 #: Minimum element count before a 2-D weight matrix is worth compressing
@@ -88,6 +89,13 @@ def powersgd_payload_bytes(rank: int, m: int, n: int) -> int:
 
 _SPEC_RE = re.compile(r"^(?P<kind>[a-z]+)(?:\((?P<arg>[^)]*)\))?$")
 
+#: A top-k keep parameter: a fraction below 1, a whole entry count from 1.
+_TOPK_KEEP = Domain(lambda k: POSITIVE.check(k)
+                    and (k < 1 or float(k).is_integer()),
+                    "finite, > 0 and whole if >= 1")
+#: Each compressor kind's parameter, ``(field, parse)``, or None.
+_SPEC_ARGS = {"none": None, "topk": ("k", float), "powersgd": ("rank", int)}
+
 
 @dataclass(frozen=True)
 class CompressionConfig:
@@ -99,9 +107,10 @@ class CompressionConfig:
         rank: PowerSGD factor rank.
     """
 
-    kind: str
-    k: Optional[float] = None
-    rank: Optional[int] = None
+    kind: str = declared(one_of("none", "topk", "powersgd"))
+    k: Optional[float] = declared(optional(_TOPK_KEEP), None)
+    rank: Optional[int] = declared(optional(COUNT), None)
+    __post_init__ = check_fields
 
     @classmethod
     def parse(cls, spec: Optional[str]) -> "CompressionConfig":
@@ -110,51 +119,32 @@ class CompressionConfig:
         Accepts ``None`` / ``"none"``, ``"topk(K)"`` and ``"powersgd(R)"``;
         raises :class:`ConfigurationError` on anything else (1-bit too: it
         is a backend) so misconfigurations surface at construction time.
+        Only the grammar is checked here; the value, by the field's domain.
         """
         if spec is None:
             return cls(kind="none")
         if isinstance(spec, CompressionConfig):
             return spec
         match = _SPEC_RE.match(str(spec).strip().lower())
-        if match is None:
+        if match is None or match.group("kind") not in _SPEC_ARGS:
             raise ConfigurationError(
-                f"unparseable compressor spec {spec!r}; expected 'none', "
+                f"unknown compressor spec {spec!r}; expected 'none', "
                 f"'topk(K)' or 'powersgd(R)'")
-        kind, arg = match.group("kind"), match.group("arg")
-        if kind == "none":
-            if arg is not None:
-                raise ConfigurationError(
-                    f"compressor 'none' takes no argument, got {spec!r}")
+        kind, arg = match.group("kind", "arg")
+        parameter = _SPEC_ARGS[kind]
+        if (parameter is None) != (arg is None):
+            raise ConfigurationError(
+                f"compressor spec {spec!r}: 'none' takes no argument, 'topk' "
+                f"a keep parameter and 'powersgd' a rank")
+        if parameter is None:
             return cls(kind=kind)
-        if kind == "topk":
-            if arg is None:
-                raise ConfigurationError(
-                    f"topk needs a keep parameter, e.g. 'topk(0.01)'; got {spec!r}")
-            try:
-                k = float(arg)
-            except ValueError:
-                raise ConfigurationError(
-                    f"invalid topk parameter {arg!r} in {spec!r}") from None
-            if not (math.isfinite(k) and k > 0 and (k < 1 or k.is_integer())):
-                raise ConfigurationError(   # k >= 1 counts entries
-                    f"topk parameter must be finite, > 0 and whole if >= 1, "
-                    f"got {k}")
-            return cls(kind="topk", k=k)
-        if kind == "powersgd":
-            if arg is None:
-                raise ConfigurationError(
-                    f"powersgd needs a rank, e.g. 'powersgd(4)'; got {spec!r}")
-            try:
-                rank = int(arg)
-            except ValueError:
-                raise ConfigurationError(
-                    f"invalid powersgd rank {arg!r} in {spec!r}") from None
-            if rank < 1:
-                raise ConfigurationError(f"powersgd rank must be >= 1, got {rank}")
-            return cls(kind="powersgd", rank=rank)
-        raise ConfigurationError(
-            f"unknown compressor {kind!r} in spec {spec!r}; expected 'none', "
-            f"'topk(K)' or 'powersgd(R)'")
+        name, number = parameter
+        try:
+            value = number(arg)
+        except ValueError:
+            raise ConfigurationError(
+                f"invalid {kind} parameter {arg!r} in {spec!r}") from None
+        return cls(kind=kind, **{name: value})
 
     @property
     def is_identity(self) -> bool:
@@ -250,9 +240,7 @@ def bucket_partition(sizes: Sequence[float],
     :func:`~repro.comm.bucketing.bucket_workload` follow exactly this
     rule, so their message counts agree by construction.
     """
-    if bucket_bytes < 1:
-        raise ConfigurationError(
-            f"bucket_bytes must be >= 1, got {bucket_bytes}")
+    require("bucket_bytes", bucket_bytes, WHOLE)
     buckets: List[List[int]] = []
     current: List[int] = []
     filled = 0.0

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro import units
 from repro.core.policy import BSP, SyncPolicy
+from repro.domains import (AT_LEAST_ONE, BOOL, COUNT, COUNT0, FRACTION,
+                           NONNEGATIVE, POSITIVE, WHOLE, check_fields,
+                           declared, fraction, instance, optional, require)
 from repro.exceptions import ConfigurationError
 
 
@@ -53,10 +55,11 @@ class GpuModel:
             overlaps.
     """
 
-    name: str = "TITAN X"
-    effective_flops: float = 6.0 * units.TFLOPS
-    memory_bytes: float = 12 * units.GB
-    pcie_bandwidth_bps: float = 100 * units.GBIT
+    name: str = declared(instance(str), "TITAN X")
+    effective_flops: float = declared(POSITIVE, 6.0 * units.TFLOPS)
+    memory_bytes: float = declared(POSITIVE, 12 * units.GB)
+    pcie_bandwidth_bps: float = declared(POSITIVE, 100 * units.GBIT)
+    __post_init__ = check_fields
 
     def compute_seconds(self, flops: float) -> float:
         """Time to execute ``flops`` floating point operations."""
@@ -76,13 +79,6 @@ TESLA_K80 = GpuModel(
     effective_flops=2.8 * units.TFLOPS,
     memory_bytes=12 * units.GB,
 )
-
-
-def _is_bool(value) -> bool:
-    """A bool, numpy's included (a non-number equal to True or False), so
-    NaN or 2.5 is not taken as true -- without importing numpy."""
-    return isinstance(value, bool) or (
-        not isinstance(value, numbers.Number) and value in (True, False))
 
 
 @dataclass(frozen=True)
@@ -141,42 +137,23 @@ class ClusterConfig:
             the flat model.
     """
 
-    num_workers: int
-    num_servers: Optional[int] = None
-    bandwidth_gbps: float = BandwidthPreset.GBE_40.value
-    gpus_per_node: int = 1
-    gpu: GpuModel = field(default_factory=lambda: TITAN_X)
-    colocate_servers: bool = True
-    latency_seconds: float = 50 * units.US
-    network_efficiency: float = 0.55
-    racks: int = 1
-    oversubscription: float = 1.0
+    num_workers: int = declared(COUNT)
+    num_servers: Optional[int] = declared(optional(COUNT), None)
+    bandwidth_gbps: float = declared(POSITIVE, BandwidthPreset.GBE_40.value)
+    gpus_per_node: int = declared(COUNT, 1)
+    gpu: GpuModel = declared(instance(GpuModel),
+                             default_factory=lambda: TITAN_X)
+    colocate_servers: bool = declared(BOOL, True)
+    # Zero is in the domain: an ideal network, every message free of latency.
+    latency_seconds: float = declared(NONNEGATIVE, 50 * units.US)
+    network_efficiency: float = declared(fraction(low_open=True), 0.55)
+    racks: int = declared(COUNT, 1)
+    oversubscription: float = declared(AT_LEAST_ONE, 1.0)
 
     def __post_init__(self) -> None:
         if self.num_servers is None:
             object.__setattr__(self, "num_servers", self.num_workers)
-        # Counts are whole (numpy ints too): shards and racks are placed by
-        # integer arithmetic on them.  Sizes are finite; NaN fails every test.
-        for name in ("num_workers", "num_servers", "gpus_per_node", "racks"):
-            count = getattr(self, name)
-            if not isinstance(count, numbers.Integral) or count < 1:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 1, got {count!r}")
-        for ok, name, rule in (
-                (isinstance(self.gpu, GpuModel), "gpu", "a GpuModel"),
-                (_is_bool(self.colocate_servers), "colocate_servers",
-                 "a bool"),
-                (0 < self.bandwidth_gbps < math.inf, "bandwidth_gbps",
-                 "finite and positive"),
-                (0.0 < self.network_efficiency <= 1.0, "network_efficiency",
-                 "in (0, 1]"),
-                (0 <= self.latency_seconds < math.inf, "latency_seconds",
-                 "finite and >= 0"),
-                (1.0 <= self.oversubscription < math.inf, "oversubscription",
-                 "finite and >= 1.0")):
-            if not ok:
-                raise ConfigurationError(
-                    f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_fields(self)
 
     @property
     def bandwidth_bps(self) -> float:
@@ -252,10 +229,7 @@ class ClusterConfig:
         effective_bandwidth_bps``; the oversubscribed uplink provides
         ``1/oversubscription`` of that.
         """
-        if rack_nodes < 1:
-            raise ConfigurationError(
-                f"rack_nodes must be >= 1, got {rack_nodes}"
-            )
+        require("rack_nodes", rack_nodes, COUNT)
         return self.effective_bandwidth_bps * rack_nodes / self.oversubscription
 
     def with_workers(self, num_workers: int) -> "ClusterConfig":
@@ -282,30 +256,14 @@ class TrainingConfig:
         seed: base RNG seed; workers derive their own seeds from it.
     """
 
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    iterations: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # Counts are whole (numpy ints too); rates are finite, since a NaN
-        # fails every comparison and would train silently to a NaN loss.
-        for name, low in (("batch_size", 1), ("iterations", 0), ("seed", 0)):
-            count = getattr(self, name)
-            if not isinstance(count, numbers.Integral) or count < low:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {low}, got {count!r}")
-        for ok, name, rule in (
-                (0 < self.learning_rate < math.inf, "learning_rate",
-                 "finite and positive"),
-                (0.0 <= self.momentum < 1.0, "momentum", "in [0, 1)"),
-                (0 <= self.weight_decay < math.inf, "weight_decay",
-                 "finite and >= 0")):
-            if not ok:
-                raise ConfigurationError(
-                    f"{name} must be {rule}, got {getattr(self, name)!r}")
+    batch_size: int = declared(COUNT, 32)
+    learning_rate: float = declared(POSITIVE, 0.01)
+    momentum: float = declared(fraction(high_open=True), 0.0)
+    weight_decay: float = declared(NONNEGATIVE, 0.0)
+    # Zero is in the domain: ``train()`` of no iterations returns at once.
+    iterations: int = declared(COUNT0, 100)
+    seed: int = declared(COUNT0, 0)
+    __post_init__ = check_fields
 
 
 class ScheduleMode(str, enum.Enum):
@@ -372,53 +330,37 @@ class SystemConfig:
             per-layer messages.
     """
 
-    name: str
-    schedule: ScheduleMode
-    partitioning: Partitioning
-    comm: str
-    overlap_pull: bool = True
-    overlap_host_copy: bool = True
-    host_copy_bandwidth_bps: float = 16 * units.GBIT
-    policy: SyncPolicy = BSP
-    straggler_fraction: float = 0.0
-    straggler_factor: float = 1.0
-    mtbf_seconds: Optional[float] = None
-    checkpoint_interval_seconds: Optional[float] = None
-    checkpoint_cost_seconds: float = 0.0
-    compressor: str = "none"
-    bucket_bytes: Optional[int] = None
+    name: str = declared(instance(str))
+    schedule: ScheduleMode = declared(instance(ScheduleMode))
+    partitioning: Partitioning = declared(instance(Partitioning))
+    comm: str = declared(instance(str))
+    overlap_pull: bool = declared(BOOL, True)
+    overlap_host_copy: bool = declared(BOOL, True)
+    host_copy_bandwidth_bps: float = declared(POSITIVE, 16 * units.GBIT)
+    policy: SyncPolicy = declared(instance(SyncPolicy), BSP)
+    straggler_fraction: float = declared(FRACTION, 0.0)
+    straggler_factor: float = declared(AT_LEAST_ONE, 1.0)
+    mtbf_seconds: Optional[float] = declared(optional(POSITIVE), None)
+    checkpoint_interval_seconds: Optional[float] = declared(
+        optional(POSITIVE), None)
+    checkpoint_cost_seconds: float = declared(NONNEGATIVE, 0.0)
+    compressor: str = declared(instance(str), "none")
+    bucket_bytes: Optional[int] = declared(optional(WHOLE), None)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         wired = self.bucket_bytes is not None
         if self.compressor != "none":
             # Past the default: a plain system must not load repro.comm.
             from repro.comm.wire import CompressionConfig
             wired |= not CompressionConfig.parse(self.compressor).is_identity
-        mtbf, interval = self.mtbf_seconds, self.checkpoint_interval_seconds
+        mtbf = self.mtbf_seconds
         for ok, problem in (
-                (isinstance(self.policy, SyncPolicy),
-                 f"policy {self.policy!r} is not a SyncPolicy (with_policy)"),
-                (0 < self.host_copy_bandwidth_bps < math.inf,
-                 "host_copy_bandwidth_bps must be finite and positive"),
-                (0.0 <= self.straggler_fraction <= 1.0,
-                 "straggler_fraction must be in [0, 1]"),
-                (1 <= self.straggler_factor < math.inf,
-                 "straggler_factor must be finite and >= 1"),
-                (mtbf is None or 0 < mtbf < math.inf,
-                 "mtbf_seconds must be finite and positive (None: no "
-                 "failures)"),
-                (interval is None or 0 < interval < math.inf,
-                 "checkpoint_interval_seconds must be finite and positive"),
-                (0 <= self.checkpoint_cost_seconds < math.inf,
-                 "checkpoint_cost_seconds must be finite and >= 0"),
                 # The closed-form overhead factor describes a job that
                 # completes checkpoints between failures: C < M.
                 (mtbf is None or self.checkpoint_cost_seconds < mtbf,
                  "checkpoint_cost_seconds must be below mtbf_seconds (a "
                  "checkpoint must complete between failures)"),
-                (self.bucket_bytes is None or self.bucket_bytes >= 1
-                 and float(self.bucket_bytes).is_integer(),
-                 "bucket_bytes must be an integer >= 1"),
                 (not wired or self.partitioning is Partitioning.COARSE,
                  "compressor/bucket_bytes require coarse partitioning; "
                  "fine-grained KV pairs fix the wire granularity")):

@@ -21,12 +21,12 @@ node; everything else goes through the parameter server.
 
 from __future__ import annotations
 
-import numbers
 from typing import Optional, Tuple
 
 from repro import units
 from repro.config import ClusterConfig
 from repro.core.policy import BSP, SyncPolicy
+from repro.domains import COUNT, require
 from repro.exceptions import ConfigurationError
 from repro.nn.spec import LayerKind, LayerSpec
 
@@ -120,9 +120,7 @@ class CostModel:
 
     def __init__(self, cluster: ClusterConfig, batch_size: int,
                  policy=None, compression=None):
-        if not isinstance(batch_size, numbers.Integral) or batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be an integer >= 1, got {batch_size!r}")
+        require("batch_size", batch_size, COUNT)
         self.cluster = cluster
         self.batch_size = int(batch_size)
         # Imported lazily for symmetry with the backend imports below

@@ -39,6 +39,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.domains import (AT_LEAST_ONE, COUNT0, FRACTION, NONNEGATIVE,
+                           POSITIVE, optional, require)
 from repro.exceptions import ConfigurationError, WorkerFailure
 from repro.exceptions import TransientFault as TransientFaultError
 
@@ -284,9 +286,7 @@ def young_daly_interval(checkpoint_cost_seconds: float,
     """
     if checkpoint_cost_seconds <= 0.0:
         return math.inf
-    if mtbf_seconds <= 0.0:
-        raise ConfigurationError(
-            f"MTBF must be positive, got {mtbf_seconds}")
+    require("mtbf_seconds", mtbf_seconds, POSITIVE)
     return math.sqrt(2.0 * checkpoint_cost_seconds * mtbf_seconds)
 
 
@@ -302,20 +302,18 @@ def fault_overhead_factor(mtbf_seconds: Optional[float],
     optimum; ``M=None`` (no failures) still pays ``C/I`` if an interval
     was explicitly configured, and returns exactly 1.0 otherwise.
     """
-    if checkpoint_cost_seconds < 0.0 or restart_cost_seconds < 0.0:
-        raise ConfigurationError("checkpoint/restart costs must be >= 0")
+    require("mtbf_seconds", mtbf_seconds, optional(POSITIVE))
+    require("checkpoint_interval_seconds", checkpoint_interval_seconds,
+            optional(POSITIVE))
+    require("checkpoint_cost_seconds", checkpoint_cost_seconds, NONNEGATIVE)
+    require("restart_cost_seconds", restart_cost_seconds, NONNEGATIVE)
     if mtbf_seconds is None:
         if checkpoint_interval_seconds and checkpoint_cost_seconds > 0.0:
             return 1.0 + checkpoint_cost_seconds / checkpoint_interval_seconds
         return 1.0
-    if mtbf_seconds <= 0.0:
-        raise ConfigurationError(f"MTBF must be positive, got {mtbf_seconds}")
     interval = checkpoint_interval_seconds
     if interval is None:
         interval = young_daly_interval(checkpoint_cost_seconds, mtbf_seconds)
-    if interval <= 0.0:
-        raise ConfigurationError(
-            f"checkpoint interval must be positive, got {interval}")
     factor = 1.0 + (restart_cost_seconds / mtbf_seconds)
     if math.isfinite(interval):
         factor += checkpoint_cost_seconds / interval
@@ -330,9 +328,7 @@ def effective_straggler_fraction(fraction: float, num_workers: int) -> float:
     (which can only slow an integer number of workers) so the two engines
     agree by construction on small clusters.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError(
-            f"straggler fraction must be in [0, 1], got {fraction}")
+    require("straggler_fraction", fraction, FRACTION)
     if fraction == 0.0 or num_workers <= 0:
         return 0.0
     return math.ceil(fraction * num_workers) / num_workers
@@ -354,9 +350,7 @@ def straggler_excess_seconds(compute_seconds: float, fraction: float,
       BSP at s=0 and approaching async as the bound loosens, because a
       straggler only stalls peers once it falls ``s`` clocks behind.
     """
-    if factor < 1.0:
-        raise ConfigurationError(
-            f"straggler factor must be >= 1.0, got {factor}")
+    require("straggler_factor", factor, AT_LEAST_ONE)
     eff = effective_straggler_fraction(fraction, num_workers)
     if eff == 0.0 or factor == 1.0 or compute_seconds <= 0.0:
         return 0.0
@@ -364,6 +358,5 @@ def straggler_excess_seconds(compute_seconds: float, fraction: float,
     excess_mean = eff * excess_max
     if is_async:
         return excess_mean
-    if staleness < 0:
-        raise ConfigurationError(f"staleness must be >= 0, got {staleness}")
+    require("staleness", staleness, COUNT0)
     return excess_mean + (excess_max - excess_mean) / (1.0 + staleness)

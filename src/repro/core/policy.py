@@ -27,11 +27,11 @@ by CLIs and experiment tables: ``"bsp"``, ``"ssp"``/``"ssp(2)"``,
 
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
+from repro.domains import COUNT, COUNT0, check_fields, declared, one_of
 from repro.exceptions import ConfigurationError
 
 #: Recognised policy kinds, in presentation order.
@@ -39,6 +39,8 @@ POLICY_KINDS: Tuple[str, ...] = ("bsp", "ssp", "async", "local_sgd")
 
 _PAREN = re.compile(r"^(?P<kind>[a-z_]+)\((?P<arg>\d+)\)$")
 _DASH = re.compile(r"^(?P<kind>[a-z_]+)-(?P<arg>\d+)$")
+#: The field a kind's spec argument sets.
+_ARGUMENT = {"ssp": "staleness", "local_sgd": "sync_period"}
 
 
 @dataclass(frozen=True)
@@ -52,26 +54,13 @@ class SyncPolicy:
             1 otherwise).
     """
 
-    kind: str = "bsp"
-    staleness: int = 0
-    sync_period: int = 1
+    kind: str = declared(one_of(*POLICY_KINDS), "bsp")
+    # Zero is in the domain: ssp(0) is BSP (``is_bsp_equivalent``).
+    staleness: int = declared(COUNT0, 0)
+    sync_period: int = declared(COUNT, 1)
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ConfigurationError(
-                f"unknown sync policy kind {self.kind!r}; "
-                f"expected one of {POLICY_KINDS}")
-        for name in ("staleness", "sync_period"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}")
-        if self.staleness < 0:
-            raise ConfigurationError(
-                f"staleness must be >= 0, got {self.staleness}")
-        if self.sync_period < 1:
-            raise ConfigurationError(
-                f"sync_period must be >= 1, got {self.sync_period}")
+        check_fields(self)
         if self.kind != "ssp" and self.staleness:
             raise ConfigurationError(
                 f"staleness={self.staleness} only applies to ssp policies")
@@ -100,20 +89,15 @@ class SyncPolicy:
             else (text, None)
         if kind == "local":  # shorthand used in figure labels
             kind = "local_sgd"
-        if kind == "bsp":
-            if arg not in (None, 0):
-                raise ConfigurationError(f"bsp takes no argument: {spec!r}")
-            return BSP
-        if kind == "ssp":
-            return cls(kind="ssp", staleness=1 if arg is None else arg)
-        if kind == "async":
-            if arg is not None:
-                raise ConfigurationError(f"async takes no argument: {spec!r}")
-            return cls(kind="async")
-        if kind == "local_sgd":
-            return cls(kind="local_sgd", sync_period=1 if arg is None else arg)
-        raise ConfigurationError(
-            f"unknown sync policy {spec!r}; expected one of {POLICY_KINDS}")
+        if kind not in POLICY_KINDS:
+            raise ConfigurationError(f"unknown sync policy {spec!r}; "
+                                     f"expected one of {POLICY_KINDS}")
+        if kind in _ARGUMENT:   # s = 1 and H = 1 when not given
+            return cls(kind=kind, **{_ARGUMENT[kind]: 1 if arg is None
+                                     else arg})
+        if arg is not None and (kind, arg) != ("bsp", 0):
+            raise ConfigurationError(f"{kind} takes no argument: {spec!r}")
+        return BSP if kind == "bsp" else cls(kind=kind)
 
     # -- derived properties ------------------------------------------------
 

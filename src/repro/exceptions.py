@@ -70,5 +70,9 @@ class SyncTimeout(CommunicationError, TrainingError):
     """
 
 
+class TrainerArgumentError(ConfigurationError, TrainingError):
+    """A trainer keyword outside its domain (callers catch either base)."""
+
+
 class RecoveryError(TrainingError):
     """Crash recovery itself failed (no checkpoint, exhausted restarts)."""

@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.domains import NONNEGATIVE, POSITIVE, fraction, require
 from repro.exceptions import ConfigurationError
 
 #: Elements per block of a folded step (256 KiB of float32): scratch,
@@ -143,15 +144,10 @@ class SGD:
 
     def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0,
                  weight_decay: float = 0.0):
-        # Finite: a NaN fails every comparison and would step silently to NaN.
-        if not 0 < learning_rate < math.inf:
-            raise ConfigurationError(
-                f"learning_rate must be finite and positive, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        if not 0 <= weight_decay < math.inf:
-            raise ConfigurationError(
-                f"weight_decay must be finite and >= 0, got {weight_decay}")
+        # The domains of the TrainingConfig fields these come from.
+        require("learning_rate", learning_rate, POSITIVE)
+        require("momentum", momentum, fraction(high_open=True))
+        require("weight_decay", weight_decay, NONNEGATIVE)
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)

@@ -19,11 +19,11 @@ ordinary network definitions.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import units
+from repro.domains import COUNT, require
 from repro.exceptions import ModelSpecError
 
 
@@ -109,11 +109,9 @@ class LayerSpec:
                     f"sufficient factors, so no factor_rank")
         elif self.factor_rank is None:
             object.__setattr__(self, "factor_rank", 1)
-        elif (not isinstance(self.factor_rank, numbers.Integral)
-              or self.factor_rank < 1):
-            raise ModelSpecError(
-                f"layer {self.name!r}: factor_rank must be an integer >= 1, "
-                f"got {self.factor_rank!r}")
+        else:
+            require(f"layer {self.name!r}: factor_rank", self.factor_rank,
+                    COUNT, ModelSpecError)
 
     @property
     def has_parameters(self) -> bool:

@@ -21,7 +21,6 @@ reproducible run-to-run.
 from __future__ import annotations
 
 import functools
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,9 +41,11 @@ from repro.core.staleness import SSPClock
 from repro.core.syncer import Syncer
 from repro.core.wfbp import DeterministicScheduler, WFBPScheduler
 from repro.data.samplers import BatchSampler
+from repro.domains import (BOOL, COUNT0, NONNEGATIVE, POSITIVE, WHOLE,
+                           one_of, optional, require)
 from repro.exceptions import (
-    ConfigurationError,
     RecoveryError,
+    TrainerArgumentError,
     TrainingError,
     TransientFault,
     WorkerFailure,
@@ -264,6 +265,17 @@ class DistributedTrainer:
             raise TrainingError(
                 f"expected {num_workers} shards, got {len(train_shards)}"
             )
+        for name, value, domain in (
+                ("schedule", schedule, one_of(*ScheduleMode)),
+                ("eval_every", eval_every, COUNT0),
+                ("aggregation", aggregation, one_of("mean", "sum")),
+                ("sync_timeout", sync_timeout, POSITIVE),
+                ("deterministic", deterministic, BOOL),
+                ("checkpoint_interval", checkpoint_interval, COUNT0),
+                ("retry_limit", retry_limit, COUNT0),
+                ("retry_backoff", retry_backoff, NONNEGATIVE),
+                ("bucket_bytes", bucket_bytes, optional(WHOLE))):
+            require(name, value, domain, TrainerArgumentError)
         self.num_workers = int(cluster.num_workers)
         self.num_servers = int(cluster.num_servers)
         self.training = training
@@ -273,9 +285,6 @@ class DistributedTrainer:
         self.eval_every = int(eval_every)
         self.aggregation = aggregation
         self.sync_timeout = float(sync_timeout)
-        if not (math.isfinite(self.sync_timeout) and self.sync_timeout > 0):
-            raise ConfigurationError(
-                f"sync_timeout must be finite and > 0, got {sync_timeout}")
         self.deterministic = bool(deterministic)
         self.policy = SyncPolicy.parse(policy)
         self._external_provider = batch_provider
@@ -291,22 +300,6 @@ class DistributedTrainer:
                 f"unknown recovery mode {recovery!r}; "
                 f"expected one of {RECOVERY_MODES}")
         self.checkpoint_interval = int(checkpoint_interval)
-        if self.checkpoint_interval < 0:
-            raise TrainingError(
-                f"checkpoint_interval must be >= 0, got {checkpoint_interval}")
-        if retry_limit < 0 or retry_backoff < 0:
-            raise TrainingError(
-                "retry_limit and retry_backoff must be >= 0, got "
-                f"{retry_limit} / {retry_backoff}")
-        # Counts are whole: int() would truncate 2.5 to 2 without a word.
-        for name, value in (("eval_every", eval_every), ("retry_limit", retry_limit),
-                            ("checkpoint_interval", checkpoint_interval)):
-            if not (float(value).is_integer() and value >= 0):
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 0, got {value!r}")
-        if not math.isfinite(retry_backoff):
-            raise ConfigurationError(
-                f"retry_backoff must be finite, got {retry_backoff!r}")
         self.retry_limit = int(retry_limit)
         self.retry_backoff = float(retry_backoff)
 
@@ -315,10 +308,6 @@ class DistributedTrainer:
         self.compressor_spec: Optional[str] = (
             None if check_compression(mode, compressor) is None
             else str(compressor))
-        if bucket_bytes is not None and not (
-                float(bucket_bytes).is_integer() and bucket_bytes >= 1):
-            raise ConfigurationError(
-                f"bucket_bytes must be an integer >= 1, got {bucket_bytes}")
         self.bucket_bytes = None if bucket_bytes is None else int(bucket_bytes)
         if self.recovery == "drop" and not self.policy.is_bsp_equivalent:
             raise TrainingError(

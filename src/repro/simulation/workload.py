@@ -16,12 +16,12 @@ faithful to the paper's Titan X testbed without needing the hardware.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import units
 from repro.config import GpuModel, TITAN_X
+from repro.domains import COUNT, require
 from repro.exceptions import ConfigurationError
 from repro.memo import Memo
 from repro.nn.spec import LayerKind, ModelSpec
@@ -133,10 +133,7 @@ def build_workload(model: ModelSpec, batch_size: Optional[int] = None,
         coarsen_bytes: merge threshold for small adjacent non-FC units.
     """
     batch = model.default_batch_size if batch_size is None else batch_size
-    # Whole (numpy ints too), as the trainer requires: never truncated.
-    if not isinstance(batch, numbers.Integral) or batch < 1:
-        raise ConfigurationError(
-            f"batch_size must be an integer >= 1, got {batch!r}")
+    require("batch_size", batch, COUNT)   # never truncated
     batch = int(batch)
     return _WORKLOADS.get(
         (model, batch, gpu, coarsen_bytes),

@@ -1,6 +1,7 @@
 """Tests for cluster, training and system configuration objects."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -25,11 +26,14 @@ from repro.config import (
     SystemConfig,
     TrainingConfig,
 )
-from repro.core.policy import BSP
+from repro.comm.wire import CompressionConfig
+from repro.core.policy import BSP, POLICY_KINDS, SyncPolicy
+from repro.domains import (AT_LEAST_ONE, BOOL, COUNT, COUNT0, FRACTION,
+                           NONNEGATIVE, POSITIVE, WHOLE, fraction, instance,
+                           one_of, optional)
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig_backends import backend_systems
 from repro.nn.model_zoo import get_model_spec
-from repro.simulation import simulate_system
 
 
 class TestBandwidthPreset:
@@ -88,131 +92,11 @@ class TestClusterConfig:
     def test_total_gpus(self):
         assert ClusterConfig(num_workers=4, gpus_per_node=8).total_gpus == 32
 
-    @pytest.mark.parametrize("kwargs", [
-        {"num_workers": 0},
-        {"num_workers": 2, "num_servers": 0},
-        {"num_workers": 2, "bandwidth_gbps": 0},
-        {"num_workers": 2, "gpus_per_node": 0},
-        {"num_workers": 2, "network_efficiency": 0.0},
-        {"num_workers": 2, "network_efficiency": 1.5},
-        {"num_workers": 2, "racks": 0},
-        {"num_workers": 2, "racks": 2, "oversubscription": 0.5},
-    ])
-    def test_invalid_configurations_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(**kwargs)
-
-    @pytest.mark.parametrize("engine", ["des", "fluid"])
-    @pytest.mark.parametrize("kwargs", [
-        {"bandwidth_gbps": math.nan},
-        {"latency_seconds": math.nan},
-        {"latency_seconds": -1e-6},
-        {"racks": 2, "oversubscription": math.nan},
-        {"network_efficiency": math.nan},
-    ], ids=["bandwidth nan", "latency nan", "latency negative",
-            "oversubscription nan", "efficiency nan"])
-    def test_nan_or_negative_network_fails_when_built(self, kwargs, engine):
-        """Not mid-run (the DES's ``SimulationError``) and not as a free
-        network (the fluid engine's alexnet speedup of exactly 4.0)."""
-        with pytest.raises(ConfigurationError):
-            simulate_system(get_model_spec("alexnet"), POSEIDON_CAFFE,
-                            ClusterConfig(num_workers=4, **kwargs),
-                            engine=engine)
-
-    @pytest.mark.parametrize("engine", ["des", "fluid"])
-    @pytest.mark.parametrize("kwargs", [
-        {"num_workers": 4.0},
-        {"num_workers": 2.5},
-        {"num_servers": 2.5},
-        {"num_servers": math.nan},
-        {"gpus_per_node": 1.5},
-        {"racks": 2.5, "oversubscription": 4.0},
-        {"racks": math.nan, "oversubscription": 4.0},
-        {"oversubscription": math.inf, "racks": 2},
-        {"latency_seconds": math.inf},
-        {"bandwidth_gbps": math.inf},
-    ], ids=["workers float", "workers fractional", "servers fractional",
-            "servers nan", "gpus fractional", "racks fractional",
-            "racks nan", "oversubscription inf",
-            "latency inf", "bandwidth inf"])
-    def test_fractional_count_or_infinite_size_fails_when_built(self, kwargs,
-                                                                engine):
-        """Not as a bare ``TypeError`` mid-run, not as an infinite
-        iteration, and not as two engines disagreeing (one raising, the
-        other returning a number)."""
-        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
-            simulate_system(get_model_spec("alexnet"), POSEIDON_CAFFE,
-                            ClusterConfig(**{"num_workers": 4, **kwargs}),
-                            engine=engine)
-
-    def test_numpy_integer_counts_are_valid(self):
-        cluster = ClusterConfig(num_workers=np.int64(8), racks=np.int32(2),
-                                gpus_per_node=np.int64(1))
-        assert cluster.nodes_per_rack == 4
-
-    @pytest.mark.parametrize("kwargs", [
-        {"gpu": math.nan},
-        {"colocate_servers": math.nan},
-        {"colocate_servers": 2.5},
-    ], ids=["gpu nan", "colocate nan", "colocate fractional"])
-    def test_non_model_gpu_or_non_bool_placement_fails_when_built(self,
-                                                                  kwargs):
-        """Not mid-run (the DES's ``AttributeError`` on a float GPU), and
-        not a NaN or 2.5 taken as true."""
-        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
-            ClusterConfig(num_workers=4, **kwargs)
-
-    def test_numpy_bool_placement_is_valid(self):
-        cluster = ClusterConfig(num_workers=4, num_servers=2,
-                                colocate_servers=np.bool_(False))
-        assert cluster.num_nodes == 6
-
-    def test_nan_bandwidth_fails_in_a_sweep(self):
-        """``sweep_axis`` builds each point with ``with_bandwidth``."""
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(num_workers=4).with_bandwidth(math.nan)
-
-    def test_zero_latency_is_valid(self):
-        assert ClusterConfig(num_workers=2, latency_seconds=0.0).latency_seconds == 0.0
-
 
 class TestTrainingConfig:
     def test_defaults_valid(self):
         cfg = TrainingConfig()
         assert cfg.batch_size == 32
-
-    @pytest.mark.parametrize("kwargs", [
-        {"batch_size": 0},
-        {"learning_rate": 0.0},
-        {"momentum": 1.0},
-        {"momentum": -0.1},
-        {"iterations": -1},
-        # Not accepted and then trained silently to a NaN loss, or
-        # rejected only later by the trainer's scheme choice:
-        {"batch_size": 2.5},
-        {"batch_size": 32.0},
-        {"batch_size": math.nan},
-        {"learning_rate": math.nan},
-        {"learning_rate": math.inf},
-        {"weight_decay": math.nan},
-        {"weight_decay": math.inf},
-        {"weight_decay": -0.1},
-        {"iterations": 2.5},
-        {"iterations": math.nan},
-        {"seed": math.nan},
-        {"seed": math.inf},
-        {"seed": -math.inf},
-        {"seed": -1},
-        {"seed": 2.5},
-    ])
-    def test_invalid_hyperparameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
-            TrainingConfig(**kwargs)
-
-    def test_numpy_integer_counts_are_valid(self):
-        config = TrainingConfig(batch_size=np.int64(8), iterations=np.int32(3),
-                                seed=np.int64(7))
-        assert (config.batch_size, config.iterations, config.seed) == (8, 3, 7)
 
 
 WFBP, SEQUENTIAL = ScheduleMode.WFBP, ScheduleMode.SEQUENTIAL
@@ -261,39 +145,6 @@ class TestSystemConfig:
         assert "staleness" not in names and "sync_period" not in names
 
     @pytest.mark.parametrize("build", [
-        pytest.param(lambda: replace(POSEIDON_CAFFE, straggler_factor=0.5),
-                     id="straggler-factor-below-one"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE, straggler_fraction=2.0),
-                     id="straggler-fraction-above-one"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE,
-                                     host_copy_bandwidth_bps=0),
-                     id="zero-host-copy-bandwidth"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE, mtbf_seconds=-5.0),
-                     id="negative-mtbf"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE,
-                                     checkpoint_cost_seconds=-1.0),
-                     id="negative-checkpoint-cost"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE,
-                                     checkpoint_interval_seconds=0.0),
-                     id="zero-checkpoint-interval"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE, bucket_bytes=0),
-                     id="zero-bucket-bytes"),
-        # Infinite values used to build: checkpoint_cost_seconds=inf under
-        # a 1 h MTBF priced 4-node alexnet as fault-free (0.2502 s/iter).
-        pytest.param(lambda: replace(POSEIDON_CAFFE,
-                                     straggler_factor=math.inf),
-                     id="infinite-straggler-factor"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE, mtbf_seconds=math.inf),
-                     id="infinite-mtbf"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE,
-                                     checkpoint_interval_seconds=math.inf),
-                     id="infinite-checkpoint-interval"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE,
-                                     checkpoint_cost_seconds=math.inf),
-                     id="infinite-checkpoint-cost"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE,
-                                     host_copy_bandwidth_bps=math.inf),
-                     id="infinite-host-copy-bandwidth"),
         # A checkpoint that outlasts the MTBF used to build, priced by the
         # overhead factor at 24.57x: a job that never completes one.
         pytest.param(lambda: POSEIDON_CAFFE.with_faults(
@@ -306,15 +157,11 @@ class TestSystemConfig:
                      id="malformed-compressor"),
         pytest.param(lambda: replace(POSEIDON_CAFFE, compressor="topk(0.01)"),
                      id="compressor-on-fine-partitioning"),
-        pytest.param(lambda: replace(POSEIDON_CAFFE, policy="ssp(2)"),
-                     id="policy-spec-not-parsed"),
-        pytest.param(lambda: POSEIDON_CAFFE.with_policy("local_sgd(0)"),
-                     id="local-sgd-period-zero"),
     ])
     def test_bad_system_fails_when_built(self, build):
-        """A value no engine can run fails when it is built.  The field
-        cases used to build, and the DES and the fluid engine then crashed
-        on them, disagreed, or one of them ran them silently."""
+        """A rule across fields, or the compressor's grammar, refuses the
+        value when it is built (each field's own domain is
+        :class:`TestFieldDomains`'s)."""
         with pytest.raises(ConfigurationError):
             build()
 
@@ -337,3 +184,91 @@ class TestSystemConfig:
                                            checkpoint_cost_seconds=5.0)
         assert math.isfinite(simulator(workload, cluster, below).run()
                              .iteration_seconds)
+
+
+#: Draws at every domain's edges: NaN, both infinities, -1, 0, 0.5, 1 and
+#: the whole float 1.0, 2.5, a bool, strings (two enums' own spellings among
+#: them) and None.
+DRAWS = (math.nan, math.inf, -math.inf, -1, 0, 0.5, 1, 1.0, 2.5, True, "10",
+         ScheduleMode.WFBP.value, Partitioning.FINE.value, None)
+
+#: In-domain boundary draws: numpy ints and bools, zero, a whole float.
+IN_BOUNDS = (0, 1.0, np.int64(0), np.int32(1), np.bool_(False),
+             np.bool_(True))
+
+#: Each domain and the draws it accepts (every other draw it refuses).
+DOMAIN_CASES = [
+    (COUNT, (1, np.int64(1))),
+    (COUNT0, (0, 1, np.int32(0))),
+    (WHOLE, (1, 1.0, 4096.0, np.int64(1))),
+    (POSITIVE, (0.5, 1, 1.0, 2.5, np.float64(1e-300))),
+    (NONNEGATIVE, (0, 0.5, 1, 1.0, 2.5)),
+    (AT_LEAST_ONE, (1, 1.0, 2.5, np.float64(1.0))),
+    (FRACTION, (0, 0.5, 1, 1.0)),
+    (fraction(low_open=True), (0.5, 1, 1.0)),
+    (fraction(high_open=True), (0, 0.5)),
+    (BOOL, (True, False, np.bool_(False))),
+    (instance(str), ("10", "wfbp", "fine")),
+    (instance(ScheduleMode), (ScheduleMode.WFBP,)),
+    (optional(COUNT), (None, 1)),
+    (one_of(*POLICY_KINDS), ("bsp", "local_sgd")),
+]
+
+#: Each checked class and a valid base its fields are drawn over.
+CHECKED = [
+    (GpuModel, {}),
+    (ClusterConfig, {"num_workers": 4}),
+    (TrainingConfig, {}),
+    # Coarse: a bucket is refused on fine partitioning.
+    (SystemConfig, {f.name: getattr(TF, f.name) for f in fields(TF)}),
+    (SyncPolicy, {"kind": "ssp", "staleness": 1}),
+    (CompressionConfig, {"kind": "topk", "k": 0.01}),
+]
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+class TestFieldDomains:
+    """Each config field declares its domain once, and one checker holds
+    every construction to it."""
+
+    @pytest.mark.parametrize("domain,accepted", DOMAIN_CASES,
+                             ids=[domain.rule for domain, _ in DOMAIN_CASES])
+    def test_each_domain_accepts_exactly(self, domain, accepted):
+        """A bool is not a number and a string is no enum member."""
+        for draw in accepted:
+            assert domain.check(draw), (domain.rule, draw)
+        for draw in DRAWS:
+            if not any(_same(draw, value) for value in accepted):
+                assert not domain.check(draw), (domain.rule, draw)
+
+    @pytest.mark.parametrize("cls,base", CHECKED,
+                             ids=[cls.__name__ for cls, _ in CHECKED])
+    def test_every_field_is_held_to_its_domain(self, cls, base):
+        """Out of its domain a field fails at construction, naming itself:
+        never a bare ``TypeError``, never a value that builds and runs as
+        something else (``schedule="wfbp"`` used to build and run as
+        sequential).  In-domain boundary draws build."""
+        for each in fields(cls):
+            domain = each.metadata.get("domain")
+            assert domain is not None, f"{cls.__name__}.{each.name}"
+            for draw in DRAWS:
+                if not domain.check(draw):
+                    with pytest.raises(ConfigurationError, match=re.escape(
+                            f"{cls.__name__}.{each.name} must be")):
+                        cls(**{**base, each.name: draw})
+            for draw in IN_BOUNDS:
+                if domain.check(draw):
+                    built = cls(**{**base, each.name: draw})
+                    assert getattr(built, each.name) is draw
+
+    @pytest.mark.parametrize("cls,name", [
+        (ClusterConfig, "latency_seconds"),   # an ideal network
+        (TrainingConfig, "iterations"),       # ``train()`` returns at once
+        (SyncPolicy, "staleness"),            # ssp(0) is BSP
+    ])
+    def test_the_stated_zeros_are_in_domain(self, cls, name):
+        each = next(each for each in fields(cls) if each.name == name)
+        assert each.metadata["domain"].check(0)

@@ -211,11 +211,14 @@ class TestDistributedTraining:
     @pytest.mark.parametrize("knob,value", [
         ("eval_every", 2.5), ("checkpoint_interval", 1.5),
         ("retry_limit", 2.7), ("num_servers", 1.5), ("eval_every", -3),
-        ("retry_backoff", float("nan"))])
+        ("retry_backoff", float("nan")), ("schedule", "junk"),
+        ("aggregation", "junk"), ("deterministic", "no")])
     def test_counts_must_be_whole_and_backoff_finite(self, setup, knob, value):
         """Refused at construction: ``int()`` used to truncate the
-        fractional counts, and a negative ``eval_every`` or a NaN backoff
-        went through."""
+        fractional counts, a negative ``eval_every`` or a NaN backoff went
+        through, an unknown schedule raised a bare ``ValueError``, an
+        unknown aggregation failed only in the first sync under SFB or
+        ring, and ``deterministic="no"`` ran deterministic."""
         with pytest.raises(ConfigurationError, match=knob):
             make_trainer(setup, "ps", **{knob: value})
 

@@ -84,12 +84,6 @@ class TestClusterConfigTopology:
         with pytest.raises(ConfigurationError):
             config.rack_of(-1)
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(num_workers=4, racks=0)
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(num_workers=4, oversubscription=0.5)
-
     def test_rack_bisection_bandwidth(self):
         config = ClusterConfig(num_workers=8, bandwidth_gbps=10.0, racks=2,
                                oversubscription=4.0)
