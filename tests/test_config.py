@@ -226,6 +226,18 @@ CHECKED = [
 ]
 
 
+#: Every field of the checked classes, with its class's valid base.
+FIELDS = [(cls, base, each) for cls, base in CHECKED for each in fields(cls)]
+FIELD_IDS = [f"{cls.__name__}.{each.name}" for cls, _, each in FIELDS]
+
+
+def _domain(cls, each):
+    """The field's declared domain; a field without one fails."""
+    domain = each.metadata.get("domain")
+    assert domain is not None, f"{cls.__name__}.{each.name}"
+    return domain
+
+
 def _same(a, b) -> bool:
     return type(a) is type(b) and (a == b or a != a and b != b)
 
@@ -244,25 +256,26 @@ class TestFieldDomains:
             if not any(_same(draw, value) for value in accepted):
                 assert not domain.check(draw), (domain.rule, draw)
 
-    @pytest.mark.parametrize("cls,base", CHECKED,
-                             ids=[cls.__name__ for cls, _ in CHECKED])
-    def test_every_field_is_held_to_its_domain(self, cls, base):
+    @pytest.mark.parametrize("cls,base,each", FIELDS, ids=FIELD_IDS)
+    def test_out_of_domain_fails_naming_the_field(self, cls, base, each):
         """Out of its domain a field fails at construction, naming itself:
         never a bare ``TypeError``, never a value that builds and runs as
         something else (``schedule="wfbp"`` used to build and run as
-        sequential).  In-domain boundary draws build."""
-        for each in fields(cls):
-            domain = each.metadata.get("domain")
-            assert domain is not None, f"{cls.__name__}.{each.name}"
-            for draw in DRAWS:
-                if not domain.check(draw):
-                    with pytest.raises(ConfigurationError, match=re.escape(
-                            f"{cls.__name__}.{each.name} must be")):
-                        cls(**{**base, each.name: draw})
-            for draw in IN_BOUNDS:
-                if domain.check(draw):
-                    built = cls(**{**base, each.name: draw})
-                    assert getattr(built, each.name) is draw
+        sequential)."""
+        domain = _domain(cls, each)
+        for draw in DRAWS:
+            if not domain.check(draw):
+                with pytest.raises(ConfigurationError, match=re.escape(
+                        f"{cls.__name__}.{each.name} must be")):
+                    cls(**{**base, each.name: draw})
+
+    @pytest.mark.parametrize("cls,base,each", FIELDS, ids=FIELD_IDS)
+    def test_in_domain_boundaries_build(self, cls, base, each):
+        domain = _domain(cls, each)
+        for draw in IN_BOUNDS:
+            if domain.check(draw):
+                built = cls(**{**base, each.name: draw})
+                assert getattr(built, each.name) is draw
 
     @pytest.mark.parametrize("cls,name", [
         (ClusterConfig, "latency_seconds"),   # an ideal network
