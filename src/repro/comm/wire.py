@@ -90,9 +90,9 @@ def powersgd_payload_bytes(rank: int, m: int, n: int) -> int:
 _SPEC_RE = re.compile(r"^(?P<kind>[a-z]+)(?:\((?P<arg>[^)]*)\))?$")
 
 #: A top-k keep parameter: a fraction below 1, a whole entry count from 1.
-_TOPK_KEEP = Domain(lambda k: POSITIVE.check(k)
-                    and (k < 1 or float(k).is_integer()),
-                    "finite, > 0 and whole if >= 1")
+TOPK_KEEP = Domain(lambda k: POSITIVE.check(k)
+                   and (k < 1 or float(k).is_integer()),
+                   "finite, > 0 and whole if >= 1")
 #: Each compressor kind's parameter, ``(field, parse)``, or None.
 _SPEC_ARGS = {"none": None, "topk": ("k", float), "powersgd": ("rank", int)}
 
@@ -108,9 +108,16 @@ class CompressionConfig:
     """
 
     kind: str = declared(one_of("none", "topk", "powersgd"))
-    k: Optional[float] = declared(optional(_TOPK_KEEP), None)
+    k: Optional[float] = declared(optional(TOPK_KEEP), None)
     rank: Optional[int] = declared(optional(COUNT), None)
-    __post_init__ = check_fields
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        own = (_SPEC_ARGS[self.kind] or ("",))[0]   # the kind's parameter
+        if (self.k is None, self.rank is None) != (own != "k", own != "rank"):
+            raise ConfigurationError(
+                f"compressor {self.kind!r} takes {own or 'no parameter'}, "
+                f"got k={self.k!r}, rank={self.rank!r}")
 
     @classmethod
     def parse(cls, spec: Optional[str]) -> "CompressionConfig":
@@ -131,14 +138,11 @@ class CompressionConfig:
                 f"unknown compressor spec {spec!r}; expected 'none', "
                 f"'topk(K)' or 'powersgd(R)'")
         kind, arg = match.group("kind", "arg")
-        parameter = _SPEC_ARGS[kind]
-        if (parameter is None) != (arg is None):
-            raise ConfigurationError(
-                f"compressor spec {spec!r}: 'none' takes no argument, 'topk' "
-                f"a keep parameter and 'powersgd' a rank")
-        if parameter is None:
+        if arg is None:   # a kind built without its parameter is refused
             return cls(kind=kind)
-        name, number = parameter
+        if _SPEC_ARGS[kind] is None:
+            raise ConfigurationError(f"'none' takes no argument: {spec!r}")
+        name, number = _SPEC_ARGS[kind]
         try:
             value = number(arg)
         except ValueError:

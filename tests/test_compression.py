@@ -477,6 +477,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="dense-gradient path"):
             FluidSimulator(workload, cluster, system)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "topk"}, {"kind": "powersgd"}, {"kind": "none", "k": 0.5},
+        {"kind": "topk", "k": 0.5, "rank": 2}])
+    def test_a_compressor_kind_takes_only_its_own_parameter(self, kwargs):
+        """Not a bare ``TypeError`` when a payload is priced, nor a ``k``
+        that a ``none`` config silently ignores."""
+        with pytest.raises(ConfigurationError, match="takes"):
+            CompressionConfig(**kwargs)
+
     def test_parse_refuses_onebit(self):
         """1-bit is the ``onebit`` backend, not a compressor spec."""
         with pytest.raises(ConfigurationError, match="unknown compressor"):

@@ -26,7 +26,7 @@ from repro.config import (
     SystemConfig,
     TrainingConfig,
 )
-from repro.comm.wire import CompressionConfig
+from repro.comm.wire import TOPK_KEEP, CompressionConfig
 from repro.core.policy import BSP, POLICY_KINDS, SyncPolicy
 from repro.domains import (AT_LEAST_ONE, BOOL, COUNT, COUNT0, FRACTION,
                            NONNEGATIVE, POSITIVE, WHOLE, fraction, instance,
@@ -212,7 +212,55 @@ DOMAIN_CASES = [
     (instance(ScheduleMode), (ScheduleMode.WFBP,)),
     (optional(COUNT), (None, 1)),
     (one_of(*POLICY_KINDS), ("bsp", "local_sgd")),
+    (TOPK_KEEP, (0.5, 1, 1.0, np.int64(1))),
 ]
+
+#: Each field's domain, stated apart from its declaration: re-declaring
+#: ``momentum`` as a closed fraction or ``batch_size`` as a whole float
+#: fails here, and so does a new field that this table does not name.
+EXPECTED = {
+    "GpuModel.name": instance(str),
+    "GpuModel.effective_flops": POSITIVE,
+    "GpuModel.memory_bytes": POSITIVE,
+    "GpuModel.pcie_bandwidth_bps": POSITIVE,
+    "ClusterConfig.num_workers": COUNT,
+    "ClusterConfig.num_servers": optional(COUNT),
+    "ClusterConfig.bandwidth_gbps": POSITIVE,
+    "ClusterConfig.gpus_per_node": COUNT,
+    "ClusterConfig.gpu": instance(GpuModel),
+    "ClusterConfig.colocate_servers": BOOL,
+    "ClusterConfig.latency_seconds": NONNEGATIVE,  # 0: an ideal network
+    "ClusterConfig.network_efficiency": fraction(low_open=True),
+    "ClusterConfig.racks": COUNT,
+    "ClusterConfig.oversubscription": AT_LEAST_ONE,
+    "TrainingConfig.batch_size": COUNT,
+    "TrainingConfig.learning_rate": POSITIVE,
+    "TrainingConfig.momentum": fraction(high_open=True),
+    "TrainingConfig.weight_decay": NONNEGATIVE,
+    "TrainingConfig.iterations": COUNT0,           # 0: train() returns
+    "TrainingConfig.seed": COUNT0,
+    "SystemConfig.name": instance(str),
+    "SystemConfig.schedule": instance(ScheduleMode),
+    "SystemConfig.partitioning": instance(Partitioning),
+    "SystemConfig.comm": instance(str),
+    "SystemConfig.overlap_pull": BOOL,
+    "SystemConfig.overlap_host_copy": BOOL,
+    "SystemConfig.host_copy_bandwidth_bps": POSITIVE,
+    "SystemConfig.policy": instance(SyncPolicy),
+    "SystemConfig.straggler_fraction": FRACTION,
+    "SystemConfig.straggler_factor": AT_LEAST_ONE,
+    "SystemConfig.mtbf_seconds": optional(POSITIVE),
+    "SystemConfig.checkpoint_interval_seconds": optional(POSITIVE),
+    "SystemConfig.checkpoint_cost_seconds": NONNEGATIVE,
+    "SystemConfig.compressor": instance(str),
+    "SystemConfig.bucket_bytes": optional(WHOLE),
+    "SyncPolicy.kind": one_of(*POLICY_KINDS),
+    "SyncPolicy.staleness": COUNT0,                # 0: ssp(0) is BSP
+    "SyncPolicy.sync_period": COUNT,
+    "CompressionConfig.kind": one_of("none", "topk", "powersgd"),
+    "CompressionConfig.k": optional(TOPK_KEEP),
+    "CompressionConfig.rank": optional(COUNT),
+}
 
 #: Each checked class and a valid base its fields are drawn over.
 CHECKED = [
@@ -226,16 +274,23 @@ CHECKED = [
 ]
 
 
-#: Every field of the checked classes, with its class's valid base.
-FIELDS = [(cls, base, each) for cls, base in CHECKED for each in fields(cls)]
+#: A field whose draws need another base than its class's.
+BASE_FOR = {"CompressionConfig.rank": {"kind": "powersgd", "rank": 4}}
+
+#: Every field of the checked classes, with its valid base.
+FIELDS = [(cls, BASE_FOR.get(f"{cls.__name__}.{each.name}", base), each)
+          for cls, base in CHECKED for each in fields(cls)]
 FIELD_IDS = [f"{cls.__name__}.{each.name}" for cls, _, each in FIELDS]
 
 
 def _domain(cls, each):
-    """The field's declared domain; a field without one fails."""
-    domain = each.metadata.get("domain")
-    assert domain is not None, f"{cls.__name__}.{each.name}"
-    return domain
+    """The field's expected domain, which it must declare; a field without
+    a declared or an expected domain fails."""
+    declared = each.metadata.get("domain")
+    expected = EXPECTED.get(f"{cls.__name__}.{each.name}")
+    assert declared is not None and expected is not None, each.name
+    assert declared.rule == expected.rule, each.name
+    return expected
 
 
 def _same(a, b) -> bool:
@@ -277,11 +332,15 @@ class TestFieldDomains:
                 built = cls(**{**base, each.name: draw})
                 assert getattr(built, each.name) is draw
 
-    @pytest.mark.parametrize("cls,name", [
-        (ClusterConfig, "latency_seconds"),   # an ideal network
-        (TrainingConfig, "iterations"),       # ``train()`` returns at once
-        (SyncPolicy, "staleness"),            # ssp(0) is BSP
-    ])
-    def test_the_stated_zeros_are_in_domain(self, cls, name):
-        each = next(each for each in fields(cls) if each.name == name)
-        assert each.metadata["domain"].check(0)
+    def test_boundaries_keep_their_meaning(self):
+        """numpy counts count and a numpy False is false downstream; the
+        zeros that look like holes build: an ideal network, a ``train()``
+        that returns at once, and ssp(0), which is BSP."""
+        assert ClusterConfig(num_workers=np.int64(8), racks=np.int32(2),
+                             gpus_per_node=np.int64(1)).nodes_per_rack == 4
+        assert ClusterConfig(num_workers=4, num_servers=2,
+                             colocate_servers=np.bool_(False)).num_nodes == 6
+        assert ClusterConfig(num_workers=2,
+                             latency_seconds=0).latency_seconds == 0
+        assert TrainingConfig(iterations=0).iterations == 0
+        assert SyncPolicy(kind="ssp", staleness=0).is_bsp_equivalent
