@@ -12,9 +12,9 @@ Each NIC direction is a capacity-1 FIFO channel.  Because such a channel
 admits a *tail-clock* ("busy-until") model -- a new flow starts at
 ``max(now, tail)`` and advances the tail by its duration -- an uncontended
 transfer is a single analytically-computed timeout instead of a
-request/yield/release resource round-trip, and a broadcast serialises its
-copies on the sender's uplink inside one process instead of spawning one
-process per destination.  Completion times are identical to the historical
+request/grant/release resource round-trip, and a broadcast serialises its
+copies on the sender's uplink inside one record instead of one flow per
+destination.  Completion times are identical to the historical
 FIFO-server model (the ``Resource`` reference in ``tests/sim_reference.py``):
 FIFO order is by acquisition call either way, and contended holds chain on
 the previous holder's release event, which is processed exactly when the
@@ -34,12 +34,12 @@ to the pre-topology model.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import units
 from repro.config import ClusterConfig
 from repro.exceptions import SimulationError
-from repro.sim import Environment, Event, Process, TailChannel
+from repro.sim import Environment, Event, TailChannel, Timeout
 from repro.cluster.traffic import TrafficAccount
 
 #: Node id used to address the switching fabric pseudo-endpoint.
@@ -50,7 +50,7 @@ class GpuDevice:
     """A GPU modelled as a serial compute device with busy-time accounting.
 
     Kernel sequences are serialised FIFO on a busy-until clock (the
-    simulator issues every node's compute from a single worker process, so
+    simulator issues every node's compute from its one compute class, so
     the device is effectively uncontended and each sequence is one timeout).
     """
 
@@ -64,9 +64,10 @@ class GpuDevice:
         self._free_at = 0.0
 
     def compute(self, seconds: float,
-                alike: Sequence["GpuDevice"] = ()) -> Generator:
-        """Process: run a kernel sequence of the given duration (and charge
-        it to the ``alike`` GPUs, which run it at the same instants)."""
+                alike: Sequence["GpuDevice"] = ()) -> Timeout:
+        """Book a kernel sequence of the given duration (and charge it to
+        the ``alike`` GPUs, which run it at the same instants); returns the
+        timeout that fires when it finishes."""
         if seconds < 0:
             raise SimulationError(f"negative compute duration: {seconds}")
         now = self.env._now
@@ -75,10 +76,11 @@ class GpuDevice:
             start = now
         finish = start + seconds
         self._free_at = finish
-        yield self.env.timeout_at(finish)
+        done = self.env.timeout_at(finish)
         self.busy_seconds += seconds
         for gpu in alike:
             gpu.busy_seconds += seconds
+        return done
 
 
 class NetworkInterface:
@@ -161,8 +163,8 @@ class _Flow(Event):
     A flow record is the waiter (``flow(ok, value)``) of the channel event
     it waits on; resumed, it takes its next stage (:meth:`_step`) until it
     must wait again.  When its last hold has finished it records its bytes
-    and settles: its own waiter (the step record or process that booked
-    it) continues inside that same dispatch, without a queue entry.
+    and settles: its own waiter (the step record that booked it) continues
+    inside that same dispatch, without a queue entry.
     """
 
     __slots__ = ("stage", "sent", "received", "nbytes", "tag")
@@ -202,16 +204,7 @@ class _Flow(Event):
             account.bytes_received += nbytes
             by_tag = account.by_tag_received
             by_tag[tag] = by_tag.get(tag, 0.0) + nbytes
-        waiter = self._waiter
-        if (waiter is not None and self._waiters is None
-                and waiter.__class__ is not Process):
-            # Event._settle for the one record waiting, inline.
-            self.triggered = self.processed = True
-            self.ok = True
-            self._waiter = None
-            waiter(True, None)
-        else:
-            self._settle()
+        self._settle()
 
 
 #: Allocator of the two flow records :meth:`ClusterModel.transfer` fills in
@@ -368,11 +361,11 @@ class _HoldPath(_Flow):
 class _Broadcast(_Flow):
     """A broadcast batch: the sender's uplink held across its copies.
 
-    The batch replicates the hop structure of the per-destination processes
-    it replaced, so same-instant interleaving with other flows is
-    unchanged: a copy requested its receiver's downlink one queue hop after
-    its uplink grant (the grant-event dispatch), and the first copy of an
-    uncontended batch also consumed its process-bootstrap hop -- two
+    The batch replicates the hop structure of the per-destination tasks it
+    replaced, so same-instant interleaving with other flows is unchanged:
+    a copy requested its receiver's downlink one queue hop after its
+    uplink grant (the grant-event dispatch), and the first copy of an
+    uncontended batch also consumed its task-bootstrap hop -- two
     zero-delay hops after an immediate grant, one after a waited one.  A
     copy is then one queue entry (two behind an open receiver hold) and the
     float operations that book it: its hold is ``bits / bandwidth +
@@ -611,7 +604,7 @@ class ClusterModel:
     # A flow is a booking: it claims its channels at call time and returns
     # the event that completes it (a flow record), or ``None`` when it
     # completed inline (a local copy, zero bytes).  Every queue entry the
-    # flow needs is pushed at the point, and in the order, that a process
+    # flow needs is pushed at the point, and in the order, that a task
     # stepping through the same stages would push it.
     def _hold(self, nbytes: float) -> float:
         """One message's NIC hold, ``bits / bandwidth + latency``, computed
@@ -806,7 +799,7 @@ class ClusterModel:
         held across the whole batch by this one booking -- equivalent to
         the per-destination flows that used to queue all their uplink
         requests up front, but with one queue entry per copy instead of a
-        process per destination.  Each copy still queues for its receiver's
+        task per destination.  Each copy still queues for its receiver's
         downlink while holding the uplink (head-of-line blocking, exactly
         as before).  Completes when the last copy has been delivered.
 
@@ -850,7 +843,7 @@ class ClusterModel:
         node's uplink, ``FABRIC -> node`` its downlink), so no flow ever
         holds one channel while waiting for another; its schedule is fully
         determined at booking.  One scheduled thunk (where the per-node
-        transfer processes' bootstraps sat, back to back) books each
+        transfer tasks' bootstraps sat, back to back) books each
         resolved channel analytically or chains a waiter behind its open
         hold (:class:`_FabricFan`).  One deferred event fires at the last
         finish.

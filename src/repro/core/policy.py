@@ -37,8 +37,11 @@ from repro.exceptions import ConfigurationError
 #: Recognised policy kinds, in presentation order.
 POLICY_KINDS: Tuple[str, ...] = ("bsp", "ssp", "async", "local_sgd")
 
-_PAREN = re.compile(r"^(?P<kind>[a-z_]+)\((?P<arg>\d+)\)$")
-_DASH = re.compile(r"^(?P<kind>[a-z_]+)-(?P<arg>\d+)$")
+#: A spec with an argument, ``kind(arg)`` or ``kind-arg``: any argument,
+#: so that a known kind's malformed one is reported as such.
+_PAREN = re.compile(r"^(?P<kind>[a-z_]+)\((?P<arg>.*)\)$")
+_DASH = re.compile(r"^(?P<kind>[a-z_]+)-(?P<arg>.+)$")
+_INTEGER = re.compile(r"[-+]?\d+")
 #: The field a kind's spec argument sets.
 _ARGUMENT = {"ssp": "staleness", "local_sgd": "sync_period"}
 
@@ -85,13 +88,18 @@ class SyncPolicy:
                 f"cannot parse sync policy from {type(spec).__name__}")
         text = spec.strip().lower()
         match = _PAREN.match(text) or _DASH.match(text)
-        kind, arg = (match.group("kind"), int(match.group("arg"))) if match \
-            else (text, None)
+        kind, arg = match.group("kind", "arg") if match else (text, None)
         if kind == "local":  # shorthand used in figure labels
             kind = "local_sgd"
         if kind not in POLICY_KINDS:
             raise ConfigurationError(f"unknown sync policy {spec!r}; "
                                      f"expected one of {POLICY_KINDS}")
+        if arg is not None:
+            if not _INTEGER.fullmatch(arg):
+                raise ConfigurationError(
+                    f"sync policy {spec!r}: argument {arg!r} is not a "
+                    f"whole number")
+            arg = int(arg)
         if kind in _ARGUMENT:   # s = 1 and H = 1 when not given
             return cls(kind=kind, **{_ARGUMENT[kind]: 1 if arg is None
                                      else arg})

@@ -1,31 +1,25 @@
-"""Core of the discrete-event engine: environment, events and processes.
+"""Core of the discrete-event engine: environment, events and barriers.
 
-Two kinds of simulation task wait on events.  A :class:`Process` wraps a
-generator that yields events (the DES keeps one per compute class, and
-the tests drive flows through them); a *record* is a slotted object
-that is itself the waiter -- called as ``record(ok, value)`` -- and walks
-its own state until it must wait again (the DES's unit syncs, shard sides
-and flows).  Records carry no generator frame, and neither takes a queue
-entry to resume.
+A simulation task is a *record*: a slotted object that is itself the
+waiter of the event it waits on -- called as ``record(ok, value)`` -- and
+walks its own state until it must wait again (the DES's compute classes,
+unit syncs, shard sides and flows).  Records carry no generator frame and
+take no queue entry to resume.
 
-The engine is the substrate of every figure sweep, so the event loop and the
-process-resume path are written allocation-consciously:
+The engine is the substrate of every figure sweep, so the event loop is
+written allocation-consciously:
 
 * all event classes carry ``__slots__`` (no per-instance ``__dict__``);
-* waiters are invoked as ``callback(ok, value)``; the first waiter lives in
+* waiters are invoked as ``waiter(ok, value)``; the first waiter lives in
   a dedicated ``_waiter`` slot, so the common one-waiter event never
-  allocates a callback list, and a :class:`Process` (like a record)
-  registers *itself* as the waiter so no bound method is materialised per
-  wait;
-* process bookkeeping (bootstrap, resuming after an already-processed
+  allocates a callback list, and a record registers *itself* as the
+  waiter so no bound method is materialised per wait;
+* bookkeeping (a record's bootstrap, resuming after an already-processed
   event) schedules thunks directly on the heap instead of allocating
   throwaway :class:`Event` objects (and detached ones, one per batch);
 * the earliest pending queue entry is held in a front register, so the
   dominant schedule-next/pop-next cycle of chained timeouts never touches
-  the heap;
-* :meth:`Environment.run` inlines the whole timeout->process resume cycle,
-  making ``yield env.timeout(...)`` cost one :class:`Timeout` allocation,
-  one heap-entry tuple, and one generator resume per step.
+  the heap.
 
 Every time guard reads ``not time >= now`` (``not delay >= 0``), so a NaN
 fails it: a NaN entry would pop first, set the clock to NaN and let every
@@ -42,23 +36,17 @@ from __future__ import annotations
 
 import gc
 import heapq
-from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
 #: Signature of an event waiter: called with ``(ok, value)`` when the event
-#: is processed.  (A :class:`Process` registers itself instead of a bound
-#: method; the dispatcher special-cases it.)
+#: is processed.
 Waiter = Callable[[Optional[bool], Any], None]
-
-#: Sentinel marking "the generator did not yield a new event" in the inlined
-#: resume path (``None`` is a legal -- if invalid -- yield value).
-_NO_EVENT = object()
 
 
 class Event:
-    """A one-shot occurrence that processes can wait on.
+    """A one-shot occurrence that records can wait on.
 
     An event is *triggered* when :meth:`succeed` (or :meth:`fail`) is called;
     its waiters run when the environment pops it from the queue, at which
@@ -80,9 +68,8 @@ class Event:
     def add_waiter(self, waiter: Any) -> None:
         """Register a waiter to run when this event is processed.
 
-        A waiter is either a ``callback(ok, value)`` callable or a
-        :class:`Process` (which is resumed with the outcome).  Waiters run
-        in registration order.  Registering on an already *processed* event
+        A waiter is a ``waiter(ok, value)`` callable.  Waiters run in
+        registration order.  Registering on an already *processed* event
         is a no-op (the waiter would never fire); callers that may race with
         processing should check :attr:`processed` first and handle the fired
         case themselves.
@@ -111,7 +98,7 @@ class Event:
         immediately, so double-triggering still raises) but its waiters run
         when the simulated clock reaches ``time``.  This is what lets a
         tail-clock channel publish "I free up at ``time``" as a single
-        queue entry instead of holding a process open until then.
+        queue entry instead of holding a record open until then.
 
         Raises:
             SimulationError: if ``time`` lies in the past.
@@ -133,7 +120,7 @@ class Event:
         return self
 
     def fail(self, exception: BaseException) -> "Event":
-        """Mark the event failed; waiting processes will see the exception."""
+        """Mark the event failed; its waiters will see the exception."""
         if self.triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
@@ -149,20 +136,20 @@ class Event:
         current dispatch, and no queue entry is taken.
 
         A flow record (:mod:`repro.cluster.machine`) completes this way in
-        the dispatch of its last channel event, exactly where a generator
-        caller's ``yield from`` would have resumed.
+        the dispatch of its last channel event, where the record that
+        booked it continues.
         """
         self.triggered = self.processed = True
         self.ok = True
         waiter = self._waiter
         if waiter is not None:
             self._waiter = None
-            _fire(waiter, True, None)
+            waiter(True, None)
         waiters = self._waiters
         if waiters:
             self._waiters = None
             for waiter in waiters:
-                _fire(waiter, True, None)
+                waiter(True, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
@@ -171,9 +158,10 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay: built only by
+    :meth:`Environment.timeout` and :meth:`Environment.timeout_at`."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     # A timeout is born triggered and successful, and neither flag ever
     # changes afterwards: shadow the parent slots with class constants so
@@ -182,111 +170,10 @@ class Timeout(Event):
     triggered = True
     ok = True
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if not delay >= 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__ (minus the shadowed constants).
-        self.env = env
-        self._waiter = None
-        self._waiters = None
-        self.value = value
-        self.processed = False
-        self.delay = delay
-        env._push((env._now + delay, env._sequence, self))
-        env._sequence += 1
-
-
-class Process(Event):
-    """A running simulation process wrapping a generator.
-
-    The process is itself an event that succeeds with the generator's return
-    value, so processes can wait for each other by yielding the process
-    object -- except a detached one (:meth:`Environment.spawn`).
-    """
-
-    __slots__ = ("_generator", "_send", "_throw", "_on_exit")
-
-    def __init__(self, env: "Environment", generator: Generator,
-                 on_exit: Optional[Waiter] = None):
-        if not hasattr(generator, "send"):
-            raise SimulationError(
-                f"Process expects a generator, got {type(generator).__name__}"
-            )
-        super().__init__(env)
-        self._generator = generator
-        self._send = generator.send
-        self._throw = generator.throw
-        self._on_exit = on_exit
-        # Kick the process off at the current simulation time (no throwaway
-        # bootstrap event; the thunk occupies the same queue slot one would).
-        if on_exit is None:
-            env.schedule_thunk(self._start)
-
-    def _start(self) -> None:
-        if not self.triggered:
-            self._advance(True, None)
-
-    def _finish(self, ok: bool, value: Any) -> None:
-        """End the process: a completion entry, or straight to ``on_exit``."""
-        if self._on_exit is None:
-            (self.succeed if ok else self.fail)(value)
-        else:
-            self.triggered, self.ok, self.value = True, ok, value
-            self._on_exit(ok, value)
-
-    # -- resume machinery ----------------------------------------------------------
-    def _advance(self, ok: Optional[bool], value: Any) -> None:
-        """Resume the generator with an event outcome and wait on its yield."""
-        if self.triggered:
-            return
-        try:
-            if ok is False:
-                next_event = self._throw(value)
-            else:
-                next_event = self._send(value)
-        except StopIteration as stop:
-            self._finish(True, stop.value)
-            return
-        except BaseException as exc:  # surface process crashes to the caller
-            self._finish(False, exc)
-            return
-        self._wait_on(next_event)
-
-    def _wait_on(self, next_event: Any) -> None:
-        """Register this process to resume when ``next_event`` fires."""
-        if next_event.__class__ is Timeout and not next_event.processed:
-            # Fast path: a freshly created timeout, the dominant yield in
-            # simulation workloads.
-            if next_event._waiter is None and next_event._waiters is None:
-                next_event._waiter = self
-            else:
-                next_event.add_waiter(self)
-            return
-        if not isinstance(next_event, Event):
-            self._generator.close()
-            self._finish(False, SimulationError(
-                f"process yielded a non-event: {next_event!r}"))
-            return
-        if next_event.processed:
-            # The event already fired; resume at the same time via a thunk
-            # instead of a throwaway copy of the event.
-            ok2, value2 = next_event.ok, next_event.value
-            self.env.schedule_thunk(lambda: self._advance(ok2, value2))
-        else:
-            next_event.add_waiter(self)
-
 
 #: Cached allocator: skips the per-call ``LOAD_ATTR __new__`` in the hot
 #: :meth:`Environment.timeout` constructor.
 _TIMEOUT_NEW = Timeout.__new__
-
-
-def _fire(waiter: Any, ok: Optional[bool], value: Any) -> None:
-    """Deliver an event outcome to one waiter (callable or process)."""
-    if waiter.__class__ is Process:
-        waiter._advance(ok, value)
-    else:
-        waiter(ok, value)
 
 
 class CountdownEvent(Event):
@@ -301,7 +188,7 @@ class CountdownEvent(Event):
     over the corresponding per-member events -- the barrier succeeds during
     the same dispatch in which the last member would have fired.
 
-    Detached processes (:meth:`Environment.spawn`) arrive with their
+    Detached records (:meth:`Environment.spawn`) arrive with their
     outcome through :meth:`arrive_with`, which also propagates the first
     member failure to the barrier, matching ``AllOf``'s failure semantics.
     """
@@ -407,7 +294,6 @@ class Environment:
         t._waiters = None
         t.value = value
         t.processed = False
-        t.delay = delay
         entry = (self._now + delay, self._sequence, t)
         self._sequence += 1
         front = self._front
@@ -445,7 +331,6 @@ class Environment:
         t._waiters = None
         t.value = value
         t.processed = False
-        t.delay = time - now
         entry = (time, self._sequence, t)
         self._sequence += 1
         front = self._front
@@ -462,28 +347,17 @@ class Environment:
             heapq.heappush(self._queue, entry)
         return t
 
-    def process(self, generator: Generator) -> Process:
-        """Start a new process from a generator."""
-        return Process(self, generator)
+    def spawn(self, tasks: Iterable[Any], on_exit: Waiter) -> None:
+        """Start detached records, all from one queue entry.
 
-    def spawn(self, tasks: Iterable[Any],
-              on_exit: Waiter = lambda ok, value: None) -> None:
-        """Start detached tasks, all from one queue entry.
-
-        A task is a generator (run as a detached :class:`Process`) or a
-        record: an object with an ``on_exit`` attribute and a ``_start()``
-        that runs it to its first wait.  Each runs to its first wait in the
-        order given, as back-to-back :meth:`process` calls would; none takes
-        a completion entry (nothing may wait on it), each hands its outcome
-        to ``on_exit(ok, value)``.
+        A record has an ``on_exit`` attribute and a ``_start()`` that runs
+        it to its first wait.  Each runs to its first wait in the order
+        given; none takes a completion entry (nothing may wait on it), each
+        hands its outcome to ``on_exit(ok, value)``.
         """
-        started = []
-        for task in tasks:
-            if task.__class__ is GeneratorType:
-                task = Process(self, task, on_exit)
-            else:
-                task.on_exit = on_exit
-            started.append(task)
+        started = list(tasks)
+        for task in started:
+            task.on_exit = on_exit
 
         def start() -> None:
             for task in started:
@@ -497,34 +371,29 @@ class Environment:
         return CountdownEvent(self, count)
 
     # -- scheduling ----------------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Insert a triggered event into the queue ``delay`` seconds from now."""
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._push((self._now + delay, self._sequence, event))
+    def schedule(self, event: Event) -> None:
+        """Insert a triggered event into the queue at the current time."""
+        self._push((self._now, self._sequence, event))
         self._sequence += 1
 
-    def schedule_thunk(self, thunk: Callable[[], None], delay: float = 0.0) -> None:
-        """Insert a bare callable into the queue; called (once) when popped.
+    def schedule_thunk(self, thunk: Callable[[], None]) -> None:
+        """Insert a bare callable into the queue at the current time; called
+        (once) when popped.
 
         Thunks are the allocation-free alternative to one-shot helper
         events: they take a queue slot (and a sequence tick) exactly like an
         event, but carry no state and run no waiter list.
         """
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._push((self._now + delay, self._sequence, thunk))
+        self._push((self._now, self._sequence, thunk))
         self._sequence += 1
 
     def run(self) -> None:
         """Run until the queue drains.
 
-        Any process that raised an exception fails silently unless something
-        was waiting on it.
+        A failed event whose waiters ignore the failure fails silently.
         """
-        # Hot loop: the timeout->single-process-resume cycle is fully inlined
-        # (no _advance frames).  Entries are pushed at >= self._now and
-        # consumed in priority order, so the clock never runs backwards.
+        # Hot loop.  Entries are pushed at >= self._now and consumed in
+        # priority order, so the clock never runs backwards.
         #
         # Automatic (cyclic) garbage collection is paused for the duration:
         # the engine's per-event allocations (timeouts, heap tuples) are
@@ -549,85 +418,18 @@ class Environment:
                 time, _, item = entry
                 self._now = time
                 processed += 1
-                if item.__class__ is Timeout:
-                    item.processed = True
-                    w = item._waiter
-                    if w is not None:
-                        item._waiter = None
-                        if w.__class__ is not Process:
-                            w(True, item.value)  # a record
-                        elif not w.triggered:
-                            # Inlined Process._advance for the ok=True timeout
-                            # outcome, with a tight chain loop: while the
-                            # process yields a fresh timeout that is also the
-                            # globally next entry (the dominant simulation
-                            # pattern), consume it here without bouncing
-                            # through the outer dispatch.  The chain is taken
-                            # only when `item` has no extra waiters, so
-                            # multi-waiter firing order matches the seed.
-                            send = w._send
-                            chain_ok = item._waiters is None
-                            value = item.value
-                            while True:
-                                nxt = _NO_EVENT
-                                try:
-                                    nxt = send(value)
-                                except StopIteration as stop:
-                                    w._finish(True, stop.value)
-                                except BaseException as exc:
-                                    w._finish(False, exc)
-                                if nxt is _NO_EVENT:
-                                    break
-                                if (nxt.__class__ is Timeout
-                                        and nxt._waiter is None
-                                        and nxt._waiters is None
-                                        and not nxt.processed):
-                                    if chain_ok:
-                                        fentry = self._front
-                                        if (fentry is not None
-                                                and fentry[2] is nxt):
-                                            # Nothing can have registered on
-                                            # nxt or scheduled ahead of it:
-                                            # consume it immediately.
-                                            self._front = None
-                                            self._now = fentry[0]
-                                            processed += 1
-                                            nxt.processed = True
-                                            value = nxt.value
-                                            continue
-                                    nxt._waiter = w
-                                    break
-                                w._wait_on(nxt)
-                                break
-                        # (a process that ended while queued is not resumed)
-                    waiters = item._waiters
-                    if waiters:
-                        item._waiters = None
-                        value = item.value
-                        for waiter in waiters:
-                            if waiter.__class__ is Process:
-                                waiter._advance(True, value)
-                            else:
-                                waiter(True, value)
-                elif isinstance(item, Event):
+                if isinstance(item, Event):
                     item.processed = True
                     waiter = item._waiter
                     if waiter is not None:
                         item._waiter = None
-                        # _fire, inline: a record is called, a process resumed.
-                        if waiter.__class__ is Process:
-                            waiter._advance(item.ok, item.value)
-                        else:
-                            waiter(item.ok, item.value)
+                        waiter(item.ok, item.value)
                     waiters = item._waiters
                     if waiters:
                         item._waiters = None
                         ok, value = item.ok, item.value
                         for waiter in waiters:
-                            if waiter.__class__ is Process:
-                                waiter._advance(ok, value)
-                            else:
-                                waiter(ok, value)
+                            waiter(ok, value)
                 else:
                     item()
         finally:

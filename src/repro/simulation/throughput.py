@@ -131,7 +131,7 @@ def simulation_result(simulator, iteration_seconds: float,
 # running a sync is then a step record (``_UnitSync``) walking the opcodes,
 # whatever the scheme, until one must wait: on a flow's completion event,
 # a barrier, the gate or a shard side's event.  It resumes as that event's
-# waiter, so no generator runs per sync or per flow.
+# waiter, so no generator runs in a DES run.
 _TRANSFER = 0   # (op, src, dst, nbytes, tag): inline point-to-point flow
 _SPAWN = 1      # same, booked from its own entry (Phase.detached)
 _BROADCAST = 2  # (op, src, dst_ids, nbytes, tag): one uplink hold, many copies
@@ -153,10 +153,11 @@ class _UnitSteps:
     Attributes:
         workers: the step tuple of every worker.
         barriers: size of each countdown barrier the steps index.
-        shards: shard-side steps of the fabric phases, run by one helper
-            process per unit: ``(pushed_barrier, nbytes, tag, phase)`` --
-            gather, then fire the phase's event once the barrier has; with
-            no barrier, scatter, and the scatter's finish is the event.
+        shards: shard-side steps of the fabric phases, run by one
+            ``_ShardSide`` per unit: ``(pushed_barrier, nbytes, tag,
+            phase)`` -- gather, then fire the phase's event once the
+            barrier has; with no barrier, scatter, and the scatter's finish
+            is the event.
     """
 
     workers: Tuple[Tuple[tuple, ...], ...]
@@ -167,7 +168,7 @@ class _UnitSteps:
 def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
     """Lower one unit's phases to per-worker steps (node ids enumerated).
 
-    A node *acts* in a phase when its own process issues the transfer: the
+    A node *acts* in a phase when its own sync issues the transfer: the
     senders of a fan-in, fabric push or ring step, the receivers of a
     fan-out or fabric fetch (a pull is driven by who pulls), the hub of a
     broadcast.  Actors arrive at the phase's countdown -- one for the whole
@@ -175,7 +176,7 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
     the previous phase's countdown and, from the first gated phase on,
     passes the gate once; whoever receives through someone else's transfer
     (a broadcast's or ring step's receivers) waits for the phase's own.  A
-    fetch's completion is known to the process that drove it, so a fan-out
+    fetch's completion is known to the sync that drove it, so a fan-out
     counts down only when it hands over to a later phase as a whole.
 
     A phase repeated ``k`` times is ``k`` rounds of one message, each behind
@@ -267,7 +268,7 @@ def _lower_unit(plan: UnitPlan, shape: SyncShape, one_hold: bool) -> _UnitSteps:
             for member in members:
                 before_act(member, index)
                 # A node's own copy is a free, eventless transfer (but a
-                # detached one still costs its process, as recorded).
+                # detached one still costs its entries, as recorded).
                 src, dst = (_SELF, hub) if inbound else (hub, _SELF)
                 steps[member].append((op, src, dst, phase.nbytes, tag))
                 if kind is PhaseKind.FABRIC_IN:
@@ -294,7 +295,7 @@ class _UnitSyncState:
     One :class:`~repro.sim.CountdownEvent` per lowered barrier (each actor
     arrives once, and the barrier fires during the same dispatch in which
     the last member's completion would have), plus the ``started`` event
-    that releases the unit's shard-side process.
+    that releases the unit's shard side.
     """
 
     __slots__ = ("steps", "started", "barriers", "shard_events")
@@ -438,7 +439,7 @@ class IterationSimulator:
         * one step tuple -- dropping workers ``1..P-1`` must lose nothing;
           no plan the other conjuncts admit fails it today.
 
-        The stepped workers are one *compute class* (one process) when the
+        The stepped workers are one *compute class* (one record) when the
         run is one round at one speed and every kernel that follows a sync's
         start takes time (docs/architecture.md, "DES compute classes").
         """
@@ -470,25 +471,28 @@ class IterationSimulator:
                                     for unit in self.workload.units[:-1])
         return _LOWERED.get((self.plan, one_hold, symmetric), lower), one_class
 
-    def _run_to_result(self, worker_processes, classes,
+    def _run_to_result(self, computes: List["_ComputeClass"],
                        rounds: int) -> SimulationResult:
         """Drain the event queue; per-iteration figures over ``rounds`` steps.
 
-        A shard side that raised surfaces as itself; a compute class still
-        unfinished when the queue drained (its syncs wait on an event that
-        can no longer fire) raises :class:`SimulationError` naming it.
+        A shard side or compute class that raised surfaces as itself; a
+        compute class still unfinished when the queue drained (its syncs
+        wait on an event that can no longer fire) raises
+        :class:`SimulationError` naming it.  A failure comes first: it is
+        what leaves the other classes' syncs waiting.
         """
         self.env.run()
         if self._shard_error is not None:
             raise self._shard_error
-        for members, process in zip(classes, worker_processes):
-            if not process.triggered:
+        for compute in computes:
+            if compute.ok is False:
+                raise compute.value
+        for compute in computes:
+            if not compute.triggered:
                 raise SimulationError(
-                    f"compute class of workers {members} did not finish: "
-                    f"the event queue drained while it waited")
-            if process.ok is False:
-                raise process.value
-        makespan = max(process.value for process in worker_processes)
+                    f"compute class of workers {compute.members} did not "
+                    f"finish: the event queue drained while it waited")
+        makespan = max(compute.value for compute in computes)
         iteration_seconds = makespan / rounds
 
         machines = [self.cluster.machine(w) for w in range(self.num_workers)]
@@ -521,7 +525,7 @@ class IterationSimulator:
 
         A BSP-equivalent policy is one round.  A relaxed one syncs only
         every ``sync_period``-th round, and each worker is gated by the SSP
-        bound alone (see ``_worker_process``).  Figures are the makespan and
+        bound alone (see ``_ComputeClass``).  Figures are the makespan and
         byte totals amortized over the rounds, so local SGD's wire volume
         scales as ``1/H`` and SSP's pipelining of communication under later
         rounds' compute shows up as reduced per-iteration time.
@@ -573,86 +577,24 @@ class IterationSimulator:
             self._preludes[plan.unit.name] = delays
         #: Whether broadcasts book every copy on the sender's own downlink.
         self._proxy = stepped < self.num_workers
-        worker_processes = [
-            self.env.process(self._worker_process(join, members, views))
-            for join, members in enumerate(classes)]
+        computes = [_ComputeClass(self, join, members, views)
+                    for join, members in enumerate(classes)]
         # Each round's shard sides start from one entry, behind the workers.
         for view in views:
             if view is not None:
                 self.env.spawn((_ShardSide(self, state)
                                 for state in view.states.values()
                                 if state.steps.shards), self._shard_exit)
-        return self._run_to_result(worker_processes, classes, rounds)
+        return self._run_to_result(computes, rounds)
 
     def _shard_exit(self, ok: Optional[bool], value) -> None:
         """A shard side's ``on_exit``: keep the first failure for the run."""
         if ok is False and self._shard_error is None:
             self._shard_error = value
 
-    # -- worker side --------------------------------------------------------------------
-    def _worker_process(self, join: int, members: Tuple[int, ...],
-                        views: List[Optional[_Round]]):
-        """One compute class's rounds: compute once for every member, and
-        sync each unit of a sync round at each member as its backward pass
-        finishes (WFBP) or after the whole pass -- members in worker order,
-        each as its own process did.  ``join`` indexes the class's joins."""
-        gpu, *alike = [self.cluster.machine(member).gpu for member in members]
-        start = self.env.now
-        system = self.system
-        workload = self.workload
-        backward = workload.units[::-1]
-        tail = workload.tail_backward_seconds
-        staleness = system.policy.bound
-        period = system.policy.sync_period
-        peers = self.num_workers > 1
-        staging_seconds = units.transfer_seconds(
-            2 * workload.total_param_bytes, system.host_copy_bandwidth_bps)
-
-        def start_syncs(workers, batch):  # from one queue entry
-            self.env.spawn([_UnitSync(self, worker, unit.name, view)
-                            for worker in workers for unit in batch],
-                           view.sync_done[join].arrive_with)
-
-        for r, view in enumerate(views):
-            # SSP staleness gate: before computing round r, the sync of the
-            # latest sync round at or before r - 1 - s (the last multiple of
-            # the period at or before r - s, less one) must have landed.
-            # Fully asynchronous workers (staleness None) never wait.
-            if peers and staleness is not None:
-                gate = (r - staleness) // period * period - 1
-                if gate >= 0:
-                    yield views[gate].sync_done[join]
-
-            scale = self._compute_scale(members[0], round_index=r)
-            if not system.overlap_host_copy:
-                yield from gpu.compute(staging_seconds * scale, alike)
-            yield from gpu.compute(workload.forward_seconds * scale, alike)
-            wfbp = view is not None and system.schedule is ScheduleMode.WFBP
-            for index, unit in enumerate(backward):
-                yield from gpu.compute(unit.backward_seconds * scale, alike)
-                # The last unit's syncs start here only if a tail kernel
-                # comes between them and the members' backward-done.
-                if wfbp and (index + 1 < len(backward) or tail > 0):
-                    start_syncs(members, (unit,))
-            if tail > 0:
-                yield from gpu.compute(tail * scale, alike)
-            if view is not None:
-                for member in members:
-                    if wfbp and not tail > 0:
-                        start_syncs((member,), backward[-1:])
-                    view.backward_done[member].succeed()
-                    if not wfbp:
-                        start_syncs((member,), backward)
-        # Drain: the makespan must cover the final sync round's traffic,
-        # otherwise relaxed policies would report communication as free.
-        if peers:
-            yield views[-1].sync_done[join]
-        return self.env.now - start
-
-
 def _wait(record, event: Event) -> None:
     """Resume ``record`` when ``event`` fires -- from a thunk at this
-    instant if it already has, as a process yielding it was."""
+    instant if it already has."""
     if event._waiter is None and event._waiters is None:
         if event.processed:
             ok, value = event.ok, event.value
@@ -661,6 +603,132 @@ def _wait(record, event: Event) -> None:
             event._waiter = record
     else:
         event.add_waiter(record)
+
+
+class _ComputeClass(Event):
+    """One compute class's rounds, a step record that succeeds with its
+    makespan.
+
+    Each round: the SSP gate, host staging, forward, each unit's backward
+    kernel, then the tail; every kernel is computed once for all members.
+    Each unit of a sync round starts its sync at each member as its
+    backward kernel finishes (WFBP) or after the whole pass -- members in
+    worker order.  After the last round it waits for the final sync round
+    (the drain).  It is the waiter (``compute(ok, value)``) of the kernel
+    or join it waits on; a failed join, or a step that raises, fails it.
+    ``join`` indexes the class's joins in each round.
+    """
+
+    __slots__ = ("sim", "join", "members", "views", "gpu", "alike",
+                 "backward", "kernels", "last", "start", "round", "kernel",
+                 "scale")
+
+    def __init__(self, sim: "IterationSimulator", join: int,
+                 members: Tuple[int, ...], views: List[Optional[_Round]]):
+        super().__init__(sim.env)
+        self.sim = sim
+        self.join = join
+        self.members = members
+        self.views = views
+        self.gpu, *self.alike = [sim.cluster.machine(member).gpu
+                                 for member in members]
+        workload, system = sim.workload, sim.system
+        self.backward = backward = workload.units[::-1]
+        tail = workload.tail_backward_seconds
+        #: One round's kernels, each with the units whose syncs start when
+        #: it ends under WFBP: staging (unless overlapped), forward, each
+        #: unit's backward kernel and a tail kernel.
+        kernels = [(workload.forward_seconds, ())]
+        if not system.overlap_host_copy:
+            kernels.insert(0, (units.transfer_seconds(
+                2 * workload.total_param_bytes,
+                system.host_copy_bandwidth_bps), ()))
+        kernels += [(unit.backward_seconds, (unit,)) for unit in backward]
+        #: Under WFBP, the units whose syncs start at each member with its
+        #: backward-done: the last one, unless a tail kernel comes between
+        #: its kernel and the backward-done.
+        self.last = ()
+        if tail > 0:
+            kernels.append((tail, ()))
+        else:
+            kernels[-1] = (kernels[-1][0], ())
+            self.last = backward[-1:]
+        self.kernels = kernels
+        #: Of the current round (``round``): -1, the gate comes next;
+        #: otherwise the next kernel to book.
+        self.round = 0
+        self.kernel = -1
+        self.start = sim.env.now
+        sim.env.schedule_thunk(self._start)
+
+    def _start(self) -> None:
+        self(True, None)
+
+    def __call__(self, ok: Optional[bool], value) -> None:
+        if ok is False:
+            self.fail(value)
+            return
+        try:
+            event = self._walk()
+        except BaseException as exc:  # a step raised: the class fails
+            self.fail(exc)
+            return
+        if event is None:
+            self.succeed(self.env._now - self.start)
+        else:
+            _wait(self, event)
+
+    def _start_syncs(self, view: _Round, workers, batch) -> None:
+        """Start ``batch``'s syncs at ``workers``, from one queue entry."""
+        sim = self.sim
+        sim.env.spawn([_UnitSync(sim, worker, unit.name, view)
+                       for worker in workers for unit in batch],
+                      view.sync_done[self.join].arrive_with)
+
+    def _walk(self) -> Optional[Event]:
+        """Walk on until a wait: the event to wait on, or ``None`` once done."""
+        sim, views, kernels = self.sim, self.views, self.kernels
+        system = sim.system
+        policy = system.policy
+        peers = sim.num_workers > 1
+        r, kernel = self.round, self.kernel
+        while r < len(views):
+            view = views[r]
+            wfbp = view is not None and system.schedule is ScheduleMode.WFBP
+            if kernel < 0:
+                kernel = 0
+                self.scale = sim._compute_scale(self.members[0], round_index=r)
+                # SSP staleness gate: before computing round r, the sync of
+                # the latest sync round at or before r - 1 - s (the last
+                # multiple of the period at or before r - s, less one) must
+                # have landed.  Fully asynchronous workers (staleness None)
+                # never wait.
+                if peers and policy.bound is not None:
+                    gate = ((r - policy.bound) // policy.sync_period
+                            * policy.sync_period - 1)
+                    if gate >= 0:
+                        self.round, self.kernel = r, kernel
+                        return views[gate].sync_done[self.join]
+            elif kernel and wfbp and kernels[kernel - 1][1]:  # one has ended
+                self._start_syncs(view, self.members, kernels[kernel - 1][1])
+            if kernel < len(kernels):
+                self.round, self.kernel = r, kernel + 1
+                return self.gpu.compute(kernels[kernel][0] * self.scale,
+                                        self.alike)
+            if view is not None:
+                for member in self.members:
+                    if wfbp and self.last:
+                        self._start_syncs(view, (member,), self.last)
+                    view.backward_done[member].succeed()
+                    if not wfbp:
+                        self._start_syncs(view, (member,), self.backward)
+            r, kernel = r + 1, -1
+        # Drain: the makespan must cover the final sync round's traffic,
+        # otherwise relaxed policies would report communication as free.
+        if peers and kernel < 0:
+            self.round, self.kernel = r, 0
+            return views[-1].sync_done[self.join]
+        return None
 
 
 class _UnitSync:
@@ -792,7 +860,7 @@ class _Detached(Event):
     """A detached fetch (``Phase.detached``): the flow is booked from a
     bootstrap entry of its own, and this event succeeds in a completion
     entry of its own once the flow has finished -- the entries of a fetch
-    run as its own process."""
+    run as its own task."""
 
     __slots__ = ("cluster", "args")
 

@@ -1,17 +1,22 @@
 """Discrete-event references the tests compare the engine's fast paths against.
 
+The engine runs only step records.  The tests write their scenarios as
+generators instead, driven by :class:`Process`: a generator that yields
+the events it waits on, resumed as each fires -- the plain resume path,
+with no fast path of its own.  :func:`process` starts one from its own
+queue entry, :func:`run_process` runs a root process to completion,
+:func:`run_flow` runs a cluster flow as a process, :func:`acquire` waits
+for a channel and :func:`occupy` holds one for a duration.
+
 :class:`AllOf` (a general conjunction) is the reference for
 :class:`~repro.sim.core.CountdownEvent`, and :class:`Resource` (a FIFO
 server with request / grant / release events) for
 :class:`~repro.sim.resources.TailChannel`'s busy-until clock.
-:func:`run_process` runs a root process to completion, :func:`run_flow` runs a
-cluster flow as a process, :func:`acquire` waits for a channel and
-:func:`occupy` holds one for a duration.
 
 Three references stand for the simulators' short paths:
 :func:`every_node` makes both engines run every node on any plan,
-:func:`worker_per_process` makes the DES run each worker in its own process
-(no compute class), and :func:`lower_unit_per_hub` is the DES lowering with
+:func:`worker_per_process` makes the DES run each worker as its own
+compute class, and :func:`lower_unit_per_hub` is the DES lowering with
 one receiver pass per broadcast hub, O(P^2) per all-to-all.
 
 :func:`one_unit_plan` is one scheme's schedule for one unit as a plan, the
@@ -36,6 +41,68 @@ from repro.simulation.throughput import (
     _ARRIVE, _AWAIT, _BROADCAST, _FABRIC_KINDS, _GATE, _RING, _SELF, _SPAWN,
     _TRANSFER, _WAIT, _UnitSteps)
 from repro.simulation.workload import IterationWorkload
+
+
+class Process(Event):
+    """A generator run as a task, and the event that completes it.
+
+    The process is the waiter (``process(ok, value)``) of each event the
+    generator yields, and resumes it with the outcome: a failure is thrown
+    into it.  An event that has already fired resumes it from a thunk at
+    the same instant.  It succeeds with the generator's return value, or
+    fails with what it raised, unless :meth:`Environment.spawn` gave it an
+    ``on_exit``: then the outcome goes there and takes no queue entry.
+    Built bare, it runs once ``_start()`` is called (:func:`process`
+    schedules that; ``spawn`` calls it).
+    """
+
+    __slots__ = ("_generator", "on_exit")
+
+    def __init__(self, env: Environment, generator: Generator):
+        super().__init__(env)
+        self._generator = generator
+        self.on_exit = None
+
+    def _start(self) -> None:
+        self(True, None)
+
+    def __call__(self, ok: Optional[bool], value: Any) -> None:
+        if self.triggered:
+            return
+        try:
+            if ok is False:
+                event = self._generator.throw(value)
+            else:
+                event = self._generator.send(value)
+        except StopIteration as stop:
+            self._finish(True, stop.value)
+            return
+        except BaseException as exc:
+            self._finish(False, exc)
+            return
+        if not isinstance(event, Event):
+            self._generator.close()
+            self._finish(False, SimulationError(
+                f"process yielded a non-event: {event!r}"))
+        elif event.processed:
+            ok, value = event.ok, event.value
+            self.env.schedule_thunk(lambda: self(ok, value))
+        else:
+            event.add_waiter(self)
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        if self.on_exit is None:
+            (self.succeed if ok else self.fail)(value)
+        else:
+            self.triggered, self.ok, self.value = True, ok, value
+            self.on_exit(ok, value)
+
+
+def process(env: Environment, generator: Generator) -> Process:
+    """Start ``generator`` as a process, from a queue entry of its own."""
+    task = Process(env, generator)
+    env.schedule_thunk(task._start)
+    return task
 
 
 class AllOf(Event):
@@ -163,15 +230,15 @@ class Resource:
 
 def run_process(env: Environment, generator: Generator) -> Any:
     """Run a root process to completion and return (or raise) its result."""
-    process = env.process(generator)
+    root = process(env, generator)
     env.run()
-    if not process.triggered:
+    if not root.triggered:
         raise SimulationError(
             "root process did not finish before the simulation ended"
         )
-    if process.ok is False:
-        raise process.value
-    return process.value
+    if root.ok is False:
+        raise root.value
+    return root.value
 
 
 def run_flow(book, *args, **kwargs) -> Generator:
@@ -225,7 +292,7 @@ def every_node() -> Iterator[None]:
 
 @contextmanager
 def worker_per_process() -> Iterator[None]:
-    """Inside, the DES runs every stepped worker in its own process.
+    """Inside, the DES runs every stepped worker as its own compute class.
 
     ``IterationSimulator._lowered`` reports that the stepped workers are
     not one compute class; the lowering, the plan and the run are the

@@ -8,7 +8,7 @@ from repro.cluster.traffic import TrafficAccount
 from repro.config import ClusterConfig
 from repro.exceptions import SimulationError
 from repro.sim import Environment
-from sim_reference import run_flow, run_process
+from sim_reference import process, run_flow, run_process
 
 
 def make_cluster(num_workers=4, bandwidth_gbps=10.0, **kwargs):
@@ -64,7 +64,7 @@ class TestTransfers:
 
         def proc():
             # 1.25 GB at 10 Gb/s = 1 second.
-            yield env.process(run_flow(cluster.transfer, 0, 1, 1.25e9))
+            yield process(env, run_flow(cluster.transfer, 0, 1, 1.25e9))
             return env.now
 
         assert run_process(env, proc()) == pytest.approx(1.0, rel=1e-6)
@@ -73,7 +73,7 @@ class TestTransfers:
         env, cluster = make_cluster()
 
         def proc():
-            yield env.process(run_flow(cluster.transfer, 2, 2, 1e9))
+            yield process(env, run_flow(cluster.transfer, 2, 2, 1e9))
             return env.now
 
         assert run_process(env, proc()) == pytest.approx(0.0)
@@ -82,7 +82,7 @@ class TestTransfers:
         env, cluster = make_cluster(bandwidth_gbps=10.0)
 
         def proc():
-            yield env.process(run_flow(cluster.transfer, 0, FABRIC, 1.25e9))
+            yield process(env, run_flow(cluster.transfer, 0, FABRIC, 1.25e9))
             return env.now
 
         run_process(env, proc())
@@ -155,11 +155,11 @@ class TestTransfers:
         completions = []
 
         def sender(dst):
-            yield env.process(run_flow(cluster.transfer, 0, dst, 1.25e9))
+            yield process(env, run_flow(cluster.transfer, 0, dst, 1.25e9))
             completions.append(env.now)
 
-        env.process(sender(1))
-        env.process(sender(2))
+        process(env, sender(1))
+        process(env, sender(2))
         env.run()
         assert sorted(completions) == pytest.approx([1.0, 2.0], rel=1e-6)
 
@@ -168,11 +168,11 @@ class TestTransfers:
         completions = []
 
         def sender(src, dst):
-            yield env.process(run_flow(cluster.transfer, src, dst, 1.25e9))
+            yield process(env, run_flow(cluster.transfer, src, dst, 1.25e9))
             completions.append(env.now)
 
-        env.process(sender(0, 2))
-        env.process(sender(1, 3))
+        process(env, sender(0, 2))
+        process(env, sender(1, 3))
         env.run()
         assert completions == pytest.approx([1.0, 1.0], rel=1e-6)
 
@@ -182,11 +182,11 @@ class TestTransfers:
         completions = []
 
         def sender(src):
-            yield env.process(run_flow(cluster.transfer, src, 3, 1.25e9))
+            yield process(env, run_flow(cluster.transfer, src, 3, 1.25e9))
             completions.append(env.now)
 
         for src in (0, 1, 2):
-            env.process(sender(src))
+            process(env, sender(src))
         env.run()
         assert max(completions) == pytest.approx(3.0, rel=1e-6)
 
@@ -194,7 +194,7 @@ class TestTransfers:
         env, cluster = make_cluster(bandwidth_gbps=10.0)
 
         def proc():
-            yield env.process(run_flow(cluster.broadcast, 0, [1, 2, 3], 1.25e9))
+            yield process(env, run_flow(cluster.broadcast, 0, [1, 2, 3], 1.25e9))
             return env.now
 
         finish = run_process(env, proc())
@@ -208,8 +208,8 @@ class TestTrafficAccounting:
         env, cluster = make_cluster()
 
         def proc():
-            yield env.process(run_flow(cluster.transfer, 0, 1, 1000, tag="push:fc6"))
-            yield env.process(run_flow(cluster.transfer, 1, 0, 500, tag="pull:fc6"))
+            yield process(env, run_flow(cluster.transfer, 0, 1, 1000, tag="push:fc6"))
+            yield process(env, run_flow(cluster.transfer, 1, 0, 500, tag="pull:fc6"))
 
         run_process(env, proc())
         sent_tags = cluster.machine(0).nic.traffic.by_tag_sent
@@ -233,7 +233,7 @@ class TestTrafficAccounting:
         cluster = ClusterModel(env, config)
 
         def proc():
-            yield env.process(run_flow(cluster.transfer, 0, 1, 1.25e9))
+            yield process(env, run_flow(cluster.transfer, 0, 1, 1.25e9))
             return env.now
 
         assert run_process(env, proc()) == pytest.approx(1.5, rel=1e-6)
@@ -270,8 +270,8 @@ class TestGpuDevice:
         gpu = cluster.machine(0).gpu
 
         def proc():
-            yield env.process(gpu.compute(0.25))
-            yield env.process(gpu.compute(0.75))
+            yield gpu.compute(0.25)
+            yield gpu.compute(0.75)
             return env.now
 
         assert run_process(env, proc()) == pytest.approx(1.0)
@@ -280,7 +280,7 @@ class TestGpuDevice:
     def test_negative_compute_rejected(self):
         env, cluster = make_cluster()
         with pytest.raises(SimulationError):
-            run_process(env, cluster.machine(0).gpu.compute(-1.0))
+            cluster.machine(0).gpu.compute(-1.0)
 
     def test_multi_gpu_machines(self):
         env = Environment()

@@ -42,8 +42,8 @@ from repro.nn.model_zoo import get_model_spec
 from repro.sim import CountdownEvent, Environment, Event, TailChannel
 from repro.simulation.throughput import IterationSimulator, simulate_system
 from repro.simulation.workload import build_workload
-from sim_reference import (AllOf, Resource, acquire, occupy, run_flow,
-                           run_process)
+from sim_reference import (AllOf, Process, Resource, acquire, occupy,
+                           process, run_flow, run_process)
 
 TRACE_PATH = os.path.join(os.path.dirname(__file__), "data",
                           "flow_sim_trace.json")
@@ -74,9 +74,9 @@ class TestCountdownEvent:
             yield barrier
             times.append(env.now)
 
-        env.process(waiter())
+        process(env, waiter())
         for delay in (1.0, 5.0, 3.0):
-            env.process(arriver(delay))
+            process(env, arriver(delay))
         env.run()
         assert times == [5.0]
 
@@ -113,12 +113,13 @@ class TestCountdownEvent:
         def fine():
             yield env.timeout(2.0)
 
-        env.spawn([boom(), fine()], barrier.arrive_with)
+        env.spawn([Process(env, boom()), Process(env, fine())],
+                  barrier.arrive_with)
 
         def waiter():
             yield barrier
 
-        root = env.process(waiter())
+        root = process(env, waiter())
         env.run()
         assert root.ok is False
         assert isinstance(root.value, ValueError)
@@ -153,9 +154,9 @@ class TestCountdownEvent:
                     yield AllOf(env, members)
                 done.append(env.now)
 
-            env.process(waiter())
+            process(env, waiter())
             for index, delay in enumerate(delays):
-                env.process(member(index, delay))
+                process(env, member(index, delay))
             env.run()
             return done
 
@@ -197,7 +198,7 @@ class TestDeferredTrigger:
                 lambda ok, value: seen.append(env.now))
 
         seen = []
-        env.process(mover())
+        process(env, mover())
         env.run()
         assert seen == [target]
 
@@ -233,11 +234,11 @@ class TestTailChannelAgainstResource:
 
             def holder(index, spawn, duration):
                 yield env.timeout(spawn)
-                yield env.process(occupy(channel, duration))
+                yield process(env, occupy(channel, duration))
                 finished[index] = env.now
 
             for index, (spawn, duration) in enumerate(holds):
-                env.process(holder(index, spawn, duration))
+                process(env, holder(index, spawn, duration))
             env.run()
             return finished
 
@@ -259,9 +260,9 @@ class TestTailChannelAgainstResource:
             yield release
             order.append((name, start, env.now))
 
-        env.process(holder("a", 0.0, 4.0))
-        env.process(holder("b", 1.0, 2.0))
-        env.process(holder("c", 2.0, 1.0))
+        process(env, holder("a", 0.0, 4.0))
+        process(env, holder("b", 1.0, 2.0))
+        process(env, holder("c", 2.0, 1.0))
         env.run()
         assert order == [("a", 0.0, 4.0), ("b", 4.0, 6.0), ("c", 6.0, 7.0)]
 
@@ -347,11 +348,11 @@ class TestTransferAgainstResourceModel:
 
             def flow(index, spawn, src, dst, nbytes):
                 yield env.timeout(spawn)
-                yield env.process(run_flow(cluster.transfer, src, dst, nbytes))
+                yield process(env, run_flow(cluster.transfer, src, dst, nbytes))
                 finished[index] = env.now
 
             for index, (spawn, src, dst, nbytes) in enumerate(flows):
-                env.process(flow(index, spawn, src, dst, nbytes))
+                process(env, flow(index, spawn, src, dst, nbytes))
             env.run()
             traffic = {node: machine.nic.traffic.total_bytes
                        for node, machine in cluster.machines.items()}
@@ -369,13 +370,13 @@ class TestTransferAgainstResourceModel:
 
             def flow(index, spawn, src, dst, nbytes):
                 yield env.timeout(spawn)
-                yield env.process(_reference_transfer(
+                yield process(env, _reference_transfer(
                     env, resources, traffic, src, dst, nbytes,
                     bandwidth, config.latency_seconds))
                 finished[index] = env.now
 
             for index, (spawn, src, dst, nbytes) in enumerate(flows):
-                env.process(flow(index, spawn, src, dst, nbytes))
+                process(env, flow(index, spawn, src, dst, nbytes))
             env.run()
             full = {node: traffic.get(node, 0.0) for node in range(4)}
             return finished, full
@@ -432,21 +433,21 @@ class TestTransferAgainstResourceModel:
 
             def flow(a, b, start, size):
                 yield env.timeout(start)
-                yield env.process(run_flow(cluster.transfer, a, b, size, tag="bg"))
+                yield process(env, run_flow(cluster.transfer, a, b, size, tag="bg"))
 
             for is_hold, a, b, start, size in background:
-                env.process(hold(b, start, size * 1e-10) if is_hold
+                process(env, hold(b, start, size * 1e-10) if is_hold
                             else flow(a, b, start, size))
 
             def proc():
                 yield env.timeout(1.5e-4)
                 if batched:
-                    yield env.process(run_flow(cluster.broadcast, src, list(order),
+                    yield process(env, run_flow(cluster.broadcast, src, list(order),
                                                         nbytes, tag="sfb"))
                 else:
                     nodes = config.num_nodes
                     yield AllOf(env, [
-                        env.process(run_flow(cluster.transfer,
+                        process(env, run_flow(cluster.transfer,
                             src, (src + 1 + k) % nodes, nbytes, tag="sfb"))
                         for k in range(nodes - 1)])
                 return env.now

@@ -19,7 +19,7 @@ from repro.nn.layers.conv import col2im, im2col
 from repro.nn.optim import SGD
 from repro.nn.sufficient_factors import SufficientFactors
 from repro.sim import Environment
-from sim_reference import AllOf, run_process
+from sim_reference import AllOf, process, run_process
 from train_reference import server_params
 
 ATOL = 1e-6
@@ -386,11 +386,11 @@ class TestDESDeterminism:
             trace.append((env.now, "stale"))
 
         for name in ("a", "b", "c"):
-            env.process(worker(name, [1, 1, 1]))
-        env.process(zero_spinner("z", 4))
+            process(env, worker(name, [1, 1, 1]))
+        process(env, zero_spinner("z", 4))
         e1, e2 = env.timeout(1), env.timeout(2)
-        env.process(waiter("w", [e1, e2]))
-        env.process(stale(env.timeout(0.5)))
+        process(env, waiter("w", [e1, e2]))
+        process(env, stale(env.timeout(0.5)))
         env.run()
 
         assert trace == SEED_TRACE
@@ -410,10 +410,10 @@ class TestCompositeFailurePropagation:
         def proc():
             yield AllOf(env, [env.timeout(1), failed])
 
-        process = env.process(proc())
+        root = process(env, proc())
         env.run()
-        assert process.ok is False
-        assert isinstance(process.value, RuntimeError)
+        assert root.ok is False
+        assert isinstance(root.value, RuntimeError)
 
     def test_all_of_still_succeeds_with_processed_successes(self):
         env = Environment()

@@ -68,6 +68,20 @@ class TestSyncPolicyParsing:
         with pytest.raises(ConfigurationError):
             SyncPolicy.parse(bad)
 
+    @pytest.mark.parametrize("bad,message", [
+        ("ssp(-1)", "SyncPolicy.staleness must be an integer >= 0, got -1"),
+        ("ssp(1.5)", "argument '1.5' is not a whole number"),
+        ("local_sgd(-2)",
+         "SyncPolicy.sync_period must be an integer >= 1, got -2"),
+    ])
+    def test_parse_names_a_known_kinds_bad_argument(self, bad, message):
+        """A known kind's malformed argument is reported as such, not as an
+        unknown policy."""
+        with pytest.raises(ConfigurationError) as raised:
+            SyncPolicy.parse(bad)
+        assert message in str(raised.value)
+        assert "unknown sync policy" not in str(raised.value)
+
     def test_degenerate_policies_are_bsp_equivalent(self):
         assert SyncPolicy.parse("ssp(0)").is_bsp_equivalent
         assert SyncPolicy.parse("local_sgd(1)").is_bsp_equivalent

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import Environment, Event, TailChannel, Timeout
-from sim_reference import AllOf, Resource, occupy, run_process
+from repro.sim import Environment, Event, TailChannel
+from sim_reference import (AllOf, Process, Resource, occupy, process,
+                           run_process)
 
 
 class TestEnvironmentBasics:
@@ -27,15 +28,11 @@ class TestEnvironmentBasics:
 
     @pytest.mark.parametrize("call", [
         lambda env, nan: env.timeout(nan),
-        lambda env, nan: Timeout(env, nan),
         lambda env, nan: env.timeout_at(nan),
-        lambda env, nan: env.schedule(env.event(), nan),
-        lambda env, nan: env.schedule_thunk(lambda: None, nan),
         lambda env, nan: env.event().succeed_at(nan),
         lambda env, nan: TailChannel(env).book(nan),
         lambda env, nan: run_process(env, occupy(TailChannel(env), nan)),
-    ], ids=["timeout", "Timeout", "timeout_at", "schedule", "schedule_thunk",
-            "succeed_at", "book", "occupy"])
+    ], ids=["timeout", "timeout_at", "succeed_at", "book", "occupy"])
     def test_nan_never_enters_the_queue(self, call):
         """A NaN time raises; it used to pop first, set the clock to NaN and
         let every later event run at its bare delay (1.0, 2.0, ...)."""
@@ -80,7 +77,7 @@ class TestProcesses:
             return 42
 
         def parent():
-            value = yield env.process(child())
+            value = yield process(env, child())
             return value + 1
 
         assert run_process(env, parent()) == 43
@@ -93,8 +90,8 @@ class TestProcesses:
             yield env.timeout(delay)
             trace.append((env.now, delay))
 
-        env.process(proc(2))
-        env.process(proc(1))
+        process(env, proc(2))
+        process(env, proc(1))
         env.run()
         assert trace == [(1, 1), (2, 2)]
 
@@ -114,10 +111,10 @@ class TestProcesses:
         def proc():
             yield 42
 
-        process = env.process(proc())
+        root = process(env, proc())
         env.run()
-        assert process.ok is False
-        assert isinstance(process.value, SimulationError)
+        assert root.ok is False
+        assert isinstance(root.value, SimulationError)
 
     def test_waiting_on_already_processed_event(self):
         env = Environment()
@@ -135,7 +132,7 @@ class TestProcesses:
 class TestSpawnedProcesses:
     """``Environment.spawn`` starts a batch from one entry and the batch ends
     without completion entries; everything else happens as with back-to-back
-    ``process`` calls."""
+    ``process`` calls (the test driver's, ``tests/sim_reference.py``)."""
 
     @staticmethod
     def _run(start):
@@ -153,7 +150,7 @@ class TestSpawnedProcesses:
             yield env.timeout(1.0)
             trace.append(("other", env.now, "end"))
 
-        env.process(other())
+        process(env, other())
         start(env, [member(name, 1.0) for name in "abc"],
               lambda ok, value: outcomes.append((ok, value)))
         env.run()
@@ -162,11 +159,10 @@ class TestSpawnedProcesses:
     def test_same_order_fewer_entries(self):
         def one_by_one(env, generators, on_exit):
             for generator in generators:
-                process = env.process(generator)
-                process.add_waiter(on_exit)
+                process(env, generator).add_waiter(on_exit)
 
-        spawned = self._run(lambda env, generators, on_exit:
-                            env.spawn(generators, on_exit))
+        spawned = self._run(lambda env, generators, on_exit: env.spawn(
+            [Process(env, generator) for generator in generators], on_exit))
         processed = self._run(one_by_one)
         assert spawned[:2] == processed[:2]
         assert [ok for ok, _ in spawned[1]] == [True] * 3
@@ -175,20 +171,9 @@ class TestSpawnedProcesses:
 
     def test_empty_batch_takes_no_entry(self):
         env = Environment()
-        env.spawn([])
+        env.spawn([], lambda ok, value: None)
         env.run()
         assert env.events_processed == 0
-
-    def test_outcome_is_dropped_by_default(self):
-        env = Environment()
-
-        def boom():
-            yield env.timeout(1.0)
-            raise ValueError("boom")
-
-        env.spawn([boom()])
-        env.run()
-        assert env.now == 1.0
 
 
 class TestCompositeEvents:
@@ -225,11 +210,11 @@ class TestResource:
         completions = []
 
         def worker(name):
-            yield env.process(resource.occupy(2))
+            yield process(env, resource.occupy(2))
             completions.append((name, env.now))
 
-        env.process(worker("a"))
-        env.process(worker("b"))
+        process(env, worker("a"))
+        process(env, worker("b"))
         env.run()
         assert [t for _, t in completions] == [2, 4]
 
@@ -239,11 +224,11 @@ class TestResource:
         completions = []
 
         def worker():
-            yield env.process(resource.occupy(3))
+            yield process(env, resource.occupy(3))
             completions.append(env.now)
 
         for _ in range(2):
-            env.process(worker())
+            process(env, worker())
         env.run()
         assert completions == [3, 3]
 
@@ -260,7 +245,7 @@ class TestResource:
         resource = Resource(env, capacity=1)
 
         def worker():
-            yield env.process(resource.occupy(4))
+            yield process(env, resource.occupy(4))
             yield env.timeout(4)
 
         run_process(env, worker())

@@ -792,10 +792,10 @@ TAIL = replace(build_workload(ALEXNET), model_name="alexnet+tail",
 
 class TestComputeClassLoweringsAreEachOthersOracle:
     """``_run_rounds`` runs the stepped workers of a one-round run at one
-    compute speed as one process, one compute class, whose kernels are
-    booked once and whose members' same-instant syncs start from one queue
-    entry; a process per worker (:func:`sim_reference.worker_per_process`)
-    is the reference.  Both sides step every worker (``every_node``), so
+    compute speed as one compute class, whose kernels are booked once and
+    whose members' same-instant syncs start from one queue entry; a class
+    per worker (:func:`sim_reference.worker_per_process`) is the
+    reference.  Both sides step every worker (``every_node``), so
     every backend's plan is run node for node."""
 
     @settings(max_examples=50, deadline=None, derandomize=True)

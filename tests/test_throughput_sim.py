@@ -9,12 +9,13 @@ key whose entry moved.
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
 
-from repro.cluster.machine import ClusterModel
+from repro.cluster.machine import ClusterModel, GpuDevice
 from repro.config import (
     ADAM_TF,
     CAFFE_PS,
@@ -37,6 +38,7 @@ from repro.simulation import build_workload, simulate_system
 from repro.simulation.speedup import scaling_curve
 from repro.simulation.throughput import (IterationSimulator, SimulationResult,
                                          decide_schemes)
+from sim_reference import worker_per_process
 
 
 def cluster(nodes, bandwidth=40.0, **kwargs):
@@ -214,6 +216,32 @@ class TestSimulatorInternals:
                 simulator.run()
         with pytest.raises(SimulationError, match="single-use"):
             simulator.run()
+
+    @pytest.mark.parametrize("system", [CAFFE_WFBP, TF],
+                             ids=["one class", "class per worker"])
+    def test_a_raising_kernel_fails_the_run(self, googlenet_spec, system):
+        """A kernel that raises fails its compute class, and the run fails
+        with that error -- also when the other classes are left waiting on
+        syncs the failed one never starts."""
+        compute = GpuDevice.compute
+        calls = []
+
+        def raising_compute(self, seconds, alike=()):
+            calls.append(seconds)
+            if len(calls) == 3:
+                raise SimulationError("kernel failed")
+            return compute(self, seconds, alike)
+
+        per_worker = worker_per_process() if system is TF else nullcontext()
+        with per_worker, mock.patch.object(GpuDevice, "compute",
+                                           raising_compute):
+            simulator = IterationSimulator(build_workload(googlenet_spec),
+                                           cluster(4), system)
+            with pytest.raises(SimulationError, match="kernel failed"):
+                simulator.run()
+            with pytest.raises(SimulationError, match="single-use"):
+                simulator.run()
+        assert len(calls) >= 3
 
     @pytest.mark.parametrize("system", [
         CAFFE_WFBP, poseidon_system("Adam", "adam")], ids=["ps", "adam"])

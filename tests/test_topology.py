@@ -38,7 +38,7 @@ from repro.nn.spec import LayerKind, LayerSpec
 from repro.sim import Environment
 from repro.simulation.throughput import decide_schemes, simulate_system
 from repro.simulation.workload import build_workload
-from sim_reference import run_flow
+from sim_reference import process, run_flow
 
 
 def poseidon_style(comm: str, name: str = "sys") -> SystemConfig:
@@ -317,7 +317,7 @@ def run_transfers(config, flows):
         done[index] = env.now - start
 
     for index, (src, dst, nbytes) in enumerate(flows):
-        env.process(flow(index, src, dst, nbytes))
+        process(env, flow(index, src, dst, nbytes))
     env.run()
     assert len(done) == len(flows)
     return done, model
